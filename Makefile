@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint doc-lint shard-opcode-gate race bounded-mem byz-suite chaos-suite bench-smoke bench bench-shard bench-crossshard bench-txn bench-read bench-wallclock pgo fuzz-smoke fuzz-byz ci
+.PHONY: all build test vet lint loc race bounded-mem byz-suite chaos-suite bench-smoke bench bench-shard bench-crossshard bench-txn bench-read bench-wallclock pgo fuzz-smoke fuzz-byz ci
 
 all: build
 
@@ -25,6 +25,17 @@ vet:
 # static gate.
 lint: vet
 	$(GO) run ./cmd/ubft-lint
+
+# Non-test, non-testdata Go source size: physical lines and code lines
+# (blank and //-only lines excluded), per top-level package and in total.
+# Every PR quotes this for its parent and itself in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | sort | \
+	xargs awk 'FNR == 1 { n = split(FILENAME, p, "/"); \
+			pkg = n == 2 ? "." : (p[2] ~ /^(internal|cmd|examples)$$/ && n > 3) ? p[2] "/" p[3] : p[2] } \
+		{ lines[pkg]++; if ($$0 !~ /^[ \t]*(\/\/.*)?$$/) code[pkg]++ } \
+		END { for (k in lines) { printf "%-28s %7d lines %7d code\n", k, lines[k], code[k]; tl += lines[k]; tc += code[k] } \
+			printf "%-28s %7d lines %7d code\n", "total", tl, tc }' | LC_ALL=C sort
 
 race:
 	$(GO) test -race ./...
@@ -72,20 +83,6 @@ bench-txn:
 # reads is gated by TestReadMixFastSpeedup).
 bench-read:
 	$(GO) test -run '^$$' -bench '^BenchmarkReadMix$$' -benchtime 1x -benchmem -short .
-
-# The shard layer must stay application-agnostic: its non-test sources may
-# only touch the app package through the capability interfaces and the
-# generic transaction envelope — never an app-specific opcode, status,
-# encoder or constructor (the api_redesign acceptance bar). Now a thin
-# alias for the type-aware ubft-lint pass that replaced the old grep.
-shard-opcode-gate:
-	$(GO) run ./cmd/ubft-lint -passes appagnostic
-
-# Every internal package must carry a package doc comment so `go doc` is
-# useful across the whole tree (docs/ARCHITECTURE.md relies on them).
-# A thin alias for the AST-based ubft-lint pass that replaced the old grep.
-doc-lint:
-	$(GO) run ./cmd/ubft-lint -passes doclint
 
 # A short real-socket wall-clock run: the node fleet (3 replicas + 2 memory
 # nodes) as OS processes on loopback, clients in-process, measured with the

@@ -395,7 +395,7 @@ func BenchmarkAblation_NoFastPath(b *testing.B) {
 // client could stall slots.
 func BenchmarkAblation_NoEchoRound(b *testing.B) {
 	for b.Loop() {
-		s := bench.NewUBFTSystem(cluster.Options{Seed: 1, EchoTimeout: -1})
+		s := bench.NewUBFTNoEcho(1)
 		reportLatency(b, s, bench.NewFlipWorkload(32, rand.New(rand.NewSource(1))), samples(b, 400))
 	}
 }

@@ -32,9 +32,9 @@ func main() {
 	}
 
 	// --- 2PC multi-key write across all four groups -----------------------
-	pairs := make([]app.RPair, shards)
+	pairs := make([]app.Pair, shards)
 	for s, k := range keys {
-		pairs[s] = app.RPair{Key: k, Val: []byte(fmt.Sprintf("value-%d", s))}
+		pairs[s] = app.Pair{Key: k, Val: []byte(fmt.Sprintf("value-%d", s))}
 	}
 	res, lat, err := d.InvokeSync(0, app.EncodeRMSet(pairs...), 50*ubft.Millisecond)
 	check("RMSet", res, err)
@@ -55,8 +55,8 @@ func main() {
 		r.Stop()
 	}
 	res, lat, err = d2.InvokeSync(0, app.EncodeRMSet(
-		app.RPair{Key: keyOn(0), Val: []byte("never")},
-		app.RPair{Key: keyOn(3), Val: []byte("never")},
+		app.Pair{Key: keyOn(0), Val: []byte("never")},
+		app.Pair{Key: keyOn(3), Val: []byte("never")},
 	), 50*ubft.Millisecond)
 	check("RMSet with stalled participant", res, err)
 	fmt.Printf("  outcome: status %d (RAborted=%d) after the %v prepare timeout\n", res[0], app.RAborted, lat)

@@ -55,15 +55,8 @@ func TestFacadeCapabilities(t *testing.T) {
 
 	const shards = 4
 	key := []byte("route-probe")
-	s, err := Route(NewRKV(), app.EncodeRGet(key), shards)
-	if err != nil {
-		t.Fatalf("Route: %v", err)
-	}
-	if s2, err := RKVRoute(app.EncodeRGet(key), shards); err != nil || s2 != s {
-		t.Fatalf("deprecated RKVRoute = (%d, %v), Route = %d", s2, err, s)
-	}
-	if s2, err := KVRoute(app.EncodeKVGet(key), shards); err != nil || s2 != app.ShardOfKey(key, shards) {
-		t.Fatalf("deprecated KVRoute = (%d, %v)", s2, err)
+	if s, err := Route(NewRKV(), app.EncodeRGet(key), shards); err != nil || s != app.ShardOfKey(key, shards) {
+		t.Fatalf("Route = (%d, %v), want shard %d", s, err, app.ShardOfKey(key, shards))
 	}
 	// A custom application built on the exported LockTable participates in
 	// the generic 2PC envelope without any shard-layer glue.

@@ -164,8 +164,8 @@ func TestByzCrossCheckFixture(t *testing.T) {
 
 // TestAppAgnosticFixture type-checks the fixture under the real shard
 // import path (the fixture world contains only the fixture, so there is
-// no collision), so the default gate — exactly what `make
-// shard-opcode-gate` runs — is what catches the planted app.RMGet.
+// no collision), so the default gate — exactly what `make lint` runs —
+// is what catches the planted app.RMGet.
 func TestAppAgnosticFixture(t *testing.T) {
 	w := loadWorld(t)
 	pkg := fixturePkg(t, w, "appgate", "repro/internal/shard")

@@ -60,11 +60,6 @@ const (
 // will refuse.
 const rkvMGetMax = 1024
 
-// RPair is one key/value pair of a multi-key write.
-//
-// Deprecated: use the shared Pair type; RPair is a compatibility alias.
-type RPair = Pair
-
 // NewRKV creates an empty store.
 func NewRKV() *RKV {
 	r := &RKV{vs: NewVersionedStore()}

@@ -4,6 +4,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/baselines/minbft"
 	"repro/internal/cluster"
+	"repro/internal/consensus"
 	"repro/internal/ctbcast"
 	"repro/internal/sim"
 )
@@ -54,6 +55,17 @@ func NewUBFTSlow(seed int64, newApp func() app.StateMachine) System {
 		DisableFastPath: true,
 		CTBMode:         ctbcast.SlowOnly,
 	})
+}
+
+// NewUBFTNoEcho deploys uBFT with the §5.4 echo round switched off (the
+// no-echo-round ablation): the leader proposes and followers endorse
+// without waiting for the client's direct request copy.
+func NewUBFTNoEcho(seed int64) System {
+	c, err := cluster.BuildWithDefenses(cluster.Options{Seed: seed}, consensus.Defenses{NoEchoWait: true})
+	if err != nil {
+		panic(err)
+	}
+	return &ubftSystem{c: c}
 }
 
 // --- Unreplicated -----------------------------------------------------

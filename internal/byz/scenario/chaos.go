@@ -1,11 +1,9 @@
 package scenario
 
 import (
-	"repro/internal/byz"
 	"repro/internal/cluster"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 	"repro/internal/xcrypto"
 )
 
@@ -91,21 +89,13 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 		cfg.Cycles = 2
 	}
 
-	eng := sim.NewEngine(cfg.Seed)
-	net := simnet.New(eng, simnet.RDMAOptions())
-	fab := byz.Wrap(simnet.AsFabric(net))
 	switch cfg.Policy {
-	case Equivocate:
-		fab.Infect(byzReplica, byz.Equivocate{})
-	case ForgeReads:
-		fab.Infect(byzReplica, byz.ForgeReads{})
-	case CorruptVotes:
-		fab.Infect(byzVoter, &byz.CorruptVotes{})
-	case Honest:
+	case Honest, Equivocate, ForgeReads, CorruptVotes:
 	default:
 		rep.violate("policy %q not in the chaos matrix", cfg.Policy)
 		return rep
 	}
+	hcfg := Config{Seed: cfg.Seed, App: cfg.App, ReadMode: ReadFast, Policy: cfg.Policy}
 
 	d, err := shard.Build(shard.Options{
 		Seed:      cfg.Seed,
@@ -113,7 +103,7 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 		NewApp:    ad.newApp,
 		FastReads: true,
 		Group: cluster.Options{
-			Fabric: fab,
+			Fabric: newFabric(hcfg),
 			// A small window so every down phase pushes the cluster far
 			// enough that the victim's slots are pruned everywhere and only
 			// the snapshot path can revive it.
@@ -133,7 +123,7 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 	}
 	defer d.Stop()
 
-	h := &harness{cfg: Config{Seed: cfg.Seed, App: cfg.App, ReadMode: ReadFast, Policy: cfg.Policy}, ad: ad, d: d, rep: &rep.Report}
+	h := &harness{cfg: hcfg, ad: ad, d: d, rep: &rep.Report}
 	vg, vi := victimOf(cfg)
 	round := 0
 	phase := func(tag string, n int) {

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/consensus"
 )
 
 // matrixSeeds returns the seeds each (policy, app, read-mode) cell runs.
@@ -103,9 +105,9 @@ func requireTrip(t *testing.T, what string, cfgs []Config) {
 func TestTripEquivocation(t *testing.T) {
 	requireTrip(t, "equivocation with unanimity and echo off", []Config{
 		{Seed: 1, App: "rkv", ReadMode: ReadFast, Policy: Equivocate,
-			UnsafeFirstLockDelivers: true, DisableEchoWait: true},
+			Defenses: consensus.Defenses{FirstLockDelivers: true, NoEchoWait: true}},
 		{Seed: 2, App: "rkv", ReadMode: ReadFast, Policy: Equivocate,
-			UnsafeFirstLockDelivers: true, DisableEchoWait: true},
+			Defenses: consensus.Defenses{FirstLockDelivers: true, NoEchoWait: true}},
 	})
 }
 
@@ -118,7 +120,7 @@ func TestTripForgedReads(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		cfgs = append(cfgs, Config{
 			Seed: seed, App: "rkv", ReadMode: ReadFast, Policy: ForgeReads,
-			UnsafeQuorumOne: true, UnsafeNoReadFallback: true,
+			Defenses: consensus.Defenses{QuorumOne: true, NoReadFallback: true},
 		})
 	}
 	requireTrip(t, "forged reads with quorum off", cfgs)
@@ -132,7 +134,7 @@ func TestTripCorruptVotes(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		cfgs = append(cfgs, Config{
 			Seed: seed, App: "rkv", ReadMode: ReadFast, Policy: CorruptVotes,
-			UnsafeQuorumOne: true,
+			Defenses: consensus.Defenses{QuorumOne: true},
 		})
 	}
 	requireTrip(t, "corrupted votes with quorum off", cfgs)

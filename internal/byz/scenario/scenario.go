@@ -9,10 +9,10 @@
 // replays exactly.
 //
 // The same harness runs the defense-off trip scenarios: with CTBcast's
-// LOCKED unanimity disabled (UnsafeFirstLockDelivers), the client's f+1
-// matching rule disabled (UnsafeQuorumOne), or more than f replicas
-// infected, the SAME invariant checker must report violations — proving
-// the checker can actually see the attacks the defenses stop.
+// LOCKED unanimity or the client's f+1 matching rule switched off
+// (consensus.Defenses), or more than f replicas infected, the SAME
+// invariant checker must report violations — proving the checker can
+// actually see the attacks the defenses stop.
 package scenario
 
 import (
@@ -61,18 +61,14 @@ type Config struct {
 	Policy   string // Honest | Silence | Equivocate | ForgeReads | CorruptVotes
 	Rounds   int    // workload rounds (default 4)
 
-	// Defense-off knobs — trip tests only. Each disables exactly the
-	// mechanism that bounds one attack at f=1.
-	UnsafeFirstLockDelivers bool // CTBcast delivers on first LOCK (equivocation defense off)
-	UnsafeQuorumOne         bool // client accepts 1 reply (quorum defense off)
-	UnsafeNoReadFallback    bool // fast reads never fall back to the ordered path
-	// DisableEchoWait turns off the Sec. 5.4 echo rule (followers endorse a
-	// prepare without holding the client's direct request copy). The
-	// equivocation trip needs it: the forged payload's digest matches no
-	// echoed request, so with the echo rule on followers refuse to vote for
-	// the divergent prepare and the view change rescues the run even with
-	// unanimity disabled — the two defenses independently bound the attack.
-	DisableEchoWait bool
+	// Defenses switched off — trip tests only. Each disables exactly the
+	// mechanism that bounds one attack at f=1. The equivocation trip needs
+	// FirstLockDelivers AND NoEchoWait: the forged payload's digest matches
+	// no echoed request, so with the echo rule on followers refuse to vote
+	// for the divergent prepare and the view change rescues the run even
+	// with unanimity disabled — the two defenses independently bound the
+	// attack.
+	Defenses consensus.Defenses
 	// SilenceBoth infects a second replica with the silence policy —
 	// deliberately exceeding f, the bound the paper's quorum arithmetic
 	// assumes — so the completion invariant must trip.
@@ -122,23 +118,12 @@ func (cfg Config) Infected() []ids.ID {
 	return nil
 }
 
-// Run executes one scenario cell and returns its invariant report.
-func Run(cfg Config) *Report {
-	rep := &Report{}
-	ad, ok := adapters()[cfg.App]
-	if !ok {
-		rep.violate("unknown app %q", cfg.App)
-		return rep
-	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 4
-	}
-
-	// Assemble the fabric ourselves so every endpoint goes through the byz
-	// wrapper (shard.Build sees an opaque transport.Fabric).
+// newFabric builds one run's harness fabric — a byz-wrapped deterministic
+// simnet, so every endpoint the assembler creates passes through the
+// injector — and infects it per cfg.
+func newFabric(cfg Config) *byz.Fabric {
 	eng := sim.NewEngine(cfg.Seed)
-	net := simnet.New(eng, simnet.RDMAOptions())
-	fab := byz.Wrap(simnet.AsFabric(net))
+	fab := byz.Wrap(simnet.AsFabric(simnet.New(eng, simnet.RDMAOptions())))
 	switch cfg.Policy {
 	case Silence:
 		fab.Infect(byzReplica, byz.SilenceOf(clientID))
@@ -152,45 +137,43 @@ func Run(cfg Config) *Report {
 	case CorruptVotes:
 		fab.Infect(byzVoter, &byz.CorruptVotes{})
 	}
+	return fab
+}
 
-	// cluster fill maps EchoTimeout==0 onto the paper default; a negative
-	// value reaches consensus unchanged, where <= 0 means "endorse without
-	// waiting for the client's request copy" — the defense-off setting.
-	echo := sim.Duration(0)
-	if cfg.DisableEchoWait {
-		echo = -1
+// Run executes one scenario cell and returns its invariant report.
+func Run(cfg Config) *Report {
+	rep := &Report{}
+	ad, ok := adapters()[cfg.App]
+	if !ok {
+		rep.violate("unknown app %q", cfg.App)
+		return rep
 	}
-	d, err := shard.Build(shard.Options{
+	if cfg.Rounds == 0 {
+		cfg.Rounds = 4
+	}
+
+	d, err := shard.BuildWithDefenses(shard.Options{
 		Seed:        cfg.Seed,
 		Shards:      nShards,
 		NewApp:      ad.newApp,
 		FastReads:   cfg.ReadMode == ReadFast || cfg.ReadMode == ReadSnapshot || cfg.ReadMode == ReadStrong,
 		StrongReads: cfg.ReadMode == ReadStrong,
 		Group: cluster.Options{
-			Fabric: fab,
+			Fabric: newFabric(cfg),
 			// View changes are the liveness half of the equivocation
 			// defense: CTBcast's unanimity rule wedges an equivocating
 			// leader's own channel (a follower that locked one variant
 			// refuses the SIGNED other, Algorithm 1 line 28), and the view
 			// change then replaces that leader so the pending requests
 			// re-propose under an honest one.
-			ViewChangeTimeout:       2 * sim.Millisecond,
-			EchoTimeout:             echo,
-			UnsafeFirstLockDelivers: cfg.UnsafeFirstLockDelivers,
+			ViewChangeTimeout: 2 * sim.Millisecond,
 		},
-	})
+	}, cfg.Defenses)
 	if err != nil {
 		rep.violate("build: %v", err)
 		return rep
 	}
 	defer d.Stop()
-	cl := d.Client(0)
-	if cfg.UnsafeQuorumOne {
-		cl.SetUnsafeQuorumOne(true)
-	}
-	if cfg.UnsafeNoReadFallback {
-		cl.SetUnsafeNoReadFallback(true)
-	}
 
 	h := &harness{cfg: cfg, ad: ad, d: d, rep: rep}
 	h.workload()

@@ -1,8 +1,15 @@
-// Package cluster assembles complete uBFT deployments on the simulated
-// fabric: 2f+1 replica hosts, 2f_m+1 memory nodes, clients, key registry
-// and network, wired exactly as in the paper's testbed (§7: 1 client, 3
-// replicas, 3 memory nodes on one switch). It is the top-level entry point
-// the examples and the benchmark harness build on.
+// Package cluster is the deployment assembler. The paper's testbed is one
+// shape (§7: 1 client, 2f+1 replicas, 2f_m+1 memory nodes on one switch)
+// and its memory nodes "can be shared among many applications" (§1), so
+// every deployment in this repository is S >= 1 groups of that shape over
+// one memory-node pool, described by a Layout and wired node by node onto
+// a transport.Fabric by an Assembly (assembly.go). This package's own entry
+// points are views of that core: Build/NewUBFT wire every node of the
+// one-group layout (the examples' and benchmarks' simulated cluster), and
+// NewMember wires a single node of the same layout on an injected fabric
+// (one ubft-node process). internal/shard wires the S-group layout through
+// the same Assembly. The baseline systems the paper compares against are
+// assembled in baselines.go.
 package cluster
 
 import (
@@ -14,17 +21,10 @@ import (
 	"repro/internal/ctbcast"
 	"repro/internal/ids"
 	"repro/internal/memnode"
-	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/xcrypto"
-)
-
-// ID allocation: replicas at 0.., memory nodes at 100.., clients at 200..
-const (
-	memNodeIDBase = 100
-	clientIDBase  = 200
 )
 
 // Options configures a uBFT cluster. Zero values take the paper's defaults.
@@ -51,14 +51,8 @@ type Options struct {
 	SlowPathDelay     sim.Duration
 	CTBSlowDelay      sim.Duration
 	ViewChangeTimeout sim.Duration // 0 disables view changes
-	EchoTimeout       sim.Duration // 0 disables the echo round
+	EchoTimeout       sim.Duration // echo-round wait (§5.4); 0 takes the 100us default
 	BatchSize         int          // >1 enables leader-side batching (§9 extension)
-
-	// UnsafeFirstLockDelivers disables CTBcast's LOCKED unanimity check on
-	// every replica — the equivocation defense. Byzantine-harness only (it
-	// lets the adversarial suite prove its invariant checker can detect
-	// divergence); never set in production deployments.
-	UnsafeFirstLockDelivers bool
 
 	// NewApp builds one state-machine instance per replica; nil defaults
 	// to Flip.
@@ -136,6 +130,9 @@ func (o *Options) validate() error {
 		return fmt.Errorf("cluster: negative MsgCap=%d", o.MsgCap)
 	case o.Window < 0 || o.Tail < 0:
 		return fmt.Errorf("cluster: negative Window=%d or Tail=%d", o.Window, o.Tail)
+	case o.SlowPathDelay < 0 || o.CTBSlowDelay < 0 || o.ViewChangeTimeout < 0 || o.EchoTimeout < 0:
+		return fmt.Errorf("cluster: negative timer (SlowPathDelay=%d CTBSlowDelay=%d ViewChangeTimeout=%d EchoTimeout=%d)",
+			o.SlowPathDelay, o.CTBSlowDelay, o.ViewChangeTimeout, o.EchoTimeout)
 	case o.Tail > o.Window:
 		// CTBcast retains at most Tail unacknowledged messages per
 		// broadcaster while consensus keeps Window slots open: a tail longer
@@ -152,44 +149,15 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// Normalize fills defaults and validates the result. Deployment layers that
-// assemble clusters themselves (the shard layer) call this before wiring.
+// Normalize fills defaults and validates the result; every entry point
+// calls it before handing the options to NewAssembly.
 func (o *Options) Normalize() error {
 	o.fill()
 	return o.validate()
 }
 
-// ConsensusConfig maps the per-group options onto one replica's consensus
-// configuration. It is the single source of truth for the Options ->
-// consensus.Config translation: every deployment layer (this package's
-// NewUBFT, the shard layer's groups) must build configs through it so a
-// newly added option cannot silently propagate to one layer but not the
-// other. Callers set RegionOffset afterwards when several groups share
-// memory nodes.
-func (o *Options) ConsensusConfig(self ids.ID, replicas, memNodes []ids.ID, a app.StateMachine) consensus.Config {
-	return consensus.Config{
-		Self:              self,
-		Replicas:          replicas,
-		F:                 o.F,
-		MemNodes:          memNodes,
-		Fm:                o.Fm,
-		Window:            o.Window,
-		Tail:              o.Tail,
-		MsgCap:            o.MsgCap,
-		FastPath:          !o.DisableFastPath,
-		SlowPathDelay:     o.SlowPathDelay,
-		CTBMode:           o.CTBMode,
-		CTBSlowDelay:      o.CTBSlowDelay,
-		ViewChangeTimeout: o.ViewChangeTimeout,
-		EchoTimeout:       o.EchoTimeout,
-		BatchSize:         o.BatchSize,
-		App:               a,
-
-		UnsafeFirstLockDelivers: o.UnsafeFirstLockDelivers,
-	}
-}
-
-// UBFT is an assembled cluster.
+// UBFT is an assembled single-group cluster: every node of
+// SingleGroupLayout, with the group's replicas and apps flattened out.
 type UBFT struct {
 	Eng      *sim.Engine
 	Net      *simnet.Network // nil when a non-simnet fabric was injected
@@ -203,35 +171,7 @@ type UBFT struct {
 	MemNodeIDs []ids.ID
 	ClientIDs  []ids.ID
 
-	// Restart support (simnet-backed deployments): the fabric endpoints are
-	// created on, the normalized options, and the per-replica incarnation
-	// nonce fed to the cold-rejoin handshake.
-	fab        transport.Fabric
-	opts       Options
-	joinNonces []uint64
-}
-
-// IDLayout returns the deterministic identity assignment of a cluster with
-// the given thresholds: replicas at 0.., memory nodes at 100.., clients at
-// 200... Every deployment surface (NewUBFT, NewMember, the wall-clock
-// launcher) derives its peer tables from this single function. memNodes
-// overrides the memory-node pool size when positive (any size in
-// [Fm+1, 2Fm+1] keeps SWMR quorum intersection); 0 takes the paper's
-// 2Fm+1.
-func IDLayout(f, fm, memNodes, clients int) (replicaIDs, memNodeIDs, clientIDs []ids.ID) {
-	if memNodes <= 0 {
-		memNodes = 2*fm + 1
-	}
-	for i := 0; i < 2*f+1; i++ {
-		replicaIDs = append(replicaIDs, ids.ID(i))
-	}
-	for i := 0; i < memNodes; i++ {
-		memNodeIDs = append(memNodeIDs, ids.ID(memNodeIDBase+i))
-	}
-	for i := 0; i < clients; i++ {
-		clientIDs = append(clientIDs, ids.ID(clientIDBase+i))
-	}
-	return replicaIDs, memNodeIDs, clientIDs
+	asm *Assembly
 }
 
 // NewUBFT builds and wires a cluster. The engine starts at virtual time 0;
@@ -246,154 +186,64 @@ func NewUBFT(opts Options) *UBFT {
 	return u
 }
 
+// singleGroup prepares the assembly Build and NewMember share; opts are
+// normalized.
+func singleGroup(opts Options, off consensus.Defenses) *Assembly {
+	return NewAssembly(opts, SingleGroupLayout(opts.F, opts.Fm, opts.MemNodes, opts.NumClients),
+		func(int) app.StateMachine { return opts.NewApp() }, off)
+}
+
 // Build builds and wires a cluster, reporting invalid options (including a
 // fabric without an engine) as an error instead of a panic. With a nil
-// opts.Fabric it assembles the deterministic simulated fabric exactly as
-// every release before transport injection did — bit-identical per seed.
+// opts.Fabric it assembles the deterministic simulated fabric,
+// bit-identical per seed.
 func Build(opts Options) (*UBFT, error) {
+	return BuildWithDefenses(opts, consensus.Defenses{})
+}
+
+// BuildWithDefenses is Build with the given protocol defenses switched OFF
+// in every replica and client. Not a deployment surface: it exists for the
+// paper's no-echo-round ablation and for tests that prove a checker trips
+// once a defense is gone.
+func BuildWithDefenses(opts Options, off consensus.Defenses) (*UBFT, error) {
 	if err := opts.Normalize(); err != nil {
 		return nil, err
 	}
-	fab := opts.Fabric
-	u := &UBFT{}
-	if fab == nil {
-		u.Eng = sim.NewEngine(opts.Seed)
-		netOpts := simnet.RDMAOptions()
-		if opts.NetOptions != nil {
-			netOpts = *opts.NetOptions
-		}
-		u.Net = simnet.New(u.Eng, netOpts)
-		fab = simnet.AsFabric(u.Net)
-	} else {
-		u.Eng = fab.Engine()
-		// Wrapping fabrics (the Byzantine injector) expose the underlying
-		// simulated network through the same accessor simnet.Fabric has, so
-		// fault injection composes with partition/GST/restart chaos.
-		if nf, ok := fab.(interface{ Network() *simnet.Network }); ok {
-			u.Net = nf.Network()
-		}
+	a := singleGroup(opts, off)
+	if err := a.WireNodes(); err != nil {
+		return nil, err
 	}
-	u.fab = fab
-	u.opts = opts
-
-	u.ReplicaIDs, u.MemNodeIDs, u.ClientIDs = IDLayout(opts.F, opts.Fm, opts.MemNodes, opts.NumClients)
-	u.joinNonces = make([]uint64, len(u.ReplicaIDs))
-
-	// Keys for replicas and clients (memory nodes do not sign).
-	u.Registry = SignerRegistry(opts.Seed, u.ReplicaIDs, u.ClientIDs)
-
-	endpoint := func(id ids.ID, name string) (transport.Endpoint, error) {
-		ep, err := fab.NewEndpoint(id, name)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: wiring %s: %w", name, err)
-		}
-		return ep, nil
+	grp := a.Groups[0]
+	u := &UBFT{
+		Eng: a.Eng, Net: a.Net, Registry: a.Registry,
+		// Shared backing arrays: RestartReplica's in-place replacement shows
+		// through these views.
+		Replicas: grp.Replicas, Apps: grp.Apps, MemNodes: a.MemNodes,
+		ReplicaIDs: grp.ReplicaIDs, MemNodeIDs: a.Layout.MemNodes, ClientIDs: a.Layout.Clients,
+		asm: a,
 	}
-
-	// Memory nodes.
-	for i, id := range u.MemNodeIDs {
-		ep, err := endpoint(id, fmt.Sprintf("mem%d", i))
+	for c := range u.ClientIDs {
+		cl, err := a.WireClient(c)
 		if err != nil {
 			return nil, err
 		}
-		u.MemNodes = append(u.MemNodes, memnode.New(router.New(ep)))
-	}
-
-	cfgFor := func(self ids.ID, a app.StateMachine) consensus.Config {
-		return opts.ConsensusConfig(self, u.ReplicaIDs, u.MemNodeIDs, a)
-	}
-	consensus.AllocateCluster(cfgFor(u.ReplicaIDs[0], opts.NewApp()), u.MemNodes)
-
-	for i, id := range u.ReplicaIDs {
-		ep, err := endpoint(id, fmt.Sprintf("replica%d", i))
-		if err != nil {
-			return nil, err
-		}
-		a := opts.NewApp()
-		u.Apps = append(u.Apps, a)
-		u.Replicas = append(u.Replicas, consensus.NewReplica(cfgFor(id, a), consensus.Deps{
-			RT:       router.New(ep),
-			Registry: u.Registry,
-		}))
-	}
-
-	for i, id := range u.ClientIDs {
-		ep, err := endpoint(id, fmt.Sprintf("client%d", i))
-		if err != nil {
-			return nil, err
-		}
-		u.Clients = append(u.Clients, consensus.NewClient(router.New(ep), u.ReplicaIDs, opts.F))
+		u.Clients = append(u.Clients, cl)
 	}
 	return u, nil
-}
-
-// SignerRegistry builds the deterministic key registry every process of a
-// deployment derives independently from the shared seed: replicas and
-// clients sign, memory nodes do not. Multi-process deployments (cmd/
-// ubft-node) call this with identical id lists on every host, which is
-// what makes their registries agree without a key-distribution service.
-func SignerRegistry(seed int64, replicaIDs, clientIDs []ids.ID) *xcrypto.Registry {
-	all := append(append([]ids.ID{}, replicaIDs...), clientIDs...)
-	return xcrypto.NewRegistry(seed+1, all)
 }
 
 // Client returns client i (panics if absent).
 func (u *UBFT) Client(i int) *consensus.Client { return u.Clients[i] }
 
-// KillReplica crash-stops replica i: its simulated processes drop every
-// queued delivery and timer, and its network identity is unregistered so
-// RestartReplica can rebind it. Requires a simnet-backed deployment.
-func (u *UBFT) KillReplica(i int) error {
-	if u.Net == nil {
-		return fmt.Errorf("cluster: KillReplica requires a simulated network")
-	}
-	id := u.ReplicaIDs[i]
-	if u.Net.Node(id) == nil {
-		return fmt.Errorf("cluster: replica %v already killed", id)
-	}
-	u.Replicas[i].Crash()
-	u.Net.RemoveNode(id)
-	return nil
-}
+// KillReplica crash-stops replica i (see Assembly.KillReplica).
+func (u *UBFT) KillReplica(i int) error { return u.asm.KillReplica(0, i) }
 
-// RestartReplica boots a fresh replica process for slot i after
-// KillReplica: a new endpoint on the same fabric (a Byzantine-wrapping
-// fabric re-attaches its policy), a fresh application instance, and a
-// consensus replica started in cold-rejoin mode with a bumped incarnation
-// nonce. The replica probes the cluster, pulls the f+1-vouched snapshot
-// and observes until the first post-join stable checkpoint before
-// participating again.
-func (u *UBFT) RestartReplica(i int) error {
-	if u.Net == nil {
-		return fmt.Errorf("cluster: RestartReplica requires a simulated network")
-	}
-	id := u.ReplicaIDs[i]
-	if u.Net.Node(id) != nil {
-		return fmt.Errorf("cluster: replica %v still registered (KillReplica first)", id)
-	}
-	ep, err := u.fab.NewEndpoint(id, fmt.Sprintf("replica%d", i))
-	if err != nil {
-		return fmt.Errorf("cluster: restarting replica %d: %w", i, err)
-	}
-	u.joinNonces[i]++
-	a := u.opts.NewApp()
-	cfg := u.opts.ConsensusConfig(id, u.ReplicaIDs, u.MemNodeIDs, a)
-	cfg.ColdJoin = true
-	cfg.JoinNonce = u.joinNonces[i]
-	u.Apps[i] = a
-	u.Replicas[i] = consensus.NewReplica(cfg, consensus.Deps{
-		RT:       router.New(ep),
-		Registry: u.Registry,
-	})
-	return nil
-}
+// RestartReplica boots a fresh cold-rejoining replica for slot i after
+// KillReplica (see Assembly.RestartReplica).
+func (u *UBFT) RestartReplica(i int) error { return u.asm.RestartReplica(0, i) }
 
 // Stop tears down background timers on all replicas.
-func (u *UBFT) Stop() {
-	for _, r := range u.Replicas {
-		r.Stop()
-	}
-}
+func (u *UBFT) Stop() { u.asm.Stop() }
 
 // InvokeSync failure outcomes. Both are negative so the historical
 // "latency < 0 means failure" check keeps working, but they are distinct:

@@ -93,6 +93,10 @@ func TestOptionsValidation(t *testing.T) {
 		"negative msgcap":     {MsgCap: -1},
 		"too many replicas":   {F: 32}, // 2F+1 = 65 > 64-replica bitmask limit
 		"memnode id overflow": {Fm: 50},
+		"negative echo":       {EchoTimeout: -1},
+		"negative viewchange": {ViewChangeTimeout: -1},
+		"negative slow path":  {SlowPathDelay: -1},
+		"negative ctb slow":   {CTBSlowDelay: -1},
 	}
 	for name, opts := range cases {
 		if err := opts.Normalize(); err == nil {

@@ -1,0 +1,166 @@
+package cluster_test
+
+// Refactor safety net for the deployment assembler: per-seed digests of
+// everything a run can observe (virtual latencies, final application
+// snapshots, decided counts), captured at the commit BEFORE Build,
+// NewMember and shard.Build were folded into one assembly core. Endpoint
+// creation order, the registry seed or an extra NewApp() call moving would
+// change these values.
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/app"
+	"repro/internal/cluster"
+	"repro/internal/consensus"
+	"repro/internal/sim"
+	"repro/internal/simnet"
+)
+
+// goldenDigest folds a run's observable outcome into one hex digest.
+func goldenDigest(lats []sim.Duration, apps []app.StateMachine, reps []*consensus.Replica) string {
+	var buf []byte
+	for _, l := range lats {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(l))
+	}
+	for i, a := range apps {
+		snap := a.Snapshot()
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap)))
+		buf = append(buf, snap...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(reps[i].DecidedCount()))
+		buf = binary.LittleEndian.AppendUint64(buf, reps[i].Rejoins)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
+}
+
+func goldenOp(i int) []byte { return []byte{byte(i), byte(i >> 8), 'g'} }
+
+// TestGoldenBuildSeed7 pins cluster.Build's default Flip deployment: the
+// first 200 ops of seed 7.
+func TestGoldenBuildSeed7(t *testing.T) {
+	u, err := cluster.Build(cluster.Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Stop()
+	var lats []sim.Duration
+	for i := 0; i < 200; i++ {
+		_, lat := u.InvokeSync(0, goldenOp(i), 50*sim.Millisecond)
+		if lat < 0 {
+			t.Fatalf("op %d failed (lat=%v)", i, lat)
+		}
+		lats = append(lats, lat)
+	}
+	const want = "bdec897822a2c062"
+	if got := goldenDigest(lats, u.Apps, u.Replicas); got != want {
+		t.Fatalf("seed-7 Build digest = %s, want %s (captured at the parent commit)", got, want)
+	}
+}
+
+// TestGoldenRestartSeed7 pins one KillReplica -> RestartReplica cycle: the
+// cold-joining replica must be wired exactly as before (fresh endpoint,
+// fresh app, nonce 1) for the rejoin to replay bit for bit.
+func TestGoldenRestartSeed7(t *testing.T) {
+	u, err := cluster.Build(cluster.Options{
+		Seed:              7,
+		Window:            8,
+		Tail:              8,
+		ViewChangeTimeout: 3 * sim.Millisecond,
+		SlowPathDelay:     30 * sim.Microsecond,
+		CTBSlowDelay:      30 * sim.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Stop()
+	var lats []sim.Duration
+	n := 0
+	drive := func(ops int) {
+		for i := 0; i < ops; i++ {
+			_, lat := u.InvokeSync(0, goldenOp(n), 200*sim.Millisecond)
+			if lat < 0 {
+				t.Fatalf("op %d failed (lat=%v)", n, lat)
+			}
+			lats = append(lats, lat)
+			n++
+		}
+	}
+	const victim = 2
+	drive(4)
+	if err := u.KillReplica(victim); err != nil {
+		t.Fatal(err)
+	}
+	drive(28)
+	if err := u.RestartReplica(victim); err != nil {
+		t.Fatal(err)
+	}
+	for u.Replicas[victim].Recovering() && n < 400 {
+		drive(1)
+	}
+	if r := u.Replicas[victim]; r.Recovering() || r.Rejoins != 1 {
+		t.Fatalf("rejoin incomplete after %d ops: recovering=%v rejoins=%d", n, r.Recovering(), r.Rejoins)
+	}
+	const want = "2e8b0e9e04a17576"
+	if got := goldenDigest(lats, u.Apps, u.Replicas); got != want {
+		t.Fatalf("seed-7 restart digest = %s, want %s (captured at the parent commit)", got, want)
+	}
+}
+
+// TestMembersEqualBuild assembles the default deployment node by node —
+// one NewMember call per memory node, replica and client, all on one
+// shared simulated fabric, in Build's wiring order — and requires the same
+// identities, the same per-memory-node allocation and the same first-50-op
+// virtual latencies as cluster.Build with that seed: ubft-node's
+// per-process path and the simulator's whole-cluster path are the same
+// wiring.
+func TestMembersEqualBuild(t *testing.T) {
+	const seed = 7
+	u, err := cluster.Build(cluster.Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Stop()
+
+	eng := sim.NewEngine(seed)
+	fab := simnet.AsFabric(simnet.New(eng, simnet.RDMAOptions()))
+	member := func(role cluster.Role, i int) *cluster.Member {
+		m, err := cluster.NewMember(cluster.Options{Seed: seed}, fab, cluster.MemberSpec{Role: role, Index: i})
+		if err != nil {
+			t.Fatalf("NewMember(%s %d): %v", role, i, err)
+		}
+		t.Cleanup(m.Stop)
+		return m
+	}
+	for j, want := range u.MemNodes {
+		m := member(cluster.RoleMemNode, j)
+		if m.ID != u.MemNodeIDs[j] || m.MemNode.AllocatedBytes != want.AllocatedBytes {
+			t.Fatalf("memnode %d: id %v / %d bytes, Build has %v / %d", j, m.ID, m.MemNode.AllocatedBytes, u.MemNodeIDs[j], want.AllocatedBytes)
+		}
+	}
+	for i := range u.Replicas {
+		if m := member(cluster.RoleReplica, i); m.ID != u.ReplicaIDs[i] {
+			t.Fatalf("replica %d: id %v, Build has %v", i, m.ID, u.ReplicaIDs[i])
+		}
+	}
+	cl := member(cluster.RoleClient, 0)
+	if cl.ID != u.ClientIDs[0] {
+		t.Fatalf("client id %v, Build has %v", cl.ID, u.ClientIDs[0])
+	}
+
+	for i := 0; i < 50; i++ {
+		_, want := u.InvokeSync(0, goldenOp(i), 50*sim.Millisecond)
+		got := sim.Duration(-1)
+		fired := false
+		cl.Client.Invoke(goldenOp(i), func(_ []byte, l sim.Duration) { got, fired = l, true })
+		if err := cluster.SyncWait(eng, 50*sim.Millisecond, func() bool { return fired }); err != nil {
+			t.Fatalf("member op %d: %v", i, err)
+		}
+		if got != want {
+			t.Fatalf("op %d: member-assembled latency %v, Build latency %v", i, got, want)
+		}
+	}
+}

@@ -1,12 +1,12 @@
 package cluster
 
-// This file assembles single cluster members: one node of a uBFT cluster,
-// for deployments where every node is its own OS process on a real
-// transport (cmd/ubft-node). NewUBFT builds all 2f+1+2fm+1+c nodes on one
-// fabric; NewMember builds exactly one, against an injected fabric, and
-// derives everything that must agree across processes (identity layout,
-// key registry, consensus configuration) deterministically from the shared
-// Options so no coordination service is needed.
+// This file wires single cluster members: one node of the single-group
+// layout, for deployments where every node is its own OS process on a real
+// transport (cmd/ubft-node). Build wires all 2f+1+2fm+1+c nodes on one
+// fabric; NewMember wires exactly one of the same Assembly against an
+// injected fabric. Everything that must agree across processes (Layout,
+// key registry, consensus configuration) derives deterministically from
+// the shared Options, so no coordination service is needed.
 
 import (
 	"errors"
@@ -16,7 +16,6 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/ids"
 	"repro/internal/memnode"
-	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -89,63 +88,43 @@ func NewMember(opts Options, fab transport.Fabric, spec MemberSpec) (*Member, er
 	if err := opts.Normalize(); err != nil {
 		return nil, err
 	}
-	m := &Member{Spec: spec, Eng: fab.Engine()}
-	m.ReplicaIDs, m.MemNodeIDs, m.ClientIDs = IDLayout(opts.F, opts.Fm, opts.MemNodes, opts.NumClients)
+	a := singleGroup(opts, consensus.Defenses{})
+	grp := a.Groups[0]
+	m := &Member{Spec: spec, Eng: a.Eng, ReplicaIDs: grp.ReplicaIDs, MemNodeIDs: a.Layout.MemNodes, ClientIDs: a.Layout.Clients}
 
-	idOf := func(pool []ids.ID, what string) (ids.ID, error) {
-		if spec.Index < 0 || spec.Index >= len(pool) {
-			return ids.None, fmt.Errorf("cluster: %s index %d outside [0, %d)", what, spec.Index, len(pool))
+	i := spec.Index
+	pick := func(pool []ids.ID) error { // bounds-check the index, fix the node ID
+		if i < 0 || i >= len(pool) {
+			return fmt.Errorf("cluster: %s index %d outside [0, %d)", spec.Role, i, len(pool))
 		}
-		return pool[spec.Index], nil
+		m.ID = pool[i]
+		return nil
 	}
-
-	reg := SignerRegistry(opts.Seed, m.ReplicaIDs, m.ClientIDs)
-	cfgFor := func(self ids.ID, a app.StateMachine) consensus.Config {
-		return opts.ConsensusConfig(self, m.ReplicaIDs, m.MemNodeIDs, a)
-	}
-
 	var err error
 	switch spec.Role {
 	case RoleReplica:
-		if m.ID, err = idOf(m.ReplicaIDs, "replica"); err != nil {
+		if err = pick(m.ReplicaIDs); err != nil {
 			return nil, err
 		}
-		ep, eerr := fab.NewEndpoint(m.ID, fmt.Sprintf("replica%d", spec.Index))
-		if eerr != nil {
-			return nil, fmt.Errorf("cluster: wiring replica%d: %w", spec.Index, eerr)
-		}
-		m.App = opts.NewApp()
-		cfg := cfgFor(m.ID, m.App)
-		cfg.ColdJoin = spec.ColdJoin
-		cfg.JoinNonce = spec.JoinNonce
-		m.Replica = consensus.NewReplica(cfg, consensus.Deps{
-			RT:       router.New(ep),
-			Registry: reg,
-		})
+		err = a.wireReplica(0, i, spec.ColdJoin, spec.JoinNonce)
+		m.Replica, m.App = grp.Replicas[i], grp.Apps[i]
 	case RoleMemNode:
-		if m.ID, err = idOf(m.MemNodeIDs, "memnode"); err != nil {
+		if err = pick(m.MemNodeIDs); err != nil {
 			return nil, err
 		}
-		ep, eerr := fab.NewEndpoint(m.ID, fmt.Sprintf("mem%d", spec.Index))
-		if eerr != nil {
-			return nil, fmt.Errorf("cluster: wiring mem%d: %w", spec.Index, eerr)
+		if m.MemNode, err = a.wireMemNode(i); err == nil {
+			a.allocateGroup(0) // this node's share of every replica's regions
 		}
-		m.MemNode = memnode.New(router.New(ep))
-		// Allocate this node's share of every replica's SWMR regions: the
-		// management plane runs before the protocol (§2.3), and in a
-		// multi-process deployment each memory node allocates locally.
-		consensus.AllocateCluster(cfgFor(m.ReplicaIDs[0], opts.NewApp()), []*memnode.Node{m.MemNode})
 	case RoleClient:
-		if m.ID, err = idOf(m.ClientIDs, "client"); err != nil {
+		if err = pick(m.ClientIDs); err != nil {
 			return nil, err
 		}
-		ep, eerr := fab.NewEndpoint(m.ID, fmt.Sprintf("client%d", spec.Index))
-		if eerr != nil {
-			return nil, fmt.Errorf("cluster: wiring client%d: %w", spec.Index, eerr)
-		}
-		m.Client = consensus.NewClient(router.New(ep), m.ReplicaIDs, opts.F)
+		m.Client, err = a.WireClient(i)
 	default:
-		return nil, fmt.Errorf("cluster: unknown member role %q", spec.Role)
+		err = fmt.Errorf("cluster: unknown member role %q", spec.Role)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -50,11 +50,6 @@ type Config struct {
 	// CTBMode configures the underlying CTBcast groups.
 	CTBMode      ctbcast.PathMode
 	CTBSlowDelay sim.Duration
-	// UnsafeFirstLockDelivers disables CTBcast's LOCKED unanimity check
-	// (the equivocation defense) in every group. Byzantine-harness only:
-	// it exists so the adversarial suite can prove its invariant checker
-	// trips when the defense is off. Never set in production.
-	UnsafeFirstLockDelivers bool
 	// ViewChangeTimeout is the leader-suspicion timeout; zero disables
 	// view changes (stable-leader benchmarks).
 	ViewChangeTimeout sim.Duration
@@ -377,6 +372,33 @@ type deferredTarget struct {
 type Deps struct {
 	RT       *router.Router
 	Registry *xcrypto.Registry
+	Defenses Defenses
+}
+
+// Defenses switches individual protocol defenses OFF; the zero value is a
+// production stack with every defense on. It exists so the adversarial
+// suite (internal/byz/scenario) can prove its invariant checker trips once
+// a defense is gone, and for the paper's no-echo-round ablation. It is
+// deliberately absent from every deployment option struct: the
+// BuildWithDefenses entry points of internal/cluster and internal/shard
+// pass it to the deployment assembler, which hands it to replicas (Deps)
+// and clients (NewMultiClient) at construction.
+type Defenses struct {
+	// FirstLockDelivers: CTBcast delivers on the first LOCK instead of
+	// LOCKED unanimity (ctbcast.Params.UnsafeFirstLockDelivers) — the
+	// equivocation defense.
+	FirstLockDelivers bool
+	// NoEchoWait: followers endorse a PREPARE without holding the client's
+	// direct request copy and the leader proposes without the echo round
+	// (§5.4), whatever Config.EchoTimeout says.
+	NoEchoWait bool
+	// QuorumOne: clients accept the FIRST reply class (need=1) instead of
+	// f+1 / 2f+1 matching replies — the forged-reply defense.
+	QuorumOne bool
+	// NoReadFallback: a failed fast read hangs instead of falling back to
+	// the ordered path, so an attack that merely forces a fallback becomes
+	// observable.
+	NoReadFallback bool
 }
 
 // NewReplica wires a replica onto its host router.
@@ -391,6 +413,9 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 	}
 	if cfg.Window <= 0 || cfg.Tail <= 0 {
 		panic("consensus: Window and Tail must be positive")
+	}
+	if deps.Defenses.NoEchoWait {
+		cfg.EchoTimeout = 0
 	}
 	r := &Replica{
 		cfg:           cfg,
@@ -462,7 +487,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 			Mode:          cfg.CTBMode,
 			SlowPathDelay: cfg.CTBSlowDelay,
 
-			UnsafeFirstLockDelivers: cfg.UnsafeFirstLockDelivers,
+			UnsafeFirstLockDelivers: deps.Defenses.FirstLockDelivers,
 			InstanceBase:            cfg.groupInstanceBase(i),
 			RegionBase:              cfg.regionBase(i),
 			Deliver:                 func(k uint64, m []byte) { r.onConsensusMsg(p, m) },

@@ -423,11 +423,9 @@ type Client struct {
 	StrongReads   uint64 // reads answered by a 2f+1 strong quorum
 	ReadFallbacks uint64 // reads that fell back to the ordered path
 
-	// Byzantine-harness defense-off switches (see the SetUnsafe* setters):
-	// accept the first matching class instead of a quorum, and disable the
-	// ordered-path fallback safety net. Never set in production.
-	unsafeQuorumOne      bool
-	unsafeNoReadFallback bool
+	// def switches client-side defenses off (QuorumOne, NoReadFallback);
+	// zero outside the Byzantine harness.
+	def Defenses
 }
 
 // resTally accumulates one result class of a pending request: the vote
@@ -517,13 +515,14 @@ const defaultReadTimeout = 500 * sim.Microsecond
 
 // NewClient wires a single-group client onto its host router.
 func NewClient(rt *router.Router, replicas []ids.ID, f int) *Client {
-	return NewMultiClient(rt, [][]ids.ID{replicas}, f)
+	return NewMultiClient(rt, [][]ids.ID{replicas}, f, Defenses{})
 }
 
 // NewMultiClient wires a client that can invoke any of several replica
 // groups (all with the same fault threshold f) through one router. The
-// shard layer uses this to reach every consensus group from one host.
-func NewMultiClient(rt *router.Router, groups [][]ids.ID, f int) *Client {
+// shard layer uses this to reach every consensus group from one host. def
+// is Defenses{} everywhere but the Byzantine harness.
+func NewMultiClient(rt *router.Router, groups [][]ids.ID, f int, def Defenses) *Client {
 	if len(groups) == 0 {
 		panic("consensus: client needs at least one replica group")
 	}
@@ -536,6 +535,7 @@ func NewMultiClient(rt *router.Router, groups [][]ids.ID, f int) *Client {
 		pendingReads: make(map[uint64]*pendingRead),
 		readFloor:    make([]Slot, len(groups)),
 		readTimeout:  defaultReadTimeout,
+		def:          def,
 	}
 	rt.Register(router.ChanRPC, c.onRPC)
 	return c
@@ -552,24 +552,14 @@ func (c *Client) SetReadTimeout(d sim.Duration) {
 // Groups returns how many replica groups this client can address.
 func (c *Client) Groups() int { return len(c.groups) }
 
+// Proc returns the client host's simulated process, for layers that put
+// their own timers on that host (the shard-aware client).
+func (c *Client) Proc() *sim.Proc { return c.proc }
+
 // ReadFloor exposes the per-group monotonic read floor (the lowest state
 // version a fast read may be answered at) — the Byzantine harness and the
 // adversarial fuzz targets assert a hostile reply can never inflate it.
 func (c *Client) ReadFloor(group int) Slot { return c.readFloor[group] }
-
-// SetUnsafeQuorumOne makes every quorum rule accept the FIRST reply class
-// (need=1) instead of f+1 / 2f+1 — i.e. it switches the response and read
-// quorum checks off. Byzantine-harness only: it exists so the adversarial
-// suite can prove a lone forging replica is accepted (and the invariant
-// checker trips) once the quorum defense is gone. Never set in production.
-func (c *Client) SetUnsafeQuorumOne(on bool) { c.unsafeQuorumOne = on }
-
-// SetUnsafeNoReadFallback disables the ordered-path fallback safety net of
-// the read fast path (failed reads hang instead of falling back).
-// Byzantine-harness only: with the fallback off, an attack that merely
-// forces a fallback in production instead surfaces as a stuck or wrong
-// read the invariant checker can observe. Never set in production.
-func (c *Client) SetUnsafeNoReadFallback(on bool) { c.unsafeNoReadFallback = on }
 
 // Invoke submits payload to group 0 for replicated execution; done receives
 // the f+1-confirmed result and the end-to-end latency.
@@ -691,7 +681,7 @@ func (c *Client) onResponse(from ids.ID, rd *wire.Reader) {
 	t.parked = parked
 	p.byRes[key] = t
 	need := c.f + 1
-	if c.unsafeQuorumOne {
+	if c.def.QuorumOne {
 		need = 1
 	}
 	if t.count >= need {
@@ -860,7 +850,7 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 	if p.strong {
 		need = n
 	}
-	if c.unsafeQuorumOne {
+	if c.def.QuorumOne {
 		need = 1
 	}
 	served := flags&readFlagServed != 0
@@ -945,7 +935,7 @@ func (c *Client) readFallback(num uint64, p *pendingRead) {
 	if p.fellBack || c.pendingReads[num] != p {
 		return
 	}
-	if c.unsafeNoReadFallback {
+	if c.def.NoReadFallback {
 		// Defense-off mode (Byzantine harness): let the failed read hang so
 		// the attack's effect is observable instead of safely absorbed.
 		return

@@ -1,0 +1,139 @@
+package shard_test
+
+// Refactor safety net for the deployment assembler, shard side: per-seed
+// digests captured at the commit BEFORE shard.Build became "every node of
+// the S-group layout" over cluster's assembly core (see
+// internal/cluster/golden_test.go for the single-group half).
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"repro/internal/app"
+	"repro/internal/cluster"
+	"repro/internal/shard"
+	"repro/internal/sim"
+)
+
+// goldenRun records every op's result and virtual latency.
+type goldenRun struct {
+	t   *testing.T
+	d   *shard.Deployment
+	buf []byte
+	n   int
+	// cross counts ops whose keys span shards (the stream must hold some).
+	cross int
+}
+
+// op issues one request of a fixed mixed stream over 16 keys: single-key
+// SETs and GETs plus two-key MSETs (2PC when the pair spans shards) and
+// three-key MGETs (scatter reads).
+func (g *goldenRun) op() {
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k-%02d", i%16)) }
+	val := []byte(fmt.Sprintf("v-%03d", g.n))
+	var req []byte
+	switch i := g.n; i % 5 {
+	case 0:
+		req = app.EncodeKVSet(key(i), val)
+	case 1, 4:
+		req = app.EncodeKVGet(key(i - 1))
+	case 2:
+		req = app.EncodeKVMSet(app.Pair{Key: key(i), Val: val}, app.Pair{Key: key(i + 7), Val: val})
+	case 3:
+		req = app.EncodeKVMGet(key(i), key(i+6), key(i+11))
+	}
+	if _, err := shard.Route(g.d.Groups[0].Apps[0], req, len(g.d.Groups)); err == shard.ErrCrossShard {
+		g.cross++
+	}
+	res, lat, err := g.d.InvokeSync(0, req, 200*sim.Millisecond)
+	if err != nil {
+		g.t.Fatalf("op %d: %v", g.n, err)
+	}
+	g.buf = binary.LittleEndian.AppendUint64(g.buf, uint64(lat))
+	g.buf = append(g.buf, res...)
+	g.n++
+}
+
+// digest folds the op log plus every replica's final state.
+func (g *goldenRun) digest() string {
+	buf := g.buf
+	for _, grp := range g.d.Groups {
+		for i, a := range grp.Apps {
+			snap := a.Snapshot()
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap)))
+			buf = append(buf, snap...)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(grp.Replicas[i].DecidedCount()))
+			buf = binary.LittleEndian.AppendUint64(buf, grp.Replicas[i].Rejoins)
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestGoldenBuildSeed7 pins a 2-shard KV deployment with fast reads: 200
+// mixed ops of seed 7, cross-shard ones included.
+func TestGoldenBuildSeed7(t *testing.T) {
+	d, err := shard.Build(shard.Options{Seed: 7, Shards: 2, FastReads: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	g := &goldenRun{t: t, d: d}
+	for g.n < 200 {
+		g.op()
+	}
+	if g.cross < 20 {
+		t.Fatalf("only %d of %d ops crossed shards", g.cross, g.n)
+	}
+	const want = "86a8b01d55388491"
+	if got := g.digest(); got != want {
+		t.Fatalf("seed-7 shard Build digest = %s, want %s (captured at the parent commit)", got, want)
+	}
+}
+
+// TestGoldenRestartSeed7 pins one KillReplica -> RestartReplica cycle on a
+// follower of shard 1: the reborn replica must land on its group's region
+// span with nonce 1 for the rejoin to replay bit for bit.
+func TestGoldenRestartSeed7(t *testing.T) {
+	d, err := shard.Build(shard.Options{
+		Seed: 7, Shards: 2, FastReads: true,
+		Group: cluster.Options{
+			Window:            8,
+			Tail:              8,
+			ViewChangeTimeout: 2 * sim.Millisecond,
+			SlowPathDelay:     30 * sim.Microsecond,
+			CTBSlowDelay:      30 * sim.Microsecond,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	g := &goldenRun{t: t, d: d}
+	const vs, vi = 1, 2
+	for g.n < 10 {
+		g.op()
+	}
+	if err := d.KillReplica(vs, vi); err != nil {
+		t.Fatal(err)
+	}
+	for g.n < 70 {
+		g.op()
+	}
+	if err := d.RestartReplica(vs, vi); err != nil {
+		t.Fatal(err)
+	}
+	for d.Groups[vs].Replicas[vi].Recovering() && g.n < 600 {
+		g.op()
+	}
+	if r := d.Groups[vs].Replicas[vi]; r.Recovering() || r.Rejoins != 1 {
+		t.Fatalf("rejoin incomplete after %d ops: recovering=%v rejoins=%d", g.n, r.Recovering(), r.Rejoins)
+	}
+	const want = "41323b557f589056"
+	if got := g.digest(); got != want {
+		t.Fatalf("seed-7 shard restart digest = %s, want %s (captured at the parent commit)", got, want)
+	}
+}

@@ -82,7 +82,7 @@ type RecoveryAgent struct {
 // builds one when Options.Recovery is set).
 func NewRecoveryAgent(rt *router.Router, groups [][]ids.ID, f int) *RecoveryAgent {
 	ra := &RecoveryAgent{
-		cc:           consensus.NewMultiClient(rt, groups, f),
+		cc:           consensus.NewMultiClient(rt, groups, f, consensus.Defenses{}),
 		rt:           rt,
 		proc:         rt.Node().Proc(),
 		f:            f,

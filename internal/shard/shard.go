@@ -1,10 +1,13 @@
 // Package shard runs S independent uBFT consensus groups side by side on
-// one simulated fabric, partitioning the application key space across them
-// for horizontal throughput scaling. Each group is a complete uBFT
-// deployment — 2f+1 replicas with their own leader, window and CTBcast
-// tail — but all groups share the single 2f_m+1 memory-node pool (§1 of
-// the paper: memory nodes "can be shared among many applications"), with
-// disjoint SWMR region spans carved out via consensus.Config.RegionOffset.
+// one fabric, partitioning the application key space across them for
+// horizontal throughput scaling. Each group is a complete uBFT deployment
+// — 2f+1 replicas with their own leader, window and CTBcast tail — but all
+// groups share the single memory-node pool (§1 of the paper: memory nodes
+// "can be shared among many applications"), with disjoint SWMR region
+// spans. The nodes are wired by the one deployment assembler in
+// internal/cluster (Build is "every node of cluster.ShardedLayout"); this
+// package adds only what is shard-specific: capability discovery, the
+// routing Client and the 2PC RecoveryAgent.
 //
 // The shard layer is application-agnostic: it consumes only the capability
 // interfaces of internal/app. Routing derives from app.Router (the keys a
@@ -12,9 +15,9 @@
 // app.Fragmenter (per-shard fragments, merged leg responses), and atomic
 // cross-shard writes from app.TxnParticipant driven through the generic
 // OpTxn* envelope — no app-specific opcode appears anywhere in this
-// package (a CI grep gate enforces it). Any state machine implementing the
-// capabilities gets sharding, scatter-gather reads and 2PC transactions
-// for free.
+// package (the appagnostic lint pass enforces it). Any state machine
+// implementing the capabilities gets sharding, scatter-gather reads and
+// 2PC transactions for free.
 //
 // Clients are shard-aware: they hash each request's keys onto a group and
 // fire it down the ordinary ChanRPC path of that group. Multi-key requests
@@ -27,11 +30,12 @@
 // stalls during prepare triggers abort-on-timeout so the healthy groups
 // release their locks. See txn.go for the commit protocol.
 //
-// ID allocation (one namespace per fabric):
+// ID allocation (cluster.ShardedLayout, one namespace per fabric):
 //
 //	replica i of shard s   -> s*100 + i      (n = 2f+1 <= 64 < 100)
 //	memory node j          -> 100_000 + j    (shared pool)
 //	client c               -> 200_000 + c
+//	recovery agent         -> 300_000
 //
 // Region allocation: shard s owns region IDs
 // [s*RegionSpan, (s+1)*RegionSpan) on every memory node, where RegionSpan
@@ -47,19 +51,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/ids"
-	"repro/internal/memnode"
-	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/transport"
-	"repro/internal/xcrypto"
-)
-
-const (
-	replicaStride = 100     // replicas of shard s live at [s*100, s*100+n)
-	memNodeIDBase = 100_000 // shared memory-node pool
-	clientIDBase  = 200_000 // shard-aware clients
-	maxShards     = memNodeIDBase / replicaStride
 )
 
 // ErrCrossShard reports a multi-key request whose keys hash to different
@@ -191,8 +184,8 @@ func (o *Options) normalize() error {
 	if o.Shards == 0 {
 		o.Shards = 1
 	}
-	if o.Shards < 0 || o.Shards > maxShards {
-		return fmt.Errorf("shard: Shards=%d outside [1, %d]", o.Shards, maxShards)
+	if o.Shards < 0 || o.Shards > cluster.MaxShards {
+		return fmt.Errorf("shard: Shards=%d outside [1, %d]", o.Shards, cluster.MaxShards)
 	}
 	if o.NumClients == 0 {
 		o.NumClients = 1
@@ -213,70 +206,25 @@ func (o *Options) normalize() error {
 	if o.ReadTimeout < 0 {
 		return fmt.Errorf("shard: negative ReadTimeout=%d", o.ReadTimeout)
 	}
-	if err := o.Group.Normalize(); err != nil {
-		return err
-	}
-	// Keep the package-doc ID layout actually impossible to violate: the
-	// cluster validation caps 2F+1 at 64 (< replicaStride), but guard here
-	// too so a future stride change cannot silently reintroduce overlap.
-	if n := 2*o.Group.F + 1; n > replicaStride {
-		return fmt.Errorf("shard: %d replicas per group overflow the ID stride %d", n, replicaStride)
-	}
-	return nil
+	return o.Group.Normalize()
 }
 
 // Group is one consensus group of the deployment.
-type Group struct {
-	Index        int
-	ReplicaIDs   []ids.ID
-	Replicas     []*consensus.Replica
-	Apps         []app.StateMachine
-	RegionOffset memnode.RegionID
-}
+type Group = cluster.Group
 
-// Leader returns the group's current leader replica.
-func (g *Group) Leader() *consensus.Replica {
-	for _, r := range g.Replicas {
-		if r.IsLeader() {
-			return r
-		}
-	}
-	return g.Replicas[0]
-}
-
-// DecidedCount returns the slots decided by the group (max across its
-// replicas, which agree up to propagation lag).
-func (g *Group) DecidedCount() int {
-	best := 0
-	for _, r := range g.Replicas {
-		if n := r.DecidedCount(); n > best {
-			best = n
-		}
-	}
-	return best
-}
-
-// Deployment is an assembled multi-group uBFT fabric.
+// Deployment is an assembled multi-group uBFT fabric: every node of the
+// S-group layout (the embedded Assembly: engine, network, registry,
+// Groups, MemNodes, KillReplica/RestartReplica, Stop) plus the
+// shard-aware clients.
 type Deployment struct {
-	Eng      *sim.Engine
-	Net      *simnet.Network // nil when a non-simnet Group.Fabric was injected
-	Registry *xcrypto.Registry
+	*cluster.Assembly
 
-	Groups     []*Group
-	MemNodes   []*memnode.Node
-	MemNodeIDs []ids.ID
-	Clients    []*Client
-	ClientIDs  []ids.ID
+	Clients   []*Client
+	ClientIDs []ids.ID
 
 	// Recovery is the commit-phase recovery agent (nil unless
 	// Options.Recovery).
 	Recovery *RecoveryAgent
-
-	opts Options
-	// Restart support: the fabric endpoints are created on and the
-	// per-group, per-replica incarnation nonces for cold rejoin.
-	fab        transport.Fabric
-	joinNonces [][]uint64
 }
 
 // New builds and wires an S-shard deployment on one engine. Invalid
@@ -298,12 +246,17 @@ func New(opts Options) *Deployment {
 // bit-identical per seed; a real-transport deployment injects e.g. a
 // nettrans fabric and gets Net == nil.
 func Build(opts Options) (*Deployment, error) {
+	return BuildWithDefenses(opts, consensus.Defenses{})
+}
+
+// BuildWithDefenses is Build with the given protocol defenses switched OFF
+// in every replica and client. Not a deployment surface: the Byzantine
+// harness (internal/byz/scenario) uses it to prove its invariant checker
+// trips once a defense is gone.
+func BuildWithDefenses(opts Options, off consensus.Defenses) (*Deployment, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
-	g := opts.Group
-	n := 2*g.F + 1
-	nm := 2*g.Fm + 1
 
 	// The routing prototype: capability discovery happens once, at
 	// assembly time.
@@ -316,111 +269,32 @@ func Build(opts Options) (*Deployment, error) {
 		return nil, fmt.Errorf("shard: %d shards but the application does not implement app.Router", opts.Shards)
 	}
 
-	d := &Deployment{opts: opts}
-	fab := opts.Group.Fabric
-	if fab == nil {
-		d.Eng = sim.NewEngine(opts.Seed)
-		netOpts := simnet.RDMAOptions()
-		if opts.NetOptions != nil {
-			netOpts = *opts.NetOptions
-		}
-		d.Net = simnet.New(d.Eng, netOpts)
-		fab = simnet.AsFabric(d.Net)
-	} else {
-		d.Eng = fab.Engine()
-		// Wrapping fabrics (the Byzantine injector) expose the underlying
-		// simulated network through the same accessor simnet.Fabric has.
-		if nf, ok := fab.(interface{ Network() *simnet.Network }); ok {
-			d.Net = nf.Network()
-		}
-	}
-	d.fab = fab
-	endpoint := func(id ids.ID, name string) (transport.Endpoint, error) {
-		ep, err := fab.NewEndpoint(id, name)
-		if err != nil {
-			return nil, fmt.Errorf("shard: wiring %s: %w", name, err)
-		}
-		return ep, nil
-	}
-
-	// Identities, in deterministic order.
-	var signers []ids.ID
-	for s := 0; s < opts.Shards; s++ {
-		grp := &Group{Index: s}
-		for i := 0; i < n; i++ {
-			grp.ReplicaIDs = append(grp.ReplicaIDs, ids.ID(s*replicaStride+i))
-		}
-		signers = append(signers, grp.ReplicaIDs...)
-		d.Groups = append(d.Groups, grp)
-		d.joinNonces = append(d.joinNonces, make([]uint64, n))
-	}
-	for j := 0; j < nm; j++ {
-		d.MemNodeIDs = append(d.MemNodeIDs, ids.ID(memNodeIDBase+j))
-	}
-	for c := 0; c < opts.NumClients; c++ {
-		d.ClientIDs = append(d.ClientIDs, ids.ID(clientIDBase+c))
-	}
-	signers = append(signers, d.ClientIDs...)
+	// The deployment-level seed and network model govern every group.
+	g := opts.Group
+	g.Seed, g.NetOptions = opts.Seed, opts.NetOptions
+	var extra []ids.ID
 	if opts.Recovery {
-		signers = append(signers, ids.ID(recoveryIDBase))
+		extra = []ids.ID{recoveryIDBase}
 	}
-	d.Registry = xcrypto.NewRegistry(opts.Seed+1, signers)
-
-	// The shared memory-node pool.
-	for j, id := range d.MemNodeIDs {
-		ep, err := endpoint(id, fmt.Sprintf("mem%d", j))
-		if err != nil {
-			return nil, err
-		}
-		d.MemNodes = append(d.MemNodes, memnode.New(router.New(ep)))
+	a := cluster.NewAssembly(g, cluster.ShardedLayout(opts.Shards, g.F, g.Fm, g.MemNodes, opts.NumClients, extra...), opts.NewApp, off)
+	if err := a.WireNodes(); err != nil {
+		return nil, err
 	}
-
-	// Consensus groups: disjoint hosts, disjoint msgring instances (each
-	// group's rings live on its own hosts), disjoint SWMR region spans on
-	// the shared memory nodes.
-	for s, grp := range d.Groups {
-		cfgFor := func(self ids.ID, a app.StateMachine) consensus.Config {
-			cfg := g.ConsensusConfig(self, grp.ReplicaIDs, d.MemNodeIDs, a)
-			cfg.RegionOffset = memnode.RegionID(s) * cfg.RegionSpan()
-			return cfg
-		}
-		sizing := cfgFor(grp.ReplicaIDs[0], opts.NewApp(s))
-		grp.RegionOffset = sizing.RegionOffset
-		consensus.AllocateCluster(sizing, d.MemNodes)
-		for i, id := range grp.ReplicaIDs {
-			ep, err := endpoint(id, fmt.Sprintf("s%dr%d", s, i))
-			if err != nil {
-				return nil, err
-			}
-			rt := router.New(ep)
-			a := opts.NewApp(s)
-			grp.Apps = append(grp.Apps, a)
-			grp.Replicas = append(grp.Replicas, consensus.NewReplica(cfgFor(id, a), consensus.Deps{
-				RT:       rt,
-				Registry: d.Registry,
-			}))
-		}
-	}
+	d := &Deployment{Assembly: a, ClientIDs: a.Layout.Clients}
 
 	// Shard-aware clients: one multi-group consensus client per host plus
 	// the capability-driven router.
-	groupIDs := make([][]ids.ID, len(d.Groups))
-	for s, grp := range d.Groups {
-		groupIDs[s] = grp.ReplicaIDs
-	}
 	for c, id := range d.ClientIDs {
-		ep, err := endpoint(id, fmt.Sprintf("client%d", c))
+		cc, err := a.WireClient(c)
 		if err != nil {
 			return nil, err
 		}
-		rt := router.New(ep)
-		cc := consensus.NewMultiClient(rt, groupIDs, g.F)
 		if opts.ReadTimeout > 0 {
 			cc.SetReadTimeout(opts.ReadTimeout)
 		}
 		d.Clients = append(d.Clients, &Client{
 			cc:          cc,
-			proc:        rt.Node().Proc(),
+			proc:        cc.Proc(),
 			id:          id,
 			shards:      opts.Shards,
 			router:      appRouter,
@@ -433,62 +307,13 @@ func Build(opts Options) (*Deployment, error) {
 	}
 
 	if opts.Recovery {
-		ep, err := endpoint(ids.ID(recoveryIDBase), "recovery")
+		rt, err := a.WireHost(recoveryIDBase, "recovery")
 		if err != nil {
 			return nil, err
 		}
-		d.Recovery = NewRecoveryAgent(router.New(ep), groupIDs, g.F)
+		d.Recovery = NewRecoveryAgent(rt, a.Layout.Groups, g.F)
 	}
 	return d, nil
-}
-
-// KillReplica crash-stops replica i of shard s (see cluster.KillReplica):
-// its processes drop all queued work and its network identity is freed for
-// a later RestartReplica. Requires a simnet-backed deployment.
-func (d *Deployment) KillReplica(s, i int) error {
-	if d.Net == nil {
-		return fmt.Errorf("shard: KillReplica requires a simulated network")
-	}
-	grp := d.Groups[s]
-	id := grp.ReplicaIDs[i]
-	if d.Net.Node(id) == nil {
-		return fmt.Errorf("shard: replica %v already killed", id)
-	}
-	grp.Replicas[i].Crash()
-	d.Net.RemoveNode(id)
-	return nil
-}
-
-// RestartReplica boots a fresh cold-rejoining replica for slot i of shard
-// s after KillReplica: fresh endpoint on the same fabric, fresh
-// application instance, bumped incarnation nonce, and the group's SWMR
-// region offset preserved so the reborn replica lands on its own region
-// span.
-func (d *Deployment) RestartReplica(s, i int) error {
-	if d.Net == nil {
-		return fmt.Errorf("shard: RestartReplica requires a simulated network")
-	}
-	grp := d.Groups[s]
-	id := grp.ReplicaIDs[i]
-	if d.Net.Node(id) != nil {
-		return fmt.Errorf("shard: replica %v still registered (KillReplica first)", id)
-	}
-	ep, err := d.fab.NewEndpoint(id, fmt.Sprintf("s%dr%d", s, i))
-	if err != nil {
-		return fmt.Errorf("shard: restarting s%dr%d: %w", s, i, err)
-	}
-	d.joinNonces[s][i]++
-	a := d.opts.NewApp(s)
-	cfg := d.opts.Group.ConsensusConfig(id, grp.ReplicaIDs, d.MemNodeIDs, a)
-	cfg.RegionOffset = grp.RegionOffset
-	cfg.ColdJoin = true
-	cfg.JoinNonce = d.joinNonces[s][i]
-	grp.Apps[i] = a
-	grp.Replicas[i] = consensus.NewReplica(cfg, consensus.Deps{
-		RT:       router.New(ep),
-		Registry: d.Registry,
-	})
-	return nil
 }
 
 // Shards returns S.
@@ -496,15 +321,6 @@ func (d *Deployment) Shards() int { return len(d.Groups) }
 
 // Client returns client ci (panics if absent).
 func (d *Deployment) Client(ci int) *Client { return d.Clients[ci] }
-
-// Stop tears down background timers on every replica of every group.
-func (d *Deployment) Stop() {
-	for _, g := range d.Groups {
-		for _, r := range g.Replicas {
-			r.Stop()
-		}
-	}
-}
 
 // DecidedTotal sums decided slots across all groups — the numerator of the
 // horizontal-scaling metric (decided requests per virtual second).
@@ -918,13 +734,3 @@ func (c *Client) StrongReadStats() uint64 { return c.cc.StrongReads }
 // ReadFloor exposes the client's monotonic read floor for one group (the
 // Byzantine harness asserts forged replies can never inflate it).
 func (c *Client) ReadFloor(group int) consensus.Slot { return c.cc.ReadFloor(group) }
-
-// SetUnsafeQuorumOne disables the client's f+1 matching rule — the quorum
-// defense against forged replies. Byzantine-harness only: it lets the
-// adversarial suite prove its invariant checker trips when the defense is
-// off; never set outside tests.
-func (c *Client) SetUnsafeQuorumOne(on bool) { c.cc.SetUnsafeQuorumOne(on) }
-
-// SetUnsafeNoReadFallback disables the fast-read ordered fallback.
-// Byzantine-harness only, as SetUnsafeQuorumOne.
-func (c *Client) SetUnsafeNoReadFallback(on bool) { c.cc.SetUnsafeNoReadFallback(on) }

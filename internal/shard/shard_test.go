@@ -228,3 +228,29 @@ func TestShardOptionsValidation(t *testing.T) {
 	mustPanic("tail > window", shard.Options{Group: cluster.Options{Window: 8, Tail: 16}})
 	mustPanic("negative batch", shard.Options{Group: cluster.Options{BatchSize: -2}})
 }
+
+// TestLeanMemNodePool: Group.MemNodes sizes the shared pool (any size in
+// [Fm+1, 2Fm+1] keeps SWMR quorum intersection). A 2-node pool at Fm=1
+// must build exactly 2 memory nodes — not the 2Fm+1 the shard layer used
+// to hard-code — and serve single- and cross-shard requests.
+func TestLeanMemNodePool(t *testing.T) {
+	d := shard.New(shard.Options{Seed: 5, Shards: 2, Group: cluster.Options{Fm: 1, MemNodes: 2}})
+	defer d.Stop()
+	if len(d.MemNodes) != 2 || len(d.Layout.MemNodes) != 2 {
+		t.Fatalf("built %d memory nodes (%d ids), want 2", len(d.MemNodes), len(d.Layout.MemNodes))
+	}
+	a, b := keyOnShard(t, 0, 2, 0), keyOnShard(t, 1, 2, 0)
+	invoke := func(what string, req []byte, ok byte) []byte {
+		t.Helper()
+		res, _, err := d.InvokeSync(0, req, 50*sim.Millisecond)
+		if err != nil || len(res) == 0 || res[0] != ok {
+			t.Fatalf("%s: result %v, err %v", what, res, err)
+		}
+		return res
+	}
+	invoke("single-shard SET", app.EncodeKVSet(a, []byte("one")), app.KVStored)
+	invoke("cross-shard MSET", app.EncodeKVMSet(app.Pair{Key: a, Val: []byte("two")}, app.Pair{Key: b, Val: []byte("two")}), app.StatusOK)
+	if res := invoke("cross-shard MGET", app.EncodeKVMGet(a, b), app.StatusOK); bytes.Count(res, []byte("two")) != 2 {
+		t.Fatalf("cross-shard MGET after the MSET = %q, want both keys at \"two\"", res)
+	}
+}

@@ -93,7 +93,8 @@ func LaunchLocal(exe []string, base NodeConfig, profileDir string) (*LocalCluste
 		nodes:      make(map[ids.ID]*nodeProc),
 		joinNonces: make(map[ids.ID]uint64),
 	}
-	lc.ReplicaIDs, lc.MemNodeIDs, lc.ClientIDs = cluster.IDLayout(opts.F, opts.Fm, opts.MemNodes, opts.NumClients)
+	layout := cluster.SingleGroupLayout(opts.F, opts.Fm, opts.MemNodes, opts.NumClients)
+	lc.ReplicaIDs, lc.MemNodeIDs, lc.ClientIDs = layout.Groups[0], layout.MemNodes, layout.Clients
 
 	// Address plan: one port per spawned node, one shared port for every
 	// parent-hosted client (they share one listener; frames route by id).

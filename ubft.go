@@ -121,28 +121,8 @@ func Route(a StateMachine, payload []byte, shards int) (int, error) {
 	return shard.Route(a, payload, shards)
 }
 
-// Shard routing helpers.
-var (
-	// KVRoute routes Memcached-style requests by key hash.
-	//
-	// Deprecated: use Route with the application instance; routing now
-	// derives from the app's Router capability.
-	KVRoute = func(payload []byte, shards int) (int, error) { return shard.Route(kvProto, payload, shards) }
-	// RKVRoute routes Redis-style requests; multi-key requests spanning
-	// shards execute across groups (MGET scatter-gather, RMSet 2PC).
-	//
-	// Deprecated: use Route with the application instance.
-	RKVRoute = func(payload []byte, shards int) (int, error) { return shard.Route(rkvProto, payload, shards) }
-	// ErrCrossShard reports a cross-shard request with no fan-out path.
-	ErrCrossShard = shard.ErrCrossShard
-)
-
-// Routing prototypes behind the deprecated helpers (capability methods are
-// pure functions of the request bytes, so sharing instances is safe).
-var (
-	kvProto  = app.NewKV(0)
-	rkvProto = app.NewRKV()
-)
+// ErrCrossShard reports a cross-shard request with no fan-out path.
+var ErrCrossShard = shard.ErrCrossShard
 
 // MultiShard is the shard index reported for requests executed across
 // several consensus groups.
