@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint loc race bounded-mem byz-suite chaos-suite bench-smoke bench bench-shard bench-crossshard bench-txn bench-read bench-wallclock pgo fuzz-smoke fuzz-byz ci
+.PHONY: all build test vet lint loc race bounded-mem byz-suite chaos-suite bench-smoke bench bench-shard bench-crossshard bench-txn bench-read bench-wallclock bench-repo pgo fuzz-smoke fuzz-byz ci
 
 all: build
 
@@ -97,6 +97,14 @@ bench-wallclock:
 	$(GO) build -o bin/ubft-bench ./cmd/ubft-bench
 	./bin/ubft-bench -transport=net -warmup 300ms -duration 1s -depth 4 -json BENCH_wallclock.json
 	./bin/ubft-bench -transport=net -chaos -warmup 300ms -duration 3s -depth 4
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): every workload
+# end to end at seed 1, each metric compared with the committed baseline row
+# and judged by its bound. Exits non-zero on any REGRESSION line, failed
+# operation or answer check. One run on a shared host is a smoke, not a
+# verdict: bench/README.md has the paired-run procedure for a claimed gain.
+bench-repo:
+	$(GO) run ./bench -seed 1 -compare bench/ledger/0011-baseline.json
 
 # Profile-guided optimization round trip: run the wall-clock bench with CPU
 # profiling on every node process and the client, merge the profiles into

@@ -336,6 +336,7 @@ func BenchmarkReadMix(b *testing.B) {
 						b.ReportMetric(res.OpsPerSec/1000, "kops-virtual")
 						b.ReportMetric(res.ReadRec.Percentile(50).Micros(), "read-p50-us")
 						b.ReportMetric(res.WriteRec.Percentile(50).Micros(), "write-p50-us")
+						b.ReportMetric(float64(res.Widens), "widens")
 						b.ReportMetric(float64(res.Fallbacks), "fallbacks")
 					}
 				})
@@ -362,6 +363,7 @@ func BenchmarkReadMix(b *testing.B) {
 				b.ReportMetric(res.ReadRec.Percentile(50).Micros(), "read-p50-us")
 				b.ReportMetric(res.WriteRec.Percentile(50).Micros(), "write-p50-us")
 				b.ReportMetric(float64(res.StrongOK), "strong-ok")
+				b.ReportMetric(float64(res.Widens), "widens")
 				b.ReportMetric(float64(res.Fallbacks), "fallbacks")
 			}
 		})

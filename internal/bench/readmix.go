@@ -32,6 +32,7 @@ type ReadMixResult struct {
 	Reads     int    // requests classified read-only (Fragmenter.ReadOnly)
 	FastOK    uint64 // reads answered by an unordered f+1 quorum
 	StrongOK  uint64 // reads answered by the full 2f+1 strong quorum
+	Widens    uint64 // reads that had to ask beyond their first f+1 replicas
 	Fallbacks uint64 // reads that fell back to the ordered path
 	Decided   int    // slots decided across all groups (writes + fallbacks)
 	OpsPerSec float64
@@ -66,6 +67,7 @@ func runReadMix(d *shard.Deployment, wls []Workload, readOnly func([]byte) bool,
 		fast, fb := c.ReadStats()
 		res.FastOK += fast
 		res.StrongOK += c.StrongReadStats()
+		res.Widens += c.ReadWidens()
 		res.Fallbacks += fb
 	}
 	if res.Elapsed > 0 && res.Completed > 0 {
@@ -181,7 +183,7 @@ func ReadMixTable(seed int64, samples int) []ReadMixResult {
 // PrintReadMix renders the experiment table.
 func PrintReadMix(w io.Writer, rows []ReadMixResult) {
 	fmt.Fprintln(w, "Read fast path: unordered quorum reads vs the full ordering pipeline")
-	fmt.Fprintln(w, "workload   read%  mode     kops/vs   read-p50   write-p50  fast-ok   strong  fallback")
+	fmt.Fprintln(w, "workload   read%  mode     kops/vs   read-p50   write-p50  fast-ok   strong    widen  fallback")
 	for _, r := range rows {
 		mode := "ordered"
 		switch {
@@ -190,9 +192,9 @@ func PrintReadMix(w io.Writer, rows []ReadMixResult) {
 		case r.FastReads:
 			mode = "fast"
 		}
-		fmt.Fprintf(w, "%-9s  %4.0f%%  %-7s %8.1f  %8.1fus %8.1fus  %7d  %7d  %8d\n",
+		fmt.Fprintf(w, "%-9s  %4.0f%%  %-7s %8.1f  %8.1fus %8.1fus  %7d  %7d  %7d  %8d\n",
 			r.Label, r.ReadFrac*100, mode, r.OpsPerSec/1000,
 			r.ReadRec.Percentile(50).Micros(), r.WriteRec.Percentile(50).Micros(),
-			r.FastOK, r.StrongOK, r.Fallbacks)
+			r.FastOK, r.StrongOK, r.Widens, r.Fallbacks)
 	}
 }

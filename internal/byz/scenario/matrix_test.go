@@ -167,3 +167,31 @@ func TestStrongReadLoneLiar(t *testing.T) {
 		})
 	}
 }
+
+// TestReadLiarResolvesByWiden: a read asks f+1 replicas first, so a forging
+// replica among them leaves no quorum — the read must resolve by asking the
+// rest of the group under the same number, not by the ordered path, and the
+// liar is then passed over (far fewer widens than reads that would have
+// asked it). The honest control run widens nowhere.
+func TestReadLiarResolvesByWiden(t *testing.T) {
+	for _, appName := range Apps() {
+		for seed := int64(1); seed <= 4; seed++ {
+			cfg := Config{Seed: seed, App: appName, ReadMode: ReadFast, Policy: ForgeReads, Rounds: 40}
+			rep := Run(cfg)
+			if !rep.OK() {
+				t.Errorf("%s seed %d: %s", appName, seed, strings.Join(rep.Violations, "; "))
+			}
+			if rep.FastReads == 0 || rep.ReadWidens == 0 || rep.ReadFallbacks != 0 {
+				t.Errorf("%s seed %d: fast=%d widens=%d fallbacks=%d, want the liar out-voted by a widen and no fallback",
+					appName, seed, rep.FastReads, rep.ReadWidens, rep.ReadFallbacks)
+			}
+			if rep.ReadWidens*4 > rep.FastReads {
+				t.Errorf("%s seed %d: %d widens for %d reads: the liar is not passed over", appName, seed, rep.ReadWidens, rep.FastReads)
+			}
+			cfg.Policy = Honest
+			if rep := Run(cfg); !rep.OK() || rep.ReadWidens != 0 || rep.ReadFallbacks != 0 {
+				t.Errorf("%s seed %d honest: violations=%v widens=%d fallbacks=%d", appName, seed, rep.Violations, rep.ReadWidens, rep.ReadFallbacks)
+			}
+		}
+	}
+}

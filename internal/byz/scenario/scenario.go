@@ -80,6 +80,9 @@ type Report struct {
 	Violations []string
 	Ops        int // operations issued
 	Commits    int // cross-shard transactions committed
+	// How the client's unordered reads resolved (shard.Client.ReadStats and
+	// ReadWidens at the end of the run).
+	FastReads, ReadWidens, ReadFallbacks uint64
 }
 
 // OK reports whether every invariant held.
@@ -178,6 +181,8 @@ func Run(cfg Config) *Report {
 	h := &harness{cfg: cfg, ad: ad, d: d, rep: rep}
 	h.workload()
 	h.checkAgreement()
+	rep.FastReads, rep.ReadFallbacks = d.Client(0).ReadStats()
+	rep.ReadWidens = d.Client(0).ReadWidens()
 	return rep
 }
 

@@ -20,19 +20,29 @@ import (
 	"repro/internal/wire"
 )
 
-// clientFuzzRig wires one client against three sink replica nodes (frames
-// are routed but nothing answers), with one ordered request and one fast
-// read already pending so hostile replies can reach the tally paths.
-func clientFuzzRig(t *testing.T) *Client {
+// sinkRig wires one client against 2f+1 sink replica nodes (IDs 0..2f:
+// frames are routed but nothing answers), so a test plays every replica's
+// replies by hand through Client.onRPC.
+func sinkRig(t *testing.T, f int) (*Client, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	net := simnet.New(eng, simnet.RDMAOptions())
-	repIDs := []ids.ID{0, 1, 2}
-	for _, id := range repIDs {
+	var repIDs []ids.ID
+	for id := ids.ID(0); int(id) < 2*f+1; id++ {
+		repIDs = append(repIDs, id)
 		router.New(net.AddNode(id, fmt.Sprintf("sink%d", id)))
 	}
 	crt := router.New(net.AddNode(ids.ID(200), "client"))
-	c := NewClient(crt, repIDs, 1)
+	return NewClient(crt, repIDs, f), eng
+}
+
+// clientFuzzRig is the three-replica sinkRig with one ordered request, one
+// fast read (on its first rung: replicas 2 and 0 asked, 1 not) and one
+// strong read already pending, so hostile replies can reach the tally
+// paths.
+func clientFuzzRig(t *testing.T) *Client {
+	t.Helper()
+	c, _ := sinkRig(t, 1)
 	c.InvokeGroup(0, []byte("w"), func([]byte, sim.Duration) {})           // num 1
 	c.InvokeGroupRead(0, []byte("r"), func([]byte, sim.Duration) {})       // num 2
 	c.InvokeGroupReadStrong(0, []byte("s"), func([]byte, sim.Duration) {}) // num 3
@@ -64,6 +74,12 @@ func FuzzClientReadReply(f *testing.F) {
 	f.Add(uint8(0), encodeReply(tagReadResponse, 2, 9, readFlagServed|readFlagCrossed, nil))
 	f.Add(uint8(1), encodeReply(tagReadResponse, 2, 3, 0, nil)) // refusal
 	f.Add(uint8(2), encodeReply(tagReadResponse, 3, 1<<62, readFlagServed, []byte("strong-forge")))
+	// Replica 1 was not asked on the read's first rung: an unsolicited
+	// vote, an unsolicited refusal, and replies to a number nobody holds.
+	f.Add(uint8(1), encodeReply(tagReadResponse, 2, 1<<40, readFlagServed, []byte("guessed")))
+	f.Add(uint8(1), encodeReply(tagReadResponse, 2, 0, 0, nil))
+	f.Add(uint8(1), encodeReply(tagReadResponse, 64, 1<<40, readFlagServed, []byte("late")))
+	f.Add(uint8(0), encodeReply(tagReadResponse, 0, 0, readFlagServed, nil))
 	f.Add(uint8(0), []byte{tagReadResponse, 0x02}) // truncated
 	f.Add(uint8(1), []byte{tagResponse})           // tag only
 	f.Add(uint8(2), []byte{})                      // empty

@@ -19,23 +19,39 @@ import (
 // execution and the client accepts a result once f+1 replicas agree.
 //
 // It also implements the unordered read fast path (the classic PBFT-style
-// read-only optimization) at three consistency levels:
+// read-only optimization), which needs f+1 matching replies and therefore
+// asks f+1 replicas first — the same "minimum on the common path, pay for
+// faults when they happen" rule as the ordering pipeline. A read climbs an
+// escalation ladder under ONE request number:
 //
-//   - Monotonic (unpinned): each replica executes the read tentatively
-//     against its own last-applied state; the client accepts f+1 matching
-//     digests at versions >= its per-group monotonic floor.
-//   - Snapshot (pinned): the request names an exact state version; every
-//     replica answers as-of that version from its MVCC store (parking
-//     briefly if execution has not reached it), so f+1 matching digests
-//     attest the value AT that version — the building block of the shard
-//     layer's consistent snapshot scatter-gather.
+//   - Rung 1: a rotating f+1 subset of the group (keyed on the request
+//     number, skipping replicas that recently forced a widen) executes the
+//     read. Fault-free this is the whole read: one round trip, f+1
+//     executions.
+//   - Rung 2 (widen): the rest of the group is asked as soon as the
+//     contacted replicas can no longer supply f+1 matching fresh replies —
+//     a refusal, a stale version, a digest mismatch — or the widen deadline
+//     (half the read timeout) passes.
+//   - Rung 3: the ordered path, when the whole group was asked and still no
+//     quorum formed (or the read timeout passed, or the accepted value is
+//     transaction-locked).
+//
+// The acceptance rule is the same on every rung and comes in three
+// consistency levels:
+//
+//   - Monotonic (unpinned): each contacted replica executes the read
+//     tentatively against its own last-applied state; the client accepts
+//     f+1 matching digests at versions >= its per-group monotonic floor.
+//   - Snapshot (pinned): the request names an exact state version; replicas
+//     answer as-of that version from their MVCC store (parking briefly if
+//     execution has not reached it), so f+1 matching digests attest the
+//     value AT that version — the building block of the shard layer's
+//     consistent snapshot scatter-gather.
 //   - Strong (linearizable): the client requires ALL 2f+1 replicas to
-//     agree — first sampled unpinned, then pinned at the highest version
-//     any replica revealed — so the accepted version is at least as new as
-//     any write that completed before the read began.
-//
-// Every level falls back transparently to the ordered path on mismatch,
-// timeout, refusal, or a transaction-locked key.
+//     agree, so it enters the ladder at rung 2 — first sampled unpinned,
+//     then pinned at the highest version any replica revealed — and the
+//     accepted version is at least as new as any write that completed
+//     before the read began.
 
 const (
 	tagEcho         = wire.TagEcho
@@ -396,7 +412,8 @@ func (r *Replica) respond(client ids.ID, reqNum uint64, slot Slot, result []byte
 }
 
 // Client is a uBFT client: it fires unsigned requests at every replica of
-// the target consensus group and accepts a result confirmed by f+1 of them.
+// the target consensus group (unordered reads: at f+1 of them first) and
+// accepts a result confirmed by f+1 of them.
 // A client may address several independent groups (the sharded deployment):
 // all groups share one request-number sequence, so each group sees a
 // strictly increasing subsequence of numbers.
@@ -417,10 +434,22 @@ type Client struct {
 	pendingReads map[uint64]*pendingRead
 	readFloor    []Slot
 	readTimeout  sim.Duration
+	// readSuspect is, per group, the replicas (bitmask of indices) passed
+	// over when a read picks its first f+1 targets. A replica joins when a
+	// read it was asked on the first rung had to widen and was then accepted
+	// without its vote; it leaves when one of its replies lands in an
+	// accepted class. So a crashed, refusing, lagging or lying replica costs
+	// this client one widen, not one per read; widened reads and a sparse
+	// probe (readProbeEvery) keep reaching it. readProbe is, per group, the
+	// last accepted probe read a passed-over replica had not answered yet:
+	// its late reply is held to that read's accepted class.
+	readSuspect []uint64
+	readProbe   []probeRead
 
 	// Read fast path stats.
 	FastReads     uint64 // reads answered by an f+1 unordered quorum
 	StrongReads   uint64 // reads answered by a 2f+1 strong quorum
+	ReadWidens    uint64 // reads that had to ask the rest of the group
 	ReadFallbacks uint64 // reads that fell back to the ordered path
 
 	// def switches client-side defenses off (QuorumOne, NoReadFallback);
@@ -454,8 +483,9 @@ type resTally struct {
 	count   int
 	result  []byte
 	minSlot Slot
-	parked  bool // ordered path: quorum-vouched parked marker (in the key)
-	crossed bool // read path: OR of txn-crossed flags over counted replies
+	parked  bool   // ordered path: quorum-vouched parked marker (in the key)
+	crossed bool   // read path: OR of txn-crossed flags over counted replies
+	voters  uint64 // read path: the replica indices counted
 }
 
 func (t *resTally) add(result []byte, slot Slot) {
@@ -489,18 +519,25 @@ type pendingRead struct {
 	// the accepted version cannot predate the write (linearizability).
 	strong  bool
 	started sim.Time
-	replied uint64 // bitmask of replica indices already counted
+	// contacted and replied are bitmasks of replica indices: who was sent
+	// the request, and whose (one) reply was taken. A Byzantine replica may
+	// answer unasked, so replied is not a subset of contacted.
+	contacted uint64
+	replied   uint64
+	// firstRung is who had been asked when the read widened (0: it has
+	// not): the replicas to pass over if it is accepted without them.
+	firstRung uint64
 	// byRes tallies fresh (version >= minSlot) replies per result digest;
 	// the class minimum version is the quorum-vouched ratchet (see
 	// resTally), bounded below by the floor since stale replies are never
-	// counted at all.
+	// counted at all. best is the largest class count.
 	byRes map[uint64]resTally
+	best  int
 	// frontier is the highest version ANY reply carried — advisory input
 	// to the scatter-gather snapshot pinning and the strong read's second
 	// round only (a forged frontier costs at most futile pin rounds before
 	// the ordered fallback); it never ratchets the persistent floor.
 	frontier Slot
-	refused  int
 	fellBack bool
 	ordNum   uint64 // the ordered request number after fallback
 	timer    sim.Timer
@@ -510,8 +547,22 @@ type pendingRead struct {
 // defaultReadTimeout bounds how long a fast read waits for its quorum
 // before falling back to the ordered path. Generous against queueing at
 // saturation (a fast read round trip is tens of microseconds), small
-// against the fallback's own consensus latency.
+// against the fallback's own consensus latency. The first f+1 replicas get
+// half of it before the rest of the group is asked.
 const defaultReadTimeout = 500 * sim.Microsecond
+
+// readProbeEvery: a read whose request number is a multiple of this also
+// asks one passed-over replica (readSuspect), without waiting for it, so a
+// replica that recovered is found even when no read widens.
+const readProbeEvery = 64
+
+// probeRead is what an accepted probe read leaves behind for the reply it
+// did not wait for: the request number, the accepted class and the lowest
+// version that counted.
+type probeRead struct {
+	num, key uint64
+	minSlot  Slot
+}
 
 // NewClient wires a single-group client onto its host router.
 func NewClient(rt *router.Router, replicas []ids.ID, f int) *Client {
@@ -535,6 +586,8 @@ func NewMultiClient(rt *router.Router, groups [][]ids.ID, f int, def Defenses) *
 		pendingReads: make(map[uint64]*pendingRead),
 		readFloor:    make([]Slot, len(groups)),
 		readTimeout:  defaultReadTimeout,
+		readSuspect:  make([]uint64, len(groups)),
+		readProbe:    make([]probeRead, len(groups)),
 		def:          def,
 	}
 	rt.Register(router.ChanRPC, c.onRPC)
@@ -542,7 +595,8 @@ func NewMultiClient(rt *router.Router, groups [][]ids.ID, f int, def Defenses) *
 }
 
 // SetReadTimeout overrides how long a fast read waits for its quorum
-// before falling back to the ordered path (default 500us of virtual time).
+// before falling back to the ordered path (default 500us of virtual time;
+// the widen deadline is half of it).
 func (c *Client) SetReadTimeout(d sim.Duration) {
 	if d > 0 {
 		c.readTimeout = d
@@ -612,10 +666,9 @@ func (c *Client) invokeGroupEx(group int, payload []byte, done func(result []byt
 // the done callback never fires. It reports whether the request was still
 // pending. The request itself may still be (or become) decided and executed
 // by the group — Cancel gives up on observing the outcome, it cannot recall
-// the submission. Cancelling a fast read also abandons its ordered
-// fallback, if one is in flight. (A strong read that entered its pinned
-// second round is tracked under a fresh number; the original handle no
-// longer cancels it.)
+// the submission. A fast read keeps its number on every rung (widened,
+// strong pin round, ordered fallback), so cancelling it abandons whichever
+// is in flight.
 func (c *Client) Cancel(num uint64) bool {
 	if p, ok := c.pendingReads[num]; ok {
 		delete(c.pendingReads, num)
@@ -718,11 +771,14 @@ func (c *Client) noteVersion(group int, v Slot) {
 // ---------------------------------------------------------------------
 
 // InvokeRead submits a read-only request to group 0's unordered fast path:
-// one round trip to all 2f+1 replicas, accepted on f+1 matching result
-// digests at a compatible state version, with a transparent fallback to
-// the ordered Invoke path on mismatch, timeout, refusal or a
-// transaction-locked key. done always fires exactly once with the final
-// result and the end-to-end latency (fallback included).
+// one round trip to f+1 of the 2f+1 replicas, accepted on f+1 matching
+// result digests at a compatible state version. A reply that cannot join
+// that quorum (refusal, stale version, mismatch) or a missed widen deadline
+// brings in the rest of the group under the same request number; mismatch
+// across the whole group, the read timeout or a transaction-locked key
+// fall back transparently to the ordered Invoke path. done always fires
+// exactly once with the final result and the end-to-end latency (widen and
+// fallback included).
 func (c *Client) InvokeRead(payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
 	return c.InvokeGroupRead(0, payload, done)
 }
@@ -744,13 +800,15 @@ func (c *Client) InvokeReadStrong(payload []byte, done func(result []byte, laten
 // 2f+1 replicas of the group to agree on (result, version). Any write that
 // completed before this read began executed on at least f+1 replicas, so
 // the all-replica quorum necessarily includes one that has applied it —
-// the agreed version cannot predate any completed write. Round one samples
-// every replica unpinned; if they answer at one common version the read is
-// done in a single round trip. Otherwise the replicas are skewed: round
-// two re-reads pinned at the highest version round one revealed, which
-// every correct replica serves once its execution catches up (MVCC apps
-// only). Refusals, mismatches beyond round two, or a timeout fall back to
-// the ordered path, which is linearizable by construction.
+// the agreed version cannot predate any completed write. It enters the read
+// ladder at rung 2 (the whole group at once). Round one samples every
+// replica unpinned; if they answer at one common version the read is done
+// in a single round trip. Otherwise the replicas are skewed: round two
+// re-reads, under the same request number, pinned at the highest version
+// round one revealed, which every correct replica serves once its
+// execution catches up (MVCC apps only). Refusals, mismatches beyond round
+// two, or a timeout fall back to the ordered path, which is linearizable
+// by construction.
 func (c *Client) InvokeGroupReadStrong(group int, payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
 	return c.startRead(group, payload, 0, 0, true, c.proc.Now(),
 		func(res []byte, _, _ Slot, _, _ bool, lat sim.Duration) {
@@ -780,14 +838,17 @@ func (c *Client) InvokeGroupReadAt(group int, payload []byte, minSlot, at Slot, 
 	return c.startRead(group, payload, minSlot, at, false, c.proc.Now(), done)
 }
 
-// startRead fires one unordered read round at every replica of the group.
+// startRead puts one unordered read on the ladder: at rung 1 (f+1
+// replicas), or straight at rung 2 (the whole group) when the read is
+// strong, the QuorumOne defense is off, or too few replicas are trusted to
+// form a first rung.
 func (c *Client) startRead(group int, payload []byte, minSlot, at Slot, strong bool, started sim.Time, done func(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration)) uint64 {
 	c.nextNum++
 	num := c.nextNum
-	if at == 0 {
-		if f := c.readFloor[group]; f > minSlot {
-			minSlot = f
-		}
+	if at > 0 {
+		minSlot = 0 // as-of replies are fresh whatever the replica's version
+	} else if f := c.readFloor[group]; f > minSlot {
+		minSlot = f
 	}
 	p := &pendingRead{
 		group:   group,
@@ -800,27 +861,72 @@ func (c *Client) startRead(group int, payload []byte, minSlot, at Slot, strong b
 		done:    done,
 	}
 	c.pendingReads[num] = p
-	w := wire.GetWriter(40 + len(payload))
+
+	// Rung 1 is f+1 trusted replicas in rotation order from the request
+	// number (no random draw: the seeded stream other code consumes does
+	// not shift), plus, on a probe read, the first passed-over one.
+	n := len(c.groups[group])
+	suspect := c.readSuspect[group]
+	to := c.groupMask(group)
+	if !strong && !c.def.QuorumOne && n-bits.OnesCount64(suspect) >= c.f+1 {
+		to = 0
+		probe := num%readProbeEvery == 0
+		for i, want := 0, c.f+1; i < n; i++ {
+			bit := uint64(1) << ((num + uint64(i)) % uint64(n))
+			switch {
+			case suspect&bit == 0 && want > 0:
+				to |= bit
+				want--
+			case suspect&bit != 0 && probe:
+				to |= bit
+				probe = false
+			}
+		}
+	}
+	c.sendRead(num, p, to)
+	return num
+}
+
+// groupMask is the bitmask of every replica index of a group.
+func (c *Client) groupMask(group int) uint64 {
+	return uint64(1)<<uint(len(c.groups[group])) - 1
+}
+
+// sendRead sends the read (as currently pinned) to the replicas in to and
+// re-arms its one timer. A round that starts with the whole group gets the
+// read timeout; a first rung gets half of it (the widen deadline) and the
+// widened round the other half, so total silence still reaches the ordered
+// path after one read timeout.
+func (c *Client) sendRead(num uint64, p *pendingRead, to uint64) {
+	w := wire.GetWriter(40 + len(p.payload))
 	w.U8(tagReadRequest)
 	w.U64(num)
-	w.U64(uint64(at))
-	w.Bytes(payload)
+	w.U64(uint64(p.at))
+	w.Bytes(p.payload)
 	frame := w.Finish()
-	for _, rep := range c.groups[group] {
-		c.rt.Send(rep, router.ChanRPC, frame)
+	for i, rep := range c.groups[p.group] {
+		if to&(1<<uint(i)) != 0 {
+			c.rt.Send(rep, router.ChanRPC, frame)
+		}
 	}
 	wire.PutWriter(w)
-	p.timer = c.proc.After(c.readTimeout, func() { c.readFallback(num, p) })
-	return num
+	p.contacted |= to
+	wait := c.readTimeout
+	if p.firstRung != 0 || p.contacted != c.groupMask(p.group) {
+		wait /= 2
+	}
+	p.timer.Cancel()
+	p.timer = c.proc.After(wait, func() { c.escalateRead(num, p) })
 }
 
 // onReadResponse collects one replica's fast-read reply. Acceptance needs
 // f+1 (strong: all 2f+1) replies carrying the same result digest at
-// compatible versions; a full round without acceptance (digest mismatch,
-// stale replicas, refusals) or an accepted-but-locked result falls back to
-// the ordered path — except a strong sample round that merely found the
-// replicas version-skewed, which re-reads pinned at the revealed frontier
-// first.
+// compatible versions. When the replicas asked so far can no longer supply
+// that — counting every one still to reply as a vote for the best class —
+// the read climbs a rung (escalateRead), except a strong sample round that
+// merely found the replicas version-skewed, which re-reads pinned at the
+// revealed frontier first. An accepted-but-locked result goes straight to
+// the ordered path.
 func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 	num := rd.U64()
 	version := Slot(rd.U64())
@@ -829,8 +935,22 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 	if rd.Done() != nil {
 		return
 	}
+	served := flags&readFlagServed != 0
 	p := c.pendingReads[num]
-	if p == nil || p.fellBack {
+	if p == nil {
+		// Too late to vote — unless it answers a probe: a passed-over
+		// replica whose reply would have joined the accepted class is a
+		// first-rung target again.
+		for g, pr := range c.readProbe {
+			if pr.num == num && served && version >= pr.minSlot && app.ReadDigest(result) == pr.key {
+				if idx := c.replicaIndex(from, g); idx >= 0 {
+					c.readSuspect[g] &^= 1 << uint(idx)
+				}
+			}
+		}
+		return
+	}
+	if p.fellBack {
 		return
 	}
 	idx := c.replicaIndex(from, p.group)
@@ -839,31 +959,21 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 	}
 	bit := uint64(1) << uint(idx)
 	if p.replied&bit != 0 {
-		return // one reply per replica counts
+		return // one reply per replica counts, asked or not
 	}
 	p.replied |= bit
 	if version > p.frontier {
 		p.frontier = version
 	}
-	n := len(c.groups[p.group])
+	all := c.groupMask(p.group)
 	need := c.f + 1
 	if p.strong {
-		need = n
+		need = len(c.groups[p.group])
 	}
 	if c.def.QuorumOne {
 		need = 1
 	}
-	served := flags&readFlagServed != 0
-	if !served {
-		p.refused++
-		// f+1 refusals prove no quorum will form (at least one correct
-		// replica refuses, and refusal is a deterministic property of the
-		// request); a strong read cannot survive even one.
-		if p.refused >= c.f+1 || p.strong {
-			c.readFallback(num, p)
-			return
-		}
-	} else if p.at > 0 || version >= p.minSlot {
+	if served && version >= p.minSlot {
 		key := app.ReadDigest(result)
 		if p.strong && p.at == 0 {
 			// The strong sample round must be unanimous at ONE version:
@@ -874,14 +984,21 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 		t := p.byRes[key]
 		t.add(result, version)
 		t.crossed = t.crossed || flags&readFlagCrossed != 0
+		t.voters |= bit
 		p.byRes[key] = t
+		if t.count > p.best {
+			p.best = t.count
+		}
 		if t.count >= need {
+			c.readSuspect[p.group] = (c.readSuspect[p.group] | p.firstRung) &^ t.voters
 			if p.at == 0 && len(t.result) == 1 && t.result[0] == app.StatusLocked {
-				// A transaction holds the keys: always fall back — the
-				// ordered path parks behind the lock and answers when the
+				// A transaction holds the keys: always the ordered path,
+				// which parks behind the lock and answers when the
 				// transaction resolves (the wait-queue semantics readers
-				// rely on for isolation).
-				c.readFallback(num, p)
+				// rely on for isolation) — asking more replicas cannot
+				// help.
+				p.contacted = all
+				c.escalateRead(num, p)
 				return
 			}
 			p.timer.Cancel()
@@ -895,45 +1012,67 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 			} else {
 				c.FastReads++
 			}
+			if num%readProbeEvery == 0 && p.contacted&^p.replied&c.readSuspect[p.group] != 0 {
+				c.readProbe[p.group] = probeRead{num: num, key: key, minSlot: p.minSlot}
+			}
 			c.noteVersion(p.group, slot)
 			p.done(t.result, slot, p.frontier, t.crossed, false, c.proc.Now().Sub(p.started))
 			return
 		}
 	}
-	if bits.OnesCount64(p.replied) == n {
-		if p.strong && p.at == 0 && p.refused == 0 && p.frontier > 0 {
-			// Every replica answered but at skewed versions: pin round.
-			c.strongPin(num, p)
+	// A refusal, a stale version or a minority digest is a vote lost: f+1
+	// of them (one, for a strong read) prove no quorum will form, since at
+	// least one comes from a correct replica.
+	waiting := bits.OnesCount64(p.contacted &^ p.replied)
+	if p.best+waiting >= need {
+		return
+	}
+	if p.strong && p.at == 0 && served {
+		// Every replica serves the read but execution is skewed (or one
+		// lies): once all versions are in, re-read pinned at the highest —
+		// a version every correct replica can answer as-of from its MVCC
+		// store once it catches up.
+		if waiting > 0 {
 			return
 		}
-		// Every replica replied and no compatible quorum formed.
-		c.readFallback(num, p)
+		if p.frontier > 0 {
+			p.at, p.minSlot, p.replied, p.best = p.frontier, 0, 0, 0
+			clear(p.byRes)
+			c.sendRead(num, p, all)
+			return
+		}
 	}
+	c.escalateRead(num, p)
 }
 
-// strongPin is the strong read's second round: the sample proved every
-// replica serves the read but execution is skewed, so re-read pinned at
-// the highest version any replica revealed — a version every correct
-// replica can answer as-of (from its MVCC store) once it catches up.
-func (c *Client) strongPin(num uint64, p *pendingRead) {
+// escalateRead moves a read that cannot complete where it stands — the
+// replicas asked cannot supply the quorum, or its timer fired — one rung
+// up.
+//
+// Rung 2 asks the rest of the group. If the read is then accepted, the
+// replicas asked before that did not vote for the result are passed over as
+// first-rung targets until they vote in an accepted class again.
+//
+// Rung 3 re-submits through the ordered path. The ordered result is always
+// correct (it is the exact path a deployment without fast reads runs), so
+// this is the safety net every fast-read failure mode lands on. The crossed
+// flag reported upward is the ordered response's quorum-vouched parked
+// marker: whether the read actually waited out a transaction server-side —
+// the signal that lets the shard layer's revalidation skip fallbacks that
+// merely lost a race or a packet.
+func (c *Client) escalateRead(num uint64, p *pendingRead) {
 	if p.fellBack || c.pendingReads[num] != p {
 		return
 	}
-	p.timer.Cancel()
-	delete(c.pendingReads, num)
-	c.startRead(p.group, p.payload, 0, p.frontier, true, p.started, p.done)
-}
-
-// readFallback re-submits a fast read through the ordered path. The
-// ordered result is always correct (it is the exact path a deployment
-// without fast reads runs), so this is the safety net every fast-read
-// failure mode lands on. The crossed flag reported upward is the ordered
-// response's quorum-vouched parked marker: whether the read actually
-// waited out a transaction server-side — the signal that lets the shard
-// layer's revalidation skip fallbacks that merely lost a race or a packet.
-func (c *Client) readFallback(num uint64, p *pendingRead) {
-	if p.fellBack || c.pendingReads[num] != p {
-		return
+	if rest := c.groupMask(p.group) &^ p.contacted; rest != 0 {
+		c.ReadWidens++
+		p.firstRung = p.contacted
+		c.sendRead(num, p, rest)
+		if rest&^p.replied != 0 {
+			return
+		}
+		// Everyone just asked had answered unasked (Byzantine guesses of
+		// the request number): there is no reply left to wait for.
 	}
 	if c.def.NoReadFallback {
 		// Defense-off mode (Byzantine harness): let the failed read hang so

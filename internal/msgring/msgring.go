@@ -313,6 +313,10 @@ type Receiver struct {
 
 	stored  []storedSlot
 	nextIdx uint64
+	// undelivered counts the stored slots scan still owes a delivery
+	// (has && idx >= nextIdx), so scan walks the ring only when one exists
+	// and is not the next index in line.
+	undelivered int
 
 	// AllocatedBytes approximates the RDMA-exposed buffer size, for the
 	// Table 2 accounting.
@@ -359,6 +363,7 @@ func (r *Receiver) NextIndex() uint64 { return r.nextIdx }
 // the receiver discard the fresh incarnation's frames forever.
 func (r *Receiver) Reset() {
 	r.nextIdx = 0
+	r.undelivered = 0
 	for i := range r.stored {
 		r.stored[i] = storedSlot{}
 	}
@@ -391,6 +396,9 @@ func (r *Receiver) accept(slot int, inc, chk uint64, data []byte) {
 	if cur.has && cur.idx >= idx {
 		return // stale rewrite (retransmission of something newer already here)
 	}
+	if idx >= r.nextIdx && !(cur.has && cur.idx >= r.nextIdx) {
+		r.undelivered++ // (overwriting an undelivered message replaces it)
+	}
 	cur.has, cur.idx, cur.data = true, idx, data
 	r.scan()
 }
@@ -399,22 +407,21 @@ func (r *Receiver) accept(slot int, inc, chk uint64, data []byte) {
 // order. This realizes "advance the read pointer to the oldest undelivered
 // message" from the paper: overwritten indices are skipped permanently.
 func (r *Receiver) scan() {
-	for {
-		best := -1
-		var bestIdx uint64
-		for i := range r.stored {
-			s := &r.stored[i]
-			if !s.has || s.idx < r.nextIdx {
-				continue
-			}
-			if best == -1 || s.idx < bestIdx {
-				best, bestIdx = i, s.idx
+	for r.undelivered > 0 {
+		// Common case: the next index in line is there. Otherwise there is
+		// a gap (lost or overwritten messages): find the oldest survivor.
+		s := &r.stored[r.nextIdx%uint64(r.slots)]
+		if !s.has || s.idx != r.nextIdx {
+			s = nil
+			for i := range r.stored {
+				c := &r.stored[i]
+				if c.has && c.idx >= r.nextIdx && (s == nil || c.idx < s.idx) {
+					s = c
+				}
 			}
 		}
-		if best == -1 {
-			return
-		}
-		s := &r.stored[best]
+		// Settle the books before delivering: deliver may Reset this ring.
+		r.undelivered--
 		r.nextIdx = s.idx + 1
 		r.deliver(s.idx, s.data)
 	}

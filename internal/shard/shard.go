@@ -727,6 +727,10 @@ func (c *Client) ReadStats() (fast, fallbacks uint64) {
 	return c.cc.FastReads, c.cc.ReadFallbacks
 }
 
+// ReadWidens reports how many fast reads had to ask the rest of a group
+// after their first f+1 replicas could not supply the quorum in time.
+func (c *Client) ReadWidens() uint64 { return c.cc.ReadWidens }
+
 // StrongReadStats reports how many reads the strong 2f+1 quorum answered
 // without falling back (fallbacks are counted in ReadStats).
 func (c *Client) StrongReadStats() uint64 { return c.cc.StrongReads }
