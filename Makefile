@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint loc race bounded-mem byz-suite chaos-suite bench-smoke bench bench-shard bench-crossshard bench-txn bench-read bench-wallclock bench-repo pgo fuzz-smoke fuzz-byz ci
+.PHONY: all build test vet lint loc race bounded-mem byz-suite chaos-suite bench-smoke bench bench-wallclock bench-repo pgo fuzz-smoke fuzz-byz ci
 
 all: build
 
@@ -48,7 +48,8 @@ bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded' ./internal/consensus/
 
 # One iteration of every benchmark in short mode: catches harness rot and
-# prints allocs/op for the hot-path benchmarks on every PR.
+# prints allocs/op for the hot-path benchmarks on every PR. For one
+# benchmark alone use `$(GO) test -run '^$$' -bench '<name>' .` (README).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -short .
 
@@ -56,33 +57,6 @@ bench-smoke:
 # (benchstat-ready with -count).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig8_UBFTFast_64B|BenchmarkFig10_CTBFast_16B' -benchtime 3x -benchmem -count 5 .
-
-# One iteration of the horizontal-scaling benchmark (S=1..8 sharded KV):
-# exercises the shard layer end to end and prints decided-req/virtual-sec.
-bench-shard:
-	$(GO) test -run '^$$' -bench BenchmarkShardScaling -benchtime 1x -benchmem -short .
-
-# One iteration of the cross-shard mix benchmark: scatter-gather MGETs and
-# 2PC multi-key writes at 0/10/50% cross-shard fractions (the 0% row is
-# bit-identical to the single-shard baseline, gated by
-# TestCrossShardZeroFractionMatchesBaseline).
-bench-crossshard:
-	$(GO) test -run '^$$' -bench '^BenchmarkCrossShard$$' -benchtime 1x -benchmem -short .
-
-# One iteration of the capability-API transaction benchmarks: the same
-# cross-shard mix over the Memcached-style store (KVMGet/KVMSet) and the
-# symbol-sharded order matching engine (OpTops/OpPair), all driven through
-# the generic Router/Fragmenter/TxnParticipant interfaces.
-bench-txn:
-	$(GO) test -run '^$$' -bench '^BenchmarkCrossShard(KV|OrderBook)$$' -benchtime 1x -benchmem -short .
-
-# One iteration of the read fast path benchmark: the read-dominant mix at
-# 50/90/99% reads with unordered f+1 quorum reads off and on (the off rows
-# are bit-identical to the plain driver, gated by
-# TestReadMixFastOffMatchesPlainDriver; the >= 2x order-book speedup at 90%
-# reads is gated by TestReadMixFastSpeedup).
-bench-read:
-	$(GO) test -run '^$$' -bench '^BenchmarkReadMix$$' -benchtime 1x -benchmem -short .
 
 # A short real-socket wall-clock run: the node fleet (3 replicas + 2 memory
 # nodes) as OS processes on loopback, clients in-process, measured with the
@@ -155,4 +129,4 @@ fuzz-byz:
 	$(GO) test -run '^$$' -fuzz FuzzClientReadReply -fuzztime 10s ./internal/consensus/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaReadRequest -fuzztime 10s ./internal/consensus/
 
-ci: build lint test race bounded-mem byz-suite chaos-suite bench-smoke bench-shard bench-crossshard bench-txn bench-read bench-wallclock pgo
+ci: build lint test race bounded-mem byz-suite chaos-suite bench-smoke bench-wallclock pgo

@@ -2,7 +2,11 @@
 // layer and hosts the four applications evaluated in the paper (§7.1):
 // Flip (toy echo-reverser), a Memcached-like key-value store, a Redis-like
 // key-value store with richer operations, and a Liquibook-like financial
-// order matching engine.
+// order matching engine. The two key-value stores are one implementation —
+// the keyed-store engine of keyed.go — told apart by a dialect value
+// (opcode table, three status bytes, exec cost, request builders) and by
+// whether a FIFO eviction list is attached; KV and RKV stay distinct
+// exported names with their own wire and snapshot bytes.
 //
 // Beyond the base StateMachine contract, applications can opt into layered
 // capabilities that the shard layer consumes generically:
@@ -242,8 +246,7 @@ type VersionedReadExecutor interface {
 // digest costs).
 func ReadDigest(result []byte) uint64 { return xcrypto.ChecksumNoCharge(result) }
 
-// Pair is one key/value pair of a multi-key write (shared by the KV and
-// RKV stores).
+// Pair is one key/value pair of a multi-key write (both keyed stores).
 type Pair struct {
 	Key, Val []byte
 }

@@ -50,27 +50,55 @@ func TestFlipExecCostGrowsWithSize(t *testing.T) {
 	}
 }
 
-// --- KV -----------------------------------------------------------------
+// --- keyed stores: behaviour both dialects share, checked once ----------
 
-func TestKVSetGetDelete(t *testing.T) {
-	kv := NewKV(0)
-	if res := kv.Apply(EncodeKVSet([]byte("k"), []byte("v"))); res[0] != KVStored {
-		t.Fatalf("set: %v", res)
-	}
-	res := kv.Apply(EncodeKVGet([]byte("k")))
-	if res[0] != KVOK || string(res[2:]) != "v" {
-		t.Fatalf("get: %v", res)
-	}
-	if res := kv.Apply(EncodeKVDelete([]byte("k"))); res[0] != KVDeleted {
-		t.Fatalf("delete: %v", res)
-	}
-	if res := kv.Apply(EncodeKVGet([]byte("k"))); res[0] != KVMiss {
-		t.Fatalf("get after delete: %v", res)
-	}
-	if res := kv.Apply(EncodeKVDelete([]byte("k"))); res[0] != KVNotFound {
-		t.Fatalf("double delete: %v", res)
+func TestKeyedSetGetDelete(t *testing.T) {
+	for _, c := range keyedCodecs() {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.mk()
+			get, del, set := c.keyOps[0], c.keyOps[1], c.valOps[0]
+			if res := s.Apply(set([]byte("k"), []byte("v"))); len(res) != 1 || res[0] != c.stored {
+				t.Fatalf("set: %v", res)
+			}
+			if res := s.Apply(get([]byte("k"))); res[0] != StatusOK || string(res[2:]) != "v" {
+				t.Fatalf("get: %v", res)
+			}
+			if res := s.Apply(del([]byte("k"))); len(res) != 1 || res[0] != c.deleted {
+				t.Fatalf("delete: %v", res)
+			}
+			if res := s.Apply(get([]byte("k"))); len(res) != 1 || res[0] != c.miss {
+				t.Fatalf("get after delete: %v", res)
+			}
+			if res := s.Apply(del([]byte("k"))); len(res) != 1 || res[0] != c.missing {
+				t.Fatalf("delete of a missing key: %v", res)
+			}
+		})
 	}
 }
+
+func TestKeyedMalformedRequests(t *testing.T) {
+	for _, c := range keyedCodecs() {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.mk()
+			getOp, setOp, mgetOp := c.keyOps[0](nil)[0], c.valOps[0](nil, nil)[0], c.mget()[0]
+			for _, req := range [][]byte{
+				{},
+				{99},
+				{c.maxOp + 1},
+				{getOp},
+				{setOp, 0xFF, 0xFF},
+				{mgetOp, 0xFF},
+			} {
+				res := s.Apply(req)
+				if len(res) != 1 || res[0] != c.badReq {
+					t.Fatalf("malformed request %v -> %v", req, res)
+				}
+			}
+		})
+	}
+}
+
+// --- KV -----------------------------------------------------------------
 
 func TestKVOverwrite(t *testing.T) {
 	kv := NewKV(0)
@@ -99,21 +127,6 @@ func TestKVEviction(t *testing.T) {
 	}
 	if res := kv.Apply(EncodeKVGet([]byte("k4"))); res[0] != KVOK {
 		t.Fatal("k4 should be present")
-	}
-}
-
-func TestKVMalformedRequests(t *testing.T) {
-	kv := NewKV(0)
-	for _, req := range [][]byte{
-		{},
-		{99},
-		{KVGet},
-		{KVSet, 0xFF, 0xFF},
-	} {
-		res := kv.Apply(req)
-		if len(res) != 1 || res[0] != KVBadReq {
-			t.Fatalf("malformed request %v -> %v", req, res)
-		}
 	}
 }
 
@@ -160,25 +173,14 @@ func TestKVQuickSnapshotRestore(t *testing.T) {
 
 // --- RKV ----------------------------------------------------------------
 
-func TestRKVBasicOps(t *testing.T) {
+func TestRKVExists(t *testing.T) {
 	r := NewRKV()
-	if res := r.Apply(EncodeRSet([]byte("k"), []byte("v"))); res[0] != ROK {
-		t.Fatalf("set: %v", res)
+	if res := r.Apply(EncodeRExists([]byte("k"))); res[0] != ROK || res[1] != 0 {
+		t.Fatalf("exists before set: %v", res)
 	}
-	if res := r.Apply(EncodeRGet([]byte("k"))); res[0] != ROK || string(res[2:]) != "v" {
-		t.Fatalf("get: %v", res)
-	}
+	r.Apply(EncodeRSet([]byte("k"), []byte("v")))
 	if res := r.Apply(EncodeRExists([]byte("k"))); res[0] != ROK || res[1] != 1 {
 		t.Fatalf("exists: %v", res)
-	}
-	if res := r.Apply(EncodeRDel([]byte("k"))); res[0] != ROK {
-		t.Fatalf("del: %v", res)
-	}
-	if res := r.Apply(EncodeRGet([]byte("k"))); res[0] != RMiss {
-		t.Fatalf("get after del: %v", res)
-	}
-	if res := r.Apply(EncodeRDel([]byte("k"))); res[0] != RMiss {
-		t.Fatalf("del of missing: %v", res)
 	}
 }
 
@@ -231,15 +233,6 @@ func TestRKVSnapshotRoundTrip(t *testing.T) {
 	r2.Restore(snap)
 	if !bytes.Equal(r2.Snapshot(), snap) || r2.Len() != 20 {
 		t.Fatal("snapshot round trip failed")
-	}
-}
-
-func TestRKVMalformed(t *testing.T) {
-	r := NewRKV()
-	for _, req := range [][]byte{{}, {77}, {RGet}, {RMGet, 0xFF}} {
-		if res := r.Apply(req); res[0] != RBadReq {
-			t.Fatalf("malformed %v -> %v", req, res)
-		}
 	}
 }
 

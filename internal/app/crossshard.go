@@ -10,21 +10,14 @@ import (
 // the shared merge routine behind every Fragmenter's Merge, and the
 // benchmark workloads that mix shard-local traffic with a configurable
 // fraction of cross-shard reads and writes for each transactional
-// application (RKV, KV, OrderBook).
+// application (the two keyed stores, OrderBook).
 
 // subsetKeys decodes a multi-read body (count + keys; the opcode is
 // already consumed) and selects the keys at keyIdx, bounds-checked.
-func subsetKeys(rd *wire.Reader, max int, keyIdx []int) ([][]byte, error) {
-	n, ok := readCount(rd, max)
-	if !ok {
-		return nil, ErrNoKey
-	}
-	keys := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		keys = append(keys, rd.Bytes())
-	}
-	if rd.Done() != nil {
-		return nil, ErrNoKey
+func subsetKeys(rd *wire.Reader, keyIdx []int) ([][]byte, error) {
+	keys, err := multiKeys(rd, false)
+	if err != nil {
+		return nil, err
 	}
 	sub := make([][]byte, 0, len(keyIdx))
 	for _, i := range keyIdx {
@@ -38,8 +31,8 @@ func subsetKeys(rd *wire.Reader, max int, keyIdx []int) ([][]byte, error) {
 
 // subsetPairs decodes a multi-write body and selects the pairs at keyIdx,
 // bounds-checked.
-func subsetPairs(rd *wire.Reader, max int, keyIdx []int) ([]Pair, error) {
-	pairs, ok := decodePairs(rd, max)
+func subsetPairs(rd *wire.Reader, keyIdx []int) ([]Pair, error) {
+	pairs, ok := decodePairs(rd)
 	if !ok || rd.Done() != nil {
 		return nil, ErrNoKey
 	}
@@ -53,30 +46,11 @@ func subsetPairs(rd *wire.Reader, max int, keyIdx []int) ([]Pair, error) {
 	return sub, nil
 }
 
-// encodeKeyedReads builds the shared multi-read response shape — status
-// byte, uvarint count, then per key a Bool(found) plus an optional Bytes
-// value — that mergeKeyedReads decodes. Every transactional app's
-// multi-read answers through it, so the wire shape is defined once.
-func encodeKeyedReads(n int, entry func(i int) (ok bool, val []byte)) []byte {
-	w := wire.NewWriter(64)
-	w.U8(StatusOK)
-	w.Uvarint(uint64(n))
-	for i := 0; i < n; i++ {
-		ok, val := entry(i)
-		w.Bool(ok)
-		if ok {
-			w.Bytes(val)
-		}
-	}
-	return w.Finish()
-}
-
 // mergeKeyedReads reassembles per-leg multi-read responses into the
 // response one shard holding every key would have produced. Every
-// transactional app encodes multi-reads the same way — status byte,
-// uvarint count, then per key a Bool(found) plus an optional Bytes value —
-// so the merge is shared (it IS each app's Fragmenter.Merge). legKeys[i]
-// lists the original key indices leg i served; the total key count is
+// transactional app answers multi-reads through multiRead, so the merge is
+// shared too (it IS each app's Fragmenter.Merge). legKeys[i] lists the
+// original key indices leg i served; the total key count is
 // derived from it. If any leg failed, the first failing leg's status (in
 // leg order, which is ascending shard order) is returned, so the merged
 // outcome is deterministic.
@@ -133,48 +107,38 @@ func mergeKeyedReads(legs [][]byte, legKeys [][]int) []byte {
 	return w.Finish()
 }
 
-// CrossShardRKVWorkload layers a configurable fraction of cross-shard
-// operations over the shard-local Redis-style mixture: with probability
-// Frac the next request is a two-shard MGET (scatter-gather read) or a
-// two-shard RMSet (2PC write), alternating between the two; otherwise it
-// delegates to the inner shard-targeted workload. The cross-shard draw uses
-// its own rng stream, so at Frac = 0 the request stream is bit-identical to
-// the plain sharded workload — the property the 0%-fraction benchmark
-// baseline comparison relies on.
-type CrossShardRKVWorkload struct {
-	inner  *ShardedKVWorkload
-	xrng   *rand.Rand
-	frac   float64
-	shard  int
-	shards int
-	read   bool // alternates: next cross op is an MGET (true) or MPUT
-	keyLen int
-	valLen int
+// CrossShardKVWorkload layers a configurable fraction of cross-shard
+// operations over the shard-local key-value mixture of either store: with
+// probability Frac the next request is a two-shard multi-key GET
+// (scatter-gather read) or a two-shard multi-key SET (2PC write),
+// alternating between the two; otherwise it delegates to the inner
+// shard-targeted workload. The cross-shard draw uses its own rng stream, so
+// at Frac = 0 the request stream is bit-identical to the plain sharded
+// workload — the property the 0%-fraction benchmark baseline comparison
+// relies on.
+type CrossShardKVWorkload struct {
+	inner *ShardedKVWorkload
+	xrng  *rand.Rand
+	frac  float64
+	read  bool // alternates: next cross op is a read (true) or a write
 }
 
-// NewCrossShardRKVWorkload builds the mixed workload for the client driving
-// `shard`. xrng must be a stream independent of rng (a different seed), so
-// the cross-shard decisions do not perturb the shard-local stream.
-func NewCrossShardRKVWorkload(shard, shards int, frac float64, rng, xrng *rand.Rand) *CrossShardRKVWorkload {
-	return &CrossShardRKVWorkload{
-		inner:  NewShardedRKVWorkload(shard, shards, rng),
-		xrng:   xrng,
-		frac:   frac,
-		shard:  shard,
-		shards: shards,
-		read:   true,
-		keyLen: 16,
-		valLen: 32,
-	}
+// NewCrossShardRKVWorkload builds the mixed Redis-style workload for the
+// client driving `shard`. xrng must be a stream independent of rng (a
+// different seed), so the cross-shard decisions do not perturb the
+// shard-local stream.
+func NewCrossShardRKVWorkload(shard, shards int, frac float64, rng, xrng *rand.Rand) *CrossShardKVWorkload {
+	return &CrossShardKVWorkload{inner: NewShardedRKVWorkload(shard, shards, rng), xrng: xrng, frac: frac, read: true}
 }
 
-// keyOn rejection-samples a key hashing onto shard s.
-func (w *CrossShardRKVWorkload) keyOn(s int) []byte {
-	return randKeyOn(w.xrng, s, w.shards, w.keyLen)
+// NewCrossShardKVWorkload is the Memcached-style counterpart (KVMGet reads,
+// KVMSet 2PC writes).
+func NewCrossShardKVWorkload(shard, shards int, frac float64, rng, xrng *rand.Rand) *CrossShardKVWorkload {
+	return &CrossShardKVWorkload{inner: NewShardedKVWorkload(shard, shards, rng), xrng: xrng, frac: frac, read: true}
 }
 
 // randKeyOn rejection-samples a random key hashing onto shard s
-// (geometric with mean `shards` draws).
+// (geometric with mean `shards` draws, so cheap for any sane shard count).
 func randKeyOn(rng *rand.Rand, s, shards, keyLen int) []byte {
 	for {
 		k := make([]byte, keyLen)
@@ -186,72 +150,25 @@ func randKeyOn(rng *rand.Rand, s, shards, keyLen int) []byte {
 }
 
 // Next returns the next request: shard-local with probability 1-Frac, a
-// two-shard MGET or RMSet otherwise.
-func (w *CrossShardRKVWorkload) Next() []byte {
-	if w.frac <= 0 || w.shards < 2 || w.xrng.Float64() >= w.frac {
-		return w.inner.Next()
-	}
-	other := (w.shard + 1 + w.xrng.Intn(w.shards-1)) % w.shards
-	a, b := w.keyOn(w.shard), w.keyOn(other)
-	isRead := w.read
-	w.read = !w.read
-	if isRead {
-		return EncodeRMGet(a, b)
-	}
-	va := make([]byte, w.valLen)
-	vb := make([]byte, w.valLen)
-	w.xrng.Read(va)
-	w.xrng.Read(vb)
-	return EncodeRMSet(Pair{Key: a, Val: va}, Pair{Key: b, Val: vb})
-}
-
-// CrossShardKVWorkload is the Memcached-style counterpart: shard-local
-// GET/SET traffic with a Frac fraction of two-shard KVMGet reads and
-// KVMSet 2PC writes, alternating.
-type CrossShardKVWorkload struct {
-	inner  *ShardedKVWorkload
-	xrng   *rand.Rand
-	frac   float64
-	shard  int
-	shards int
-	read   bool
-	keyLen int
-	valLen int
-}
-
-// NewCrossShardKVWorkload builds the mixed Memcached-style workload for
-// the client driving `shard`.
-func NewCrossShardKVWorkload(shard, shards int, frac float64, rng, xrng *rand.Rand) *CrossShardKVWorkload {
-	return &CrossShardKVWorkload{
-		inner:  NewShardedKVWorkload(shard, shards, rng),
-		xrng:   xrng,
-		frac:   frac,
-		shard:  shard,
-		shards: shards,
-		read:   true,
-		keyLen: 16,
-		valLen: 32,
-	}
-}
-
-// Next returns the next request.
+// two-shard multi-key read or write otherwise.
 func (w *CrossShardKVWorkload) Next() []byte {
-	if w.frac <= 0 || w.shards < 2 || w.xrng.Float64() >= w.frac {
-		return w.inner.Next()
+	in := w.inner
+	if w.frac <= 0 || in.shards < 2 || w.xrng.Float64() >= w.frac {
+		return in.Next()
 	}
-	other := (w.shard + 1 + w.xrng.Intn(w.shards-1)) % w.shards
-	a := randKeyOn(w.xrng, w.shard, w.shards, w.keyLen)
-	b := randKeyOn(w.xrng, other, w.shards, w.keyLen)
+	other := (in.shard + 1 + w.xrng.Intn(in.shards-1)) % in.shards
+	a := randKeyOn(w.xrng, in.shard, in.shards, in.keyLen)
+	b := randKeyOn(w.xrng, other, in.shards, in.keyLen)
 	isRead := w.read
 	w.read = !w.read
 	if isRead {
-		return EncodeKVMGet(a, b)
+		return in.enc.mget(a, b)
 	}
-	va := make([]byte, w.valLen)
-	vb := make([]byte, w.valLen)
+	va := make([]byte, in.valLen)
+	vb := make([]byte, in.valLen)
 	w.xrng.Read(va)
 	w.xrng.Read(vb)
-	return EncodeKVMSet(Pair{Key: a, Val: va}, Pair{Key: b, Val: vb})
+	return in.enc.mset(Pair{Key: a, Val: va}, Pair{Key: b, Val: vb})
 }
 
 // CrossShardOrderWorkload drives the sharded matching engine: shard-local

@@ -1,26 +1,16 @@
 package app
 
-import (
-	"repro/internal/sim"
-	"repro/internal/wire"
-)
+import "repro/internal/sim"
 
 // KV is a Memcached-like in-memory key-value store (§7.1): GET/SET/DELETE
-// over byte keys and values, with an eviction bound. The paper's workload
-// uses 16 B keys and 32 B values, 30% GETs of which 80% hit. The
-// capability redesign added the multi-key MSET/MGET surface plus the full
-// shard-layer capability set (Router, Fragmenter, TxnParticipant via the
-// embedded LockTable), so a sharded Memcached deployment gets cross-shard
-// reads and atomic cross-shard writes like the Redis-style store. Keyed
-// state lives in a VersionedStore, so pinned snapshot reads and strong
-// reads can answer as of any state version above the GC horizon.
-type KV struct {
-	vs       *VersionedStore
-	maxItems int
-	// keys in insertion order for deterministic eviction.
-	order []string
-	*LockTable
-}
+// over byte keys and values, with an eviction bound, plus the multi-key
+// MSET/MGET surface. The paper's workload uses 16 B keys and 32 B values,
+// 30% GETs of which 80% hit. It is the keyed-store engine (keyed.go)
+// speaking the Memcached dialect below, with a FIFO eviction list that
+// travels in the snapshot; every shard-layer capability (Router,
+// Fragmenter, TxnParticipant, pinned and strong reads) comes from the
+// engine.
+type KV struct{ *keyed }
 
 // KV request opcodes.
 const (
@@ -48,372 +38,38 @@ const (
 	KVNotFound uint8 = 8
 )
 
-// kvMultiMax bounds multi-key fan-in, shared by Apply and the key
-// extractor.
-const kvMultiMax = 1024
+// kvDialect is the Memcached wire vocabulary. The exec cost models the
+// full Memcached server path (protocol parsing, hash table, response
+// building), calibrated so an unreplicated request lands around the paper's
+// ~17 us (Figure 7: Memcached at 17.04 us p90 vs Flip at 2.42 us — the
+// difference is the server, not the network).
+var kvDialect = dialect{
+	name:     "KV",
+	ops:      [256]keyedOp{KVGet: opGet, KVSet: opSet, KVDelete: opDel, KVMSet: opMSet, KVMGet: opMGet},
+	stored:   KVStored,
+	deleted:  KVDeleted,
+	notFound: KVNotFound,
+	execBase: 14200 * sim.Nanosecond,
+	get:      EncodeKVGet,
+	set:      EncodeKVSet,
+	mget:     EncodeKVMGet,
+	mset:     EncodeKVMSet,
+}
 
 // NewKV creates a store bounded to maxItems entries (0 = unbounded).
-func NewKV(maxItems int) *KV {
-	kv := &KV{vs: NewVersionedStore(), maxItems: maxItems}
-	kv.LockTable = NewLockTable(kv.writeFragmentKeys, kv.installFragment, kv.Apply)
-	return kv
-}
+func NewKV(maxItems int) *KV { return &KV{newKeyed(&kvDialect, &fifo{max: maxItems})} }
 
 // EncodeKVGet builds a GET request.
-func EncodeKVGet(key []byte) []byte {
-	w := wire.NewWriter(8 + len(key))
-	w.U8(KVGet)
-	w.Bytes(key)
-	return w.Finish()
-}
+func EncodeKVGet(key []byte) []byte { return encodeKeyOp(KVGet, key) }
 
 // EncodeKVSet builds a SET request.
-func EncodeKVSet(key, value []byte) []byte {
-	w := wire.NewWriter(16 + len(key) + len(value))
-	w.U8(KVSet)
-	w.Bytes(key)
-	w.Bytes(value)
-	return w.Finish()
-}
+func EncodeKVSet(key, value []byte) []byte { return encodeKeyValOp(KVSet, key, value) }
 
 // EncodeKVDelete builds a DELETE request.
-func EncodeKVDelete(key []byte) []byte {
-	w := wire.NewWriter(8 + len(key))
-	w.U8(KVDelete)
-	w.Bytes(key)
-	return w.Finish()
-}
+func EncodeKVDelete(key []byte) []byte { return encodeKeyOp(KVDelete, key) }
 
 // EncodeKVMSet builds an atomic multi-key SET request.
-func EncodeKVMSet(pairs ...Pair) []byte {
-	w := wire.NewWriter(64)
-	w.U8(KVMSet)
-	encodePairs(w, pairs)
-	return w.Finish()
-}
+func EncodeKVMSet(pairs ...Pair) []byte { return encodePairsOp(KVMSet, pairs) }
 
 // EncodeKVMGet builds a multi-key GET request.
-func EncodeKVMGet(keys ...[]byte) []byte {
-	w := wire.NewWriter(64)
-	w.U8(KVMGet)
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.Bytes(k)
-	}
-	return w.Finish()
-}
-
-// Apply executes one request. Responses are status-prefixed; GET responses
-// carry the value on a hit.
-func (kv *KV) Apply(req []byte) []byte {
-	if res, handled := ApplyTxn(kv, req); handled {
-		return res
-	}
-	rd := wire.NewReader(req)
-	op := rd.U8()
-	switch op {
-	case KVGet:
-		// The read branches delegate to the unordered read executor: the
-		// ordered and fast paths must answer byte-identically at the same
-		// state, so there is exactly one implementation.
-		res, _ := kv.ApplyRead(req)
-		return res
-	case KVSet:
-		key := rd.Bytes()
-		val := rd.Bytes()
-		if rd.Done() != nil {
-			return []byte{KVBadReq}
-		}
-		if kv.Locked(key) {
-			return kv.ParkOrRefuse([][]byte{key}, req)
-		}
-		kv.set(string(key), val, false)
-		return []byte{KVStored}
-	case KVDelete:
-		key := rd.Bytes()
-		if rd.Done() != nil {
-			return []byte{KVBadReq}
-		}
-		if kv.Locked(key) {
-			return kv.ParkOrRefuse([][]byte{key}, req)
-		}
-		k := string(key)
-		if !kv.vs.Has(k) {
-			return []byte{KVNotFound}
-		}
-		kv.vs.Delete(k)
-		for i, o := range kv.order {
-			if o == k {
-				kv.order = append(kv.order[:i], kv.order[i+1:]...)
-				break
-			}
-		}
-		return []byte{KVDeleted}
-	case KVMSet:
-		pairs, ok := decodePairs(rd, kvMultiMax)
-		if !ok || rd.Done() != nil {
-			return []byte{KVBadReq}
-		}
-		keys := make([][]byte, 0, len(pairs))
-		for _, p := range pairs {
-			keys = append(keys, p.Key)
-		}
-		if kv.AnyLocked(keys...) {
-			return kv.ParkOrRefuse(keys, req)
-		}
-		for _, p := range pairs {
-			kv.set(string(p.Key), p.Val, false)
-		}
-		// Multi-key ops speak the generic status vocabulary, so the ack is
-		// identical whether the write ran on one shard or as a cross-shard
-		// 2PC transaction (which answers StatusOK from the coordinator).
-		return []byte{StatusOK}
-	case KVMGet:
-		// Same delegation; where the unordered executor answers a bare
-		// StatusLocked (a transaction holds a key), the ordered path parks
-		// in the wait queue instead — readers never see a cross-shard
-		// write mid-commit.
-		res, _ := kv.ApplyRead(req)
-		if len(res) == 1 && res[0] == StatusLocked {
-			keys, err := KVRequestKeys(req)
-			if err != nil {
-				return []byte{KVBadReq}
-			}
-			return kv.ParkOrRefuse(keys, req)
-		}
-		return res
-	default:
-		return []byte{KVBadReq}
-	}
-}
-
-// set installs one key/value pair with the eviction bookkeeping. txn marks
-// the version as installed by a committed transaction fragment, which is
-// what pinned snapshot reads chase.
-func (kv *KV) set(k string, val []byte, txn bool) {
-	if !kv.vs.Has(k) {
-		kv.order = append(kv.order, k)
-		if kv.maxItems > 0 && len(kv.order) > kv.maxItems {
-			evict := kv.order[0]
-			kv.order = kv.order[1:]
-			kv.vs.Delete(evict)
-		}
-	}
-	if txn {
-		kv.vs.SetTxn(k, val)
-	} else {
-		kv.vs.Set(k, val)
-	}
-}
-
-// ApplyRead implements ReadExecutor: GETs and multi-key GETs execute
-// against current state with no side effects, byte-identical to what the
-// ordered Apply would produce at the same state. Where the ordered
-// multi-read would park on a transaction lock, ApplyRead answers a bare
-// StatusLocked — the unordered path cannot park, so the caller falls back
-// to the ordered path (which does). Single-key GETs stay read-committed,
-// exactly like the ordered path.
-func (kv *KV) ApplyRead(req []byte) ([]byte, bool) {
-	if len(req) == 0 {
-		return nil, false
-	}
-	rd := wire.NewReader(req)
-	switch rd.U8() {
-	case KVGet:
-		key := rd.BytesView()
-		if rd.Done() != nil {
-			return []byte{KVBadReq}, true
-		}
-		v, ok := kv.vs.Get(string(key))
-		if !ok {
-			return []byte{KVMiss}, true
-		}
-		w := wire.NewWriter(4 + len(v))
-		w.U8(KVOK)
-		w.Bytes(v)
-		return w.Finish(), true
-	case KVMGet:
-		n, ok := readCount(rd, kvMultiMax)
-		if !ok {
-			return []byte{KVBadReq}, true
-		}
-		keys := make([][]byte, 0, n)
-		for i := 0; i < n; i++ {
-			keys = append(keys, rd.BytesView())
-		}
-		if rd.Done() != nil {
-			return []byte{KVBadReq}, true
-		}
-		if kv.AnyLocked(keys...) {
-			return []byte{StatusLocked}, true
-		}
-		return encodeKeyedReads(len(keys), func(i int) (bool, []byte) {
-			v, ok := kv.vs.Get(string(keys[i]))
-			return ok, v
-		}), true
-	default:
-		return nil, false
-	}
-}
-
-// ApplyReadAt implements VersionedReadExecutor: GETs and multi-key GETs
-// answered as of state version at. Unlike ApplyRead it proceeds under
-// transaction locks (a pinned version is well-defined regardless) and
-// instead reports txnCrossed when the read may straddle a transaction.
-func (kv *KV) ApplyReadAt(req []byte, at uint64) ([]byte, bool, bool) {
-	if len(req) == 0 || at < kv.vs.Horizon() {
-		return nil, false, false
-	}
-	rd := wire.NewReader(req)
-	switch rd.U8() {
-	case KVGet:
-		key := rd.BytesView()
-		if rd.Done() != nil {
-			return []byte{KVBadReq}, false, true
-		}
-		crossed := kv.keyCrossed(key, at)
-		v, ok := kv.vs.GetAt(string(key), at)
-		if !ok {
-			return []byte{KVMiss}, crossed, true
-		}
-		w := wire.NewWriter(4 + len(v))
-		w.U8(KVOK)
-		w.Bytes(v)
-		return w.Finish(), crossed, true
-	case KVMGet:
-		n, ok := readCount(rd, kvMultiMax)
-		if !ok {
-			return []byte{KVBadReq}, false, true
-		}
-		keys := make([][]byte, 0, n)
-		for i := 0; i < n; i++ {
-			keys = append(keys, rd.BytesView())
-		}
-		if rd.Done() != nil {
-			return []byte{KVBadReq}, false, true
-		}
-		crossed := false
-		for _, k := range keys {
-			if kv.keyCrossed(k, at) {
-				crossed = true
-				break
-			}
-		}
-		return encodeKeyedReads(len(keys), func(i int) (bool, []byte) {
-			v, ok := kv.vs.GetAt(string(keys[i]), at)
-			return ok, v
-		}), crossed, true
-	default:
-		return nil, false, false
-	}
-}
-
-// keyCrossed is the per-key consistent-cut rule: the key is currently
-// transaction-locked, or a transaction installed a version after the pin.
-func (kv *KV) keyCrossed(key []byte, at uint64) bool {
-	return kv.Locked(key) || kv.vs.TxnTouched(string(key), at)
-}
-
-// Keys implements Router.
-func (kv *KV) Keys(req []byte) ([][]byte, error) { return KVRequestKeys(req) }
-
-// ReadOnly implements Fragmenter: multi-key GETs scatter-gather, multi-key
-// SETs run 2PC. Single-key GETs are read-only too — they never span
-// shards, but classifying them here routes point reads onto the fast path.
-func (kv *KV) ReadOnly(req []byte) bool {
-	return len(req) > 0 && (req[0] == KVMGet || req[0] == KVGet)
-}
-
-// Fragment implements Fragmenter.
-func (kv *KV) Fragment(req []byte, keyIdx []int) ([]byte, error) {
-	rd := wire.NewReader(req)
-	switch op := rd.U8(); op {
-	case KVMGet:
-		sub, err := subsetKeys(rd, kvMultiMax, keyIdx)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeKVMGet(sub...), nil
-	case KVMSet:
-		sub, err := subsetPairs(rd, kvMultiMax, keyIdx)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeKVMSet(sub...), nil
-	default:
-		return nil, ErrNoKey
-	}
-}
-
-// Merge implements Fragmenter for scatter-gathered multi-key GETs.
-func (kv *KV) Merge(req []byte, legs [][]byte, legKeys [][]int) []byte {
-	return mergeKeyedReads(legs, legKeys)
-}
-
-// writeFragmentKeys validates a staged fragment (it must be a KVMSet) and
-// extracts its keys for the LockTable.
-func (kv *KV) writeFragmentKeys(frag []byte) ([][]byte, error) {
-	if len(frag) == 0 || frag[0] != KVMSet {
-		return nil, ErrNoKey
-	}
-	return KVRequestKeys(frag)
-}
-
-// installFragment applies a committed KVMSet fragment (no commit receipt:
-// a multi-key SET has no per-leg result beyond the acknowledgement).
-func (kv *KV) installFragment(frag []byte) []byte {
-	rd := wire.NewReader(frag)
-	rd.U8()
-	pairs, ok := decodePairs(rd, kvMultiMax)
-	if !ok || rd.Done() != nil {
-		return nil
-	}
-	for _, p := range pairs {
-		kv.set(string(p.Key), p.Val, true)
-	}
-	return nil
-}
-
-// Len returns the number of stored items.
-func (kv *KV) Len() int { return kv.vs.Len() }
-
-// Versioned capability: the replica stamps every ordered command's writes
-// and ratchets the GC horizon at stable-checkpoint creation.
-func (kv *KV) BeginSlot(v uint64)     { kv.vs.BeginSlot(v) }
-func (kv *KV) PruneVersions(h uint64) { kv.vs.Ratchet(h) }
-func (kv *KV) VersionHorizon() uint64 { return kv.vs.Horizon() }
-func (kv *KV) VersionCount() int      { return kv.vs.VersionCount() }
-
-// Snapshot serializes the store deterministically (version chains with the
-// GC horizon, sorted keys), including the embedded LockTable.
-func (kv *KV) Snapshot() []byte {
-	w := wire.NewWriter(64 * (kv.vs.Len() + 1))
-	kv.vs.SnapshotTo(w)
-	// Preserve the eviction order too.
-	w.Uvarint(uint64(len(kv.order)))
-	for _, k := range kv.order {
-		w.String(k)
-	}
-	kv.SnapshotTo(w)
-	return w.Finish()
-}
-
-// Restore replaces the store from a snapshot.
-func (kv *KV) Restore(snap []byte) {
-	rd := wire.NewReader(snap)
-	kv.vs.RestoreFrom(rd)
-	no := int(rd.Uvarint())
-	kv.order = make([]string, 0, no)
-	for i := 0; i < no; i++ {
-		kv.order = append(kv.order, rd.String())
-	}
-	kv.RestoreFrom(rd)
-}
-
-// ExecCost models the full Memcached server path (protocol parsing, hash
-// table, response building). Calibrated so an unreplicated request lands
-// around the paper's ~17 us (Figure 7: Memcached at 17.04 us p90 vs Flip
-// at 2.42 us — the difference is the server, not the network).
-func (kv *KV) ExecCost(req []byte) sim.Duration {
-	return 14200*sim.Nanosecond + sim.Duration(len(req)/16)*sim.Nanosecond
-}
+func EncodeKVMGet(keys ...[]byte) []byte { return encodeKeysOp(KVMGet, keys) }

@@ -62,9 +62,6 @@ const (
 	OpTops uint8 = 6
 )
 
-// obTopsMax bounds multi-symbol fan-in.
-const obTopsMax = 1024
-
 // Fill describes one match.
 type Fill struct {
 	MakerID uint64
@@ -122,15 +119,7 @@ func EncodePairOrder(a, b OrderLeg) []byte {
 }
 
 // EncodeTops builds a multi-symbol top-of-book read.
-func EncodeTops(syms ...[]byte) []byte {
-	w := wire.NewWriter(64)
-	w.U8(OpTops)
-	w.Uvarint(uint64(len(syms)))
-	for _, s := range syms {
-		w.Bytes(s)
-	}
-	return w.Finish()
-}
+func EncodeTops(syms ...[]byte) []byte { return encodeKeysOp(OpTops, syms) }
 
 // NewOrderBook creates an empty matching engine.
 func NewOrderBook() *OrderBook {
@@ -190,9 +179,7 @@ func (ob *OrderBook) Apply(req []byte) []byte {
 		if ob.Locked(nil) {
 			return ob.ParkOrRefuse([][]byte{nil}, req)
 		}
-		id, remaining, fills := ob.book("").place(op, price, qty)
-		ob.noteTops(nil, false)
-		return encodeOrderResp(id, remaining, fills, true)
+		return ob.placeOn(nil, op, price, qty)
 	case OpCancel:
 		id := rd.U64()
 		if rd.Done() != nil {
@@ -216,9 +203,7 @@ func (ob *OrderBook) Apply(req []byte) []byte {
 		if ob.Locked(sym) {
 			return ob.ParkOrRefuse([][]byte{sym}, req)
 		}
-		id, remaining, fills := ob.book(string(sym)).place(side, price, qty)
-		ob.noteTops(sym, false)
-		return encodeOrderResp(id, remaining, fills, true)
+		return ob.placeOn(sym, side, price, qty)
 	case OpPair:
 		legs, err := decodePairLegs(rd)
 		if err != nil {
@@ -227,27 +212,16 @@ func (ob *OrderBook) Apply(req []byte) []byte {
 		if ob.AnyLocked(legs[0].Sym, legs[1].Sym) {
 			return ob.ParkOrRefuse([][]byte{legs[0].Sym, legs[1].Sym}, req)
 		}
-		w := wire.NewWriter(128)
-		w.U8(StatusOK)
-		for _, leg := range legs {
-			id, remaining, fills := ob.book(string(leg.Sym)).place(leg.Side, leg.Price, leg.Qty)
-			ob.noteTops(leg.Sym, false)
-			w.Bytes(encodeOrderResp(id, remaining, fills, true))
-		}
-		return w.Finish()
+		return ob.placePair(legs)
 	case OpTops:
-		// Delegate to the unordered read executor (one implementation,
+		// The shared read routine, unpinned (one implementation,
 		// byte-identical across the ordered and fast paths); where it
-		// answers a bare StatusLocked — a symbol held by an in-flight pair
-		// transaction — the ordered read parks instead, so a top-of-book
-		// read never observes a transfer mid-commit.
-		res, _ := ob.ApplyRead(req)
-		if len(res) == 1 && res[0] == StatusLocked {
-			syms, err := ob.Keys(req)
-			if err != nil {
-				return []byte{StatusBadReq}
-			}
-			return ob.ParkOrRefuse(syms, req)
+		// reports the read blocked — a symbol held by an in-flight pair
+		// transaction — the ordered read parks on the symbols it decoded,
+		// so a top-of-book read never observes a transfer mid-commit.
+		res, blocked, _ := multiRead(rd, ob.LockTable, ob.tops, headVersion, false, emptyTops)
+		if len(blocked) > 0 {
+			return ob.ParkOrRefuse(blocked, req)
 		}
 		return res
 	default:
@@ -255,10 +229,30 @@ func (ob *OrderBook) Apply(req []byte) []byte {
 	}
 }
 
+// placeOn executes one order on a symbol's book, refreshes the symbol's
+// versioned view and encodes the order response.
+func (ob *OrderBook) placeOn(sym []byte, side uint8, price, qty uint64) []byte {
+	id, remaining, fills := ob.book(string(sym)).place(side, price, qty)
+	ob.noteTops(sym, false)
+	return encodeOrderResp(id, remaining, fills, true)
+}
+
+// placePair executes both legs of a pair order: StatusOK, then each leg's
+// order response.
+func (ob *OrderBook) placePair(legs [2]OrderLeg) []byte {
+	w := wire.NewWriter(128)
+	w.U8(StatusOK)
+	for _, leg := range legs {
+		w.Bytes(ob.placeOn(leg.Sym, leg.Side, leg.Price, leg.Qty))
+	}
+	return w.Finish()
+}
+
 // noteTops refreshes the versioned top-of-book view of one symbol after a
 // book mutation (txn marks a transaction-installed version). Every book
 // write funnels through here, so the newest view version always equals the
-// live topsEntry — the invariant pinned reads rely on.
+// live topsEntry — which is why every read, current or pinned, answers from
+// the view.
 func (ob *OrderBook) noteTops(sym []byte, txn bool) {
 	e := ob.topsEntry(sym)
 	if txn {
@@ -462,7 +456,7 @@ func (ob *OrderBook) Keys(req []byte) ([][]byte, error) {
 		}
 		return [][]byte{a, b}, nil
 	case OpTops:
-		n, ok := readCount(rd, obTopsMax)
+		n, ok := readCount(rd, multiKeyMax)
 		if !ok {
 			return nil, ErrNoKey
 		}
@@ -480,70 +474,29 @@ func (ob *OrderBook) Keys(req []byte) ([][]byte, error) {
 }
 
 // ApplyRead implements ReadExecutor: multi-symbol top-of-book reads
-// execute against current book state with no side effects, byte-identical
-// to the ordered Apply at the same state. A symbol held by an in-flight
-// pair transaction answers a bare StatusLocked instead of parking (the
-// caller falls back to the ordered path, which does).
+// execute against the current view with no side effects, byte-identical to
+// the ordered Apply at the same state. A symbol held by an in-flight pair
+// transaction answers a bare StatusLocked instead of parking (the caller
+// falls back to the ordered path, which does).
 func (ob *OrderBook) ApplyRead(req []byte) ([]byte, bool) {
 	if len(req) == 0 || req[0] != OpTops {
 		return nil, false
 	}
-	rd := wire.NewReader(req)
-	rd.U8()
-	n, ok := readCount(rd, obTopsMax)
-	if !ok {
-		return []byte{StatusBadReq}, true
-	}
-	syms := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		syms = append(syms, rd.BytesView())
-	}
-	if rd.Done() != nil {
-		return []byte{StatusBadReq}, true
-	}
-	if ob.AnyLocked(syms...) {
-		return []byte{StatusLocked}, true
-	}
-	return encodeKeyedReads(len(syms), func(i int) (bool, []byte) {
-		return true, ob.topsEntry(syms[i])
-	}), true
+	res, _, _ := multiRead(wire.NewReader(req[1:]), ob.LockTable, ob.tops, headVersion, false, emptyTops)
+	return res, true
 }
 
-// ApplyReadAt implements VersionedReadExecutor: top-of-book reads answered
-// as of state version at, from the versioned view. Unlike ApplyRead it
-// proceeds under transaction locks (a pinned version is well-defined
-// regardless) and instead reports txnCrossed when the read may straddle a
-// pair transaction.
+// ApplyReadAt implements VersionedReadExecutor: the same read answered as
+// of state version at. It proceeds under transaction locks (a pinned
+// version is well-defined regardless) and instead reports txnCrossed when
+// the read may straddle a pair transaction. With no lock held, ApplyReadAt
+// at the current version and ApplyRead are the same computation.
 func (ob *OrderBook) ApplyReadAt(req []byte, at uint64) ([]byte, bool, bool) {
 	if len(req) == 0 || req[0] != OpTops || at < ob.tops.Horizon() {
 		return nil, false, false
 	}
-	rd := wire.NewReader(req)
-	rd.U8()
-	n, ok := readCount(rd, obTopsMax)
-	if !ok {
-		return []byte{StatusBadReq}, false, true
-	}
-	syms := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		syms = append(syms, rd.BytesView())
-	}
-	if rd.Done() != nil {
-		return []byte{StatusBadReq}, false, true
-	}
-	crossed := false
-	for _, sym := range syms {
-		if ob.Locked(sym) || ob.tops.TxnTouched(string(sym), at) {
-			crossed = true
-			break
-		}
-	}
-	return encodeKeyedReads(len(syms), func(i int) (bool, []byte) {
-		if v, ok := ob.tops.GetAt(string(syms[i]), at); ok {
-			return true, v
-		}
-		return true, emptyTops
-	}), crossed, true
+	res, _, crossed := multiRead(wire.NewReader(req[1:]), ob.LockTable, ob.tops, at, true, emptyTops)
+	return res, crossed, true
 }
 
 // Versioned capability: the replica stamps every ordered command's writes
@@ -576,7 +529,7 @@ func (ob *OrderBook) Fragment(req []byte, keyIdx []int) ([]byte, error) {
 			return nil, ErrNoKey
 		}
 	case OpTops:
-		sub, err := subsetKeys(rd, obTopsMax, keyIdx)
+		sub, err := subsetKeys(rd, keyIdx)
 		if err != nil {
 			return nil, err
 		}
@@ -637,21 +590,13 @@ func (ob *OrderBook) installFragment(frag []byte) []byte {
 		if rd.Done() != nil || qty == 0 {
 			return nil
 		}
-		id, remaining, fills := ob.book(string(sym)).place(side, price, qty)
-		ob.noteTops(sym, false)
-		return encodeOrderResp(id, remaining, fills, true)
+		return ob.placeOn(sym, side, price, qty)
 	case OpPair:
 		legs, err := decodePairLegs(rd)
 		if err != nil {
 			return nil
 		}
-		w := wire.NewWriter(128)
-		w.U8(StatusOK)
-		for _, leg := range legs {
-			id, remaining, fills := ob.book(string(leg.Sym)).place(leg.Side, leg.Price, leg.Qty)
-			w.Bytes(encodeOrderResp(id, remaining, fills, true))
-		}
-		return w.Finish()
+		return ob.placePair(legs)
 	}
 	return nil
 }

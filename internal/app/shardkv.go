@@ -2,19 +2,18 @@ package app
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"repro/internal/wire"
 	"repro/internal/xcrypto"
 )
 
-// This file is the application side of the sharded deployment: key
-// extraction (the package-level functions behind the KV stores' Router
-// capability) so a shard-aware client can hash-route requests, and a
-// deterministic sharded KV workload whose keys all land on one target
-// partition (used by the horizontal-scaling benchmark and the multi-shard
-// determinism tests).
+// This file is the application side of the sharded deployment: the
+// key-to-shard hash, the multi-key body decoder behind the keyed stores'
+// Router capability, and a deterministic sharded KV workload whose keys all
+// land on one target partition (the paper's Fig 7 key-value workload is its
+// one-shard case; also used by the horizontal-scaling benchmark and the
+// multi-shard determinism tests).
 
 // ErrNoKey reports a request whose key cannot be extracted (malformed or an
 // opcode the router does not know).
@@ -30,83 +29,15 @@ func ShardOfKey(key []byte, shards int) int {
 	return int(xcrypto.ChecksumNoCharge(key) % uint64(shards))
 }
 
-// KVRequestKey extracts the key of a single-key Memcached-style request.
-func KVRequestKey(req []byte) ([]byte, error) {
-	rd := wire.NewReader(req)
-	op := rd.U8()
-	switch op {
-	case KVGet, KVSet, KVDelete:
-		key := rd.BytesView()
-		if rd.Err() != nil {
-			return nil, ErrNoKey
-		}
-		return key, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown KV opcode %d", ErrNoKey, op)
-	}
-}
-
-// KVRequestKeys extracts every key a Memcached-style request touches
-// (KV's Router capability). Single-key opcodes return one key; the
-// multi-key MSET/MGET return all of theirs, letting the shard layer detect
-// cross-shard fan-out.
-func KVRequestKeys(req []byte) ([][]byte, error) {
-	rd := wire.NewReader(req)
-	op := rd.U8()
-	switch op {
-	case KVGet, KVSet, KVDelete:
-		key := rd.BytesView()
-		if rd.Err() != nil {
-			return nil, ErrNoKey
-		}
-		return [][]byte{key}, nil
-	case KVMGet:
-		return multiKeys(rd, kvMultiMax, false)
-	case KVMSet:
-		return multiKeys(rd, kvMultiMax, true)
-	default:
-		// The generic OpTxn* envelope is addressed to explicit groups by
-		// the 2PC coordinator and never enters the hash router, so it is
-		// unroutable here by design.
-		return nil, fmt.Errorf("%w: unknown KV opcode %d", ErrNoKey, op)
-	}
-}
-
-// RKVRequestKeys extracts every key a Redis-style request touches (RKV's
-// Router capability).
-func RKVRequestKeys(req []byte) ([][]byte, error) {
-	rd := wire.NewReader(req)
-	op := rd.U8()
-	switch op {
-	case RGet, RSet, RDel, RIncr, RAppend, RExists:
-		key := rd.BytesView()
-		if rd.Err() != nil {
-			return nil, ErrNoKey
-		}
-		return [][]byte{key}, nil
-	case RMGet:
-		// Same bound RKV.Apply enforces: don't route (and burn a consensus
-		// slot on) a request the state machine will refuse. An empty MGET
-		// is valid and key-less: it returns no keys and the router may
-		// place it on any shard.
-		return multiKeys(rd, rkvMGetMax, false)
-	case RMSet:
-		return multiKeys(rd, rkvMGetMax, true)
-	default:
-		// The generic OpTxn* envelope never enters the hash router.
-		return nil, fmt.Errorf("%w: unknown RKV opcode %d", ErrNoKey, op)
-	}
-}
-
 // multiKeys reads the keys of a multi-key request body (the opcode is
 // already consumed); withVals skips the interleaved values of a write.
-// The request must be fully consumed: these functions back the
-// writeFragmentKeys validation of the KV stores, and a fragment Prepare
-// votes yes on MUST be installable — trailing bytes that install would
-// refuse have to be refused here too, or a half-valid prepare could
-// commit a transaction that installs nothing on one shard.
-func multiKeys(rd *wire.Reader, max int, withVals bool) ([][]byte, error) {
-	n, ok := readCount(rd, max)
+// The request must be fully consumed: it backs the writeFragmentKeys
+// validation of the keyed stores, and a fragment Prepare votes yes on MUST
+// be installable — trailing bytes that install would refuse have to be
+// refused here too, or a half-valid prepare could commit a transaction
+// that installs nothing on one shard.
+func multiKeys(rd *wire.Reader, withVals bool) ([][]byte, error) {
+	n, ok := readCount(rd, multiKeyMax)
 	if !ok {
 		return nil, ErrNoKey
 	}
@@ -130,37 +61,27 @@ func multiKeys(rd *wire.Reader, max int, withVals bool) ([][]byte, error) {
 // routes through the hash-of-key path.
 type ShardedKVWorkload struct {
 	rng     *rand.Rand
+	enc     *dialect // the store the requests are encoded for
 	shard   int
 	shards  int
 	keyLen  int
 	valLen  int
-	redis   bool // encode as Redis-style RGet/RSet instead of KVGet/KVSet
 	written [][]byte
 }
 
 // NewShardedKVWorkload builds the workload targeting `shard` of `shards`.
 func NewShardedKVWorkload(shard, shards int, rng *rand.Rand) *ShardedKVWorkload {
-	return &ShardedKVWorkload{rng: rng, shard: shard, shards: shards, keyLen: 16, valLen: 32}
+	return newShardedWorkload(&kvDialect, shard, shards, rng)
 }
 
 // NewShardedRKVWorkload is the same mixture encoded for the Redis-like
 // store (RGet/RSet), the single-shard substrate of the cross-shard mix.
 func NewShardedRKVWorkload(shard, shards int, rng *rand.Rand) *ShardedKVWorkload {
-	w := NewShardedKVWorkload(shard, shards, rng)
-	w.redis = true
-	return w
+	return newShardedWorkload(&rkvDialect, shard, shards, rng)
 }
 
-// randKey draws keys until one lands on the target shard (geometric with
-// mean `shards` draws, so cheap for any sane shard count).
-func (w *ShardedKVWorkload) randKey() []byte {
-	for {
-		k := make([]byte, w.keyLen)
-		w.rng.Read(k)
-		if ShardOfKey(k, w.shards) == w.shard {
-			return k
-		}
-	}
+func newShardedWorkload(enc *dialect, shard, shards int, rng *rand.Rand) *ShardedKVWorkload {
+	return &ShardedKVWorkload{rng: rng, enc: enc, shard: shard, shards: shards, keyLen: 16, valLen: 32}
 }
 
 // Next returns the next GET or SET, always routable to the target shard.
@@ -170,21 +91,15 @@ func (w *ShardedKVWorkload) Next() []byte {
 		if w.rng.Float64() < 0.80 {
 			key = w.written[w.rng.Intn(len(w.written))]
 		} else {
-			key = w.randKey()
+			key = randKeyOn(w.rng, w.shard, w.shards, w.keyLen)
 		}
-		if w.redis {
-			return EncodeRGet(key)
-		}
-		return EncodeKVGet(key)
+		return w.enc.get(key)
 	}
-	key := w.randKey()
+	key := randKeyOn(w.rng, w.shard, w.shards, w.keyLen)
 	val := make([]byte, w.valLen)
 	w.rng.Read(val)
 	if len(w.written) < 4096 {
 		w.written = append(w.written, key)
 	}
-	if w.redis {
-		return EncodeRSet(key, val)
-	}
-	return EncodeKVSet(key, val)
+	return w.enc.set(key, val)
 }

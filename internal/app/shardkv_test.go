@@ -2,59 +2,55 @@ package app
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
 
-func TestKVRequestKey(t *testing.T) {
+// TestKeyedRequestKeys checks the Router capability of both dialects
+// through one table: every single-key command yields its key, multi-key
+// commands yield all of theirs (values skipped), and malformed, unknown and
+// envelope requests are unroutable.
+func TestKeyedRequestKeys(t *testing.T) {
 	key := []byte("some-key-0123456")
-	for _, req := range [][]byte{
-		EncodeKVGet(key),
-		EncodeKVSet(key, []byte("value")),
-		EncodeKVDelete(key),
-	} {
-		got, err := KVRequestKey(req)
-		if err != nil || !bytes.Equal(got, key) {
-			t.Fatalf("KVRequestKey(%v) = %q, %v", req[0], got, err)
-		}
-	}
-	if _, err := KVRequestKey([]byte{99, 1, 2}); err == nil {
-		t.Fatal("unknown opcode accepted")
-	}
-	if _, err := KVRequestKey(nil); err == nil {
-		t.Fatal("empty request accepted")
-	}
-}
-
-func TestRKVRequestKeys(t *testing.T) {
-	key := []byte("k1")
-	single := [][]byte{
-		EncodeRGet(key), EncodeRSet(key, []byte("v")), EncodeRDel(key),
-		EncodeRIncr(key), EncodeRAppend(key, []byte("v")), EncodeRExists(key),
-	}
-	for i, req := range single {
-		keys, err := RKVRequestKeys(req)
-		if err != nil || len(keys) != 1 || !bytes.Equal(keys[0], key) {
-			t.Fatalf("case %d: keys=%q err=%v", i, keys, err)
-		}
-	}
-	keys, err := RKVRequestKeys(EncodeRMGet([]byte("a"), []byte("b"), []byte("c")))
-	if err != nil || len(keys) != 3 || !bytes.Equal(keys[2], []byte("c")) {
-		t.Fatalf("MGET keys=%q err=%v", keys, err)
-	}
-	if _, err := RKVRequestKeys([]byte{RMGet}); err == nil {
-		t.Fatal("truncated MGET accepted")
-	}
-	// An empty MGET is valid (RKV.Apply accepts it) and key-less.
-	keys, err = RKVRequestKeys(EncodeRMGet())
-	if err != nil || len(keys) != 0 {
-		t.Fatalf("empty MGET: keys=%q err=%v", keys, err)
-	}
-	// RMSet keys are extracted (values skipped), so single-shard RMSets
-	// route normally.
-	keys, err = RKVRequestKeys(EncodeRMSet(Pair{Key: []byte("a"), Val: []byte("1")}, Pair{Key: []byte("b"), Val: []byte("2")}))
-	if err != nil || len(keys) != 2 || !bytes.Equal(keys[0], []byte("a")) || !bytes.Equal(keys[1], []byte("b")) {
-		t.Fatalf("RMSet keys=%q err=%v", keys, err)
+	for _, c := range keyedCodecs() {
+		t.Run(c.name, func(t *testing.T) {
+			router := c.mk()
+			var single [][]byte
+			for _, enc := range c.keyOps {
+				single = append(single, enc(key))
+			}
+			for _, enc := range c.valOps {
+				single = append(single, enc(key, []byte("value")))
+			}
+			for _, req := range single {
+				keys, err := router.Keys(req)
+				if err != nil || len(keys) != 1 || !bytes.Equal(keys[0], key) {
+					t.Fatalf("opcode %d: keys=%q err=%v", req[0], keys, err)
+				}
+			}
+			keys, err := router.Keys(c.mget([]byte("a"), []byte("b"), []byte("c")))
+			if err != nil || len(keys) != 3 || !bytes.Equal(keys[1], []byte("b")) || !bytes.Equal(keys[2], []byte("c")) {
+				t.Fatalf("multi-get keys=%q err=%v", keys, err)
+			}
+			// An empty multi-get is valid (Apply accepts it) and key-less.
+			keys, err = router.Keys(c.mget())
+			if err != nil || len(keys) != 0 {
+				t.Fatalf("empty multi-get: keys=%q err=%v", keys, err)
+			}
+			// Multi-set keys are extracted (values skipped), so single-shard
+			// multi-sets route normally.
+			keys, err = router.Keys(c.mset(Pair{Key: []byte("x"), Val: []byte("1")}, Pair{Key: []byte("y"), Val: []byte("2")}))
+			if err != nil || len(keys) != 2 || !bytes.Equal(keys[0], []byte("x")) || !bytes.Equal(keys[1], []byte("y")) {
+				t.Fatalf("multi-set keys=%q err=%v", keys, err)
+			}
+			mgetOp := c.mget()[0]
+			for _, req := range [][]byte{nil, {99, 1, 2}, {c.keyOps[0](key)[0]}, {mgetOp}, {mgetOp, 0xFF}} {
+				if _, err := router.Keys(req); !errors.Is(err, ErrNoKey) {
+					t.Fatalf("request %v routable (err=%v)", req, err)
+				}
+			}
+		})
 	}
 	// The generic transaction envelope is unroutable by design: its
 	// commands are addressed to explicit groups by the 2PC coordinator and
@@ -65,20 +61,6 @@ func TestRKVRequestKeys(t *testing.T) {
 				t.Fatalf("opcode %d routable; 2PC internals must not enter the hash router", req[0])
 			}
 		}
-	}
-}
-
-func TestKVRequestKeysMulti(t *testing.T) {
-	keys, err := KVRequestKeys(EncodeKVMGet([]byte("a"), []byte("b")))
-	if err != nil || len(keys) != 2 || !bytes.Equal(keys[1], []byte("b")) {
-		t.Fatalf("KVMGet keys=%q err=%v", keys, err)
-	}
-	keys, err = KVRequestKeys(EncodeKVMSet(Pair{Key: []byte("x"), Val: []byte("1")}, Pair{Key: []byte("y"), Val: []byte("2")}))
-	if err != nil || len(keys) != 2 || !bytes.Equal(keys[0], []byte("x")) {
-		t.Fatalf("KVMSet keys=%q err=%v", keys, err)
-	}
-	if _, err := KVRequestKeys([]byte{KVMGet, 0xFF}); err == nil {
-		t.Fatal("truncated KVMGet accepted")
 	}
 }
 
@@ -110,15 +92,16 @@ func TestShardOfKeyStableAndSpread(t *testing.T) {
 
 func TestShardedKVWorkloadTargetsShard(t *testing.T) {
 	const shards = 4
+	router := NewKV(0)
 	for target := 0; target < shards; target++ {
 		wl := NewShardedKVWorkload(target, shards, rand.New(rand.NewSource(3)))
 		for i := 0; i < 64; i++ {
 			req := wl.Next()
-			key, err := KVRequestKey(req)
-			if err != nil {
-				t.Fatalf("workload emitted unroutable request: %v", err)
+			keys, err := router.Keys(req)
+			if err != nil || len(keys) != 1 {
+				t.Fatalf("workload emitted unroutable request: %q, %v", keys, err)
 			}
-			if got := ShardOfKey(key, shards); got != target {
+			if got := ShardOfKey(keys[0], shards); got != target {
 				t.Fatalf("request %d routed to shard %d, want %d", i, got, target)
 			}
 		}

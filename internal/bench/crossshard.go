@@ -71,15 +71,17 @@ func newCrossShardDeployment(seed int64, shards int, newApp func(int) app.StateM
 	})
 }
 
-// CrossShardMix deploys S Redis-style groups and drives them with frac of
-// the requests spanning two shards (alternating scatter-gather MGETs and
-// 2PC writes).
-func CrossShardMix(seed int64, shards, outstanding, nPerClient int, frac float64) CrossShardResult {
-	d := newCrossShardDeployment(seed, shards, func(int) app.StateMachine { return app.NewRKV() })
+// crossShardMix deploys S groups of one application and drives them with
+// that application's mixed workload: frac of the requests span two shards,
+// alternating scatter-gather reads and 2PC writes. newWorkload receives
+// the shard-local and the cross-shard rng stream of client s.
+func crossShardMix[W Workload](seed int64, shards, outstanding, nPerClient int, frac float64,
+	newApp func(int) app.StateMachine, newWorkload func(shard, shards int, frac float64, rng, xrng *rand.Rand) W) CrossShardResult {
+	d := newCrossShardDeployment(seed, shards, newApp)
 	defer d.Stop()
 	wls := make([]Workload, shards)
 	for s := 0; s < shards; s++ {
-		wls[s] = app.NewCrossShardRKVWorkload(s, shards, frac,
+		wls[s] = newWorkload(s, shards, frac,
 			rand.New(rand.NewSource(seed+int64(s))),
 			rand.New(rand.NewSource(seed+1000+int64(s))))
 	}
@@ -88,11 +90,20 @@ func CrossShardMix(seed int64, shards, outstanding, nPerClient int, frac float64
 	return res
 }
 
+func newRKV(int) app.StateMachine       { return app.NewRKV() }
+func newKV(int) app.StateMachine        { return app.NewKV(0) }
+func newOrderBook(int) app.StateMachine { return app.NewOrderBook() }
+
+// CrossShardMix runs the mix over the Redis-style store (MGET/RMSet).
+func CrossShardMix(seed int64, shards, outstanding, nPerClient int, frac float64) CrossShardResult {
+	return crossShardMix(seed, shards, outstanding, nPerClient, frac, newRKV, app.NewCrossShardRKVWorkload)
+}
+
 // CrossShardBaseline runs the identical deployment and per-shard workload
 // stream with no cross-shard requests through the plain sharded driver —
 // the reference the fraction-0 mix must match bit for bit.
 func CrossShardBaseline(seed int64, shards, outstanding, nPerClient int) ShardResult {
-	d := newCrossShardDeployment(seed, shards, func(int) app.StateMachine { return app.NewRKV() })
+	d := newCrossShardDeployment(seed, shards, newRKV)
 	defer d.Stop()
 	wls := make([]Workload, shards)
 	for s := 0; s < shards; s++ {
@@ -101,20 +112,10 @@ func CrossShardBaseline(seed int64, shards, outstanding, nPerClient int) ShardRe
 	return RunShardedPipelined(d, wls, outstanding, nPerClient)
 }
 
-// CrossShardKVMix is the Memcached-style variant of CrossShardMix: the
-// multi-key KVMGet/KVMSet surface over the paper's GET/SET mixture.
+// CrossShardKVMix is the Memcached-style variant: the multi-key
+// KVMGet/KVMSet surface over the paper's GET/SET mixture.
 func CrossShardKVMix(seed int64, shards, outstanding, nPerClient int, frac float64) CrossShardResult {
-	d := newCrossShardDeployment(seed, shards, func(int) app.StateMachine { return app.NewKV(0) })
-	defer d.Stop()
-	wls := make([]Workload, shards)
-	for s := 0; s < shards; s++ {
-		wls[s] = app.NewCrossShardKVWorkload(s, shards, frac,
-			rand.New(rand.NewSource(seed+int64(s))),
-			rand.New(rand.NewSource(seed+1000+int64(s))))
-	}
-	res := RunCrossShardPipelined(d, wls, outstanding, nPerClient)
-	res.Frac = frac
-	return res
+	return crossShardMix(seed, shards, outstanding, nPerClient, frac, newKV, app.NewCrossShardKVWorkload)
 }
 
 // CrossShardOrderMix drives the sharded matching engine: symbol-scoped
@@ -122,15 +123,5 @@ func CrossShardKVMix(seed int64, shards, outstanding, nPerClient int, frac float
 // (alternating two-symbol top-of-book reads and atomic two-legged pair
 // orders).
 func CrossShardOrderMix(seed int64, shards, outstanding, nPerClient int, frac float64) CrossShardResult {
-	d := newCrossShardDeployment(seed, shards, func(int) app.StateMachine { return app.NewOrderBook() })
-	defer d.Stop()
-	wls := make([]Workload, shards)
-	for s := 0; s < shards; s++ {
-		wls[s] = app.NewCrossShardOrderWorkload(s, shards, frac,
-			rand.New(rand.NewSource(seed+int64(s))),
-			rand.New(rand.NewSource(seed+1000+int64(s))))
-	}
-	res := RunCrossShardPipelined(d, wls, outstanding, nPerClient)
-	res.Frac = frac
-	return res
+	return crossShardMix(seed, shards, outstanding, nPerClient, frac, newOrderBook, app.NewCrossShardOrderWorkload)
 }

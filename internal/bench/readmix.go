@@ -76,9 +76,12 @@ func runReadMix(d *shard.Deployment, wls []Workload, readOnly func([]byte) bool,
 	return res
 }
 
-// readMixDeployment assembles the S-shard deployment of the experiment.
-func readMixDeployment(seed int64, shards int, fast, strong bool, newApp func(int) app.StateMachine) *shard.Deployment {
-	return shard.New(shard.Options{
+// readMix deploys S groups of one application in the given read mode and
+// drives them with that application's read-mix workload, classifying reads
+// with the application prototype's own Fragmenter.ReadOnly.
+func readMix[W Workload](label string, seed int64, shards, outstanding, nPerClient int, readFrac float64, fast, strong bool,
+	newApp func(int) app.StateMachine, newWorkload func(shard, shards int, readFrac float64, rng *rand.Rand) W) ReadMixResult {
+	d := shard.New(shard.Options{
 		Seed:        seed,
 		Shards:      shards,
 		NumClients:  shards,
@@ -86,56 +89,34 @@ func readMixDeployment(seed int64, shards int, fast, strong bool, newApp func(in
 		FastReads:   fast,
 		StrongReads: strong,
 	})
-}
-
-// readOnlyOf returns the read classifier of an application prototype.
-func readOnlyOf(proto app.StateMachine) func([]byte) bool {
-	frag := proto.(app.Fragmenter)
-	return frag.ReadOnly
+	defer d.Stop()
+	wls := make([]Workload, shards)
+	for s := 0; s < shards; s++ {
+		wls[s] = newWorkload(s, shards, readFrac, rand.New(rand.NewSource(seed+int64(s))))
+	}
+	res := runReadMix(d, wls, newApp(0).(app.Fragmenter).ReadOnly, outstanding, nPerClient)
+	res.Label, res.ReadFrac, res.FastReads, res.Strong = label, readFrac, fast, strong
+	return res
 }
 
 // ReadMix runs the Memcached-style read mix: KVMGet reads over previously
 // written keys at the given fraction, KVSet writes otherwise.
 func ReadMix(seed int64, shards, outstanding, nPerClient int, readFrac float64, fast bool) ReadMixResult {
-	d := readMixDeployment(seed, shards, fast, false, func(int) app.StateMachine { return app.NewKV(0) })
-	defer d.Stop()
-	wls := make([]Workload, shards)
-	for s := 0; s < shards; s++ {
-		wls[s] = app.NewReadMixKVWorkload(s, shards, readFrac, rand.New(rand.NewSource(seed+int64(s))))
-	}
-	res := runReadMix(d, wls, readOnlyOf(app.NewKV(0)), outstanding, nPerClient)
-	res.Label, res.ReadFrac, res.FastReads = "kv", readFrac, fast
-	return res
+	return readMix("kv", seed, shards, outstanding, nPerClient, readFrac, fast, false, newKV, app.NewReadMixKVWorkload)
 }
 
 // ReadMixPoint runs the point-read mix: single-key KVGet reads at the
 // given fraction — the smallest fast-path request, no fragment/merge
 // framing at either end — against the same KVSet write stream.
 func ReadMixPoint(seed int64, shards, outstanding, nPerClient int, readFrac float64, fast bool) ReadMixResult {
-	d := readMixDeployment(seed, shards, fast, false, func(int) app.StateMachine { return app.NewKV(0) })
-	defer d.Stop()
-	wls := make([]Workload, shards)
-	for s := 0; s < shards; s++ {
-		wls[s] = app.NewPointReadMixKVWorkload(s, shards, readFrac, rand.New(rand.NewSource(seed+int64(s))))
-	}
-	res := runReadMix(d, wls, readOnlyOf(app.NewKV(0)), outstanding, nPerClient)
-	res.Label, res.ReadFrac, res.FastReads = "kv-point", readFrac, fast
-	return res
+	return readMix("kv-point", seed, shards, outstanding, nPerClient, readFrac, fast, false, newKV, app.NewPointReadMixKVWorkload)
 }
 
 // ReadMixStrong runs the point-read mix in the linearizable strong mode:
 // acceptance needs all 2f+1 replicas to agree on (result, version), so
 // the row prices the strong guarantee against the f+1 fast path above it.
 func ReadMixStrong(seed int64, shards, outstanding, nPerClient int, readFrac float64) ReadMixResult {
-	d := readMixDeployment(seed, shards, false, true, func(int) app.StateMachine { return app.NewKV(0) })
-	defer d.Stop()
-	wls := make([]Workload, shards)
-	for s := 0; s < shards; s++ {
-		wls[s] = app.NewPointReadMixKVWorkload(s, shards, readFrac, rand.New(rand.NewSource(seed+int64(s))))
-	}
-	res := runReadMix(d, wls, readOnlyOf(app.NewKV(0)), outstanding, nPerClient)
-	res.Label, res.ReadFrac, res.Strong = "kv-strong", readFrac, true
-	return res
+	return readMix("kv-strong", seed, shards, outstanding, nPerClient, readFrac, false, true, newKV, app.NewPointReadMixKVWorkload)
 }
 
 // ReadMixOrder runs the matching-engine read mix: OpTops top-of-book
@@ -144,15 +125,7 @@ func ReadMixStrong(seed int64, shards, outstanding, nPerClient int, readFrac flo
 // makes it the headline case: ordered throughput is consensus-bound, so
 // skipping consensus for the read majority buys the largest factor.
 func ReadMixOrder(seed int64, shards, outstanding, nPerClient int, readFrac float64, fast bool) ReadMixResult {
-	d := readMixDeployment(seed, shards, fast, false, func(int) app.StateMachine { return app.NewOrderBook() })
-	defer d.Stop()
-	wls := make([]Workload, shards)
-	for s := 0; s < shards; s++ {
-		wls[s] = app.NewReadMixOrderWorkload(s, shards, readFrac, rand.New(rand.NewSource(seed+int64(s))))
-	}
-	res := runReadMix(d, wls, readOnlyOf(app.NewOrderBook()), outstanding, nPerClient)
-	res.Label, res.ReadFrac, res.FastReads = "orderbook", readFrac, fast
-	return res
+	return readMix("orderbook", seed, shards, outstanding, nPerClient, readFrac, fast, false, newOrderBook, app.NewReadMixOrderWorkload)
 }
 
 // ReadMixTable runs the full experiment grid — both apps at 50/90/99%

@@ -16,12 +16,11 @@ type Workload interface {
 type FlipWorkload struct {
 	size int
 	rng  *rand.Rand
-	buf  []byte
 }
 
 // NewFlipWorkload builds the workload with the given request size.
 func NewFlipWorkload(size int, rng *rand.Rand) *FlipWorkload {
-	return &FlipWorkload{size: size, rng: rng, buf: make([]byte, size)}
+	return &FlipWorkload{size: size, rng: rng}
 }
 
 // Next returns a fresh random payload of the configured size.
@@ -31,61 +30,17 @@ func (w *FlipWorkload) Next() []byte {
 	return out
 }
 
-// KVWorkload reproduces the paper's key-value workload (§7.1): 16 B keys,
-// 32 B values, 30% GETs of which 80% hit (so 70% SETs, and GET keys are
-// drawn from previously written keys 80% of the time).
-type KVWorkload struct {
-	rng      *rand.Rand
-	written  [][]byte
-	keyLen   int
-	valLen   int
-	getRatio float64
-	hitRatio float64
-	redis    bool
-}
-
-// NewKVWorkload builds the Memcached-shaped workload.
-func NewKVWorkload(rng *rand.Rand) *KVWorkload {
-	return &KVWorkload{rng: rng, keyLen: 16, valLen: 32, getRatio: 0.30, hitRatio: 0.80}
+// NewKVWorkload builds the paper's key-value workload (§7.1) for the
+// Memcached-like store: 16 B keys, 32 B values, 30% GETs of which 80% hit
+// (so 70% SETs, and GET keys are drawn from previously written keys 80% of
+// the time). It is the sharded mixture with a single shard.
+func NewKVWorkload(rng *rand.Rand) *app.ShardedKVWorkload {
+	return app.NewShardedKVWorkload(0, 1, rng)
 }
 
 // NewRKVWorkload builds the same mixture encoded for the Redis-like store.
-func NewRKVWorkload(rng *rand.Rand) *KVWorkload {
-	w := NewKVWorkload(rng)
-	w.redis = true
-	return w
-}
-
-func (w *KVWorkload) randKey() []byte {
-	k := make([]byte, w.keyLen)
-	w.rng.Read(k)
-	return k
-}
-
-// Next returns the next GET or SET.
-func (w *KVWorkload) Next() []byte {
-	if w.rng.Float64() < w.getRatio && len(w.written) > 0 {
-		var key []byte
-		if w.rng.Float64() < w.hitRatio {
-			key = w.written[w.rng.Intn(len(w.written))]
-		} else {
-			key = w.randKey()
-		}
-		if w.redis {
-			return app.EncodeRGet(key)
-		}
-		return app.EncodeKVGet(key)
-	}
-	key := w.randKey()
-	val := make([]byte, w.valLen)
-	w.rng.Read(val)
-	if len(w.written) < 4096 {
-		w.written = append(w.written, key)
-	}
-	if w.redis {
-		return app.EncodeRSet(key, val)
-	}
-	return app.EncodeKVSet(key, val)
+func NewRKVWorkload(rng *rand.Rand) *app.ShardedKVWorkload {
+	return app.NewShardedRKVWorkload(0, 1, rng)
 }
 
 // OrderWorkload reproduces the Liquibook workload (§7.1): 32 B orders,

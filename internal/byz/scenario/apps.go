@@ -116,36 +116,35 @@ func parseTops(res []byte, n int) ([]int, bool) {
 
 func plainCommit(res []byte) bool { return len(res) == 1 && res[0] == app.StatusOK }
 
+// keyedAdapter builds the adapter of one key-value store from its
+// dialect: the constructor, the four request builders and the SET
+// acknowledgement byte. Everything else — value tagging, read parsing, the
+// bare commit byte — is common to both stores.
+func keyedAdapter(name string, newApp func() app.StateMachine,
+	set func(k, v []byte) []byte, get func(k []byte) []byte,
+	mset func(...app.Pair) []byte, mget func(...[]byte) []byte, stored uint8) appAdapter {
+	return appAdapter{
+		name:     name,
+		newApp:   func(int) app.StateMachine { return newApp() },
+		write1:   func(k []byte, tag int) []byte { return set(k, tagVal(tag)) },
+		wrote1OK: func(res []byte) bool { return len(res) == 1 && res[0] == stored },
+		read1:    get,
+		val1:     parseKVRead,
+		pairWrite: func(p, q []byte, tag int) []byte {
+			return mset(app.Pair{Key: p, Val: tagVal(tag)}, app.Pair{Key: q, Val: tagVal(tag)})
+		},
+		commitOK: plainCommit,
+		readPair: func(p, q []byte) []byte { return mget(p, q) },
+		valPair:  parseKVMulti,
+	}
+}
+
 func adapters() map[string]appAdapter {
 	return map[string]appAdapter{
-		"kv": {
-			name:     "kv",
-			newApp:   func(int) app.StateMachine { return app.NewKV(0) },
-			write1:   func(k []byte, tag int) []byte { return app.EncodeKVSet(k, tagVal(tag)) },
-			wrote1OK: func(res []byte) bool { return len(res) == 1 && res[0] == app.KVStored },
-			read1:    func(k []byte) []byte { return app.EncodeKVGet(k) },
-			val1:     parseKVRead,
-			pairWrite: func(p, q []byte, tag int) []byte {
-				return app.EncodeKVMSet(app.Pair{Key: p, Val: tagVal(tag)}, app.Pair{Key: q, Val: tagVal(tag)})
-			},
-			commitOK: plainCommit,
-			readPair: func(p, q []byte) []byte { return app.EncodeKVMGet(p, q) },
-			valPair:  parseKVMulti,
-		},
-		"rkv": {
-			name:     "rkv",
-			newApp:   func(int) app.StateMachine { return app.NewRKV() },
-			write1:   func(k []byte, tag int) []byte { return app.EncodeRSet(k, tagVal(tag)) },
-			wrote1OK: func(res []byte) bool { return len(res) == 1 && res[0] == app.ROK },
-			read1:    func(k []byte) []byte { return app.EncodeRGet(k) },
-			val1:     parseKVRead,
-			pairWrite: func(p, q []byte, tag int) []byte {
-				return app.EncodeRMSet(app.Pair{Key: p, Val: tagVal(tag)}, app.Pair{Key: q, Val: tagVal(tag)})
-			},
-			commitOK: plainCommit,
-			readPair: func(p, q []byte) []byte { return app.EncodeRMGet(p, q) },
-			valPair:  parseKVMulti,
-		},
+		"kv": keyedAdapter("kv", func() app.StateMachine { return app.NewKV(0) },
+			app.EncodeKVSet, app.EncodeKVGet, app.EncodeKVMSet, app.EncodeKVMGet, app.KVStored),
+		"rkv": keyedAdapter("rkv", func() app.StateMachine { return app.NewRKV() },
+			app.EncodeRSet, app.EncodeRGet, app.EncodeRMSet, app.EncodeRMGet, app.ROK),
 		"orderbook": {
 			name:   "orderbook",
 			newApp: func(int) app.StateMachine { return app.NewOrderBook() },

@@ -505,14 +505,14 @@ const (
 
 // scatterRead fans one fragment per touched group, merges the per-leg
 // responses deterministically back into the original key order, and
-// reports the slowest leg's end-to-end latency (the client-observed
-// critical path). Legs over transaction-locked keys normally park in the
-// group's wait queue and answer when the transaction resolves, so a reader
-// cannot observe a cross-shard write mid-commit. (On the ordered path a
-// leg delayed past the whole transaction on one shard while a sibling leg
-// ran before it can still see a pre/post mix; the fast-read path closes
-// that by pinning every leg to an MVCC snapshot version, see
-// scatterReadFast.)
+// reports the latency of the slowest leg (the client-observed critical
+// path). Legs over transaction-locked keys normally park in the group's
+// wait queue and answer when the transaction resolves, so a reader cannot
+// observe a cross-shard write mid-commit. With FastReads off the read is
+// the plain ordered scatter — on which a leg delayed past the whole
+// transaction on one shard while a sibling leg ran before it can still see
+// a pre/post mix; the fast path closes that by pinning every leg to an MVCC
+// snapshot version, see scatterReadFast.
 func (c *Client) scatterRead(payload []byte, plan *splitPlan, done func(result []byte, latency sim.Duration)) error {
 	legs, err := c.fragments(payload, plan)
 	if err != nil {
@@ -520,31 +520,8 @@ func (c *Client) scatterRead(payload []byte, plan *splitPlan, done func(result [
 	}
 	if c.fastReads {
 		c.scatterReadFast(payload, legs, plan, done)
-		return nil
-	}
-	start := c.proc.Now()
-	results := make([][]byte, len(legs))
-	var maxLat sim.Duration
-	remaining := len(legs)
-	var send func(i, attempt int)
-	send = func(i, attempt int) {
-		c.cc.InvokeGroup(plan.shards[i], legs[i], func(res []byte, _ sim.Duration) {
-			if len(res) == 1 && res[0] == app.StatusLocked && attempt < lockedRetryMax {
-				c.proc.After(lockedRetryDelay, func() { send(i, attempt+1) })
-				return
-			}
-			results[i] = res
-			if lat := c.proc.Now().Sub(start); lat > maxLat {
-				maxLat = lat
-			}
-			remaining--
-			if remaining == 0 {
-				done(c.frag.Merge(payload, results, plan.legKeys), maxLat)
-			}
-		})
-	}
-	for i := range legs {
-		send(i, 0)
+	} else {
+		c.scatterReadOrdered(payload, legs, plan, c.proc.Now(), false, done)
 	}
 	return nil
 }
@@ -623,7 +600,7 @@ func (c *Client) scatterReadFast(payload []byte, legs [][]byte, plan *splitPlan,
 	}
 	finishRound = func() {
 		if anyFell {
-			c.scatterReadOrdered(payload, legs, plan, start, done)
+			c.scatterReadOrdered(payload, legs, plan, start, true, done)
 			return
 		}
 		allClean := true
@@ -635,7 +612,7 @@ func (c *Client) scatterReadFast(payload []byte, legs [][]byte, plan *splitPlan,
 			return
 		}
 		if round >= snapRetryMax {
-			c.scatterReadOrdered(payload, legs, plan, start, done)
+			c.scatterReadOrdered(payload, legs, plan, start, true, done)
 			return
 		}
 		round++
@@ -647,24 +624,23 @@ func (c *Client) scatterReadFast(payload []byte, legs [][]byte, plan *splitPlan,
 	runRound()
 }
 
-// scatterReadOrdered is the degraded stage of a fast scatter read: one
-// ordered read per leg (bounded StatusLocked retry, as the plain ordered
-// scatter), then — only when some leg actually parked behind an in-flight
-// transaction, which the replicas vouch for with the quorum-checked
-// parked marker — one ordered re-read of the legs that did not park. The
-// re-read is proposed after the parked leg's transaction resolved, and
-// every transaction step is an earlier consensus-ordered command, so by
-// in-order execution it observes that transaction committed or
-// locked-then-parked — never the pre-transaction state its first read may
-// have returned. A fallback that merely lost a packet or timed out no
-// longer triggers the extra round (before the parked marker every
-// fallback had to, since parking was invisible to the client).
-func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPlan, start sim.Time, done func(result []byte, latency sim.Duration)) {
+// scatterReadOrdered is the ordered scatter: one ordered read per leg with
+// a bounded StatusLocked retry, merged when the last leg answers. It is
+// the whole read when FastReads is off, and the degraded stage of a fast
+// scatter read, which enters it with revalidate set: then — only when some
+// leg actually parked behind an in-flight transaction, which the replicas
+// vouch for with the quorum-checked parked marker — the legs that did not
+// park are read once more. The re-read is proposed after the parked leg's
+// transaction resolved, and every transaction step is an earlier
+// consensus-ordered command, so by in-order execution it observes that
+// transaction committed or locked-then-parked — never the pre-transaction
+// state its first read may have returned. A fallback that merely lost a
+// packet or timed out triggers no extra round.
+func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPlan, start sim.Time, revalidate bool, done func(result []byte, latency sim.Duration)) {
 	n := len(legs)
 	results := make([][]byte, n)
 	parked := make([]bool, n)
 	remaining := n
-	revalidated := false
 	var finish func()
 	var send func(i, attempt int)
 	send = func(i, attempt int) {
@@ -682,8 +658,8 @@ func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPl
 		})
 	}
 	finish = func() {
-		if !revalidated {
-			revalidated = true
+		if revalidate {
+			revalidate = false
 			anyParked := false
 			for i := range legs {
 				anyParked = anyParked || parked[i]
