@@ -2,10 +2,10 @@ package ubft
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation (§7), plus the §9 throughput discussion and ablations
-// of the design decisions DESIGN.md calls out. Latencies are VIRTUAL time
-// from the deterministic simulation, reported via b.ReportMetric as
-// "us/op-virtual" (and friends); wall-clock ns/op only reflects how fast
-// the simulator itself runs.
+// of the design decisions docs/ARCHITECTURE.md calls out. Latencies are
+// VIRTUAL time from the deterministic simulation, reported via
+// b.ReportMetric as "us/op-virtual" (and friends); wall-clock ns/op only
+// reflects how fast the simulator itself runs.
 //
 // Regenerate everything in table form with: go run ./cmd/ubft-bench -all
 
@@ -382,7 +382,7 @@ func BenchmarkThroughput_Batching(b *testing.B) {
 	}
 }
 
-// ----- Ablations (DESIGN.md §5) ------------------------------------------
+// ----- Ablations (docs/ARCHITECTURE.md) ----------------------------------
 
 // Ablation: force the slow path everywhere — the cost of signatures on the
 // critical path, i.e. what uBFT's fast path buys.
@@ -422,7 +422,7 @@ func BenchmarkAblation_SingleMemNode(b *testing.B) {
 	}
 }
 
-// Sanity: the headline comparison (used by EXPERIMENTS.md).
+// Sanity: the headline comparison (README.md, "Running").
 func BenchmarkHeadline_UBFTvsMinBFT(b *testing.B) {
 	for b.Loop() {
 		fast := bench.NewUBFTFast(1, nil)

@@ -9,41 +9,23 @@
 //	ubft-bench -table 2        # memory consumption
 //	ubft-bench -throughput     # §9 throughput discussion
 //	ubft-bench -readmix        # read fast path: unordered quorum reads
-//	ubft-bench -all            # everything (EXPERIMENTS.md source)
+//	ubft-bench -all            # everything
 //
 // -samples scales measurement counts (the paper uses >= 10,000); -seed
-// makes runs reproducible.
-//
-// -transport=net leaves the simulation entirely: it spawns a local
-// multi-process cluster (3 replicas, 2 memory nodes by default) over real
-// TCP sockets — each node a re-exec of this binary — and drives a
-// closed-loop workload from in-process clients, reporting wall-clock
-// p50/p99 latency and kops/s:
-//
-//	ubft-bench -transport=net                    # print wall-clock numbers
-//	ubft-bench -transport=net -json BENCH_wallclock.json
-//	ubft-bench -transport=net -profile-dir prof  # collect PGO profiles
-//	ubft-bench -transport=net -compare BENCH_wallclock_nopgo.json
-//
-// `make bench-wallclock` and `make pgo` wrap these.
+// makes runs reproducible. Everything here runs in virtual time on the
+// simulated fabric; real sockets are measured by the repository benchmark
+// (`go run ./bench`, the net-* workloads).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/bench"
 )
 
 func main() {
-	// Node mode: this process is one cluster member of a -transport=net
-	// run (or a hand-launched fleet), not the bench driver.
-	if len(os.Args) > 1 && os.Args[1] == "-node" {
-		runNodeMode(os.Args[2:])
-		return
-	}
 	fig := flag.Int("fig", 0, "figure to regenerate (7, 8, 9, 10, 11)")
 	table := flag.Int("table", 0, "table to regenerate (2)")
 	throughput := flag.Bool("throughput", false, "run the §9 throughput experiment")
@@ -51,36 +33,7 @@ func main() {
 	all := flag.Bool("all", false, "run every experiment")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	samples := flag.Int("samples", 0, "samples per configuration (0 = defaults)")
-
-	var wc wallclockFlags
-	transport := flag.String("transport", "sim", "sim (virtual-time experiments) or net (real sockets, wall clock)")
-	flag.StringVar(&wc.cfg.App, "app", "kv", "net transport: application (kv, flip)")
-	flag.IntVar(&wc.cfg.F, "f", 1, "net transport: replica fault threshold (2f+1 replicas)")
-	flag.IntVar(&wc.cfg.MemNodes, "memnodes", 2, "net transport: memory-node pool size (lean fm+1 default)")
-	flag.IntVar(&wc.cfg.Clients, "clients", 1, "net transport: client hosts")
-	flag.IntVar(&wc.cfg.Batch, "batch", 0, "net transport: leader batch size (0 = off)")
-	flag.IntVar(&wc.depth, "depth", 4, "net transport: outstanding requests per client")
-	flag.DurationVar(&wc.warmup, "warmup", time.Second, "net transport: discarded warm-up window")
-	flag.DurationVar(&wc.measure, "duration", 3*time.Second, "net transport: measured window")
-	flag.StringVar(&wc.jsonPath, "json", "", "net transport: write a machine-readable BENCH_<name>.json here")
-	flag.StringVar(&wc.compare, "compare", "", "net transport: baseline BENCH json to report a delta against (PGO on vs off)")
-	flag.StringVar(&wc.profileDir, "profile-dir", "", "net transport: collect per-node CPU profiles into this directory (PGO)")
-	flag.BoolVar(&wc.chaos, "chaos", false, "net transport: SIGKILL a follower replica mid-measure and respawn it (cold rejoin over TCP)")
 	flag.Parse()
-
-	if *transport != "sim" && *transport != "net" {
-		fmt.Fprintf(os.Stderr, "ubft-bench: unknown -transport %q (want sim or net)\n", *transport)
-		os.Exit(2)
-	}
-	if *transport == "net" {
-		wc.cfg.Seed = *seed
-		wc.cfg.Fm = 1
-		if err := runWallclock(wc); err != nil {
-			fmt.Fprintln(os.Stderr, "ubft-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	ran := false
 	w := os.Stdout

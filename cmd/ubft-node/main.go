@@ -15,9 +15,14 @@
 //	ubft-node -role memnode -index 0 -listen 127.0.0.1:4100 -memnodes 2 -peers "$PEERS" &
 //	ubft-node -role memnode -index 1 -listen 127.0.0.1:4101 -memnodes 2 -peers "$PEERS" &
 //
-// The node exits on SIGINT/SIGTERM or when stdin reaches EOF (so a fleet
-// spawned by a launcher dies with it). `ubft-bench -transport=net` does
-// all of the above automatically.
+// The node runs until SIGINT/SIGTERM. When its stdin is a pipe it also
+// exits at EOF there, so a fleet spawned by a launcher that holds the
+// pipes dies with it; any other stdin (the `&` jobs above, nohup, systemd)
+// is not watched. SIGUSR1 prints one progress line to stderr (view,
+// recovery state, completed rejoins, slot progress, stall report,
+// transport counters) and the node keeps serving. wallclock.LaunchLocal
+// does all of the above automatically; `go run ./bench -workload net-kv-d8`
+// measures such a fleet.
 package main
 
 import (
@@ -33,7 +38,7 @@ func main() {
 	fs := flag.NewFlagSet("ubft-node", flag.ExitOnError)
 	cfg.RegisterFlags(fs)
 	fs.Parse(os.Args[1:])
-	if err := wallclock.RunNode(cfg, nil); err != nil {
+	if err := wallclock.RunNode(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "ubft-node:", err)
 		os.Exit(1)
 	}

@@ -67,9 +67,7 @@ func Load(root string, patterns ...string) (*World, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// -pgo=off: with a default.pgo present, go list would otherwise emit
-	// PGO-variant packages ("pkg [cmd/target]") and every shared dep twice.
-	args := []string{"list", "-export", "-deps", "-pgo=off",
+	args := []string{"list", "-export", "-deps",
 		"-json=ImportPath,Name,Dir,Export,GoFiles,Standard,Module,Error"}
 	args = append(args, patterns...)
 	args = append(args, stdExtras...)

@@ -1,8 +1,8 @@
 // Package bench is the paper-reproduction harness: workload generators,
 // latency statistics and one runner per table/figure of the evaluation
 // (§7). Each figure function returns structured rows and can print them in
-// the same layout the paper uses, so EXPERIMENTS.md can be regenerated
-// mechanically.
+// the same layout the paper uses, so the paper-vs-measured comparison can
+// be regenerated mechanically (README.md, "Running").
 package bench
 
 import (

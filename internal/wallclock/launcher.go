@@ -1,7 +1,9 @@
 package wallclock
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -22,15 +24,13 @@ const readyTimeout = 15 * time.Second
 // so the grace window is generous relative to the expected instant exit.
 const termGrace = 5 * time.Second
 
-// nodeProc is one spawned node process plus everything needed to respawn
-// it in place: its role coordinates, its address, and its stdin pipe (the
-// orphan-exit signal).
+var errStopped = errors.New("wallclock: cluster already stopped")
+
+// nodeProc is one spawned node process and its stdin pipe (the orphan-exit
+// signal).
 type nodeProc struct {
-	id    ids.ID
-	role  cluster.Role
-	index int
-	cmd   *exec.Cmd
-	pipe  *os.File // stdin write end; closing it makes an orphan exit
+	cmd  *exec.Cmd
+	pipe *os.File // stdin write end; closing it makes an orphan exit
 }
 
 // LocalCluster is a fleet of node processes launched on this machine plus
@@ -47,6 +47,7 @@ type LocalCluster struct {
 	exe        []string
 	base       NodeConfig
 	profileDir string
+	stderr     io.Writer // where the nodes' output goes
 
 	mu         sync.Mutex
 	nodes      map[ids.ID]*nodeProc
@@ -68,11 +69,10 @@ func allocPort() (string, error) {
 
 // LaunchLocal spawns one OS process per replica and memory node of the
 // deployment base describes, using exe as the command prefix (argv[0] plus
-// any mode flags — cmd/ubft-bench re-execs itself with a node-mode flag,
-// or point it at a built cmd/ubft-node). Clients are NOT spawned: the
-// caller hosts them in-process at ClientAddr (closed-loop benchmarking
+// any leading arguments: a built cmd/ubft-node). Clients are NOT spawned:
+// the caller hosts them in-process at ClientAddr (a closed-loop driver
 // needs them under its own control). profileDir, when non-empty, makes
-// every node write a CPU profile into it (PGO collection).
+// every node write a CPU profile into it.
 func LaunchLocal(exe []string, base NodeConfig, profileDir string) (*LocalCluster, error) {
 	if len(exe) == 0 {
 		return nil, fmt.Errorf("wallclock: empty launch command")
@@ -90,6 +90,7 @@ func LaunchLocal(exe []string, base NodeConfig, profileDir string) (*LocalCluste
 		exe:        append([]string{}, exe...),
 		base:       base,
 		profileDir: profileDir,
+		stderr:     os.Stderr,
 		nodes:      make(map[ids.ID]*nodeProc),
 		joinNonces: make(map[ids.ID]uint64),
 	}
@@ -136,7 +137,9 @@ func LaunchLocal(exe []string, base NodeConfig, profileDir string) (*LocalCluste
 }
 
 // spawn starts one node process on its planned address and records it for
-// Stop/KillNode/RestartNode.
+// Stop/KillNode/RestartNode. A restart that raced Stop must not leave a
+// node Stop never saw: on a stopped cluster the new process is killed and
+// reaped instead of recorded.
 func (lc *LocalCluster) spawn(role cluster.Role, index int, id ids.ID, coldJoin bool, nonce uint64) error {
 	cfg := lc.base
 	cfg.Role = string(role)
@@ -159,8 +162,8 @@ func (lc *LocalCluster) spawn(role cluster.Role, index int, id ids.ID, coldJoin 
 		return err
 	}
 	cmd.Stdin = pr
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
+	cmd.Stdout = lc.stderr
+	cmd.Stderr = lc.stderr
 	if err := cmd.Start(); err != nil {
 		pr.Close()
 		pw.Close()
@@ -168,8 +171,17 @@ func (lc *LocalCluster) spawn(role cluster.Role, index int, id ids.ID, coldJoin 
 	}
 	pr.Close()
 	lc.mu.Lock()
-	lc.nodes[id] = &nodeProc{id: id, role: role, index: index, cmd: cmd, pipe: pw}
+	stopped := lc.stopped
+	if !stopped {
+		lc.nodes[id] = &nodeProc{cmd: cmd, pipe: pw}
+	}
 	lc.mu.Unlock()
+	if stopped {
+		pw.Close()
+		cmd.Process.Kill()
+		cmd.Wait()
+		return errStopped
+	}
 	return nil
 }
 
@@ -206,7 +218,7 @@ func (lc *LocalCluster) RestartNode(id ids.ID) error {
 	lc.mu.Lock()
 	if lc.stopped {
 		lc.mu.Unlock()
-		return fmt.Errorf("wallclock: cluster already stopped")
+		return errStopped
 	}
 	if _, running := lc.nodes[id]; running {
 		lc.mu.Unlock()
@@ -236,24 +248,23 @@ func (lc *LocalCluster) RestartNode(id ids.ID) error {
 	if err := lc.spawn(role, index, id, coldJoin, nonce); err != nil {
 		return err
 	}
-	return lc.waitReadyOne(id, time.Now().Add(readyTimeout))
+	return waitListening(lc.Table[id], time.Now().Add(readyTimeout))
 }
 
 // waitReady dials every spawned node's listener until it accepts.
 func (lc *LocalCluster) waitReady() error {
 	deadline := time.Now().Add(readyTimeout)
 	for _, id := range append(append([]ids.ID{}, lc.ReplicaIDs...), lc.MemNodeIDs...) {
-		if err := lc.waitReadyOne(id, deadline); err != nil {
+		if err := waitListening(lc.Table[id], deadline); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// waitReadyOne dials one node's listener until it accepts or the deadline
+// waitListening dials one node's listener until it accepts or the deadline
 // passes.
-func (lc *LocalCluster) waitReadyOne(id ids.ID, deadline time.Time) error {
-	addr := lc.Table[id]
+func waitListening(addr string, deadline time.Time) error {
 	for {
 		c, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
@@ -268,7 +279,7 @@ func (lc *LocalCluster) waitReadyOne(id ids.ID, deadline time.Time) error {
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("wallclock: node %d (%s) not accepting within %v", int(id), addr, readyTimeout)
+			return fmt.Errorf("wallclock: node at %s not accepting within %v", addr, readyTimeout)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -3,18 +3,17 @@
 // processes over the nettrans socket transport, measured with the wall
 // clock instead of the virtual one.
 //
-// Three layers:
+// Two layers:
 //
 //   - NodeConfig/RunNode — one cluster member (replica, memory node or
-//     client) as one process: the engine room of cmd/ubft-node and of the
-//     node-mode re-exec of cmd/ubft-bench.
+//     client) as one process: the engine room of cmd/ubft-node.
 //   - LaunchLocal — a local multi-process launcher: allocates ports, spawns
 //     one process per replica and memory node, waits for their listeners,
-//     and tears the fleet down (SIGTERM, then kill).
-//   - RunBench — the wall-clock benchmark driver: hosts the clients
-//     in-process, runs a closed-loop workload at a configurable depth, and
-//     reports real p50/p99 latency, kops/s and allocs/op, optionally as a
-//     BENCH_*.json with a PGO-vs-baseline delta.
+//     kills and respawns single nodes, and tears the fleet down (SIGTERM,
+//     then kill).
+//
+// Measuring the fleet is the repository benchmark's job (bench/, the net-*
+// workloads); the process-level crash/rejoin gate is this package's test.
 //
 // Everything that must agree across processes (identity layout, key
 // registry, consensus configuration) is derived deterministically from the
@@ -24,6 +23,7 @@ package wallclock
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -31,7 +31,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -41,9 +40,8 @@ import (
 )
 
 // NodeConfig is the full flag surface one node process needs. The same
-// struct serves cmd/ubft-node, the launcher (which serializes it back to
-// argv) and the bench driver (which reuses the deployment shape for its
-// in-process clients).
+// struct serves cmd/ubft-node and the launcher, which serializes it back
+// to argv.
 type NodeConfig struct {
 	Role   string // replica | memnode | client
 	Index  int    // index within the role's pool
@@ -65,7 +63,7 @@ type NodeConfig struct {
 	ColdJoin  bool
 	JoinNonce uint64
 
-	CPUProfile string // write a CPU profile here (PGO collection)
+	CPUProfile string // write a CPU profile here
 }
 
 // RegisterFlags binds the node flag surface onto fs.
@@ -89,26 +87,15 @@ func (c *NodeConfig) RegisterFlags(fs *flag.FlagSet) {
 }
 
 // Args serializes the config back to the argv the launcher passes to a
-// node process (the inverse of RegisterFlags).
+// node process: every flag RegisterFlags knows, so the two cannot drift.
 func (c NodeConfig) Args() []string {
-	return []string{
-		"-role", c.Role,
-		"-index", strconv.Itoa(c.Index),
-		"-listen", c.Listen,
-		"-peers", c.Peers,
-		"-app", c.App,
-		"-seed", strconv.FormatInt(c.Seed, 10),
-		"-f", strconv.Itoa(c.F),
-		"-fm", strconv.Itoa(c.Fm),
-		"-memnodes", strconv.Itoa(c.MemNodes),
-		"-clients", strconv.Itoa(c.Clients),
-		"-window", strconv.Itoa(c.Window),
-		"-tail", strconv.Itoa(c.Tail),
-		"-batch", strconv.Itoa(c.Batch),
-		"-coldjoin=" + strconv.FormatBool(c.ColdJoin),
-		"-joinnonce", strconv.FormatUint(c.JoinNonce, 10),
-		"-cpuprofile", c.CPUProfile,
-	}
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	bound := new(NodeConfig)
+	bound.RegisterFlags(fs) // binds the flags to bound's fields, writing the defaults
+	*bound = c              // which now read back c's values
+	var args []string
+	fs.VisitAll(func(f *flag.Flag) { args = append(args, "-"+f.Name+"="+f.Value.String()) })
+	return args
 }
 
 // NewAppByName maps the -app flag onto a state-machine constructor.
@@ -199,100 +186,112 @@ func FormatPeers(table map[ids.ID]string) string {
 	return strings.Join(ents, ",")
 }
 
-// RunNode runs one cluster member process until SIGINT/SIGTERM or until
-// stdin reaches EOF (the launcher holds a pipe open, so an orphaned node
-// exits with its parent). ready, if non-nil, runs once the node is
-// listening and assembled.
-func RunNode(c NodeConfig, ready func()) error {
+// node is one cluster member assembled in this process: its own host loop
+// and listener with the member wired onto them.
+type node struct {
+	host   *nettrans.Host
+	net    *nettrans.Net
+	member *cluster.Member
+}
+
+// join listens on c.Listen, assembles the member c describes against the
+// c.Peers table and starts its host loop.
+func join(c NodeConfig) (*node, error) {
 	role, err := cluster.ParseRole(c.Role)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	opts, err := c.Options()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	table, err := ParsePeers(c.Peers)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
 	h := nettrans.NewHost(c.Seed)
 	nt, err := nettrans.Listen(h, nettrans.Options{
 		ListenAddr: c.Listen,
 		Resolve:    nettrans.NewAddrTable(table).Resolve,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer nt.Close()
-
 	m, err := cluster.NewMember(opts, nt, cluster.MemberSpec{
 		Role: role, Index: c.Index,
 		ColdJoin: c.ColdJoin, JoinNonce: c.JoinNonce,
 	})
 	if err != nil {
+		nt.Close()
+		return nil, err
+	}
+	h.Start()
+	return &node{host: h, net: nt, member: m}, nil
+}
+
+// close stops the member, its host loop and its listener.
+func (n *node) close() {
+	n.host.Do(n.member.Stop)
+	n.host.Stop()
+	n.net.Close()
+}
+
+// progress is the one-line state dump a node prints on SIGUSR1. Host loop
+// only.
+func (n *node) progress() string {
+	line := fmt.Sprintf("net=%+v", n.net.Stats())
+	if r := n.member.Replica; r != nil {
+		next, exec, chkpt, waiting := r.Progress()
+		fast, slow, summaries := r.GroupStats()
+		line = fmt.Sprintf("view=%d recovering=%v rejoins=%d next=%d exec=%d chkpt=%d waiting=%d fast=%d slow=%d summaries=%d slots=[%s] %s",
+			r.View(), r.Recovering(), r.Rejoins, next, exec, chkpt, waiting, fast, slow, summaries, r.StallReport(), line)
+	}
+	return line
+}
+
+// RunNode runs one cluster member process until SIGINT/SIGTERM. When stdin
+// is a pipe it also exits at EOF there: a launcher holds the write end, so
+// an orphaned node dies with its parent. Any other stdin (/dev/null, a
+// file, a terminal: a node started by hand, nohup or systemd) says nothing
+// about a parent and is not watched. SIGUSR1 prints one progress line to
+// stderr.
+func RunNode(c NodeConfig) error {
+	n, err := join(c)
+	if err != nil {
 		return err
 	}
-
+	defer n.close()
 	if c.CPUProfile != "" {
 		f, err := os.Create(c.CPUProfile)
 		if err != nil {
 			return err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
 			return err
 		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+		defer pprof.StopCPUProfile()
 	}
 
-	h.Start()
-	defer h.Stop()
-	defer h.Do(m.Stop)
-	if os.Getenv("WALLCLOCK_DEBUG") != "" && m.Replica != nil {
-		go func() {
-			for {
-				time.Sleep(2 * time.Second)
-				h.Do(func() {
-					next, exec, cp, waiting := m.Replica.Progress()
-					fast, slow, summ := m.Replica.GroupStats()
-					fmt.Fprintf(os.Stderr,
-						"DEBUG %s%d: view=%d rec=%v rejoins=%d next=%d exec=%d chkpt=%d waiting=%d proposeQ=%d echoes=%d deferred=%d late=%d execold=%d fast=%d slow=%d summ=%d net=%+v\n",
-						c.Role, c.Index, m.Replica.View(), m.Replica.Recovering(),
-						m.Replica.Rejoins, next, exec, cp, waiting,
-						m.Replica.PendingProposals(), m.Replica.EchoStateCount(),
-						m.Replica.DeferredCount(), m.Replica.LateProposals(),
-						m.Replica.DroppedExecOld(), fast, slow, summ, nt.Stats())
-					fmt.Fprintf(os.Stderr, "DEBUG %s%d slots: %s peers=%v\n",
-						c.Role, c.Index, m.Replica.StallReport(), nt.Peers())
-				})
-			}
-		}()
-	}
-	if ready != nil {
-		ready()
-	}
-
-	// Exit on signal or when the launcher's stdin pipe closes.
 	sigC := make(chan os.Signal, 1)
-	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
-	eofC := make(chan struct{})
-	go func() {
-		buf := make([]byte, 1)
-		for {
-			if _, err := os.Stdin.Read(buf); err != nil {
-				close(eofC)
-				return
-			}
-		}
-	}()
-	select {
-	case <-sigC:
-	case <-eofC:
+	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
+	var eofC chan struct{} // stays nil, and so never ready, unless stdin is a pipe
+	if st, err := os.Stdin.Stat(); err == nil && st.Mode()&os.ModeNamedPipe != 0 {
+		eofC = make(chan struct{})
+		go func() {
+			io.Copy(io.Discard, os.Stdin)
+			close(eofC)
+		}()
 	}
-	return nil
+	for {
+		select {
+		case sig := <-sigC:
+			if sig != syscall.SIGUSR1 {
+				return nil
+			}
+			n.host.Do(func() { fmt.Fprintf(os.Stderr, "%s%d: %s\n", c.Role, c.Index, n.progress()) })
+		case <-eofC:
+			return nil
+		}
+	}
 }

@@ -18,8 +18,8 @@
 //	res, lat := u.InvokeSync(0, []byte("hello"), 10*ubft.Millisecond)
 //	fmt.Printf("%q in %v\n", res, lat)
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record of every table and figure.
+// See docs/ARCHITECTURE.md for the system inventory and README.md for how
+// to regenerate every table and figure of the paper.
 package ubft
 
 import (
