@@ -1,8 +1,8 @@
 // Command ubft-node runs one member of a uBFT deployment as its own OS
 // process over the real-socket transport: a replica, a memory node or a
 // client host. Every process of a deployment must be started with the same
-// shape flags (-f, -fm, -memnodes, -clients, -seed, -window, -tail,
-// -batch, -app) and the same static -peers table; identities, keys and
+// shape flags (-f, -fm, -memnodes, -clients, -seed, -window, -tail, -app)
+// and the same static -peers table; identities, keys and
 // consensus configuration are derived deterministically from them, so no
 // coordination service is involved.
 //

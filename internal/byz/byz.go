@@ -151,6 +151,14 @@ type Equivocate struct{}
 
 // Outbound implements Policy.
 func (Equivocate) Outbound(to ids.ID, frame []byte) [][]byte {
+	return rewriteLocked(frame, func(m []byte) ([]byte, bool) { return mutatePrepare(m, to) })
+}
+
+// rewriteLocked applies mutate to the CTBcast message carried by one of this
+// node's LOCK or LOCKED-echo ring frames and re-frames the result with a
+// recomputed ring checksum; every other frame (SIGNED and summary traffic,
+// other channels) and every message mutate declines passes unchanged.
+func rewriteLocked(frame []byte, mutate func(m []byte) ([]byte, bool)) [][]byte {
 	if len(frame) == 0 || frame[0] != router.ChanRing {
 		return keep(frame)
 	}
@@ -173,7 +181,7 @@ func (Equivocate) Outbound(to ids.ID, frame []byte) [][]byte {
 	if drd.Done() != nil {
 		return keep(frame)
 	}
-	m2, ok := mutatePrepare(m, to)
+	m2, ok := mutate(m)
 	if !ok {
 		return keep(frame)
 	}
@@ -224,6 +232,83 @@ func mutatePrepare(m []byte, to ids.ID) ([]byte, bool) {
 	w.U64(num)
 	w.Bytes(forged)
 	return w.Finish(), true
+}
+
+// BadBatch is the leader that abuses batching: every PREPARE it sends is
+// rewritten — identically toward every follower, so CTBcast's unanimity has
+// nothing to object to — into a batch container holding the honest
+// proposal's requests plus one hostile entry, chosen by slot number: a
+// repeat of the first request (exactly-once execution must apply it once),
+// a request no client ever sent (the echo rule must withhold every
+// follower's endorsement until the view change replaces the leader), or a
+// container nested in the container (the FIFO validator must refuse it and
+// block the channel). Shift rotates which slot gets which, so a handful of
+// seeds meets all three first. Only the node's own proposals are rewritten
+// (views it leads: view mod N == Index); its LOCKED echoes of other leaders'
+// PREPAREs stay honest, so the view change that removes it finds a working
+// fast path.
+type BadBatch struct{ Shift, N, Index int }
+
+// batchClient and noClient mirror consensus: the container marker, and a
+// client identity no deployment assigns.
+const (
+	batchClient = -2
+	noClient    = 999_999
+)
+
+// Outbound implements Policy.
+func (p BadBatch) Outbound(_ ids.ID, frame []byte) [][]byte {
+	return rewriteLocked(frame, func(m []byte) ([]byte, bool) {
+		rd := wire.NewReader(m)
+		if rd.U8() != wire.TagPrepare {
+			return nil, false
+		}
+		view, slot := rd.U64(), rd.U64()
+		client, num, payload := rd.I64(), rd.U64(), rd.Bytes()
+		if rd.Done() != nil || len(payload) == 0 || int(view%uint64(p.N)) != p.Index {
+			return nil, false // filler/no-op proposals stay as they are
+		}
+		// The honest entries: the container's own, or the lone request.
+		n, entries := uint64(1), []byte(nil)
+		if client == batchClient {
+			brd := wire.NewReader(payload)
+			n = brd.Uvarint()
+			entries = payload[len(payload)-brd.Remaining():]
+		} else {
+			ew := wire.NewWriter(24 + len(payload))
+			ew.I64(client)
+			ew.U64(num)
+			ew.Bytes(payload)
+			entries = ew.Finish()
+		}
+		first := wire.NewReader(entries)
+		fc, fn, fp := first.I64(), first.U64(), first.Bytes()
+		bw := wire.NewWriter(len(entries) + len(fp) + 64)
+		bw.Uvarint(n + 1)
+		bw.Raw(entries)
+		switch (slot + uint64(p.Shift)) % 3 {
+		case 0: // the first request again
+			bw.I64(fc)
+			bw.U64(fn)
+			bw.Bytes(fp)
+		case 1: // a request nobody sent
+			bw.I64(noClient)
+			bw.U64(slot + 1)
+			bw.Bytes(fp)
+		default: // a container inside the container
+			bw.I64(batchClient)
+			bw.U64(0)
+			bw.Bytes([]byte{0})
+		}
+		w := wire.NewWriter(len(m) + len(fp) + 96)
+		w.U8(wire.TagPrepare)
+		w.U64(view)
+		w.U64(slot)
+		w.I64(batchClient)
+		w.U64(0)
+		w.Bytes(bw.Finish())
+		return w.Finish(), true
+	})
 }
 
 // ForgeReads corrupts this replica's client-facing replies: read replies

@@ -37,29 +37,33 @@ func TestByzMatrix(t *testing.T) {
 	seeds := matrixSeeds(t)
 	type cell struct {
 		policy, app, mode string
+		depth             int
 		passed, failed    int
 	}
 	var cells []*cell
 	for _, policy := range Policies() {
 		for _, appName := range Apps() {
 			for _, mode := range ReadModes() {
-				c := &cell{policy: policy, app: appName, mode: mode}
-				cells = append(cells, c)
-				name := fmt.Sprintf("%s/%s/%s", policy, appName, mode)
-				t.Run(name, func(t *testing.T) {
-					for _, seed := range seeds {
-						rep := Run(Config{Seed: seed, App: appName, ReadMode: mode, Policy: policy})
-						if rep.OK() {
-							c.passed++
-							continue
-						}
-						c.failed++
-						t.Errorf("seed %d: %d invariant violations:\n  %s",
-							seed, len(rep.Violations), strings.Join(rep.Violations, "\n  "))
-					}
-				})
+				cells = append(cells, &cell{policy: policy, app: appName, mode: mode, depth: 1})
 			}
 		}
+	}
+	// The one cell where requests queue at the leader and a batch meets a
+	// fault: every other cell keeps one request in flight.
+	cells = append(cells, &cell{policy: BadBatch, app: "rkv", mode: ReadFast, depth: 4})
+	for _, c := range cells {
+		t.Run(fmt.Sprintf("%s/%s/%s", c.policy, c.app, c.mode), func(t *testing.T) {
+			for _, seed := range seeds {
+				rep := Run(Config{Seed: seed, App: c.app, ReadMode: c.mode, Policy: c.policy, Depth: c.depth})
+				if rep.OK() {
+					c.passed++
+					continue
+				}
+				c.failed++
+				t.Errorf("seed %d: %d invariant violations:\n  %s",
+					seed, len(rep.Violations), strings.Join(rep.Violations, "\n  "))
+			}
+		})
 	}
 	t.Logf("byz-suite pass matrix (%d seeds per cell):", len(seeds))
 	t.Logf("%-14s %-11s %-9s %s", "policy", "app", "readmode", "pass/total")

@@ -36,6 +36,9 @@ const (
 	Equivocate   = "equivocate"
 	ForgeReads   = "forgereads"
 	CorruptVotes = "corruptvotes"
+	// BadBatch is not on the Policies axis: a leader can only abuse batching
+	// when requests queue, so it runs as one extra cell at Depth 4.
+	BadBatch = "badbatch"
 )
 
 // Read mode names: how the workload's reads travel.
@@ -60,6 +63,11 @@ type Config struct {
 	ReadMode string // ReadFast | ReadSnapshot | ReadStrong
 	Policy   string // Honest | Silence | Equivocate | ForgeReads | CorruptVotes
 	Rounds   int    // workload rounds (default 4)
+	// Depth is how many single-key writes (of as many keys) a round keeps
+	// in flight at once (default 1). Above 1 they queue behind one another
+	// at the leader and share consensus slots, which is where a batching
+	// leader can misbehave.
+	Depth int
 
 	// Defenses switched off — trip tests only. Each disables exactly the
 	// mechanism that bounds one attack at f=1. The equivocation trip needs
@@ -113,7 +121,7 @@ func (cfg Config) Infected() []ids.ID {
 			return []ids.ID{0, 1}
 		}
 		return []ids.ID{byzReplica}
-	case Equivocate, ForgeReads:
+	case Equivocate, ForgeReads, BadBatch:
 		return []ids.ID{byzReplica}
 	case CorruptVotes:
 		return []ids.ID{byzVoter}
@@ -137,6 +145,8 @@ func newFabric(cfg Config) *byz.Fabric {
 		fab.Infect(byzReplica, byz.Equivocate{})
 	case ForgeReads:
 		fab.Infect(byzReplica, byz.ForgeReads{})
+	case BadBatch:
+		fab.Infect(byzReplica, byz.BadBatch{Shift: int(cfg.Seed), N: 3, Index: 0})
 	case CorruptVotes:
 		fab.Infect(byzVoter, &byz.CorruptVotes{})
 	}
@@ -153,6 +163,9 @@ func Run(cfg Config) *Report {
 	}
 	if cfg.Rounds == 0 {
 		cfg.Rounds = 4
+	}
+	if cfg.Depth == 0 {
+		cfg.Depth = 1
 	}
 
 	d, err := shard.BuildWithDefenses(shard.Options{
@@ -202,17 +215,25 @@ type harness struct {
 // budget expires. ok=false means the op never finished (completion
 // violation recorded by the caller with context).
 func (h *harness) do(payload []byte) ([]byte, bool) {
-	var res []byte
-	fired := false
-	if _, err := h.d.Client(0).Invoke(payload, func(r []byte, _ sim.Duration) { res, fired = r, true }); err != nil {
-		h.rep.violate("invoke error: %v", err)
-		return nil, false
+	res, ok := h.doAll([][]byte{payload})
+	return res[0], ok
+}
+
+// doAll submits the requests back to back, so that all are in flight at
+// once, and runs virtual time until every one completed or the budget
+// expires (ok=false).
+func (h *harness) doAll(payloads [][]byte) ([][]byte, bool) {
+	res := make([][]byte, len(payloads))
+	fired := 0
+	for i, p := range payloads {
+		if _, err := h.d.Client(0).Invoke(p, func(r []byte, _ sim.Duration) { res[i] = r; fired++ }); err != nil {
+			h.rep.violate("invoke error: %v", err)
+			return res, false
+		}
+		h.rep.Ops++
 	}
-	h.rep.Ops++
-	if err := cluster.SyncWait(h.d.Eng, perOpDeadline, func() bool { return fired }); err != nil {
-		return nil, false
-	}
-	return res, true
+	err := cluster.SyncWait(h.d.Eng, perOpDeadline, func() bool { return fired == len(payloads) })
+	return res, err == nil
 }
 
 // workload runs Rounds of: single-key write, single-key read (RYW +
@@ -231,13 +252,23 @@ func (h *harness) round(i int) {
 	a := keyOn(0, "a")
 	p := keyOn(0, "p")
 	q := keyOn(1, "q")
-	// Single-key write on the attacked group.
-	if res, done := h.do(h.ad.write1(a, i)); !done {
+	// Single-key writes on the attacked group: the probe key and, at Depth
+	// above 1, that many more keys written at the same time (a view change
+	// may reorder one client's concurrent requests, so they do not share a
+	// key).
+	writes := [][]byte{h.ad.write1(a, i)}
+	for j := 1; j < h.cfg.Depth; j++ {
+		writes = append(writes, h.ad.write1(keyOn(0, "a"+strconv.Itoa(j)), i))
+	}
+	if res, done := h.doAll(writes); !done {
 		h.rep.violate("round %d: single-key write never completed", i)
-	} else if !h.ad.wrote1OK(res) {
-		h.rep.violate("round %d: single-key write acknowledged %v", i, res)
 	} else {
 		h.modelA = i
+		for _, r := range res {
+			if !h.ad.wrote1OK(r) {
+				h.rep.violate("round %d: single-key write acknowledged %v", i, r)
+			}
+		}
 	}
 	// Read it back: read-your-writes and monotonicity.
 	if res, done := h.do(h.ad.read1(a)); !done {
@@ -251,6 +282,13 @@ func (h *harness) round(i int) {
 			h.rep.violate("round %d: monotonic reads broken: %d after %d", i, c, h.lastReadA)
 		}
 		h.lastReadA = c
+	}
+	for j := 1; j < h.cfg.Depth; j++ {
+		if res, done := h.do(h.ad.read1(keyOn(0, "a"+strconv.Itoa(j)))); !done {
+			h.rep.violate("round %d: read of concurrent key %d never completed", i, j)
+		} else if c, present, ok := h.ad.val1(res); !ok || !present || c != h.modelA {
+			h.rep.violate("round %d: concurrent key %d reads %d (present=%v ok=%v), wrote %d", i, j, c, present, ok, h.modelA)
+		}
 	}
 	// Atomic cross-shard pair write (2PC through the byz fabric).
 	if res, done := h.do(h.ad.pairWrite(p, q, i)); !done {

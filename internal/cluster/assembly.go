@@ -226,7 +226,6 @@ func (a *Assembly) config(g int, self ids.ID, sm app.StateMachine) consensus.Con
 		CTBSlowDelay:      o.CTBSlowDelay,
 		ViewChangeTimeout: o.ViewChangeTimeout,
 		EchoTimeout:       o.EchoTimeout,
-		BatchSize:         o.BatchSize,
 		App:               sm,
 	}
 	cfg.RegionOffset = memnode.RegionID(g) * cfg.RegionSpan()

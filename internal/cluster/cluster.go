@@ -52,7 +52,6 @@ type Options struct {
 	CTBSlowDelay      sim.Duration
 	ViewChangeTimeout sim.Duration // 0 disables view changes
 	EchoTimeout       sim.Duration // echo-round wait (§5.4); 0 takes the 100us default
-	BatchSize         int          // >1 enables leader-side batching (§9 extension)
 
 	// NewApp builds one state-machine instance per replica; nil defaults
 	// to Flip.
@@ -124,8 +123,6 @@ func (o *Options) validate() error {
 		// Quorums are Fm+1 of the pool: fewer than Fm+1 nodes can never
 		// form one, more than 2Fm+1 breaks write/read quorum intersection.
 		return fmt.Errorf("cluster: MemNodes=%d outside [Fm+1=%d, 2Fm+1=%d]", o.MemNodes, o.Fm+1, 2*o.Fm+1)
-	case o.BatchSize < 0:
-		return fmt.Errorf("cluster: negative BatchSize=%d", o.BatchSize)
 	case o.MsgCap < 0:
 		return fmt.Errorf("cluster: negative MsgCap=%d", o.MsgCap)
 	case o.Window < 0 || o.Tail < 0:

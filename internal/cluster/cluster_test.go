@@ -88,7 +88,6 @@ func TestOptionsValidation(t *testing.T) {
 		"negative F":          {F: -1},
 		"negative Fm":         {Fm: -2},
 		"negative clients":    {NumClients: -1},
-		"negative batch size": {BatchSize: -8},
 		"tail beyond window":  {Window: 64, Tail: 128},
 		"negative msgcap":     {MsgCap: -1},
 		"too many replicas":   {F: 32}, // 2F+1 = 65 > 64-replica bitmask limit

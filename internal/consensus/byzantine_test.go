@@ -300,3 +300,103 @@ func TestClientImpersonationRejected(t *testing.T) {
 		t.Fatal("impersonated request stored")
 	}
 }
+
+// A Byzantine leader's batch container: one holding something other than
+// client requests (another container, the no-op filler, trailing garbage)
+// is refused by the FIFO validator, which blocks the leader's channel; the
+// well-formed but hostile shapes are handled where they meet state — a
+// sub-request no follower holds withholds the endorsement (the §5.4 echo
+// rule, per sub-request), a repeated sub-request executes once.
+func TestValidateMalformedBatchRejected(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[1]
+	a := Request{Client: 200, Num: 1, Payload: []byte("a")}
+	b := Request{Client: 201, Num: 1, Payload: []byte("b")}
+	prep := func(slot Slot, req Request) []byte {
+		return encodePrepare(Prepare{View: 0, Slot: slot, Req: req})
+	}
+	if !r.validateMsg(ids.ID(0), prep(0, EncodeBatch([]Request{a, b}))) {
+		t.Fatal("well-formed batch rejected")
+	}
+	if r.validateMsg(ids.ID(0), prep(1, EncodeBatch([]Request{a, EncodeBatch([]Request{b})}))) {
+		t.Fatal("nested batch validated")
+	}
+	if r.validateMsg(ids.ID(0), prep(2, EncodeBatch([]Request{a, NoOp()}))) {
+		t.Fatal("batch carrying the no-op filler validated")
+	}
+	trailing := EncodeBatch([]Request{a, b})
+	trailing.Payload = append(trailing.Payload, 0)
+	if r.validateMsg(ids.ID(0), prep(3, trailing)) {
+		t.Fatal("batch with trailing bytes validated")
+	}
+	short := EncodeBatch([]Request{a, b})
+	short.Payload = short.Payload[:len(short.Payload)-1]
+	if r.validateMsg(ids.ID(0), prep(4, short)) || short.Subs() != nil {
+		t.Fatal("truncated batch validated or decoded")
+	}
+}
+
+func TestBatchWithUnknownSubRequestNotEndorsed(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[1]
+	known := Request{Client: 200, Num: 1, Payload: []byte("sent")}
+	forged := Request{Client: 200, Num: 2, Payload: []byte("never sent")}
+	r.reqStore[known.Digest()] = known
+	r.onPrepare(ids.ID(0), Prepare{View: 0, Slot: 0, Req: EncodeBatch([]Request{known, forged})})
+	ss := r.slots[0]
+	if ss == nil || ss.waitingReq == nil || ss.sent(0, sentWillCertify) {
+		t.Fatal("batch endorsed although this replica never received one of its sub-requests")
+	}
+	// The client's copy arriving later releases it.
+	w := wire.NewWriter(64)
+	w.U8(tagRequest)
+	forged.encode(w)
+	r.onRPC(forged.Client, w.Finish())
+	if ss.waitingReq != nil || !ss.sent(0, sentWillCertify) {
+		t.Fatal("batch still withheld with every sub-request held")
+	}
+}
+
+func TestBatchWithRepeatedSubRequestExecutesOnce(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[1]
+	req := Request{Client: 200, Num: 1, Payload: []byte("once")}
+	r.decide(0, EncodeBatch([]Request{req, req}))
+	if r.lastApplied != 1 || r.Executed != 1 {
+		t.Fatalf("slot with a repeated sub-request: applied %d slots, executed %d requests, want 1 and 1", r.lastApplied, r.Executed)
+	}
+}
+
+// TestExecWindow pins the exactly-once record: a number below the
+// high-water mark is a duplicate only if it executed, the window slides
+// with the mark, and what falls out of it counts as executed.
+func TestExecWindow(t *testing.T) {
+	var e execEntry
+	for _, n := range []uint64{1, 2, 5} {
+		if e.has(n) {
+			t.Fatalf("%d reported executed before it was", n)
+		}
+		e = e.executedAt(n, Slot(n), []byte{byte(n)}, false)
+	}
+	for n, want := range map[uint64]bool{1: true, 2: true, 3: false, 4: false, 5: true, 6: false} {
+		if e.has(n) != want {
+			t.Errorf("after 1,2,5: has(%d) = %v", n, !want)
+		}
+	}
+	e = e.executedAt(3, 9, []byte("late"), false) // a late first execution
+	if !e.has(3) || e.has(4) || e.num != 5 || e.res[0] != 5 || e.slot != 5 {
+		t.Fatalf("late execution of 3: %+v", e)
+	}
+	e = e.executedAt(5+execWindow, 10, nil, false)
+	if !e.has(5) || e.has(4+execWindow) || !e.has(4) {
+		t.Fatalf("after sliding by the window: 5 kept %v, %d unexecuted %v, 4 (out of window) executed %v",
+			e.has(5), 4+execWindow, !e.has(4+execWindow), e.has(4))
+	}
+	e = e.executedAt(e.num+execWindow+1, 11, nil, false)
+	if e.below != 0 {
+		t.Fatalf("jump past the window kept bits %b", e.below)
+	}
+}

@@ -323,19 +323,11 @@ func (r *Replica) pruneBelow(seq Slot) {
 		}
 	}
 	// Request copies whose execution is settled are no longer needed for
-	// endorsement or re-proposal. executedReq is a MONOTONE test (highest
-	// executed num per client), so a pipelined request that is still headed
-	// for proposal while higher numbers from its client already executed
-	// would be mislabeled as settled — its live echo tracking marks it, so
-	// skip those (their copy is what the pending EchoTimeout proposes from).
+	// endorsement or re-proposal.
 	for dg, req := range r.reqStore {
-		if req.IsNoOp() || !r.executedReq(req) {
-			continue
+		if !req.IsNoOp() && r.executed(req.Client, req.Num) {
+			delete(r.reqStore, dg)
 		}
-		if _, inFlight := r.echoes[dg]; inFlight {
-			continue
-		}
-		delete(r.reqStore, dg)
 	}
 	// Echo state: tracking for digests that were proposed is settled
 	// (finishEcho normally clears it; this catches view-change leftovers).

@@ -41,69 +41,6 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchingExecutesEveryRequest(t *testing.T) {
-	u := flipCluster(cluster.Options{BatchSize: 8, NumClients: 4})
-	defer u.Stop()
-	// Fire 4 concurrent requests (one per client) so the leader's queue
-	// has material to batch, repeatedly.
-	const rounds = 10
-	results := make(map[[2]int][]byte)
-	for round := 0; round < rounds; round++ {
-		for c := 0; c < 4; c++ {
-			c, round := c, round
-			u.Clients[c].Invoke([]byte(fmt.Sprintf("r%d-c%d", round, c)),
-				func(res []byte, _ sim.Duration) { results[[2]int{round, c}] = res })
-		}
-		u.Eng.RunFor(5 * sim.Millisecond)
-	}
-	u.Eng.RunFor(20 * sim.Millisecond)
-	for round := 0; round < rounds; round++ {
-		for c := 0; c < 4; c++ {
-			want := []byte(fmt.Sprintf("r%d-c%d", round, c))
-			got := results[[2]int{round, c}]
-			rev := make([]byte, len(want))
-			for i, b := range want {
-				rev[len(want)-1-i] = b
-			}
-			if !bytes.Equal(got, rev) {
-				t.Fatalf("round %d client %d: %q want %q", round, c, got, rev)
-			}
-		}
-	}
-	// All replicas executed all 40 requests and their states agree.
-	for i, r := range u.Replicas {
-		if r.Executed != 40 {
-			t.Errorf("replica %d executed %d/40", i, r.Executed)
-		}
-	}
-	s0 := u.Apps[0].Snapshot()
-	for i := 1; i < len(u.Apps); i++ {
-		if !bytes.Equal(s0, u.Apps[i].Snapshot()) {
-			t.Errorf("replica %d diverged under batching", i)
-		}
-	}
-}
-
-func TestBatchingImprovesThroughputSlots(t *testing.T) {
-	// With batching, the same number of requests consumes fewer slots.
-	u := flipCluster(cluster.Options{BatchSize: 8, NumClients: 4})
-	defer u.Stop()
-	for round := 0; round < 5; round++ {
-		for c := 0; c < 4; c++ {
-			u.Clients[c].Invoke([]byte("xy"), func([]byte, sim.Duration) {})
-		}
-		u.Eng.RunFor(2 * sim.Millisecond)
-	}
-	u.Eng.RunFor(10 * sim.Millisecond)
-	slotsUsed := int(u.Replicas[0].LastApplied())
-	if u.Replicas[0].Executed != 20 {
-		t.Fatalf("executed %d/20", u.Replicas[0].Executed)
-	}
-	if slotsUsed >= 20 {
-		t.Fatalf("batching used %d slots for 20 requests (no packing)", slotsUsed)
-	}
-}
-
 // TestSharedMemoryNodes runs two INDEPENDENT uBFT deployments (different
 // replica sets, different applications) against the SAME three memory
 // nodes, using RegionOffset to carve disjoint register spaces — the

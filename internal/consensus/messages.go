@@ -61,6 +61,10 @@ type Request struct {
 	// and xcrypto fingerprinting never re-encodes the request.
 	digest   [xcrypto.DigestLen]byte
 	digestOK bool
+	// subs memoizes a batch container's sub-requests the same way (see
+	// Subs): decoded once where the container is delivered, carried along
+	// by every copy taken afterwards.
+	subs []Request
 }
 
 // NoOp returns the view-change filler request.
@@ -76,9 +80,20 @@ const batchClient ids.ID = -2
 // IsBatch reports whether the request is a batch container.
 func (r Request) IsBatch() bool { return r.Client == batchClient }
 
+// maxBatchLen bounds how many sub-requests a container may claim to hold.
+const maxBatchLen = 4096
+
+// encodedBound is an upper bound on the request's encoded size: client and
+// number (8 bytes each), the payload and its length prefix.
+func (r *Request) encodedBound() int { return 24 + len(r.Payload) }
+
 // EncodeBatch packs several client requests into one container request.
 func EncodeBatch(reqs []Request) Request {
-	w := wire.NewWriter(64)
+	size := 8 // count prefix
+	for i := range reqs {
+		size += reqs[i].encodedBound()
+	}
+	w := wire.NewWriter(size)
 	w.Uvarint(uint64(len(reqs)))
 	for _, q := range reqs {
 		q.encode(w)
@@ -86,21 +101,54 @@ func EncodeBatch(reqs []Request) Request {
 	return Request{Client: batchClient, Payload: w.Finish()}
 }
 
-// DecodeBatch unpacks a batch container.
+// DecodeBatch unpacks a batch container. The sub-requests alias the
+// container's payload (borrow mode, like every consensus decode path). A
+// container holding a no-op or another container is malformed: the leader
+// packs client requests only.
 func DecodeBatch(r Request) ([]Request, error) {
 	rd := wire.NewReader(r.Payload)
 	n := int(rd.Uvarint())
-	if n > 4096 {
+	if n > maxBatchLen || n > rd.Remaining()/17 { // an entry is 17 bytes or more
 		return nil, fmt.Errorf("consensus: oversized batch (%d requests)", n)
 	}
 	out := make([]Request, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, decodeRequest(rd))
+		sub := decodeRequest(rd)
+		if rd.Err() != nil || sub.IsNoOp() || sub.IsBatch() {
+			return nil, fmt.Errorf("consensus: batch entry %d is not a client request", i)
+		}
+		out = append(out, sub)
 	}
 	if err := rd.Done(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// wellFormedBatch is DecodeBatch's verdict without the allocation: what the
+// Byzantine check of a PREPARE needs (the delivery that follows decodes).
+func wellFormedBatch(r Request) bool {
+	rd := wire.NewReader(r.Payload)
+	n := rd.Uvarint()
+	if n > maxBatchLen {
+		return false
+	}
+	for ; n > 0 && rd.Err() == nil; n-- {
+		if sub := decodeRequest(rd); sub.IsNoOp() || sub.IsBatch() {
+			return false
+		}
+	}
+	return rd.Done() == nil
+}
+
+// Subs returns a batch container's sub-requests, decoding them on first use
+// and memoizing the result (and, through the shared backing array, every
+// sub-request's digest) in the container. Nil for a malformed container.
+func (r *Request) Subs() []Request {
+	if r.subs == nil {
+		r.subs, _ = DecodeBatch(*r)
+	}
+	return r.subs
 }
 
 func (r Request) encode(w *wire.Writer) {

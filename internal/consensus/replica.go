@@ -56,10 +56,6 @@ type Config struct {
 	// EchoTimeout bounds how long the leader waits for followers to echo
 	// a client request before proposing anyway (§5.4).
 	EchoTimeout sim.Duration
-	// BatchSize lets the leader pack up to this many queued requests into
-	// one consensus slot (the throughput optimization §9 mentions but the
-	// paper's prototype does not implement; 0/1 disables batching).
-	BatchSize int
 	// RegionOffset shifts this deployment's SWMR regions on the memory
 	// nodes, letting several independent replicated applications share the
 	// same memory nodes (§1: "they can be shared among many applications").
@@ -247,7 +243,23 @@ type Replica struct {
 	// freshScratch is takeProposal's reusable staging slice; its contents
 	// are copied (by value) into the Prepare before the next call.
 	freshScratch []Request
-	batchTimer   sim.Timer
+	// inFlight is the proposal gate: the view and slot of this leader's
+	// latest fresh-request PREPARE. While that slot is undecided in that
+	// view, later requests queue and ride the next PREPARE together (see
+	// pumpProposals).
+	inFlight struct {
+		view View
+		slot Slot
+		set  bool
+	}
+	// fastPathLive is what the gate presumes: slots decide in a few
+	// microseconds, by unanimity. It holds from a fast-path decision until
+	// this replica signs a CERTIFY share (a slot fell back, or the view is
+	// being sealed) or enters a new view. While it does not hold every slot
+	// costs hundreds of microseconds of signatures and the suspicion
+	// timeout is sized to one such slot, not two in a row: the leader then
+	// proposes without waiting, as the paper's prototype does.
+	fastPathLive bool
 	// proposed records the slot each request digest was proposed in, so
 	// stable checkpoints can prune entries below the window (bounded leader
 	// memory). Values are the slot of the containing Prepare.
@@ -347,11 +359,19 @@ type clientSeen struct {
 	slot Slot
 }
 
-// execEntry is one client's exactly-once execution record.
+// execEntry is one client's exactly-once execution record: the highest
+// executed request number with its cached result, and which of the
+// execWindow numbers below it executed too. A high-water mark alone cannot
+// tell a pipelined request's late first execution (it lost its echo round
+// and was proposed after its successors) from its second one (a view change
+// re-routed it as fresh work and the old slot decided anyway): the first
+// must apply, the second must not.
 type execEntry struct {
-	num  uint64
-	res  []byte
-	slot Slot // slot of the last executed request (aging horizon)
+	num uint64
+	// below has bit i set when request num-1-i executed.
+	below uint64
+	res   []byte
+	slot  Slot // slot of the last executed request (aging horizon)
 	// pending marks a request parked in the application's wait queue: it
 	// is executed (dedup holds) but its result arrives at lock release.
 	pending bool
@@ -359,6 +379,39 @@ type execEntry struct {
 	// crossed a transaction); retransmissions must re-send the same marker
 	// so they land in the first execution's response class.
 	parked bool
+}
+
+// execWindow is how far below a client's highest executed request number
+// single executions are remembered. A request further behind than that is
+// taken as executed: far beyond any pipeline depth, it can only be a replay.
+const execWindow = 64
+
+// has reports whether request n of this client executed.
+func (e *execEntry) has(n uint64) bool {
+	switch {
+	case n >= e.num:
+		return n == e.num
+	case e.num-n > execWindow:
+		return true
+	}
+	return e.below>>(e.num-n-1)&1 != 0
+}
+
+// executedAt returns the record with request n, executed in slot s, marked.
+// A request above the high-water mark becomes the new one and takes the
+// result cache (res, pending); one below it only sets its bit.
+func (e execEntry) executedAt(n uint64, s Slot, res []byte, pending bool) execEntry {
+	if n < e.num {
+		if d := e.num - n; d <= execWindow {
+			e.below |= 1 << (d - 1)
+		}
+		return e
+	}
+	below := uint64(0)
+	if d := n - e.num; e.num > 0 && d <= execWindow {
+		below = e.below<<d | 1<<(d-1) // Go shifts past the width to zero
+	}
+	return execEntry{num: n, below: below, res: res, slot: s, pending: pending}
 }
 
 // deferredTarget is the response owed for one parked request.
@@ -446,6 +499,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		newViewSent:   make(map[View]bool),
 		joinAnswers:   make(map[ids.ID]joinAnswer),
 		peerJoinNonce: make(map[ids.ID]uint64),
+		fastPathLive:  cfg.FastPath,
 	}
 	if v, ok := cfg.App.(app.Versioned); ok {
 		r.appVer = v
@@ -550,7 +604,6 @@ func (r *Replica) Stop() {
 	}
 	r.auxOut.Stop()
 	r.progressTimer.Cancel()
-	r.batchTimer.Cancel()
 	r.joinProbeTimer.Cancel()
 	r.joinPullTimer.Cancel()
 	for _, s := range r.slots {
@@ -640,20 +693,18 @@ func (r *Replica) enqueueProposal(req Request) {
 		}
 	}
 	r.proposeQ = append(r.proposeQ, req)
-	if r.cfg.BatchSize > 1 {
-		// Accumulate briefly so concurrent arrivals coalesce into one
-		// slot (§9 batching extension). The window is a few microseconds:
-		// far below end-to-end latency, enough to catch a burst.
-		if !r.batchTimer.Pending() {
-			r.batchTimer = r.proc.After(5*sim.Microsecond, r.pumpProposals)
-		}
-		return
-	}
 	r.pumpProposals()
 }
 
 // pumpProposals proposes queued requests while the window and leadership
-// conditions of Algorithm 2 line 15 hold.
+// conditions of Algorithm 2 line 15 hold and no PREPARE of this leader's
+// own is in flight. The gate is what batches (the §9 extension) without a
+// timer or a size knob: an idle pipeline proposes a lone request at once,
+// and everything whose echo round completes while that slot is undecided
+// goes into the next PREPARE together, so the per-slot protocol work is
+// shared exactly when the replicas are busy. Only fresh requests are gated:
+// a new leader's re-proposals and no-op fills (startView) bypass the queue,
+// and a view change, which makes the old PREPARE moot, opens the gate.
 func (r *Replica) pumpProposals() {
 	if r.stopped || r.observing() || !r.IsLeader() || r.isSealing() {
 		return
@@ -664,12 +715,23 @@ func (r *Replica) pumpProposals() {
 	if r.view > 0 && !r.newViewSent[r.view] {
 		return // must broadcast NEW_VIEW before proposing (line 15)
 	}
-	for len(r.proposeQ) > 0 && r.inWindow(r.nextSlot) {
-		req := r.takeProposal()
-		if req == nil {
+	for len(r.proposeQ) > 0 && !r.proposalInFlight() {
+		// Never propose into a slot already known decided: a decision can
+		// land while the view change that made this replica leader is still
+		// collecting certificates, which then do not cover it, and a request
+		// proposed there would count as proposed-and-decided forever.
+		for _, done := r.decided[r.nextSlot]; done || r.nextSlot < r.lastApplied; _, done = r.decided[r.nextSlot] {
+			r.nextSlot++
+		}
+		if !r.inWindow(r.nextSlot) {
 			break
 		}
-		p := Prepare{View: r.view, Slot: r.nextSlot, Req: *req}
+		req, ok := r.takeProposal()
+		if !ok {
+			break
+		}
+		p := Prepare{View: r.view, Slot: r.nextSlot, Req: req}
+		r.inFlight.view, r.inFlight.slot, r.inFlight.set = p.View, p.Slot, true
 		r.nextSlot++
 		w := wire.GetWriter(40 + len(p.Req.Payload))
 		appendPrepare(w, p)
@@ -679,21 +741,45 @@ func (r *Replica) pumpProposals() {
 	r.armProgressTimer()
 }
 
-// takeProposal pops the next proposal, packing up to BatchSize queued
-// requests into a batch container (§9 extension). Returns nil when the
-// queue holds only already-proposed duplicates.
-func (r *Replica) takeProposal() *Request {
-	fresh := r.freshScratch[:0]
-	limit := r.cfg.BatchSize
-	if limit < 1 {
-		limit = 1
+// pumpQueued is pumpProposals for the events that may open the gate; with
+// nothing queued it does nothing at all.
+func (r *Replica) pumpQueued() {
+	if len(r.proposeQ) > 0 {
+		r.pumpProposals()
 	}
-	for len(r.proposeQ) > 0 && len(fresh) < limit {
-		req := r.proposeQ[0]
-		r.proposeQ = r.proposeQ[1:]
+}
+
+// proposalInFlight reports whether this leader's latest fresh-request
+// PREPARE still awaits its decision in the current view while the fast path
+// is live. A slot execution has passed counts as decided: a state transfer
+// can cover it without this replica ever deciding it.
+func (r *Replica) proposalInFlight() bool {
+	f := &r.inFlight
+	if !r.fastPathLive || !f.set || f.view != r.view || f.slot < r.lastApplied {
+		return false
+	}
+	_, done := r.decided[f.slot]
+	return !done
+}
+
+// takeProposal pops the next proposal: the whole queue in FIFO order, packed
+// into one batch container (§9 extension) as far as it fits the request cap
+// — a container is a request like any other to every buffer sized by MsgCap
+// (PREPARE and COMMIT frames, summaries, NEW_VIEW certificates). The first
+// request always goes, alone and unwrapped if nothing else fits. Reports
+// false when the queue held only already-proposed duplicates.
+func (r *Replica) takeProposal() (Request, bool) {
+	fresh := r.freshScratch[:0]
+	size := 8 // the container's count prefix
+	taken := 0
+	for ; taken < len(r.proposeQ); taken++ {
+		req := &r.proposeQ[taken]
 		dg := req.Digest()
 		if _, done := r.proposed[dg]; done {
 			continue
+		}
+		if size += req.encodedBound(); len(fresh) > 0 && size > r.cfg.MsgCap {
+			break
 		}
 		r.proposed[dg] = r.nextSlot
 		if !req.IsNoOp() {
@@ -703,17 +789,20 @@ func (r *Replica) takeProposal() *Request {
 				r.seenReq[req.Client] = clientSeen{num: req.Num, slot: r.nextSlot}
 			}
 		}
-		fresh = append(fresh, req)
+		fresh = append(fresh, *req)
 	}
+	// Keep what did not fit at the head of the same backing array.
+	rest := copy(r.proposeQ, r.proposeQ[taken:])
+	clear(r.proposeQ[rest:])
+	r.proposeQ = r.proposeQ[:rest]
 	r.freshScratch = fresh
 	switch len(fresh) {
 	case 0:
-		return nil
+		return Request{}, false
 	case 1:
-		return &fresh[0]
+		return fresh[0], true
 	default:
-		b := EncodeBatch(fresh)
-		return &b
+		return EncodeBatch(fresh), true
 	}
 }
 
@@ -799,7 +888,12 @@ func (r *Replica) onPrepare(p ids.ID, pr Prepare) {
 	// Fingerprint before storing: the memoized digest travels with every
 	// copy taken from the prepares map (endorsement, certify, commit),
 	// so the request is encoded and hashed exactly once per replica.
+	// A batch container is unpacked here too, once: the sub-requests (and
+	// their digests, as requestKnown computes them) ride along the same way.
 	pr.Req.Digest()
+	if pr.Req.IsBatch() {
+		pr.Req.Subs()
+	}
 	st := r.state[p]
 	st.prepares[pr.Slot] = pr
 	st.newViewUsed = true
@@ -811,23 +905,20 @@ func (r *Replica) onPrepare(p ids.ID, pr Prepare) {
 
 // requestKnown reports whether this replica holds the client's direct copy
 // of req (for a batch container: of every sub-request).
-func (r *Replica) requestKnown(req Request) bool {
+func (r *Replica) requestKnown(req *Request) bool {
 	if req.IsNoOp() {
 		return true
 	}
 	if req.IsBatch() {
-		subs, err := DecodeBatch(req)
-		if err != nil {
-			return false
-		}
-		for _, sub := range subs {
-			if !r.requestKnown(sub) {
+		subs := req.Subs()
+		for i := range subs {
+			if !r.requestKnown(&subs[i]) {
 				return false
 			}
 		}
-		return true
+		return subs != nil
 	}
-	if r.seenExec(req.Client, req.Num) {
+	if r.executed(req.Client, req.Num) {
 		return true // already executed: provenance is settled
 	}
 	_, ok := r.reqStore[req.Digest()]
@@ -839,7 +930,7 @@ func (r *Replica) requestKnown(req Request) bool {
 // endorsed immediately; re-proposals carry f+1-certified provenance).
 func (r *Replica) endorseOrWait(pr Prepare) {
 	ss := r.slot(pr.Slot)
-	if !r.requestKnown(pr.Req) && pr.View == 0 && r.cfg.EchoTimeout > 0 {
+	if !r.requestKnown(&pr.Req) && pr.View == 0 && r.cfg.EchoTimeout > 0 {
 		// Wait for the client's direct copy before endorsing.
 		ss.waitingReq = &pr
 		return
@@ -905,6 +996,8 @@ func (r *Replica) sendCertify(v View, s Slot) {
 	w.Bytes(sig)
 	r.auxBroadcast(w.Finish())
 	wire.PutWriter(w)
+	r.fastPathLive = false
+	r.pumpQueued() // the gate just opened
 }
 
 // signCertify / verifyCertify run the CERTIFY signature scheme over pooled
@@ -1037,6 +1130,7 @@ func (r *Replica) onWillCommit(p ids.ID, v View, s Slot) {
 			return
 		}
 		r.FastDecides++
+		r.fastPathLive = true
 		r.decide(s, pr.Req)
 	}
 }
@@ -1122,7 +1216,12 @@ func (r *Replica) onCommit(p ids.ID, c CommitCert) {
 	dg := c.Req.Digest()
 	st := r.state[p]
 	st.commits[c.Slot] = c
-	st.newViewUsed = true
+	if c.View == st.view {
+		// A COMMIT of an earlier view can trail p's SEAL_VIEW (the shares
+		// p asked for while sealing arrive when they arrive); it does not
+		// open the view, so p's NEW_VIEW may still follow it.
+		st.newViewUsed = true
+	}
 	if !r.inWindow(c.Slot) {
 		return
 	}
@@ -1153,6 +1252,10 @@ func (r *Replica) decide(s Slot, req Request) {
 	ss.fallback.Cancel()
 	r.vcStreak = 0 // progress: reset the suspicion backoff
 	r.resetProgressTimer()
+	// This may be the decision the proposal gate waits for. Propose before
+	// executing: nothing can join the queue while this handler runs, and
+	// the PREPARE leaves ahead of the execution's CPU time.
+	r.pumpQueued()
 	r.executeReady()
 }
 
@@ -1167,14 +1270,12 @@ func (r *Replica) executeReady() {
 		r.lastApplied++
 		switch {
 		case req.IsBatch():
-			subs, err := DecodeBatch(req)
-			if err == nil {
-				for _, sub := range subs {
-					r.applyOne(sub, s)
-				}
+			subs := req.Subs()
+			for i := range subs {
+				r.applyOne(&subs[i], s)
 			}
 		case !req.IsNoOp():
-			r.applyOne(req, s)
+			r.applyOne(&req, s)
 		}
 		r.maybeCreateCheckpoint()
 	}
@@ -1184,28 +1285,22 @@ func (r *Replica) executeReady() {
 
 // applyOne executes a single client request decided in slot s with
 // exactly-once semantics and responds to the client.
-func (r *Replica) applyOne(req Request, s Slot) {
-	if req.IsNoOp() || req.IsBatch() {
-		return
-	}
-	e, dup := r.exec[req.Client]
-	if dup && e.num == req.Num {
-		// A re-proposed duplicate: respond with the cached result instead
-		// of applying twice (exactly-once execution). A parked request's
-		// result does not exist yet (it arrives at lock release), so for
-		// those re-deliver nothing rather than the wrong cached bytes.
-		if !e.pending {
+func (r *Replica) applyOne(req *Request, s Slot) {
+	e, known := r.exec[req.Client]
+	if known && e.has(req.Num) {
+		// A re-proposed duplicate: exactly-once execution does not apply it
+		// twice. The latest request's result is cached and re-sent (not a
+		// parked one's: it does not exist before the lock releases); an
+		// older request was answered when it executed.
+		if e.num == req.Num && !e.pending {
 			r.deliver(req.Client, req.Num, s, e.res, e.parked)
 		}
 		return
 	}
-	// e.num > req.Num is NOT a duplicate: a pipelined request that lost
-	// its echo round proposes via EchoTimeout and reaches execution after
-	// its successors. Anything that got this far was never executed — the
-	// arrival-side dedup (exec table, reqStore) stops true retransmissions
-	// before they can be proposed again — so apply it; returning early
-	// would swallow the request and wedge its client. The exec cache only
-	// ever raises its num (it is the retransmission-dedup horizon).
+	// A number below e.num that did not execute is NOT a duplicate: a
+	// pipelined request that lost its echo round proposes via EchoTimeout
+	// and reaches execution after its successors. Returning early would
+	// swallow it and wedge its client; apply it and mark it in the window.
 	if r.appVer != nil {
 		// The command decided in slot s produces state version s+1 (the
 		// numbering the read floors and frontiers speak): stamp its writes.
@@ -1221,17 +1316,13 @@ func (r *Replica) applyOne(req Request, s Slot) {
 		// it when the lock releases (drainReleased).
 		if d, ok := r.cfg.App.(app.Deferring); ok {
 			if tk := d.TakeParkedTicket(); tk != 0 {
-				if !dup || req.Num > e.num {
-					r.exec[req.Client] = execEntry{num: req.Num, slot: s, pending: true}
-				}
+				r.exec[req.Client] = e.executedAt(req.Num, s, nil, true)
 				r.deferredResp[tk] = deferredTarget{client: req.Client, num: req.Num, slot: s}
 				return
 			}
 		}
 	}
-	if !dup || req.Num > e.num {
-		r.exec[req.Client] = execEntry{num: req.Num, res: result, slot: s}
-	}
+	r.exec[req.Client] = e.executedAt(req.Num, s, result, false)
 	r.deliver(req.Client, req.Num, s, result, false)
 	r.drainReleased(s)
 }
@@ -1270,7 +1361,8 @@ func (r *Replica) drainReleased(s Slot) {
 		}
 		delete(r.deferredResp, rel.Ticket)
 		if e, ok := r.exec[tgt.client]; ok && e.num == tgt.num {
-			r.exec[tgt.client] = execEntry{num: tgt.num, res: rel.Result, slot: s, parked: true}
+			e.res, e.slot, e.pending, e.parked = rel.Result, s, false, true
+			r.exec[tgt.client] = e
 		}
 		r.deliver(tgt.client, tgt.num, s, rel.Result, true)
 	}

@@ -129,7 +129,7 @@ func (r *Replica) onClientRequest(from ids.ID, rd *wire.Reader) {
 	if req.Client != from {
 		return // authenticated links: a client cannot impersonate another
 	}
-	if e, ok := r.exec[req.Client]; ok && e.num >= req.Num {
+	if e, ok := r.exec[req.Client]; ok && e.has(req.Num) {
 		// Retransmission of an executed request: re-send the cached result.
 		// Only the most recent request's result is cached; a parked
 		// request's response arrives when the blocking transaction
@@ -156,7 +156,7 @@ func (r *Replica) onClientRequest(from ids.ID, rd *wire.Reader) {
 	// containers become endorsable once their last sub-request arrives).
 	// Slot order, so endorsements are emitted identically every run.
 	for _, s := range sortedSlots(r.slots) {
-		if ss := r.slots[s]; ss.waitingReq != nil && r.requestKnown(ss.waitingReq.Req) {
+		if ss := r.slots[s]; ss.waitingReq != nil && r.requestKnown(&ss.waitingReq.Req) {
 			r.endorse(*ss.waitingReq)
 		}
 	}
@@ -370,14 +370,11 @@ func (r *Replica) rebroadcastPending() {
 // shouldRebroadcast reports whether a stored client request still needs
 // re-routing toward the (new) leader. A request is settled only when its
 // proposal actually decided (or fell below the stable checkpoint, which
-// implies decided), or when THIS exact request executed. The executed test
-// deliberately requires e.num == req.Num rather than the monotone
-// seenExec: an echo-ordering inversion leaves a lower-numbered, never-
-// executed request in reqStore while the client's exec high-water mark has
-// moved past it — the monotone test would mislabel it settled and a view
-// change at that moment would skip its one rebroadcast, wedging the client
-// (executed requests are deleted from reqStore at execution, so an old-num
-// entry here is exactly that inversion victim).
+// implies decided), or when THIS exact request executed: an echo-ordering
+// inversion leaves a lower-numbered, never-executed request in reqStore
+// while the client's exec high-water mark has moved past it, and a view
+// change at that moment must not skip its one rebroadcast (the client would
+// wedge).
 func (r *Replica) shouldRebroadcast(dg [xcrypto.DigestLen]byte, req Request) bool {
 	if req.IsNoOp() {
 		return false
@@ -391,8 +388,7 @@ func (r *Replica) shouldRebroadcast(dg [xcrypto.DigestLen]byte, req Request) boo
 		}
 		return true
 	}
-	e, ok := r.exec[req.Client]
-	return !ok || e.num != req.Num
+	return !r.executed(req.Client, req.Num)
 }
 
 // respond sends an execution result back to the client.

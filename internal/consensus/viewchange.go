@@ -77,7 +77,7 @@ func (r *Replica) hasUndecidedWork() bool {
 	// mixing the delete with the early return would make the pruned set
 	// depend on map iteration order.
 	for dg, req := range r.reqStore {
-		if !req.IsNoOp() && r.executedReq(req) {
+		if !req.IsNoOp() && r.executed(req.Client, req.Num) {
 			delete(r.reqStore, dg) // executed: no longer evidence of stall
 		}
 	}
@@ -96,13 +96,12 @@ func (r *Replica) hasUndecidedWork() bool {
 	return false
 }
 
-func (r *Replica) executedReq(req Request) bool {
-	return r.seenExec(req.Client, req.Num)
-}
-
-func (r *Replica) seenExec(client ids.ID, num uint64) bool {
+// executed reports whether this replica executed the client's request num
+// (exactly, within execEntry's window: a lower number that has not executed
+// while higher ones have is a pipelined request still on its way).
+func (r *Replica) executed(client ids.ID, num uint64) bool {
 	e, ok := r.exec[client]
-	return ok && e.num >= num
+	return ok && e.has(num)
 }
 
 func (r *Replica) hasPrepare(s Slot) bool {
@@ -189,6 +188,7 @@ func (r *Replica) maybeSeal() {
 	v := r.sealTarget
 	r.sealTarget = 0
 	r.view = v
+	r.fastPathLive = false // until a slot of this view decides by unanimity
 	w := wire.NewWriter(16)
 	w.U8(tagSealView)
 	w.U64(uint64(v))
@@ -534,6 +534,9 @@ func (r *Replica) validateMsg(p ids.ID, m []byte) bool {
 		}
 		if prev, dup := st.prepares[pr.Slot]; dup && prev.View == pr.View {
 			return false // p already prepared this slot in this view
+		}
+		if pr.Req.IsBatch() && !wellFormedBatch(pr.Req) {
+			return false // a correct leader packs whole client requests only
 		}
 		if pr.View > 0 {
 			if st.newView == nil {

@@ -610,6 +610,11 @@ func (g *Group) onLockedMsg(q ids.ID, payload []byte) {
 		}
 	}
 	if first {
+		// Unanimous: the n retained copies are byte-equal, so keep one
+		// buffer for all of them and let the other frames go.
+		for _, p := range g.p.Procs {
+			g.locked[p][slot].m = ent.m
+		}
 		g.env.Proc.Charge(latmodel.ChecksumCost(len(m)))
 		g.FastDeliveries++
 		g.deliverOnce(k, m)

@@ -235,6 +235,21 @@ func (s *Sender) sendFrame(slot int, frame []byte, dataLen int) {
 	s.proc.PostAfter(2*latmodel.WireBase+latmodel.PerByte(dataLen), s.complete[slot])
 }
 
+// ShareMirror makes the rings of one broadcast channel keep a single mirror
+// between them. Senders that are only ever driven together through SendAll
+// stay index-aligned and hold the same last `slots` messages; a mirror per
+// receiver retains each of those messages once per receiver for nothing.
+func ShareMirror(senders []*Sender) {
+	for i, s := range senders {
+		if s.slots != senders[0].slots {
+			panic("msgring: ShareMirror needs rings of one geometry")
+		}
+		if i > 0 {
+			s.mirror = senders[0].mirror
+		}
+	}
+}
+
 // SendAll transmits msg as the next message on every ring in senders,
 // encoding the wire frame AT MOST ONCE in the common case (all rings
 // aligned on the same next index, geometry and instance, no slot busy).
@@ -421,8 +436,12 @@ func (r *Receiver) scan() {
 			}
 		}
 		// Settle the books before delivering: deliver may Reset this ring.
+		// The slot keeps its index (the stale-rewrite test) but not the
+		// bytes: once delivered they belong to whoever retained them.
+		idx, data := s.idx, s.data
+		s.data = nil
 		r.undelivered--
-		r.nextIdx = s.idx + 1
-		r.deliver(s.idx, s.data)
+		r.nextIdx = idx + 1
+		r.deliver(idx, data)
 	}
 }

@@ -65,6 +65,14 @@ func TestCallerBufferReusableAfterSend(t *testing.T) {
 // SendAll and checks every receiver gets an intact private copy even when
 // the shared encode buffer is immediately reused for the next message.
 func TestSendAllSharedFrame(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sharedMirror=%v", shared), func(t *testing.T) { testSendAll(t, shared) })
+	}
+}
+
+// testSendAll also covers ShareMirror: rings that keep one mirror between
+// them deliver the same bytes and can each retransmit out of it.
+func testSendAll(t *testing.T, shareMirror bool) {
 	eng := sim.NewEngine(1)
 	net := simnet.New(eng, simnet.RDMAOptions())
 	srt := router.New(net.AddNode(0, "s"))
@@ -79,6 +87,9 @@ func TestSendAllSharedFrame(t *testing.T) {
 			got[i] = append(got[i], string(msg))
 		})
 		senders = append(senders, NewSender(srt, srt.Node().Proc(), ids.ID(1+i), 7, 8, 64))
+	}
+	if shareMirror {
+		ShareMirror(senders)
 	}
 	var want []string
 	for k := 0; k < 10; k++ {
@@ -97,10 +108,11 @@ func TestSendAllSharedFrame(t *testing.T) {
 			}
 		}
 	}
-	// All rings advanced in lockstep.
+	// All rings advanced in lockstep, and each can still retransmit its
+	// latest message (a duplicate the receiver drops, but it must be there).
 	for _, s := range senders {
-		if s.next != 10 {
-			t.Fatalf("sender desynced: next=%d", s.next)
+		if s.next != 10 || !s.Retransmit(9) || !bytes.Equal(s.mirror[9%8], []byte(want[9])) {
+			t.Fatalf("sender desynced or mirror lost: next=%d", s.next)
 		}
 	}
 }

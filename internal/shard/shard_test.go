@@ -226,7 +226,6 @@ func TestShardOptionsValidation(t *testing.T) {
 	mustPanic("negative shards", shard.Options{Shards: -1})
 	mustPanic("negative F", shard.Options{Group: cluster.Options{F: -1}})
 	mustPanic("tail > window", shard.Options{Group: cluster.Options{Window: 8, Tail: 16}})
-	mustPanic("negative batch", shard.Options{Group: cluster.Options{BatchSize: -2}})
 }
 
 // TestLeanMemNodePool: Group.MemNodes sizes the shared pool (any size in

@@ -120,6 +120,7 @@ func NewBroadcaster(cfg Config) *Broadcaster {
 		b.senderList = append(b.senderList, s)
 		b.acked[to] = 0
 	}
+	msgring.ShareMirror(b.senderList)
 	if cfg.AckHub != nil {
 		if _, dup := cfg.AckHub.broadcaster[cfg.Instance]; dup {
 			panic(fmt.Sprintf("tbcast: instance %d registered twice", cfg.Instance))

@@ -55,7 +55,6 @@ type NodeConfig struct {
 	Clients  int
 	Window   int
 	Tail     int
-	Batch    int
 
 	// ColdJoin boots a replica in the cold-rejoin recovering state (a
 	// process respawned after a crash); JoinNonce is its incarnation
@@ -80,7 +79,6 @@ func (c *NodeConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Clients, "clients", 1, "number of client identities")
 	fs.IntVar(&c.Window, "window", 0, "consensus window (0 = paper default)")
 	fs.IntVar(&c.Tail, "tail", 0, "CTBcast tail (0 = paper default)")
-	fs.IntVar(&c.Batch, "batch", 0, "leader batch size (0 = off)")
 	fs.BoolVar(&c.ColdJoin, "coldjoin", false, "boot a replica in the cold-rejoin recovering state (post-crash respawn)")
 	fs.Uint64Var(&c.JoinNonce, "joinnonce", 0, "incarnation counter for -coldjoin (strictly above any prior nonce)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -129,7 +127,6 @@ func (c NodeConfig) Options() (cluster.Options, error) {
 		NumClients: c.Clients,
 		Window:     c.Window,
 		Tail:       c.Tail,
-		BatchSize:  c.Batch,
 		NewApp:     newApp,
 		// The fast-path fallback defaults assume the simulated RDMA fabric,
 		// where a slot that misses unanimity is a rare microsecond hiccup.

@@ -86,7 +86,7 @@ func TestOptions(t *testing.T) {
 
 func TestArgsRoundTrip(t *testing.T) {
 	full := NodeConfig{Role: "replica", Index: 2, Listen: "127.0.0.1:4002", Peers: "0=a:1,2=b:2", App: "rkv",
-		Seed: -7, F: 2, Fm: 1, MemNodes: 3, Clients: 4, Window: 64, Tail: 16, Batch: 8,
+		Seed: -7, F: 2, Fm: 1, MemNodes: 3, Clients: 4, Window: 64, Tail: 16,
 		ColdJoin: true, JoinNonce: 1 << 40, CPUProfile: ""}
 	for _, c := range []NodeConfig{{}, fleetCfg, full} {
 		var got NodeConfig
