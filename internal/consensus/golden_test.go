@@ -1,0 +1,235 @@
+package consensus_test
+
+// Refactor safety net for the replica's bookkeeping: per-seed digests of
+// everything a run can observe from outside (which client operation
+// completed when, final application snapshots, how far every replica
+// decided, executed and checkpointed, in which view, by which path), for
+// the four paths the fault-free goldens of internal/cluster, internal/shard
+// and bench/ never enter: the signed slow path under pipelining, the
+// per-slot fallback after a follower crash, a view change with promises
+// outstanding, and EchoTimeout proposals under pre-GST loss. Captured at the
+// commit BEFORE the per-slot, per-request and per-client maps of Replica
+// were folded into three records; a vote, a retention horizon, a timer or a
+// message emitted in another order moves these values.
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"repro/internal/app"
+	"repro/internal/cluster"
+	"repro/internal/ctbcast"
+	"repro/internal/sim"
+	"repro/internal/simnet"
+)
+
+// goldenLoad is a closed-loop driver over every client of u at a fixed
+// depth, recording each completion (client, per-client ordinal, latency) in
+// completion order.
+type goldenLoad struct {
+	u      *cluster.UBFT
+	issued []int
+	acked  int
+	limit  int // stop issuing once this many were issued per client (0: never)
+	trace  []byte
+}
+
+func (g *goldenLoad) issue(ci int) {
+	if g.limit > 0 && g.issued[ci] >= g.limit {
+		return
+	}
+	g.issued[ci]++
+	n := g.issued[ci]
+	key := []byte(fmt.Sprintf("c%d-%d", ci, n%5))
+	g.u.Clients[ci].Invoke(app.EncodeRIncr(key), func(res []byte, lat sim.Duration) {
+		g.acked++
+		g.trace = binary.LittleEndian.AppendUint64(g.trace, uint64(ci)<<32|uint64(n))
+		g.trace = binary.LittleEndian.AppendUint64(g.trace, uint64(lat))
+		g.trace = append(g.trace, res...)
+		g.issue(ci)
+	})
+}
+
+func startGoldenLoad(u *cluster.UBFT, depth, limit int) *goldenLoad {
+	g := &goldenLoad{u: u, issued: make([]int, len(u.Clients)), limit: limit}
+	for ci := range u.Clients {
+		for i := 0; i < depth; i++ {
+			g.issue(ci)
+		}
+	}
+	return g
+}
+
+// digest folds the completion trace and every replica's externally visible
+// end state (a crashed replica's is frozen at the crash) into one hex string.
+func (g *goldenLoad) digest() string {
+	buf := append([]byte(nil), g.trace...)
+	for i, r := range g.u.Replicas {
+		snap := g.u.Apps[i].Snapshot()
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(snap)))
+		buf = append(buf, snap...)
+		for _, v := range []uint64{
+			uint64(r.DecidedCount()), uint64(r.View()), r.FastDecides, r.SlowDecides,
+			r.LateProposals(), r.ViewChanges, r.Executed, uint64(r.LastApplied()),
+			uint64(r.Checkpoint().Seq),
+		} {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
+}
+
+// goldenSeeds runs one scenario per seed and compares against the captured
+// digests; shape receives the finished run to assert the scenario actually
+// entered the path it exists for.
+func goldenSeeds(t *testing.T, want [3]string, run func(seed int64) *goldenLoad, shape func(t *testing.T, g *goldenLoad)) {
+	for i, w := range want {
+		seed := int64(i + 1)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			g := run(seed)
+			defer g.u.Stop()
+			shape(t, g)
+			for i, r := range g.u.Replicas {
+				t.Logf("replica %d: decided=%d view=%d fast=%d slow=%d late=%d vc=%d exec=%d applied=%d cp=%d", i, r.DecidedCount(), r.View(), r.FastDecides, r.SlowDecides, r.LateProposals(), r.ViewChanges, r.Executed, r.LastApplied(), r.Checkpoint().Seq)
+			}
+			if got := g.digest(); got != w {
+				t.Errorf("digest = %s, want %s (captured at the parent commit); acked %d of %v issued", got, w, g.acked, g.issued)
+			}
+		})
+	}
+}
+
+func newRKV() app.StateMachine { return app.NewRKV() }
+
+// TestGoldenSlowPathDepth4: every slot runs PREPARE / CERTIFY / COMMIT with
+// four requests of each of two clients in flight, across 15 checkpoint
+// windows — the certificate shares, the verified-share cache and the
+// per-view sent bits carry every decision.
+func TestGoldenSlowPathDepth4(t *testing.T) {
+	goldenSeeds(t, [3]string{"be166fc071ecbfbd", "751baad8a24900c0", "3ab2cae4125ee99a"},
+		func(seed int64) *goldenLoad {
+			u := cluster.NewUBFT(cluster.Options{
+				Seed: seed, NumClients: 2, Window: 8, Tail: 8, NewApp: newRKV,
+				DisableFastPath: true, CTBMode: ctbcast.SlowOnly,
+			})
+			g := startGoldenLoad(u, 4, 60)
+			u.Eng.RunFor(60 * sim.Millisecond)
+			return g
+		},
+		func(t *testing.T, g *goldenLoad) {
+			if g.acked != 120 {
+				t.Fatalf("acknowledged %d of 120", g.acked)
+			}
+			for i, r := range g.u.Replicas {
+				if r.FastDecides != 0 || r.SlowDecides < 100 || r.Checkpoint().Seq < 24 {
+					t.Errorf("replica %d: fast=%d slow=%d checkpoint=%d", i, r.FastDecides, r.SlowDecides, r.Checkpoint().Seq)
+				}
+			}
+		})
+}
+
+// TestGoldenFollowerCrashFallback: the fast path decides until a follower
+// crashes mid-run; from then on every slot collects its WILL_CERTIFYs short
+// of unanimity, falls back on its timer and decides by CERTIFY / COMMIT.
+func TestGoldenFollowerCrashFallback(t *testing.T) {
+	goldenSeeds(t, [3]string{"3f18dd0d7c54a428", "ee736c1b89640e8a", "e9a79039a7e431d0"},
+		func(seed int64) *goldenLoad {
+			u := cluster.NewUBFT(cluster.Options{
+				Seed: seed, NumClients: 2, Window: 8, Tail: 8, NewApp: newRKV,
+				SlowPathDelay: 30 * sim.Microsecond, CTBSlowDelay: 30 * sim.Microsecond,
+			})
+			g := startGoldenLoad(u, 2, 60)
+			u.Eng.RunFor(300 * sim.Microsecond)
+			u.Net.Node(u.ReplicaIDs[2]).Proc().Crash()
+			u.Eng.RunFor(80 * sim.Millisecond)
+			return g
+		},
+		func(t *testing.T, g *goldenLoad) {
+			if g.acked != 120 {
+				t.Fatalf("acknowledged %d of 120", g.acked)
+			}
+			for _, i := range []int{0, 1} {
+				if r := g.u.Replicas[i]; r.FastDecides == 0 || r.SlowDecides == 0 || r.Checkpoint().Seq < 24 {
+					t.Errorf("replica %d: fast=%d slow=%d checkpoint=%d", i, r.FastDecides, r.SlowDecides, r.Checkpoint().Seq)
+				}
+			}
+		})
+}
+
+// TestGoldenLeaderKillDepth4: the leader is killed under 2 clients x depth
+// 4 with the suspicion timer on — the survivors seal with WILL_COMMIT
+// promises outstanding, the new leader's NEW_VIEW re-proposes the open slots
+// and every undecided request is re-routed. Two survivors under load spend
+// most of their time in view changes (ROADMAP, view-change residual 3), so
+// the run is a fixed virtual interval and whatever completed is digested.
+func TestGoldenLeaderKillDepth4(t *testing.T) {
+	goldenSeeds(t, [3]string{"7de8bb30e4d1d524", "24d8e3350301ef12", "dbcea9fb4a9e9668"},
+		func(seed int64) *goldenLoad {
+			u := cluster.NewUBFT(cluster.Options{
+				Seed: seed, NumClients: 2, NewApp: newRKV,
+				ViewChangeTimeout: 3 * sim.Millisecond,
+				SlowPathDelay:     300 * sim.Microsecond, CTBSlowDelay: 300 * sim.Microsecond,
+			})
+			g := startGoldenLoad(u, 4, 0)
+			u.Eng.RunFor(2 * sim.Millisecond)
+			if err := u.KillReplica(0); err != nil {
+				panic(err)
+			}
+			u.Eng.RunFor(60 * sim.Millisecond)
+			g.limit = 1 // no new requests: what is in flight drains
+			u.Eng.RunFor(60 * sim.Millisecond)
+			return g
+		},
+		func(t *testing.T, g *goldenLoad) {
+			for _, i := range []int{1, 2} {
+				if r := g.u.Replicas[i]; r.View() == 0 || r.ViewChanges == 0 || r.FastDecides == 0 {
+					t.Errorf("replica %d: view=%d changes=%d fast=%d", i, r.View(), r.ViewChanges, r.FastDecides)
+				}
+			}
+		})
+}
+
+// TestGoldenPreGSTEchoTimeout: before GST half of all messages are lost and
+// the rest delayed by milliseconds, so echo rounds complete by EchoTimeout,
+// proposals go out below their client's highest proposed number, echo sets
+// wait out their grace window and views change; after GST the backlog
+// drains across more than three checkpoint windows.
+func TestGoldenPreGSTEchoTimeout(t *testing.T) {
+	late := uint64(0)
+	goldenSeeds(t, [3]string{"3842ad5de49ffff2", "faa7dbe9f00f6fe7", "fa97feeaca3a74e6"},
+		func(seed int64) *goldenLoad {
+			netOpts := simnet.RDMAOptions()
+			netOpts.GST = sim.Time(20 * sim.Millisecond)
+			netOpts.AsyncExtraMax = 2 * sim.Millisecond
+			netOpts.AsyncDropProb = 0.5
+			u := cluster.NewUBFT(cluster.Options{
+				Seed: seed, NumClients: 2, Window: 8, Tail: 8, NewApp: newRKV,
+				NetOptions:        &netOpts,
+				ViewChangeTimeout: 3 * sim.Millisecond,
+				SlowPathDelay:     500 * sim.Microsecond, CTBSlowDelay: 500 * sim.Microsecond,
+			})
+			g := startGoldenLoad(u, 4, 40)
+			u.Eng.RunUntil(sim.Time(40 * sim.Millisecond))
+			u.Eng.RunFor(200 * sim.Millisecond)
+			return g
+		},
+		func(t *testing.T, g *goldenLoad) {
+			maxCP := uint64(0)
+			for _, r := range g.u.Replicas {
+				late += r.LateProposals()
+				if cp := uint64(r.Checkpoint().Seq); cp > maxCP {
+					maxCP = cp
+				}
+			}
+			if maxCP < 24 {
+				t.Errorf("highest stable checkpoint %d: fewer than three windows crossed", maxCP)
+			}
+		})
+	if late == 0 {
+		t.Error("no seed produced a late (EchoTimeout, out-of-order) proposal")
+	}
+}
