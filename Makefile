@@ -43,12 +43,14 @@ loc:
 race:
 	$(GO) test -race ./...
 
-# The bounded-memory regression gate: leader map cardinality must stay flat
-# across checkpoint intervals (uBFT's finite-memory claim), the per-client
-# exactly-once state must age out churned clients, and the MVCC version
-# chains must stay flat as the GC horizon ratchets with checkpoints.
+# The bounded-memory regression gate: the replica's table cardinalities
+# (Footprint) must stay flat across checkpoint intervals (uBFT's
+# finite-memory claim), the per-client records must age out churned clients,
+# the MVCC version chains must stay flat as the GC horizon ratchets with
+# checkpoints, and every map or slice field of Replica and of its records
+# must name its retention rule (a reflection test).
 bounded-mem:
-	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded' ./internal/consensus/
+	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestEveryTableHasARetentionRule' ./internal/consensus/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one

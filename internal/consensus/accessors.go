@@ -11,33 +11,25 @@ import (
 // Checkpoint returns the replica's current stable checkpoint.
 func (r *Replica) Checkpoint() Checkpoint { return r.chkpt }
 
-// SlotStateCount returns how many per-slot state entries are retained
-// (bounded by the window — the finite-memory claim).
-func (r *Replica) SlotStateCount() int { return len(r.slots) }
+// Footprint is the cardinality of every table a stable checkpoint prunes —
+// what the finite-memory claim bounds by the window. The bounded-memory
+// tests read it.
+type Footprint struct {
+	Slots       int // per-slot records
+	Requests    int // per-request records: client copies, echo sets, dedup stubs
+	Clients     int // per-client records
+	Checkpoints int // per-checkpoint records: a constant few, whatever the window
+	Deferred    int // wait-queue responses still owed
+	Queued      int // requests waiting in the leader's proposal queue
+}
 
-// PendingProposals returns the leader's queued, not-yet-proposed requests.
-func (r *Replica) PendingProposals() int { return len(r.proposeQ) }
-
-// ProposedCount returns the size of the leader's proposed-digest dedup map
-// (pruned at stable checkpoints; bounded-memory regression tests watch it).
-func (r *Replica) ProposedCount() int { return len(r.proposed) }
-
-// SeenReqCount returns the size of the per-client highest-proposed map
-// (pruned at stable checkpoints).
-func (r *Replica) SeenReqCount() int { return len(r.seenReq) }
-
-// ReqStoreCount returns how many direct client request copies are retained.
-func (r *Replica) ReqStoreCount() int { return len(r.reqStore) }
-
-// ExecStateCount returns the size of the per-client exactly-once map
-// (aged at stable checkpoints; the client-churn regression tests watch it).
-func (r *Replica) ExecStateCount() int { return len(r.exec) }
-
-// DeferredCount returns how many wait-queue responses are still owed.
-func (r *Replica) DeferredCount() int { return len(r.deferredResp) }
-
-// EchoStateCount returns how many request digests have live echo tracking.
-func (r *Replica) EchoStateCount() int { return len(r.echoes) }
+// Footprint counts the replica's prunable state.
+func (r *Replica) Footprint() Footprint {
+	return Footprint{
+		Slots: len(r.slots), Requests: len(r.requests), Clients: len(r.clients),
+		Checkpoints: len(r.cps), Deferred: len(r.deferredResp), Queued: len(r.proposeQ),
+	}
+}
 
 // Progress summarizes the replica's pipeline position for stall
 // diagnostics: the next slot this replica would propose into, the highest
@@ -54,7 +46,10 @@ func (r *Replica) Progress() (nextSlot, lastExec, chkptSeq Slot, waiting int) {
 
 // StallReport renders the pipeline state of every slot between the last
 // applied one and the proposal frontier — which slots are decided, which
-// have vote masks pending, which wait for a client request copy — for the
+// have votes pending (the sets of the slot's vote view as n-bit masks,
+// replica 0 rightmost), what this replica sent per view (WILL_CERTIFY,
+// WILL_COMMIT, CERTIFY, COMMIT, rightmost first; views after the first as a
+// map of bit values), which wait for a client request copy — for the
 // wall-clock harness's wedge diagnostics.
 func (r *Replica) StallReport() string {
 	var b strings.Builder
@@ -62,12 +57,13 @@ func (r *Replica) StallReport() string {
 	if hi > r.lastApplied+8 {
 		hi = r.lastApplied + 8
 	}
+	n := r.cfg.n()
 	for s := r.lastApplied; s <= hi; s++ {
-		_, dec := r.decided[s]
-		fmt.Fprintf(&b, "[s%d dec=%v", s, dec)
-		if ss := r.slots[s]; ss != nil {
-			fmt.Fprintf(&b, " certify=%v commit=%v sent=%v wait=%v fb=%v",
-				ss.willCertify, ss.willCommit, ss.sentFlags,
+		ss := r.slots[s]
+		fmt.Fprintf(&b, "[s%d dec=%v", s, ss != nil && ss.decided)
+		if ss != nil {
+			fmt.Fprintf(&b, " v%d certify=%0*b commit=%0*b sent=v%d:%04b%v wait=%v fb=%v",
+				ss.voteView, n, ss.willCertify, n, ss.willCommit, ss.sentView, ss.sentBits, ss.sentLater,
 				ss.waitingReq != nil, ss.fallback.Pending())
 		}
 		b.WriteString("] ")
@@ -116,7 +112,3 @@ func (r *Replica) LocalBytes() int {
 // already-proposed number — the EchoTimeout path completing after its
 // successors (diagnostics for pipelined clients; see enqueueProposal).
 func (r *Replica) LateProposals() uint64 { return r.lateProposals }
-
-// DroppedExecOld counts direct client requests discarded by the
-// exactly-once execution dedup without a cached-result resend.
-func (r *Replica) DroppedExecOld() uint64 { return r.droppedExecOld }

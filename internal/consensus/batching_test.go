@@ -249,7 +249,7 @@ func TestExactlyOnceAcrossViewChangeAtDepth4(t *testing.T) {
 					if got := incrReply(res); got != acked[ci] {
 						t.Errorf("client %d: INCR reply %d is %d", ci, acked[ci], got)
 					}
-					if ackedAtKill < 0 && acked[0]+acked[1] >= killAfter && u.Replicas[0].PendingProposals() > 0 {
+					if ackedAtKill < 0 && acked[0]+acked[1] >= killAfter && u.Replicas[0].Footprint().Queued > 0 {
 						ackedAtKill = acked[0] + acked[1]
 						if err := u.KillReplica(0); err != nil {
 							t.Fatal(err)

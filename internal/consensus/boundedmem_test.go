@@ -9,9 +9,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Bounded leader memory is uBFT's headline claim: every per-request map
-// must be pruned back at stable checkpoints. Before the fix, proposed and
-// seenReq grew by one entry per unique request forever.
+// Bounded leader memory is uBFT's headline claim: every per-request and
+// per-client record must be pruned back at stable checkpoints. Before the
+// fix, the proposal dedup stubs grew by one entry per unique request forever.
 
 // TestLeaderMemoryBounded drives traffic across >= 4 checkpoint intervals
 // and asserts the leader's request-tracking maps stay bounded by the
@@ -49,17 +49,22 @@ func TestLeaderMemoryBounded(t *testing.T) {
 		if r.Checkpoint().Seq < (intervals-1)*window {
 			t.Fatalf("replica %d checkpoint seq = %d: window never advanced", i, r.Checkpoint().Seq)
 		}
-		if got := r.ProposedCount(); got > bound {
-			t.Errorf("replica %d: proposed map holds %d entries after %d requests (bound %d)", i, got, total, bound)
+		// Requests covers the client copies, the echo sets and the
+		// proposal dedup stubs: one record holds all three.
+		fp := r.Footprint()
+		if fp.Requests > bound {
+			t.Errorf("replica %d: request table holds %d records after %d requests (bound %d): %+v", i, fp.Requests, total, bound, fp)
 		}
-		if got := r.SeenReqCount(); got > bound {
-			t.Errorf("replica %d: seenReq map holds %d entries (bound %d)", i, got, bound)
+		if fp.Clients > bound {
+			t.Errorf("replica %d: client table holds %d records (bound %d)", i, fp.Clients, bound)
 		}
-		if got := r.ReqStoreCount(); got > bound {
-			t.Errorf("replica %d: reqStore holds %d entries (bound %d)", i, got, bound)
+		if fp.Slots > bound {
+			t.Errorf("replica %d: slot table holds %d records (bound %d)", i, fp.Slots, bound)
 		}
-		if got := r.EchoStateCount(); got > bound {
-			t.Errorf("replica %d: echo state holds %d entries (bound %d)", i, got, bound)
+		// The stable checkpoint, the two below it (verified-certificate
+		// cache) and the one being certified.
+		if fp.Checkpoints > 4 {
+			t.Errorf("replica %d: %d checkpoint records after %d checkpoints", i, fp.Checkpoints, intervals)
 		}
 		// The checkpoint prune must not break decided accounting: every
 		// request decided so far is still counted (satellite: DecidedCount
@@ -70,9 +75,8 @@ func TestLeaderMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestClientExecStateAged: the per-client exactly-once maps (execHighest +
-// lastResult, now one aged exec map) must not hold one entry per client
-// ever seen. Clients churn in waves — each wave stops sending and a new
+// TestClientExecStateAged: the per-client table (exactly-once record plus
+// highest proposed number) must not hold one entry per client ever seen. Clients churn in waves — each wave stops sending and a new
 // one starts — and after several checkpoint intervals the maps must only
 // retain recently active clients, while still serving every live request
 // exactly once.
@@ -112,11 +116,12 @@ func TestClientExecStateAged(t *testing.T) {
 	total := waves * perWav
 	bound := 2 * perWav
 	for i, r := range u.Replicas {
-		if got := r.ExecStateCount(); got > bound {
-			t.Errorf("replica %d: exec state holds %d clients after churn of %d (bound %d)", i, got, total, bound)
+		fp := r.Footprint()
+		if fp.Clients > bound {
+			t.Errorf("replica %d: client table holds %d clients after churn of %d (bound %d)", i, fp.Clients, total, bound)
 		}
-		if got := r.DeferredCount(); got != 0 {
-			t.Errorf("replica %d: %d deferred responses with no wait-queue traffic", i, got)
+		if fp.Deferred != 0 {
+			t.Errorf("replica %d: %d deferred responses with no wait-queue traffic", i, fp.Deferred)
 		}
 	}
 }
@@ -197,8 +202,8 @@ func TestLeaderMapsFlatAcrossIntervals(t *testing.T) {
 			}
 		}
 		u.Eng.RunFor(5 * sim.Millisecond)
-		leader := u.Replicas[0]
-		sizeAfter = append(sizeAfter, leader.ProposedCount()+leader.SeenReqCount()+leader.ReqStoreCount())
+		fp := u.Replicas[0].Footprint()
+		sizeAfter = append(sizeAfter, fp.Requests+fp.Clients)
 	}
 	for k := 1; k < len(sizeAfter); k++ {
 		if sizeAfter[k] > sizeAfter[0]+window {

@@ -296,7 +296,7 @@ func TestClientImpersonationRejected(t *testing.T) {
 	w.U8(tagRequest)
 	req.encode(w)
 	r.onRPC(ids.ID(1), w.Finish())
-	if len(r.reqStore) != 0 {
+	if len(r.requests) != 0 {
 		t.Fatal("impersonated request stored")
 	}
 }
@@ -343,7 +343,8 @@ func TestBatchWithUnknownSubRequestNotEndorsed(t *testing.T) {
 	r := rig.reps[1]
 	known := Request{Client: 200, Num: 1, Payload: []byte("sent")}
 	forged := Request{Client: 200, Num: 2, Payload: []byte("never sent")}
-	r.reqStore[known.Digest()] = known
+	held := r.requests.at(known.Digest())
+	held.req, held.held = known, true
 	r.onPrepare(ids.ID(0), Prepare{View: 0, Slot: 0, Req: EncodeBatch([]Request{known, forged})})
 	ss := r.slots[0]
 	if ss == nil || ss.waitingReq == nil || ss.sent(0, sentWillCertify) {

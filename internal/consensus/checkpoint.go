@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"repro/internal/app"
 	"repro/internal/ids"
 	"repro/internal/latmodel"
 	"repro/internal/router"
@@ -23,7 +22,7 @@ import (
 // the current window are applied, certify the next checkpoint.
 func (r *Replica) maybeCreateCheckpoint() {
 	nextSeq := r.chkpt.Seq + Slot(r.cfg.Window)
-	if r.lastApplied < nextSeq || r.cpMine[nextSeq] {
+	if c := r.cps[nextSeq]; r.lastApplied < nextSeq || (c != nil && c.mine) {
 		return
 	}
 	if r.appVer != nil {
@@ -41,9 +40,9 @@ func (r *Replica) maybeCreateCheckpoint() {
 	snap := r.cfg.App.Snapshot()
 	r.proc.Charge(latmodel.DigestCost(len(snap)))
 	dg := xcrypto.DigestNoCharge(snap)
-	r.snapshots[nextSeq] = snap
-	r.cpDigest[nextSeq] = dg
-	r.cpMine[nextSeq] = true
+	c := r.cps.at(nextSeq)
+	c.keepSnapshot(snap)
+	c.digest, c.mine = dg, true
 	if r.observing() {
 		// The snapshot and digest are recorded (they serve state transfers
 		// and cross-check incoming certificates), but an observing joiner
@@ -84,18 +83,18 @@ func (r *Replica) acceptCertifyCheckpoint(p ids.ID, seq Slot, dg [xcrypto.Digest
 	if seq <= r.chkpt.Seq {
 		return
 	}
-	if want, ok := r.cpDigest[seq]; ok && want != dg {
+	c := r.cps.at(seq)
+	if c.mine && c.digest != dg {
 		return // conflicting digest: some replica diverged; ignore its share
 	}
-	if r.cpSigs[seq] == nil {
-		r.cpSigs[seq] = make(map[ids.ID]xcrypto.Signature)
+	if c.sigs == nil {
+		c.sigs = make(map[ids.ID]xcrypto.Signature)
 	}
-	r.cpSigs[seq][p] = sig
-	if len(r.cpSigs[seq]) < r.cfg.F+1 {
+	c.sigs[p] = sig
+	if len(c.sigs) < r.cfg.F+1 {
 		return
 	}
-	cp := Checkpoint{Seq: seq, StateDigest: dg, Sigs: r.cpSigs[seq]}
-	r.maybeCheckpoint(cp)
+	r.maybeCheckpoint(Checkpoint{Seq: seq, StateDigest: dg, Sigs: c.sigs})
 }
 
 // verifyCheckpointCert checks a checkpoint's f+1 signatures. Results are
@@ -106,7 +105,7 @@ func (r *Replica) verifyCheckpointCert(cp *Checkpoint) bool {
 	if cp.Seq == 0 {
 		return true // genesis checkpoint needs no certificate
 	}
-	if dg, ok := r.cpVerified[cp.Seq]; ok && dg == cp.StateDigest {
+	if c := r.cps[cp.Seq]; c != nil && c.verified && c.verifiedDg == cp.StateDigest {
 		return true
 	}
 	valid := 0
@@ -119,7 +118,8 @@ func (r *Replica) verifyCheckpointCert(cp *Checkpoint) bool {
 		}
 	}
 	if valid >= r.cfg.F+1 {
-		r.cpVerified[cp.Seq] = cp.StateDigest
+		c := r.cps.at(cp.Seq)
+		c.verified, c.verifiedDg = true, cp.StateDigest
 		return true
 	}
 	return false
@@ -186,8 +186,8 @@ func (r *Replica) bringUpToSpeed(cp *Checkpoint) {
 	if r.lastApplied >= cp.Seq {
 		return
 	}
-	if snap, ok := r.snapshots[cp.Seq]; ok {
-		r.adoptSnapshot(cp.Seq, snap)
+	if c := r.cps[cp.Seq]; c != nil && c.hasSnapshot {
+		r.adoptSnapshot(cp.Seq, c.snapshot)
 		return
 	}
 	// State transfer: ask a signer of the certificate for the snapshot —
@@ -211,153 +211,9 @@ func (r *Replica) adoptSnapshot(seq Slot, snap []byte) {
 	r.proc.Charge(latmodel.CopyCost(len(snap)))
 	r.cfg.App.Restore(snap)
 	r.lastApplied = seq
-	r.snapshots[seq] = snap
+	r.cps.at(seq).keepSnapshot(snap)
 	r.executeReady()
 	r.maybeResumeFromJoin()
-}
-
-// pruneBelow discards all per-slot state covered by a stable checkpoint:
-// this is the memory bound of the protocol (finite window x finite state).
-// Besides the per-slot maps it prunes the leader-side proposal bookkeeping
-// (proposed, seenReq, echo state, executed reqStore entries), whose entries
-// would otherwise accumulate one per unique request forever — exactly the
-// unbounded growth the paper's finite-memory design rules out.
-func (r *Replica) pruneBelow(seq Slot) {
-	if seq > r.decidedFloor {
-		r.decidedFloor = seq
-	}
-	for s := range r.slots {
-		if s < seq {
-			r.slots[s].fallback.Cancel()
-			delete(r.slots, s)
-		}
-	}
-	for s := range r.decided {
-		if s < seq && s < r.lastApplied {
-			delete(r.decided, s)
-		}
-	}
-	for k := range r.promised {
-		if k.s < seq {
-			delete(r.promised, k)
-		}
-	}
-	for s := range r.cpSigs {
-		if s <= seq {
-			delete(r.cpSigs, s)
-		}
-	}
-	for s := range r.knownCertSigs {
-		if s < seq {
-			delete(r.knownCertSigs, s)
-		}
-	}
-	for s := range r.cpVerified {
-		if s+Slot(2*r.cfg.Window) < seq {
-			delete(r.cpVerified, s)
-		}
-	}
-	for s := range r.cpDigest {
-		if s < seq {
-			delete(r.cpDigest, s)
-			delete(r.cpMine, s)
-		}
-	}
-	for s := range r.snapshots {
-		if s+Slot(r.cfg.Window) < seq {
-			delete(r.snapshots, s)
-		}
-	}
-	// Leader proposal bookkeeping: a digest proposed below the checkpoint can
-	// never be proposed again (its slot is settled), so its dedup entry is
-	// dead weight. Ditto seenReq entries whose latest proposal is below the
-	// floor — a late duplicate would be re-proposed, but exactly-once
-	// execution (execHighest) still suppresses the double apply.
-	for dg, s := range r.proposed {
-		if s < seq {
-			delete(r.proposed, dg)
-		}
-	}
-	for c, seen := range r.seenReq {
-		if seen.slot < seq {
-			delete(r.seenReq, c)
-		}
-	}
-	// Per-client exactly-once state ages out once the client has been idle
-	// for a full window beyond the stable checkpoint: with client churn in
-	// the millions the map would otherwise hold one entry per client ever
-	// seen. The one-window grace keeps dedup authoritative across every
-	// in-window re-proposal (view changes, retransmissions); only a
-	// duplicate delayed past two whole checkpoint intervals could slip
-	// through, far beyond any retransmission horizon here. Deferred
-	// response targets whose request is STILL PARKED are exempt from the
-	// horizon regardless of age — the parked client was never answered, so
-	// it is exactly the one guaranteed to retransmit, and dropping its
-	// entry would re-execute a non-idempotent request at release. Stale
-	// targets (ticket no longer parked: superseded by a state transfer
-	// that replaced the app's queue) age out normally, and so do their
-	// pending exec entries; live deferred targets keep their exec entries
-	// alive too.
-	deferring, _ := r.cfg.App.(app.Deferring)
-	for tk, tgt := range r.deferredResp {
-		if tgt.slot+Slot(r.cfg.Window) < seq && (deferring == nil || !deferring.Parked(tk)) {
-			delete(r.deferredResp, tk)
-		}
-	}
-	// A pipelined client may have several requests parked at once; the
-	// pending exec entry tracks its HIGHEST num, so keep the max live
-	// deferred num per client (older parked requests answer through their
-	// own deferredResp entry regardless of the exec cache).
-	liveDeferred := make(map[ids.ID]uint64, len(r.deferredResp))
-	for _, tgt := range r.deferredResp {
-		if n, ok := liveDeferred[tgt.client]; !ok || tgt.num > n {
-			liveDeferred[tgt.client] = tgt.num
-		}
-	}
-	for c, e := range r.exec {
-		if e.slot+Slot(r.cfg.Window) < seq {
-			if n, ok := liveDeferred[c]; ok && e.pending && e.num == n {
-				continue
-			}
-			delete(r.exec, c)
-		}
-	}
-	// Request copies whose execution is settled are no longer needed for
-	// endorsement or re-proposal.
-	for dg, req := range r.reqStore {
-		if !req.IsNoOp() && r.executed(req.Client, req.Num) {
-			delete(r.reqStore, dg)
-		}
-	}
-	// Echo state: tracking for digests that were proposed is settled
-	// (finishEcho normally clears it; this catches view-change leftovers).
-	// A set with no backing client copy is either a Byzantine client
-	// echo-spraying digests it never sends — which must not grow leader
-	// memory — or a real request whose echoes outran its direct copy. The
-	// two are indistinguishable now, so give unbacked sets one full
-	// checkpoint window of grace before pruning: a real copy arrives well
-	// within it (keeping the request off the slow EchoTimeout path, which
-	// proposes out of client order), while garbage still dies at the next
-	// stable checkpoint. Backed, unproposed sets are live: their request
-	// is completing or waiting on its armed EchoTimeout.
-	for dg := range r.echoes {
-		if _, wasProposed := r.proposed[dg]; !wasProposed {
-			if _, held := r.reqStore[dg]; held {
-				continue
-			}
-			if !r.echoGrace[dg] {
-				r.echoGrace[dg] = true
-				continue
-			}
-		}
-		delete(r.echoes, dg)
-		delete(r.echoGrace, dg)
-		if t, ok := r.echoTimers[dg]; ok {
-			t.Cancel()
-			delete(r.echoTimers, dg)
-		}
-	}
-	r.maybeSeal()
 }
 
 // onStateTransfer serves and consumes snapshot transfers.
@@ -368,14 +224,14 @@ func (r *Replica) onStateTransfer(from ids.ID, tag uint8, rd *wire.Reader) {
 		if rd.Done() != nil {
 			return
 		}
-		snap, ok := r.snapshots[seq]
-		if !ok {
+		c := r.cps[seq]
+		if c == nil || !c.hasSnapshot {
 			return
 		}
-		w := wire.NewWriter(32 + len(snap))
+		w := wire.NewWriter(32 + len(c.snapshot))
 		w.U8(tagStateResp)
 		w.U64(uint64(seq))
-		w.Bytes(snap)
+		w.Bytes(c.snapshot)
 		r.rt.Send(from, router.ChanDirect, w.Finish())
 	case tagStateResp:
 		seq := Slot(rd.U64())

@@ -137,7 +137,7 @@ func TestCheckpointAdvancesWindow(t *testing.T) {
 		if r.Checkpoint().Seq < 24 {
 			t.Errorf("replica %d checkpoint seq = %d, want >= 24", i, r.Checkpoint().Seq)
 		}
-		if got := r.SlotStateCount(); got > 16 {
+		if got := r.Footprint().Slots; got > 16 {
 			t.Errorf("replica %d retains %d slot states (window not pruned)", i, got)
 		}
 	}

@@ -71,7 +71,9 @@ func TestUnbackedEchoSetSurvivesOneCheckpoint(t *testing.T) {
 	u.Net.Partition(u.ClientIDs[0], leader)
 	u.Clients[0].Invoke([]byte("lost"), func([]byte, sim.Duration) {})
 	u.Eng.RunFor(sim.Millisecond)
-	if got := u.Replicas[0].EchoStateCount(); got != 1 {
+	// The echo set is the only thing the leader holds about any request:
+	// everything client 1 sends below is proposed, executed and pruned.
+	if got := u.Replicas[0].Footprint().Requests; got != 1 {
 		t.Fatalf("leader tracks %d echo sets before any checkpoint, want 1", got)
 	}
 
@@ -89,11 +91,11 @@ func TestUnbackedEchoSetSurvivesOneCheckpoint(t *testing.T) {
 	if cp := u.Replicas[0].Checkpoint().Seq; cp < 16 {
 		t.Fatalf("checkpoint did not advance (seq %d)", cp)
 	}
-	if got := u.Replicas[0].EchoStateCount(); got != 1 {
+	if got := u.Replicas[0].Footprint().Requests; got != 1 {
 		t.Fatalf("unbacked echo set pruned at its first checkpoint (got %d sets)", got)
 	}
 	drive(16) // second stable checkpoint: grace expired, set is garbage
-	if got := u.Replicas[0].EchoStateCount(); got != 0 {
+	if got := u.Replicas[0].Footprint().Requests; got != 0 {
 		t.Fatalf("unbacked echo set leaked past its grace window (got %d sets)", got)
 	}
 }

@@ -9,6 +9,7 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/app"
 	"repro/internal/ctbcast"
@@ -73,9 +74,6 @@ type Config struct {
 	JoinNonce uint64
 
 	App app.StateMachine
-	// Responder delivers execution results toward the client (wired by
-	// the RPC server). May be nil.
-	Responder func(client ids.ID, reqNum uint64, slot Slot, result []byte)
 }
 
 func (c *Config) n() int { return len(c.Replicas) }
@@ -143,49 +141,6 @@ type replicaState struct {
 	nvSkip  bool
 }
 
-// voteKey identifies fast-path vote sets.
-type voteKey struct {
-	v View
-	s Slot
-}
-
-// sent-flag bits, keyed by view to reset across view changes.
-const (
-	sentWillCertify uint8 = 1 << iota
-	sentWillCommit
-	sentCertify
-	sentCommit
-)
-
-// slotState tracks this replica's local progress on one slot. Vote sets are
-// bitmasks indexed by replica position (n = 2f+1 <= 64), and all maps are
-// allocated lazily, so a fast-path slot costs three small maps instead of
-// six maps of maps.
-type slotState struct {
-	willCertify map[voteKey]uint64 // bitmask of voters by replica index
-	willCommit  map[voteKey]uint64
-	// certSigs accumulates CERTIFY signatures per (view, request digest).
-	certSigs map[certKey]map[ids.ID]xcrypto.Signature
-	// sentFlags holds the four *Sent bits per view.
-	sentFlags  map[View]uint8
-	fallback   sim.Timer
-	waitingReq *Prepare // prepare delivered but client request not yet seen
-}
-
-func (ss *slotState) sent(v View, flag uint8) bool { return ss.sentFlags[v]&flag != 0 }
-
-func (ss *slotState) markSent(v View, flag uint8) {
-	if ss.sentFlags == nil {
-		ss.sentFlags = make(map[View]uint8, 1)
-	}
-	ss.sentFlags[v] |= flag
-}
-
-type certKey struct {
-	v  View
-	dg [xcrypto.DigestLen]byte
-}
-
 // Replica is one uBFT consensus participant.
 type Replica struct {
 	cfg    Config
@@ -204,42 +159,27 @@ type Replica struct {
 	chkpt    Checkpoint // this replica's current stable checkpoint
 
 	state map[ids.ID]*replicaState
-	slots map[Slot]*slotState
 
-	decided     map[Slot]Request
+	// What the replica remembers per slot, per request digest, per client
+	// and per checkpoint sequence number: record types, mutators and the
+	// prune rules are in tables.go.
+	slots    table[Slot, slotState]
+	requests table[[xcrypto.DigestLen]byte, reqState]
+	clients  table[ids.ID, clientState]
+	cps      table[Slot, cpState]
+
 	lastApplied Slot // next slot to apply
-	// decidedFloor is the highest stable-checkpoint sequence pruneBelow ran
-	// with: every slot below it was decided (locally or, after a state
-	// transfer, by the certified group) and may have been deleted from the
-	// decided map. DecidedCount uses it to stay accurate across pruning.
-	decidedFloor Slot
 
 	groups map[ids.ID]*ctbcast.Group
 	auxOut *tbcast.Broadcaster
 
-	// Checkpoint certification.
-	// knownCertSigs caches verified CERTIFY signatures (keyed by slot for
-	// checkpoint-time pruning) so COMMIT certificates built from shares
-	// we already saw cost no extra public-key operations.
-	knownCertSigs map[Slot]map[string]bool
+	// anyParked is false only if no slot holds a waitingReq: set when a
+	// PREPARE parks, cleared by the walk that finds none left
+	// (releaseParked).
+	anyParked bool
 
-	cpSigs     map[Slot]map[ids.ID]xcrypto.Signature
-	cpDigest   map[Slot][xcrypto.DigestLen]byte // our own computed digest per seq
-	cpMine     map[Slot]bool                    // we certified this seq ourselves
-	cpVerified map[Slot][xcrypto.DigestLen]byte // certificate-verification cache
-	// Snapshots retained for state transfer, keyed by checkpoint seq.
-	snapshots map[Slot][]byte
-
-	// RPC / proposal state.
-	reqStore   map[[xcrypto.DigestLen]byte]Request // requests received directly from clients
-	echoes     map[[xcrypto.DigestLen]byte]map[ids.ID]bool
-	echoTimers map[[xcrypto.DigestLen]byte]sim.Timer
-	// echoGrace marks echo sets that survived one stable checkpoint without
-	// a backing client copy: they get a one-window grace before pruning, so
-	// a request whose echoes outran its direct copy is not forced onto the
-	// EchoTimeout path (see pruneBelow). Entries die with their echo set.
-	echoGrace map[[xcrypto.DigestLen]byte]bool
-	proposeQ  []Request
+	// Proposal pipeline.
+	proposeQ []Request
 	// freshScratch is takeProposal's reusable staging slice; its contents
 	// are copied (by value) into the Prepare before the next call.
 	freshScratch []Request
@@ -260,27 +200,9 @@ type Replica struct {
 	// timeout is sized to one such slot, not two in a row: the leader then
 	// proposes without waiting, as the paper's prototype does.
 	fastPathLive bool
-	// proposed records the slot each request digest was proposed in, so
-	// stable checkpoints can prune entries below the window (bounded leader
-	// memory). Values are the slot of the containing Prepare.
-	proposed map[[xcrypto.DigestLen]byte]Slot
-	// seenReq holds the highest request number proposed per client together
-	// with the slot of that proposal; entries whose slot falls below a
-	// stable checkpoint are pruned (execution-level dedup via exec remains
-	// the exactly-once authority while the client is live).
-	seenReq map[ids.ID]clientSeen
-	// Exactly-once execution bookkeeping: per client, the highest executed
-	// request number, its cached result, and the slot it executed in.
-	// Entries age out at stable checkpoints once the client has been idle
-	// for a full window past the checkpoint (same pruning discipline as
-	// the proposal maps), so client churn cannot grow the map forever; the
-	// tradeoff is that a duplicate delayed past two whole checkpoint
-	// intervals would re-execute — orders of magnitude beyond any client
-	// retransmission horizon in this system.
-	exec map[ids.ID]execEntry
 	// deferredResp maps a wait-queue ticket (a request parked on a
 	// transaction lock by a Deferring application) to the client owed the
-	// response when the lock releases. Pruned on the same horizon as exec.
+	// response when the lock releases. Pruned with the client table.
 	deferredResp map[uint64]deferredTarget
 
 	// MVCC capability caches (nil when the application is unversioned) and
@@ -312,7 +234,6 @@ type Replica struct {
 	sealTarget    View // view being sealed into (0 = not sealing)
 	vcStreak      int  // consecutive view changes without progress (backoff)
 	pendingNV     map[View][]ReplicaCert
-	promised      map[voteKey]bool // WILL_COMMITs sent, pending COMMIT before seal
 	vcShares      map[View]map[ids.ID]map[ids.ID]vcShare
 	newViewSent   map[View]bool
 	progressTimer sim.Timer
@@ -340,85 +261,13 @@ type Replica struct {
 	DeferredCharged sim.Duration
 	// lateProposals counts requests proposed BELOW the client's highest
 	// already-proposed number (the EchoTimeout path completing after its
-	// successors); droppedExecOld counts direct requests discarded by the
-	// arrival-side execution dedup. Diagnostics; see accessors.
-	lateProposals  uint64
-	droppedExecOld uint64
+	// successors). Diagnostics; see accessors.
+	lateProposals uint64
 }
 
 type vcShare struct {
 	stateBytes []byte
 	sig        xcrypto.Signature
-}
-
-// clientSeen is one seenReq entry: the highest request number this replica
-// proposed for a client, and the slot that proposal went into (its prune
-// horizon).
-type clientSeen struct {
-	num  uint64
-	slot Slot
-}
-
-// execEntry is one client's exactly-once execution record: the highest
-// executed request number with its cached result, and which of the
-// execWindow numbers below it executed too. A high-water mark alone cannot
-// tell a pipelined request's late first execution (it lost its echo round
-// and was proposed after its successors) from its second one (a view change
-// re-routed it as fresh work and the old slot decided anyway): the first
-// must apply, the second must not.
-type execEntry struct {
-	num uint64
-	// below has bit i set when request num-1-i executed.
-	below uint64
-	res   []byte
-	slot  Slot // slot of the last executed request (aging horizon)
-	// pending marks a request parked in the application's wait queue: it
-	// is executed (dedup holds) but its result arrives at lock release.
-	pending bool
-	// parked marks a result that was produced at lock release (the request
-	// crossed a transaction); retransmissions must re-send the same marker
-	// so they land in the first execution's response class.
-	parked bool
-}
-
-// execWindow is how far below a client's highest executed request number
-// single executions are remembered. A request further behind than that is
-// taken as executed: far beyond any pipeline depth, it can only be a replay.
-const execWindow = 64
-
-// has reports whether request n of this client executed.
-func (e *execEntry) has(n uint64) bool {
-	switch {
-	case n >= e.num:
-		return n == e.num
-	case e.num-n > execWindow:
-		return true
-	}
-	return e.below>>(e.num-n-1)&1 != 0
-}
-
-// executedAt returns the record with request n, executed in slot s, marked.
-// A request above the high-water mark becomes the new one and takes the
-// result cache (res, pending); one below it only sets its bit.
-func (e execEntry) executedAt(n uint64, s Slot, res []byte, pending bool) execEntry {
-	if n < e.num {
-		if d := e.num - n; d <= execWindow {
-			e.below |= 1 << (d - 1)
-		}
-		return e
-	}
-	below := uint64(0)
-	if d := n - e.num; e.num > 0 && d <= execWindow {
-		below = e.below<<d | 1<<(d-1) // Go shifts past the width to zero
-	}
-	return execEntry{num: n, below: below, res: res, slot: s, pending: pending}
-}
-
-// deferredTarget is the response owed for one parked request.
-type deferredTarget struct {
-	client ids.ID
-	num    uint64
-	slot   Slot // slot the request parked in (aging horizon)
 }
 
 // Deps bundles the per-host infrastructure the replica plugs into.
@@ -476,24 +325,12 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		proc:          deps.RT.Node().Proc(),
 		signer:        deps.Registry.Signer(cfg.Self),
 		state:         make(map[ids.ID]*replicaState),
-		slots:         make(map[Slot]*slotState),
-		decided:       make(map[Slot]Request),
+		slots:         make(table[Slot, slotState]),
+		requests:      make(table[[xcrypto.DigestLen]byte, reqState]),
+		clients:       make(table[ids.ID, clientState]),
+		cps:           make(table[Slot, cpState]),
 		groups:        make(map[ids.ID]*ctbcast.Group),
-		knownCertSigs: make(map[Slot]map[string]bool),
-		cpSigs:        make(map[Slot]map[ids.ID]xcrypto.Signature),
-		cpDigest:      make(map[Slot][xcrypto.DigestLen]byte),
-		cpMine:        make(map[Slot]bool),
-		cpVerified:    make(map[Slot][xcrypto.DigestLen]byte),
-		snapshots:     make(map[Slot][]byte),
-		reqStore:      make(map[[xcrypto.DigestLen]byte]Request),
-		echoes:        make(map[[xcrypto.DigestLen]byte]map[ids.ID]bool),
-		echoTimers:    make(map[[xcrypto.DigestLen]byte]sim.Timer),
-		echoGrace:     make(map[[xcrypto.DigestLen]byte]bool),
-		proposed:      make(map[[xcrypto.DigestLen]byte]Slot),
-		seenReq:       make(map[ids.ID]clientSeen),
-		exec:          make(map[ids.ID]execEntry),
 		deferredResp:  make(map[uint64]deferredTarget),
-		promised:      make(map[voteKey]bool),
 		pendingNV:     make(map[View][]ReplicaCert),
 		vcShares:      make(map[View]map[ids.ID]map[ids.ID]vcShare),
 		newViewSent:   make(map[View]bool),
@@ -509,7 +346,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 	}
 	initialCP := Checkpoint{Seq: 0, StateDigest: xcrypto.DigestNoCharge(cfg.App.Snapshot())}
 	r.chkpt = initialCP
-	r.snapshots[0] = cfg.App.Snapshot()
+	r.cps.at(0).keepSnapshot(cfg.App.Snapshot())
 	for _, p := range cfg.Replicas {
 		r.state[p] = &replicaState{
 			prepares:   make(map[Slot]Prepare),
@@ -609,8 +446,8 @@ func (r *Replica) Stop() {
 	for _, s := range r.slots {
 		s.fallback.Cancel()
 	}
-	for _, t := range r.echoTimers {
-		t.Cancel()
+	for _, rs := range r.requests {
+		rs.echoTimer.Cancel()
 	}
 }
 
@@ -631,15 +468,14 @@ func (r *Replica) View() View { return r.view }
 func (r *Replica) IsLeader() bool { return r.cfg.leaderOf(r.view) == r.cfg.Self }
 
 // DecidedCount returns how many slots this replica knows to be decided:
-// the live entries of the decided map plus every slot below the stable-
-// checkpoint prune floor (an f+1-certified checkpoint at seq attests that
-// all slots below seq were decided and applied, even after pruneBelow has
-// deleted their entries — or, after a state transfer, when this replica
-// never held them at all).
+// the decided slot records plus every slot below the stable checkpoint (an
+// f+1-certified checkpoint at seq attests that all slots below seq were
+// decided and applied, even after pruneBelow has deleted their records —
+// or, after a state transfer, when this replica never held them at all).
 func (r *Replica) DecidedCount() int {
-	n := int(r.decidedFloor)
-	for s := range r.decided {
-		if s >= r.decidedFloor {
+	n := int(r.chkpt.Seq)
+	for s, ss := range r.slots {
+		if ss.decided && s >= r.chkpt.Seq {
 			n++
 		}
 	}
@@ -648,15 +484,6 @@ func (r *Replica) DecidedCount() int {
 
 // LastApplied returns the next slot to execute (all below are applied).
 func (r *Replica) LastApplied() Slot { return r.lastApplied }
-
-func (r *Replica) slot(s Slot) *slotState {
-	ss, ok := r.slots[s]
-	if !ok {
-		ss = &slotState{}
-		r.slots[s] = ss
-	}
-	return ss
-}
 
 func (r *Replica) inWindow(s Slot) bool {
 	return s >= r.chkpt.Seq && s < r.chkpt.Seq+Slot(r.cfg.Window)
@@ -673,24 +500,22 @@ func (r *Replica) inWindowOf(cp *Checkpoint, s Slot) bool {
 // enqueueProposal queues a request for proposal by this replica when it
 // leads, dropping duplicates.
 func (r *Replica) enqueueProposal(req Request) {
-	dg := req.Digest()
-	if _, done := r.proposed[dg]; done {
+	if rs := r.requests[req.Digest()]; rs != nil && rs.proposed {
 		return
 	}
-	if !req.IsNoOp() {
-		// A number at or below the client's highest proposed one is NOT
-		// grounds for rejection: per-link FIFO makes echo completion
-		// order-preserving, so the only way to get here out of order is a
-		// request that lost its echo set (checkpoint prune, dropped echo)
-		// and completed via EchoTimeout after its successors proposed. It
-		// is a fresh request — true retransmissions were already stopped
-		// by the exec table and reqStore dup check at arrival, and the
-		// digest dedup above catches in-window re-proposals — so dropping
-		// it here would wedge its client forever (clients do not
-		// retransmit). Propose it and count the inversion.
-		if seen, ok := r.seenReq[req.Client]; ok && req.Num <= seen.num {
-			r.lateProposals++
-		}
+	// A number at or below the client's highest proposed one is NOT grounds
+	// for rejection: per-link FIFO makes echo completion order-preserving, so
+	// the only way to get here out of order is a request that lost its echo
+	// set (checkpoint prune, dropped echo) and completed via EchoTimeout
+	// after its successors proposed. It is a fresh request — true
+	// retransmissions were already stopped by the client table and the
+	// held-copy check at arrival, and the digest dedup above catches
+	// in-window re-proposals — so dropping it here would wedge its client
+	// forever (clients do not retransmit). Propose it and count the
+	// inversion. (Only client requests get here: a new leader's no-op fills
+	// bypass the queue.)
+	if r.clients[req.Client].proposedUpTo(req.Num, r.chkpt.Seq) {
+		r.lateProposals++
 	}
 	r.proposeQ = append(r.proposeQ, req)
 	r.pumpProposals()
@@ -720,7 +545,7 @@ func (r *Replica) pumpProposals() {
 		// land while the view change that made this replica leader is still
 		// collecting certificates, which then do not cover it, and a request
 		// proposed there would count as proposed-and-decided forever.
-		for _, done := r.decided[r.nextSlot]; done || r.nextSlot < r.lastApplied; _, done = r.decided[r.nextSlot] {
+		for r.isDecided(r.nextSlot) || r.nextSlot < r.lastApplied {
 			r.nextSlot++
 		}
 		if !r.inWindow(r.nextSlot) {
@@ -758,8 +583,7 @@ func (r *Replica) proposalInFlight() bool {
 	if !r.fastPathLive || !f.set || f.view != r.view || f.slot < r.lastApplied {
 		return false
 	}
-	_, done := r.decided[f.slot]
-	return !done
+	return !r.isDecided(f.slot)
 }
 
 // takeProposal pops the next proposal: the whole queue in FIFO order, packed
@@ -774,20 +598,18 @@ func (r *Replica) takeProposal() (Request, bool) {
 	taken := 0
 	for ; taken < len(r.proposeQ); taken++ {
 		req := &r.proposeQ[taken]
-		dg := req.Digest()
-		if _, done := r.proposed[dg]; done {
+		rs := r.requests.at(req.Digest())
+		if rs.proposed {
 			continue
 		}
 		if size += req.encodedBound(); len(fresh) > 0 && size > r.cfg.MsgCap {
 			break
 		}
-		r.proposed[dg] = r.nextSlot
-		if !req.IsNoOp() {
-			// Only raise: a late (out-of-order) proposal must not regress
-			// the client's highest-proposed tracking.
-			if seen, ok := r.seenReq[req.Client]; !ok || req.Num > seen.num {
-				r.seenReq[req.Client] = clientSeen{num: req.Num, slot: r.nextSlot}
-			}
+		rs.proposed, rs.slot = true, r.nextSlot
+		// Only raise: a late (out-of-order) proposal must not regress the
+		// client's highest-proposed tracking.
+		if c := r.clients.at(req.Client); !c.proposedUpTo(req.Num, r.chkpt.Seq) {
+			c.proposedNum, c.proposedSlot, c.proposedAny = req.Num, r.nextSlot, true
 		}
 		fresh = append(fresh, *req)
 	}
@@ -921,25 +743,55 @@ func (r *Replica) requestKnown(req *Request) bool {
 	if r.executed(req.Client, req.Num) {
 		return true // already executed: provenance is settled
 	}
-	_, ok := r.reqStore[req.Digest()]
-	return ok
+	rs := r.requests[req.Digest()]
+	return rs != nil && rs.held
 }
 
 // endorseOrWait enforces §5.4: a replica endorses a PREPARE only once it
 // has the client request directly (no-ops and view-change re-proposals are
 // endorsed immediately; re-proposals carry f+1-certified provenance).
 func (r *Replica) endorseOrWait(pr Prepare) {
-	ss := r.slot(pr.Slot)
+	ss := r.slots.at(pr.Slot)
 	if !r.requestKnown(&pr.Req) && pr.View == 0 && r.cfg.EchoTimeout > 0 {
-		// Wait for the client's direct copy before endorsing.
-		ss.waitingReq = &pr
+		// Wait for the client's direct copy before endorsing. (A copy, so
+		// that pr escapes to the heap on this rare path only.)
+		parked := pr
+		ss.waitingReq = &parked
+		r.anyParked = true
 		return
 	}
 	r.endorse(pr)
 }
 
+// releaseParked endorses the parked PREPAREs whose request copies have all
+// arrived, in slot order so that endorsements are emitted identically every
+// run. It runs on every client request and PREPAREs park rarely, so the walk
+// over the slot table is skipped while anyParked says none can be there.
+func (r *Replica) releaseParked() {
+	if !r.anyParked {
+		return
+	}
+	var parked []Slot
+	for s, ss := range r.slots {
+		if ss.waitingReq != nil {
+			parked = append(parked, s)
+		}
+	}
+	slices.Sort(parked)
+	r.anyParked = false
+	for _, s := range parked {
+		switch ss := r.slots[s]; {
+		case ss.waitingReq == nil:
+		case r.requestKnown(&ss.waitingReq.Req):
+			r.endorse(*ss.waitingReq)
+		default:
+			r.anyParked = true
+		}
+	}
+}
+
 func (r *Replica) endorse(pr Prepare) {
-	ss := r.slot(pr.Slot)
+	ss := r.slots.at(pr.Slot)
 	ss.waitingReq = nil
 	if r.observing() {
 		// Observe-only window: record the prepare (already in state[p]) but
@@ -961,7 +813,7 @@ func (r *Replica) endorse(pr Prepare) {
 		if !ss.fallback.Pending() {
 			v, s := pr.View, pr.Slot
 			ss.fallback = r.proc.After(delay, func() {
-				if _, done := r.decided[s]; !done && s >= r.chkpt.Seq {
+				if !r.isDecided(s) && s >= r.chkpt.Seq {
 					r.sendCertify(v, s)
 				}
 			})
@@ -976,7 +828,7 @@ func (r *Replica) endorse(pr Prepare) {
 // sendCertify signs and Tail-Broadcasts a CERTIFY share for the prepare we
 // delivered for (v, s).
 func (r *Replica) sendCertify(v View, s Slot) {
-	ss := r.slot(s)
+	ss := r.slots.at(s)
 	if ss.sent(v, sentCertify) || r.observing() {
 		return
 	}
@@ -1016,6 +868,19 @@ func (r *Replica) verifyCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]
 	ok := r.signer.Verify(r.proc, p, w.Finish(), sig)
 	wire.PutWriter(w)
 	return ok
+}
+
+// verifyCertifySig checks one CERTIFY signature of a COMMIT certificate,
+// consulting the slot's record of shares already verified.
+func (r *Replica) verifyCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
+	if ss := r.slots[s]; ss != nil && ss.shareVerified(v, dg, p, sig) {
+		return true
+	}
+	if !r.verifyCertify(p, v, s, dg, sig) {
+		return false
+	}
+	r.slots.at(s).rememberShare(v, dg, p, sig)
+	return true
 }
 
 // auxBroadcast fans m out on the auxiliary channel; m is not retained.
@@ -1083,48 +948,48 @@ func (r *Replica) voteBit(p ids.ID) uint64 {
 // fullVote is the mask with every replica's bit set.
 func (r *Replica) fullVote() uint64 { return (1 << uint(r.cfg.n())) - 1 }
 
+// voteSlot returns the record p's fast-path vote for (v, s) counts in, with
+// its vote sets switched to v, and p's bit in them; nil for a vote that does
+// not count (another view than ours, a slot outside the window, a stranger).
+func (r *Replica) voteSlot(p ids.ID, v View, s Slot) (*slotState, uint64) {
+	bit := r.voteBit(p)
+	if v != r.view || !r.inWindow(s) || bit == 0 {
+		return nil, 0
+	}
+	ss := r.slots.at(s)
+	if ss.voteView != v {
+		ss.voteView, ss.willCertify, ss.willCommit = v, 0, 0
+	}
+	return ss, bit
+}
+
 // onWillCertify implements lines 25-27: unanimity over WILL_CERTIFY lets
 // the replica promise WILL_COMMIT.
 func (r *Replica) onWillCertify(p ids.ID, v View, s Slot) {
-	if v != r.view || !r.inWindow(s) {
+	ss, bit := r.voteSlot(p, v, s)
+	if ss == nil {
 		return
 	}
-	bit := r.voteBit(p)
-	if bit == 0 {
-		return
-	}
-	ss := r.slot(s)
-	key := voteKey{v, s}
-	if ss.willCertify == nil {
-		ss.willCertify = make(map[voteKey]uint64, 1)
-	}
-	ss.willCertify[key] |= bit
+	ss.willCertify |= bit
 	if r.observing() {
 		return // no WILL_COMMIT promises during the observe-only window
 	}
-	if ss.willCertify[key] == r.fullVote() && !ss.sent(v, sentWillCommit) {
+	if ss.willCertify == r.fullVote() && !ss.sent(v, sentWillCommit) {
+		// From here until this view's COMMIT for the slot goes out the
+		// promise is outstanding (slotState.owesCommit holds maybeSeal back).
 		ss.markSent(v, sentWillCommit)
-		r.promised[key] = true
 		r.auxVote(tagWillCommit, v, s)
 	}
 }
 
 // onWillCommit implements lines 29-31: unanimity decides on the fast path.
 func (r *Replica) onWillCommit(p ids.ID, v View, s Slot) {
-	if v != r.view || !r.inWindow(s) {
+	ss, bit := r.voteSlot(p, v, s)
+	if ss == nil {
 		return
 	}
-	bit := r.voteBit(p)
-	if bit == 0 {
-		return
-	}
-	ss := r.slot(s)
-	key := voteKey{v, s}
-	if ss.willCommit == nil {
-		ss.willCommit = make(map[voteKey]uint64, 1)
-	}
-	ss.willCommit[key] |= bit
-	if ss.willCommit[key] == r.fullVote() {
+	ss.willCommit |= bit
+	if ss.willCommit == r.fullVote() {
 		pr, ok := r.state[r.cfg.leaderOf(v)].prepares[s]
 		if !ok || pr.View != v {
 			return
@@ -1148,8 +1013,8 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 			return
 		}
 	}
-	r.rememberCertifySig(v, s, dg, p, sig)
-	ss := r.slot(s)
+	ss := r.slots.at(s)
+	ss.rememberShare(v, dg, p, sig)
 	key := certKey{v, dg}
 	if ss.certSigs == nil {
 		ss.certSigs = make(map[certKey]map[ids.ID]xcrypto.Signature, 1)
@@ -1166,7 +1031,6 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 		return
 	}
 	ss.markSent(v, sentCommit)
-	delete(r.promised, voteKey{v, s})
 	cert := CommitCert{View: v, Slot: s, Req: pr.Req, Sigs: ss.certSigs[key]}
 	w := wire.GetWriter(256 + len(pr.Req.Payload))
 	w.U8(tagCommit)
@@ -1174,39 +1038,6 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 	r.groups[r.cfg.Self].Broadcast(w.Finish())
 	wire.PutWriter(w)
 	r.maybeSeal()
-}
-
-func certSigCacheKey(v View, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) string {
-	w := wire.GetWriter(128)
-	w.U64(uint64(v))
-	w.Raw(dg[:])
-	w.I64(int64(p))
-	w.Bytes(sig)
-	k := string(w.Finish())
-	wire.PutWriter(w)
-	return k
-}
-
-func (r *Replica) rememberCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) {
-	m := r.knownCertSigs[s]
-	if m == nil {
-		m = make(map[string]bool)
-		r.knownCertSigs[s] = m
-	}
-	m[certSigCacheKey(v, dg, p, sig)] = true
-}
-
-// verifyCertifySig checks one CERTIFY signature, consulting the cache of
-// shares already verified on arrival.
-func (r *Replica) verifyCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
-	if r.knownCertSigs[s][certSigCacheKey(v, dg, p, sig)] {
-		return true
-	}
-	if !r.verifyCertify(p, v, s, dg, sig) {
-		return false
-	}
-	r.rememberCertifySig(v, s, dg, p, sig)
-	return true
 }
 
 // onCommit implements lines 38-41 (validation already verified the cert).
@@ -1244,11 +1075,11 @@ func (r *Replica) onCommit(p ids.ID, c CommitCert) {
 // ---------------------------------------------------------------------
 
 func (r *Replica) decide(s Slot, req Request) {
-	if _, done := r.decided[s]; done || s < r.lastApplied {
+	if r.isDecided(s) || s < r.lastApplied {
 		return
 	}
-	r.decided[s] = req
-	ss := r.slot(s)
+	ss := r.slots.at(s)
+	ss.decided, ss.req = true, req
 	ss.fallback.Cancel()
 	r.vcStreak = 0 // progress: reset the suspicion backoff
 	r.resetProgressTimer()
@@ -1262,11 +1093,11 @@ func (r *Replica) decide(s Slot, req Request) {
 // executeReady applies decided requests strictly in slot order.
 func (r *Replica) executeReady() {
 	for {
-		req, ok := r.decided[r.lastApplied]
-		if !ok {
+		s := r.lastApplied
+		if !r.isDecided(s) {
 			break
 		}
-		s := r.lastApplied
+		req := &r.slots[s].req
 		r.lastApplied++
 		switch {
 		case req.IsBatch():
@@ -1275,7 +1106,7 @@ func (r *Replica) executeReady() {
 				r.applyOne(&subs[i], s)
 			}
 		case !req.IsNoOp():
-			r.applyOne(&req, s)
+			r.applyOne(req, s)
 		}
 		r.maybeCreateCheckpoint()
 	}
@@ -1286,18 +1117,17 @@ func (r *Replica) executeReady() {
 // applyOne executes a single client request decided in slot s with
 // exactly-once semantics and responds to the client.
 func (r *Replica) applyOne(req *Request, s Slot) {
-	e, known := r.exec[req.Client]
-	if known && e.has(req.Num) {
+	if c := r.executedBy(req.Client, req.Num); c != nil {
 		// A re-proposed duplicate: exactly-once execution does not apply it
 		// twice. The latest request's result is cached and re-sent (not a
 		// parked one's: it does not exist before the lock releases); an
 		// older request was answered when it executed.
-		if e.num == req.Num && !e.pending {
-			r.deliver(req.Client, req.Num, s, e.res, e.parked)
+		if c.num == req.Num && !c.pending {
+			r.respond(req.Client, req.Num, s, c.res, c.parked)
 		}
 		return
 	}
-	// A number below e.num that did not execute is NOT a duplicate: a
+	// A number below the client's highest that did not execute is NOT a duplicate: a
 	// pipelined request that lost its echo round proposes via EchoTimeout
 	// and reaches execution after its successors. Returning early would
 	// swallow it and wedge its client; apply it and mark it in the window.
@@ -1309,31 +1139,26 @@ func (r *Replica) applyOne(req *Request, s Slot) {
 	r.proc.Charge(r.cfg.App.ExecCost(req.Payload) + latmodel.AppExecBase)
 	result := r.cfg.App.Apply(req.Payload)
 	r.Executed++
-	delete(r.reqStore, req.Digest())
+	if rs := r.requests[req.Digest()]; rs != nil {
+		rs.releaseBody()
+		r.dropIfDead(req.Digest(), rs)
+	}
+	c := r.clients.at(req.Client)
 	if result == nil {
 		// A Deferring application may have parked the request on a
 		// transaction lock: record who is owed the response and deliver
 		// it when the lock releases (drainReleased).
 		if d, ok := r.cfg.App.(app.Deferring); ok {
 			if tk := d.TakeParkedTicket(); tk != 0 {
-				r.exec[req.Client] = e.executedAt(req.Num, s, nil, true)
+				c.markExecuted(req.Num, s, nil, true)
 				r.deferredResp[tk] = deferredTarget{client: req.Client, num: req.Num, slot: s}
 				return
 			}
 		}
 	}
-	r.exec[req.Client] = e.executedAt(req.Num, s, result, false)
-	r.deliver(req.Client, req.Num, s, result, false)
+	c.markExecuted(req.Num, s, result, false)
+	r.respond(req.Client, req.Num, s, result, false)
 	r.drainReleased(s)
-}
-
-// deliver sends one execution result to its client (direct response plus
-// the optional Responder hook).
-func (r *Replica) deliver(client ids.ID, num uint64, s Slot, result []byte, parked bool) {
-	r.respond(client, num, s, result, parked)
-	if r.cfg.Responder != nil {
-		r.cfg.Responder(client, num, s, result)
-	}
 }
 
 // drainReleased delivers the results of wait-queue requests the app
@@ -1360,10 +1185,9 @@ func (r *Replica) drainReleased(s Slot) {
 			continue
 		}
 		delete(r.deferredResp, rel.Ticket)
-		if e, ok := r.exec[tgt.client]; ok && e.num == tgt.num {
-			e.res, e.slot, e.pending, e.parked = rel.Result, s, false, true
-			r.exec[tgt.client] = e
+		if c := r.clients[tgt.client]; c != nil && c.ran && c.num == tgt.num {
+			c.res, c.slot, c.pending, c.parked = rel.Result, s, false, true
 		}
-		r.deliver(tgt.client, tgt.num, s, rel.Result, true)
+		r.respond(tgt.client, tgt.num, s, rel.Result, true)
 	}
 }

@@ -129,37 +129,31 @@ func (r *Replica) onClientRequest(from ids.ID, rd *wire.Reader) {
 	if req.Client != from {
 		return // authenticated links: a client cannot impersonate another
 	}
-	if e, ok := r.exec[req.Client]; ok && e.has(req.Num) {
+	if c := r.executedBy(req.Client, req.Num); c != nil {
 		// Retransmission of an executed request: re-send the cached result.
 		// Only the most recent request's result is cached; a parked
 		// request's response arrives when the blocking transaction
 		// resolves, and older requests were answered at execution — never
 		// re-send another request's bytes for them.
-		if e.num == req.Num && !e.pending {
+		if c.num == req.Num && !c.pending {
 			// Re-send with the original execution slot: the client's f+1
 			// match covers (result, slot), so a retransmission must land
 			// in the same class as the first-execution responses.
-			r.respond(req.Client, req.Num, e.slot, e.res, e.parked)
-		} else {
-			r.droppedExecOld++
+			r.respond(req.Client, req.Num, c.slot, c.res, c.parked)
 		}
 		return
 	}
 	dg := req.Digest()
 	r.proc.Charge(latmodel.DigestCost(len(req.Payload)))
-	if _, dup := r.reqStore[dg]; dup {
+	rs := r.requests.at(dg)
+	if rs.held {
 		return
 	}
-	r.reqStore[dg] = req
+	rs.req, rs.held = req, true
 
 	// Unblock any PREPARE waiting for this request's endorsement (batch
 	// containers become endorsable once their last sub-request arrives).
-	// Slot order, so endorsements are emitted identically every run.
-	for _, s := range sortedSlots(r.slots) {
-		if ss := r.slots[s]; ss.waitingReq != nil && r.requestKnown(&ss.waitingReq.Req) {
-			r.endorse(*ss.waitingReq)
-		}
-	}
+	r.releaseParked()
 
 	if r.IsLeader() {
 		r.noteEcho(dg, r.cfg.Self)
@@ -308,38 +302,32 @@ func (r *Replica) noteEcho(dg [xcrypto.DigestLen]byte, from ids.ID) {
 	if !r.IsLeader() {
 		return
 	}
-	if _, done := r.proposed[dg]; done {
+	rs := r.requests.at(dg)
+	if rs.proposed {
 		return
 	}
-	if r.echoes[dg] == nil {
-		r.echoes[dg] = make(map[ids.ID]bool)
-	}
-	r.echoes[dg][from] = true
-	req, haveReq := r.reqStore[dg]
-	if !haveReq {
+	rs.echoes |= r.voteBit(from)
+	if !rs.held {
 		return // echo arrived before the client's own copy
 	}
-	if r.cfg.EchoTimeout <= 0 || len(r.echoes[dg]) == r.cfg.n() {
-		r.finishEcho(dg, req)
+	if r.cfg.EchoTimeout <= 0 || rs.echoes == r.fullVote() {
+		r.finishEcho(rs)
 		return
 	}
-	if _, armed := r.echoTimers[dg]; !armed {
-		r.echoTimers[dg] = r.proc.After(r.cfg.EchoTimeout, func() {
-			if req, ok := r.reqStore[dg]; ok {
-				r.finishEcho(dg, req)
+	if !rs.echoTimer.Pending() {
+		// A pending timer's record is alive: only closeEchoRound, which
+		// cancels it, lets the record go.
+		rs.echoTimer = r.proc.After(r.cfg.EchoTimeout, func() {
+			if rs.held {
+				r.finishEcho(rs)
 			}
 		})
 	}
 }
 
-func (r *Replica) finishEcho(dg [xcrypto.DigestLen]byte, req Request) {
-	if t, ok := r.echoTimers[dg]; ok {
-		t.Cancel()
-		delete(r.echoTimers, dg)
-	}
-	delete(r.echoes, dg)
-	delete(r.echoGrace, dg)
-	r.enqueueProposal(req)
+func (r *Replica) finishEcho(rs *reqState) {
+	rs.closeEchoRound()
+	r.enqueueProposal(rs.req)
 }
 
 // rebroadcastPending re-routes known-but-unexecuted client requests after a
@@ -347,19 +335,20 @@ func (r *Replica) finishEcho(dg [xcrypto.DigestLen]byte, req Request) {
 // enqueues its own copies. Without this, requests echoed to a crashed
 // leader would be lost until the client retransmits.
 func (r *Replica) rebroadcastPending() {
-	// Digest order: the re-echo/re-proposal sequence is part of the
-	// deterministic trace.
-	for _, dg := range sortedDigests(r.reqStore) {
-		if !r.shouldRebroadcast(dg, r.reqStore[dg]) {
+	// Digest order over the records that hold a client copy: the
+	// re-echo/re-proposal sequence is part of the deterministic trace.
+	for _, dg := range sortedDigests(r.requests) {
+		rs := r.requests[dg]
+		if rs == nil || !rs.held || !r.shouldRebroadcast(rs) {
 			continue
 		}
 		if r.IsLeader() {
 			// A stale undecided proposal from a previous view is being
-			// re-routed as fresh work: drop its dedup entry so noteEcho and
+			// re-routed as fresh work: drop its dedup stub so noteEcho and
 			// enqueueProposal do not swallow the re-proposal. If the old
 			// slot later decides anyway, exactly-once execution dedups the
 			// second copy.
-			delete(r.proposed, dg)
+			rs.proposed = false
 			r.noteEcho(dg, r.cfg.Self)
 		} else {
 			r.sendEcho(dg)
@@ -367,28 +356,18 @@ func (r *Replica) rebroadcastPending() {
 	}
 }
 
-// shouldRebroadcast reports whether a stored client request still needs
+// shouldRebroadcast reports whether a held client request still needs
 // re-routing toward the (new) leader. A request is settled only when its
 // proposal actually decided (or fell below the stable checkpoint, which
 // implies decided), or when THIS exact request executed: an echo-ordering
-// inversion leaves a lower-numbered, never-executed request in reqStore
-// while the client's exec high-water mark has moved past it, and a view
-// change at that moment must not skip its one rebroadcast (the client would
-// wedge).
-func (r *Replica) shouldRebroadcast(dg [xcrypto.DigestLen]byte, req Request) bool {
-	if req.IsNoOp() {
-		return false
+// inversion leaves a lower-numbered, never-executed request held while the
+// client's executed high-water mark has moved past it, and a view change at
+// that moment must not skip its one rebroadcast (the client would wedge).
+func (r *Replica) shouldRebroadcast(rs *reqState) bool {
+	if rs.proposed {
+		return rs.slot >= r.chkpt.Seq && !r.isDecided(rs.slot)
 	}
-	if s, proposed := r.proposed[dg]; proposed {
-		if s < r.chkpt.Seq {
-			return false
-		}
-		if _, dec := r.decided[s]; dec {
-			return false
-		}
-		return true
-	}
-	return !r.executed(req.Client, req.Num)
+	return !r.executed(rs.req.Client, rs.req.Num)
 }
 
 // respond sends an execution result back to the client.

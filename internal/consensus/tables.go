@@ -1,0 +1,449 @@
+package consensus
+
+import (
+	"bytes"
+
+	"repro/internal/app"
+	"repro/internal/ids"
+	"repro/internal/sim"
+	"repro/internal/xcrypto"
+)
+
+// This file holds what a replica remembers — three tables, keyed by slot,
+// by request digest and by client, plus one record per checkpoint sequence
+// number — and the one function that forgets: pruneBelow, run at every
+// stable checkpoint, is the memory bound of the protocol (finite window x
+// finite state). Each record has one owner here and one retention rule
+// there; replica.go, rpc.go, viewchange.go and checkpoint.go keep the
+// handlers that fill them.
+
+// table is a keyed set of records created on first use.
+type table[K comparable, V any] map[K]*V
+
+// at returns the record for k, creating it if absent.
+func (t table[K, V]) at(k K) *V {
+	v, ok := t[k]
+	if !ok {
+		v = new(V)
+		t[k] = v
+	}
+	return v
+}
+
+// ---------------------------------------------------------------------
+// Per slot.
+// ---------------------------------------------------------------------
+
+// sent-flag bits: what this replica itself sent for a slot in one view.
+const (
+	sentWillCertify uint8 = 1 << iota
+	sentWillCommit
+	sentCertify
+	sentCommit
+)
+
+// slotState is this replica's local progress on one slot. A slot that
+// decides on the fast path within one view costs this one record and no
+// map: vote sets are bitmasks indexed by replica position (n = 2f+1 <= 64)
+// stamped with the view they belong to, the first view's sent bits are held
+// inline, and everything the signed slow path needs is allocated lazily.
+// The table stays a map keyed by Slot rather than a Window-sized ring
+// because sealTo certifies prepares of peers whose window is ahead of ours.
+type slotState struct {
+	// Fast-path vote sets of view voteView. Votes are recorded for the
+	// replica's current view only, and that never decreases, so a vote for a
+	// view other than the stamp starts both sets afresh (voteSlot).
+	voteView    View
+	willCertify uint64
+	willCommit  uint64
+
+	// The four sent* bits per view. The first view this replica sent
+	// anything in is held inline; a slot that outlives a view change puts
+	// the later views in sentLater. A WILL_COMMIT promise still owed a
+	// COMMIT is read off these bits (owesCommit), not stored.
+	sentView  View
+	sentBits  uint8
+	sentLater map[View]uint8
+
+	// certSigs accumulates CERTIFY signatures per (view, request digest).
+	certSigs map[certKey]map[ids.ID]xcrypto.Signature
+	// verified lists the CERTIFY shares whose signature this replica checked
+	// (on arrival, or inside a COMMIT certificate) or produced itself, so a
+	// certificate built from shares already seen costs no further public-key
+	// operations.
+	verified []certShare
+
+	fallback   sim.Timer
+	waitingReq *Prepare // prepare delivered but client request not yet seen
+
+	// The decision. A decided slot is kept until it is both covered by a
+	// stable checkpoint and applied.
+	decided bool
+	req     Request
+}
+
+type certKey struct {
+	v  View
+	dg [xcrypto.DigestLen]byte
+}
+
+// certShare is one verified CERTIFY signature: p signed (v, slot, dg).
+type certShare struct {
+	v   View
+	dg  [xcrypto.DigestLen]byte
+	p   ids.ID
+	sig xcrypto.Signature
+}
+
+// isDecided reports whether this replica holds a decision for slot s.
+func (r *Replica) isDecided(s Slot) bool {
+	ss := r.slots[s]
+	return ss != nil && ss.decided
+}
+
+func (ss *slotState) sent(v View, flag uint8) bool {
+	if ss.sentView == v {
+		return ss.sentBits&flag != 0
+	}
+	return ss.sentLater[v]&flag != 0
+}
+
+func (ss *slotState) markSent(v View, flag uint8) {
+	switch {
+	case ss.sentBits == 0 || ss.sentView == v:
+		ss.sentView = v
+		ss.sentBits |= flag
+	default:
+		if ss.sentLater == nil {
+			ss.sentLater = make(map[View]uint8, 1)
+		}
+		ss.sentLater[v] |= flag
+	}
+}
+
+// owesCommit reports whether this replica promised WILL_COMMIT for the slot
+// in some view and has not broadcast that view's COMMIT yet: Algorithm 3
+// lines 4-5 make it honour the promise before it may seal the view.
+func (ss *slotState) owesCommit() bool {
+	const owed = sentWillCommit | sentCommit
+	if ss.sentBits&owed == sentWillCommit {
+		return true
+	}
+	for _, bits := range ss.sentLater {
+		if bits&owed == sentWillCommit {
+			return true
+		}
+	}
+	return false
+}
+
+// shareVerified reports whether p's CERTIFY signature sig over (v, dg) for
+// this slot was verified before.
+func (ss *slotState) shareVerified(v View, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
+	for i := range ss.verified {
+		if c := &ss.verified[i]; c.v == v && c.p == p && c.dg == dg && bytes.Equal(c.sig, sig) {
+			return true
+		}
+	}
+	return false
+}
+
+func (ss *slotState) rememberShare(v View, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) {
+	if !ss.shareVerified(v, dg, p, sig) {
+		ss.verified = append(ss.verified, certShare{v: v, dg: dg, p: p, sig: sig})
+	}
+}
+
+// ---------------------------------------------------------------------
+// Per request digest.
+// ---------------------------------------------------------------------
+
+// reqState is everything a replica tracks about one client request: the
+// client's direct copy every replica holds until the request executes, and
+// the leader's echo round and proposal dedup stub. The record lives as long
+// as any of the three does (dropIfDead).
+type reqState struct {
+	// req is the copy received directly from the client, valid while held:
+	// from arrival until the request executes.
+	req  Request
+	held bool
+
+	// The leader's echo round (§5.4). echoes is the set of replicas known to
+	// hold the request, one bit per replica position; it is non-zero exactly
+	// while the round is open. echoTimer, armed when the leader holds the
+	// request and the set is incomplete, bounds the wait. grace marks a set
+	// that survived one stable checkpoint without a client copy behind it
+	// (pruneBelow).
+	echoes    uint64
+	echoTimer sim.Timer
+	grace     bool
+
+	// proposed: this replica proposed the request in slot. The stub stops a
+	// second proposal of the digest until a stable checkpoint covers slot
+	// (bounded leader memory).
+	proposed bool
+	slot     Slot
+}
+
+// releaseBody drops the client copy (its execution is settled).
+func (rs *reqState) releaseBody() { rs.req, rs.held = Request{}, false }
+
+// closeEchoRound forgets the echo set and everything keyed like it.
+func (rs *reqState) closeEchoRound() {
+	rs.echoTimer.Cancel()
+	rs.echoes, rs.grace = 0, false
+}
+
+func (r *Replica) dropIfDead(dg [xcrypto.DigestLen]byte, rs *reqState) {
+	if !rs.held && rs.echoes == 0 && !rs.proposed {
+		delete(r.requests, dg)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Per client.
+// ---------------------------------------------------------------------
+
+// clientState is what a replica remembers about one client: the
+// exactly-once execution record every replica keeps, and — on the replica
+// that proposed for it — the highest request number proposed.
+type clientState struct {
+	// execEntry is meaningful once ran: some request of the client executed
+	// here. (The zero entry would read as "request 0 executed".)
+	execEntry
+	ran bool
+	// proposedNum is the highest request number this replica proposed for
+	// the client and proposedSlot the slot it went into, if proposedAny. The
+	// mark feeds one diagnostic (LateProposals) and counts only while its
+	// slot is at or above the stable checkpoint (proposedUpTo); execEntry
+	// stays the exactly-once authority.
+	proposedNum  uint64
+	proposedSlot Slot
+	proposedAny  bool
+}
+
+// proposedUpTo reports whether this replica proposed, in a slot at or above
+// the stable checkpoint seq, a request of the client numbered num or higher.
+func (c *clientState) proposedUpTo(num uint64, seq Slot) bool {
+	return c != nil && c.proposedAny && c.proposedSlot >= seq && num <= c.proposedNum
+}
+
+// execEntry is one client's exactly-once execution record: the highest
+// executed request number with its cached result, and which of the
+// execWindow numbers below it executed too. A high-water mark alone cannot
+// tell a pipelined request's late first execution (it lost its echo round
+// and was proposed after its successors) from its second one (a view change
+// re-routed it as fresh work and the old slot decided anyway): the first
+// must apply, the second must not.
+type execEntry struct {
+	num uint64
+	// below has bit i set when request num-1-i executed.
+	below uint64
+	res   []byte
+	slot  Slot // slot of the last executed request (aging horizon)
+	// pending marks a request parked in the application's wait queue: it
+	// is executed (dedup holds) but its result arrives at lock release.
+	pending bool
+	// parked marks a result that was produced at lock release (the request
+	// crossed a transaction); retransmissions must re-send the same marker
+	// so they land in the first execution's response class.
+	parked bool
+}
+
+// execWindow is how far below a client's highest executed request number
+// single executions are remembered. A request further behind than that is
+// taken as executed: far beyond any pipeline depth, it can only be a replay.
+const execWindow = 64
+
+// has reports whether request n of this client executed.
+func (e *execEntry) has(n uint64) bool {
+	switch {
+	case n >= e.num:
+		return n == e.num
+	case e.num-n > execWindow:
+		return true
+	}
+	return e.below>>(e.num-n-1)&1 != 0
+}
+
+// executedAt returns the record with request n, executed in slot s, marked.
+// A request above the high-water mark becomes the new one and takes the
+// result cache (res, pending); one below it only sets its bit.
+func (e execEntry) executedAt(n uint64, s Slot, res []byte, pending bool) execEntry {
+	if n < e.num {
+		if d := e.num - n; d <= execWindow {
+			e.below |= 1 << (d - 1)
+		}
+		return e
+	}
+	below := uint64(0)
+	if d := n - e.num; e.num > 0 && d <= execWindow {
+		below = e.below<<d | 1<<(d-1) // Go shifts past the width to zero
+	}
+	return execEntry{num: n, below: below, res: res, slot: s, pending: pending}
+}
+
+// executedBy returns client id's record if the client's request num executed
+// here (exactly, within execEntry's window: a lower number that has not
+// executed while higher ones have is a pipelined request still on its way),
+// nil otherwise.
+func (r *Replica) executedBy(id ids.ID, num uint64) *clientState {
+	if c := r.clients[id]; c != nil && c.ran && c.has(num) {
+		return c
+	}
+	return nil
+}
+
+func (r *Replica) executed(id ids.ID, num uint64) bool { return r.executedBy(id, num) != nil }
+
+// markExecuted records that the client's request num executed in slot s.
+func (c *clientState) markExecuted(num uint64, s Slot, res []byte, pending bool) {
+	c.execEntry, c.ran = c.executedAt(num, s, res, pending), true
+}
+
+// deferredTarget is the response owed for one request parked in the
+// application's wait queue (Replica.deferredResp, keyed by ticket); it ages
+// with the client table.
+type deferredTarget struct {
+	client ids.ID
+	num    uint64
+	slot   Slot // slot the request parked in (aging horizon)
+}
+
+// ---------------------------------------------------------------------
+// Per checkpoint sequence number.
+// ---------------------------------------------------------------------
+
+// cpState is what this replica holds about one checkpoint sequence number,
+// each part with its own horizon (pruneBelow).
+type cpState struct {
+	// Certification in progress: our own state digest once execution
+	// reached the sequence number (mine; read only while the sequence number
+	// is above the stable checkpoint), and the CERTIFY_CHECKPOINT shares
+	// collected toward the certificate.
+	mine   bool
+	digest [xcrypto.DigestLen]byte
+	sigs   map[ids.ID]xcrypto.Signature
+	// verified caches the state digest of a certificate whose f+1
+	// signatures checked out.
+	verified   bool
+	verifiedDg [xcrypto.DigestLen]byte
+	// snapshot is the application state at the sequence number, kept to
+	// serve state transfers (and to adopt our own if the certificate
+	// arrives before execution does).
+	hasSnapshot bool
+	snapshot    []byte
+}
+
+func (c *cpState) keepSnapshot(snap []byte) { c.snapshot, c.hasSnapshot = snap, true }
+
+// ---------------------------------------------------------------------
+// The prune rules.
+// ---------------------------------------------------------------------
+
+// pruneBelow discards the state a stable checkpoint at seq covers. The two
+// walks that clear parts of records in place go in key order (the
+// determinism lint's rule for anything but pure deletes).
+func (r *Replica) pruneBelow(seq Slot) {
+	window := Slot(r.cfg.Window)
+
+	// Slots: everything below the checkpoint, except a slot decided but not
+	// yet applied (the checkpoint arrived ahead of execution), which stays
+	// until execution passes it.
+	for s, ss := range r.slots {
+		if s < seq && !(ss.decided && s >= r.lastApplied) {
+			ss.fallback.Cancel()
+			delete(r.slots, s)
+		}
+	}
+
+	// Checkpoint records: three horizons, the record going with the last.
+	for _, s := range sortedSlots(r.cps) {
+		c := r.cps[s]
+		if s <= seq {
+			c.sigs = nil // certified or overtaken: the shares are spent
+		}
+		if s+window < seq {
+			c.snapshot, c.hasSnapshot = nil, false // transfers: one window
+		}
+		if s+2*window < seq {
+			delete(r.cps, s) // the verified-certificate cache: two windows
+		}
+	}
+
+	// Clients. An exactly-once record goes once its client has been idle for
+	// a full window beyond the checkpoint: with client churn in the millions
+	// the table would otherwise hold one record per client ever seen. The
+	// one-window grace keeps dedup authoritative across every in-window
+	// re-proposal (view changes, retransmissions); only a duplicate delayed
+	// past two whole checkpoint intervals could slip through and re-execute,
+	// far beyond any retransmission horizon here. Deferred response targets
+	// whose request is STILL PARKED are exempt from the horizon regardless
+	// of age — the parked client was never answered, so it is exactly the
+	// one guaranteed to retransmit, and dropping its record would re-execute
+	// a non-idempotent request at release. Stale targets (ticket no longer
+	// parked: superseded by a state transfer that replaced the app's queue)
+	// age out normally, and so do their pending records; live deferred
+	// targets keep theirs alive too. A pipelined client may have several
+	// requests parked at once; the pending record tracks its HIGHEST num, so
+	// keep the max live deferred num per client (older parked requests
+	// answer through their own deferredResp entry regardless of the result
+	// cache).
+	deferring, _ := r.cfg.App.(app.Deferring)
+	liveDeferred := make(map[ids.ID]uint64, len(r.deferredResp))
+	for tk, tgt := range r.deferredResp {
+		if tgt.slot+window < seq && (deferring == nil || !deferring.Parked(tk)) {
+			delete(r.deferredResp, tk)
+			continue
+		}
+		if n, ok := liveDeferred[tgt.client]; !ok || tgt.num > n {
+			liveDeferred[tgt.client] = tgt.num
+		}
+	}
+	// The proposal mark needs no rule of its own: every proposal made before
+	// this checkpoint went into a slot below it (proposals stay inside the
+	// window), so no live mark goes with a record.
+	for id, c := range r.clients {
+		if n, live := liveDeferred[id]; c.slot+window < seq && !(live && c.pending && c.num == n) {
+			delete(r.clients, id)
+		}
+	}
+
+	// Requests (after the clients: "executed" is read off the aged table).
+	for _, dg := range sortedDigests(r.requests) {
+		rs := r.requests[dg]
+		// A digest proposed below the checkpoint can never be proposed again
+		// (its slot is settled), so its dedup stub is dead weight.
+		if rs.proposed && rs.slot < seq {
+			rs.proposed = false
+		}
+		// A copy whose execution is settled is no longer needed for
+		// endorsement or re-proposal (applyOne normally released it).
+		if rs.held && r.executed(rs.req.Client, rs.req.Num) {
+			rs.releaseBody()
+		}
+		// Echo sets. One whose digest was proposed is settled (finishEcho
+		// normally closes it; this catches view-change leftovers). One with
+		// a client copy behind it is live: its request is completing or
+		// waiting on its armed EchoTimeout. One without is either a
+		// Byzantine client echo-spraying digests it never sends — which must
+		// not grow leader memory — or a real request whose echoes outran its
+		// direct copy. The two are indistinguishable now, so an unbacked set
+		// gets one full checkpoint window of grace: a real copy arrives well
+		// within it (keeping the request off the slow EchoTimeout path,
+		// which proposes out of client order), while garbage still dies at
+		// the next stable checkpoint.
+		switch {
+		case rs.echoes == 0:
+		case rs.proposed:
+			rs.closeEchoRound()
+		case rs.held:
+		case !rs.grace:
+			rs.grace = true
+		default:
+			rs.closeEchoRound()
+		}
+		r.dropIfDead(dg, rs)
+	}
+	r.maybeSeal()
+}

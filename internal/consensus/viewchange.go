@@ -47,10 +47,9 @@ func (r *Replica) armProgressTimer() {
 	if r.cfg.ViewChangeTimeout <= 0 || r.stopped || r.observing() {
 		return // an observing joiner never drives view changes
 	}
-	if !r.hasUndecidedWork() {
-		return
-	}
-	if r.progressTimer.Pending() {
+	// The O(1) test first: under load the timer is almost always pending,
+	// and this runs on every client request, endorsement and execution.
+	if r.progressTimer.Pending() || !r.hasUndecidedWork() {
 		return
 	}
 	r.progressTimer = r.proc.After(r.suspicionTimeout(), func() {
@@ -70,38 +69,22 @@ func (r *Replica) resetProgressTimer() {
 }
 
 // hasUndecidedWork reports whether this replica is waiting on the leader:
-// a known client request that is neither proposed-and-decided nor covered
-// by a checkpoint.
+// a held client request that has not executed (an executed one is no
+// evidence of a stall), or a slot the leader prepared that has not decided.
 func (r *Replica) hasUndecidedWork() bool {
-	// Prune executed entries first (pure deletes, order-free), then scan —
-	// mixing the delete with the early return would make the pruned set
-	// depend on map iteration order.
-	for dg, req := range r.reqStore {
-		if !req.IsNoOp() && r.executed(req.Client, req.Num) {
-			delete(r.reqStore, dg) // executed: no longer evidence of stall
-		}
-	}
-	for _, req := range r.reqStore {
-		if !req.IsNoOp() {
+	for _, rs := range r.requests {
+		if rs.held && !r.executed(rs.req.Client, rs.req.Num) {
 			return true
 		}
 	}
 	// Prepared-but-undecided slots also count (the leader proposed but the
 	// protocol stalled).
-	for s := range r.slots {
-		if _, done := r.decided[s]; !done && s >= r.chkpt.Seq && r.hasPrepare(s) {
+	for s, ss := range r.slots {
+		if !ss.decided && s >= r.chkpt.Seq && r.hasPrepare(s) {
 			return true
 		}
 	}
 	return false
-}
-
-// executed reports whether this replica executed the client's request num
-// (exactly, within execEntry's window: a lower number that has not executed
-// while higher ones have is a pipelined request still on its way).
-func (r *Replica) executed(client ids.ID, num uint64) bool {
-	e, ok := r.exec[client]
-	return ok && e.has(num)
 }
 
 func (r *Replica) hasPrepare(s Slot) bool {
@@ -164,7 +147,7 @@ func (r *Replica) sealTo(v View) {
 	// diverged transiently.
 	for _, p := range r.cfg.Replicas {
 		for _, s := range sortedSlots(r.state[p].prepares) {
-			if pr := r.state[p].prepares[s]; s >= r.chkpt.Seq && !r.slot(s).sent(pr.View, sentCommit) {
+			if pr := r.state[p].prepares[s]; s >= r.chkpt.Seq && !r.slots.at(s).sent(pr.View, sentCommit) {
 				r.sendCertify(pr.View, s)
 			}
 		}
@@ -177,14 +160,13 @@ func (r *Replica) maybeSeal() {
 	if !r.isSealing() || r.stopped || r.observing() {
 		return
 	}
-	// Pure scan first, then clear: bailing out of a loop that also deletes
-	// would leave a map whose contents depend on iteration order.
-	for key := range r.promised {
-		if key.s >= r.chkpt.Seq && !r.slot(key.s).sent(key.v, sentCommit) {
+	// Lines 4-5: a WILL_COMMIT promise must be backed by this replica's
+	// COMMIT or covered by a checkpoint first.
+	for s, ss := range r.slots {
+		if s >= r.chkpt.Seq && ss.owesCommit() {
 			return // still waiting for the certificate
 		}
 	}
-	clear(r.promised) // every promise honoured or checkpoint-covered
 	v := r.sealTarget
 	r.sealTarget = 0
 	r.view = v
@@ -284,7 +266,7 @@ func (r *Replica) reprocessPrepares() {
 		if pr.View != r.view || !r.inWindow(s) {
 			continue
 		}
-		if _, done := r.decided[s]; done {
+		if r.isDecided(s) {
 			continue
 		}
 		r.endorseOrWait(pr)
