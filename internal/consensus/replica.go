@@ -393,7 +393,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 	r.auxOut = tbcast.NewBroadcaster(tbcast.Config{
 		RT: deps.RT, Proc: r.proc, AckHub: r.ackHub,
 		Instance:    cfg.auxInstance(myIdx),
-		Receivers:   othersOf(cfg.Replicas, cfg.Self),
+		Receivers:   ids.Others(cfg.Replicas, cfg.Self),
 		Slots:       4 * cfg.Window,
 		SlotCap:     auxSlotCap,
 		SelfDeliver: func(_ uint64, m []byte) { r.onAuxMsg(cfg.Self, m) },
@@ -413,16 +413,6 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		r.startColdJoin()
 	}
 	return r
-}
-
-func othersOf(procs []ids.ID, self ids.ID) []ids.ID {
-	var out []ids.ID
-	for _, p := range procs {
-		if p != self {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // AllocateCluster allocates the SWMR regions all replicas of cfg need on

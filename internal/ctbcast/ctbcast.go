@@ -31,7 +31,9 @@
 package ctbcast
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/latmodel"
@@ -182,8 +184,10 @@ type Group struct {
 	locks     []lockEntry              // t slots
 	delivered []uint64                 // t slots, highest k delivered per slot
 	locked    map[ids.ID][]lockedEntry // n x t slots
-	myRegs    []*swmr.Register
-	peerRegs  map[ids.ID][]*swmr.Register
+	// myRegs holds a handle per tail slot for this member's own registers,
+	// made on first write: a handle's only state is its writer's cooldown
+	// queue, so peers' registers are read by region without one.
+	myRegs []*swmr.Register
 
 	// Messages awaiting slow-path completion, keyed by k.
 	slowPending map[uint64][]byte
@@ -226,7 +230,7 @@ func NewGroup(p Params, env Env) *Group {
 		locks:       make([]lockEntry, p.Tail),
 		delivered:   make([]uint64, p.Tail),
 		locked:      make(map[ids.ID][]lockedEntry, len(p.Procs)),
-		peerRegs:    make(map[ids.ID][]*swmr.Register, len(p.Procs)),
+		myRegs:      make([]*swmr.Register, p.Tail),
 		slowPending: make(map[uint64][]byte),
 		fallbacks:   make(map[uint64]sim.Timer),
 		pendingFIFO: make(map[uint64][]byte),
@@ -242,17 +246,8 @@ func NewGroup(p Params, env Env) *Group {
 	}
 	ringSlots := 2 * p.Tail // TBcast buffers the last 2t messages (§4.2)
 
-	// Register handles: receiver i owns regions RegionBase+i*Tail ...
-	for i, q := range p.Procs {
+	for _, q := range p.Procs {
 		g.locked[q] = make([]lockedEntry, p.Tail)
-		regs := make([]*swmr.Register, p.Tail)
-		for s := 0; s < p.Tail; s++ {
-			regs[s] = swmr.NewRegister(env.Store, p.RegionBase+memnode.RegionID(i*p.Tail+s), registerValueCap)
-		}
-		g.peerRegs[q] = regs
-		if q == p.Self {
-			g.myRegs = regs
-		}
 	}
 
 	// Broadcaster channel (LOCK / SIGNED / SUMMARY).
@@ -262,7 +257,7 @@ func NewGroup(p Params, env Env) *Group {
 			Proc:        env.Proc,
 			AckHub:      env.AckHub,
 			Instance:    p.InstanceBase,
-			Receivers:   others(p.Procs, p.Self),
+			Receivers:   ids.Others(p.Procs, p.Self),
 			Slots:       ringSlots,
 			SlotCap:     bcastSlotCap,
 			SelfDeliver: func(_ uint64, m []byte) { g.onBroadcasterMsg(p.Self, m) },
@@ -276,7 +271,7 @@ func NewGroup(p Params, env Env) *Group {
 	for i, q := range p.Procs {
 		inst := p.InstanceBase + msgring.Instance(1+i)
 		if q == p.Self {
-			g.lockedBcastInit(inst, others(p.Procs, p.Self), ringSlots, slotCap)
+			g.lockedBcastInit(inst, ids.Others(p.Procs, p.Self), ringSlots, slotCap)
 		} else {
 			q := q
 			tbcast.Listen(env.Hub, env.RT, env.Proc, q, inst, ringSlots, slotCap,
@@ -288,16 +283,6 @@ func NewGroup(p Params, env Env) *Group {
 		env.SumHub.register(p.InstanceBase, g)
 	}
 	return g
-}
-
-func others(procs []ids.ID, self ids.ID) []ids.ID {
-	var out []ids.ID
-	for _, q := range procs {
-		if q != self {
-			out = append(out, q)
-		}
-	}
-	return out
 }
 
 // innerCap is the TBcast slot capacity for an application message cap:
@@ -368,9 +353,23 @@ func (g *Group) ResetChannel() {
 	}
 	g.nextDeliver = 1
 	g.pendingFIFO = make(map[uint64][]byte)
-	for _, reg := range g.myRegs {
-		reg.Write(0, []byte{0xff}, func(error) {})
+	for slot := range g.myRegs {
+		g.myReg(slot).Write(0, []byte{0xff}, func(error) {})
 	}
+}
+
+// region names the SWMR register of member number i (its position in Procs)
+// for a tail slot.
+func (g *Group) region(i, slot int) memnode.RegionID {
+	return g.p.RegionBase + memnode.RegionID(i*g.p.Tail+slot)
+}
+
+// myReg returns this member's write handle for a tail slot.
+func (g *Group) myReg(slot int) *swmr.Register {
+	if g.myRegs[slot] == nil {
+		g.myRegs[slot] = swmr.NewRegister(g.env.Store, g.region(slices.Index(g.p.Procs, g.p.Self), slot), registerValueCap)
+	}
+	return g.myRegs[slot]
 }
 
 // ResetMember rewinds this member's outbound ack state toward a group
@@ -604,7 +603,7 @@ func (g *Group) onLockedMsg(q ids.ID, payload []byte) {
 	first := true
 	for _, p := range g.p.Procs {
 		e := g.locked[p][slot]
-		if e.k != k || !bytesEqual(e.m, m) {
+		if e.k != k || !bytes.Equal(e.m, m) {
 			first = false
 			break
 		}
@@ -619,18 +618,6 @@ func (g *Group) onLockedMsg(q ids.ID, payload []byte) {
 		g.FastDeliveries++
 		g.deliverOnce(k, m)
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // onSigned implements Algorithm 1 lines 25-37.
@@ -651,7 +638,7 @@ func (g *Group) onSigned(k uint64, m []byte, sig []byte) {
 	vw := wire.GetWriter(registerValueCap)
 	encodeRegValue(vw, k, dg, sig)
 	g.slowPending[k] = m
-	g.myRegs[slot].Write(k, vw.Finish(), func(err error) {
+	g.myReg(int(slot)).Write(k, vw.Finish(), func(err error) {
 		if err != nil {
 			delete(g.slowPending, k)
 			return
@@ -704,9 +691,8 @@ func (g *Group) readPeerRegisters(k uint64, slot uint64, dg [xcrypto.DigestLen]b
 		g.SlowDeliveries++
 		g.deliverOnce(k, m)
 	}
-	for _, q := range g.p.Procs {
-		reg := g.peerRegs[q][slot]
-		reg.Read(func(res swmr.ReadResult, err error) {
+	for i := range g.p.Procs {
+		g.env.Store.Read(g.region(i, int(slot)), registerValueCap, func(res swmr.ReadResult, err error) {
 			done++
 			if err == nil {
 				results = append(results, res)

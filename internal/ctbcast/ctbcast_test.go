@@ -41,6 +41,7 @@ type hopts struct {
 	tail         int
 	mode         PathMode
 	slowDelay    sim.Duration
+	regionBase   memnode.RegionID
 	validate     func(member int) func(uint64, []byte) bool
 	capture      func(member int) func(uint64) []byte
 	applySummary func(member int) func(uint64, []byte)
@@ -64,7 +65,7 @@ func newHarness(t *testing.T, o hopts) *harness {
 		rt := router.New(h.net.AddNode(id, fmt.Sprintf("mem%d", i)))
 		h.mns = append(h.mns, memnode.New(rt))
 	}
-	AllocateRegions(h.mns, h.procs, o.tail, 0)
+	AllocateRegions(h.mns, h.procs, o.tail, o.regionBase)
 	h.reg = xcrypto.NewRegistry(7, h.procs)
 	h.got = make([][]delivery, n)
 	for i := 0; i < n; i++ {
@@ -91,7 +92,7 @@ func newHarness(t *testing.T, o hopts) *harness {
 			Mode:          o.mode,
 			SlowPathDelay: o.slowDelay,
 			InstanceBase:  0,
-			RegionBase:    0,
+			RegionBase:    o.regionBase,
 			Deliver: func(k uint64, m []byte) {
 				h.got[i] = append(h.got[i], delivery{k: k, m: string(m)})
 			},

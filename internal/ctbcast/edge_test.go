@@ -152,3 +152,40 @@ func TestDisaggregatedFootprintFormula(t *testing.T) {
 		t.Fatalf("disaggregated bytes = %d, want %d", got, want)
 	}
 }
+
+func TestSlowPathReadsPeerRegistersByRegion(t *testing.T) {
+	// A member keeps no handle for a peer's register: the slow path names it
+	// by region, member i's register for identifier k being RegionBase +
+	// i*t + k%t. Plant, in exactly that region and nowhere else, a signed
+	// conflicting value for k=2 under member 2's name, keep member 2 itself
+	// out of the run, and the others must find it on their first-ever read of
+	// member 2's registers and refuse k=2 (Algorithm 1 lines 33-34), while
+	// k=1, whose slot holds nothing, is delivered.
+	const tail, base = 4, 40
+	h := newHarness(t, hopts{f: 1, mode: SlowOnly, tail: tail, regionBase: base})
+	defer h.stopAll()
+	h.net.Partition(0, 2)
+	proc := h.envs[2].Proc
+	dg := xcrypto.Digest(proc, []byte("other"))
+	vw := wire.NewWriter(registerValueCap)
+	encodeRegValue(vw, 2, dg, h.reg.Signer(0).Sign(proc, signedPayload(0, 2, dg)))
+	planted := false
+	swmr.NewRegister(h.envs[2].Store, base+2*tail+2%tail, registerValueCap).
+		Write(2, vw.Finish(), func(err error) { planted = err == nil })
+	h.run(sim.Millisecond)
+	if !planted {
+		t.Fatal("could not plant the conflicting register value")
+	}
+	h.groups[0].Broadcast([]byte("m1"))
+	h.groups[0].Broadcast([]byte("m2"))
+	h.run(20 * sim.Millisecond)
+	for member := 0; member <= 1; member++ {
+		got := h.got[member]
+		if len(got) != 1 || got[0].k != 1 || got[0].m != "m1" {
+			t.Fatalf("member %d delivered %+v, want k=1 only: the conflict in region %d was not read", member, got, base+2*tail+2%tail)
+		}
+		if h.groups[member].SlowDeliveries != 1 {
+			t.Fatalf("member %d made %d slow-path deliveries, want 1", member, h.groups[member].SlowDeliveries)
+		}
+	}
+}

@@ -20,3 +20,15 @@ func (i ID) String() string {
 	}
 	return fmt.Sprintf("p%d", int(i))
 }
+
+// Others returns procs without self, in order: the peers a member of procs
+// sends to.
+func Others(procs []ID, self ID) []ID {
+	out := make([]ID, 0, len(procs))
+	for _, p := range procs {
+		if p != self {
+			out = append(out, p)
+		}
+	}
+	return out
+}

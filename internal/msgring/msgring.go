@@ -19,6 +19,7 @@ package msgring
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/latmodel"
@@ -83,60 +84,79 @@ func (h *Hub) onFrame(from ids.ID, payload []byte) {
 	recv.accept(slot, inc, chk, data)
 }
 
-// Sender is the writing end of one ring, bound to a single receiver host.
+// Sender is the writing end of one ring instance: one stream of messages,
+// RDMA-written into the ring of each of its receivers. The message index,
+// the mirror and the encoded frame exist once per message; per receiver the
+// sender keeps only when each slot's last WRITE completes and which indices
+// wait behind one.
 type Sender struct {
 	rt    *router.Router
 	proc  *sim.Proc
-	to    ids.ID
 	inst  Instance
 	slots int
 	cap   int
 
-	next     uint64 // absolute index of the next message
-	inFlight []bool
-	staged   []stagedMsg // bounded staging buffer (second ring of Fig 6)
-	// complete[slot] is the NIC WRITE-completion callback for the slot,
-	// built once so posting a frame allocates no closure.
-	complete []func()
+	next uint64 // absolute index of the next message
+	// mirror holds the last `slots` messages as encoded frames, for staging
+	// and retransmission. It is the only owner of its buffers: the router
+	// copies a frame before the network sees it, and staging refers to the
+	// mirror by index.
+	mirror []mirrored
+	to     []ringTo
 
-	// Retransmit support: mirror of the last `slots` messages.
-	mirror [][]byte
+	// drain is the pending call of drainFn, due at drainAt; drainFn is built
+	// once so arming it allocates nothing.
+	drain   sim.Timer
+	drainAt sim.Time
+	drainFn func()
 
-	// AllocatedBytes approximates the local memory this ring pins
-	// (mirror image + staging), for the Table 2 accounting.
+	// AllocatedBytes approximates the local memory these rings pin (mirror
+	// image + staging per receiver), for the Table 2 accounting.
 	AllocatedBytes int
 }
 
-// stagedMsg queues an absolute index whose slot had a WRITE in flight; the
-// payload itself lives in the mirror (always the freshest message for the
-// slot, which is the only one worth transmitting).
-type stagedMsg struct {
-	idx uint64
+type mirrored struct {
+	frame wire.Writer
+	size  int // payload bytes: what a WRITE's copy, checksum and wire time are charged on
 }
 
-// NewSender creates the sending side. slotCap bounds message size.
+// ringTo is the sender's view of one receiver's ring.
+type ringTo struct {
+	id ids.ID
+	// busyUntil[slot] is when the NIC reports the slot's last WRITE complete;
+	// the slot has a WRITE in flight while now < busyUntil[slot].
+	busyUntil []sim.Time
+	// staged queues the indices whose slot had a WRITE in flight (the second
+	// ring of Fig 6); the bytes stay in the mirror, which always holds the
+	// freshest message for the slot, the only one worth transmitting.
+	staged []uint64
+}
+
+// NewSender creates the sending side of a ring with one receiver. slotCap
+// bounds message size.
 func NewSender(rt *router.Router, proc *sim.Proc, to ids.ID, inst Instance, slots, slotCap int) *Sender {
+	return NewFanOut(rt, proc, []ids.ID{to}, inst, slots, slotCap)
+}
+
+// NewFanOut creates the sending side of one ring instance written to every
+// host in to, in that order.
+func NewFanOut(rt *router.Router, proc *sim.Proc, to []ids.ID, inst Instance, slots, slotCap int) *Sender {
 	if slots <= 0 || slotCap <= 0 {
 		panic(fmt.Sprintf("msgring: bad geometry slots=%d cap=%d", slots, slotCap))
 	}
 	s := &Sender{
 		rt:             rt,
 		proc:           proc,
-		to:             to,
 		inst:           inst,
 		slots:          slots,
 		cap:            slotCap,
-		inFlight:       make([]bool, slots),
-		mirror:         make([][]byte, slots),
-		complete:       make([]func(), slots),
-		AllocatedBytes: 2 * slots * (slotCap + 20), // local mirror + staging area
+		mirror:         make([]mirrored, slots),
+		to:             make([]ringTo, len(to)),
+		AllocatedBytes: len(to) * 2 * slots * (slotCap + 20), // local mirror + staging area
 	}
-	for i := range s.complete {
-		slot := i
-		s.complete[slot] = func() {
-			s.inFlight[slot] = false
-			s.drainStaging()
-		}
+	s.drainFn = s.drainStaging
+	for i := range s.to {
+		s.to[i] = ringTo{id: to[i], busyUntil: make([]sim.Time, slots)}
 	}
 	return s
 }
@@ -144,180 +164,133 @@ func NewSender(rt *router.Router, proc *sim.Proc, to ids.ID, inst Instance, slot
 // Slots returns the ring's slot count.
 func (s *Sender) Slots() int { return s.slots }
 
-// Send transmits msg as the next message, returning its absolute index.
-// If the target slot has a WRITE in flight the message is staged; staging
-// overflow evicts the oldest staged message (it is simply lost, as the
-// primitive's tail semantics allow).
+// Next returns the absolute index the next message will get.
+func (s *Sender) Next() uint64 { return s.next }
+
+// Send transmits msg as the next message to every receiver, returning its
+// absolute index. The frame is encoded once, into the mirror; msg itself is
+// not retained, so the caller may reuse its buffer as soon as Send returns.
+// Towards a receiver whose target slot has a WRITE in flight the message is
+// staged; staging overflow evicts the oldest staged message (it is simply
+// lost, as the primitive's tail semantics allow).
 func (s *Sender) Send(msg []byte) uint64 {
-	idx := s.next
-	s.next++
-	s.post(idx, msg)
-	return idx
-}
-
-// Retransmit re-sends the message at absolute index idx if it is still in
-// the mirror (i.e. among the last `slots` sent). Used by Tail Broadcast's
-// retransmission loop. Reports whether the message was still available.
-func (s *Sender) Retransmit(idx uint64) bool {
-	if idx >= s.next || s.next-idx > uint64(s.slots) {
-		return false
-	}
-	data := s.mirror[idx%uint64(s.slots)]
-	if data == nil {
-		return false
-	}
-	s.post(idx, data)
-	return true
-}
-
-func (s *Sender) post(idx uint64, msg []byte) {
-	slot := s.storeMirror(idx, msg)
-	if slot < 0 {
-		return // staged
-	}
-	s.transmit(idx, slot, s.mirror[slot])
-}
-
-// storeMirror copies msg into the mirror slot for idx, REUSING the slot's
-// previous buffer (the mirror is the only owner of its buffers: frames copy
-// out of it before the network sees them, and staging references the mirror
-// by index). Returns the slot to transmit, or -1 if the message was staged
-// behind an in-flight WRITE.
-func (s *Sender) storeMirror(idx uint64, msg []byte) int {
 	if len(msg) > s.cap {
 		panic(fmt.Sprintf("msgring: message %dB exceeds slot capacity %dB", len(msg), s.cap))
 	}
+	idx := s.next
+	s.next++
 	slot := int(idx % uint64(s.slots))
-	s.mirror[slot] = append(s.mirror[slot][:0], msg...)
-	if s.inFlight[slot] {
-		// Slot has a WRITE in flight: stage the message.
-		if len(s.staged) >= s.slots {
-			s.staged = s.staged[1:] // evict oldest
-		}
-		s.staged = append(s.staged, stagedMsg{idx: idx})
-		return -1
+	m := &s.mirror[slot]
+	m.size = len(msg)
+	if m.frame.Len() == 0 {
+		m.frame.Grow(32 + len(msg)) // first use of the slot: one allocation; later growth is append's, amortized
 	}
-	return slot
-}
-
-func (s *Sender) transmit(idx uint64, slot int, data []byte) {
-	s.proc.Charge(latmodel.CopyCost(len(data)))
-	chk := xcrypto.Checksum(s.proc, data)
-	w := wire.GetWriter(32 + len(data))
-	s.encodeFrame(w, idx, slot, chk, data)
-	s.sendFrame(slot, w.Finish(), len(data))
-	wire.PutWriter(w) // router.Send copied the frame; safe to recycle
-}
-
-// encodeFrame builds the ring frame for one slot write.
-func (s *Sender) encodeFrame(w *wire.Writer, idx uint64, slot int, chk uint64, data []byte) {
-	inc := idx/uint64(s.slots) + 1
-	w.U32(uint32(s.inst))
-	w.U32(uint32(slot))
-	w.U64(inc)
-	w.U64(chk)
-	w.Bytes(data)
-}
-
-// sendFrame posts one prebuilt frame and schedules the WRITE completion.
-func (s *Sender) sendFrame(slot int, frame []byte, dataLen int) {
-	if s.proc.Engine().Realtime() {
-		// Over a real transport there is no asynchronous RDMA WRITE to
-		// await: the socket backend's own write queue is the in-flight
-		// state, so the slot completes synchronously and staging is never
-		// engaged (queueing and tail-drop happen in the transport).
-		s.rt.Send(s.to, router.ChanRing, frame)
-		return
+	m.frame.Reset()
+	m.frame.U32(uint32(s.inst))
+	m.frame.U32(uint32(slot))
+	m.frame.U64(idx/uint64(s.slots) + 1) // incarnation
+	m.frame.U64(xcrypto.ChecksumNoCharge(msg))
+	m.frame.Bytes(msg)
+	for i := range s.to {
+		s.post(&s.to[i], idx)
 	}
-	s.inFlight[slot] = true
-	s.rt.Send(s.to, router.ChanRing, frame)
-	// The NIC reports WRITE completion after roughly one round trip.
-	s.proc.PostAfter(2*latmodel.WireBase+latmodel.PerByte(dataLen), s.complete[slot])
-}
-
-// ShareMirror makes the rings of one broadcast channel keep a single mirror
-// between them. Senders that are only ever driven together through SendAll
-// stay index-aligned and hold the same last `slots` messages; a mirror per
-// receiver retains each of those messages once per receiver for nothing.
-func ShareMirror(senders []*Sender) {
-	for i, s := range senders {
-		if s.slots != senders[0].slots {
-			panic("msgring: ShareMirror needs rings of one geometry")
-		}
-		if i > 0 {
-			s.mirror = senders[0].mirror
-		}
-	}
-}
-
-// SendAll transmits msg as the next message on every ring in senders,
-// encoding the wire frame AT MOST ONCE in the common case (all rings
-// aligned on the same next index, geometry and instance, no slot busy).
-// Tail Broadcast uses this to fan one broadcast out to all receivers
-// without re-encoding per receiver. Virtual-time costs are still charged
-// per ring, mirroring the per-receiver RDMA WRITEs of the real system.
-// Returns the absolute index assigned (senders always stay index-aligned
-// when driven exclusively through SendAll/Send in lockstep).
-func SendAll(senders []*Sender, msg []byte) uint64 {
-	if len(senders) == 0 {
-		return 0
-	}
-	first := senders[0]
-	idx := first.next
-	shared := true
-	for _, s := range senders[1:] {
-		if s.next != idx || s.slots != first.slots || s.inst != first.inst {
-			shared = false
-			break
-		}
-	}
-	if !shared {
-		// Rings diverged (should not happen under lockstep use): fall back
-		// to the per-ring path.
-		for _, s := range senders {
-			s.Send(msg)
-		}
-		return idx
-	}
-	var frame *wire.Writer
-	var chk uint64
-	for _, s := range senders {
-		s.next++
-		slot := s.storeMirror(idx, msg)
-		if slot < 0 {
-			continue // staged behind an in-flight WRITE on this ring
-		}
-		data := s.mirror[slot]
-		// Same costs as the per-ring path: each RDMA WRITE pays its copy
-		// and checksum time even though the host computes them once.
-		s.proc.Charge(latmodel.CopyCost(len(data)))
-		s.proc.Charge(latmodel.ChecksumCost(len(data)))
-		if frame == nil {
-			chk = xcrypto.ChecksumNoCharge(data)
-			frame = wire.GetWriter(32 + len(data))
-			s.encodeFrame(frame, idx, slot, chk, data)
-		}
-		s.sendFrame(slot, frame.Finish(), len(data))
-	}
-	if frame != nil {
-		wire.PutWriter(frame)
-	}
+	s.armDrain()
 	return idx
 }
 
-func (s *Sender) drainStaging() {
-	for len(s.staged) > 0 {
-		m := s.staged[0]
-		slot := int(m.idx % uint64(s.slots))
-		if s.inFlight[slot] {
-			return
-		}
-		// Only transmit if this is still the freshest message for the slot.
-		s.staged = s.staged[1:]
-		if cur := s.mirror[slot]; cur != nil && s.next-m.idx <= uint64(s.slots) {
-			s.transmit(m.idx, slot, cur)
+// Retransmit re-sends the message at absolute index idx to receiver number
+// recv (its position in the constructor's list) if it is still in the mirror,
+// i.e. among the last `slots` sent. Used by Tail Broadcast's retransmission
+// loop. Reports whether the message was still available.
+func (s *Sender) Retransmit(recv int, idx uint64) bool {
+	if idx >= s.next || s.next-idx > uint64(s.slots) {
+		return false
+	}
+	s.post(&s.to[recv], idx)
+	s.armDrain()
+	return true
+}
+
+// post writes the mirrored message idx into r's ring, or stages it behind the
+// WRITE its slot has in flight.
+func (s *Sender) post(r *ringTo, idx uint64) {
+	slot := int(idx % uint64(s.slots))
+	if s.proc.Now() >= r.busyUntil[slot] {
+		s.write(r, slot)
+		return
+	}
+	if len(r.staged) >= s.slots {
+		r.staged = r.staged[1:] // evict oldest
+	}
+	r.staged = append(r.staged, idx)
+}
+
+// write posts the slot's frame to r. Every receiver's RDMA WRITE pays its
+// copy and checksum time although the host computes them once per message.
+func (s *Sender) write(r *ringTo, slot int) {
+	m := &s.mirror[slot]
+	s.proc.Charge(latmodel.CopyCost(m.size))
+	s.proc.Charge(latmodel.ChecksumCost(m.size))
+	// Over a real transport there is no asynchronous RDMA WRITE to await: the
+	// socket backend's own write queue is the in-flight state, so the slot
+	// completes synchronously and staging is never engaged (queueing and
+	// tail-drop happen in the transport).
+	if !s.proc.Engine().Realtime() {
+		// The NIC reports WRITE completion after roughly one round trip.
+		r.busyUntil[slot] = s.proc.Now().Add(2*latmodel.WireBase + latmodel.PerByte(m.size))
+	}
+	s.rt.Send(r.id, router.ChanRing, m.frame.Finish())
+}
+
+// armDrain keeps one drain scheduled, at the next WRITE completion of a ring
+// that has something staged: a staged message goes out at the first
+// completion that finds it at the head of its queue with its slot free. An
+// idle sender schedules nothing.
+func (s *Sender) armDrain() {
+	now := s.proc.Now()
+	var next sim.Time
+	for i := range s.to {
+		if r := &s.to[i]; len(r.staged) > 0 {
+			for _, t := range r.busyUntil {
+				if t > now && (next == 0 || t < next) {
+					next = t
+				}
+			}
 		}
 	}
+	if next == 0 || s.drain.Pending() && s.drainAt <= next {
+		return
+	}
+	s.drain.Cancel()
+	s.drainAt = next
+	s.drain = s.proc.After(next.Sub(now), s.drainFn)
+}
+
+// drainStaging runs at a WRITE completion. Ring by ring in receiver order,
+// each ring that has a completion at this instant posts the staged messages
+// whose slot has come free: its own completions are what wake a ring's
+// staging queue, as the NIC's completion queue does.
+func (s *Sender) drainStaging() {
+	now := s.proc.Now()
+	for i := range s.to {
+		r := &s.to[i]
+		if !slices.Contains(r.busyUntil, now) {
+			continue
+		}
+		for len(r.staged) > 0 {
+			idx := r.staged[0]
+			slot := int(idx % uint64(s.slots))
+			if now < r.busyUntil[slot] {
+				break
+			}
+			r.staged = r.staged[1:]
+			// Only transmit if this is still the freshest message for the slot.
+			if s.next-idx <= uint64(s.slots) {
+				s.write(r, slot)
+			}
+		}
+	}
+	s.armDrain()
 }
 
 // Receiver is the polling end of one ring.

@@ -82,7 +82,7 @@ func TestNoDuplicates(t *testing.T) {
 	}
 	// Retransmit everything still in the mirror.
 	for i := uint64(0); i < 20; i++ {
-		p.send.Retransmit(i)
+		p.send.Retransmit(0, i)
 	}
 	p.eng.Run()
 	seen := map[uint64]bool{}
@@ -99,13 +99,13 @@ func TestRetransmitOnlyWithinMirror(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.send.Send([]byte("x"))
 	}
-	if p.send.Retransmit(0) {
+	if p.send.Retransmit(0, 0) {
 		t.Fatal("retransmitted message outside the mirror")
 	}
-	if !p.send.Retransmit(7) {
+	if !p.send.Retransmit(0, 7) {
 		t.Fatal("failed to retransmit mirrored message")
 	}
-	if p.send.Retransmit(100) {
+	if p.send.Retransmit(0, 100) {
 		t.Fatal("retransmitted a never-sent index")
 	}
 }

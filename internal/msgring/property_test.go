@@ -41,7 +41,7 @@ func TestQuickRingDeliveryInvariants(t *testing.T) {
 			// Random mix of fresh sends and retransmissions, with random
 			// settling time in between.
 			if rng.Intn(4) == 0 && next > 0 {
-				send.Retransmit(uint64(rng.Int63n(int64(next))))
+				send.Retransmit(0, uint64(rng.Int63n(int64(next))))
 			} else {
 				payload := []byte{byte(next), byte(next >> 8), byte(rng.Intn(256))}
 				sent[send.Send(payload)] = payload

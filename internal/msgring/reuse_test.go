@@ -1,7 +1,7 @@
 package msgring
 
 // Buffer-reuse safety tests for the zero-allocation hot path: recycled
-// mirror slot buffers and the shared SendAll frame must never leak bytes
+// mirror slot buffers and the frame shared across a fan-out must never leak bytes
 // from an earlier message into a later one. Run under -race these also
 // guard the ownership rules (no live aliasing across sends).
 
@@ -61,24 +61,17 @@ func TestCallerBufferReusableAfterSend(t *testing.T) {
 	}
 }
 
-// TestSendAllSharedFrame drives one broadcast-style fan-out through
-// SendAll and checks every receiver gets an intact private copy even when
-// the shared encode buffer is immediately reused for the next message.
-func TestSendAllSharedFrame(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		t.Run(fmt.Sprintf("sharedMirror=%v", shared), func(t *testing.T) { testSendAll(t, shared) })
-	}
-}
-
-// testSendAll also covers ShareMirror: rings that keep one mirror between
-// them deliver the same bytes and can each retransmit out of it.
-func testSendAll(t *testing.T, shareMirror bool) {
+// TestFanOutSharedFrame fans messages out to three receivers through one
+// sender and checks every receiver gets an intact private copy even though
+// the frame is encoded once, into a mirror slot that later messages reuse,
+// and that each receiver can be retransmitted to out of that one mirror.
+func TestFanOutSharedFrame(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := simnet.New(eng, simnet.RDMAOptions())
 	srt := router.New(net.AddNode(0, "s"))
 	const nRecv = 3
 	got := make([][]string, nRecv)
-	var senders []*Sender
+	var to []ids.ID
 	for i := 0; i < nRecv; i++ {
 		i := i
 		rrt := router.New(net.AddNode(ids.ID(1+i), fmt.Sprintf("r%d", i)))
@@ -86,16 +79,14 @@ func testSendAll(t *testing.T, shareMirror bool) {
 		NewReceiver(hub, 0, 7, 8, 64, func(_ uint64, msg []byte) {
 			got[i] = append(got[i], string(msg))
 		})
-		senders = append(senders, NewSender(srt, srt.Node().Proc(), ids.ID(1+i), 7, 8, 64))
+		to = append(to, ids.ID(1+i))
 	}
-	if shareMirror {
-		ShareMirror(senders)
-	}
+	s := NewFanOut(srt, srt.Node().Proc(), to, 7, 8, 64)
 	var want []string
 	for k := 0; k < 10; k++ {
 		msg := fmt.Sprintf("bcast-%d-%s", k, bytes.Repeat([]byte{byte('A' + k)}, k))
 		want = append(want, msg)
-		SendAll(senders, []byte(msg))
+		s.Send([]byte(msg))
 	}
 	eng.Run()
 	for i := 0; i < nRecv; i++ {
@@ -108,11 +99,15 @@ func testSendAll(t *testing.T, shareMirror bool) {
 			}
 		}
 	}
-	// All rings advanced in lockstep, and each can still retransmit its
-	// latest message (a duplicate the receiver drops, but it must be there).
-	for _, s := range senders {
-		if s.next != 10 || !s.Retransmit(9) || !bytes.Equal(s.mirror[9%8], []byte(want[9])) {
-			t.Fatalf("sender desynced or mirror lost: next=%d", s.next)
+	// The latest message is still there for every receiver (a duplicate the
+	// receiver drops, but it must go out), an overwritten one for none.
+	sent := net.MsgsSent
+	for i := 0; i < nRecv; i++ {
+		if s.Next() != 10 || !s.Retransmit(i, 9) || s.Retransmit(i, 1) {
+			t.Fatalf("receiver %d: mirror lost the tail or kept too much (next=%d)", i, s.Next())
 		}
+	}
+	if net.MsgsSent != sent+nRecv {
+		t.Fatalf("retransmission posted %d frames, want %d", net.MsgsSent-sent, nRecv)
 	}
 }

@@ -27,7 +27,8 @@ package swmr
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/latmodel"
@@ -76,31 +77,18 @@ type Store struct {
 	fm    int
 
 	nextSeq    uint64
-	writes     map[uint64]*writeOp
-	reads      map[uint64]*readOp
+	ops        map[uint64]*quorumOp
 	retransmit sim.Timer
 }
 
-type writeOp struct {
-	need      int
-	got       int
-	fail      int
-	n         int
-	done      func(error)
-	frame     []byte
-	responded map[ids.ID]bool
-	nextRetry sim.Time
-	backoff   sim.Duration
-}
-
-type readOp struct {
-	need      int
-	snapshots [][]byte
-	fails     int
-	n         int
+// quorumOp is one operation in flight at the memory nodes: a WRITE waiting
+// for f_m+1 acks or a READ waiting for f_m+1 region snapshots.
+type quorumOp struct {
+	frame     []byte   // retained for retransmission until the quorum completes
+	responded uint64   // bit i set: nodes[i] has answered (each node counts once)
+	ok, fail  int      // answers by status
+	snapshots [][]byte // what the OK answers of a READ carried
 	done      func(snapshots [][]byte, err error)
-	frame     []byte
-	responded map[ids.ID]bool
 	nextRetry sim.Time
 	backoff   sim.Duration
 }
@@ -115,13 +103,15 @@ func NewStore(rt *router.Router, proc *sim.Proc, nodes []ids.ID, fm int) *Store 
 	if len(nodes) < fm+1 || len(nodes) > 2*fm+1 {
 		panic(fmt.Sprintf("swmr: need between fm+1=%d and 2*fm+1=%d memory nodes, got %d", fm+1, 2*fm+1, len(nodes)))
 	}
+	if len(nodes) > 64 {
+		panic(fmt.Sprintf("swmr: %d memory nodes exceed the 64 a response mask covers", len(nodes)))
+	}
 	s := &Store{
-		rt:     rt,
-		proc:   proc,
-		nodes:  nodes,
-		fm:     fm,
-		writes: make(map[uint64]*writeOp),
-		reads:  make(map[uint64]*readOp),
+		rt:    rt,
+		proc:  proc,
+		nodes: nodes,
+		fm:    fm,
+		ops:   make(map[uint64]*quorumOp),
 	}
 	rt.Register(router.ChanMemResp, s.onResponse)
 	return s
@@ -132,60 +122,39 @@ func (s *Store) onResponse(from ids.ID, payload []byte) {
 	if err != nil {
 		return // memory nodes are trusted; a bad frame means a forged sender, drop
 	}
-	if resp.IsWriteResp() {
-		op := s.writes[resp.Seq]
-		if op == nil {
-			return // late completion after quorum; ignore
-		}
-		if op.responded[from] {
-			return // retransmission echo: each node counts once
-		}
-		op.responded[from] = true
-		if resp.Status == memnode.StatusOK {
-			op.got++
-		} else {
-			op.fail++
-		}
-		if op.got >= op.need {
-			delete(s.writes, resp.Seq)
-			op.done(nil)
-		} else if op.fail > op.n-op.need {
-			delete(s.writes, resp.Seq)
-			op.done(fmt.Errorf("swmr: write rejected by %d/%d memory nodes (status %d)", op.fail, op.n, resp.Status))
-		}
-		return
+	op := s.ops[resp.Seq]
+	node := slices.Index(s.nodes, from)
+	if op == nil || node < 0 {
+		return // late completion after quorum, or not a memory node; ignore
 	}
-	op := s.reads[resp.Seq]
-	if op == nil {
-		return
-	}
-	if op.responded[from] {
+	if op.responded&(1<<node) != 0 {
 		return // retransmission echo: each node counts once
 	}
-	op.responded[from] = true
-	if resp.Status == memnode.StatusOK {
-		op.snapshots = append(op.snapshots, resp.Data)
+	op.responded |= 1 << node
+	if resp.Status != memnode.StatusOK {
+		op.fail++
 	} else {
-		op.fails++
+		op.ok++
+		if !resp.IsWriteResp() {
+			op.snapshots = append(op.snapshots, resp.Data)
+		}
 	}
-	if len(op.snapshots) >= op.need {
-		delete(s.reads, resp.Seq)
+	need := s.fm + 1
+	if op.ok >= need {
+		delete(s.ops, resp.Seq)
 		op.done(op.snapshots, nil)
-	} else if op.fails > op.n-op.need {
-		delete(s.reads, resp.Seq)
-		op.done(nil, fmt.Errorf("swmr: read rejected by %d/%d memory nodes", op.fails, op.n))
+	} else if op.fail > len(s.nodes)-need {
+		delete(s.ops, resp.Seq)
+		op.done(nil, fmt.Errorf("swmr: operation rejected by %d/%d memory nodes (status %d)", op.fail, len(s.nodes), resp.Status))
 	}
 }
 
-// writeAll issues the same region write to every memory node; done runs at
-// f_m+1 completions. The frame is retained for retransmission until the
-// quorum completes (memory-node writes are idempotent).
-func (s *Store) writeAll(region memnode.RegionID, off int, data []byte, done func(error)) {
-	s.nextSeq++
-	seq := s.nextSeq
-	frame := memnode.EncodeWrite(seq, region, off, data)
-	s.writes[seq] = &writeOp{need: s.fm + 1, n: len(s.nodes), done: done,
-		frame: frame, responded: make(map[ids.ID]bool, len(s.nodes)),
+// issue sends frame, which carries sequence number nextSeq, to every memory
+// node; done runs at f_m+1 OK answers (with the snapshots, for a READ) or
+// once a quorum can no longer form. The frame is retained for retransmission
+// until then: memory-node writes are idempotent and reads pure.
+func (s *Store) issue(frame []byte, done func([][]byte, error)) {
+	s.ops[s.nextSeq] = &quorumOp{frame: frame, done: done,
 		nextRetry: s.proc.Now().Add(retransmitInterval), backoff: retransmitInterval}
 	for _, nid := range s.nodes {
 		s.rt.Send(nid, router.ChanMemReq, frame)
@@ -193,78 +162,46 @@ func (s *Store) writeAll(region memnode.RegionID, off int, data []byte, done fun
 	s.armRetransmit()
 }
 
-// readAll issues a region read to every memory node; done runs with f_m+1
-// snapshots. The frame is retained for retransmission until the quorum
-// completes (reads are pure).
+// writeAll issues the same region write to every memory node.
+func (s *Store) writeAll(region memnode.RegionID, off int, data []byte, done func([][]byte, error)) {
+	s.nextSeq++
+	s.issue(memnode.EncodeWrite(s.nextSeq, region, off, data), done)
+}
+
+// readAll issues a region read to every memory node.
 func (s *Store) readAll(region memnode.RegionID, done func([][]byte, error)) {
 	s.nextSeq++
-	seq := s.nextSeq
-	frame := memnode.EncodeRead(seq, region)
-	s.reads[seq] = &readOp{need: s.fm + 1, n: len(s.nodes), done: done,
-		frame: frame, responded: make(map[ids.ID]bool, len(s.nodes)),
-		nextRetry: s.proc.Now().Add(retransmitInterval), backoff: retransmitInterval}
-	for _, nid := range s.nodes {
-		s.rt.Send(nid, router.ChanMemReq, frame)
-	}
-	s.armRetransmit()
+	s.issue(memnode.EncodeRead(s.nextSeq, region), done)
 }
 
 // armRetransmit schedules the retransmission loop if any quorum operation
 // is pending. The loop re-pushes each pending op's frame to exactly the
-// nodes that have not responded, then disarms itself once the maps drain —
+// nodes that have not responded, then disarms itself once the map drains —
 // a quiescent post-GST system never keeps the timer alive.
 func (s *Store) armRetransmit() {
-	if s.retransmit.Pending() || (len(s.writes) == 0 && len(s.reads) == 0) {
+	if s.retransmit.Pending() || len(s.ops) == 0 {
 		return
 	}
 	s.retransmit = s.proc.After(retransmitInterval, func() {
+		now := s.proc.Now()
 		// Sorted seq order: the send sequence must not depend on map
 		// iteration order (every send perturbs the simulated network's
 		// deterministic event stream).
-		seqs := make([]uint64, 0, len(s.writes)+len(s.reads))
-		for sq := range s.writes {
-			seqs = append(seqs, sq)
-		}
-		for sq := range s.reads {
-			seqs = append(seqs, sq)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		now := s.proc.Now()
-		for _, seq := range seqs {
-			var frame []byte
-			var responded map[ids.ID]bool
-			if op := s.writes[seq]; op != nil {
-				if now < op.nextRetry {
-					continue
-				}
-				frame, responded = op.frame, op.responded
-				op.backoff = minDuration(2*op.backoff, maxRetransmitBackoff)
-				op.nextRetry = now.Add(op.backoff)
-			} else if op := s.reads[seq]; op != nil {
-				if now < op.nextRetry {
-					continue
-				}
-				frame, responded = op.frame, op.responded
-				op.backoff = minDuration(2*op.backoff, maxRetransmitBackoff)
-				op.nextRetry = now.Add(op.backoff)
-			} else {
+		for _, seq := range slices.Sorted(maps.Keys(s.ops)) {
+			op := s.ops[seq]
+			if now < op.nextRetry {
 				continue
 			}
-			for _, nid := range s.nodes {
-				if !responded[nid] {
-					s.rt.Send(nid, router.ChanMemReq, frame)
+			op.backoff = min(2*op.backoff, maxRetransmitBackoff)
+			op.nextRetry = now.Add(op.backoff)
+			for i, nid := range s.nodes {
+				if op.responded&(1<<i) == 0 {
+					s.rt.Send(nid, router.ChanMemReq, op.frame)
 				}
 			}
 		}
 		s.armRetransmit()
 	})
-}
-
-func minDuration(a, b sim.Duration) sim.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Register is a handle to one reliable SWMR regular register. The same
@@ -393,7 +330,7 @@ func (r *Register) pump() {
 	}
 	r.writeCount++
 	r.store.proc.Charge(latmodel.CopyCost(len(slot)))
-	r.store.writeAll(r.region, off, slot, func(err error) {
+	r.store.writeAll(r.region, off, slot, func(_ [][]byte, err error) {
 		r.writing = false
 		qw.done(err)
 		r.pump()
@@ -414,32 +351,39 @@ type ReadResult struct {
 // writes (no settled sub-register yet, elapsed ≥ δ) and reports
 // ErrByzantineWriter when the contents prove the owner misbehaved.
 func (r *Register) Read(done func(ReadResult, error)) {
-	r.readAttempt(r.store.proc.Now(), 0, done)
+	r.store.Read(r.region, r.valueCap, done)
 }
 
-func (r *Register) readAttempt(start sim.Time, attempt int, done func(ReadResult, error)) {
+// Read is Register.Read for a register named by its region: reading keeps
+// no state between calls, so a host that only reads a register needs no
+// handle for it.
+func (s *Store) Read(region memnode.RegionID, valueCap int, done func(ReadResult, error)) {
+	s.readAttempt(region, valueCap, 0, done)
+}
+
+func (s *Store) readAttempt(region memnode.RegionID, valueCap, attempt int, done func(ReadResult, error)) {
 	if attempt > maxReadRetries {
 		done(ReadResult{}, ErrTooManyRetries)
 		return
 	}
-	attemptStart := r.store.proc.Now()
-	r.store.readAll(r.region, func(snapshots [][]byte, err error) {
+	attemptStart := s.proc.Now()
+	s.readAll(region, func(snapshots [][]byte, err error) {
 		if err != nil {
 			done(ReadResult{}, err)
 			return
 		}
-		elapsed := r.store.proc.Now().Sub(attemptStart)
+		elapsed := s.proc.Now().Sub(attemptStart)
 		best := ReadResult{Empty: true}
 		haveValid := false
 		byz := false
 		for _, snap := range snapshots {
-			if len(snap) != RegionSize(r.valueCap) {
+			if len(snap) != RegionSize(valueCap) {
 				continue // trusted memnodes never truncate; defensive anyway
 			}
-			half := SlotSize(r.valueCap)
+			half := SlotSize(valueCap)
 			tsA, valA, okA, emptyA := decodeSlot(snap[:half])
 			tsB, valB, okB, emptyB := decodeSlot(snap[half:])
-			r.store.proc.Charge(latmodel.ChecksumCost(len(snap)))
+			s.proc.Charge(latmodel.ChecksumCost(len(snap)))
 			if okA && okB && !emptyA && !emptyB && tsA == tsB {
 				// Two settled sub-registers with equal timestamps: the
 				// writer violated the round-robin discipline.
@@ -478,6 +422,6 @@ func (r *Register) readAttempt(start sim.Time, attempt int, done func(ReadResult
 			return
 		}
 		// The read took longer than δ (pre-GST asynchrony): retry.
-		r.readAttempt(start, attempt+1, done)
+		s.readAttempt(region, valueCap, attempt+1, done)
 	})
 }

@@ -218,8 +218,8 @@ func TestByzantineEqualTimestamps(t *testing.T) {
 	slotA := wreg.encodeSlot(4, []byte("one"))
 	slotB := wreg.encodeSlot(4, []byte("two"))
 	n := 0
-	rg.writer.writeAll(1, 0, slotA, func(error) { n++ })
-	rg.writer.writeAll(1, SlotSize(32), slotB, func(error) { n++ })
+	rg.writer.writeAll(1, 0, slotA, func([][]byte, error) { n++ })
+	rg.writer.writeAll(1, SlotSize(32), slotB, func([][]byte, error) { n++ })
 	rg.eng.Run()
 	if n != 2 {
 		t.Fatalf("raw writes incomplete: %d", n)
@@ -243,8 +243,8 @@ func TestByzantineBogusChecksums(t *testing.T) {
 		garbage[i] = 0xA5
 	}
 	n := 0
-	rg.writer.writeAll(1, 0, garbage, func(error) { n++ })
-	rg.writer.writeAll(1, SlotSize(32), garbage, func(error) { n++ })
+	rg.writer.writeAll(1, 0, garbage, func([][]byte, error) { n++ })
+	rg.writer.writeAll(1, SlotSize(32), garbage, func([][]byte, error) { n++ })
 	rg.eng.Run()
 	rreg := NewRegister(rg.reader, 1, 32)
 	var gotErr error

@@ -14,6 +14,7 @@ package tbcast
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/latmodel"
@@ -62,15 +63,12 @@ func (h *AckHub) onAck(from ids.ID, payload []byte) {
 
 // Broadcaster is the sending side of one tail-broadcast channel.
 type Broadcaster struct {
-	proc  *sim.Proc
-	inst  Instance
-	slots int
-
-	receivers  []ids.ID // ordered: send order must be deterministic
-	senders    map[ids.ID]*msgring.Sender
-	senderList []*msgring.Sender // receivers order, for encode-once fan-out
-	acked      map[ids.ID]uint64 // highest idx acked + 1 (i.e. count)
-	next       uint64
+	proc *sim.Proc
+	// ring writes the channel's one message stream into every receiver's
+	// ring; its mirror is the paper's buffer of the last 2t messages.
+	ring      *msgring.Sender
+	receivers []ids.ID // send order, as configured
+	acked     []uint64 // per receiver: highest idx acked + 1 (i.e. count)
 
 	selfDeliver func(idx uint64, msg []byte)
 	// selfFn adapts selfDeliver to the engine's closure-free message
@@ -104,23 +102,14 @@ func NewBroadcaster(cfg Config) *Broadcaster {
 	}
 	b := &Broadcaster{
 		proc:        cfg.Proc,
-		inst:        cfg.Instance,
-		slots:       cfg.Slots,
-		senders:     make(map[ids.ID]*msgring.Sender, len(cfg.Receivers)),
-		acked:       make(map[ids.ID]uint64, len(cfg.Receivers)),
+		ring:        msgring.NewFanOut(cfg.RT, cfg.Proc, cfg.Receivers, cfg.Instance, cfg.Slots, cfg.SlotCap),
+		receivers:   cfg.Receivers,
+		acked:       make([]uint64, len(cfg.Receivers)),
 		selfDeliver: cfg.SelfDeliver,
 	}
 	if b.selfDeliver != nil {
 		b.selfFn = func(idx int, msg []byte) { b.selfDeliver(uint64(idx), msg) }
 	}
-	for _, to := range cfg.Receivers {
-		b.receivers = append(b.receivers, to)
-		s := msgring.NewSender(cfg.RT, cfg.Proc, to, cfg.Instance, cfg.Slots, cfg.SlotCap)
-		b.senders[to] = s
-		b.senderList = append(b.senderList, s)
-		b.acked[to] = 0
-	}
-	msgring.ShareMirror(b.senderList)
 	if cfg.AckHub != nil {
 		if _, dup := cfg.AckHub.broadcaster[cfg.Instance]; dup {
 			panic(fmt.Sprintf("tbcast: instance %d registered twice", cfg.Instance))
@@ -130,19 +119,22 @@ func NewBroadcaster(cfg Config) *Broadcaster {
 	return b
 }
 
-// unacked reports whether any receiver is missing messages the mirror can
-// still supply (acks below the mirror floor are unrecoverable and do not
-// keep the retransmission loop alive).
-func (b *Broadcaster) unacked() bool {
+// owed returns the first index the retransmission loop still owes receiver
+// i: its ack count, or the mirror floor if the ack lies below it (what fell
+// out of the mirror is unrecoverable).
+func (b *Broadcaster) owed(i int) uint64 {
 	lo := uint64(0)
-	if b.next > uint64(b.slots) {
-		lo = b.next - uint64(b.slots)
+	if next, slots := b.ring.Next(), uint64(b.ring.Slots()); next > slots {
+		lo = next - slots
 	}
-	for _, got := range b.acked {
-		if got < lo {
-			got = lo
-		}
-		if got < b.next {
+	return max(b.acked[i], lo)
+}
+
+// unacked reports whether any receiver is missing messages the mirror can
+// still supply; only those keep the retransmission loop alive.
+func (b *Broadcaster) unacked() bool {
+	for i := range b.acked {
+		if b.owed(i) < b.ring.Next() {
 			return true
 		}
 	}
@@ -156,7 +148,7 @@ func (b *Broadcaster) Stop() {
 }
 
 // Next returns the absolute index the next broadcast will get.
-func (b *Broadcaster) Next() uint64 { return b.next }
+func (b *Broadcaster) Next() uint64 { return b.ring.Next() }
 
 // ResetReceiver forgets everything the given receiver acknowledged, so the
 // retransmission loop re-pushes the whole retained tail to it. Used when
@@ -164,31 +156,21 @@ func (b *Broadcaster) Next() uint64 { return b.next }
 // nothing, but the pre-restart acks would otherwise mark it fully caught
 // up and an idle channel would never send it the tail again.
 func (b *Broadcaster) ResetReceiver(to ids.ID) {
-	if _, ok := b.acked[to]; !ok {
-		return
+	if i := slices.Index(b.receivers, to); i >= 0 {
+		b.acked[i] = 0
+		b.armRetransmit()
 	}
-	b.acked[to] = 0
-	b.armRetransmit()
 }
 
-// AllocatedBytes sums the ring memory pinned by this channel's senders.
-func (b *Broadcaster) AllocatedBytes() int {
-	total := 0
-	for _, s := range b.senders {
-		total += s.AllocatedBytes
-	}
-	return total
-}
+// AllocatedBytes returns the ring memory pinned by this channel's sender.
+func (b *Broadcaster) AllocatedBytes() int { return b.ring.AllocatedBytes }
 
 // Broadcast sends msg to every receiver (and self-delivers), returning the
-// message's absolute index within this channel. The ring frame is encoded
-// once and shared across all receivers' rings (they advance in lockstep),
-// and msg itself is not retained: callers may reuse its buffer — e.g. a
-// pooled wire.Writer — as soon as Broadcast returns.
+// message's absolute index within this channel. msg is not retained: callers
+// may reuse its buffer — e.g. a pooled wire.Writer — as soon as Broadcast
+// returns.
 func (b *Broadcaster) Broadcast(msg []byte) uint64 {
-	idx := b.next
-	b.next++
-	msgring.SendAll(b.senderList, msg)
+	idx := b.ring.Send(msg)
 	if b.selfDeliver != nil {
 		// Self-delivery is asynchronous, so it needs a private copy: the
 		// caller reclaims msg's buffer as soon as Broadcast returns.
@@ -201,8 +183,8 @@ func (b *Broadcaster) Broadcast(msg []byte) uint64 {
 }
 
 func (b *Broadcaster) onAck(from ids.ID, upTo uint64) {
-	if cur, ok := b.acked[from]; ok && upTo > cur {
-		b.acked[from] = upTo
+	if i := slices.Index(b.receivers, from); i >= 0 && upTo > b.acked[i] {
+		b.acked[i] = upTo
 	}
 }
 
@@ -217,17 +199,9 @@ func (b *Broadcaster) armRetransmit() {
 		if b.stopped {
 			return
 		}
-		lo := uint64(0)
-		if b.next > uint64(b.slots) {
-			lo = b.next - uint64(b.slots)
-		}
-		for _, to := range b.receivers {
-			from := b.acked[to]
-			if from < lo {
-				from = lo
-			}
-			for idx := from; idx < b.next; idx++ {
-				b.senders[to].Retransmit(idx)
+		for i := range b.receivers {
+			for idx := b.owed(i); idx < b.ring.Next(); idx++ {
+				b.ring.Retransmit(i, idx)
 			}
 		}
 		b.armRetransmit()
