@@ -17,7 +17,6 @@ func main() {
 		NewApp:            func() ubft.StateMachine { return ubft.NewKV(0) },
 		ViewChangeTimeout: 500 * ubft.Microsecond,
 		SlowPathDelay:     100 * ubft.Microsecond,
-		CTBSlowDelay:      100 * ubft.Microsecond,
 	})
 	defer u.Stop()
 

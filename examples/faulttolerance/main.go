@@ -16,7 +16,6 @@ func main() {
 		Seed:              11,
 		ViewChangeTimeout: 500 * ubft.Microsecond,
 		SlowPathDelay:     80 * ubft.Microsecond,
-		CTBSlowDelay:      80 * ubft.Microsecond,
 	})
 	defer u.Stop()
 
@@ -39,7 +38,6 @@ func main() {
 		Seed:              12,
 		ViewChangeTimeout: 500 * ubft.Microsecond,
 		SlowPathDelay:     80 * ubft.Microsecond,
-		CTBSlowDelay:      80 * ubft.Microsecond,
 	})
 	defer u2.Stop()
 	u2.InvokeSync(0, []byte("warm"), 50*ubft.Millisecond)

@@ -114,7 +114,6 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 			// can complete, so every decision rides the slow path — at the
 			// 1ms default it would collide with the view-change timer.
 			SlowPathDelay: 30 * sim.Microsecond,
-			CTBSlowDelay:  30 * sim.Microsecond,
 		},
 	})
 	if err != nil {

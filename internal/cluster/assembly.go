@@ -223,7 +223,6 @@ func (a *Assembly) config(g int, self ids.ID, sm app.StateMachine) consensus.Con
 		FastPath:          !o.DisableFastPath,
 		SlowPathDelay:     o.SlowPathDelay,
 		CTBMode:           o.CTBMode,
-		CTBSlowDelay:      o.CTBSlowDelay,
 		ViewChangeTimeout: o.ViewChangeTimeout,
 		EchoTimeout:       o.EchoTimeout,
 		App:               sm,

@@ -48,8 +48,7 @@ type Options struct {
 	// DisableFastPath=false).
 	DisableFastPath   bool
 	CTBMode           ctbcast.PathMode
-	SlowPathDelay     sim.Duration
-	CTBSlowDelay      sim.Duration
+	SlowPathDelay     sim.Duration // fast-to-slow fallback, per consensus slot and per CTBcast identifier; 0 takes the 1ms default
 	ViewChangeTimeout sim.Duration // 0 disables view changes
 	EchoTimeout       sim.Duration // echo-round wait (§5.4); 0 takes the 100us default
 
@@ -127,9 +126,9 @@ func (o *Options) validate() error {
 		return fmt.Errorf("cluster: negative MsgCap=%d", o.MsgCap)
 	case o.Window < 0 || o.Tail < 0:
 		return fmt.Errorf("cluster: negative Window=%d or Tail=%d", o.Window, o.Tail)
-	case o.SlowPathDelay < 0 || o.CTBSlowDelay < 0 || o.ViewChangeTimeout < 0 || o.EchoTimeout < 0:
-		return fmt.Errorf("cluster: negative timer (SlowPathDelay=%d CTBSlowDelay=%d ViewChangeTimeout=%d EchoTimeout=%d)",
-			o.SlowPathDelay, o.CTBSlowDelay, o.ViewChangeTimeout, o.EchoTimeout)
+	case o.SlowPathDelay < 0 || o.ViewChangeTimeout < 0 || o.EchoTimeout < 0:
+		return fmt.Errorf("cluster: negative timer (SlowPathDelay=%d ViewChangeTimeout=%d EchoTimeout=%d)",
+			o.SlowPathDelay, o.ViewChangeTimeout, o.EchoTimeout)
 	case o.Tail > o.Window:
 		// CTBcast retains at most Tail unacknowledged messages per
 		// broadcaster while consensus keeps Window slots open: a tail longer

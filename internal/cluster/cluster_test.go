@@ -95,7 +95,6 @@ func TestOptionsValidation(t *testing.T) {
 		"negative echo":       {EchoTimeout: -1},
 		"negative viewchange": {ViewChangeTimeout: -1},
 		"negative slow path":  {SlowPathDelay: -1},
-		"negative ctb slow":   {CTBSlowDelay: -1},
 	}
 	for name, opts := range cases {
 		if err := opts.Normalize(); err == nil {

@@ -71,7 +71,6 @@ func TestGoldenRestartSeed7(t *testing.T) {
 		Tail:              8,
 		ViewChangeTimeout: 3 * sim.Millisecond,
 		SlowPathDelay:     30 * sim.Microsecond,
-		CTBSlowDelay:      30 * sim.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -138,7 +138,6 @@ func TestReadLadderKilledReplica(t *testing.T) {
 		Tail:              8,
 		ViewChangeTimeout: 3 * sim.Millisecond,
 		SlowPathDelay:     30 * sim.Microsecond,
-		CTBSlowDelay:      30 * sim.Microsecond,
 	})
 	defer u.Stop()
 	const victim = 2
@@ -186,7 +185,6 @@ func TestReadLadderLaggingReplica(t *testing.T) {
 		Window:        8,
 		Tail:          8,
 		SlowPathDelay: 100 * sim.Microsecond,
-		CTBSlowDelay:  100 * sim.Microsecond,
 	})
 	defer u.Stop()
 	const laggard = 2

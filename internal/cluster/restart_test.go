@@ -30,7 +30,6 @@ func TestRestartFollowerRejoins(t *testing.T) {
 		Tail:              8,
 		ViewChangeTimeout: 3 * sim.Millisecond,
 		SlowPathDelay:     30 * sim.Microsecond,
-		CTBSlowDelay:      30 * sim.Microsecond,
 	})
 	defer u.Stop()
 
@@ -76,7 +75,6 @@ func TestRestartLeaderRejoins(t *testing.T) {
 		Tail:              8,
 		ViewChangeTimeout: 3 * sim.Millisecond,
 		SlowPathDelay:     30 * sim.Microsecond,
-		CTBSlowDelay:      30 * sim.Microsecond,
 	})
 	defer u.Stop()
 
@@ -112,7 +110,6 @@ func TestRepeatedRestartCycles(t *testing.T) {
 		Tail:              8,
 		ViewChangeTimeout: 3 * sim.Millisecond,
 		SlowPathDelay:     30 * sim.Microsecond,
-		CTBSlowDelay:      30 * sim.Microsecond,
 	})
 	defer u.Stop()
 

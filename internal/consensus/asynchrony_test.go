@@ -26,7 +26,6 @@ func TestLivenessResumesAfterGST(t *testing.T) {
 		NewApp:            func() app.StateMachine { return app.NewKV(0) },
 		ViewChangeTimeout: 2 * sim.Millisecond,
 		SlowPathDelay:     200 * sim.Microsecond,
-		CTBSlowDelay:      200 * sim.Microsecond,
 		Window:            16,
 		Tail:              8,
 	})
@@ -76,7 +75,6 @@ func TestPreGSTNeverViolatesAgreement(t *testing.T) {
 		NetOptions:        &netOpts,
 		ViewChangeTimeout: 3 * sim.Millisecond,
 		SlowPathDelay:     500 * sim.Microsecond,
-		CTBSlowDelay:      500 * sim.Microsecond,
 		Window:            16,
 		Tail:              8,
 	})

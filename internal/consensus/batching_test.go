@@ -231,7 +231,6 @@ func TestExactlyOnceAcrossViewChangeAtDepth4(t *testing.T) {
 				// their messages), suspicion above a signed slot.
 				ViewChangeTimeout: 3 * sim.Millisecond,
 				SlowPathDelay:     300 * sim.Microsecond,
-				CTBSlowDelay:      300 * sim.Microsecond,
 			})
 			defer u.Stop()
 			const depth, killAfter = 4, 200

@@ -105,7 +105,6 @@ func TestFastPathFallsBackWhenFollowerCrashes(t *testing.T) {
 	// per-slot fallback must engage the slow path and still decide.
 	u := flipCluster(cluster.Options{
 		SlowPathDelay: 30 * sim.Microsecond,
-		CTBSlowDelay:  30 * sim.Microsecond,
 	})
 	defer u.Stop()
 	u.Net.Node(u.ReplicaIDs[2]).Proc().Crash()
@@ -147,7 +146,6 @@ func TestViewChangeOnLeaderCrash(t *testing.T) {
 	u := flipCluster(cluster.Options{
 		ViewChangeTimeout: 300 * sim.Microsecond,
 		SlowPathDelay:     50 * sim.Microsecond,
-		CTBSlowDelay:      50 * sim.Microsecond,
 	})
 	defer u.Stop()
 	// A first request through the healthy leader.
@@ -176,7 +174,6 @@ func TestViewChangePreservesDecidedRequests(t *testing.T) {
 	u := flipCluster(cluster.Options{
 		ViewChangeTimeout: 300 * sim.Microsecond,
 		SlowPathDelay:     50 * sim.Microsecond,
-		CTBSlowDelay:      50 * sim.Microsecond,
 		NewApp:            func() app.StateMachine { return app.NewKV(0) },
 	})
 	defer u.Stop()

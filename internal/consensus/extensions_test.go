@@ -119,7 +119,6 @@ func TestSoakWithPartitionChurn(t *testing.T) {
 				NewApp:            func() app.StateMachine { return app.NewKV(0) },
 				ViewChangeTimeout: sim.Millisecond,
 				SlowPathDelay:     100 * sim.Microsecond,
-				CTBSlowDelay:      100 * sim.Microsecond,
 				Window:            16,
 				Tail:              8,
 			})

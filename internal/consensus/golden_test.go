@@ -140,7 +140,7 @@ func TestGoldenFollowerCrashFallback(t *testing.T) {
 		func(seed int64) *goldenLoad {
 			u := cluster.NewUBFT(cluster.Options{
 				Seed: seed, NumClients: 2, Window: 8, Tail: 8, NewApp: newRKV,
-				SlowPathDelay: 30 * sim.Microsecond, CTBSlowDelay: 30 * sim.Microsecond,
+				SlowPathDelay: 30 * sim.Microsecond,
 			})
 			g := startGoldenLoad(u, 2, 60)
 			u.Eng.RunFor(300 * sim.Microsecond)
@@ -172,7 +172,7 @@ func TestGoldenLeaderKillDepth4(t *testing.T) {
 			u := cluster.NewUBFT(cluster.Options{
 				Seed: seed, NumClients: 2, NewApp: newRKV,
 				ViewChangeTimeout: 3 * sim.Millisecond,
-				SlowPathDelay:     300 * sim.Microsecond, CTBSlowDelay: 300 * sim.Microsecond,
+				SlowPathDelay:     300 * sim.Microsecond,
 			})
 			g := startGoldenLoad(u, 4, 0)
 			u.Eng.RunFor(2 * sim.Millisecond)
@@ -210,7 +210,7 @@ func TestGoldenPreGSTEchoTimeout(t *testing.T) {
 				Seed: seed, NumClients: 2, Window: 8, Tail: 8, NewApp: newRKV,
 				NetOptions:        &netOpts,
 				ViewChangeTimeout: 3 * sim.Millisecond,
-				SlowPathDelay:     500 * sim.Microsecond, CTBSlowDelay: 500 * sim.Microsecond,
+				SlowPathDelay:     500 * sim.Microsecond,
 			})
 			g := startGoldenLoad(u, 4, 40)
 			u.Eng.RunUntil(sim.Time(40 * sim.Millisecond))

@@ -46,11 +46,11 @@ type Config struct {
 	// every slot runs the signed slow path (Certify/Commit).
 	FastPath bool
 	// SlowPathDelay is the per-slot fallback timeout from Prepare delivery
-	// to engaging the slow path (only with FastPath).
+	// to engaging the slow path (only with FastPath), and the CTBcast
+	// groups' fallback timeout from LOCK to SIGNED (FastWithFallback).
 	SlowPathDelay sim.Duration
 	// CTBMode configures the underlying CTBcast groups.
-	CTBMode      ctbcast.PathMode
-	CTBSlowDelay sim.Duration
+	CTBMode ctbcast.PathMode
 	// ViewChangeTimeout is the leader-suspicion timeout; zero disables
 	// view changes (stable-leader benchmarks).
 	ViewChangeTimeout sim.Duration
@@ -376,7 +376,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 			MsgCap:        cfg.groupMsgCap(),
 			SummaryCap:    cfg.Window*(cfg.MsgCap+512) + 4096,
 			Mode:          cfg.CTBMode,
-			SlowPathDelay: cfg.CTBSlowDelay,
+			SlowPathDelay: cfg.SlowPathDelay,
 
 			UnsafeFirstLockDelivers: deps.Defenses.FirstLockDelivers,
 			InstanceBase:            cfg.groupInstanceBase(i),

@@ -22,7 +22,6 @@ func TestLaggingReplicaCatchesUpViaStateTransfer(t *testing.T) {
 		Window:        8,
 		Tail:          8,
 		SlowPathDelay: 100 * sim.Microsecond,
-		CTBSlowDelay:  100 * sim.Microsecond,
 	})
 	defer u.Stop()
 
@@ -88,7 +87,6 @@ func TestRestartRejoinsUnderLossyFabric(t *testing.T) {
 		Tail:              8,
 		ViewChangeTimeout: 3 * sim.Millisecond,
 		SlowPathDelay:     30 * sim.Microsecond,
-		CTBSlowDelay:      30 * sim.Microsecond,
 	})
 	defer u.Stop()
 

@@ -113,7 +113,6 @@ func TestGoldenRestartSeed7(t *testing.T) {
 			Tail:              8,
 			ViewChangeTimeout: 2 * sim.Millisecond,
 			SlowPathDelay:     30 * sim.Microsecond,
-			CTBSlowDelay:      30 * sim.Microsecond,
 		},
 	})
 	if err != nil {

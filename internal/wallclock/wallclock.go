@@ -136,7 +136,6 @@ func (c NodeConfig) Options() (cluster.Options, error) {
 		// fallback at 20ms real time: above any loopback hiccup, small
 		// against the 100ms a slot would otherwise stall for.
 		SlowPathDelay: 200 * sim.Microsecond,
-		CTBSlowDelay:  200 * sim.Microsecond,
 		// Leader suspicion must be on in a real deployment: clients do not
 		// retransmit, so a vote frame lost in a socket-buffer teardown (or
 		// a replica wedged mid-crash) is only ever healed by a view change
