@@ -390,7 +390,7 @@ func Table2(seed int64) []Table2Row {
 	for _, reqSize := range []int{64, 2048} {
 		for _, tail := range Fig11Tails {
 			u := cluster.NewUBFT(cluster.Options{
-				Seed: seed, Tail: tail, MsgCap: maxInt(reqSize, 64),
+				Seed: seed, Tail: tail, MsgCap: max(reqSize, 64),
 			})
 			// Run a few requests so buffers are exercised.
 			wl := NewFlipWorkload(reqSize, rand.New(rand.NewSource(seed)))
@@ -409,13 +409,6 @@ func Table2(seed int64) []Table2Row {
 		}
 	}
 	return rows
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // PrintTable2 renders the memory table.

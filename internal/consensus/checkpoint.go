@@ -1,11 +1,13 @@
 package consensus
 
 import (
+	"maps"
 	"repro/internal/ids"
 	"repro/internal/latmodel"
 	"repro/internal/router"
 	"repro/internal/wire"
 	"repro/internal/xcrypto"
+	"slices"
 )
 
 // This file implements application checkpoints (Algorithm 2 lines 43-61):
@@ -192,7 +194,7 @@ func (r *Replica) bringUpToSpeed(cp *Checkpoint) {
 	}
 	// State transfer: ask a signer of the certificate for the snapshot —
 	// the lowest-ID signer, so every run picks the same peer.
-	for _, p := range sortedIDs(cp.Sigs) {
+	for _, p := range slices.Sorted(maps.Keys(cp.Sigs)) {
 		if p == r.cfg.Self {
 			continue
 		}

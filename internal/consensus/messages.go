@@ -2,7 +2,8 @@ package consensus
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/wire"
@@ -256,25 +257,42 @@ func (c *CommitCert) encode(w *wire.Writer) {
 	w.U64(uint64(c.View))
 	w.U64(uint64(c.Slot))
 	c.Req.encode(w)
-	w.Uvarint(uint64(len(c.Sigs)))
-	for _, id := range sortedIDs(c.Sigs) {
-		w.I64(int64(id))
-		w.Bytes(c.Sigs[id])
-	}
+	appendSigs(w, c.Sigs)
 }
 
 func decodeCommitCert(rd *wire.Reader) (CommitCert, error) {
 	c := CommitCert{View: View(rd.U64()), Slot: Slot(rd.U64()), Req: decodeRequest(rd)}
-	n := int(rd.Uvarint())
-	if n > 64 {
-		return c, fmt.Errorf("consensus: oversized certificate (%d sigs)", n)
+	var err error
+	c.Sigs, err = readSigs(rd)
+	return c, err
+}
+
+// maxSigs bounds a decoded signature set: a certificate carries at most one
+// signature per replica, and a group has at most 64.
+const maxSigs = 64
+
+// appendSigs encodes a certificate's signature set: the count, then (signer,
+// signature) in signer order, so equal sets encode to equal bytes.
+func appendSigs(w *wire.Writer, sigs map[ids.ID]xcrypto.Signature) {
+	w.Uvarint(uint64(len(sigs)))
+	for _, id := range slices.Sorted(maps.Keys(sigs)) {
+		w.I64(int64(id))
+		w.Bytes(sigs[id])
 	}
-	c.Sigs = make(map[ids.ID]xcrypto.Signature, n)
+}
+
+// readSigs decodes what appendSigs wrote, refusing more than maxSigs entries.
+func readSigs(rd *wire.Reader) (map[ids.ID]xcrypto.Signature, error) {
+	n := int(rd.Uvarint())
+	if n > maxSigs {
+		return nil, fmt.Errorf("consensus: oversized signature set (%d sigs)", n)
+	}
+	sigs := make(map[ids.ID]xcrypto.Signature, n)
 	for i := 0; i < n; i++ {
 		id := ids.ID(rd.I64())
-		c.Sigs[id] = rd.Bytes()
+		sigs[id] = rd.Bytes()
 	}
-	return c, rd.Err()
+	return sigs, rd.Err()
 }
 
 // Checkpoint is CΣ: the application state digest after applying all slots
@@ -298,26 +316,15 @@ func checkpointPayload(seq Slot, digest [xcrypto.DigestLen]byte) []byte {
 func (c *Checkpoint) encode(w *wire.Writer) {
 	w.U64(uint64(c.Seq))
 	w.Raw(c.StateDigest[:])
-	w.Uvarint(uint64(len(c.Sigs)))
-	for _, id := range sortedIDs(c.Sigs) {
-		w.I64(int64(id))
-		w.Bytes(c.Sigs[id])
-	}
+	appendSigs(w, c.Sigs)
 }
 
 func decodeCheckpoint(rd *wire.Reader) (Checkpoint, error) {
 	c := Checkpoint{Seq: Slot(rd.U64())}
 	copy(c.StateDigest[:], rd.Raw(xcrypto.DigestLen))
-	n := int(rd.Uvarint())
-	if n > 64 {
-		return c, fmt.Errorf("consensus: oversized checkpoint cert (%d sigs)", n)
-	}
-	c.Sigs = make(map[ids.ID]xcrypto.Signature, n)
-	for i := 0; i < n; i++ {
-		id := ids.ID(rd.I64())
-		c.Sigs[id] = rd.Bytes()
-	}
-	return c, rd.Err()
+	var err error
+	c.Sigs, err = readSigs(rd)
+	return c, err
 }
 
 // Supersedes reports whether c authorizes strictly newer slots than other.
@@ -337,12 +344,7 @@ func encodeCertifiedState(s *CertifiedState) []byte {
 	w.U64(uint64(s.View))
 	s.Checkpoint.encode(w)
 	w.Uvarint(uint64(len(s.Commits)))
-	slots := make([]Slot, 0, len(s.Commits))
-	for sl := range s.Commits {
-		slots = append(slots, sl)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for _, sl := range slots {
+	for _, sl := range slices.Sorted(maps.Keys(s.Commits)) {
 		c := s.Commits[sl]
 		c.encode(w)
 	}
@@ -410,11 +412,7 @@ func encodeNewView(nv NewViewMsg) []byte {
 	for _, c := range nv.Certs {
 		w.I64(int64(c.About))
 		w.Bytes(c.StateBytes)
-		w.Uvarint(uint64(len(c.Sigs)))
-		for _, id := range sortedIDs(c.Sigs) {
-			w.I64(int64(id))
-			w.Bytes(c.Sigs[id])
-		}
+		appendSigs(w, c.Sigs)
 	}
 	return w.Finish()
 }
@@ -427,14 +425,9 @@ func decodeNewView(rd *wire.Reader) (NewViewMsg, error) {
 	}
 	for i := 0; i < n; i++ {
 		c := ReplicaCert{About: ids.ID(rd.I64()), StateBytes: rd.Bytes()}
-		ns := int(rd.Uvarint())
-		if ns > 64 {
-			return nv, fmt.Errorf("consensus: oversized replica cert (%d sigs)", ns)
-		}
-		c.Sigs = make(map[ids.ID]xcrypto.Signature, ns)
-		for j := 0; j < ns; j++ {
-			id := ids.ID(rd.I64())
-			c.Sigs[id] = rd.Bytes()
+		var err error
+		if c.Sigs, err = readSigs(rd); err != nil {
+			return nv, err
 		}
 		nv.Certs = append(nv.Certs, c)
 	}

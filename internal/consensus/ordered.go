@@ -2,44 +2,22 @@ package consensus
 
 import (
 	"bytes"
-	"sort"
+	"maps"
+	"slices"
 
-	"repro/internal/ids"
 	"repro/internal/xcrypto"
 )
 
-// Deterministic-iteration helpers: map iteration order is randomized per
-// range statement, so any loop whose effects can observe order (message
-// emission, arbitrary-element choice) must walk a sorted key slice
-// instead. The determinism lint flags the raw ranges.
-
-// sortedSlots returns the keys of a slot-keyed map in increasing order.
-func sortedSlots[V any](m map[Slot]V) []Slot {
-	out := make([]Slot, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sortedIDs returns the keys of an ID-keyed map in increasing order.
-func sortedIDs[V any](m map[ids.ID]V) []ids.ID {
-	out := make([]ids.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Map iteration order is randomized per range statement, so any loop whose
+// effects can observe order (message emission, arbitrary-element choice)
+// walks sorted keys instead; the determinism lint flags the raw ranges.
+// Ordered key types use slices.Sorted(maps.Keys(m)) in place; digests, which
+// are arrays, need the comparison below.
 
 // sortedDigests returns the keys of a digest-keyed map in lexicographic
 // order.
 func sortedDigests[V any](m map[[xcrypto.DigestLen]byte]V) [][xcrypto.DigestLen]byte {
-	out := make([][xcrypto.DigestLen]byte, 0, len(m))
-	for d := range m {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
-	return out
+	return slices.SortedFunc(maps.Keys(m), func(a, b [xcrypto.DigestLen]byte) int {
+		return bytes.Compare(a[:], b[:])
+	})
 }

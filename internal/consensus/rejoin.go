@@ -1,10 +1,12 @@
 package consensus
 
 import (
+	"maps"
 	"repro/internal/ids"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/wire"
+	"slices"
 )
 
 // This file implements cold rejoin: a replica that crashed and restarted
@@ -136,7 +138,7 @@ func (r *Replica) onJoinProbe(from ids.ID, rd *wire.Reader) {
 // stall forever on any channel that happened to be quiet.
 func (r *Replica) resetPeerChannels(p ids.ID) {
 	r.hub.ResetPeer(p)
-	for _, id := range sortedIDs(r.groups) {
+	for _, id := range slices.Sorted(maps.Keys(r.groups)) {
 		g := r.groups[id]
 		if id == p {
 			g.ResetChannel()
@@ -171,7 +173,7 @@ func (r *Replica) onJoinAns(from ids.ID, rd *wire.Reader) {
 	if matching < r.cfg.F+1 {
 		return
 	}
-	for _, p := range sortedIDs(r.joinAnswers) {
+	for _, p := range slices.Sorted(maps.Keys(r.joinAnswers)) {
 		a := r.joinAnswers[p]
 		if a.view != view || a.cp.Seq != cp.Seq || a.cp.StateDigest != cp.StateDigest {
 			continue
@@ -217,7 +219,7 @@ func (r *Replica) armJoinPull() {
 			return
 		}
 		signers := make([]ids.ID, 0, len(r.chkpt.Sigs))
-		for _, p := range sortedIDs(r.chkpt.Sigs) {
+		for _, p := range slices.Sorted(maps.Keys(r.chkpt.Sigs)) {
 			if p != r.cfg.Self {
 				signers = append(signers, p)
 			}

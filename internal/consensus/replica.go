@@ -9,6 +9,7 @@ package consensus
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/app"
@@ -426,7 +427,7 @@ func AllocateCluster(cfg Config, nodes []*memnode.Node) {
 // Stop cancels background activity (teardown for tests and benches).
 func (r *Replica) Stop() {
 	r.stopped = true
-	for _, id := range sortedIDs(r.groups) {
+	for _, id := range slices.Sorted(maps.Keys(r.groups)) {
 		r.groups[id].Stop()
 	}
 	r.auxOut.Stop()

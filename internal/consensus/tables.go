@@ -2,6 +2,8 @@ package consensus
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 
 	"repro/internal/app"
 	"repro/internal/ids"
@@ -358,7 +360,7 @@ func (r *Replica) pruneBelow(seq Slot) {
 	}
 
 	// Checkpoint records: three horizons, the record going with the last.
-	for _, s := range sortedSlots(r.cps) {
+	for _, s := range slices.Sorted(maps.Keys(r.cps)) {
 		c := r.cps[s]
 		if s <= seq {
 			c.sigs = nil // certified or overtaken: the shares are spent
