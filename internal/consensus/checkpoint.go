@@ -167,7 +167,6 @@ func (r *Replica) maybeCheckpoint(cp Checkpoint) {
 		// rebroadcast fail their strict Supersedes check) and no proposals.
 		// If this checkpoint is the first stable one past the sync point
 		// and our state has caught up, the observe window ends here.
-		r.armJoinPull()
 		r.maybeResumeFromJoin()
 		return
 	}
@@ -183,7 +182,7 @@ func (r *Replica) maybeCheckpoint(cp Checkpoint) {
 
 // bringUpToSpeed fast-forwards execution past slots covered by the
 // checkpoint. If this replica executed them itself it is a no-op; otherwise
-// it starts a state transfer from a certificate signer.
+// it starts a state transfer from the certificate's signers.
 func (r *Replica) bringUpToSpeed(cp *Checkpoint) {
 	if r.lastApplied >= cp.Seq {
 		return
@@ -192,18 +191,31 @@ func (r *Replica) bringUpToSpeed(cp *Checkpoint) {
 		r.adoptSnapshot(cp.Seq, c.snapshot)
 		return
 	}
-	// State transfer: ask a signer of the certificate for the snapshot —
-	// the lowest-ID signer, so every run picks the same peer.
-	for _, p := range slices.Sorted(maps.Keys(cp.Sigs)) {
-		if p == r.cfg.Self {
-			continue
-		}
+	// A new certificate: start over at its lowest-ID signer, at once.
+	r.pullTimer.Cancel()
+	r.pullTries = 0
+	r.pullSnapshot()
+}
+
+// pullSnapshot asks a signer of the stable checkpoint's certificate for the
+// snapshot, and keeps asking every joinRetryInterval for as long as this
+// replica's state is behind the checkpoint, rotating through the signers in
+// ID order (so every run picks the same peers): a lost request, or a signer
+// that is crashed, unreachable or Byzantine-silent, costs one interval, not
+// the wait for a later checkpoint that a quiet cluster never produces.
+func (r *Replica) pullSnapshot() {
+	if r.stopped || r.lastApplied >= r.chkpt.Seq {
+		return
+	}
+	signers := slices.DeleteFunc(slices.Sorted(maps.Keys(r.chkpt.Sigs)), func(p ids.ID) bool { return p == r.cfg.Self })
+	if len(signers) > 0 {
 		w := wire.NewWriter(16)
 		w.U8(tagStateReq)
-		w.U64(uint64(cp.Seq))
-		r.rt.Send(p, router.ChanDirect, w.Finish())
-		break
+		w.U64(uint64(r.chkpt.Seq))
+		r.rt.Send(signers[r.pullTries%len(signers)], router.ChanDirect, w.Finish())
+		r.pullTries++
 	}
+	r.pullTimer = r.proc.After(joinRetryInterval, r.pullSnapshot)
 }
 
 func (r *Replica) adoptSnapshot(seq Slot, snap []byte) {

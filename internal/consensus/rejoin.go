@@ -200,40 +200,6 @@ func (r *Replica) adoptSyncPoint(v View, cp Checkpoint) {
 		// does not rebroadcast or pump proposals.
 		r.maybeCheckpoint(cp)
 	}
-	r.armJoinPull()
-}
-
-// armJoinPull retries the snapshot pull while observing and behind the
-// stable checkpoint. bringUpToSpeed already asked the lowest-ID signer
-// once; the retry rotates through all certificate signers so one crashed
-// or Byzantine signer cannot stall the join.
-func (r *Replica) armJoinPull() {
-	if r.stopped || r.joinPhase != joinObserving || r.lastApplied >= r.chkpt.Seq {
-		return
-	}
-	if r.joinPullTimer.Pending() {
-		return
-	}
-	r.joinPullTimer = r.proc.After(joinRetryInterval, func() {
-		if r.stopped || r.joinPhase != joinObserving || r.lastApplied >= r.chkpt.Seq {
-			return
-		}
-		signers := make([]ids.ID, 0, len(r.chkpt.Sigs))
-		for _, p := range slices.Sorted(maps.Keys(r.chkpt.Sigs)) {
-			if p != r.cfg.Self {
-				signers = append(signers, p)
-			}
-		}
-		if len(signers) > 0 {
-			p := signers[r.joinPullTries%len(signers)]
-			r.joinPullTries++
-			w := wire.NewWriter(16)
-			w.U8(tagStateReq)
-			w.U64(uint64(r.chkpt.Seq))
-			r.rt.Send(p, router.ChanDirect, w.Finish())
-		}
-		r.armJoinPull()
-	})
 }
 
 // maybeResumeFromJoin ends the observe window once a checkpoint STRICTLY
@@ -254,7 +220,6 @@ func (r *Replica) maybeResumeFromJoin() {
 // Supersedes check passes).
 func (r *Replica) resumeParticipation() {
 	r.joinPhase = joinNone
-	r.joinPullTimer.Cancel()
 	r.Rejoins++
 	r.noLeadView = r.view
 	r.noLeadSet = true

@@ -158,6 +158,10 @@ type Replica struct {
 	view     View
 	nextSlot Slot
 	chkpt    Checkpoint // this replica's current stable checkpoint
+	// The snapshot pull (checkpoint.go), live while lastApplied < chkpt.Seq:
+	// the pending retry and how many signers have been asked.
+	pullTimer sim.Timer
+	pullTries int
 
 	state map[ids.ID]*replicaState
 
@@ -220,8 +224,6 @@ type Replica struct {
 	joinSyncSeq    Slot // stable-checkpoint seq of the adopted sync point
 	joinAnswers    map[ids.ID]joinAnswer
 	joinProbeTimer sim.Timer
-	joinPullTimer  sim.Timer
-	joinPullTries  int
 	peerJoinNonce  map[ids.ID]uint64
 	// noLeadView blocks proposing while r.view equals it (set on resume):
 	// an amnesiac leader re-proposing a slot it already prepared pre-crash
@@ -433,7 +435,7 @@ func (r *Replica) Stop() {
 	r.auxOut.Stop()
 	r.progressTimer.Cancel()
 	r.joinProbeTimer.Cancel()
-	r.joinPullTimer.Cancel()
+	r.pullTimer.Cancel()
 	for _, s := range r.slots {
 		s.fallback.Cancel()
 	}
