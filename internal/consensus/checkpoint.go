@@ -2,12 +2,13 @@ package consensus
 
 import (
 	"maps"
+	"slices"
+
 	"repro/internal/ids"
 	"repro/internal/latmodel"
 	"repro/internal/router"
 	"repro/internal/wire"
 	"repro/internal/xcrypto"
-	"slices"
 )
 
 // This file implements application checkpoints (Algorithm 2 lines 43-61):

@@ -2,11 +2,12 @@ package consensus
 
 import (
 	"maps"
+	"slices"
+
 	"repro/internal/ids"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/wire"
-	"slices"
 )
 
 // This file implements cold rejoin: a replica that crashed and restarted

@@ -245,6 +245,7 @@ func NewGroup(p Params, env Env) *Group {
 		bcastSlotCap = p.SummaryCap
 	}
 	ringSlots := 2 * p.Tail // TBcast buffers the last 2t messages (§4.2)
+	peers := ids.Others(p.Procs, p.Self)
 
 	for _, q := range p.Procs {
 		g.locked[q] = make([]lockedEntry, p.Tail)
@@ -257,7 +258,7 @@ func NewGroup(p Params, env Env) *Group {
 			Proc:        env.Proc,
 			AckHub:      env.AckHub,
 			Instance:    p.InstanceBase,
-			Receivers:   ids.Others(p.Procs, p.Self),
+			Receivers:   peers,
 			Slots:       ringSlots,
 			SlotCap:     bcastSlotCap,
 			SelfDeliver: func(_ uint64, m []byte) { g.onBroadcasterMsg(p.Self, m) },
@@ -271,7 +272,7 @@ func NewGroup(p Params, env Env) *Group {
 	for i, q := range p.Procs {
 		inst := p.InstanceBase + msgring.Instance(1+i)
 		if q == p.Self {
-			g.lockedBcastInit(inst, ids.Others(p.Procs, p.Self), ringSlots, slotCap)
+			g.lockedBcastInit(inst, peers, ringSlots, slotCap)
 		} else {
 			q := q
 			tbcast.Listen(env.Hub, env.RT, env.Proc, q, inst, ringSlots, slotCap,

@@ -18,3 +18,14 @@ func TestNoneIsDistinct(t *testing.T) {
 		}
 	}
 }
+
+func TestOthers(t *testing.T) {
+	procs := []ID{3, 1, 2}
+	got := Others(procs, 1)
+	if len(got) != 2 || got[0] != 3 || got[1] != 2 {
+		t.Fatalf("Others = %v, want [p3 p2] in the given order", got)
+	}
+	if len(Others(procs, 9)) != 3 || len(procs) != 3 {
+		t.Fatal("Others dropped a member that is not self, or touched its argument")
+	}
+}
