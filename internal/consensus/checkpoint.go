@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"maps"
 	"slices"
 
 	"repro/internal/ids"
@@ -208,7 +207,7 @@ func (r *Replica) pullSnapshot() {
 	if r.stopped || r.lastApplied >= r.chkpt.Seq {
 		return
 	}
-	signers := slices.DeleteFunc(slices.Sorted(maps.Keys(r.chkpt.Sigs)), func(p ids.ID) bool { return p == r.cfg.Self })
+	signers := slices.DeleteFunc(sortedKeys(r.chkpt.Sigs), func(p ids.ID) bool { return p == r.cfg.Self })
 	if len(signers) > 0 {
 		w := wire.NewWriter(16)
 		w.U8(tagStateReq)

@@ -2,8 +2,6 @@ package consensus
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/wire"
@@ -275,7 +273,7 @@ const maxSigs = 64
 // signature) in signer order, so equal sets encode to equal bytes.
 func appendSigs(w *wire.Writer, sigs map[ids.ID]xcrypto.Signature) {
 	w.Uvarint(uint64(len(sigs)))
-	for _, id := range slices.Sorted(maps.Keys(sigs)) {
+	for _, id := range sortedKeys(sigs) {
 		w.I64(int64(id))
 		w.Bytes(sigs[id])
 	}
@@ -344,7 +342,7 @@ func encodeCertifiedState(s *CertifiedState) []byte {
 	w.U64(uint64(s.View))
 	s.Checkpoint.encode(w)
 	w.Uvarint(uint64(len(s.Commits)))
-	for _, sl := range slices.Sorted(maps.Keys(s.Commits)) {
+	for _, sl := range sortedKeys(s.Commits) {
 		c := s.Commits[sl]
 		c.encode(w)
 	}

@@ -1,9 +1,6 @@
 package consensus
 
 import (
-	"maps"
-	"slices"
-
 	"repro/internal/ids"
 	"repro/internal/router"
 	"repro/internal/sim"
@@ -139,7 +136,7 @@ func (r *Replica) onJoinProbe(from ids.ID, rd *wire.Reader) {
 // stall forever on any channel that happened to be quiet.
 func (r *Replica) resetPeerChannels(p ids.ID) {
 	r.hub.ResetPeer(p)
-	for _, id := range slices.Sorted(maps.Keys(r.groups)) {
+	for _, id := range sortedKeys(r.groups) {
 		g := r.groups[id]
 		if id == p {
 			g.ResetChannel()
@@ -174,7 +171,7 @@ func (r *Replica) onJoinAns(from ids.ID, rd *wire.Reader) {
 	if matching < r.cfg.F+1 {
 		return
 	}
-	for _, p := range slices.Sorted(maps.Keys(r.joinAnswers)) {
+	for _, p := range sortedKeys(r.joinAnswers) {
 		a := r.joinAnswers[p]
 		if a.view != view || a.cp.Seq != cp.Seq || a.cp.StateDigest != cp.StateDigest {
 			continue

@@ -9,7 +9,6 @@ package consensus
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/app"
@@ -429,7 +428,7 @@ func AllocateCluster(cfg Config, nodes []*memnode.Node) {
 // Stop cancels background activity (teardown for tests and benches).
 func (r *Replica) Stop() {
 	r.stopped = true
-	for _, id := range slices.Sorted(maps.Keys(r.groups)) {
+	for _, id := range sortedKeys(r.groups) {
 		r.groups[id].Stop()
 	}
 	r.auxOut.Stop()

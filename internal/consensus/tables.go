@@ -2,8 +2,6 @@ package consensus
 
 import (
 	"bytes"
-	"maps"
-	"slices"
 
 	"repro/internal/app"
 	"repro/internal/ids"
@@ -360,7 +358,7 @@ func (r *Replica) pruneBelow(seq Slot) {
 	}
 
 	// Checkpoint records: three horizons, the record going with the last.
-	for _, s := range slices.Sorted(maps.Keys(r.cps)) {
+	for _, s := range sortedKeys(r.cps) {
 		c := r.cps[s]
 		if s <= seq {
 			c.sigs = nil // certified or overtaken: the shares are spent

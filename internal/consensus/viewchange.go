@@ -2,8 +2,6 @@ package consensus
 
 import (
 	"bytes"
-	"maps"
-	"slices"
 	"sort"
 
 	"repro/internal/ids"
@@ -148,7 +146,7 @@ func (r *Replica) sealTo(v View) {
 	// at seal time guarantees the f+1 shares PΣ needs, even when views
 	// diverged transiently.
 	for _, p := range r.cfg.Replicas {
-		for _, s := range slices.Sorted(maps.Keys(r.state[p].prepares)) {
+		for _, s := range sortedKeys(r.state[p].prepares) {
 			if pr := r.state[p].prepares[s]; s >= r.chkpt.Seq && !r.slots.at(s).sent(pr.View, sentCommit) {
 				r.sendCertify(pr.View, s)
 			}
@@ -263,7 +261,7 @@ func (r *Replica) onSealView(p ids.ID, v View) {
 // while this replica was still sealing.
 func (r *Replica) reprocessPrepares() {
 	leader := r.cfg.leaderOf(r.view)
-	for _, s := range slices.Sorted(maps.Keys(r.state[leader].prepares)) {
+	for _, s := range sortedKeys(r.state[leader].prepares) {
 		pr := r.state[leader].prepares[s]
 		if pr.View != r.view || !r.inWindow(s) {
 			continue
@@ -334,10 +332,10 @@ func (r *Replica) onCertifyVC(from ids.ID, v View, about ids.ID, stateBytes []by
 	// IDs ascending, candidate states lexicographic — to keep the message
 	// bytes identical across runs.
 	certified := make([]ReplicaCert, 0, r.cfg.n())
-	for _, aboutID := range slices.Sorted(maps.Keys(r.vcShares[v])) {
+	for _, aboutID := range sortedKeys(r.vcShares[v]) {
 		shares := r.vcShares[v][aboutID]
 		byState := make(map[string][]ids.ID)
-		for _, signer := range slices.Sorted(maps.Keys(shares)) {
+		for _, signer := range sortedKeys(shares) {
 			sh := shares[signer]
 			byState[string(sh.stateBytes)] = append(byState[string(sh.stateBytes)], signer)
 		}
@@ -718,7 +716,7 @@ func (r *Replica) applySummary(p ids.ID, stateBytes []byte) {
 		r.maybeCheckpoint(cs.Checkpoint)
 	}
 	// Slot order: onCommit can decide slots and emit messages.
-	for _, s := range slices.Sorted(maps.Keys(cs.Commits)) {
+	for _, s := range sortedKeys(cs.Commits) {
 		c := cs.Commits[s]
 		st.commits[s] = c
 		r.onCommit(p, c)

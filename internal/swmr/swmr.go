@@ -187,7 +187,9 @@ func (s *Store) armRetransmit() {
 		// Sorted seq order: the send sequence must not depend on map
 		// iteration order (every send perturbs the simulated network's
 		// deterministic event stream).
-		for _, seq := range slices.Sorted(maps.Keys(s.ops)) {
+		seqs := slices.AppendSeq(make([]uint64, 0, len(s.ops)), maps.Keys(s.ops))
+		slices.Sort(seqs)
+		for _, seq := range seqs {
 			op := s.ops[seq]
 			if now < op.nextRetry {
 				continue
