@@ -47,10 +47,11 @@ race:
 # (Footprint) must stay flat across checkpoint intervals (uBFT's
 # finite-memory claim), the per-client records must age out churned clients,
 # the MVCC version chains must stay flat as the GC horizon ratchets with
-# checkpoints, and every map or slice field of Replica and of its records
-# must name its retention rule (a reflection test).
+# checkpoints, the per-view view-change records must not outlive their view,
+# and every map or slice field of Replica and of its records must name its
+# retention rule (a reflection test).
 bounded-mem:
-	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestEveryTableHasARetentionRule' ./internal/consensus/
+	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestEveryTableHasARetentionRule' ./internal/consensus/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one
@@ -69,7 +70,8 @@ bench-repo:
 # The Byzantine scenario suite: every adversarial policy against every
 # transactional app in every read mode, 8 seeds per cell, with the pass
 # matrix printed at the end (-v). The defense-off trip tests and the 2PC
-# commit-phase recovery regression ride along.
+# commit-phase recovery regressions (stranded commit replayed by another
+# client, lost query, lone liar, in-flight transaction) ride along.
 byz-suite:
 	BYZ_SEEDS=8 $(GO) test -v -run 'TestByzMatrix' ./internal/byz/scenario/
 	$(GO) test -run 'TestByzDeterministicPerSeed|TestTrip|TestStrongReadLoneLiar' ./internal/byz/scenario/

@@ -89,18 +89,20 @@ func selectPasses(names string) ([]analysis.Pass, bool, error) {
 	if names == "all" || names == "" {
 		return all, true, nil
 	}
-	byName := make(map[string]analysis.Pass, len(all))
+	// A name selects every instance registered under it (appagnostic has
+	// one per gated package).
+	byName := make(map[string][]analysis.Pass, len(all))
 	for _, p := range all {
-		byName[p.Name()] = p
+		byName[p.Name()] = append(byName[p.Name()], p)
 	}
 	var out []analysis.Pass
 	for _, n := range strings.Split(names, ",") {
 		n = strings.TrimSpace(n)
-		p, ok := byName[n]
+		ps, ok := byName[n]
 		if !ok {
 			return nil, false, fmt.Errorf("ubft-lint: unknown pass %q (have: determinism, poolsafety, tagregistry, appagnostic, doclint)", n)
 		}
-		out = append(out, p)
+		out = append(out, ps...)
 	}
 	return out, len(out) == len(all), nil
 }

@@ -66,7 +66,7 @@ func TestFacadeCapabilities(t *testing.T) {
 		func(frag []byte) []byte { installed = true; return []byte("receipt") },
 		func(req []byte) []byte { return req },
 	)
-	if st := lt.Prepare(1, []byte("k")); st != app.StatusOK {
+	if st := lt.Prepare(1, 0, []byte("k")); st != app.StatusOK {
 		t.Fatalf("custom Prepare: %d", st)
 	}
 	if st, receipt := lt.Commit(1); st != app.StatusOK || !installed || string(receipt) != "receipt" {

@@ -16,7 +16,9 @@
 //     const blocks elsewhere are errors, and the byz policies are
 //     cross-checked against the registry's client-reply tags.
 //   - appagnostic: internal/shard may reference internal/app only through
-//     the capability interfaces and the generic txn envelope.
+//     the capability interfaces and the generic txn envelope, and
+//     internal/consensus only through the replica-side capabilities (no
+//     transaction vocabulary at all).
 //   - doclint: every internal package carries a `// Package <name>` doc
 //     comment.
 //
@@ -214,6 +216,7 @@ func AllPasses() []Pass {
 		NewPoolSafety(),
 		NewTagRegistry(),
 		NewAppAgnostic(),
+		NewConsensusAppAgnostic(),
 		NewDocLint(),
 	}
 }

@@ -172,6 +172,15 @@ func TestAppAgnosticFixture(t *testing.T) {
 	checkFixture(t, w, []Pass{NewAppAgnostic()}, []*Package{pkg}, 1)
 }
 
+// TestAppAgnosticConsensusFixture does the same for the consensus gate: a
+// replica reaching for the transaction vocabulary is flagged, the
+// replica-side capabilities are not.
+func TestAppAgnosticConsensusFixture(t *testing.T) {
+	w := loadWorld(t)
+	pkg := fixturePkg(t, w, "consgate", "repro/internal/consensus")
+	checkFixture(t, w, []Pass{NewConsensusAppAgnostic()}, []*Package{pkg}, 0)
+}
+
 func TestDocLintFixture(t *testing.T) {
 	w := loadWorld(t)
 	nodoc := fixturePkg(t, w, "nodoc", "repro/fixture/nodoc")

@@ -4,20 +4,31 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"path"
 	"regexp"
 )
 
-// AppAgnostic is the typed reimplementation of the old shard-opcode-gate
-// grep: the shard layer must stay application-agnostic, so its non-test
-// sources may reference internal/app only through the capability
-// interfaces, the generic transaction envelope, generic statuses, and the
-// generic routing helper. Any other app identifier — an app-specific
-// opcode, encoder, constructor or response type — couples the sharding
-// fabric to one application and is an error. Waivers read
-// //ubft:appagnostic <why>.
+// AppAgnostic holds one package to a boundary against internal/app: its
+// non-test sources may reference the application package only through an
+// allow-list of identifiers. Two instances run under `make lint`:
+//
+//   - the shard layer (the typed reimplementation of the old
+//     shard-opcode-gate grep) must stay application-agnostic: capability
+//     interfaces, the generic transaction envelope, generic statuses and
+//     the generic routing helper only. Any other app identifier — an
+//     app-specific opcode, encoder, constructor or response type — couples
+//     the sharding fabric to one application.
+//   - the consensus layer orders opaque requests (§5.4) and must stay
+//     transaction-agnostic on top of that: the replica-side capability
+//     interfaces, the read digest and the one status byte the read path
+//     inspects. An app.Txn*, app.OpTxn* or app.StagedTxn reference there is
+//     a protocol step that escaped the ordered envelope.
+//
+// Waivers read //ubft:appagnostic <why>.
 type AppAgnostic struct {
-	// ShardPath is the package held to the capability boundary.
-	ShardPath string
+	// Path is the package held to the boundary (its last element names the
+	// layer in a finding); Use says what the package may reference instead.
+	Path, Use string
 	// AppPath is the application package.
 	AppPath string
 	// Allowed lists permitted identifier names; AllowedRE permits families
@@ -29,8 +40,9 @@ type AppAgnostic struct {
 // NewAppAgnostic returns the gate bound to repro/internal/shard.
 func NewAppAgnostic() *AppAgnostic {
 	return &AppAgnostic{
-		ShardPath: "repro/internal/shard",
-		AppPath:   "repro/internal/app",
+		Path:    "repro/internal/shard",
+		Use:     "use the capability interfaces / generic txn envelope",
+		AppPath: "repro/internal/app",
 		Allowed: map[string]bool{
 			// Capability interfaces: how shard discovers what an app can do.
 			"StateMachine":          true,
@@ -50,6 +62,27 @@ func NewAppAgnostic() *AppAgnostic {
 	}
 }
 
+// NewConsensusAppAgnostic returns the gate bound to
+// repro/internal/consensus.
+func NewConsensusAppAgnostic() *AppAgnostic {
+	return &AppAgnostic{
+		Path:    "repro/internal/consensus",
+		Use:     "a protocol step of the application is an ordered command, not replica code",
+		AppPath: "repro/internal/app",
+		Allowed: map[string]bool{
+			// What a replica asks of the state machine it executes.
+			"StateMachine":          true,
+			"ReadExecutor":          true,
+			"VersionedReadExecutor": true,
+			"Versioned":             true,
+			"Deferring":             true,
+			// The read path's reply fingerprint and its locked-key refusal.
+			"ReadDigest":   true,
+			"StatusLocked": true,
+		},
+	}
+}
+
 // Name implements Pass.
 func (a *AppAgnostic) Name() string { return "appagnostic" }
 
@@ -64,7 +97,7 @@ func (a *AppAgnostic) Directive() string { return "appagnostic" }
 func (a *AppAgnostic) Run(w *World) []Finding {
 	var out []Finding
 	for _, pkg := range w.Pkgs {
-		if pkg.Path != a.ShardPath {
+		if pkg.Path != a.Path {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -87,7 +120,7 @@ func (a *AppAgnostic) Run(w *World) []Finding {
 				}
 				out = append(out, Finding{
 					Pos: w.Fset.Position(sel.Pos()),
-					Msg: fmt.Sprintf("app-specific identifier app.%s in the shard layer (use the capability interfaces / generic txn envelope)", name),
+					Msg: fmt.Sprintf("app-specific identifier app.%s in the %s layer (%s)", name, path.Base(a.Path), a.Use),
 				})
 				return true
 			})

@@ -15,8 +15,9 @@
 //     can hash-route any application without app-specific glue.
 //   - Fragmenter splits a multi-key request into per-shard fragments and
 //     merges per-leg read responses, enabling scatter-gather reads.
-//   - TxnParticipant provides the 2PC hooks (Prepare/Commit/Abort/Decided)
-//     that make cross-shard multi-key writes atomic; the reusable LockTable
+//   - TxnParticipant provides the 2PC hooks (Prepare/Commit/Abort/Decided,
+//     plus StagedTxns/QueryDecision for commit-phase recovery) that make
+//     cross-shard multi-key writes atomic; the reusable LockTable
 //     implements them for any application that can install a staged
 //     fragment.
 //   - Deferring surfaces the LockTable's per-key FIFO wait queue to the
@@ -90,18 +91,20 @@ type Fragmenter interface {
 	Merge(req []byte, legs [][]byte, legKeys [][]int) []byte
 }
 
-// TxnParticipant is the 2PC participation capability: the four hooks the
-// shard layer drives — through the consensus-ordered generic transaction
-// commands of txn.go — to make a multi-key write atomic across groups.
-// Applications implement it by embedding a LockTable (which carries the
-// locks, staged fragments, abort tombstones and wait queue through
-// Snapshot/Restore); the hook contracts are documented on the LockTable
-// methods.
+// TxnParticipant is the 2PC participation capability: the hooks the shard
+// layer drives — through the consensus-ordered generic transaction commands
+// of txn.go — to make a multi-key write atomic across groups and to recover
+// a participant stranded in the commit phase. Applications implement it by
+// embedding a LockTable (which carries the locks, staged fragments, abort
+// tombstones and wait queue through Snapshot/Restore); the hook contracts
+// are documented on the LockTable methods.
 type TxnParticipant interface {
 	StateMachine
-	// Prepare locks the fragment's keys and stages it under txid, voting
-	// StatusOK, or votes StatusConflict/StatusBadReq staging nothing.
-	Prepare(txid uint64, fragment []byte) uint8
+	// Prepare locks the fragment's keys and stages it under txid, stamped
+	// with its coordinator group (the group whose decision log owns the
+	// outcome), voting StatusOK, or votes StatusConflict/StatusBadReq
+	// staging nothing.
+	Prepare(txid, coord uint64, fragment []byte) uint8
 	// Commit installs txid's staged fragment and releases its locks. The
 	// optional receipt (nil for most stores) carries per-fragment results
 	// — e.g. the fills of an order-book transfer leg — back to the
@@ -113,22 +116,9 @@ type TxnParticipant interface {
 	Abort(txid uint64) uint8
 	// Decided records the coordinator group's durable decision for txid.
 	Decided(txid uint64, commit bool) uint8
-}
-
-// TxnRecoverable is the commit-phase-recovery capability layered on
-// TxnParticipant: a participant that remembers each staged transaction's
-// coordinator group can be swept after a partition — a recovery agent reads
-// the staged (txid, coord) pairs, replays the coordinator group's decision
-// log via OpTxnQueryDecision, and drives the ordered commit/abort that
-// releases the stranded locks. LockTable implements it, so every embedding
-// application (KV, RKV, OrderBook) is recoverable for free.
-type TxnRecoverable interface {
-	TxnParticipant
-	// NoteTxnCoord stamps a staged transaction with its coordinator group
-	// (called by ApplyTxn right after a successful Prepare; idempotent).
-	NoteTxnCoord(txid, coord uint64)
 	// StagedTxns lists the prepared-but-undecided transactions ascending by
-	// txid — the recovery agent's sweep surface. It must be read-only.
+	// txid — what a recovery sweep (OpTxnListStaged) reads. It must be
+	// read-only.
 	StagedTxns() []StagedTxn
 	// QueryDecision returns the recorded decision for txid, tombstoning an
 	// undecided txid as aborted first (query-or-abort): after it runs, the

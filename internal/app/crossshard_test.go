@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -267,6 +268,84 @@ func TestLockTableSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("released %d parked requests after restore, want 2", len(rel))
 			}
 		})
+	}
+}
+
+// TestTxnListStaged: the recovery sweep's command, on every transactional
+// app through the envelope alone — an empty list, ascending txids with the
+// coordinator each prepare named (the latest copy's, for a re-delivered
+// prepare), the stamp carried through Snapshot/Restore, resolved
+// transactions gone from the list, and a malformed command refused.
+func TestTxnListStaged(t *testing.T) {
+	for _, ta := range txnApps() {
+		t.Run(ta.name, func(t *testing.T) {
+			sm := ta.mk()
+			list := func(sm StateMachine) []StagedTxn {
+				t.Helper()
+				staged, ok := DecodeTxnListStaged(sm.Apply(EncodeTxnListStaged()))
+				if !ok {
+					t.Fatal("OpTxnListStaged answer does not decode")
+				}
+				return staged
+			}
+			if got := list(sm); len(got) != 0 {
+				t.Fatalf("fresh store lists %v", got)
+			}
+			// Prepared out of txid order, on disjoint keys, with distinct
+			// coordinators; 9 is delivered twice.
+			for _, p := range []StagedTxn{{9, 2}, {3, 1}, {5, 0}, {9, 4}} {
+				k := []byte(fmt.Sprintf("k%d", p.Txid))
+				if res := sm.Apply(EncodeTxnPrepare(p.Txid, p.Coord, ta.writeFrag(k, append(k, 'b'), '1'))); res[0] != StatusOK {
+					t.Fatalf("prepare %d: %v", p.Txid, res)
+				}
+			}
+			want := []StagedTxn{{3, 1}, {5, 0}, {9, 4}}
+			if got := list(sm); !slices.Equal(got, want) {
+				t.Fatalf("listed %v, want %v", got, want)
+			}
+			restored := ta.mk()
+			restored.Restore(sm.Snapshot())
+			if got := list(restored); !slices.Equal(got, want) {
+				t.Fatalf("restored store lists %v, want %v", got, want)
+			}
+			sm.Apply(EncodeTxnCommit(3))
+			sm.Apply(EncodeTxnAbort(9))
+			if got := list(sm); !slices.Equal(got, want[1:2]) {
+				t.Fatalf("after resolving 3 and 9 listed %v, want %v", got, want[1:2])
+			}
+			if res := sm.Apply(append(EncodeTxnListStaged(), 0)); len(res) != 1 || res[0] != StatusBadReq {
+				t.Fatalf("trailing byte answered %v, want StatusBadReq", res)
+			}
+		})
+	}
+}
+
+// TestTxnListStagedCap: a group holding more staged transactions than one
+// answer carries lists the lowest txids, and the rest once those resolved.
+func TestTxnListStagedCap(t *testing.T) {
+	r := NewRKV()
+	const n = stagedListCap + 10
+	for id := uint64(n); id >= 1; id-- {
+		k := []byte(fmt.Sprintf("k%d", id))
+		if res := r.Apply(EncodeTxnPrepare(id, 0, EncodeRMSet(Pair{Key: k, Val: k}))); res[0] != StatusOK {
+			t.Fatalf("prepare %d: %v", id, res)
+		}
+	}
+	staged, ok := DecodeTxnListStaged(r.Apply(EncodeTxnListStaged()))
+	if !ok || len(staged) != stagedListCap || staged[0].Txid != 1 || staged[stagedListCap-1].Txid != stagedListCap {
+		t.Fatalf("listed %d (ok=%v), want txids 1..%d", len(staged), ok, stagedListCap)
+	}
+	for _, tx := range staged {
+		r.Apply(EncodeTxnAbort(tx.Txid))
+	}
+	staged, ok = DecodeTxnListStaged(r.Apply(EncodeTxnListStaged()))
+	if !ok || len(staged) != n-stagedListCap || staged[0].Txid != stagedListCap+1 {
+		t.Fatalf("second list: %d entries (ok=%v), want the remaining %d", len(staged), ok, n-stagedListCap)
+	}
+	// The decoder holds answers to the same cap: a count above it is not a
+	// list, whatever follows.
+	if _, ok := DecodeTxnListStaged([]byte{StatusOK, 0x81, 0x02}); ok {
+		t.Fatal("decoded a list longer than the cap")
 	}
 }
 

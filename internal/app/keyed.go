@@ -96,9 +96,9 @@ func (f *fifo) forget(k string) {
 }
 
 // keyed is the engine. KV and RKV embed it; every capability the shard and
-// replica layers assert (Router, Fragmenter, TxnParticipant and
-// TxnRecoverable through the LockTable, Deferring, ReadExecutor, Versioned,
-// VersionedReadExecutor) is promoted from here.
+// replica layers assert (Router, Fragmenter, TxnParticipant through the
+// LockTable, Deferring, ReadExecutor, Versioned, VersionedReadExecutor) is
+// promoted from here.
 type keyed struct {
 	d     *dialect
 	vs    *VersionedStore

@@ -66,7 +66,7 @@ type LockTable struct {
 type stagedTxn struct {
 	keys  []string // locked keys, in fragment order
 	frag  []byte   // the staged write fragment
-	coord uint64   // coordinator group (for commit-phase recovery)
+	coord uint64   // coordinator group (whose decision log recovery replays)
 }
 
 // parkedReq is one wait-queue entry.
@@ -97,11 +97,13 @@ func NewLockTable(keysOf func([]byte) ([][]byte, error), install func([]byte) []
 	}
 }
 
-// Prepare locks the fragment's keys and stages it (TxnParticipant hook).
-// Lock acquisition is all-or-nothing: a conflict on any key votes
-// StatusConflict and leaves nothing locked, so concurrent prepares cannot
-// deadlock on partial lock sets. Re-delivered prepares for an
-// already-staged txid vote StatusOK; a prepare for a txid already
+// Prepare locks the fragment's keys and stages it, stamped with the
+// coordinator group whose decision log commit-phase recovery replays
+// (TxnParticipant hook). Lock acquisition is all-or-nothing: a conflict on
+// any key votes StatusConflict and leaves nothing locked, so concurrent
+// prepares cannot deadlock on partial lock sets. Re-delivered prepares for
+// an already-staged txid vote StatusOK (and re-stamp the coordinator: an
+// honest driver's copies carry the same one); a prepare for a txid already
 // tombstoned here is refused — without the abort tombstone, a prepare
 // delayed past its own abort (which no-ops on the unknown txid) would
 // strand the keys locked forever.
@@ -113,11 +115,12 @@ func NewLockTable(keysOf func([]byte) ([][]byte, error), install func([]byte) []
 // re-lock a key in the instant between one transaction's release and the
 // wait queue's drain ever seeing all of a multi-key waiter's keys free,
 // starving the parked request indefinitely.
-func (lt *LockTable) Prepare(txid uint64, fragment []byte) uint8 {
+func (lt *LockTable) Prepare(txid, coord uint64, fragment []byte) uint8 {
 	if _, decided := lt.decisions[txid]; decided {
 		return StatusConflict
 	}
-	if _, dup := lt.staged[txid]; dup {
+	if tx, dup := lt.staged[txid]; dup {
+		tx.coord = coord
 		return StatusOK
 	}
 	keys, err := lt.keysOf(fragment)
@@ -136,7 +139,7 @@ func (lt *LockTable) Prepare(txid uint64, fragment []byte) uint8 {
 			}
 		}
 	}
-	tx := &stagedTxn{keys: make([]string, 0, len(keys)), frag: fragment}
+	tx := &stagedTxn{keys: make([]string, 0, len(keys)), frag: fragment, coord: coord}
 	for _, k := range keys {
 		ks := string(k)
 		lt.locks[ks] = txid
@@ -220,16 +223,8 @@ func (lt *LockTable) Decided(txid uint64, commit bool) uint8 {
 	return StatusOK
 }
 
-// NoteTxnCoord stamps a staged transaction with its coordinator group
-// (TxnRecoverable hook; no-op for unknown txids, idempotent for dups).
-func (lt *LockTable) NoteTxnCoord(txid, coord uint64) {
-	if tx, ok := lt.staged[txid]; ok {
-		tx.coord = coord
-	}
-}
-
 // StagedTxns lists the prepared-but-undecided transactions ascending by
-// txid (TxnRecoverable hook — the recovery agent's sweep surface).
+// txid (TxnParticipant hook — what a recovery sweep reads).
 func (lt *LockTable) StagedTxns() []StagedTxn {
 	out := make([]StagedTxn, 0, len(lt.staged))
 	for id, tx := range lt.staged {
@@ -240,7 +235,7 @@ func (lt *LockTable) StagedTxns() []StagedTxn {
 }
 
 // QueryDecision returns the recorded decision for txid, first tombstoning
-// an undecided txid as aborted (TxnRecoverable hook, query-or-abort): the
+// an undecided txid as aborted (TxnParticipant hook, query-or-abort): the
 // query is itself a consensus-ordered command, so after it executes the
 // outcome is durable on every replica of the coordinator group and a
 // straggling commit decide behind it is refused by Decided's first-write

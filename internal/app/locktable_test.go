@@ -18,10 +18,10 @@ func TestPrepareQueuesBehindParked(t *testing.T) {
 	k1, k2 := []byte("k1"), []byte("k2")
 
 	// tx1 holds k1, tx2 holds k2.
-	if st := r.Prepare(1, EncodeRMSet(Pair{Key: k1, Val: []byte("a")})); st != StatusOK {
+	if st := r.Prepare(1, 0, EncodeRMSet(Pair{Key: k1, Val: []byte("a")})); st != StatusOK {
 		t.Fatalf("prepare tx1: %d", st)
 	}
-	if st := r.Prepare(2, EncodeRMSet(Pair{Key: k2, Val: []byte("b")})); st != StatusOK {
+	if st := r.Prepare(2, 0, EncodeRMSet(Pair{Key: k2, Val: []byte("b")})); st != StatusOK {
 		t.Fatalf("prepare tx2: %d", st)
 	}
 	// A multi-key read over both keys parks (blocked on both locks).
@@ -43,7 +43,7 @@ func TestPrepareQueuesBehindParked(t *testing.T) {
 		t.Fatalf("reader drained early: %d parked", r.ParkedCount())
 	}
 	for txid := uint64(10); txid < 20; txid++ {
-		if st := r.Prepare(txid, EncodeRMSet(Pair{Key: k1, Val: []byte("steal")})); st != StatusConflict {
+		if st := r.Prepare(txid, 0, EncodeRMSet(Pair{Key: k1, Val: []byte("steal")})); st != StatusConflict {
 			t.Fatalf("tx%d jumped the parked reader on k1: vote %d, want StatusConflict", txid, st)
 		}
 	}
@@ -74,7 +74,7 @@ func TestPrepareQueuesBehindParked(t *testing.T) {
 
 	// With the queue empty, a prepare on k1 succeeds again (the fairness
 	// rule only defers prepares while someone is actually waiting).
-	if st := r.Prepare(30, EncodeRMSet(Pair{Key: k1, Val: []byte("c")})); st != StatusOK {
+	if st := r.Prepare(30, 0, EncodeRMSet(Pair{Key: k1, Val: []byte("c")})); st != StatusOK {
 		t.Fatalf("prepare after drain: %d", st)
 	}
 }
@@ -85,7 +85,7 @@ func TestPrepareQueuesBehindParked(t *testing.T) {
 func TestPrepareFairnessSingleKey(t *testing.T) {
 	kv := NewKV(0)
 	k := []byte("hot")
-	if st := kv.Prepare(1, EncodeKVMSet(Pair{Key: k, Val: []byte("tx1")})); st != StatusOK {
+	if st := kv.Prepare(1, 0, EncodeKVMSet(Pair{Key: k, Val: []byte("tx1")})); st != StatusOK {
 		t.Fatalf("prepare tx1: %d", st)
 	}
 	if res := kv.Apply(EncodeKVSet(k, []byte("parked"))); res != nil {
@@ -122,7 +122,7 @@ func TestPrepareFairnessSingleKey(t *testing.T) {
 func TestCommitReceiptIdempotent(t *testing.T) {
 	ob := NewOrderBook()
 	frag := EncodeOrderSym([]byte("SYM"), OpBuy, 100, 2)
-	if st := ob.Prepare(1, frag); st != StatusOK {
+	if st := ob.Prepare(1, 0, frag); st != StatusOK {
 		t.Fatalf("prepare: %d", st)
 	}
 	st, receipt := ob.Commit(1)

@@ -51,6 +51,12 @@ const (
 	// is the recovery path for a participant stranded past the commit
 	// fan-out's bounded retry backoff.
 	OpTxnQueryDecision uint8 = 0xF4
+	// OpTxnListStaged asks a group which transactions it holds prepared but
+	// undecided: the sweep step of commit-phase recovery. Read-only, and
+	// ordered like every other step, so every correct replica gives the
+	// same answer and the client's f+1 matching-response quorum vouches
+	// for it.
+	OpTxnListStaged uint8 = 0xF5
 )
 
 // EncodeTxnPrepare builds a 2PC prepare carrying one participant shard's
@@ -77,6 +83,35 @@ func DecodeTxnQueryDecision(res []byte) (commit, ok bool) {
 		return false, false
 	}
 	return res[1] != 0, true
+}
+
+// stagedListCap bounds how many staged transactions one OpTxnListStaged
+// answer carries; a group holding more answers the oldest (lowest txid)
+// first and the next sweep, after those resolved, picks up the rest.
+const stagedListCap = 256
+
+// EncodeTxnListStaged builds the recovery sweep's question to one group.
+func EncodeTxnListStaged() []byte { return []byte{OpTxnListStaged} }
+
+// DecodeTxnListStaged parses an OpTxnListStaged response: the group's
+// staged transactions ascending by txid, each with its coordinator group.
+func DecodeTxnListStaged(res []byte) ([]StagedTxn, bool) {
+	if len(res) < 2 || res[0] != StatusOK {
+		return nil, false
+	}
+	rd := wire.NewReader(res[1:])
+	n, ok := readCount(rd, stagedListCap)
+	if !ok {
+		return nil, false
+	}
+	staged := make([]StagedTxn, n)
+	for i := range staged {
+		staged[i] = StagedTxn{Txid: rd.U64(), Coord: rd.Uvarint()}
+	}
+	if rd.Done() != nil {
+		return nil, false
+	}
+	return staged, true
 }
 
 // EncodeTxnCommit builds a 2PC commit for txid.
@@ -165,15 +200,7 @@ func ApplyTxn(p TxnParticipant, req []byte) ([]byte, bool) {
 		if rd.Done() != nil {
 			return []byte{StatusBadReq}, true
 		}
-		st := p.Prepare(txid, frag)
-		if st == StatusOK {
-			// Stamp the staged transaction with its coordinator group so
-			// commit-phase recovery knows whose decision log to replay.
-			if rec, ok := p.(TxnRecoverable); ok {
-				rec.NoteTxnCoord(txid, coord)
-			}
-		}
-		return []byte{st}, true
+		return []byte{p.Prepare(txid, coord, frag)}, true
 	case OpTxnCommit:
 		txid := rd.U64()
 		if rd.Done() != nil {
@@ -204,16 +231,27 @@ func ApplyTxn(p TxnParticipant, req []byte) ([]byte, bool) {
 		if rd.Done() != nil {
 			return []byte{StatusBadReq}, true
 		}
-		rec, ok := p.(TxnRecoverable)
-		if !ok {
-			return []byte{StatusBadReq}, true
-		}
-		commit := rec.QueryDecision(txid)
 		out := []byte{StatusOK, 0}
-		if commit {
+		if p.QueryDecision(txid) {
 			out[1] = 1
 		}
 		return out, true
+	case OpTxnListStaged:
+		if rd.Done() != nil {
+			return []byte{StatusBadReq}, true
+		}
+		staged := p.StagedTxns()
+		if len(staged) > stagedListCap {
+			staged = staged[:stagedListCap]
+		}
+		w := wire.NewWriter(8 + 16*len(staged))
+		w.U8(StatusOK)
+		w.Uvarint(uint64(len(staged)))
+		for _, tx := range staged {
+			w.U64(tx.Txid)
+			w.Uvarint(tx.Coord)
+		}
+		return w.Finish(), true
 	default:
 		return []byte{StatusBadReq}, true
 	}

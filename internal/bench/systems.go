@@ -27,14 +27,6 @@ func NewUBFTSystem(opts cluster.Options) System {
 	return &ubftSystem{c: cluster.NewUBFT(opts)}
 }
 
-// UBFTCluster exposes the underlying cluster (memory accounting).
-func UBFTCluster(s System) *cluster.UBFT {
-	if u, ok := s.(*ubftSystem); ok {
-		return u.c
-	}
-	return nil
-}
-
 func (s *ubftSystem) Invoke(p []byte, done func([]byte, sim.Duration)) {
 	s.c.Clients[0].Invoke(p, done)
 }

@@ -48,7 +48,6 @@ type Layout struct {
 	Groups   [][]ids.ID // Groups[g][i] is replica i of consensus group g
 	MemNodes []ids.ID   // the memory-node pool, shared by every group
 	Clients  []ids.ID
-	Extra    []ids.ID // further signing hosts (the shard layer's recovery agent)
 }
 
 // SingleGroupLayout numbers one group the way the paper's testbed is
@@ -60,12 +59,9 @@ func SingleGroupLayout(f, fm, memNodes, clients int) Layout {
 }
 
 // ShardedLayout numbers S groups over one shared pool: replica i of shard
-// s at s*100+i, memory nodes at 100_000.., clients at 200_000.., plus any
-// extra signing hosts.
-func ShardedLayout(shards, f, fm, memNodes, clients int, extra ...ids.ID) Layout {
-	l := numbered(shards, f, fm, memNodes, clients, shardedMemNodeIDBase, shardedClientIDBase)
-	l.Extra = extra
-	return l
+// s at s*100+i, memory nodes at 100_000.., clients at 200_000...
+func ShardedLayout(shards, f, fm, memNodes, clients int) Layout {
+	return numbered(shards, f, fm, memNodes, clients, shardedMemNodeIDBase, shardedClientIDBase)
 }
 
 func numbered(groups, f, fm, memNodes, clients, memBase, clientBase int) Layout {
@@ -87,14 +83,14 @@ func numbered(groups, f, fm, memNodes, clients, memBase, clientBase int) Layout 
 }
 
 // Signers lists the identities that hold signing keys, in the order the
-// registry is seeded with: every group's replicas, the clients, the extras
-// (memory nodes do not sign).
+// registry is seeded with: every group's replicas, then the clients (memory
+// nodes do not sign).
 func (l Layout) Signers() []ids.ID {
 	var all []ids.ID
 	for _, reps := range l.Groups {
 		all = append(all, reps...)
 	}
-	return append(append(all, l.Clients...), l.Extra...)
+	return append(all, l.Clients...)
 }
 
 // Group is one consensus group of an assembled deployment. Replicas and
@@ -186,8 +182,8 @@ func NewAssembly(opts Options, layout Layout, newApp func(group int) app.StateMa
 	return a
 }
 
-// WireHost creates the endpoint of one node and its channel router.
-func (a *Assembly) WireHost(id ids.ID, name string) (*router.Router, error) {
+// wireHost creates the endpoint of one node and its channel router.
+func (a *Assembly) wireHost(id ids.ID, name string) (*router.Router, error) {
 	ep, err := a.fab.NewEndpoint(id, name)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: wiring %s: %w", name, err)
@@ -197,7 +193,7 @@ func (a *Assembly) WireHost(id ids.ID, name string) (*router.Router, error) {
 
 // wireMemNode wires memory node j of the pool.
 func (a *Assembly) wireMemNode(j int) (*memnode.Node, error) {
-	rt, err := a.WireHost(a.Layout.MemNodes[j], fmt.Sprintf("mem%d", j))
+	rt, err := a.wireHost(a.Layout.MemNodes[j], fmt.Sprintf("mem%d", j))
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +240,7 @@ func (a *Assembly) allocateGroup(g int) {
 // strictly above every one that identity used before.
 func (a *Assembly) wireReplica(g, i int, coldJoin bool, joinNonce uint64) error {
 	grp := a.Groups[g]
-	rt, err := a.WireHost(grp.ReplicaIDs[i], fmt.Sprintf("s%dr%d", g, i))
+	rt, err := a.wireHost(grp.ReplicaIDs[i], fmt.Sprintf("s%dr%d", g, i))
 	if err != nil {
 		return err
 	}
@@ -259,7 +255,7 @@ func (a *Assembly) wireReplica(g, i int, coldJoin bool, joinNonce uint64) error 
 // WireClient wires client c: one consensus client that can invoke every
 // group of the layout.
 func (a *Assembly) WireClient(c int) (*consensus.Client, error) {
-	rt, err := a.WireHost(a.Layout.Clients[c], fmt.Sprintf("client%d", c))
+	rt, err := a.wireHost(a.Layout.Clients[c], fmt.Sprintf("client%d", c))
 	if err != nil {
 		return nil, err
 	}

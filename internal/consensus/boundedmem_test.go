@@ -2,6 +2,7 @@ package consensus_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/app"
@@ -209,5 +210,55 @@ func TestLeaderMapsFlatAcrossIntervals(t *testing.T) {
 		if sizeAfter[k] > sizeAfter[0]+window {
 			t.Fatalf("leader map cardinality grows across checkpoint intervals: %v", sizeAfter)
 		}
+	}
+}
+
+// TestViewChangeRecordsPruned: the tables keyed by view (the CERTIFY_VC
+// shares a leader-elect collects, the certificates it holds until its seal
+// lands, the NEW_VIEW-sent marks) keep nothing below the replica's current
+// view, however many view changes it lived through. Each round hides the
+// client from the leader of the view the quorum is in, so the followers
+// hold a request their leader never proposes and rotate it out; every
+// replica gets elected several times.
+func TestViewChangeRecordsPruned(t *testing.T) {
+	const rounds = 9
+	u := cluster.NewUBFT(cluster.Options{
+		Seed:              1,
+		ViewChangeTimeout: 300 * sim.Microsecond,
+		SlowPathDelay:     50 * sim.Microsecond,
+		NewApp:            func() app.StateMachine { return app.NewKV(0) },
+	})
+	defer u.Stop()
+
+	recorded := 0
+	for round := 0; round < rounds; round++ {
+		views := make([]int, len(u.Replicas))
+		for i, r := range u.Replicas {
+			views[i] = int(r.View())
+		}
+		slices.Sort(views)
+		leader := u.ReplicaIDs[views[len(views)/2]%len(views)] // of the f+1'th highest view
+		u.Net.Partition(leader, u.ClientIDs[0])
+		key := []byte(fmt.Sprintf("key-%02d", round))
+		if _, _, err := u.InvokeSyncErr(0, app.EncodeKVSet(key, []byte("v")), 100*sim.Millisecond); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		u.Net.HealAll()
+		u.Eng.RunFor(5 * sim.Millisecond)
+		for i, r := range u.Replicas {
+			n, lowest := r.ViewRecords()
+			recorded += n
+			if n > 0 && lowest < r.View() {
+				t.Fatalf("round %d: replica %d in view %d keeps a view-change record of view %d", round, i, r.View(), lowest)
+			}
+		}
+	}
+	for i, r := range u.Replicas {
+		if r.View() < 8 {
+			t.Errorf("replica %d reached view %d only: the schedule did not drive 8 view changes", i, r.View())
+		}
+	}
+	if recorded == 0 {
+		t.Error("no view-change record was ever seen: the check is vacuous")
 	}
 }

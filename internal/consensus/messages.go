@@ -33,12 +33,6 @@ const (
 	tagCertifyVC   = wire.TagCertifyVC
 	tagStateReq    = wire.TagStateReq
 	tagStateResp   = wire.TagStateResp
-	// tagStagedQuery/tagStagedResp are the commit-phase-recovery hint scan:
-	// a recovery agent asks a replica for its prepared-but-undecided
-	// transactions and gets the (txid, coordinator group) pairs back. Both
-	// ride ChanDirect; tagEcho (23) lives in rpc.go.
-	tagStagedQuery = wire.TagStagedQuery
-	tagStagedResp  = wire.TagStagedResp
 	// tagJoinProbe/tagJoinAns are the cold-rejoin handshake: a restarted
 	// replica probes for the cluster's sync point and f+1 matching answers
 	// (view, stable checkpoint seq, state digest) fix it — no lone

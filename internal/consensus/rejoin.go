@@ -191,7 +191,7 @@ func (r *Replica) adoptSyncPoint(v View, cp Checkpoint) {
 	r.joinProbeTimer.Cancel()
 	r.joinAnswers = make(map[ids.ID]joinAnswer)
 	if v > r.view {
-		r.view = v
+		r.setView(v)
 	}
 	if cp.Seq > 0 {
 		// Observe-gated: adopts + prunes + starts the snapshot pull, but

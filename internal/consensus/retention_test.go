@@ -26,9 +26,9 @@ var retention = map[string]string{
 	"Replica.pinnedReads":   "<= pinnedReadCap, drained as execution reaches each pin",
 	"Replica.joinAnswers":   "fixed: at most n entries, reset when the sync point is adopted",
 	"Replica.peerJoinNonce": "fixed: at most n entries",
-	"Replica.pendingNV":     "one entry per view this replica is elected to lead, deleted when the view starts",
-	"Replica.vcShares":      "NOT pruned: one entry (n x n certified states) per view this replica collected shares for; grows with view changes (ROADMAP residual)",
-	"Replica.newViewSent":   "NOT pruned: one bool per view this replica led; grows with view changes (ROADMAP residual)",
+	"Replica.pendingNV":     "setView: views below the current one; one entry per view this replica is elected to lead, deleted when the view starts",
+	"Replica.vcShares":      "setView: views below the current one; one entry (n x n certified states) per view at or above it this replica collected shares for — a Byzantine signer can pre-fill views ahead (ROADMAP residual)",
+	"Replica.newViewSent":   "setView: views below the current one; one bool per view at or above it this replica led",
 
 	"slotState.sentLater": "dies with the slot record; one entry per view the slot lived through after its first",
 	"slotState.certSigs":  "dies with the slot record; one entry per (view, digest) signed by a replica — unbounded under a Byzantine signer (ROADMAP residual)",

@@ -405,10 +405,9 @@ type Client struct {
 	// monotonic read floor (the lowest state version a fast read may be
 	// answered at — ratcheted by every accepted read AND every ordered
 	// response, which is what gives one client monotonic reads and
-	// read-your-writes across the two paths), and the quorum timeout.
+	// read-your-writes across the two paths).
 	pendingReads map[uint64]*pendingRead
 	readFloor    []Slot
-	readTimeout  sim.Duration
 	// readSuspect is, per group, the replicas (bitmask of indices) passed
 	// over when a read picks its first f+1 targets. A replica joins when a
 	// read it was asked on the first rung had to widen and was then accepted
@@ -560,22 +559,12 @@ func NewMultiClient(rt *router.Router, groups [][]ids.ID, f int, def Defenses) *
 		pending:      make(map[uint64]*pendingReq),
 		pendingReads: make(map[uint64]*pendingRead),
 		readFloor:    make([]Slot, len(groups)),
-		readTimeout:  defaultReadTimeout,
 		readSuspect:  make([]uint64, len(groups)),
 		readProbe:    make([]probeRead, len(groups)),
 		def:          def,
 	}
 	rt.Register(router.ChanRPC, c.onRPC)
 	return c
-}
-
-// SetReadTimeout overrides how long a fast read waits for its quorum
-// before falling back to the ordered path (default 500us of virtual time;
-// the widen deadline is half of it).
-func (c *Client) SetReadTimeout(d sim.Duration) {
-	if d > 0 {
-		c.readTimeout = d
-	}
 }
 
 // Groups returns how many replica groups this client can address.
@@ -886,7 +875,7 @@ func (c *Client) sendRead(num uint64, p *pendingRead, to uint64) {
 	}
 	wire.PutWriter(w)
 	p.contacted |= to
-	wait := c.readTimeout
+	wait := defaultReadTimeout
 	if p.firstRung != 0 || p.contacted != c.groupMask(p.group) {
 		wait /= 2
 	}

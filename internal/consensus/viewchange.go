@@ -155,6 +155,24 @@ func (r *Replica) sealTo(v View) {
 	r.maybeSeal()
 }
 
+// setView enters view v and drops the view-change records of every view
+// below it: onCertifyVC ignores shares for a view below the current one,
+// and maybeSeal and pumpProposals read the current view's entries only.
+func (r *Replica) setView(v View) {
+	r.view = v
+	dropViewsBelow(r.vcShares, v)
+	dropViewsBelow(r.newViewSent, v)
+	dropViewsBelow(r.pendingNV, v)
+}
+
+func dropViewsBelow[T any](m map[View]T, v View) {
+	for old := range m {
+		if old < v {
+			delete(m, old)
+		}
+	}
+}
+
 // maybeSeal broadcasts SEAL_VIEW once every promise is honoured.
 func (r *Replica) maybeSeal() {
 	if !r.isSealing() || r.stopped || r.observing() {
@@ -169,7 +187,7 @@ func (r *Replica) maybeSeal() {
 	}
 	v := r.sealTarget
 	r.sealTarget = 0
-	r.view = v
+	r.setView(v)
 	r.fastPathLive = false // until a slot of this view decides by unanimity
 	w := wire.NewWriter(16)
 	w.U8(tagSealView)
@@ -217,7 +235,7 @@ func (r *Replica) onSealView(p ids.ID, v View) {
 				}
 			}
 			if sealers >= r.cfg.F+1 {
-				r.view = v
+				r.setView(v)
 			}
 		}
 		return
@@ -294,8 +312,6 @@ func (r *Replica) onDirect(from ids.ID, payload []byte) {
 		r.onStateTransfer(from, tag, rd)
 	case tagEcho:
 		r.onEcho(from, rd)
-	case tagStagedQuery:
-		r.onStagedQuery(from, rd)
 	case tagJoinProbe:
 		r.onJoinProbe(from, rd)
 	case tagJoinAns:
@@ -482,7 +498,7 @@ func (r *Replica) onNewView(p ids.ID, nv NewViewMsg) {
 		// Passive view tracking: the NEW_VIEW message is f+1-certified, so
 		// a rejoining replica may follow it without sealing or re-echoing.
 		if nv.View > r.view {
-			r.view = nv.View
+			r.setView(nv.View)
 		}
 		return
 	}

@@ -4,13 +4,13 @@ package shard_test
 // case of two-phase commit is a participant that voted yes and then missed
 // the commit fan-out past the driver's entire retry backoff. The driver
 // retains no transaction state, so the participant's locks can only be
-// released by replaying the coordinator group's decision log — which is
-// exactly what the RecoveryAgent does. These tests manufacture the
-// stranding deterministically (virtual time, seeded engine): partition the
-// driving client from every replica of the non-coordinator participant in
-// the instant after the commit decision is durably logged, exhaust the
-// retry rounds, heal, sweep, and require the locks gone and the committed
-// values installed.
+// released by replaying the coordinator group's decision log — which any
+// client's SweepStranded does, in ordered commands. These tests manufacture
+// the stranding deterministically (virtual time, seeded engine): partition
+// the driving client from every replica of the non-coordinator participant
+// in the instant after the commit decision is durably logged, exhaust the
+// retry rounds, heal, sweep from the OTHER client, and require the locks
+// gone and the committed values installed.
 
 import (
 	"bytes"
@@ -18,47 +18,93 @@ import (
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/ids"
 	"repro/internal/shard"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
-// strandOutcome fingerprints one stranded-commit run for the determinism
-// check: the recovery counters plus the post-recovery replica snapshots of
-// both groups.
-type strandOutcome struct {
-	resolved, committed, aborted uint64
-	snap0, snap1                 []byte
+// The two client hosts of every deployment here: client 0 drives the
+// transaction, client 1 seeds, sweeps and verifies.
+const (
+	driverID  ids.ID = 200_000
+	sweeperID ids.ID = 200_001
+)
+
+// firstTxid is client 0's first transaction: host<<32 | 1.
+const firstTxid = uint64(driverID)<<32 | 1
+
+// cut partitions (or heals) one client from every replica of one group.
+func cut(d *shard.Deployment, client ids.ID, group int, partition bool) {
+	for _, rep := range d.Groups[group].ReplicaIDs {
+		if partition {
+			d.Net.Partition(client, rep)
+		} else {
+			d.Net.Heal(client, rep)
+		}
+	}
 }
 
-// runStrandedCommit drives one full stranding-and-recovery scenario and
-// returns its fingerprint. Every assertion about the scenario itself lives
-// here so each (app, seed) run is checked identically.
-func runStrandedCommit(t *testing.T, sa shardApp, seed int64) strandOutcome {
+// seedKeys writes "old" under one key per shard through client 1.
+func seedKeys(t *testing.T, d *shard.Deployment, sa shardApp) (k0, k1 []byte) {
 	t.Helper()
-	const shards = 2
-	d := shard.New(shard.Options{
-		Seed:       seed,
-		Shards:     shards,
-		NumClients: 2, // client 0 drives and gets stranded; client 1 verifies
-		NewApp:     sa.newApp,
-		// A short prepare timeout keeps the six exponential retry rounds
-		// (1x..32x) inside a manageable virtual-time budget.
-		PrepareTimeout: 1 * sim.Millisecond,
-		Recovery:       true,
-	})
-	defer d.Stop()
-
-	k0 := keyOnShard(t, 0, shards, 0)
-	k1 := keyOnShard(t, 1, shards, 0)
+	k0, k1 = keyOnShard(t, 0, 2, 0), keyOnShard(t, 1, 2, 0)
 	for _, k := range [][]byte{k0, k1} {
 		if res, _, err := d.InvokeSync(1, sa.seed(k, "old"), 50*sim.Millisecond); err != nil || !sa.wrote(res) {
 			t.Fatalf("seed write %q: res=%v err=%v", k, res, err)
 		}
 	}
+	return k0, k1
+}
 
-	// Client 0's first transaction: txid = host<<32 | 1, coordinator =
-	// minimum touched shard = group 0.
-	txid := uint64(200_000)<<32 | 1
+// requireUnlocked: no replica of either group holds a lock or a staged
+// transaction, and no client holds pending-request state.
+func requireUnlocked(t *testing.T, d *shard.Deployment) {
+	t.Helper()
+	for gi, g := range d.Groups {
+		for ri, a := range g.Apps {
+			ls := a.(lockState)
+			if ls.LockedKeys() != 0 || ls.StagedTxs() != 0 {
+				t.Fatalf("group %d replica %d: locked=%d staged=%d, want none", gi, ri, ls.LockedKeys(), ls.StagedTxs())
+			}
+		}
+	}
+	for ci, c := range d.Clients {
+		if n := c.Pending(); n != 0 {
+			t.Fatalf("client %d holds %d pending requests, want 0", ci, n)
+		}
+	}
+}
+
+// readBoth reads both keys in one cross-shard read through client 1.
+func readBoth(t *testing.T, d *shard.Deployment, sa shardApp, k0, k1 []byte) (string, string) {
+	t.Helper()
+	res, _, err := d.InvokeSync(1, sa.read(k0, k1), 50*sim.Millisecond)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	return sa.readVals(t, res)
+}
+
+// strandCommit manufactures the stranded commit: client 0's cross-shard
+// write is committed at the coordinator (group 0) and reported committed to
+// its caller, while every replica of group 1 sits on the prepared locks and
+// no client holds any state for the transaction. The partition that caused
+// it is healed before returning.
+func strandCommit(t *testing.T, sa shardApp, seed int64) (d *shard.Deployment, k0, k1 []byte) {
+	t.Helper()
+	d = shard.New(shard.Options{
+		Seed:       seed,
+		Shards:     2,
+		NumClients: 2,
+		NewApp:     sa.newApp,
+		// A short prepare timeout keeps the six exponential retry rounds
+		// (1x..32x) inside a manageable virtual-time budget.
+		PrepareTimeout: 1 * sim.Millisecond,
+	})
+	t.Cleanup(d.Stop)
+	k0, k1 = seedKeys(t, d, sa)
+
 	var (
 		result []byte
 		fired  bool
@@ -76,7 +122,7 @@ func runStrandedCommit(t *testing.T, sa shardApp, seed int64) strandOutcome {
 	// participant hears about it.
 	decisionLogged := func() bool {
 		for _, a := range d.Groups[0].Apps {
-			if commit, ok := a.(lockState).Decision(txid); ok && commit {
+			if commit, ok := a.(lockState).Decision(firstTxid); ok && commit {
 				return true
 			}
 		}
@@ -88,9 +134,7 @@ func runStrandedCommit(t *testing.T, sa shardApp, seed int64) strandOutcome {
 		}
 		d.Eng.RunFor(200 * sim.Nanosecond)
 	}
-	for _, rep := range d.Groups[1].ReplicaIDs {
-		d.Net.Partition(200_000, rep)
-	}
+	cut(d, driverID, 1, true)
 
 	// Exhaust the commit retry rounds (1+2+4+8+16+32 ms of backoff). The
 	// driver must still report the transaction committed — the decision is
@@ -109,53 +153,53 @@ func runStrandedCommit(t *testing.T, sa shardApp, seed int64) strandOutcome {
 				ri, ls.StagedTxs(), ls.LockedKeys())
 		}
 	}
+	cut(d, driverID, 1, false)
+	return d, k0, k1
+}
 
-	// Reconnect and sweep. The first sweep earns the f+1-agreed sighting,
-	// the second crosses MinSightings (2) and resolves: the agent replays
-	// the coordinator's logged COMMIT at group 1, releasing the locks.
-	for _, rep := range d.Groups[1].ReplicaIDs {
-		d.Net.Heal(200_000, rep)
-	}
-	d.Recovery.SweepNow()
-	d.Eng.RunFor(3 * sim.Millisecond)
-	d.Recovery.SweepNow()
-	d.Eng.RunFor(10 * sim.Millisecond)
-
-	total, committed, aborted := d.Recovery.Resolved()
+// requireReplayedCommit: exactly one stranded transaction was resolved, as
+// a commit, by client 1; nothing is locked anywhere; both keys read "new".
+func requireReplayedCommit(t *testing.T, d *shard.Deployment, sa shardApp, k0, k1 []byte) {
+	t.Helper()
+	total, committed, aborted := d.Client(1).StrandedResolved()
 	if total != 1 || committed != 1 || aborted != 0 {
 		t.Fatalf("recovery resolved (total=%d, committed=%d, aborted=%d), want exactly one replayed commit",
 			total, committed, aborted)
 	}
-	for gi, g := range d.Groups {
-		for ri, a := range g.Apps {
-			ls := a.(lockState)
-			if ls.LockedKeys() != 0 || ls.StagedTxs() != 0 {
-				t.Fatalf("group %d replica %d: locked=%d staged=%d after recovery, want none",
-					gi, ri, ls.LockedKeys(), ls.StagedTxs())
-			}
-		}
-	}
-	// The replayed commit must install the transaction's writes: the
-	// unstranded client reads both keys and sees the new state, atomically.
-	res, _, err := d.InvokeSync(1, sa.read(k0, k1), 50*sim.Millisecond)
-	if err != nil {
-		t.Fatalf("read after recovery: %v", err)
-	}
-	v0, v1 := sa.readVals(t, res)
+	requireUnlocked(t, d)
+	// The replayed commit must install the transaction's writes: both keys
+	// read the same, and the same as the coordinator-side key alone.
+	v0, v1 := readBoth(t, d, sa, k0, k1)
 	if v0 != v1 {
 		t.Fatalf("recovered state torn: %q vs %q", v0, v1)
 	}
-	oldRes, _, err := d.InvokeSync(1, sa.read(k0, k0), 50*sim.Millisecond)
-	if err != nil {
-		t.Fatalf("baseline read: %v", err)
-	}
-	if o0, _ := sa.readVals(t, oldRes); o0 != v0 {
-		// Self-consistency of the probe: both reads go through the same
-		// replicas, so a mismatch means nondeterministic serving, not a
-		// recovery bug — fail loudly either way.
+	if o0, _ := readBoth(t, d, sa, k0, k0); o0 != v0 {
 		t.Fatalf("inconsistent reads of %q: %q vs %q", k0, o0, v0)
 	}
+}
 
+// strandOutcome fingerprints one stranded-commit run for the determinism
+// check: the recovery counters plus the post-recovery replica snapshots of
+// both groups.
+type strandOutcome struct {
+	resolved, committed, aborted uint64
+	snap0, snap1                 []byte
+}
+
+// runStrandedCommit drives one full stranding-and-recovery scenario and
+// returns its fingerprint. The sweeps come from client 1, which did not
+// drive the transaction: the first lists it, the second lists it again and
+// resolves — the coordinator's logged COMMIT replayed at group 1.
+func runStrandedCommit(t *testing.T, sa shardApp, seed int64) strandOutcome {
+	t.Helper()
+	d, k0, k1 := strandCommit(t, sa, seed)
+	d.Client(1).SweepStranded()
+	d.Eng.RunFor(3 * sim.Millisecond)
+	d.Client(1).SweepStranded()
+	d.Eng.RunFor(10 * sim.Millisecond)
+	requireReplayedCommit(t, d, sa, k0, k1)
+
+	total, committed, aborted := d.Client(1).StrandedResolved()
 	return strandOutcome{
 		resolved: total, committed: committed, aborted: aborted,
 		snap0: d.Groups[0].Apps[0].Snapshot(),
@@ -188,5 +232,170 @@ func TestCommitPhaseRecoveryDeterministic(t *testing.T) {
 	if a.resolved != b.resolved || a.committed != b.committed || a.aborted != b.aborted ||
 		!bytes.Equal(a.snap0, b.snap0) || !bytes.Equal(a.snap1, b.snap1) {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestCommitPhaseRecoverySurvivesLostQuery: the sweeping client is cut off
+// from the coordinator group exactly while it tries to resolve. The query
+// is retransmitted with the backoff every other 2PC step has, so healing
+// mid-backoff resolves the transaction; and when every round is lost the
+// candidate goes back to the sweeps, so the next one picks it up again.
+// (The unordered side protocol this replaced sent the query once and then
+// skipped the transaction in every later sweep.)
+func TestCommitPhaseRecoverySurvivesLostQuery(t *testing.T) {
+	sa := shardApps()[0] // rkv
+	for _, tc := range []struct {
+		name string
+		cut  sim.Duration // how long the partition outlasts the resolving sweep
+	}{
+		{"retransmitted", 2500 * sim.Microsecond}, // rounds at +0 and +1 ms lost, +3 ms lands
+		{"exhausted", 70 * sim.Millisecond},       // all six rounds (63 ms) lost
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, k0, k1 := strandCommit(t, sa, 1)
+			d.Client(1).SweepStranded()
+			d.Eng.RunFor(3 * sim.Millisecond)
+
+			cut(d, sweeperID, 0, true)
+			d.Client(1).SweepStranded() // group 1 lists it again: resolve, query lost
+			d.Eng.RunFor(tc.cut)
+			if total, _, _ := d.Client(1).StrandedResolved(); total != 0 {
+				t.Fatalf("resolved %d transactions with the coordinator group unreachable", total)
+			}
+			cut(d, sweeperID, 0, false)
+
+			d.Client(1).SweepStranded()
+			d.Eng.RunFor(10 * sim.Millisecond)
+			requireReplayedCommit(t, d, sa, k0, k1)
+		})
+	}
+}
+
+// listLiar is an RKV replica that, once lying, answers OpTxnListStaged with
+// one staged transaction more than it holds.
+type listLiar struct {
+	*app.RKV
+	lying       bool
+	txid, coord uint64
+}
+
+func (l *listLiar) Apply(req []byte) []byte {
+	res := l.RKV.Apply(req)
+	staged, ok := app.DecodeTxnListStaged(res)
+	if !l.lying || !bytes.Equal(req, app.EncodeTxnListStaged()) || !ok {
+		return res
+	}
+	w := wire.NewWriter(64)
+	w.U8(app.StatusOK)
+	w.Uvarint(uint64(len(staged) + 1))
+	for _, tx := range append(staged, app.StagedTxn{Txid: l.txid, Coord: l.coord}) {
+		w.U64(tx.Txid)
+		w.Uvarint(tx.Coord)
+	}
+	return w.Finish()
+}
+
+// TestCommitPhaseRecoveryLoneLiar: one replica inventing a stranded
+// transaction never gets it queried, let alone aborted — its answer is one
+// vote against the group's f+1 matching ones. The liar is the view-0 leader
+// of group 1, whose answer usually reaches the client first.
+func TestCommitPhaseRecoveryLoneLiar(t *testing.T) {
+	const forged = uint64(0xDEAD)<<32 | 7
+	d := shard.New(shard.Options{
+		Seed:       1,
+		Shards:     2,
+		NumClients: 2,
+		NewApp:     func(int) app.StateMachine { return &listLiar{RKV: app.NewRKV(), txid: forged} },
+	})
+	defer d.Stop()
+	seedKeys(t, d, shardApps()[0])
+	d.Groups[1].Apps[0].(*listLiar).lying = true
+
+	for i := 0; i < 3; i++ {
+		d.Client(1).SweepStranded()
+		d.Eng.RunFor(3 * sim.Millisecond)
+	}
+	if total, _, _ := d.Client(1).StrandedResolved(); total != 0 {
+		t.Fatalf("resolved %d transactions, want 0: nothing is stranded", total)
+	}
+	for ri, a := range d.Groups[0].Apps {
+		if commit, ok := a.(lockState).Decision(forged); ok {
+			t.Fatalf("coordinator replica %d logged decision commit=%v for a transaction one liar invented", ri, commit)
+		}
+	}
+	requireUnlocked(t, d)
+}
+
+// TestCommitPhaseRecoveryInFlight: a transaction between its prepare and
+// its commit is not stranded. The window is held open deterministically:
+// the driver's host is busy when the votes arrive, and by the time it sends
+// its decide it is cut off from the coordinator group, so the decide goes
+// out again one PrepareTimeout later. One sweep inside the window must leave
+// the transaction alone (it commits once the link heals); two consecutive
+// sweeps inside it do resolve it — as an abort, by query-or-abort — and the
+// driver's late decide then loses to the tombstone, so driver and
+// participants agree.
+func TestCommitPhaseRecoveryInFlight(t *testing.T) {
+	sa := shardApps()[0] // rkv
+	for _, tc := range []struct {
+		name   string
+		sweeps int
+		status uint8
+		value  string
+	}{
+		{"one-sweep", 1, app.StatusOK, "new"},
+		{"two-sweeps", 2, app.StatusAborted, "old"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := shard.New(shard.Options{Seed: 1, Shards: 2, NumClients: 2, NewApp: sa.newApp})
+			defer d.Stop()
+			k0, k1 := seedKeys(t, d, sa)
+
+			var result []byte
+			if _, err := d.Client(0).Invoke(sa.write(k0, k1, "new"), func(res []byte, _ sim.Duration) { result = res }); err != nil {
+				t.Fatalf("cross-shard write: %v", err)
+			}
+			// The prepares have left; the votes will queue behind 300 us of
+			// host work, and the decide they trigger meets the partition.
+			d.Net.Node(driverID).Proc().Charge(300 * sim.Microsecond)
+			d.Eng.RunFor(150 * sim.Microsecond)
+			for gi, g := range d.Groups {
+				for ri, a := range g.Apps {
+					if a.(lockState).StagedTxs() != 1 {
+						t.Fatalf("group %d replica %d has not prepared yet: the schedule missed its window", gi, ri)
+					}
+				}
+			}
+			cut(d, driverID, 0, true)
+
+			// The default PrepareTimeout is 2 ms: the decide is repeated at
+			// about 2.3 ms. Everything below happens before that.
+			for i := 0; i < tc.sweeps; i++ {
+				d.Client(1).SweepStranded()
+				d.Eng.RunFor(500 * sim.Microsecond)
+			}
+			if result != nil {
+				t.Fatalf("driver finished (%v) inside the held window", result)
+			}
+			resolved, _, aborted := d.Client(1).StrandedResolved()
+			if want := uint64(2 * (tc.sweeps - 1)); resolved != want || aborted != want {
+				t.Fatalf("%d sweeps resolved %d (aborted %d), want %d: one per participant group", tc.sweeps, resolved, aborted, want)
+			}
+			for ri, a := range d.Groups[0].Apps {
+				if _, ok := a.(lockState).Decision(firstTxid); ok != (tc.sweeps > 1) {
+					t.Fatalf("coordinator replica %d: decision logged = %v after %d sweep(s)", ri, ok, tc.sweeps)
+				}
+			}
+			cut(d, driverID, 0, false)
+
+			d.Eng.RunFor(10 * sim.Millisecond)
+			if len(result) != 1 || result[0] != tc.status {
+				t.Fatalf("driver outcome %v, want status %d", result, tc.status)
+			}
+			requireUnlocked(t, d)
+			if v0, v1 := readBoth(t, d, sa, k0, k1); v0 != tc.value || v1 != tc.value {
+				t.Fatalf("read (%q, %q), want both %q", v0, v1, tc.value)
+			}
+		})
 	}
 }

@@ -6,8 +6,8 @@
 // "can be shared among many applications"), with disjoint SWMR region
 // spans. The nodes are wired by the one deployment assembler in
 // internal/cluster (Build is "every node of cluster.ShardedLayout"); this
-// package adds only what is shard-specific: capability discovery, the
-// routing Client and the 2PC RecoveryAgent.
+// package adds only what is shard-specific: capability discovery and the
+// routing Client, which also drives 2PC and its commit-phase recovery.
 //
 // The shard layer is application-agnostic: it consumes only the capability
 // interfaces of internal/app. Routing derives from app.Router (the keys a
@@ -35,7 +35,6 @@
 //	replica i of shard s   -> s*100 + i      (n = 2f+1 <= 64 < 100)
 //	memory node j          -> 100_000 + j    (shared pool)
 //	client c               -> 200_000 + c
-//	recovery agent         -> 300_000
 //
 // Region allocation: shard s owns region IDs
 // [s*RegionSpan, (s+1)*RegionSpan) on every memory node, where RegionSpan
@@ -165,17 +164,6 @@ type Options struct {
 	// capability requirements as FastReads.
 	StrongReads bool
 
-	// ReadTimeout bounds how long a fast read waits for its quorum before
-	// falling back to the ordered path (default 500us of virtual time).
-	ReadTimeout sim.Duration
-
-	// Recovery deploys the 2PC commit-phase recovery agent (recovery.go):
-	// an extra host that sweeps replicas for prepared-but-undecided
-	// transactions and resolves stranded ones by replaying the coordinator
-	// group's decision log through ordered commands. Sweeps are explicit
-	// (Deployment.Recovery.SweepNow); default off.
-	Recovery bool
-
 	// NetOptions overrides the network model (defaults to RDMA-class).
 	NetOptions *simnet.Options
 }
@@ -203,9 +191,6 @@ func (o *Options) normalize() error {
 	if o.PrepareTimeout < 0 {
 		return fmt.Errorf("shard: negative PrepareTimeout=%d", o.PrepareTimeout)
 	}
-	if o.ReadTimeout < 0 {
-		return fmt.Errorf("shard: negative ReadTimeout=%d", o.ReadTimeout)
-	}
 	return o.Group.Normalize()
 }
 
@@ -221,10 +206,6 @@ type Deployment struct {
 
 	Clients   []*Client
 	ClientIDs []ids.ID
-
-	// Recovery is the commit-phase recovery agent (nil unless
-	// Options.Recovery).
-	Recovery *RecoveryAgent
 }
 
 // New builds and wires an S-shard deployment on one engine. Invalid
@@ -272,11 +253,7 @@ func BuildWithDefenses(opts Options, off consensus.Defenses) (*Deployment, error
 	// The deployment-level seed and network model govern every group.
 	g := opts.Group
 	g.Seed, g.NetOptions = opts.Seed, opts.NetOptions
-	var extra []ids.ID
-	if opts.Recovery {
-		extra = []ids.ID{recoveryIDBase}
-	}
-	a := cluster.NewAssembly(g, cluster.ShardedLayout(opts.Shards, g.F, g.Fm, g.MemNodes, opts.NumClients, extra...), opts.NewApp, off)
+	a := cluster.NewAssembly(g, cluster.ShardedLayout(opts.Shards, g.F, g.Fm, g.MemNodes, opts.NumClients), opts.NewApp, off)
 	if err := a.WireNodes(); err != nil {
 		return nil, err
 	}
@@ -288,9 +265,6 @@ func BuildWithDefenses(opts Options, off consensus.Defenses) (*Deployment, error
 		cc, err := a.WireClient(c)
 		if err != nil {
 			return nil, err
-		}
-		if opts.ReadTimeout > 0 {
-			cc.SetReadTimeout(opts.ReadTimeout)
 		}
 		d.Clients = append(d.Clients, &Client{
 			cc:          cc,
@@ -304,14 +278,6 @@ func BuildWithDefenses(opts Options, off consensus.Defenses) (*Deployment, error
 			strongReads: opts.StrongReads && canRead && appFrag != nil,
 			prepTimeout: opts.PrepareTimeout,
 		})
-	}
-
-	if opts.Recovery {
-		rt, err := a.WireHost(recoveryIDBase, "recovery")
-		if err != nil {
-			return nil, err
-		}
-		d.Recovery = NewRecoveryAgent(rt, a.Layout.Groups, g.F)
 	}
 	return d, nil
 }
@@ -367,7 +333,9 @@ func (d *Deployment) InvokeSync(ci int, payload []byte, maxWait sim.Duration) ([
 // responses from that group's replicas. Requests spanning shards execute
 // across groups via the application's capabilities: read-only requests
 // scatter-gather (Fragmenter), multi-key writes run the 2PC protocol in
-// txn.go (TxnParticipant) with this client as the transaction driver.
+// txn.go (TxnParticipant) with this client as the transaction driver, and
+// any client can sweep for and resolve transactions another driver left
+// stranded (recovery.go).
 type Client struct {
 	cc          *consensus.Client
 	proc        *sim.Proc
@@ -380,6 +348,7 @@ type Client struct {
 	strongReads bool
 	prepTimeout sim.Duration
 	txSeq       uint32
+	rec         *recovery // nil until the first SweepStranded
 }
 
 // splitPlan is the fan-out plan of one cross-shard request: the touched

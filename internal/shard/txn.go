@@ -151,8 +151,8 @@ func (c *Client) sendCommits(tx *txState) {
 // applications keep the historical one-byte StatusOK. A participant that
 // stayed unreachable through every commit round keeps its locks until it
 // is told again — the client retains no transaction state, so that
-// redelivery needs the participant to consult the coordinator's decision
-// log on recovery (ROADMAP: commit-phase recovery), not just heal.
+// redelivery is a sweep's (recovery.go): any client replays the
+// coordinator's decision log at the stranded group.
 func (c *Client) finishCommit(tx *txState, resps [][]byte) {
 	if tx.phase == txDone {
 		return

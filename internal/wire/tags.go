@@ -18,7 +18,7 @@ const (
 	ChanRing     uint8 = 3 // message-ring RDMA writes (sender -> receiver)
 	ChanRingAck  uint8 = 4 // tail-broadcast acknowledgements
 	ChanRPC      uint8 = 5 // client <-> replica requests/responses
-	ChanDirect   uint8 = 6 // consensus direct messages (view-change shares, staged queries)
+	ChanDirect   uint8 = 6 // consensus direct messages (view-change shares, echoes, state transfer, rejoin)
 	ChanBaseline uint8 = 7 // baseline protocols (Mu, MinBFT)
 	ChanSummary  uint8 = 8 // CTBcast summary certificate shares
 )
@@ -51,8 +51,6 @@ const (
 	TagStateReq    uint8 = 21
 	TagStateResp   uint8 = 22
 	TagEcho        uint8 = 23
-	TagStagedQuery uint8 = 24 // commit-phase recovery: prepared-txn hint scan
-	TagStagedResp  uint8 = 25
 	TagJoinProbe   uint8 = 26 // cold rejoin: restarted replica's sync-point probe
 	TagJoinAns     uint8 = 27 // cold rejoin: (view, stable checkpoint) answer
 )
