@@ -48,10 +48,11 @@ race:
 # finite-memory claim), the per-client records must age out churned clients,
 # the MVCC version chains must stay flat as the GC horizon ratchets with
 # checkpoints, the per-view view-change records must not outlive their view,
-# and every map or slice field of Replica and of its records must name its
-# retention rule (a reflection test).
+# the share collectors must hold one share per signer whatever a Byzantine
+# signer's key signs, and every map or slice field of Replica and of its
+# records must name its retention rule (a reflection test).
 bounded-mem:
-	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestEveryTableHasARetentionRule' ./internal/consensus/
+	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestEveryTableHasARetentionRule' ./internal/consensus/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one

@@ -44,7 +44,8 @@ import (
 // fails if the tally drifts from it in either direction, so every waiver
 // added or removed is a deliberate, reviewed change.
 // Current tally: 3 tagregistry (baseline protocols), 2 poolsafety
-// (ctbcast per-message delivery buffers), 1 appagnostic (shard's default
+// (borrows of per-message delivery buffers: ctbcast's LOCKED array and the
+// signatures xcrypto.ReadCert decodes), 1 appagnostic (shard's default
 // KV factory), 1 deterministic (per-key chain trim in the MVCC store).
 const WaiverBudget = 7
 

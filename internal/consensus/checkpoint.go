@@ -89,14 +89,10 @@ func (r *Replica) acceptCertifyCheckpoint(p ids.ID, seq Slot, dg [xcrypto.Digest
 	if c.mine && c.digest != dg {
 		return // conflicting digest: some replica diverged; ignore its share
 	}
-	if c.sigs == nil {
-		c.sigs = make(map[ids.ID]xcrypto.Signature)
+	if c.shares.Add(p, dg, sig) < r.cfg.F+1 {
+		return // f+1 over one digest: shares over different ones certify nothing
 	}
-	c.sigs[p] = sig
-	if len(c.sigs) < r.cfg.F+1 {
-		return
-	}
-	r.maybeCheckpoint(Checkpoint{Seq: seq, StateDigest: dg, Sigs: c.sigs})
+	r.maybeCheckpoint(Checkpoint{Seq: seq, StateDigest: dg, Sigs: c.shares.Cert(dg)})
 }
 
 // verifyCheckpointCert checks a checkpoint's f+1 signatures. Results are
@@ -110,21 +106,12 @@ func (r *Replica) verifyCheckpointCert(cp *Checkpoint) bool {
 	if c := r.cps[cp.Seq]; c != nil && c.verified && c.verifiedDg == cp.StateDigest {
 		return true
 	}
-	valid := 0
-	for p, sig := range cp.Sigs {
-		if r.cfg.indexOf(p) < 0 {
-			continue
-		}
-		if r.signer.Verify(r.proc, p, checkpointPayload(cp.Seq, cp.StateDigest), sig) {
-			valid++
-		}
+	if !r.signer.Valid(r.proc, r.cfg.Replicas, checkpointPayload(cp.Seq, cp.StateDigest), cp.Sigs, r.cfg.F+1) {
+		return false
 	}
-	if valid >= r.cfg.F+1 {
-		c := r.cps.at(cp.Seq)
-		c.verified, c.verifiedDg = true, cp.StateDigest
-		return true
-	}
-	return false
+	c := r.cps.at(cp.Seq)
+	c.verified, c.verifiedDg = true, cp.StateDigest
+	return true
 }
 
 // onCheckpointMsg handles a CHECKPOINT broadcast by p over CTBcast

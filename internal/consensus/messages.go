@@ -242,49 +242,21 @@ type CommitCert struct {
 	View View
 	Slot Slot
 	Req  Request
-	Sigs map[ids.ID]xcrypto.Signature
+	Sigs xcrypto.Cert
 }
 
 func (c *CommitCert) encode(w *wire.Writer) {
 	w.U64(uint64(c.View))
 	w.U64(uint64(c.Slot))
 	c.Req.encode(w)
-	appendSigs(w, c.Sigs)
+	c.Sigs.AppendTo(w)
 }
 
 func decodeCommitCert(rd *wire.Reader) (CommitCert, error) {
 	c := CommitCert{View: View(rd.U64()), Slot: Slot(rd.U64()), Req: decodeRequest(rd)}
 	var err error
-	c.Sigs, err = readSigs(rd)
+	c.Sigs, err = xcrypto.ReadCert(rd)
 	return c, err
-}
-
-// maxSigs bounds a decoded signature set: a certificate carries at most one
-// signature per replica, and a group has at most 64.
-const maxSigs = 64
-
-// appendSigs encodes a certificate's signature set: the count, then (signer,
-// signature) in signer order, so equal sets encode to equal bytes.
-func appendSigs(w *wire.Writer, sigs map[ids.ID]xcrypto.Signature) {
-	w.Uvarint(uint64(len(sigs)))
-	for _, id := range sortedKeys(sigs) {
-		w.I64(int64(id))
-		w.Bytes(sigs[id])
-	}
-}
-
-// readSigs decodes what appendSigs wrote, refusing more than maxSigs entries.
-func readSigs(rd *wire.Reader) (map[ids.ID]xcrypto.Signature, error) {
-	n := int(rd.Uvarint())
-	if n > maxSigs {
-		return nil, fmt.Errorf("consensus: oversized signature set (%d sigs)", n)
-	}
-	sigs := make(map[ids.ID]xcrypto.Signature, n)
-	for i := 0; i < n; i++ {
-		id := ids.ID(rd.I64())
-		sigs[id] = rd.Bytes()
-	}
-	return sigs, rd.Err()
 }
 
 // Checkpoint is CΣ: the application state digest after applying all slots
@@ -293,7 +265,7 @@ func readSigs(rd *wire.Reader) (map[ids.ID]xcrypto.Signature, error) {
 type Checkpoint struct {
 	Seq         Slot
 	StateDigest [xcrypto.DigestLen]byte
-	Sigs        map[ids.ID]xcrypto.Signature
+	Sigs        xcrypto.Cert
 }
 
 // checkpointPayload is what replicas sign in CERTIFY_CHECKPOINT.
@@ -308,14 +280,14 @@ func checkpointPayload(seq Slot, digest [xcrypto.DigestLen]byte) []byte {
 func (c *Checkpoint) encode(w *wire.Writer) {
 	w.U64(uint64(c.Seq))
 	w.Raw(c.StateDigest[:])
-	appendSigs(w, c.Sigs)
+	c.Sigs.AppendTo(w)
 }
 
 func decodeCheckpoint(rd *wire.Reader) (Checkpoint, error) {
 	c := Checkpoint{Seq: Slot(rd.U64())}
 	copy(c.StateDigest[:], rd.Raw(xcrypto.DigestLen))
 	var err error
-	c.Sigs, err = readSigs(rd)
+	c.Sigs, err = xcrypto.ReadCert(rd)
 	return c, err
 }
 
@@ -386,7 +358,7 @@ func vcSharePayload(v View, about ids.ID, stateBytes []byte) []byte {
 type ReplicaCert struct {
 	About      ids.ID
 	StateBytes []byte
-	Sigs       map[ids.ID]xcrypto.Signature
+	Sigs       xcrypto.Cert
 }
 
 // NewViewMsg announces the start of View with the certified states that
@@ -404,7 +376,7 @@ func encodeNewView(nv NewViewMsg) []byte {
 	for _, c := range nv.Certs {
 		w.I64(int64(c.About))
 		w.Bytes(c.StateBytes)
-		appendSigs(w, c.Sigs)
+		c.Sigs.AppendTo(w)
 	}
 	return w.Finish()
 }
@@ -418,7 +390,7 @@ func decodeNewView(rd *wire.Reader) (NewViewMsg, error) {
 	for i := 0; i < n; i++ {
 		c := ReplicaCert{About: ids.ID(rd.I64()), StateBytes: rd.Bytes()}
 		var err error
-		if c.Sigs, err = readSigs(rd); err != nil {
+		if c.Sigs, err = xcrypto.ReadCert(rd); err != nil {
 			return nv, err
 		}
 		nv.Certs = append(nv.Certs, c)

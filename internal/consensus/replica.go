@@ -236,7 +236,7 @@ type Replica struct {
 	sealTarget    View // view being sealed into (0 = not sealing)
 	vcStreak      int  // consecutive view changes without progress (backoff)
 	pendingNV     map[View][]ReplicaCert
-	vcShares      map[View]map[ids.ID]map[ids.ID]vcShare
+	vcShares      map[View]table[ids.ID, vcCert]
 	newViewSent   map[View]bool
 	progressTimer sim.Timer
 	stopped       bool
@@ -265,11 +265,6 @@ type Replica struct {
 	// already-proposed number (the EchoTimeout path completing after its
 	// successors). Diagnostics; see accessors.
 	lateProposals uint64
-}
-
-type vcShare struct {
-	stateBytes []byte
-	sig        xcrypto.Signature
 }
 
 // Deps bundles the per-host infrastructure the replica plugs into.
@@ -334,7 +329,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		groups:        make(map[ids.ID]*ctbcast.Group),
 		deferredResp:  make(map[uint64]deferredTarget),
 		pendingNV:     make(map[View][]ReplicaCert),
-		vcShares:      make(map[View]map[ids.ID]map[ids.ID]vcShare),
+		vcShares:      make(map[View]table[ids.ID, vcCert]),
 		newViewSent:   make(map[View]bool),
 		joinAnswers:   make(map[ids.ID]joinAnswer),
 		peerJoinNonce: make(map[ids.ID]uint64),
@@ -863,15 +858,19 @@ func (r *Replica) verifyCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]
 }
 
 // verifyCertifySig checks one CERTIFY signature of a COMMIT certificate,
-// consulting the slot's record of shares already verified.
+// consulting the slot's shares first. A share verified here joins them (it
+// counts toward this replica's own COMMIT like one that arrived in a
+// CERTIFY), unless its signer certified another digest before: the signature
+// is valid all the same.
 func (r *Replica) verifyCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
-	if ss := r.slots[s]; ss != nil && ss.shareVerified(v, dg, p, sig) {
+	shares := r.slots.at(s).certShares(v)
+	if shares.Has(p, dg, sig) {
 		return true
 	}
 	if !r.verifyCertify(p, v, s, dg, sig) {
 		return false
 	}
-	r.slots.at(s).rememberShare(v, dg, p, sig)
+	shares.Add(p, dg, sig)
 	return true
 }
 
@@ -998,24 +997,16 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 	if !r.inWindow(s) {
 		return
 	}
-	// Our own share needs no verification; remote shares are verified once
-	// and remembered so COMMIT-certificate validation does not re-pay.
-	if p != r.cfg.Self {
-		if !r.verifyCertify(p, v, s, dg, sig) {
-			return
-		}
-	}
+	// A signer gets one share per view: a second digest from it is refused
+	// before it costs a verification. Our own share needs none; remote shares
+	// are verified once and kept, so COMMIT-certificate validation does not
+	// re-pay.
 	ss := r.slots.at(s)
-	ss.rememberShare(v, dg, p, sig)
-	key := certKey{v, dg}
-	if ss.certSigs == nil {
-		ss.certSigs = make(map[certKey]map[ids.ID]xcrypto.Signature, 1)
+	shares := ss.certShares(v)
+	if !shares.Admits(p, dg) || (p != r.cfg.Self && !r.verifyCertify(p, v, s, dg, sig)) {
+		return
 	}
-	if ss.certSigs[key] == nil {
-		ss.certSigs[key] = make(map[ids.ID]xcrypto.Signature)
-	}
-	ss.certSigs[key][p] = sig
-	if len(ss.certSigs[key]) < r.cfg.F+1 || ss.sent(v, sentCommit) || r.observing() {
+	if shares.Add(p, dg, sig) < r.cfg.F+1 || ss.sent(v, sentCommit) || r.observing() {
 		return // observing: collect shares but broadcast no COMMIT
 	}
 	pr, ok := r.state[r.cfg.leaderOf(v)].prepares[s]
@@ -1023,7 +1014,7 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 		return
 	}
 	ss.markSent(v, sentCommit)
-	cert := CommitCert{View: v, Slot: s, Req: pr.Req, Sigs: ss.certSigs[key]}
+	cert := CommitCert{View: v, Slot: s, Req: pr.Req, Sigs: shares.Cert(dg)}
 	w := wire.GetWriter(256 + len(pr.Req.Payload))
 	w.U8(tagCommit)
 	cert.encode(w)

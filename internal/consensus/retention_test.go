@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/latmodel"
+	"repro/internal/sim"
 	"repro/internal/xcrypto"
 )
 
@@ -27,16 +29,15 @@ var retention = map[string]string{
 	"Replica.joinAnswers":   "fixed: at most n entries, reset when the sync point is adopted",
 	"Replica.peerJoinNonce": "fixed: at most n entries",
 	"Replica.pendingNV":     "setView: views below the current one; one entry per view this replica is elected to lead, deleted when the view starts",
-	"Replica.vcShares":      "setView: views below the current one; one entry (n x n certified states) per view at or above it this replica collected shares for — a Byzantine signer can pre-fill views ahead (ROADMAP residual)",
+	"Replica.vcShares":      "setView: views below the current one; n x n share sets of at most n shares per view at or above it this replica collected shares for — a Byzantine signer can pre-fill views ahead (ROADMAP residual)",
 	"Replica.newViewSent":   "setView: views below the current one; one bool per view at or above it this replica led",
 
 	"slotState.sentLater": "dies with the slot record; one entry per view the slot lived through after its first",
-	"slotState.certSigs":  "dies with the slot record; one entry per (view, digest) signed by a replica — unbounded under a Byzantine signer (ROADMAP residual)",
-	"slotState.verified":  "dies with the slot record; one entry per distinct verified CERTIFY share (same residual)",
+	"slotState.shares":    "dies with the slot record; per view at most n shares, one per signer — a Byzantine signer can open one set per view (ROADMAP residual)",
 
 	"execEntry.res": "the client's latest result; dies with the client record",
 
-	"cpState.sigs":     "released once the checkpoint is stable (pruneBelow); at most n entries",
+	"cpState.shares":   "released once the checkpoint is stable (pruneBelow); at most n shares, one per signer",
 	"cpState.snapshot": "released one window below the stable checkpoint (pruneBelow)",
 }
 
@@ -98,7 +99,7 @@ func TestFastPathSlotAllocatesOneRecord(t *testing.T) {
 		}
 		delete(r.slots, 7)
 	})
-	if allocs > 1 || ss.sentLater != nil || ss.certSigs != nil || ss.verified != nil {
+	if allocs > 1 || ss.sentLater != nil || ss.shares != nil {
 		t.Fatalf("fast-path slot: %.0f allocations, record %+v", allocs, ss)
 	}
 	// A second view's bits go to the lazily made map; the first view's stay
@@ -113,10 +114,73 @@ func TestFastPathSlotAllocatesOneRecord(t *testing.T) {
 		t.Fatalf("every promise honoured, still owing: %+v", ss)
 	}
 	var dg [xcrypto.DigestLen]byte
-	ss.rememberShare(3, dg, 1, xcrypto.Signature("sig"))
-	ss.rememberShare(3, dg, 1, xcrypto.Signature("sig"))
-	if len(ss.verified) != 1 || !ss.shareVerified(3, dg, 1, xcrypto.Signature("sig")) ||
-		ss.shareVerified(3, dg, 1, xcrypto.Signature("gis")) || ss.shareVerified(3, dg, 2, xcrypto.Signature("sig")) {
-		t.Fatalf("verified-share record: %+v", ss.verified)
+	ss.certShares(3).Add(1, dg, xcrypto.Signature("sig"))
+	ss.certShares(3).Add(1, dg, xcrypto.Signature("sig"))
+	if sh := ss.certShares(3); len(ss.shares) != 1 || len(*sh) != 1 || !sh.Has(1, dg, xcrypto.Signature("sig")) ||
+		sh.Has(1, dg, xcrypto.Signature("gis")) || sh.Has(2, dg, xcrypto.Signature("sig")) || ss.certShares(4).Has(1, dg, xcrypto.Signature("sig")) {
+		t.Fatalf("verified-share record: %+v", ss.shares)
+	}
+}
+
+// TestByzantineSignerCannotGrowShareRecords: every share collector takes one
+// share per signer, so validly signed floods by one replica's key (the byz
+// wrapper rewrites frames and holds no keys; this needs the white box) leave
+// one entry behind, cost one verification where the handler verifies inline,
+// and certify nothing.
+func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[0]
+	signing := sim.NewProc(rig.eng, "signing")
+	sign := func(id ids.ID, payload []byte) xcrypto.Signature { return rig.reg.Signer(id).Sign(signing, payload) }
+	digest := func(i int) [xcrypto.DigestLen]byte { return xcrypto.DigestNoCharge([]byte{byte(i)}) }
+	const oneVerify = sim.Time(latmodel.VerifyCost + latmodel.CryptoDispatchCost)
+	// free is when the main process would start new work: charges add to it.
+	free := func() sim.Time { return max(r.proc.BusyUntil(), rig.eng.Now()) }
+
+	// 64 CERTIFY shares by replica 2 over 64 digests of (view 0, slot 5).
+	busy := free()
+	for i := 0; i < 64; i++ {
+		r.onCertify(2, 0, 5, digest(i), sign(2, certifyPayload(0, 5, digest(i))))
+	}
+	if ss := r.slots[5]; ss == nil || len(ss.shares) != 1 || len(ss.shares[0].digestShares) != 1 ||
+		!ss.certShares(0).Has(2, digest(0), sign(2, certifyPayload(0, 5, digest(0)))) {
+		t.Fatalf("slot record after 64 shares by one signer: %+v", r.slots[5])
+	}
+	if got := r.proc.BusyUntil() - busy; got != oneVerify {
+		t.Fatalf("64 shares by one signer charged %v, want one verification (%v)", got, oneVerify)
+	}
+
+	// Two CERTIFY_CHECKPOINT shares over different digests are not f+1 over
+	// anything: no certificate to verify on the main process.
+	const seq = Slot(32) // the first checkpoint of the rig's window; nothing executed
+	dgA, dgB := digest(100), digest(101)
+	busy = r.proc.BusyUntil()
+	r.onCertifyCheckpoint(1, seq, dgA, sign(1, checkpointPayload(seq, dgA)))
+	r.onCertifyCheckpoint(2, seq, dgB, sign(2, checkpointPayload(seq, dgB)))
+	rig.eng.RunFor(sim.Millisecond)
+	if r.proc.BusyUntil() != busy || r.chkpt.Seq != 0 || len(r.cps[seq].shares) != 2 {
+		t.Fatalf("two shares over two digests: main process charged %v, checkpoint %d, record %+v",
+			r.proc.BusyUntil()-busy, r.chkpt.Seq, r.cps[seq])
+	}
+	// A second share over the first digest completes it.
+	r.onCertifyCheckpoint(0, seq, dgA, sign(0, checkpointPayload(seq, dgA)))
+	rig.eng.RunFor(sim.Millisecond)
+	if r.chkpt.Seq != seq || r.chkpt.StateDigest != dgA || len(r.chkpt.Sigs) != 2 || r.chkpt.Sigs[2] != nil {
+		t.Fatalf("f+1 shares over one digest: stable checkpoint %+v", r.chkpt)
+	}
+
+	// 8 CERTIFY_VC shares by replica 2 over 8 states of replica 1, for a view
+	// replica 0 would lead.
+	busy = free()
+	for i := 0; i < 8; i++ {
+		state := []byte{byte(i)}
+		r.onCertifyVC(2, 3, 1, state, sign(2, vcSharePayload(3, 1, state)))
+	}
+	if vc := r.vcShares[3][1]; len(r.vcShares[3]) != 1 || len(vc.shares) != 1 || vc.certified || len(r.pendingNV) != 0 {
+		t.Fatalf("view-change shares after 8 states by one signer: %+v", r.vcShares[3])
+	}
+	if got := r.proc.BusyUntil() - busy; got != oneVerify {
+		t.Fatalf("8 states by one signer charged %v, want one verification (%v)", got, oneVerify)
 	}
 }

@@ -754,12 +754,6 @@ func (c *Client) InvokeGroupRead(group int, payload []byte, done func(result []b
 	})
 }
 
-// InvokeReadStrong submits a linearizable read to group 0: see
-// InvokeGroupReadStrong.
-func (c *Client) InvokeReadStrong(payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.InvokeGroupReadStrong(0, payload, done)
-}
-
 // InvokeGroupReadStrong is the linearizable strong read: it requires ALL
 // 2f+1 replicas of the group to agree on (result, version). Any write that
 // completed before this read began executed on at least f+1 replicas, so

@@ -1,8 +1,6 @@
 package consensus
 
 import (
-	"bytes"
-
 	"repro/internal/app"
 	"repro/internal/ids"
 	"repro/internal/sim"
@@ -65,13 +63,12 @@ type slotState struct {
 	sentBits  uint8
 	sentLater map[View]uint8
 
-	// certSigs accumulates CERTIFY signatures per (view, request digest).
-	certSigs map[certKey]map[ids.ID]xcrypto.Signature
-	// verified lists the CERTIFY shares whose signature this replica checked
-	// (on arrival, or inside a COMMIT certificate) or produced itself, so a
-	// certificate built from shares already seen costs no further public-key
-	// operations.
-	verified []certShare
+	// shares holds the CERTIFY shares of each view the slot saw one in: the
+	// shares this replica verified (on arrival, or inside a peer's COMMIT
+	// certificate) or produced itself. It is what this replica's own COMMIT
+	// is built from and what spares a certificate made of shares already
+	// seen any further public-key operation.
+	shares []viewShares
 
 	fallback   sim.Timer
 	waitingReq *Prepare // prepare delivered but client request not yet seen
@@ -82,17 +79,26 @@ type slotState struct {
 	req     Request
 }
 
-type certKey struct {
-	v  View
-	dg [xcrypto.DigestLen]byte
+// digestShares collects signature shares over a digest: CERTIFY shares over
+// a request's, CERTIFY_CHECKPOINT shares over the application state's.
+type digestShares = xcrypto.Shares[[xcrypto.DigestLen]byte]
+
+// viewShares is one view's CERTIFY shares for a slot.
+type viewShares struct {
+	v View
+	digestShares
 }
 
-// certShare is one verified CERTIFY signature: p signed (v, slot, dg).
-type certShare struct {
-	v   View
-	dg  [xcrypto.DigestLen]byte
-	p   ids.ID
-	sig xcrypto.Signature
+// certShares returns the slot's CERTIFY share set of view v, made on first
+// use. The pointer is good until the next call.
+func (ss *slotState) certShares(v View) *digestShares {
+	for i := range ss.shares {
+		if ss.shares[i].v == v {
+			return &ss.shares[i].digestShares
+		}
+	}
+	ss.shares = append(ss.shares, viewShares{v: v})
+	return &ss.shares[len(ss.shares)-1].digestShares
 }
 
 // isDecided reports whether this replica holds a decision for slot s.
@@ -135,23 +141,6 @@ func (ss *slotState) owesCommit() bool {
 		}
 	}
 	return false
-}
-
-// shareVerified reports whether p's CERTIFY signature sig over (v, dg) for
-// this slot was verified before.
-func (ss *slotState) shareVerified(v View, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
-	for i := range ss.verified {
-		if c := &ss.verified[i]; c.v == v && c.p == p && c.dg == dg && bytes.Equal(c.sig, sig) {
-			return true
-		}
-	}
-	return false
-}
-
-func (ss *slotState) rememberShare(v View, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) {
-	if !ss.shareVerified(v, dg, p, sig) {
-		ss.verified = append(ss.verified, certShare{v: v, dg: dg, p: p, sig: sig})
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -323,7 +312,7 @@ type cpState struct {
 	// collected toward the certificate.
 	mine   bool
 	digest [xcrypto.DigestLen]byte
-	sigs   map[ids.ID]xcrypto.Signature
+	shares digestShares
 	// verified caches the state digest of a certificate whose f+1
 	// signatures checked out.
 	verified   bool
@@ -361,7 +350,7 @@ func (r *Replica) pruneBelow(seq Slot) {
 	for _, s := range sortedKeys(r.cps) {
 		c := r.cps[s]
 		if s <= seq {
-			c.sigs = nil // certified or overtaken: the shares are spent
+			c.shares = nil // certified or overtaken: the shares are spent
 		}
 		if s+window < seq {
 			c.snapshot, c.hasSnapshot = nil, false // transfers: one window

@@ -2,7 +2,6 @@ package consensus
 
 import (
 	"bytes"
-	"sort"
 
 	"repro/internal/ids"
 	"repro/internal/router"
@@ -227,31 +226,13 @@ func (r *Replica) onSealView(p ids.ID, v View) {
 		// the quorum's view, but sign nothing (an amnesiac CertifyVC could
 		// omit promises this replica made before it crashed) and broadcast
 		// no seal of our own.
-		if v > r.view {
-			sealers := 0
-			for _, q := range r.cfg.Replicas {
-				if r.state[q].sealedView >= v {
-					sealers++
-				}
-			}
-			if sealers >= r.cfg.F+1 {
-				r.setView(v)
-			}
+		if v > r.view && r.quorumSealed(v) {
+			r.setView(v)
 		}
 		return
 	}
-	// Certify p's state as this replica has delivered it.
-	cs := CertifiedState{
-		View:       v,
-		Checkpoint: st.checkpoint,
-		Commits:    make(map[Slot]CommitCert, len(st.commits)),
-	}
-	for s, c := range st.commits {
-		if r.inWindowOf(&st.checkpoint, s) {
-			cs.Commits[s] = c
-		}
-	}
-	stateBytes := encodeCertifiedState(&cs)
+	// Certify p's state as this replica has delivered it (st.view is v now).
+	stateBytes := r.captureState(p)
 	sig := r.signer.Sign(r.proc, vcSharePayload(v, p, stateBytes))
 	w := wire.NewWriter(64 + len(stateBytes))
 	w.U8(tagCertifyVC)
@@ -261,18 +242,21 @@ func (r *Replica) onSealView(p ids.ID, v View) {
 	w.Bytes(sig)
 	r.rt.Send(r.cfg.leaderOf(v), router.ChanDirect, w.Finish())
 
-	// Join if f+1 distinct replicas sealed at least v.
-	if v > r.view && v > r.sealTarget {
-		sealers := 0
-		for _, q := range r.cfg.Replicas {
-			if r.state[q].sealedView >= v {
-				sealers++
-			}
-		}
-		if sealers >= r.cfg.F+1 {
-			r.joinView(v)
+	if v > r.view && v > r.sealTarget && r.quorumSealed(v) {
+		r.joinView(v)
+	}
+}
+
+// quorumSealed reports whether f+1 distinct replicas sealed view v or a
+// later one: the quorum is moving there.
+func (r *Replica) quorumSealed(v View) bool {
+	sealers := 0
+	for _, q := range r.cfg.Replicas {
+		if r.state[q].sealedView >= v {
+			sealers++
 		}
 	}
+	return sealers >= r.cfg.F+1
 }
 
 // reprocessPrepares re-endorses prepares of the current view that arrived
@@ -319,6 +303,15 @@ func (r *Replica) onDirect(from ids.ID, payload []byte) {
 	}
 }
 
+// vcCert is what a leader-elect holds about one replica's state for one
+// view: the CERTIFY_VC shares, each over the state bytes its signer saw, and
+// the state f+1 of them agree on once there is one.
+type vcCert struct {
+	shares    xcrypto.Shares[string]
+	state     string
+	certified bool
+}
+
 // onCertifyVC implements lines 13-19 at the new leader: collect f+1
 // matching shares about f+1 distinct replicas, then broadcast NEW_VIEW and
 // re-propose the open slots.
@@ -331,49 +324,27 @@ func (r *Replica) onCertifyVC(from ids.ID, v View, about ids.ID, stateBytes []by
 	if r.cfg.indexOf(from) < 0 || r.cfg.indexOf(about) < 0 {
 		return
 	}
-	if !r.signer.Verify(r.proc, from, vcSharePayload(v, about, stateBytes), sig) {
+	if r.vcShares[v] == nil {
+		r.vcShares[v] = make(table[ids.ID, vcCert])
+	}
+	vc := r.vcShares[v].at(about)
+	// One share per signer: a second state from it is refused unverified.
+	state := string(stateBytes)
+	if !vc.shares.Admits(from, state) || !r.signer.Verify(r.proc, from, vcSharePayload(v, about, stateBytes), sig) {
 		return
 	}
-	if r.vcShares[v] == nil {
-		r.vcShares[v] = make(map[ids.ID]map[ids.ID]vcShare)
+	// A replica's state is certified once f+1 signers agree on the bytes; with
+	// one share per signer out of 2f+1, at most one state gets there.
+	if vc.shares.Add(from, state, sig) >= r.cfg.F+1 {
+		vc.state, vc.certified = state, true
 	}
-	if r.vcShares[v][about] == nil {
-		r.vcShares[v][about] = make(map[ids.ID]vcShare)
-	}
-	r.vcShares[v][about][from] = vcShare{stateBytes: stateBytes, sig: sig}
-
-	// A replica's state is certified once f+1 signers agree on the bytes.
-	// The certified slice feeds straight into the NEW_VIEW message
-	// (startView truncates it to f+1), so build it in sorted order — about
-	// IDs ascending, candidate states lexicographic — to keep the message
-	// bytes identical across runs.
+	// The certified slice feeds straight into the NEW_VIEW message (startView
+	// truncates it to f+1): about IDs ascending keeps the message bytes
+	// identical across runs.
 	certified := make([]ReplicaCert, 0, r.cfg.n())
 	for _, aboutID := range sortedKeys(r.vcShares[v]) {
-		shares := r.vcShares[v][aboutID]
-		byState := make(map[string][]ids.ID)
-		for _, signer := range sortedKeys(shares) {
-			sh := shares[signer]
-			byState[string(sh.stateBytes)] = append(byState[string(sh.stateBytes)], signer)
-		}
-		states := make([]string, 0, len(byState))
-		for st := range byState {
-			states = append(states, st)
-		}
-		sort.Strings(states)
-		for _, stateStr := range states {
-			signers := byState[stateStr]
-			if len(signers) >= r.cfg.F+1 {
-				sigs := make(map[ids.ID]xcrypto.Signature, len(signers))
-				for _, s := range signers {
-					sigs[s] = shares[s].sig
-				}
-				certified = append(certified, ReplicaCert{
-					About:      aboutID,
-					StateBytes: []byte(stateStr),
-					Sigs:       sigs,
-				})
-				break
-			}
+		if c := r.vcShares[v][aboutID]; c.certified {
+			certified = append(certified, ReplicaCert{About: aboutID, StateBytes: []byte(c.state), Sigs: c.shares.Cert(c.state)})
 		}
 	}
 	if len(certified) < r.cfg.F+1 {
@@ -661,16 +632,7 @@ func (r *Replica) validNewView(p ids.ID, st *replicaState, nv NewViewMsg) bool {
 		if err != nil || cs.View != nv.View {
 			return false
 		}
-		valid := 0
-		for q, sig := range c.Sigs {
-			if r.cfg.indexOf(q) < 0 {
-				continue
-			}
-			if r.signer.Verify(r.proc, q, vcSharePayload(nv.View, c.About, c.StateBytes), sig) {
-				valid++
-			}
-		}
-		if valid < r.cfg.F+1 {
+		if !r.signer.Valid(r.proc, r.cfg.Replicas, vcSharePayload(nv.View, c.About, c.StateBytes), c.Sigs, r.cfg.F+1) {
 			return false
 		}
 	}

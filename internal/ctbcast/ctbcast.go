@@ -177,7 +177,7 @@ type Group struct {
 	nextK       uint64              // next identifier to assign (1-based)
 	sendQ       [][]byte
 	lastSummary uint64
-	shareStates map[uint64][]summaryShare
+	shareStates map[uint64]xcrypto.Shares[string] // per open summary id, over the state certified
 	halfT       int
 
 	// Receiver-side state (Algorithm 1 lines 7-10).
@@ -205,11 +205,6 @@ type Group struct {
 	SummariesUsed  uint64
 }
 
-type summaryShare struct {
-	state []byte
-	sigs  map[ids.ID]xcrypto.Signature
-}
-
 // NewGroup wires one group member. Every member of the group must create
 // its Group with identical Params (except Self) over the same Env kinds.
 func NewGroup(p Params, env Env) *Group {
@@ -226,7 +221,7 @@ func NewGroup(p Params, env Env) *Group {
 		nextK:       1,
 		nextDeliver: 1,
 		halfT:       p.Tail / 2,
-		shareStates: make(map[uint64][]summaryShare),
+		shareStates: make(map[uint64]xcrypto.Shares[string]),
 		locks:       make([]lockEntry, p.Tail),
 		delivered:   make([]uint64, p.Tail),
 		locked:      make(map[ids.ID][]lockedEntry, len(p.Procs)),
@@ -315,9 +310,6 @@ func (g *Group) Stop() {
 		t.Cancel()
 	}
 }
-
-// NextIdentifier returns the identifier the next Broadcast will use.
-func (g *Group) NextIdentifier() uint64 { return g.nextK }
 
 // ResetChannel rewinds this member's receiver-side state for a broadcaster
 // that provably cold-restarted and will number its stream from k=1 again:
@@ -541,17 +533,11 @@ func (g *Group) onBroadcasterMsg(from ids.ID, payload []byte) {
 	case tagSummary:
 		id := r.U64()
 		state := r.BytesView()
-		nsigs := int(r.Uvarint())
-		sigs := make(map[ids.ID]xcrypto.Signature, nsigs)
-		for i := 0; i < nsigs; i++ {
-			signer := ids.ID(r.I64())
-			//ubft:poolsafety summary-cert signatures alias the delivered frame, which is per-message and never recycled; onSummaryCert verifies and drops them before the next frame
-			sigs[signer] = r.BytesView()
-		}
-		if r.Done() != nil {
+		cert, err := xcrypto.ReadCert(r)
+		if err != nil || r.Done() != nil {
 			return
 		}
-		g.onSummaryCert(id, state, sigs)
+		g.onSummaryCert(id, state, cert)
 	}
 }
 

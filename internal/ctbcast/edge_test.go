@@ -4,6 +4,7 @@ package ctbcast
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/ids"
@@ -187,5 +188,100 @@ func TestSlowPathReadsPeerRegistersByRegion(t *testing.T) {
 		if h.groups[member].SlowDeliveries != 1 {
 			t.Fatalf("member %d made %d slow-path deliveries, want 1", member, h.groups[member].SlowDeliveries)
 		}
+	}
+}
+
+// A SUMMARY frame's signature count is the broadcaster's claim: a receiver
+// must check it before sizing anything by it, and a certificate with more
+// signatures than a group has members is refused however many are good.
+func TestSummaryWithAbsurdSignatureCountIsDropped(t *testing.T) {
+	h := newHarness(t, hopts{f: 1, mode: FastOnly})
+	defer h.stopAll()
+	g := h.groups[1]
+	summary := func(count uint64, sigs ...xcrypto.Signature) []byte {
+		w := wire.NewWriter(32 + len(sigs)*(xcrypto.SigLen+16))
+		w.U8(tagSummary)
+		w.U64(4)
+		w.Bytes(nil)
+		w.Uvarint(count)
+		for i, sig := range sigs {
+			w.I64(int64(i))
+			w.Bytes(sig)
+		}
+		return w.Finish()
+	}
+	untouched := func(what string) {
+		t.Helper()
+		if g.nextDeliver != 1 || g.SummariesUsed != 0 || g.byzBlocked {
+			t.Fatalf("%s: nextDeliver=%d SummariesUsed=%d byzBlocked=%v", what, g.nextDeliver, g.SummariesUsed, g.byzBlocked)
+		}
+	}
+
+	absurd := summary(1 << 24) // and nothing after the count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.onBroadcasterMsg(0, absurd)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("a %d-byte SUMMARY claiming 2^24 signatures made the receiver allocate %d bytes", len(absurd), got)
+	}
+	untouched("count 2^24")
+
+	// 65 well-formed entries, the members' three among them genuine.
+	sigs := make([]xcrypto.Signature, 65)
+	for i := range sigs {
+		sigs[i] = make(xcrypto.Signature, xcrypto.SigLen)
+		if i < len(h.procs) {
+			sigs[i] = h.reg.Signer(ids.ID(i)).Sign(sim.NewProc(h.eng, "signing"), sharePayload(0, 4, nil))
+		}
+	}
+	g.onBroadcasterMsg(0, summary(65, sigs...))
+	untouched("65 entries")
+	// The same three alone are a certificate.
+	g.onBroadcasterMsg(0, summary(3, sigs[:3]...))
+	if g.nextDeliver != 5 || g.SummariesUsed != 1 {
+		t.Fatalf("genuine certificate not applied: nextDeliver=%d SummariesUsed=%d", g.nextDeliver, g.SummariesUsed)
+	}
+}
+
+// The broadcaster collects summary shares only for identifiers that can
+// still be certified — broadcast, on the t/2 grid, above the last summary —
+// and one per signer, so the share table holds at most two sets of n.
+func TestSummarySharesBounded(t *testing.T) {
+	h := newHarness(t, hopts{f: 1, mode: FastOnly, tail: 8})
+	defer h.stopAll()
+	g := h.groups[0]
+	signing := sim.NewProc(h.eng, "signing")
+	share := func(from ids.ID, id uint64, state string) {
+		sig := h.reg.Signer(from).Sign(signing, sharePayload(0, id, []byte(state)))
+		g.onSummaryShare(from, id, []byte(state), sig)
+		h.run(sim.Millisecond)
+	}
+	// Cut the broadcaster off: nothing delivers, so no member certifies
+	// anything on its own and every share below is this test's.
+	h.net.Partition(0, 1)
+	h.net.Partition(0, 2)
+
+	share(1, 4, "early")
+	if len(g.shareStates) != 0 {
+		t.Fatalf("share for an identifier never broadcast was kept: %v", g.shareStates)
+	}
+	for i := 0; i < 6; i++ {
+		g.Broadcast([]byte(fmt.Sprintf("m%d", i)))
+	}
+	share(1, 6, "off the grid")
+	share(1, 8, "not broadcast yet")
+	if len(g.shareStates) != 0 {
+		t.Fatalf("shares for identifiers that cannot be certified were kept: %v", g.shareStates)
+	}
+	for i := 0; i < 8; i++ {
+		share(1, 4, fmt.Sprintf("state %d", i))
+	}
+	if len(g.shareStates) != 1 || len(g.shareStates[4]) != 1 {
+		t.Fatalf("8 states by one signer for one identifier: %v", g.shareStates)
+	}
+	share(2, 4, "state 0")
+	if g.lastSummary != 4 || len(g.shareStates) != 0 {
+		t.Fatalf("f+1 shares over one state: lastSummary=%d, table %v", g.lastSummary, g.shareStates)
 	}
 }

@@ -1,8 +1,8 @@
 package ctbcast
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/msgring"
@@ -48,7 +48,7 @@ func (h *SummaryHub) onShare(from ids.ID, payload []byte) {
 	r := wire.NewReader(payload)
 	inst := msgring.Instance(r.U32())
 	id := r.U64()
-	state := r.Bytes()
+	state := r.BytesView() // onSummaryShare keeps a copy, if it keeps the share
 	sig := r.Bytes()
 	if r.Done() != nil {
 		return
@@ -95,51 +95,48 @@ func (g *Group) afterFIFODeliver(k uint64) {
 	})
 }
 
+// summaryOpen reports whether the broadcaster still collects shares for id:
+// a t/2 boundary above the last certified summary that it has broadcast up
+// to. The double buffer stops it t identifiers past the last summary, so at
+// most two identifiers are open at a time.
+func (g *Group) summaryOpen(id uint64) bool {
+	return id > g.lastSummary && id < g.nextK && id%uint64(g.halfT) == 0
+}
+
 // onSummaryShare runs at the broadcaster: collect matching shares until f+1
 // distinct receivers certify the same (id, state), then Tail-Broadcast the
-// certificate and unblock pending broadcasts.
+// certificate and unblock pending broadcasts. state is only borrowed.
 func (g *Group) onSummaryShare(from ids.ID, id uint64, state []byte, sig xcrypto.Signature) {
-	if id <= g.lastSummary || !g.isMember(from) {
+	if !g.summaryOpen(id) || !slices.Contains(g.p.Procs, from) {
 		return
 	}
+	owned := string(state)
 	// Verify on the crypto pool; the share is bookkeeping, not fast path.
 	g.env.Signer.VerifyBg(g.env.BgProc, g.env.Proc, from, sharePayload(g.p.Broadcaster, id, state), sig, func(ok bool) {
 		if ok {
-			g.acceptSummaryShare(from, id, state, sig)
+			g.acceptSummaryShare(from, id, owned, sig)
 		}
 	})
 }
 
-func (g *Group) acceptSummaryShare(from ids.ID, id uint64, state []byte, sig xcrypto.Signature) {
-	if id <= g.lastSummary {
+func (g *Group) acceptSummaryShare(from ids.ID, id uint64, state string, sig xcrypto.Signature) {
+	if !g.summaryOpen(id) {
 		return
 	}
 	shares := g.shareStates[id]
-	var entry *summaryShare
-	for i := range shares {
-		if bytes.Equal(shares[i].state, state) {
-			entry = &shares[i]
-			break
-		}
-	}
-	if entry == nil {
-		g.shareStates[id] = append(shares, summaryShare{
-			state: state,
-			sigs:  map[ids.ID]xcrypto.Signature{from: sig},
-		})
-		shares = g.shareStates[id]
-		entry = &shares[len(shares)-1]
-	} else {
-		entry.sigs[from] = sig
-	}
-	if len(entry.sigs) < g.p.F+1 {
+	n := shares.Add(from, state, sig)
+	g.shareStates[id] = shares
+	if n < g.p.F+1 {
 		return
 	}
 	// Certificate complete: broadcast it and advance the summary window.
-	g.broadcastSummaryCert(id, entry.state, entry.sigs)
-	if id > g.lastSummary {
-		g.lastSummary = id
-	}
+	w := wire.NewWriter(128 + len(state))
+	w.U8(tagSummary)
+	w.U64(id)
+	w.String(state)
+	shares.Cert(state).AppendTo(w)
+	g.bcast.Broadcast(w.Finish())
+	g.lastSummary = id
 	for old := range g.shareStates {
 		if old <= g.lastSummary {
 			delete(g.shareStates, old)
@@ -148,34 +145,10 @@ func (g *Group) acceptSummaryShare(from ids.ID, id uint64, state []byte, sig xcr
 	g.pumpBroadcast()
 }
 
-func (g *Group) isMember(q ids.ID) bool {
-	for _, p := range g.p.Procs {
-		if p == q {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *Group) broadcastSummaryCert(id uint64, state []byte, sigs map[ids.ID]xcrypto.Signature) {
-	w := wire.NewWriter(128 + len(state))
-	w.U8(tagSummary)
-	w.U64(id)
-	w.Bytes(state)
-	w.Uvarint(uint64(len(sigs)))
-	for _, q := range g.p.Procs { // deterministic order
-		if sig, ok := sigs[q]; ok {
-			w.I64(int64(q))
-			w.Bytes(sig)
-		}
-	}
-	g.bcast.Broadcast(w.Finish())
-}
-
 // onSummaryCert runs at receivers: verify the certificate and, if this
 // receiver has a gap at or before id, apply the summary and resume FIFO
 // delivery after id (Algorithm 4 lines 11-15).
-func (g *Group) onSummaryCert(id uint64, state []byte, sigs map[ids.ID]xcrypto.Signature) {
+func (g *Group) onSummaryCert(id uint64, state []byte, cert xcrypto.Cert) {
 	if g.byzBlocked {
 		return
 	}
@@ -189,16 +162,7 @@ func (g *Group) onSummaryCert(id uint64, state []byte, sigs map[ids.ID]xcrypto.S
 	// The certificate is actually needed to heal a gap: verify its f+1
 	// signatures (on the critical recovery path, so charged to the main
 	// process like the paper's slow path).
-	valid := 0
-	for q, sig := range sigs {
-		if !g.isMember(q) {
-			continue
-		}
-		if g.env.Signer.Verify(g.env.Proc, q, sharePayload(g.p.Broadcaster, id, state), sig) {
-			valid++
-		}
-	}
-	if valid < g.p.F+1 {
+	if !g.env.Signer.Valid(g.env.Proc, g.p.Procs, sharePayload(g.p.Broadcaster, id, state), cert, g.p.F+1) {
 		return // forged certificate from a Byzantine broadcaster
 	}
 	if g.nextDeliver > id {

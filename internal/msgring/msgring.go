@@ -341,10 +341,6 @@ func NewReceiver(h *Hub, peer ids.ID, inst Instance, slots, slotCap int, deliver
 	return r
 }
 
-// NextIndex returns the absolute index of the next message the receiver
-// expects to deliver.
-func (r *Receiver) NextIndex() uint64 { return r.nextIdx }
-
 // Reset rewinds the receiver to index 0 and forgets every stored slot. Used
 // when the sending peer provably cold-restarted (its ring writer starts over
 // at absolute index 0): without the rewind the monotone nextIdx would make

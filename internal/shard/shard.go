@@ -656,12 +656,6 @@ func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPl
 	}
 }
 
-// InvokeShard bypasses routing and submits payload to an explicit shard
-// (workload generators that pre-partition their key streams).
-func (c *Client) InvokeShard(s int, payload []byte, done func(result []byte, latency sim.Duration)) {
-	c.cc.InvokeGroup(s, payload, done)
-}
-
 // Pending reports how many requests await confirmation (bounded-memory
 // diagnostics: abandoned transactions must not accumulate pending state).
 func (c *Client) Pending() int { return c.cc.PendingCount() }

@@ -13,11 +13,6 @@ type Proc struct {
 	name      string
 	busyUntil Time
 	crashed   bool
-
-	// byzantine marks the process as adversarial. The protocol code never
-	// reads this; fault-injection test harnesses use it to decide which
-	// behaviours to corrupt.
-	byzantine bool
 }
 
 // NewProc creates a process bound to the engine.
@@ -40,12 +35,6 @@ func (p *Proc) Crash() { p.crashed = true }
 
 // Crashed reports whether the process has crashed.
 func (p *Proc) Crashed() bool { return p.crashed }
-
-// SetByzantine marks the process as adversarial for fault-injection tests.
-func (p *Proc) SetByzantine(b bool) { p.byzantine = b }
-
-// Byzantine reports whether the process was marked adversarial.
-func (p *Proc) Byzantine() bool { return p.byzantine }
 
 // free returns the earliest time the process can start new work.
 func (p *Proc) free() Time {

@@ -178,9 +178,6 @@ func (e *Engine) Realtime() bool { return e.realtime }
 // (see the timeScale field). Realtime hosts set this once at startup.
 func (e *Engine) SetTimeScale(k int64) { e.timeScale = k }
 
-// TimeScale returns the configured timer stretch factor (0 = unscaled).
-func (e *Engine) TimeScale() int64 { return e.timeScale }
-
 // scaleDelay applies the realtime timer stretch to a relative delay.
 func (e *Engine) scaleDelay(d Duration) Duration {
 	if e.timeScale > 1 {

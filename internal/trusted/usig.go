@@ -65,12 +65,6 @@ func appendUIPayload(w *wire.Writer, owner ids.ID, counter uint64, msg []byte) {
 	w.Raw(dg[:])
 }
 
-func uiPayload(owner ids.ID, counter uint64, msg []byte) []byte {
-	w := wire.NewWriter(64)
-	appendUIPayload(w, owner, counter, msg)
-	return w.Finish()
-}
-
 // CreateUI binds msg to the next counter value. Charges one enclave
 // access.
 func (u *USIG) CreateUI(msg []byte) UI {

@@ -1,0 +1,140 @@
+package xcrypto
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/ids"
+	"repro/internal/latmodel"
+	"repro/internal/sim"
+	"repro/internal/wire"
+)
+
+// TestCertBytesAreTheParents pins the certificate encoding to the bytes the
+// per-package codecs it replaced produced: the vector is the output of the
+// consensus package's signature-set encoder at commit 7314ae4 for this
+// three-signer set.
+func TestCertBytesAreTheParents(t *testing.T) {
+	// Count 3, then signer -1 with an empty signature, signer 7 with
+	// "seven", signer 300 with aa bb.
+	want := []byte{
+		0x3,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0,
+		0x7, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x5, 0x73, 0x65, 0x76, 0x65, 0x6e,
+		0x2c, 0x1, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x2, 0xaa, 0xbb,
+	}
+	c := Cert{}
+	c[300] = Signature{0xaa, 0xbb}
+	c[-1] = Signature{}
+	c[7] = Signature("seven")
+	w := wire.NewWriter(64)
+	c.AppendTo(w)
+	if !bytes.Equal(w.Finish(), want) {
+		t.Fatalf("AppendTo:\n got %#v\nwant %#v", w.Finish(), want)
+	}
+	r := wire.NewReader(want)
+	got, err := ReadCert(r)
+	if err != nil || r.Done() != nil || len(got) != 3 {
+		t.Fatalf("ReadCert: %v, %d entries, done: %v", err, len(got), r.Done())
+	}
+	for id, sig := range c {
+		if !bytes.Equal(got[id], sig) {
+			t.Errorf("signer %d decoded as %x, want %x", id, got[id], sig)
+		}
+	}
+
+	// One entry more than a group can have members, every one well formed.
+	big := wire.NewWriter(1024)
+	big.Uvarint(maxCertSigs + 1)
+	for i := 0; i <= maxCertSigs; i++ {
+		big.I64(int64(i))
+		big.Bytes([]byte{1})
+	}
+	for name, b := range map[string][]byte{
+		"65 entries":        big.Finish(),
+		"truncated entry":   want[:len(want)-1],
+		"count, no entries": {0x3},
+		"empty":             {},
+	} {
+		if c, err := ReadCert(wire.NewReader(b)); err == nil {
+			t.Errorf("%s: decoded %d entries", name, len(c))
+		}
+	}
+}
+
+func TestValidCountsMembersOnly(t *testing.T) {
+	reg := NewRegistry(1, []ProcID{0, 1, 2, 9})
+	e := sim.NewEngine(1)
+	signing := sim.NewProc(e, "signing")
+	members := []ids.ID{0, 1, 2}
+	payload := []byte("checkpoint 256")
+	sign := func(id ids.ID) Signature { return reg.Signer(id).Sign(signing, payload) }
+	forged := append(Signature(nil), sign(2)...)
+	forged[0] ^= 1
+
+	const one = latmodel.VerifyCost + latmodel.CryptoDispatchCost
+	for _, tc := range []struct {
+		name    string
+		cert    Cert
+		need    int
+		want    bool
+		charged int // verifications
+	}{
+		{"f+1 members", Cert{0: sign(0), 1: sign(1)}, 2, true, 2},
+		{"all three, no early exit", Cert{0: sign(0), 1: sign(1), 2: sign(2)}, 2, true, 3},
+		{"a valid signature by a non-member does not count", Cert{0: sign(0), 9: sign(9)}, 2, false, 1},
+		{"a forged signature by a member does not count", Cert{0: sign(0), 2: forged}, 2, false, 2},
+		{"a member's signature under another's name", Cert{0: sign(0), 1: sign(0)}, 2, false, 2},
+		{"empty", Cert{}, 1, false, 0},
+	} {
+		p := sim.NewProc(e, tc.name)
+		if got := reg.Signer(0).Valid(p, members, payload, tc.cert, tc.need); got != tc.want {
+			t.Errorf("%s: Valid = %v", tc.name, got)
+		}
+		if got := p.BusyUntil(); got != sim.Time(tc.charged)*sim.Time(one) {
+			t.Errorf("%s: charged %v, want %d verifications of %v", tc.name, got, tc.charged, one)
+		}
+	}
+}
+
+func TestSharesOnePerSigner(t *testing.T) {
+	var s Shares[string]
+	sigA, sigB, sigC := Signature("a"), Signature("b"), Signature("c")
+	if !s.Admits(1, "x") || s.Has(1, "x", sigA) || len(s.Cert("x")) != 0 {
+		t.Fatal("the empty set holds something")
+	}
+	if n := s.Add(1, "x", sigA); n != 1 {
+		t.Fatalf("first share: %d signers", n)
+	}
+	if n := s.Add(1, "x", sigA); n != 1 || len(s) != 1 {
+		t.Fatalf("retransmission: %d signers, %d shares held", n, len(s))
+	}
+	if s.Admits(1, "y") || s.Add(1, "y", sigB) != 0 || len(s) != 1 {
+		t.Fatalf("a second value by the same signer was taken: %+v", s)
+	}
+	if n := s.Add(2, "y", sigB); n != 1 {
+		t.Fatalf("first share over y: %d signers", n)
+	}
+	if n := s.Add(3, "x", sigC); n != 2 {
+		t.Fatalf("second signer of x: %d signers", n)
+	}
+	if c := s.Cert("x"); len(c) != 2 || !bytes.Equal(c[1], sigA) || !bytes.Equal(c[3], sigC) {
+		t.Fatalf("Cert(x) = %v", c)
+	}
+	if c := s.Cert("y"); len(c) != 1 || !bytes.Equal(c[2], sigB) {
+		t.Fatalf("Cert(y) = %v", c)
+	}
+	for name, has := range map[string]bool{
+		"other signer":    s.Has(2, "x", sigA),
+		"other value":     s.Has(1, "y", sigA),
+		"other signature": s.Has(1, "x", sigB),
+		"unknown signer":  s.Has(4, "x", sigA),
+	} {
+		if has {
+			t.Errorf("Has matched with an %s", name)
+		}
+	}
+	if !s.Has(1, "x", sigA) || !s.Has(2, "y", sigB) {
+		t.Fatal("Has missed a share that was added")
+	}
+}

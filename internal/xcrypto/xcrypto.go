@@ -9,7 +9,6 @@
 package xcrypto
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
@@ -96,14 +95,6 @@ func (s *Signer) Sign(p *sim.Proc, msg []byte) Signature {
 	return Signature(ed25519.Sign(s.priv, msg))
 }
 
-// SignAsync signs msg off the critical path: the continuation runs once the
-// process has paid the signing cost. Used for the background bookkeeping
-// signatures of the fast path (checkpoints, summaries).
-func (s *Signer) SignAsync(p *sim.Proc, msg []byte, done func(Signature)) {
-	sig := Signature(ed25519.Sign(s.priv, msg))
-	p.Exec(latmodel.SignCost+latmodel.CryptoDispatchCost, func() { done(sig) })
-}
-
 // SignBg signs on the pool process (a crypto thread pool running on other
 // cores, as in the paper's prototype, which relegates bookkeeping
 // signatures to a background task) and delivers the result to the main
@@ -160,16 +151,6 @@ func ChecksumNoCharge(data []byte) uint64 { return XXHash64(data, 0) }
 // the caller accounts hashing cost at a coarser granularity.
 func DigestNoCharge(msg []byte) [DigestLen]byte { return sha256.Sum256(msg) }
 
-// MAC computes an HMAC-SHA256 tag over msg with key, charging BLAKE3-class
-// keyed-hash cost to p. For repeated MACs under one key, use KeyedMAC,
-// which reuses the keyed hash state instead of re-deriving it per call.
-func MAC(p *sim.Proc, key, msg []byte) []byte {
-	p.Charge(latmodel.HMACCost(len(msg)))
-	m := hmac.New(sha256.New, key)
-	m.Write(msg)
-	return m.Sum(nil)
-}
-
 // KeyedMAC is a reusable HMAC-SHA256 state bound to one key. hmac.Reset
 // restores the keyed initial state, so steady-state operation re-derives
 // neither the key schedule nor the inner/outer pads; Verify additionally
@@ -204,14 +185,3 @@ func (k *KeyedMAC) Verify(p *sim.Proc, msg, tag []byte) bool {
 	sum := k.mac.Sum(k.scratch[:0])
 	return hmac.Equal(sum, tag)
 }
-
-// VerifyMAC checks an HMAC tag in constant time, charging cost to p.
-func VerifyMAC(p *sim.Proc, key, msg, tag []byte) bool {
-	p.Charge(latmodel.HMACCost(len(msg)))
-	m := hmac.New(sha256.New, key)
-	m.Write(msg)
-	return hmac.Equal(m.Sum(nil), tag)
-}
-
-// EqualDigests reports whether two fingerprints match.
-func EqualDigests(a, b [DigestLen]byte) bool { return bytes.Equal(a[:], b[:]) }

@@ -134,33 +134,19 @@ func TestSignChargesVirtualTime(t *testing.T) {
 	}
 }
 
-func TestSignAsync(t *testing.T) {
-	reg := NewRegistry(1, []ProcID{0})
-	e, p := testProc()
-	s := reg.Signer(0)
-	var got Signature
-	s.SignAsync(p, []byte("bg"), func(sig Signature) { got = sig })
-	if got != nil {
-		t.Fatal("SignAsync completed synchronously")
-	}
-	e.Run()
-	if got == nil || !s.Verify(p, 0, []byte("bg"), got) {
-		t.Fatal("async signature invalid")
-	}
-}
-
 func TestMAC(t *testing.T) {
 	_, p := testProc()
 	key := []byte("shared-secret")
 	msg := []byte("ui request 7")
-	tag := MAC(p, key, msg)
-	if !VerifyMAC(p, key, msg, tag) {
+	k := NewKeyedMAC(key)
+	tag := k.MAC(p, msg)
+	if !k.Verify(p, msg, tag) {
 		t.Fatal("valid MAC rejected")
 	}
-	if VerifyMAC(p, key, []byte("other"), tag) {
+	if k.Verify(p, []byte("other"), tag) {
 		t.Fatal("MAC over other message accepted")
 	}
-	if VerifyMAC(p, []byte("wrong-key"), msg, tag) {
+	if NewKeyedMAC([]byte("wrong-key")).Verify(p, msg, tag) {
 		t.Fatal("MAC with wrong key accepted")
 	}
 }
@@ -170,10 +156,10 @@ func TestDigest(t *testing.T) {
 	d1 := Digest(p, []byte("m"))
 	d2 := Digest(p, []byte("m"))
 	d3 := Digest(p, []byte("n"))
-	if !EqualDigests(d1, d2) {
+	if d1 != d2 {
 		t.Fatal("digest not deterministic")
 	}
-	if EqualDigests(d1, d3) {
+	if d1 == d3 {
 		t.Fatal("distinct messages share a digest")
 	}
 }
