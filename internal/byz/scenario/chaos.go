@@ -49,6 +49,9 @@ func ChaosPolicies() []string {
 type ChaosReport struct {
 	Report
 	Rejoins int // completed cold rejoins (one per cycle on success)
+	// Unquiet is why the deployment did not go quiet after the run, for a
+	// cell fenced in knownUnquiet; empty when it did.
+	Unquiet string
 	// Digest folds the full final state of the deployment — every
 	// replica's application snapshot and decided count, the op/commit
 	// totals and any violations — into one value, so two runs of the same
@@ -73,6 +76,28 @@ func victimOf(cfg ChaosConfig) (group, idx int) {
 		return 0, i
 	}
 }
+
+// knownUnquiet fences the chaos cells whose deployment does not go quiet
+// after the run (cluster.Assembly.Quiescent) for a reason this harness cannot
+// remove, each with that reason. A fenced cell that does go quiet is a
+// violation too, so the list cannot outlive its entries; `make known-holes`
+// runs them unfenced.
+var knownUnquiet = map[chaosCell]string{
+	{CorruptVotes, "kv", 2}:  staleHeldRequest,
+	{CorruptVotes, "rkv", 2}: staleHeldRequest,
+}
+
+type chaosCell struct {
+	policy, app string
+	seed        int64
+}
+
+// staleHeldRequest is ROADMAP item 3(b) seen from the liveness side: the
+// victim receives a client request while it is recovering, the cluster
+// executes it below the victim's sync point, and the snapshot the victim
+// adopts carries no exactly-once table, so the victim holds the request as
+// unexecuted for ever and suspects its leader every capped timeout, alone.
+const staleHeldRequest = "the rejoined victim holds a client request executed below its sync point and keeps suspecting the leader (ROADMAP 3(b))"
 
 // RunChaos executes one chaos cell and returns its report.
 func RunChaos(cfg ChaosConfig) *ChaosReport {
@@ -167,6 +192,17 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 	}
 
 	h.checkAgreement()
+	// Every victim is back and the workload has stopped: with a live adversary
+	// or without, the deployment must go quiet.
+	why, fenced := knownUnquiet[chaosCell{cfg.Policy, cfg.App, cfg.Seed}]
+	switch err := d.Quiescent(); {
+	case err != nil && fenced:
+		rep.Unquiet = why
+	case err != nil:
+		rep.violate("%v", err)
+	case fenced:
+		rep.violate("cell is fenced in knownUnquiet (%s) but went quiet: remove the fence", why)
+	}
 	rep.Digest = finalDigest(d, rep)
 	return rep
 }

@@ -39,6 +39,7 @@ func TestChaosMatrix(t *testing.T) {
 	type cell struct {
 		policy, app    string
 		passed, failed int
+		unquiet        []int64 // seeds fenced in knownUnquiet
 	}
 	var cells []*cell
 	for _, policy := range ChaosPolicies() {
@@ -49,6 +50,9 @@ func TestChaosMatrix(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				for _, seed := range seeds {
 					rep := RunChaos(ChaosConfig{Seed: seed, App: appName, Policy: policy})
+					if rep.Unquiet != "" {
+						c.unquiet = append(c.unquiet, seed)
+					}
 					if rep.OK() {
 						c.passed++
 						continue
@@ -64,6 +68,9 @@ func TestChaosMatrix(t *testing.T) {
 	t.Logf("%-14s %-11s %s", "policy", "app", "pass/total")
 	for _, c := range cells {
 		t.Logf("%-14s %-11s %d/%d", c.policy, c.app, c.passed, c.passed+c.failed)
+		if len(c.unquiet) > 0 {
+			t.Logf("%-14s %-11s seeds %v did not go quiet: fenced as a known hole", "", "", c.unquiet)
+		}
 	}
 }
 

@@ -241,6 +241,9 @@ func (u *UBFT) RestartReplica(i int) error { return u.asm.RestartReplica(0, i) }
 // Stop tears down background timers on all replicas.
 func (u *UBFT) Stop() { u.asm.Stop() }
 
+// Quiescent checks the quiescence invariant (see Assembly.Quiescent).
+func (u *UBFT) Quiescent() error { return u.asm.Quiescent() }
+
 // InvokeSync failure outcomes. Both are negative so the historical
 // "latency < 0 means failure" check keeps working, but they are distinct:
 // a timeout means virtual time reached the deadline with events still

@@ -6,6 +6,15 @@ package cluster_test
 // NewMember and shard.Build were folded into one assembly core. Endpoint
 // creation order, the registry seed or an extra NewApp() call moving would
 // change these values.
+//
+// Both digests fold every op's virtual latency in, so they were captured
+// again at PR 21 (lazy cumulative acks: a replica no longer spends 150ns a
+// side acknowledging every ring frame, which shortens every op). With the
+// latency left out of the fold the Build digest is the parent's
+// (08b3843efed1ce82): results and final replica states did not move. The
+// restart digest moves without it too (03a11f136b7f16e4 -> d1c954562295735b):
+// towards the killed replica retransmission now backs off and probes, so the
+// rejoin traffic, and with it the decided counts at the end, differ.
 
 import (
 	"crypto/sha256"
@@ -55,9 +64,9 @@ func TestGoldenBuildSeed7(t *testing.T) {
 		}
 		lats = append(lats, lat)
 	}
-	const want = "bdec897822a2c062"
+	const want = "6c574ce881028ece"
 	if got := goldenDigest(lats, u.Apps, u.Replicas); got != want {
-		t.Fatalf("seed-7 Build digest = %s, want %s (captured at the parent commit)", got, want)
+		t.Fatalf("seed-7 Build digest = %s, want %s (captured at PR 21)", got, want)
 	}
 }
 
@@ -103,9 +112,9 @@ func TestGoldenRestartSeed7(t *testing.T) {
 	if r := u.Replicas[victim]; r.Recovering() || r.Rejoins != 1 {
 		t.Fatalf("rejoin incomplete after %d ops: recovering=%v rejoins=%d", n, r.Recovering(), r.Rejoins)
 	}
-	const want = "2e8b0e9e04a17576"
+	const want = "3e735ada992007db"
 	if got := goldenDigest(lats, u.Apps, u.Replicas); got != want {
-		t.Fatalf("seed-7 restart digest = %s, want %s (captured at the parent commit)", got, want)
+		t.Fatalf("seed-7 restart digest = %s, want %s (captured at PR 21)", got, want)
 	}
 }
 

@@ -63,36 +63,10 @@ func TestLivenessResumesAfterGST(t *testing.T) {
 	t.Logf("pre-GST completions: %d/5 (best effort); post-GST: 5/5", preGST)
 }
 
+// TestPreGSTNeverViolatesAgreement: the preGSTAgreement scenario
+// (lossy_test.go) at its tier-1 seed.
 func TestPreGSTNeverViolatesAgreement(t *testing.T) {
-	// A long asynchronous period with aggressive drops: whatever decides,
-	// decides identically everywhere.
-	netOpts := simnet.RDMAOptions()
-	netOpts.GST = sim.Time(20 * sim.Millisecond)
-	netOpts.AsyncExtraMax = 5 * sim.Millisecond
-	netOpts.AsyncDropProb = 0.5
-	u := flipCluster(cluster.Options{
-		Seed:              8,
-		NetOptions:        &netOpts,
-		ViewChangeTimeout: 3 * sim.Millisecond,
-		SlowPathDelay:     500 * sim.Microsecond,
-		Window:            16,
-		Tail:              8,
-	})
-	defer u.Stop()
-	for i := 0; i < 10; i++ {
-		u.Clients[0].Invoke([]byte(fmt.Sprintf("m%d", i)), func([]byte, sim.Duration) {})
-		u.Eng.RunFor(2 * sim.Millisecond)
-	}
-	// Let the system stabilize well past GST.
-	u.Eng.RunUntil(sim.Time(40 * sim.Millisecond))
-	u.Eng.RunFor(200 * sim.Millisecond)
-	// Compare executed prefixes via snapshots at equal progress.
-	for i := 0; i < len(u.Replicas); i++ {
-		for j := i + 1; j < len(u.Replicas); j++ {
-			if u.Replicas[i].LastApplied() == u.Replicas[j].LastApplied() &&
-				!bytes.Equal(u.Apps[i].Snapshot(), u.Apps[j].Snapshot()) {
-				t.Fatalf("agreement violated between replicas %d and %d", i, j)
-			}
-		}
+	if v := preGSTAgreement(8, t.Logf); !v.ok() {
+		t.Fatal(v)
 	}
 }

@@ -6,13 +6,10 @@ package consensus_test
 // randomized fault-injection soak test of the safety invariants.
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/app"
-	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/ids"
 	"repro/internal/memnode"
@@ -106,75 +103,14 @@ func TestSharedMemoryNodes(t *testing.T) {
 	}
 }
 
-// TestSoakWithPartitionChurn is a randomized fault-injection run: random
-// link partitions open and heal while clients keep submitting. Safety
-// invariant checked throughout: replicas never diverge on executed state
-// (agreement + total order), whatever the network does.
+// TestSoakWithPartitionChurn: the partitionChurnSoak scenario (lossy_test.go)
+// at its tier-1 seeds.
 func TestSoakWithPartitionChurn(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			u := flipCluster(cluster.Options{
-				Seed:              seed,
-				NewApp:            func() app.StateMachine { return app.NewKV(0) },
-				ViewChangeTimeout: sim.Millisecond,
-				SlowPathDelay:     100 * sim.Microsecond,
-				Window:            16,
-				Tail:              8,
-			})
-			defer u.Stop()
-			rng := rand.New(rand.NewSource(seed))
-			completed := 0
-			for i := 0; i < 30; i++ {
-				// Random partition events between replicas.
-				if rng.Intn(3) == 0 {
-					a := u.ReplicaIDs[rng.Intn(3)]
-					b := u.ReplicaIDs[rng.Intn(3)]
-					if a != b {
-						u.Net.Partition(a, b)
-					}
-				}
-				if rng.Intn(2) == 0 {
-					u.Net.HealAll()
-				}
-				key := []byte(fmt.Sprintf("k%d", i))
-				res, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 100*sim.Millisecond)
-				if res != nil {
-					completed++
-				}
-				u.Net.HealAll()
-			}
-			u.Net.HealAll()
-			u.Eng.RunFor(100 * sim.Millisecond)
-			if completed < 10 {
-				t.Fatalf("only %d/30 requests completed under churn", completed)
-			}
-			// SAFETY: any two replicas that executed the same number of
-			// slots have byte-identical state; with the network healed and
-			// time to recover, at least two replicas (a quorum minus f)
-			// must agree.
-			type snap struct {
-				applied consensus.Slot
-				state   []byte
-			}
-			var snaps []snap
-			for i, r := range u.Replicas {
-				snaps = append(snaps, snap{r.LastApplied(), u.Apps[i].Snapshot()})
-			}
-			agree := 0
-			for i := 0; i < len(snaps); i++ {
-				for j := i + 1; j < len(snaps); j++ {
-					if snaps[i].applied == snaps[j].applied {
-						if !bytes.Equal(snaps[i].state, snaps[j].state) {
-							t.Fatalf("SAFETY VIOLATION: replicas %d and %d applied %d slots but diverged",
-								i, j, snaps[i].applied)
-						}
-						agree++
-					}
-				}
-			}
-			if agree == 0 {
-				t.Log("no two replicas at the same slot count (lag); safety vacuously holds")
+			if v := partitionChurnSoak(seed, t.Logf); !v.ok() {
+				t.Fatal(v)
 			}
 		})
 	}

@@ -1,0 +1,35 @@
+//go:build lossysweep
+
+package consensus_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// TestLossySweep runs the three lossy scenarios of lossy_test.go over seed
+// ranges instead of their one tier-1 seed each and prints pass / wedged /
+// diverged per seed (`make lossy-sweep`; not part of `make ci`). It fails on
+// nothing: the table is the result, recorded per PR in CHANGES.md.
+func TestLossySweep(t *testing.T) {
+	for _, sc := range []struct {
+		name  string
+		seeds int64
+		run   func(seed int64, logf func(string, ...any)) verdict
+	}{
+		{"rejoin (TestRestartRejoinsUnderLossyFabric)", 24, lossyRejoin},
+		{"agreement (TestPreGSTNeverViolatesAgreement)", 40, preGSTAgreement},
+		{"soak (TestSoakWithPartitionChurn)", 24, partitionChurnSoak},
+	} {
+		count := map[string]int{}
+		var lines []string
+		for seed := int64(1); seed <= sc.seeds; seed++ {
+			v := sc.run(seed, func(string, ...any) {})
+			count[v.kind]++
+			lines = append(lines, fmt.Sprintf("  seed %2d  %s", seed, strings.TrimSuffix(v.String(), ": ")))
+		}
+		t.Logf("%s, seeds 1-%d: %d pass / %d wedged / %d diverged\n%s", sc.name, sc.seeds,
+			count["pass"], count["wedged"], count["diverged"], strings.Join(lines, "\n"))
+	}
+}

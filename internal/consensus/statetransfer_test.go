@@ -71,100 +71,11 @@ func TestLaggingReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	}
 }
 
-// TestRestartRejoinsUnderLossyFabric restarts a crashed follower while the
-// network is pre-GST: every message — JOIN probes, JOIN answers, snapshot
-// requests and the snapshot itself — is dropped with probability 0.25 and
-// delayed by up to 300us. The cold-rejoin path must make progress purely
-// through its retry timers (probe re-arm, rotating snapshot pulls among
-// the checkpoint's signers), and the loss-induced view changes mean the
-// sync point moves under the joiner mid-pull. After GST everything must
-// converge: rejoin complete, exactly one Rejoin counted, state identical.
+// TestRestartRejoinsUnderLossyFabric: the lossyRejoin scenario (lossy_test.go)
+// at its tier-1 seed.
 func TestRestartRejoinsUnderLossyFabric(t *testing.T) {
-	u := flipCluster(cluster.Options{
-		Seed:              5,
-		NewApp:            func() app.StateMachine { return app.NewKV(0) },
-		Window:            8,
-		Tail:              8,
-		ViewChangeTimeout: 3 * sim.Millisecond,
-		SlowPathDelay:     30 * sim.Microsecond,
-	})
-	defer u.Stop()
-
-	set := func(i int, wait sim.Duration) bool {
-		key := []byte(fmt.Sprintf("k%03d", i))
-		res, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), wait)
-		return res != nil
-	}
-	for i := 0; i < 4; i++ {
-		if !set(i, 100*sim.Millisecond) {
-			t.Fatalf("warmup op %d failed", i)
-		}
-	}
-
-	const victim = 2
-	if err := u.KillReplica(victim); err != nil {
-		t.Fatal(err)
-	}
-	// Past several windows: the victim's slots are pruned cluster-wide.
-	for i := 4; i < 32; i++ {
-		if !set(i, 200*sim.Millisecond) {
-			t.Fatalf("op %d failed with victim down", i)
-		}
-	}
-
-	// Asynchronous period covering the whole rejoin: drops and delays start
-	// the moment the victim is reborn.
-	gst := u.Eng.Now().Add(sim.Duration(40 * sim.Millisecond))
-	u.Net.SetGST(gst, 300*sim.Microsecond, 0.25)
-	if err := u.RestartReplica(victim); err != nil {
-		t.Fatal(err)
-	}
-	// Best-effort traffic through the lossy window — the client has no
-	// retransmission layer, so individual ops may time out; what matters is
-	// that decisions keep flowing so checkpoints can advance past the
-	// joiner's sync point.
-	// completed during the async period, when nothing is guaranteed.
-	tried, completed := 0, 0
-	for u.Eng.Now() < gst {
-		tried++
-		if set(100+tried, 5*sim.Millisecond) {
-			completed++
-		}
-	}
-	t.Logf("lossy window: %d/%d ops completed, view now %d",
-		completed, tried, u.Replicas[0].View())
-	if u.Replicas[0].View() == 0 {
-		t.Fatal("loss never forced a view change — the scenario is not " +
-			"exercising a moving sync point (pick a harsher seed/drop rate)")
-	}
-
-	// Give the backed-off suspicion timers room to converge the views: after
-	// a dozen failed view changes the exponential backoff (ViewChangeTimeout
-	// << vcStreak, capped at 8) means the next catch-up jump can be hundreds
-	// of milliseconds out. GST promises eventual liveness, not instant.
-	u.Eng.RunFor(400 * sim.Millisecond)
-
-	// Post-GST: ordered ops must succeed again, and the rejoin must finish.
-	for i := 0; i < 8; i++ {
-		if !set(200+i, 200*sim.Millisecond) {
-			t.Fatalf("post-GST op %d failed", i)
-		}
-	}
-	u.Eng.RunFor(100 * sim.Millisecond)
-
-	r := u.Replicas[victim]
-	if r.Recovering() {
-		t.Fatal("victim still recovering after GST and drain")
-	}
-	if r.Rejoins != 1 {
-		t.Fatalf("victim Rejoins = %d, want 1", r.Rejoins)
-	}
-	if got, want := r.LastApplied(), u.Replicas[0].LastApplied(); got < want-8 {
-		t.Fatalf("rejoined replica applied %d, peer %d (no catch-up?)", got, want)
-	}
-	if u.Replicas[0].LastApplied() == r.LastApplied() &&
-		!bytes.Equal(u.Apps[0].Snapshot(), u.Apps[victim].Snapshot()) {
-		t.Fatal("lossy-fabric rejoin produced divergent state")
+	if v := lossyRejoin(5, t.Logf); !v.ok() {
+		t.Fatal(v)
 	}
 }
 

@@ -12,6 +12,16 @@
 // private buffer, re-checks the incarnation, then validates the checksum
 // before delivering — the paper's torn-read defence, reproduced here.
 //
+// Delivery is in index order. The paper's receiver advances its read
+// pointer to the oldest undelivered message; here that is the oldest
+// *unrecoverable-or-present* one: the sender keeps its last `slots` messages
+// in a mirror and whoever drives it (Tail Broadcast) re-sends what was not
+// acknowledged, so a missing index is waited for while the mirror can still
+// hold it, which the receiver knows from the highest index it has seen, and
+// skipped only once it has provably been overwritten there. Frames that
+// arrive meanwhile wait in their slots. A ring nobody retransmits into
+// therefore stalls at its first lost frame until the sender laps it.
+//
 // A second staging buffer queues messages whose target slot has an RDMA
 // WRITE still in flight (the NIC has not reported completion); the staging
 // buffer evicts its oldest entry when full, preserving boundedness.
@@ -117,7 +127,8 @@ type Sender struct {
 
 type mirrored struct {
 	frame wire.Writer
-	size  int // payload bytes: what a WRITE's copy, checksum and wire time are charged on
+	size  int      // payload bytes: what a WRITE's copy, checksum and wire time are charged on
+	at    sim.Time // when Send took the message
 }
 
 // ringTo is the sender's view of one receiver's ring.
@@ -167,6 +178,10 @@ func (s *Sender) Slots() int { return s.slots }
 // Next returns the absolute index the next message will get.
 func (s *Sender) Next() uint64 { return s.next }
 
+// SentAt returns when the message at absolute index idx was sent. idx must
+// still be in the mirror.
+func (s *Sender) SentAt(idx uint64) sim.Time { return s.mirror[idx%uint64(s.slots)].at }
+
 // Send transmits msg as the next message to every receiver, returning its
 // absolute index. The frame is encoded once, into the mirror; msg itself is
 // not retained, so the caller may reuse its buffer as soon as Send returns.
@@ -181,7 +196,7 @@ func (s *Sender) Send(msg []byte) uint64 {
 	s.next++
 	slot := int(idx % uint64(s.slots))
 	m := &s.mirror[slot]
-	m.size = len(msg)
+	m.size, m.at = len(msg), s.proc.Now()
 	if m.frame.Len() == 0 {
 		m.frame.Grow(32 + len(msg)) // first use of the slot: one allocation; later growth is append's, amortized
 	}
@@ -298,13 +313,14 @@ type Receiver struct {
 	proc    *sim.Proc
 	slots   int
 	deliver func(idx uint64, msg []byte)
+	idle    func()
 
 	stored  []storedSlot
 	nextIdx uint64
-	// undelivered counts the stored slots scan still owes a delivery
-	// (has && idx >= nextIdx), so scan walks the ring only when one exists
-	// and is not the next index in line.
-	undelivered int
+	// high is the highest index seen plus one. The sender is at least that
+	// far, so its mirror holds nothing below high-slots: that much is lost
+	// for good, everything from there on retransmission can still supply.
+	high uint64
 
 	// AllocatedBytes approximates the RDMA-exposed buffer size, for the
 	// Table 2 accounting.
@@ -323,7 +339,7 @@ type storedSlot struct {
 
 // NewReceiver registers a receiving ring on the hub for messages from peer
 // on the given instance. deliver is called in FIFO order of absolute index,
-// skipping overwritten messages.
+// skipping only messages the sender can no longer retransmit.
 func NewReceiver(h *Hub, peer ids.ID, inst Instance, slots, slotCap int, deliver func(idx uint64, msg []byte)) *Receiver {
 	key := ringKey{peer: peer, inst: inst}
 	if _, dup := h.receivers[key]; dup {
@@ -341,13 +357,23 @@ func NewReceiver(h *Hub, peer ids.ID, inst Instance, slots, slotCap int, deliver
 	return r
 }
 
+// Next returns the read pointer: every message below it has been delivered
+// or has left the sender's mirror. It is what a cumulative acknowledgement
+// of this ring may claim.
+func (r *Receiver) Next() uint64 { return r.nextIdx }
+
+// OnIdle installs fn to run whenever an intact frame arrives and nothing is
+// delivered: a retransmission of something already read or stored, or a frame
+// held back behind a hole. Either way its sender is missing news about how
+// far this receiver has read.
+func (r *Receiver) OnIdle(fn func()) { r.idle = fn }
+
 // Reset rewinds the receiver to index 0 and forgets every stored slot. Used
 // when the sending peer provably cold-restarted (its ring writer starts over
 // at absolute index 0): without the rewind the monotone nextIdx would make
 // the receiver discard the fresh incarnation's frames forever.
 func (r *Receiver) Reset() {
-	r.nextIdx = 0
-	r.undelivered = 0
+	r.nextIdx, r.high = 0, 0
 	for i := range r.stored {
 		r.stored[i] = storedSlot{}
 	}
@@ -377,40 +403,40 @@ func (r *Receiver) accept(slot int, inc, chk uint64, data []byte) {
 	}
 	idx := (inc-1)*uint64(r.slots) + uint64(slot)
 	cur := &r.stored[slot]
-	if cur.has && cur.idx >= idx {
-		return // stale rewrite (retransmission of something newer already here)
+	// Behind the read pointer, or a rewrite of what the slot already holds,
+	// is a retransmission of something this receiver has dealt with.
+	news := idx >= r.nextIdx && !(cur.has && cur.idx >= idx)
+	if news {
+		cur.has, cur.idx, cur.data = true, idx, data
+		r.high = max(r.high, idx+1)
 	}
-	if idx >= r.nextIdx && !(cur.has && cur.idx >= r.nextIdx) {
-		r.undelivered++ // (overwriting an undelivered message replaces it)
+	if !(news && r.scan()) && r.idle != nil {
+		r.idle()
 	}
-	cur.has, cur.idx, cur.data = true, idx, data
-	r.scan()
 }
 
-// scan delivers every stored message with index >= nextIdx in increasing
-// order. This realizes "advance the read pointer to the oldest undelivered
-// message" from the paper: overwritten indices are skipped permanently.
-func (r *Receiver) scan() {
-	for r.undelivered > 0 {
-		// Common case: the next index in line is there. Otherwise there is
-		// a gap (lost or overwritten messages): find the oldest survivor.
+// scan delivers from the read pointer on, in index order, for as long as the
+// next index is stored. A missing index is waited for while the sender's
+// mirror can still supply it (Tail Broadcast retransmits what is not
+// acknowledged) and skipped once it cannot: this realizes "advance the read
+// pointer to the oldest undelivered message" from the paper, the oldest that
+// is not lost for good. It reports whether it delivered anything.
+func (r *Receiver) scan() (delivered bool) {
+	for {
+		if slots := uint64(r.slots); r.high > slots {
+			r.nextIdx = max(r.nextIdx, r.high-slots)
+		}
 		s := &r.stored[r.nextIdx%uint64(r.slots)]
 		if !s.has || s.idx != r.nextIdx {
-			s = nil
-			for i := range r.stored {
-				c := &r.stored[i]
-				if c.has && c.idx >= r.nextIdx && (s == nil || c.idx < s.idx) {
-					s = c
-				}
-			}
+			return delivered
 		}
 		// Settle the books before delivering: deliver may Reset this ring.
 		// The slot keeps its index (the stale-rewrite test) but not the
 		// bytes: once delivered they belong to whoever retained them.
 		idx, data := s.idx, s.data
 		s.data = nil
-		r.undelivered--
 		r.nextIdx = idx + 1
 		r.deliver(idx, data)
+		delivered = true
 	}
 }

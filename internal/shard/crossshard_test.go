@@ -644,6 +644,12 @@ func TestCrossShardLossyNetwork(t *testing.T) {
 				if n := d.Client(0).Pending(); n != 0 {
 					t.Fatalf("client still tracks %d pending requests after settling", n)
 				}
+				// Every transaction has resolved and GST is long past: the
+				// deployment must now go quiet (2.78M messages and views still
+				// rotating at this point, before retransmission backed off).
+				if err := d.Quiescent(); err != nil {
+					t.Fatal(err)
+				}
 				return summary
 			}
 			a, b := run(), run()

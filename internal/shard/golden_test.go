@@ -12,6 +12,12 @@ package shard_test
 // are equal (2f047655b9412ef6 and 918d831a1e65b1bf): results and final
 // replica states did not move. The single-group goldens issue no fast read
 // and were not touched.
+//
+// Captured a third time at PR 21 (ack and retransmit timing: lazy cumulative
+// acks shorten every op; see internal/cluster/golden_test.go). With the
+// latency left out the Build digest is still 2f047655b9412ef6; the restart
+// digest moves without it too (918d831a1e65b1bf -> 56bb29fc84104b66) because
+// retransmission towards the killed replica backs off and probes.
 
 import (
 	"crypto/sha256"
@@ -96,9 +102,9 @@ func TestGoldenBuildSeed7(t *testing.T) {
 	if g.cross < 20 {
 		t.Fatalf("only %d of %d ops crossed shards", g.cross, g.n)
 	}
-	const want = "b3b29432c452ac9e"
+	const want = "e8336c6e4b229c93"
 	if got := g.digest(); got != want {
-		t.Fatalf("seed-7 shard Build digest = %s, want %s (captured at PR 13)", got, want)
+		t.Fatalf("seed-7 shard Build digest = %s, want %s (captured at PR 21)", got, want)
 	}
 }
 
@@ -139,8 +145,8 @@ func TestGoldenRestartSeed7(t *testing.T) {
 	if r := d.Groups[vs].Replicas[vi]; r.Recovering() || r.Rejoins != 1 {
 		t.Fatalf("rejoin incomplete after %d ops: recovering=%v rejoins=%d", g.n, r.Recovering(), r.Rejoins)
 	}
-	const want = "29ead2aa73b25076"
+	const want = "a3310c777b9e69f2"
 	if got := g.digest(); got != want {
-		t.Fatalf("seed-7 shard restart digest = %s, want %s (captured at PR 13)", got, want)
+		t.Fatalf("seed-7 shard restart digest = %s, want %s (captured at PR 21)", got, want)
 	}
 }

@@ -107,6 +107,18 @@ func (p *Proc) After(d Duration, fn func()) Timer {
 	return Timer{ev: ev, gen: ev.gen}
 }
 
+// Since returns how long ago t was, in the units After takes: where timers
+// are stretched (Engine.SetTimeScale) elapsed time shrinks by the same
+// factor, so an interval measured with Since and waited for with After is
+// the same interval on the simulated fabric and on a realtime host.
+func (p *Proc) Since(t Time) Duration {
+	d := p.eng.now.Sub(t)
+	if p.eng.timeScale > 1 {
+		d /= Duration(p.eng.timeScale)
+	}
+	return d
+}
+
 // PostAfter is After without a cancellation handle (saves the Timer
 // allocation for fire-and-forget timers like NIC completion callbacks).
 func (p *Proc) PostAfter(d Duration, fn func()) {

@@ -225,6 +225,7 @@ type Node struct {
 	// deliver is the long-lived sim.MsgHandler for this node, built once so
 	// message delivery allocates no closure (see Send).
 	deliver sim.MsgHandler
+	inbound uint64
 }
 
 // deliverMsg runs on the destination process when a message is handed to
@@ -242,6 +243,10 @@ func (nd *Node) ID() ids.ID { return nd.id }
 
 // Proc returns the node's simulated process.
 func (nd *Node) Proc() *sim.Proc { return nd.proc }
+
+// Inbound returns how many messages have been sent towards this node,
+// delivered or not.
+func (nd *Node) Inbound() uint64 { return nd.inbound }
 
 // SetHandler installs the message handler.
 func (nd *Node) SetHandler(h Handler) { nd.handler = h }
@@ -269,6 +274,7 @@ func (nd *Node) Send(to ids.ID, payload []byte) {
 	}
 	nd.proc.Charge(latmodel.DispatchCost)
 	nd.net.MsgsSent++
+	dst.inbound++
 	nd.net.BytesSent += uint64(len(payload) + nd.net.opts.HeaderBytes)
 	if nd.net.Partitioned(nd.id, to) {
 		nd.net.Dropped++
