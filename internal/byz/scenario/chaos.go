@@ -81,23 +81,21 @@ func victimOf(cfg ChaosConfig) (group, idx int) {
 // after the run (cluster.Assembly.Quiescent) for a reason this harness cannot
 // remove, each with that reason. A fenced cell that does go quiet is a
 // violation too, so the list cannot outlive its entries; `make known-holes`
-// runs them unfenced.
-var knownUnquiet = map[chaosCell]string{
-	{CorruptVotes, "kv", 2}:  staleHeldRequest,
-	{CorruptVotes, "rkv", 2}: staleHeldRequest,
-}
+// runs them unfenced. Empty since checkpoints are taken every half window:
+// corruptvotes/kv and corruptvotes/rkv at seed 2 were fenced for ROADMAP item
+// 3(b) seen from the liveness side (the victim receives a client request while
+// it is recovering, the cluster executes it in slots the victim skips by
+// state transfer, and the snapshot carries no exactly-once table, so the
+// victim holds the request as unexecuted for ever and suspects its leader
+// every capped timeout, alone); they go quiet under that timing and no other
+// cell of the 6-seed matrix trips. The hole is open: the next cell found to
+// trip it is fenced here with that reason.
+var knownUnquiet = map[chaosCell]string{}
 
 type chaosCell struct {
 	policy, app string
 	seed        int64
 }
-
-// staleHeldRequest is ROADMAP item 3(b) seen from the liveness side: the
-// victim receives a client request while it is recovering, the cluster
-// executes it below the victim's sync point, and the snapshot the victim
-// adopts carries no exactly-once table, so the victim holds the request as
-// unexecuted for ever and suspects its leader every capped timeout, alone.
-const staleHeldRequest = "the rejoined victim holds a client request executed below its sync point and keeps suspecting the leader (ROADMAP 3(b))"
 
 // RunChaos executes one chaos cell and returns its report.
 func RunChaos(cfg ChaosConfig) *ChaosReport {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/ids"
+	"repro/internal/latmodel"
 	"repro/internal/memnode"
 	"repro/internal/router"
 	"repro/internal/sim"
@@ -253,6 +254,91 @@ func TestCertifySigCache(t *testing.T) {
 	bad[0] ^= 1
 	if r.verifyCertifySig(0, 0, dg, 1, bad) {
 		t.Fatal("corrupted share accepted")
+	}
+}
+
+// TestCheckpointCertCountsKnownSharesOnly: a CHECKPOINT certificate is judged
+// with the shares this replica already verified on its crypto pool counted as
+// good and every other signature verified on the main process; a known share
+// beside a forged signature proves one signer, not f+1.
+func TestCheckpointCertCountsKnownSharesOnly(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[0]
+	signing := sim.NewProc(rig.eng, "signing")
+	const seq = Slot(16) // the rig's first checkpoint (window 32); nothing executed
+	dg := xcrypto.DigestNoCharge([]byte("state"))
+	sign := func(id ids.ID) xcrypto.Signature {
+		return rig.reg.Signer(id).Sign(signing, checkpointPayload(seq, dg))
+	}
+	known, genuine := sign(1), sign(2)
+	forged := append(xcrypto.Signature(nil), genuine...)
+	forged[0] ^= 1
+	frame := func(sigs xcrypto.Cert) []byte {
+		w := wire.NewWriter(256)
+		w.U8(tagCheckpoint)
+		cp := Checkpoint{Seq: seq, StateDigest: dg, Sigs: sigs}
+		cp.encode(w)
+		return w.Finish()
+	}
+
+	r.onCertifyCheckpoint(1, seq, dg, known)
+	rig.eng.RunFor(sim.Millisecond)
+	if c := r.cps[seq]; c == nil || !c.shares.Has(1, dg, known) || r.chkpt.Seq != 0 {
+		t.Fatalf("one verified share: record %+v, stable checkpoint %d", r.cps[seq], r.chkpt.Seq)
+	}
+	for name, sigs := range map[string]xcrypto.Cert{
+		"known share + forged signature":       {1: known, 2: forged},
+		"known share + its own copy elsewhere": {1: known, 2: known},
+		"known share + a stranger's signature": {1: known, 7: genuine},
+		"the known signer's share, altered":    {1: forged, 2: forged},
+	} {
+		if r.validateMsg(1, frame(sigs)) || r.cps[seq].verified {
+			t.Fatalf("%s validated as an f+1 certificate", name)
+		}
+	}
+	busy := max(r.proc.BusyUntil(), rig.eng.Now())
+	if !r.validateMsg(1, frame(xcrypto.Cert{1: known, 2: genuine})) {
+		t.Fatal("known share + genuine signature rejected")
+	}
+	const oneVerify = sim.Time(latmodel.VerifyCost + latmodel.CryptoDispatchCost)
+	if got := r.proc.BusyUntil() - busy; got != oneVerify {
+		t.Fatalf("certificate with one known share charged %v on the main process, want one verification (%v)", got, oneVerify)
+	}
+}
+
+// TestCertifyCheckpointTrustsOwnChannelOnly: a replica takes the
+// CERTIFY_CHECKPOINT share self-delivered on its own channel without
+// verifying it, and nothing else: the same bytes on a peer's channel are the
+// peer's share and go through the crypto pool, whatever they claim.
+func TestCertifyCheckpointTrustsOwnChannelOnly(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[0]
+	const seq = Slot(16)
+	dg := xcrypto.DigestNoCharge([]byte("state"))
+	// Replica 0's genuine share: valid for signer 0, for nobody else.
+	own := rig.reg.Signer(0).Sign(sim.NewProc(rig.eng, "signing"), checkpointPayload(seq, dg))
+	w := wire.NewWriter(128)
+	w.U8(tagCertifyCP)
+	w.U64(uint64(seq))
+	w.Raw(dg[:])
+	w.Bytes(own)
+	frame := w.Finish()
+
+	pool := r.bgProc.BusyUntil()
+	r.onAuxMsg(1, frame)
+	rig.eng.RunFor(sim.Millisecond)
+	if c := r.cps[seq]; c != nil && len(c.shares) != 0 {
+		t.Fatalf("replica 0's share arriving on replica 1's channel was recorded: %+v", c.shares)
+	}
+	if r.bgProc.BusyUntil() == pool {
+		t.Fatal("a share on a peer's channel was not verified on the crypto pool")
+	}
+	pool = r.bgProc.BusyUntil()
+	r.onAuxMsg(0, frame)
+	if c := r.cps[seq]; c == nil || !c.shares.Has(0, dg, own) || r.bgProc.BusyUntil() != pool {
+		t.Fatalf("own share on the own channel: record %+v, pool charged %v", r.cps[seq], r.bgProc.BusyUntil()-pool)
 	}
 }
 

@@ -20,6 +20,19 @@ package consensus_test
 // better: TestGoldenLeaderKillDepth4 acknowledged 137 requests and then
 // wedged; it now acknowledges all 260-264 it issues and drains. Each run must
 // also go quiet afterwards (cluster.UBFT.Quiescent).
+//
+// All twelve were captured again at PR 22 for one stated reason, checkpoint
+// cadence (Window/2) and certificate timing: a checkpoint is taken every half
+// window and no slot waits for its certificate, so every completion latency
+// after the first boundary, the stable checkpoint each replica ends on and,
+// under pipelining, how many requests share a slot (the leader batches what
+// queues while a slot is in flight, and less queues without the stall at the
+// window's end) are in the fold at other values: the slow-path runs take
+// 80-81 slots for their 120 requests where they took 65 (stable checkpoint
+// 80, was 64), the follower-crash runs 115-116 where they took 89-90 (112 or
+// 116, was 88), the leader-kill runs reach checkpoint 128 where they never
+// reached 256, the pre-GST runs end on 40 / 44 / 52 (32 / 40 / 48). The
+// shapes assert what they did and every run still goes quiet.
 
 import (
 	"crypto/sha256"
@@ -106,7 +119,7 @@ func goldenSeeds(t *testing.T, want [3]string, run func(seed int64) *goldenLoad,
 				t.Logf("replica %d: decided=%d view=%d fast=%d slow=%d late=%d vc=%d exec=%d applied=%d cp=%d", i, r.DecidedCount(), r.View(), r.FastDecides, r.SlowDecides, r.LateProposals(), r.ViewChanges, r.Executed, r.LastApplied(), r.Checkpoint().Seq)
 			}
 			if got := g.digest(); got != w {
-				t.Errorf("digest = %s, want %s (captured at PR 21); acked %d of %v issued", got, w, g.acked, g.issued)
+				t.Errorf("digest = %s, want %s (captured at PR 22); acked %d of %v issued", got, w, g.acked, g.issued)
 			}
 			if err := g.u.Quiescent(); err != nil {
 				t.Error(err)
@@ -122,7 +135,7 @@ func newRKV() app.StateMachine { return app.NewRKV() }
 // windows — the certificate shares, the verified-share cache and the
 // per-view sent bits carry every decision.
 func TestGoldenSlowPathDepth4(t *testing.T) {
-	goldenSeeds(t, [3]string{"e06cdfeb64fb44df", "6280f0948143f330", "12f6542a98525496"},
+	goldenSeeds(t, [3]string{"ee95d843308a3d8f", "3024da7b4bec2d52", "3e644ef87a1ec33a"},
 		func(seed int64) *goldenLoad {
 			u := cluster.NewUBFT(cluster.Options{
 				Seed: seed, NumClients: 2, Window: 8, Tail: 8, NewApp: newRKV,
@@ -148,7 +161,7 @@ func TestGoldenSlowPathDepth4(t *testing.T) {
 // crashes mid-run; from then on every slot collects its WILL_CERTIFYs short
 // of unanimity, falls back on its timer and decides by CERTIFY / COMMIT.
 func TestGoldenFollowerCrashFallback(t *testing.T) {
-	goldenSeeds(t, [3]string{"fc9f1cc97a96a874", "f699ab5e0926fac9", "582f0f250cf2472a"},
+	goldenSeeds(t, [3]string{"4492a9c058919a14", "1d6a9559b89150e8", "c227eec729756618"},
 		func(seed int64) *goldenLoad {
 			u := cluster.NewUBFT(cluster.Options{
 				Seed: seed, NumClients: 2, Window: 8, Tail: 8, NewApp: newRKV,
@@ -179,7 +192,7 @@ func TestGoldenFollowerCrashFallback(t *testing.T) {
 // most of their time in view changes (ROADMAP, view-change residual 3), so
 // the run is a fixed virtual interval and whatever completed is digested.
 func TestGoldenLeaderKillDepth4(t *testing.T) {
-	goldenSeeds(t, [3]string{"85d956d5b67ac2d1", "8de8612e01aff53d", "a97ac10ae748f066"},
+	goldenSeeds(t, [3]string{"156190a435dc9280", "0f89b8560310cdd4", "9620ee7fc9e0e41f"},
 		func(seed int64) *goldenLoad {
 			u := cluster.NewUBFT(cluster.Options{
 				Seed: seed, NumClients: 2, NewApp: newRKV,
@@ -212,7 +225,7 @@ func TestGoldenLeaderKillDepth4(t *testing.T) {
 // drains across more than three checkpoint windows.
 func TestGoldenPreGSTEchoTimeout(t *testing.T) {
 	late := uint64(0)
-	goldenSeeds(t, [3]string{"4dc08d945c32d29b", "02816abb680500e4", "c781cd0b71432929"},
+	goldenSeeds(t, [3]string{"05939d0a10e133c2", "a9cd22c10798b9e2", "55077e709a1020b9"},
 		func(seed int64) *goldenLoad {
 			netOpts := simnet.RDMAOptions()
 			netOpts.GST = sim.Time(20 * sim.Millisecond)
