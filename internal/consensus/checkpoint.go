@@ -11,41 +11,32 @@ import (
 )
 
 // This file implements application checkpoints (Algorithm 2 lines 43-61):
-// replicas certify a snapshot digest with f+1 signatures; the certificate
-// advances the sliding window and lets everyone discard per-slot state,
-// bounding memory. The window is Window slots wide and a checkpoint is taken
-// every half window (cpInterval), the double buffering CTBcast summaries use
-// at Tail/2: while the certificate for the first half forms, the leader
-// proposes into the second, so certification is off the proposal path unless
-// it takes longer than half a window of slots. It also implements the
-// state-transfer extension the paper's prototype left out (§7 "the only major
-// unimplemented features are application and replica state transfers"): a
-// replica whose checkpoint outruns its execution fetches the snapshot from a
-// certificate signer and validates it against the f+1-signed digest.
+// after executing every slot of the current window, replicas certify a
+// snapshot digest with f+1 signatures; the certificate advances the sliding
+// window and lets everyone discard per-slot state, bounding memory. It also
+// implements the state-transfer extension the paper's prototype left out
+// (§7 "the only major unimplemented features are application and replica
+// state transfers"): a replica whose checkpoint outruns its execution
+// fetches the snapshot from a certificate signer and validates it against
+// the f+1-signed digest.
 
-// cpInterval is the distance between checkpoints: half the window, rounded up
-// so that execution, which stops at the window's end, never passes the
-// boundary after the one being certified.
-func (c *Config) cpInterval() Slot { return Slot(c.Window+1) / 2 }
-
-// maybeCreateCheckpoint runs after each execution and each adoption (a
-// certificate can land with execution already at the next boundary): once the
-// first half of the window is applied, certify the next checkpoint.
+// maybeCreateCheckpoint runs after each execution: once all open slots of
+// the current window are applied, certify the next checkpoint.
 func (r *Replica) maybeCreateCheckpoint() {
-	nextSeq := r.chkpt.Seq + r.cfg.cpInterval()
+	nextSeq := r.chkpt.Seq + Slot(r.cfg.Window)
 	if c := r.cps[nextSeq]; r.lastApplied < nextSeq || (c != nil && c.mine) {
 		return
 	}
 	if r.appVer != nil {
-		// Ratchet the MVCC GC horizon to one window below the new checkpoint
-		// before snapshotting. Creation time — not the asynchronous pruneBelow —
+		// Ratchet the MVCC GC horizon to the PREVIOUS checkpoint seq before
+		// snapshotting. Creation time — not the asynchronous pruneBelow —
 		// is the one point that is a deterministic function of the applied
 		// prefix, so every replica compacts identically and the snapshot
 		// digests still match; the horizon itself travels inside the
 		// snapshot. Keeping one full window of history means any pin a
 		// client derived from a recent frontier stays servable.
-		if window := Slot(r.cfg.Window); nextSeq > window {
-			r.appVer.PruneVersions(uint64(nextSeq - window))
+		if prev := r.chkpt.Seq; prev > 0 { // nextSeq - Window, without the unsigned subtraction
+			r.appVer.PruneVersions(uint64(prev))
 		}
 	}
 	snap := r.cfg.App.Snapshot()
@@ -108,7 +99,7 @@ func (r *Replica) acceptCertifyCheckpoint(p ids.ID, seq Slot, dg [xcrypto.Digest
 	if c.shares.Add(p, dg, sig) < r.cfg.F+1 {
 		return // f+1 over one digest: shares over different ones certify nothing
 	}
-	c.verified, c.verifiedDg = true, dg // every share was verified on its way in
+	c.verified, c.verifiedDg = true, dg // every share was verified on its way in, or is our own
 	r.maybeCheckpoint(Checkpoint{Seq: seq, StateDigest: dg, Sigs: c.shares.Cert(dg)})
 }
 
@@ -167,15 +158,6 @@ func (r *Replica) maybeCheckpoint(cp Checkpoint) {
 	if !cp.Supersedes(&r.chkpt) {
 		return
 	}
-	if r.observing() && r.lastApplied < cp.Seq && r.inWindow(cp.Seq) && cp.Seq != r.joinSyncSeq {
-		// A rejoining replica lets a mid-window certificate that is ahead of
-		// its execution pass: it stays silent until the window's end whatever
-		// it adopts (maybeResumeFromJoin), its slots below cp.Seq are still
-		// open and deciding, and the state transfer adoption would start
-		// costs it the exactly-once records of the slots skipped (ROADMAP
-		// 3(b)). The certificate at the window's end is adopted regardless.
-		return
-	}
 	if !r.verifyCheckpointCert(&cp) {
 		return
 	}
@@ -189,24 +171,19 @@ func (r *Replica) maybeCheckpoint(cp Checkpoint) {
 		// A rejoining replica stays silent: no rebroadcast (peers' frozen
 		// record of our pre-crash checkpoint could make an equal-seq
 		// rebroadcast fail their strict Supersedes check) and no proposals.
-		// If this checkpoint is a full window past the sync point and our
-		// state has caught up, the observe window ends here.
+		// If this checkpoint is the first stable one past the sync point
+		// and our state has caught up, the observe window ends here.
 		r.maybeResumeFromJoin()
-	} else {
-		// Line 61: re-broadcast the checkpoint so every correct replica
-		// learns it even when only one correct replica decided (liveness,
-		// §B.3).
-		w := wire.NewWriter(256)
-		w.U8(tagCheckpoint)
-		cp.encode(w)
-		r.groups[r.cfg.Self].Broadcast(w.Finish())
-		r.pumpProposals()
-		r.maybeSeal()
+		return
 	}
-	// Execution may already stand at the next boundary (a small window, or a
-	// certificate slower than half a window of slots): nothing will execute
-	// to trigger its snapshot, so take it now, after the PREPAREs left.
-	r.maybeCreateCheckpoint()
+	// Line 61: re-broadcast the checkpoint so every correct replica learns
+	// it even when only one correct replica decided (liveness, §B.3).
+	w := wire.NewWriter(256)
+	w.U8(tagCheckpoint)
+	cp.encode(w)
+	r.groups[r.cfg.Self].Broadcast(w.Finish())
+	r.pumpProposals()
+	r.maybeSeal()
 }
 
 // bringUpToSpeed fast-forwards execution past slots covered by the

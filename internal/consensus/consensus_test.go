@@ -143,20 +143,21 @@ func TestCheckpointAdvancesWindow(t *testing.T) {
 	}
 }
 
-// TestCheckpointOffTheProposalPath pins the worst case of the fault-free fast
-// path: one client at depth 1, 64 B Flip, the default 256-slot window. With a
-// checkpoint every half window the certificate for slots [0, 128) forms while
-// [128, 256) is open, so no operation waits for it: the operations that land
-// in slots 256, 512, ... (28x the median, 310 us, while slot Window opened only
-// once checkpoint Window was stable) are ordinary, and nothing is above 10x
-// the median. What is left, 9.2x (102 us) once per 128 slots, is the leader
-// verifying a follower's CHECKPOINT certificate on its main process because
-// its crypto pool, busy with the CTBcast summary shares of the same boundary,
-// has not verified those shares yet; ROADMAP 6(b)'s 5x waits for an
-// asynchronous validity gate in ctbcast. Also asserted after every operation:
-// at most Window slots open, at most two certificates in formation, at most
-// three snapshots held (the one forming, the stable one, the one before).
-func TestCheckpointOffTheProposalPath(t *testing.T) {
+// TestCheckpointStallBounded pins the worst case of the fault-free fast path:
+// one client at depth 1, 64 B Flip, the default 256-slot window. Slot Window
+// opens only once checkpoint Window is stable (Algorithm 2), so the operation
+// that lands there waits for the certificate: snapshot, own share signed on
+// the crypto pool, a peer's share verified there, the CHECKPOINT adopted.
+// That wait was 310 us, 28x the median, while the leader also verified its
+// own share on the pool (behind the CTBcast summary shares of the same
+// boundary) and then every signature of the certificate a second time on its
+// main process; without those two it is 165 us, 14.9x, pinned here at 16x.
+// ROADMAP 6(b) asks for 5x: a checkpoint every half window takes the
+// certificate off the path altogether (102 us, 9.2x, measured) but doubles
+// the state transfers a lagging replica takes and with them the trips of
+// hole 3(b), so it waits for that hole to be closed. Also asserted after
+// every operation: at most Window slots open.
+func TestCheckpointStallBounded(t *testing.T) {
 	const window, warmup, ops = 256, 20, 2000
 	u := flipCluster(cluster.Options{Seed: 1})
 	defer u.Stop()
@@ -172,24 +173,15 @@ func TestCheckpointOffTheProposalPath(t *testing.T) {
 		}
 		for ri, r := range u.Replicas {
 			next, _, chk, _ := r.Progress()
-			snapshots, forming := r.CheckpointRecords()
-			if open := r.Footprint().Slots; next > chk+window || open > window || forming > 2 || snapshots > 3 {
-				t.Fatalf("operation %d, replica %d: next slot %d over checkpoint %d, %d slot records, %d certificates forming, %d snapshots",
-					i, ri, next, chk, open, forming, snapshots)
+			if open := r.Footprint().Slots; next > chk+window || open > window {
+				t.Fatalf("operation %d, replica %d: next slot %d over checkpoint %d, %d slot records", i, ri, next, chk, open)
 			}
 		}
 	}
-	sorted := slices.Clone(lats)
-	slices.Sort(sorted)
-	median := sorted[len(sorted)/2]
-	if worst := sorted[len(sorted)-1]; worst > 10*median {
-		t.Errorf("worst operation %v is %.1fx the median %v, want at most 10x", worst, float64(worst)/float64(median), median)
-	}
-	// One operation per slot at depth 1: operation i went into slot i.
-	for slot := window; slot < warmup+ops; slot += window {
-		if lat := lats[slot-warmup]; lat > median*3/2 {
-			t.Errorf("the operation in slot %d took %v against a median of %v: slot %d waited for its checkpoint", slot, lat, median, slot)
-		}
+	slices.Sort(lats)
+	median := lats[len(lats)/2]
+	if worst := lats[len(lats)-1]; worst > 16*median {
+		t.Errorf("worst operation %v is %.1fx the median %v, want at most 16x", worst, float64(worst)/float64(median), median)
 	}
 	for i, r := range u.Replicas {
 		if cp := r.Checkpoint().Seq; cp < warmup+ops-window {

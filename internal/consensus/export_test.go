@@ -20,18 +20,3 @@ func (r *Replica) ViewRecords() (n int, lowest View) {
 	}
 	return n, lowest
 }
-
-// CheckpointRecords reports, for the external checkpoint tests, how many
-// checkpoint records hold a snapshot and how many are above the stable
-// checkpoint (certificates in formation).
-func (r *Replica) CheckpointRecords() (snapshots, forming int) {
-	for s, c := range r.cps {
-		if c.hasSnapshot {
-			snapshots++
-		}
-		if s > r.chkpt.Seq {
-			forming++
-		}
-	}
-	return snapshots, forming
-}

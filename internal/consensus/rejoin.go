@@ -26,10 +26,10 @@ import (
 //     broadcasts, checkpoint shares, or view-change messages. The silence
 //     is the safety argument: any promise the pre-crash incarnation made
 //     (WILL_COMMIT, CERTIFY) concerns slots at or below the sync window;
-//     by staying mute until a checkpoint a FULL WINDOW past the sync point
-//     (two checkpoint intervals) is stable and locally executed, every
-//     slot we could have promised on is pruned before we speak again, so
-//     amnesia cannot become equivocation.
+//     by staying mute until a checkpoint STRICTLY past the sync point is
+//     stable and locally executed, every slot we could have promised on
+//     is pruned before we speak again, so amnesia cannot become
+//     equivocation.
 //
 //   - resumed: re-declare our view (a SEAL_VIEW frame, accepted by the
 //     relaxed validator since peers' frozen record of our pre-crash view
@@ -200,14 +200,12 @@ func (r *Replica) adoptSyncPoint(v View, cp Checkpoint) {
 	}
 }
 
-// maybeResumeFromJoin ends the observe window once a checkpoint a full
-// window past the sync point is stable AND locally executed. The window the
-// sync point opened is what the pre-crash incarnation could have voted in;
-// the next checkpoint, half a window on, leaves its second half open, so only
-// the one after guarantees every such slot has been pruned cluster-wide
-// before we speak again.
+// maybeResumeFromJoin ends the observe window once a checkpoint STRICTLY
+// past the sync point is stable AND locally executed. Strictness is what
+// guarantees every slot the pre-crash incarnation could have voted on has
+// been pruned cluster-wide before we speak again.
 func (r *Replica) maybeResumeFromJoin() {
-	if r.joinPhase != joinObserving || r.chkpt.Seq < r.joinSyncSeq+Slot(r.cfg.Window) || r.lastApplied < r.chkpt.Seq {
+	if r.joinPhase != joinObserving || r.chkpt.Seq <= r.joinSyncSeq || r.lastApplied < r.chkpt.Seq {
 		return
 	}
 	r.resumeParticipation()

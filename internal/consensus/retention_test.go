@@ -19,10 +19,10 @@ var retention = map[string]string{
 	"Replica.state":         "fixed: n entries, made in NewReplica (their prepares/commits: CHECKPOINT delivery drops what is outside the sender's window)",
 	"Replica.groups":        "fixed: n entries, made in NewReplica",
 	"Replica.slots":         "pruneBelow: below the stable checkpoint, except a decided slot not yet applied",
-	"Replica.requests":      "pruneBelow: copy released at execution, dedup stub below the stable checkpoint, unbacked echo set one window of slots after the first stable checkpoint that found it",
-	"Replica.clients":       "pruneBelow: one idle window of slots (two checkpoint intervals) past the stable checkpoint; a client with a still-parked request is exempt",
-	"Replica.cps":           "pruneBelow: two checkpoint intervals (one window) below the stable checkpoint (shares at it, snapshot one interval); above it, the two boundaries of the open window",
-	"Replica.deferredResp":  "pruneBelow: one window of slots past the stable checkpoint unless the ticket is still parked; entry deleted when the lock releases",
+	"Replica.requests":      "pruneBelow: copy released at execution, dedup stub below the stable checkpoint, unbacked echo set after one window of grace",
+	"Replica.clients":       "pruneBelow: one idle window past the stable checkpoint; a client with a still-parked request is exempt",
+	"Replica.cps":           "pruneBelow: two windows below the stable checkpoint (shares at it, snapshot one window)",
+	"Replica.deferredResp":  "pruneBelow: one window past the stable checkpoint unless the ticket is still parked; entry deleted when the lock releases",
 	"Replica.proposeQ":      "drained by pumpProposals; holds only requests whose echo round completed, so at most what live clients have in flight",
 	"Replica.freshScratch":  "scratch of takeProposal: at most one PREPARE's requests (MsgCap bytes)",
 	"Replica.pinnedReads":   "<= pinnedReadCap, drained as execution reaches each pin",
@@ -38,7 +38,7 @@ var retention = map[string]string{
 	"execEntry.res": "the client's latest result; dies with the client record",
 
 	"cpState.shares":   "released once the checkpoint is stable (pruneBelow); at most n shares, one per signer",
-	"cpState.snapshot": "released one checkpoint interval (half a window) below the stable checkpoint (pruneBelow): the stable one and the one before are held, plus the one forming",
+	"cpState.snapshot": "released one window below the stable checkpoint (pruneBelow)",
 }
 
 func TestEveryTableHasARetentionRule(t *testing.T) {

@@ -160,12 +160,12 @@ type reqState struct {
 	// The leader's echo round (§5.4). echoes is the set of replicas known to
 	// hold the request, one bit per replica position; it is non-zero exactly
 	// while the round is open. echoTimer, armed when the leader holds the
-	// request and the set is incomplete, bounds the wait. graceFrom is the
-	// first stable checkpoint that found the set without a client copy behind
-	// it (pruneBelow), zero for none.
+	// request and the set is incomplete, bounds the wait. grace marks a set
+	// that survived one stable checkpoint without a client copy behind it
+	// (pruneBelow).
 	echoes    uint64
 	echoTimer sim.Timer
-	graceFrom Slot
+	grace     bool
 
 	// proposed: this replica proposed the request in slot. The stub stops a
 	// second proposal of the digest until a stable checkpoint covers slot
@@ -180,7 +180,7 @@ func (rs *reqState) releaseBody() { rs.req, rs.held = Request{}, false }
 // closeEchoRound forgets the echo set and everything keyed like it.
 func (rs *reqState) closeEchoRound() {
 	rs.echoTimer.Cancel()
-	rs.echoes, rs.graceFrom = 0, 0
+	rs.echoes, rs.grace = 0, false
 }
 
 func (r *Replica) dropIfDead(dg [xcrypto.DigestLen]byte, rs *reqState) {
@@ -330,15 +330,11 @@ func (c *cpState) keepSnapshot(snap []byte) { c.snapshot, c.hasSnapshot = snap, 
 // The prune rules.
 // ---------------------------------------------------------------------
 
-// pruneBelow discards the state a stable checkpoint at seq covers. It runs
-// every checkpoint interval, half a window. A rule stated in slots (window)
-// keeps the horizon it had when checkpoints were a window apart and is only
-// evaluated twice as often; a rule stated in checkpoints (interval) keeps the
-// number of records it had. The two walks that clear parts of records in
-// place go in key order (the determinism lint's rule for anything but pure
-// deletes).
+// pruneBelow discards the state a stable checkpoint at seq covers. The two
+// walks that clear parts of records in place go in key order (the
+// determinism lint's rule for anything but pure deletes).
 func (r *Replica) pruneBelow(seq Slot) {
-	window, interval := Slot(r.cfg.Window), r.cfg.cpInterval()
+	window := Slot(r.cfg.Window)
 
 	// Slots: everything below the checkpoint, except a slot decided but not
 	// yet applied (the checkpoint arrived ahead of execution), which stays
@@ -351,27 +347,25 @@ func (r *Replica) pruneBelow(seq Slot) {
 	}
 
 	// Checkpoint records: three horizons, the record going with the last.
-	// Counted in checkpoints, not slots: a snapshot is the largest thing a
-	// replica holds, and a peer one checkpoint behind still finds its own.
 	for _, s := range sortedKeys(r.cps) {
 		c := r.cps[s]
 		if s <= seq {
 			c.shares = nil // certified or overtaken: the shares are spent
 		}
-		if s+interval < seq {
-			c.snapshot, c.hasSnapshot = nil, false // transfers: this checkpoint and the one before
+		if s+window < seq {
+			c.snapshot, c.hasSnapshot = nil, false // transfers: one window
 		}
-		if s+2*interval < seq {
-			delete(r.cps, s) // the verified-certificate cache: two checkpoints back
+		if s+2*window < seq {
+			delete(r.cps, s) // the verified-certificate cache: two windows
 		}
 	}
 
 	// Clients. An exactly-once record goes once its client has been idle for
-	// a full window (in slots) beyond the checkpoint: with client churn in the
-	// millions the table would otherwise hold one record per client ever
-	// seen. The one-window grace keeps dedup authoritative across every
-	// in-window re-proposal (view changes, retransmissions); only a duplicate
-	// delayed past a whole window of slots could slip through and re-execute,
+	// a full window beyond the checkpoint: with client churn in the millions
+	// the table would otherwise hold one record per client ever seen. The
+	// one-window grace keeps dedup authoritative across every in-window
+	// re-proposal (view changes, retransmissions); only a duplicate delayed
+	// past two whole checkpoint intervals could slip through and re-execute,
 	// far beyond any retransmission horizon here. Deferred response targets
 	// whose request is STILL PARKED are exempt from the horizon regardless
 	// of age — the parked client was never answered, so it is exactly the
@@ -424,18 +418,18 @@ func (r *Replica) pruneBelow(seq Slot) {
 		// Byzantine client echo-spraying digests it never sends — which must
 		// not grow leader memory — or a real request whose echoes outran its
 		// direct copy. The two are indistinguishable now, so an unbacked set
-		// gets one full window of slots of grace from the first checkpoint
-		// that finds it: a real copy arrives well within it (keeping the
-		// request off the slow EchoTimeout path, which proposes out of client
-		// order), while garbage still dies a window later.
+		// gets one full checkpoint window of grace: a real copy arrives well
+		// within it (keeping the request off the slow EchoTimeout path,
+		// which proposes out of client order), while garbage still dies at
+		// the next stable checkpoint.
 		switch {
 		case rs.echoes == 0:
 		case rs.proposed:
 			rs.closeEchoRound()
 		case rs.held:
-		case rs.graceFrom == 0:
-			rs.graceFrom = seq
-		case seq >= rs.graceFrom+window:
+		case !rs.grace:
+			rs.grace = true
+		default:
 			rs.closeEchoRound()
 		}
 		r.dropIfDead(dg, rs)
