@@ -1,10 +1,10 @@
 # CI entry points for the uBFT reproduction. `make ci` is what a PR gate
 # should run: build, lint (vet + the ubft-lint invariant suite), full
 # tests (the fuzz seeds included) plain and under -race, the bounded-memory,
-# Byzantine and crash-restart suites, a smoke pass over every Go benchmark
-# (one iteration each, so the perf harness itself is exercised), and the
-# repository benchmark, whose net-* workloads are the one real-socket
-# measurement CI makes.
+# Byzantine and crash-restart suites, a smoke pass over every Go benchmark,
+# every example and the figure CLI (one iteration each, so the perf harness
+# and the front-ends are exercised), and the repository benchmark, whose
+# net-* workloads are the one real-socket measurement CI makes.
 
 GO ?= go
 
@@ -57,8 +57,12 @@ bounded-mem:
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one
 # benchmark alone use `$(GO) test -run '^$$' -bench '<name>' .` (README).
+# Then the front-ends are run, not just compiled: every examples/ main and
+# the figure CLI at a small sample count must exit 0 (~3 s in all).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -short .
+	@for d in examples/*/; do echo "$(GO) run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+	$(GO) run ./cmd/ubft-bench -all -samples 50 > /dev/null
 
 # The ledger (docs/ledger/README.md) holds one result set per PR, each from
 # `$(GO) run ./bench -seed 1 -trace both -json docs/ledger/NNNN-<slug>.json`;

@@ -10,7 +10,6 @@ package ubft
 // Regenerate everything in table form with: go run ./cmd/ubft-bench -all
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -204,169 +203,6 @@ func BenchmarkThroughput_Depth2(b *testing.B) {
 		ops, _ := bench.RunPipelined(s, bench.NewFlipWorkload(32, rand.New(rand.NewSource(1))), 2, samples(b, 400))
 		s.Stop()
 		b.ReportMetric(ops/1000, "kops")
-	}
-}
-
-// Extension: horizontal scaling via the shard layer — S independent
-// consensus groups on one fabric, key space hash-partitioned across them,
-// memory nodes shared. Decided-requests/virtual-second should grow near-
-// linearly in S (each group has its own leader, window and CTBcast tail;
-// the fabric model has no shared-switch bottleneck).
-func BenchmarkShardScaling(b *testing.B) {
-	for _, s := range []int{1, 2, 4, 8} {
-		s := s
-		b.Run(fmt.Sprintf("S%d", s), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				res := bench.ShardScaling(1, s, 4, samples(b, 200))
-				if res.Completed == 0 {
-					b.Fatal("no requests completed")
-				}
-				b.ReportMetric(res.OpsPerSec/1000, "kops-virtual")
-				b.ReportMetric(res.OpsPerSec/float64(s)/1000, "kops-per-shard")
-				b.ReportMetric(float64(res.Decided), "decided-slots")
-			}
-		})
-	}
-}
-
-// Cross-shard mix: S=4 Redis-style groups where a configurable fraction of
-// requests span two shards — scatter-gather MGETs and 2PC multi-key writes.
-// The 0% row is bit-identical to the single-shard-routed baseline (gated by
-// TestCrossShardZeroFractionMatchesBaseline), so the other rows read as the
-// pure cost of cross-shard coordination.
-func BenchmarkCrossShard(b *testing.B) {
-	for _, frac := range []float64{0, 0.10, 0.50} {
-		frac := frac
-		b.Run(fmt.Sprintf("S4_frac%02d", int(frac*100)), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				res := bench.CrossShardMix(1, 4, 4, samples(b, 200), frac)
-				if res.Completed == 0 {
-					b.Fatal("no requests completed")
-				}
-				b.ReportMetric(res.OpsPerSec/1000, "kops-virtual")
-				b.ReportMetric(float64(res.CrossOps), "cross-ops")
-				b.ReportMetric(float64(res.Aborted), "aborted")
-				b.ReportMetric(res.Rec.Percentile(50).Micros(), "p50-us")
-			}
-		})
-	}
-}
-
-// Capability-API transactions: the same cross-shard experiment over the
-// Memcached-style store (multi-key KVMGet/KVMSet) — every 2PC step goes
-// through the generic app.TxnParticipant hooks, no app-specific opcode in
-// the shard layer.
-func BenchmarkCrossShardKV(b *testing.B) {
-	for _, frac := range []float64{0, 0.10, 0.50} {
-		frac := frac
-		b.Run(fmt.Sprintf("S4_frac%02d", int(frac*100)), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				res := bench.CrossShardKVMix(1, 4, 4, samples(b, 200), frac)
-				if res.Completed == 0 {
-					b.Fatal("no requests completed")
-				}
-				b.ReportMetric(res.OpsPerSec/1000, "kops-virtual")
-				b.ReportMetric(float64(res.CrossOps), "cross-ops")
-				b.ReportMetric(float64(res.Aborted), "aborted")
-				b.ReportMetric(res.Rec.Percentile(50).Micros(), "p50-us")
-			}
-		})
-	}
-}
-
-// Capability-API transactions over the order matching engine: symbol-
-// sharded books with two-symbol top-of-book reads (scatter-gather) and
-// atomic two-legged pair orders (2PC transfers).
-func BenchmarkCrossShardOrderBook(b *testing.B) {
-	for _, frac := range []float64{0, 0.10, 0.50} {
-		frac := frac
-		b.Run(fmt.Sprintf("S4_frac%02d", int(frac*100)), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				res := bench.CrossShardOrderMix(1, 4, 4, samples(b, 200), frac)
-				if res.Completed == 0 {
-					b.Fatal("no requests completed")
-				}
-				b.ReportMetric(res.OpsPerSec/1000, "kops-virtual")
-				b.ReportMetric(float64(res.CrossOps), "cross-ops")
-				b.ReportMetric(float64(res.Aborted), "aborted")
-				b.ReportMetric(res.Rec.Percentile(50).Micros(), "p50-us")
-			}
-		})
-	}
-}
-
-// Read fast path: the read-dominant serving mix at 50/90/99% reads with
-// unordered f+1 quorum reads off and on. With FastReads=false every read
-// pays the full ordering pipeline (the seed behavior, bit-identical —
-// gated by TestReadMixFastOffMatchesPlainDriver); with FastReads=true
-// reads cost one round trip + f+1 matching digests and only writes consume
-// consensus slots. The order-book rows are the headline (>= 2x ops at 90%
-// reads, gated by TestReadMixFastSpeedup); the Memcached rows show the
-// exec-bound regime, where every replica still pays the ~15us server path
-// per read and the win is correspondingly smaller. The point-read rows
-// drive single-key KVGets through the versioned store, and the strong row
-// prices the linearizable 2f+1 mode against the f+1 fast path.
-func BenchmarkReadMix(b *testing.B) {
-	apps := []struct {
-		name string
-		run  func(seed int64, shards, outstanding, n int, frac float64, fast bool) bench.ReadMixResult
-	}{
-		{"KV", bench.ReadMix},
-		{"OrderBook", bench.ReadMixOrder},
-	}
-	for _, a := range apps {
-		for _, frac := range []float64{0.50, 0.90, 0.99} {
-			for _, fast := range []bool{false, true} {
-				a, frac, fast := a, frac, fast
-				mode := "ordered"
-				if fast {
-					mode = "fast"
-				}
-				b.Run(fmt.Sprintf("%s_read%02d_%s", a.name, int(frac*100), mode), func(b *testing.B) {
-					b.ReportAllocs()
-					for b.Loop() {
-						res := a.run(1, 2, 4, samples(b, 200), frac, fast)
-						if res.Completed == 0 {
-							b.Fatal("no requests completed")
-						}
-						b.ReportMetric(res.OpsPerSec/1000, "kops-virtual")
-						b.ReportMetric(res.ReadRec.Percentile(50).Micros(), "read-p50-us")
-						b.ReportMetric(res.WriteRec.Percentile(50).Micros(), "write-p50-us")
-						b.ReportMetric(float64(res.Widens), "widens")
-						b.ReportMetric(float64(res.Fallbacks), "fallbacks")
-					}
-				})
-			}
-		}
-	}
-	for _, row := range []struct {
-		name string
-		run  func(n int) bench.ReadMixResult
-	}{
-		{"KVPoint_read90_ordered", func(n int) bench.ReadMixResult { return bench.ReadMixPoint(1, 2, 4, n, 0.90, false) }},
-		{"KVPoint_read90_fast", func(n int) bench.ReadMixResult { return bench.ReadMixPoint(1, 2, 4, n, 0.90, true) }},
-		{"KVPoint_read90_strong", func(n int) bench.ReadMixResult { return bench.ReadMixStrong(1, 2, 4, n, 0.90) }},
-	} {
-		row := row
-		b.Run(row.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				res := row.run(samples(b, 200))
-				if res.Completed == 0 {
-					b.Fatal("no requests completed")
-				}
-				b.ReportMetric(res.OpsPerSec/1000, "kops-virtual")
-				b.ReportMetric(res.ReadRec.Percentile(50).Micros(), "read-p50-us")
-				b.ReportMetric(res.WriteRec.Percentile(50).Micros(), "write-p50-us")
-				b.ReportMetric(float64(res.StrongOK), "strong-ok")
-				b.ReportMetric(float64(res.Widens), "widens")
-				b.ReportMetric(float64(res.Fallbacks), "fallbacks")
-			}
-		})
 	}
 }
 

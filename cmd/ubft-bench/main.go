@@ -8,7 +8,6 @@
 //	ubft-bench -fig 11         # CTBcast tail vs tail latency
 //	ubft-bench -table 2        # memory consumption
 //	ubft-bench -throughput     # §9 throughput discussion
-//	ubft-bench -readmix        # read fast path: unordered quorum reads
 //	ubft-bench -all            # everything
 //
 // -samples scales measurement counts (the paper uses >= 10,000); -seed
@@ -18,29 +17,36 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
 )
 
-func main() {
-	fig := flag.Int("fig", 0, "figure to regenerate (7, 8, 9, 10, 11)")
-	table := flag.Int("table", 0, "table to regenerate (2)")
-	throughput := flag.Bool("throughput", false, "run the §9 throughput experiment")
-	readmix := flag.Bool("readmix", false, "run the read fast path experiment (50/90/99% reads, fast reads off/on)")
-	all := flag.Bool("all", false, "run every experiment")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	samples := flag.Int("samples", 0, "samples per configuration (0 = defaults)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run regenerates what args select onto w and returns the exit status: 2
+// for a flag error or when no experiment is selected, 0 for -h.
+func run(args []string, w io.Writer) int {
+	fs := flag.NewFlagSet("ubft-bench", flag.ContinueOnError)
+	fig := fs.Int("fig", 0, "figure to regenerate (7, 8, 9, 10, 11)")
+	table := fs.Int("table", 0, "table to regenerate (2)")
+	throughput := fs.Bool("throughput", false, "run the §9 throughput experiment")
+	all := fs.Bool("all", false, "run every experiment")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	samples := fs.Int("samples", 0, "samples per configuration (0 = defaults)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	ran := false
-	w := os.Stdout
 	slowSamples := *samples / 5
-	if *samples == 0 {
-		slowSamples = 0
-	}
 
 	if *all || *fig == 7 {
 		bench.PrintFig7(w, bench.Fig7(*seed, *samples))
@@ -77,13 +83,9 @@ func main() {
 		fmt.Fprintln(w)
 		ran = true
 	}
-	if *all || *readmix {
-		bench.PrintReadMix(w, bench.ReadMixTable(*seed, *samples))
-		fmt.Fprintln(w)
-		ran = true
-	}
 	if !ran {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	return 0
 }

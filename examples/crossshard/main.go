@@ -13,7 +13,6 @@ import (
 
 	ubft "repro"
 	"repro/internal/app"
-	"repro/internal/bench"
 	"repro/internal/wire"
 )
 
@@ -65,16 +64,7 @@ func main() {
 	check("RSet after abort", res, err)
 	fmt.Printf("  healthy group 0 writable again after abort: status %d\n", res[0])
 
-	// --- throughput vs cross-shard fraction -------------------------------
-	fmt.Println("\nThroughput vs cross-shard fraction (S=4, 4 in flight per client):")
-	fmt.Printf("  %-10s %14s %10s %8s %12s\n", "fraction", "kops/s (virt)", "cross-ops", "aborted", "p50 latency")
-	for _, frac := range []float64{0, 0.10, 0.50} {
-		r := bench.CrossShardMix(1, shards, 4, 150, frac)
-		fmt.Printf("  %-10s %14.1f %10d %8d %12v\n",
-			fmt.Sprintf("%.0f%%", frac*100), r.OpsPerSec/1000, r.CrossOps, r.Aborted, r.Rec.Median())
-	}
-	fmt.Println("\nThe 0% row is bit-identical to the single-shard-routed baseline;")
-	fmt.Println("the other rows price the scatter-gather and 2PC coordination.")
+	fmt.Println("\nThroughput at 10% cross-shard requests is measured and gated by: go run ./bench -workload sim-shard4-txn")
 }
 
 func newDeployment(seed int64) *ubft.ShardDeployment {

@@ -16,7 +16,6 @@ import (
 
 	ubft "repro"
 	"repro/internal/app"
-	"repro/internal/bench"
 )
 
 func main() {
@@ -26,16 +25,7 @@ func main() {
 	fmt.Println("\n== Snapshot scatter read across 2 shards (pinned legs) ==")
 	demoSnapshot()
 
-	fmt.Println("\n== Read-dominant mix (order book, S=2, 4 in flight/client) ==")
-	fmt.Printf("%-7s %-6s %14s %12s %12s %10s\n", "read%", "fast", "kops/s (virt)", "read p50", "write p50", "fallbacks")
-	for _, frac := range []float64{0.50, 0.90, 0.99} {
-		for _, fast := range []bool{false, true} {
-			res := bench.ReadMixOrder(1, 2, 4, 300, frac, fast)
-			fmt.Printf("%-7.0f %-6v %14.1f %12v %12v %10d\n",
-				frac*100, fast, res.OpsPerSec/1000,
-				res.ReadRec.Percentile(50), res.WriteRec.Percentile(50), res.Fallbacks)
-		}
-	}
+	fmt.Println("\nThroughput of a 90%-read mix with fast reads on is measured and gated by: go run ./bench -workload sim-kv-read90")
 }
 
 // demoLatency prices the three consistency levels on the same single-key

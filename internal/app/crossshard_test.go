@@ -3,7 +3,6 @@ package app
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 )
@@ -540,99 +539,6 @@ func TestFragmentWrites(t *testing.T) {
 				if !ta.visible(sm, k, '5') {
 					t.Fatalf("fragment %d write not installed for key %q", i, k)
 				}
-			}
-		})
-	}
-}
-
-// TestCrossShardWorkloadFracZero: at Frac = 0 the mixed workload's stream
-// is bit-identical to the plain sharded workload — the benchmark baseline
-// property.
-func TestCrossShardWorkloadFracZero(t *testing.T) {
-	plain := NewShardedRKVWorkload(1, 4, rand.New(rand.NewSource(9)))
-	mixed := NewCrossShardRKVWorkload(1, 4, 0, rand.New(rand.NewSource(9)), rand.New(rand.NewSource(1000)))
-	for i := 0; i < 200; i++ {
-		a, b := plain.Next(), mixed.Next()
-		if !bytes.Equal(a, b) {
-			t.Fatalf("streams diverge at request %d", i)
-		}
-	}
-}
-
-// TestCrossShardWorkloadMix: at a positive fraction the stream contains
-// cross-shard reads and writes whose keys really span shards, and all
-// single-key requests still route to the target shard — for every
-// transactional app's workload.
-func TestCrossShardWorkloadMix(t *testing.T) {
-	const shards, frac = 4, 0.3
-	type wl interface{ Next() []byte }
-	cases := []struct {
-		name   string
-		mk     func() wl
-		router Router
-		isRead func(req []byte) bool
-		isWrit func(req []byte) bool
-	}{
-		{
-			name: "rkv",
-			mk: func() wl {
-				return NewCrossShardRKVWorkload(2, shards, frac, rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6)))
-			},
-			router: NewRKV(),
-			isRead: func(r []byte) bool { return r[0] == RMGet },
-			isWrit: func(r []byte) bool { return r[0] == RMSet },
-		},
-		{
-			name: "kv",
-			mk: func() wl {
-				return NewCrossShardKVWorkload(2, shards, frac, rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6)))
-			},
-			router: NewKV(0),
-			isRead: func(r []byte) bool { return r[0] == KVMGet },
-			isWrit: func(r []byte) bool { return r[0] == KVMSet },
-		},
-		{
-			name: "orderbook",
-			mk: func() wl {
-				return NewCrossShardOrderWorkload(2, shards, frac, rand.New(rand.NewSource(5)), rand.New(rand.NewSource(6)))
-			},
-			router: NewOrderBook(),
-			isRead: func(r []byte) bool { return r[0] == OpTops },
-			isWrit: func(r []byte) bool { return r[0] == OpPair },
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			w := tc.mk()
-			var reads, writes, local int
-			for i := 0; i < 500; i++ {
-				req := w.Next()
-				keys, err := tc.router.Keys(req)
-				if err != nil {
-					t.Fatalf("request %d unroutable: %v", i, err)
-				}
-				switch {
-				case tc.isRead(req) || tc.isWrit(req):
-					if len(keys) != 2 || ShardOfKey(keys[0], shards) == ShardOfKey(keys[1], shards) {
-						t.Fatalf("cross op %d does not span shards", i)
-					}
-					if tc.isRead(req) {
-						reads++
-					} else {
-						writes++
-					}
-				default:
-					if ShardOfKey(keys[0], shards) != 2 {
-						t.Fatalf("local request %d off-shard", i)
-					}
-					local++
-				}
-			}
-			if reads == 0 || writes == 0 {
-				t.Fatalf("mix missing a cross op kind: %d reads, %d writes", reads, writes)
-			}
-			if got := float64(reads+writes) / 500; got < 0.15 || got > 0.45 {
-				t.Fatalf("cross fraction %.2f far from configured 0.30", got)
 			}
 		})
 	}

@@ -38,9 +38,9 @@ func (op keyedOp) readOnly() bool { return op == opGet || op == opExists || op =
 // dialect is everything that distinguishes one keyed store's wire protocol
 // from another's: which opcode means which operation, the status bytes the
 // two historical vocabularies disagree on, the modelled server cost, and
-// the four request builders the shared workloads and Fragment re-encode
-// through. Hits, misses, bad requests and every multi-key answer use the
-// generic bytes (StatusOK, keyedMiss, StatusBadReq) in both dialects.
+// the two multi-key request builders Fragment re-encodes through. Hits,
+// misses, bad requests and every multi-key answer use the generic bytes
+// (StatusOK, keyedMiss, StatusBadReq) in both dialects.
 type dialect struct {
 	name string       // in routing errors
 	ops  [256]keyedOp // opcode -> operation, opNone where the dialect has no such command
@@ -49,8 +49,6 @@ type dialect struct {
 	stored, deleted, notFound uint8
 	execBase                  sim.Duration // ExecCost of an empty request
 
-	get  func(key []byte) []byte
-	set  func(key, value []byte) []byte
 	mget func(keys ...[]byte) []byte
 	mset func(pairs ...Pair) []byte
 }

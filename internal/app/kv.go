@@ -50,8 +50,6 @@ var kvDialect = dialect{
 	deleted:  KVDeleted,
 	notFound: KVNotFound,
 	execBase: 14200 * sim.Nanosecond,
-	get:      EncodeKVGet,
-	set:      EncodeKVSet,
 	mget:     EncodeKVMGet,
 	mset:     EncodeKVMSet,
 }

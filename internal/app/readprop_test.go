@@ -26,6 +26,12 @@ type readPropApp struct {
 
 func propKey(rng *rand.Rand) []byte { return []byte(fmt.Sprintf("k%d", rng.Intn(8))) }
 
+// orderParams draws a side, price and quantity around a stable mid, so
+// books cross regularly (matching work, not just resting inserts).
+func orderParams(rng *rand.Rand) (side uint8, price, qty uint64) {
+	return OpBuy + uint8(rng.Intn(2)), 95 + uint64(rng.Intn(10)), 1 + uint64(rng.Intn(9))
+}
+
 func readPropApps() []readPropApp {
 	var apps []readPropApp
 	for _, c := range []keyedCodec{kvCodec(4), rkvCodec()} {

@@ -35,12 +35,6 @@ const (
 	RBadReq       = StatusBadReq
 	// RErr refuses an INCR of a value that is not a decimal integer.
 	RErr uint8 = 3
-	// RLocked refuses a request touching a key held by an in-flight
-	// cross-shard transaction when the wait queue is full; normally such
-	// requests park and resume when the transaction resolves.
-	RLocked = StatusLocked
-	// RConflict is a prepare vote of "no".
-	RConflict = StatusConflict
 	// RAborted reports an aborted cross-shard transaction.
 	RAborted = StatusAborted
 )
@@ -57,8 +51,6 @@ var rkvDialect = dialect{
 	deleted:  ROK,
 	notFound: RMiss,
 	execBase: 14800 * sim.Nanosecond,
-	get:      EncodeRGet,
-	set:      EncodeRSet,
 	mget:     EncodeRMGet,
 	mset:     EncodeRMSet,
 }

@@ -2,18 +2,14 @@ package app
 
 import (
 	"errors"
-	"math/rand"
 
 	"repro/internal/wire"
 	"repro/internal/xcrypto"
 )
 
 // This file is the application side of the sharded deployment: the
-// key-to-shard hash, the multi-key body decoder behind the keyed stores'
-// Router capability, and a deterministic sharded KV workload whose keys all
-// land on one target partition (the paper's Fig 7 key-value workload is its
-// one-shard case; also used by the horizontal-scaling benchmark and the
-// multi-shard determinism tests).
+// key-to-shard hash and the multi-key body decoder behind the keyed stores'
+// Router capability.
 
 // ErrNoKey reports a request whose key cannot be extracted (malformed or an
 // opcode the router does not know).
@@ -52,54 +48,4 @@ func multiKeys(rd *wire.Reader, withVals bool) ([][]byte, error) {
 		return nil, ErrNoKey
 	}
 	return keys, nil
-}
-
-// ShardedKVWorkload produces the paper's Memcached request mixture (30%
-// GETs, 80% of which hit previously written keys) with every key
-// rejection-sampled to hash onto one target shard. One instance per shard
-// lets a benchmark drive all partitions evenly while each request still
-// routes through the hash-of-key path.
-type ShardedKVWorkload struct {
-	rng     *rand.Rand
-	enc     *dialect // the store the requests are encoded for
-	shard   int
-	shards  int
-	keyLen  int
-	valLen  int
-	written [][]byte
-}
-
-// NewShardedKVWorkload builds the workload targeting `shard` of `shards`.
-func NewShardedKVWorkload(shard, shards int, rng *rand.Rand) *ShardedKVWorkload {
-	return newShardedWorkload(&kvDialect, shard, shards, rng)
-}
-
-// NewShardedRKVWorkload is the same mixture encoded for the Redis-like
-// store (RGet/RSet), the single-shard substrate of the cross-shard mix.
-func NewShardedRKVWorkload(shard, shards int, rng *rand.Rand) *ShardedKVWorkload {
-	return newShardedWorkload(&rkvDialect, shard, shards, rng)
-}
-
-func newShardedWorkload(enc *dialect, shard, shards int, rng *rand.Rand) *ShardedKVWorkload {
-	return &ShardedKVWorkload{rng: rng, enc: enc, shard: shard, shards: shards, keyLen: 16, valLen: 32}
-}
-
-// Next returns the next GET or SET, always routable to the target shard.
-func (w *ShardedKVWorkload) Next() []byte {
-	if w.rng.Float64() < 0.30 && len(w.written) > 0 {
-		var key []byte
-		if w.rng.Float64() < 0.80 {
-			key = w.written[w.rng.Intn(len(w.written))]
-		} else {
-			key = randKeyOn(w.rng, w.shard, w.shards, w.keyLen)
-		}
-		return w.enc.get(key)
-	}
-	key := randKeyOn(w.rng, w.shard, w.shards, w.keyLen)
-	val := make([]byte, w.valLen)
-	w.rng.Read(val)
-	if len(w.written) < 4096 {
-		w.written = append(w.written, key)
-	}
-	return w.enc.set(key, val)
 }

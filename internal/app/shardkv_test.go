@@ -89,21 +89,3 @@ func TestShardOfKeyStableAndSpread(t *testing.T) {
 		t.Fatalf("1024 random keys hit only %d of 8 shards: %v", len(seen), seen)
 	}
 }
-
-func TestShardedKVWorkloadTargetsShard(t *testing.T) {
-	const shards = 4
-	router := NewKV(0)
-	for target := 0; target < shards; target++ {
-		wl := NewShardedKVWorkload(target, shards, rand.New(rand.NewSource(3)))
-		for i := 0; i < 64; i++ {
-			req := wl.Next()
-			keys, err := router.Keys(req)
-			if err != nil || len(keys) != 1 {
-				t.Fatalf("workload emitted unroutable request: %q, %v", keys, err)
-			}
-			if got := ShardOfKey(keys[0], shards); got != target {
-				t.Fatalf("request %d routed to shard %d, want %d", i, got, target)
-			}
-		}
-	}
-}

@@ -113,6 +113,27 @@ func TestKVWorkloadHitRatio(t *testing.T) {
 	}
 }
 
+// TestShardedKVWorkloadTargetsShard: every request of the mixture routes,
+// through the store's own key extractor, to the shard the workload targets.
+func TestShardedKVWorkloadTargetsShard(t *testing.T) {
+	const shards = 4
+	router := app.NewKV(0)
+	for target := 0; target < shards; target++ {
+		wl := NewKVWorkload(rand.New(rand.NewSource(3)))
+		wl.shard, wl.shards = target, shards
+		for i := 0; i < 64; i++ {
+			req := wl.Next()
+			keys, err := router.Keys(req)
+			if err != nil || len(keys) != 1 {
+				t.Fatalf("workload emitted unroutable request: %q, %v", keys, err)
+			}
+			if got := app.ShardOfKey(keys[0], shards); got != target {
+				t.Fatalf("request %d routed to shard %d, want %d", i, got, target)
+			}
+		}
+	}
+}
+
 func TestOrderWorkloadMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	wl := NewOrderWorkload(rng)

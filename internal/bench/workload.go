@@ -30,17 +30,59 @@ func (w *FlipWorkload) Next() []byte {
 	return out
 }
 
-// NewKVWorkload builds the paper's key-value workload (§7.1) for the
-// Memcached-like store: 16 B keys, 32 B values, 30% GETs of which 80% hit
-// (so 70% SETs, and GET keys are drawn from previously written keys 80% of
-// the time). It is the sharded mixture with a single shard.
-func NewKVWorkload(rng *rand.Rand) *app.ShardedKVWorkload {
-	return app.NewShardedKVWorkload(0, 1, rng)
+// ShardedKVWorkload produces the paper's key-value mixture (§7.1): 16 B
+// keys, 32 B values, 30% GETs of which 80% hit a previously written key,
+// 70% SETs. Every key is rejection-sampled to hash onto one target shard,
+// so each request routes through the hash-of-key path; Fig 7 uses the
+// one-shard case, where the first draw always lands.
+type ShardedKVWorkload struct {
+	rng *rand.Rand
+	// get and set encode for the store under test (Memcached- or Redis-like).
+	get           func(key []byte) []byte
+	set           func(key, value []byte) []byte
+	shard, shards int
+	written       [][]byte
+}
+
+const kvKeyLen, kvValLen = 16, 32
+
+// NewKVWorkload builds the mixture for the Memcached-like store.
+func NewKVWorkload(rng *rand.Rand) *ShardedKVWorkload {
+	return &ShardedKVWorkload{rng: rng, get: app.EncodeKVGet, set: app.EncodeKVSet, shards: 1}
 }
 
 // NewRKVWorkload builds the same mixture encoded for the Redis-like store.
-func NewRKVWorkload(rng *rand.Rand) *app.ShardedKVWorkload {
-	return app.NewShardedRKVWorkload(0, 1, rng)
+func NewRKVWorkload(rng *rand.Rand) *ShardedKVWorkload {
+	return &ShardedKVWorkload{rng: rng, get: app.EncodeRGet, set: app.EncodeRSet, shards: 1}
+}
+
+// randKey rejection-samples a random key hashing onto the target shard
+// (geometric with mean `shards` draws, so cheap for any sane shard count).
+func (w *ShardedKVWorkload) randKey() []byte {
+	for {
+		k := make([]byte, kvKeyLen)
+		w.rng.Read(k)
+		if app.ShardOfKey(k, w.shards) == w.shard {
+			return k
+		}
+	}
+}
+
+// Next returns the next GET or SET, always routable to the target shard.
+func (w *ShardedKVWorkload) Next() []byte {
+	if w.rng.Float64() < 0.30 && len(w.written) > 0 {
+		if w.rng.Float64() < 0.80 {
+			return w.get(w.written[w.rng.Intn(len(w.written))])
+		}
+		return w.get(w.randKey())
+	}
+	key := w.randKey()
+	val := make([]byte, kvValLen)
+	w.rng.Read(val)
+	if len(w.written) < 4096 {
+		w.written = append(w.written, key)
+	}
+	return w.set(key, val)
 }
 
 // OrderWorkload reproduces the Liquibook workload (§7.1): 32 B orders,

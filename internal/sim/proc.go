@@ -53,14 +53,9 @@ func (p *Proc) Deliver(fn func()) Timer {
 	return Timer{ev: ev, gen: ev.gen}
 }
 
-// Post is Deliver without a cancellation handle: the hot-path variant for
-// callers that never cancel the delivery (saves the Timer allocation).
-func (p *Proc) Post(fn func()) {
-	p.eng.schedule(p.free(), p, fn)
-}
-
-// PostMsg is Post for a long-lived MsgHandler: the (from, payload)
-// arguments ride in the event record, so the delivery allocates no closure.
+// PostMsg is Deliver for a long-lived MsgHandler, without a cancellation
+// handle: the (from, payload) arguments ride in the event record, so the
+// delivery allocates neither a closure nor a Timer.
 func (p *Proc) PostMsg(h MsgHandler, from int, payload []byte) {
 	ev := p.eng.schedule(p.free(), p, nil)
 	ev.mfn, ev.mfrom, ev.mpayload = h, from, payload

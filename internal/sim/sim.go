@@ -271,10 +271,6 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	return Timer{ev: ev, gen: ev.gen}
 }
 
-// Post schedules fn at absolute time t without returning a cancellation
-// handle: the hot-path variant of At (no Timer allocation).
-func (e *Engine) Post(t Time, fn func()) { e.schedule(t, nil, fn) }
-
 // After schedules fn to run d nanoseconds from now. Negative durations are
 // clamped to zero (run "immediately", after already queued same-time events).
 func (e *Engine) After(d Duration, fn func()) Timer {
