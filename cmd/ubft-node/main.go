@@ -26,20 +26,38 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/wallclock"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run serves as the node args describe until the node is told to stop, and
+// returns the exit status: 2 for a flag error and 1 for a node that cannot
+// start (one line on stderr each, nothing bound), 0 for -h (the flag list)
+// and after a clean stop.
+func run(args []string, stderr io.Writer) int {
 	var cfg wallclock.NodeConfig
-	fs := flag.NewFlagSet("ubft-node", flag.ExitOnError)
+	fs := flag.NewFlagSet("ubft-node", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // errors are reported below, in one line
 	cfg.RegisterFlags(fs)
-	fs.Parse(os.Args[1:])
-	if err := wallclock.RunNode(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "ubft-node:", err)
-		os.Exit(1)
+	switch err := fs.Parse(args); {
+	case errors.Is(err, flag.ErrHelp):
+		fs.SetOutput(stderr)
+		fs.PrintDefaults()
+		return 0
+	case err != nil:
+		fmt.Fprintln(stderr, "ubft-node:", err)
+		return 2
 	}
+	if err := wallclock.RunNode(cfg); err != nil {
+		fmt.Fprintln(stderr, "ubft-node:", err)
+		return 1
+	}
+	return 0
 }

@@ -217,9 +217,9 @@ func kvValue(res []byte) string {
 // — the case a high-water mark alone cannot tell from a late first
 // execution (it tripped here with replies jumping from 21 to 30). Every
 // acknowledged INCR must have counted exactly once, on every surviving
-// replica. How MANY get acknowledged after the kill is not asserted beyond
-// "some": two replicas under sustained load spend most of their time in view
-// changes (ROADMAP, residuals), so the run is bounded in virtual time.
+// replica; every INCR issued must be acknowledged once the clients stop
+// issuing (the two survivors drain what is in flight, view changes and all),
+// and the cluster must then go quiet with its leader dead.
 func TestExactlyOnceAcrossViewChangeAtDepth4(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -272,6 +272,14 @@ func TestExactlyOnceAcrossViewChangeAtDepth4(t *testing.T) {
 				t.Fatalf("the leader never had a queue to be killed with (acked %v issued %v, now %v)", acked, issued, u.Eng.Now())
 			case acked[0]+acked[1] <= ackedAtKill:
 				t.Fatalf("nothing acknowledged after the leader was killed (%d before)", ackedAtKill)
+			}
+			for ci := range keys {
+				if acked[ci] != issued[ci] {
+					t.Errorf("client %d: %d of %d INCRs acknowledged after the drain", ci, acked[ci], issued[ci])
+				}
+			}
+			if err := u.Quiescent(); err != nil {
+				t.Errorf("not quiescent after the drain: %v", err)
 			}
 			for _, ri := range []int{1, 2} {
 				for ci, key := range keys {

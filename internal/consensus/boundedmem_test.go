@@ -213,10 +213,10 @@ func TestLeaderMapsFlatAcrossIntervals(t *testing.T) {
 	}
 }
 
-// TestViewChangeRecordsPruned: the tables keyed by view (the CERTIFY_VC
-// shares a leader-elect collects, the certificates it holds until its seal
-// lands, the NEW_VIEW-sent marks) keep nothing below the replica's current
-// view, however many view changes it lived through. Each round hides the
+// TestViewChangeRecordsPruned: the table keyed by view (per view the
+// CERTIFY_VC shares a leader-elect collects, the certificates it holds until
+// its seal lands, the NEW_VIEW-sent mark) keeps nothing below the replica's
+// current view, however many view changes it lived through. Each round hides the
 // client from the leader of the view the quorum is in, so the followers
 // hold a request their leader never proposes and rotate it out; every
 // replica gets elected several times.

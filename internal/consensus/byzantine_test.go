@@ -1,10 +1,14 @@
 package consensus
 
 // White-box tests of the Byzantine message checks (Algorithm 5) and the
-// pieces of the view-change machinery that fault injection exercises.
+// pieces of the view-change machinery that fault injection exercises. The
+// checks are reached the way a CTBcast group reaches them: onConsensusMsg,
+// which applies what it accepts.
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/app"
@@ -26,7 +30,7 @@ type wbRig struct {
 	reps []*Replica
 }
 
-func newWBRig(t *testing.T) *wbRig {
+func newWBRig(t testing.TB) *wbRig {
 	t.Helper()
 	rig := &wbRig{eng: sim.NewEngine(1)}
 	rig.net = simnet.New(rig.eng, simnet.RDMAOptions())
@@ -66,11 +70,11 @@ func TestValidatePrepareFromNonLeaderRejected(t *testing.T) {
 	r := rig.reps[0]
 	// Replica 1 is not the leader of view 0 but "broadcasts" a PREPARE.
 	pr := Prepare{View: 0, Slot: 0, Req: Request{Client: 200, Num: 1, Payload: []byte("x")}}
-	if r.validateMsg(ids.ID(1), encodePrepare(pr)) {
+	if r.onConsensusMsg(ids.ID(1), encodePrepare(pr)) {
 		t.Fatal("PREPARE from non-leader validated")
 	}
 	// From the actual leader it passes.
-	if !r.validateMsg(ids.ID(0), encodePrepare(pr)) {
+	if !r.onConsensusMsg(ids.ID(0), encodePrepare(pr)) {
 		t.Fatal("legitimate PREPARE rejected")
 	}
 }
@@ -80,7 +84,7 @@ func TestValidatePrepareOutsideWindowRejected(t *testing.T) {
 	defer rig.stop()
 	r := rig.reps[1]
 	pr := Prepare{View: 0, Slot: 999, Req: NoOp()} // window is [0,31]
-	if r.validateMsg(ids.ID(0), encodePrepare(pr)) {
+	if r.onConsensusMsg(ids.ID(0), encodePrepare(pr)) {
 		t.Fatal("out-of-window PREPARE validated")
 	}
 }
@@ -90,14 +94,13 @@ func TestValidateDuplicatePrepareRejected(t *testing.T) {
 	defer rig.stop()
 	r := rig.reps[1]
 	pr := Prepare{View: 0, Slot: 3, Req: Request{Client: 200, Num: 1, Payload: []byte("a")}}
-	if !r.validateMsg(ids.ID(0), encodePrepare(pr)) {
+	if !r.onConsensusMsg(ids.ID(0), encodePrepare(pr)) {
 		t.Fatal("first PREPARE rejected")
 	}
-	r.onPrepare(ids.ID(0), pr) // record it in state[0]
 	// A second, conflicting PREPARE for the same slot in the same view is
 	// equivocation at the consensus level.
 	pr2 := Prepare{View: 0, Slot: 3, Req: Request{Client: 200, Num: 2, Payload: []byte("b")}}
-	if r.validateMsg(ids.ID(0), encodePrepare(pr2)) {
+	if r.onConsensusMsg(ids.ID(0), encodePrepare(pr2)) {
 		t.Fatal("consensus-level equivocation validated")
 	}
 }
@@ -117,7 +120,7 @@ func TestValidateCommitNeedsRealCertificate(t *testing.T) {
 	w := wire.NewWriter(256)
 	w.U8(tagCommit)
 	forged.encode(w)
-	if r.validateMsg(ids.ID(1), w.Finish()) {
+	if r.onConsensusMsg(ids.ID(1), w.Finish()) {
 		t.Fatal("forged COMMIT certificate validated")
 	}
 
@@ -130,7 +133,7 @@ func TestValidateCommitNeedsRealCertificate(t *testing.T) {
 	w2 := wire.NewWriter(256)
 	w2.U8(tagCommit)
 	real.encode(w2)
-	if !r.validateMsg(ids.ID(1), w2.Finish()) {
+	if !r.onConsensusMsg(ids.ID(1), w2.Finish()) {
 		t.Fatal("genuine COMMIT certificate rejected")
 	}
 }
@@ -143,14 +146,14 @@ func TestValidateCheckpointNeedsCertAndProgress(t *testing.T) {
 	w := wire.NewWriter(64)
 	w.U8(tagCheckpoint)
 	(&Checkpoint{Seq: 0}).encode(w)
-	if r.validateMsg(ids.ID(1), w.Finish()) {
+	if r.onConsensusMsg(ids.ID(1), w.Finish()) {
 		t.Fatal("non-superseding CHECKPOINT validated")
 	}
 	// Superseding but uncertified.
 	w2 := wire.NewWriter(64)
 	w2.U8(tagCheckpoint)
 	(&Checkpoint{Seq: 32}).encode(w2)
-	if r.validateMsg(ids.ID(1), w2.Finish()) {
+	if r.onConsensusMsg(ids.ID(1), w2.Finish()) {
 		t.Fatal("uncertified CHECKPOINT validated")
 	}
 }
@@ -165,29 +168,27 @@ func TestValidateSealViewMonotonic(t *testing.T) {
 		w.U64(uint64(v))
 		return w.Finish()
 	}
-	if !r.validateMsg(ids.ID(1), mkSeal(1)) {
-		t.Fatal("legitimate SEAL_VIEW rejected")
+	for _, v := range []View{1, 2} {
+		if !r.onConsensusMsg(ids.ID(1), mkSeal(v)) {
+			t.Fatal("legitimate SEAL_VIEW rejected")
+		}
 	}
-	r.onSealView(ids.ID(1), 2)
 	// Non-increasing seals stay wire-valid (a cold-rejoined replica's
 	// reborn channel re-declares a view peers may already have recorded),
-	// but onSealView must treat them as no-ops: the per-peer view must not
-	// regress and newViewUsed must survive, keeping a second NEW_VIEW in
-	// the same view Byzantine.
-	if !r.validateMsg(ids.ID(1), mkSeal(2)) {
-		t.Fatal("re-declared SEAL_VIEW rejected at the wire")
-	}
+	// but they must be no-ops: the per-peer view must not regress and
+	// newViewUsed must survive, keeping a second NEW_VIEW in the same view
+	// Byzantine.
 	st := r.state[ids.ID(1)]
 	st.newViewUsed = true
-	r.onSealView(ids.ID(1), 2)
-	if st.view != 2 || !st.newViewUsed {
-		t.Fatalf("equal SEAL_VIEW not a no-op: view=%d newViewUsed=%v", st.view, st.newViewUsed)
+	for _, v := range []View{2, 1} {
+		if !r.onConsensusMsg(ids.ID(1), mkSeal(v)) {
+			t.Fatalf("re-declared SEAL_VIEW(%d) rejected at the wire", v)
+		}
+		if st.view != 2 || !st.newViewUsed {
+			t.Fatalf("SEAL_VIEW(%d) after SEAL_VIEW(2) not a no-op: view=%d newViewUsed=%v", v, st.view, st.newViewUsed)
+		}
 	}
-	r.onSealView(ids.ID(1), 1)
-	if st.view != 2 || !st.newViewUsed {
-		t.Fatalf("regressing SEAL_VIEW not a no-op: view=%d newViewUsed=%v", st.view, st.newViewUsed)
-	}
-	if r.validateMsg(ids.ID(1), []byte{tagSealView}) {
+	if r.onConsensusMsg(ids.ID(1), []byte{tagSealView}) {
 		t.Fatal("truncated SEAL_VIEW validated")
 	}
 }
@@ -195,15 +196,12 @@ func TestValidateSealViewMonotonic(t *testing.T) {
 func TestValidateUnknownTagRejected(t *testing.T) {
 	rig := newWBRig(t)
 	defer rig.stop()
-	if rig.reps[0].validateMsg(ids.ID(1), []byte{0xEE, 1, 2, 3}) {
+	if rig.reps[0].onConsensusMsg(ids.ID(1), []byte{0xEE, 1, 2, 3}) {
 		t.Fatal("unknown message tag validated")
 	}
 }
 
 func TestMustProposeSelectsHighestView(t *testing.T) {
-	rig := newWBRig(t)
-	defer rig.stop()
-	r := rig.reps[0]
 	mkCert := func(slot Slot, v View, payload string) ReplicaCert {
 		cs := CertifiedState{
 			View:       3,
@@ -212,21 +210,86 @@ func TestMustProposeSelectsHighestView(t *testing.T) {
 				slot: {View: v, Slot: slot, Req: Request{Client: 200, Num: uint64(v), Payload: []byte(payload)}},
 			},
 		}
-		return ReplicaCert{About: 0, StateBytes: encodeCertifiedState(&cs)}
+		c, err := newReplicaCert(0, encodeCertifiedState(&cs), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	certs := []ReplicaCert{mkCert(5, 1, "old"), mkCert(5, 2, "new")}
-	req, any := r.mustPropose(5, certs)
+	plan := planOf([]ReplicaCert{mkCert(5, 1, "old"), mkCert(5, 2, "new")})
+	req, any := plan.mustPropose(5)
 	if any || string(req.Payload) != "new" {
 		t.Fatalf("mustPropose picked %q (any=%v), want highest-view commit", req.Payload, any)
 	}
 	// Slot without commits but below the max open slot: noop.
-	req, any = r.mustPropose(3, certs)
+	req, any = plan.mustPropose(3)
 	if any || !req.IsNoOp() {
 		t.Fatalf("uncommitted open slot: %+v any=%v", req, any)
 	}
 	// Slot beyond everything: free for new proposals.
-	if _, any = r.mustPropose(6, certs); !any {
+	if _, any = plan.mustPropose(6); !any {
 		t.Fatal("slot beyond certified range should be Any")
+	}
+}
+
+// scanMustPropose is MustPropose as a scan of the certificates, one call per
+// slot, each decoding every certified state: what the plan replaced, kept as
+// the reference the plan is checked against.
+func scanMustPropose(s Slot, certs []ReplicaCert) (Request, bool) {
+	maxOpen := Slot(0)
+	var best *CommitCert
+	for _, c := range certs {
+		cs, err := decodeCertifiedState(c.StateBytes)
+		if err != nil {
+			continue
+		}
+		for sl := range cs.Commits {
+			if sl > maxOpen {
+				maxOpen = sl
+			}
+		}
+		if cc, ok := cs.Commits[s]; ok && (best == nil || cc.View > best.View) {
+			cc := cc
+			best = &cc
+		}
+	}
+	if best != nil {
+		return best.Req, false
+	}
+	if s > maxOpen {
+		return Request{}, true
+	}
+	return NoOp(), false
+}
+
+// TestNewViewPlanMatchesScan: over seeded random sets of certified states —
+// slots shared between certificates, the same view in several of them (the
+// earlier certificate wins), slots above every checkpoint, empty states — the
+// plan answers every slot of the window as the per-slot scan does.
+func TestNewViewPlanMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const window = 32
+	for set := 0; set < 300; set++ {
+		certs := make([]ReplicaCert, 1+rng.Intn(3))
+		for i := range certs {
+			cs := CertifiedState{View: 9, Checkpoint: Checkpoint{Seq: Slot(rng.Intn(8))}, Commits: map[Slot]CommitCert{}}
+			for n := rng.Intn(4) * rng.Intn(6); n > 0; n-- { // a quarter of the states are empty
+				s, v := Slot(rng.Intn(window+8)), View(rng.Intn(3))
+				cs.Commits[s] = CommitCert{View: v, Slot: s, Req: Request{Client: 200, Num: uint64(v), Payload: []byte{byte(i), byte(s)}}}
+			}
+			var err error
+			if certs[i], err = newReplicaCert(ids.ID(i), encodeCertifiedState(&cs), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan := planOf(certs)
+		for s := Slot(0); s < window+10; s++ {
+			got, gotAny := plan.mustPropose(s)
+			want, wantAny := scanMustPropose(s, certs)
+			if gotAny != wantAny || got.Client != want.Client || got.Num != want.Num || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("set %d slot %d: plan says %+v (any=%v), the scan %+v (any=%v)", set, s, got, gotAny, want, wantAny)
+			}
+		}
 	}
 }
 
@@ -293,12 +356,15 @@ func TestCheckpointCertCountsKnownSharesOnly(t *testing.T) {
 		"known share + a stranger's signature": {1: known, 7: genuine},
 		"the known signer's share, altered":    {1: forged, 2: forged},
 	} {
-		if r.validateMsg(1, frame(sigs)) || r.cps[seq].verified {
+		if r.onConsensusMsg(1, frame(sigs)) || r.cps[seq].verified {
 			t.Fatalf("%s validated as an f+1 certificate", name)
 		}
 	}
+	// The checkpoint is made stable here first, so that applying the accepted
+	// frame adopts nothing: what the main process is charged is the check.
+	r.chkpt = Checkpoint{Seq: seq, StateDigest: dg}
 	busy := max(r.proc.BusyUntil(), rig.eng.Now())
-	if !r.validateMsg(1, frame(xcrypto.Cert{1: known, 2: genuine})) {
+	if !r.onConsensusMsg(1, frame(xcrypto.Cert{1: known, 2: genuine})) {
 		t.Fatal("known share + genuine signature rejected")
 	}
 	const oneVerify = sim.Time(latmodel.VerifyCost + latmodel.CryptoDispatchCost)
@@ -389,7 +455,7 @@ func TestClientImpersonationRejected(t *testing.T) {
 
 // A Byzantine leader's batch container: one holding something other than
 // client requests (another container, the no-op filler, trailing garbage)
-// is refused by the FIFO validator, which blocks the leader's channel; the
+// is refused by the PREPARE check, which blocks the leader's channel; the
 // well-formed but hostile shapes are handled where they meet state — a
 // sub-request no follower holds withholds the endorsement (the §5.4 echo
 // rule, per sub-request), a repeated sub-request executes once.
@@ -402,23 +468,23 @@ func TestValidateMalformedBatchRejected(t *testing.T) {
 	prep := func(slot Slot, req Request) []byte {
 		return encodePrepare(Prepare{View: 0, Slot: slot, Req: req})
 	}
-	if !r.validateMsg(ids.ID(0), prep(0, EncodeBatch([]Request{a, b}))) {
+	if !r.onConsensusMsg(ids.ID(0), prep(0, EncodeBatch([]Request{a, b}))) {
 		t.Fatal("well-formed batch rejected")
 	}
-	if r.validateMsg(ids.ID(0), prep(1, EncodeBatch([]Request{a, EncodeBatch([]Request{b})}))) {
+	if r.onConsensusMsg(ids.ID(0), prep(1, EncodeBatch([]Request{a, EncodeBatch([]Request{b})}))) {
 		t.Fatal("nested batch validated")
 	}
-	if r.validateMsg(ids.ID(0), prep(2, EncodeBatch([]Request{a, NoOp()}))) {
+	if r.onConsensusMsg(ids.ID(0), prep(2, EncodeBatch([]Request{a, NoOp()}))) {
 		t.Fatal("batch carrying the no-op filler validated")
 	}
 	trailing := EncodeBatch([]Request{a, b})
 	trailing.Payload = append(trailing.Payload, 0)
-	if r.validateMsg(ids.ID(0), prep(3, trailing)) {
+	if r.onConsensusMsg(ids.ID(0), prep(3, trailing)) {
 		t.Fatal("batch with trailing bytes validated")
 	}
 	short := EncodeBatch([]Request{a, b})
 	short.Payload = short.Payload[:len(short.Payload)-1]
-	if r.validateMsg(ids.ID(0), prep(4, short)) || short.Subs() != nil {
+	if r.onConsensusMsg(ids.ID(0), prep(4, short)) || short.Subs() != nil {
 		t.Fatal("truncated batch validated or decoded")
 	}
 }
@@ -431,7 +497,9 @@ func TestBatchWithUnknownSubRequestNotEndorsed(t *testing.T) {
 	forged := Request{Client: 200, Num: 2, Payload: []byte("never sent")}
 	held := r.requests.at(known.Digest())
 	held.req, held.held = known, true
-	r.onPrepare(ids.ID(0), Prepare{View: 0, Slot: 0, Req: EncodeBatch([]Request{known, forged})})
+	if !r.onConsensusMsg(ids.ID(0), encodePrepare(Prepare{View: 0, Slot: 0, Req: EncodeBatch([]Request{known, forged})})) {
+		t.Fatal("well-formed batch rejected")
+	}
 	ss := r.slots[0]
 	if ss == nil || ss.waitingReq == nil || ss.sent(0, sentWillCertify) {
 		t.Fatal("batch endorsed although this replica never received one of its sub-requests")

@@ -135,8 +135,7 @@ func (r *Replica) verifyCheckpointCert(cp *Checkpoint) bool {
 
 // onCheckpointMsg handles a CHECKPOINT broadcast by p over CTBcast
 // (lines 52-55); validity (supersedes + certificate) was already checked.
-func (r *Replica) onCheckpointMsg(p ids.ID, cp Checkpoint) {
-	st := r.state[p]
+func (r *Replica) onCheckpointMsg(st *replicaState, cp Checkpoint) {
 	st.checkpoint = cp
 	// Line 54: forget p's commits and prepares outside the new window.
 	for s := range st.commits {

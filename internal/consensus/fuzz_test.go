@@ -11,6 +11,8 @@ package consensus
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/wire"
+	"repro/internal/xcrypto"
 )
 
 // sinkRig wires one client against 2f+1 sink replica nodes (IDs 0..2f:
@@ -116,6 +119,192 @@ func FuzzReplicaReadRequest(f *testing.F) {
 		defer rig.stop()
 		router.New(rig.net.AddNode(ids.ID(200), "client-sink"))
 		rig.reps[0].onRPC(ids.ID(200), data)
+		rig.eng.RunFor(time200us())
+	})
+}
+
+// msgFuzzRig is a white-box rig whose replica 2 has been brought, by
+// deliveries it accepted, to one of four points of a Byzantine leader's
+// channel, so that a fuzzed frame can reach every branch of onConsensusMsg:
+//
+//	stage 0: nothing delivered; replica 0 leads view 0
+//	stage 1: replica 1 sealed view 1, which it leads
+//	stage 2: ... and opened it with a NEW_VIEW (PREPAREs meet its plan)
+//	stage 3: ... or sent the first chunk of that NEW_VIEW as a 2-chunk train
+type msgFuzzRig struct {
+	*wbRig
+	signing *sim.Proc
+}
+
+func newMsgFuzzRig(t testing.TB) *msgFuzzRig {
+	rig := newWBRig(t)
+	return &msgFuzzRig{wbRig: rig, signing: sim.NewProc(rig.eng, "signing")}
+}
+
+func (rig *msgFuzzRig) cert(payload []byte, signers ...ids.ID) xcrypto.Cert {
+	c := make(xcrypto.Cert)
+	for _, id := range signers {
+		c[id] = rig.reg.Signer(id).Sign(rig.signing, payload)
+	}
+	return c
+}
+
+// plannedReq is what the rig's NEW_VIEW obliges view 1's leader to propose
+// in slot 2 (slots 0 and 1 get the no-op, slot 3 and up are free).
+var plannedReq = Request{Client: 200, Num: 7, Payload: []byte("planned")}
+
+func sealFrame(v View) []byte {
+	w := wire.NewWriter(16)
+	w.U8(tagSealView)
+	w.U64(uint64(v))
+	return w.Finish()
+}
+
+// newViewFrame is a NEW_VIEW of view 1 every check passes: replicas 0 and
+// 1's states as of view 1, each attested by replicas 0 and 2.
+func (rig *msgFuzzRig) newViewFrame() []byte {
+	nv := NewViewMsg{View: 1}
+	for about := ids.ID(0); about < 2; about++ {
+		cs := CertifiedState{View: 1, Checkpoint: rig.reps[0].chkpt, Commits: map[Slot]CommitCert{}}
+		if about == 0 {
+			cs.Commits[2] = CommitCert{View: 0, Slot: 2, Req: plannedReq}
+		}
+		state := encodeCertifiedState(&cs)
+		nv.Certs = append(nv.Certs, ReplicaCert{About: about, StateBytes: state, Sigs: rig.cert(vcSharePayload(1, about, state), 0, 2)})
+	}
+	return encodeNewView(nv)
+}
+
+// newViewTrain is newViewFrame as a two-chunk fragment train.
+func (rig *msgFuzzRig) newViewTrain() (first, last []byte) {
+	b := rig.newViewFrame()
+	half := len(b) / 2
+	return encodeNewViewFrag(nvFrag{view: 1, idx: 0, total: 2, chunk: b[:half]}),
+		encodeNewViewFrag(nvFrag{view: 1, idx: 1, total: 2, chunk: b[half:]})
+}
+
+// advance delivers the stage's preamble to replica 2 and returns the
+// broadcaster whose next message the fuzzed frame is.
+func (rig *msgFuzzRig) advance(t *testing.T, stage uint8) ids.ID {
+	if stage == 0 {
+		return 0
+	}
+	preamble := [][]byte{sealFrame(1)}
+	switch stage {
+	case 2:
+		preamble = append(preamble, rig.newViewFrame())
+	case 3:
+		first, _ := rig.newViewTrain()
+		preamble = append(preamble, first)
+	}
+	for i, m := range preamble {
+		if !rig.reps[2].onConsensusMsg(1, m) {
+			t.Fatalf("stage %d: preamble message %d rejected", stage, i)
+		}
+	}
+	return 1
+}
+
+// channelState renders everything a rejected message must leave alone:
+// state[p] with its fragment train, the replica's view and window, and the
+// slot table. The verified-share caches are left out (slot records that hold
+// nothing else count as absent): a signature verified inside a frame that
+// fails for another reason is verified all the same, and stays cached.
+func channelState(r *Replica, p ids.ID) string {
+	st := r.state[p]
+	out := fmt.Sprintf("%+v newView=%p | view=%d seal=%d chkpt=%d next=%d applied=%d views=%d |",
+		*st, st.newView, r.view, r.sealTarget, r.chkpt.Seq, r.nextSlot, r.lastApplied, len(r.views))
+	for _, s := range sortedKeys(r.slots) {
+		ss := *r.slots[s]
+		ss.shares = nil
+		if !reflect.DeepEqual(ss, slotState{}) {
+			out += fmt.Sprintf(" %d:%+v", s, ss)
+		}
+	}
+	return out
+}
+
+// FuzzConsensusMsg hands arbitrary bytes to onConsensusMsg as the next
+// delivery of a Byzantine leader's channel, at each of msgFuzzRig's stages.
+// It must never panic, and a message it rejects must have changed nothing
+// (channelState).
+func FuzzConsensusMsg(f *testing.F) {
+	rig := newMsgFuzzRig(f)
+	req := Request{Client: 200, Num: 1, Payload: []byte("x")}
+	prep := func(v View, s Slot, req Request) []byte { return encodePrepare(Prepare{View: v, Slot: s, Req: req}) }
+	commit := func(sigs xcrypto.Cert) []byte {
+		w := wire.NewWriter(256)
+		w.U8(tagCommit)
+		(&CommitCert{View: 0, Slot: 0, Req: req, Sigs: sigs}).encode(w)
+		return w.Finish()
+	}
+	checkpoint := func(cp Checkpoint) []byte {
+		w := wire.NewWriter(256)
+		w.U8(tagCheckpoint)
+		cp.encode(w)
+		return w.Finish()
+	}
+	cpDigest := xcrypto.DigestNoCharge([]byte("state"))
+	first, last := rig.newViewTrain()
+	sub := Request{Client: 201, Num: 1, Payload: []byte("b")}
+	trailing, short := EncodeBatch([]Request{req, sub}), EncodeBatch([]Request{req, sub})
+	trailing.Payload = append(trailing.Payload, 0)
+	short.Payload = short.Payload[:len(short.Payload)-1]
+	rig.stop()
+
+	// One frame per tag that is accepted at its stage.
+	f.Add(uint8(0), prep(0, 0, req))
+	f.Add(uint8(0), prep(0, 1, EncodeBatch([]Request{req, sub})))
+	f.Add(uint8(0), commit(rig.cert(certifyPayload(0, 0, req.Digest()), 1, 2)))
+	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32, StateDigest: cpDigest, Sigs: rig.cert(checkpointPayload(32, cpDigest), 1, 2)}))
+	f.Add(uint8(0), sealFrame(1))
+	f.Add(uint8(1), rig.newViewFrame())
+	f.Add(uint8(1), first)
+	f.Add(uint8(3), last)
+	f.Add(uint8(2), prep(1, 2, plannedReq))
+	f.Add(uint8(2), prep(1, 0, NoOp()))
+	f.Add(uint8(2), prep(1, 3, req))
+	// The malformed frames of byzantine_test.go and messages_test.go, and
+	// the accepted ones where they do not belong.
+	f.Add(uint8(1), prep(0, 0, req))      // not the view its sender declared
+	f.Add(uint8(1), prep(1, 0, req))      // view 1 before its NEW_VIEW
+	f.Add(uint8(2), prep(1, 2, req))      // not what the plan obliges
+	f.Add(uint8(2), prep(1, 1, req))      // a request where the plan has the no-op
+	f.Add(uint8(0), prep(0, 999, NoOp())) // outside the window
+	f.Add(uint8(0), prep(0, 1, EncodeBatch([]Request{req, EncodeBatch([]Request{sub})})))
+	f.Add(uint8(0), prep(0, 2, EncodeBatch([]Request{req, NoOp()})))
+	f.Add(uint8(0), prep(0, 3, trailing))
+	f.Add(uint8(0), prep(0, 4, short))
+	f.Add(uint8(0), commit(xcrypto.Cert{1: make(xcrypto.Signature, xcrypto.SigLen), 2: make(xcrypto.Signature, xcrypto.SigLen)}))
+	f.Add(uint8(0), commit(rig.cert(certifyPayload(0, 0, req.Digest()), 1))) // one genuine share is cached, the frame fails
+	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 0}))
+	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32}))
+	f.Add(uint8(0), []byte{tagSealView})
+	f.Add(uint8(0), []byte{0xEE, 1, 2, 3})
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(2), rig.newViewFrame()) // a second NEW_VIEW before anything used the first: accepted
+	f.Add(uint8(0), rig.newViewFrame()) // a NEW_VIEW in a view not declared
+	f.Add(uint8(3), first)              // the train starts over
+	f.Add(uint8(1), last)               // a tail without its head: discarded, not Byzantine
+	f.Add(uint8(3), last[:len(last)-1])
+	f.Add(uint8(3), encodeNewViewFrag(nvFrag{view: 1, idx: 1, total: 2, chunk: []byte("not the rest of it")}))
+	f.Add(uint8(1), encodeNewViewFrag(nvFrag{view: 1, idx: 0, total: 1, chunk: []byte("x")}))
+	f.Add(uint8(1), encodeNewViewFrag(nvFrag{view: 1, idx: 4, total: 4, chunk: []byte("x")}))
+	f.Add(uint8(1), encodeNewViewFrag(nvFrag{view: 1, idx: 0, total: 2}))
+	f.Add(uint8(1), encodeNewViewFrag(nvFrag{view: 1, idx: 0, total: 1 << 20, chunk: []byte("x")}))
+
+	f.Fuzz(func(t *testing.T, stage uint8, data []byte) {
+		rig := newMsgFuzzRig(t)
+		defer rig.stop()
+		r := rig.reps[2]
+		p := rig.advance(t, stage%4)
+		before := channelState(r, p)
+		data = slices.Clone(data) // accepted frames are retained by reference
+		if !r.onConsensusMsg(p, data) {
+			if after := channelState(r, p); after != before {
+				t.Fatalf("stage %d: a rejected message changed the replica\nbefore: %s\nafter:  %s", stage%4, before, after)
+			}
+		}
 		rig.eng.RunFor(time200us())
 	})
 }

@@ -118,25 +118,10 @@ func DecodeBatch(r Request) ([]Request, error) {
 	return out, nil
 }
 
-// wellFormedBatch is DecodeBatch's verdict without the allocation: what the
-// Byzantine check of a PREPARE needs (the delivery that follows decodes).
-func wellFormedBatch(r Request) bool {
-	rd := wire.NewReader(r.Payload)
-	n := rd.Uvarint()
-	if n > maxBatchLen {
-		return false
-	}
-	for ; n > 0 && rd.Err() == nil; n-- {
-		if sub := decodeRequest(rd); sub.IsNoOp() || sub.IsBatch() {
-			return false
-		}
-	}
-	return rd.Done() == nil
-}
-
 // Subs returns a batch container's sub-requests, decoding them on first use
 // and memoizing the result (and, through the shared backing array, every
-// sub-request's digest) in the container. Nil for a malformed container.
+// sub-request's digest) in the container. Nil for a malformed container:
+// the verdict of a PREPARE's Byzantine check and the delivery's decode in one.
 func (r *Request) Subs() []Request {
 	if r.subs == nil {
 		r.subs, _ = DecodeBatch(*r)
@@ -354,18 +339,28 @@ func vcSharePayload(v View, about ids.ID, stateBytes []byte) []byte {
 }
 
 // ReplicaCert is one entry of a NEW_VIEW message: replica About's certified
-// state with f+1 attesting signatures.
+// state with f+1 attesting signatures. The signatures cover StateBytes; State
+// is StateBytes decoded, once, where the certificate is made.
 type ReplicaCert struct {
 	About      ids.ID
 	StateBytes []byte
+	State      CertifiedState
 	Sigs       xcrypto.Cert
 }
 
+// newReplicaCert decodes the certified state a certificate is about.
+func newReplicaCert(about ids.ID, stateBytes []byte, sigs xcrypto.Cert) (ReplicaCert, error) {
+	cs, err := decodeCertifiedState(stateBytes)
+	return ReplicaCert{About: about, StateBytes: stateBytes, State: cs, Sigs: sigs}, err
+}
+
 // NewViewMsg announces the start of View with the certified states that
-// constrain the new leader's proposals.
+// constrain the new leader's proposals. plan is what they amount to, worked
+// out once when the message is accepted (viewchange.go).
 type NewViewMsg struct {
 	View  View
 	Certs []ReplicaCert
+	plan  nvPlan
 }
 
 func encodeNewView(nv NewViewMsg) []byte {
@@ -388,9 +383,13 @@ func decodeNewView(rd *wire.Reader) (NewViewMsg, error) {
 		return nv, fmt.Errorf("consensus: oversized NEW_VIEW (%d certs)", n)
 	}
 	for i := 0; i < n; i++ {
-		c := ReplicaCert{About: ids.ID(rd.I64()), StateBytes: rd.Bytes()}
-		var err error
-		if c.Sigs, err = xcrypto.ReadCert(rd); err != nil {
+		about, stateBytes := ids.ID(rd.I64()), rd.Bytes()
+		sigs, err := xcrypto.ReadCert(rd)
+		if err != nil {
+			return nv, err
+		}
+		c, err := newReplicaCert(about, stateBytes, sigs)
+		if err != nil {
 			return nv, err
 		}
 		nv.Certs = append(nv.Certs, c)

@@ -145,11 +145,14 @@ func TestCertifiedStateEncodingDeterministic(t *testing.T) {
 }
 
 func TestNewViewRoundTrip(t *testing.T) {
+	state := func(seq Slot) []byte {
+		return encodeCertifiedState(&CertifiedState{View: 2, Checkpoint: Checkpoint{Seq: seq}})
+	}
 	nv := NewViewMsg{
 		View: 2,
 		Certs: []ReplicaCert{
-			{About: 0, StateBytes: []byte("s0"), Sigs: map[ids.ID]xcrypto.Signature{1: {1}}},
-			{About: 1, StateBytes: []byte("s1"), Sigs: map[ids.ID]xcrypto.Signature{2: {2}}},
+			{About: 0, StateBytes: state(32), Sigs: map[ids.ID]xcrypto.Signature{1: {1}}},
+			{About: 1, StateBytes: state(64), Sigs: map[ids.ID]xcrypto.Signature{2: {2}}},
 		},
 	}
 	rd := wire.NewReader(encodeNewView(nv))
@@ -160,8 +163,15 @@ func TestNewViewRoundTrip(t *testing.T) {
 	if err != nil || rd.Done() != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.View != 2 || len(got.Certs) != 2 || got.Certs[1].About != 1 {
+	if got.View != 2 || len(got.Certs) != 2 || got.Certs[1].About != 1 ||
+		!bytes.Equal(got.Certs[1].StateBytes, state(64)) || got.Certs[1].State.Checkpoint.Seq != 64 {
 		t.Fatalf("round trip: %+v", got)
+	}
+	// A certified state that does not decode fails the whole message.
+	nv.Certs[1].StateBytes = []byte("s1")
+	rd = wire.NewReader(encodeNewView(nv)[1:])
+	if _, err := decodeNewView(rd); err == nil {
+		t.Fatal("NEW_VIEW with an undecodable certified state decoded without error")
 	}
 }
 
@@ -181,17 +191,22 @@ func TestNewViewFragRoundTrip(t *testing.T) {
 }
 
 func TestNewViewFragRejectsMalformed(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[1]
 	bad := []nvFrag{
-		{view: 1, idx: 0, total: 1, chunk: []byte("x")}, // 1-chunk train: must be monolithic
-		{view: 1, idx: 4, total: 4, chunk: []byte("x")}, // idx out of range
-		{view: 1, idx: 0, total: 2, chunk: nil},         // empty chunk
+		{view: 0, idx: 0, total: 1, chunk: []byte("x")}, // 1-chunk train: must be monolithic
+		{view: 0, idx: 4, total: 4, chunk: []byte("x")}, // idx out of range
+		{view: 0, idx: 0, total: 2, chunk: nil},         // empty chunk
 	}
 	for i, f := range bad {
-		rd := wire.NewReader(encodeNewViewFrag(f))
-		rd.U8()
-		if _, err := decodeNewViewFrag(rd); err == nil {
-			t.Errorf("case %d: malformed fragment %+v decoded without error", i, f)
+		if r.onConsensusMsg(0, encodeNewViewFrag(f)) {
+			t.Errorf("case %d: malformed fragment %+v accepted from the leader", i, f)
 		}
+	}
+	// The shape is what was refused: the same frame well formed starts a train.
+	if !r.onConsensusMsg(0, encodeNewViewFrag(nvFrag{view: 0, idx: 0, total: 2, chunk: []byte("x")})) || r.state[0].nvNext != 1 {
+		t.Errorf("well-formed first fragment refused: train %+v", r.state[0])
 	}
 }
 

@@ -84,6 +84,11 @@ func (c *Config) n() int { return len(c.Replicas) }
 // (see broadcastNewView / tagNewViewFrag).
 func (c *Config) groupMsgCap() int { return c.MsgCap + 4096 }
 
+// summaryCap is the byte cap of a channel summary, which is one replica's
+// certified state: at most a window of COMMITs, each a request with its
+// certificate, and a checkpoint.
+func (c *Config) summaryCap() int { return c.Window*(c.MsgCap+512) + 4096 }
+
 // leaderOf returns the leader of view v (round-robin, §5.3).
 func (c *Config) leaderOf(v View) ids.ID { return c.Replicas[int(uint64(v)%uint64(c.n()))] }
 
@@ -131,15 +136,18 @@ type replicaState struct {
 
 	// NEW_VIEW fragment reassembly (a NEW_VIEW exceeding the channel's
 	// per-message cap travels as a FIFO train of tagNewViewFrag chunks).
-	// nvSkip marks a train whose prefix a summary jump skipped: the
-	// remaining chunks are discarded without branding p Byzantine, exactly
-	// as a monolithic NEW_VIEW inside the summarized gap would be.
+	// With no train in progress — none begun, or its prefix skipped by a
+	// summary jump — chunks other than a first are discarded without
+	// branding p Byzantine, exactly as a monolithic NEW_VIEW inside the
+	// summarized gap would be.
 	nvBuf   []byte
 	nvView  View
 	nvTotal int // chunks expected; 0 = no train in progress
 	nvNext  int // next chunk index expected
-	nvSkip  bool
 }
+
+// dropNewViewTrain forgets the fragment train in progress, if any.
+func (st *replicaState) dropNewViewTrain() { st.nvBuf, st.nvTotal, st.nvNext = nil, 0, 0 }
 
 // Replica is one uBFT consensus participant.
 type Replica struct {
@@ -165,8 +173,8 @@ type Replica struct {
 	state map[ids.ID]*replicaState
 
 	// What the replica remembers per slot, per request digest, per client
-	// and per checkpoint sequence number: record types, mutators and the
-	// prune rules are in tables.go.
+	// and per checkpoint sequence number (and, below, per view): record
+	// types, mutators and the prune rules are in tables.go.
 	slots    table[Slot, slotState]
 	requests table[[xcrypto.DigestLen]byte, reqState]
 	clients  table[ids.ID, clientState]
@@ -232,12 +240,11 @@ type Replica struct {
 	noLeadView View
 	noLeadSet  bool
 
-	// View change state.
+	// View change state. views holds one record per view this replica is
+	// elected to lead (tables.go); setView prunes it.
 	sealTarget    View // view being sealed into (0 = not sealing)
 	vcStreak      int  // consecutive view changes without progress (backoff)
-	pendingNV     map[View][]ReplicaCert
-	vcShares      map[View]table[ids.ID, vcCert]
-	newViewSent   map[View]bool
+	views         table[View, viewRec]
 	progressTimer sim.Timer
 	stopped       bool
 
@@ -328,9 +335,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		cps:           make(table[Slot, cpState]),
 		groups:        make(map[ids.ID]*ctbcast.Group),
 		deferredResp:  make(map[uint64]deferredTarget),
-		pendingNV:     make(map[View][]ReplicaCert),
-		vcShares:      make(map[View]table[ids.ID, vcCert]),
-		newViewSent:   make(map[View]bool),
+		views:         make(table[View, viewRec]),
 		joinAnswers:   make(map[ids.ID]joinAnswer),
 		peerJoinNonce: make(map[ids.ID]uint64),
 		fastPathLive:  cfg.FastPath,
@@ -371,15 +376,14 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 			F:             cfg.F,
 			Tail:          cfg.Tail,
 			MsgCap:        cfg.groupMsgCap(),
-			SummaryCap:    cfg.Window*(cfg.MsgCap+512) + 4096,
+			SummaryCap:    cfg.summaryCap(),
 			Mode:          cfg.CTBMode,
 			SlowPathDelay: cfg.SlowPathDelay,
 
 			UnsafeFirstLockDelivers: deps.Defenses.FirstLockDelivers,
 			InstanceBase:            cfg.groupInstanceBase(i),
 			RegionBase:              cfg.regionBase(i),
-			Deliver:                 func(k uint64, m []byte) { r.onConsensusMsg(p, m) },
-			Validate:                func(k uint64, m []byte) bool { return r.validateMsg(p, m) },
+			Validate:                func(k uint64, m []byte) bool { return r.onConsensusMsg(p, m) },
 			Capture:                 func(id uint64) []byte { return r.captureState(p) },
 			ApplySummary:            func(id uint64, st []byte) { r.applySummary(p, st) },
 		}, env)
@@ -524,7 +528,7 @@ func (r *Replica) pumpProposals() {
 	if r.noLeadSet && r.view == r.noLeadView {
 		return // just rejoined: don't lead the resume view (see rejoin.go)
 	}
-	if r.view > 0 && !r.newViewSent[r.view] {
+	if r.view > 0 && !r.viewOpened(r.view) {
 		return // must broadcast NEW_VIEW before proposing (line 15)
 	}
 	for len(r.proposeQ) > 0 && !r.proposalInFlight() {
@@ -619,91 +623,71 @@ func (r *Replica) takeProposal() (Request, bool) {
 // CTBcast delivery: consensus-level messages from broadcaster p, FIFO.
 // ---------------------------------------------------------------------
 
-func (r *Replica) onConsensusMsg(p ids.ID, m []byte) {
+// onConsensusMsg interprets broadcaster p's next FIFO message, once: it
+// decodes the message, runs its tag's Byzantine check (Algorithm 5,
+// viewchange.go) against state[p], and only then applies it. Returning false
+// proves p Byzantine, with nothing changed, and blocks its channel
+// (Algorithm 2 line 1); it is the groups' Validate hook for that reason.
+func (r *Replica) onConsensusMsg(p ids.ID, m []byte) bool {
 	if r.stopped {
-		return
+		return true
 	}
 	rd := wire.NewReader(m)
+	st := r.state[p]
 	switch rd.U8() {
 	case tagPrepare:
 		pr, err := decodePrepare(rd)
-		if err != nil {
-			return
+		if err != nil || rd.Done() != nil || !r.validPrepare(p, st, &pr) {
+			return false
 		}
-		r.onPrepare(p, pr)
+		r.onPrepare(st, pr)
 	case tagCommit:
 		c, err := decodeCommitCert(rd)
-		if err != nil {
-			return
+		if err != nil || rd.Done() != nil || !r.validCommit(st, &c) {
+			return false
 		}
-		r.onCommit(p, c)
+		r.onCommit(st, c)
 	case tagCheckpoint:
 		cp, err := decodeCheckpoint(rd)
-		if err != nil {
-			return
+		if err != nil || rd.Done() != nil || !cp.Supersedes(&st.checkpoint) || !r.verifyCheckpointCert(&cp) {
+			return false
 		}
-		r.onCheckpointMsg(p, cp)
+		r.onCheckpointMsg(st, cp)
 	case tagSealView:
+		// Any well-formed view declaration is acceptable: a cold-rejoined
+		// replica re-declares its current view as the first message of its
+		// reborn channel, and different peers' frozen FIFO prefixes may
+		// record different pre-crash views for it, so a strict v > st.view
+		// check would brand a correct joiner Byzantine at some peers.
+		// onSealView ignores non-advancing seals, so tolerance is free.
 		v := View(rd.U64())
-		r.onSealView(p, v)
-	case tagNewView:
-		nv, err := decodeNewView(rd)
-		if err != nil {
-			return
+		if rd.Done() != nil {
+			return false
 		}
-		r.onNewView(p, nv)
+		r.onSealView(p, st, v)
+	case tagNewView:
+		nv, ok := r.readNewView(p, st, rd)
+		if !ok {
+			return false
+		}
+		r.onNewView(st, nv)
 	case tagNewViewFrag:
 		fr, err := decodeNewViewFrag(rd)
-		if err != nil {
-			return
-		}
-		r.onNewViewFrag(p, fr)
-	}
-}
-
-// onNewViewFrag accumulates one chunk of a fragmented NEW_VIEW train
-// (validation already passed). Index 0 always starts a fresh train — a
-// reborn leader's channel reset re-pushes its tail from the top. A chunk
-// that does not extend the current train is a mid-train resume after a
-// summary jump healed a FIFO gap: the prefix is gone, so the remainder of
-// the train is discarded (nvSkip) rather than treated as Byzantine.
-func (r *Replica) onNewViewFrag(p ids.ID, fr nvFrag) {
-	st := r.state[p]
-	switch {
-	case fr.idx == 0:
-		st.nvBuf = append(st.nvBuf[:0], fr.chunk...)
-		st.nvView, st.nvTotal, st.nvNext, st.nvSkip = fr.view, fr.total, 1, false
-	case st.nvSkip || st.nvTotal != fr.total || st.nvNext != fr.idx || st.nvView != fr.view:
-		st.nvBuf, st.nvTotal, st.nvNext, st.nvSkip = nil, 0, 0, true
-		return
+		return err == nil && rd.Done() == nil && r.onNewViewFrag(p, st, fr)
 	default:
-		st.nvBuf = append(st.nvBuf, fr.chunk...)
-		st.nvNext++
+		return false // unknown tag: Byzantine
 	}
-	if st.nvNext < st.nvTotal {
-		return
-	}
-	rd := wire.NewReader(st.nvBuf)
-	_ = rd.U8() // tagNewView, verified with the full message by validateMsg
-	nv, err := decodeNewView(rd)
-	st.nvBuf, st.nvTotal, st.nvNext = nil, 0, 0
-	if err == nil && rd.Done() == nil {
-		r.onNewView(p, nv)
-	}
+	return true
 }
 
-// onPrepare implements Algorithm 2 lines 18-22 (validation already passed).
-func (r *Replica) onPrepare(p ids.ID, pr Prepare) {
+// onPrepare implements Algorithm 2 lines 18-22 (validPrepare passed).
+func (r *Replica) onPrepare(st *replicaState, pr Prepare) {
 	// Fingerprint before storing: the memoized digest travels with every
 	// copy taken from the prepares map (endorsement, certify, commit),
 	// so the request is encoded and hashed exactly once per replica.
-	// A batch container is unpacked here too, once: the sub-requests (and
-	// their digests, as requestKnown computes them) ride along the same way.
+	// A batch container's sub-requests (and their digests, as requestKnown
+	// computes them), unpacked once by validPrepare, ride along the same way.
 	pr.Req.Digest()
-	if pr.Req.IsBatch() {
-		pr.Req.Subs()
-	}
-	st := r.state[p]
 	st.prepares[pr.Slot] = pr
 	st.newViewUsed = true
 	if pr.View != r.view || !r.inWindow(pr.Slot) {
@@ -1023,12 +1007,12 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 	r.maybeSeal()
 }
 
-// onCommit implements lines 38-41 (validation already verified the cert).
-func (r *Replica) onCommit(p ids.ID, c CommitCert) {
+// onCommit implements lines 38-41 (validCommit verified the certificate, or
+// a certified summary carried it).
+func (r *Replica) onCommit(st *replicaState, c CommitCert) {
 	// Fingerprint before storing so the commits map carries the cache (the
 	// matching scan below re-reads every replica's latest COMMIT).
 	dg := c.Req.Digest()
-	st := r.state[p]
 	st.commits[c.Slot] = c
 	if c.View == st.view {
 		// A COMMIT of an earlier view can trail p's SEAL_VIEW (the shares

@@ -28,9 +28,7 @@ var retention = map[string]string{
 	"Replica.pinnedReads":   "<= pinnedReadCap, drained as execution reaches each pin",
 	"Replica.joinAnswers":   "fixed: at most n entries, reset when the sync point is adopted",
 	"Replica.peerJoinNonce": "fixed: at most n entries",
-	"Replica.pendingNV":     "setView: views below the current one; one entry per view this replica is elected to lead, deleted when the view starts",
-	"Replica.vcShares":      "setView: views below the current one; n x n share sets of at most n shares per view at or above it this replica collected shares for — a Byzantine signer can pre-fill views ahead (ROADMAP residual)",
-	"Replica.newViewSent":   "setView: views below the current one; one bool per view at or above it this replica led",
+	"Replica.views":         "setView: views below the current one; one record per view at or above it this replica is elected to lead: n x n share sets of at most n shares (a Byzantine signer can pre-fill views ahead, ROADMAP residual), f+1 certified states until the view starts, one bool",
 
 	"slotState.sentLater": "dies with the slot record; one entry per view the slot lived through after its first",
 	"slotState.shares":    "dies with the slot record; per view at most n shares, one per signer — a Byzantine signer can open one set per view (ROADMAP residual)",
@@ -177,8 +175,8 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 		state := []byte{byte(i)}
 		r.onCertifyVC(2, 3, 1, state, sign(2, vcSharePayload(3, 1, state)))
 	}
-	if vc := r.vcShares[3][1]; len(r.vcShares[3]) != 1 || len(vc.shares) != 1 || vc.certified || len(r.pendingNV) != 0 {
-		t.Fatalf("view-change shares after 8 states by one signer: %+v", r.vcShares[3])
+	if rec := r.views[3]; len(r.views) != 1 || len(rec.shares) != 1 || len(rec.shares[1].shares) != 1 || rec.shares[1].certified || rec.pending != nil {
+		t.Fatalf("view-change record after 8 states by one signer: %+v", rec)
 	}
 	if got := r.proc.BusyUntil() - busy; got != oneVerify {
 		t.Fatalf("8 states by one signer charged %v, want one verification (%v)", got, oneVerify)

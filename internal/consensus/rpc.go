@@ -22,7 +22,8 @@ import (
 // read-only optimization), which needs f+1 matching replies and therefore
 // asks f+1 replicas first — the same "minimum on the common path, pay for
 // faults when they happen" rule as the ordering pipeline. A read climbs an
-// escalation ladder under ONE request number:
+// escalation ladder; its two unordered rungs share ONE request number, and
+// the ordered rung takes a fresh one (ordNum) like any ordered request:
 //
 //   - Rung 1: a rotating f+1 subset of the group (keyed on the request
 //     number, skipping replicas that recently forced a widen) executes the

@@ -13,7 +13,9 @@ import (
 // stable checkpoint, is the memory bound of the protocol (finite window x
 // finite state). Each record has one owner here and one retention rule
 // there; replica.go, rpc.go, viewchange.go and checkpoint.go keep the
-// handlers that fill them.
+// handlers that fill them. A fifth table, keyed by view, holds what a
+// leader-elect collects for a view change; entering a view is what forgets
+// there (setView).
 
 // table is a keyed set of records created on first use.
 type table[K comparable, V any] map[K]*V
@@ -325,6 +327,36 @@ type cpState struct {
 }
 
 func (c *cpState) keepSnapshot(snap []byte) { c.snapshot, c.hasSnapshot = snap, true }
+
+// ---------------------------------------------------------------------
+// Per view this replica is elected to lead.
+// ---------------------------------------------------------------------
+
+// viewRec is what this replica holds about one view it is elected to lead
+// (onCertifyVC makes no record for any other view): the CERTIFY_VC shares by
+// the replica they are about, the f+1 certified states while they wait for
+// this replica's own seal of the view, and whether its NEW_VIEW went out.
+type viewRec struct {
+	shares  table[ids.ID, vcCert]
+	pending []ReplicaCert
+	opened  bool
+}
+
+// vcCert is what a leader-elect holds about one replica's state for one
+// view: the CERTIFY_VC shares, each over the state bytes its signer saw, and
+// the certificate (signatures aside) of the state f+1 of them agree on once
+// there is one.
+type vcCert struct {
+	shares    xcrypto.Shares[string]
+	cert      ReplicaCert
+	certified bool
+}
+
+// viewOpened reports whether this replica broadcast view v's NEW_VIEW.
+func (r *Replica) viewOpened(v View) bool {
+	rec := r.views[v]
+	return rec != nil && rec.opened
+}
 
 // ---------------------------------------------------------------------
 // The prune rules.

@@ -11,9 +11,9 @@ import (
 )
 
 // This file implements the view change (paper §5.3, Algorithm 3), the
-// Byzantine message checks (Algorithm 5, wired in as the CTBcast Validate
-// hook), and the CTBcast summary capture/apply hooks (Algorithm 4's state
-// content).
+// Byzantine message checks (Algorithm 5, one per tag, each run by
+// onConsensusMsg between decoding a delivery and applying it), and the
+// CTBcast summary capture/apply hooks (Algorithm 4's state content).
 //
 // Three engineering details beyond the pseudocode:
 //
@@ -154,20 +154,14 @@ func (r *Replica) sealTo(v View) {
 	r.maybeSeal()
 }
 
-// setView enters view v and drops the view-change records of every view
+// setView enters view v and drops the view-change record of every view
 // below it: onCertifyVC ignores shares for a view below the current one,
-// and maybeSeal and pumpProposals read the current view's entries only.
+// and maybeSeal and pumpProposals read the current view's record only.
 func (r *Replica) setView(v View) {
 	r.view = v
-	dropViewsBelow(r.vcShares, v)
-	dropViewsBelow(r.newViewSent, v)
-	dropViewsBelow(r.pendingNV, v)
-}
-
-func dropViewsBelow[T any](m map[View]T, v View) {
-	for old := range m {
+	for old := range r.views {
 		if old < v {
-			delete(m, old)
+			delete(r.views, old)
 		}
 	}
 }
@@ -194,10 +188,8 @@ func (r *Replica) maybeSeal() {
 	r.groups[r.cfg.Self].Broadcast(w.Finish())
 	// If we are the new leader and the certificate set is already
 	// complete, start the view now that we have declared it.
-	if certs, ok := r.pendingNV[v]; ok && r.cfg.leaderOf(v) == r.cfg.Self && !r.newViewSent[v] {
-		delete(r.pendingNV, v)
-		r.newViewSent[v] = true
-		r.startView(v, certs)
+	if rec := r.views[v]; rec != nil && rec.pending != nil {
+		r.startView(v, rec) // which takes the certificates: a view starts once
 	}
 	r.reprocessPrepares()
 	// Restart the suspicion window: the new view's leader deserves a full
@@ -207,8 +199,7 @@ func (r *Replica) maybeSeal() {
 
 // onSealView implements lines 8-11: record the seal, certify the sealer's
 // state toward the new leader, and join views the quorum is moving to.
-func (r *Replica) onSealView(p ids.ID, v View) {
-	st := r.state[p]
+func (r *Replica) onSealView(p ids.ID, st *replicaState, v View) {
 	if v <= st.view {
 		// Not a view advance: a correct replica only re-declares a view it
 		// already held when resuming after a cold restart (its reborn
@@ -303,20 +294,11 @@ func (r *Replica) onDirect(from ids.ID, payload []byte) {
 	}
 }
 
-// vcCert is what a leader-elect holds about one replica's state for one
-// view: the CERTIFY_VC shares, each over the state bytes its signer saw, and
-// the state f+1 of them agree on once there is one.
-type vcCert struct {
-	shares    xcrypto.Shares[string]
-	state     string
-	certified bool
-}
-
 // onCertifyVC implements lines 13-19 at the new leader: collect f+1
 // matching shares about f+1 distinct replicas, then broadcast NEW_VIEW and
 // re-propose the open slots.
 func (r *Replica) onCertifyVC(from ids.ID, v View, about ids.ID, stateBytes []byte, sig xcrypto.Signature) {
-	if r.cfg.leaderOf(v) != r.cfg.Self || v < r.view || r.newViewSent[v] || r.observing() {
+	if r.cfg.leaderOf(v) != r.cfg.Self || v < r.view || r.viewOpened(v) || r.observing() {
 		// Observing: an amnesiac leader must not start a view; the
 		// followers' suspicion timers move the cluster to the next one.
 		return
@@ -324,62 +306,106 @@ func (r *Replica) onCertifyVC(from ids.ID, v View, about ids.ID, stateBytes []by
 	if r.cfg.indexOf(from) < 0 || r.cfg.indexOf(about) < 0 {
 		return
 	}
-	if r.vcShares[v] == nil {
-		r.vcShares[v] = make(table[ids.ID, vcCert])
+	rec := r.views.at(v)
+	if rec.shares == nil {
+		rec.shares = make(table[ids.ID, vcCert])
 	}
-	vc := r.vcShares[v].at(about)
+	vc := rec.shares.at(about)
 	// One share per signer: a second state from it is refused unverified.
 	state := string(stateBytes)
 	if !vc.shares.Admits(from, state) || !r.signer.Verify(r.proc, from, vcSharePayload(v, about, stateBytes), sig) {
 		return
 	}
 	// A replica's state is certified once f+1 signers agree on the bytes; with
-	// one share per signer out of 2f+1, at most one state gets there.
-	if vc.shares.Add(from, state, sig) >= r.cfg.F+1 {
-		vc.state, vc.certified = state, true
+	// one share per signer out of 2f+1, at most one state gets there. It is
+	// decoded here, once (a state that does not decode certifies nothing: no
+	// correct replica signs one).
+	if vc.shares.Add(from, state, sig) >= r.cfg.F+1 && !vc.certified {
+		var err error
+		vc.cert, err = newReplicaCert(about, stateBytes, nil)
+		vc.certified = err == nil
 	}
 	// The certified slice feeds straight into the NEW_VIEW message (startView
 	// truncates it to f+1): about IDs ascending keeps the message bytes
 	// identical across runs.
 	certified := make([]ReplicaCert, 0, r.cfg.n())
-	for _, aboutID := range sortedKeys(r.vcShares[v]) {
-		if c := r.vcShares[v][aboutID]; c.certified {
-			certified = append(certified, ReplicaCert{About: aboutID, StateBytes: []byte(c.state), Sigs: c.shares.Cert(c.state)})
+	for _, aboutID := range sortedKeys(rec.shares) {
+		if c := rec.shares[aboutID]; c.certified {
+			cert := c.cert
+			cert.Sigs = c.shares.Cert(string(cert.StateBytes))
+			certified = append(certified, cert)
 		}
 	}
 	if len(certified) < r.cfg.F+1 {
 		return
 	}
+	rec.pending = certified
 	if r.view < v {
 		// We must declare (seal) view v ourselves before speaking in it;
-		// stash the certificates and finish when the seal lands.
-		r.pendingNV[v] = certified
+		// maybeSeal starts the view when the seal lands.
 		r.joinView(v)
 		return
 	}
-	if r.view == v {
-		r.newViewSent[v] = true
-		r.startView(v, certified)
+	r.startView(v, rec)
+}
+
+// nvPlan is what a NEW_VIEW's certified states oblige the view's leader to
+// propose (MustPropose, lines 25-27), worked out once per message: per slot
+// the highest-view certified COMMIT (between equal views the earlier
+// certificate's), and the highest slot any certified COMMIT names.
+type nvPlan struct {
+	maxOpen Slot
+	commits map[Slot]CommitCert
+}
+
+func planOf(certs []ReplicaCert) nvPlan {
+	maxOpen, commits := Slot(0), make(map[Slot]CommitCert)
+	for _, c := range certs {
+		for s, cc := range c.State.Commits {
+			if s > maxOpen {
+				maxOpen = s
+			}
+			if best, ok := commits[s]; !ok || cc.View > best.View {
+				commits[s] = cc
+			}
+		}
+	}
+	return nvPlan{maxOpen: maxOpen, commits: commits}
+}
+
+// mustPropose implements lines 25-27. any=true means the slot is beyond
+// every certified commit and checkpoint: the leader may propose fresh
+// requests there.
+func (pl *nvPlan) mustPropose(s Slot) (req Request, any bool) {
+	if best, ok := pl.commits[s]; ok {
+		return best.Req, false
+	}
+	if s > pl.maxOpen {
+		return Request{}, true
+	}
+	return NoOp(), false
+}
+
+// adoptNewView installs an accepted NEW_VIEW in its leader's state[p] and
+// adopts the highest checkpoint its certificates carry.
+func (r *Replica) adoptNewView(st *replicaState, nv *NewViewMsg) {
+	st.newView = nv
+	for _, c := range nv.Certs {
+		r.maybeCheckpoint(c.State.Checkpoint)
 	}
 }
 
 // startView is the new leader's half of lines 15-19. The caller guarantees
 // r.view == v and that SEAL_VIEW(v) was broadcast before.
-func (r *Replica) startView(v View, certs []ReplicaCert) {
-	nv := NewViewMsg{View: v, Certs: certs[:r.cfg.F+1]}
+func (r *Replica) startView(v View, rec *viewRec) {
+	nv := NewViewMsg{View: v, Certs: rec.pending[:r.cfg.F+1]}
+	rec.pending, rec.opened = nil, true
+	nv.plan = planOf(nv.Certs)
 	r.broadcastNewView(nv)
-	r.state[r.cfg.Self].newView = &nv
-	// Adopt the highest certified checkpoint.
-	for _, c := range nv.Certs {
-		cs, err := decodeCertifiedState(c.StateBytes)
-		if err != nil {
-			continue
-		}
-		r.maybeCheckpoint(cs.Checkpoint)
-	}
+	r.adoptNewView(r.state[r.cfg.Self], &nv)
 	// Re-propose every open slot per MustPropose.
 	for s := r.chkpt.Seq; s < r.chkpt.Seq+Slot(r.cfg.Window); s++ {
-		req, any := r.mustPropose(s, nv.Certs)
+		req, any := nv.plan.mustPropose(s)
 		if any {
 			break // slots beyond the certified range take fresh requests
 		}
@@ -422,49 +448,10 @@ func (r *Replica) broadcastNewView(nv NewViewMsg) {
 	}
 }
 
-// mustPropose implements lines 25-27. any=true means the slot is beyond
-// every certified commit and checkpoint: the leader may propose fresh
-// requests there.
-func (r *Replica) mustPropose(s Slot, certs []ReplicaCert) (Request, bool) {
-	maxOpen := Slot(0)
-	var best *CommitCert
-	for _, c := range certs {
-		cs, err := decodeCertifiedState(c.StateBytes)
-		if err != nil {
-			continue
-		}
-		for sl := range cs.Commits {
-			if sl > maxOpen {
-				maxOpen = sl
-			}
-		}
-		if cc, ok := cs.Commits[s]; ok && (best == nil || cc.View > best.View) {
-			cc := cc
-			best = &cc
-		}
-	}
-	if best != nil {
-		return best.Req, false
-	}
-	if s > maxOpen {
-		return Request{}, true
-	}
-	return NoOp(), false
-}
-
-// onNewView implements lines 21-23 at followers.
-func (r *Replica) onNewView(p ids.ID, nv NewViewMsg) {
-	st := r.state[p]
-	st.newView = &nv
+// onNewView implements lines 21-23 at followers (readNewView vetted nv).
+func (r *Replica) onNewView(st *replicaState, nv NewViewMsg) {
 	st.newViewUsed = false
-	// Adopt the highest certified checkpoint from the certificates.
-	for _, c := range nv.Certs {
-		cs, err := decodeCertifiedState(c.StateBytes)
-		if err != nil {
-			continue
-		}
-		r.maybeCheckpoint(cs.Checkpoint)
-	}
+	r.adoptNewView(st, &nv)
 	if r.observing() {
 		// Passive view tracking: the NEW_VIEW message is f+1-certified, so
 		// a rejoining replica may follow it without sealing or re-echoing.
@@ -481,162 +468,123 @@ func (r *Replica) onNewView(p ids.ID, nv NewViewMsg) {
 }
 
 // ---------------------------------------------------------------------
-// Byzantine checks (Algorithm 5) — the CTBcast Validate hook.
+// Byzantine checks (Algorithm 5). onConsensusMsg runs the delivered tag's
+// check against state[p] before it applies the message; a failed check
+// proves p Byzantine and blocks its channel (Algorithm 2 line 1).
 // ---------------------------------------------------------------------
 
-// validateMsg vets broadcaster p's next FIFO message. Returning false
-// proves p Byzantine and blocks its channel (Algorithm 2 line 1).
-func (r *Replica) validateMsg(p ids.ID, m []byte) bool {
-	rd := wire.NewReader(m)
-	st := r.state[p]
-	switch rd.U8() {
-	case tagPrepare:
-		pr, err := decodePrepare(rd)
-		if err != nil || rd.Done() != nil {
-			return false
-		}
-		if st.view != pr.View || r.cfg.leaderOf(pr.View) != p {
-			return false
-		}
-		if !r.inWindowOf(&st.checkpoint, pr.Slot) {
-			return false
-		}
-		if prev, dup := st.prepares[pr.Slot]; dup && prev.View == pr.View {
-			return false // p already prepared this slot in this view
-		}
-		if pr.Req.IsBatch() && !wellFormedBatch(pr.Req) {
-			return false // a correct leader packs whole client requests only
-		}
-		if pr.View > 0 {
-			if st.newView == nil {
-				return false
-			}
-			req, any := r.mustPropose(pr.Slot, st.newView.Certs)
-			if !any && !bytes.Equal(EncodeRequest(req), EncodeRequest(pr.Req)) {
-				return false
-			}
-		}
-		return true
-	case tagCommit:
-		c, err := decodeCommitCert(rd)
-		if err != nil || rd.Done() != nil {
-			return false
-		}
-		if !r.inWindowOf(&st.checkpoint, c.Slot) {
-			return false
-		}
-		if c.View > st.view {
-			return false
-		}
-		// Verify PΣ: f+1 valid CERTIFY signatures over the request digest
-		// (cached shares verified on arrival cost nothing here).
-		dg := c.Req.Digest()
-		valid := 0
-		for q, sig := range c.Sigs {
-			if r.cfg.indexOf(q) < 0 {
-				continue
-			}
-			if r.verifyCertifySig(c.View, c.Slot, dg, q, sig) {
-				valid++
-			}
-		}
-		return valid >= r.cfg.F+1
-	case tagCheckpoint:
-		cp, err := decodeCheckpoint(rd)
-		if err != nil || rd.Done() != nil {
-			return false
-		}
-		if !cp.Supersedes(&st.checkpoint) {
-			return false
-		}
-		return r.verifyCheckpointCert(&cp)
-	case tagSealView:
-		_ = rd.U64()
-		if rd.Done() != nil {
-			return false
-		}
-		// Any well-formed view declaration is acceptable: a cold-rejoined
-		// replica re-declares its current view as the first message of its
-		// reborn channel, and different peers' frozen FIFO prefixes may
-		// record different pre-crash views for it, so a strict v > st.view
-		// check would brand a correct joiner Byzantine at some peers.
-		// onSealView ignores non-advancing seals, so tolerance is free.
-		return true
-	case tagNewView:
-		nv, err := decodeNewView(rd)
-		if err != nil || rd.Done() != nil {
-			return false
-		}
-		return r.validNewView(p, st, nv)
-	case tagNewViewFrag:
-		fr, err := decodeNewViewFrag(rd)
-		if err != nil || rd.Done() != nil {
-			return false
-		}
-		if r.cfg.leaderOf(st.view) != p || fr.view != st.view {
-			return false
-		}
-		if st.newViewUsed {
-			return false // the train must precede any prepare in the view
-		}
-		if fr.total > r.maxNewViewFrags() {
-			return false // larger than any legitimate NEW_VIEW could be
-		}
-		if fr.idx == 0 {
-			return true // always starts a fresh train (channel-reset re-push)
-		}
-		if st.nvSkip || st.nvTotal != fr.total || st.nvNext != fr.idx || st.nvView != fr.view {
-			// Mid-train resume after a summary jump healed a FIFO gap:
-			// the prefix is gone, so delivery discards the remainder —
-			// not proof of a Byzantine leader.
-			return true
-		}
-		if fr.idx < fr.total-1 {
-			return true
-		}
-		// Final chunk: the reassembled bytes must validate exactly like a
-		// monolithic NEW_VIEW (delivery appends the chunk after us).
-		buf := make([]byte, 0, len(st.nvBuf)+len(fr.chunk))
-		buf = append(append(buf, st.nvBuf...), fr.chunk...)
-		frd := wire.NewReader(buf)
-		if frd.U8() != tagNewView {
-			return false
-		}
-		nv, err := decodeNewView(frd)
-		if err != nil || frd.Done() != nil {
-			return false
-		}
-		return r.validNewView(p, st, nv)
-	}
-	return false // unknown tag: Byzantine
-}
-
-// validNewView vets a (possibly reassembled) NEW_VIEW from broadcaster p:
-// it must open p's current view as its first non-CHECKPOINT message and
-// carry f+1 distinct replica certs, each with f+1 valid attesting
-// signatures over its certified state.
-func (r *Replica) validNewView(p ids.ID, st *replicaState, nv NewViewMsg) bool {
-	if r.cfg.leaderOf(st.view) != p || nv.View != st.view {
+func (r *Replica) validPrepare(p ids.ID, st *replicaState, pr *Prepare) bool {
+	if st.view != pr.View || r.cfg.leaderOf(pr.View) != p {
 		return false
 	}
-	if st.newViewUsed {
-		return false // must be p's first non-CHECKPOINT message in the view
+	if !r.inWindowOf(&st.checkpoint, pr.Slot) {
+		return false
+	}
+	if prev, dup := st.prepares[pr.Slot]; dup && prev.View == pr.View {
+		return false // p already prepared this slot in this view
+	}
+	if pr.Req.IsBatch() && pr.Req.Subs() == nil {
+		return false // a correct leader packs whole client requests only
+	}
+	if pr.View > 0 {
+		if st.newView == nil {
+			return false
+		}
+		req, any := st.newView.plan.mustPropose(pr.Slot)
+		if !any && !bytes.Equal(EncodeRequest(req), EncodeRequest(pr.Req)) {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *Replica) validCommit(st *replicaState, c *CommitCert) bool {
+	if !r.inWindowOf(&st.checkpoint, c.Slot) || c.View > st.view {
+		return false
+	}
+	// Verify PΣ: f+1 valid CERTIFY signatures over the request digest
+	// (cached shares verified on arrival cost nothing here).
+	dg := c.Req.Digest()
+	valid := 0
+	for q, sig := range c.Sigs {
+		if r.cfg.indexOf(q) >= 0 && r.verifyCertifySig(c.View, c.Slot, dg, q, sig) {
+			valid++
+		}
+	}
+	return valid >= r.cfg.F+1
+}
+
+// opensView reports whether a NEW_VIEW of view v, whole or as a fragment
+// train, may come next on p's channel: p leads the view it last declared, v
+// is that view, and only CHECKPOINTs have followed the declaration.
+func (r *Replica) opensView(p ids.ID, st *replicaState, v View) bool {
+	return r.cfg.leaderOf(st.view) == p && v == st.view && !st.newViewUsed
+}
+
+// readNewView decodes a (possibly reassembled) NEW_VIEW from broadcaster p
+// and vets it: it must open p's current view and carry f+1 distinct replica
+// certs, each with f+1 valid attesting signatures over its certified state.
+// An accepted message leaves with its re-proposal plan.
+func (r *Replica) readNewView(p ids.ID, st *replicaState, rd *wire.Reader) (NewViewMsg, bool) {
+	nv, err := decodeNewView(rd)
+	if err != nil || rd.Done() != nil || !r.opensView(p, st, nv.View) {
+		return nv, false
 	}
 	seen := make(map[ids.ID]bool)
 	for _, c := range nv.Certs {
-		if seen[c.About] || r.cfg.indexOf(c.About) < 0 {
-			return false
+		if seen[c.About] || r.cfg.indexOf(c.About) < 0 || c.State.View != nv.View {
+			return nv, false
 		}
 		seen[c.About] = true
-		cs, err := decodeCertifiedState(c.StateBytes)
-		if err != nil || cs.View != nv.View {
-			return false
-		}
 		if !r.signer.Valid(r.proc, r.cfg.Replicas, vcSharePayload(nv.View, c.About, c.StateBytes), c.Sigs, r.cfg.F+1) {
-			return false
+			return nv, false
 		}
 	}
-	return len(nv.Certs) >= r.cfg.F+1
+	if len(nv.Certs) < r.cfg.F+1 {
+		return nv, false
+	}
+	nv.plan = planOf(nv.Certs)
+	return nv, true
+}
+
+// onNewViewFrag vets and accumulates one chunk of a fragmented NEW_VIEW
+// train, which must open p's view as the whole message would and advertise
+// no more chunks than a legitimate NEW_VIEW could need. Index 0 always
+// starts a fresh train — a reborn leader's channel reset re-pushes its tail
+// from the top. A chunk that does not extend the current train (or finds
+// none: nvTotal is 0) is a mid-train resume after a summary jump healed a
+// FIFO gap: the prefix is gone, so the remainder of the train is discarded
+// rather than treated as Byzantine. The final chunk completes, in the buffer
+// the train was kept in, bytes that must pass exactly like a monolithic
+// NEW_VIEW.
+func (r *Replica) onNewViewFrag(p ids.ID, st *replicaState, fr nvFrag) bool {
+	if !r.opensView(p, st, fr.view) || fr.total > r.maxNewViewFrags() {
+		return false
+	}
+	switch {
+	case fr.idx == 0:
+		st.nvBuf = append(st.nvBuf[:0], fr.chunk...)
+		st.nvView, st.nvTotal, st.nvNext = fr.view, fr.total, 1
+	case st.nvTotal != fr.total || st.nvNext != fr.idx || st.nvView != fr.view:
+		st.dropNewViewTrain()
+	case fr.idx < fr.total-1:
+		st.nvBuf = append(st.nvBuf, fr.chunk...)
+		st.nvNext++
+	default:
+		// A rejected train is left as it was: the append lands beyond
+		// st.nvBuf's length.
+		rd := wire.NewReader(append(st.nvBuf, fr.chunk...))
+		if rd.U8() != tagNewView {
+			return false
+		}
+		nv, ok := r.readNewView(p, st, rd)
+		if !ok {
+			return false
+		}
+		st.dropNewViewTrain()
+		r.onNewView(st, nv)
+	}
+	return true
 }
 
 // maxNewViewFrags bounds a fragment train's advertised length: the largest
@@ -644,8 +592,7 @@ func (r *Replica) validNewView(p ids.ID, st *replicaState, nv NewViewMsg) bool {
 // bigger than the channel summary cap plus f+1 signatures and framing.
 // Anything advertising more chunks than that is Byzantine.
 func (r *Replica) maxNewViewFrags() int {
-	perCert := r.cfg.Window*(r.cfg.MsgCap+512) + 4096 // = the group SummaryCap
-	maxBytes := (r.cfg.F+1)*(perCert+(r.cfg.F+1)*(xcrypto.SigLen+16)+64) + 64
+	maxBytes := (r.cfg.F+1)*(r.cfg.summaryCap()+(r.cfg.F+1)*(xcrypto.SigLen+16)+64) + 64
 	chunk := r.cfg.groupMsgCap() - nvFragOverhead
 	return (maxBytes+chunk-1)/chunk + 1
 }
@@ -688,7 +635,7 @@ func (r *Replica) applySummary(p ids.ID, stateBytes []byte) {
 	// the prefix is unrecoverable, so discard the train's remainder as it
 	// arrives (the skipped NEW_VIEW itself is gone either way — summaries
 	// carry checkpoints and commits, not view-opening messages).
-	st.nvBuf, st.nvTotal, st.nvNext, st.nvSkip = nil, 0, 0, true
+	st.dropNewViewTrain()
 	if cs.Checkpoint.Supersedes(&st.checkpoint) {
 		st.checkpoint = cs.Checkpoint
 		r.maybeCheckpoint(cs.Checkpoint)
@@ -697,6 +644,6 @@ func (r *Replica) applySummary(p ids.ID, stateBytes []byte) {
 	for _, s := range sortedKeys(cs.Commits) {
 		c := cs.Commits[s]
 		st.commits[s] = c
-		r.onCommit(p, c)
+		r.onCommit(st, c)
 	}
 }

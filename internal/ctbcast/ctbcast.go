@@ -115,11 +115,15 @@ type Params struct {
 	// regions [RegionBase+i*Tail, RegionBase+(i+1)*Tail).
 	RegionBase memnode.RegionID
 
-	// Deliver receives FIFO-ordered deliveries. k starts at 1.
+	// Deliver receives FIFO-ordered deliveries. k starts at 1. May be nil:
+	// an upper layer whose Validate applies what it accepts (consensus
+	// interprets each message once, there) needs no second hook.
 	Deliver func(k uint64, m []byte)
 	// Validate, if non-nil, is the upper layer's Byzantine check
-	// (Algorithm 5): returning false marks the broadcaster Byzantine and
-	// blocks all further deliveries from it (Algorithm 2 line 1).
+	// (Algorithm 5), called with each message in FIFO order just before
+	// Deliver: returning false marks the broadcaster Byzantine and blocks
+	// all further deliveries from it (Algorithm 2 line 1), that message's
+	// included.
 	Validate func(k uint64, m []byte) bool
 	// Capture returns the upper layer's deterministic state snapshot after
 	// applying the broadcaster's messages up to id (summary content). May

@@ -22,7 +22,7 @@ const (
 	ChanRing     = wire.ChanRing     // message-ring RDMA writes (sender -> receiver)
 	ChanRingAck  = wire.ChanRingAck  // tail-broadcast acknowledgements
 	ChanRPC      = wire.ChanRPC      // client <-> replica requests/responses
-	ChanDirect   = wire.ChanDirect   // consensus direct messages (view-change shares, summaries)
+	ChanDirect   = wire.ChanDirect   // consensus direct messages (view-change shares, echoes, state transfer, rejoin)
 	ChanBaseline = wire.ChanBaseline // baseline protocols (Mu, MinBFT)
 	ChanSummary  = wire.ChanSummary  // CTBcast summary certificate shares
 )

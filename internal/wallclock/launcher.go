@@ -49,10 +49,9 @@ type LocalCluster struct {
 	profileDir string
 	stderr     io.Writer // where the nodes' output goes
 
-	mu         sync.Mutex
-	nodes      map[ids.ID]*nodeProc
-	joinNonces map[ids.ID]uint64 // incarnation counter per restarted node
-	stopped    bool
+	mu      sync.Mutex
+	nodes   map[ids.ID]*nodeProc
+	stopped bool
 }
 
 // allocPort reserves a free loopback TCP port by binding :0 and closing
@@ -92,7 +91,6 @@ func LaunchLocal(exe []string, base NodeConfig, profileDir string) (*LocalCluste
 		profileDir: profileDir,
 		stderr:     os.Stderr,
 		nodes:      make(map[ids.ID]*nodeProc),
-		joinNonces: make(map[ids.ID]uint64),
 	}
 	layout := cluster.SingleGroupLayout(opts.F, opts.Fm, opts.MemNodes, opts.NumClients)
 	lc.ReplicaIDs, lc.MemNodeIDs, lc.ClientIDs = layout.Groups[0], layout.MemNodes, layout.Clients
@@ -117,13 +115,13 @@ func LaunchLocal(exe []string, base NodeConfig, profileDir string) (*LocalCluste
 	lc.PeersArg = FormatPeers(lc.Table)
 
 	for i, id := range lc.ReplicaIDs {
-		if err := lc.spawn(cluster.RoleReplica, i, id, false, 0); err != nil {
+		if err := lc.spawn(cluster.RoleReplica, i, id, false); err != nil {
 			lc.Stop()
 			return nil, err
 		}
 	}
 	for j, id := range lc.MemNodeIDs {
-		if err := lc.spawn(cluster.RoleMemNode, j, id, false, 0); err != nil {
+		if err := lc.spawn(cluster.RoleMemNode, j, id, false); err != nil {
 			lc.Stop()
 			return nil, err
 		}
@@ -140,20 +138,19 @@ func LaunchLocal(exe []string, base NodeConfig, profileDir string) (*LocalCluste
 // Stop/KillNode/RestartNode. A restart that raced Stop must not leave a
 // node Stop never saw: on a stopped cluster the new process is killed and
 // reaped instead of recorded.
-func (lc *LocalCluster) spawn(role cluster.Role, index int, id ids.ID, coldJoin bool, nonce uint64) error {
+func (lc *LocalCluster) spawn(role cluster.Role, index int, id ids.ID, respawn bool) error {
 	cfg := lc.base
 	cfg.Role = string(role)
 	cfg.Index = index
 	cfg.Listen = lc.Table[id]
 	cfg.Peers = lc.PeersArg
-	cfg.ColdJoin = coldJoin
-	cfg.JoinNonce = nonce
+	cfg.ColdJoin = respawn && role == cluster.RoleReplica
 	if lc.profileDir != "" {
 		cfg.CPUProfile = fmt.Sprintf("%s/node-%d.pprof", lc.profileDir, int(id))
-		if nonce > 0 {
+		if respawn {
 			// A respawned incarnation must not clobber its predecessor's
 			// profile (pprof merges all files in the directory anyway).
-			cfg.CPUProfile = fmt.Sprintf("%s/node-%d-r%d.pprof", lc.profileDir, int(id), nonce)
+			cfg.CPUProfile = fmt.Sprintf("%s/node-%d-r%d.pprof", lc.profileDir, int(id), time.Now().UnixNano())
 		}
 	}
 	cmd := exec.Command(lc.exe[0], append(append([]string{}, lc.exe[1:]...), cfg.Args()...)...)
@@ -240,12 +237,9 @@ func (lc *LocalCluster) RestartNode(id ids.ID) error {
 		lc.mu.Unlock()
 		return fmt.Errorf("wallclock: node %d is not part of this deployment", int(id))
 	}
-	lc.joinNonces[id]++
-	nonce := lc.joinNonces[id]
 	lc.mu.Unlock()
 
-	coldJoin := role == cluster.RoleReplica
-	if err := lc.spawn(role, index, id, coldJoin, nonce); err != nil {
+	if err := lc.spawn(role, index, id, true); err != nil {
 		return err
 	}
 	return waitListening(lc.Table[id], time.Now().Add(readyTimeout))

@@ -31,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -57,10 +58,8 @@ type NodeConfig struct {
 	Tail     int
 
 	// ColdJoin boots a replica in the cold-rejoin recovering state (a
-	// process respawned after a crash); JoinNonce is its incarnation
-	// counter, strictly above every nonce this identity used before.
-	ColdJoin  bool
-	JoinNonce uint64
+	// process respawned after a crash).
+	ColdJoin bool
 
 	CPUProfile string // write a CPU profile here
 }
@@ -80,7 +79,6 @@ func (c *NodeConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Window, "window", 0, "consensus window (0 = paper default)")
 	fs.IntVar(&c.Tail, "tail", 0, "CTBcast tail (0 = paper default)")
 	fs.BoolVar(&c.ColdJoin, "coldjoin", false, "boot a replica in the cold-rejoin recovering state (post-crash respawn)")
-	fs.Uint64Var(&c.JoinNonce, "joinnonce", 0, "incarnation counter for -coldjoin (strictly above any prior nonce)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 }
 
@@ -213,9 +211,13 @@ func join(c NodeConfig) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The incarnation number peers answer a cold join by (and reset the
+	// joiner's channels on, once per increase) is the boot clock, the rule
+	// nettrans uses for its link sequence numbers: a reborn process outruns
+	// every incarnation of its identity before it, whoever started it.
 	m, err := cluster.NewMember(opts, nt, cluster.MemberSpec{
 		Role: role, Index: c.Index,
-		ColdJoin: c.ColdJoin, JoinNonce: c.JoinNonce,
+		ColdJoin: c.ColdJoin, JoinNonce: uint64(time.Now().UnixNano()),
 	})
 	if err != nil {
 		nt.Close()

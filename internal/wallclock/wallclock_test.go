@@ -87,7 +87,7 @@ func TestOptions(t *testing.T) {
 func TestArgsRoundTrip(t *testing.T) {
 	full := NodeConfig{Role: "replica", Index: 2, Listen: "127.0.0.1:4002", Peers: "0=a:1,2=b:2", App: "rkv",
 		Seed: -7, F: 2, Fm: 1, MemNodes: 3, Clients: 4, Window: 64, Tail: 16,
-		ColdJoin: true, JoinNonce: 1 << 40, CPUProfile: ""}
+		ColdJoin: true, CPUProfile: ""}
 	for _, c := range []NodeConfig{{}, fleetCfg, full} {
 		var got NodeConfig
 		fs := flag.NewFlagSet("", flag.ContinueOnError)
@@ -199,7 +199,7 @@ func TestRestartRacingStop(t *testing.T) {
 	if err := lc.RestartNode(victim); !errors.Is(err, errStopped) {
 		t.Errorf("RestartNode after Stop: %v", err)
 	}
-	if err := lc.spawn(cluster.RoleReplica, 2, victim, true, 1); !errors.Is(err, errStopped) {
+	if err := lc.spawn(cluster.RoleReplica, 2, victim, true); !errors.Is(err, errStopped) {
 		t.Errorf("spawn after Stop: %v", err)
 	}
 	noChildren(t)
