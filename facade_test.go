@@ -1,10 +1,12 @@
 package ubft
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/consensus"
 )
 
 // Tests of the public façade: everything a downstream user touches.
@@ -88,6 +90,64 @@ func TestFacadeBaselines(t *testing.T) {
 	if res, _ := mb.InvokeSync([]byte("ab"), 100*Millisecond); string(res) != "ba" {
 		t.Fatalf("minbft: %q", res)
 	}
+}
+
+// TestDefaultDeploymentSurvivesLeaderCrash: a deployment built with default
+// options suspects its leader, so losing the view-0 leader costs one view
+// change and not the service — for the single-group cluster and for the
+// sharded deployment alike.
+func TestDefaultDeploymentSurvivesLeaderCrash(t *testing.T) {
+	survivorsAgree := func(t *testing.T, reps []*consensus.Replica, apps []StateMachine) {
+		t.Helper()
+		for _, i := range []int{1, 2} {
+			if v := reps[i].View(); v == 0 {
+				t.Errorf("replica %d still in view 0", i)
+			}
+		}
+		if string(apps[1].Snapshot()) != string(apps[2].Snapshot()) {
+			t.Error("survivors hold different application state")
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("facade/seed%d", seed), func(t *testing.T) {
+			u := New(Options{Seed: seed})
+			defer u.Stop()
+			for i := 0; i < 5; i++ {
+				if _, _, err := u.InvokeSyncErr(0, []byte("warm"), 10*Millisecond); err != nil {
+					t.Fatalf("warm-up op %d: %v", i, err)
+				}
+			}
+			if err := u.KillReplica(0); err != nil {
+				t.Fatal(err)
+			}
+			res, lat, err := u.InvokeSyncErr(0, []byte("after"), 50*Millisecond)
+			if err != nil || string(res) != "retfa" {
+				t.Fatalf("first op after the leader crash: res=%q err=%v", res, err)
+			}
+			t.Logf("completed in %v, views %d/%d", lat, u.Replicas[1].View(), u.Replicas[2].View())
+			survivorsAgree(t, u.Replicas, u.Apps)
+		})
+	}
+	t.Run("shard", func(t *testing.T) {
+		d := NewSharded(ShardOptions{})
+		defer d.Stop()
+		for i := 0; i < 5; i++ {
+			key := []byte(fmt.Sprintf("k%d", i))
+			if _, _, err := d.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 10*Millisecond); err != nil {
+				t.Fatalf("warm-up op %d: %v", i, err)
+			}
+		}
+		if err := d.KillReplica(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		res, lat, err := d.InvokeSync(0, app.EncodeKVSet([]byte("after"), []byte("v")), 50*Millisecond)
+		if err != nil || len(res) != 1 || res[0] != app.KVStored {
+			t.Fatalf("first op after the leader crash: res=%v err=%v", res, err)
+		}
+		g := d.Groups[0]
+		t.Logf("completed in %v, views %d/%d", lat, g.Replicas[1].View(), g.Replicas[2].View())
+		survivorsAgree(t, g.Replicas, g.Apps)
+	})
 }
 
 func TestFacadeModeConstants(t *testing.T) {

@@ -130,9 +130,8 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 			// A small window so every down phase pushes the cluster far
 			// enough that the victim's slots are pruned everywhere and only
 			// the snapshot path can revive it.
-			Window:            8,
-			Tail:              8,
-			ViewChangeTimeout: 2 * sim.Millisecond,
+			Window: 8,
+			Tail:   8,
 			// Eager fallbacks: with a replica down neither unanimity path
 			// can complete, so every decision rides the slow path — at the
 			// 1ms default it would collide with the view-change timer.

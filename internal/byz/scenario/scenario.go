@@ -174,16 +174,12 @@ func Run(cfg Config) *Report {
 		NewApp:      ad.newApp,
 		FastReads:   cfg.ReadMode == ReadFast || cfg.ReadMode == ReadSnapshot || cfg.ReadMode == ReadStrong,
 		StrongReads: cfg.ReadMode == ReadStrong,
-		Group: cluster.Options{
-			Fabric: newFabric(cfg),
-			// View changes are the liveness half of the equivocation
-			// defense: CTBcast's unanimity rule wedges an equivocating
-			// leader's own channel (a follower that locked one variant
-			// refuses the SIGNED other, Algorithm 1 line 28), and the view
-			// change then replaces that leader so the pending requests
-			// re-propose under an honest one.
-			ViewChangeTimeout: 2 * sim.Millisecond,
-		},
+		// View changes are the liveness half of the equivocation defense:
+		// CTBcast's unanimity rule wedges an equivocating leader's own
+		// channel (a follower that locked one variant refuses the SIGNED
+		// other, Algorithm 1 line 28), and the view change then replaces that
+		// leader so the pending requests re-propose under an honest one.
+		Group: cluster.Options{Fabric: newFabric(cfg)},
 	}, cfg.Defenses)
 	if err != nil {
 		rep.violate("build: %v", err)

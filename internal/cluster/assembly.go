@@ -147,8 +147,8 @@ type Assembly struct {
 }
 
 // NewAssembly prepares the wiring of layout under opts, which the caller
-// has normalized. A nil opts.Fabric takes a fresh simulated fabric derived
-// from opts.Seed/NetOptions. An injected fabric is probed for the optional
+// has normalized. A nil opts.Fabric takes a fresh RDMA-class simulated
+// fabric seeded with opts.Seed. An injected fabric is probed for the optional
 // Network() accessor (simnet itself and the wrappers around it, so
 // partition/GST/restart chaos composes with fault injection). off is the
 // set of protocol defenses to switch OFF in every replica and client:
@@ -157,11 +157,7 @@ func NewAssembly(opts Options, layout Layout, newApp func(group int) app.StateMa
 	a := &Assembly{Layout: layout, fab: opts.Fabric, opts: opts, newApp: newApp, defenses: off}
 	if a.fab == nil {
 		a.Eng = sim.NewEngine(opts.Seed)
-		netOpts := simnet.RDMAOptions()
-		if opts.NetOptions != nil {
-			netOpts = *opts.NetOptions
-		}
-		a.Net = simnet.New(a.Eng, netOpts)
+		a.Net = simnet.New(a.Eng, simnet.RDMAOptions())
 		a.fab = simnet.AsFabric(a.Net)
 	} else {
 		a.Eng = a.fab.Engine()
@@ -220,7 +216,6 @@ func (a *Assembly) config(g int, self ids.ID, sm app.StateMachine) consensus.Con
 		SlowPathDelay:     o.SlowPathDelay,
 		CTBMode:           o.CTBMode,
 		ViewChangeTimeout: o.ViewChangeTimeout,
-		EchoTimeout:       o.EchoTimeout,
 		App:               sm,
 	}
 	cfg.RegionOffset = memnode.RegionID(g) * cfg.RegionSpan()

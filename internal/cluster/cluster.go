@@ -48,24 +48,21 @@ type Options struct {
 	// DisableFastPath=false).
 	DisableFastPath   bool
 	CTBMode           ctbcast.PathMode
-	SlowPathDelay     sim.Duration // fast-to-slow fallback, per consensus slot and per CTBcast identifier; 0 takes the 1ms default
-	ViewChangeTimeout sim.Duration // 0 disables view changes
-	EchoTimeout       sim.Duration // echo-round wait (§5.4); 0 takes the 100us default
+	SlowPathDelay     sim.Duration // fast-to-slow fallback, per consensus slot and per CTBcast identifier; 0 takes 1ms
+	ViewChangeTimeout sim.Duration // leader suspicion (§5.3), doubled per failed view change; 0 takes 2ms
 
 	// NewApp builds one state-machine instance per replica; nil defaults
 	// to Flip.
 	NewApp func() app.StateMachine
 
-	// NetOptions overrides the network model (defaults to RDMA-class).
-	// Ignored when Fabric is set.
-	NetOptions *simnet.Options
-
 	// Fabric injects the transport backend the cluster's endpoints are
-	// created on. Nil defaults to a fresh deterministic simnet fabric
-	// derived from Seed/NetOptions (the historical behaviour, bit-identical
-	// per seed). A real-socket deployment injects a nettrans-backed fabric;
-	// a Fabric whose Engine() is nil is rejected by Normalize with a clear
-	// error — it can never schedule a single event.
+	// created on. Nil defaults to a fresh deterministic simnet fabric with
+	// the RDMA-class network model, its engine seeded with Seed
+	// (bit-identical per seed); a test wanting another network model
+	// injects simnet.AsFabric(simnet.New(sim.NewEngine(Seed), opts)). A
+	// real-socket deployment injects a nettrans-backed fabric; a Fabric
+	// whose Engine() is nil is rejected by Normalize with a clear error — it
+	// can never schedule a single event.
 	Fabric transport.Fabric
 }
 
@@ -93,8 +90,13 @@ func (o *Options) fill() {
 	if o.MsgCap == 0 {
 		o.MsgCap = 8192
 	}
-	if o.EchoTimeout == 0 {
-		o.EchoTimeout = 100 * sim.Microsecond
+	if o.SlowPathDelay == 0 {
+		// Far above common-case latency: a fallback that fires on transient
+		// hiccups keeps the system in the slow path (see ctbcast.Params).
+		o.SlowPathDelay = sim.Millisecond
+	}
+	if o.ViewChangeTimeout == 0 {
+		o.ViewChangeTimeout = 2 * sim.Millisecond
 	}
 	if o.NewApp == nil {
 		o.NewApp = func() app.StateMachine { return app.NewFlip() }
@@ -126,15 +128,18 @@ func (o *Options) validate() error {
 		return fmt.Errorf("cluster: negative MsgCap=%d", o.MsgCap)
 	case o.Window < 0 || o.Tail < 0:
 		return fmt.Errorf("cluster: negative Window=%d or Tail=%d", o.Window, o.Tail)
-	case o.SlowPathDelay < 0 || o.ViewChangeTimeout < 0 || o.EchoTimeout < 0:
-		return fmt.Errorf("cluster: negative timer (SlowPathDelay=%d ViewChangeTimeout=%d EchoTimeout=%d)",
-			o.SlowPathDelay, o.ViewChangeTimeout, o.EchoTimeout)
+	case o.SlowPathDelay < 0 || o.ViewChangeTimeout < 0:
+		return fmt.Errorf("cluster: negative timer (SlowPathDelay=%d ViewChangeTimeout=%d)", o.SlowPathDelay, o.ViewChangeTimeout)
 	case o.Tail > o.Window:
 		// CTBcast retains at most Tail unacknowledged messages per
 		// broadcaster while consensus keeps Window slots open: a tail longer
 		// than the window can never fill, and the summary sizing assumes
 		// Tail <= Window.
 		return fmt.Errorf("cluster: Tail=%d exceeds Window=%d", o.Tail, o.Window)
+	case (&consensus.Config{Window: o.Window, MsgCap: o.MsgCap}).SummaryCap() > transport.MaxFrame:
+		// A channel summary travels as one frame: one the transport cannot
+		// carry is never certified, and its broadcaster stops t identifiers on.
+		return fmt.Errorf("cluster: Window=%d x MsgCap=%d summaries exceed a %d-byte transport frame", o.Window, o.MsgCap, transport.MaxFrame)
 	case o.Fabric != nil && o.Fabric.Engine() == nil:
 		// An injected transport without an engine can never run an event:
 		// fail assembly with a diagnosis instead of a nil-deref panic deep

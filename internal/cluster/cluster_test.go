@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
 func TestDefaultsMatchPaper(t *testing.T) {
@@ -92,9 +93,10 @@ func TestOptionsValidation(t *testing.T) {
 		"negative msgcap":     {MsgCap: -1},
 		"too many replicas":   {F: 32}, // 2F+1 = 65 > 64-replica bitmask limit
 		"memnode id overflow": {Fm: 50},
-		"negative echo":       {EchoTimeout: -1},
 		"negative viewchange": {ViewChangeTimeout: -1},
 		"negative slow path":  {SlowPathDelay: -1},
+		// 256 x (16 KiB + 512) + 4096 B = 4.33 MB summaries, above a 4 MiB frame.
+		"summary beyond a frame": {MsgCap: 16 << 10},
 	}
 	for name, opts := range cases {
 		if err := opts.Normalize(); err == nil {
@@ -113,6 +115,14 @@ func TestOptionsValidation(t *testing.T) {
 	good := Options{}
 	if err := good.Normalize(); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
+	}
+	if good.SlowPathDelay != sim.Millisecond || good.ViewChangeTimeout != 2*sim.Millisecond {
+		t.Fatalf("defaulted timers: SlowPathDelay=%v ViewChangeTimeout=%v, want 1ms and 2ms", good.SlowPathDelay, good.ViewChangeTimeout)
+	}
+	// The largest request a paper-default window allows still fits.
+	largest := Options{MsgCap: (transport.MaxFrame-4096)/256 - 512}
+	if err := largest.Normalize(); err != nil {
+		t.Fatalf("largest summary that fits a frame rejected: %v", err)
 	}
 	tight := Options{Window: 8, Tail: 8}
 	if err := tight.Normalize(); err != nil {

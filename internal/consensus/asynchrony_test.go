@@ -21,13 +21,12 @@ func TestLivenessResumesAfterGST(t *testing.T) {
 	netOpts.AsyncExtraMax = 2 * sim.Millisecond
 	netOpts.AsyncDropProb = 0.3
 	u := flipCluster(cluster.Options{
-		Seed:              5,
-		NetOptions:        &netOpts,
-		NewApp:            func() app.StateMachine { return app.NewKV(0) },
-		ViewChangeTimeout: 2 * sim.Millisecond,
-		SlowPathDelay:     200 * sim.Microsecond,
-		Window:            16,
-		Tail:              8,
+		Seed:          5,
+		Fabric:        simnet.AsFabric(simnet.New(sim.NewEngine(5), netOpts)),
+		NewApp:        func() app.StateMachine { return app.NewKV(0) },
+		SlowPathDelay: 200 * sim.Microsecond,
+		Window:        16,
+		Tail:          8,
 	})
 	defer u.Stop()
 

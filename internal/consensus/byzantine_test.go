@@ -46,7 +46,7 @@ func newWBRig(t testing.TB) *wbRig {
 		return Config{
 			Self: self, Replicas: repIDs, F: 1, MemNodes: memIDs, Fm: 1,
 			Window: 32, Tail: 16, MsgCap: 1024,
-			FastPath: true, EchoTimeout: 50 * sim.Microsecond,
+			FastPath: true, SlowPathDelay: sim.Millisecond, ViewChangeTimeout: 2 * sim.Millisecond,
 			App: app.NewFlip(),
 		}
 	}

@@ -63,7 +63,7 @@ func TestSharedMemoryNodes(t *testing.T) {
 			return consensus.Config{
 				Self: self, Replicas: repIDs, F: 1, MemNodes: memIDs, Fm: 1,
 				Window: 16, Tail: 8, MsgCap: 512,
-				FastPath: true, EchoTimeout: 50 * sim.Microsecond,
+				FastPath: true, SlowPathDelay: sim.Millisecond, ViewChangeTimeout: 2 * sim.Millisecond,
 				RegionOffset: offset,
 				App:          a,
 			}

@@ -131,13 +131,16 @@ func newRKV() app.StateMachine { return app.NewRKV() }
 // TestGoldenSlowPathDepth4: every slot runs PREPARE / CERTIFY / COMMIT with
 // four requests of each of two clients in flight, across 15 checkpoint
 // windows — the certificate shares, the verified-share cache and the
-// per-view sent bits carry every decision.
+// per-view sent bits carry every decision. A replica here goes up to 2.01 ms
+// (seed 2) without a decision with no fault at all, so the run states a
+// suspicion timeout above that: the default 2 ms would change views.
 func TestGoldenSlowPathDepth4(t *testing.T) {
 	goldenSeeds(t, [3]string{"c54b961c77cac97c", "66baeebe88bcc115", "3214b67fdb6bae50"},
 		func(seed int64) *goldenLoad {
 			u := cluster.NewUBFT(cluster.Options{
 				Seed: seed, NumClients: 2, Window: 8, Tail: 8, NewApp: newRKV,
 				DisableFastPath: true, CTBMode: ctbcast.SlowOnly,
+				ViewChangeTimeout: 3 * sim.Millisecond,
 			})
 			g := startGoldenLoad(u, 4, 60)
 			u.Eng.RunFor(60 * sim.Millisecond)
@@ -231,7 +234,7 @@ func TestGoldenPreGSTEchoTimeout(t *testing.T) {
 			netOpts.AsyncDropProb = 0.5
 			u := cluster.NewUBFT(cluster.Options{
 				Seed: seed, NumClients: 2, Window: 8, Tail: 8, NewApp: newRKV,
-				NetOptions:        &netOpts,
+				Fabric:            simnet.AsFabric(simnet.New(sim.NewEngine(seed), netOpts)),
 				ViewChangeTimeout: 3 * sim.Millisecond,
 				SlowPathDelay:     500 * sim.Microsecond,
 			})

@@ -235,7 +235,7 @@ func preGSTAgreement(seed int64, _ func(string, ...any)) verdict {
 	u := flipCluster(cluster.Options{
 		Seed:              seed,
 		NewApp:            func() app.StateMachine { return &tracedFlip{app.NewFlip(), tr} },
-		NetOptions:        &netOpts,
+		Fabric:            simnet.AsFabric(simnet.New(sim.NewEngine(seed), netOpts)),
 		ViewChangeTimeout: 3 * sim.Millisecond,
 		SlowPathDelay:     500 * sim.Microsecond,
 		Window:            16,

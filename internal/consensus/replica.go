@@ -46,17 +46,17 @@ type Config struct {
 	// every slot runs the signed slow path (Certify/Commit).
 	FastPath bool
 	// SlowPathDelay is the per-slot fallback timeout from Prepare delivery
-	// to engaging the slow path (only with FastPath), and the CTBcast
-	// groups' fallback timeout from LOCK to SIGNED (FastWithFallback).
+	// to engaging the slow path, and the CTBcast groups' fallback timeout
+	// from LOCK to SIGNED (FastWithFallback). Must be positive with
+	// FastPath or FastWithFallback (cluster.Options turns 0 into 1ms).
 	SlowPathDelay sim.Duration
 	// CTBMode configures the underlying CTBcast groups.
 	CTBMode ctbcast.PathMode
-	// ViewChangeTimeout is the leader-suspicion timeout; zero disables
-	// view changes (stable-leader benchmarks).
+	// ViewChangeTimeout is the leader-suspicion timeout (§5.3), doubled per
+	// view change that does not restore progress. Must be positive: every
+	// replica suspects a leader that leaves its work undecided
+	// (cluster.Options turns 0 into 2ms).
 	ViewChangeTimeout sim.Duration
-	// EchoTimeout bounds how long the leader waits for followers to echo
-	// a client request before proposing anyway (§5.4).
-	EchoTimeout sim.Duration
 	// RegionOffset shifts this deployment's SWMR regions on the memory
 	// nodes, letting several independent replicated applications share the
 	// same memory nodes (§1: "they can be shared among many applications").
@@ -84,10 +84,11 @@ func (c *Config) n() int { return len(c.Replicas) }
 // (see broadcastNewView / tagNewViewFrag).
 func (c *Config) groupMsgCap() int { return c.MsgCap + 4096 }
 
-// summaryCap is the byte cap of a channel summary, which is one replica's
+// SummaryCap is the byte cap of a channel summary, which is one replica's
 // certified state: at most a window of COMMITs, each a request with its
-// certificate, and a checkpoint.
-func (c *Config) summaryCap() int { return c.Window*(c.MsgCap+512) + 4096 }
+// certificate, and a checkpoint. A summary is the largest message the stack
+// sends, one transport frame.
+func (c *Config) SummaryCap() int { return c.Window*(c.MsgCap+512) + 4096 }
 
 // leaderOf returns the leader of view v (round-robin, §5.3).
 func (c *Config) leaderOf(v View) ids.ID { return c.Replicas[int(uint64(v)%uint64(c.n()))] }
@@ -122,6 +123,11 @@ func (c *Config) RegionSpan() memnode.RegionID {
 
 // auxSlotCap bounds auxiliary messages (certify shares and promises).
 const auxSlotCap = 512
+
+// EchoTimeout bounds how long the leader waits for followers to echo a
+// client request before proposing anyway, and so how long a Byzantine client
+// that sent its request to only some replicas can delay it (§5.4).
+const EchoTimeout = 100 * sim.Microsecond
 
 // replicaState is state[p] of Algorithm 2: this replica's view of what
 // broadcaster p has CTBcast, updated strictly in FIFO order.
@@ -246,7 +252,11 @@ type Replica struct {
 	vcStreak      int  // consecutive view changes without progress (backoff)
 	views         table[View, viewRec]
 	progressTimer sim.Timer
+	suspect       func() // progressTimer's callback, bound once so arming it allocates nothing
 	stopped       bool
+
+	// noEchoWait is Defenses.NoEchoWait: no echo round, no waiting for it.
+	noEchoWait bool
 
 	// Stats.
 	FastDecides uint64
@@ -296,7 +306,7 @@ type Defenses struct {
 	FirstLockDelivers bool
 	// NoEchoWait: followers endorse a PREPARE without holding the client's
 	// direct request copy and the leader proposes without the echo round
-	// (§5.4), whatever Config.EchoTimeout says.
+	// (§5.4) instead of waiting up to EchoTimeout for it.
 	NoEchoWait bool
 	// QuorumOne: clients accept the FIRST reply class (need=1) instead of
 	// f+1 / 2f+1 matching replies — the forged-reply defense.
@@ -317,11 +327,8 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		// position; fail loudly rather than silently dropping votes.
 		panic(fmt.Sprintf("consensus: vote bitmasks support at most 64 replicas, got %d", len(cfg.Replicas)))
 	}
-	if cfg.Window <= 0 || cfg.Tail <= 0 {
-		panic("consensus: Window and Tail must be positive")
-	}
-	if deps.Defenses.NoEchoWait {
-		cfg.EchoTimeout = 0
+	if cfg.Window <= 0 || cfg.Tail <= 0 || cfg.ViewChangeTimeout <= 0 || cfg.FastPath && cfg.SlowPathDelay <= 0 {
+		panic("consensus: Window, Tail, ViewChangeTimeout and (with FastPath) SlowPathDelay must be positive")
 	}
 	r := &Replica{
 		cfg:           cfg,
@@ -339,7 +346,9 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		joinAnswers:   make(map[ids.ID]joinAnswer),
 		peerJoinNonce: make(map[ids.ID]uint64),
 		fastPathLive:  cfg.FastPath,
+		noEchoWait:    deps.Defenses.NoEchoWait,
 	}
+	r.suspect = r.onSuspicionTimeout
 	if v, ok := cfg.App.(app.Versioned); ok {
 		r.appVer = v
 	}
@@ -376,7 +385,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 			F:             cfg.F,
 			Tail:          cfg.Tail,
 			MsgCap:        cfg.groupMsgCap(),
-			SummaryCap:    cfg.summaryCap(),
+			SummaryCap:    cfg.SummaryCap(),
 			Mode:          cfg.CTBMode,
 			SlowPathDelay: cfg.SlowPathDelay,
 
@@ -723,7 +732,7 @@ func (r *Replica) requestKnown(req *Request) bool {
 // endorsed immediately; re-proposals carry f+1-certified provenance).
 func (r *Replica) endorseOrWait(pr Prepare) {
 	ss := r.slots.at(pr.Slot)
-	if !r.requestKnown(&pr.Req) && pr.View == 0 && r.cfg.EchoTimeout > 0 {
+	if !r.requestKnown(&pr.Req) && pr.View == 0 && !r.noEchoWait {
 		// Wait for the client's direct copy before endorsing. (A copy, so
 		// that pr escapes to the heap on this rare path only.)
 		parked := pr
@@ -777,13 +786,9 @@ func (r *Replica) endorse(pr Prepare) {
 			ss.markSent(pr.View, sentWillCertify)
 			r.auxVote(tagWillCertify, pr.View, pr.Slot)
 		}
-		delay := r.cfg.SlowPathDelay
-		if delay <= 0 {
-			delay = sim.Millisecond // see ctbcast: must exceed hiccup scale
-		}
 		if !ss.fallback.Pending() {
 			v, s := pr.View, pr.Slot
-			ss.fallback = r.proc.After(delay, func() {
+			ss.fallback = r.proc.After(r.cfg.SlowPathDelay, func() {
 				if !r.isDecided(s) && s >= r.chkpt.Seq {
 					r.sendCertify(v, s)
 				}

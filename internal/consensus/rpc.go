@@ -311,14 +311,14 @@ func (r *Replica) noteEcho(dg [xcrypto.DigestLen]byte, from ids.ID) {
 	if !rs.held {
 		return // echo arrived before the client's own copy
 	}
-	if r.cfg.EchoTimeout <= 0 || rs.echoes == r.fullVote() {
+	if r.noEchoWait || rs.echoes == r.fullVote() {
 		r.finishEcho(rs)
 		return
 	}
 	if !rs.echoTimer.Pending() {
 		// A pending timer's record is alive: only closeEchoRound, which
 		// cancels it, lets the record go.
-		rs.echoTimer = r.proc.After(r.cfg.EchoTimeout, func() {
+		rs.echoTimer = r.proc.After(EchoTimeout, func() {
 			if rs.held {
 				r.finishEcho(rs)
 			}

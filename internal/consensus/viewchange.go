@@ -33,17 +33,13 @@ import (
 // ---------------------------------------------------------------------
 
 func (r *Replica) suspicionTimeout() sim.Duration {
-	shift := r.vcStreak
-	if shift > 8 {
-		shift = 8
-	}
-	return r.cfg.ViewChangeTimeout << shift
+	return r.cfg.ViewChangeTimeout << min(r.vcStreak, 8)
 }
 
 // armProgressTimer (re)arms the leader-suspicion timer while there is
 // undecided work in flight.
 func (r *Replica) armProgressTimer() {
-	if r.cfg.ViewChangeTimeout <= 0 || r.stopped || r.observing() {
+	if r.stopped || r.observing() {
 		return // an observing joiner never drives view changes
 	}
 	// The O(1) test first: under load the timer is almost always pending,
@@ -51,15 +47,19 @@ func (r *Replica) armProgressTimer() {
 	if r.progressTimer.Pending() || !r.hasUndecidedWork() {
 		return
 	}
-	r.progressTimer = r.proc.After(r.suspicionTimeout(), func() {
-		if r.stopped || !r.hasUndecidedWork() {
-			return
-		}
-		r.ViewChanges++
-		r.vcStreak++
-		r.changeView()
-		r.armProgressTimer()
-	})
+	r.progressTimer = r.proc.After(r.suspicionTimeout(), r.suspect)
+}
+
+// onSuspicionTimeout is the progress timer's callback (Replica.suspect): the
+// leader left work undecided for a whole timeout, so move to the next view.
+func (r *Replica) onSuspicionTimeout() {
+	if r.stopped || !r.hasUndecidedWork() {
+		return
+	}
+	r.ViewChanges++
+	r.vcStreak++
+	r.changeView()
+	r.armProgressTimer()
 }
 
 func (r *Replica) resetProgressTimer() {
@@ -592,7 +592,7 @@ func (r *Replica) onNewViewFrag(p ids.ID, st *replicaState, fr nvFrag) bool {
 // bigger than the channel summary cap plus f+1 signatures and framing.
 // Anything advertising more chunks than that is Byzantine.
 func (r *Replica) maxNewViewFrags() int {
-	maxBytes := (r.cfg.F+1)*(r.cfg.summaryCap()+(r.cfg.F+1)*(xcrypto.SigLen+16)+64) + 64
+	maxBytes := (r.cfg.F+1)*(r.cfg.SummaryCap()+(r.cfg.F+1)*(xcrypto.SigLen+16)+64) + 64
 	chunk := r.cfg.groupMsgCap() - nvFragOverhead
 	return (maxBytes+chunk-1)/chunk + 1
 }

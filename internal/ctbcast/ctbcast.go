@@ -101,7 +101,10 @@ type Params struct {
 	// and the message size (Table 2).
 	SummaryCap int
 	// Mode selects the fast/slow path policy; SlowPathDelay is the
-	// fallback timeout for FastWithFallback.
+	// fallback timeout for FastWithFallback, which requires it positive.
+	// Set it far above common-case latency: a fallback that fires on
+	// transient hiccups floods the system with signature work and keeps it
+	// in the slow path (a metastable failure mode).
 	Mode          PathMode
 	SlowPathDelay sim.Duration
 
@@ -217,6 +220,9 @@ func NewGroup(p Params, env Env) *Group {
 	}
 	if p.Tail < 2 || p.Tail%2 != 0 {
 		panic(fmt.Sprintf("ctbcast: tail must be even and >= 2, got %d", p.Tail))
+	}
+	if p.Mode == FastWithFallback && p.SlowPathDelay <= 0 {
+		panic("ctbcast: FastWithFallback needs a positive SlowPathDelay")
 	}
 	g := &Group{
 		p:           p,
@@ -430,15 +436,7 @@ func (g *Group) emit(k uint64, m []byte) {
 		g.sendSigned(k, m)
 	case FastWithFallback:
 		g.sendLock(k, m)
-		delay := g.p.SlowPathDelay
-		if delay <= 0 {
-			// Default far above common-case latency: a fallback that fires
-			// on transient hiccups floods the system with signature work
-			// and keeps it in the slow path (a metastable failure mode).
-			delay = sim.Millisecond
-		}
-		k, m := k, m
-		g.fallbacks[k] = g.env.Proc.After(delay, func() {
+		g.fallbacks[k] = g.env.Proc.After(g.p.SlowPathDelay, func() {
 			delete(g.fallbacks, k)
 			if !g.isDelivered(k) {
 				g.sendSigned(k, m)

@@ -51,7 +51,8 @@ type Options struct {
 	// the oldest queued frame (tail-drop, the message-ring overwrite
 	// model). Default 1024.
 	QueueSlots int
-	// MaxFrame bounds accepted frame size (default 1 MiB).
+	// MaxFrame bounds accepted frame size, header included (default: a
+	// transport.MaxFrame payload behind its header).
 	MaxFrame int
 	// DialBackoffMin/Max bound the exponential redial backoff
 	// (defaults 2ms and 500ms).
@@ -78,7 +79,7 @@ func (o *Options) fill() {
 		o.QueueSlots = 1024
 	}
 	if o.MaxFrame == 0 {
-		o.MaxFrame = 1 << 20
+		o.MaxFrame = frameHeaderLen + transport.MaxFrame
 	}
 	if o.DialBackoffMin == 0 {
 		o.DialBackoffMin = 2 * time.Millisecond

@@ -585,20 +585,20 @@ func TestCrossShardLossyNetwork(t *testing.T) {
 					Shards:         shards,
 					NewApp:         sa.newApp,
 					PrepareTimeout: 1 * sim.Millisecond,
-					// View changes give the groups post-GST liveness (the
-					// same requirement the consensus asynchrony tests
-					// document): a leader wedged by pre-GST loss must be
-					// replaceable, or no retransmission round can ever
-					// land. The NEW-VIEW state the backlog accumulates can
-					// outgrow the default message cap; it fragments.
-					Group: cluster.Options{ViewChangeTimeout: 2 * sim.Millisecond},
-					NetOptions: &simnet.Options{
+					// Pre-GST loss and delay. View changes give the groups
+					// post-GST liveness (the same requirement the consensus
+					// asynchrony tests document): a leader wedged by pre-GST
+					// loss must be replaceable, or no retransmission round
+					// can ever land. The NEW-VIEW state the backlog
+					// accumulates can outgrow the default message cap; it
+					// fragments.
+					Group: cluster.Options{Fabric: simnet.AsFabric(simnet.New(sim.NewEngine(21), simnet.Options{
 						BaseLatency:   2 * sim.Microsecond,
 						Jitter:        sim.Microsecond / 2,
 						GST:           sim.Time(30 * sim.Millisecond),
 						AsyncExtraMax: 3 * sim.Millisecond,
 						AsyncDropProb: 0.15,
-					},
+					}))},
 				})
 				defer d.Stop()
 

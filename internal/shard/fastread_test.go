@@ -198,14 +198,13 @@ func TestFastReadMonotonicUnderLossyFabric(t *testing.T) {
 			NumClients: 1,
 			NewApp:     func(int) app.StateMachine { return app.NewKV(0) },
 			FastReads:  true,
-			Group:      cluster.Options{ViewChangeTimeout: 2 * sim.Millisecond},
-			NetOptions: &simnet.Options{
+			Group: cluster.Options{Fabric: simnet.AsFabric(simnet.New(sim.NewEngine(21), simnet.Options{
 				BaseLatency:   2 * sim.Microsecond,
 				Jitter:        sim.Microsecond / 2,
 				GST:           sim.Time(20 * sim.Millisecond),
 				AsyncExtraMax: 2 * sim.Millisecond,
 				AsyncDropProb: 0.10,
-			},
+			}))},
 		})
 		defer d.Stop()
 		key := keyOnShard(t, 0, 1, 0)
@@ -265,7 +264,6 @@ func TestFastReadSurvivesViewChange(t *testing.T) {
 		NumClients: 1,
 		NewApp:     func(int) app.StateMachine { return app.NewKV(0) },
 		FastReads:  true,
-		Group:      cluster.Options{ViewChangeTimeout: 2 * sim.Millisecond},
 	})
 	defer d.Stop()
 	key := keyOnShard(t, 0, 1, 0)

@@ -51,7 +51,6 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/ids"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 )
 
 // ErrCrossShard reports a multi-key request whose keys hash to different
@@ -112,10 +111,10 @@ type Options struct {
 
 	// Group configures each consensus group exactly like a standalone
 	// cluster (F, Fm, Window, Tail, batching, path modes...). Group.Seed,
-	// Group.NumClients, Group.NewApp and Group.NetOptions are ignored —
-	// the deployment-level fields govern those. Group.Fabric injects the
-	// transport backend for every endpoint of the deployment (nil takes
-	// the deterministic simulated fabric); a fabric without an engine is
+	// Group.NumClients and Group.NewApp are ignored — the deployment-level
+	// fields govern those. Group.Fabric injects the transport backend for
+	// every endpoint of the deployment (nil takes the deterministic
+	// simulated fabric seeded with Seed); a fabric without an engine is
 	// rejected with a clear error.
 	Group cluster.Options
 
@@ -163,9 +162,6 @@ type Options struct {
 	// scatter reads keep the snapshot semantics of FastReads. Same
 	// capability requirements as FastReads.
 	StrongReads bool
-
-	// NetOptions overrides the network model (defaults to RDMA-class).
-	NetOptions *simnet.Options
 }
 
 func (o *Options) normalize() error {
@@ -250,9 +246,9 @@ func BuildWithDefenses(opts Options, off consensus.Defenses) (*Deployment, error
 		return nil, fmt.Errorf("shard: %d shards but the application does not implement app.Router", opts.Shards)
 	}
 
-	// The deployment-level seed and network model govern every group.
+	// The deployment-level seed governs every group.
 	g := opts.Group
-	g.Seed, g.NetOptions = opts.Seed, opts.NetOptions
+	g.Seed = opts.Seed
 	a := cluster.NewAssembly(g, cluster.ShardedLayout(opts.Shards, g.F, g.Fm, g.MemNodes, opts.NumClients), opts.NewApp, off)
 	if err := a.WireNodes(); err != nil {
 		return nil, err

@@ -207,14 +207,13 @@ func TestStrongReadLinearizableUnderLossyFabric(t *testing.T) {
 			NumClients:  2,
 			NewApp:      func(int) app.StateMachine { return app.NewKV(0) },
 			StrongReads: true,
-			Group:       cluster.Options{ViewChangeTimeout: 2 * sim.Millisecond},
-			NetOptions: &simnet.Options{
+			Group: cluster.Options{Fabric: simnet.AsFabric(simnet.New(sim.NewEngine(31), simnet.Options{
 				BaseLatency:   2 * sim.Microsecond,
 				Jitter:        sim.Microsecond / 2,
 				GST:           sim.Time(20 * sim.Millisecond),
 				AsyncExtraMax: 2 * sim.Millisecond,
 				AsyncDropProb: 0.10,
-			},
+			}))},
 		})
 		defer d.Stop()
 		key := keyOnShard(t, 0, 1, 0)

@@ -24,20 +24,21 @@ import (
 // recorder collects deliveries on one endpoint, concurrency-safe (nettrans
 // delivers on a host-loop goroutine).
 type recorder struct {
-	mu   sync.Mutex
-	got  map[ids.ID][]uint64 // per sender, message indices in arrival order
-	seen int
+	mu      sync.Mutex
+	got     map[ids.ID][]uint64 // per sender, message indices in arrival order
+	seen    int
+	largest int // longest payload delivered
 }
 
 func newRecorder() *recorder { return &recorder{got: make(map[ids.ID][]uint64)} }
 
 func (r *recorder) handler(from ids.ID, payload []byte) {
-	if len(payload) != 16 {
+	if len(payload) < 16 {
 		return
 	}
-	// payload: u64 sender echo | u64 index
+	// payload: u64 sender echo | u64 index | padding
 	echo := ids.ID(binary.LittleEndian.Uint64(payload[:8]))
-	idx := binary.LittleEndian.Uint64(payload[8:])
+	idx := binary.LittleEndian.Uint64(payload[8:16])
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if echo != from {
@@ -46,6 +47,13 @@ func (r *recorder) handler(from ids.ID, payload []byte) {
 	}
 	r.got[from] = append(r.got[from], idx)
 	r.seen++
+	r.largest = max(r.largest, len(payload))
+}
+
+func (r *recorder) largestPayload() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.largest
 }
 
 func (r *recorder) count() int {
@@ -388,6 +396,22 @@ func TestTransportConformance(t *testing.T) {
 					if !hasNewest {
 						t.Fatalf("newest burst frame dropped: tail-drop must keep the newest (got %v)", idxs)
 					}
+				}
+			})
+
+			// The largest payload the contract promises arrives whole (a
+			// CTBcast summary of a paper-default deployment is ~2.2 MB).
+			t.Run("MaxFrame", func(t *testing.T) {
+				w, recs := build(t, 2)
+				defer w.close()
+				big := make([]byte, transport.MaxFrame)
+				copy(big, msg(0, 1))
+				w.send(0, 1, big)
+				if !w.settle(func() bool { return recs[1].count() >= 1 }) {
+					t.Fatal("a MaxFrame payload was never delivered")
+				}
+				if got := recs[1].from(0); len(got) != 1 || got[0] != 1 || recs[1].largestPayload() != transport.MaxFrame {
+					t.Fatalf("delivered %v, longest %d B, want index 1 at %d B", got, recs[1].largestPayload(), transport.MaxFrame)
 				}
 			})
 

@@ -24,6 +24,13 @@ import (
 	"repro/internal/sim"
 )
 
+// MaxFrame is the largest payload, in bytes, that every backend delivers
+// whole; a longer one may be dropped (nettrans drops the connection it
+// arrives on). The largest message of the stack is a CTBcast channel
+// summary, and deployments keep its cap (consensus.Config.SummaryCap) at or
+// below this bound.
+const MaxFrame = 4 << 20
+
 // Handler consumes a message delivered to an endpoint. from is the
 // authenticated sender identity: a backend must guarantee it cannot be
 // spoofed by another node of the deployment (simnet by construction,

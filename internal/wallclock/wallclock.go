@@ -133,16 +133,11 @@ func (c NodeConfig) Options() (cluster.Options, error) {
 		// TCP's hiccup scale (~1-2ms loaded). 200us here lands the scaled
 		// fallback at 20ms real time: above any loopback hiccup, small
 		// against the 100ms a slot would otherwise stall for.
+		// The default 2ms leader suspicion lands at 200ms real: an order of
+		// magnitude above this 20ms fallback, so steady progress never trips
+		// it, while a genuine stall rotates the leader well inside the
+		// bench's drain grace.
 		SlowPathDelay: 200 * sim.Microsecond,
-		// Leader suspicion must be on in a real deployment: clients do not
-		// retransmit, so a vote frame lost in a socket-buffer teardown (or
-		// a replica wedged mid-crash) is only ever healed by a view change
-		// re-proposing the stalled slots. 2ms of virtual time lands at
-		// 200ms real — an order of magnitude above the 20ms degraded-mode
-		// fallback latency, so steady progress never trips it, while a
-		// genuine stall rotates the leader well inside the bench's drain
-		// grace.
-		ViewChangeTimeout: 2 * sim.Millisecond,
 	}, nil
 }
 

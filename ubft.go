@@ -34,7 +34,9 @@ import (
 // Re-exported core types.
 type (
 	// Options configures a uBFT cluster (zero values take the paper's
-	// defaults: f=1, f_m=1, window 256, tail 128).
+	// defaults: f=1, f_m=1, window 256, tail 128; a 1ms fast-to-slow
+	// fallback, and a ViewChangeTimeout of 0 takes 2ms — every deployment
+	// suspects a leader that stops deciding).
 	Options = cluster.Options
 	// Cluster is an assembled uBFT deployment.
 	Cluster = cluster.UBFT
