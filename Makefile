@@ -116,9 +116,10 @@ chaos-suite:
 	CHAOS_SEEDS=1 $(GO) test -count=1 -v -run 'TestFleet' ./internal/wallclock/
 
 # The three lossy consensus scenarios over seed ranges instead of their one
-# tier-1 seed each (cold rejoin 1-24, pre-GST agreement 1-40, partition churn
-# 1-24), pass / wedged / diverged per seed. Fails on nothing: the table goes
-# into CHANGES.md, parent's beside the change's.
+# tier-1 seed each (cold rejoin 1-120, pre-GST agreement 1-200, partition
+# churn 1-200; about 75 s on two cores), pass / wedged / diverged per seed.
+# Fails on nothing: the table goes into CHANGES.md, parent's beside the
+# change's.
 lossy-sweep:
 	$(GO) test -count=1 -tags lossysweep -run 'TestLossySweep' -v ./internal/consensus/
 

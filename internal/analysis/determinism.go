@@ -154,7 +154,7 @@ func (d *Determinism) checkPackage(w *World, pkg *Package) []Finding {
 //   - `break` or `return <constants>` — an existence-check exit, accepted
 //     only when the loop mutates nothing
 //   - x = <constant>, reassignment of the key/value iteration variables,
-//     and sim.Timer.Cancel (a documented pure flag set)
+//     and sim.Timer.Cancel (distinct cancellations commute)
 func orderInsensitiveRange(pkg *Package, file *ast.File, rng *ast.RangeStmt) bool {
 	keyIdent, _ := rng.Key.(*ast.Ident)
 	valIdent, _ := rng.Value.(*ast.Ident)
@@ -202,9 +202,10 @@ func orderInsensitiveStmt(pkg *Package, st ast.Stmt, rs *rangeState) bool {
 			}
 			return false
 		}
-		// sim.Timer.Cancel is a documented pure flag set (event.cancelled
-		// = true); cancelling distinct timers commutes exactly, engine
-		// state included.
+		// sim.Timer.Cancel removes one event from the queue; cancelling
+		// distinct timers commutes: the queue pops in (time, sequence)
+		// order whatever its layout, and which recycled record a later
+		// scheduling reuses is unobservable.
 		if isTimerCancel(pkg, call) {
 			rs.mutates = true
 			return true

@@ -35,16 +35,22 @@ func driveOne(t *testing.T, s System, wl Workload) {
 	}
 }
 
+// raceAllocs is what the race detector adds to a fast-path request
+// (race_test.go); 0 in a plain build.
+var raceAllocs int
+
 // TestFastPathAllocBudget asserts a ceiling on heap allocations per
 // end-to-end request on uBFT's fast path, in steady state (pools warm, ring
-// mirrors grown, consensus tables populated). Measured at 93 allocs/request
-// when this budget was set (~800 before the zero-allocation work, ~118
-// while every slot, request and client was spread over parallel maps); the
-// ceiling is that plus 15%, so a map per slot or per request coming back
-// (3 to 6 allocations a request each) trips it, as does reintroduced
-// per-message encode/decode churn (hundreds).
+// mirrors grown, consensus tables populated). Measured at 47 allocs/request
+// when this budget was set, 75 while the router copied every ring frame once
+// per receiver and the broadcaster copied it again for its self-delivery
+// (~800 before the zero-allocation work, ~118 while every slot, request and
+// client was spread over parallel maps); the ceiling is that plus 15%, so a
+// per-receiver frame copy coming back (about a third of the total) trips it,
+// as does a map per slot or per request (3 to 6 allocations a request each)
+// or reintroduced per-message encode/decode churn (hundreds).
 func TestFastPathAllocBudget(t *testing.T) {
-	const budget = 107
+	budget := 54 + raceAllocs
 
 	s := NewUBFTFast(1, nil)
 	defer s.Stop()
@@ -55,7 +61,7 @@ func TestFastPathAllocBudget(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(200, func() { driveOne(t, s, wl) })
 	t.Logf("fast path: %.1f allocs/request (budget %d)", avg, budget)
-	if avg > budget {
+	if avg > float64(budget) {
 		t.Errorf("fast path allocates %.1f/request, budget is %d", avg, budget)
 	}
 }

@@ -18,9 +18,9 @@ func TestLossySweep(t *testing.T) {
 		seeds int64
 		run   func(seed int64, logf func(string, ...any)) verdict
 	}{
-		{"rejoin (TestRestartRejoinsUnderLossyFabric)", 24, lossyRejoin},
-		{"agreement (TestPreGSTNeverViolatesAgreement)", 40, preGSTAgreement},
-		{"soak (TestSoakWithPartitionChurn)", 24, partitionChurnSoak},
+		{"rejoin (TestRestartRejoinsUnderLossyFabric)", 120, lossyRejoin},
+		{"agreement (TestPreGSTNeverViolatesAgreement)", 200, preGSTAgreement},
+		{"soak (TestSoakWithPartitionChurn)", 200, partitionChurnSoak},
 	} {
 		count := map[string]int{}
 		var lines []string

@@ -270,7 +270,7 @@ func (c *Checkpoint) encode(w *wire.Writer) {
 
 func decodeCheckpoint(rd *wire.Reader) (Checkpoint, error) {
 	c := Checkpoint{Seq: Slot(rd.U64())}
-	copy(c.StateDigest[:], rd.Raw(xcrypto.DigestLen))
+	copy(c.StateDigest[:], rd.RawView(xcrypto.DigestLen))
 	var err error
 	c.Sigs, err = xcrypto.ReadCert(rd)
 	return c, err

@@ -900,7 +900,7 @@ func (r *Replica) onAuxMsg(p ids.ID, m []byte) {
 	case tagCertify:
 		v, s := View(rd.U64()), Slot(rd.U64())
 		var dg [xcrypto.DigestLen]byte
-		copy(dg[:], rd.Raw(xcrypto.DigestLen))
+		copy(dg[:], rd.RawView(xcrypto.DigestLen))
 		sig := rd.Bytes()
 		if rd.Done() == nil {
 			r.onCertify(p, v, s, dg, sig)
@@ -908,7 +908,7 @@ func (r *Replica) onAuxMsg(p ids.ID, m []byte) {
 	case tagCertifyCP:
 		seq := Slot(rd.U64())
 		var dg [xcrypto.DigestLen]byte
-		copy(dg[:], rd.Raw(xcrypto.DigestLen))
+		copy(dg[:], rd.RawView(xcrypto.DigestLen))
 		sig := rd.Bytes()
 		if rd.Done() == nil {
 			r.onCertifyCheckpoint(p, seq, dg, sig)

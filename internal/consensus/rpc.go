@@ -289,7 +289,7 @@ func (r *Replica) sendEcho(dg [xcrypto.DigestLen]byte) {
 // onEcho records a follower's echo at the leader.
 func (r *Replica) onEcho(from ids.ID, rd *wire.Reader) {
 	var dg [xcrypto.DigestLen]byte
-	copy(dg[:], rd.Raw(xcrypto.DigestLen))
+	copy(dg[:], rd.RawView(xcrypto.DigestLen))
 	if rd.Done() != nil || r.cfg.indexOf(from) < 0 || r.observing() {
 		return
 	}

@@ -510,10 +510,12 @@ func (g *Group) verifySigned(k uint64, dg [xcrypto.DigestLen]byte, sig []byte) b
 
 // onBroadcasterMsg handles LOCK / SIGNED / SUMMARY from the broadcaster's
 // channel (TBcast-deliver events at this receiver).
-// onBroadcasterMsg decodes in borrow mode: payload is either a view into a
-// per-delivery network buffer (never recycled) or the broadcaster's private
-// self-delivery copy, so views — even ones retained in locks/slowPending —
-// stay valid indefinitely without copying.
+// onBroadcasterMsg decodes in borrow mode: payload is a view into the
+// broadcaster's ring frame — the one the network delivered, or the same
+// frame's self-delivery — which is immutable once sent and never recycled,
+// so views, even ones retained in locks/slowPending, stay valid indefinitely
+// without copying. They are shared with every other reader of the frame and
+// are never written through.
 func (g *Group) onBroadcasterMsg(from ids.ID, payload []byte) {
 	r := wire.NewReader(payload)
 	switch r.U8() {
@@ -576,7 +578,7 @@ func (g *Group) onLockedMsg(q ids.ID, payload []byte) {
 	}
 	k := r.U64()
 	// Borrow mode: the view is retained in the locked array, which is safe
-	// because delivered buffers are per-message and never recycled.
+	// because a ring frame is immutable once sent and never recycled.
 	m := r.BytesView()
 	if r.Done() != nil || k == 0 {
 		return
@@ -586,7 +588,7 @@ func (g *Group) onLockedMsg(q ids.ID, payload []byte) {
 	if k <= ent.k {
 		return
 	}
-	//ubft:poolsafety locked-array entries borrow the delivered frame, which is per-message and never recycled (see the borrow-mode note above)
+	//ubft:poolsafety locked-array entries borrow the delivered ring frame, which is immutable once sent and never recycled (see the borrow-mode note above)
 	ent.k, ent.m = k, m
 	// Unanimity check: all n processes locked the same (k, m).
 	first := true

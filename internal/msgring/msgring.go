@@ -78,11 +78,11 @@ func (h *Hub) onFrame(from ids.ID, payload []byte) {
 	slot := int(r.U32())
 	inc := r.U64()
 	chk := r.U64()
-	// Zero-copy borrow: the router allocates a fresh buffer per delivered
-	// message and never recycles it, so the view stays valid for as long as
-	// the receiver (or anyone downstream) retains it. A Byzantine sender
-	// cannot mutate it either — the router copied out of the sender's
-	// buffer at send time.
+	// Zero-copy borrow: the frame is immutable once sent and never recycled,
+	// so the view stays valid for as long as the receiver (or anyone
+	// downstream) retains it. It is shared — the sender's mirror, every
+	// receiver and the broadcaster's self-delivery read the same bytes — so
+	// nobody writes through it (wire.BytesView caps it against appends).
 	data := r.BytesView()
 	if r.Done() != nil {
 		return // malformed frame from a Byzantine sender
@@ -108,9 +108,10 @@ type Sender struct {
 
 	next uint64 // absolute index of the next message
 	// mirror holds the last `slots` messages as encoded frames, for staging
-	// and retransmission. It is the only owner of its buffers: the router
-	// copies a frame before the network sees it, and staging refers to the
-	// mirror by index.
+	// and retransmission; staging refers to it by index. A frame is the one
+	// buffer of its message: the network, every receiver, every
+	// retransmission and the broadcaster's self-delivery share it, so it is
+	// never written once sent — a later message in the slot gets a new one.
 	mirror []mirrored
 	to     []ringTo
 
@@ -126,10 +127,14 @@ type Sender struct {
 }
 
 type mirrored struct {
-	frame wire.Writer
+	frame []byte   // channel tag | instance | slot | incarnation | checksum | message
 	size  int      // payload bytes: what a WRITE's copy, checksum and wire time are charged on
 	at    sim.Time // when Send took the message
 }
+
+// frameHeaderLen is the fixed part of a frame ahead of the message's length
+// prefix: the router channel tag, instance, slot, incarnation and checksum.
+const frameHeaderLen = 1 + 4 + 4 + 8 + 8
 
 // ringTo is the sender's view of one receiver's ring.
 type ringTo struct {
@@ -183,11 +188,12 @@ func (s *Sender) Next() uint64 { return s.next }
 func (s *Sender) SentAt(idx uint64) sim.Time { return s.mirror[idx%uint64(s.slots)].at }
 
 // Send transmits msg as the next message to every receiver, returning its
-// absolute index. The frame is encoded once, into the mirror; msg itself is
-// not retained, so the caller may reuse its buffer as soon as Send returns.
-// Towards a receiver whose target slot has a WRITE in flight the message is
-// staged; staging overflow evicts the oldest staged message (it is simply
-// lost, as the primitive's tail semantics allow).
+// absolute index. The frame is encoded once, into a fresh buffer of exact
+// size that the mirror keeps; msg itself is not retained, so the caller may
+// reuse its buffer as soon as Send returns. Towards a receiver whose target
+// slot has a WRITE in flight the message is staged; staging overflow evicts
+// the oldest staged message (it is simply lost, as the primitive's tail
+// semantics allow).
 func (s *Sender) Send(msg []byte) uint64 {
 	if len(msg) > s.cap {
 		panic(fmt.Sprintf("msgring: message %dB exceeds slot capacity %dB", len(msg), s.cap))
@@ -195,22 +201,28 @@ func (s *Sender) Send(msg []byte) uint64 {
 	idx := s.next
 	s.next++
 	slot := int(idx % uint64(s.slots))
-	m := &s.mirror[slot]
-	m.size, m.at = len(msg), s.proc.Now()
-	if m.frame.Len() == 0 {
-		m.frame.Grow(32 + len(msg)) // first use of the slot: one allocation; later growth is append's, amortized
-	}
-	m.frame.Reset()
-	m.frame.U32(uint32(s.inst))
-	m.frame.U32(uint32(slot))
-	m.frame.U64(idx/uint64(s.slots) + 1) // incarnation
-	m.frame.U64(xcrypto.ChecksumNoCharge(msg))
-	m.frame.Bytes(msg)
+	var w wire.Writer
+	w.Grow(frameHeaderLen + wire.BytesLen(len(msg)))
+	w.U8(router.ChanRing)
+	w.U32(uint32(s.inst))
+	w.U32(uint32(slot))
+	w.U64(idx/uint64(s.slots) + 1) // incarnation
+	w.U64(xcrypto.ChecksumNoCharge(msg))
+	w.Bytes(msg)
+	s.mirror[slot] = mirrored{frame: w.Finish(), size: len(msg), at: s.proc.Now()}
 	for i := range s.to {
 		s.post(&s.to[i], idx)
 	}
 	s.armDrain()
 	return idx
+}
+
+// Msg returns the message at absolute index idx as a view into its frame,
+// capped so an append cannot write into it. idx must still be in the mirror.
+// The view is immutable and stays valid for as long as anyone retains it.
+func (s *Sender) Msg(idx uint64) []byte {
+	m := &s.mirror[idx%uint64(s.slots)]
+	return slices.Clip(m.frame[len(m.frame)-m.size:])
 }
 
 // Retransmit re-sends the message at absolute index idx to receiver number
@@ -240,8 +252,9 @@ func (s *Sender) post(r *ringTo, idx uint64) {
 	r.staged = append(r.staged, idx)
 }
 
-// write posts the slot's frame to r. Every receiver's RDMA WRITE pays its
-// copy and checksum time although the host computes them once per message.
+// write posts the slot's frame to r, the same slice to every receiver and
+// on every retransmission. Every receiver's RDMA WRITE pays its copy and
+// checksum time although the host computes them once per message.
 func (s *Sender) write(r *ringTo, slot int) {
 	m := &s.mirror[slot]
 	s.proc.Charge(latmodel.CopyCost(m.size))
@@ -254,7 +267,7 @@ func (s *Sender) write(r *ringTo, slot int) {
 		// The NIC reports WRITE completion after roughly one round trip.
 		r.busyUntil[slot] = s.proc.Now().Add(2*latmodel.WireBase + latmodel.PerByte(m.size))
 	}
-	s.rt.Send(r.id, router.ChanRing, m.frame.Finish())
+	s.rt.SendFrame(r.id, m.frame)
 }
 
 // armDrain keeps one drain scheduled, at the next WRITE completion of a ring
@@ -395,7 +408,7 @@ func (r *Receiver) accept(slot int, inc, chk uint64, data []byte) {
 	// The paper's receiver copies the slot to a private buffer and then
 	// validates the checksum (Fig 6). The virtual-time cost of that copy is
 	// charged here; the host-level copy itself is elided because the
-	// delivered buffer is already private (see Hub.onFrame).
+	// delivered frame is immutable once sent (see Hub.onFrame).
 	r.proc.Charge(latmodel.CopyCost(len(data)))
 	if xcrypto.Checksum(r.proc, data) != chk {
 		r.Corrupt++

@@ -1,9 +1,11 @@
 package msgring
 
-// Buffer-reuse safety tests for the zero-allocation hot path: recycled
-// mirror slot buffers and the frame shared across a fan-out must never leak bytes
-// from an earlier message into a later one. Run under -race these also
-// guard the ownership rules (no live aliasing across sends).
+// Buffer-ownership tests for the zero-copy hot path: a ring frame is
+// immutable once sent and shared by the sender's mirror, every receiver and
+// every retransmission, so a later message in the same slot must never show
+// through an earlier one's bytes, and a view one receiver retains must never
+// change. Run under -race these also guard the ownership rules (no live
+// aliasing across sends).
 
 import (
 	"bytes"
@@ -18,7 +20,7 @@ import (
 
 // TestSlotBufferReuseNoBleed overwrites one ring slot with messages of
 // shrinking then growing sizes and asserts every delivery is byte-exact:
-// a stale long message must never shine through a recycled slot buffer.
+// a stale long message must never shine through a reused slot.
 func TestSlotBufferReuseNoBleed(t *testing.T) {
 	const slots = 4
 	p := newPair(t, slots, 256)
@@ -45,8 +47,8 @@ func TestSlotBufferReuseNoBleed(t *testing.T) {
 
 // TestCallerBufferReusableAfterSend verifies the documented ownership rule:
 // the caller may clobber its message buffer as soon as Send returns, and
-// the receiver still observes the original bytes (the mirror owns its own
-// copy; the network owns its own frame).
+// the receiver still observes the original bytes (Send encoded them into a
+// fresh frame, which the mirror and the network share).
 func TestCallerBufferReusableAfterSend(t *testing.T) {
 	p := newPair(t, 8, 64)
 	buf := []byte("original")
@@ -62,9 +64,10 @@ func TestCallerBufferReusableAfterSend(t *testing.T) {
 }
 
 // TestFanOutSharedFrame fans messages out to three receivers through one
-// sender and checks every receiver gets an intact private copy even though
-// the frame is encoded once, into a mirror slot that later messages reuse,
-// and that each receiver can be retransmitted to out of that one mirror.
+// sender and checks every receiver reads intact bytes although the frame is
+// encoded once and shared by all of them, in a mirror slot that later
+// messages take over, and that each receiver can be retransmitted to out of
+// that one mirror.
 func TestFanOutSharedFrame(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := simnet.New(eng, simnet.RDMAOptions())
@@ -109,5 +112,49 @@ func TestFanOutSharedFrame(t *testing.T) {
 	}
 	if net.MsgsSent != sent+nRecv {
 		t.Fatalf("retransmission posted %d frames, want %d", net.MsgsSent-sent, nRecv)
+	}
+}
+
+// TestRetainedViewsNeverChange keeps every delivered message as the view the
+// receiver got (no copy) and the sender's own view of it, and requires every
+// retained view to still read its original bytes after the ring has lapped
+// many times. Each round sends one message more than the ring has slots in a
+// single instant, so the last laps the first while its WRITE is in flight,
+// and retransmits each at once, so every retransmission is staged behind the
+// WRITE it follows: a slot taken over by a later message gets a new frame,
+// a staged or retransmitted frame is the one already sent, and nothing
+// writes into a frame once sent.
+func TestRetainedViewsNeverChange(t *testing.T) {
+	const slots = 4
+	eng := sim.NewEngine(1)
+	net := simnet.New(eng, simnet.RDMAOptions())
+	srt := router.New(net.AddNode(0, "s"))
+	rrt := router.New(net.AddNode(1, "r"))
+	views := map[uint64][]byte{}
+	NewReceiver(NewHub(rrt, rrt.Node().Proc()), 0, 1, slots, 64, func(idx uint64, msg []byte) {
+		views[idx] = msg
+	})
+	s := NewSender(srt, srt.Node().Proc(), 1, 1, slots, 64)
+	want := map[uint64]string{}
+	own := map[uint64][]byte{}
+	for round := 0; round < 6; round++ {
+		for i := 0; i <= slots; i++ {
+			msg := bytes.Repeat([]byte{byte('a' + round)}, 1+i*10)
+			idx := s.Send(msg)
+			want[idx], own[idx] = string(msg), s.Msg(idx)
+			s.Retransmit(0, idx)
+		}
+		if len(s.to[0].staged) == 0 {
+			t.Fatalf("round %d staged nothing", round)
+		}
+		eng.Run()
+	}
+	if len(views) < len(want)*3/4 {
+		t.Fatalf("delivered %d/%d", len(views), len(want))
+	}
+	for idx, w := range want {
+		if v, ok := views[idx]; ok && string(v) != w || string(own[idx]) != w {
+			t.Fatalf("message %d changed after it was sent: receiver %q, sender %q, want %q", idx, v, own[idx], w)
+		}
 	}
 }

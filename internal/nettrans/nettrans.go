@@ -351,9 +351,10 @@ func (n *Net) dropConn(c net.Conn) {
 }
 
 // readConn validates the hello and then streams frames into the host loop.
-// Payload buffers are freshly allocated per frame: delivered messages are
-// private to the receiver for as long as it retains them (the contract the
-// zero-copy protocol layers above rely on).
+// Payload buffers are freshly allocated per frame and never written again:
+// a delivered message is immutable for as long as anyone retains it (the
+// contract the zero-copy protocol layers above rely on). A local destination
+// gets the sender's own slice (Node.Send), immutable once sent as well.
 func (n *Net) readConn(c net.Conn) {
 	defer n.wg.Done()
 	defer n.dropConn(c)

@@ -59,13 +59,21 @@ func (r *Router) Register(ch uint8, h Handler) {
 	r.handlers[ch] = h
 }
 
-// Send transmits payload to the host to on channel ch.
+// Send transmits payload to the host to on channel ch. It copies payload
+// into a fresh frame behind the channel tag, so the caller may reuse its
+// buffer (a pooled wire.Writer) as soon as Send returns.
 func (r *Router) Send(to ids.ID, ch uint8, payload []byte) {
 	buf := make([]byte, 1+len(payload))
 	buf[0] = ch
 	copy(buf[1:], payload)
 	r.node.Send(to, buf)
 }
+
+// SendFrame transmits frame, whose first byte is already its channel tag, to
+// the host to without copying it. The one slice may go to several hosts and
+// out again later (the message ring's fan-out and retransmission), so it must
+// never be written once sent: every receiver reads those very bytes.
+func (r *Router) SendFrame(to ids.ID, frame []byte) { r.node.Send(to, frame) }
 
 func (r *Router) dispatch(from ids.ID, payload []byte) {
 	if len(payload) == 0 {

@@ -29,6 +29,20 @@ func TestChannelDispatch(t *testing.T) {
 	}
 }
 
+// SendFrame dispatches on the frame's own first byte and delivers, behind
+// it, the very bytes that were sent: no copy is made.
+func TestSendFrameSharesTheFrame(t *testing.T) {
+	eng, a, b := pairRig()
+	var got []byte
+	b.Register(ChanRing, func(_ ids.ID, p []byte) { got = p })
+	frame := []byte{ChanRing, 'r', 'i', 'n', 'g'}
+	a.SendFrame(1, frame)
+	eng.Run()
+	if string(got) != "ring" || &got[0] != &frame[1] {
+		t.Fatalf("SendFrame delivered %q, want a view of the sent frame behind its tag", got)
+	}
+}
+
 func TestSenderIdentityPreserved(t *testing.T) {
 	eng, a, b := pairRig()
 	var from ids.ID = ids.None

@@ -47,29 +47,31 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Timer is a handle to a scheduled event; it can be cancelled before firing.
 // It is a small value (no allocation per scheduling); the zero Timer is an
 // inert handle whose Cancel and Pending are no-ops. Events are pooled: the
-// generation number lets a stale handle (whose event has fired and been
-// recycled for an unrelated scheduling) detect that it no longer owns the
-// event instead of cancelling someone else's.
+// generation number lets a stale handle (whose event has fired or been
+// cancelled, and been recycled for an unrelated scheduling) detect that it
+// no longer owns the event instead of cancelling someone else's. A record's
+// generation matches a handle exactly while the event is in the queue.
 type Timer struct {
 	ev  *event
 	gen uint64
 }
 
-// Cancel prevents the timer's function from running. Cancelling an already
-// fired or already cancelled timer (or the zero Timer) is a no-op. It
-// reports whether the event was still pending.
+// Cancel prevents the timer's function from running: the event leaves the
+// queue and its record is recycled at once. Cancelling an already fired or
+// already cancelled timer (or the zero Timer) is a no-op. It reports whether
+// the event was still pending.
 func (t Timer) Cancel() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.cancelled || t.ev.fired {
+	if !t.Pending() {
 		return false
 	}
-	t.ev.cancelled = true
+	e := t.ev.eng
+	heap.Remove(&e.events, t.ev.index)
+	e.recycle(t.ev)
 	return true
 }
 
 // Pending reports whether the timer has neither fired nor been cancelled.
-func (t Timer) Pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled && !t.ev.fired
-}
+func (t Timer) Pending() bool { return t.ev != nil && t.ev.gen == t.gen }
 
 // MsgHandler is a long-lived message-delivery function. Message events
 // carry (handler, from, payload) in the event record itself, so delivering
@@ -77,6 +79,7 @@ func (t Timer) Pending() bool {
 type MsgHandler func(from int, payload []byte)
 
 type event struct {
+	eng *Engine // the engine whose queue and free list the record belongs to
 	at  Time
 	seq uint64
 	gen uint64
@@ -96,9 +99,7 @@ type event struct {
 	// the arrival-then-deliver two-step without a second closure+event.
 	deferBusy bool
 	requeued  bool
-	cancelled bool
-	fired     bool
-	index     int
+	index     int // position in the heap, kept by Swap and Push for Cancel's heap.Remove
 }
 
 type eventHeap []*event
@@ -196,19 +197,14 @@ func (e *Engine) AdvanceTo(t Time) {
 	}
 }
 
-// NextEventTime reports the timestamp of the earliest runnable event,
-// discarding cancelled ones along the way. ok is false when the queue is
-// empty. The realtime host loop uses it to bound its sleep.
+// NextEventTime reports the timestamp of the earliest queued event. ok is
+// false when the queue is empty. The realtime host loop uses it to bound its
+// sleep.
 func (e *Engine) NextEventTime() (t Time, ok bool) {
-	for len(e.events) > 0 {
-		next := e.events[0]
-		if next.cancelled {
-			e.recycle(heap.Pop(&e.events).(*event))
-			continue
-		}
-		return next.at, true
+	if len(e.events) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.events[0].at, true
 }
 
 // Rand returns the engine's deterministic random source. All simulated
@@ -219,8 +215,8 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // and runaway-loop diagnostic).
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of events still queued (including cancelled
-// ones that have not yet been popped).
+// Pending returns the number of events still queued. A cancelled timer is
+// not among them: Cancel takes its event out of the queue.
 func (e *Engine) Pending() int { return len(e.events) }
 
 // schedule enqueues an event, reusing a recycled record when available.
@@ -232,9 +228,8 @@ func (e *Engine) schedule(t Time, proc *Proc, fn func()) *event {
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free = e.free[:n-1]
-		ev.cancelled, ev.fired = false, false
 	} else {
-		ev = &event{}
+		ev = &event{eng: e}
 	}
 	ev.at, ev.seq, ev.proc, ev.fn = t, e.seq, proc, fn
 	e.seq++
@@ -242,8 +237,9 @@ func (e *Engine) schedule(t Time, proc *Proc, fn func()) *event {
 	return ev
 }
 
-// recycle returns a popped event to the free list. The generation bump
-// invalidates any Timer handle still pointing at it.
+// recycle returns an event that left the queue (fired or cancelled) to the
+// free list. The generation bump invalidates any Timer handle still pointing
+// at it.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
@@ -284,16 +280,12 @@ func (e *Engine) After(d Duration, fn func()) Timer {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the single next event. It reports whether an event ran
-// (false when the queue is empty). Cancelled events are skipped silently;
-// events bound to a crashed process fire as no-ops (the clock still
-// advances, exactly as when the crash check lived in a wrapper closure).
+// (false when the queue is empty). Events bound to a crashed process fire as
+// no-ops (the clock still advances, exactly as when the crash check lived in
+// a wrapper closure).
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
 		ev := heap.Pop(&e.events).(*event)
-		if ev.cancelled {
-			e.recycle(ev)
-			continue
-		}
 		// An arrival event requeues exactly once at the process's free
 		// time as sampled now, at arrival — reproducing the two-step
 		// arrive-then-Deliver scheme's timing AND its sequence numbering
@@ -317,7 +309,6 @@ func (e *Engine) Step() bool {
 		if ev.at > e.now {
 			e.now = ev.at
 		}
-		ev.fired = true
 		e.executed++
 		crashed := ev.proc != nil && ev.proc.crashed
 		if ev.mfn != nil {
@@ -350,19 +341,7 @@ func (e *Engine) Run() {
 // remain queued.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		if len(e.events) == 0 {
-			break
-		}
-		// Peek.
-		next := e.events[0]
-		if next.cancelled {
-			e.recycle(heap.Pop(&e.events).(*event))
-			continue
-		}
-		if next.at > deadline {
-			break
-		}
+	for !e.stopped && len(e.events) > 0 && e.events[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

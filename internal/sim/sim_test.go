@@ -70,6 +70,42 @@ func TestTimerCancel(t *testing.T) {
 	}
 }
 
+// A cancelled event leaves the queue at once, the rest still fire in (time,
+// sequence) order, and a stale handle to the recycled record stays inert.
+func TestTimerCancelLeavesQueue(t *testing.T) {
+	e := NewEngine(1)
+	var got []int
+	var tms []Timer
+	for i := 0; i < 8; i++ {
+		i := i
+		tms = append(tms, e.After(Duration(10*(i%3)), func() { got = append(got, i) }))
+	}
+	for _, i := range []int{4, 0, 7} {
+		if !tms[i].Cancel() {
+			t.Fatalf("cancel %d failed", i)
+		}
+	}
+	if e.Pending() != 5 {
+		t.Fatalf("Pending = %d after cancelling 3 of 8, want 5", e.Pending())
+	}
+	// The next scheduling reuses a cancelled record; the old handle must not
+	// reach it.
+	reused := e.After(5, func() { got = append(got, 100) })
+	if tms[7].Cancel() || tms[7].Pending() || !reused.Pending() {
+		t.Fatal("stale handle reached a recycled record")
+	}
+	e.Run()
+	want := []int{3, 6, 100, 1, 2, 5}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
 func TestTimerCancelAfterFire(t *testing.T) {
 	e := NewEngine(1)
 	tm := e.After(1, func() {})

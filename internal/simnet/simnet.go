@@ -256,8 +256,10 @@ func (nd *Node) SetHandler(h Handler) { nd.handler = h }
 // applied by the network; the receiver pays a dispatch cost and then runs
 // its handler, queuing behind any in-progress computation.
 //
-// The payload slice is delivered as-is: senders must not mutate a buffer
-// after sending it (the wire codec always allocates fresh buffers).
+// The payload slice is delivered as-is, uncopied: it is immutable once sent.
+// A message-ring frame is one slice shared by the sender's mirror, every
+// receiver and the broadcaster's self-delivery, and it goes out again on
+// retransmission.
 func (nd *Node) Send(to ids.ID, payload []byte) {
 	if nd.proc.Crashed() {
 		return

@@ -270,11 +270,10 @@ func (b *Broadcaster) AllocatedBytes() int { return b.ring.AllocatedBytes }
 func (b *Broadcaster) Broadcast(msg []byte) uint64 {
 	idx := b.ring.Send(msg)
 	if b.selfDeliver != nil {
-		// Self-delivery is asynchronous, so it needs a private copy: the
-		// caller reclaims msg's buffer as soon as Broadcast returns.
-		cp := make([]byte, len(msg))
-		copy(cp, msg)
-		b.proc.PostMsg(b.selfFn, int(idx), cp)
+		// Self-delivery is asynchronous, so it takes the message out of the
+		// ring frame, not out of the caller's buffer: the frame is immutable
+		// once sent and shared with the mirror and every receiver.
+		b.proc.PostMsg(b.selfFn, int(idx), b.ring.Msg(idx))
 	}
 	for i := range b.to {
 		b.arm(&b.to[i])

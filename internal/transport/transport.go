@@ -42,9 +42,11 @@ type Handler func(from ids.ID, payload []byte)
 // deliver messages on the engine goroutine of the endpoint's process, so
 // protocol handlers never race with each other.
 //
-// The payload slice passed to Send is delivered (or copied) as-is: senders
-// must not mutate a buffer after sending it. Delivered payloads are
-// private to the receiver: the backend never recycles or rewrites them.
+// The payload slice passed to Send is delivered (or copied) as-is and is
+// immutable once sent: the sender never writes it again, the backend never
+// recycles or rewrites it, and a receiver only reads it. One slice may be
+// sent to several nodes and sent again later (a message-ring frame is shared
+// by the sender's mirror, every receiver and retransmission).
 type Endpoint interface {
 	// ID returns the node's identity.
 	ID() ids.ID

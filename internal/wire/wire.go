@@ -70,8 +70,9 @@ var writerPool = sync.Pool{New: func() any { return &Writer{} }}
 // valid until PutWriter. Callers must not call PutWriter while the encoded
 // bytes are still referenced by anyone — hand-offs that retain the slice
 // (storing it, deferring its use to a later event) require a copy first.
-// Sends through router.Send/simnet are safe: the router copies the payload
-// into a fresh network buffer before returning.
+// Sends through router.Send and broadcasts through msgring/tbcast are safe:
+// both copy the payload into a fresh frame before returning, and a frame is
+// immutable once sent.
 func GetWriter(n int) *Writer {
 	w := writerPool.Get().(*Writer)
 	w.Reset()
@@ -114,6 +115,16 @@ func (w *Writer) Bool(v bool) {
 
 // Uvarint appends an unsigned varint.
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+
+// BytesLen returns how many bytes Bytes appends for a slice of n bytes: the
+// varint length prefix and the bytes themselves.
+func BytesLen(n int) int {
+	size := 1
+	for v := uint64(n); v >= 0x80; v >>= 7 {
+		size++
+	}
+	return size + n
+}
 
 // Bytes appends a length-prefixed byte slice.
 func (w *Writer) Bytes(b []byte) {
@@ -171,7 +182,7 @@ func (r *Reader) take(n int) []byte {
 		r.fail()
 		return nil
 	}
-	b := r.buf[r.off : r.off+n]
+	b := r.buf[r.off : r.off+n : r.off+n] // capped: an append to a view reallocates
 	r.off += n
 	return b
 }
@@ -254,15 +265,18 @@ func (r *Reader) Bytes() []byte {
 }
 
 // BytesView reads a length-prefixed byte slice WITHOUT copying: the
-// returned slice aliases the reader's underlying buffer.
+// returned slice aliases the reader's underlying buffer, capped at the
+// field's end so an append to it reallocates instead of writing into the
+// bytes that follow.
 //
 // Borrow rules: use it only where the buffer's lifetime dominates the
-// value's. Buffers delivered by simnet/router are allocated fresh per
-// message and never recycled, so views into them stay valid indefinitely;
-// buffers owned by a pool or a reusable ring slot must be decoded with the
-// copying Bytes instead (or the caller must copy before the buffer is
-// reused). Byzantine-facing boundaries that must not alias sender-reachable
-// memory keep using Bytes.
+// value's, and never write through a view. A delivered frame is immutable
+// once sent and never recycled, so views into it stay valid indefinitely —
+// but they are shared: a ring frame is one slice read by the sender's
+// mirror, every receiver and the broadcaster's self-delivery. Buffers owned
+// by a pool must be decoded with the copying Bytes instead (or the caller
+// must copy before the buffer is reused). Byzantine-facing boundaries that
+// must not alias sender-reachable memory keep using Bytes.
 func (r *Reader) BytesView() []byte {
 	n := r.Uvarint()
 	if r.err != nil {

@@ -88,6 +88,43 @@ func TestBytesReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestViewsCannotWriteIntoTheirBuffer: a frame is shared by every reader
+// once sent, so appending to a view of one field must reallocate, never
+// overwrite the bytes that follow it in the frame.
+func TestViewsCannotWriteIntoTheirBuffer(t *testing.T) {
+	w := NewWriter(0)
+	w.Bytes([]byte{1, 2, 3})
+	w.Raw([]byte{4, 5})
+	w.Bytes([]byte{6})
+	buf := w.Finish()
+	orig := bytes.Clone(buf)
+
+	r := NewReader(buf)
+	bv := r.BytesView()
+	rv := r.RawView(2)
+	if r.BytesView() == nil || r.Done() != nil {
+		t.Fatalf("decode failed: %v", r.Err())
+	}
+	if cap(bv) != len(bv) || cap(rv) != len(rv) {
+		t.Fatalf("views not capped: BytesView len %d cap %d, RawView len %d cap %d", len(bv), cap(bv), len(rv), cap(rv))
+	}
+	_ = append(bv, 0xEE, 0xEE, 0xEE)
+	_ = append(rv, 0xEE, 0xEE)
+	if !bytes.Equal(buf, orig) {
+		t.Fatalf("an append to a view wrote into the frame: % x, was % x", buf, orig)
+	}
+}
+
+func TestBytesLen(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384, 1 << 21} {
+		w := NewWriter(0)
+		w.Bytes(make([]byte, n))
+		if got := BytesLen(n); got != w.Len() {
+			t.Fatalf("BytesLen(%d) = %d, Bytes appended %d", n, got, w.Len())
+		}
+	}
+}
+
 func TestTruncatedReads(t *testing.T) {
 	cases := []func(r *Reader){
 		func(r *Reader) { r.U8() },

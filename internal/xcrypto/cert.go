@@ -49,7 +49,7 @@ func ReadCert(r *wire.Reader) (Cert, error) {
 	c := make(Cert, n)
 	for ; n > 0; n-- {
 		id := ids.ID(r.I64())
-		//ubft:poolsafety certificates are decoded from delivered frames only (per-message, never recycled) or from state bytes the caller owns; a retained certificate pins that one buffer
+		//ubft:poolsafety certificates are decoded from delivered frames only (immutable once sent, never recycled, possibly shared by every reader of a ring frame) or from state bytes the caller owns; a retained certificate pins that one buffer
 		c[id] = r.BytesView()
 	}
 	return c, r.Err()
