@@ -31,7 +31,7 @@ lint: vet
 
 # Non-test, non-testdata Go source size: physical lines and code lines
 # (blank and //-only lines excluded), per top-level package, for the system
-# proper (the ten packages ROADMAP item 7 budgets) and in total. Every PR
+# proper (the ten packages ROADMAP item 9 budgets) and in total. Every PR
 # quotes this for its parent and itself in CHANGES.md.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | sort | \
@@ -123,7 +123,7 @@ chaos-suite:
 lossy-sweep:
 	$(GO) test -count=1 -tags lossysweep -run 'TestLossySweep' -v ./internal/consensus/
 
-# The deterministic trip tests of the known holes (ROADMAP item 3): seeds on
+# The deterministic trip tests of the known holes (ROADMAP items 1 and 3): seeds on
 # which two replicas end in different states, each printing the slots they
 # executed differently, and the chaos cells fenced as not going quiet. These
 # FAIL while their hole is open, which is why they are not in `ci`.

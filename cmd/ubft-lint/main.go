@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,32 +26,42 @@ import (
 	"repro/internal/analysis"
 )
 
-func main() {
-	var (
-		passNames  = flag.String("passes", "all", "comma-separated pass names, or 'all'")
-		maxWaivers = flag.Int("max-waivers", analysis.WaiverBudget, "fail if more waiver directives than this are in effect (full suite only)")
-		chdir      = flag.String("C", "", "module root (default: walk up from cwd to go.mod)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run lints what args select, printing findings and the tally on stdout,
+// and returns the exit status: 1 for a finding or a waiver tally over
+// budget, 2 for a flag, pass or load error (one line on stderr).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ubft-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	passNames := fs.String("passes", "all", "comma-separated pass names, or 'all'")
+	maxWaivers := fs.Int("max-waivers", analysis.WaiverBudget, "fail if more waiver directives than this are in effect (full suite only)")
+	chdir := fs.String("C", "", "module root (default: walk up from cwd to go.mod)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
 	root := *chdir
 	if root == "" {
 		var err error
-		root, err = findModuleRoot()
-		if err != nil {
-			fatal(err)
+		if root, err = findModuleRoot(); err != nil {
+			return fail(err)
 		}
 	}
-
 	passes, full, err := selectPasses(*passNames)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
-	patterns := flag.Args()
-	w, err := analysis.Load(root, patterns...)
+	w, err := analysis.Load(root, fs.Args()...)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	res := analysis.Apply(w, passes, analysis.Options{CheckUnused: full})
@@ -58,7 +70,7 @@ func main() {
 		if rel, err := filepath.Rel(root, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 			pos.Filename = rel
 		}
-		fmt.Printf("%s: [%s] %s\n", pos, f.Pass, f.Msg)
+		fmt.Fprintf(stdout, "%s: [%s] %s\n", pos, f.Pass, f.Msg)
 	}
 
 	var parts []string
@@ -69,17 +81,18 @@ func main() {
 	if len(parts) > 0 {
 		detail = " (" + strings.Join(parts, " ") + ")"
 	}
-	fmt.Printf("ubft-lint: %d finding(s), %d waiver(s) in effect%s, budget %d\n",
+	fmt.Fprintf(stdout, "ubft-lint: %d finding(s), %d waiver(s) in effect%s, budget %d\n",
 		len(res.Findings), res.Waivers, detail, *maxWaivers)
 
 	if len(res.Findings) > 0 {
-		os.Exit(1)
+		return 1
 	}
 	if full && res.Waivers > *maxWaivers {
-		fmt.Printf("ubft-lint: waiver tally %d exceeds budget %d — remove waivers or raise analysis.WaiverBudget deliberately\n",
+		fmt.Fprintf(stdout, "ubft-lint: waiver tally %d exceeds budget %d — remove waivers or raise analysis.WaiverBudget deliberately\n",
 			res.Waivers, *maxWaivers)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // selectPasses resolves -passes; full reports whether the whole suite runs
@@ -131,9 +144,4 @@ func sortedKeys(m map[string]int) []string {
 	}
 	sort.Strings(ks)
 	return ks
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
 }

@@ -71,10 +71,9 @@ func newDeployment(seed int64) *ubft.ShardDeployment {
 	// Routing and cross-shard execution derive from RKV's capability
 	// interfaces (Router/Fragmenter/TxnParticipant) — no routing glue.
 	return ubft.NewSharded(ubft.ShardOptions{
-		Seed:           seed,
-		Shards:         shards,
-		NewApp:         func(int) ubft.StateMachine { return app.NewRKV() },
-		PrepareTimeout: 2 * ubft.Millisecond,
+		Seed:   seed,
+		Shards: shards,
+		NewApp: func(int) ubft.StateMachine { return app.NewRKV() },
 	})
 }
 

@@ -16,12 +16,11 @@ import (
 // through its full cycle: healthy -> stalled/refused -> evicted
 // (fast-drop) -> probed -> re-admitted.
 type evictHarness struct {
-	t    *testing.T
-	h    *nettrans.Host
-	a    *nettrans.Net
-	idA  ids.ID
-	idB  ids.ID
-	optB nettrans.Options
+	t   *testing.T
+	h   *nettrans.Host
+	a   *nettrans.Net
+	idA ids.ID
+	idB ids.ID
 
 	mu    sync.Mutex
 	bAddr string
@@ -49,20 +48,10 @@ func newEvictHarness(t *testing.T) *evictHarness {
 		defer e.mu.Unlock()
 		return e.bAddr, e.bAddr != ""
 	}
-	// Aggressive timings so a full evict/readmit cycle fits in
-	// milliseconds: refused dials on loopback fail instantly.
-	optA := nettrans.Options{
-		ListenAddr:           "127.0.0.1:0",
-		Resolve:              resolve,
-		QueueSlots:           8,
-		DialBackoffMin:       time.Millisecond,
-		DialBackoffMax:       4 * time.Millisecond,
-		DialTimeout:          200 * time.Millisecond,
-		WriteStallTimeout:    time.Second,
-		EvictAfterFails:      4,
-		ReadmitProbeInterval: 10 * time.Millisecond,
-	}
-	a, err := nettrans.Listen(e.h, optA)
+	// Refused dials on loopback fail instantly, so eviction takes the
+	// backoff sum of EvictAfterFails attempts (~0.13 s) and readmission at
+	// most one ProbeInterval.
+	a, err := nettrans.Listen(e.h, nettrans.Options{ListenAddr: "127.0.0.1:0", Resolve: resolve})
 	if err != nil {
 		t.Fatalf("listen A: %v", err)
 	}
@@ -72,10 +61,6 @@ func newEvictHarness(t *testing.T) *evictHarness {
 		t.Fatalf("endpoint A: %v", err)
 	}
 	e.nodeA = na
-	e.optB = nettrans.Options{
-		ListenAddr: "127.0.0.1:0",
-		Resolve:    func(ids.ID) (string, bool) { return "", false },
-	}
 	e.startB("127.0.0.1:0")
 	e.h.Start()
 	return e
@@ -84,9 +69,10 @@ func newEvictHarness(t *testing.T) *evictHarness {
 // startB (re)creates process B; addr "127.0.0.1:0" allocates, anything
 // else rebinds the prior port so A's peer table stays valid.
 func (e *evictHarness) startB(addr string) {
-	opt := e.optB
-	opt.ListenAddr = addr
-	b, err := nettrans.Listen(e.h, opt)
+	b, err := nettrans.Listen(e.h, nettrans.Options{
+		ListenAddr: addr,
+		Resolve:    func(ids.ID) (string, bool) { return "", false },
+	})
 	if err != nil {
 		e.t.Fatalf("listen B: %v", err)
 	}
@@ -149,8 +135,8 @@ func (e *evictHarness) awaitEviction(tag string) {
 
 // TestPeerEvictionAndReadmission drives one full health cycle and checks
 // every observable along the way: the eviction threshold fires, evicted
-// traffic is fast-dropped (and counted), the probe re-admits the reborn
-// peer, and the link keeps exactly its bounded queue.
+// traffic is fast-dropped (and counted), the backlog queued before the
+// eviction is trimmed to one frame, and the probe re-admits the reborn peer.
 func TestPeerEvictionAndReadmission(t *testing.T) {
 	e := newEvictHarness(t)
 	defer e.h.Stop()
@@ -189,9 +175,9 @@ func TestPeerEvictionAndReadmission(t *testing.T) {
 }
 
 // TestRepeatedKillRestartNoLeaks cycles process B through 10 kill/restart
-// rounds and requires A's footprint to stay flat: one outbound link, a
-// bounded queue, and no goroutine growth (B's goroutines must be fully
-// reaped by Close, A's writer is persistent).
+// rounds and requires A's footprint to stay flat: one outbound link, at
+// most one frame queued per eviction, and no goroutine growth (B's
+// goroutines must be fully reaped by Close, A's writer is persistent).
 func TestRepeatedKillRestartNoLeaks(t *testing.T) {
 	e := newEvictHarness(t)
 	defer e.h.Stop()
@@ -206,6 +192,9 @@ func TestRepeatedKillRestartNoLeaks(t *testing.T) {
 	for cycle := 1; cycle <= 10; cycle++ {
 		e.killB()
 		e.awaitEviction(fmt.Sprintf("cycle-%d", cycle))
+		if ps := e.a.Peers()[e.idB]; ps.Queued > 1 {
+			t.Fatalf("cycle %d: evicted peer queued %d frames, want <=1", cycle, ps.Queued)
+		}
 		e.mu.Lock()
 		addr := e.bAddr
 		e.mu.Unlock()
@@ -231,22 +220,17 @@ func TestRepeatedKillRestartNoLeaks(t *testing.T) {
 		t.Fatalf("goroutines grew %d -> %d across 10 cycles:\n%s",
 			baseline, now, buf[:n])
 	}
-	if ps := e.a.Peers()[e.idB]; ps.Queued > 8 {
-		t.Fatalf("queue exceeded its bound: %+v", ps)
-	}
 }
 
 // TestQueueFullBackpressureStat pins the ring-overflow accounting: with an
-// unresolvable peer (writer parked in dial, far from its eviction
+// unresolvable peer (writer parked in dial, ~0.25 s from its eviction
 // threshold) a burst larger than QueueSlots must tail-drop and be counted
 // as QueueFull backpressure, while the ring itself stays at its bound.
 func TestQueueFullBackpressureStat(t *testing.T) {
 	h := nettrans.NewHost(3)
 	a, err := nettrans.Listen(h, nettrans.Options{
-		ListenAddr:      "127.0.0.1:0",
-		Resolve:         func(ids.ID) (string, bool) { return "", false },
-		QueueSlots:      8,
-		EvictAfterFails: 1 << 30,
+		ListenAddr: "127.0.0.1:0",
+		Resolve:    func(ids.ID) (string, bool) { return "", false },
 	})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -259,20 +243,21 @@ func TestQueueFullBackpressureStat(t *testing.T) {
 	h.Start()
 	defer h.Stop()
 
-	for i := 0; i < 64; i++ {
+	const burst = 4 * nettrans.QueueSlots
+	for i := 0; i < burst; i++ {
 		na.Send(ids.ID(2), []byte("burst"))
 	}
 	// enqueue is synchronous, so the counters are already settled: at most
 	// QueueSlots frames fit (plus one the writer may hold), the rest must
 	// have overwritten the oldest slot and been counted.
 	st := a.Stats()
-	if st.QueueFull < 64-8-1 {
-		t.Fatalf("QueueFull = %d after a 64-frame burst into 8 slots", st.QueueFull)
+	if st.QueueFull < burst-nettrans.QueueSlots-1 {
+		t.Fatalf("QueueFull = %d after a %d-frame burst into %d slots", st.QueueFull, burst, nettrans.QueueSlots)
 	}
 	if st.Dropped < st.QueueFull {
 		t.Fatalf("Dropped (%d) must include QueueFull (%d)", st.Dropped, st.QueueFull)
 	}
-	if ps := a.Peers()[ids.ID(2)]; ps.Queued > 8 {
+	if ps := a.Peers()[ids.ID(2)]; ps.Queued > nettrans.QueueSlots {
 		t.Fatalf("ring exceeded its bound: %+v", ps)
 	}
 }

@@ -36,6 +36,32 @@ const (
 	helloVersion   = 1
 )
 
+// The transport runs at one tuning. Every per-peer link uses these values.
+const (
+	// QueueSlots bounds each per-peer write queue; overflow overwrites the
+	// oldest queued frame (tail-drop, the message-ring overwrite model).
+	QueueSlots = 1024
+	// maxFrame bounds an accepted frame, header included.
+	maxFrame = frameHeaderLen + transport.MaxFrame
+	// dialBackoffMin is the first redial wait; each failed attempt doubles
+	// it up to ProbeInterval.
+	dialBackoffMin = 2 * time.Millisecond
+	// ProbeInterval caps the redial backoff, so it is also the probe
+	// period of an evicted peer. A probe that connects (and gets its hello
+	// accepted) re-admits the peer.
+	ProbeInterval = 500 * time.Millisecond
+	// dialTimeout bounds one dial attempt.
+	dialTimeout = time.Second
+	// writeStallTimeout is the per-frame write deadline: a peer that stops
+	// draining its socket for this long is declared stalled, and the
+	// connection is torn down and redialed.
+	writeStallTimeout = 2 * time.Second
+	// EvictAfterFails is the consecutive-failure threshold (failed dials and
+	// write stalls both count) at which a peer is evicted: its queue is
+	// trimmed to the newest frame and new frames are fast-dropped.
+	EvictAfterFails = 8
+)
+
 // Options configures one fabric attachment.
 type Options struct {
 	// ListenAddr is the local TCP address to bind ("127.0.0.1:0" for an
@@ -46,59 +72,6 @@ type Options struct {
 	// backoff, so start order does not matter. Must be safe for
 	// concurrent use.
 	Resolve func(ids.ID) (string, bool)
-
-	// QueueSlots bounds each per-peer write queue; overflow overwrites
-	// the oldest queued frame (tail-drop, the message-ring overwrite
-	// model). Default 1024.
-	QueueSlots int
-	// MaxFrame bounds accepted frame size, header included (default: a
-	// transport.MaxFrame payload behind its header).
-	MaxFrame int
-	// DialBackoffMin/Max bound the exponential redial backoff
-	// (defaults 2ms and 500ms).
-	DialBackoffMin, DialBackoffMax time.Duration
-	// DialTimeout bounds one dial attempt (default 1s).
-	DialTimeout time.Duration
-	// WriteStallTimeout is the per-frame write deadline: a peer that
-	// stops draining its socket for this long is declared stalled, the
-	// connection is torn down and redialed (default 2s).
-	WriteStallTimeout time.Duration
-	// EvictAfterFails is the consecutive-failure threshold (failed dials
-	// and write stalls both count) past which a peer is evicted: new
-	// frames for it are fast-dropped instead of queued, and redialing
-	// slows to ReadmitProbeInterval. Default 8.
-	EvictAfterFails int
-	// ReadmitProbeInterval is the probe period for an evicted peer. A
-	// probe that connects (and gets its hello accepted) re-admits the
-	// peer. Default 500ms.
-	ReadmitProbeInterval time.Duration
-}
-
-func (o *Options) fill() {
-	if o.QueueSlots == 0 {
-		o.QueueSlots = 1024
-	}
-	if o.MaxFrame == 0 {
-		o.MaxFrame = frameHeaderLen + transport.MaxFrame
-	}
-	if o.DialBackoffMin == 0 {
-		o.DialBackoffMin = 2 * time.Millisecond
-	}
-	if o.DialBackoffMax == 0 {
-		o.DialBackoffMax = 500 * time.Millisecond
-	}
-	if o.DialTimeout == 0 {
-		o.DialTimeout = time.Second
-	}
-	if o.WriteStallTimeout == 0 {
-		o.WriteStallTimeout = 2 * time.Second
-	}
-	if o.EvictAfterFails == 0 {
-		o.EvictAfterFails = 8
-	}
-	if o.ReadmitProbeInterval == 0 {
-		o.ReadmitProbeInterval = 500 * time.Millisecond
-	}
 }
 
 // Stats are cumulative transport counters (atomically updated; read with
@@ -114,7 +87,7 @@ type Stats struct {
 	QueueFull  uint64 // ring-overflow overwrites (backpressure; subset of Dropped)
 	Evictions  uint64 // peers declared dead after EvictAfterFails failures
 	Readmits   uint64 // evicted peers revived by a successful probe
-	EvictDrops uint64 // frames fast-dropped while the peer was evicted (subset of Dropped)
+	EvictDrops uint64 // frames dropped by an eviction or while evicted (subset of Dropped)
 }
 
 // Net is one process's attachment to the fabric: a listener, the local
@@ -152,7 +125,6 @@ type Net struct {
 // inbound traffic for every node later added with NewEndpoint; frames for
 // unknown local nodes are rejected.
 func Listen(h *Host, opts Options) (*Net, error) {
-	opts.fill()
 	if opts.Resolve == nil {
 		return nil, fmt.Errorf("nettrans: Options.Resolve is required (static peer table)")
 	}
@@ -216,7 +188,7 @@ func (n *Net) Stats() Stats {
 
 // PeerState is the health snapshot of one outbound link.
 type PeerState struct {
-	Evicted     bool // fast-dropping; probing at ReadmitProbeInterval
+	Evicted     bool // fast-dropping; probing every ProbeInterval
 	ConsecFails int  // consecutive failed dials / stalled writes
 	Queued      int  // frames waiting in the ring
 }
@@ -373,7 +345,7 @@ func (n *Net) readConn(c net.Conn) {
 			return
 		}
 		size := int(binary.LittleEndian.Uint32(hdr[:4]))
-		if size < frameHeaderLen || size > n.opts.MaxFrame {
+		if size < frameHeaderLen || size > maxFrame {
 			n.rejected.Add(1)
 			return // framing lost or hostile peer: drop the conn
 		}

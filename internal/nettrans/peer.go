@@ -21,14 +21,16 @@ import (
 // enqueues, so the steady state allocates nothing per frame.
 //
 // Health tracking: consecutive delivery failures — failed dial attempts
-// and stalled writes alike — are counted, and past EvictAfterFails the
-// peer is EVICTED: new frames are fast-dropped at enqueue (no encoding,
-// no queue churn) and the writer's redial loop slows to one probe per
-// ReadmitProbeInterval. A probe whose hello is accepted re-admits the
-// peer; the layers above retransmit, so traffic resumes without any
-// transport-level replay. Eviction is a rate bound, not a death sentence:
-// a crashed process that restarts on the same address is picked up by the
-// next probe.
+// and stalled writes alike — are counted, and at EvictAfterFails the peer
+// is EVICTED: the ring is trimmed to its newest frame, and while that one
+// waits new frames are fast-dropped at enqueue (no encoding, no queue
+// churn). The redial backoff has grown to ProbeInterval by then, so a dead
+// peer costs one connect probe per interval. A probe whose hello is
+// accepted re-admits the peer with at most that one stale frame (plus the
+// one the writer holds); the layers above retransmit, so traffic resumes
+// without any transport-level replay. Eviction is a rate bound, not a
+// death sentence: a crashed process that restarts on the same address is
+// picked up by the next probe.
 type peerLink struct {
 	net *Net
 	to  ids.ID
@@ -47,7 +49,7 @@ type peerLink struct {
 }
 
 func newPeerLink(n *Net, to ids.ID) *peerLink {
-	l := &peerLink{net: n, to: to, ring: make([][]byte, n.opts.QueueSlots)}
+	l := &peerLink{net: n, to: to, ring: make([][]byte, QueueSlots)}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
@@ -168,38 +170,31 @@ func (l *peerLink) sleep(d time.Duration) bool {
 }
 
 // dial resolves and connects to the peer, retrying with exponential
-// backoff until it succeeds or the attachment closes (nil return). A fresh
-// connection opens with the hello frame. Every failed attempt feeds the
-// eviction counter; once the peer is evicted the retry period switches
-// from the exponential backoff to ReadmitProbeInterval, so a dead peer
-// costs one cheap connect probe per interval instead of a hot redial
-// loop, and the first probe that lands re-admits it.
+// backoff (capped at ProbeInterval) until it succeeds or the attachment
+// closes (nil return). A fresh connection opens with the hello frame.
+// Every failed attempt feeds the eviction counter, and the first attempt
+// that lands re-admits an evicted peer.
 func (l *peerLink) dial() net.Conn {
-	o := l.net.opts
-	backoff := o.DialBackoffMin
+	backoff := dialBackoffMin
 	for attempt := 0; ; attempt++ {
 		if l.isClosed() {
 			return nil
 		}
 		if attempt > 0 {
 			l.net.redials.Add(1)
-			wait := backoff
-			if l.isEvicted() {
-				wait = o.ReadmitProbeInterval
-			}
-			if !l.sleep(wait) {
+			if !l.sleep(backoff) {
 				return nil
 			}
-			if backoff *= 2; backoff > o.DialBackoffMax {
-				backoff = o.DialBackoffMax
+			if backoff *= 2; backoff > ProbeInterval {
+				backoff = ProbeInterval
 			}
 		}
-		addr, ok := o.Resolve(l.to)
+		addr, ok := l.net.opts.Resolve(l.to)
 		if !ok {
 			l.noteFailure()
 			continue // not resolvable (partitioned/not yet deployed): retry
 		}
-		c, err := net.DialTimeout("tcp", addr, o.DialTimeout)
+		c, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err != nil {
 			l.noteFailure()
 			continue
@@ -219,7 +214,7 @@ func (l *peerLink) dial() net.Conn {
 		var hello [5]byte
 		binary.LittleEndian.PutUint32(hello[:4], helloMagic)
 		hello[4] = helloVersion
-		c.SetWriteDeadline(time.Now().Add(o.WriteStallTimeout))
+		c.SetWriteDeadline(time.Now().Add(writeStallTimeout))
 		if _, err := c.Write(hello[:]); err != nil {
 			c.Close()
 			l.noteFailure()
@@ -244,13 +239,20 @@ func (l *peerLink) state() PeerState {
 }
 
 // noteFailure records one failed delivery attempt (dial or write) and
-// evicts the peer at the threshold.
+// evicts the peer at the threshold, dropping every queued frame but the
+// newest: a reborn peer must not be flushed a backlog of stale traffic.
 func (l *peerLink) noteFailure() {
 	l.mu.Lock()
 	l.consecFails++
-	if !l.evicted && l.consecFails >= l.net.opts.EvictAfterFails {
+	if !l.evicted && l.consecFails >= EvictAfterFails {
 		l.evicted = true
 		l.net.evictions.Add(1)
+		if stale := l.count - 1; stale > 0 {
+			l.head = (l.head + stale) % len(l.ring)
+			l.count = 1
+			l.net.evictDrops.Add(uint64(stale))
+			l.net.dropped.Add(uint64(stale))
+		}
 	}
 	l.mu.Unlock()
 }
@@ -265,13 +267,6 @@ func (l *peerLink) noteSuccess() {
 		l.net.readmits.Add(1)
 	}
 	l.mu.Unlock()
-}
-
-// isEvicted reports the current eviction state.
-func (l *peerLink) isEvicted() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.evicted
 }
 
 // setConn publishes the writer's current connection so close/breakConn can
@@ -311,7 +306,7 @@ func (l *peerLink) run() {
 			l.setConn(conn)
 		}
 		binary.LittleEndian.PutUint32(lenbuf[:], uint32(len(body)))
-		conn.SetWriteDeadline(time.Now().Add(l.net.opts.WriteStallTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeStallTimeout))
 		_, err := conn.Write(lenbuf[:])
 		if err == nil {
 			_, err = conn.Write(body)

@@ -200,13 +200,12 @@ func shardApps() []shardApp {
 }
 
 // newDeployment assembles an S-shard deployment of one app.
-func newDeployment(sa shardApp, seed int64, shards, clients int, prepTimeout sim.Duration) *shard.Deployment {
+func newDeployment(sa shardApp, seed int64, shards, clients int) *shard.Deployment {
 	return shard.New(shard.Options{
-		Seed:           seed,
-		Shards:         shards,
-		NumClients:     clients,
-		NewApp:         sa.newApp,
-		PrepareTimeout: prepTimeout,
+		Seed:       seed,
+		Shards:     shards,
+		NumClients: clients,
+		NewApp:     sa.newApp,
 	})
 }
 
@@ -232,9 +231,9 @@ func TestScatterGatherRead(t *testing.T) {
 	const shards = 4
 	for _, sa := range shardApps() {
 		t.Run(sa.name, func(t *testing.T) {
-			multi := newDeployment(sa, 1, shards, 1, 0)
+			multi := newDeployment(sa, 1, shards, 1)
 			defer multi.Stop()
-			single := newDeployment(sa, 1, 1, 1, 0)
+			single := newDeployment(sa, 1, 1, 1)
 			defer single.Stop()
 
 			// Keys on two distinct shards, the read also covering one
@@ -277,7 +276,7 @@ func TestCrossShardCommitAtomic(t *testing.T) {
 	const shards = 3
 	for _, sa := range shardApps() {
 		t.Run(sa.name, func(t *testing.T) {
-			d := newDeployment(sa, 7, shards, 1, 0)
+			d := newDeployment(sa, 7, shards, 1)
 			defer d.Stop()
 
 			k1 := keyOnShard(t, 1, shards, 0)
@@ -340,12 +339,12 @@ func TestCrossShardCommitAtomic(t *testing.T) {
 func TestCrossShardAbortOnTimeout(t *testing.T) {
 	const (
 		shards  = 3
-		timeout = 1 * sim.Millisecond
+		timeout = shard.PrepareTimeout
 	)
 	for _, sa := range shardApps() {
 		t.Run(sa.name, func(t *testing.T) {
 			run := func() ([]byte, sim.Duration) {
-				d := newDeployment(sa, 11, shards, 1, timeout)
+				d := newDeployment(sa, 11, shards, 1)
 				defer d.Stop()
 
 				healthy := keyOnShard(t, 0, shards, 0)
@@ -409,11 +408,11 @@ func TestCrossShardAbortOnTimeout(t *testing.T) {
 func TestLockWaitQueue(t *testing.T) {
 	const (
 		shards  = 3
-		timeout = 1 * sim.Millisecond
+		timeout = shard.PrepareTimeout
 	)
 	for _, sa := range shardApps() {
 		t.Run(sa.name, func(t *testing.T) {
-			d := newDeployment(sa, 11, shards, 2, timeout)
+			d := newDeployment(sa, 11, shards, 2)
 			defer d.Stop()
 
 			healthy := keyOnShard(t, 0, shards, 0)
@@ -480,7 +479,7 @@ func TestCrossShardReadIsolation(t *testing.T) {
 		t.Run(sa.name, func(t *testing.T) {
 			for _, offset := range []sim.Duration{0, 20 * sim.Microsecond, 50 * sim.Microsecond,
 				80 * sim.Microsecond, 120 * sim.Microsecond, 200 * sim.Microsecond} {
-				d := newDeployment(sa, 5, shards, 2, 0)
+				d := newDeployment(sa, 5, shards, 2)
 				k0 := keyOnShard(t, 0, shards, 0)
 				k1 := keyOnShard(t, 1, shards, 0)
 				for _, k := range [][]byte{k0, k1} {
@@ -520,7 +519,7 @@ func TestCrossShardConflictAborts(t *testing.T) {
 	const shards = 2
 	for _, sa := range shardApps() {
 		t.Run(sa.name, func(t *testing.T) {
-			d := newDeployment(sa, 3, shards, 2, 2*sim.Millisecond)
+			d := newDeployment(sa, 3, shards, 2)
 			defer d.Stop()
 
 			k0 := keyOnShard(t, 0, shards, 0)
@@ -581,10 +580,9 @@ func TestCrossShardLossyNetwork(t *testing.T) {
 		t.Run(sa.name, func(t *testing.T) {
 			run := func() []byte {
 				d := shard.New(shard.Options{
-					Seed:           21,
-					Shards:         shards,
-					NewApp:         sa.newApp,
-					PrepareTimeout: 1 * sim.Millisecond,
+					Seed:   21,
+					Shards: shards,
+					NewApp: sa.newApp,
 					// Pre-GST loss and delay. View changes give the groups
 					// post-GST liveness (the same requirement the consensus
 					// asynchrony tests document): a leader wedged by pre-GST
@@ -612,8 +610,11 @@ func TestCrossShardLossyNetwork(t *testing.T) {
 					d.Eng.RunFor(2 * sim.Millisecond)
 				}
 				// Run well past GST so every retry round and late frame
-				// settles.
-				d.Eng.RunFor(200 * sim.Millisecond)
+				// settles. The orderbook cell needs the most: its group 1
+				// still completes view changes ~330 and ~450 ms after the
+				// last transaction, and Quiescent watches a window starting
+				// 100 ms after this settle.
+				d.Eng.RunFor(400 * sim.Millisecond)
 
 				var summary []byte
 				for i, res := range outcomes {
@@ -672,7 +673,7 @@ func TestCrossShardDeterminism(t *testing.T) {
 	for _, sa := range shardApps() {
 		t.Run(sa.name, func(t *testing.T) {
 			run := func() []outcome {
-				d := newDeployment(sa, 42, shards, 1, 0)
+				d := newDeployment(sa, 42, shards, 1)
 				defer d.Stop()
 				var out []outcome
 				record := func(res []byte, lat sim.Duration, err error) {

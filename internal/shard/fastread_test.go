@@ -106,17 +106,13 @@ func readLatency(t *testing.T, d *shard.Deployment, read []byte) sim.Duration {
 // PR 4's wait-queue semantics survive the fast path, and the parked
 // request's ExecCost is charged at release (the proc-model fix).
 func TestFastReadLockedFallsBack(t *testing.T) {
-	const (
-		shards  = 3
-		timeout = 1 * sim.Millisecond
-	)
+	const shards = 3
 	d := shard.New(shard.Options{
-		Seed:           11,
-		Shards:         shards,
-		NumClients:     2,
-		NewApp:         func(int) app.StateMachine { return app.NewKV(0) },
-		FastReads:      true,
-		PrepareTimeout: timeout,
+		Seed:       11,
+		Shards:     shards,
+		NumClients: 2,
+		NewApp:     func(int) app.StateMachine { return app.NewKV(0) },
+		FastReads:  true,
 	})
 	defer d.Stop()
 
@@ -136,7 +132,7 @@ func TestFastReadLockedFallsBack(t *testing.T) {
 	if _, err := d.Client(0).Invoke(write, func(res []byte, _ sim.Duration) { txRes = res }); err != nil {
 		t.Fatalf("cross-shard write: %v", err)
 	}
-	d.Eng.RunFor(timeout / 2)
+	d.Eng.RunFor(shard.PrepareTimeout / 2)
 
 	// Mid-prepare, fast-read the locked key from the second client.
 	var (

@@ -98,9 +98,6 @@ func strandCommit(t *testing.T, sa shardApp, seed int64) (d *shard.Deployment, k
 		Shards:     2,
 		NumClients: 2,
 		NewApp:     sa.newApp,
-		// A short prepare timeout keeps the six exponential retry rounds
-		// (1x..32x) inside a manageable virtual-time budget.
-		PrepareTimeout: 1 * sim.Millisecond,
 	})
 	t.Cleanup(d.Stop)
 	k0, k1 = seedKeys(t, d, sa)
@@ -136,10 +133,11 @@ func strandCommit(t *testing.T, sa shardApp, seed int64) (d *shard.Deployment, k
 	}
 	cut(d, driverID, 1, true)
 
-	// Exhaust the commit retry rounds (1+2+4+8+16+32 ms of backoff). The
-	// driver must still report the transaction committed — the decision is
-	// durably logged — while group 1 sits on its prepared locks.
-	d.Eng.RunFor(80 * sim.Millisecond)
+	// Exhaust the commit retry rounds (1+2+4+8+16+32 = 63 PrepareTimeouts
+	// of backoff). The driver must still report the transaction committed —
+	// the decision is durably logged — while group 1 sits on its prepared
+	// locks.
+	d.Eng.RunFor(80 * shard.PrepareTimeout)
 	if !fired {
 		t.Fatal("driver never resolved the transaction")
 	}
@@ -194,9 +192,9 @@ func runStrandedCommit(t *testing.T, sa shardApp, seed int64) strandOutcome {
 	t.Helper()
 	d, k0, k1 := strandCommit(t, sa, seed)
 	d.Client(1).SweepStranded()
-	d.Eng.RunFor(3 * sim.Millisecond)
+	d.Eng.RunFor(3 * shard.PrepareTimeout)
 	d.Client(1).SweepStranded()
-	d.Eng.RunFor(10 * sim.Millisecond)
+	d.Eng.RunFor(10 * shard.PrepareTimeout)
 	requireReplayedCommit(t, d, sa, k0, k1)
 
 	total, committed, aborted := d.Client(1).StrandedResolved()
@@ -248,13 +246,14 @@ func TestCommitPhaseRecoverySurvivesLostQuery(t *testing.T) {
 		name string
 		cut  sim.Duration // how long the partition outlasts the resolving sweep
 	}{
-		{"retransmitted", 2500 * sim.Microsecond}, // rounds at +0 and +1 ms lost, +3 ms lands
-		{"exhausted", 70 * sim.Millisecond},       // all six rounds (63 ms) lost
+		// Rounds go out at 0, 1, 3, 7, ... PrepareTimeouts after the sweep.
+		{"retransmitted", 5 * shard.PrepareTimeout / 2}, // rounds at +0 and +1 lost, +3 lands
+		{"exhausted", 70 * shard.PrepareTimeout},        // all six rounds (63) lost
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, k0, k1 := strandCommit(t, sa, 1)
 			d.Client(1).SweepStranded()
-			d.Eng.RunFor(3 * sim.Millisecond)
+			d.Eng.RunFor(3 * shard.PrepareTimeout)
 
 			cut(d, sweeperID, 0, true)
 			d.Client(1).SweepStranded() // group 1 lists it again: resolve, query lost
@@ -265,7 +264,7 @@ func TestCommitPhaseRecoverySurvivesLostQuery(t *testing.T) {
 			cut(d, sweeperID, 0, false)
 
 			d.Client(1).SweepStranded()
-			d.Eng.RunFor(10 * sim.Millisecond)
+			d.Eng.RunFor(10 * shard.PrepareTimeout)
 			requireReplayedCommit(t, d, sa, k0, k1)
 		})
 	}
@@ -368,8 +367,9 @@ func TestCommitPhaseRecoveryInFlight(t *testing.T) {
 			}
 			cut(d, driverID, 0, true)
 
-			// The default PrepareTimeout is 2 ms: the decide is repeated at
-			// about 2.3 ms. Everything below happens before that.
+			// The decide is repeated one PrepareTimeout (2 ms) after it
+			// first went out, at about 2.3 ms. Everything below happens
+			// before that.
 			for i := 0; i < tc.sweeps; i++ {
 				d.Client(1).SweepStranded()
 				d.Eng.RunFor(500 * sim.Microsecond)

@@ -111,11 +111,11 @@ type Options struct {
 
 	// Group configures each consensus group exactly like a standalone
 	// cluster (F, Fm, Window, Tail, batching, path modes...). Group.Seed,
-	// Group.NumClients and Group.NewApp are ignored — the deployment-level
-	// fields govern those. Group.Fabric injects the transport backend for
-	// every endpoint of the deployment (nil takes the deterministic
-	// simulated fabric seeded with Seed); a fabric without an engine is
-	// rejected with a clear error.
+	// Group.NumClients and Group.NewApp must stay unset (Build rejects
+	// them): the deployment-level fields govern those. Group.Fabric
+	// injects the transport backend for every endpoint of the deployment
+	// (nil takes the deterministic simulated fabric seeded with Seed); a
+	// fabric without an engine is rejected with a clear error.
 	Group cluster.Options
 
 	// NewApp builds the state machine for one replica of one shard; nil
@@ -125,13 +125,6 @@ type Options struct {
 	// app.TxnParticipant) of a prototype instance, whose capability
 	// methods must be pure functions of the request bytes.
 	NewApp func(shard int) app.StateMachine
-
-	// PrepareTimeout bounds the prepare phase of a cross-shard write: if
-	// any participant group has not voted by then, the coordinator aborts
-	// the transaction so the responsive groups release their locks (a
-	// stalled group must not wedge the others). Default 2ms of virtual
-	// time (~20x a healthy cross-shard prepare).
-	PrepareTimeout sim.Duration
 
 	// FastReads routes read-only requests (classified by the application's
 	// Fragmenter.ReadOnly capability — multi-reads and single-key point
@@ -165,6 +158,14 @@ type Options struct {
 }
 
 func (o *Options) normalize() error {
+	switch {
+	case o.Group.Seed != 0:
+		return errors.New("shard: Group.Seed is set; the deployment seed is Options.Seed")
+	case o.Group.NumClients != 0:
+		return errors.New("shard: Group.NumClients is set; the client count is Options.NumClients")
+	case o.Group.NewApp != nil:
+		return errors.New("shard: Group.NewApp is set; the application factory is Options.NewApp")
+	}
 	if o.Shards == 0 {
 		o.Shards = 1
 	}
@@ -180,12 +181,6 @@ func (o *Options) normalize() error {
 	if o.NewApp == nil {
 		//ubft:appagnostic nil-NewApp convenience default (a KV factory for tests and benches) — the one deliberate app coupling in the shard layer
 		o.NewApp = func(int) app.StateMachine { return app.NewKV(0) }
-	}
-	if o.PrepareTimeout == 0 {
-		o.PrepareTimeout = 2 * sim.Millisecond
-	}
-	if o.PrepareTimeout < 0 {
-		return fmt.Errorf("shard: negative PrepareTimeout=%d", o.PrepareTimeout)
 	}
 	return o.Group.Normalize()
 }
@@ -264,7 +259,6 @@ func BuildWithDefenses(opts Options, off consensus.Defenses) (*Deployment, error
 		}
 		d.Clients = append(d.Clients, &Client{
 			cc:          cc,
-			proc:        cc.Proc(),
 			id:          id,
 			shards:      opts.Shards,
 			router:      appRouter,
@@ -272,7 +266,6 @@ func BuildWithDefenses(opts Options, off consensus.Defenses) (*Deployment, error
 			canTxn:      canTxn,
 			fastReads:   opts.FastReads && canRead && appFrag != nil,
 			strongReads: opts.StrongReads && canRead && appFrag != nil,
-			prepTimeout: opts.PrepareTimeout,
 		})
 	}
 	return d, nil
@@ -334,7 +327,6 @@ func (d *Deployment) InvokeSync(ci int, payload []byte, maxWait sim.Duration) ([
 // stranded (recovery.go).
 type Client struct {
 	cc          *consensus.Client
-	proc        *sim.Proc
 	id          ids.ID
 	shards      int
 	router      app.Router
@@ -342,7 +334,6 @@ type Client struct {
 	canTxn      bool
 	fastReads   bool
 	strongReads bool
-	prepTimeout sim.Duration
 	txSeq       uint32
 	rec         *recovery // nil until the first SweepStranded
 }
@@ -460,9 +451,9 @@ func (c *Client) Invoke(payload []byte, done func(result []byte, latency sim.Dur
 // Scatter-gather legs answered StatusLocked — the group's wait queue was
 // full, so the leg could not park on the in-flight transaction — retry
 // until the transaction resolves. The delay is deterministic virtual time;
-// the cap outlasts the default PrepareTimeout comfortably, so a
-// transaction that aborts on timeout frees the reader well before it gives
-// up (after the cap, the StatusLocked surfaces through the merge).
+// the cap outlasts PrepareTimeout comfortably, so a transaction that
+// aborts on timeout frees the reader well before it gives up (after the
+// cap, the StatusLocked surfaces through the merge).
 const (
 	lockedRetryDelay = 50 * sim.Microsecond
 	lockedRetryMax   = 100
@@ -486,7 +477,7 @@ func (c *Client) scatterRead(payload []byte, plan *splitPlan, done func(result [
 	if c.fastReads {
 		c.scatterReadFast(payload, legs, plan, done)
 	} else {
-		c.scatterReadOrdered(payload, legs, plan, c.proc.Now(), false, done)
+		c.scatterReadOrdered(payload, legs, plan, c.cc.Proc().Now(), false, done)
 	}
 	return nil
 }
@@ -533,7 +524,7 @@ const snapRetryMax = 2
 // a client-chosen pin — so a fallback abandons pinning and degrades the
 // whole read to scatterReadOrdered.
 func (c *Client) scatterReadFast(payload []byte, legs [][]byte, plan *splitPlan, done func(result []byte, latency sim.Duration)) {
-	start := c.proc.Now()
+	start := c.cc.Proc().Now()
 	n := len(legs)
 	results := make([][]byte, n)
 	pins := make([]consensus.Slot, n) // 0 = unpinned sample this round
@@ -573,7 +564,7 @@ func (c *Client) scatterReadFast(payload []byte, legs [][]byte, plan *splitPlan,
 			allClean = allClean && clean[i]
 		}
 		if allClean {
-			done(c.frag.Merge(payload, results, plan.legKeys), c.proc.Now().Sub(start))
+			done(c.frag.Merge(payload, results, plan.legKeys), c.cc.Proc().Now().Sub(start))
 			return
 		}
 		if round >= snapRetryMax {
@@ -611,7 +602,7 @@ func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPl
 	send = func(i, attempt int) {
 		c.cc.InvokeGroupParked(plan.shards[i], legs[i], func(res []byte, p bool, _ sim.Duration) {
 			if len(res) == 1 && res[0] == app.StatusLocked && attempt < lockedRetryMax {
-				c.proc.After(lockedRetryDelay, func() { send(i, attempt+1) })
+				c.cc.Proc().After(lockedRetryDelay, func() { send(i, attempt+1) })
 				return
 			}
 			results[i] = res
@@ -645,7 +636,7 @@ func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPl
 				}
 			}
 		}
-		done(c.frag.Merge(payload, results, plan.legKeys), c.proc.Now().Sub(start))
+		done(c.frag.Merge(payload, results, plan.legKeys), c.cc.Proc().Now().Sub(start))
 	}
 	for i := range legs {
 		send(i, 0)

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
@@ -212,20 +213,31 @@ func TestRegionAccounting(t *testing.T) {
 }
 
 // TestShardOptionsValidation: broken group options must be rejected at
-// assembly time, not assembled into a silently broken deployment.
+// assembly time, not assembled into a silently broken deployment, and so
+// must the Group fields the deployment-level ones replace.
 func TestShardOptionsValidation(t *testing.T) {
-	mustPanic := func(name string, opts shard.Options) {
+	// want is a substring of the panic: the field to set instead, or the
+	// offending one.
+	mustPanic := func(name, want string, opts shard.Options) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
+			t.Helper()
+			r := recover()
+			if r == nil {
 				t.Fatalf("%s: New did not panic", name)
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+				t.Fatalf("%s: panic %q does not name %s", name, msg, want)
 			}
 		}()
 		shard.New(opts)
 	}
-	mustPanic("negative shards", shard.Options{Shards: -1})
-	mustPanic("negative F", shard.Options{Group: cluster.Options{F: -1}})
-	mustPanic("tail > window", shard.Options{Group: cluster.Options{Window: 8, Tail: 16}})
+	mustPanic("negative shards", "Shards", shard.Options{Shards: -1})
+	mustPanic("negative F", "F=", shard.Options{Group: cluster.Options{F: -1}})
+	mustPanic("tail > window", "Tail", shard.Options{Group: cluster.Options{Window: 8, Tail: 16}})
+	mustPanic("group seed", "Options.Seed", shard.Options{Group: cluster.Options{Seed: 3}})
+	mustPanic("group clients", "Options.NumClients", shard.Options{Group: cluster.Options{NumClients: 2}})
+	mustPanic("group app", "Options.NewApp", shard.Options{Group: cluster.Options{NewApp: func() app.StateMachine { return app.NewKV(0) }}})
 }
 
 // TestLeanMemNodePool: Group.MemNodes sizes the shared pool (any size in

@@ -69,7 +69,7 @@ func (c *Client) beginTx(payload []byte, plan *splitPlan, done func(result []byt
 	tx := &txState{
 		txid:    uint64(c.id)<<32 | uint64(c.txSeq),
 		shards:  plan.shards,
-		started: c.proc.Now(),
+		started: c.cc.Proc().Now(),
 		done:    done,
 		pending: make([]uint64, len(plan.shards)),
 	}
@@ -79,7 +79,7 @@ func (c *Client) beginTx(payload []byte, plan *splitPlan, done func(result []byt
 		tx.pending[i] = c.cc.InvokeGroup(plan.shards[i], app.EncodeTxnPrepare(tx.txid, coord, frags[i]),
 			func(res []byte, _ sim.Duration) { c.onVote(tx, i, res) })
 	}
-	tx.timer = c.proc.After(c.prepTimeout, func() { c.abortTx(tx) })
+	tx.timer = c.cc.Proc().After(PrepareTimeout, func() { c.abortTx(tx) })
 	return nil
 }
 
@@ -171,7 +171,7 @@ func (c *Client) finishCommit(tx *txState, resps [][]byte) {
 	if haveAll {
 		result = app.EncodeTxnReceipts(receipts)
 	}
-	tx.done(result, c.proc.Now().Sub(tx.started))
+	tx.done(result, c.cc.Proc().Now().Sub(tx.started))
 }
 
 // retryFanout sends payload to every group once per round, retrying the
@@ -204,7 +204,7 @@ func (c *Client) retryFanout(groups []int, payload []byte, done func(allAcked bo
 				done(true, resps)
 			})
 		}
-		c.proc.After(delay, func() {
+		c.cc.Proc().After(delay, func() {
 			unacked := false
 			for i, num := range nums {
 				if num != 0 && !acked[i] {
@@ -222,8 +222,15 @@ func (c *Client) retryFanout(groups []int, payload []byte, done func(allAcked bo
 			done(false, resps)
 		})
 	}
-	round(retryAttempts, c.prepTimeout)
+	round(retryAttempts, PrepareTimeout)
 }
+
+// PrepareTimeout bounds the prepare phase of a cross-shard write: if any
+// participant group has not voted by then, the coordinator aborts the
+// transaction so the responsive groups release their locks (a stalled group
+// must not wedge the others). ~20x a healthy cross-shard prepare. It is also
+// the first round of every retransmission backoff below.
+const PrepareTimeout = 2 * sim.Millisecond
 
 // retryAttempts bounds the abort/decide/commit retransmission rounds: a
 // dropped frame (lossy network models) must not strand a participant's
@@ -253,5 +260,5 @@ func (c *Client) abortTx(tx *txState) {
 		}
 	}
 	c.retryFanout(tx.shards, app.EncodeTxnAbort(tx.txid), func(bool, [][]byte) {})
-	tx.done([]byte{app.StatusAborted}, c.proc.Now().Sub(tx.started))
+	tx.done([]byte{app.StatusAborted}, c.cc.Proc().Now().Sub(tx.started))
 }

@@ -161,15 +161,12 @@ type netWorld struct {
 
 	mu      sync.Mutex
 	blocked map[[2]int]bool
-
-	queueSlots int
 }
 
-func newNetWorld(t *testing.T, n, queueSlots int) *netWorld {
+func newNetWorld(t *testing.T, n int) *netWorld {
 	w := &netWorld{
-		table:      nettrans.NewAddrTable(nil),
-		blocked:    make(map[[2]int]bool),
-		queueSlots: queueSlots,
+		table:   nettrans.NewAddrTable(nil),
+		blocked: make(map[[2]int]bool),
 	}
 	for i := 0; i < n; i++ {
 		i := i
@@ -183,13 +180,7 @@ func newNetWorld(t *testing.T, n, queueSlots int) *netWorld {
 			}
 			return w.table.Resolve(id)
 		}
-		nt, err := nettrans.Listen(h, nettrans.Options{
-			ListenAddr:     "127.0.0.1:0",
-			Resolve:        resolve,
-			QueueSlots:     queueSlots,
-			DialBackoffMin: time.Millisecond,
-			DialBackoffMax: 20 * time.Millisecond,
-		})
+		nt, err := nettrans.Listen(h, nettrans.Options{ListenAddr: "127.0.0.1:0", Resolve: resolve})
 		if err != nil {
 			t.Fatalf("Listen: %v", err)
 		}
@@ -244,7 +235,7 @@ func (w *netWorld) heal(i, j int) {
 	delete(w.blocked, pairOf(i, j))
 	w.mu.Unlock()
 }
-func (w *netWorld) overloadCapacity() int { return w.queueSlots }
+func (w *netWorld) overloadCapacity() int { return nettrans.QueueSlots }
 func (w *netWorld) close() {
 	for _, nt := range w.nets {
 		nt.Close()
@@ -256,14 +247,11 @@ func (w *netWorld) close() {
 
 // --- the contract -----------------------------------------------------
 
-// netQueueSlots bounds each nettrans link ring. The delivery test's burst
-// (k per link) must fit under it — frames sent before the first dial lands
-// queue in the ring, and a ring smaller than the burst legally tail-drops.
-// The overload test conversely bursts 4x past it to force drops.
-const (
-	netQueueSlots = 64
-	overloadBurst = 4 * netQueueSlots
-)
+// overloadBurst overflows a nettrans link ring (nettrans.QueueSlots) 4x to
+// force drops. The delivery test's burst (k per link) conversely fits under
+// it: frames sent before the first dial lands queue in the ring, and a ring
+// smaller than the burst legally tail-drops.
+const overloadBurst = 4 * nettrans.QueueSlots
 
 func conformanceWorlds(t *testing.T) map[string]func(t *testing.T, n int) (world, []*recorder) {
 	return map[string]func(t *testing.T, n int) (world, []*recorder){
@@ -272,7 +260,7 @@ func conformanceWorlds(t *testing.T) map[string]func(t *testing.T, n int) (world
 			return w, w.recs
 		},
 		"nettrans": func(t *testing.T, n int) (world, []*recorder) {
-			w := newNetWorld(t, n, netQueueSlots)
+			w := newNetWorld(t, n)
 			return w, w.recs
 		},
 		// The Byzantine fault-injection wrapper must be invisible to honest
