@@ -35,22 +35,23 @@ func driveOne(t *testing.T, s System, wl Workload) {
 	}
 }
 
-// raceAllocs is what the race detector adds to a fast-path request
-// (race_test.go); 0 in a plain build.
-var raceAllocs int
+// raceAllocs and raceSlowAllocs are what the race detector adds to a
+// fast-path and a slow-path request (race_test.go); 0 in a plain build.
+var raceAllocs, raceSlowAllocs int
 
 // TestFastPathAllocBudget asserts a ceiling on heap allocations per
 // end-to-end request on uBFT's fast path, in steady state (pools warm, ring
-// mirrors grown, consensus tables populated). Measured at 47 allocs/request
-// when this budget was set, 75 while the router copied every ring frame once
-// per receiver and the broadcaster copied it again for its self-delivery
-// (~800 before the zero-allocation work, ~118 while every slot, request and
-// client was spread over parallel maps); the ceiling is that plus 15%, so a
-// per-receiver frame copy coming back (about a third of the total) trips it,
-// as does a map per slot or per request (3 to 6 allocations a request each)
-// or reintroduced per-message encode/decode churn (hundreds).
+// mirrors grown, consensus tables populated). Measured at 45 allocs/request
+// when this budget was set, 47 while the client copied its request once per
+// replica, 75 while the router copied every ring frame once per receiver and
+// the broadcaster copied it again for its self-delivery (~800 before the
+// zero-allocation work, ~118 while every slot, request and client was spread
+// over parallel maps); the ceiling is that plus 15%, so a per-receiver frame
+// copy coming back (about a third of the total) trips it, as does a map per
+// slot or per request (3 to 6 allocations a request each) or reintroduced
+// per-message encode/decode churn (hundreds).
 func TestFastPathAllocBudget(t *testing.T) {
-	budget := 54 + raceAllocs
+	budget := 52 + raceAllocs
 
 	s := NewUBFTFast(1, nil)
 	defer s.Stop()
@@ -63,6 +64,29 @@ func TestFastPathAllocBudget(t *testing.T) {
 	t.Logf("fast path: %.1f allocs/request (budget %d)", avg, budget)
 	if avg > float64(budget) {
 		t.Errorf("fast path allocates %.1f/request, budget is %d", avg, budget)
+	}
+}
+
+// TestSlowPathAllocBudget asserts a ceiling on heap allocations per
+// end-to-end request on the signed slow path, in steady state. A request there
+// makes 48 SWMR quorum operations on three memory nodes (288 memory-node
+// messages), so a copy per memory node or per completion costs 144 a request.
+// Measured at 300 allocs/request when this budget was set, ~1300 while every
+// register request was copied once per memory node, every completion twice
+// and a READ's region three times; the ceiling is that plus 15%.
+func TestSlowPathAllocBudget(t *testing.T) {
+	budget := 345 + raceSlowAllocs
+
+	s := NewUBFTSlow(1, nil)
+	defer s.Stop()
+	wl := NewFlipWorkload(64, rand.New(rand.NewSource(1)))
+	for i := 0; i < 300; i++ {
+		driveOne(t, s, wl)
+	}
+	avg := testing.AllocsPerRun(200, func() { driveOne(t, s, wl) })
+	t.Logf("slow path: %.1f allocs/request (budget %d)", avg, budget)
+	if avg > float64(budget) {
+		t.Errorf("slow path allocates %.1f/request, budget is %d", avg, budget)
 	}
 }
 

@@ -3,9 +3,11 @@ package cluster_test
 // The ownership contract of every fabric, checked end to end: a payload is
 // immutable once sent. A message-ring frame in particular is one slice that
 // the sender's mirror, every receiver, every retransmission and the
-// broadcaster's self-delivery share, so a single write into it anywhere —
-// a decoder appending to a view, a handler editing a delivered message, a
-// mirror slot reusing its buffer — would change what some other reader sees.
+// broadcaster's self-delivery share, and so is a register request, which goes
+// to every memory node and out again on each retransmission. A single write
+// into one anywhere — a decoder appending to a view, a handler editing a
+// delivered message, a mirror slot or a request record reusing its buffer —
+// would change what some other reader sees.
 
 import (
 	"fmt"
@@ -24,13 +26,16 @@ import (
 )
 
 // frameAudit records every payload handed to Send with its checksum, and
-// counts the ring retransmissions among them.
+// counts the ring and memory-node request retransmissions among them.
 type frameAudit struct {
 	sent []sentPayload
-	// Ring frames by (sender, receiver, instance, slot, incarnation): one
-	// seen before is a retransmission.
-	ringSeen   map[ringFrame]bool
-	retransmit int
+	// Ring frames by (sender, receiver, instance, slot, incarnation) and
+	// register requests by (sender, memory node, sequence number): one seen
+	// before is a retransmission.
+	ringSeen      map[ringFrame]bool
+	memSeen       map[memRequest]bool
+	retransmit    int
+	memRetransmit int
 }
 
 type sentPayload struct {
@@ -45,22 +50,42 @@ type ringFrame struct {
 	inc        uint64
 }
 
-func newFrameAudit() *frameAudit { return &frameAudit{ringSeen: map[ringFrame]bool{}} }
+type memRequest struct {
+	from, to ids.ID
+	seq      uint64
+}
+
+func newFrameAudit() *frameAudit {
+	return &frameAudit{ringSeen: map[ringFrame]bool{}, memSeen: map[memRequest]bool{}}
+}
 
 func (a *frameAudit) record(from, to ids.ID, payload []byte) {
 	a.sent = append(a.sent, sentPayload{from: from, to: to, buf: payload, sum: xcrypto.ChecksumNoCharge(payload)})
-	if len(payload) == 0 || payload[0] != router.ChanRing {
+	if len(payload) == 0 {
 		return
 	}
 	rd := wire.NewReader(payload[1:])
-	f := ringFrame{from: from, to: to, inst: rd.U32(), slot: rd.U32(), inc: rd.U64()}
-	if rd.Err() != nil {
-		return
+	switch payload[0] {
+	case router.ChanRing:
+		f := ringFrame{from: from, to: to, inst: rd.U32(), slot: rd.U32(), inc: rd.U64()}
+		if rd.Err() == nil {
+			a.retransmit += seen(a.ringSeen, f)
+		}
+	case router.ChanMemReq:
+		rd.U8() // op
+		if req := (memRequest{from: from, to: to, seq: rd.U64()}); rd.Err() == nil {
+			a.memRetransmit += seen(a.memSeen, req)
+		}
 	}
-	if a.ringSeen[f] {
-		a.retransmit++
+}
+
+// seen marks k in m and returns 1 if it was already there.
+func seen[K comparable](m map[K]bool, k K) int {
+	if m[k] {
+		return 1
 	}
-	a.ringSeen[f] = true
+	m[k] = true
+	return 0
 }
 
 // verify reports every recorded payload whose bytes changed after Send.
@@ -192,11 +217,13 @@ func TestSentFramesNeverChange(t *testing.T) {
 
 			r := u.Replicas[1]
 			_, slow, _ := r.GroupStats()
-			t.Logf("%d payloads sent, %d ring retransmissions; view %d, %d slow decisions, %d slow CTBcast deliveries, checkpoint %d; %d/8 operations after GST",
-				len(audit.sent), audit.retransmit, r.View(), r.SlowDecides, slow, r.Checkpoint().Seq, completed)
+			t.Logf("%d payloads sent, %d ring and %d register request retransmissions; view %d, %d slow decisions, %d slow CTBcast deliveries, checkpoint %d; %d/8 operations after GST",
+				len(audit.sent), audit.retransmit, audit.memRetransmit, r.View(), r.SlowDecides, slow, r.Checkpoint().Seq, completed)
 			switch {
 			case audit.retransmit == 0:
 				t.Error("no ring frame was retransmitted")
+			case audit.memRetransmit == 0:
+				t.Error("no register request was retransmitted")
 			case r.View() == 0:
 				t.Error("the leader crash forced no view change")
 			case r.SlowDecides == 0 || slow == 0:

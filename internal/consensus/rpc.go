@@ -615,15 +615,18 @@ func (c *Client) invokeGroupEx(group int, payload []byte, done func(result []byt
 		byRes:   make(map[uint64]resTally),
 		done:    done,
 	}
+	// One frame, channel tag first and of exact size, for every replica:
+	// immutable once sent, so replicas may retain views of it.
 	req := Request{Client: c.rt.ID(), Num: num, Payload: payload}
-	w := wire.GetWriter(32 + len(payload))
+	var w wire.Writer
+	w.Grow(2 + 16 + wire.BytesLen(len(payload)))
+	w.U8(router.ChanRPC)
 	w.U8(tagRequest)
-	req.encode(w)
+	req.encode(&w)
 	frame := w.Finish()
 	for _, rep := range c.groups[group] {
-		c.rt.Send(rep, router.ChanRPC, frame)
+		c.rt.SendFrame(rep, frame)
 	}
-	wire.PutWriter(w)
 	return num
 }
 
@@ -857,7 +860,9 @@ func (c *Client) groupMask(group int) uint64 {
 // widened round the other half, so total silence still reaches the ordered
 // path after one read timeout.
 func (c *Client) sendRead(num uint64, p *pendingRead, to uint64) {
-	w := wire.GetWriter(40 + len(p.payload))
+	var w wire.Writer // one exact-size frame for every replica addressed
+	w.Grow(2 + 16 + wire.BytesLen(len(p.payload)))
+	w.U8(router.ChanRPC)
 	w.U8(tagReadRequest)
 	w.U64(num)
 	w.U64(uint64(p.at))
@@ -865,10 +870,9 @@ func (c *Client) sendRead(num uint64, p *pendingRead, to uint64) {
 	frame := w.Finish()
 	for i, rep := range c.groups[p.group] {
 		if to&(1<<uint(i)) != 0 {
-			c.rt.Send(rep, router.ChanRPC, frame)
+			c.rt.SendFrame(rep, frame)
 		}
 	}
-	wire.PutWriter(w)
 	p.contacted |= to
 	wait := defaultReadTimeout
 	if p.firstRung != 0 || p.contacted != c.groupMask(p.group) {

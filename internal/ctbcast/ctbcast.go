@@ -196,8 +196,10 @@ type Group struct {
 	// queue, so peers' registers are read by region without one.
 	myRegs []*swmr.Register
 
-	// Messages awaiting slow-path completion, keyed by k.
+	// Messages awaiting slow-path completion, keyed by k, and finished
+	// slow-delivery records for reuse.
 	slowPending map[uint64][]byte
+	slowFree    []*slowDelivery
 	// Fallback timers per identifier (FastWithFallback).
 	fallbacks map[uint64]sim.Timer
 
@@ -629,72 +631,113 @@ func (g *Group) onSigned(k uint64, m []byte, sig []byte) {
 	vw := wire.GetWriter(registerValueCap)
 	encodeRegValue(vw, k, dg, sig)
 	g.slowPending[k] = m
-	g.myReg(int(slot)).Write(k, vw.Finish(), func(err error) {
-		if err != nil {
-			delete(g.slowPending, k)
-			return
-		}
-		g.readPeerRegisters(k, slot, dg)
-	})
+	sd := g.newSlowDelivery(k, slot, dg)
+	g.myReg(int(slot)).Write(k, vw.Finish(), sd.writtenFn)
 	wire.PutWriter(vw)
 }
 
-// readPeerRegisters implements lines 31-37: read every receiver's register
-// for the slot, abort on conflict or out-of-tail, otherwise deliver.
-func (g *Group) readPeerRegisters(k uint64, slot uint64, dg [xcrypto.DigestLen]byte) {
-	total := len(g.p.Procs)
-	done := 0
-	results := make([]swmr.ReadResult, 0, total)
-	finish := func() {
-		m, ok := g.slowPending[k]
-		delete(g.slowPending, k)
-		if !ok {
-			return
-		}
-		for _, res := range results {
-			if res.Empty {
-				continue
-			}
-			k2, dg2, sig2, err := decodeRegValue(res.Value)
-			if err != nil {
-				continue // garbage in a Byzantine receiver's register
-			}
-			if k2 == k && dg2 == dg {
-				continue // echoes our own value: no behavioural effect,
-				// so its signature needs no (expensive) verification
-			}
-			// Only entries that would change our behaviour — a conflict
-			// for the same identifier or a higher aliasing identifier —
-			// must carry a valid broadcaster signature (line 32); without
-			// one they are fabrications of a Byzantine receiver and are
-			// ignored. Skipping the rest keeps public-key operations off
-			// the common slow path, matching the paper's cost profile.
-			if !g.verifySigned(k2, dg2, sig2) {
-				continue
-			}
-			if k2 == k && dg2 != dg {
-				return // line 33-34: Byzantine broadcaster, abort delivery
-			}
-			if k2 > k && (k2-k)%uint64(g.p.Tail) == 0 {
-				return // line 35-36: out of tail, drop
-			}
-		}
-		g.SlowDeliveries++
-		g.deliverOnce(k, m)
+// slowDelivery is one slow-path delivery of (k, dg) past this member's
+// register write (Algorithm 1 lines 30-37): the read of every member's
+// register for the slot, and what those reads returned. One record carries
+// the whole sweep, its callbacks bound once; the group reuses it afterwards.
+type slowDelivery struct {
+	g         *Group
+	k, slot   uint64
+	dg        [xcrypto.DigestLen]byte
+	waiting   int                          // register reads not yet answered
+	results   []swmr.ReadResult            // the answers, in arrival order
+	writtenFn func(error)                  // sd.written
+	readFn    func(swmr.ReadResult, error) // sd.read
+}
+
+// newSlowDelivery returns a record for (k, dg), reusing a finished one.
+func (g *Group) newSlowDelivery(k, slot uint64, dg [xcrypto.DigestLen]byte) *slowDelivery {
+	var sd *slowDelivery
+	if n := len(g.slowFree); n > 0 {
+		sd, g.slowFree = g.slowFree[n-1], g.slowFree[:n-1]
+	} else {
+		sd = &slowDelivery{g: g, results: make([]swmr.ReadResult, 0, g.n)}
+		sd.writtenFn, sd.readFn = sd.written, sd.read
 	}
+	sd.k, sd.slot, sd.dg = k, slot, dg
+	return sd
+}
+
+// release hands a record whose callbacks have all run back to its group.
+func (sd *slowDelivery) release() {
+	clear(sd.results) // drop the views of completion frames
+	sd.results = sd.results[:0]
+	sd.g.slowFree = append(sd.g.slowFree, sd)
+}
+
+// written continues once this member's register write completed: lines
+// 31-37 read every member's register for the slot.
+func (sd *slowDelivery) written(err error) {
+	g := sd.g
+	if err != nil {
+		delete(g.slowPending, sd.k)
+		sd.release()
+		return
+	}
+	sd.waiting = len(g.p.Procs)
 	for i := range g.p.Procs {
-		g.env.Store.Read(g.region(i, int(slot)), registerValueCap, func(res swmr.ReadResult, err error) {
-			done++
-			if err == nil {
-				results = append(results, res)
-			}
-			// A Byzantine register owner (err != nil) contributes the
-			// default (empty) value and is otherwise ignored.
-			if done == total {
-				finish()
-			}
-		})
+		g.env.Store.Read(g.region(i, int(sd.slot)), registerValueCap, sd.readFn)
 	}
+}
+
+// read collects one register read; the last one decides.
+func (sd *slowDelivery) read(res swmr.ReadResult, err error) {
+	sd.waiting--
+	if err == nil {
+		sd.results = append(sd.results, res)
+	}
+	// A Byzantine register owner (err != nil) contributes the default
+	// (empty) value and is otherwise ignored.
+	if sd.waiting == 0 {
+		sd.g.finishSlow(sd)
+		sd.release()
+	}
+}
+
+// finishSlow implements lines 31-37 on the registers read: abort on conflict
+// or out-of-tail, otherwise deliver.
+func (g *Group) finishSlow(sd *slowDelivery) {
+	k, dg := sd.k, sd.dg
+	m, ok := g.slowPending[k]
+	delete(g.slowPending, k)
+	if !ok {
+		return
+	}
+	for _, res := range sd.results {
+		if res.Empty {
+			continue
+		}
+		k2, dg2, sig2, err := decodeRegValue(res.Value)
+		if err != nil {
+			continue // garbage in a Byzantine receiver's register
+		}
+		if k2 == k && dg2 == dg {
+			continue // echoes our own value: no behavioural effect,
+			// so its signature needs no (expensive) verification
+		}
+		// Only entries that would change our behaviour — a conflict
+		// for the same identifier or a higher aliasing identifier —
+		// must carry a valid broadcaster signature (line 32); without
+		// one they are fabrications of a Byzantine receiver and are
+		// ignored. Skipping the rest keeps public-key operations off
+		// the common slow path, matching the paper's cost profile.
+		if !g.verifySigned(k2, dg2, sig2) {
+			continue
+		}
+		if k2 == k && dg2 != dg {
+			return // line 33-34: Byzantine broadcaster, abort delivery
+		}
+		if k2 > k && (k2-k)%uint64(g.p.Tail) == 0 {
+			return // line 35-36: out of tail, drop
+		}
+	}
+	g.SlowDeliveries++
+	g.deliverOnce(k, m)
 }
 
 func encodeRegValue(w *wire.Writer, k uint64, dg [xcrypto.DigestLen]byte, sig []byte) {

@@ -16,9 +16,19 @@
 //     CPU time (the NIC does the work).
 //   - Per-accessor permissions: a WRITE from any process other than the
 //     region's owner is rejected, exactly like an RDMA protection fault.
+//
+// As an RDMA NIC posts one buffer to every memory node and DMAs a completion
+// without copying it, a request or a completion is one frame, channel tag
+// first, encoded once into a fresh slice of exact size and immutable once
+// sent. A client posts the same request frame to every memory node and on
+// every retransmission; the node takes a WRITE's data as a view of it and
+// writes a READ's region, torn-read model applied, straight into the
+// completion frame, whose bytes the client then reads in place
+// (Response.Data).
 package memnode
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/ids"
@@ -47,6 +57,18 @@ const (
 // the same logical register everywhere.
 type RegionID uint32
 
+// Frame layouts. A request is tag | op | seq | region, and a WRITE adds the
+// offset and the length-prefixed data; a completion is tag | op | seq |
+// status, and a READ adds the length-prefixed region contents.
+const (
+	seqAt         = 2             // where a request frame carries its sequence number
+	reqHeaderLen  = 1 + 1 + 8 + 4 // tag, op, seq, region
+	respHeaderLen = 1 + 1 + 8 + 1 // tag, op, seq, status
+)
+
+// pendingWrite is a WRITE inside its settling window, with the bytes it
+// overwrote. Settled records go to the node's free list, so the next WRITE to
+// any region reuses the pre-image buffer.
 type pendingWrite struct {
 	old   []byte
 	start sim.Time
@@ -66,6 +88,7 @@ type Node struct {
 	proc    *sim.Proc
 	rt      *router.Router
 	regions map[RegionID]*region
+	settled []*pendingWrite // free list of pendingWrite records
 
 	// AllocatedBytes tracks total region bytes allocated on this node,
 	// feeding the paper's Table 2 (disaggregated memory consumption).
@@ -121,17 +144,19 @@ func (n *Node) RegionCount() int { return len(n.regions) }
 // i.e. one process's share of this node's disaggregated pool.
 func (n *Node) BytesOwnedBy(owner ids.ID) int { return n.ownerBytes[owner] }
 
-// snapshotAt materializes the region's contents as seen by a READ arriving
-// at time now, applying the torn-read model: during a write's settling
-// window, words settle front-to-back, so a concurrent read sees a prefix of
-// new data and a suffix of old data at 8-byte granularity.
-func (rg *region) snapshotAt(now sim.Time) []byte {
-	out := make([]byte, len(rg.data))
+// readInto copies the region's contents as a READ arriving at now sees them
+// into out, applying the torn-read model: during a write's settling window,
+// words settle front-to-back, so a concurrent read sees a prefix of new data
+// and a suffix of old data at 8-byte granularity.
+func (n *Node) readInto(out []byte, rg *region, now sim.Time) {
 	copy(out, rg.data)
 	p := rg.pending
-	if p == nil || now >= p.end {
-		rg.pending = nil
-		return out
+	if p == nil {
+		return
+	}
+	if now >= p.end {
+		n.settle(rg)
+		return
 	}
 	span := p.end - p.start
 	frac := float64(now-p.start) / float64(span)
@@ -143,7 +168,15 @@ func (rg *region) snapshotAt(now sim.Time) []byte {
 	}
 	// Bytes beyond the settled prefix still hold the old value.
 	copy(out[p.off+settledBytes:p.off+writeLen], p.old[settledBytes:])
-	return out
+}
+
+// settle ends the region's settling window, if any, and keeps its record for
+// the next WRITE.
+func (n *Node) settle(rg *region) {
+	if rg.pending != nil {
+		n.settled = append(n.settled, rg.pending)
+		rg.pending = nil
+	}
 }
 
 func (n *Node) onRequest(from ids.ID, payload []byte) {
@@ -154,114 +187,153 @@ func (n *Node) onRequest(from ids.ID, payload []byte) {
 	switch op {
 	case opWrite:
 		off := int(r.Uvarint())
-		data := r.Bytes()
+		data := r.BytesView() // copied into the region before this returns
 		if r.Done() != nil {
-			n.respondWrite(from, seq, StatusBadRequest)
+			n.respond(from, opWrite, seq, StatusBadRequest)
 			return
 		}
 		n.serveWrite(from, seq, regionID, off, data)
 	case opRead:
 		if r.Done() != nil {
-			n.respondRead(from, seq, StatusBadRequest, nil)
+			n.respond(from, opRead, seq, StatusBadRequest)
 			return
 		}
 		n.serveRead(from, seq, regionID)
 	default:
-		n.respondWrite(from, seq, StatusBadRequest)
+		n.respond(from, opWrite, seq, StatusBadRequest)
 	}
 }
 
 func (n *Node) serveWrite(from ids.ID, seq uint64, id RegionID, off int, data []byte) {
 	rg, ok := n.regions[id]
 	if !ok {
-		n.respondWrite(from, seq, StatusNoRegion)
+		n.respond(from, opWrite, seq, StatusNoRegion)
 		return
 	}
 	if rg.owner != from {
 		// RDMA protection fault: the requester lacks the write token.
-		n.respondWrite(from, seq, StatusPermDenied)
+		n.respond(from, opWrite, seq, StatusPermDenied)
 		return
 	}
 	if off < 0 || off+len(data) > len(rg.data) {
-		n.respondWrite(from, seq, StatusBadRequest)
+		n.respond(from, opWrite, seq, StatusBadRequest)
 		return
 	}
 	now := n.proc.Now()
 	// Record the torn window before overwriting: the write settles over
 	// roughly the PCIe copy duration of the payload.
-	old := make([]byte, len(data))
-	copy(old, rg.data[off:off+len(data)])
-	settle := latmodel.CopyCost(len(data))
-	rg.pending = &pendingWrite{old: old, start: now, end: now.Add(settle), off: off}
+	n.settle(rg)
+	var p *pendingWrite
+	if k := len(n.settled); k > 0 {
+		p, n.settled = n.settled[k-1], n.settled[:k-1]
+	} else {
+		p = new(pendingWrite)
+	}
+	*p = pendingWrite{old: append(p.old[:0], rg.data[off:off+len(data)]...),
+		start: now, end: now.Add(latmodel.CopyCost(len(data))), off: off}
+	rg.pending = p
 	copy(rg.data[off:], data)
-	n.respondWrite(from, seq, StatusOK)
+	n.respond(from, opWrite, seq, StatusOK)
 }
 
 func (n *Node) serveRead(from ids.ID, seq uint64, id RegionID) {
 	rg, ok := n.regions[id]
 	if !ok {
-		n.respondRead(from, seq, StatusNoRegion, nil)
+		n.respond(from, opRead, seq, StatusNoRegion)
 		return
 	}
-	n.respondRead(from, seq, StatusOK, rg.snapshotAt(n.proc.Now()))
+	frame, data := completion(opRead, seq, StatusOK, len(rg.data))
+	n.readInto(data, rg, n.proc.Now())
+	n.rt.SendFrame(from, frame)
 }
 
-func (n *Node) respondWrite(to ids.ID, seq uint64, status uint8) {
-	w := wire.NewWriter(16)
-	w.U8(opWrite)
+// respond sends a completion that carries no region bytes.
+func (n *Node) respond(to ids.ID, op uint8, seq uint64, status uint8) {
+	frame, _ := completion(op, seq, status, 0)
+	n.rt.SendFrame(to, frame)
+}
+
+// completion encodes a completion frame, channel tag first, into a fresh
+// slice of exact size, and returns it with the window at its end that holds a
+// READ's size region bytes (size is 0 for a WRITE).
+func completion(op uint8, seq uint64, status uint8, size int) (frame, data []byte) {
+	n := respHeaderLen
+	if op == opRead {
+		n += wire.BytesLen(size)
+	}
+	var w wire.Writer
+	w.Grow(n)
+	w.U8(router.ChanMemResp)
+	w.U8(op)
 	w.U64(seq)
 	w.U8(status)
-	n.rt.Send(to, router.ChanMemResp, w.Finish())
+	if op == opRead {
+		w.Uvarint(uint64(size))
+	}
+	frame = w.Finish()[:n]
+	return frame, frame[n-size:]
 }
 
-func (n *Node) respondRead(to ids.ID, seq uint64, status uint8, data []byte) {
-	w := wire.NewWriter(16 + len(data))
-	w.U8(opRead)
-	w.U64(seq)
-	w.U8(status)
-	w.Bytes(data)
-	n.rt.Send(to, router.ChanMemResp, w.Finish())
-}
-
-// EncodeWrite builds a write request frame (exported for the client side).
-func EncodeWrite(seq uint64, id RegionID, off int, data []byte) []byte {
-	w := wire.NewWriter(24 + len(data))
+// EncodeWrite encodes a WRITE request frame, channel tag first, for size
+// bytes at offset off of region id into a fresh slice of exact size, and
+// returns it with the window that holds those bytes. The caller fills the
+// window and numbers the frame (SetSeq) before sending it first, and never
+// writes it after.
+func EncodeWrite(id RegionID, off, size int) (frame, data []byte) {
+	n := reqHeaderLen + wire.UvarintLen(uint64(off)) + wire.BytesLen(size)
+	var w wire.Writer
+	w.Grow(n)
+	w.U8(router.ChanMemReq)
 	w.U8(opWrite)
-	w.U64(seq)
+	w.U64(0) // sequence number, see SetSeq
 	w.U32(uint32(id))
 	w.Uvarint(uint64(off))
-	w.Bytes(data)
-	return w.Finish()
+	w.Uvarint(uint64(size))
+	frame = w.Finish()[:n]
+	return frame, frame[n-size:]
 }
 
-// EncodeRead builds a read request frame.
-func EncodeRead(seq uint64, id RegionID) []byte {
-	w := wire.NewWriter(16)
+// EncodeRead encodes a READ request frame, channel tag first, for region id;
+// the caller numbers it (SetSeq) before sending it.
+func EncodeRead(id RegionID) []byte {
+	var w wire.Writer
+	w.Grow(reqHeaderLen)
+	w.U8(router.ChanMemReq)
 	w.U8(opRead)
-	w.U64(seq)
+	w.U64(0) // sequence number, see SetSeq
 	w.U32(uint32(id))
 	return w.Finish()
 }
+
+// SetSeq numbers a request frame that has not been sent yet. A client numbers
+// an operation when it issues it, and the frame keeps the number on every
+// retransmission.
+func SetSeq(frame []byte, seq uint64) { binary.LittleEndian.PutUint64(frame[seqAt:], seq) }
 
 // Response is a decoded memory-node completion.
 type Response struct {
 	Op     uint8
 	Seq    uint64
 	Status uint8
-	Data   []byte
+	// Data is a READ's region contents: a view of the completion frame,
+	// which is immutable once sent and never recycled. It stays valid for as
+	// long as anyone holds it and is never written through.
+	Data []byte
 }
 
-// DecodeResponse parses a completion frame.
+// DecodeResponse parses a completion frame (its channel tag stripped) in
+// borrow mode: Data aliases payload.
 func DecodeResponse(payload []byte) (Response, error) {
 	r := wire.NewReader(payload)
-	resp := Response{Op: r.U8(), Seq: r.U64(), Status: r.U8()}
-	if resp.Op == opRead {
-		resp.Data = r.Bytes()
+	op, seq, status := r.U8(), r.U64(), r.U8()
+	var data []byte
+	if op == opRead {
+		data = r.BytesView()
 	}
 	if err := r.Done(); err != nil {
 		return Response{}, err
 	}
-	return resp, nil
+	return Response{Op: op, Seq: seq, Status: status, Data: data}, nil
 }
 
 // IsWriteResp reports whether the response completes a write.

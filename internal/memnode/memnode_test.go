@@ -46,6 +46,20 @@ func newRig(t *testing.T) *rig {
 	return r
 }
 
+// write and read build numbered request frames, channel tag first.
+func write(seq uint64, id RegionID, off int, data []byte) []byte {
+	frame, window := EncodeWrite(id, off, len(data))
+	copy(window, data)
+	SetSeq(frame, seq)
+	return frame
+}
+
+func read(seq uint64, id RegionID) []byte {
+	frame := EncodeRead(id)
+	SetSeq(frame, seq)
+	return frame
+}
+
 func (r *rig) last(id ids.ID) Response {
 	rs := r.resps[id]
 	return rs[len(rs)-1]
@@ -54,12 +68,12 @@ func (r *rig) last(id ids.ID) Response {
 func TestWriteReadRoundTrip(t *testing.T) {
 	r := newRig(t)
 	r.node.Allocate(1, 0, 64)
-	r.owner.Send(10, router.ChanMemReq, EncodeWrite(1, 1, 0, []byte("hello-region")))
+	r.owner.SendFrame(10, write(1, 1, 0, []byte("hello-region")))
 	r.eng.Run()
 	if got := r.last(0); got.Status != StatusOK || !got.IsWriteResp() {
 		t.Fatalf("write resp: %+v", got)
 	}
-	r.other.Send(10, router.ChanMemReq, EncodeRead(2, 1))
+	r.other.SendFrame(10, read(2, 1))
 	r.eng.Run()
 	got := r.last(1)
 	if got.Status != StatusOK || !bytes.HasPrefix(got.Data, []byte("hello-region")) {
@@ -74,13 +88,13 @@ func TestPermissionFault(t *testing.T) {
 	// RDMA-style access control: only the region owner can write.
 	r := newRig(t)
 	r.node.Allocate(1, 0, 32)
-	r.other.Send(10, router.ChanMemReq, EncodeWrite(1, 1, 0, []byte("forged")))
+	r.other.SendFrame(10, write(1, 1, 0, []byte("forged")))
 	r.eng.Run()
 	if got := r.last(1); got.Status != StatusPermDenied {
 		t.Fatalf("non-owner write status = %d, want PermDenied", got.Status)
 	}
 	// The region contents are untouched.
-	r.owner.Send(10, router.ChanMemReq, EncodeRead(2, 1))
+	r.owner.SendFrame(10, read(2, 1))
 	r.eng.Run()
 	if got := r.last(0); !bytes.Equal(got.Data, make([]byte, 32)) {
 		t.Fatal("region mutated by rejected write")
@@ -90,10 +104,10 @@ func TestPermissionFault(t *testing.T) {
 func TestReadableByEveryone(t *testing.T) {
 	r := newRig(t)
 	r.node.Allocate(1, 0, 16)
-	r.owner.Send(10, router.ChanMemReq, EncodeWrite(1, 1, 0, []byte("pub")))
+	r.owner.SendFrame(10, write(1, 1, 0, []byte("pub")))
 	r.eng.Run()
 	for _, rt := range []*router.Router{r.owner, r.other} {
-		rt.Send(10, router.ChanMemReq, EncodeRead(9, 1))
+		rt.SendFrame(10, read(9, 1))
 	}
 	r.eng.Run()
 	for _, id := range []ids.ID{0, 1} {
@@ -105,8 +119,8 @@ func TestReadableByEveryone(t *testing.T) {
 
 func TestUnknownRegion(t *testing.T) {
 	r := newRig(t)
-	r.owner.Send(10, router.ChanMemReq, EncodeRead(1, 99))
-	r.owner.Send(10, router.ChanMemReq, EncodeWrite(2, 99, 0, []byte("x")))
+	r.owner.SendFrame(10, read(1, 99))
+	r.owner.SendFrame(10, write(2, 99, 0, []byte("x")))
 	r.eng.Run()
 	for _, got := range r.resps[0] {
 		if got.Status != StatusNoRegion {
@@ -118,7 +132,7 @@ func TestUnknownRegion(t *testing.T) {
 func TestOutOfBoundsWrite(t *testing.T) {
 	r := newRig(t)
 	r.node.Allocate(1, 0, 8)
-	r.owner.Send(10, router.ChanMemReq, EncodeWrite(1, 1, 4, []byte("too-long")))
+	r.owner.SendFrame(10, write(1, 1, 4, []byte("too-long")))
 	r.eng.Run()
 	if got := r.last(0); got.Status != StatusBadRequest {
 		t.Fatalf("oob write status = %d", got.Status)
@@ -128,9 +142,9 @@ func TestOutOfBoundsWrite(t *testing.T) {
 func TestOffsetWrite(t *testing.T) {
 	r := newRig(t)
 	r.node.Allocate(1, 0, 16)
-	r.owner.Send(10, router.ChanMemReq, EncodeWrite(1, 1, 8, []byte("BBBB")))
+	r.owner.SendFrame(10, write(1, 1, 8, []byte("BBBB")))
 	r.eng.Run()
-	r.owner.Send(10, router.ChanMemReq, EncodeRead(2, 1))
+	r.owner.SendFrame(10, read(2, 1))
 	r.eng.Run()
 	got := r.last(0)
 	if !bytes.Equal(got.Data[8:12], []byte("BBBB")) || got.Data[0] != 0 {
@@ -145,7 +159,7 @@ func TestCrashedNodeSilent(t *testing.T) {
 	if !r.node.Crashed() {
 		t.Fatal("Crashed() false")
 	}
-	r.owner.Send(10, router.ChanMemReq, EncodeRead(1, 1))
+	r.owner.SendFrame(10, read(1, 1))
 	r.eng.Run()
 	if len(r.resps[0]) != 0 {
 		t.Fatal("crashed memory node responded")
@@ -155,7 +169,7 @@ func TestCrashedNodeSilent(t *testing.T) {
 func TestMalformedRequestRejected(t *testing.T) {
 	r := newRig(t)
 	r.node.Allocate(1, 0, 8)
-	r.owner.Send(10, router.ChanMemReq, []byte{1, 2})
+	r.owner.SendFrame(10, []byte{router.ChanMemReq, 1, 2})
 	r.eng.Run()
 	// Truncated frames yield a BadRequest (the node never crashes on
 	// garbage — memory nodes are trusted but their clients may not be).
@@ -187,29 +201,50 @@ func TestAllocationAccounting(t *testing.T) {
 func TestTornReadModel(t *testing.T) {
 	// A read that lands inside a write's settling window sees a prefix of
 	// new data and a suffix of old data at 8-byte granularity — never
-	// interleaved garbage.
+	// interleaved garbage. The node writes that overlay straight into the
+	// completion frame: the region itself already holds the new data, so old
+	// bytes in an answer can only have come from the overlay.
+	const size = 4096 // settles over CopyCost(4096), ~0.6 us
 	r := newRig(t)
-	r.node.Allocate(1, 0, 32)
-	oldData := bytes.Repeat([]byte{0xAA}, 32)
-	newData := bytes.Repeat([]byte{0xBB}, 32)
-	r.owner.Send(10, router.ChanMemReq, EncodeWrite(1, 1, 0, oldData))
+	r.node.Allocate(1, 0, size)
+	oldData := bytes.Repeat([]byte{0xAA}, size)
+	newData := bytes.Repeat([]byte{0xBB}, size)
+	r.owner.SendFrame(10, write(1, 1, 0, oldData))
 	r.eng.Run()
-	// Issue the write and a racing read in the same instant.
-	r.owner.Send(10, router.ChanMemReq, EncodeWrite(2, 1, 0, newData))
-	r.other.Send(10, router.ChanMemReq, EncodeRead(3, 1))
-	r.eng.Run()
-	got := r.last(1).Data
-	// Validate the prefix/suffix structure.
-	boundary := 0
-	for boundary < 32 && got[boundary] == 0xBB {
-		boundary++
+	// The write, and a read every 350 ns for the next 10 us: spaced wider
+	// than the node takes to answer one and closer than the window, so one
+	// arrives inside it.
+	const reads = 30
+	r.owner.SendFrame(10, write(2, 1, 0, newData))
+	for i := 0; i < reads; i++ {
+		seq := uint64(3 + i)
+		r.eng.After(sim.Duration(i)*350*sim.Nanosecond, func() { r.other.SendFrame(10, read(seq, 1)) })
 	}
-	for i := boundary; i < 32; i++ {
-		if got[i] != 0xAA {
-			t.Fatalf("torn read interleaved: %v", got)
+	r.eng.Run()
+	torn := 0
+	for _, resp := range r.resps[1] {
+		got := resp.Data
+		boundary := 0
+		for boundary < size && got[boundary] == 0xBB {
+			boundary++
+		}
+		for i := boundary; i < size; i++ {
+			if got[i] != 0xAA {
+				t.Fatalf("torn read interleaved at byte %d (boundary %d)", i, boundary)
+			}
+		}
+		if boundary%8 != 0 {
+			t.Fatalf("torn boundary %d not 8-byte aligned", boundary)
+		}
+		if boundary > 0 && boundary < size {
+			torn++
 		}
 	}
-	if boundary%8 != 0 && boundary != 32 {
-		t.Fatalf("torn boundary %d not 8-byte aligned", boundary)
+	t.Logf("%d of %d answers torn", torn, len(r.resps[1]))
+	if len(r.resps[1]) != reads || torn == 0 {
+		t.Fatalf("%d answers, %d of them torn: no read landed inside the settling window", len(r.resps[1]), torn)
+	}
+	if last := r.last(1).Data; !bytes.Equal(last, newData) {
+		t.Fatal("a read after the settling window does not see the write")
 	}
 }

@@ -71,8 +71,9 @@ func (r *Router) Send(to ids.ID, ch uint8, payload []byte) {
 
 // SendFrame transmits frame, whose first byte is already its channel tag, to
 // the host to without copying it. The one slice may go to several hosts and
-// out again later (the message ring's fan-out and retransmission), so it must
-// never be written once sent: every receiver reads those very bytes.
+// out again later (the message ring's and the register client's fan-out and
+// retransmission), so it must never be written once sent: every receiver
+// reads those very bytes.
 func (r *Router) SendFrame(to ids.ID, frame []byte) { r.node.Send(to, frame) }
 
 func (r *Router) dispatch(from ids.ID, payload []byte) {

@@ -22,9 +22,17 @@
 // wedge every protocol layered above it (CTBcast's slow path in
 // particular). Both operations are idempotent at the memory node, and
 // responses are deduplicated per node, so retransmission is safe.
+//
+// Register traffic is encoded once. An operation is one request frame
+// (memnode.EncodeWrite, EncodeRead), channel tag first, posted uncopied to
+// every memory node and on every retransmission; a WRITE's sub-register
+// image is encoded straight into it. A READ's snapshots are views of the
+// memory nodes' completion frames, and so is the value it returns. Every one
+// of those frames is immutable once sent.
 package swmr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -78,19 +86,30 @@ type Store struct {
 
 	nextSeq    uint64
 	ops        map[uint64]*quorumOp
+	free       []*quorumOp // completed records, reused by the next operations
 	retransmit sim.Timer
+	resendFn   func()   // s.resend, bound once
+	seqs       []uint64 // resend's scratch
 }
 
 // quorumOp is one operation in flight at the memory nodes: a WRITE waiting
-// for f_m+1 acks or a READ waiting for f_m+1 region snapshots.
+// for f_m+1 acks or one attempt of a READ waiting for f_m+1 region snapshots.
 type quorumOp struct {
-	frame     []byte   // retained for retransmission until the quorum completes
+	frame     []byte   // sent to every node and on every retransmission, never written after
 	responded uint64   // bit i set: nodes[i] has answered (each node counts once)
 	ok, fail  int      // answers by status
-	snapshots [][]byte // what the OK answers of a READ carried
-	done      func(snapshots [][]byte, err error)
+	snapshots [][]byte // what the OK answers of a READ carried: views of their frames
 	nextRetry sim.Time
 	backoff   sim.Duration
+
+	// A WRITE completes the head of reg's queue. A READ (reg nil) is attempt
+	// number attempt, begun at started, of reading region for done.
+	reg      *Register
+	region   memnode.RegionID
+	valueCap int
+	attempt  int
+	started  sim.Time
+	done     func(ReadResult, error)
 }
 
 // NewStore creates the client. nodes must list the 2f_m+1 memory nodes.
@@ -113,6 +132,7 @@ func NewStore(rt *router.Router, proc *sim.Proc, nodes []ids.ID, fm int) *Store 
 		fm:    fm,
 		ops:   make(map[uint64]*quorumOp),
 	}
+	s.resendFn = s.resend
 	rt.Register(router.ChanMemResp, s.onResponse)
 	return s
 }
@@ -139,39 +159,52 @@ func (s *Store) onResponse(from ids.ID, payload []byte) {
 			op.snapshots = append(op.snapshots, resp.Data)
 		}
 	}
+	var failed error
 	need := s.fm + 1
-	if op.ok >= need {
-		delete(s.ops, resp.Seq)
-		op.done(op.snapshots, nil)
-	} else if op.fail > len(s.nodes)-need {
-		delete(s.ops, resp.Seq)
-		op.done(nil, fmt.Errorf("swmr: operation rejected by %d/%d memory nodes (status %d)", op.fail, len(s.nodes), resp.Status))
+	switch {
+	case op.ok >= need:
+	case op.fail > len(s.nodes)-need:
+		failed = fmt.Errorf("swmr: operation rejected by %d/%d memory nodes (status %d)", op.fail, len(s.nodes), resp.Status)
+	default:
+		return // neither outcome has a quorum yet
 	}
+	delete(s.ops, resp.Seq)
+	if op.reg != nil {
+		op.reg.written(failed)
+	} else {
+		s.readDone(op, failed)
+	}
+	clear(op.snapshots)
+	*op = quorumOp{snapshots: op.snapshots[:0]}
+	s.free = append(s.free, op)
 }
 
-// issue sends frame, which carries sequence number nextSeq, to every memory
-// node; done runs at f_m+1 OK answers (with the snapshots, for a READ) or
-// once a quorum can no longer form. The frame is retained for retransmission
-// until then: memory-node writes are idempotent and reads pure.
-func (s *Store) issue(frame []byte, done func([][]byte, error)) {
-	s.ops[s.nextSeq] = &quorumOp{frame: frame, done: done,
-		nextRetry: s.proc.Now().Add(retransmitInterval), backoff: retransmitInterval}
+// newOp returns a blank quorum-op record.
+func (s *Store) newOp() *quorumOp {
+	k := len(s.free)
+	if k == 0 {
+		return &quorumOp{}
+	}
+	op := s.free[k-1]
+	s.free = s.free[:k-1]
+	return op
+}
+
+// issue numbers frame with the next sequence number and sends it to every
+// memory node for op, which completes at f_m+1 OK answers or once a quorum
+// can no longer form. The frame is retained for retransmission until then:
+// memory-node writes are idempotent and reads pure.
+func (s *Store) issue(op *quorumOp, frame []byte) {
+	s.nextSeq++
+	memnode.SetSeq(frame, s.nextSeq)
+	op.frame = frame
+	op.nextRetry = s.proc.Now().Add(retransmitInterval)
+	op.backoff = retransmitInterval
+	s.ops[s.nextSeq] = op
 	for _, nid := range s.nodes {
-		s.rt.Send(nid, router.ChanMemReq, frame)
+		s.rt.SendFrame(nid, frame)
 	}
 	s.armRetransmit()
-}
-
-// writeAll issues the same region write to every memory node.
-func (s *Store) writeAll(region memnode.RegionID, off int, data []byte, done func([][]byte, error)) {
-	s.nextSeq++
-	s.issue(memnode.EncodeWrite(s.nextSeq, region, off, data), done)
-}
-
-// readAll issues a region read to every memory node.
-func (s *Store) readAll(region memnode.RegionID, done func([][]byte, error)) {
-	s.nextSeq++
-	s.issue(memnode.EncodeRead(s.nextSeq, region), done)
 }
 
 // armRetransmit schedules the retransmission loop if any quorum operation
@@ -182,28 +215,30 @@ func (s *Store) armRetransmit() {
 	if s.retransmit.Pending() || len(s.ops) == 0 {
 		return
 	}
-	s.retransmit = s.proc.After(retransmitInterval, func() {
-		now := s.proc.Now()
-		// Sorted seq order: the send sequence must not depend on map
-		// iteration order (every send perturbs the simulated network's
-		// deterministic event stream).
-		seqs := slices.AppendSeq(make([]uint64, 0, len(s.ops)), maps.Keys(s.ops))
-		slices.Sort(seqs)
-		for _, seq := range seqs {
-			op := s.ops[seq]
-			if now < op.nextRetry {
-				continue
-			}
-			op.backoff = min(2*op.backoff, maxRetransmitBackoff)
-			op.nextRetry = now.Add(op.backoff)
-			for i, nid := range s.nodes {
-				if op.responded&(1<<i) == 0 {
-					s.rt.Send(nid, router.ChanMemReq, op.frame)
-				}
+	s.retransmit = s.proc.After(retransmitInterval, s.resendFn)
+}
+
+func (s *Store) resend() {
+	now := s.proc.Now()
+	// Sorted seq order: the send sequence must not depend on map iteration
+	// order (every send perturbs the simulated network's deterministic event
+	// stream).
+	s.seqs = slices.AppendSeq(s.seqs[:0], maps.Keys(s.ops))
+	slices.Sort(s.seqs)
+	for _, seq := range s.seqs {
+		op := s.ops[seq]
+		if now < op.nextRetry {
+			continue
+		}
+		op.backoff = min(2*op.backoff, maxRetransmitBackoff)
+		op.nextRetry = now.Add(op.backoff)
+		for i, nid := range s.nodes {
+			if op.responded&(1<<i) == 0 {
+				s.rt.SendFrame(nid, op.frame)
 			}
 		}
-		s.armRetransmit()
-	})
+	}
+	s.armRetransmit()
 }
 
 // Register is a handle to one reliable SWMR regular register. The same
@@ -214,17 +249,17 @@ type Register struct {
 	region   memnode.RegionID
 	valueCap int
 
-	// Writer-side cooldown state.
+	// Writer side: the δ cooldown and the FIFO of writes behind it, each one
+	// its encoded request frame. The head is in flight while writing is set.
 	lastWriteAt sim.Time
 	wrotOnce    bool
-	writeCount  uint64
+	writes      uint64 // writes queued so far: the next goes to sub-register writes%2
 	queue       []queuedWrite
 	writing     bool
 }
 
 type queuedWrite struct {
-	ts    uint64
-	value []byte
+	frame []byte
 	done  func(error)
 }
 
@@ -242,29 +277,18 @@ func NewRegister(store *Store, region memnode.RegionID, valueCap int) *Register 
 	return &Register{store: store, region: region, valueCap: valueCap}
 }
 
-// encodeSlot builds a sub-register image: checksum | ts | len | value+pad.
-func (r *Register) encodeSlot(ts uint64, value []byte) []byte {
-	if len(value) > r.valueCap {
-		panic(fmt.Sprintf("swmr: value %dB exceeds register capacity %dB", len(value), r.valueCap))
-	}
-	slot := make([]byte, SlotSize(r.valueCap))
-	w := wire.NewWriter(slotHeaderLen)
-	w.U64(0) // checksum placeholder
-	w.U64(ts)
-	w.U32(uint32(len(value)))
-	header := w.Finish()
-	copy(slot, header)
+// encodeSlot writes the sub-register image checksum | ts | len | value into
+// slot, a fresh window whose padding is already zero.
+func encodeSlot(slot []byte, ts uint64, value []byte) {
+	binary.LittleEndian.PutUint64(slot[8:], ts)
+	binary.LittleEndian.PutUint32(slot[16:], uint32(len(value)))
 	copy(slot[slotHeaderLen:], value)
-	chk := xcrypto.Checksum(r.store.proc, slot[8:])
-	w2 := wire.NewWriter(8)
-	w2.U64(chk)
-	copy(slot[:8], w2.Finish())
-	return slot
+	binary.LittleEndian.PutUint64(slot, xcrypto.ChecksumNoCharge(slot[8:]))
 }
 
 // decodeSlot parses a sub-register image. ok is false for invalid
 // checksums; empty reports an all-zero (never written) slot, which is valid
-// initial state.
+// initial state. value is a view of slot, capped so an append reallocates.
 func decodeSlot(slot []byte) (ts uint64, value []byte, ok, empty bool) {
 	allZero := true
 	for _, b := range slot {
@@ -289,18 +313,35 @@ func decodeSlot(slot []byte) (ts uint64, value []byte, ok, empty bool) {
 	if xcrypto.ChecksumNoCharge(slot[8:]) != chk {
 		return 0, nil, false, false
 	}
-	return ts, slot[slotHeaderLen : slotHeaderLen+int(length)], true, false
+	end := slotHeaderLen + int(length)
+	return ts, slot[slotHeaderLen:end:end], true, false
 }
 
 // Write stores (ts, value) in the register, observing the δ cooldown
 // between consecutive writes (paper §6.1: the writer waits δ between two
-// WRITEs to the same register). Writes queue FIFO behind the cooldown.
-// done runs when a majority of memory nodes acked.
+// WRITEs to the same register). Writes queue FIFO behind the cooldown, each
+// one already encoded, so the caller may reuse value as soon as Write
+// returns. done runs when a majority of memory nodes acked.
 func (r *Register) Write(ts uint64, value []byte, done func(error)) {
-	v := make([]byte, len(value))
-	copy(v, value)
-	r.queue = append(r.queue, queuedWrite{ts: ts, value: v, done: done})
+	if len(value) > r.valueCap {
+		panic(fmt.Sprintf("swmr: value %dB exceeds register capacity %dB", len(value), r.valueCap))
+	}
+	encodeSlot(r.queueWrite(done), ts, value)
 	r.pump()
+}
+
+// queueWrite queues the register's next WRITE, of the sub-register its
+// position in the write sequence names (round-robin, §6.1), and returns the
+// window of its request frame that the sub-register image goes in.
+func (r *Register) queueWrite(done func(error)) []byte {
+	off := 0
+	if r.writes%2 == 1 {
+		off = SlotSize(r.valueCap)
+	}
+	r.writes++
+	frame, slot := memnode.EncodeWrite(r.region, off, SlotSize(r.valueCap))
+	r.queue = append(r.queue, queuedWrite{frame: frame, done: done})
+	return slot
 }
 
 func (r *Register) pump() {
@@ -319,29 +360,35 @@ func (r *Register) pump() {
 			return
 		}
 	}
-	qw := r.queue[0]
-	r.queue = r.queue[1:]
 	r.writing = true
 	r.wrotOnce = true
 	r.lastWriteAt = now
-	slot := r.encodeSlot(qw.ts, qw.value)
-	// Round-robin between the two sub-registers by write count (§6.1).
-	off := 0
-	if r.writeCount%2 == 1 {
-		off = SlotSize(r.valueCap)
-	}
-	r.writeCount++
-	r.store.proc.Charge(latmodel.CopyCost(len(slot)))
-	r.store.writeAll(r.region, off, slot, func(_ [][]byte, err error) {
-		r.writing = false
-		qw.done(err)
-		r.pump()
-	})
+	// The sub-register image's checksum and its copy into the frame are
+	// charged as the WRITE leaves.
+	size := SlotSize(r.valueCap)
+	r.store.proc.Charge(latmodel.ChecksumCost(size - 8))
+	r.store.proc.Charge(latmodel.CopyCost(size))
+	op := r.store.newOp()
+	op.reg = r
+	r.store.issue(op, r.queue[0].frame)
+}
+
+// written completes the WRITE at the head of the queue.
+func (r *Register) written(err error) {
+	done := r.queue[0].done
+	r.queue = slices.Delete(r.queue, 0, 1)
+	r.writing = false
+	done(err)
+	r.pump()
 }
 
 // ReadResult is the outcome of a register read.
 type ReadResult struct {
-	TS    uint64
+	TS uint64
+	// Value is a view of a memory node's completion frame, which is
+	// immutable once sent and never recycled: it stays valid for as long as
+	// anyone holds it and is never written through (an append to it
+	// reallocates).
 	Value []byte
 	// Empty reports that the register has never been written.
 	Empty bool
@@ -368,62 +415,65 @@ func (s *Store) readAttempt(region memnode.RegionID, valueCap, attempt int, done
 		done(ReadResult{}, ErrTooManyRetries)
 		return
 	}
-	attemptStart := s.proc.Now()
-	s.readAll(region, func(snapshots [][]byte, err error) {
-		if err != nil {
-			done(ReadResult{}, err)
-			return
+	op := s.newOp()
+	op.region, op.valueCap, op.attempt, op.started, op.done = region, valueCap, attempt, s.proc.Now(), done
+	s.issue(op, memnode.EncodeRead(region))
+}
+
+// readDone completes one read attempt with the snapshots its quorum
+// returned, or with the error that ended it.
+func (s *Store) readDone(op *quorumOp, err error) {
+	if err != nil {
+		op.done(ReadResult{}, err)
+		return
+	}
+	elapsed := s.proc.Now().Sub(op.started)
+	best := ReadResult{Empty: true}
+	haveValid := false
+	byz := false
+	for _, snap := range op.snapshots {
+		if len(snap) != RegionSize(op.valueCap) {
+			continue // trusted memnodes never truncate; defensive anyway
 		}
-		elapsed := s.proc.Now().Sub(attemptStart)
-		best := ReadResult{Empty: true}
-		haveValid := false
-		byz := false
-		for _, snap := range snapshots {
-			if len(snap) != RegionSize(valueCap) {
-				continue // trusted memnodes never truncate; defensive anyway
-			}
-			half := SlotSize(valueCap)
-			tsA, valA, okA, emptyA := decodeSlot(snap[:half])
-			tsB, valB, okB, emptyB := decodeSlot(snap[half:])
-			s.proc.Charge(latmodel.ChecksumCost(len(snap)))
-			if okA && okB && !emptyA && !emptyB && tsA == tsB {
-				// Two settled sub-registers with equal timestamps: the
-				// writer violated the round-robin discipline.
-				byz = true
+		half := SlotSize(op.valueCap)
+		tsA, valA, okA, emptyA := decodeSlot(snap[:half])
+		tsB, valB, okB, emptyB := decodeSlot(snap[half:])
+		s.proc.Charge(latmodel.ChecksumCost(len(snap)))
+		if okA && okB && !emptyA && !emptyB && tsA == tsB {
+			// Two settled sub-registers with equal timestamps: the
+			// writer violated the round-robin discipline.
+			byz = true
+			continue
+		}
+		for _, c := range []struct {
+			ts    uint64
+			val   []byte
+			ok    bool
+			empty bool
+		}{{tsA, valA, okA, emptyA}, {tsB, valB, okB, emptyB}} {
+			if !c.ok || c.empty {
 				continue
 			}
-			for _, c := range []struct {
-				ts    uint64
-				val   []byte
-				ok    bool
-				empty bool
-			}{{tsA, valA, okA, emptyA}, {tsB, valB, okB, emptyB}} {
-				if !c.ok || c.empty {
-					continue
-				}
-				haveValid = true
-				if best.Empty || c.ts > best.TS {
-					v := make([]byte, len(c.val))
-					copy(v, c.val)
-					best = ReadResult{TS: c.ts, Value: v}
-				}
-			}
-			if emptyA && emptyB {
-				haveValid = true // settled initial state counts as a valid (empty) read
+			haveValid = true
+			if best.Empty || c.ts > best.TS {
+				best = ReadResult{TS: c.ts, Value: c.val}
 			}
 		}
-		if haveValid {
-			done(best, nil)
-			return
+		if emptyA && emptyB {
+			haveValid = true // settled initial state counts as a valid (empty) read
 		}
-		if byz || elapsed < latmodel.Delta {
-			// No settled sub-register although reads are fast (post-GST a
-			// read within δ cannot overlap writes to both sub-registers):
-			// the writer is Byzantine. Return the default value.
-			done(ReadResult{Empty: true}, ErrByzantineWriter)
-			return
-		}
-		// The read took longer than δ (pre-GST asynchrony): retry.
-		s.readAttempt(region, valueCap, attempt+1, done)
-	})
+	}
+	if haveValid {
+		op.done(best, nil)
+		return
+	}
+	if byz || elapsed < latmodel.Delta {
+		// No settled sub-register although reads are fast (post-GST a
+		// read within δ cannot overlap writes to both sub-registers):
+		// the writer is Byzantine. Return the default value.
+		op.done(ReadResult{Empty: true}, ErrByzantineWriter)
+		return
+	}
+	// The read took longer than δ (pre-GST asynchrony): retry.
+	s.readAttempt(op.region, op.valueCap, op.attempt+1, op.done)
 }

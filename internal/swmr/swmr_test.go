@@ -210,19 +210,17 @@ func TestReadQuorumIntersectsWrite(t *testing.T) {
 
 func TestByzantineEqualTimestamps(t *testing.T) {
 	// A Byzantine writer that puts the same timestamp in both sub-registers
-	// must be detected. We forge this by writing raw slots directly through
-	// the store (bypassing the Register write discipline).
+	// must be detected. Register.Write does not check timestamps, so two
+	// writes with one timestamp land in the two sub-registers (round-robin).
 	rg := newRig(t, 1)
 	rg.allocate(1, 0, 32)
 	wreg := NewRegister(rg.writer, 1, 32)
-	slotA := wreg.encodeSlot(4, []byte("one"))
-	slotB := wreg.encodeSlot(4, []byte("two"))
 	n := 0
-	rg.writer.writeAll(1, 0, slotA, func([][]byte, error) { n++ })
-	rg.writer.writeAll(1, SlotSize(32), slotB, func([][]byte, error) { n++ })
+	wreg.Write(4, []byte("one"), func(error) { n++ })
+	wreg.Write(4, []byte("two"), func(error) { n++ })
 	rg.eng.Run()
 	if n != 2 {
-		t.Fatalf("raw writes incomplete: %d", n)
+		t.Fatalf("writes incomplete: %d", n)
 	}
 	rreg := NewRegister(rg.reader, 1, 32)
 	var gotErr error
@@ -235,17 +233,23 @@ func TestByzantineEqualTimestamps(t *testing.T) {
 
 func TestByzantineBogusChecksums(t *testing.T) {
 	// Both sub-registers contain garbage: a fast read must report the
-	// writer Byzantine rather than spin forever.
+	// writer Byzantine rather than spin forever. The garbage is written as
+	// raw sub-register images, bypassing encodeSlot.
 	rg := newRig(t, 1)
 	rg.allocate(1, 0, 32)
-	garbage := make([]byte, SlotSize(32))
-	for i := range garbage {
-		garbage[i] = 0xA5
-	}
+	wreg := NewRegister(rg.writer, 1, 32)
 	n := 0
-	rg.writer.writeAll(1, 0, garbage, func([][]byte, error) { n++ })
-	rg.writer.writeAll(1, SlotSize(32), garbage, func([][]byte, error) { n++ })
+	for range 2 {
+		slot := wreg.queueWrite(func(error) { n++ })
+		for i := range slot {
+			slot[i] = 0xA5
+		}
+		wreg.pump()
+	}
 	rg.eng.Run()
+	if n != 2 {
+		t.Fatalf("raw writes incomplete: %d", n)
+	}
 	rreg := NewRegister(rg.reader, 1, 32)
 	var gotErr error
 	rreg.Read(func(_ ReadResult, err error) { gotErr = err })

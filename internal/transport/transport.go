@@ -46,7 +46,9 @@ type Handler func(from ids.ID, payload []byte)
 // immutable once sent: the sender never writes it again, the backend never
 // recycles or rewrites it, and a receiver only reads it. One slice may be
 // sent to several nodes and sent again later (a message-ring frame is shared
-// by the sender's mirror, every receiver and retransmission).
+// by the sender's mirror, every receiver and retransmission; a register
+// request by every memory node and retransmission; a client request by every
+// replica it addresses).
 type Endpoint interface {
 	// ID returns the node's identity.
 	ID() ids.ID

@@ -116,15 +116,18 @@ func (w *Writer) Bool(v bool) {
 // Uvarint appends an unsigned varint.
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
-// BytesLen returns how many bytes Bytes appends for a slice of n bytes: the
-// varint length prefix and the bytes themselves.
-func BytesLen(n int) int {
+// UvarintLen returns how many bytes Uvarint appends for v.
+func UvarintLen(v uint64) int {
 	size := 1
-	for v := uint64(n); v >= 0x80; v >>= 7 {
+	for ; v >= 0x80; v >>= 7 {
 		size++
 	}
-	return size + n
+	return size
 }
+
+// BytesLen returns how many bytes Bytes appends for a slice of n bytes: the
+// varint length prefix and the bytes themselves.
+func BytesLen(n int) int { return UvarintLen(uint64(n)) + n }
 
 // Bytes appends a length-prefixed byte slice.
 func (w *Writer) Bytes(b []byte) {
