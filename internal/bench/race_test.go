@@ -3,8 +3,10 @@
 package bench
 
 // Under the race detector sync.Pool drops a share of what is put back, at
-// random, so pooled wire writers are allocated again: measured 60
-// allocations per fast-path request where a plain build reads 45 (91 where
-// it read 75 before ring frames were shared), and 352-353 per slow-path
-// request where a plain build reads 300.
-func init() { raceAllocs, raceSlowAllocs = 16, 64 }
+// random, so pooled wire writers are allocated again: measured 40
+// allocations per fast-path request where a plain build reads 25 (60 where
+// it read 45 before per-operation records were recycled, 91 where it read 75
+// before ring frames were shared), 331-332 per slow-path request where a
+// plain build reads 278 (352-353 where it read 300), and 10-11 per fast read
+// and 8-9 per point read where a plain build reads 10 and 8.
+func init() { raceAllocs, raceSlowAllocs, raceReadAllocs = 16, 64, 2 }

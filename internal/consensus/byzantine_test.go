@@ -495,7 +495,7 @@ func TestBatchWithUnknownSubRequestNotEndorsed(t *testing.T) {
 	r := rig.reps[1]
 	known := Request{Client: 200, Num: 1, Payload: []byte("sent")}
 	forged := Request{Client: 200, Num: 2, Payload: []byte("never sent")}
-	held := r.requests.at(known.Digest())
+	held := r.request(known.Digest())
 	held.req, held.held = known, true
 	if !r.onConsensusMsg(ids.ID(0), encodePrepare(Prepare{View: 0, Slot: 0, Req: EncodeBatch([]Request{known, forged})})) {
 		t.Fatal("well-formed batch rejected")

@@ -209,19 +209,29 @@ func (rig *msgFuzzRig) advance(t *testing.T, stage uint8) ids.ID {
 // state[p] with its fragment train, the replica's view and window, and the
 // slot table. The verified-share caches are left out (slot records that hold
 // nothing else count as absent): a signature verified inside a frame that
-// fails for another reason is verified all the same, and stays cached.
+// fails for another reason is verified all the same, and stays cached. A slot
+// record is compared with a fresh record of its slot, so a protocol field set
+// anywhere shows.
 func channelState(r *Replica, p ids.ID) string {
 	st := r.state[p]
 	out := fmt.Sprintf("%+v newView=%p | view=%d seal=%d chkpt=%d next=%d applied=%d views=%d |",
 		*st, st.newView, r.view, r.sealTarget, r.chkpt.Seq, r.nextSlot, r.lastApplied, len(r.views))
 	for _, s := range sortedKeys(r.slots) {
 		ss := *r.slots[s]
-		ss.shares = nil
-		if !reflect.DeepEqual(ss, slotState{}) {
+		ss.shares, ss.onFallback = nil, nil
+		if !reflect.DeepEqual(ss, freshSlot(s)) {
 			out += fmt.Sprintf(" %d:%+v", s, ss)
 		}
 	}
 	return out
+}
+
+// freshSlot is the record slot s gets from an empty free list, its bound
+// callback left out (reflect.DeepEqual never equates two set funcs).
+func freshSlot(s Slot) slotState {
+	ss := *(&Replica{slots: make(table[Slot, slotState])}).slot(s)
+	ss.onFallback = nil
+	return ss
 }
 
 // FuzzConsensusMsg hands arbitrary bytes to onConsensusMsg as the next

@@ -50,7 +50,7 @@ func TestShouldRebroadcastExecInversion(t *testing.T) {
 	}
 
 	// Decided: settled regardless of execution progress.
-	r.slots.at(12).decided = true
+	r.slot(12).decided = true
 	if r.shouldRebroadcast(rs) {
 		t.Fatal("decided request re-routed")
 	}

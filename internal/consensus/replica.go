@@ -180,11 +180,14 @@ type Replica struct {
 
 	// What the replica remembers per slot, per request digest, per client
 	// and per checkpoint sequence number (and, below, per view): record
-	// types, mutators and the prune rules are in tables.go.
-	slots    table[Slot, slotState]
-	requests table[[xcrypto.DigestLen]byte, reqState]
-	clients  table[ids.ID, clientState]
-	cps      table[Slot, cpState]
+	// types, mutators and the prune rules are in tables.go. The slot and
+	// request tables recycle their records through a free list each.
+	slots        table[Slot, slotState]
+	requests     table[[xcrypto.DigestLen]byte, reqState]
+	clients      table[ids.ID, clientState]
+	cps          table[Slot, cpState]
+	freeSlots    freeList[slotState]
+	freeRequests freeList[reqState]
 
 	lastApplied Slot // next slot to apply
 
@@ -598,7 +601,7 @@ func (r *Replica) takeProposal() (Request, bool) {
 	taken := 0
 	for ; taken < len(r.proposeQ); taken++ {
 		req := &r.proposeQ[taken]
-		rs := r.requests.at(req.Digest())
+		rs := r.request(req.Digest())
 		if rs.proposed {
 			continue
 		}
@@ -731,7 +734,7 @@ func (r *Replica) requestKnown(req *Request) bool {
 // has the client request directly (no-ops and view-change re-proposals are
 // endorsed immediately; re-proposals carry f+1-certified provenance).
 func (r *Replica) endorseOrWait(pr Prepare) {
-	ss := r.slots.at(pr.Slot)
+	ss := r.slot(pr.Slot)
 	if !r.requestKnown(&pr.Req) && pr.View == 0 && !r.noEchoWait {
 		// Wait for the client's direct copy before endorsing. (A copy, so
 		// that pr escapes to the heap on this rare path only.)
@@ -771,7 +774,7 @@ func (r *Replica) releaseParked() {
 }
 
 func (r *Replica) endorse(pr Prepare) {
-	ss := r.slots.at(pr.Slot)
+	ss := r.slot(pr.Slot)
 	ss.waitingReq = nil
 	if r.observing() {
 		// Observe-only window: record the prepare (already in state[p]) but
@@ -787,12 +790,8 @@ func (r *Replica) endorse(pr Prepare) {
 			r.auxVote(tagWillCertify, pr.View, pr.Slot)
 		}
 		if !ss.fallback.Pending() {
-			v, s := pr.View, pr.Slot
-			ss.fallback = r.proc.After(r.cfg.SlowPathDelay, func() {
-				if !r.isDecided(s) && s >= r.chkpt.Seq {
-					r.sendCertify(v, s)
-				}
-			})
+			ss.fallbackView = pr.View
+			ss.fallback = r.proc.After(r.cfg.SlowPathDelay, ss.onFallback)
 		}
 	} else {
 		// Slow path: CERTIFY immediately (line 22).
@@ -801,10 +800,20 @@ func (r *Replica) endorse(pr Prepare) {
 	r.armProgressTimer()
 }
 
+// slowPathDue is a slot's fallback, SlowPathDelay after this replica endorsed
+// its PREPARE on the fast path: the slot takes the signed path unless it
+// decided meanwhile. A slot's record leaves its table only with the timer
+// cancelled, so ss is the slot's record still.
+func (r *Replica) slowPathDue(ss *slotState) {
+	if !ss.decided && ss.slot >= r.chkpt.Seq {
+		r.sendCertify(ss.fallbackView, ss.slot)
+	}
+}
+
 // sendCertify signs and Tail-Broadcasts a CERTIFY share for the prepare we
 // delivered for (v, s).
 func (r *Replica) sendCertify(v View, s Slot) {
-	ss := r.slots.at(s)
+	ss := r.slot(s)
 	if ss.sent(v, sentCertify) || r.observing() {
 		return
 	}
@@ -852,7 +861,7 @@ func (r *Replica) verifyCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]
 // CERTIFY), unless its signer certified another digest before: the signature
 // is valid all the same.
 func (r *Replica) verifyCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
-	shares := r.slots.at(s).certShares(v)
+	shares := r.slot(s).certShares(v)
 	if shares.Has(p, dg, sig) {
 		return true
 	}
@@ -936,7 +945,7 @@ func (r *Replica) voteSlot(p ids.ID, v View, s Slot) (*slotState, uint64) {
 	if v != r.view || !r.inWindow(s) || bit == 0 {
 		return nil, 0
 	}
-	ss := r.slots.at(s)
+	ss := r.slot(s)
 	if ss.voteView != v {
 		ss.voteView, ss.willCertify, ss.willCommit = v, 0, 0
 	}
@@ -990,7 +999,7 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 	// before it costs a verification. Our own share needs none; remote shares
 	// are verified once and kept, so COMMIT-certificate validation does not
 	// re-pay.
-	ss := r.slots.at(s)
+	ss := r.slot(s)
 	shares := ss.certShares(v)
 	if !shares.Admits(p, dg) || (p != r.cfg.Self && !r.verifyCertify(p, v, s, dg, sig)) {
 		return
@@ -1050,7 +1059,7 @@ func (r *Replica) decide(s Slot, req Request) {
 	if r.isDecided(s) || s < r.lastApplied {
 		return
 	}
-	ss := r.slots.at(s)
+	ss := r.slot(s)
 	ss.decided, ss.req = true, req
 	ss.fallback.Cancel()
 	r.vcStreak = 0 // progress: reset the suspicion backoff

@@ -146,7 +146,7 @@ func (r *Replica) onClientRequest(from ids.ID, rd *wire.Reader) {
 	}
 	dg := req.Digest()
 	r.proc.Charge(latmodel.DigestCost(len(req.Payload)))
-	rs := r.requests.at(dg)
+	rs := r.request(dg)
 	if rs.held {
 		return
 	}
@@ -303,7 +303,7 @@ func (r *Replica) noteEcho(dg [xcrypto.DigestLen]byte, from ids.ID) {
 	if !r.IsLeader() {
 		return
 	}
-	rs := r.requests.at(dg)
+	rs := r.request(dg)
 	if rs.proposed {
 		return
 	}
@@ -318,11 +318,15 @@ func (r *Replica) noteEcho(dg [xcrypto.DigestLen]byte, from ids.ID) {
 	if !rs.echoTimer.Pending() {
 		// A pending timer's record is alive: only closeEchoRound, which
 		// cancels it, lets the record go.
-		rs.echoTimer = r.proc.After(EchoTimeout, func() {
-			if rs.held {
-				r.finishEcho(rs)
-			}
-		})
+		rs.echoTimer = r.proc.After(EchoTimeout, rs.onEchoTimeout)
+	}
+}
+
+// echoTimedOut is a request record's EchoTimeout: propose without the
+// missing echoes.
+func (r *Replica) echoTimedOut(rs *reqState) {
+	if rs.held {
+		r.finishEcho(rs)
 	}
 }
 
@@ -402,6 +406,11 @@ type Client struct {
 	nextNum uint64
 	pending map[uint64]*pendingReq
 
+	// Completed and cancelled calls' records, kept for the next ones: each
+	// holds at most the peak number of calls in flight.
+	freeReqs  freeList[pendingReq]
+	freeReads freeList[pendingRead]
+
 	// Read fast path state: in-flight unordered reads, the per-group
 	// monotonic read floor (the lowest state version a fast read may be
 	// answered at — ratcheted by every accepted read AND every ordered
@@ -455,8 +464,9 @@ type Client struct {
 // replica that saw the read straddle a transaction taints the accepted
 // result, which can cost a needless chase round but never hide one.
 type resTally struct {
+	key     uint64 // the class key: the result checksum, mixed as the path needs
 	count   int
-	result  []byte
+	result  []byte // a view of the last counted reply frame
 	minSlot Slot
 	parked  bool   // ordered path: quorum-vouched parked marker (in the key)
 	crossed bool   // read path: OR of txn-crossed flags over counted replies
@@ -471,17 +481,43 @@ func (t *resTally) add(result []byte, slot Slot) {
 	}
 }
 
+// tallies is one call's result classes. A replica's reply is counted once,
+// in one class, so there are at most as many classes as replicas: a short
+// slice searched by key, reused with its record.
+type tallies []resTally
+
+// of returns the class with the given key, opening it if absent. The
+// pointer is good until the next call.
+func (ts *tallies) of(key uint64) *resTally {
+	for i := range *ts {
+		if (*ts)[i].key == key {
+			return &(*ts)[i]
+		}
+	}
+	*ts = append(*ts, resTally{key: key})
+	return &(*ts)[len(*ts)-1]
+}
+
+// reset empties the classes, dropping their views of reply frames.
+func (ts *tallies) reset() {
+	clear(*ts)
+	*ts = (*ts)[:0]
+}
+
+// pendingReq tracks one in-flight ordered call.
 type pendingReq struct {
 	group   int
 	started sim.Time
-	replied uint64              // bitmask of replica indices already counted
-	byRes   map[uint64]resTally // result checksum -> class tally
-	done    func(result []byte, parked bool, latency sim.Duration)
-	fired   bool
+	replied uint64  // bitmask of replica indices already counted
+	byRes   tallies // the result classes, keyed by result checksum
+	// The caller's callback, in the form it was given: exactly one is set.
+	done       func(result []byte, latency sim.Duration)
+	doneParked func(result []byte, parked bool, latency sim.Duration)
 }
 
 // pendingRead tracks one in-flight unordered read.
 type pendingRead struct {
+	num     uint64 // the key in Client.pendingReads
 	group   int
 	payload []byte
 	minSlot Slot
@@ -506,7 +542,7 @@ type pendingRead struct {
 	// the class minimum version is the quorum-vouched ratchet (see
 	// resTally), bounded below by the floor since stale replies are never
 	// counted at all. best is the largest class count.
-	byRes map[uint64]resTally
+	byRes tallies
 	best  int
 	// frontier is the highest version ANY reply carried — advisory input
 	// to the scatter-gather snapshot pinning and the strong read's second
@@ -516,7 +552,19 @@ type pendingRead struct {
 	fellBack bool
 	ordNum   uint64 // the ordered request number after fallback
 	timer    sim.Timer
-	done     func(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration)
+	expire   func() // timer's callback, bound once when the record is made
+	// The caller's callback, in the form it was given: exactly one is set.
+	done   func(result []byte, latency sim.Duration)
+	doneAt func(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration)
+}
+
+// finish hands the read's outcome to the caller.
+func (p *pendingRead) finish(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration) {
+	if p.done != nil {
+		p.done(result, latency)
+	} else {
+		p.doneAt(result, slot, frontier, crossed, fellBack, latency)
+	}
 }
 
 // defaultReadTimeout bounds how long a fast read waits for its quorum
@@ -582,6 +630,10 @@ func (c *Client) ReadFloor(group int) Slot { return c.readFloor[group] }
 
 // Invoke submits payload to group 0 for replicated execution; done receives
 // the f+1-confirmed result and the end-to-end latency.
+//
+// The result every Invoke* method hands its done callback is a view of a
+// reply frame, which is immutable once sent: the callee may keep it as long
+// as it likes, but must never write into it.
 func (c *Client) Invoke(payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
 	return c.InvokeGroup(0, payload, done)
 }
@@ -591,9 +643,7 @@ func (c *Client) Invoke(payload []byte, done func(result []byte, latency sim.Dur
 // request (its done callback will never fire), which is how the cross-shard
 // coordinator withdraws prepares from a group that timed out.
 func (c *Client) InvokeGroup(group int, payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.invokeGroupEx(group, payload, func(result []byte, _ bool, latency sim.Duration) {
-		done(result, latency)
-	})
+	return c.invoke(group, payload, done, nil)
 }
 
 // InvokeGroupParked is InvokeGroup surfacing the quorum-vouched parked
@@ -603,18 +653,16 @@ func (c *Client) InvokeGroup(group int, payload []byte, done func(result []byte,
 // revalidate sibling legs only behind fallbacks that actually crossed a
 // transaction, not behind every lost packet.
 func (c *Client) InvokeGroupParked(group int, payload []byte, done func(result []byte, parked bool, latency sim.Duration)) uint64 {
-	return c.invokeGroupEx(group, payload, done)
+	return c.invoke(group, payload, nil, done)
 }
 
-func (c *Client) invokeGroupEx(group int, payload []byte, done func(result []byte, parked bool, latency sim.Duration)) uint64 {
+// invoke submits an ordered call; exactly one of done and doneParked is set.
+func (c *Client) invoke(group int, payload []byte, done func([]byte, sim.Duration), doneParked func([]byte, bool, sim.Duration)) uint64 {
 	c.nextNum++
 	num := c.nextNum
-	c.pending[num] = &pendingReq{
-		group:   group,
-		started: c.proc.Now(),
-		byRes:   make(map[uint64]resTally),
-		done:    done,
-	}
+	p := c.newReq()
+	p.group, p.started, p.done, p.doneParked = group, c.proc.Now(), done, doneParked
+	c.pending[num] = p
 	// One frame, channel tag first and of exact size, for every replica:
 	// immutable once sent, so replicas may retain views of it.
 	req := Request{Client: c.rt.ID(), Num: num, Payload: payload}
@@ -639,18 +687,53 @@ func (c *Client) invokeGroupEx(group int, payload []byte, done func(result []byt
 // is in flight.
 func (c *Client) Cancel(num uint64) bool {
 	if p, ok := c.pendingReads[num]; ok {
-		delete(c.pendingReads, num)
-		p.timer.Cancel()
-		if p.fellBack {
-			delete(c.pending, p.ordNum)
+		if q := c.pending[p.ordNum]; p.fellBack && q != nil {
+			c.dropReq(p.ordNum, q)
 		}
+		c.dropRead(p)
 		return true
 	}
-	if _, ok := c.pending[num]; !ok {
-		return false
+	p, ok := c.pending[num]
+	if ok {
+		c.dropReq(num, p)
 	}
+	return ok
+}
+
+// newReq returns a record for a new ordered call: a finished call's, or a
+// new one with room for a class per replica.
+func (c *Client) newReq() *pendingReq {
+	if p := c.freeReqs.get(); p != nil {
+		return p
+	}
+	return &pendingReq{byRes: make(tallies, 0, 2*c.f+1)}
+}
+
+// newRead is newReq for a read, whose timer callback is bound here, once.
+func (c *Client) newRead() *pendingRead {
+	if p := c.freeReads.get(); p != nil {
+		return p
+	}
+	p := &pendingRead{byRes: make(tallies, 0, 2*c.f+1)}
+	p.expire = func() { c.escalateRead(p) }
+	return p
+}
+
+// dropReq forgets ordered call num and keeps its record for the next call.
+func (c *Client) dropReq(num uint64, p *pendingReq) {
 	delete(c.pending, num)
-	return true
+	p.byRes.reset()
+	*p = pendingReq{byRes: p.byRes}
+	c.freeReqs.put(p)
+}
+
+// dropRead forgets a read and keeps its record for the next read.
+func (c *Client) dropRead(p *pendingRead) {
+	delete(c.pendingReads, p.num)
+	p.timer.Cancel()
+	p.byRes.reset()
+	*p = pendingRead{byRes: p.byRes, expire: p.expire}
+	c.freeReads.put(p)
 }
 
 // PendingCount reports how many requests await confirmation, ordered and
@@ -673,12 +756,12 @@ func (c *Client) onResponse(from ids.ID, rd *wire.Reader) {
 	num := rd.U64()
 	slot := Slot(rd.U64())
 	flags := rd.U8()
-	result := rd.Bytes()
+	result := rd.BytesView() // the reply frame is immutable once sent
 	if rd.Done() != nil {
 		return
 	}
 	p := c.pending[num]
-	if p == nil || p.fired {
+	if p == nil {
 		return
 	}
 	idx := c.replicaIndex(from, p.group)
@@ -697,16 +780,14 @@ func (c *Client) onResponse(from ids.ID, rd *wire.Reader) {
 	if parked {
 		key ^= 0xC2B2AE3D27D4EB4F
 	}
-	t := p.byRes[key]
+	t := p.byRes.of(key)
 	t.add(result, slot)
 	t.parked = parked
-	p.byRes[key] = t
 	need := c.f + 1
 	if c.def.QuorumOne {
 		need = 1
 	}
 	if t.count >= need {
-		p.fired = true
 		delete(c.pending, num)
 		// The request executed at the slot the winning class vouches for
 		// (its minimum — see resTally), so the group's state now includes
@@ -714,7 +795,12 @@ func (c *Client) onResponse(from ids.ID, rd *wire.Reader) {
 		// can never observe a version that predates this response
 		// (read-your-writes and monotonic reads across both paths).
 		c.noteVersion(p.group, t.minSlot+1)
-		p.done(result, t.parked, c.proc.Now().Sub(p.started))
+		if latency := c.proc.Now().Sub(p.started); p.done != nil {
+			p.done(result, latency)
+		} else {
+			p.doneParked(result, parked, latency)
+		}
+		c.dropReq(num, p)
 	}
 }
 
@@ -753,9 +839,7 @@ func (c *Client) InvokeRead(payload []byte, done func(result []byte, latency sim
 
 // InvokeGroupRead is InvokeRead addressed at one replica group.
 func (c *Client) InvokeGroupRead(group int, payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.InvokeGroupReadAt(group, payload, 0, 0, func(res []byte, _, _ Slot, _, _ bool, lat sim.Duration) {
-		done(res, lat)
-	})
+	return c.startRead(group, payload, 0, 0, false, done, nil)
 }
 
 // InvokeGroupReadStrong is the linearizable strong read: it requires ALL
@@ -772,10 +856,7 @@ func (c *Client) InvokeGroupRead(group int, payload []byte, done func(result []b
 // two, or a timeout fall back to the ordered path, which is linearizable
 // by construction.
 func (c *Client) InvokeGroupReadStrong(group int, payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.startRead(group, payload, 0, 0, true, c.proc.Now(),
-		func(res []byte, _, _ Slot, _, _ bool, lat sim.Duration) {
-			done(res, lat)
-		})
+	return c.startRead(group, payload, 0, 0, true, done, nil)
 }
 
 // InvokeGroupReadAt is the version-aware fast read the shard layer's
@@ -797,14 +878,15 @@ func (c *Client) InvokeGroupReadStrong(group int, payload []byte, done func(resu
 // did not straddle any cross-shard transaction that committed before the
 // pin round began.
 func (c *Client) InvokeGroupReadAt(group int, payload []byte, minSlot, at Slot, done func(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration)) uint64 {
-	return c.startRead(group, payload, minSlot, at, false, c.proc.Now(), done)
+	return c.startRead(group, payload, minSlot, at, false, nil, done)
 }
 
 // startRead puts one unordered read on the ladder: at rung 1 (f+1
 // replicas), or straight at rung 2 (the whole group) when the read is
 // strong, the QuorumOne defense is off, or too few replicas are trusted to
-// form a first rung.
-func (c *Client) startRead(group int, payload []byte, minSlot, at Slot, strong bool, started sim.Time, done func(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration)) uint64 {
+// form a first rung. Exactly one of done and doneAt is set.
+func (c *Client) startRead(group int, payload []byte, minSlot, at Slot, strong bool,
+	done func([]byte, sim.Duration), doneAt func([]byte, Slot, Slot, bool, bool, sim.Duration)) uint64 {
 	c.nextNum++
 	num := c.nextNum
 	if at > 0 {
@@ -812,16 +894,9 @@ func (c *Client) startRead(group int, payload []byte, minSlot, at Slot, strong b
 	} else if f := c.readFloor[group]; f > minSlot {
 		minSlot = f
 	}
-	p := &pendingRead{
-		group:   group,
-		payload: payload,
-		minSlot: minSlot,
-		at:      at,
-		strong:  strong,
-		started: started,
-		byRes:   make(map[uint64]resTally),
-		done:    done,
-	}
+	p := c.newRead()
+	p.num, p.group, p.payload, p.minSlot, p.at, p.strong = num, group, payload, minSlot, at, strong
+	p.started, p.done, p.doneAt = c.proc.Now(), done, doneAt
 	c.pendingReads[num] = p
 
 	// Rung 1 is f+1 trusted replicas in rotation order from the request
@@ -845,7 +920,7 @@ func (c *Client) startRead(group int, payload []byte, minSlot, at Slot, strong b
 			}
 		}
 	}
-	c.sendRead(num, p, to)
+	c.sendRead(p, to)
 	return num
 }
 
@@ -859,12 +934,12 @@ func (c *Client) groupMask(group int) uint64 {
 // read timeout; a first rung gets half of it (the widen deadline) and the
 // widened round the other half, so total silence still reaches the ordered
 // path after one read timeout.
-func (c *Client) sendRead(num uint64, p *pendingRead, to uint64) {
+func (c *Client) sendRead(p *pendingRead, to uint64) {
 	var w wire.Writer // one exact-size frame for every replica addressed
 	w.Grow(2 + 16 + wire.BytesLen(len(p.payload)))
 	w.U8(router.ChanRPC)
 	w.U8(tagReadRequest)
-	w.U64(num)
+	w.U64(p.num)
 	w.U64(uint64(p.at))
 	w.Bytes(p.payload)
 	frame := w.Finish()
@@ -879,7 +954,7 @@ func (c *Client) sendRead(num uint64, p *pendingRead, to uint64) {
 		wait /= 2
 	}
 	p.timer.Cancel()
-	p.timer = c.proc.After(wait, func() { c.escalateRead(num, p) })
+	p.timer = c.proc.After(wait, p.expire)
 }
 
 // onReadResponse collects one replica's fast-read reply. Acceptance needs
@@ -894,7 +969,7 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 	num := rd.U64()
 	version := Slot(rd.U64())
 	flags := rd.U8()
-	result := rd.Bytes()
+	result := rd.BytesView() // the reply frame is immutable once sent
 	if rd.Done() != nil {
 		return
 	}
@@ -944,11 +1019,10 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 			// linearization point, so the version joins the class key.
 			key += uint64(version) * 0x9E3779B97F4A7C15
 		}
-		t := p.byRes[key]
+		t := p.byRes.of(key)
 		t.add(result, version)
 		t.crossed = t.crossed || flags&readFlagCrossed != 0
 		t.voters |= bit
-		p.byRes[key] = t
 		if t.count > p.best {
 			p.best = t.count
 		}
@@ -961,7 +1035,7 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 				// rely on for isolation) — asking more replicas cannot
 				// help.
 				p.contacted = all
-				c.escalateRead(num, p)
+				c.escalateRead(p)
 				return
 			}
 			p.timer.Cancel()
@@ -979,7 +1053,8 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 				c.readProbe[p.group] = probeRead{num: num, key: key, minSlot: p.minSlot}
 			}
 			c.noteVersion(p.group, slot)
-			p.done(t.result, slot, p.frontier, t.crossed, false, c.proc.Now().Sub(p.started))
+			p.finish(t.result, slot, p.frontier, t.crossed, false, c.proc.Now().Sub(p.started))
+			c.dropRead(p)
 			return
 		}
 	}
@@ -1000,12 +1075,12 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 		}
 		if p.frontier > 0 {
 			p.at, p.minSlot, p.replied, p.best = p.frontier, 0, 0, 0
-			clear(p.byRes)
-			c.sendRead(num, p, all)
+			p.byRes.reset()
+			c.sendRead(p, all)
 			return
 		}
 	}
-	c.escalateRead(num, p)
+	c.escalateRead(p)
 }
 
 // escalateRead moves a read that cannot complete where it stands — the
@@ -1023,14 +1098,14 @@ func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
 // marker: whether the read actually waited out a transaction server-side —
 // the signal that lets the shard layer's revalidation skip fallbacks that
 // merely lost a race or a packet.
-func (c *Client) escalateRead(num uint64, p *pendingRead) {
-	if p.fellBack || c.pendingReads[num] != p {
+func (c *Client) escalateRead(p *pendingRead) {
+	if p.fellBack || c.pendingReads[p.num] != p {
 		return
 	}
 	if rest := c.groupMask(p.group) &^ p.contacted; rest != 0 {
 		c.ReadWidens++
 		p.firstRung = p.contacted
-		c.sendRead(num, p, rest)
+		c.sendRead(p, rest)
 		if rest&^p.replied != 0 {
 			return
 		}
@@ -1045,8 +1120,8 @@ func (c *Client) escalateRead(num uint64, p *pendingRead) {
 	p.fellBack = true
 	p.timer.Cancel()
 	c.ReadFallbacks++
-	p.ordNum = c.invokeGroupEx(p.group, p.payload, func(result []byte, parked bool, _ sim.Duration) {
-		delete(c.pendingReads, num)
+	p.ordNum = c.invoke(p.group, p.payload, nil, func(result []byte, parked bool, _ sim.Duration) {
+		delete(c.pendingReads, p.num)
 		// The ordered execution ratcheted the floor already; report it as
 		// both slot and frontier so a scatter-gather caller never retries
 		// an ordered leg.
@@ -1054,6 +1129,7 @@ func (c *Client) escalateRead(num uint64, p *pendingRead) {
 		if p.frontier > v {
 			v = p.frontier
 		}
-		p.done(result, v, v, parked, true, c.proc.Now().Sub(p.started))
+		p.finish(result, v, v, parked, true, c.proc.Now().Sub(p.started))
+		c.dropRead(p)
 	})
 }

@@ -16,6 +16,14 @@ import (
 // handlers that fill them. A fifth table, keyed by view, holds what a
 // leader-elect collects for a view change; entering a view is what forgets
 // there (setView).
+//
+// The slot and request tables see a new key per operation, so their
+// records are recycled, not reallocated: a record the table forgets goes,
+// cleared, to the table's free list (dropSlot, dropIfDead), and the next
+// new key takes it back (slot, request). A record's timer callback is bound
+// once, when the record is first made, and the record holds what the
+// callback needs. A free list holds only records its table held before, so
+// it never outgrows the table's peak.
 
 // table is a keyed set of records created on first use.
 type table[K comparable, V any] map[K]*V
@@ -29,6 +37,22 @@ func (t table[K, V]) at(k K) *V {
 	}
 	return v
 }
+
+// freeList keeps released records, cleared, for reuse.
+type freeList[V any] []*V
+
+// get returns a kept record, or nil if there is none.
+func (fl *freeList[V]) get() *V {
+	n := len(*fl)
+	if n == 0 {
+		return nil
+	}
+	v := (*fl)[n-1]
+	*fl = (*fl)[:n-1]
+	return v
+}
+
+func (fl *freeList[V]) put(v *V) { *fl = append(*fl, v) }
 
 // ---------------------------------------------------------------------
 // Per slot.
@@ -72,13 +96,43 @@ type slotState struct {
 	// seen any further public-key operation.
 	shares []viewShares
 
-	fallback   sim.Timer
-	waitingReq *Prepare // prepare delivered but client request not yet seen
+	// fallback is the slow-path deadline armed when this replica endorsed
+	// the PREPARE of view fallbackView on the fast path (slowPathDue).
+	fallback     sim.Timer
+	fallbackView View
+	waitingReq   *Prepare // prepare delivered but client request not yet seen
 
 	// The decision. A decided slot is kept until it is both covered by a
 	// stable checkpoint and applied.
 	decided bool
 	req     Request
+
+	// The record's key, and fallback's callback, bound once (slot).
+	slot       Slot
+	onFallback func()
+}
+
+// slot returns slot s's record, creating it if absent.
+func (r *Replica) slot(s Slot) *slotState {
+	ss := r.slots[s]
+	if ss == nil {
+		if ss = r.freeSlots.get(); ss == nil {
+			fresh := new(slotState)
+			fresh.onFallback = func() { r.slowPathDue(fresh) }
+			ss = fresh
+		}
+		ss.slot = s
+		r.slots[s] = ss
+	}
+	return ss
+}
+
+// dropSlot forgets slot s's record and keeps it for the next new slot.
+func (r *Replica) dropSlot(s Slot, ss *slotState) {
+	ss.fallback.Cancel()
+	delete(r.slots, s)
+	*ss = slotState{onFallback: ss.onFallback}
+	r.freeSlots.put(ss)
 }
 
 // digestShares collects signature shares over a digest: CERTIFY shares over
@@ -174,6 +228,23 @@ type reqState struct {
 	// (bounded leader memory).
 	proposed bool
 	slot     Slot
+
+	// onEchoTimeout is echoTimer's callback, bound once (request).
+	onEchoTimeout func()
+}
+
+// request returns the record of request digest dg, creating it if absent.
+func (r *Replica) request(dg [xcrypto.DigestLen]byte) *reqState {
+	rs := r.requests[dg]
+	if rs == nil {
+		if rs = r.freeRequests.get(); rs == nil {
+			fresh := new(reqState)
+			fresh.onEchoTimeout = func() { r.echoTimedOut(fresh) }
+			rs = fresh
+		}
+		r.requests[dg] = rs
+	}
+	return rs
 }
 
 // releaseBody drops the client copy (its execution is settled).
@@ -185,9 +256,13 @@ func (rs *reqState) closeEchoRound() {
 	rs.echoes, rs.grace = 0, false
 }
 
+// dropIfDead forgets dg's record once nothing in it is live, and keeps it
+// for the next new digest. A record without echoes has no timer pending.
 func (r *Replica) dropIfDead(dg [xcrypto.DigestLen]byte, rs *reqState) {
 	if !rs.held && rs.echoes == 0 && !rs.proposed {
 		delete(r.requests, dg)
+		*rs = reqState{onEchoTimeout: rs.onEchoTimeout}
+		r.freeRequests.put(rs)
 	}
 }
 
@@ -362,19 +437,18 @@ func (r *Replica) viewOpened(v View) bool {
 // The prune rules.
 // ---------------------------------------------------------------------
 
-// pruneBelow discards the state a stable checkpoint at seq covers. The two
-// walks that clear parts of records in place go in key order (the
-// determinism lint's rule for anything but pure deletes).
+// pruneBelow discards the state a stable checkpoint at seq covers. The
+// walks that recycle records or clear parts of them in place go in key order
+// (the determinism lint's rule for anything but pure deletes).
 func (r *Replica) pruneBelow(seq Slot) {
 	window := Slot(r.cfg.Window)
 
 	// Slots: everything below the checkpoint, except a slot decided but not
 	// yet applied (the checkpoint arrived ahead of execution), which stays
 	// until execution passes it.
-	for s, ss := range r.slots {
-		if s < seq && !(ss.decided && s >= r.lastApplied) {
-			ss.fallback.Cancel()
-			delete(r.slots, s)
+	for _, s := range sortedKeys(r.slots) {
+		if ss := r.slots[s]; s < seq && !(ss.decided && s >= r.lastApplied) {
+			r.dropSlot(s, ss)
 		}
 	}
 

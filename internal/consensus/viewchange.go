@@ -146,7 +146,7 @@ func (r *Replica) sealTo(v View) {
 	// diverged transiently.
 	for _, p := range r.cfg.Replicas {
 		for _, s := range sortedKeys(r.state[p].prepares) {
-			if pr := r.state[p].prepares[s]; s >= r.chkpt.Seq && !r.slots.at(s).sent(pr.View, sentCommit) {
+			if pr := r.state[p].prepares[s]; s >= r.chkpt.Seq && !r.slot(s).sent(pr.View, sentCommit) {
 				r.sendCertify(pr.View, s)
 			}
 		}

@@ -200,8 +200,10 @@ type Group struct {
 	// slow-delivery records for reuse.
 	slowPending map[uint64][]byte
 	slowFree    []*slowDelivery
-	// Fallback timers per identifier (FastWithFallback).
-	fallbacks map[uint64]sim.Timer
+	// Fallback records per identifier (FastWithFallback), and finished ones
+	// for reuse.
+	fallbacks    map[uint64]*fallback
+	fallbackFree []*fallback
 
 	// FIFO delivery layer.
 	nextDeliver uint64
@@ -239,7 +241,7 @@ func NewGroup(p Params, env Env) *Group {
 		locked:      make(map[ids.ID][]lockedEntry, len(p.Procs)),
 		myRegs:      make([]*swmr.Register, p.Tail),
 		slowPending: make(map[uint64][]byte),
-		fallbacks:   make(map[uint64]sim.Timer),
+		fallbacks:   make(map[uint64]*fallback),
 		pendingFIFO: make(map[uint64][]byte),
 	}
 	if env.BgProc == nil {
@@ -318,8 +320,8 @@ func (g *Group) Stop() {
 	if g.lockedSelf != nil {
 		g.lockedSelf.Stop()
 	}
-	for _, t := range g.fallbacks {
-		t.Cancel()
+	for _, fb := range g.fallbacks {
+		fb.timer.Cancel()
 	}
 }
 
@@ -352,8 +354,8 @@ func (g *Group) ResetChannel() {
 		}
 	}
 	g.slowPending = make(map[uint64][]byte)
-	for k, t := range g.fallbacks {
-		t.Cancel()
+	for k, fb := range g.fallbacks {
+		fb.timer.Cancel()
 		delete(g.fallbacks, k)
 	}
 	g.nextDeliver = 1
@@ -394,8 +396,9 @@ func (g *Group) ResetMember(to ids.ID) {
 }
 
 // Broadcast sends m with the next identifier. Only the designated
-// broadcaster may call it. If the summary protocol requires blocking
-// (paper §5.2: every t/2 messages), the message queues until the summary
+// broadcaster may call it. m is not retained: the caller may reuse its buffer
+// once Broadcast returns. If the summary protocol requires blocking (paper
+// §5.2: every t/2 messages), a copy of the message queues until the summary
 // certificate arrives.
 func (g *Group) Broadcast(m []byte) {
 	if g.p.Self != g.p.Broadcaster {
@@ -404,27 +407,33 @@ func (g *Group) Broadcast(m []byte) {
 	if len(m) > g.p.MsgCap {
 		panic(fmt.Sprintf("ctbcast: message %dB exceeds cap %dB", len(m), g.p.MsgCap))
 	}
-	cp := make([]byte, len(m))
-	copy(cp, m)
-	g.sendQ = append(g.sendQ, cp)
+	if len(g.sendQ) == 0 && g.windowOpen() {
+		k := g.nextK
+		g.nextK++
+		g.emit(k, m)
+		return
+	}
+	g.sendQ = append(g.sendQ, slices.Clone(m))
 	g.pumpBroadcast()
 }
 
-// pumpBroadcast sends queued messages while the summary window allows.
+// windowOpen reports whether the next identifier may go out: identifiers
+// beyond lastSummary+t would evict messages receivers may still need for the
+// current summary (§5.2, footnote 3), so they wait for the next one.
+func (g *Group) windowOpen() bool { return g.nextK <= g.lastSummary+uint64(g.p.Tail) }
+
+// pumpBroadcast sends queued messages while the summary window allows,
+// keeping the rest at the head of the queue's backing array.
 func (g *Group) pumpBroadcast() {
-	for len(g.sendQ) > 0 {
+	sent := 0
+	for ; sent < len(g.sendQ) && g.windowOpen(); sent++ {
 		k := g.nextK
-		// Block if k would outrun the double-buffered tail: identifiers
-		// beyond lastSummary+t would evict messages receivers may still
-		// need for the current summary (§5.2, footnote 3).
-		if k > g.lastSummary+uint64(g.p.Tail) {
-			return
-		}
-		m := g.sendQ[0]
-		g.sendQ = g.sendQ[1:]
 		g.nextK++
-		g.emit(k, m)
+		g.emit(k, g.sendQ[sent])
 	}
+	rest := copy(g.sendQ, g.sendQ[sent:])
+	clear(g.sendQ[rest:])
+	g.sendQ = g.sendQ[:rest]
 }
 
 func (g *Group) emit(k uint64, m []byte) {
@@ -437,27 +446,62 @@ func (g *Group) emit(k uint64, m []byte) {
 		g.sendLock(k, m)
 		g.sendSigned(k, m)
 	case FastWithFallback:
-		g.sendLock(k, m)
-		g.fallbacks[k] = g.env.Proc.After(g.p.SlowPathDelay, func() {
-			delete(g.fallbacks, k)
-			if !g.isDelivered(k) {
-				g.sendSigned(k, m)
-			}
-		})
+		var fb *fallback
+		if n := len(g.fallbackFree); n > 0 {
+			fb, g.fallbackFree = g.fallbackFree[n-1], g.fallbackFree[:n-1]
+		} else {
+			fb = &fallback{g: g}
+			fb.fire = fb.expire
+		}
+		fb.k, fb.m = k, g.sendLock(k, m)
+		fb.timer = g.env.Proc.After(g.p.SlowPathDelay, fb.fire)
+		g.fallbacks[k] = fb
 	}
+}
+
+// fallback is the slow-path deadline of one identifier this broadcaster sent
+// on the fast path (FastWithFallback): the message, a view into its LOCK ring
+// frame, and the timer. The group reuses the record once the identifier is
+// delivered or signed, its callback bound once.
+type fallback struct {
+	g     *Group
+	k     uint64
+	m     []byte
+	timer sim.Timer
+	fire  func() // fb.expire
+}
+
+// expire signs the identifier if it is still undelivered.
+func (fb *fallback) expire() {
+	g := fb.g
+	delete(g.fallbacks, fb.k)
+	if !g.isDelivered(fb.k) {
+		g.sendSigned(fb.k, fb.m)
+	}
+	fb.release()
+}
+
+// release hands a record whose timer is done with back to its group.
+func (fb *fallback) release() {
+	*fb = fallback{g: fb.g, fire: fb.fire}
+	fb.g.fallbackFree = append(fb.g.fallbackFree, fb)
 }
 
 func (g *Group) isDelivered(k uint64) bool {
 	return g.delivered[k%uint64(g.p.Tail)] >= k
 }
 
-func (g *Group) sendLock(k uint64, m []byte) {
+// sendLock broadcasts <LOCK, k, m> and returns m's bytes inside the sent ring
+// frame, which is immutable once sent.
+func (g *Group) sendLock(k uint64, m []byte) []byte {
 	w := wire.GetWriter(16 + len(m))
 	w.U8(tagLock)
 	w.U64(k)
 	w.Bytes(m)
-	g.bcast.Broadcast(w.Finish()) // Broadcast does not retain the frame
+	idx := g.bcast.Broadcast(w.Finish()) // Broadcast does not retain the frame
 	wire.PutWriter(w)
+	lock := g.bcast.Msg(idx)
+	return lock[len(lock)-len(m):]
 }
 
 func (g *Group) sendSigned(k uint64, m []byte) {
@@ -766,9 +810,10 @@ func (g *Group) deliverOnce(k uint64, m []byte) {
 		return
 	}
 	g.delivered[slot] = k
-	if t, ok := g.fallbacks[k]; ok {
-		t.Cancel()
+	if fb := g.fallbacks[k]; fb != nil {
+		fb.timer.Cancel()
 		delete(g.fallbacks, k)
+		fb.release()
 	}
 	g.fifoDeliver(k, m)
 }

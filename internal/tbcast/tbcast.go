@@ -227,6 +227,11 @@ func (b *Broadcaster) Stop() {
 // Next returns the absolute index the next broadcast will get.
 func (b *Broadcaster) Next() uint64 { return b.ring.Next() }
 
+// Msg returns broadcast idx as a view into its ring frame (msgring.Sender.Msg):
+// immutable, valid for as long as anyone retains it. idx must still be in the
+// mirror.
+func (b *Broadcaster) Msg(idx uint64) []byte { return b.ring.Msg(idx) }
+
 // ResetReceiver forgets everything the given receiver acknowledged and
 // restarts its retransmission clock, so the whole retained tail is re-pushed
 // to it one interval from now. Used when the receiver provably cold-restarted:
