@@ -94,6 +94,39 @@ func TestSlowPathAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSlowPathVerifiesEachSignatureOnce holds the host gain of the verified-
+// signature table with a count, which repeats where host CPU does not. Over
+// the same 200 steady-state slow-path requests as the budget above, the
+// deployment's Registry must compute at most 8 ed25519 verifications a
+// request (7.2 when this was set; 18.2 while every call computed its own),
+// and answer exactly the 3649 verification calls the code made before the
+// table existed: a verification call removed, not reused, fails it.
+func TestSlowPathVerifiesEachSignatureOnce(t *testing.T) {
+	const requests, calls = 200, 3649
+
+	s := NewUBFTSlow(1, nil)
+	defer s.Stop()
+	reg := s.(*ubftSystem).c.Registry
+	wl := NewFlipWorkload(64, rand.New(rand.NewSource(1)))
+	for i := 0; i < 300; i++ {
+		driveOne(t, s, wl)
+	}
+	c0, r0 := reg.Verifications()
+	for i := 0; i < requests; i++ {
+		driveOne(t, s, wl)
+	}
+	c1, r1 := reg.Verifications()
+	computed, reused := c1-c0, r1-r0
+	t.Logf("slow path: %.2f ed25519 computations and %.2f reused verdicts a request",
+		float64(computed)/requests, float64(reused)/requests)
+	if computed > 8*requests {
+		t.Errorf("slow path computes %.2f verifications a request, budget is 8", float64(computed)/requests)
+	}
+	if computed+reused != calls {
+		t.Errorf("slow path made %d verification calls over %d requests, want %d", computed+reused, requests, calls)
+	}
+}
+
 // TestFastReadAllocBudget asserts the unordered read fast path allocates
 // strictly less than the ordered request budget — a read that skips the
 // whole ordering pipeline must not cost more heap than one that runs it.

@@ -6,16 +6,25 @@
 // REAL: a forged or corrupted signature genuinely fails verification, so
 // Byzantine tests exercise true cryptographic rejection, while the virtual
 // clock advances by dalek-class costs from internal/latmodel.
+//
+// A verdict is computed once per Registry and reused: a Registry keeps the
+// (signer, message, signature) triples it found valid in a fixed table of
+// 1024 entries, and a later check of a triple still there skips the ed25519
+// computation. Every check still charges its full virtual cost, so the table
+// saves host CPU only. Only valid verdicts are kept, so a forged signature
+// is computed, and refused, every time.
 package xcrypto
 
 import (
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"hash"
 	"io"
 	"math/rand"
+	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/latmodel"
@@ -37,12 +46,24 @@ const SigLen = ed25519.SignatureSize
 // a 32 B cryptographic hash).
 const DigestLen = sha256.Size
 
+// verifiedEntries is the size of a Registry's table of valid verdicts
+// (32 KiB of keys). An evicted verdict costs host time, never a verdict.
+const verifiedEntries = 1024
+
 // Registry holds the pre-published public keys of all processes (paper
 // §2.4: "processes can sign messages using their private key and verify
-// unforgeable signatures using the pre-published public keys").
+// unforgeable signatures using the pre-published public keys"), and the
+// verdicts its signers have found valid. One Registry may serve every
+// process of a simulated deployment, so the table is guarded.
 type Registry struct {
 	pubs  map[ProcID]ed25519.PublicKey
 	privs map[ProcID]ed25519.PrivateKey
+
+	mu       sync.Mutex
+	scratch  []byte                             // the bytes a key is hashed from; as long as the longest message checked
+	verified [verifiedEntries][sha256.Size]byte // direct-mapped keys of valid triples
+	computed uint64
+	reused   uint64
 }
 
 // NewRegistry deterministically generates a keypair for each id in ids,
@@ -78,6 +99,44 @@ func (r *Registry) Signer(id ProcID) *Signer {
 // PublicKey returns the public key of id (nil if unknown).
 func (r *Registry) PublicKey(id ProcID) ed25519.PublicKey { return r.pubs[id] }
 
+// Verifications returns how many checks this Registry answered with an
+// ed25519 computation and how many from its table of valid verdicts. A check
+// refused before either (unknown signer, wrong signature length) counts in
+// neither.
+func (r *Registry) Verifications() (computed, reused uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.computed, r.reused
+}
+
+// verify reports whether sig is from's signature over msg. It computes the
+// verdict only for a triple the table does not hold; the table's key is
+// SHA-256 over from ‖ len(msg) ‖ msg ‖ sig, and only a valid verdict is
+// stored.
+func (r *Registry) verify(from ProcID, msg []byte, sig Signature) bool {
+	pub, ok := r.pubs[from]
+	if !ok || len(sig) != ed25519.SignatureSize {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b := binary.LittleEndian.AppendUint64(r.scratch[:0], uint64(from))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(msg)))
+	r.scratch = append(append(b, msg...), sig...)
+	key := sha256.Sum256(r.scratch)
+	entry := &r.verified[binary.LittleEndian.Uint16(key[:])%verifiedEntries]
+	if *entry == key {
+		r.reused++
+		return true
+	}
+	r.computed++
+	if !ed25519.Verify(pub, msg, sig) {
+		return false
+	}
+	*entry = key
+	return true
+}
+
 // Signer signs on behalf of one process and verifies against the registry.
 type Signer struct {
 	id   ProcID
@@ -107,10 +166,10 @@ func (s *Signer) SignBg(pool, main *sim.Proc, msg []byte, done func(Signature)) 
 }
 
 // VerifyBg verifies on the pool process and delivers the result to the
-// main process without blocking it.
+// main process without blocking it. Like Verify, it charges the full cost
+// whether or not the verdict is reused.
 func (s *Signer) VerifyBg(pool, main *sim.Proc, from ProcID, msg []byte, sig Signature, done func(bool)) {
-	pub, ok := s.reg.pubs[from]
-	valid := ok && len(sig) == ed25519.SignatureSize && ed25519.Verify(pub, msg, sig)
+	valid := s.reg.verify(from, msg, sig)
 	pool.Exec(latmodel.VerifyCost+latmodel.CryptoDispatchCost, func() {
 		main.Deliver(func() { done(valid) })
 	})
@@ -118,14 +177,12 @@ func (s *Signer) VerifyBg(pool, main *sim.Proc, from ProcID, msg []byte, sig Sig
 
 // Verify checks that sig is from's signature over msg, charging the
 // verification cost to p. It returns false for unknown signers, malformed
-// or forged signatures.
+// or forged signatures. The verdict is computed once per Registry and
+// reused (see the package doc), but p is charged on every call, so virtual
+// time is the same as if every call had computed it.
 func (s *Signer) Verify(p *sim.Proc, from ProcID, msg []byte, sig Signature) bool {
 	p.Charge(latmodel.VerifyCost + latmodel.CryptoDispatchCost)
-	pub, ok := s.reg.pubs[from]
-	if !ok || len(sig) != ed25519.SignatureSize {
-		return false
-	}
-	return ed25519.Verify(pub, msg, sig)
+	return s.reg.verify(from, msg, sig)
 }
 
 // Digest returns a 32-byte cryptographic fingerprint of msg, charging the

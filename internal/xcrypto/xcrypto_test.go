@@ -2,6 +2,7 @@ package xcrypto
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -118,19 +119,193 @@ func TestSignVerify(t *testing.T) {
 	}
 }
 
+// TestSignChargesVirtualTime also holds a reused verdict to the virtual cost
+// of a computed one, and to no allocation.
 func TestSignChargesVirtualTime(t *testing.T) {
 	reg := NewRegistry(1, []ProcID{0})
 	_, p := testProc()
 	s := reg.Signer(0)
 	before := p.BusyUntil()
-	s.Sign(p, []byte("m"))
+	sig := s.Sign(p, []byte("m"))
 	if p.BusyUntil() <= before {
 		t.Fatal("Sign charged no virtual time")
 	}
-	mid := p.BusyUntil()
-	s.Verify(p, 0, []byte("m"), s.Sign(p, []byte("m")))
-	if p.BusyUntil() <= mid {
-		t.Fatal("Verify charged no virtual time")
+	miss := p.BusyUntil()
+	s.Verify(p, 0, []byte("m"), sig)
+	hit := p.BusyUntil()
+	s.Verify(p, 0, []byte("m"), sig)
+	if c, r := reg.Verifications(); c != 1 || r != 1 {
+		t.Fatalf("one triple verified twice: %d computed, %d reused; want 1 and 1", c, r)
+	}
+	if missCost, hitCost := hit-miss, p.BusyUntil()-hit; missCost <= 0 || hitCost != missCost {
+		t.Fatalf("Verify charged %v computing and %v reusing; want the same, above 0", missCost, hitCost)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Verify(p, 0, []byte("m"), sig) }); n != 0 {
+		t.Fatalf("a reused verdict allocates %.1f times", n)
+	}
+}
+
+// flipBit returns a copy of b with one bit of byte i flipped.
+func flipBit(b []byte, i int) []byte {
+	b = bytes.Clone(b)
+	b[i] ^= 1
+	return b
+}
+
+func TestCachedVerdictNeverChangesAnother(t *testing.T) {
+	reg := NewRegistry(1, []ProcID{0, 1})
+	_, p := testProc()
+	s := reg.Signer(0)
+	msg := []byte("prepare v=0 s=1")
+	sig := s.Sign(p, msg)
+	if !s.Verify(p, 0, msg, sig) || !s.Verify(p, 0, msg, sig) {
+		t.Fatal("valid signature rejected")
+	}
+	c0, r0 := reg.Verifications()
+	for _, tc := range []struct {
+		name string
+		from ProcID
+		msg  []byte
+		sig  Signature
+	}{
+		{"another signer ID", 1, msg, sig},
+		{"a flipped bit in msg", 0, flipBit(msg, 3), sig},
+		{"a flipped bit in sig", 0, msg, flipBit(sig, 40)},
+		{"a truncated sig", 0, msg, sig[:SigLen-1]},
+		{"an unknown signer", 99, msg, sig},
+	} {
+		if s.Verify(p, tc.from, tc.msg, tc.sig) {
+			t.Errorf("%s accepted after the genuine triple was cached", tc.name)
+		}
+	}
+	// The first three are computed; the last two are refused before the table.
+	if c, r := reg.Verifications(); c != c0+3 || r != r0 {
+		t.Fatalf("variants: %d computed, %d reused; want 3 and 0", c-c0, r-r0)
+	}
+
+	forged := flipBit(sig, 0)
+	for i := 0; i < 2; i++ {
+		if s.Verify(p, 0, msg, forged) {
+			t.Fatal("forged signature accepted")
+		}
+	}
+	if c, r := reg.Verifications(); c != c0+5 || r != r0 {
+		t.Fatalf("a forged triple verified twice was computed %d times, reused %d; want 2 and 0", c-c0-3, r-r0)
+	}
+	if !s.Verify(p, 0, msg, sig) {
+		t.Fatal("the genuine triple refused after its variants")
+	}
+}
+
+// TestVerifiedTableStaysFixed fills the table ten times over: it keeps its
+// 1024 entries, and a triple whose verdict was evicted verifies again by
+// recomputation. The second pass checks the first 2048 triples, of which the
+// table can hold at most half.
+func TestVerifiedTableStaysFixed(t *testing.T) {
+	const n, again = 10_000, 2 * verifiedEntries
+	reg := NewRegistry(1, []ProcID{0})
+	_, p := testProc()
+	s := reg.Signer(0)
+	msgs, sigs := make([][]byte, n), make([]Signature, n)
+	for i := range msgs {
+		msgs[i] = []byte{byte(i), byte(i >> 8)}
+		sigs[i] = s.Sign(p, msgs[i])
+		if !s.Verify(p, 0, msgs[i], sigs[i]) {
+			t.Fatalf("triple %d refused", i)
+		}
+	}
+	c0, r0 := reg.Verifications()
+	for i := range msgs[:again] {
+		if !s.Verify(p, 0, msgs[i], sigs[i]) {
+			t.Fatalf("triple %d refused on its second check", i)
+		}
+	}
+	c, r := reg.Verifications()
+	if c0 != n || r0 != 0 || c-c0 < again-verifiedEntries || r-r0 > verifiedEntries {
+		t.Fatalf("first pass %d computed, %d reused; second %d computed, %d reused: the table holds more than %d",
+			c0, r0, c-c0, r-r0, verifiedEntries)
+	}
+	if len(reg.verified) != 1024 {
+		t.Fatalf("table has %d entries, want 1024 (32 KiB)", len(reg.verified))
+	}
+}
+
+func TestVerifyBgAndValidShareTheTable(t *testing.T) {
+	reg := NewRegistry(1, []ProcID{0, 1, 2})
+	e := sim.NewEngine(1)
+	main, pool := sim.NewProc(e, "main"), sim.NewProc(e, "pool")
+	members := []ids.ID{0, 1, 2}
+	payload := []byte("checkpoint 256")
+	cert := Cert{0: reg.Signer(0).Sign(main, payload), 1: reg.Signer(1).Sign(main, payload)}
+	s := reg.Signer(2)
+	own := s.Sign(main, payload)
+
+	if !s.Valid(main, members, payload, cert, 2) {
+		t.Fatal("valid certificate refused")
+	}
+	verdicts := 0
+	for _, q := range members[:2] {
+		s.VerifyBg(pool, main, q, payload, cert[q], func(ok bool) {
+			if ok {
+				verdicts++
+			}
+		})
+	}
+	s.VerifyBg(pool, main, 2, payload, own, func(ok bool) {
+		if ok {
+			verdicts++
+		}
+	})
+	if !s.Valid(main, members, payload, Cert{2: own}, 1) {
+		t.Fatal("own share refused")
+	}
+	for e.Step() {
+	}
+	if verdicts != 3 {
+		t.Fatalf("VerifyBg accepted %d of 3 valid shares", verdicts)
+	}
+	// Valid computes two, VerifyBg reuses them and computes the third, and
+	// Valid reuses that.
+	if c, r := reg.Verifications(); c != 3 || r != 3 {
+		t.Fatalf("%d computed, %d reused; want 3 and 3", c, r)
+	}
+}
+
+func TestConcurrentVerifiersShareARegistry(t *testing.T) {
+	reg := NewRegistry(1, []ProcID{0, 1})
+	e := sim.NewEngine(1)
+	signing := sim.NewProc(e, "signing")
+	var msgs [][]byte
+	var sigs []Signature
+	for i := 0; i < 8; i++ {
+		msgs = append(msgs, []byte{byte(i)})
+		sigs = append(sigs, reg.Signer(ProcID(i%2)).Sign(signing, msgs[i]))
+	}
+	forged := flipBit(sigs[0], 0)
+	const rounds = 50
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		s, p := reg.Signer(ProcID(g)), sim.NewProc(e, "verifier")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for i := range msgs {
+					if !s.Verify(p, ProcID(i%2), msgs[i], sigs[i]) {
+						t.Errorf("triple %d refused", i)
+						return
+					}
+				}
+				if s.Verify(p, 0, msgs[0], forged) {
+					t.Error("forged signature accepted")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if c, r := reg.Verifications(); c+r != 2*rounds*(uint64(len(msgs))+1) || c < 2*rounds {
+		t.Fatalf("%d computed, %d reused over %d checks", c, r, 2*rounds*(len(msgs)+1))
 	}
 }
 
