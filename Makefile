@@ -117,7 +117,7 @@ chaos-suite:
 
 # The three lossy consensus scenarios over seed ranges instead of their one
 # tier-1 seed each (cold rejoin 1-120, pre-GST agreement 1-200, partition
-# churn 1-200; 33 s of wall clock on two vCPUs, as the last line it prints
+# churn 1-200; 25 s of wall clock on two vCPUs, as the last line it prints
 # reports), pass / wedged / diverged per seed and each scenario's time.
 # Fails on nothing: the table and the times go into CHANGES.md, parent's
 # beside the change's.

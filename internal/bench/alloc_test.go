@@ -99,10 +99,12 @@ func TestSlowPathAllocBudget(t *testing.T) {
 // the same 200 steady-state slow-path requests as the budget above, the
 // deployment's Registry must compute at most 8 ed25519 verifications a
 // request (7.2 when this was set; 18.2 while every call computed its own),
-// and answer exactly the 3649 verification calls the code made before the
-// table existed: a verification call removed, not reused, fails it.
+// and answer exactly the 3617 verification calls the code makes: a
+// verification call removed, not reused, fails it. (3649 until the CTBcast
+// summary and checkpoint collectors stopped verifying the broadcaster's own
+// summary share and the shares a certificate no longer needs.)
 func TestSlowPathVerifiesEachSignatureOnce(t *testing.T) {
-	const requests, calls = 200, 3649
+	const requests, calls = 200, 3617
 
 	s := NewUBFTSlow(1, nil)
 	defer s.Stop()

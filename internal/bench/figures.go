@@ -312,8 +312,10 @@ func PrintFig10(w io.Writer, rows []Fig10Row) {
 // Figure 11: CTBcast tail vs client tail latency.
 // ---------------------------------------------------------------------
 
-// Fig11Tails are the tail parameters swept.
-var Fig11Tails = []int{16, 32, 64, 128}
+// Fig11Tails are the tail parameters swept: the paper's, and t=8, the
+// smallest tail whose summary window still fills since a summary certificate
+// costs the broadcaster one share verification (t=16 no longer does).
+var Fig11Tails = []int{8, 16, 32, 64, 128}
 
 // Fig11Percentiles are the percentiles reported (80th..100th).
 var Fig11Percentiles = []float64{80, 85, 90, 95, 97, 99, 99.5, 99.9, 100}

@@ -15,19 +15,23 @@ import (
 // TestFig11ThrashShape asserts Figure 11's mechanism: with a small CTBcast
 // tail the summary window fills and a latency spike appears by the 90th
 // percentile; with the paper's default t=128 the 99th percentile stays
-// within a few microseconds of the median.
+// within a few microseconds of the median. The small tail is t=8: since the
+// broadcaster takes its own summary share as signed and verifies only the
+// one follower share the certificate lacks, the certificate forms within
+// t=16's half window, and t=16 with 64 B requests went flat (p90 29.1 ->
+// 11.2 us, p95 72.6 -> 11.3 us); at t=8 the spike is at p90 (72.9 us).
 func TestFig11ThrashShape(t *testing.T) {
 	run := func(tail int) *Recorder {
 		s := NewUBFTSystem(cluster.Options{Seed: 1, Tail: tail, MsgCap: 4096})
 		defer s.Stop()
 		return RunClosedLoop(s, NewFlipWorkload(64, rand.New(rand.NewSource(1))), 20, 600)
 	}
-	small := run(16)
+	small := run(8)
 	large := run(128)
 
-	// t=16: spike at p90 (well above 2x the median).
+	// t=8: spike at p90 (well above 2x the median).
 	if small.Percentile(90) < 2*small.Median() {
-		t.Errorf("t=16 shows no thrashing: p50=%v p90=%v", small.Median(), small.Percentile(90))
+		t.Errorf("t=8 shows no thrashing: p50=%v p90=%v", small.Median(), small.Percentile(90))
 	}
 	// t=128: flat to p99 (within 25% of the median).
 	if large.Percentile(99) > large.Median()*5/4 {

@@ -23,6 +23,16 @@ package cluster_test
 // (d1c954562295735b -> 5241f9a365d8a159): the joiner is back after 36 ops
 // where it took 34. The Build digest did not move: 200 ops never reach the
 // default window's first checkpoint at slot 256.
+//
+// Both were captured again for certificate timing: a broadcaster takes its
+// own CTBcast summary share as signed and has the crypto pool verify only the
+// shares the certificate still lacks (one, where it verified all three), and
+// a peer's CHECKPOINT waits for the pool instead of being verified on the
+// main process. Build 6c574ce881028ece -> 7c1c80bd0cb51507: with the latency
+// left out it is still 08b3843efed1ce82, so only latencies moved (every
+// summary certificate forms sooner). Restart 80d588f0be22cb40 ->
+// ded7032fdaf00254: it moves with the latency left out too (5241f9a365d8a159
+// -> 8fdb39471130a641), the joiner being back after 38 ops where it took 36.
 
 import (
 	"crypto/sha256"
@@ -72,9 +82,9 @@ func TestGoldenBuildSeed7(t *testing.T) {
 		}
 		lats = append(lats, lat)
 	}
-	const want = "6c574ce881028ece"
+	const want = "7c1c80bd0cb51507"
 	if got := goldenDigest(lats, u.Apps, u.Replicas); got != want {
-		t.Fatalf("seed-7 Build digest = %s, want %s (captured at PR 21)", got, want)
+		t.Fatalf("seed-7 Build digest = %s, want %s (see the top of the file)", got, want)
 	}
 }
 
@@ -120,9 +130,9 @@ func TestGoldenRestartSeed7(t *testing.T) {
 	if r := u.Replicas[victim]; r.Recovering() || r.Rejoins != 1 {
 		t.Fatalf("rejoin incomplete after %d ops: recovering=%v rejoins=%d", n, r.Recovering(), r.Rejoins)
 	}
-	const want = "80d588f0be22cb40"
+	const want = "ded7032fdaf00254"
 	if got := goldenDigest(lats, u.Apps, u.Replicas); got != want {
-		t.Fatalf("seed-7 restart digest = %s, want %s (captured at PR 22)", got, want)
+		t.Fatalf("seed-7 restart digest = %s, want %s (see the top of the file)", got, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/ctbcast"
 	"repro/internal/ids"
 	"repro/internal/latmodel"
 	"repro/internal/memnode"
@@ -70,11 +71,11 @@ func TestValidatePrepareFromNonLeaderRejected(t *testing.T) {
 	r := rig.reps[0]
 	// Replica 1 is not the leader of view 0 but "broadcasts" a PREPARE.
 	pr := Prepare{View: 0, Slot: 0, Req: Request{Client: 200, Num: 1, Payload: []byte("x")}}
-	if r.onConsensusMsg(ids.ID(1), encodePrepare(pr)) {
+	if r.accepts(ids.ID(1), encodePrepare(pr)) {
 		t.Fatal("PREPARE from non-leader validated")
 	}
 	// From the actual leader it passes.
-	if !r.onConsensusMsg(ids.ID(0), encodePrepare(pr)) {
+	if !r.accepts(ids.ID(0), encodePrepare(pr)) {
 		t.Fatal("legitimate PREPARE rejected")
 	}
 }
@@ -84,7 +85,7 @@ func TestValidatePrepareOutsideWindowRejected(t *testing.T) {
 	defer rig.stop()
 	r := rig.reps[1]
 	pr := Prepare{View: 0, Slot: 999, Req: NoOp()} // window is [0,31]
-	if r.onConsensusMsg(ids.ID(0), encodePrepare(pr)) {
+	if r.accepts(ids.ID(0), encodePrepare(pr)) {
 		t.Fatal("out-of-window PREPARE validated")
 	}
 }
@@ -94,13 +95,13 @@ func TestValidateDuplicatePrepareRejected(t *testing.T) {
 	defer rig.stop()
 	r := rig.reps[1]
 	pr := Prepare{View: 0, Slot: 3, Req: Request{Client: 200, Num: 1, Payload: []byte("a")}}
-	if !r.onConsensusMsg(ids.ID(0), encodePrepare(pr)) {
+	if !r.accepts(ids.ID(0), encodePrepare(pr)) {
 		t.Fatal("first PREPARE rejected")
 	}
 	// A second, conflicting PREPARE for the same slot in the same view is
 	// equivocation at the consensus level.
 	pr2 := Prepare{View: 0, Slot: 3, Req: Request{Client: 200, Num: 2, Payload: []byte("b")}}
-	if r.onConsensusMsg(ids.ID(0), encodePrepare(pr2)) {
+	if r.accepts(ids.ID(0), encodePrepare(pr2)) {
 		t.Fatal("consensus-level equivocation validated")
 	}
 }
@@ -120,7 +121,7 @@ func TestValidateCommitNeedsRealCertificate(t *testing.T) {
 	w := wire.NewWriter(256)
 	w.U8(tagCommit)
 	forged.encode(w)
-	if r.onConsensusMsg(ids.ID(1), w.Finish()) {
+	if r.accepts(ids.ID(1), w.Finish()) {
 		t.Fatal("forged COMMIT certificate validated")
 	}
 
@@ -133,7 +134,7 @@ func TestValidateCommitNeedsRealCertificate(t *testing.T) {
 	w2 := wire.NewWriter(256)
 	w2.U8(tagCommit)
 	real.encode(w2)
-	if !r.onConsensusMsg(ids.ID(1), w2.Finish()) {
+	if !r.accepts(ids.ID(1), w2.Finish()) {
 		t.Fatal("genuine COMMIT certificate rejected")
 	}
 }
@@ -146,14 +147,14 @@ func TestValidateCheckpointNeedsCertAndProgress(t *testing.T) {
 	w := wire.NewWriter(64)
 	w.U8(tagCheckpoint)
 	(&Checkpoint{Seq: 0}).encode(w)
-	if r.onConsensusMsg(ids.ID(1), w.Finish()) {
+	if r.accepts(ids.ID(1), w.Finish()) {
 		t.Fatal("non-superseding CHECKPOINT validated")
 	}
 	// Superseding but uncertified.
 	w2 := wire.NewWriter(64)
 	w2.U8(tagCheckpoint)
 	(&Checkpoint{Seq: 32}).encode(w2)
-	if r.onConsensusMsg(ids.ID(1), w2.Finish()) {
+	if r.accepts(ids.ID(1), w2.Finish()) {
 		t.Fatal("uncertified CHECKPOINT validated")
 	}
 }
@@ -169,7 +170,7 @@ func TestValidateSealViewMonotonic(t *testing.T) {
 		return w.Finish()
 	}
 	for _, v := range []View{1, 2} {
-		if !r.onConsensusMsg(ids.ID(1), mkSeal(v)) {
+		if !r.accepts(ids.ID(1), mkSeal(v)) {
 			t.Fatal("legitimate SEAL_VIEW rejected")
 		}
 	}
@@ -181,14 +182,14 @@ func TestValidateSealViewMonotonic(t *testing.T) {
 	st := r.state[ids.ID(1)]
 	st.newViewUsed = true
 	for _, v := range []View{2, 1} {
-		if !r.onConsensusMsg(ids.ID(1), mkSeal(v)) {
+		if !r.accepts(ids.ID(1), mkSeal(v)) {
 			t.Fatalf("re-declared SEAL_VIEW(%d) rejected at the wire", v)
 		}
 		if st.view != 2 || !st.newViewUsed {
 			t.Fatalf("SEAL_VIEW(%d) after SEAL_VIEW(2) not a no-op: view=%d newViewUsed=%v", v, st.view, st.newViewUsed)
 		}
 	}
-	if r.onConsensusMsg(ids.ID(1), []byte{tagSealView}) {
+	if r.accepts(ids.ID(1), []byte{tagSealView}) {
 		t.Fatal("truncated SEAL_VIEW validated")
 	}
 }
@@ -196,7 +197,7 @@ func TestValidateSealViewMonotonic(t *testing.T) {
 func TestValidateUnknownTagRejected(t *testing.T) {
 	rig := newWBRig(t)
 	defer rig.stop()
-	if rig.reps[0].onConsensusMsg(ids.ID(1), []byte{0xEE, 1, 2, 3}) {
+	if rig.reps[0].accepts(ids.ID(1), []byte{0xEE, 1, 2, 3}) {
 		t.Fatal("unknown message tag validated")
 	}
 }
@@ -321,22 +322,20 @@ func TestCertifySigCache(t *testing.T) {
 }
 
 // TestCheckpointCertCountsKnownSharesOnly: a CHECKPOINT certificate is judged
-// with the shares this replica already verified on its crypto pool counted as
-// good and every other signature verified on the main process; a known share
-// beside a forged signature proves one signer, not f+1.
+// against the shares this replica verified on its crypto pool. Signatures by
+// replicas it holds no share of go to the pool as relayed shares and the
+// message waits (the Wait verdict). Once the pool has settled them, a
+// certificate the collector could not certify is verified on the main
+// process, known shares counted as good and every other signature checked: a
+// known share beside a forged signature proves one signer, not f+1. One the
+// collector certified costs the main process nothing.
 func TestCheckpointCertCountsKnownSharesOnly(t *testing.T) {
-	rig := newWBRig(t)
-	defer rig.stop()
-	r := rig.reps[0]
-	signing := sim.NewProc(rig.eng, "signing")
 	const seq = Slot(32) // the rig's first checkpoint; nothing executed
+	const oneVerify = sim.Time(latmodel.VerifyCost + latmodel.CryptoDispatchCost)
 	dg := xcrypto.DigestNoCharge([]byte("state"))
-	sign := func(id ids.ID) xcrypto.Signature {
-		return rig.reg.Signer(id).Sign(signing, checkpointPayload(seq, dg))
+	sign := func(rig *wbRig, id ids.ID) xcrypto.Signature {
+		return rig.reg.Signer(id).Sign(sim.NewProc(rig.eng, "signing"), checkpointPayload(seq, dg))
 	}
-	known, genuine := sign(1), sign(2)
-	forged := append(xcrypto.Signature(nil), genuine...)
-	forged[0] ^= 1
 	frame := func(sigs xcrypto.Cert) []byte {
 		w := wire.NewWriter(256)
 		w.U8(tagCheckpoint)
@@ -344,32 +343,133 @@ func TestCheckpointCertCountsKnownSharesOnly(t *testing.T) {
 		cp.encode(w)
 		return w.Finish()
 	}
-
-	r.onCertifyCheckpoint(1, seq, dg, known)
-	rig.eng.RunFor(sim.Millisecond)
-	if c := r.cps[seq]; c == nil || !c.shares.Has(1, dg, known) || r.chkpt.Seq != 0 {
-		t.Fatalf("one verified share: record %+v, stable checkpoint %d", r.cps[seq], r.chkpt.Seq)
-	}
-	for name, sigs := range map[string]xcrypto.Cert{
-		"known share + forged signature":       {1: known, 2: forged},
-		"known share + its own copy elsewhere": {1: known, 2: known},
-		"known share + a stranger's signature": {1: known, 7: genuine},
-		"the known signer's share, altered":    {1: forged, 2: forged},
+	for _, tc := range []struct {
+		name    string
+		sigs    func(known, genuine, forged xcrypto.Signature) xcrypto.Cert
+		want    ctbcast.Verdict
+		waits   bool
+		charged sim.Time // verifications on the main process, after the wait
+	}{
+		{"known share + forged signature", func(k, g, f xcrypto.Signature) xcrypto.Cert { return xcrypto.Cert{1: k, 2: f} }, ctbcast.Reject, true, 1},
+		{"known share + its own copy elsewhere", func(k, g, f xcrypto.Signature) xcrypto.Cert { return xcrypto.Cert{1: k, 2: k} }, ctbcast.Reject, true, 1},
+		{"known share + a stranger's signature", func(k, g, f xcrypto.Signature) xcrypto.Cert { return xcrypto.Cert{1: k, 7: g} }, ctbcast.Reject, false, 0},
+		{"the known signer's share, altered", func(k, g, f xcrypto.Signature) xcrypto.Cert { return xcrypto.Cert{1: f, 2: f} }, ctbcast.Reject, true, 2},
+		{"known share + genuine signature", func(k, g, f xcrypto.Signature) xcrypto.Cert { return xcrypto.Cert{1: k, 2: g} }, ctbcast.Accept, true, 0},
 	} {
-		if r.onConsensusMsg(1, frame(sigs)) || r.cps[seq].verified {
-			t.Fatalf("%s validated as an f+1 certificate", name)
+		rig := newWBRig(t)
+		r := rig.reps[0]
+		// Replica 0 alone: its peers' own CHECKPOINTs must not advance the
+		// state its verdicts are judged against.
+		rig.net.Partition(0, 1)
+		rig.net.Partition(0, 2)
+		known, genuine := sign(rig, 1), sign(rig, 2)
+		forged := append(xcrypto.Signature(nil), genuine...)
+		forged[0] ^= 1
+		r.onCertifyCheckpoint(1, seq, dg, known)
+		rig.eng.RunFor(sim.Millisecond)
+		if c := r.cps[seq]; c == nil || !c.shares.Has(1, dg, known) || r.chkpt.Seq != 0 {
+			t.Fatalf("one verified share: record %+v, stable checkpoint %d", r.cps[seq], r.chkpt.Seq)
 		}
+		// Delivered as replica 1's next message, waiting as a CTBcast group
+		// would.
+		m := frame(tc.sigs(known, genuine, forged))
+		v, charged := r.onConsensusMsg(1, m), sim.Time(0)
+		waited := v == ctbcast.Wait
+		if waited {
+			rig.eng.RunFor(sim.Millisecond)
+			if r.state[1].cpWait.Seq != 0 {
+				t.Fatalf("%s: still waiting with the crypto pool idle", tc.name)
+			}
+			busy := max(r.proc.BusyUntil(), rig.eng.Now())
+			v = r.onConsensusMsg(1, m)
+			charged = (max(r.proc.BusyUntil(), rig.eng.Now()) - busy) / oneVerify
+		}
+		if v != tc.want || r.cps[seq].verified != (tc.want == ctbcast.Accept) {
+			t.Errorf("%s: verdict %d, want %d; certified %v", tc.name, v, tc.want, r.cps[seq].verified)
+		}
+		if waited != tc.waits || charged != tc.charged {
+			t.Errorf("%s: waited %v (want %v), then %d verifications on the main process (want %d)", tc.name, waited, tc.waits, charged, tc.charged)
+		}
+		rig.stop()
 	}
-	// The checkpoint is made stable here first, so that applying the accepted
-	// frame adopts nothing: what the main process is charged is the check.
-	r.chkpt = Checkpoint{Seq: seq, StateDigest: dg}
-	busy := max(r.proc.BusyUntil(), rig.eng.Now())
-	if !r.onConsensusMsg(1, frame(xcrypto.Cert{1: known, 2: genuine})) {
-		t.Fatal("known share + genuine signature rejected")
-	}
+}
+
+// TestCheckpointForgedShareCostsOneVerification: with a replica's own
+// CERTIFY_CHECKPOINT share in, the certificate lacks one share, so of two peer
+// shares only the first goes to the crypto pool and the second is held. A
+// forged first share costs the pool exactly one more verification: the held
+// share is verified next and the certificate forms from it.
+func TestCheckpointForgedShareCostsOneVerification(t *testing.T) {
+	const seq = Slot(32) // the rig's first checkpoint; nothing executed
 	const oneVerify = sim.Time(latmodel.VerifyCost + latmodel.CryptoDispatchCost)
-	if got := r.proc.BusyUntil() - busy; got != oneVerify {
-		t.Fatalf("certificate with one known share charged %v on the main process, want one verification (%v)", got, oneVerify)
+	dg := xcrypto.DigestNoCharge([]byte("state"))
+	for _, forgedFirst := range []bool{false, true} {
+		rig := newWBRig(t)
+		r := rig.reps[0]
+		rig.net.Partition(0, 1)
+		rig.net.Partition(0, 2)
+		signing := sim.NewProc(rig.eng, "signing")
+		sign := func(id ids.ID) xcrypto.Signature { return rig.reg.Signer(id).Sign(signing, checkpointPayload(seq, dg)) }
+		first, second := sign(1), sign(2)
+		if forgedFirst {
+			first[0] ^= 1
+		}
+		start := max(r.bgProc.BusyUntil(), rig.eng.Now())
+		r.onCertifyCheckpoint(0, seq, dg, sign(0))
+		r.onCertifyCheckpoint(1, seq, dg, first)
+		r.onCertifyCheckpoint(2, seq, dg, second)
+		if got := r.bgProc.BusyUntil() - start; got != oneVerify {
+			t.Fatalf("two peer shares sent %v of work to the pool, want one verification (%v)", got, oneVerify)
+		}
+		rig.eng.RunFor(sim.Millisecond)
+		want, signer := oneVerify, ids.ID(1)
+		if forgedFirst {
+			want, signer = 2*oneVerify, 2
+		}
+		if got := r.bgProc.BusyUntil() - start; got != want || r.chkpt.Seq != seq || len(r.chkpt.Sigs) != 2 || r.chkpt.Sigs[signer] == nil {
+			t.Errorf("forged first share %v: pool busy %v (want %v), stable checkpoint %d signed by %v",
+				forgedFirst, got, want, r.chkpt.Seq, sortedKeys(r.chkpt.Sigs))
+		}
+		rig.stop()
+	}
+}
+
+// TestForgedCheckpointBlocksItsChannelAfterTheWait: a CHECKPOINT whose
+// certificate holds a forged signature, sent on a replica's own CTBcast
+// channel, waits at every receiver while the pool checks it, is refused once
+// the pool has, and leaves the channel blocked with what was queued behind it
+// never applied.
+func TestForgedCheckpointBlocksItsChannelAfterTheWait(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	byz := rig.reps[1]
+	signing := sim.NewProc(rig.eng, "signing")
+	const seq = Slot(32)
+	dg := xcrypto.DigestNoCharge([]byte("state"))
+	forged := rig.reg.Signer(2).Sign(signing, checkpointPayload(seq, dg))
+	forged[0] ^= 1
+	w := wire.NewWriter(256)
+	w.U8(tagCheckpoint)
+	(&Checkpoint{Seq: seq, StateDigest: dg, Sigs: xcrypto.Cert{
+		1: rig.reg.Signer(1).Sign(signing, checkpointPayload(seq, dg)),
+		2: forged,
+	}}).encode(w)
+	byz.groups[1].Broadcast(w.Finish())
+	byz.groups[1].Broadcast(sealFrame(1))
+
+	waited := false
+	for deadline := rig.eng.Now().Add(sim.Millisecond); rig.eng.Now() < deadline && rig.eng.Step(); {
+		waited = waited || rig.reps[0].state[1].cpWait.Seq == seq
+	}
+	if !waited {
+		t.Error("the CHECKPOINT never waited for the crypto pool")
+	}
+	for _, i := range []int{0, 2} {
+		r := rig.reps[i]
+		if !r.groups[1].Blocked() || r.state[1].view != 0 || r.state[1].cpWait.Seq != 0 || r.chkpt.Seq != 0 {
+			t.Errorf("replica %d: channel blocked %v, replica 1's view %d, wait %d, stable checkpoint %d",
+				i, r.groups[1].Blocked(), r.state[1].view, r.state[1].cpWait.Seq, r.chkpt.Seq)
+		}
 	}
 }
 
@@ -395,8 +495,8 @@ func TestCertifyCheckpointTrustsOwnChannelOnly(t *testing.T) {
 	pool := r.bgProc.BusyUntil()
 	r.onAuxMsg(1, frame)
 	rig.eng.RunFor(sim.Millisecond)
-	if c := r.cps[seq]; c != nil && len(c.shares) != 0 {
-		t.Fatalf("replica 0's share arriving on replica 1's channel was recorded: %+v", c.shares)
+	if c := r.cps[seq]; c != nil && len(c.shares.Cert(dg)) != 0 {
+		t.Fatalf("replica 0's share arriving on replica 1's channel counts: %+v", c.shares)
 	}
 	if r.bgProc.BusyUntil() == pool {
 		t.Fatal("a share on a peer's channel was not verified on the crypto pool")
@@ -468,23 +568,23 @@ func TestValidateMalformedBatchRejected(t *testing.T) {
 	prep := func(slot Slot, req Request) []byte {
 		return encodePrepare(Prepare{View: 0, Slot: slot, Req: req})
 	}
-	if !r.onConsensusMsg(ids.ID(0), prep(0, EncodeBatch([]Request{a, b}))) {
+	if !r.accepts(ids.ID(0), prep(0, EncodeBatch([]Request{a, b}))) {
 		t.Fatal("well-formed batch rejected")
 	}
-	if r.onConsensusMsg(ids.ID(0), prep(1, EncodeBatch([]Request{a, EncodeBatch([]Request{b})}))) {
+	if r.accepts(ids.ID(0), prep(1, EncodeBatch([]Request{a, EncodeBatch([]Request{b})}))) {
 		t.Fatal("nested batch validated")
 	}
-	if r.onConsensusMsg(ids.ID(0), prep(2, EncodeBatch([]Request{a, NoOp()}))) {
+	if r.accepts(ids.ID(0), prep(2, EncodeBatch([]Request{a, NoOp()}))) {
 		t.Fatal("batch carrying the no-op filler validated")
 	}
 	trailing := EncodeBatch([]Request{a, b})
 	trailing.Payload = append(trailing.Payload, 0)
-	if r.onConsensusMsg(ids.ID(0), prep(3, trailing)) {
+	if r.accepts(ids.ID(0), prep(3, trailing)) {
 		t.Fatal("batch with trailing bytes validated")
 	}
 	short := EncodeBatch([]Request{a, b})
 	short.Payload = short.Payload[:len(short.Payload)-1]
-	if r.onConsensusMsg(ids.ID(0), prep(4, short)) || short.Subs() != nil {
+	if r.accepts(ids.ID(0), prep(4, short)) || short.Subs() != nil {
 		t.Fatal("truncated batch validated or decoded")
 	}
 }
@@ -497,7 +597,7 @@ func TestBatchWithUnknownSubRequestNotEndorsed(t *testing.T) {
 	forged := Request{Client: 200, Num: 2, Payload: []byte("never sent")}
 	held := r.request(known.Digest())
 	held.req, held.held = known, true
-	if !r.onConsensusMsg(ids.ID(0), encodePrepare(Prepare{View: 0, Slot: 0, Req: EncodeBatch([]Request{known, forged})})) {
+	if !r.accepts(ids.ID(0), encodePrepare(Prepare{View: 0, Slot: 0, Req: EncodeBatch([]Request{known, forged})})) {
 		t.Fatal("well-formed batch rejected")
 	}
 	ss := r.slots[0]

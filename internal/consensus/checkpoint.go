@@ -73,42 +73,112 @@ func (r *Replica) onCertifyCheckpoint(p ids.ID, seq Slot, dg [xcrypto.DigestLen]
 	if seq <= r.chkpt.Seq {
 		return
 	}
-	if p == r.cfg.Self {
-		// Our own share, self-delivered on our own channel, needs no
-		// verification (as in onCertify); p is the channel's owner, never a
-		// field of the frame.
-		r.acceptCertifyCheckpoint(p, seq, dg, sig)
+	if p != r.cfg.Self {
+		r.offerCheckpointShare(p, seq, dg, sig, false)
 		return
 	}
-	// Checkpoint certification is bookkeeping: verify on the crypto pool.
-	r.signer.VerifyBg(r.bgProc, r.proc, p, checkpointPayload(seq, dg), sig, func(ok bool) {
-		if ok {
-			r.acceptCertifyCheckpoint(p, seq, dg, sig)
-		}
-	})
+	// Our own share, self-delivered on our own channel, needs no verification
+	// (as in onCertify); p is the channel's owner, never a field of the frame.
+	c := r.cps.at(seq)
+	r.tallyCheckpoint(seq, dg, c.shares.Add(p, dg, sig))
 }
 
-func (r *Replica) acceptCertifyCheckpoint(p ids.ID, seq Slot, dg [xcrypto.DigestLen]byte, sig xcrypto.Signature) {
-	if seq <= r.chkpt.Seq {
-		return
-	}
+// offerCheckpointShare hands p's share to the collector of seq, which has it
+// verified on the crypto pool (checkpoint certification is bookkeeping) only
+// while the certificate still needs it (xcrypto.Shares). relayed: the share
+// came inside another replica's CHECKPOINT, not on p's own channel.
+func (r *Replica) offerCheckpointShare(p ids.ID, seq Slot, dg [xcrypto.DigestLen]byte, sig xcrypto.Signature, relayed bool) {
 	c := r.cps.at(seq)
 	if c.mine && c.digest != dg {
 		return // conflicting digest: some replica diverged; ignore its share
 	}
-	if c.shares.Add(p, dg, sig) < r.cfg.F+1 {
-		return // f+1 over one digest: shares over different ones certify nothing
+	if c.shares.Offer(p, dg, sig, r.cfg.F+1, relayed) {
+		r.verifyCheckpointShare(p, seq, dg, sig)
+	}
+}
+
+func (r *Replica) verifyCheckpointShare(p ids.ID, seq Slot, dg [xcrypto.DigestLen]byte, sig xcrypto.Signature) {
+	r.signer.VerifyBg(r.bgProc, r.proc, p, checkpointPayload(seq, dg), sig, func(ok bool) {
+		if seq <= r.chkpt.Seq {
+			return
+		}
+		c := r.cps.at(seq)
+		// A share over a digest that is not ours counts for nothing (see
+		// offerCheckpointShare), even if our digest came after it.
+		r.tallyCheckpoint(seq, dg, c.shares.Verdict(p, sig, ok && !(c.mine && c.digest != dg)))
+	})
+}
+
+// tallyCheckpoint certifies (seq, dg) once n, the verified shares over it,
+// reach f+1 — shares over different digests certify nothing. Short of that it
+// has the held shares the certificate still needs verified, and releases the
+// channels whose CHECKPOINT waits on a certificate the collector can no
+// longer form.
+func (r *Replica) tallyCheckpoint(seq Slot, dg [xcrypto.DigestLen]byte, n int) {
+	c := r.cps[seq]
+	if n < r.cfg.F+1 {
+		for q, qdg, sig, ok := c.shares.Next(r.cfg.F + 1); ok; q, qdg, sig, ok = c.shares.Next(r.cfg.F + 1) {
+			r.verifyCheckpointShare(q, seq, qdg, sig)
+		}
+		r.releaseCheckpointWaits()
+		return
 	}
 	c.verified, c.verifiedDg = true, dg // every share was verified on its way in, or is our own
 	r.maybeCheckpoint(Checkpoint{Seq: seq, StateDigest: dg, Sigs: c.shares.Cert(dg)})
 }
 
-// verifyCheckpointCert checks a checkpoint's f+1 signatures. Results are
-// cached by (seq, digest): every replica re-broadcasts checkpoints, so the
-// same content arrives n times and must not cost n certificate
-// verifications on the critical path. A signature that is a share this
-// replica already verified on the crypto pool counts without a second check;
-// only the others are verified here, and f+1 in all must be good.
+// awaitCheckpointCert decides whether a CHECKPOINT waits for the crypto pool
+// instead of having its certificate verified on the main process: its
+// signatures go to the checkpoint collector of its sequence number as shares
+// relayed for their signers, and the channel waits (st.cpWait) for as long as
+// the collector may still certify that digest. The wait ends in
+// releaseCheckpointWaits; the CHECKPOINT is then judged again, at once if the
+// collector certified its digest and by verifyCheckpointCert otherwise.
+func (r *Replica) awaitCheckpointCert(st *replicaState, cp *Checkpoint) bool {
+	if cp.Seq <= r.chkpt.Seq {
+		return false
+	}
+	for _, q := range sortedKeys(cp.Sigs) {
+		if r.cfg.indexOf(q) >= 0 {
+			r.offerCheckpointShare(q, cp.Seq, cp.StateDigest, cp.Sigs[q], true)
+		}
+	}
+	if !r.certPending(cp) {
+		return false
+	}
+	st.cpWait = Checkpoint{Seq: cp.Seq, StateDigest: cp.StateDigest}
+	return true
+}
+
+// certPending reports whether the collector of cp's sequence number, above
+// the stable checkpoint, has not certified cp's digest but still may: enough
+// shares over it are verified or on their way.
+func (r *Replica) certPending(cp *Checkpoint) bool {
+	c := r.cps[cp.Seq]
+	return cp.Seq > r.chkpt.Seq && c != nil && !(c.verified && c.verifiedDg == cp.StateDigest) &&
+		c.shares.Reachable(cp.StateDigest, r.cfg.F+1)
+}
+
+// releaseCheckpointWaits resumes, in replica order, every channel whose
+// CHECKPOINT no longer waits on the collector: it certified the digest, can
+// no longer certify it, or the stable checkpoint passed it.
+func (r *Replica) releaseCheckpointWaits() {
+	for _, q := range r.cfg.Replicas {
+		if st := r.state[q]; st.cpWait.Seq != 0 && !r.certPending(&st.cpWait) {
+			st.cpWait = Checkpoint{}
+			r.groups[q].Resume()
+		}
+	}
+}
+
+// verifyCheckpointCert checks a checkpoint's f+1 signatures on the main
+// process. Results are cached by (seq, digest): every replica re-broadcasts
+// checkpoints, so the same content arrives n times and must not cost n
+// certificate verifications on the critical path. A signature that is a
+// share this replica already verified on the crypto pool counts without a
+// second check; only the others are verified here, and f+1 in all must be
+// good. A peer's CHECKPOINT above the stable checkpoint gets here only once
+// the crypto pool could not certify it (awaitCheckpointCert).
 func (r *Replica) verifyCheckpointCert(cp *Checkpoint) bool {
 	if cp.Seq == 0 {
 		return true // genesis checkpoint needs no certificate
@@ -117,6 +187,7 @@ func (r *Replica) verifyCheckpointCert(cp *Checkpoint) bool {
 	if c != nil && c.verified && c.verifiedDg == cp.StateDigest {
 		return true
 	}
+	r.cpCertChecks++
 	payload := checkpointPayload(cp.Seq, cp.StateDigest)
 	valid := 0
 	for q, sig := range cp.Sigs {
@@ -173,16 +244,18 @@ func (r *Replica) maybeCheckpoint(cp Checkpoint) {
 		// If this checkpoint is the first stable one past the sync point
 		// and our state has caught up, the observe window ends here.
 		r.maybeResumeFromJoin()
-		return
+	} else {
+		// Line 61: re-broadcast the checkpoint so every correct replica
+		// learns it even when only one correct replica decided (liveness,
+		// §B.3).
+		w := wire.NewWriter(256)
+		w.U8(tagCheckpoint)
+		cp.encode(w)
+		r.groups[r.cfg.Self].Broadcast(w.Finish())
+		r.pumpProposals()
+		r.maybeSeal()
 	}
-	// Line 61: re-broadcast the checkpoint so every correct replica learns
-	// it even when only one correct replica decided (liveness, §B.3).
-	w := wire.NewWriter(256)
-	w.U8(tagCheckpoint)
-	cp.encode(w)
-	r.groups[r.cfg.Self].Broadcast(w.Finish())
-	r.pumpProposals()
-	r.maybeSeal()
+	r.releaseCheckpointWaits()
 }
 
 // bringUpToSpeed fast-forwards execution past slots covered by the
@@ -229,6 +302,18 @@ func (r *Replica) adoptSnapshot(seq Slot, snap []byte) {
 	}
 	r.proc.Charge(latmodel.CopyCost(len(snap)))
 	r.cfg.App.Restore(snap)
+	// Which client copies this replica holds executed in the slots it skips
+	// is unknown: the snapshot carries no exactly-once table (ROADMAP 3(a)).
+	// Kept, such a copy would count as undecided work for ever (a lone
+	// suspicion of a correct leader) and, re-routed at a view change, could
+	// execute here a second time. So every copy goes; a request not executed
+	// yet is proposed from its other holders' copies.
+	for _, dg := range sortedDigests(r.requests) {
+		if rs := r.requests[dg]; rs.held {
+			rs.releaseBody()
+			r.dropIfDead(dg, rs)
+		}
+	}
 	r.lastApplied = seq
 	r.cps.at(seq).keepSnapshot(snap)
 	r.executeReady()

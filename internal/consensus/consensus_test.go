@@ -151,11 +151,15 @@ func TestCheckpointAdvancesWindow(t *testing.T) {
 // That wait was 310 us, 28x the median, while the leader also verified its
 // own share on the pool (behind the CTBcast summary shares of the same
 // boundary) and then every signature of the certificate a second time on its
-// main process; without those two it is 165 us, 14.9x, pinned here at 16x.
-// ROADMAP 6(b) asks for 5x: a checkpoint every half window takes the
+// main process; without those two it was 165 us, 14.9x. Since the pool
+// verifies only the summary and checkpoint shares a certificate still lacks
+// and a peer's CHECKPOINT waits for the pool instead of being verified on the
+// main process, it is 128 us, 11.6x on seeds 1-4, pinned here at 12x, and no
+// replica verifies a CHECKPOINT certificate on its main process. ROADMAP
+// item 3(c) asks for less: a checkpoint every half window takes the
 // certificate off the path altogether (102 us, 9.2x, measured) but doubles
-// the state transfers a lagging replica takes and with them the trips of
-// hole 3(b), so it waits for that hole to be closed. Also asserted after
+// the state transfers a lagging replica takes, and with them the trips of
+// hole 3(a), so it waits for that hole to be closed. Also asserted after
 // every operation: at most Window slots open.
 func TestCheckpointStallBounded(t *testing.T) {
 	const window, warmup, ops = 256, 20, 2000
@@ -180,12 +184,15 @@ func TestCheckpointStallBounded(t *testing.T) {
 	}
 	slices.Sort(lats)
 	median := lats[len(lats)/2]
-	if worst := lats[len(lats)-1]; worst > 16*median {
-		t.Errorf("worst operation %v is %.1fx the median %v, want at most 16x", worst, float64(worst)/float64(median), median)
+	if worst := lats[len(lats)-1]; worst > 12*median {
+		t.Errorf("worst operation %v is %.1fx the median %v, want at most 12x", worst, float64(worst)/float64(median), median)
 	}
 	for i, r := range u.Replicas {
 		if cp := r.Checkpoint().Seq; cp < warmup+ops-window {
 			t.Errorf("replica %d: stable checkpoint %d after %d slots", i, cp, warmup+ops)
+		}
+		if n := r.CheckpointCertChecks(); n != 0 {
+			t.Errorf("replica %d verified %d CHECKPOINT certificates on its main process", i, n)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/ctbcast"
 	"repro/internal/ids"
 	"repro/internal/router"
 	"repro/internal/sim"
@@ -198,7 +199,7 @@ func (rig *msgFuzzRig) advance(t *testing.T, stage uint8) ids.ID {
 		preamble = append(preamble, first)
 	}
 	for i, m := range preamble {
-		if !rig.reps[2].onConsensusMsg(1, m) {
+		if !rig.reps[2].accepts(1, m) {
 			t.Fatalf("stage %d: preamble message %d rejected", stage, i)
 		}
 	}
@@ -289,6 +290,10 @@ func FuzzConsensusMsg(f *testing.F) {
 	f.Add(uint8(0), commit(rig.cert(certifyPayload(0, 0, req.Digest()), 1))) // one genuine share is cached, the frame fails
 	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 0}))
 	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32}))
+	forgedCP := rig.cert(checkpointPayload(32, cpDigest), 1, 2)
+	forgedCP[2] = slices.Clone(forgedCP[2])
+	forgedCP[2][0] ^= 1
+	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32, StateDigest: cpDigest, Sigs: forgedCP})) // waits for the pool, then fails
 	f.Add(uint8(0), []byte{tagSealView})
 	f.Add(uint8(0), []byte{0xEE, 1, 2, 3})
 	f.Add(uint8(0), []byte{})
@@ -307,10 +312,24 @@ func FuzzConsensusMsg(f *testing.F) {
 		rig := newMsgFuzzRig(t)
 		defer rig.stop()
 		r := rig.reps[2]
+		// Replica 2 alone: while a message waits for the crypto pool, what its
+		// peers send must not move the state it is judged against.
+		rig.net.Partition(2, 0)
+		rig.net.Partition(2, 1)
 		p := rig.advance(t, stage%4)
 		before := channelState(r, p)
 		data = slices.Clone(data) // accepted frames are retained by reference
-		if !r.onConsensusMsg(p, data) {
+		v := r.onConsensusMsg(p, data)
+		if v == ctbcast.Wait {
+			// The crypto pool settles what the message waits on; the channel
+			// then judges it again.
+			rig.eng.RunFor(time200us())
+			if r.state[p].cpWait.Seq != 0 {
+				t.Fatalf("stage %d: still waiting with the crypto pool idle", stage%4)
+			}
+			v = r.onConsensusMsg(p, data)
+		}
+		if v == ctbcast.Reject {
 			if after := channelState(r, p); after != before {
 				t.Fatalf("stage %d: a rejected message changed the replica\nbefore: %s\nafter:  %s", stage%4, before, after)
 			}

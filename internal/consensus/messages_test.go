@@ -200,12 +200,12 @@ func TestNewViewFragRejectsMalformed(t *testing.T) {
 		{view: 0, idx: 0, total: 2, chunk: nil},         // empty chunk
 	}
 	for i, f := range bad {
-		if r.onConsensusMsg(0, encodeNewViewFrag(f)) {
+		if r.accepts(0, encodeNewViewFrag(f)) {
 			t.Errorf("case %d: malformed fragment %+v accepted from the leader", i, f)
 		}
 	}
 	// The shape is what was refused: the same frame well formed starts a train.
-	if !r.onConsensusMsg(0, encodeNewViewFrag(nvFrag{view: 0, idx: 0, total: 2, chunk: []byte("x")})) || r.state[0].nvNext != 1 {
+	if !r.accepts(0, encodeNewViewFrag(nvFrag{view: 0, idx: 0, total: 2, chunk: []byte("x")})) || r.state[0].nvNext != 1 {
 		t.Errorf("well-formed first fragment refused: train %+v", r.state[0])
 	}
 }

@@ -103,7 +103,7 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	}
 	prep := func(v View) []byte { return encodePrepare(Prepare{View: v, Slot: s, Req: req}) }
 
-	step("view-0 PREPARE before the client copy", r.onConsensusMsg(0, prep(0)) && r.slots[s].waitingReq != nil)
+	step("view-0 PREPARE before the client copy", r.accepts(0, prep(0)) && r.slots[s].waitingReq != nil)
 	for p := ids.ID(0); p < 3; p++ {
 		r.onWillCertify(p, 0, s)
 	}
@@ -115,10 +115,10 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	step("a CERTIFY share", len(r.slots[s].shares) == 1)
 	rig.advance(t, 1)
 	nv := rig.newViewFrame()
-	step("NEW_VIEW of view 1", r.onConsensusMsg(1, nv) && r.view == 0) // the WILL_COMMIT still owes its COMMIT
+	step("NEW_VIEW of view 1", r.accepts(1, nv) && r.view == 0) // the WILL_COMMIT still owes its COMMIT
 	r.onCertify(r.cfg.Self, 0, s, dg, share(r.cfg.Self))
 	step("own share: COMMIT, then the seal", r.slots[s].sent(0, sentCommit) && r.view == 1)
-	step("view-1 PREPARE", r.onConsensusMsg(1, prep(1)) && r.slots[s].fallback.Pending() && r.slots[s].sent(1, sentWillCertify))
+	step("view-1 PREPARE", r.accepts(1, prep(1)) && r.slots[s].fallback.Pending() && r.slots[s].sent(1, sentWillCertify))
 	for p := ids.ID(0); p < 3; p++ {
 		r.onWillCertify(p, 1, s)
 	}
@@ -132,7 +132,7 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	ss := r.slots[s]
 	r.dropSlot(s, ss)
 	next := Request{Client: 200, Num: 2, Payload: []byte("second life")}
-	step("view-1 PREPARE of the next slot", r.onConsensusMsg(1, encodePrepare(Prepare{View: 1, Slot: s + 1, Req: next})) &&
+	step("view-1 PREPARE of the next slot", r.accepts(1, encodePrepare(Prepare{View: 1, Slot: s + 1, Req: next})) &&
 		r.slots[s+1] == ss && ss.sentView == 1)
 	seen.note(*ss)
 	seen.requireAll(t, slotState{})
@@ -219,7 +219,7 @@ func TestPrunedSlotsFallbackDiesWithIt(t *testing.T) {
 	r := rig.reps[1]
 	old := Request{Client: 200, Num: 1, Payload: []byte("old")}
 	next := Request{Client: 200, Num: 2, Payload: []byte("next")}
-	if !r.onConsensusMsg(0, encodePrepare(Prepare{View: 0, Slot: 5, Req: old})) {
+	if !r.accepts(0, encodePrepare(Prepare{View: 0, Slot: 5, Req: old})) {
 		t.Fatal("PREPARE of slot 5 rejected")
 	}
 	r.onRPC(200, clientFrame(old))
@@ -231,7 +231,7 @@ func TestPrunedSlotsFallbackDiesWithIt(t *testing.T) {
 	sentBefore := r.auxOut.Next()
 	// The next PREPARE parks (no client copy yet), so the slot arms no
 	// fallback of its own: only the old deadline could sign for it.
-	if !r.onConsensusMsg(0, encodePrepare(Prepare{View: 0, Slot: 7, Req: next})) || r.slots[7] != ss || r.slots[7].waitingReq == nil {
+	if !r.accepts(0, encodePrepare(Prepare{View: 0, Slot: 7, Req: next})) || r.slots[7] != ss || r.slots[7].waitingReq == nil {
 		t.Fatal("slot 7 did not reuse slot 5's record, or did not park")
 	}
 	rig.eng.RunFor(rig.reps[1].cfg.SlowPathDelay * 3 / 2) // past the old deadline, short of suspicion

@@ -150,6 +150,11 @@ type replicaState struct {
 	nvView  View
 	nvTotal int // chunks expected; 0 = no train in progress
 	nvNext  int // next chunk index expected
+
+	// cpWait is the CHECKPOINT p's channel waits on (ctbcast.Wait) while the
+	// checkpoint collector may still certify it, signatures left out; Seq 0
+	// means none.
+	cpWait Checkpoint
 }
 
 // dropNewViewTrain forgets the fragment train in progress, if any.
@@ -285,6 +290,9 @@ type Replica struct {
 	// already-proposed number (the EchoTimeout path completing after its
 	// successors). Diagnostics; see accessors.
 	lateProposals uint64
+	// cpCertChecks counts the CHECKPOINT certificates verified on the main
+	// process (verifyCheckpointCert past its cache). Diagnostics for tests.
+	cpCertChecks uint64
 }
 
 // Deps bundles the per-host infrastructure the replica plugs into.
@@ -395,7 +403,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 			UnsafeFirstLockDelivers: deps.Defenses.FirstLockDelivers,
 			InstanceBase:            cfg.groupInstanceBase(i),
 			RegionBase:              cfg.regionBase(i),
-			Validate:                func(k uint64, m []byte) bool { return r.onConsensusMsg(p, m) },
+			Validate:                func(k uint64, m []byte) ctbcast.Verdict { return r.onConsensusMsg(p, m) },
 			Capture:                 func(id uint64) []byte { return r.captureState(p) },
 			ApplySummary:            func(id uint64, st []byte) { r.applySummary(p, st) },
 		}, env)
@@ -637,12 +645,14 @@ func (r *Replica) takeProposal() (Request, bool) {
 
 // onConsensusMsg interprets broadcaster p's next FIFO message, once: it
 // decodes the message, runs its tag's Byzantine check (Algorithm 5,
-// viewchange.go) against state[p], and only then applies it. Returning false
-// proves p Byzantine, with nothing changed, and blocks its channel
-// (Algorithm 2 line 1); it is the groups' Validate hook for that reason.
-func (r *Replica) onConsensusMsg(p ids.ID, m []byte) bool {
+// viewchange.go) against state[p], and only then applies it. Reject proves p
+// Byzantine, with nothing changed, and blocks its channel (Algorithm 2 line
+// 1); it is the groups' Validate hook for that reason. A CHECKPOINT whose
+// certificate the crypto pool is still checking gets Wait, and is judged
+// again when the channel resumes (awaitCheckpointCert).
+func (r *Replica) onConsensusMsg(p ids.ID, m []byte) ctbcast.Verdict {
 	if r.stopped {
-		return true
+		return ctbcast.Accept
 	}
 	rd := wire.NewReader(m)
 	st := r.state[p]
@@ -650,19 +660,25 @@ func (r *Replica) onConsensusMsg(p ids.ID, m []byte) bool {
 	case tagPrepare:
 		pr, err := decodePrepare(rd)
 		if err != nil || rd.Done() != nil || !r.validPrepare(p, st, &pr) {
-			return false
+			return ctbcast.Reject
 		}
 		r.onPrepare(st, pr)
 	case tagCommit:
 		c, err := decodeCommitCert(rd)
 		if err != nil || rd.Done() != nil || !r.validCommit(st, &c) {
-			return false
+			return ctbcast.Reject
 		}
 		r.onCommit(st, c)
 	case tagCheckpoint:
 		cp, err := decodeCheckpoint(rd)
-		if err != nil || rd.Done() != nil || !cp.Supersedes(&st.checkpoint) || !r.verifyCheckpointCert(&cp) {
-			return false
+		if err != nil || rd.Done() != nil || !cp.Supersedes(&st.checkpoint) {
+			return ctbcast.Reject
+		}
+		if r.awaitCheckpointCert(st, &cp) {
+			return ctbcast.Wait
+		}
+		if !r.verifyCheckpointCert(&cp) {
+			return ctbcast.Reject
 		}
 		r.onCheckpointMsg(st, cp)
 	case tagSealView:
@@ -674,22 +690,24 @@ func (r *Replica) onConsensusMsg(p ids.ID, m []byte) bool {
 		// onSealView ignores non-advancing seals, so tolerance is free.
 		v := View(rd.U64())
 		if rd.Done() != nil {
-			return false
+			return ctbcast.Reject
 		}
 		r.onSealView(p, st, v)
 	case tagNewView:
 		nv, ok := r.readNewView(p, st, rd)
 		if !ok {
-			return false
+			return ctbcast.Reject
 		}
 		r.onNewView(st, nv)
 	case tagNewViewFrag:
 		fr, err := decodeNewViewFrag(rd)
-		return err == nil && rd.Done() == nil && r.onNewViewFrag(p, st, fr)
+		if err != nil || rd.Done() != nil || !r.onNewViewFrag(p, st, fr) {
+			return ctbcast.Reject
+		}
 	default:
-		return false // unknown tag: Byzantine
+		return ctbcast.Reject // unknown tag: Byzantine
 	}
-	return true
+	return ctbcast.Accept
 }
 
 // onPrepare implements Algorithm 2 lines 18-22 (validPrepare passed).

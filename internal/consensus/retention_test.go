@@ -37,7 +37,7 @@ var retention = map[string]string{
 
 	"execEntry.res": "the client's latest result; dies with the client record",
 
-	"cpState.shares":   "released once the checkpoint is stable (pruneBelow); at most n shares, one per signer",
+	"cpState.shares":   "released once the checkpoint is stable (pruneBelow); at most n shares, one per signer, held, being verified, verified or found invalid (a CHECKPOINT's signatures join as relayed shares under the same bound)",
 	"cpState.snapshot": "released one window below the stable checkpoint (pruneBelow)",
 }
 
@@ -133,7 +133,8 @@ func TestFastPathSlotAllocatesNothingOnceWarm(t *testing.T) {
 // share per signer, so validly signed floods by one replica's key (the byz
 // wrapper rewrites frames and holds no keys; this needs the white box) leave
 // one entry behind, cost one verification where the handler verifies inline,
-// and certify nothing.
+// and certify nothing; a pool-verified collector that lacks no share beyond
+// the one being verified holds the flood's one share unverified.
 func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	rig := newWBRig(t)
 	defer rig.stop()
@@ -175,6 +176,21 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	rig.eng.RunFor(sim.Millisecond)
 	if r.chkpt.Seq != seq || r.chkpt.StateDigest != dgA || len(r.chkpt.Sigs) != 2 || r.chkpt.Sigs[2] != nil {
 		t.Fatalf("f+1 shares over one digest: stable checkpoint %+v", r.chkpt)
+	}
+
+	// An open collector that lacks no share but the one being verified holds
+	// what else arrives, one share per signer: 64 CERTIFY_CHECKPOINT shares by
+	// replica 2 over 64 digests leave one held share and cost the pool nothing.
+	const next = seq + 32
+	pool := max(r.bgProc.BusyUntil(), rig.eng.Now())
+	r.onCertifyCheckpoint(0, next, dgA, sign(0, checkpointPayload(next, dgA)))
+	r.onCertifyCheckpoint(1, next, dgA, sign(1, checkpointPayload(next, dgA)))
+	for i := 0; i < 64; i++ {
+		r.onCertifyCheckpoint(2, next, digest(i), sign(2, checkpointPayload(next, digest(i))))
+	}
+	if got := r.bgProc.BusyUntil() - pool; len(r.cps[next].shares) != 3 || got != oneVerify {
+		t.Fatalf("64 shares by one signer to a collector verifying its last share: %d shares held, pool charged %v (want %v)",
+			len(r.cps[next].shares), got, oneVerify)
 	}
 
 	// 8 CERTIFY_VC shares by replica 2 over 8 states of replica 1, for a view

@@ -23,9 +23,10 @@
 //     fingerprint rather than the message body.
 //
 // On top of Algorithm 1, the Group FIFO-orders deliveries to the upper
-// layer (§5.2 requires consensus to interpret messages in FIFO order) and
-// runs the interactive summary protocol: every t/2 identifiers the
-// broadcaster blocks until f+1 receivers certify a summary of its state,
+// layer (§5.2 requires consensus to interpret messages in FIFO order), lets
+// the upper layer hold the channel on a message it cannot judge yet (the Wait
+// verdict) and runs the interactive summary protocol: every t/2 identifiers
+// the broadcaster blocks until f+1 receivers certify a summary of its state,
 // then Tail-Broadcasts the certified summary so receivers with gaps can
 // catch up without the missed messages.
 package ctbcast
@@ -124,10 +125,11 @@ type Params struct {
 	Deliver func(k uint64, m []byte)
 	// Validate, if non-nil, is the upper layer's Byzantine check
 	// (Algorithm 5), called with each message in FIFO order just before
-	// Deliver: returning false marks the broadcaster Byzantine and blocks
-	// all further deliveries from it (Algorithm 2 line 1), that message's
-	// included.
-	Validate func(k uint64, m []byte) bool
+	// Deliver. Reject marks the broadcaster Byzantine and blocks all further
+	// deliveries from it (Algorithm 2 line 1), that message's included. Wait
+	// keeps the message at the head of the channel, later ones queued behind
+	// it, until the upper layer calls Resume, which judges it again.
+	Validate func(k uint64, m []byte) Verdict
 	// Capture returns the upper layer's deterministic state snapshot after
 	// applying the broadcaster's messages up to id (summary content). May
 	// be nil (empty summaries).
@@ -145,6 +147,16 @@ type Params struct {
 	// in production configurations.
 	UnsafeFirstLockDelivers bool
 }
+
+// Verdict is the upper layer's judgement of a broadcaster's next message
+// (Params.Validate).
+type Verdict uint8
+
+const (
+	Accept Verdict = iota // deliver it
+	Reject                // the broadcaster is Byzantine
+	Wait                  // undecidable yet: hold the channel until Resume
+)
 
 // Env bundles the per-host infrastructure a Group plugs into.
 type Env struct {
@@ -205,10 +217,12 @@ type Group struct {
 	fallbacks    map[uint64]*fallback
 	fallbackFree []*fallback
 
-	// FIFO delivery layer.
+	// FIFO delivery layer. waiting: Validate said Wait for the message at
+	// nextDeliver, which stays in pendingFIFO until Resume.
 	nextDeliver uint64
 	pendingFIFO map[uint64][]byte
 	byzBlocked  bool
+	waiting     bool
 
 	// Stats for tests, Table 2 and Figure 9.
 	FastDeliveries uint64
@@ -312,7 +326,8 @@ func (g *Group) lockedBcastInit(inst msgring.Instance, receivers []ids.ID, slots
 	})
 }
 
-// Stop cancels background timers (teardown).
+// Stop cancels background timers and drops what the FIFO layer holds,
+// a message waiting for its verdict included (teardown).
 func (g *Group) Stop() {
 	if g.bcast != nil {
 		g.bcast.Stop()
@@ -323,17 +338,20 @@ func (g *Group) Stop() {
 	for _, fb := range g.fallbacks {
 		fb.timer.Cancel()
 	}
+	g.waiting = false
+	clear(g.pendingFIFO)
 }
 
 // ResetChannel rewinds this member's receiver-side state for a broadcaster
 // that provably cold-restarted and will number its stream from k=1 again:
 // locks, delivered marks, the LOCKED arrays of every member (their LOCKED
 // re-announcements for the fresh stream carry small identifiers the stale
-// high-k entries would otherwise shadow), FIFO buffering, and pending
-// slow-path work. This member's own SWMR registers for the group are
-// overwritten with garbage so stale signed entries from the pre-restart
-// stream cannot collide with the fresh stream's identifiers during
-// slow-path arbitration (decodeRegValue rejects them as garbage).
+// high-k entries would otherwise shadow), FIFO buffering (a message waiting
+// for its verdict included), and pending slow-path work. This member's own
+// SWMR registers for the group are overwritten with garbage so stale signed
+// entries from the pre-restart stream cannot collide with the fresh stream's
+// identifiers during slow-path arbitration (decodeRegValue rejects them as
+// garbage).
 //
 // byzBlocked is deliberately preserved: a broadcaster proven Byzantine must
 // not launder itself by pretending to restart. The upper layer's own
@@ -358,7 +376,7 @@ func (g *Group) ResetChannel() {
 		fb.timer.Cancel()
 		delete(g.fallbacks, k)
 	}
-	g.nextDeliver = 1
+	g.nextDeliver, g.waiting = 1, false
 	g.pendingFIFO = make(map[uint64][]byte)
 	for slot := range g.myRegs {
 		g.myReg(slot).Write(0, []byte{0xff}, func(error) {})
@@ -831,24 +849,40 @@ func (g *Group) fifoDeliver(k uint64, m []byte) {
 }
 
 func (g *Group) drainFIFO() {
-	for {
-		m, ok := g.pendingFIFO[g.nextDeliver]
+	for !g.waiting {
+		k := g.nextDeliver
+		m, ok := g.pendingFIFO[k]
 		if !ok {
 			return
 		}
-		delete(g.pendingFIFO, g.nextDeliver)
-		k := g.nextDeliver
+		delete(g.pendingFIFO, k)
 		g.nextDeliver++
-		if g.p.Validate != nil && !g.p.Validate(k, m) {
-			// Algorithm 2 line 1: block on a Byzantine message.
-			g.byzBlocked = true
-			g.pendingFIFO = make(map[uint64][]byte)
-			return
+		if g.p.Validate != nil {
+			switch g.p.Validate(k, m) {
+			case Reject:
+				// Algorithm 2 line 1: block on a Byzantine message.
+				g.byzBlocked = true
+				g.pendingFIFO = make(map[uint64][]byte)
+				return
+			case Wait:
+				g.nextDeliver, g.pendingFIFO[k], g.waiting = k, m, true
+				return
+			}
 		}
 		if g.p.Deliver != nil {
 			g.p.Deliver(k, m)
 		}
 		g.afterFIFODeliver(k)
+	}
+}
+
+// Resume judges again the message a Wait verdict holds at the head of the
+// channel and, if it is accepted, delivers on from there. Without one it does
+// nothing.
+func (g *Group) Resume() {
+	if g.waiting {
+		g.waiting = false
+		g.drainFIFO()
 	}
 }
 

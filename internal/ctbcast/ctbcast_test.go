@@ -42,7 +42,7 @@ type hopts struct {
 	mode         PathMode
 	slowDelay    sim.Duration
 	regionBase   memnode.RegionID
-	validate     func(member int) func(uint64, []byte) bool
+	validate     func(member int) func(uint64, []byte) Verdict
 	capture      func(member int) func(uint64) []byte
 	applySummary func(member int) func(uint64, []byte)
 }
@@ -341,8 +341,13 @@ func TestNoDuplication(t *testing.T) {
 func TestValidateBlocksByzantineBroadcaster(t *testing.T) {
 	h := newHarness(t, hopts{
 		f: 1, mode: FastOnly,
-		validate: func(member int) func(uint64, []byte) bool {
-			return func(k uint64, m []byte) bool { return string(m) != "poison" }
+		validate: func(member int) func(uint64, []byte) Verdict {
+			return func(k uint64, m []byte) Verdict {
+				if string(m) == "poison" {
+					return Reject
+				}
+				return Accept
+			}
 		},
 	})
 	defer h.stopAll()
@@ -358,6 +363,99 @@ func TestValidateBlocksByzantineBroadcaster(t *testing.T) {
 		if !h.groups[member].Blocked() {
 			t.Fatalf("member %d not blocked after Byzantine message", member)
 		}
+	}
+}
+
+// TestWaitVerdictHoldsTheChannel: a message the upper layer cannot judge yet
+// (Wait) stays at the head of the channel, later messages queued behind it in
+// order; Resume judges it again and delivers on from there. ResetChannel and
+// Stop release the wait together with what queued behind it.
+func TestWaitVerdictHoldsTheChannel(t *testing.T) {
+	hold := true
+	judged := make([]int, 3) // per member, how often "hold" was judged
+	h := newHarness(t, hopts{
+		f: 1, mode: FastOnly,
+		validate: func(member int) func(uint64, []byte) Verdict {
+			return func(k uint64, m []byte) Verdict {
+				if string(m) != "hold" {
+					return Accept
+				}
+				judged[member]++
+				if hold {
+					return Wait
+				}
+				return Accept
+			}
+		},
+	})
+	defer h.stopAll()
+	for _, m := range []string{"a", "hold", "b", "c"} {
+		h.groups[0].Broadcast([]byte(m))
+	}
+	h.run(5 * sim.Millisecond)
+	for i, g := range h.groups {
+		if len(h.got[i]) != 1 || !g.waiting || g.nextDeliver != 2 || len(g.pendingFIFO) != 3 || judged[i] != 1 {
+			t.Fatalf("member %d waiting: delivered %v, waiting %v, next %d, %d queued, judged %d times",
+				i, h.got[i], g.waiting, g.nextDeliver, len(g.pendingFIFO), judged[i])
+		}
+	}
+
+	hold = false
+	g := h.groups[1]
+	g.Resume()
+	g.Resume() // nothing waits: a no-op
+	if got := h.got[1]; len(got) != 4 || got[1].m != "hold" || got[2].m != "b" || got[3].m != "c" || g.waiting || judged[1] != 2 {
+		t.Fatalf("member 1 resumed: delivered %v, waiting %v, judged %d times", got, g.waiting, judged[1])
+	}
+
+	h.groups[2].ResetChannel()
+	h.groups[0].Stop()
+	for _, i := range []int{0, 2} {
+		if g := h.groups[i]; g.waiting || len(g.pendingFIFO) != 0 {
+			t.Fatalf("member %d still holds its wait: waiting %v, %d queued", i, g.waiting, len(g.pendingFIFO))
+		}
+	}
+	if h.groups[2].nextDeliver != 1 {
+		t.Fatalf("reset channel expects identifier %d, want 1", h.groups[2].nextDeliver)
+	}
+}
+
+// TestSummaryReleasesAWaitingMessage: a summary certificate at or past a
+// message held by a Wait verdict drops it with everything else it covers,
+// before the upper layer applies the summary, so a Resume from inside
+// ApplySummary finds nothing to judge; delivery goes on after the summary.
+// Members 0 and 2 accept everything and certify the summary of identifier 4
+// that member 1, waiting at identifier 2, heals its channel with.
+func TestSummaryReleasesAWaitingMessage(t *testing.T) {
+	judged, applied := 0, 0
+	var h *harness
+	h = newHarness(t, hopts{
+		f: 1, mode: FastOnly,
+		validate: func(member int) func(uint64, []byte) Verdict {
+			return func(k uint64, m []byte) Verdict {
+				if member == 1 && string(m) == "hold" {
+					judged++
+					return Wait
+				}
+				return Accept
+			}
+		},
+		applySummary: func(member int) func(uint64, []byte) {
+			return func(uint64, []byte) {
+				applied++
+				h.groups[member].Resume()
+			}
+		},
+	})
+	defer h.stopAll()
+	for _, m := range []string{"a", "hold", "b", "c", "d"} {
+		h.groups[0].Broadcast([]byte(m))
+	}
+	h.run(5 * sim.Millisecond)
+	g := h.groups[1]
+	if got := h.got[1]; applied != 1 || judged != 1 || g.waiting || g.nextDeliver != 6 || len(got) != 2 || got[1].m != "d" {
+		t.Fatalf("member 1: applied %d summaries, judged the held message %d times, waiting %v, next %d, delivered %v",
+			applied, judged, g.waiting, g.nextDeliver, got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/latmodel"
 	"repro/internal/sim"
 	"repro/internal/swmr"
 	"repro/internal/wire"
@@ -283,5 +284,53 @@ func TestSummarySharesBounded(t *testing.T) {
 	share(2, 4, "state 0")
 	if g.lastSummary != 4 || len(g.shareStates) != 0 {
 		t.Fatalf("f+1 shares over one state: lastSummary=%d, table %v", g.lastSummary, g.shareStates)
+	}
+}
+
+// TestSummaryForgedShareCostsOneVerification: with the broadcaster's own share
+// in, a summary certificate lacks one share, so of two follower shares only
+// the first goes to the crypto pool and the second is held. A forged first
+// share costs the pool exactly one more verification: the held share is
+// verified next and the certificate forms from it.
+func TestSummaryForgedShareCostsOneVerification(t *testing.T) {
+	const oneVerify = latmodel.VerifyCost + latmodel.CryptoDispatchCost
+	for _, forgedFirst := range []bool{false, true} {
+		h := newHarness(t, hopts{f: 1, mode: FastOnly, tail: 8})
+		g := h.groups[0]
+		signing := sim.NewProc(h.eng, "signing")
+		const id, state = 4, "state at 4"
+		sign := func(from ids.ID) xcrypto.Signature {
+			return h.reg.Signer(from).Sign(signing, sharePayload(0, id, []byte(state)))
+		}
+		// Cut the broadcaster off, so that every share is this test's.
+		h.net.Partition(0, 1)
+		h.net.Partition(0, 2)
+		for i := 0; i < 6; i++ {
+			g.Broadcast([]byte(fmt.Sprintf("m%d", i)))
+		}
+		shares := g.shareStates[id]
+		shares.Add(0, state, sign(0)) // the broadcaster's own, taken as signed
+		g.shareStates[id] = shares
+		first := sign(1)
+		if forgedFirst {
+			first[0] ^= 1
+		}
+		pool := g.env.BgProc
+		start := max(pool.BusyUntil(), h.eng.Now())
+		g.onSummaryShare(1, id, []byte(state), first)
+		g.onSummaryShare(2, id, []byte(state), sign(2))
+		if got := pool.BusyUntil() - start; got != sim.Time(oneVerify) {
+			t.Fatalf("two follower shares sent %v of work to the pool, want one verification (%v)", got, oneVerify)
+		}
+		h.run(sim.Millisecond)
+		want := sim.Time(oneVerify)
+		if forgedFirst {
+			want *= 2
+		}
+		if got := pool.BusyUntil() - start; got != want || g.lastSummary != id {
+			t.Errorf("forged first share %v: pool busy %v (want %v), last summary %d (want %d)",
+				forgedFirst, got, want, g.lastSummary, id)
+		}
+		h.stopAll()
 	}
 }

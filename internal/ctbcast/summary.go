@@ -84,8 +84,18 @@ func (g *Group) afterFIFODeliver(k uint64) {
 		state = g.p.Capture(k)
 	}
 	// Bookkeeping signature: signed on the crypto pool so the main event
-	// loop (and hence the fast path) never blocks (§3.2, §5.4).
+	// loop (and hence the fast path) never blocks (§3.2, §5.4). The
+	// broadcaster's own share counts as soon as it is signed.
 	g.env.Signer.SignBg(g.env.BgProc, g.env.Proc, sharePayload(g.p.Broadcaster, k, state), func(sig xcrypto.Signature) {
+		if g.p.Self == g.p.Broadcaster {
+			if g.summaryOpen(k) {
+				owned, shares := string(state), g.shareStates[k]
+				n := shares.Add(g.p.Self, owned, sig)
+				g.shareStates[k] = shares
+				g.tallySummary(k, owned, n)
+			}
+			return
+		}
 		w := wire.NewWriter(64 + len(state))
 		w.U32(uint32(g.p.InstanceBase))
 		w.U64(k)
@@ -105,28 +115,40 @@ func (g *Group) summaryOpen(id uint64) bool {
 
 // onSummaryShare runs at the broadcaster: collect matching shares until f+1
 // distinct receivers certify the same (id, state), then Tail-Broadcast the
-// certificate and unblock pending broadcasts. state is only borrowed.
+// certificate and unblock pending broadcasts. A share is verified on the
+// crypto pool, and only while the certificate still needs it (xcrypto.Shares);
+// state is only borrowed.
 func (g *Group) onSummaryShare(from ids.ID, id uint64, state []byte, sig xcrypto.Signature) {
 	if !g.summaryOpen(id) || !slices.Contains(g.p.Procs, from) {
 		return
 	}
-	owned := string(state)
-	// Verify on the crypto pool; the share is bookkeeping, not fast path.
-	g.env.Signer.VerifyBg(g.env.BgProc, g.env.Proc, from, sharePayload(g.p.Broadcaster, id, state), sig, func(ok bool) {
-		if ok {
-			g.acceptSummaryShare(from, id, owned, sig)
+	owned, shares := string(state), g.shareStates[id]
+	verify := shares.Offer(from, owned, sig, g.p.F+1, false)
+	g.shareStates[id] = shares
+	if verify {
+		g.verifySummaryShare(from, id, owned, sig)
+	}
+}
+
+// verifySummaryShare checks a share on the crypto pool (it is bookkeeping,
+// not fast path) and tallies the verdict.
+func (g *Group) verifySummaryShare(from ids.ID, id uint64, state string, sig xcrypto.Signature) {
+	g.env.Signer.VerifyBg(g.env.BgProc, g.env.Proc, from, sharePayload(g.p.Broadcaster, id, []byte(state)), sig, func(ok bool) {
+		if g.summaryOpen(id) {
+			g.tallySummary(id, state, g.shareStates[id].Verdict(from, sig, ok))
 		}
 	})
 }
 
-func (g *Group) acceptSummaryShare(from ids.ID, id uint64, state string, sig xcrypto.Signature) {
-	if !g.summaryOpen(id) {
-		return
-	}
+// tallySummary certifies (id, state) once n, the verified shares over it,
+// reach f+1; short of that it hands the pool the held shares the certificate
+// still needs.
+func (g *Group) tallySummary(id uint64, state string, n int) {
 	shares := g.shareStates[id]
-	n := shares.Add(from, state, sig)
-	g.shareStates[id] = shares
 	if n < g.p.F+1 {
+		for from, st, sig, ok := shares.Next(g.p.F + 1); ok; from, st, sig, ok = shares.Next(g.p.F + 1) {
+			g.verifySummaryShare(from, id, st, sig)
+		}
 		return
 	}
 	// Certificate complete: broadcast it and advance the summary window.
@@ -169,13 +191,17 @@ func (g *Group) onSummaryCert(id uint64, state []byte, cert xcrypto.Cert) {
 		return
 	}
 	g.SummariesUsed++
-	if g.p.ApplySummary != nil {
-		g.p.ApplySummary(id, state)
-	}
+	// What the summary covers goes first, a message waiting for its verdict
+	// included (it was at or below id): the upper layer may resume this
+	// channel while it applies the summary, and must find nothing to judge.
 	for k := range g.pendingFIFO {
 		if k <= id {
 			delete(g.pendingFIFO, k)
 		}
+	}
+	g.waiting = false
+	if g.p.ApplySummary != nil {
+		g.p.ApplySummary(id, state)
 	}
 	g.nextDeliver = id + 1
 	g.drainFIFO()

@@ -73,13 +73,37 @@ func (s *Signer) Valid(p *sim.Proc, members []ids.ID, payload []byte, cert Cert,
 // value V its signer vouches for. It holds at most one share per signer — a
 // correct process signs one value per certificate — so whatever a Byzantine
 // signer sends, the set is bounded by the group size.
+//
+// A share counts once it is verified. Add takes a share verified already (the
+// collector's own, or one checked inline). Offer takes one unverified and
+// asks for its verification only while the certificate still needs it: while
+// the verified shares over the best-supported value, plus the shares being
+// verified, are short of need. Any other share is held. Verdict records how a
+// verification came out, and Next hands out a held share once a failed share,
+// or one over another value, leaves the certificate short again. So a
+// certificate costs the verifications it lacks, plus one per share that fails
+// or vouches for another value.
 type Shares[V comparable] []share[V]
 
 type share[V comparable] struct {
 	signer ids.ID
 	val    V
 	sig    Signature
+	state  shareState
+	// relayed marks a share taken from a certificate someone else sent, not
+	// from its signer: unless it is verified it gives way to the signer's own.
+	relayed bool
 }
+
+// shareState is how far a share is on its way to counting.
+type shareState uint8
+
+const (
+	held      shareState = iota // unverified, not asked for
+	verifying                   // handed out for verification
+	verified
+	invalid // failed verification: counts for nothing and is not asked for again
+)
 
 // of returns signer's share, nil if it has none.
 func (s Shares[V]) of(signer ids.ID) *share[V] {
@@ -91,6 +115,32 @@ func (s Shares[V]) of(signer ids.ID) *share[V] {
 	return nil
 }
 
+// count returns how many signers' shares over val are in state st.
+func (s Shares[V]) count(val V, st shareState) int {
+	n := 0
+	for i := range s {
+		if s[i].val == val && s[i].state == st {
+			n++
+		}
+	}
+	return n
+}
+
+// short reports whether the verified shares over the best-supported value,
+// plus the shares being verified, are fewer than need.
+func (s Shares[V]) short(need int) bool {
+	best, pending := 0, 0
+	for i := range s {
+		switch s[i].state {
+		case verifying:
+			pending++
+		case verified:
+			best = max(best, s.count(s[i].val, verified))
+		}
+	}
+	return best+pending < need
+}
+
 // Admits reports whether Add would take a share by signer over val: the
 // signer has none yet, or its one share is over val. Callers that verify
 // inline ask before they pay for the verification.
@@ -100,37 +150,119 @@ func (s Shares[V]) Admits(signer ids.ID, val V) bool {
 }
 
 // Add records signer's verified share over val and returns how many signers
-// now vouch for val. A second share by the same signer is not recorded: over
-// the same value it is a retransmission and the count stands, over a
-// different one it is refused and Add returns 0.
+// now vouch for val. An unverified share the signer has gives way to it. A
+// second verified share by the same signer is not recorded: over the same
+// value it is a retransmission and the count stands, over a different one it
+// is refused and Add returns 0.
 func (s *Shares[V]) Add(signer ids.ID, val V, sig Signature) int {
-	if sh := s.of(signer); sh == nil {
-		*s = append(*s, share[V]{signer: signer, val: val, sig: sig})
-	} else if sh.val != val {
+	switch sh := s.of(signer); {
+	case sh == nil:
+		*s = append(*s, share[V]{signer: signer, val: val, sig: sig, state: verified})
+	case sh.state != verified:
+		*sh = share[V]{signer: signer, val: val, sig: sig, state: verified}
+	case sh.val != val:
 		return 0
 	}
+	return s.count(val, verified)
+}
+
+// Offer records signer's unverified share over val, relayed if it came inside
+// someone else's certificate, and reports whether to verify it now; if so it
+// is being verified until its Verdict. A signer that has a share already is
+// not recorded again, except that its own share replaces a relayed one not
+// found valid.
+func (s *Shares[V]) Offer(signer ids.ID, val V, sig Signature, need int, relayed bool) bool {
+	fresh := share[V]{signer: signer, val: val, sig: sig, relayed: relayed}
+	switch sh := s.of(signer); {
+	case sh == nil:
+		*s = append(*s, fresh)
+		sh = &(*s)[len(*s)-1]
+		return s.ask(sh, need)
+	case relayed || !sh.relayed:
+		return false
+	case sh.val == val && bytes.Equal(sh.sig, sig):
+		sh.relayed = false // the same share, now from its signer
+		return false
+	case sh.state != verified:
+		*sh = fresh
+		return s.ask(sh, need)
+	}
+	return false
+}
+
+// ask hands sh out for verification if the certificate is short without it.
+func (s Shares[V]) ask(sh *share[V], need int) bool {
+	if !s.short(need) {
+		return false
+	}
+	sh.state = verifying
+	return true
+}
+
+// Verdict records whether signer's share being verified, sig, is valid and
+// returns how many verified signers now vouch for its value. A share found
+// invalid stays invalid: neither it nor another share relayed for its signer
+// is verified again. A verdict on a share that is not being verified, or not
+// with sig, changes nothing and returns 0.
+func (s Shares[V]) Verdict(signer ids.ID, sig Signature, ok bool) int {
+	sh := s.of(signer)
+	if sh == nil || sh.state != verifying || !bytes.Equal(sh.sig, sig) {
+		return 0
+	}
+	if !ok {
+		sh.state = invalid
+		return 0
+	}
+	sh.state = verified
+	return s.count(sh.val, verified)
+}
+
+// Next hands out a held share to verify, marking it being verified, while the
+// certificate is short (see Offer): of the held shares, one over the value
+// with the most verified shares, the earliest offered between equals.
+func (s Shares[V]) Next(need int) (signer ids.ID, val V, sig Signature, ok bool) {
+	if !s.short(need) {
+		return signer, val, nil, false
+	}
+	pick, most := -1, -1
+	for i := range s {
+		if n := s.count(s[i].val, verified); s[i].state == held && n > most {
+			pick, most = i, n
+		}
+	}
+	if pick < 0 {
+		return signer, val, nil, false
+	}
+	sh := &s[pick]
+	sh.state = verifying
+	return sh.signer, sh.val, sh.sig, true
+}
+
+// Reachable reports whether the shares over val not found invalid number
+// need: whether the set may still certify val.
+func (s Shares[V]) Reachable(val V, need int) bool {
 	n := 0
-	for i := range *s {
-		if (*s)[i].val == val {
+	for i := range s {
+		if s[i].val == val && s[i].state != invalid {
 			n++
 		}
 	}
-	return n
+	return n >= need
 }
 
-// Cert returns the certificate the shares over val make up.
+// Cert returns the certificate the verified shares over val make up.
 func (s Shares[V]) Cert(val V) Cert {
 	c := make(Cert, len(s))
 	for i := range s {
-		if s[i].val == val {
+		if s[i].val == val && s[i].state == verified {
 			c[s[i].signer] = s[i].sig
 		}
 	}
 	return c
 }
 
-// Has reports whether sig is the share signer added over val.
+// Has reports whether sig is the verified share signer holds over val.
 func (s Shares[V]) Has(signer ids.ID, val V, sig Signature) bool {
 	sh := s.of(signer)
-	return sh != nil && sh.val == val && bytes.Equal(sh.sig, sig)
+	return sh != nil && sh.state == verified && sh.val == val && bytes.Equal(sh.sig, sig)
 }

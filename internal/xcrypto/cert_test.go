@@ -138,3 +138,72 @@ func TestSharesOnePerSigner(t *testing.T) {
 		t.Fatal("Has missed a share that was added")
 	}
 }
+
+// TestSharesVerifyOnlyWhatTheCertificateLacks walks Offer, Verdict and Next
+// through a certificate of need 2: a share is handed out for verification
+// only while the verified shares over the best-supported value plus those
+// being verified are short of need; a failed share, or one over another
+// value, releases a held one; a share relayed in someone else's certificate
+// gives way to its signer's own until it is verified.
+func TestSharesVerifyOnlyWhatTheCertificateLacks(t *testing.T) {
+	const need = 2
+	var s Shares[string]
+	if s.Add(0, "x", Signature("own")) != 1 {
+		t.Fatal("own share not counted")
+	}
+	if !s.Offer(1, "x", Signature("s1"), need, false) {
+		t.Fatal("the share the certificate lacks was not handed out")
+	}
+	if s.Offer(2, "x", Signature("s2"), need, false) || s.Offer(2, "y", Signature("s2y"), need, false) {
+		t.Fatal("a share beyond the certificate's need was handed out, or a second one by its signer taken")
+	}
+	if _, _, _, ok := s.Next(need); ok || !s.Reachable("x", need) || s.Reachable("y", need) {
+		t.Fatal("a held share was handed out while one is being verified")
+	}
+	if s.Verdict(1, Signature("other"), true) != 0 || s.Verdict(2, Signature("s2"), true) != 0 {
+		t.Fatal("a verdict on a share not being verified, or on other bytes, counted")
+	}
+	// The share being verified fails: the held one goes next, once.
+	if s.Verdict(1, Signature("s1"), false) != 0 || s.Has(1, "x", Signature("s1")) {
+		t.Fatal("a failed share counts")
+	}
+	signer, val, sig, ok := s.Next(need)
+	if !ok || signer != 2 || val != "x" || string(sig) != "s2" {
+		t.Fatalf("Next after a failure: %v %q %q %v", signer, val, sig, ok)
+	}
+	if _, _, _, ok := s.Next(need); ok {
+		t.Fatal("Next handed out a share twice")
+	}
+	if s.Offer(1, "x", Signature("s1"), need, false) {
+		t.Fatal("a signer whose share failed was verified again")
+	}
+	if n := s.Verdict(2, Signature("s2"), true); n != 2 || len(s.Cert("x")) != 2 || !s.Has(2, "x", Signature("s2")) {
+		t.Fatalf("certificate from the held share: %d signers, %v", n, s.Cert("x"))
+	}
+
+	// A share over another value, once verified, leaves the certificate short.
+	var v Shares[string]
+	v.Add(0, "x", Signature("own"))
+	v.Offer(1, "y", Signature("s1y"), need, false)
+	v.Offer(2, "x", Signature("s2"), need, false)
+	if v.Verdict(1, Signature("s1y"), true) != 1 {
+		t.Fatal("a valid share over y does not count for y")
+	}
+	if signer, _, _, ok := v.Next(need); !ok || signer != 2 {
+		t.Fatal("a share over another value did not release the held one")
+	}
+
+	// Relayed shares: the signer's own replaces one not found valid.
+	var r Shares[string]
+	r.Add(0, "x", Signature("own"))
+	if !r.Offer(1, "z", Signature("forged"), need, true) || r.Offer(1, "x", Signature("s1"), need, true) {
+		t.Fatal("relayed shares: the first was not handed out, or a second relay was taken")
+	}
+	r.Verdict(1, Signature("forged"), false)
+	if !r.Offer(1, "x", Signature("s1"), need, false) || r.Verdict(1, Signature("s1"), true) != 2 {
+		t.Fatal("the signer's own share did not replace an invalid relayed one")
+	}
+	if r.Offer(1, "y", Signature("s1y"), need, false) {
+		t.Fatal("a verified share gave way")
+	}
+}
