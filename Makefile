@@ -53,9 +53,12 @@ race:
 # checkpoints, the per-view view-change records must not outlive their view,
 # the share collectors must hold one share per signer whatever a Byzantine
 # signer's key signs, and every map or slice field of Replica and of its
-# records must name its retention rule (a reflection test).
+# records must name its retention rule (a reflection test). The agreement
+# oracle's rings keep their 2 x Window records and allocate nothing per
+# decision.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestEveryTableHasARetentionRule' ./internal/consensus/
+	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision' ./internal/cluster/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one
@@ -118,15 +121,16 @@ chaos-suite:
 # The three lossy consensus scenarios over seed ranges instead of their one
 # tier-1 seed each (cold rejoin 1-120, pre-GST agreement 1-200, partition
 # churn 1-200; 25 s of wall clock on two vCPUs, as the last line it prints
-# reports), pass / wedged / diverged per seed and each scenario's time.
+# reports), pass / wedged / diverged per seed and each scenario's time; a
+# diverged seed prints the agreement oracle's report of its first conflict.
 # Fails on nothing: the table and the times go into CHANGES.md, parent's
 # beside the change's.
 lossy-sweep:
 	$(GO) test -count=1 -tags lossysweep -run 'TestLossySweep' -v ./internal/consensus/
 
 # The deterministic trip tests of the known holes (ROADMAP items 1 and 3): seeds on
-# which two replicas end in different states, each printing the slots they
-# executed differently, and the chaos cells fenced as not going quiet. These
+# which two replicas diverge, each printing the agreement oracle's report of
+# the first conflict, and the chaos cells fenced as not going quiet. These
 # FAIL while their hole is open, which is why they are not in `ci`.
 known-holes:
 	-$(GO) test -count=1 -tags knownholes -run 'TestKnownHole' -v ./internal/consensus/ ./internal/byz/scenario/

@@ -62,6 +62,10 @@ func Wrap(inner transport.Fabric) *Fabric {
 // before the deployment creates that endpoint (assembly time).
 func (f *Fabric) Infect(id ids.ID, p Policy) { f.policies[id] = p }
 
+// Infected reports whether node id runs a policy: the deployment's one record
+// of who is Byzantine, whose state and decisions no agreement check constrains.
+func (f *Fabric) Infected(id ids.ID) bool { return f.policies[id] != nil }
+
 // Engine implements transport.Fabric.
 func (f *Fabric) Engine() *sim.Engine { return f.inner.Engine() }
 

@@ -147,59 +147,57 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 	h := &harness{cfg: hcfg, ad: ad, d: d, rep: &rep.Report}
 	vg, vi := victimOf(cfg)
 	round := 0
-	phase := func(tag string, n int) {
+	phase := func(n int) {
 		for j := 0; j < n; j++ {
 			round++
 			h.round(round)
 		}
-		_ = tag
 	}
-
-	for cycle := 1; cycle <= cfg.Cycles; cycle++ {
-		phase("steady", cfg.Rounds)
-		if err := d.KillReplica(vg, vi); err != nil {
-			rep.violate("cycle %d: kill s%dr%d: %v", cycle, vg, vi, err)
-			break
+	h.judged(func() {
+		for cycle := 1; cycle <= cfg.Cycles; cycle++ {
+			phase(cfg.Rounds) // steady
+			if err := d.KillReplica(vg, vi); err != nil {
+				rep.violate("cycle %d: kill s%dr%d: %v", cycle, vg, vi, err)
+				break
+			}
+			phase(cfg.Rounds) // down
+			if err := d.RestartReplica(vg, vi); err != nil {
+				rep.violate("cycle %d: restart s%dr%d: %v", cycle, vg, vi, err)
+				break
+			}
+			// Keep the workload flowing until the reborn replica leaves its
+			// observe window: rejoin needs checkpoint advance (a stable
+			// checkpoint strictly past the sync point), which needs decisions.
+			victim := d.Groups[vg].Replicas[vi]
+			extra := 0
+			for victim.Recovering() && extra < 8*cfg.Rounds {
+				extra++
+				phase(1)
+			}
+			d.Eng.RunFor(4 * sim.Millisecond) // drain in-flight rejoin traffic
+			if victim.Recovering() {
+				rep.violate("cycle %d: s%dr%d still recovering after %d extra rounds",
+					cycle, vg, vi, extra)
+				break
+			}
+			if got := int(victim.Rejoins); got != 1 {
+				rep.violate("cycle %d: victim Rejoins = %d, want 1", cycle, got)
+			}
+			rep.Rejoins++
 		}
-		phase("down", cfg.Rounds)
-		if err := d.RestartReplica(vg, vi); err != nil {
-			rep.violate("cycle %d: restart s%dr%d: %v", cycle, vg, vi, err)
-			break
+		h.settle()
+		// Every victim is back and the workload has stopped: with a live
+		// adversary or without, the deployment must go quiet.
+		why, fenced := knownUnquiet[chaosCell{cfg.Policy, cfg.App, cfg.Seed}]
+		switch err := d.Quiescent(); {
+		case err != nil && fenced:
+			rep.Unquiet = why
+		case err != nil:
+			rep.violate("%v", err)
+		case fenced:
+			rep.violate("cell is fenced in knownUnquiet (%s) but went quiet: remove the fence", why)
 		}
-		// Keep the workload flowing until the reborn replica leaves its
-		// observe window: rejoin needs checkpoint advance (a stable
-		// checkpoint strictly past the sync point), which needs decisions.
-		victim := d.Groups[vg].Replicas[vi]
-		extra := 0
-		for victim.Recovering() && extra < 8*cfg.Rounds {
-			round++
-			extra++
-			h.round(round)
-		}
-		d.Eng.RunFor(4 * sim.Millisecond) // drain in-flight rejoin traffic
-		if victim.Recovering() {
-			rep.violate("cycle %d: s%dr%d still recovering after %d extra rounds",
-				cycle, vg, vi, extra)
-			break
-		}
-		if got := int(victim.Rejoins); got != 1 {
-			rep.violate("cycle %d: victim Rejoins = %d, want 1", cycle, got)
-		}
-		rep.Rejoins++
-	}
-
-	h.checkAgreement()
-	// Every victim is back and the workload has stopped: with a live adversary
-	// or without, the deployment must go quiet.
-	why, fenced := knownUnquiet[chaosCell{cfg.Policy, cfg.App, cfg.Seed}]
-	switch err := d.Quiescent(); {
-	case err != nil && fenced:
-		rep.Unquiet = why
-	case err != nil:
-		rep.violate("%v", err)
-	case fenced:
-		rep.violate("cell is fenced in knownUnquiet (%s) but went quiet: remove the fence", why)
-	}
+	})
 	rep.Digest = finalDigest(d, rep)
 	return rep
 }

@@ -86,16 +86,18 @@ func TestByzDeterministicPerSeed(t *testing.T) {
 
 // requireTrip asserts at least one of the given seeds produces an
 // invariant violation — the checker-sensitivity bar: with a defense
-// switched off, the attack it bounds must become visible.
-func requireTrip(t *testing.T, what string, cfgs []Config) {
+// switched off, the attack it bounds must become visible. It returns the
+// first report that tripped.
+func requireTrip(t *testing.T, what string, cfgs []Config) *Report {
 	t.Helper()
 	for _, cfg := range cfgs {
 		if rep := Run(cfg); !rep.OK() {
 			t.Logf("%s tripped at seed %d: %s", what, cfg.Seed, rep.Violations[0])
-			return
+			return rep
 		}
 	}
 	t.Fatalf("%s: invariant checker never tripped with the defense disabled", what)
+	return nil
 }
 
 // TestTripEquivocation: equivocation is bounded by TWO independent
@@ -105,14 +107,18 @@ func requireTrip(t *testing.T, what string, cfgs []Config) {
 // their endorsement of any prepare whose request the client never sent
 // them directly, so forged payloads starve the slot and the view change
 // re-proposes the original. With both off, correct replicas endorse and
-// execute different commands and the checker must see it.
+// execute different commands, and the first violation is the agreement
+// oracle's, at the decision itself, not a symptom a client saw later.
 func TestTripEquivocation(t *testing.T) {
-	requireTrip(t, "equivocation with unanimity and echo off", []Config{
+	rep := requireTrip(t, "equivocation with unanimity and echo off", []Config{
 		{Seed: 1, App: "rkv", ReadMode: ReadFast, Policy: Equivocate,
 			Defenses: consensus.Defenses{FirstLockDelivers: true, NoEchoWait: true}},
 		{Seed: 2, App: "rkv", ReadMode: ReadFast, Policy: Equivocate,
 			Defenses: consensus.Defenses{FirstLockDelivers: true, NoEchoWait: true}},
 	})
+	if first := rep.Violations[0]; !strings.HasPrefix(first, "agreement oracle: group 0 decided ") {
+		t.Fatalf("first violation is not the oracle's conflicting decision: %s", first)
+	}
 }
 
 // TestTripForgedReads: with the client's f+1 matching rule off (any single

@@ -112,23 +112,6 @@ const (
 	perOpDeadline = 20 * sim.Millisecond // virtual-time completion bound per op
 )
 
-// Infected returns the replica IDs a config infects (excluded from the
-// agreement check — a Byzantine replica's state is unconstrained).
-func (cfg Config) Infected() []ids.ID {
-	switch cfg.Policy {
-	case Silence:
-		if cfg.SilenceBoth {
-			return []ids.ID{0, 1}
-		}
-		return []ids.ID{byzReplica}
-	case Equivocate, ForgeReads, BadBatch:
-		return []ids.ID{byzReplica}
-	case CorruptVotes:
-		return []ids.ID{byzVoter}
-	}
-	return nil
-}
-
 // newFabric builds one run's harness fabric — a byz-wrapped deterministic
 // simnet, so every endpoint the assembler creates passes through the
 // injector — and infects it per cfg.
@@ -188,8 +171,7 @@ func Run(cfg Config) *Report {
 	defer d.Stop()
 
 	h := &harness{cfg: cfg, ad: ad, d: d, rep: rep}
-	h.workload()
-	h.checkAgreement()
+	h.judged(func() { h.workload(); h.settle() })
 	rep.FastReads, rep.ReadFallbacks = d.Client(0).ReadStats()
 	rep.ReadWidens = d.Client(0).ReadWidens()
 	return rep
@@ -325,52 +307,22 @@ func (h *harness) checkFloor(round int) {
 	}
 }
 
-// checkAgreement compares the correct replicas of each group after
-// quiescence: every pair that reached the group's maximum decided count
-// must hold bit-identical application state. Infected replicas are
-// excluded — a Byzantine replica's local state is unconstrained.
-func (h *harness) checkAgreement() {
-	h.d.Eng.RunFor(4 * sim.Millisecond) // drain in-flight traffic
-	infected := make(map[ids.ID]bool)
-	for _, id := range h.cfg.Infected() {
-		infected[id] = true
-	}
-	for g, grp := range h.d.Groups {
-		maxDec := 0
-		for ri, r := range grp.Replicas {
-			if !infected[grp.ReplicaIDs[ri]] && r.DecidedCount() > maxDec {
-				maxDec = r.DecidedCount()
-			}
-		}
-		var ref []byte
-		refIdx := -1
-		for ri, r := range grp.Replicas {
-			if infected[grp.ReplicaIDs[ri]] || r.DecidedCount() != maxDec {
-				continue
-			}
-			snap := grp.Apps[ri].Snapshot()
-			if ref == nil {
-				ref, refIdx = snap, ri
-				continue
-			}
-			if !bytesEqual(ref, snap) {
-				h.rep.violate("group %d: replicas %d and %d disagree at decided=%d (%d vs %d snapshot bytes)",
-					g, refIdx, ri, maxDec, len(ref), len(snap))
-			}
-		}
+// judged runs body under the deployment's agreement oracle, which checks
+// every decision of a correct replica as it is made: a conflict is a
+// violation and ends the run.
+func (h *harness) judged(body func()) {
+	if d := cluster.Diverged(body); d != nil {
+		h.rep.violate("%v", d)
 	}
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
+// settle lets in-flight traffic drain, then compares the final states of the
+// correct replicas at equal progress.
+func (h *harness) settle() {
+	h.d.Eng.RunFor(4 * sim.Millisecond)
+	if err := h.d.CheckAgreement(); err != nil {
+		h.rep.violate("%v", err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // keyOn returns a probe key (prefix plus a counter) hashing onto shard s.

@@ -102,7 +102,8 @@ type Group struct {
 	Replicas   []*consensus.Replica
 	Apps       []app.StateMachine
 
-	joinNonces []uint64 // per-replica incarnation counter for cold rejoin
+	joinNonces []uint64     // per-replica incarnation counter for cold rejoin
+	oracle     *groupOracle // checks every decision and execution (oracle.go)
 }
 
 // Leader returns the group's current leader replica.
@@ -130,7 +131,8 @@ func (g *Group) DecidedCount() int {
 // Assembly wires the nodes of a Layout onto one fabric. It owns what every
 // node of a deployment must share — the fabric (defaulted to a fresh
 // deterministic simnet), the signer registry, the per-group consensus
-// configuration and the switched-off Defenses (zero outside test harnesses
+// configuration, the per-group agreement oracle every replica reports to
+// (oracle.go) and the switched-off Defenses (zero outside test harnesses
 // and ablations) — and has exactly one function per kind of node.
 type Assembly struct {
 	Eng      *sim.Engine
@@ -166,6 +168,7 @@ func NewAssembly(opts Options, layout Layout, newApp func(group int) app.StateMa
 		}
 	}
 	a.Registry = xcrypto.NewRegistry(opts.Seed+1, layout.Signers())
+	byz, _ := a.fab.(infectedSet) // a byz.Fabric names its Byzantine replicas
 	for g, reps := range layout.Groups {
 		a.Groups = append(a.Groups, &Group{
 			Index:      g,
@@ -173,9 +176,20 @@ func NewAssembly(opts Options, layout Layout, newApp func(group int) app.StateMa
 			Replicas:   make([]*consensus.Replica, len(reps)),
 			Apps:       make([]app.StateMachine, len(reps)),
 			joinNonces: make([]uint64, len(reps)),
+			oracle:     newGroupOracle(g, a.Eng, byz, opts.Window),
 		})
 	}
 	return a
+}
+
+// alive reports whether node id is wired and not crashed; without a
+// simulated network every wired node is.
+func (a *Assembly) alive(id ids.ID) bool {
+	if a.Net == nil {
+		return true
+	}
+	nd := a.Net.Node(id)
+	return nd != nil && !nd.Proc().Crashed()
 }
 
 // wireHost creates the endpoint of one node and its channel router.
@@ -243,7 +257,8 @@ func (a *Assembly) wireReplica(g, i int, coldJoin bool, joinNonce uint64) error 
 	cfg := a.config(g, grp.ReplicaIDs[i], sm)
 	cfg.ColdJoin, cfg.JoinNonce = coldJoin, joinNonce
 	grp.Apps[i] = sm
-	grp.Replicas[i] = consensus.NewReplica(cfg, consensus.Deps{RT: rt, Registry: a.Registry, Defenses: a.defenses})
+	grp.Replicas[i] = consensus.NewReplica(cfg, consensus.Deps{RT: rt, Registry: a.Registry, Defenses: a.defenses,
+		Decided: grp.oracle.decided, Executed: grp.oracle.executed})
 	return nil
 }
 

@@ -249,6 +249,10 @@ func (u *UBFT) Stop() { u.asm.Stop() }
 // Quiescent checks the quiescence invariant (see Assembly.Quiescent).
 func (u *UBFT) Quiescent() error { return u.asm.Quiescent() }
 
+// CheckAgreement compares the replicas' final states (see
+// Assembly.CheckAgreement).
+func (u *UBFT) CheckAgreement() error { return u.asm.CheckAgreement() }
+
 // InvokeSync failure outcomes. Both are negative so the historical
 // "latency < 0 means failure" check keeps working, but they are distinct:
 // a timeout means virtual time reached the deadline with events still

@@ -34,8 +34,8 @@ func (a *Assembly) Quiescent() error {
 	nodes := append(a.Layout.Signers(), a.Layout.MemNodes...)
 	inbound := func() (live uint64) {
 		for _, id := range nodes {
-			if nd := a.Net.Node(id); nd != nil && !nd.Proc().Crashed() {
-				live += nd.Inbound()
+			if a.alive(id) {
+				live += a.Net.Node(id).Inbound()
 			}
 		}
 		return live
@@ -47,7 +47,7 @@ func (a *Assembly) Quiescent() error {
 	for _, reps := range a.Layout.Groups {
 		dead := 0
 		for _, id := range reps {
-			if nd := a.Net.Node(id); nd == nil || nd.Proc().Crashed() {
+			if !a.alive(id) {
 				dead++
 			}
 		}

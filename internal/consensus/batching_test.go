@@ -292,9 +292,8 @@ func TestExactlyOnceAcrossViewChangeAtDepth4(t *testing.T) {
 					}
 				}
 			}
-			if a, b := u.Replicas[1], u.Replicas[2]; a.LastApplied() == b.LastApplied() &&
-				!bytes.Equal(u.Apps[1].Snapshot(), u.Apps[2].Snapshot()) {
-				t.Errorf("survivors applied %d slots each and diverged", a.LastApplied())
+			if err := u.CheckAgreement(); err != nil {
+				t.Error(err)
 			}
 			t.Logf("acknowledged %v of %v issued, %d before the kill", acked, issued, ackedAtKill)
 		})

@@ -619,7 +619,7 @@ func TestBatchWithRepeatedSubRequestExecutesOnce(t *testing.T) {
 	defer rig.stop()
 	r := rig.reps[1]
 	req := Request{Client: 200, Num: 1, Payload: []byte("once")}
-	r.decide(0, EncodeBatch([]Request{req, req}))
+	r.decide(0, 0, EncodeBatch([]Request{req, req}))
 	if r.lastApplied != 1 || r.Executed != 1 {
 		t.Fatalf("slot with a repeated sub-request: applied %d slots, executed %d requests, want 1 and 1", r.lastApplied, r.Executed)
 	}

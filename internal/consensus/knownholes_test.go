@@ -4,33 +4,32 @@ package consensus_test
 
 import "testing"
 
-// The seeds on which a lossy scenario of lossy_test.go ends with two replicas
-// in different states, kept as the deterministic trip tests of ROADMAP items 1 and 3
-// (`make known-holes`; not part of `make ci`). Each fails, printing the slots
-// the two replicas executed differently, for as long as its hole is open;
+// The seeds on which a lossy scenario of lossy_test.go diverges, kept as the
+// deterministic trip tests of ROADMAP items 1 and 3 (`make known-holes`; not
+// part of `make ci`). Each fails for as long as its hole is open, printing
+// the agreement oracle's report of the first conflict (cluster.Divergence);
 // tier-1 keeps the scenarios' fixed seeds, none of which diverges, and a seed
 // found to diverge is added here, never swapped for a lucky one.
 
-// TestKnownHoleSoakSeed22: partition churn, seed 22, since the crypto pool
-// verifies only the shares a certificate lacks (that timing re-rolled the
-// seeds: soak 23 and 15, tripped here before, pass by timing alone). One
-// request decided in two slots across a view change (item 1(a)); replicas 0
-// and 2 end at 42 slots:
+// TestKnownHoleSoakSeed22: partition churn, seed 22. Slot 22 decided in view
+// 30 and again, with the request before it, by the view-31 leader's proposal:
+// the new view did not see the old decision (item 1(a)). The oracle:
 //
-//	slot 22: replica 0 executed SET k15 (view 36), replica 2 executed -
-//	slot 23: replica 0 executed -, replica 2 executed SET k15 (view 37)
+//	agreement oracle: group 0 decided client p200 #16 (777ba07f) at slot 22 in view 30 by replica p1 at 470878.490us,
+//	and client p200 #15 (eb88a036) at slot 22 in view 31 by replica p2 at 473704.710us
 func TestKnownHoleSoakSeed22(t *testing.T) {
 	if v := partitionChurnSoak(22, t.Logf); v.kind == "diverged" {
 		t.Fatal(v)
 	}
 }
 
-// TestKnownHoleSoakSeed92: partition churn, seed 92, with the same timing.
-// One request decided in two slots of one view, the shape item 1(b)
-// describes; replicas 0 and 1 end at 38 slots:
+// TestKnownHoleSoakSeed92: partition churn, seed 92. Replica 1 decides slot 33
+// in view 16, 1.5 ms after replica 0 decided it in view 20 with another
+// request: a decision of an old view that the later views did not cover
+// (item 1(a)). The oracle:
 //
-//	slot 33: replica 0 executed SET k27 (view 21), replica 1 executed -
-//	slot 34: replica 0 executed -, replica 1 executed SET k27 (view 21)
+//	agreement oracle: group 0 decided client p200 #28 (13a9d2b1) at slot 33 in view 20 by replica p0 at 233659.850us,
+//	and client p200 #27 (be9f2552) at slot 33 in view 16 by replica p1 at 235113.910us
 func TestKnownHoleSoakSeed92(t *testing.T) {
 	if v := partitionChurnSoak(92, t.Logf); v.kind == "diverged" {
 		t.Fatal(v)

@@ -4,24 +4,23 @@ package consensus_test
 // one fixed seed (TestRestartRejoinsUnderLossyFabric, TestPreGSTNever-
 // ViolatesAgreement, TestSoakWithPartitionChurn); `make lossy-sweep` runs
 // them over seed ranges and tabulates pass / wedged / diverged; a seed that
-// diverges is kept, with its trace, in knownholes_test.go.
+// diverges is kept, with the oracle's report, in knownholes_test.go.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
-	"repro/internal/consensus"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
 // verdict is how one seeded run of a lossy scenario ended.
 type verdict struct {
-	kind string // pass, wedged (a liveness expectation failed) or diverged (two replicas at one slot count hold different state)
+	// pass; wedged: a liveness expectation failed; diverged: the agreement
+	// oracle's first conflict, or unequal states at equal progress (judge).
+	kind string
 	note string
 }
 
@@ -34,98 +33,18 @@ func wedged(format string, args ...any) verdict {
 	return verdict{"wedged", fmt.Sprintf(format, args...)}
 }
 
-// execTrace records every request the replicas' applications execute, as
-// (replica, slot, view at execution, request): the decide trace a divergence
-// is read off. The applications are embedded, so every capability assertion
-// the replica makes on them still holds and timing is unchanged.
-type execTrace struct {
-	u    *cluster.UBFT
-	rows []execRow
-}
-
-type execRow struct {
-	replica int
-	restore bool // a snapshot replaced the state: what ran before says nothing about it
-	slot    consensus.Slot
-	view    consensus.View
-	req     string
-}
-
-func (tr *execTrace) record(sm app.StateMachine, restore bool, req []byte) {
-	for i, a := range tr.u.Apps {
-		if a == sm {
-			r := tr.u.Replicas[i]
-			tr.rows = append(tr.rows, execRow{i, restore, r.LastApplied() - 1, r.View(), fmt.Sprintf("%q", req)})
-		}
+// judge runs a scenario's body on u and classifies the run: diverged at the
+// agreement oracle's first conflict, or when two live replicas that applied
+// equally many slots end in different states; otherwise the body's verdict.
+func judge(u *cluster.UBFT, body func() verdict) verdict {
+	var v verdict
+	if d := cluster.Diverged(func() { v = body() }); d != nil {
+		return verdict{"diverged", d.Error()}
 	}
-}
-
-type tracedKV struct {
-	*app.KV
-	tr *execTrace
-}
-
-func (a *tracedKV) Apply(req []byte) []byte { a.tr.record(a, false, req); return a.KV.Apply(req) }
-func (a *tracedKV) Restore(snap []byte)     { a.tr.record(a, true, nil); a.KV.Restore(snap) }
-
-type tracedFlip struct {
-	*app.Flip
-	tr *execTrace
-}
-
-func (a *tracedFlip) Apply(req []byte) []byte { a.tr.record(a, false, req); return a.Flip.Apply(req) }
-func (a *tracedFlip) Restore(snap []byte)     { a.tr.record(a, true, nil); a.Flip.Restore(snap) }
-
-// disagreements lists, for replicas i and j, the slots both executed since
-// their last snapshot in which they did not execute the same requests ("-":
-// nothing executed there, a no-op or a request deduplicated as already done),
-// each with the view its replica was in when it executed.
-func (tr *execTrace) disagreements(i, j int) string {
-	type ran struct{ reqs, shown string }
-	var since [2]map[consensus.Slot]ran
-	from := [2]consensus.Slot{}
-	for k, replica := range [2]int{i, j} {
-		since[k] = map[consensus.Slot]ran{}
-		for _, row := range tr.rows {
-			switch {
-			case row.replica != replica:
-			case row.restore:
-				since[k], from[k] = map[consensus.Slot]ran{}, tr.u.Replicas[replica].LastApplied()
-			default:
-				at := since[k][row.slot]
-				since[k][row.slot] = ran{at.reqs + row.req, fmt.Sprintf("%s%s (view %d) ", at.shown, row.req, row.view)}
-				from[k] = min(from[k], row.slot)
-			}
-		}
+	if err := u.CheckAgreement(); err != nil {
+		return verdict{"diverged", err.Error()}
 	}
-	var b strings.Builder
-	for s := max(from[0], from[1]); s < tr.u.Replicas[i].LastApplied(); s++ {
-		if x, y := since[0][s], since[1][s]; x.reqs != y.reqs {
-			fmt.Fprintf(&b, "\n  slot %d: replica %d executed %s, replica %d executed %s", s, i, orDash(x.shown), j, orDash(y.shown))
-		}
-	}
-	return b.String()
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return strings.TrimSpace(s)
-}
-
-// agreement is the safety check all three scenarios end with: any two
-// replicas that executed the same number of slots hold byte-identical state.
-func agreement(u *cluster.UBFT, tr *execTrace) verdict {
-	for i := range u.Replicas {
-		for j := i + 1; j < len(u.Replicas); j++ {
-			if u.Replicas[i].LastApplied() == u.Replicas[j].LastApplied() && !bytes.Equal(u.Apps[i].Snapshot(), u.Apps[j].Snapshot()) {
-				return verdict{"diverged", fmt.Sprintf("replicas %d and %d applied %d slots and hold different state%s",
-					i, j, u.Replicas[i].LastApplied(), tr.disagreements(i, j))}
-			}
-		}
-	}
-	return passed
+	return v
 }
 
 // lossyRejoin restarts a crashed follower while the network is pre-GST:
@@ -137,17 +56,19 @@ func agreement(u *cluster.UBFT, tr *execTrace) verdict {
 // under the joiner mid-pull. After GST everything must converge: rejoin
 // complete, exactly one Rejoin counted, state identical.
 func lossyRejoin(seed int64, logf func(string, ...any)) verdict {
-	tr := &execTrace{}
 	u := flipCluster(cluster.Options{
 		Seed:              seed,
-		NewApp:            func() app.StateMachine { return &tracedKV{app.NewKV(0), tr} },
+		NewApp:            func() app.StateMachine { return app.NewKV(0) },
 		Window:            8,
 		Tail:              8,
 		ViewChangeTimeout: 3 * sim.Millisecond,
 		SlowPathDelay:     30 * sim.Microsecond,
 	})
-	tr.u = u
 	defer u.Stop()
+	return judge(u, func() verdict { return rejoinUnderLoss(u, logf) })
+}
+
+func rejoinUnderLoss(u *cluster.UBFT, logf func(string, ...any)) verdict {
 
 	set := func(i int, wait sim.Duration) bool {
 		key := []byte(fmt.Sprintf("k%03d", i))
@@ -205,9 +126,6 @@ func lossyRejoin(seed int64, logf func(string, ...any)) verdict {
 		}
 	}
 	u.Eng.RunFor(100 * sim.Millisecond)
-	if v := agreement(u, tr); !v.ok() {
-		return v
-	}
 	r := u.Replicas[victim]
 	switch {
 	case !live.ok():
@@ -231,26 +149,25 @@ func preGSTAgreement(seed int64, _ func(string, ...any)) verdict {
 	netOpts.GST = sim.Time(20 * sim.Millisecond)
 	netOpts.AsyncExtraMax = 5 * sim.Millisecond
 	netOpts.AsyncDropProb = 0.5
-	tr := &execTrace{}
 	u := flipCluster(cluster.Options{
 		Seed:              seed,
-		NewApp:            func() app.StateMachine { return &tracedFlip{app.NewFlip(), tr} },
 		Fabric:            simnet.AsFabric(simnet.New(sim.NewEngine(seed), netOpts)),
 		ViewChangeTimeout: 3 * sim.Millisecond,
 		SlowPathDelay:     500 * sim.Microsecond,
 		Window:            16,
 		Tail:              8,
 	})
-	tr.u = u
 	defer u.Stop()
-	for i := 0; i < 10; i++ {
-		u.Clients[0].Invoke([]byte(fmt.Sprintf("m%d", i)), func([]byte, sim.Duration) {})
-		u.Eng.RunFor(2 * sim.Millisecond)
-	}
-	// Let the system stabilize well past GST.
-	u.Eng.RunUntil(sim.Time(40 * sim.Millisecond))
-	u.Eng.RunFor(200 * sim.Millisecond)
-	return agreement(u, tr)
+	return judge(u, func() verdict {
+		for i := 0; i < 10; i++ {
+			u.Clients[0].Invoke([]byte(fmt.Sprintf("m%d", i)), func([]byte, sim.Duration) {})
+			u.Eng.RunFor(2 * sim.Millisecond)
+		}
+		// Let the system stabilize well past GST.
+		u.Eng.RunUntil(sim.Time(40 * sim.Millisecond))
+		u.Eng.RunFor(200 * sim.Millisecond)
+		return passed
+	})
 }
 
 // partitionChurnSoak is a randomized fault-injection run: random link
@@ -258,17 +175,19 @@ func preGSTAgreement(seed int64, _ func(string, ...any)) verdict {
 // never diverge on executed state (agreement + total order), whatever the
 // network does, and a third of the requests must complete.
 func partitionChurnSoak(seed int64, logf func(string, ...any)) verdict {
-	tr := &execTrace{}
 	u := flipCluster(cluster.Options{
 		Seed:              seed,
-		NewApp:            func() app.StateMachine { return &tracedKV{app.NewKV(0), tr} },
+		NewApp:            func() app.StateMachine { return app.NewKV(0) },
 		ViewChangeTimeout: sim.Millisecond,
 		SlowPathDelay:     100 * sim.Microsecond,
 		Window:            16,
 		Tail:              8,
 	})
-	tr.u = u
 	defer u.Stop()
+	return judge(u, func() verdict { return churnPartitions(u, seed, logf) })
+}
+
+func churnPartitions(u *cluster.UBFT, seed int64, logf func(string, ...any)) verdict {
 	rng := rand.New(rand.NewSource(seed))
 	completed := 0
 	for i := 0; i < 30; i++ {
@@ -292,11 +211,6 @@ func partitionChurnSoak(seed int64, logf func(string, ...any)) verdict {
 	}
 	u.Net.HealAll()
 	u.Eng.RunFor(100 * sim.Millisecond)
-	// With the network healed and time to recover, any two replicas at the
-	// same slot count must agree.
-	if v := agreement(u, tr); !v.ok() {
-		return v
-	}
 	if completed < 10 {
 		return wedged("only %d/30 requests completed under churn", completed)
 	}

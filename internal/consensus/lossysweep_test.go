@@ -12,8 +12,10 @@ import (
 // TestLossySweep runs the three lossy scenarios of lossy_test.go over seed
 // ranges instead of their one tier-1 seed each and prints pass / wedged /
 // diverged per seed (`make lossy-sweep`; not part of `make ci`), with each
-// scenario's wall-clock time and the total. It fails on nothing: the table
-// and the times are the result, recorded per PR in CHANGES.md.
+// scenario's wall-clock time and the total. "Diverged" is the agreement
+// oracle's first conflict, printed as its one line, or unequal states of two
+// replicas at equal progress at the end (judge). It fails on nothing: the
+// table and the times are the result, recorded per PR in CHANGES.md.
 func TestLossySweep(t *testing.T) {
 	start := time.Now()
 	defer func() { t.Logf("lossy sweep: %.1f s wall clock in all", time.Since(start).Seconds()) }()

@@ -173,7 +173,7 @@ func TestRecycledRequestRecordIsFresh(t *testing.T) {
 	if rs := r.requests[a.Digest()]; rs == nil || !rs.proposed || rs.slot != 0 {
 		t.Fatalf("a not proposed in slot 0: %+v", rs)
 	}
-	r.decide(0, a)
+	r.decide(0, 0, a)
 
 	r.onDirect(1, echoFrame(b.Digest())) // an echo ahead of the client's copy
 	note()
@@ -190,7 +190,7 @@ func TestRecycledRequestRecordIsFresh(t *testing.T) {
 	if !rs.proposed || rs.slot != 1 || rs.echoes != 0 {
 		t.Fatalf("b not proposed in slot 1 with its echo round closed: %+v", rs)
 	}
-	r.decide(1, b)
+	r.decide(1, 0, b)
 	note()
 	seen.requireAll(t, reqState{})
 

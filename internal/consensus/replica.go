@@ -265,6 +265,9 @@ type Replica struct {
 
 	// noEchoWait is Defenses.NoEchoWait: no echo round, no waiting for it.
 	noEchoWait bool
+	// onDecided and onExecuted are Deps.Decided and Deps.Executed (nil: unobserved).
+	onDecided  func(self ids.ID, s Slot, v View, req *Request)
+	onExecuted func(self, client ids.ID, num uint64, s Slot)
 
 	// Stats.
 	FastDecides uint64
@@ -300,6 +303,15 @@ type Deps struct {
 	RT       *router.Router
 	Registry *xcrypto.Registry
 	Defenses Defenses
+
+	// Decided and Executed, when set, observe this replica's decisions and
+	// executions for the deployment's agreement oracle (internal/cluster
+	// installs them; nothing configures them). Decided runs once slot s is
+	// marked decided, with the view whose votes or COMMITs decided it;
+	// Executed runs when a client request passes the exactly-once check,
+	// before the application applies it. Neither may keep req or charge time.
+	Decided  func(self ids.ID, s Slot, v View, req *Request)
+	Executed func(self, client ids.ID, num uint64, s Slot)
 }
 
 // Defenses switches individual protocol defenses OFF; the zero value is a
@@ -358,6 +370,8 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		peerJoinNonce: make(map[ids.ID]uint64),
 		fastPathLive:  cfg.FastPath,
 		noEchoWait:    deps.Defenses.NoEchoWait,
+		onDecided:     deps.Decided,
+		onExecuted:    deps.Executed,
 	}
 	r.suspect = r.onSuspicionTimeout
 	if v, ok := cfg.App.(app.Versioned); ok {
@@ -1003,7 +1017,7 @@ func (r *Replica) onWillCommit(p ids.ID, v View, s Slot) {
 		}
 		r.FastDecides++
 		r.fastPathLive = true
-		r.decide(s, pr.Req)
+		r.decide(s, v, pr.Req)
 	}
 }
 
@@ -1065,7 +1079,7 @@ func (r *Replica) onCommit(st *replicaState, c CommitCert) {
 	}
 	if matching >= r.cfg.F+1 {
 		r.SlowDecides++
-		r.decide(c.Slot, c.Req)
+		r.decide(c.Slot, c.View, c.Req)
 	}
 }
 
@@ -1073,12 +1087,16 @@ func (r *Replica) onCommit(st *replicaState, c CommitCert) {
 // Decide and execute.
 // ---------------------------------------------------------------------
 
-func (r *Replica) decide(s Slot, req Request) {
+// decide records req as slot s's decision, reached in view v.
+func (r *Replica) decide(s Slot, v View, req Request) {
 	if r.isDecided(s) || s < r.lastApplied {
 		return
 	}
 	ss := r.slot(s)
 	ss.decided, ss.req = true, req
+	if r.onDecided != nil {
+		r.onDecided(r.cfg.Self, s, v, &ss.req)
+	}
 	ss.fallback.Cancel()
 	r.vcStreak = 0 // progress: reset the suspicion backoff
 	r.resetProgressTimer()
@@ -1130,6 +1148,9 @@ func (r *Replica) applyOne(req *Request, s Slot) {
 	// pipelined request that lost its echo round proposes via EchoTimeout
 	// and reaches execution after its successors. Returning early would
 	// swallow it and wedge its client; apply it and mark it in the window.
+	if r.onExecuted != nil {
+		r.onExecuted(r.cfg.Self, req.Client, req.Num, s)
+	}
 	if r.appVer != nil {
 		// The command decided in slot s produces state version s+1 (the
 		// numbering the read floors and frontiers speak): stamp its writes.

@@ -1,7 +1,6 @@
 package consensus_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -65,9 +64,8 @@ func TestLaggingReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	if kv.Len() < 24 {
 		t.Fatalf("restored replica has %d keys, want >=24", kv.Len())
 	}
-	if u.Replicas[0].LastApplied() == u.Replicas[2].LastApplied() &&
-		!bytes.Equal(u.Apps[0].Snapshot(), u.Apps[2].Snapshot()) {
-		t.Fatal("state transfer produced divergent state")
+	if err := u.CheckAgreement(); err != nil {
+		t.Fatal(err)
 	}
 }
 
