@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"repro/internal/cluster"
+	"repro/internal/outcome"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/xcrypto"
@@ -49,9 +50,6 @@ func ChaosPolicies() []string {
 type ChaosReport struct {
 	Report
 	Rejoins int // completed cold rejoins (one per cycle on success)
-	// Unquiet is why the deployment did not go quiet after the run, for a
-	// cell fenced in knownUnquiet; empty when it did.
-	Unquiet string
 	// Digest folds the full final state of the deployment — every
 	// replica's application snapshot and decided count, the op/commit
 	// totals and any violations — into one value, so two runs of the same
@@ -77,32 +75,12 @@ func victimOf(cfg ChaosConfig) (group, idx int) {
 	}
 }
 
-// knownUnquiet fences the chaos cells whose deployment does not go quiet
-// after the run (cluster.Assembly.Quiescent) for a reason this harness cannot
-// remove, each with that reason. A fenced cell that does go quiet is a
-// violation too, so the list cannot outlive its entries; `make known-holes`
-// runs them unfenced. Empty since PR 22 moved checkpoint certificate timing:
-// corruptvotes/kv and corruptvotes/rkv at seed 2 were fenced for ROADMAP item
-// 3(b) seen from the liveness side (the victim receives a client request while
-// it is recovering, the cluster executes it in slots the victim skips by
-// state transfer, and the snapshot carries no exactly-once table, so the
-// victim holds the request as unexecuted for ever and suspects its leader
-// every capped timeout, alone); they go quiet under that timing and no other
-// cell of the 6-seed matrix trips. The hole is open: the next cell found to
-// trip it is fenced here with that reason.
-var knownUnquiet = map[chaosCell]string{}
-
-type chaosCell struct {
-	policy, app string
-	seed        int64
-}
-
 // RunChaos executes one chaos cell and returns its report.
 func RunChaos(cfg ChaosConfig) *ChaosReport {
 	rep := &ChaosReport{}
 	ad, ok := adapters()[cfg.App]
 	if !ok {
-		rep.violate("unknown app %q", cfg.App)
+		rep.violate(outcome.Violated, "unknown app %q", cfg.App)
 		return rep
 	}
 	if cfg.Rounds == 0 {
@@ -115,7 +93,7 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 	switch cfg.Policy {
 	case Honest, Equivocate, ForgeReads, CorruptVotes:
 	default:
-		rep.violate("policy %q not in the chaos matrix", cfg.Policy)
+		rep.violate(outcome.Violated, "policy %q not in the chaos matrix", cfg.Policy)
 		return rep
 	}
 	hcfg := Config{Seed: cfg.Seed, App: cfg.App, ReadMode: ReadFast, Policy: cfg.Policy}
@@ -139,7 +117,7 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 		},
 	})
 	if err != nil {
-		rep.violate("build: %v", err)
+		rep.violate(outcome.Violated, "build: %v", err)
 		return rep
 	}
 	defer d.Stop()
@@ -157,12 +135,12 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 		for cycle := 1; cycle <= cfg.Cycles; cycle++ {
 			phase(cfg.Rounds) // steady
 			if err := d.KillReplica(vg, vi); err != nil {
-				rep.violate("cycle %d: kill s%dr%d: %v", cycle, vg, vi, err)
+				rep.violate(outcome.Violated, "cycle %d: kill s%dr%d: %v", cycle, vg, vi, err)
 				break
 			}
 			phase(cfg.Rounds) // down
 			if err := d.RestartReplica(vg, vi); err != nil {
-				rep.violate("cycle %d: restart s%dr%d: %v", cycle, vg, vi, err)
+				rep.violate(outcome.Violated, "cycle %d: restart s%dr%d: %v", cycle, vg, vi, err)
 				break
 			}
 			// Keep the workload flowing until the reborn replica leaves its
@@ -176,26 +154,22 @@ func RunChaos(cfg ChaosConfig) *ChaosReport {
 			}
 			d.Eng.RunFor(4 * sim.Millisecond) // drain in-flight rejoin traffic
 			if victim.Recovering() {
-				rep.violate("cycle %d: s%dr%d still recovering after %d extra rounds",
+				rep.violate(outcome.Wedged, "cycle %d: s%dr%d still recovering after %d extra rounds",
 					cycle, vg, vi, extra)
 				break
 			}
 			if got := int(victim.Rejoins); got != 1 {
-				rep.violate("cycle %d: victim Rejoins = %d, want 1", cycle, got)
+				rep.violate(outcome.Violated, "cycle %d: victim Rejoins = %d, want 1", cycle, got)
 			}
 			rep.Rejoins++
 		}
 		h.settle()
 		// Every victim is back and the workload has stopped: with a live
-		// adversary or without, the deployment must go quiet.
-		why, fenced := knownUnquiet[chaosCell{cfg.Policy, cfg.App, cfg.Seed}]
-		switch err := d.Quiescent(); {
-		case err != nil && fenced:
-			rep.Unquiet = why
-		case err != nil:
-			rep.violate("%v", err)
-		case fenced:
-			rep.violate("cell is fenced in knownUnquiet (%s) but went quiet: remove the fence", why)
+		// adversary or without, the deployment must go quiet. A cell that
+		// does not is fenced by its committed "unquiet" line in the outcome
+		// ledger, and nowhere else.
+		if err := d.Quiescent(); err != nil {
+			rep.violate(outcome.Unquiet, "%v", err)
 		}
 	})
 	rep.Digest = finalDigest(d, rep)

@@ -2,74 +2,72 @@ package scenario
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/consensus"
+	"repro/internal/outcome"
 )
 
-// matrixSeeds returns the seeds each (policy, app, read-mode) cell runs.
-// `make byz-suite` sets BYZ_SEEDS=8; the default keeps `go test ./...`
-// quick while still running every cell twice.
-func matrixSeeds(t *testing.T) []int64 {
-	n := 2
-	if env := os.Getenv("BYZ_SEEDS"); env != "" {
-		v, err := strconv.Atoi(env)
-		if err != nil || v < 1 {
-			t.Fatalf("BYZ_SEEDS=%q is not a positive integer", env)
-		}
-		n = v
+// The seeds each matrix cell runs, as committed in the outcome ledger's
+// [byz] and [chaos] sections (docs/ledger/outcomes.txt). A -short run (`make
+// race`) runs the first shortSeeds of each and compares only those lines.
+const (
+	byzSeeds   = 8
+	chaosSeeds = 6
+	shortSeeds = 2
+)
+
+// seedsOf returns how many seeds a matrix with n seeds per cell runs now.
+func seedsOf(n int64) int64 {
+	if testing.Short() {
+		return min(n, shortSeeds)
 	}
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
-	}
-	return seeds
+	return n
 }
 
-// TestByzMatrix runs every policy against every app in every read mode,
-// one deterministic run per seed, and asserts every safety invariant holds
-// with the defenses on. The pass matrix is printed at the end (visible
-// under -v, which `make byz-suite` uses).
+// ledgerLine is one run's line of the outcome ledger; a run that is not a
+// pass logs every violation it raised.
+func ledgerLine(t *testing.T, cell string, seed int64, rep *Report) outcome.Line {
+	t.Helper()
+	if len(rep.Violations) > 0 {
+		t.Logf("seed %d: %v; %d violations:\n  %s", seed, rep.Verdict.Kind, len(rep.Violations), strings.Join(rep.Violations, "\n  "))
+	}
+	return outcome.Line{Scenario: cell, Seed: seed, Verdict: rep.Verdict}
+}
+
+// TestByzMatrix runs every policy against every app in every read mode, one
+// deterministic run per seed, and compares each run's verdict with its line
+// of the outcome ledger's [byz] section (outcome.Check). Every committed line
+// is a pass, so with the defenses on any violation fails the test, naming
+// its cell and seed.
 func TestByzMatrix(t *testing.T) {
-	seeds := matrixSeeds(t)
 	type cell struct {
 		policy, app, mode string
 		depth             int
-		passed, failed    int
 	}
-	var cells []*cell
+	var cells []cell
 	for _, policy := range Policies() {
 		for _, appName := range Apps() {
 			for _, mode := range ReadModes() {
-				cells = append(cells, &cell{policy: policy, app: appName, mode: mode, depth: 1})
+				cells = append(cells, cell{policy, appName, mode, 1})
 			}
 		}
 	}
 	// The one cell where requests queue at the leader and a batch meets a
 	// fault: every other cell keeps one request in flight.
-	cells = append(cells, &cell{policy: BadBatch, app: "rkv", mode: ReadFast, depth: 4})
+	cells = append(cells, cell{BadBatch, "rkv", ReadFast, 4})
+	var got []outcome.Line
 	for _, c := range cells {
-		t.Run(fmt.Sprintf("%s/%s/%s", c.policy, c.app, c.mode), func(t *testing.T) {
-			for _, seed := range seeds {
+		name := fmt.Sprintf("%s/%s/%s", c.policy, c.app, c.mode)
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(1); seed <= seedsOf(byzSeeds); seed++ {
 				rep := Run(Config{Seed: seed, App: c.app, ReadMode: c.mode, Policy: c.policy, Depth: c.depth})
-				if rep.OK() {
-					c.passed++
-					continue
-				}
-				c.failed++
-				t.Errorf("seed %d: %d invariant violations:\n  %s",
-					seed, len(rep.Violations), strings.Join(rep.Violations, "\n  "))
+				got = append(got, ledgerLine(t, name, seed, rep))
 			}
 		})
 	}
-	t.Logf("byz-suite pass matrix (%d seeds per cell):", len(seeds))
-	t.Logf("%-14s %-11s %-9s %s", "policy", "app", "readmode", "pass/total")
-	for _, c := range cells {
-		t.Logf("%-14s %-11s %-9s %d/%d", c.policy, c.app, c.mode, c.passed, c.passed+c.failed)
-	}
+	outcome.Check(t, "byz", got)
 }
 
 // TestByzDeterministicPerSeed: the harness is a pure function of its seed —

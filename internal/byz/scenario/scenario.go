@@ -16,7 +16,6 @@
 package scenario
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/app"
@@ -24,6 +23,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/consensus"
 	"repro/internal/ids"
+	"repro/internal/outcome"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -86,8 +86,12 @@ type Config struct {
 // Report is the machine-checked outcome of one scenario run.
 type Report struct {
 	Violations []string
-	Ops        int // operations issued
-	Commits    int // cross-shard transactions committed
+	// Verdict is the run's outcome: the worst kind of violation raised and
+	// the first violation of that kind (a pass when there is none). Each
+	// violation's kind is set where it is raised.
+	Verdict outcome.Verdict
+	Ops     int // operations issued
+	Commits int // cross-shard transactions committed
 	// How the client's unordered reads resolved (shard.Client.ReadStats and
 	// ReadWidens at the end of the run).
 	FastReads, ReadWidens, ReadFallbacks uint64
@@ -96,8 +100,12 @@ type Report struct {
 // OK reports whether every invariant held.
 func (r *Report) OK() bool { return len(r.Violations) == 0 }
 
-func (r *Report) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
+func (r *Report) violate(k outcome.Kind, format string, args ...any) {
+	v := k.Because(format, args...)
+	r.Violations = append(r.Violations, v.Note)
+	if k > r.Verdict.Kind {
+		r.Verdict = v
+	}
 }
 
 // Deployment geometry: 2 shards of 3 replicas (f=1) sharing one memory
@@ -141,7 +149,7 @@ func Run(cfg Config) *Report {
 	rep := &Report{}
 	ad, ok := adapters()[cfg.App]
 	if !ok {
-		rep.violate("unknown app %q", cfg.App)
+		rep.violate(outcome.Violated, "unknown app %q", cfg.App)
 		return rep
 	}
 	if cfg.Rounds == 0 {
@@ -165,7 +173,7 @@ func Run(cfg Config) *Report {
 		Group: cluster.Options{Fabric: newFabric(cfg)},
 	}, cfg.Defenses)
 	if err != nil {
-		rep.violate("build: %v", err)
+		rep.violate(outcome.Violated, "build: %v", err)
 		return rep
 	}
 	defer d.Stop()
@@ -205,7 +213,7 @@ func (h *harness) doAll(payloads [][]byte) ([][]byte, bool) {
 	fired := 0
 	for i, p := range payloads {
 		if _, err := h.d.Client(0).Invoke(p, func(r []byte, _ sim.Duration) { res[i] = r; fired++ }); err != nil {
-			h.rep.violate("invoke error: %v", err)
+			h.rep.violate(outcome.Violated, "invoke error: %v", err)
 			return res, false
 		}
 		h.rep.Ops++
@@ -239,55 +247,55 @@ func (h *harness) round(i int) {
 		writes = append(writes, h.ad.write1(keyOn(0, "a"+strconv.Itoa(j)), i))
 	}
 	if res, done := h.doAll(writes); !done {
-		h.rep.violate("round %d: single-key write never completed", i)
+		h.rep.violate(outcome.Wedged, "round %d: single-key write never completed", i)
 	} else {
 		h.modelA = i
 		for _, r := range res {
 			if !h.ad.wrote1OK(r) {
-				h.rep.violate("round %d: single-key write acknowledged %v", i, r)
+				h.rep.violate(outcome.Violated, "round %d: single-key write acknowledged %v", i, r)
 			}
 		}
 	}
 	// Read it back: read-your-writes and monotonicity.
 	if res, done := h.do(h.ad.read1(a)); !done {
-		h.rep.violate("round %d: single-key read never completed", i)
+		h.rep.violate(outcome.Wedged, "round %d: single-key read never completed", i)
 	} else if c, present, ok := h.ad.val1(res); !ok {
-		h.rep.violate("round %d: unparseable read response %v", i, res)
+		h.rep.violate(outcome.Violated, "round %d: unparseable read response %v", i, res)
 	} else if !present || c != h.modelA {
-		h.rep.violate("round %d: read-your-writes broken: read counter %d (present=%v), wrote %d", i, c, present, h.modelA)
+		h.rep.violate(outcome.Violated, "round %d: read-your-writes broken: read counter %d (present=%v), wrote %d", i, c, present, h.modelA)
 	} else {
 		if c < h.lastReadA {
-			h.rep.violate("round %d: monotonic reads broken: %d after %d", i, c, h.lastReadA)
+			h.rep.violate(outcome.Violated, "round %d: monotonic reads broken: %d after %d", i, c, h.lastReadA)
 		}
 		h.lastReadA = c
 	}
 	for j := 1; j < h.cfg.Depth; j++ {
 		if res, done := h.do(h.ad.read1(keyOn(0, "a"+strconv.Itoa(j)))); !done {
-			h.rep.violate("round %d: read of concurrent key %d never completed", i, j)
+			h.rep.violate(outcome.Wedged, "round %d: read of concurrent key %d never completed", i, j)
 		} else if c, present, ok := h.ad.val1(res); !ok || !present || c != h.modelA {
-			h.rep.violate("round %d: concurrent key %d reads %d (present=%v ok=%v), wrote %d", i, j, c, present, ok, h.modelA)
+			h.rep.violate(outcome.Violated, "round %d: concurrent key %d reads %d (present=%v ok=%v), wrote %d", i, j, c, present, ok, h.modelA)
 		}
 	}
 	// Atomic cross-shard pair write (2PC through the byz fabric).
 	if res, done := h.do(h.ad.pairWrite(p, q, i)); !done {
-		h.rep.violate("round %d: pair write never completed", i)
+		h.rep.violate(outcome.Wedged, "round %d: pair write never completed", i)
 	} else if !h.ad.commitOK(res) {
-		h.rep.violate("round %d: pair write did not commit: %v", i, res)
+		h.rep.violate(outcome.Violated, "round %d: pair write did not commit: %v", i, res)
 	} else {
 		h.modelPair = i
 		h.rep.Commits++
 	}
 	// Cross-shard read of the pair: never torn, reflects the commit.
 	if res, done := h.do(h.ad.readPair(p, q)); !done {
-		h.rep.violate("round %d: pair read never completed", i)
+		h.rep.violate(outcome.Wedged, "round %d: pair read never completed", i)
 	} else if c1, c2, ok := h.ad.valPair(res); !ok {
-		h.rep.violate("round %d: unparseable pair read %v", i, res)
+		h.rep.violate(outcome.Violated, "round %d: unparseable pair read %v", i, res)
 	} else {
 		if c1 != c2 {
-			h.rep.violate("round %d: torn cross-shard state: %d vs %d", i, c1, c2)
+			h.rep.violate(outcome.Violated, "round %d: torn cross-shard state: %d vs %d", i, c1, c2)
 		}
 		if h.modelPair > 0 && c1 != h.modelPair {
-			h.rep.violate("round %d: pair read counter %d, committed %d", i, c1, h.modelPair)
+			h.rep.violate(outcome.Violated, "round %d: pair read counter %d, committed %d", i, c1, h.modelPair)
 		}
 	}
 	h.checkFloor(i)
@@ -301,7 +309,7 @@ func (h *harness) checkFloor(round int) {
 	for g, grp := range h.d.Groups {
 		floor := h.d.Client(0).ReadFloor(g)
 		if int(floor) > grp.DecidedCount()+4 {
-			h.rep.violate("round %d: group %d read floor %d inflated past decided %d",
+			h.rep.violate(outcome.Violated, "round %d: group %d read floor %d inflated past decided %d",
 				round, g, floor, grp.DecidedCount())
 		}
 	}
@@ -309,10 +317,10 @@ func (h *harness) checkFloor(round int) {
 
 // judged runs body under the deployment's agreement oracle, which checks
 // every decision of a correct replica as it is made: a conflict is a
-// violation and ends the run.
+// divergence and ends the run.
 func (h *harness) judged(body func()) {
 	if d := cluster.Diverged(body); d != nil {
-		h.rep.violate("%v", d)
+		h.rep.violate(outcome.Diverged, "%v", d)
 	}
 }
 
@@ -321,7 +329,7 @@ func (h *harness) judged(body func()) {
 func (h *harness) settle() {
 	h.d.Eng.RunFor(4 * sim.Millisecond)
 	if err := h.d.CheckAgreement(); err != nil {
-		h.rep.violate("%v", err)
+		h.rep.violate(outcome.Diverged, "%v", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/outcome"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -59,7 +60,7 @@ func TestLivenessResumesAfterGST(t *testing.T) {
 // TestPreGSTNeverViolatesAgreement: the preGSTAgreement scenario
 // (lossy_test.go) at its tier-1 seed.
 func TestPreGSTNeverViolatesAgreement(t *testing.T) {
-	if v := preGSTAgreement(8, t.Logf); !v.ok() {
+	if v := preGSTAgreement(8, t.Logf); v.Kind != outcome.Pass {
 		t.Fatal(v)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/ids"
 	"repro/internal/memnode"
+	"repro/internal/outcome"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -109,7 +110,7 @@ func TestSoakWithPartitionChurn(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			if v := partitionChurnSoak(seed, t.Logf); !v.ok() {
+			if v := partitionChurnSoak(seed, t.Logf); v.Kind != outcome.Pass {
 				t.Fatal(v)
 			}
 		})

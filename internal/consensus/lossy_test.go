@@ -1,10 +1,11 @@
 package consensus_test
 
-// The three lossy scenarios as functions of their seed. Tier-1 runs each at
-// one fixed seed (TestRestartRejoinsUnderLossyFabric, TestPreGSTNever-
-// ViolatesAgreement, TestSoakWithPartitionChurn); `make lossy-sweep` runs
-// them over seed ranges and tabulates pass / wedged / diverged; a seed that
-// diverges is kept, with the oracle's report, in knownholes_test.go.
+// The three lossy scenarios as functions of their seed, each judged by
+// outcome.Judge. Tier-1 runs each at fixed seeds (TestRestartRejoinsUnder-
+// LossyFabric, TestPreGSTNeverViolatesAgreement, TestSoakWithPartitionChurn);
+// `make lossy-sweep` runs them over seed ranges against the [consensus]
+// section of the outcome ledger, where every seed that wedges or diverges
+// is a committed line.
 
 import (
 	"fmt"
@@ -12,40 +13,10 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/outcome"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
-
-// verdict is how one seeded run of a lossy scenario ended.
-type verdict struct {
-	// pass; wedged: a liveness expectation failed; diverged: the agreement
-	// oracle's first conflict, or unequal states at equal progress (judge).
-	kind string
-	note string
-}
-
-var passed = verdict{kind: "pass"}
-
-func (v verdict) String() string { return v.kind + ": " + v.note }
-func (v verdict) ok() bool       { return v.kind == passed.kind }
-
-func wedged(format string, args ...any) verdict {
-	return verdict{"wedged", fmt.Sprintf(format, args...)}
-}
-
-// judge runs a scenario's body on u and classifies the run: diverged at the
-// agreement oracle's first conflict, or when two live replicas that applied
-// equally many slots end in different states; otherwise the body's verdict.
-func judge(u *cluster.UBFT, body func() verdict) verdict {
-	var v verdict
-	if d := cluster.Diverged(func() { v = body() }); d != nil {
-		return verdict{"diverged", d.Error()}
-	}
-	if err := u.CheckAgreement(); err != nil {
-		return verdict{"diverged", err.Error()}
-	}
-	return v
-}
 
 // lossyRejoin restarts a crashed follower while the network is pre-GST:
 // every message — JOIN probes, JOIN answers, snapshot requests and the
@@ -55,7 +26,7 @@ func judge(u *cluster.UBFT, body func() verdict) verdict {
 // signers), and the loss-induced view changes mean the sync point moves
 // under the joiner mid-pull. After GST everything must converge: rejoin
 // complete, exactly one Rejoin counted, state identical.
-func lossyRejoin(seed int64, logf func(string, ...any)) verdict {
+func lossyRejoin(seed int64, logf func(string, ...any)) outcome.Verdict {
 	u := flipCluster(cluster.Options{
 		Seed:              seed,
 		NewApp:            func() app.StateMachine { return app.NewKV(0) },
@@ -65,10 +36,10 @@ func lossyRejoin(seed int64, logf func(string, ...any)) verdict {
 		SlowPathDelay:     30 * sim.Microsecond,
 	})
 	defer u.Stop()
-	return judge(u, func() verdict { return rejoinUnderLoss(u, logf) })
+	return outcome.Judge(u, func() outcome.Verdict { return rejoinUnderLoss(u, logf) })
 }
 
-func rejoinUnderLoss(u *cluster.UBFT, logf func(string, ...any)) verdict {
+func rejoinUnderLoss(u *cluster.UBFT, logf func(string, ...any)) outcome.Verdict {
 
 	set := func(i int, wait sim.Duration) bool {
 		key := []byte(fmt.Sprintf("k%03d", i))
@@ -77,18 +48,18 @@ func rejoinUnderLoss(u *cluster.UBFT, logf func(string, ...any)) verdict {
 	}
 	for i := 0; i < 4; i++ {
 		if !set(i, 100*sim.Millisecond) {
-			return wedged("warmup op %d failed", i)
+			return outcome.Wedged.Because("warmup op %d failed", i)
 		}
 	}
 
 	const victim = 2
 	if err := u.KillReplica(victim); err != nil {
-		return wedged("%v", err)
+		return outcome.Wedged.Because("%v", err)
 	}
 	// Past several windows: the victim's slots are pruned cluster-wide.
 	for i := 4; i < 32; i++ {
 		if !set(i, 200*sim.Millisecond) {
-			return wedged("op %d failed with victim down", i)
+			return outcome.Wedged.Because("op %d failed with victim down", i)
 		}
 	}
 
@@ -97,7 +68,7 @@ func rejoinUnderLoss(u *cluster.UBFT, logf func(string, ...any)) verdict {
 	gst := u.Eng.Now().Add(sim.Duration(40 * sim.Millisecond))
 	u.Net.SetGST(gst, 300*sim.Microsecond, 0.25)
 	if err := u.RestartReplica(victim); err != nil {
-		return wedged("%v", err)
+		return outcome.Wedged.Because("%v", err)
 	}
 	// Best-effort traffic through the lossy window — the client has no
 	// retransmission layer, so individual ops may time out; what matters is
@@ -119,32 +90,32 @@ func rejoinUnderLoss(u *cluster.UBFT, logf func(string, ...any)) verdict {
 	u.Eng.RunFor(400 * sim.Millisecond)
 
 	// Post-GST: ordered ops must succeed again, and the rejoin must finish.
-	live := passed
-	for i := 0; i < 8 && live.ok(); i++ {
+	var live outcome.Verdict
+	for i := 0; i < 8 && live.Kind == outcome.Pass; i++ {
 		if !set(200+i, 200*sim.Millisecond) {
-			live = wedged("post-GST op %d failed", i)
+			live = outcome.Wedged.Because("post-GST op %d failed", i)
 		}
 	}
 	u.Eng.RunFor(100 * sim.Millisecond)
 	r := u.Replicas[victim]
 	switch {
-	case !live.ok():
+	case live.Kind != outcome.Pass:
 		return live
 	case u.Replicas[0].View() == 0:
-		return wedged("loss never forced a view change: the sync point did not move under the joiner")
+		return outcome.Wedged.Because("loss never forced a view change: the sync point did not move under the joiner")
 	case r.Recovering():
-		return wedged("victim still recovering after GST and drain")
+		return outcome.Wedged.Because("victim still recovering after GST and drain")
 	case r.Rejoins != 1:
-		return wedged("victim Rejoins = %d, want 1", r.Rejoins)
+		return outcome.Wedged.Because("victim Rejoins = %d, want 1", r.Rejoins)
 	case r.LastApplied() < u.Replicas[0].LastApplied()-8:
-		return wedged("rejoined replica applied %d, peer %d (no catch-up?)", r.LastApplied(), u.Replicas[0].LastApplied())
+		return outcome.Wedged.Because("rejoined replica applied %d, peer %d (no catch-up?)", r.LastApplied(), u.Replicas[0].LastApplied())
 	}
 	return live
 }
 
 // preGSTAgreement is a long asynchronous period with aggressive drops:
 // whatever decides, decides identically everywhere.
-func preGSTAgreement(seed int64, _ func(string, ...any)) verdict {
+func preGSTAgreement(seed int64, _ func(string, ...any)) outcome.Verdict {
 	netOpts := simnet.RDMAOptions()
 	netOpts.GST = sim.Time(20 * sim.Millisecond)
 	netOpts.AsyncExtraMax = 5 * sim.Millisecond
@@ -158,7 +129,7 @@ func preGSTAgreement(seed int64, _ func(string, ...any)) verdict {
 		Tail:              8,
 	})
 	defer u.Stop()
-	return judge(u, func() verdict {
+	return outcome.Judge(u, func() outcome.Verdict {
 		for i := 0; i < 10; i++ {
 			u.Clients[0].Invoke([]byte(fmt.Sprintf("m%d", i)), func([]byte, sim.Duration) {})
 			u.Eng.RunFor(2 * sim.Millisecond)
@@ -166,7 +137,7 @@ func preGSTAgreement(seed int64, _ func(string, ...any)) verdict {
 		// Let the system stabilize well past GST.
 		u.Eng.RunUntil(sim.Time(40 * sim.Millisecond))
 		u.Eng.RunFor(200 * sim.Millisecond)
-		return passed
+		return outcome.Verdict{}
 	})
 }
 
@@ -174,7 +145,7 @@ func preGSTAgreement(seed int64, _ func(string, ...any)) verdict {
 // partitions open and heal while a client keeps submitting. Replicas must
 // never diverge on executed state (agreement + total order), whatever the
 // network does, and a third of the requests must complete.
-func partitionChurnSoak(seed int64, logf func(string, ...any)) verdict {
+func partitionChurnSoak(seed int64, logf func(string, ...any)) outcome.Verdict {
 	u := flipCluster(cluster.Options{
 		Seed:              seed,
 		NewApp:            func() app.StateMachine { return app.NewKV(0) },
@@ -184,10 +155,10 @@ func partitionChurnSoak(seed int64, logf func(string, ...any)) verdict {
 		Tail:              8,
 	})
 	defer u.Stop()
-	return judge(u, func() verdict { return churnPartitions(u, seed, logf) })
+	return outcome.Judge(u, func() outcome.Verdict { return churnPartitions(u, seed, logf) })
 }
 
-func churnPartitions(u *cluster.UBFT, seed int64, logf func(string, ...any)) verdict {
+func churnPartitions(u *cluster.UBFT, seed int64, logf func(string, ...any)) outcome.Verdict {
 	rng := rand.New(rand.NewSource(seed))
 	completed := 0
 	for i := 0; i < 30; i++ {
@@ -212,8 +183,8 @@ func churnPartitions(u *cluster.UBFT, seed int64, logf func(string, ...any)) ver
 	u.Net.HealAll()
 	u.Eng.RunFor(100 * sim.Millisecond)
 	if completed < 10 {
-		return wedged("only %d/30 requests completed under churn", completed)
+		return outcome.Wedged.Because("only %d/30 requests completed under churn", completed)
 	}
 	logf("%d/30 requests completed under churn", completed)
-	return passed
+	return outcome.Verdict{}
 }

@@ -3,40 +3,37 @@
 package consensus_test
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/outcome"
 )
 
 // TestLossySweep runs the three lossy scenarios of lossy_test.go over seed
-// ranges instead of their one tier-1 seed each and prints pass / wedged /
-// diverged per seed (`make lossy-sweep`; not part of `make ci`), with each
-// scenario's wall-clock time and the total. "Diverged" is the agreement
-// oracle's first conflict, printed as its one line, or unequal states of two
-// replicas at equal progress at the end (judge). It fails on nothing: the
-// table and the times are the result, recorded per PR in CHANGES.md.
+// ranges instead of their tier-1 seeds (`make lossy-sweep`; not part of `make
+// ci`) and compares each seed's verdict with its line of the outcome ledger's
+// [consensus] section (outcome.Check): it fails if any seed got worse, and
+// otherwise writes what improved. "Diverged" is the agreement oracle's first
+// conflict or unequal final states at equal progress (outcome.Judge). The
+// seeds run on every CPU (outcome.Sweep); each scenario's tally and
+// wall-clock time are logged.
 func TestLossySweep(t *testing.T) {
 	start := time.Now()
-	defer func() { t.Logf("lossy sweep: %.1f s wall clock in all", time.Since(start).Seconds()) }()
+	var got []outcome.Line
 	for _, sc := range []struct {
-		name  string
+		name  string // TestRestartRejoinsUnderLossyFabric, TestPreGSTNeverViolatesAgreement, TestSoakWithPartitionChurn
 		seeds int64
-		run   func(seed int64, logf func(string, ...any)) verdict
+		run   func(seed int64, logf func(string, ...any)) outcome.Verdict
 	}{
-		{"rejoin (TestRestartRejoinsUnderLossyFabric)", 120, lossyRejoin},
-		{"agreement (TestPreGSTNeverViolatesAgreement)", 200, preGSTAgreement},
-		{"soak (TestSoakWithPartitionChurn)", 200, partitionChurnSoak},
+		{"rejoin", 120, lossyRejoin},
+		{"agreement", 200, preGSTAgreement},
+		{"soak", 200, partitionChurnSoak},
 	} {
 		scStart := time.Now()
-		count := map[string]int{}
-		var lines []string
-		for seed := int64(1); seed <= sc.seeds; seed++ {
-			v := sc.run(seed, func(string, ...any) {})
-			count[v.kind]++
-			lines = append(lines, fmt.Sprintf("  seed %2d  %s", seed, strings.TrimSuffix(v.String(), ": ")))
-		}
-		t.Logf("%s, seeds 1-%d: %d pass / %d wedged / %d diverged (%.1f s)\n%s", sc.name, sc.seeds,
-			count["pass"], count["wedged"], count["diverged"], time.Since(scStart).Seconds(), strings.Join(lines, "\n"))
+		lines := outcome.Sweep(sc.name, sc.seeds, func(seed int64) outcome.Verdict { return sc.run(seed, func(string, ...any) {}) })
+		t.Logf("%s, seeds 1-%d: %s (%.1f s)", sc.name, sc.seeds, outcome.Tally(lines), time.Since(scStart).Seconds())
+		got = append(got, lines...)
 	}
+	outcome.Check(t, "consensus", got)
+	t.Logf("consensus: %.1f s wall clock in all", time.Since(start).Seconds())
 }

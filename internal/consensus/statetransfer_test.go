@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/outcome"
 	"repro/internal/sim"
 )
 
@@ -72,7 +73,7 @@ func TestLaggingReplicaCatchesUpViaStateTransfer(t *testing.T) {
 // TestRestartRejoinsUnderLossyFabric: the lossyRejoin scenario (lossy_test.go)
 // at its tier-1 seed.
 func TestRestartRejoinsUnderLossyFabric(t *testing.T) {
-	if v := lossyRejoin(5, t.Logf); !v.ok() {
+	if v := lossyRejoin(5, t.Logf); v.Kind != outcome.Pass {
 		t.Fatal(v)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/outcome"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -569,96 +570,110 @@ func TestCrossShardConflictAborts(t *testing.T) {
 // retransmission machinery (prepare timeout, bounded abort and commit
 // retries, abort tombstones) must still resolve every transaction to a
 // definitive outcome with no stranded locks, staged or parked state on any
-// settled replica afterwards — deterministically per seed, for every
-// transactional app.
+// settled replica afterwards, and the deployment must then go quiet —
+// deterministically per seed, for every transactional app. Tier-1 runs seed
+// 21 twice; `make lossy-sweep` runs seeds 1-50 per app against the outcome
+// ledger's [crossshard] section.
 func TestCrossShardLossyNetwork(t *testing.T) {
+	for _, sa := range shardApps() {
+		t.Run(sa.name, func(t *testing.T) {
+			v, a := lossyCrossShard(t, sa, 21)
+			if v.Kind != outcome.Pass {
+				t.Fatal(v)
+			}
+			if w, b := lossyCrossShard(t, sa, 21); w != v || !bytes.Equal(a, b) {
+				t.Fatalf("lossy-network outcomes not deterministic: %v %v vs %v %v", v, a, w, b)
+			}
+		})
+	}
+}
+
+// lossyCrossShard is TestCrossShardLossyNetwork's run of one app at one seed:
+// eight cross-shard transactions submitted 2 ms apart on a 2-shard deployment
+// whose network drops and delays until GST at 30 ms, then a 400 ms settle.
+// It returns the run's verdict (outcome.Judge) and each transaction's status
+// byte: wedged if a transaction never resolved, a group has fewer than f+1
+// cleanly settled replicas or the client still tracks a request; unquiet if
+// the deployment then does not go quiet.
+func lossyCrossShard(t *testing.T, sa shardApp, seed int64) (outcome.Verdict, []byte) {
 	const (
 		shards = 2
 		nTx    = 8
 	)
-	for _, sa := range shardApps() {
-		t.Run(sa.name, func(t *testing.T) {
-			run := func() []byte {
-				d := shard.New(shard.Options{
-					Seed:   21,
-					Shards: shards,
-					NewApp: sa.newApp,
-					// Pre-GST loss and delay. View changes give the groups
-					// post-GST liveness (the same requirement the consensus
-					// asynchrony tests document): a leader wedged by pre-GST
-					// loss must be replaceable, or no retransmission round
-					// can ever land. The NEW-VIEW state the backlog
-					// accumulates can outgrow the default message cap; it
-					// fragments.
-					Group: cluster.Options{Fabric: simnet.AsFabric(simnet.New(sim.NewEngine(21), simnet.Options{
-						BaseLatency:   2 * sim.Microsecond,
-						Jitter:        sim.Microsecond / 2,
-						GST:           sim.Time(30 * sim.Millisecond),
-						AsyncExtraMax: 3 * sim.Millisecond,
-						AsyncDropProb: 0.15,
-					}))},
-				})
-				defer d.Stop()
+	d := shard.New(shard.Options{
+		Seed:   seed,
+		Shards: shards,
+		NewApp: sa.newApp,
+		// Pre-GST loss and delay. View changes give the groups post-GST
+		// liveness (the same requirement the consensus asynchrony tests
+		// document): a leader wedged by pre-GST loss must be replaceable, or
+		// no retransmission round can ever land. The NEW-VIEW state the
+		// backlog accumulates can outgrow the default message cap; it
+		// fragments.
+		Group: cluster.Options{Fabric: simnet.AsFabric(simnet.New(sim.NewEngine(seed), simnet.Options{
+			BaseLatency:   2 * sim.Microsecond,
+			Jitter:        sim.Microsecond / 2,
+			GST:           sim.Time(30 * sim.Millisecond),
+			AsyncExtraMax: 3 * sim.Millisecond,
+			AsyncDropProb: 0.15,
+		}))},
+	})
+	defer d.Stop()
 
-				outcomes := make([][]byte, nTx)
-				for i := 0; i < nTx; i++ {
-					i := i
-					w := sa.write(keyOnShard(t, 0, shards, i), keyOnShard(t, 1, shards, i), "v")
-					if _, err := d.Client(0).Invoke(w, func(res []byte, _ sim.Duration) { outcomes[i] = res }); err != nil {
-						t.Fatalf("tx %d: %v", i, err)
-					}
-					d.Eng.RunFor(2 * sim.Millisecond)
-				}
-				// Run well past GST so every retry round and late frame
-				// settles. The orderbook cell needs the most: its group 1
-				// still completes view changes ~330 and ~450 ms after the
-				// last transaction, and Quiescent watches a window starting
-				// 100 ms after this settle.
-				d.Eng.RunFor(400 * sim.Millisecond)
+	var summary []byte
+	v := outcome.Judge(d, func() outcome.Verdict {
+		outcomes := make([][]byte, nTx)
+		for i := 0; i < nTx; i++ {
+			i := i
+			w := sa.write(keyOnShard(t, 0, shards, i), keyOnShard(t, 1, shards, i), "v")
+			if _, err := d.Client(0).Invoke(w, func(res []byte, _ sim.Duration) { outcomes[i] = res }); err != nil {
+				return outcome.Violated.Because("tx %d: %v", i, err)
+			}
+			d.Eng.RunFor(2 * sim.Millisecond)
+		}
+		// Run well past GST so every retry round and late frame settles. The
+		// orderbook cell at seed 21 needs the most: its group 1 still completes
+		// view changes ~330 and ~450 ms after the last transaction, and
+		// Quiescent watches a window starting 100 ms after this settle.
+		d.Eng.RunFor(400 * sim.Millisecond)
 
-				var summary []byte
-				for i, res := range outcomes {
-					if len(res) == 0 {
-						t.Fatalf("tx %d never resolved under the lossy network", i)
-					}
-					if res[0] != app.StatusOK && res[0] != app.StatusAborted {
-						t.Fatalf("tx %d outcome %v", i, res)
-					}
-					summary = append(summary, res[0])
-				}
-				// Quorum-level settlement: with f=1, one replica per group
-				// may lag behind the decided prefix indefinitely (it
-				// catches up at the next checkpoint-driven state transfer),
-				// so require a clean f+1 quorum rather than all 2f+1.
-				for gi, g := range d.Groups {
-					clean := 0
-					for _, a := range g.Apps {
-						ls := a.(lockState)
-						if ls.LockedKeys() == 0 && ls.StagedTxs() == 0 && ls.ParkedCount() == 0 {
-							clean++
-						}
-					}
-					if clean < 2 {
-						t.Fatalf("group %d: only %d of %d replicas settled cleanly", gi, clean, len(g.Apps))
-					}
-				}
-				if n := d.Client(0).Pending(); n != 0 {
-					t.Fatalf("client still tracks %d pending requests after settling", n)
-				}
-				// Every transaction has resolved and GST is long past: the
-				// deployment must now go quiet (2.78M messages and views still
-				// rotating at this point, before retransmission backed off).
-				if err := d.Quiescent(); err != nil {
-					t.Fatal(err)
-				}
-				return summary
+		for i, res := range outcomes {
+			if len(res) == 0 {
+				return outcome.Wedged.Because("tx %d never resolved under the lossy network", i)
 			}
-			a, b := run(), run()
-			if !bytes.Equal(a, b) {
-				t.Fatalf("lossy-network outcomes not deterministic: %v vs %v", a, b)
+			if res[0] != app.StatusOK && res[0] != app.StatusAborted {
+				return outcome.Violated.Because("tx %d outcome %v", i, res)
 			}
-		})
-	}
+			summary = append(summary, res[0])
+		}
+		// Quorum-level settlement: with f=1, one replica per group may lag
+		// behind the decided prefix indefinitely (it catches up at the next
+		// checkpoint-driven state transfer), so require a clean f+1 quorum
+		// rather than all 2f+1.
+		for gi, g := range d.Groups {
+			clean := 0
+			for _, a := range g.Apps {
+				ls := a.(lockState)
+				if ls.LockedKeys() == 0 && ls.StagedTxs() == 0 && ls.ParkedCount() == 0 {
+					clean++
+				}
+			}
+			if clean < 2 {
+				return outcome.Wedged.Because("group %d: only %d of %d replicas settled cleanly", gi, clean, len(g.Apps))
+			}
+		}
+		if n := d.Client(0).Pending(); n != 0 {
+			return outcome.Wedged.Because("client still tracks %d pending requests after settling", n)
+		}
+		// Every transaction has resolved and GST is long past: the deployment
+		// must now go quiet (2.78M messages and views still rotating at this
+		// point, before retransmission backed off).
+		if err := d.Quiescent(); err != nil {
+			return outcome.Unquiet.Because("%v", err)
+		}
+		return outcome.Verdict{}
+	})
+	return v, summary
 }
 
 // TestCrossShardDeterminism: a mixed single-/cross-shard sequence produces
