@@ -31,7 +31,10 @@ type wbRig struct {
 	reps []*Replica
 }
 
-func newWBRig(t testing.TB) *wbRig {
+func newWBRig(t testing.TB) *wbRig { return newAppRig(t, app.NewFlip) }
+
+// newAppRig is newWBRig with each replica running newApp's application.
+func newAppRig[A app.StateMachine](t testing.TB, newApp func() A) *wbRig {
 	t.Helper()
 	rig := &wbRig{eng: sim.NewEngine(1)}
 	rig.net = simnet.New(rig.eng, simnet.RDMAOptions())
@@ -48,7 +51,7 @@ func newWBRig(t testing.TB) *wbRig {
 			Self: self, Replicas: repIDs, F: 1, MemNodes: memIDs, Fm: 1,
 			Window: 32, Tail: 16, MsgCap: 1024,
 			FastPath: true, SlowPathDelay: sim.Millisecond, ViewChangeTimeout: 2 * sim.Millisecond,
-			App: app.NewFlip(),
+			App: newApp(),
 		}
 	}
 	AllocateCluster(cfg(0), mns)

@@ -407,3 +407,53 @@ func TestDoneResultOutlivesLaterCalls(t *testing.T) {
 		t.Fatalf("a client with one call at a time keeps %d call records", len(c.freeReqs))
 	}
 }
+
+// TestReadBacklogRecycledAndSilenced: the read core's backlog keeps its
+// backing array and drops every reply frame it sent, and replies still queued
+// when the replica stops or crashes are never sent.
+func TestReadBacklogRecycledAndSilenced(t *testing.T) {
+	rig := newKVRig(t)
+	defer rig.stop()
+	const n = 8
+	next := uint64(0)
+	burst := func(r *Replica) { // n reads dispatched, their replies all queued
+		t.Helper()
+		served, sent := r.ReadsServed, len(rig.replies)
+		for i := 0; i < n; i++ {
+			next++
+			rig.read(r.cfg.Self, next, "k")
+		}
+		for r.ReadsServed < served+n && rig.eng.Step() {
+		}
+		if backlog(r) != n || len(rig.replies) != sent {
+			t.Fatalf("%d replies queued, %d sent: want all %d of the burst queued", backlog(r), len(rig.replies)-sent, n)
+		}
+	}
+	r := rig.reps[1]
+	burst(r)
+	array := &r.readQ[0]
+	for round := 0; round < 2; round++ {
+		rig.eng.RunFor(sim.Millisecond)
+		if len(rig.replies) != n*(round+1) || len(r.readQ) != 0 || r.readHead != 0 || &r.readQ[:1][0] != array {
+			t.Fatalf("round %d: %d replies, backlog %d from %d, same array %v", round, len(rig.replies), len(r.readQ), r.readHead, &r.readQ[:1][0] == array)
+		}
+		for i, rep := range r.readQ[:cap(r.readQ)] {
+			if rep.frame != nil {
+				t.Fatalf("round %d: entry %d of the drained backlog still holds a frame", round, i)
+			}
+		}
+		if round == 0 {
+			burst(r)
+		}
+	}
+
+	sent := len(rig.replies)
+	burst(r)
+	r.Stop()
+	burst(rig.reps[2])
+	rig.reps[2].Crash()
+	rig.eng.RunFor(sim.Millisecond)
+	if len(rig.replies) != sent || backlog(r) != 0 {
+		t.Fatalf("%d replies sent after Stop and Crash; %d left queued on the stopped replica", len(rig.replies)-sent, backlog(r))
+	}
+}

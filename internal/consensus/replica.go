@@ -166,7 +166,11 @@ type Replica struct {
 	rt     *router.Router
 	proc   *sim.Proc
 	bgProc *sim.Proc // crypto thread pool for bookkeeping signatures
-	signer *xcrypto.Signer
+	// readProc is the read core: it is charged each served fast read's
+	// execution and sends its reply (rpc.go), so the main process never
+	// waits behind a read.
+	readProc *sim.Proc
+	signer   *xcrypto.Signer
 
 	hub    *msgring.Hub
 	ackHub *tbcast.AckHub
@@ -237,6 +241,12 @@ type Replica struct {
 	appVer      app.Versioned
 	appVerRead  app.VersionedReadExecutor
 	pinnedReads []pinnedRead
+	// readQ[readHead:] is the read core's backlog: the replies of served
+	// reads, oldest first, each sent by sendRead (bound once) when readProc
+	// has spent its execution cost.
+	readQ    []readReply
+	readHead int
+	sendRead func()
 
 	// Cold-rejoin state (rejoin.go). joinPhase tracks this replica's own
 	// recovery; peerJoinNonce tracks the highest incarnation seen per peer
@@ -374,6 +384,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		onExecuted:    deps.Executed,
 	}
 	r.suspect = r.onSuspicionTimeout
+	r.sendRead = r.sendQueuedRead
 	if v, ok := cfg.App.(app.Versioned); ok {
 		r.appVer = v
 	}
@@ -396,6 +407,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 	r.store = swmr.NewStore(deps.RT, r.proc, cfg.MemNodes, cfg.Fm)
 	r.sumHub = ctbcast.NewSummaryHub(deps.RT)
 	r.bgProc = sim.NewProc(r.proc.Engine(), r.proc.Name()+"-crypto")
+	r.readProc = sim.NewProc(r.proc.Engine(), r.proc.Name()+"-read")
 
 	env := ctbcast.Env{
 		RT: deps.RT, Proc: r.proc, Hub: r.hub, AckHub: r.ackHub,
@@ -477,13 +489,14 @@ func (r *Replica) Stop() {
 }
 
 // Crash crash-stops the replica (chaos harness): Stop plus crashing its
-// simulated processes, so queued deliveries, timers and in-flight
-// background crypto all die with it. Permanent for this instance — a
-// restart builds a fresh Replica with Config.ColdJoin set.
+// simulated processes, so queued deliveries, timers, in-flight background
+// crypto and queued read replies all die with it. Permanent for this
+// instance — a restart builds a fresh Replica with Config.ColdJoin set.
 func (r *Replica) Crash() {
 	r.Stop()
 	r.proc.Crash()
 	r.bgProc.Crash()
+	r.readProc.Crash()
 }
 
 // View returns the replica's current view.

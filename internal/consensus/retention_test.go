@@ -28,6 +28,7 @@ var retention = map[string]string{
 	"Replica.proposeQ":      "drained by pumpProposals; holds only requests whose echo round completed, so at most what live clients have in flight",
 	"Replica.freshScratch":  "scratch of takeProposal: at most one PREPARE's requests (MsgCap bytes)",
 	"Replica.pinnedReads":   "<= pinnedReadCap, drained as execution reaches each pin",
+	"Replica.readQ":         "<= readBacklogCap replies queued (a read past it is refused), each dropped when the read core sends it; the backing array is compacted before it grows",
 	"Replica.joinAnswers":   "fixed: at most n entries, reset when the sync point is adopted",
 	"Replica.peerJoinNonce": "fixed: at most n entries",
 	"Replica.views":         "setView: views below the current one; one record per view at or above it this replica is elected to lead: n x n share sets of at most n shares (a Byzantine signer can pre-fill views ahead, ROADMAP residual), f+1 certified states until the view starts, one bool",

@@ -89,6 +89,13 @@ const (
 // of the slowest correct replica, so entries drain within a round).
 const pinnedReadCap = 512
 
+// readBacklogCap bounds the read core's backlog of served reads not yet
+// answered. At a KV read's ~14 µs it is about 0.9 ms of work, past the
+// client's read timeout, so a reply behind a fuller backlog would come too
+// late to count: past the cap a read is refused instead, and its client
+// widens or falls back at once.
+const readBacklogCap = 64
+
 // pinnedRead is one as-of read waiting for this replica's execution to
 // reach its pin.
 type pinnedRead struct {
@@ -96,6 +103,12 @@ type pinnedRead struct {
 	num     uint64
 	at      Slot
 	payload []byte
+}
+
+// readReply is one reply frame in the read core's backlog, and its client.
+type readReply struct {
+	to    ids.ID
+	frame []byte
 }
 
 // onRPC handles client traffic arriving at a replica.
@@ -169,8 +182,9 @@ func (r *Replica) onClientRequest(from ids.ID, rd *wire.Reader) {
 // tentatively — against this replica's last-applied state (unpinned), or
 // as-of the exact version the request pins (at > 0) — and reply with the
 // result plus the state version (LastApplied) execution has reached. The
-// read never touches the ordering pipeline — no digest, no echo, no slot —
-// but its execution is charged like any ordered execution. Requests the
+// read never touches the ordering pipeline — no digest, no echo, no slot.
+// The main process computes the read at once and hands the reply to the
+// read core (serveRead), which is charged its execution. Requests the
 // application cannot answer read-only (no ReadExecutor capability, a write
 // opcode, a pin below the MVCC GC horizon) are refused explicitly so the
 // client falls back without waiting out its timeout.
@@ -185,23 +199,20 @@ func (r *Replica) onReadRequest(from ids.ID, rd *wire.Reader) {
 		// Refuse explicitly while rejoining: our state is mid-transfer, and
 		// an explicit refusal lets the client complete its quorum from the
 		// 2f live replicas (or fall back) instead of waiting out a timeout.
-		r.replyRead(from, num, 0, nil)
+		r.refuseRead(from, num)
 		return
 	}
 	if at > 0 {
 		r.serveReadAt(from, num, at, payload)
 		return
 	}
-	var result []byte
-	var flags uint8
 	if re, ok := r.cfg.App.(app.ReadExecutor); ok {
 		if res, readable := re.ApplyRead(payload); readable {
-			r.proc.Charge(r.cfg.App.ExecCost(payload) + latmodel.AppExecBase)
-			result, flags = res, readFlagServed
-			r.ReadsServed++
+			r.serveRead(from, num, readFlagServed, res, payload)
+			return
 		}
 	}
-	r.replyRead(from, num, flags, result)
+	r.refuseRead(from, num)
 }
 
 // serveReadAt answers a read pinned to an exact state version from the
@@ -213,32 +224,28 @@ func (r *Replica) onReadRequest(from ids.ID, rd *wire.Reader) {
 // full queue — is refused immediately so the client can fall back.
 func (r *Replica) serveReadAt(from ids.ID, num uint64, at Slot, payload []byte) {
 	if r.appVerRead == nil {
-		r.replyRead(from, num, 0, nil)
+		r.refuseRead(from, num)
 		return
 	}
 	if r.lastApplied < at {
 		if len(r.pinnedReads) >= pinnedReadCap {
-			r.replyRead(from, num, 0, nil)
+			r.refuseRead(from, num)
 			return
 		}
-		// BytesView aliases the arriving frame: copy before parking.
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		r.pinnedReads = append(r.pinnedReads, pinnedRead{from: from, num: num, at: at, payload: p})
+		// The request frame is immutable once sent: park a view of it.
+		r.pinnedReads = append(r.pinnedReads, pinnedRead{from: from, num: num, at: at, payload: payload})
 		return
 	}
 	res, crossed, ok := r.appVerRead.ApplyReadAt(payload, uint64(at))
 	if !ok {
-		r.replyRead(from, num, 0, nil)
+		r.refuseRead(from, num)
 		return
 	}
-	r.proc.Charge(r.cfg.App.ExecCost(payload) + latmodel.AppExecBase)
 	flags := readFlagServed
 	if crossed {
 		flags |= readFlagCrossed
 	}
-	r.ReadsServed++
-	r.replyRead(from, num, flags, res)
+	r.serveRead(from, num, flags, res, payload)
 }
 
 // drainPinnedReads serves parked pinned reads whose pin execution has
@@ -261,19 +268,58 @@ func (r *Replica) drainPinnedReads() {
 	r.pinnedReads = kept
 }
 
-// replyRead sends one fast-read reply. The version field always carries
-// lastApplied — for a pinned read the RESULT is as-of the pin, but the
-// version still teaches the client how far this replica has executed (its
-// frontier input).
-func (r *Replica) replyRead(to ids.ID, num uint64, flags uint8, result []byte) {
-	w := wire.GetWriter(40 + len(result))
+// readReplyFrame encodes one fast-read reply as an exact-size frame,
+// channel tag first. The version field carries lastApplied as of this call,
+// the instant the result was read — for a pinned read the RESULT is as-of the
+// pin, but the version still teaches the client how far this replica has
+// executed (its frontier input).
+func (r *Replica) readReplyFrame(num uint64, flags uint8, result []byte) []byte {
+	var w wire.Writer
+	w.Grow(3 + 16 + wire.BytesLen(len(result)))
+	w.U8(router.ChanRPC)
 	w.U8(tagReadResponse)
 	w.U64(num)
 	w.U64(uint64(r.lastApplied))
 	w.U8(flags)
 	w.Bytes(result)
-	r.rt.Send(to, router.ChanRPC, w.Finish())
-	wire.PutWriter(w)
+	return w.Finish()
+}
+
+// refuseRead sends a refusal at once, from the main process.
+func (r *Replica) refuseRead(to ids.ID, num uint64) {
+	r.rt.SendFrame(to, r.readReplyFrame(num, 0, nil))
+}
+
+// serveRead queues the reply of a read executed at this instant on the read
+// core, which is charged the read's execution and then sends it, after every
+// reply queued before it. A full backlog refuses the read instead.
+func (r *Replica) serveRead(to ids.ID, num uint64, flags uint8, result, payload []byte) {
+	if len(r.readQ)-r.readHead >= readBacklogCap {
+		r.refuseRead(to, num)
+		return
+	}
+	if len(r.readQ) == cap(r.readQ) && r.readHead > 0 {
+		// Keep the backlog at the head of the same backing array.
+		n := copy(r.readQ, r.readQ[r.readHead:])
+		clear(r.readQ[n:])
+		r.readQ, r.readHead = r.readQ[:n], 0
+	}
+	r.readQ = append(r.readQ, readReply{to: to, frame: r.readReplyFrame(num, flags, result)})
+	r.ReadsServed++
+	r.readProc.Exec(r.cfg.App.ExecCost(payload)+latmodel.AppExecBase, r.sendRead)
+}
+
+// sendQueuedRead is the read core finishing its oldest read: the reply goes
+// out, unless the replica has stopped since.
+func (r *Replica) sendQueuedRead() {
+	rep := r.readQ[r.readHead]
+	r.readQ[r.readHead] = readReply{}
+	if r.readHead++; r.readHead == len(r.readQ) {
+		r.readQ, r.readHead = r.readQ[:0], 0
+	}
+	if !r.stopped {
+		r.rt.SendFrame(rep.to, rep.frame)
+	}
 }
 
 // sendEcho sends one digest echo to the leader through a pooled buffer

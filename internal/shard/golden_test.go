@@ -31,6 +31,13 @@ package shard_test
 // 14a1d70a3ab877f6: with the latency left out it is still 2f047655b9412ef6.
 // Restart 1970deb7681e5e21 -> 3aa53b3bb7e44611: still 86 ops until the joiner
 // is back, which ends with 25 decided slots where it had 24.
+//
+// Both were captured again for read core timing: a replica executes its fast
+// reads on a core of their own (consensus.Replica's readProc), so ordered
+// operations no longer queue behind reads, and every op's latency moves.
+// Build 14a1d70a3ab877f6 -> 5972dc587d01e4c3, restart 3aa53b3bb7e44611 ->
+// ce0cb7757b47cacf. With the latency left out neither moved: Build
+// 2f047655b9412ef6 and restart 56bb29fc84104b66 before and after.
 
 import (
 	"crypto/sha256"
@@ -115,7 +122,7 @@ func TestGoldenBuildSeed7(t *testing.T) {
 	if g.cross < 20 {
 		t.Fatalf("only %d of %d ops crossed shards", g.cross, g.n)
 	}
-	const want = "14a1d70a3ab877f6"
+	const want = "5972dc587d01e4c3"
 	if got := g.digest(); got != want {
 		t.Fatalf("seed-7 shard Build digest = %s, want %s (see the top of the file)", got, want)
 	}
@@ -158,7 +165,7 @@ func TestGoldenRestartSeed7(t *testing.T) {
 	if r := d.Groups[vs].Replicas[vi]; r.Recovering() || r.Rejoins != 1 {
 		t.Fatalf("rejoin incomplete after %d ops: recovering=%v rejoins=%d", g.n, r.Recovering(), r.Rejoins)
 	}
-	const want = "3aa53b3bb7e44611"
+	const want = "ce0cb7757b47cacf"
 	if got := g.digest(); got != want {
 		t.Fatalf("seed-7 shard restart digest = %s, want %s (see the top of the file)", got, want)
 	}
