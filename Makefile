@@ -57,12 +57,14 @@ race:
 # checkpoints, the per-view view-change records must not outlive their view,
 # the share collectors must hold one share per signer whatever a Byzantine
 # signer's key signs, the read core's reply backlog must stop at its cap
-# with the excess refused and every read answered, and every map or slice
+# with the excess refused and every read answered, a read borrowing the
+# crypto pool must delay a signature or share check by at most one read and
+# the pool must never hold two, and every map or slice
 # field of Replica and of its records must name its retention rule (a
 # reflection test). The agreement oracle's rings keep their 2 x Window
 # records and allocate nothing per decision.
 bounded-mem:
-	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestEveryTableHasARetentionRule' ./internal/consensus/
+	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision' ./internal/cluster/
 
 # One iteration of every benchmark in short mode: catches harness rot and

@@ -1,8 +1,9 @@
 package consensus
 
-// The read core (rpc.go): the main process computes a fast read the instant
-// it dispatches it and captures the reply; the read core is charged the
-// read's execution and sends the reply, after every reply queued before it.
+// The read lanes (rpc.go): the main process computes a fast read the instant
+// it dispatches it and captures the reply; the read core, or the crypto pool
+// when it is idle and the read core is not, is charged the read's execution
+// and sends the reply, after every reply queued before it on that lane.
 
 import (
 	"bytes"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/wire"
+	"repro/internal/xcrypto"
 )
 
 // kvRig is a three-replica KV rig plus a sink host (201) that sends raw read
@@ -68,12 +70,13 @@ func kvHit(val string) []byte {
 }
 
 // backlog is how many replies wait on r's read core.
-func backlog(r *Replica) int { return len(r.readQ) - r.readHead }
+func backlog(r *Replica) int { return r.readCore.backlog() }
 
-// TestReadReplyCarriesItsReadVersion: a read dispatched at version v whose
-// reply is still queued when a write applies v+1 reports v and v's value; the
-// read costs the read core its execution and the main process only the
-// dispatch of its request.
+// TestReadReplyCarriesItsReadVersion: two reads dispatched at version v, the
+// first on the read core and the second, arriving while the read core is
+// busy, borrowed by the idle crypto pool, whose replies are still queued when
+// a write applies v+1, both report v and v's value; each read costs its lane
+// its execution and the main process only the dispatch of its request.
 func TestReadReplyCarriesItsReadVersion(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
@@ -82,41 +85,49 @@ func TestReadReplyCarriesItsReadVersion(t *testing.T) {
 		r.decide(s, 0, Request{Client: 200, Num: uint64(s) + 1, Payload: app.EncodeKVSet([]byte("k"), []byte(val))})
 	}
 	set(0, "v1")
-	rig.eng.RunFor(sim.Millisecond) // both cores idle again
+	rig.eng.RunFor(sim.Millisecond) // every core idle again
 	if r.lastApplied != 1 {
 		t.Fatalf("the write left the replica at version %d, want 1", r.lastApplied)
 	}
 
 	rig.read(1, 7, "k")
-	for r.ReadsServed == 0 && rig.eng.Step() {
-	}
-	now := rig.eng.Now()
+	rig.read(1, 8, "k")
 	cost := r.cfg.App.ExecCost(app.EncodeKVGet([]byte("k"))) + latmodel.AppExecBase
-	if got := r.readProc.BusyUntil().Sub(now); got != cost {
-		t.Errorf("the read moved the read core's horizon by %v, want its execution %v", got, cost)
-	}
-	if got := r.proc.BusyUntil().Sub(now); got != latmodel.DispatchCost {
-		t.Errorf("the read moved the main process's horizon by %v, want the dispatch %v", got, latmodel.DispatchCost)
+	for i, lane := range []*readLane{&r.readCore, &r.poolLane} {
+		for r.ReadsServed == uint64(i) && rig.eng.Step() {
+		}
+		now := rig.eng.Now()
+		if got := lane.proc.BusyUntil().Sub(now); got != cost || lane.backlog() != 1 {
+			t.Errorf("read %d moved %s's horizon by %v with %d replies queued, want its execution %v and 1",
+				i, lane.proc.Name(), got, lane.backlog(), cost)
+		}
+		if got := r.proc.BusyUntil().Sub(now); got != latmodel.DispatchCost {
+			t.Errorf("read %d moved the main process's horizon by %v, want the dispatch %v", i, got, latmodel.DispatchCost)
+		}
 	}
 
 	set(1, "v2")
-	if r.lastApplied != 2 || backlog(r) != 1 || len(rig.replies) != 0 {
-		t.Fatalf("version %d, %d replies queued, %d sent: want the write applied with the read's reply still queued",
-			r.lastApplied, backlog(r), len(rig.replies))
+	if r.lastApplied != 2 || backlog(r) != 1 || r.poolLane.backlog() != 1 || len(rig.replies) != 0 {
+		t.Fatalf("version %d, %d+%d replies queued, %d sent: want the write applied with both replies still queued",
+			r.lastApplied, backlog(r), r.poolLane.backlog(), len(rig.replies))
 	}
 	rig.eng.RunFor(sim.Millisecond)
-	if len(rig.replies) != 1 {
-		t.Fatalf("%d replies, want 1", len(rig.replies))
+	if len(rig.replies) != 2 {
+		t.Fatalf("%d replies, want 2", len(rig.replies))
 	}
-	if a := rig.replies[0]; a.num != 7 || a.version != 1 || a.flags != readFlagServed || !bytes.Equal(a.result, kvHit("v1")) {
-		t.Fatalf("reply %+v, want version 1 and its value v1", a)
+	for _, a := range rig.replies {
+		if a.version != 1 || a.flags != readFlagServed || !bytes.Equal(a.result, kvHit("v1")) {
+			t.Fatalf("reply %+v, want version 1 and its value v1", a)
+		}
 	}
 }
 
 // TestReadBacklogBounded: ten times readBacklogCap reads reach a replica in
-// one instant. Its backlog fills to the cap and no further, every read past
-// it is refused at once, and every read is answered; a client whose reads
-// all land at one instant gets every one of them, widened or ordered.
+// one instant. Its read core's backlog fills to the cap and no further, the
+// crypto pool takes one read each time it is idle and never holds two, every
+// read past the cap is refused at once, and every read is answered; a client
+// whose reads all land at one instant gets every one of them, widened or
+// ordered.
 func TestReadBacklogBounded(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
@@ -127,7 +138,8 @@ func TestReadBacklogBounded(t *testing.T) {
 	}
 	rig.eng.RunFor(sim.Millisecond) // every replica applies the write
 
-	peak := make([]int, len(rig.reps))
+	peak, poolPeak := make([]int, len(rig.reps)), make([]int, len(rig.reps))
+	borrowed, held := 0, 0 // replica 1's reads the pool took; its pool's backlog after the last step
 	run := func(done func() bool) {
 		t.Helper()
 		for deadline := rig.eng.Now().Add(100 * sim.Millisecond); !done(); {
@@ -136,7 +148,13 @@ func TestReadBacklogBounded(t *testing.T) {
 			}
 			for i, r := range rig.reps {
 				peak[i] = max(peak[i], backlog(r))
+				poolPeak[i] = max(poolPeak[i], r.poolLane.backlog())
 			}
+			n := rig.reps[1].poolLane.backlog()
+			if n > held {
+				borrowed++
+			}
+			held = n
 		}
 	}
 	const total = 10 * readBacklogCap
@@ -156,11 +174,16 @@ func TestReadBacklogBounded(t *testing.T) {
 			}
 		}
 	}
-	if len(answered) != total || peak[1] != readBacklogCap || served < readBacklogCap || served >= 2*readBacklogCap {
-		t.Fatalf("%d of %d reads answered, %d served, peak backlog %d (cap %d)", len(answered), total, served, peak[1], readBacklogCap)
+	// 82 served (75 with the read core alone): 7 borrowed by the pool, the
+	// rest the read core's cap and what it finished while the burst was
+	// being dispatched.
+	if len(answered) != total || peak[1] != readBacklogCap || poolPeak[1] != 1 ||
+		borrowed == 0 || served < readBacklogCap+borrowed || served >= 2*readBacklogCap {
+		t.Fatalf("%d of %d reads answered, %d served, %d borrowed, peak backlog %d (cap %d) on the read core and %d on the pool",
+			len(answered), total, served, borrowed, peak[1], readBacklogCap, poolPeak[1])
 	}
-	if r := rig.reps[1]; backlog(r) != 0 || cap(r.readQ) > 2*readBacklogCap {
-		t.Fatalf("drained backlog: %d queued, array of %d", backlog(r), cap(r.readQ))
+	if r := rig.reps[1]; backlog(r) != 0 || r.poolLane.backlog() != 0 || cap(r.readCore.replies) > 2*readBacklogCap {
+		t.Fatalf("drained backlog: %d+%d queued, array of %d", backlog(r), r.poolLane.backlog(), cap(r.readCore.replies))
 	}
 
 	got := 0
@@ -174,11 +197,109 @@ func TestReadBacklogBounded(t *testing.T) {
 	}
 	run(func() bool { return got == total })
 	for i, p := range peak {
-		if p > readBacklogCap {
-			t.Errorf("replica %d held %d replies, cap %d", i, p, readBacklogCap)
+		if p > readBacklogCap || poolPeak[i] > 1 {
+			t.Errorf("replica %d held %d replies on its read core (cap %d) and %d on its pool", i, p, readBacklogCap, poolPeak[i])
 		}
 	}
 	if c.ReadWidens == 0 {
 		t.Error("no client read was refused past the cap")
+	}
+}
+
+// TestBorrowedReadDelaysCryptoAtMostOneRead: reads arrive at one replica
+// three times as fast as its read core serves them, so they borrow the idle
+// crypto pool again and again, while a checkpoint signature or a checkpoint
+// share verification is submitted to the pool every 23 µs whenever the last
+// one has finished. The pool never holds two replies, and every signature
+// and verification starts within one read's execution of its submission.
+func TestBorrowedReadDelaysCryptoAtMostOneRead(t *testing.T) {
+	rig := newKVRig(t)
+	defer rig.stop()
+	r := rig.reps[1]
+	readCost := r.cfg.App.ExecCost(app.EncodeKVGet([]byte("k"))) + latmodel.AppExecBase
+	const signCost = latmodel.SignCost + latmodel.CryptoDispatchCost
+	const verifyCost = latmodel.VerifyCost + latmodel.CryptoDispatchCost
+	msg := checkpointPayload(32, xcrypto.DigestNoCharge([]byte("state")))
+	share := rig.reg.Signer(0).Sign(sim.NewProc(rig.eng, "signing"), msg)
+
+	const reads = 400
+	for i := 0; i < reads; i++ {
+		num := uint64(i + 1)
+		rig.eng.After(sim.Duration(i)*5*sim.Microsecond, func() { rig.read(1, num, "k") })
+	}
+	end := rig.eng.Now().Add(reads * 5 * sim.Microsecond)
+
+	var submitted, waited, answered int
+	var worst sim.Duration
+	var cryptoDone sim.Time
+	var tick func()
+	tick = func() {
+		if now := rig.eng.Now(); now >= cryptoDone {
+			cost := sim.Duration(signCost)
+			if submitted%2 == 0 {
+				r.signer.SignBg(r.bgProc, r.proc, msg, func(sig xcrypto.Signature) {
+					if len(sig) != 0 {
+						answered++
+					}
+				})
+			} else {
+				cost = verifyCost
+				r.signer.VerifyBg(r.bgProc, r.proc, 0, msg, share, func(ok bool) {
+					if ok {
+						answered++
+					}
+				})
+			}
+			submitted++
+			cryptoDone = r.bgProc.BusyUntil()
+			if wait := cryptoDone.Sub(now) - cost; wait > 0 {
+				waited++
+				worst = max(worst, wait)
+			}
+		}
+		if rig.eng.Now() < end {
+			rig.eng.After(23*sim.Microsecond, tick)
+		}
+	}
+	tick()
+
+	borrowed, held := 0, 0
+	for rig.eng.Now() < end && rig.eng.Step() {
+		n := r.poolLane.backlog()
+		if n > 1 {
+			t.Fatalf("at %v the crypto pool holds %d replies", rig.eng.Now(), n)
+		}
+		if n > held {
+			borrowed++
+		}
+		held = n
+	}
+	rig.eng.RunFor(sim.Millisecond)
+	if worst > readCost || waited == 0 || borrowed == 0 || answered != submitted {
+		t.Fatalf("%d of %d crypto operations waited behind a read, the longest %v (one read is %v); %d reads borrowed the pool; %d operations answered",
+			waited, submitted, worst, readCost, borrowed, answered)
+	}
+}
+
+// TestRealtimeReadsNeverBorrowThePool: on a realtime engine (a ubft-node host)
+// execution is real work, not a modelled cost, so the read core is never busy
+// and a burst of a full backlog of reads, all landing at one instant, never
+// borrows the crypto pool.
+func TestRealtimeReadsNeverBorrowThePool(t *testing.T) {
+	rig := newKVRig(t)
+	defer rig.stop()
+	rig.eng.SetRealtime(true)
+	r := rig.reps[1]
+	const n = readBacklogCap
+	for i := 1; i <= n; i++ {
+		rig.read(1, uint64(i), "k")
+	}
+	for len(rig.replies) < n && rig.eng.Step() {
+		if r.poolLane.backlog() != 0 {
+			t.Fatalf("at %v the crypto pool holds a reply", rig.eng.Now())
+		}
+	}
+	if len(rig.replies) != n || r.ReadsServed != n || cap(r.poolLane.replies) != 0 {
+		t.Fatalf("%d replies, %d reads served, pool lane array of %d: want %d, %d and none", len(rig.replies), r.ReadsServed, cap(r.poolLane.replies), n, n)
 	}
 }

@@ -408,15 +408,16 @@ func TestDoneResultOutlivesLaterCalls(t *testing.T) {
 	}
 }
 
-// TestReadBacklogRecycledAndSilenced: the read core's backlog keeps its
-// backing array and drops every reply frame it sent, and replies still queued
-// when the replica stops or crashes are never sent.
+// TestReadBacklogRecycledAndSilenced: each read lane keeps its backing array
+// and drops every reply frame it sent, and replies still queued on either
+// lane when the replica stops or crashes, the one the crypto pool borrowed
+// among them, are never sent.
 func TestReadBacklogRecycledAndSilenced(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
 	const n = 8
 	next := uint64(0)
-	burst := func(r *Replica) { // n reads dispatched, their replies all queued
+	burst := func(r *Replica) { // n reads dispatched: one borrowed, every reply queued
 		t.Helper()
 		served, sent := r.ReadsServed, len(rig.replies)
 		for i := 0; i < n; i++ {
@@ -425,21 +426,28 @@ func TestReadBacklogRecycledAndSilenced(t *testing.T) {
 		}
 		for r.ReadsServed < served+n && rig.eng.Step() {
 		}
-		if backlog(r) != n || len(rig.replies) != sent {
-			t.Fatalf("%d replies queued, %d sent: want all %d of the burst queued", backlog(r), len(rig.replies)-sent, n)
+		if backlog(r) != n-1 || r.poolLane.backlog() != 1 || len(rig.replies) != sent {
+			t.Fatalf("%d+%d replies queued, %d sent: want %d of the burst on the read core and 1 on the pool",
+				backlog(r), r.poolLane.backlog(), len(rig.replies)-sent, n-1)
 		}
 	}
 	r := rig.reps[1]
 	burst(r)
-	array := &r.readQ[0]
+	lanes := []*readLane{&r.readCore, &r.poolLane}
+	arrays := []*readReply{&r.readCore.replies[0], &r.poolLane.replies[0]}
 	for round := 0; round < 2; round++ {
 		rig.eng.RunFor(sim.Millisecond)
-		if len(rig.replies) != n*(round+1) || len(r.readQ) != 0 || r.readHead != 0 || &r.readQ[:1][0] != array {
-			t.Fatalf("round %d: %d replies, backlog %d from %d, same array %v", round, len(rig.replies), len(r.readQ), r.readHead, &r.readQ[:1][0] == array)
+		if len(rig.replies) != n*(round+1) {
+			t.Fatalf("round %d: %d replies", round, len(rig.replies))
 		}
-		for i, rep := range r.readQ[:cap(r.readQ)] {
-			if rep.frame != nil {
-				t.Fatalf("round %d: entry %d of the drained backlog still holds a frame", round, i)
+		for i, l := range lanes {
+			if len(l.replies) != 0 || l.head != 0 || &l.replies[:1][0] != arrays[i] {
+				t.Fatalf("round %d, %s: backlog %d from %d, same array %v", round, l.proc.Name(), len(l.replies), l.head, &l.replies[:1][0] == arrays[i])
+			}
+			for j, rep := range l.replies[:cap(l.replies)] {
+				if rep.frame != nil {
+					t.Fatalf("round %d, %s: entry %d of the drained backlog still holds a frame", round, l.proc.Name(), j)
+				}
 			}
 		}
 		if round == 0 {
@@ -453,7 +461,8 @@ func TestReadBacklogRecycledAndSilenced(t *testing.T) {
 	burst(rig.reps[2])
 	rig.reps[2].Crash()
 	rig.eng.RunFor(sim.Millisecond)
-	if len(rig.replies) != sent || backlog(r) != 0 {
-		t.Fatalf("%d replies sent after Stop and Crash; %d left queued on the stopped replica", len(rig.replies)-sent, backlog(r))
+	if len(rig.replies) != sent || backlog(r) != 0 || r.poolLane.backlog() != 0 {
+		t.Fatalf("%d replies sent after Stop and Crash; %d+%d left queued on the stopped replica",
+			len(rig.replies)-sent, backlog(r), r.poolLane.backlog())
 	}
 }

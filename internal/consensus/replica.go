@@ -166,11 +166,7 @@ type Replica struct {
 	rt     *router.Router
 	proc   *sim.Proc
 	bgProc *sim.Proc // crypto thread pool for bookkeeping signatures
-	// readProc is the read core: it is charged each served fast read's
-	// execution and sends its reply (rpc.go), so the main process never
-	// waits behind a read.
-	readProc *sim.Proc
-	signer   *xcrypto.Signer
+	signer *xcrypto.Signer
 
 	hub    *msgring.Hub
 	ackHub *tbcast.AckHub
@@ -241,12 +237,12 @@ type Replica struct {
 	appVer      app.Versioned
 	appVerRead  app.VersionedReadExecutor
 	pinnedReads []pinnedRead
-	// readQ[readHead:] is the read core's backlog: the replies of served
-	// reads, oldest first, each sent by sendRead (bound once) when readProc
-	// has spent its execution cost.
-	readQ    []readReply
-	readHead int
-	sendRead func()
+	// The two read lanes (rpc.go). Each is charged its reads' execution and
+	// sends their replies, so the main process never waits behind a read.
+	// readCore is the read core's backlog, on a process of its own;
+	// poolLane, on bgProc, holds at most one reply, taken while the read
+	// core is busy and the pool idle.
+	readCore, poolLane readLane
 
 	// Cold-rejoin state (rejoin.go). joinPhase tracks this replica's own
 	// recovery; peerJoinNonce tracks the highest incarnation seen per peer
@@ -384,7 +380,6 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		onExecuted:    deps.Executed,
 	}
 	r.suspect = r.onSuspicionTimeout
-	r.sendRead = r.sendQueuedRead
 	if v, ok := cfg.App.(app.Versioned); ok {
 		r.appVer = v
 	}
@@ -407,7 +402,8 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 	r.store = swmr.NewStore(deps.RT, r.proc, cfg.MemNodes, cfg.Fm)
 	r.sumHub = ctbcast.NewSummaryHub(deps.RT)
 	r.bgProc = sim.NewProc(r.proc.Engine(), r.proc.Name()+"-crypto")
-	r.readProc = sim.NewProc(r.proc.Engine(), r.proc.Name()+"-read")
+	r.readCore.init(r, sim.NewProc(r.proc.Engine(), r.proc.Name()+"-read"))
+	r.poolLane.init(r, r.bgProc)
 
 	env := ctbcast.Env{
 		RT: deps.RT, Proc: r.proc, Hub: r.hub, AckHub: r.ackHub,
@@ -496,7 +492,7 @@ func (r *Replica) Crash() {
 	r.Stop()
 	r.proc.Crash()
 	r.bgProc.Crash()
-	r.readProc.Crash()
+	r.readCore.proc.Crash()
 }
 
 // View returns the replica's current view.

@@ -10,8 +10,8 @@ import (
 	"repro/internal/xcrypto"
 )
 
-// retention names, for every map- or slice-typed field of Replica and of
-// the records its tables hold, what bounds it. TestEveryTableHasARetentionRule
+// retention names, for every map- or slice-typed field of Replica, of the
+// records its tables hold and of its read lanes, what bounds it. TestEveryTableHasARetentionRule
 // fails when a field of those kinds is missing here (state cannot join the
 // replica without someone writing down when it is released) or when an
 // entry outlives its field.
@@ -28,7 +28,6 @@ var retention = map[string]string{
 	"Replica.proposeQ":      "drained by pumpProposals; holds only requests whose echo round completed, so at most what live clients have in flight",
 	"Replica.freshScratch":  "scratch of takeProposal: at most one PREPARE's requests (MsgCap bytes)",
 	"Replica.pinnedReads":   "<= pinnedReadCap, drained as execution reaches each pin",
-	"Replica.readQ":         "<= readBacklogCap replies queued (a read past it is refused), each dropped when the read core sends it; the backing array is compacted before it grows",
 	"Replica.joinAnswers":   "fixed: at most n entries, reset when the sync point is adopted",
 	"Replica.peerJoinNonce": "fixed: at most n entries",
 	"Replica.views":         "setView: views below the current one; one record per view at or above it this replica is elected to lead: n x n share sets of at most n shares (a Byzantine signer can pre-fill views ahead, ROADMAP residual), f+1 certified states until the view starts, one bool",
@@ -40,6 +39,8 @@ var retention = map[string]string{
 
 	"cpState.shares":   "released once the checkpoint is stable (pruneBelow); at most n shares, one per signer, held, being verified, verified or found invalid (a CHECKPOINT's signatures join as relayed shares under the same bound)",
 	"cpState.snapshot": "released one window below the stable checkpoint (pruneBelow)",
+
+	"readLane.replies": "read core: <= readBacklogCap replies queued (a read past it is refused); crypto pool: <= 1, borrowed only while empty; each dropped when its core sends it, the backing array compacted before it grows",
 }
 
 func TestEveryTableHasARetentionRule(t *testing.T) {
@@ -62,7 +63,7 @@ func TestEveryTableHasARetentionRule(t *testing.T) {
 			}
 		}
 	}
-	for _, rec := range []any{Replica{}, slotState{}, reqState{}, clientState{}, cpState{}} {
+	for _, rec := range []any{Replica{}, slotState{}, reqState{}, clientState{}, cpState{}, readLane{}} {
 		walk(reflect.TypeOf(rec))
 	}
 	for name := range retention {

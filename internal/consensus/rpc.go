@@ -90,10 +90,10 @@ const (
 const pinnedReadCap = 512
 
 // readBacklogCap bounds the read core's backlog of served reads not yet
-// answered. At a KV read's ~14 µs it is about 0.9 ms of work, past the
-// client's read timeout, so a reply behind a fuller backlog would come too
-// late to count: past the cap a read is refused instead, and its client
-// widens or falls back at once.
+// answered; the crypto pool's lane adds at most one more. At a KV read's
+// ~14 µs the cap is about 0.9 ms of work, past the client's read timeout, so
+// a reply behind a fuller backlog would come too late to count: past the cap
+// a read is refused instead, and its client widens or falls back at once.
 const readBacklogCap = 64
 
 // pinnedRead is one as-of read waiting for this replica's execution to
@@ -105,10 +105,55 @@ type pinnedRead struct {
 	payload []byte
 }
 
-// readReply is one reply frame in the read core's backlog, and its client.
+// readReply is one reply frame in a read lane's backlog, and its client.
 type readReply struct {
 	to    ids.ID
 	frame []byte
+}
+
+// readLane is one off-main core serving fast reads: replies[head:] wait on
+// proc, oldest first, each sent by send (bound once) when proc has spent its
+// read's execution.
+type readLane struct {
+	r       *Replica
+	proc    *sim.Proc
+	replies []readReply
+	head    int
+	send    func()
+}
+
+// init binds the lane to its replica and its core.
+func (l *readLane) init(r *Replica, proc *sim.Proc) {
+	l.r, l.proc = r, proc
+	l.send = l.sendOldest
+}
+
+// backlog is how many replies wait on the lane.
+func (l *readLane) backlog() int { return len(l.replies) - l.head }
+
+// push queues rep behind the lane's backlog and charges proc cost for it.
+func (l *readLane) push(rep readReply, cost sim.Duration) {
+	if len(l.replies) == cap(l.replies) && l.head > 0 {
+		// Keep the backlog at the head of the same backing array.
+		n := copy(l.replies, l.replies[l.head:])
+		clear(l.replies[n:])
+		l.replies, l.head = l.replies[:n], 0
+	}
+	l.replies = append(l.replies, rep)
+	l.proc.Exec(cost, l.send)
+}
+
+// sendOldest is the lane's core finishing its oldest read: the reply goes
+// out, unless the replica has stopped since.
+func (l *readLane) sendOldest() {
+	rep := l.replies[l.head]
+	l.replies[l.head] = readReply{}
+	if l.head++; l.head == len(l.replies) {
+		l.replies, l.head = l.replies[:0], 0
+	}
+	if !l.r.stopped {
+		l.r.rt.SendFrame(rep.to, rep.frame)
+	}
 }
 
 // onRPC handles client traffic arriving at a replica.
@@ -183,8 +228,8 @@ func (r *Replica) onClientRequest(from ids.ID, rd *wire.Reader) {
 // as-of the exact version the request pins (at > 0) — and reply with the
 // result plus the state version (LastApplied) execution has reached. The
 // read never touches the ordering pipeline — no digest, no echo, no slot.
-// The main process computes the read at once and hands the reply to the
-// read core (serveRead), which is charged its execution. Requests the
+// The main process computes the read at once and hands the reply to a read
+// lane (serveRead), which is charged its execution. Requests the
 // application cannot answer read-only (no ReadExecutor capability, a write
 // opcode, a pin below the MVCC GC horizon) are refused explicitly so the
 // client falls back without waiting out its timeout.
@@ -290,36 +335,23 @@ func (r *Replica) refuseRead(to ids.ID, num uint64) {
 	r.rt.SendFrame(to, r.readReplyFrame(num, 0, nil))
 }
 
-// serveRead queues the reply of a read executed at this instant on the read
-// core, which is charged the read's execution and then sends it, after every
-// reply queued before it. A full backlog refuses the read instead.
+// serveRead queues the reply of a read executed at this instant on a read
+// lane, which is charged the read's execution and then sends it. The reply
+// joins the read core's backlog, unless the read core is busy and the crypto
+// pool idle at this instant: then the pool executes it, so the pool holds at
+// most one read and a signature submitted later waits at most that one. A
+// full read-core backlog refuses the read instead. On a realtime host neither
+// core is ever busy, so the pool is never borrowed.
 func (r *Replica) serveRead(to ids.ID, num uint64, flags uint8, result, payload []byte) {
-	if len(r.readQ)-r.readHead >= readBacklogCap {
+	lane, now := &r.readCore, r.proc.Now()
+	if lane.proc.BusyUntil() > now && r.bgProc.BusyUntil() <= now && r.poolLane.backlog() == 0 {
+		lane = &r.poolLane
+	} else if lane.backlog() >= readBacklogCap {
 		r.refuseRead(to, num)
 		return
 	}
-	if len(r.readQ) == cap(r.readQ) && r.readHead > 0 {
-		// Keep the backlog at the head of the same backing array.
-		n := copy(r.readQ, r.readQ[r.readHead:])
-		clear(r.readQ[n:])
-		r.readQ, r.readHead = r.readQ[:n], 0
-	}
-	r.readQ = append(r.readQ, readReply{to: to, frame: r.readReplyFrame(num, flags, result)})
 	r.ReadsServed++
-	r.readProc.Exec(r.cfg.App.ExecCost(payload)+latmodel.AppExecBase, r.sendRead)
-}
-
-// sendQueuedRead is the read core finishing its oldest read: the reply goes
-// out, unless the replica has stopped since.
-func (r *Replica) sendQueuedRead() {
-	rep := r.readQ[r.readHead]
-	r.readQ[r.readHead] = readReply{}
-	if r.readHead++; r.readHead == len(r.readQ) {
-		r.readQ, r.readHead = r.readQ[:0], 0
-	}
-	if !r.stopped {
-		r.rt.SendFrame(rep.to, rep.frame)
-	}
+	lane.push(readReply{to: to, frame: r.readReplyFrame(num, flags, result)}, r.cfg.App.ExecCost(payload)+latmodel.AppExecBase)
 }
 
 // sendEcho sends one digest echo to the leader through a pooled buffer
