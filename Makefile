@@ -101,10 +101,11 @@ bench-agree:
 
 # The Byzantine scenario suite: the defense-off trip tests and the 2PC
 # commit-phase recovery regressions (stranded commit replayed by another
-# client, lost query, lone liar, in-flight transaction). The matrix itself,
-# every adversarial policy against every transactional app in every read mode
-# at 8 seeds per cell, is tier-1 (TestByzMatrix) and judged against the
-# outcome ledger's [byz] section (docs/ledger/outcomes.txt).
+# client, lost query, lost decide acknowledgements, lone liar, in-flight
+# transaction). The matrix itself, every adversarial policy against every
+# transactional app in every read mode at 8 seeds per cell, is tier-1
+# (TestByzMatrix) and judged against the outcome ledger's [byz] section
+# (docs/ledger/outcomes.txt).
 byz-suite:
 	$(GO) test -run 'TestByzDeterministicPerSeed|TestTrip|TestStrongReadLoneLiar' ./internal/byz/scenario/
 	$(GO) test -run 'TestCommitPhaseRecovery' ./internal/shard/

@@ -114,7 +114,11 @@ type TxnParticipant interface {
 	// Abort discards txid's staged fragment, releases its locks and
 	// tombstones the txid against late prepares.
 	Abort(txid uint64) uint8
-	// Decided records the coordinator group's durable decision for txid.
+	// Decided records the coordinator group's durable decision for txid,
+	// first write wins (StatusConflict when a different decision is already
+	// logged). It installs nothing: ApplyTxn follows an accepted commit
+	// decision with Commit, which installs the coordinator group's own
+	// fragment in the same ordered command.
 	Decided(txid uint64, commit bool) uint8
 	// StagedTxns lists the prepared-but-undecided transactions ascending by
 	// txid — what a recovery sweep (OpTxnListStaged) reads. It must be

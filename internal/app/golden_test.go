@@ -8,6 +8,13 @@ package app
 // The digests were captured at the commit BEFORE KV and RKV became two
 // dialects of one engine and must never move: a changed digest is a
 // changed response byte, snapshot byte, crossed flag or park decision.
+//
+// They were captured again when a commit decision began to install the
+// coordinator's fragment: the stream's random OpTxnDecide(commit) commands
+// now commit a fragment staged locally under the same txid, answering as
+// OpTxnCommit does and releasing the requests parked behind it (kv(8)
+// 72f55286 -> 1ecc432f, kv(0) 02d6e98a -> ef922de0, rkv 003e9aa2 ->
+// e3940c7b).
 
 import (
 	"crypto/sha256"
@@ -401,14 +408,14 @@ func TestGoldenKeyedStores(t *testing.T) {
 		evicts bool
 		want   string
 	}{
-		{kvCodec(8), true, "72f55286128192a2bab9f7778a242588b5c87169b42c2b17c2a899251618d185"},
-		{kvCodec(0), false, "02d6e98a02d8a2f13aaa5935f9b4760575714ccd04604ec07bdac1f204976c98"},
-		{rkvCodec(), false, "003e9aa2ee356cb591d5a5209019b5a23d16e0288aee8e0eecbf03084a02f566"},
+		{kvCodec(8), true, "1ecc432fdd53b668c9a827caa1847c9f252e5492383e4190b590d8ebbfedd853"},
+		{kvCodec(0), false, "ef922de0cc2b004cce9b00b3c8c8c95c2ec7adb7d8d170d788c073a1056ac8e5"},
+		{rkvCodec(), false, "e3940c7ba00e252d793c8f5b6e208a69f57d23770ce77b01f9df0fb1aa1fa5a9"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.codec.name, func(t *testing.T) {
 			if got := goldenDigest(t, tc.codec, 14, tc.evicts); got != tc.want {
-				t.Fatalf("%s digest = %s, want %s (captured at PR 13, before the engine merge)", tc.codec.name, got, tc.want)
+				t.Fatalf("%s digest = %s, want %s (see the top of the file)", tc.codec.name, got, tc.want)
 			}
 		})
 	}

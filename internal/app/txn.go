@@ -43,7 +43,11 @@ const (
 	OpTxnCommit uint8 = 0xF1
 	// OpTxnAbort discards a staged fragment and releases its locks.
 	OpTxnAbort uint8 = 0xF2
-	// OpTxnDecide records the coordinator group's durable decision.
+	// OpTxnDecide records the coordinator group's durable decision. The
+	// coordinator group is always a participant, so a commit decision the
+	// log accepts also installs that group's own staged fragment in the
+	// same command, answering as OpTxnCommit does (status, then the receipt
+	// if any).
 	OpTxnDecide uint8 = 0xF3
 	// OpTxnQueryDecision asks the coordinator group for txid's recorded
 	// decision — and, query-or-abort, tombstones txid as aborted if no
@@ -206,13 +210,7 @@ func ApplyTxn(p TxnParticipant, req []byte) ([]byte, bool) {
 		if rd.Done() != nil {
 			return []byte{StatusBadReq}, true
 		}
-		st, receipt := p.Commit(txid)
-		if len(receipt) == 0 {
-			return []byte{st}, true
-		}
-		out := make([]byte, 0, 1+len(receipt))
-		out = append(out, st)
-		return append(out, receipt...), true
+		return commitResponse(p, txid), true
 	case OpTxnAbort:
 		txid := rd.U64()
 		if rd.Done() != nil {
@@ -225,7 +223,11 @@ func ApplyTxn(p TxnParticipant, req []byte) ([]byte, bool) {
 		if rd.Done() != nil {
 			return []byte{StatusBadReq}, true
 		}
-		return []byte{p.Decided(txid, commit)}, true
+		st := p.Decided(txid, commit)
+		if st != StatusOK || !commit {
+			return []byte{st}, true
+		}
+		return commitResponse(p, txid), true
 	case OpTxnQueryDecision:
 		txid := rd.U64()
 		if rd.Done() != nil {
@@ -255,4 +257,18 @@ func ApplyTxn(p TxnParticipant, req []byte) ([]byte, bool) {
 	default:
 		return []byte{StatusBadReq}, true
 	}
+}
+
+// commitResponse installs txid's staged fragment through the participant's
+// Commit and answers with its status, followed by the receipt when there is
+// one: the answer of OpTxnCommit, and of an OpTxnDecide(commit) that the
+// coordinator group's decision log accepted.
+func commitResponse(p TxnParticipant, txid uint64) []byte {
+	st, receipt := p.Commit(txid)
+	if len(receipt) == 0 {
+		return []byte{st}
+	}
+	out := make([]byte, 0, 1+len(receipt))
+	out = append(out, st)
+	return append(out, receipt...)
 }

@@ -332,6 +332,34 @@ func TestCrossShardCommitAtomic(t *testing.T) {
 	}
 }
 
+// TestCrossShardWriteOrderedCommands: on an idle two-shard deployment one
+// committed cross-shard write takes four ordered commands — a prepare and
+// the decide in the coordinator group (whose decide installs its own
+// fragment), a prepare and a commit in the other — and still answers the
+// way a separately committed coordinator did: the KV stores with the
+// one-byte StatusOK, the order book with both legs' receipts.
+func TestCrossShardWriteOrderedCommands(t *testing.T) {
+	const shards = 2
+	for _, sa := range shardApps() {
+		t.Run(sa.name, func(t *testing.T) {
+			d := newDeployment(sa, 1, shards, 1)
+			defer d.Stop()
+			before := []int{d.Groups[0].DecidedCount(), d.Groups[1].DecidedCount()}
+			res, _, err := d.InvokeSync(0, sa.write(keyOnShard(t, 0, shards, 0), keyOnShard(t, 1, shards, 0), "new"), 50*sim.Millisecond)
+			if err != nil {
+				t.Fatalf("cross-shard write: %v", err)
+			}
+			sa.checkCommit(t, res)
+			d.Eng.RunFor(10 * sim.Millisecond)
+			for g, n := range before {
+				if got := d.Groups[g].DecidedCount() - n; got != 2 {
+					t.Fatalf("group %d decided %d slots for one committed write, want 2", g, got)
+				}
+			}
+		})
+	}
+}
+
 // TestCrossShardAbortOnTimeout: a participant group stalled during prepare
 // must not wedge the transaction — the coordinator aborts at
 // PrepareTimeout, the healthy participants release their locks, no partial

@@ -23,8 +23,9 @@ import (
 //     period.
 //  3. Resolve: OpTxnQueryDecision at the coordinator group returns the
 //     logged decision — or tombstones the undecided txid as aborted
-//     (query-or-abort), which a straggling commit decide then loses to via
-//     the decision log's first-write rule — and the matching
+//     (query-or-abort). A straggling commit decide then loses to the
+//     tombstone by the decision log's first-write rule: it installs
+//     nothing at the coordinator, and its driver aborts. The matching
 //     OpTxnCommit/OpTxnAbort at the stranded group releases the locks on
 //     every replica. Both go through retryFanout; a step that exhausts its
 //     rounds leaves the transaction to a later sweep.

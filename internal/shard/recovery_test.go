@@ -86,6 +86,31 @@ func readBoth(t *testing.T, d *shard.Deployment, sa shardApp, k0, k1 []byte) (st
 	return sa.readVals(t, res)
 }
 
+// awaitCommitDecision runs virtual time in sub-microsecond steps until client
+// 0's first commit decision is logged on some coordinator replica. The
+// client only drives the decide AFTER every participant voted yes, and hears
+// of it only after f+1 coordinator replicas answered — one network
+// round-trip away — so a partition made on return lands after the point of
+// no return (the transaction IS committed) and before the driver or any
+// other participant hears about it.
+func awaitCommitDecision(t *testing.T, d *shard.Deployment) {
+	t.Helper()
+	decisionLogged := func() bool {
+		for _, a := range d.Groups[0].Apps {
+			if commit, ok := a.(lockState).Decision(firstTxid); ok && commit {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; !decisionLogged(); i++ {
+		if i > 500_000 {
+			t.Fatal("commit decision never logged at the coordinator group")
+		}
+		d.Eng.RunFor(200 * sim.Nanosecond)
+	}
+}
+
 // strandCommit manufactures the stranded commit: client 0's cross-shard
 // write is committed at the coordinator (group 0) and reported committed to
 // its caller, while every replica of group 1 sits on the prepared locks and
@@ -109,28 +134,7 @@ func strandCommit(t *testing.T, sa shardApp, seed int64) (d *shard.Deployment, k
 	if _, err := d.Client(0).Invoke(sa.write(k0, k1, "new"), func(res []byte, _ sim.Duration) { result, fired = res, true }); err != nil {
 		t.Fatalf("cross-shard write: %v", err)
 	}
-
-	// Run virtual time in sub-microsecond steps until the commit decision
-	// is logged on some coordinator replica. The client only drives the
-	// decide AFTER every participant voted yes, and fans the commit out
-	// only after f+1 coordinator replicas acknowledged the decide — one
-	// network round-trip away — so partitioning here lands after the
-	// point of no return (the transaction IS committed) and before any
-	// participant hears about it.
-	decisionLogged := func() bool {
-		for _, a := range d.Groups[0].Apps {
-			if commit, ok := a.(lockState).Decision(firstTxid); ok && commit {
-				return true
-			}
-		}
-		return false
-	}
-	for i := 0; !decisionLogged(); i++ {
-		if i > 500_000 {
-			t.Fatal("commit decision never logged at the coordinator group")
-		}
-		d.Eng.RunFor(200 * sim.Nanosecond)
-	}
+	awaitCommitDecision(t, d)
 	cut(d, driverID, 1, true)
 
 	// Exhaust the commit retry rounds (1+2+4+8+16+32 = 63 PrepareTimeouts
@@ -266,6 +270,61 @@ func TestCommitPhaseRecoverySurvivesLostQuery(t *testing.T) {
 			d.Client(1).SweepStranded()
 			d.Eng.RunFor(10 * shard.PrepareTimeout)
 			requireReplayedCommit(t, d, sa, k0, k1)
+		})
+	}
+}
+
+// TestCommitPhaseRecoveryLostDecideAcks: the driver is cut from the
+// coordinator group (group 0) the moment its commit decision is logged, so
+// every acknowledgement of the decide is lost, and stays cut past every
+// retry round. A driver that then fell back to abort would abort group 1
+// alone while group 0 held the logged commit, which a later sweep installs:
+// a torn write, reported aborted. Instead the driver waits for the
+// coordinator group's answer. After the heal and two sweeps from client 1,
+// both keys must read the same, nothing may stay locked, and the driver's
+// outcome must be what was installed. With the abort fallback each app
+// tears at two of these three seeds (rkv 2 and 3, kv 3 and 4, orderbook 2
+// and 4); at the third, f+1 acknowledgements of the decide were already on
+// their way to the driver when the cut landed.
+func TestCommitPhaseRecoveryLostDecideAcks(t *testing.T) {
+	for _, sa := range shardApps() {
+		t.Run(sa.name, func(t *testing.T) {
+			for _, seed := range []int64{2, 3, 4} {
+				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+					d := shard.New(shard.Options{Seed: seed, Shards: 2, NumClients: 2, NewApp: sa.newApp})
+					defer d.Stop()
+					k0, k1 := seedKeys(t, d, sa)
+					old, _ := readBoth(t, d, sa, k0, k1)
+
+					var result []byte
+					if _, err := d.Client(0).Invoke(sa.write(k0, k1, "new"), func(res []byte, _ sim.Duration) { result = res }); err != nil {
+						t.Fatalf("cross-shard write: %v", err)
+					}
+					awaitCommitDecision(t, d)
+					cut(d, driverID, 0, true)
+					// Past the decide's rounds (63 PrepareTimeouts of backoff)
+					// and as many again of whatever follows them.
+					d.Eng.RunFor(140 * shard.PrepareTimeout)
+					cut(d, driverID, 0, false)
+
+					d.Client(1).SweepStranded()
+					d.Eng.RunFor(3 * shard.PrepareTimeout)
+					d.Client(1).SweepStranded()
+					d.Eng.RunFor(80 * shard.PrepareTimeout)
+
+					if len(result) == 0 {
+						t.Fatal("driver never resolved the transaction")
+					}
+					requireUnlocked(t, d)
+					v0, v1 := readBoth(t, d, sa, k0, k1)
+					if v0 != v1 {
+						t.Fatalf("torn write: k0=%q k1=%q, driver reported %v", v0, v1, result)
+					}
+					if committed := result[0] == app.StatusOK; committed != (v0 != old) {
+						t.Fatalf("driver reported %v, but the keys read %q (before the write: %q)", result, v0, old)
+					}
+				})
+			}
 		})
 	}
 }

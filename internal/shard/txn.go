@@ -18,12 +18,15 @@ import (
 //     stages it, voting StatusOK (yes) or StatusConflict (no).
 //  2. Decide: once every participant voted yes, the decision is logged as
 //     an OpTxnDecide command in the coordinator group — deterministically
-//     the minimum touched shard — making commit durable before any group
-//     applies it (the classic 2PC commit point).
-//  3. Commit: OpTxnCommit fans out to every participant, which installs
-//     the staged fragment and releases the locks. done fires after all
-//     participants acknowledged, so a subsequent read anywhere observes
-//     the whole transaction.
+//     the minimum touched shard, itself a participant. That one ordered
+//     command is the commit point (the decision is durable before any
+//     other group applies it) and installs the coordinator's own fragment
+//     (the coordinator-as-participant step of presumed-abort 2PC).
+//  3. Commit: OpTxnCommit fans out to the other participants, which
+//     install their staged fragments and release the locks. done fires
+//     after all of them acknowledged, so a subsequent read anywhere
+//     observes the whole transaction. A two-shard write thus takes four
+//     ordered commands: two prepares, the decide and one commit.
 //
 // Aborts are presumed (no decision record): a StatusConflict vote or the
 // PrepareTimeout expiring fires OpTxnAbort at every participant, with the
@@ -31,9 +34,15 @@ import (
 // healthy ones; their locks release as soon as the abort is decided. The
 // abort is retransmitted to unacknowledging participants for a bounded
 // number of rounds (lossy networks must not strand locks), then given up
-// on — no pending state outlives the retries. A group that stalls *after*
-// voting yes blocks its commit until it recovers — inherent to 2PC, and
-// bounded here to the stalled group only.
+// on — no pending state outlives the retries. A decide that goes
+// unacknowledged through every round may have installed the coordinator's
+// fragment, so it never falls back to abort: the driver asks the
+// coordinator group with OpTxnQueryDecision (query-or-abort) until it
+// answers, and commits or aborts every participant as the answer says. A
+// group that stalls *after* voting yes blocks its commit until it recovers
+// — inherent to 2PC, and bounded here to the stalled group only; when that
+// group is the coordinator and stalls before acknowledging the decide, the
+// caller waits with it.
 
 // txPhase tracks one cross-shard transaction through the protocol.
 type txPhase uint8
@@ -99,15 +108,15 @@ func (c *Client) onVote(tx *txState, leg int, res []byte) {
 	}
 }
 
-// decideTx logs the commit decision in the coordinator group, then fans the
-// commit out to every participant; done fires once all of them installed.
-// Both steps are retransmitted boundedly (the same loss model the abort
-// path defends against): while the decision is not yet durably logged no
-// commit has been sent anywhere, so exhausting the decide retries safely
-// falls back to abort; once the decision is logged the transaction IS
-// committed, so commit retries that still go unacknowledged give up and
-// report success — only the unreachable group's locks wait for its
-// recovery (the inherent 2PC blocking case, scoped to that group).
+// decideTx logs the commit decision in the coordinator group, which installs
+// its own fragment with it, then fans the commit out to the other
+// participants; done fires once all of them installed. Both steps are
+// retransmitted (the same loss model the abort path defends against; see
+// sendDecide for a decide no round acknowledged). Once the decision is
+// logged the transaction IS committed, so
+// commit retries that still go unacknowledged give up and report success —
+// only the unreachable group's locks wait for its recovery (the inherent
+// 2PC blocking case, scoped to that group).
 func (c *Client) decideTx(tx *txState) {
 	tx.phase = txCommitting
 	tx.timer.Cancel()
@@ -115,32 +124,57 @@ func (c *Client) decideTx(tx *txState) {
 }
 
 // sendDecide drives the decision record at the coordinator group (the
-// minimum touched shard); on acknowledgement the commit fans out, on
-// exhaustion the transaction aborts — no commit was sent anywhere yet, so
-// aborting keeps every participant consistent. (The decision may have been
-// logged with its acks lost; first-write-wins in the decision log and the
-// advisory nature of an unobserved record keep that harmless.) A decide
-// acknowledged with StatusConflict lost the first-write race to a
-// query-or-abort tombstone — a recovery sweep already resolved this txid as
-// aborted — so the transaction aborts: the tombstone, not this decide, is
-// what every participant will observe.
+// minimum touched shard). An acknowledged decide either committed the
+// coordinator's fragment (StatusOK, plus its receipt) and the commit fans
+// out to the others, or lost the first-write race to a query-or-abort
+// tombstone (StatusConflict) — a recovery sweep already resolved this txid
+// as aborted — and the transaction aborts: the tombstone, not this decide,
+// is what every participant will observe. A decide unacknowledged through
+// every round may still have been logged, and with it the coordinator's
+// fragment installed, so the driver asks instead of aborting.
 func (c *Client) sendDecide(tx *txState) {
-	c.retryFanout([]int{tx.shards[0]}, app.EncodeTxnDecide(tx.txid, true), func(allAcked bool, resps [][]byte) {
-		if allAcked && len(resps[0]) == 1 && resps[0][0] == app.StatusOK {
-			c.sendCommits(tx)
-		} else {
+	c.retryFanout(tx.shards[:1], app.EncodeTxnDecide(tx.txid, true), func(allAcked bool, resps [][]byte) {
+		switch {
+		case !allAcked:
+			c.queryDecision(tx)
+		case len(resps[0]) > 0 && resps[0][0] == app.StatusOK:
+			c.sendCommits(tx, tx.shards[1:], resps[:1])
+		default:
 			c.abortTx(tx)
 		}
 	})
 }
 
-// sendCommits fans the commit out to every participant; done fires when
-// all acknowledged, or after the retry rounds run out (decided = committed,
-// so the outcome is StatusOK regardless — but see finishCommit for the
-// caveat about a participant unreachable past the whole backoff window).
-func (c *Client) sendCommits(tx *txState) {
-	c.retryFanout(tx.shards, app.EncodeTxnCommit(tx.txid), func(_ bool, resps [][]byte) {
-		c.finishCommit(tx, resps)
+// queryDecision resolves a transaction whose decide went unanswered with
+// OpTxnQueryDecision at the coordinator group, the recovery sweep's
+// query-or-abort step: a logged commit is sent to every participant (the
+// coordinator's copy is a redelivery that re-answers its receipt), and an
+// abort — the query's own tombstone if the decide was never logged — is
+// sent to every participant too. While the coordinator group stays silent
+// one query ladder after another runs: the transaction is in doubt, and
+// only that group can settle it.
+func (c *Client) queryDecision(tx *txState) {
+	c.retryFanout(tx.shards[:1], app.EncodeTxnQueryDecision(tx.txid), func(_ bool, resps [][]byte) {
+		commit, ok := app.DecodeTxnQueryDecision(resps[0])
+		switch {
+		case !ok:
+			c.queryDecision(tx)
+		case commit:
+			c.sendCommits(tx, tx.shards, nil)
+		default:
+			c.abortTx(tx)
+		}
+	})
+}
+
+// sendCommits fans the commit out to groups; done fires when all
+// acknowledged, or after the retry rounds run out (decided = committed, so
+// the outcome is StatusOK regardless — but see finishCommit for the caveat
+// about a participant unreachable past the whole backoff window). have
+// holds the acknowledgements already in hand for the shards before groups.
+func (c *Client) sendCommits(tx *txState, groups []int, have [][]byte) {
+	c.retryFanout(groups, app.EncodeTxnCommit(tx.txid), func(_ bool, resps [][]byte) {
+		c.finishCommit(tx, append(have, resps...))
 	})
 }
 
@@ -235,10 +269,11 @@ const PrepareTimeout = 2 * sim.Millisecond
 // retryAttempts bounds the abort/decide/commit retransmission rounds: a
 // dropped frame (lossy network models) must not strand a participant's
 // locks, but a permanently stalled group must not keep the client retrying
-// — or holding pending-request state — forever. Rounds back off
-// exponentially from PrepareTimeout (1x, 2x, 4x, ...), so the bounded
-// attempt count rides out asynchrony periods ~2^retryAttempts longer than
-// one round-trip.
+// — or holding pending-request state — forever. (The one exception is a
+// decide no round acknowledged: queryDecision asks the coordinator group
+// until it answers.) Rounds back off exponentially from PrepareTimeout (1x,
+// 2x, 4x, ...), so the bounded attempt count rides out asynchrony periods
+// ~2^retryAttempts longer than one round-trip.
 const retryAttempts = 6
 
 // abortTx resolves the transaction as aborted: in-flight prepares are
