@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -65,7 +64,7 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	e := t.ev.eng
-	heap.Remove(&e.events, t.ev.index)
+	e.events.remove(t.ev.index)
 	e.recycle(t.ev)
 	return true
 }
@@ -99,35 +98,81 @@ type event struct {
 	// the arrival-then-deliver two-step without a second closure+event.
 	deferBusy bool
 	requeued  bool
-	index     int // position in the heap, kept by Swap and Push for Cancel's heap.Remove
+	index     int // position in the queue, kept by every move so Cancel can remove it
 }
 
-type eventHeap []*event
+// before orders events on (at, seq). No two events share a seq, so the order
+// is total and every correct priority queue pops events in the same order.
+func (ev *event) before(o *event) bool {
+	return ev.at < o.at || ev.at == o.at && ev.seq < o.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// eventQueue is a 4-ary min-heap of events on (at, seq): the children of
+// slot i are slots 4i+1 … 4i+4. A wider node than a binary heap's halves the
+// depth a sift walks, and each level's children sit side by side.
+type eventQueue []*event
+
+// push adds ev to the queue.
+func (q *eventQueue) push(ev *event) {
+	*q = append(*q, ev)
+	q.up(len(*q)-1, ev)
+}
+
+// remove takes the event at slot i out of the queue.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i == n {
+		return
 	}
-	return h[i].seq < h[j].seq
+	if i > 0 && last.before(h[(i-1)/4]) {
+		q.up(i, last)
+	} else {
+		q.down(i, last)
+	}
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up places ev, whose slot is i, on the path from i to the root.
+func (q eventQueue) up(i int, ev *event) {
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].index = i
+		i = parent
+	}
+	q[i] = ev
+	ev.index = i
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// down places ev, whose slot is i, on a path from i to the leaves.
+func (q eventQueue) down(i int, ev *event) {
+	n := len(q)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if q[c].before(q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(ev) {
+			break
+		}
+		q[i] = q[least]
+		q[i].index = i
+		i = least
+	}
+	q[i] = ev
+	ev.index = i
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
@@ -135,7 +180,7 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now      Time
 	seq      uint64
-	events   eventHeap
+	events   eventQueue
 	free     []*event // recycled event records (steady state allocates none)
 	rng      *rand.Rand
 	executed uint64
@@ -233,7 +278,7 @@ func (e *Engine) schedule(t Time, proc *Proc, fn func()) *event {
 	}
 	ev.at, ev.seq, ev.proc, ev.fn = t, e.seq, proc, fn
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -285,13 +330,14 @@ func (e *Engine) Stop() { e.stopped = true }
 // a wrapper closure).
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events[0]
 		// An arrival event requeues exactly once at the process's free
 		// time as sampled now, at arrival — reproducing the two-step
 		// arrive-then-Deliver scheme's timing AND its sequence numbering
 		// (the delivery always re-enters the queue behind events already
 		// scheduled for the same instant), just without the second
-		// closure and event allocation.
+		// closure and event allocation. Its key only grows, so it sinks
+		// from the root in place.
 		if ev.deferBusy && !ev.requeued {
 			ev.requeued = true
 			if ev.proc != nil && ev.proc.busyUntil > ev.at {
@@ -299,9 +345,10 @@ func (e *Engine) Step() bool {
 			}
 			ev.seq = e.seq
 			e.seq++
-			heap.Push(&e.events, ev)
+			e.events.down(0, ev)
 			continue
 		}
+		e.events.remove(0)
 		// In pure virtual time events pop in nondecreasing order so this
 		// assignment only ever moves the clock forward; the guard matters
 		// in realtime mode, where AdvanceTo may have pushed the clock past

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -288,4 +289,178 @@ func TestQuickEventOrdering(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refEvent is an event as the reference queue of TestEventOrderMatchesReference
+// keeps it.
+type refEvent struct {
+	at        Time
+	seq       uint64
+	label     int
+	proc      *Proc // the process a deferred arrival waits for
+	deferBusy bool
+}
+
+// refQueue restates the engine's ordering rules in the plainest form: every
+// scheduling and every requeue of a deferred arrival takes the next seq, a
+// process's Exec extends its busy horizon, and the next event is found by a
+// scan for the least (at, seq).
+type refQueue struct {
+	now     Time
+	seq     uint64
+	busy    map[*Proc]Time
+	pending []refEvent
+	waited  int // deferred arrivals that met a busy process
+}
+
+func (r *refQueue) add(at Time, label int, proc *Proc, deferBusy bool) {
+	r.pending = append(r.pending, refEvent{at, r.seq, label, proc, deferBusy})
+	r.seq++
+}
+
+// exec books cost of work on p and returns when it ends.
+func (r *refQueue) exec(p *Proc, cost Duration) Time {
+	r.busy[p] = max(r.busy[p], r.now).Add(cost)
+	return r.busy[p]
+}
+
+// cancel removes label's event and reports whether it was pending.
+func (r *refQueue) cancel(label int) bool {
+	for i, ev := range r.pending {
+		if ev.label == label {
+			r.pending = append(r.pending[:i], r.pending[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// next fires the least pending event and returns its label, requeueing a
+// deferred arrival once behind its process's busy horizon on the way.
+func (r *refQueue) next() int {
+	for {
+		least := 0
+		for i, ev := range r.pending {
+			if m := r.pending[least]; ev.at < m.at || ev.at == m.at && ev.seq < m.seq {
+				least = i
+			}
+		}
+		ev := r.pending[least]
+		r.pending = append(r.pending[:least], r.pending[least+1:]...)
+		if ev.deferBusy {
+			ev.deferBusy = false
+			if b := r.busy[ev.proc]; b > ev.at {
+				ev.at = b
+				r.waited++
+			}
+			ev.seq = r.seq
+			r.seq++
+			r.pending = append(r.pending, ev)
+			continue
+		}
+		r.now = ev.at
+		return ev.label
+	}
+}
+
+// TestEventOrderMatchesReference drives a seeded random mix of At, After,
+// Exec, Deliver, PostMsg to busy processes (the deferred requeue) and Cancel
+// over more than 10^5 events, and holds every firing to the reference queue:
+// the same event, at the same time. Pending must match after every Cancel,
+// and a stale Timer whose record now carries another event cancels nothing.
+func TestEventOrderMatchesReference(t *testing.T) {
+	const events, population = 120_000, 300
+	e := NewEngine(1)
+	rng := rand.New(rand.NewSource(37))
+	procs := []*Proc{NewProc(e, "a"), NewProc(e, "b"), NewProc(e, "c")}
+	ref := &refQueue{busy: map[*Proc]Time{}}
+	type handle struct {
+		label int
+		tm    Timer
+	}
+	var live, stale []handle
+	labels, fired, cancelled, staleChecked := 0, 0, 0, 0
+
+	var fire func(label int)
+	var onMsg MsgHandler = func(label int, _ []byte) { fire(label) }
+	schedule := func() {
+		label := labels
+		labels++
+		p := procs[rng.Intn(len(procs))]
+		switch rng.Intn(5) {
+		case 0:
+			at := e.Now().Add(Duration(rng.Intn(50)))
+			ref.add(at, label, nil, false)
+			live = append(live, handle{label, e.At(at, func() { fire(label) })})
+		case 1:
+			d := Duration(rng.Intn(50))
+			ref.add(e.Now().Add(d), label, nil, false)
+			live = append(live, handle{label, e.After(d, func() { fire(label) })})
+		case 2:
+			cost := Duration(rng.Intn(30))
+			ref.add(ref.exec(p, cost), label, p, false)
+			live = append(live, handle{label, p.Exec(cost, func() { fire(label) })})
+		case 3:
+			ref.add(max(ref.busy[p], ref.now), label, p, false)
+			live = append(live, handle{label, p.Deliver(func() { fire(label) })})
+		default:
+			at := e.Now().Add(Duration(rng.Intn(20)))
+			ref.add(at, label, p, true)
+			e.PostMsg(at, p, onMsg, label, nil)
+		}
+	}
+	fire = func(label int) {
+		if want := ref.next(); label != want || e.Now() != ref.now {
+			t.Fatalf("firing %d: event %d at %d, reference %d at %d", fired, label, e.Now(), want, ref.now)
+		}
+		fired++
+		for labels < events && (len(ref.pending) < population || rng.Intn(2) == 0) {
+			schedule()
+			if rng.Intn(3) != 0 {
+				break
+			}
+		}
+		if len(live) > 0 && rng.Intn(4) == 0 {
+			i := len(live) - 1 - rng.Intn(min(len(live), 64)) // mostly still queued
+			h := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			got, want := h.tm.Cancel(), ref.cancel(h.label)
+			if got != want {
+				t.Fatalf("Cancel of event %d reported %v, reference %v", h.label, got, want)
+			}
+			if got {
+				cancelled++
+			}
+			if e.Pending() != len(ref.pending) {
+				t.Fatalf("after a Cancel: %d pending, reference %d", e.Pending(), len(ref.pending))
+			}
+			stale = append(stale, h)
+		}
+		// A handle whose event fired or was cancelled, and whose record
+		// now carries a queued event, must cancel nothing.
+		if len(stale) > 0 {
+			h := stale[rng.Intn(len(stale))]
+			if h.tm.ev.gen != h.tm.gen && h.tm.ev.index < e.Pending() && e.events[h.tm.ev.index] == h.tm.ev {
+				staleChecked++
+				if h.tm.Pending() || h.tm.Cancel() || e.Pending() != len(ref.pending) {
+					t.Fatalf("stale timer of event %d cancelled the event its record now carries", h.label)
+				}
+			}
+		}
+	}
+	for range population {
+		schedule()
+	}
+	e.Run()
+	if fired+cancelled != events || fired < 100_000 || len(ref.pending) != 0 || e.Pending() != 0 {
+		t.Fatalf("%d events fired and %d cancelled of %d; %d pending, reference %d",
+			fired, cancelled, events, e.Pending(), len(ref.pending))
+	}
+	if staleChecked == 0 || ref.waited == 0 {
+		t.Fatalf("%d stale timers met a recycled record and %d arrivals a busy process; want both above 0",
+			staleChecked, ref.waited)
+	}
+	t.Logf("%d events fired, %d cancelled, %d arrivals waited, %d stale timers checked",
+		fired, cancelled, ref.waited, staleChecked)
 }

@@ -13,6 +13,16 @@
 // computation. Every check still charges its full virtual cost, so the table
 // saves host CPU only. Only valid verdicts are kept, so a forged signature
 // is computed, and refused, every time.
+//
+// A signature a Registry's own key makes enters the table when it is made:
+// the Registry derives each public key from its private key, and an ed25519
+// signature made with a private key verifies under that public key, so a
+// signature it made is valid by construction, and a check of it computes
+// nothing. A simulated deployment
+// shares one Registry, so no check of an honest signature computes there; a
+// node of a real deployment skips only its own. The table's key covers the
+// signer ID, the message and the signature, so a copy with any of them
+// changed misses and is computed.
 package xcrypto
 
 import (
@@ -109,10 +119,29 @@ func (r *Registry) Verifications() (computed, reused uint64) {
 	return r.computed, r.reused
 }
 
+// entry returns the table slot of the triple (from, msg, sig) and the key
+// that marks it valid there: SHA-256 over from ‖ len(msg) ‖ msg ‖ sig. The
+// caller holds r.mu.
+func (r *Registry) entry(from ProcID, msg []byte, sig Signature) (*[sha256.Size]byte, [sha256.Size]byte) {
+	b := binary.LittleEndian.AppendUint64(r.scratch[:0], uint64(from))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(msg)))
+	r.scratch = append(append(b, msg...), sig...)
+	key := sha256.Sum256(r.scratch)
+	return &r.verified[binary.LittleEndian.Uint16(key[:])%verifiedEntries], key
+}
+
+// signed records a signature the Registry's own key for from just made over
+// msg as valid, so no check of it ever computes.
+func (r *Registry) signed(from ProcID, msg []byte, sig Signature) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	entry, key := r.entry(from, msg, sig)
+	*entry = key
+}
+
 // verify reports whether sig is from's signature over msg. It computes the
-// verdict only for a triple the table does not hold; the table's key is
-// SHA-256 over from ‖ len(msg) ‖ msg ‖ sig, and only a valid verdict is
-// stored.
+// verdict only for a triple the table does not hold, and stores only a valid
+// one.
 func (r *Registry) verify(from ProcID, msg []byte, sig Signature) bool {
 	pub, ok := r.pubs[from]
 	if !ok || len(sig) != ed25519.SignatureSize {
@@ -120,11 +149,7 @@ func (r *Registry) verify(from ProcID, msg []byte, sig Signature) bool {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b := binary.LittleEndian.AppendUint64(r.scratch[:0], uint64(from))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(msg)))
-	r.scratch = append(append(b, msg...), sig...)
-	key := sha256.Sum256(r.scratch)
-	entry := &r.verified[binary.LittleEndian.Uint16(key[:])%verifiedEntries]
+	entry, key := r.entry(from, msg, sig)
 	if *entry == key {
 		r.reused++
 		return true
@@ -148,10 +173,18 @@ type Signer struct {
 func (s *Signer) ID() ProcID { return s.id }
 
 // Sign produces a real ed25519 signature over msg and charges the
-// calibrated signing cost (plus crypto-pool dispatch) to p.
+// calibrated signing cost (plus crypto-pool dispatch) to p. The signature
+// enters the Registry's table of valid verdicts (see the package doc).
 func (s *Signer) Sign(p *sim.Proc, msg []byte) Signature {
 	p.Charge(latmodel.SignCost + latmodel.CryptoDispatchCost)
-	return Signature(ed25519.Sign(s.priv, msg))
+	return s.sign(msg)
+}
+
+// sign makes the signature and records it as valid.
+func (s *Signer) sign(msg []byte) Signature {
+	sig := Signature(ed25519.Sign(s.priv, msg))
+	s.reg.signed(s.id, msg, sig)
+	return sig
 }
 
 // SignBg signs on the pool process (a crypto thread pool running on other
@@ -159,7 +192,7 @@ func (s *Signer) Sign(p *sim.Proc, msg []byte) Signature {
 // signatures to a background task) and delivers the result to the main
 // process without blocking it.
 func (s *Signer) SignBg(pool, main *sim.Proc, msg []byte, done func(Signature)) {
-	sig := Signature(ed25519.Sign(s.priv, msg))
+	sig := s.sign(msg)
 	pool.Exec(latmodel.SignCost+latmodel.CryptoDispatchCost, func() {
 		main.Deliver(func() { done(sig) })
 	})

@@ -120,13 +120,15 @@ func TestSignVerify(t *testing.T) {
 }
 
 // TestSignChargesVirtualTime also holds a reused verdict to the virtual cost
-// of a computed one, and to no allocation.
+// of a computed one, and to no allocation. The signature comes from a twin
+// Registry (same seed, same keys, its own table), so the Registry under test
+// meets it first at its first check.
 func TestSignChargesVirtualTime(t *testing.T) {
-	reg := NewRegistry(1, []ProcID{0})
+	reg, twin := NewRegistry(1, []ProcID{0}), NewRegistry(1, []ProcID{0})
 	_, p := testProc()
 	s := reg.Signer(0)
 	before := p.BusyUntil()
-	sig := s.Sign(p, []byte("m"))
+	sig := twin.Signer(0).Sign(p, []byte("m"))
 	if p.BusyUntil() <= before {
 		t.Fatal("Sign charged no virtual time")
 	}
@@ -200,16 +202,17 @@ func TestCachedVerdictNeverChangesAnother(t *testing.T) {
 // TestVerifiedTableStaysFixed fills the table ten times over: it keeps its
 // 1024 entries, and a triple whose verdict was evicted verifies again by
 // recomputation. The second pass checks the first 2048 triples, of which the
-// table can hold at most half.
+// table can hold at most half. A twin Registry makes the signatures, so every
+// first check computes.
 func TestVerifiedTableStaysFixed(t *testing.T) {
 	const n, again = 10_000, 2 * verifiedEntries
-	reg := NewRegistry(1, []ProcID{0})
+	reg, twin := NewRegistry(1, []ProcID{0}), NewRegistry(1, []ProcID{0})
 	_, p := testProc()
-	s := reg.Signer(0)
+	s, signer := reg.Signer(0), twin.Signer(0)
 	msgs, sigs := make([][]byte, n), make([]Signature, n)
 	for i := range msgs {
 		msgs[i] = []byte{byte(i), byte(i >> 8)}
-		sigs[i] = s.Sign(p, msgs[i])
+		sigs[i] = signer.Sign(p, msgs[i])
 		if !s.Verify(p, 0, msgs[i], sigs[i]) {
 			t.Fatalf("triple %d refused", i)
 		}
@@ -230,15 +233,17 @@ func TestVerifiedTableStaysFixed(t *testing.T) {
 	}
 }
 
+// TestVerifyBgAndValidShareTheTable takes its shares from a twin Registry, so
+// the Registry under test computes each one at its first check.
 func TestVerifyBgAndValidShareTheTable(t *testing.T) {
-	reg := NewRegistry(1, []ProcID{0, 1, 2})
+	members := []ids.ID{0, 1, 2}
+	reg, twin := NewRegistry(1, members), NewRegistry(1, members)
 	e := sim.NewEngine(1)
 	main, pool := sim.NewProc(e, "main"), sim.NewProc(e, "pool")
-	members := []ids.ID{0, 1, 2}
 	payload := []byte("checkpoint 256")
-	cert := Cert{0: reg.Signer(0).Sign(main, payload), 1: reg.Signer(1).Sign(main, payload)}
+	cert := Cert{0: twin.Signer(0).Sign(main, payload), 1: twin.Signer(1).Sign(main, payload)}
 	s := reg.Signer(2)
-	own := s.Sign(main, payload)
+	own := twin.Signer(2).Sign(main, payload)
 
 	if !s.Valid(main, members, payload, cert, 2) {
 		t.Fatal("valid certificate refused")
@@ -271,6 +276,49 @@ func TestVerifyBgAndValidShareTheTable(t *testing.T) {
 	}
 }
 
+// TestOwnSignatureNeedsNoComputation holds a Registry to the signatures its
+// own keys make, by Sign and by SignBg: the first check of each reuses, and
+// computes nothing. The same bytes claimed by another signer, and a copy with
+// one bit flipped, are computed and refused on every check.
+func TestOwnSignatureNeedsNoComputation(t *testing.T) {
+	reg := NewRegistry(1, []ProcID{0, 1})
+	e := sim.NewEngine(1)
+	main, pool := sim.NewProc(e, "main"), sim.NewProc(e, "pool")
+	s := reg.Signer(0)
+	msg := []byte("commit v=0 s=7")
+	sig := s.Sign(main, msg)
+	var bg Signature
+	s.SignBg(pool, main, []byte("summary 3"), func(sig Signature) { bg = sig })
+	for e.Step() {
+	}
+	if !s.Verify(main, 0, msg, sig) || !s.Verify(main, 0, []byte("summary 3"), bg) {
+		t.Fatal("own signature refused")
+	}
+	if c, r := reg.Verifications(); c != 0 || r != 2 {
+		t.Fatalf("first checks of two own signatures: %d computed, %d reused; want 0 and 2", c, r)
+	}
+	for _, tc := range []struct {
+		name string
+		from ProcID
+		sig  Signature
+	}{
+		{"the same bytes under another signer ID", 1, sig},
+		{"a copy with one bit flipped", 0, flipBit(sig, 17)},
+	} {
+		c0, r0 := reg.Verifications()
+		for i := 0; i < 2; i++ {
+			if s.Verify(main, tc.from, msg, tc.sig) {
+				t.Fatalf("%s accepted", tc.name)
+			}
+		}
+		if c, r := reg.Verifications(); c != c0+2 || r != r0 {
+			t.Fatalf("%s checked twice: %d computed, %d reused; want 2 and 0", tc.name, c-c0, r-r0)
+		}
+	}
+}
+
+// TestConcurrentVerifiersShareARegistry runs two signers, which write the
+// table with every signature they make, beside two verifiers.
 func TestConcurrentVerifiersShareARegistry(t *testing.T) {
 	reg := NewRegistry(1, []ProcID{0, 1})
 	e := sim.NewEngine(1)
@@ -284,6 +332,20 @@ func TestConcurrentVerifiersShareARegistry(t *testing.T) {
 	forged := flipBit(sigs[0], 0)
 	const rounds = 50
 	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		s, p := reg.Signer(ProcID(g)), sim.NewProc(e, "signer")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				msg := []byte{byte(g), byte(round), 0xff}
+				if sig := s.Sign(p, msg); !s.Verify(p, s.ID(), msg, sig) {
+					t.Errorf("fresh signature %d of signer %d refused", round, g)
+					return
+				}
+			}
+		}()
+	}
 	for g := 0; g < 2; g++ {
 		s, p := reg.Signer(ProcID(g)), sim.NewProc(e, "verifier")
 		wg.Add(1)
@@ -304,8 +366,8 @@ func TestConcurrentVerifiersShareARegistry(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c, r := reg.Verifications(); c+r != 2*rounds*(uint64(len(msgs))+1) || c < 2*rounds {
-		t.Fatalf("%d computed, %d reused over %d checks", c, r, 2*rounds*(len(msgs)+1))
+	if c, r := reg.Verifications(); c+r != 2*rounds*(uint64(len(msgs))+2) || c < 2*rounds {
+		t.Fatalf("%d computed, %d reused over %d checks", c, r, 2*rounds*(len(msgs)+2))
 	}
 }
 
