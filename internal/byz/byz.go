@@ -1,20 +1,22 @@
-// Package byz is the Byzantine fault-injection layer: it wraps a
-// deployment's transport.Fabric so selected nodes send *adversarial*
-// traffic — equivocating proposals, forged read replies, selective
-// silence, corrupted 2PC votes — while the rest of the cluster runs
-// unmodified. The paper's whole claim (uBFT: safety with up to f Byzantine
-// replicas over disaggregated memory) rests on quorum-intersection
-// arguments; this package turns those arguments into executable attacks so
-// the scenario suite (internal/byz/scenario) can assert the defenses hold
-// — and, with the defenses explicitly switched off, that the invariant
-// checker actually trips.
+// Package byz is the Byzantine fault-injection layer: it installs policies
+// as outbound rewrites on a simulated network (simnet.Network.SetOutbound),
+// so selected nodes send *adversarial* traffic — equivocating proposals,
+// forged read replies, selective silence, corrupted 2PC votes — while the
+// rest of the cluster runs unmodified. The paper's whole claim (uBFT:
+// safety with up to f Byzantine replicas over disaggregated memory) rests
+// on quorum-intersection arguments; this package turns those arguments
+// into executable attacks so the scenario suite (internal/byz/scenario)
+// can assert the defenses hold — and, with the defenses explicitly
+// switched off, that the invariant checker actually trips.
 //
 // Design: a Policy rewrites a node's OUTBOUND frames — each Send becomes
-// zero (drop), one (forward/mutate) or several (replay) sends. Outbound
-// interposition is exactly the Byzantine power model: a faulty node can
-// say anything to anyone, but it cannot forge another node's sender
-// identity (the transport authenticates links, §2.4) and it cannot stop
-// correct nodes from talking to each other. Policies parse the same wire
+// zero (drop), one (forward/mutate) or several (replay) sends, each charged
+// and counted as its own. It is step 1 of simnet's fate order, so
+// partitions, the network's rule and the link model apply to what it
+// emits. Outbound interposition is exactly the Byzantine power model: a
+// faulty node can say anything to anyone, but it cannot forge another
+// node's sender identity (the transport authenticates links, §2.4) and it
+// cannot stop correct nodes from talking to each other. Policies parse the same wire
 // formats the protocol uses (router channel tag, msgring frame + checksum,
 // consensus PREPARE, RPC response) and re-encode with recomputed
 // checksums, so corrupted frames are indistinguishable from honest traffic
@@ -29,9 +31,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/ids"
 	"repro/internal/router"
-	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/xcrypto"
 )
@@ -44,68 +44,10 @@ type Policy interface {
 	Outbound(to ids.ID, frame []byte) [][]byte
 }
 
-// Fabric wraps an inner transport fabric, attaching policies to chosen
-// node IDs. Uninfected nodes still go through a passthrough wrapper, so
-// the conformance suite can prove wrapping alone preserves the transport
-// contract (per-link FIFO, authenticated senders) for honest traffic.
-type Fabric struct {
-	inner    transport.Fabric
-	policies map[ids.ID]Policy
-}
-
-// Wrap builds a Byzantine-injectable view of inner.
-func Wrap(inner transport.Fabric) *Fabric {
-	return &Fabric{inner: inner, policies: make(map[ids.ID]Policy)}
-}
-
-// Infect attaches a policy to node id's future endpoint. Must be called
-// before the deployment creates that endpoint (assembly time).
-func (f *Fabric) Infect(id ids.ID, p Policy) { f.policies[id] = p }
-
-// Infected reports whether node id runs a policy: the deployment's one record
-// of who is Byzantine, whose state and decisions no agreement check constrains.
-func (f *Fabric) Infected(id ids.ID) bool { return f.policies[id] != nil }
-
-// Engine implements transport.Fabric.
-func (f *Fabric) Engine() *sim.Engine { return f.inner.Engine() }
-
-// Network exposes the wrapped fabric's simulated network when it has one
-// (the cluster layer probes for this accessor so partition/GST/restart
-// chaos composes with Byzantine injection; nil for non-simnet backends).
-func (f *Fabric) Network() *simnet.Network {
-	if nf, ok := f.inner.(interface{ Network() *simnet.Network }); ok {
-		return nf.Network()
-	}
-	return nil
-}
-
-// NewEndpoint implements transport.Fabric: every endpoint is wrapped, with
-// the node's policy (nil = honest passthrough).
-func (f *Fabric) NewEndpoint(id ids.ID, name string) (transport.Endpoint, error) {
-	ep, err := f.inner.NewEndpoint(id, name)
-	if err != nil {
-		return nil, err
-	}
-	return &endpoint{Endpoint: ep, policy: f.policies[id]}, nil
-}
-
-// endpoint applies the node's policy to every Send; receives and handler
-// wiring pass straight through (Byzantine power is over what a node says,
-// not over what others deliver to it).
-type endpoint struct {
-	transport.Endpoint
-	policy Policy
-}
-
-func (e *endpoint) Send(to ids.ID, payload []byte) {
-	if e.policy == nil {
-		e.Endpoint.Send(to, payload)
-		return
-	}
-	for _, f := range e.policy.Outbound(to, payload) {
-		e.Endpoint.Send(to, f)
-	}
-}
+// Infect makes node id of net Byzantine: p rewrites every frame it sends,
+// from now on and in every later incarnation of id (simnet.SetOutbound).
+// The nodes without a policy are the deployment's correct ones.
+func Infect(net *simnet.Network, id ids.ID, p Policy) { net.SetOutbound(id, p.Outbound) }
 
 // keep forwards a frame unmodified.
 func keep(frame []byte) [][]byte { return [][]byte{frame} }

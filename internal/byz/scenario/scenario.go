@@ -1,5 +1,5 @@
 // Package scenario is the seeded Byzantine scenario harness: it assembles
-// a two-shard deployment on a byz-wrapped fabric, runs one adversarial
+// a two-shard deployment on a simulated fabric, runs one adversarial
 // policy against one application in one read mode, and machine-checks the
 // safety invariants the paper's f=1 bound promises — agreement across
 // correct replicas, read-your-writes, monotonic reads, an uninflatable
@@ -120,28 +120,26 @@ const (
 	perOpDeadline = 20 * sim.Millisecond // virtual-time completion bound per op
 )
 
-// newFabric builds one run's harness fabric — a byz-wrapped deterministic
-// simnet, so every endpoint the assembler creates passes through the
-// injector — and infects it per cfg.
-func newFabric(cfg Config) *byz.Fabric {
-	eng := sim.NewEngine(cfg.Seed)
-	fab := byz.Wrap(simnet.AsFabric(simnet.New(eng, simnet.RDMAOptions())))
+// newFabric builds one run's harness fabric: a deterministic simnet whose
+// infected replicas run cfg's policy as their outbound rewrite.
+func newFabric(cfg Config) simnet.Fabric {
+	net := simnet.New(sim.NewEngine(cfg.Seed), simnet.RDMAOptions())
 	switch cfg.Policy {
 	case Silence:
-		fab.Infect(byzReplica, byz.SilenceOf(clientID))
+		byz.Infect(net, byzReplica, byz.SilenceOf(clientID))
 		if cfg.SilenceBoth {
-			fab.Infect(ids.ID(1), byz.SilenceOf(clientID))
+			byz.Infect(net, ids.ID(1), byz.SilenceOf(clientID))
 		}
 	case Equivocate:
-		fab.Infect(byzReplica, byz.Equivocate{})
+		byz.Infect(net, byzReplica, byz.Equivocate{})
 	case ForgeReads:
-		fab.Infect(byzReplica, byz.ForgeReads{})
+		byz.Infect(net, byzReplica, byz.ForgeReads{})
 	case BadBatch:
-		fab.Infect(byzReplica, byz.BadBatch{Shift: int(cfg.Seed), N: 3, Index: 0})
+		byz.Infect(net, byzReplica, byz.BadBatch{Shift: int(cfg.Seed), N: 3, Index: 0})
 	case CorruptVotes:
-		fab.Infect(byzVoter, &byz.CorruptVotes{})
+		byz.Infect(net, byzVoter, &byz.CorruptVotes{})
 	}
-	return fab
+	return simnet.AsFabric(net)
 }
 
 // Run executes one scenario cell and returns its invariant report.
@@ -276,7 +274,7 @@ func (h *harness) round(i int) {
 			h.rep.violate(outcome.Violated, "round %d: concurrent key %d reads %d (present=%v ok=%v), wrote %d", i, j, c, present, ok, h.modelA)
 		}
 	}
-	// Atomic cross-shard pair write (2PC through the byz fabric).
+	// Atomic cross-shard pair write (2PC through the infected fabric).
 	if res, done := h.do(h.ad.pairWrite(p, q, i)); !done {
 		h.rep.violate(outcome.Wedged, "round %d: pair write never completed", i)
 	} else if !h.ad.commitOK(res) {

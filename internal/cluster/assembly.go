@@ -150,11 +150,12 @@ type Assembly struct {
 
 // NewAssembly prepares the wiring of layout under opts, which the caller
 // has normalized. A nil opts.Fabric takes a fresh RDMA-class simulated
-// fabric seeded with opts.Seed. An injected fabric is probed for the optional
-// Network() accessor (simnet itself and the wrappers around it, so
-// partition/GST/restart chaos composes with fault injection). off is the
-// set of protocol defenses to switch OFF in every replica and client:
-// consensus.Defenses{} everywhere but the BuildWithDefenses entry points.
+// fabric seeded with opts.Seed. An injected simnet.Fabric keeps its network
+// reachable (Net) for partition, rule, kill and restart fault injection; its
+// Byzantine nodes (simnet.Network.Byzantine) are exempt from the agreement
+// checks. off is the set of protocol defenses to switch OFF in every replica
+// and client: consensus.Defenses{} everywhere but the BuildWithDefenses
+// entry points.
 func NewAssembly(opts Options, layout Layout, newApp func(group int) app.StateMachine, off consensus.Defenses) *Assembly {
 	a := &Assembly{Layout: layout, fab: opts.Fabric, opts: opts, newApp: newApp, defenses: off}
 	if a.fab == nil {
@@ -163,12 +164,11 @@ func NewAssembly(opts Options, layout Layout, newApp func(group int) app.StateMa
 		a.fab = simnet.AsFabric(a.Net)
 	} else {
 		a.Eng = a.fab.Engine()
-		if nf, ok := a.fab.(interface{ Network() *simnet.Network }); ok {
-			a.Net = nf.Network()
+		if sf, ok := a.fab.(simnet.Fabric); ok {
+			a.Net = sf.Network()
 		}
 	}
 	a.Registry = xcrypto.NewRegistry(opts.Seed+1, layout.Signers())
-	byz, _ := a.fab.(infectedSet) // a byz.Fabric names its Byzantine replicas
 	for g, reps := range layout.Groups {
 		a.Groups = append(a.Groups, &Group{
 			Index:      g,
@@ -176,7 +176,7 @@ func NewAssembly(opts Options, layout Layout, newApp func(group int) app.StateMa
 			Replicas:   make([]*consensus.Replica, len(reps)),
 			Apps:       make([]app.StateMachine, len(reps)),
 			joinNonces: make([]uint64, len(reps)),
-			oracle:     newGroupOracle(g, a.Eng, byz, opts.Window),
+			oracle:     newGroupOracle(g, a.Eng, a.Net, opts.Window),
 		})
 	}
 	return a
@@ -311,8 +311,8 @@ func (a *Assembly) KillReplica(g, i int) error {
 }
 
 // RestartReplica boots a fresh replica process for slot i of group g after
-// KillReplica: a new endpoint on the same fabric (a Byzantine-wrapping
-// fabric re-attaches its policy), a fresh application instance, the
+// KillReplica: a new endpoint on the same fabric (a Byzantine identity
+// keeps its outbound rewrite), a fresh application instance, the
 // group's own region span, and cold-rejoin mode with a bumped incarnation
 // nonce. The replica probes the cluster, pulls the f+1-vouched snapshot
 // and observes until the first post-join stable checkpoint before

@@ -20,7 +20,6 @@ import (
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/xcrypto"
 )
@@ -104,40 +103,23 @@ func (a *frameAudit) verify(t *testing.T) {
 	}
 }
 
-// wrap interposes the audit on every endpoint of inner, keeping inner's
-// simulated network reachable for the fault injection of the run.
-func (a *frameAudit) wrap(inner transport.Fabric) transport.Fabric {
-	return auditFabric{Fabric: inner, a: a}
+// observe makes the audit net's rule: it records every frame sent on a
+// live, unpartitioned link and delivers it unchanged.
+func (a *frameAudit) observe(net *simnet.Network) {
+	net.SetRule(func(from, to ids.ID, frame []byte) (simnet.Fate, sim.Duration) {
+		a.record(from, to, frame)
+		return simnet.Deliver, 0
+	})
 }
 
-type auditFabric struct {
-	transport.Fabric
-	a *frameAudit
-}
-
-func (f auditFabric) Network() *simnet.Network {
-	if nf, ok := f.Fabric.(interface{ Network() *simnet.Network }); ok {
-		return nf.Network()
-	}
-	return nil
-}
-
-func (f auditFabric) NewEndpoint(id ids.ID, name string) (transport.Endpoint, error) {
-	ep, err := f.Fabric.NewEndpoint(id, name)
-	if err != nil {
-		return nil, err
-	}
-	return auditEndpoint{Endpoint: ep, a: f.a}, nil
-}
-
-type auditEndpoint struct {
-	transport.Endpoint
-	a *frameAudit
-}
-
-func (e auditEndpoint) Send(to ids.ID, payload []byte) {
-	e.a.record(e.Endpoint.ID(), to, payload)
-	e.Endpoint.Send(to, payload)
+// infect runs p as node id's outbound rewrite behind a recording one, so the
+// audit holds what the node handed to its policy as well as what the policy
+// put on the wire.
+func (a *frameAudit) infect(net *simnet.Network, id ids.ID, p byz.Policy) {
+	net.SetOutbound(id, func(to ids.ID, frame []byte) [][]byte {
+		a.record(id, to, frame)
+		return p.Outbound(to, frame)
+	})
 }
 
 // TestSentFramesNeverChange runs a cluster through what touches a ring frame
@@ -150,7 +132,7 @@ func (e auditEndpoint) Send(to ids.ID, payload []byte) {
 // msgring's TestRetainedViewsNeverChange holds staged frames to the same
 // rule.) In the Byzantine run the leader equivocates until it crashes, and
 // the audit sits on both sides of its policy: what the node handed over,
-// and what reached the network.
+// and what reached the wire.
 func TestSentFramesNeverChange(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -161,11 +143,10 @@ func TestSentFramesNeverChange(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			audit := newFrameAudit()
-			var fab transport.Fabric = simnet.AsFabric(simnet.New(sim.NewEngine(1), simnet.RDMAOptions()))
+			net := simnet.New(sim.NewEngine(1), simnet.RDMAOptions())
+			audit.observe(net)
 			if tc.policy != nil {
-				bz := byz.Wrap(audit.wrap(fab))
-				bz.Infect(0, tc.policy)
-				fab = bz
+				audit.infect(net, 0, tc.policy)
 			}
 			u, err := cluster.Build(cluster.Options{
 				Seed:              1,
@@ -174,7 +155,7 @@ func TestSentFramesNeverChange(t *testing.T) {
 				Tail:              8,
 				SlowPathDelay:     30 * sim.Microsecond,
 				ViewChangeTimeout: 3 * sim.Millisecond,
-				Fabric:            audit.wrap(fab),
+				Fabric:            simnet.AsFabric(net),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/ids"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 	"repro/internal/xcrypto"
 )
 
@@ -73,23 +74,21 @@ type record struct {
 // allocated once: the decisions by slot, the executions by a hash of (client,
 // num). A record gives way only to one of a later slot, which leaves the
 // check of what it held blind; a conflict needs two records of the same slot
-// or the same request, so a full ring never reports a false one. Replicas
-// the fabric reports infected (byz.Fabric) are not checked.
+// or the same request, so a full ring never reports a false one. Byzantine
+// replicas (simnet.Network.Byzantine) are not checked.
 type groupOracle struct {
 	group            int
 	eng              *sim.Engine
-	byz              infectedSet // nil: nobody is infected
+	net              *simnet.Network // nil: nobody is Byzantine
 	decisions, execs []record
 }
 
-type infectedSet interface{ Infected(ids.ID) bool }
-
-func newGroupOracle(group int, eng *sim.Engine, byz infectedSet, window int) *groupOracle {
-	return &groupOracle{group: group, eng: eng, byz: byz,
+func newGroupOracle(group int, eng *sim.Engine, net *simnet.Network, window int) *groupOracle {
+	return &groupOracle{group: group, eng: eng, net: net,
 		decisions: make([]record, 2*window), execs: make([]record, 2*window)}
 }
 
-func (o *groupOracle) skips(id ids.ID) bool { return o.byz != nil && o.byz.Infected(id) }
+func (o *groupOracle) skips(id ids.ID) bool { return o.net != nil && o.net.Byzantine(id) }
 
 // decided is consensus.Deps.Decided.
 func (o *groupOracle) decided(self ids.ID, s consensus.Slot, v consensus.View, req *consensus.Request) {

@@ -70,12 +70,12 @@ func TestOracleCatchesADoubleExecution(t *testing.T) {
 }
 
 // TestOracleIgnoresInfectedReplicas: what a Byzantine replica decides or
-// executes constrains nothing, and an assembly on a byz fabric learns who is
-// infected from the fabric.
+// executes constrains nothing, and an assembly on a simulated network learns
+// who is Byzantine from the network's outbound rewrites.
 func TestOracleIgnoresInfectedReplicas(t *testing.T) {
-	fab := byz.Wrap(simnet.AsFabric(simnet.New(sim.NewEngine(1), simnet.RDMAOptions())))
-	fab.Infect(0, byz.Passthrough{})
-	o := newGroupOracle(0, fab.Engine(), fab, 8)
+	net := simnet.New(sim.NewEngine(1), simnet.RDMAOptions())
+	byz.Infect(net, 0, byz.Passthrough{})
+	o := newGroupOracle(0, net.Engine(), net, 8)
 	a := consensus.Request{Client: 200, Num: 1, Payload: []byte("a")}
 	b := consensus.Request{Client: 200, Num: 1, Payload: []byte("b")}
 	if d := Diverged(func() {
@@ -88,10 +88,10 @@ func TestOracleIgnoresInfectedReplicas(t *testing.T) {
 		t.Fatalf("infected replica 0 counted: %v", d)
 	}
 
-	u := NewUBFT(Options{Seed: 1, Fabric: fab})
+	u := NewUBFT(Options{Seed: 1, Fabric: simnet.AsFabric(net)})
 	defer u.Stop()
 	if o := u.asm.Groups[0].oracle; !o.skips(0) || o.skips(1) {
-		t.Fatal("the assembly's oracle does not read the fabric's infected set")
+		t.Fatal("the assembly's oracle does not read the network's Byzantine set")
 	}
 }
 

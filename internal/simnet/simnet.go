@@ -10,6 +10,22 @@
 // + bounded jitter. Links never corrupt or forge messages — authentication
 // and tamper-proofness are assumptions of the paper — but Byzantine
 // *processes* can of course send whatever payloads they like.
+//
+// Node.Send is the one place a frame's fate is decided, in this order:
+//  1. the sender's Outbound rewrite (SetOutbound), set only on a Byzantine
+//     node: each frame it returns goes through steps 2–5 as its own send;
+//  2. a crashed sender sends nothing, and a frame to an absent node is lost;
+//  3. a partitioned link loses the frame;
+//  4. the network's Rule (SetRule) delivers, drops, delays or holds it;
+//  5. the model's jitter and pre-GST drop and delay draws.
+//
+// Steps 1–4 draw no random number, so a rule that drops nothing leaves a
+// run bit-identical. A held frame stalls its directed link the way a stalled
+// RDMA reliable connection does: later frames on that link queue behind it,
+// and Release sends the queue in order, as if sent at release (through steps
+// 2, 3 and 5 again, not the rule). Frames whose sender crashed before the
+// release are lost. A rule runs inside Send, so a rule that kills or
+// restarts a node schedules that on the engine instead of doing it there.
 package simnet
 
 import (
@@ -78,6 +94,10 @@ type Network struct {
 	// message-ring receiver (§6.2) depends on write ordering.
 	lastArrival map[[2]ids.ID]sim.Time
 
+	rule     Rule
+	outbound map[ids.ID]Outbound
+	held     map[[2]ids.ID][]heldFrame // per directed link, in send order
+
 	// Stats.
 	MsgsSent  uint64
 	BytesSent uint64
@@ -92,6 +112,8 @@ func New(eng *sim.Engine, opts Options) *Network {
 		nodes:       make(map[ids.ID]*Node),
 		parts:       make(map[[2]ids.ID]bool),
 		lastArrival: make(map[[2]ids.ID]sim.Time),
+		outbound:    make(map[ids.ID]Outbound),
+		held:        make(map[[2]ids.ID][]heldFrame),
 	}
 }
 
@@ -112,13 +134,7 @@ func (n *Network) SetGST(t sim.Time, extraMax sim.Duration, dropProb float64) {
 // AddNode registers a node with the given identity. The returned node has
 // no handler yet; messages delivered before SetHandler are dropped.
 func (n *Network) AddNode(id ids.ID, name string) *Node {
-	if _, dup := n.nodes[id]; dup {
-		panic(fmt.Sprintf("simnet: duplicate node %v", id))
-	}
-	nd := &Node{id: id, net: n, proc: sim.NewProc(n.eng, name)}
-	nd.deliver = nd.deliverMsg
-	n.nodes[id] = nd
-	return nd
+	return n.AttachNode(id, sim.NewProc(n.eng, name))
 }
 
 // AttachNode registers a node that reuses an existing process (so its busy
@@ -196,6 +212,56 @@ func (n *Network) HealAll() { n.parts = make(map[[2]ids.ID]bool) }
 // Partitioned reports whether the a<->b link is cut.
 func (n *Network) Partitioned(a, b ids.ID) bool { return n.parts[pairKey(a, b)] }
 
+// Fate is a Rule's verdict on one frame.
+type Fate uint8
+
+const (
+	Deliver Fate = iota // deliver, later by the rule's extra delay if any
+	Drop                // lose the frame (counted in Dropped)
+	Hold                // stall the directed link until Release
+)
+
+// Rule decides the fate of every frame that reaches a live, unpartitioned
+// link (step 4 of the package doc); the duration is a delivered frame's
+// extra delay. It must not mutate frame.
+type Rule func(from, to ids.ID, frame []byte) (Fate, sim.Duration)
+
+// SetRule installs the network's one rule (nil: deliver everything).
+func (n *Network) SetRule(r Rule) { n.rule = r }
+
+// Outbound rewrites one frame a Byzantine node sends: nil drops it, one
+// element forwards it (possibly mutated), several also inject. Returned
+// frames must be fresh slices or the unmodified input.
+type Outbound func(to ids.ID, frame []byte) [][]byte
+
+// SetOutbound makes node id Byzantine: every frame it sends goes through
+// out first. It holds for every incarnation of id, so a node restarted
+// under the same identity keeps its rewrite.
+func (n *Network) SetOutbound(id ids.ID, out Outbound) { n.outbound[id] = out }
+
+// Byzantine reports whether node id has an outbound rewrite.
+func (n *Network) Byzantine(id ids.ID) bool { return n.outbound[id] != nil }
+
+type heldFrame struct {
+	src   *Node
+	frame []byte
+}
+
+// Release sends the frames held on the directed link from -> to, in order,
+// as if sent now. Those whose sender crashed since, whose destination is
+// absent or whose link is partitioned are lost.
+func (n *Network) Release(from, to ids.ID) {
+	link, dst := [2]ids.ID{from, to}, n.nodes[to]
+	for _, h := range n.held[link] {
+		if dst != nil && !h.src.proc.Crashed() && !n.Partitioned(from, to) {
+			n.transmit(h.src, dst, h.frame, n.eng.Now(), 0)
+		} else {
+			n.Dropped++
+		}
+	}
+	delete(n.held, link)
+}
+
 // delay computes the one-way delay for a message of size bytes sent now,
 // and whether the message is dropped.
 func (n *Network) delay(size int) (sim.Duration, bool) {
@@ -251,70 +317,80 @@ func (nd *Node) Inbound() uint64 { return nd.inbound }
 // SetHandler installs the message handler.
 func (nd *Node) SetHandler(h Handler) { nd.handler = h }
 
-// Send transmits payload to the node identified by to. The sender pays the
-// NIC-posting dispatch cost; the wire delay, drops and partitions are
-// applied by the network; the receiver pays a dispatch cost and then runs
-// its handler, queuing behind any in-progress computation.
+// Send transmits payload to the node identified by to, deciding its fate
+// in the order of the package doc. The sender pays the NIC-posting dispatch
+// cost; the receiver pays a dispatch cost and then runs its handler,
+// queuing behind any in-progress computation.
 //
 // The payload slice is delivered as-is, uncopied: it is immutable once sent.
 // A message-ring frame is one slice shared by the sender's mirror, every
 // receiver and the broadcaster's self-delivery, and it goes out again on
 // retransmission.
 func (nd *Node) Send(to ids.ID, payload []byte) {
+	if out := nd.net.outbound[nd.id]; out != nil {
+		for _, f := range out(to, payload) {
+			nd.send(to, f)
+		}
+		return
+	}
+	nd.send(to, payload)
+}
+
+func (nd *Node) send(to ids.ID, payload []byte) {
 	if nd.proc.Crashed() {
 		return
 	}
-	dst := nd.net.nodes[to]
+	n := nd.net
+	nd.proc.Charge(latmodel.DispatchCost)
+	n.MsgsSent++
+	dst := n.nodes[to]
 	if dst == nil {
 		// A crashed-and-removed host: packets to it vanish, exactly like a
 		// partition (clients and peers keep broadcasting to a dead replica
 		// until it rejoins). Counted as drops.
-		nd.proc.Charge(latmodel.DispatchCost)
-		nd.net.MsgsSent++
-		nd.net.Dropped++
+		n.Dropped++
 		return
 	}
-	nd.proc.Charge(latmodel.DispatchCost)
-	nd.net.MsgsSent++
 	dst.inbound++
-	nd.net.BytesSent += uint64(len(payload) + nd.net.opts.HeaderBytes)
-	if nd.net.Partitioned(nd.id, to) {
-		nd.net.Dropped++
+	n.BytesSent += uint64(len(payload) + n.opts.HeaderBytes)
+	if n.Partitioned(nd.id, to) {
+		n.Dropped++
 		return
 	}
-	d, dropped := nd.net.delay(len(payload))
-	if dropped {
-		nd.net.Dropped++
+	fate, extra := Deliver, sim.Duration(0)
+	if n.rule != nil {
+		fate, extra = n.rule(nd.id, to, payload)
+	}
+	switch link := [2]ids.ID{nd.id, to}; {
+	case fate == Drop:
+		n.Dropped++
+		return
+	case fate == Hold || len(n.held) > 0 && len(n.held[link]) > 0:
+		n.held[link] = append(n.held[link], heldFrame{nd, payload})
 		return
 	}
-	from := nd.id
 	// The message departs when the sender's CPU finishes its queued work:
 	// a handler that computed (signed, hashed, copied) before sending pays
 	// that time before the NIC sees the message.
-	depart := nd.proc.BusyUntil()
-	if now := nd.net.eng.Now(); depart < now {
-		depart = now
+	n.transmit(nd, dst, payload, max(nd.proc.BusyUntil(), n.eng.Now()), extra)
+}
+
+// transmit puts payload on the wire at depart: step 5 of the package doc.
+func (n *Network) transmit(src, dst *Node, payload []byte, depart sim.Time, extra sim.Duration) {
+	d, dropped := n.delay(len(payload))
+	if dropped {
+		n.Dropped++
+		return
 	}
 	// FIFO per directed link: a message never overtakes an earlier one.
-	arrive := depart.Add(d)
-	link := [2]ids.ID{from, to}
-	if last := nd.net.lastArrival[link]; arrive < last {
+	arrive := depart.Add(d + extra)
+	link := [2]ids.ID{src.id, dst.id}
+	if last := n.lastArrival[link]; arrive < last {
 		arrive = last
 	}
-	nd.net.lastArrival[link] = arrive
+	n.lastArrival[link] = arrive
 	// Closure-free delivery: the engine carries (handler, from, payload) in
 	// the event record and queues once behind the receiver's busy horizon
 	// at arrival, replicating the arrive-then-deliver two-step.
-	nd.net.eng.PostMsg(arrive, dst.proc, dst.deliver, int(from), payload)
-}
-
-// Broadcast sends payload to every id in tos (convenience; each send is an
-// independent message).
-func (nd *Node) Broadcast(tos []ids.ID, payload []byte) {
-	for _, to := range tos {
-		if to == nd.id {
-			continue
-		}
-		nd.Send(to, payload)
-	}
+	n.eng.PostMsg(arrive, dst.proc, dst.deliver, int(src.id), payload)
 }

@@ -170,24 +170,6 @@ func TestPostGSTNeverDrops(t *testing.T) {
 	}
 }
 
-func TestBroadcastSkipsSelf(t *testing.T) {
-	e := sim.NewEngine(1)
-	n := New(e, RDMAOptions())
-	nodes := make([]*Node, 3)
-	counts := make([]int, 3)
-	all := []ids.ID{0, 1, 2}
-	for i := range nodes {
-		i := i
-		nodes[i] = n.AddNode(ids.ID(i), "n")
-		nodes[i].SetHandler(func(ids.ID, []byte) { counts[i]++ })
-	}
-	nodes[0].Broadcast(all, []byte("x"))
-	e.Run()
-	if counts[0] != 0 || counts[1] != 1 || counts[2] != 1 {
-		t.Fatalf("broadcast counts = %v", counts)
-	}
-}
-
 func TestDuplicateNodePanics(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, RDMAOptions())

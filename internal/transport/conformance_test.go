@@ -104,21 +104,21 @@ type simWorld struct {
 }
 
 func newSimWorld(t *testing.T, n int) *simWorld {
-	return newSimWorldWrapped(t, n, nil)
+	return newSimWorldRuled(t, n, nil)
 }
 
-// newSimWorldWrapped builds the simnet world with an optional fabric
-// wrapper interposed — the byz-wrapped conformance entry proves the
-// Byzantine fault-injection layer is contract-transparent for honest
-// traffic.
-func newSimWorldWrapped(t *testing.T, n int, wrap func(transport.Fabric) transport.Fabric) *simWorld {
+// newSimWorldRuled builds the simnet world with configure applied to its
+// network before any endpoint exists: the simnet-ruled conformance entry
+// proves the fate seam (outbound rewrites and the network's rule) is
+// contract-transparent for honest traffic.
+func newSimWorldRuled(t *testing.T, n int, configure func(*simnet.Network)) *simWorld {
 	e := sim.NewEngine(7)
 	net := simnet.New(e, simnet.RDMAOptions())
 	w := &simWorld{eng: net, e: e}
-	var fab transport.Fabric = simnet.AsFabric(net)
-	if wrap != nil {
-		fab = wrap(fab)
+	if configure != nil {
+		configure(net)
 	}
+	fab := simnet.AsFabric(net)
 	for i := 0; i < n; i++ {
 		ep, err := fab.NewEndpoint(ids.ID(i), fmt.Sprintf("n%d", i))
 		if err != nil {
@@ -263,15 +263,14 @@ func conformanceWorlds(t *testing.T) map[string]func(t *testing.T, n int) (world
 			w := newNetWorld(t, n)
 			return w, w.recs
 		},
-		// The Byzantine fault-injection wrapper must be invisible to honest
-		// traffic: every endpoint goes through byz (node 0 even carries an
-		// explicit identity policy), and the full contract — per-link FIFO,
-		// sender identity, no duplicates, heal-resumes — must hold verbatim.
-		"byz-wrapped": func(t *testing.T, n int) (world, []*recorder) {
-			w := newSimWorldWrapped(t, n, func(inner transport.Fabric) transport.Fabric {
-				f := byz.Wrap(inner)
-				f.Infect(ids.ID(0), byz.Passthrough{})
-				return f
+		// The fate seam must be invisible to honest traffic: node 0 carries
+		// an identity outbound rewrite and the network a deliver-all rule,
+		// and the full contract — per-link FIFO, sender identity, no
+		// duplicates, heal-resumes — must hold verbatim.
+		"simnet-ruled": func(t *testing.T, n int) (world, []*recorder) {
+			w := newSimWorldRuled(t, n, func(net *simnet.Network) {
+				byz.Infect(net, 0, byz.Passthrough{})
+				net.SetRule(func(ids.ID, ids.ID, []byte) (simnet.Fate, sim.Duration) { return simnet.Deliver, 0 })
 			})
 			return w, w.recs
 		},
