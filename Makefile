@@ -145,12 +145,16 @@ fuzz-smoke:
 
 # Fuzz the adversarial wire surfaces briefly: hostile tag-31/33 read
 # replies at the client (must never panic or inflate the read floor),
-# hostile tag-30/32 requests at a replica, and a Byzantine leader's CTBcast
+# hostile tag-30/32 requests at a replica, a Byzantine leader's CTBcast
 # deliveries at a follower (must never panic; a rejected message changes
-# nothing). The seeds run under `make test`.
+# nothing), a hostile region owner's register requests at a memory node
+# (must never panic; one completion per frame) and arbitrary bytes through
+# frames.Describe (must never panic). The seeds run under `make test`.
 fuzz-byz:
 	$(GO) test -run '^$$' -fuzz FuzzClientReadReply -fuzztime 10s ./internal/consensus/
 	$(GO) test -run '^$$' -fuzz FuzzReplicaReadRequest -fuzztime 10s ./internal/consensus/
 	$(GO) test -run '^$$' -fuzz FuzzConsensusMsg -fuzztime 10s ./internal/consensus/
+	$(GO) test -run '^$$' -fuzz FuzzMemNodeRequest -fuzztime 10s ./internal/memnode/
+	$(GO) test -run '^$$' -fuzz FuzzDescribe -fuzztime 10s ./internal/frames/
 
 ci: build lint test race bounded-mem byz-suite chaos-suite bench-smoke bench-repo

@@ -16,11 +16,14 @@
 // emits. Outbound interposition is exactly the Byzantine power model: a
 // faulty node can say anything to anyone, but it cannot forge another
 // node's sender identity (the transport authenticates links, §2.4) and it
-// cannot stop correct nodes from talking to each other. Policies parse the same wire
-// formats the protocol uses (router channel tag, msgring frame + checksum,
-// consensus PREPARE, RPC response) and re-encode with recomputed
-// checksums, so corrupted frames are indistinguishable from honest traffic
-// at the transport layer — the defenses above it have to do the work.
+// cannot stop correct nodes from talking to each other. Policies hold no
+// codec of their own: each decodes a frame through the owning layer's codec
+// (router.Split, msgring.ParseFrame, ctbcast.ParseMsg,
+// consensus.DecodePrepare and DecodeBatch, consensus.ParseReply), mutates the
+// decoded value and re-encodes it through the same owner (msgring.EncodeFrame
+// recomputes the checksum), so corrupted frames are indistinguishable from
+// honest traffic at the transport layer — the defenses above it have to do
+// the work.
 //
 // Mutating policies are pure functions of (destination, frame): a
 // retransmitted frame carries the same corruption, so the attack is
@@ -29,11 +32,13 @@ package byz
 
 import (
 	"repro/internal/app"
+	"repro/internal/consensus"
+	"repro/internal/ctbcast"
 	"repro/internal/ids"
+	"repro/internal/msgring"
 	"repro/internal/router"
 	"repro/internal/simnet"
 	"repro/internal/wire"
-	"repro/internal/xcrypto"
 )
 
 // Policy rewrites one outbound frame: nil drops it, one element forwards
@@ -101,83 +106,49 @@ func (Equivocate) Outbound(to ids.ID, frame []byte) [][]byte {
 }
 
 // rewriteLocked applies mutate to the CTBcast message carried by one of this
-// node's LOCK or LOCKED-echo ring frames and re-frames the result with a
-// recomputed ring checksum; every other frame (SIGNED and summary traffic,
-// other channels) and every message mutate declines passes unchanged.
+// node's LOCK or LOCKED-echo ring frames and re-frames the result; every
+// other frame (SIGNED and summary traffic, other channels) and every message
+// mutate declines passes unchanged.
 func rewriteLocked(frame []byte, mutate func(m []byte) ([]byte, bool)) [][]byte {
-	if len(frame) == 0 || frame[0] != router.ChanRing {
+	ch, payload := router.Split(frame)
+	if ch != router.ChanRing {
 		return keep(frame)
 	}
-	rd := wire.NewReader(frame[1:])
-	inst := rd.U32()
-	slot := rd.U32()
-	inc := rd.U64()
-	rd.U64() // original checksum, recomputed below
-	data := rd.Bytes()
-	if rd.Done() != nil || len(data) == 0 {
-		return keep(frame)
-	}
-	tag := data[0]
-	if tag != wire.RingTagLock && tag != wire.RingTagLocked {
-		return keep(frame) // leave SIGNED/summary traffic to the slow path
-	}
-	drd := wire.NewReader(data[1:])
-	k := drd.U64()
-	m := drd.Bytes()
-	if drd.Done() != nil {
-		return keep(frame)
-	}
-	m2, ok := mutate(m)
+	f, ok := msgring.ParseFrame(payload)
 	if !ok {
 		return keep(frame)
 	}
-	dw := wire.NewWriter(16 + len(m2))
-	dw.U8(tag)
-	dw.U64(k)
-	dw.Bytes(m2)
-	newData := dw.Finish()
-	w := wire.NewWriter(len(frame) + 16)
-	w.U8(router.ChanRing)
-	w.U32(inst)
-	w.U32(slot)
-	w.U64(inc)
-	w.U64(xcrypto.ChecksumNoCharge(newData))
-	w.Bytes(newData)
-	return [][]byte{w.Finish()}
+	msg, ok := ctbcast.ParseMsg(f.Msg)
+	if !ok || msg.Tag != wire.RingTagLock && msg.Tag != wire.RingTagLocked {
+		return keep(frame) // leave SIGNED/summary traffic to the slow path
+	}
+	if msg.M, ok = mutate(msg.M); !ok {
+		return keep(frame)
+	}
+	w := wire.NewWriter(len(f.Msg) + 16)
+	ctbcast.AppendMsg(w, msg)
+	f.Msg = w.Finish()
+	return [][]byte{msgring.EncodeFrame(f)}
 }
 
 // mutatePrepare rewrites the client payload inside a PREPARE carrying
 // exactly one non-empty request, with a destination-derived XOR mask
 // (pure in (to, m), so retransmissions equivocate consistently).
 func mutatePrepare(m []byte, to ids.ID) ([]byte, bool) {
-	rd := wire.NewReader(m)
-	if rd.U8() != wire.TagPrepare {
-		return nil, false
-	}
-	view := rd.U64()
-	slot := rd.U64()
-	client := rd.I64()
-	num := rd.U64()
-	payload := rd.Bytes()
-	if rd.Done() != nil || len(payload) == 0 {
+	p, err := consensus.DecodePrepare(m)
+	if err != nil || len(p.Req.Payload) == 0 {
 		return nil, false // filler/no-op proposals have nothing to equivocate
 	}
 	mask := byte(uint64(to)&0xff) ^ 0xA5
 	if mask == 0 {
 		mask = 0xA5
 	}
-	forged := make([]byte, len(payload))
-	for i, b := range payload {
+	forged := make([]byte, len(p.Req.Payload))
+	for i, b := range p.Req.Payload {
 		forged[i] = b ^ mask
 	}
-	w := wire.NewWriter(len(m) + 8)
-	w.U8(wire.TagPrepare)
-	w.U64(view)
-	w.U64(slot)
-	w.I64(client)
-	w.U64(num)
-	w.Bytes(forged)
-	return w.Finish(), true
+	p.Req.Payload = forged
+	return consensus.EncodePrepare(p), true
 }
 
 // BadBatch is the leader that abuses batching: every PREPARE it sends is
@@ -195,65 +166,34 @@ func mutatePrepare(m []byte, to ids.ID) ([]byte, bool) {
 // fast path.
 type BadBatch struct{ Shift, N, Index int }
 
-// batchClient and noClient mirror consensus: the container marker, and a
-// client identity no deployment assigns.
-const (
-	batchClient = -2
-	noClient    = 999_999
-)
+// noClient is a client identity no deployment assigns.
+const noClient = 999_999
 
 // Outbound implements Policy.
 func (p BadBatch) Outbound(_ ids.ID, frame []byte) [][]byte {
 	return rewriteLocked(frame, func(m []byte) ([]byte, bool) {
-		rd := wire.NewReader(m)
-		if rd.U8() != wire.TagPrepare {
-			return nil, false
-		}
-		view, slot := rd.U64(), rd.U64()
-		client, num, payload := rd.I64(), rd.U64(), rd.Bytes()
-		if rd.Done() != nil || len(payload) == 0 || int(view%uint64(p.N)) != p.Index {
+		pr, err := consensus.DecodePrepare(m)
+		if err != nil || len(pr.Req.Payload) == 0 || int(uint64(pr.View)%uint64(p.N)) != p.Index {
 			return nil, false // filler/no-op proposals stay as they are
 		}
 		// The honest entries: the container's own, or the lone request.
-		n, entries := uint64(1), []byte(nil)
-		if client == batchClient {
-			brd := wire.NewReader(payload)
-			n = brd.Uvarint()
-			entries = payload[len(payload)-brd.Remaining():]
-		} else {
-			ew := wire.NewWriter(24 + len(payload))
-			ew.I64(client)
-			ew.U64(num)
-			ew.Bytes(payload)
-			entries = ew.Finish()
+		reqs := []consensus.Request{pr.Req}
+		if pr.Req.IsBatch() {
+			if reqs, err = consensus.DecodeBatch(pr.Req); err != nil {
+				return nil, false
+			}
 		}
-		first := wire.NewReader(entries)
-		fc, fn, fp := first.I64(), first.U64(), first.Bytes()
-		bw := wire.NewWriter(len(entries) + len(fp) + 64)
-		bw.Uvarint(n + 1)
-		bw.Raw(entries)
-		switch (slot + uint64(p.Shift)) % 3 {
+		first := reqs[0]
+		switch (uint64(pr.Slot) + uint64(p.Shift)) % 3 {
 		case 0: // the first request again
-			bw.I64(fc)
-			bw.U64(fn)
-			bw.Bytes(fp)
+			reqs = append(reqs, first)
 		case 1: // a request nobody sent
-			bw.I64(noClient)
-			bw.U64(slot + 1)
-			bw.Bytes(fp)
+			reqs = append(reqs, consensus.Request{Client: noClient, Num: uint64(pr.Slot) + 1, Payload: first.Payload})
 		default: // a container inside the container
-			bw.I64(batchClient)
-			bw.U64(0)
-			bw.Bytes([]byte{0})
+			reqs = append(reqs, consensus.EncodeBatch(nil))
 		}
-		w := wire.NewWriter(len(m) + len(fp) + 96)
-		w.U8(wire.TagPrepare)
-		w.U64(view)
-		w.U64(slot)
-		w.I64(batchClient)
-		w.U64(0)
-		w.Bytes(bw.Finish())
-		return w.Finish(), true
+		pr.Req = consensus.EncodeBatch(reqs)
+		return consensus.EncodePrepare(pr), true
 	})
 }
 
@@ -261,7 +201,7 @@ func (p BadBatch) Outbound(_ ids.ID, frame []byte) [][]byte {
 // (wire.TagReadResponse) get flipped result bytes, a version inflated by
 // 2^40 and lying served/crossed flags; ordered replies (wire.TagResponse)
 // get flipped result bytes, an inflated slot and a flipped parked marker.
-// The policies parse frames straight off the wire registry
+// The policies name the reply tags of the wire registry
 // (internal/wire/tags.go); the tagregistry lint cross-checks that every
 // //wire:client-reply tag in the registry is exercised here, so a new
 // client-facing reply tag cannot dodge the harness. The attack targets the f+1
@@ -273,39 +213,32 @@ type ForgeReads struct{}
 
 // Outbound implements Policy.
 func (ForgeReads) Outbound(_ ids.ID, frame []byte) [][]byte {
-	if len(frame) < 2 || frame[0] != router.ChanRPC {
+	// reply admits these two tags only; naming them is what the
+	// tagregistry lint checks.
+	rep, ok := reply(frame)
+	if !ok || rep.Tag != wire.TagResponse && rep.Tag != wire.TagReadResponse {
 		return keep(frame)
 	}
-	tag := frame[1]
-	if tag != wire.TagResponse && tag != wire.TagReadResponse {
-		return keep(frame)
-	}
-	rd := wire.NewReader(frame[2:])
-	num := rd.U64()
-	version := rd.U64()
-	flags := rd.U8()
-	result := rd.Bytes()
-	if rd.Done() != nil {
-		return keep(frame)
-	}
-	forged := make([]byte, len(result))
-	for i, b := range result {
+	forged := make([]byte, len(rep.Result))
+	for i, b := range rep.Result {
 		forged[i] = b ^ 0x5A
 	}
-	version += 1 << 40 // claim a state version far past anything real
-	if tag == wire.TagReadResponse {
-		flags = (flags | wire.ReadFlagServed) ^ wire.ReadFlagCrossed
+	rep.Result = forged
+	rep.At += 1 << 40 // claim a state version far past anything real
+	if rep.Tag == wire.TagReadResponse {
+		rep.Flags = (rep.Flags | wire.ReadFlagServed) ^ wire.ReadFlagCrossed
 	} else {
-		flags ^= wire.RespFlagParked
+		rep.Flags ^= wire.RespFlagParked
 	}
-	w := wire.NewWriter(len(frame) + 8)
-	w.U8(router.ChanRPC)
-	w.U8(tag)
-	w.U64(num)
-	w.U64(version)
-	w.U8(flags)
-	w.Bytes(forged)
-	return [][]byte{w.Finish()}
+	return [][]byte{consensus.EncodeReply(rep)}
+}
+
+// reply decodes a client reply frame (consensus.ParseReply).
+func reply(frame []byte) (consensus.Reply, bool) {
+	if ch, payload := router.Split(frame); ch == router.ChanRPC {
+		return consensus.ParseReply(payload)
+	}
+	return consensus.Reply{}, false
 }
 
 // CorruptVotes attacks the 2PC plane: single-status-byte ordered replies —
@@ -326,32 +259,19 @@ type CorruptVotes struct {
 
 // Outbound implements Policy.
 func (p *CorruptVotes) Outbound(to ids.ID, frame []byte) [][]byte {
-	if len(frame) < 2 || frame[0] != router.ChanRPC || frame[1] != wire.TagResponse {
+	rep, ok := reply(frame)
+	if !ok || rep.Tag != wire.TagResponse || len(rep.Result) != 1 {
 		return keep(frame)
 	}
-	rd := wire.NewReader(frame[2:])
-	num := rd.U64()
-	slot := rd.U64()
-	flags := rd.U8()
-	result := rd.Bytes()
-	if rd.Done() != nil || len(result) != 1 {
-		return keep(frame)
-	}
-	forged := result[0]
+	forged := rep.Result[0]
 	switch forged {
 	case app.StatusOK: // a yes-vote becomes a refusal
 		forged = app.StatusConflict
 	case app.StatusConflict: // a refusal becomes a yes-vote
 		forged = app.StatusOK
 	}
-	w := wire.NewWriter(len(frame) + 4)
-	w.U8(router.ChanRPC)
-	w.U8(wire.TagResponse)
-	w.U64(num)
-	w.U64(slot)
-	w.U8(flags)
-	w.Bytes([]byte{forged})
-	out := [][]byte{w.Finish()}
+	rep.Result = []byte{forged}
+	out := [][]byte{consensus.EncodeReply(rep)}
 
 	every := p.ReplayEvery
 	if every <= 0 {

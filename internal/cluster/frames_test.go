@@ -17,10 +17,11 @@ import (
 	"repro/internal/byz"
 	"repro/internal/cluster"
 	"repro/internal/ids"
+	"repro/internal/memnode"
+	"repro/internal/msgring"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/wire"
 	"repro/internal/xcrypto"
 )
 
@@ -44,9 +45,10 @@ type sentPayload struct {
 }
 
 type ringFrame struct {
-	from, to   ids.ID
-	inst, slot uint32
-	inc        uint64
+	from, to ids.ID
+	inst     msgring.Instance
+	slot     uint32
+	inc      uint64
 }
 
 type memRequest struct {
@@ -60,20 +62,15 @@ func newFrameAudit() *frameAudit {
 
 func (a *frameAudit) record(from, to ids.ID, payload []byte) {
 	a.sent = append(a.sent, sentPayload{from: from, to: to, buf: payload, sum: xcrypto.ChecksumNoCharge(payload)})
-	if len(payload) == 0 {
-		return
-	}
-	rd := wire.NewReader(payload[1:])
-	switch payload[0] {
+	ch, frame := router.Split(payload)
+	switch ch {
 	case router.ChanRing:
-		f := ringFrame{from: from, to: to, inst: rd.U32(), slot: rd.U32(), inc: rd.U64()}
-		if rd.Err() == nil {
-			a.retransmit += seen(a.ringSeen, f)
+		if f, ok := msgring.ParseFrame(frame); ok {
+			a.retransmit += seen(a.ringSeen, ringFrame{from: from, to: to, inst: f.Inst, slot: f.Slot, inc: f.Inc})
 		}
 	case router.ChanMemReq:
-		rd.U8() // op
-		if req := (memRequest{from: from, to: to, seq: rd.U64()}); rd.Err() == nil {
-			a.memRetransmit += seen(a.memSeen, req)
+		if req, err := memnode.ParseRequest(frame); err == nil {
+			a.memRetransmit += seen(a.memSeen, memRequest{from: from, to: to, seq: req.Seq})
 		}
 	}
 }

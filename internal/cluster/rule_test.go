@@ -5,15 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/frames"
 	"repro/internal/ids"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 	"repro/internal/xcrypto"
 )
 
 // TestRuleHoldsAndKillsAtProtocolSteps drives faults from the network's one
-// rule: every client request to replica 1 is held for 200us and then
+// rule, which names frames by what they carry (frames.Describe): every client
+// request to replica 1 is held for 200us and then
 // released, and replica 2's first summary share kills it, with a restart
 // 1 ms later. The run must complete every operation, keep the replicas in
 // agreement, go quiet, and be a pure function of its seed.
@@ -32,15 +35,16 @@ func TestRuleHoldsAndKillsAtProtocolSteps(t *testing.T) {
 		held, killedAt := 0, sim.Time(-1)
 		holding := false
 		u.Net.SetRule(func(from, to ids.ID, frame []byte) (simnet.Fate, sim.Duration) {
+			d := frames.Describe(len(u.ReplicaIDs), frame)
 			switch {
-			case from == client && to == r1 && frame[0] == router.ChanRPC:
+			case from == client && to == r1 && d.Tag == wire.TagRequest:
 				held++
 				if !holding {
 					holding = true
 					u.Eng.After(200*sim.Microsecond, func() { holding = false; u.Net.Release(client, r1) })
 				}
 				return simnet.Hold, 0
-			case from == r2 && frame[0] == router.ChanSummary && killedAt < 0:
+			case from == r2 && d.Chan == router.ChanSummary && killedAt < 0:
 				killedAt = u.Eng.Now()
 				u.Eng.After(0, func() {
 					if err := u.KillReplica(2); err != nil {

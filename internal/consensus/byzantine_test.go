@@ -74,11 +74,11 @@ func TestValidatePrepareFromNonLeaderRejected(t *testing.T) {
 	r := rig.reps[0]
 	// Replica 1 is not the leader of view 0 but "broadcasts" a PREPARE.
 	pr := Prepare{View: 0, Slot: 0, Req: Request{Client: 200, Num: 1, Payload: []byte("x")}}
-	if r.accepts(ids.ID(1), encodePrepare(pr)) {
+	if r.accepts(ids.ID(1), EncodePrepare(pr)) {
 		t.Fatal("PREPARE from non-leader validated")
 	}
 	// From the actual leader it passes.
-	if !r.accepts(ids.ID(0), encodePrepare(pr)) {
+	if !r.accepts(ids.ID(0), EncodePrepare(pr)) {
 		t.Fatal("legitimate PREPARE rejected")
 	}
 }
@@ -88,7 +88,7 @@ func TestValidatePrepareOutsideWindowRejected(t *testing.T) {
 	defer rig.stop()
 	r := rig.reps[1]
 	pr := Prepare{View: 0, Slot: 999, Req: NoOp()} // window is [0,31]
-	if r.accepts(ids.ID(0), encodePrepare(pr)) {
+	if r.accepts(ids.ID(0), EncodePrepare(pr)) {
 		t.Fatal("out-of-window PREPARE validated")
 	}
 }
@@ -98,13 +98,13 @@ func TestValidateDuplicatePrepareRejected(t *testing.T) {
 	defer rig.stop()
 	r := rig.reps[1]
 	pr := Prepare{View: 0, Slot: 3, Req: Request{Client: 200, Num: 1, Payload: []byte("a")}}
-	if !r.accepts(ids.ID(0), encodePrepare(pr)) {
+	if !r.accepts(ids.ID(0), EncodePrepare(pr)) {
 		t.Fatal("first PREPARE rejected")
 	}
 	// A second, conflicting PREPARE for the same slot in the same view is
 	// equivocation at the consensus level.
 	pr2 := Prepare{View: 0, Slot: 3, Req: Request{Client: 200, Num: 2, Payload: []byte("b")}}
-	if r.accepts(ids.ID(0), encodePrepare(pr2)) {
+	if r.accepts(ids.ID(0), EncodePrepare(pr2)) {
 		t.Fatal("consensus-level equivocation validated")
 	}
 }
@@ -569,7 +569,7 @@ func TestValidateMalformedBatchRejected(t *testing.T) {
 	a := Request{Client: 200, Num: 1, Payload: []byte("a")}
 	b := Request{Client: 201, Num: 1, Payload: []byte("b")}
 	prep := func(slot Slot, req Request) []byte {
-		return encodePrepare(Prepare{View: 0, Slot: slot, Req: req})
+		return EncodePrepare(Prepare{View: 0, Slot: slot, Req: req})
 	}
 	if !r.accepts(ids.ID(0), prep(0, EncodeBatch([]Request{a, b}))) {
 		t.Fatal("well-formed batch rejected")
@@ -600,7 +600,7 @@ func TestBatchWithUnknownSubRequestNotEndorsed(t *testing.T) {
 	forged := Request{Client: 200, Num: 2, Payload: []byte("never sent")}
 	held := r.request(known.Digest())
 	held.req, held.held = known, true
-	if !r.accepts(ids.ID(0), encodePrepare(Prepare{View: 0, Slot: 0, Req: EncodeBatch([]Request{known, forged})})) {
+	if !r.accepts(ids.ID(0), EncodePrepare(Prepare{View: 0, Slot: 0, Req: EncodeBatch([]Request{known, forged})})) {
 		t.Fatal("well-formed batch rejected")
 	}
 	ss := r.slots[0]

@@ -242,7 +242,7 @@ func freshSlot(s Slot) slotState {
 func FuzzConsensusMsg(f *testing.F) {
 	rig := newMsgFuzzRig(f)
 	req := Request{Client: 200, Num: 1, Payload: []byte("x")}
-	prep := func(v View, s Slot, req Request) []byte { return encodePrepare(Prepare{View: v, Slot: s, Req: req}) }
+	prep := func(v View, s Slot, req Request) []byte { return EncodePrepare(Prepare{View: v, Slot: s, Req: req}) }
 	commit := func(sigs xcrypto.Cert) []byte {
 		w := wire.NewWriter(256)
 		w.U8(tagCommit)

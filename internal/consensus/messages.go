@@ -41,6 +41,45 @@ const (
 	tagJoinAns   = wire.TagJoinAns
 )
 
+// Header is what a consensus or client RPC message says first: its tag, and
+// whichever of view, slot, client and request number its layout leads with.
+// A checkpoint's or state transfer's sequence number reads as its slot, and
+// so do a read request's pinned version and a reply's At.
+type Header struct {
+	Tag    uint8
+	View   View
+	Slot   Slot
+	Client ids.ID
+	Num    uint64
+}
+
+// ReadHeader reads the header of a consensus message (CTBcast, auxiliary or
+// direct) or of a client RPC frame, channel tag stripped. It is diagnostic:
+// no handler calls it, and it does not judge what follows the header. ok is
+// false for an unknown tag and for a message too short for its header.
+func ReadHeader(m []byte) (h Header, ok bool) {
+	rd := wire.NewReader(m)
+	h.Tag = rd.U8()
+	switch h.Tag {
+	case tagPrepare, tagCommit, tagCertify, tagWillCertify, tagWillCommit:
+		h.View, h.Slot = View(rd.U64()), Slot(rd.U64())
+	case tagCheckpoint, tagCertifyCP, tagStateReq, tagStateResp:
+		h.Slot = Slot(rd.U64())
+	case tagSealView, tagNewView, tagNewViewFrag, tagCertifyVC:
+		h.View = View(rd.U64())
+	case tagReadRequest, tagResponse, tagReadResponse:
+		h.Num, h.Slot = rd.U64(), Slot(rd.U64())
+	case tagRequest, tagEcho, tagJoinProbe, tagJoinAns:
+	default:
+		return Header{}, false
+	}
+	if h.Tag == tagPrepare || h.Tag == tagCommit || h.Tag == tagRequest {
+		req := decodeRequest(rd)
+		h.Client, h.Num = req.Client, req.Num
+	}
+	return h, rd.Err() == nil
+}
+
 // Request is a client command. A no-op request (view-change filler) has
 // Client == ids.None.
 type Request struct {
@@ -191,17 +230,23 @@ func appendPrepare(w *wire.Writer, p Prepare) {
 	p.Req.encode(w)
 }
 
-// encodePrepare allocates a standalone PREPARE frame (tests and Byzantine
+// EncodePrepare allocates a standalone PREPARE message (tests and Byzantine
 // harnesses; hot paths use appendPrepare with pooled writers).
-func encodePrepare(p Prepare) []byte {
+func EncodePrepare(p Prepare) []byte {
 	w := wire.NewWriter(40 + len(p.Req.Payload))
 	appendPrepare(w, p)
 	return w.Finish()
 }
 
-func decodePrepare(rd *wire.Reader) (Prepare, error) {
+// DecodePrepare parses a PREPARE message, tag included, in borrow mode: the
+// request's payload is a view of m (see decodeRequest).
+func DecodePrepare(m []byte) (Prepare, error) {
+	rd := wire.NewReader(m)
+	if tag := rd.U8(); tag != tagPrepare {
+		return Prepare{}, fmt.Errorf("consensus: tag %d is not a PREPARE", tag)
+	}
 	p := Prepare{View: View(rd.U64()), Slot: Slot(rd.U64()), Req: decodeRequest(rd)}
-	return p, rd.Err()
+	return p, rd.Done()
 }
 
 // appendCertifyPayload encodes what replicas sign in CERTIFY messages: it

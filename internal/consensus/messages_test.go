@@ -54,13 +54,9 @@ func TestRequestDigestBindsAllFields(t *testing.T) {
 
 func TestPrepareRoundTrip(t *testing.T) {
 	p := Prepare{View: 3, Slot: 77, Req: Request{Client: 9, Num: 1, Payload: []byte("x")}}
-	rd := wire.NewReader(encodePrepare(p))
-	if rd.U8() != tagPrepare {
-		t.Fatal("tag wrong")
-	}
-	got, err := decodePrepare(rd)
-	if err != nil || rd.Done() != nil {
-		t.Fatalf("decode: %v %v", err, rd.Done())
+	got, err := DecodePrepare(EncodePrepare(p))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if got.View != 3 || got.Slot != 77 || got.Req.Client != 9 {
 		t.Fatalf("round trip: %+v", got)
@@ -213,8 +209,7 @@ func TestNewViewFragRejectsMalformed(t *testing.T) {
 func TestDecodersRejectGarbage(t *testing.T) {
 	prop := func(garbage []byte) bool {
 		// None of these may panic; errors are fine.
-		rd := wire.NewReader(garbage)
-		_, _ = decodePrepare(rd)
+		_, _ = DecodePrepare(garbage)
 		_, _ = decodeCommitCert(wire.NewReader(garbage))
 		_, _ = decodeCheckpoint(wire.NewReader(garbage))
 		_, _ = decodeCertifiedState(garbage)

@@ -101,7 +101,7 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 			seen.note(*ss)
 		}
 	}
-	prep := func(v View) []byte { return encodePrepare(Prepare{View: v, Slot: s, Req: req}) }
+	prep := func(v View) []byte { return EncodePrepare(Prepare{View: v, Slot: s, Req: req}) }
 
 	step("view-0 PREPARE before the client copy", r.accepts(0, prep(0)) && r.slots[s].waitingReq != nil)
 	for p := ids.ID(0); p < 3; p++ {
@@ -132,7 +132,7 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	ss := r.slots[s]
 	r.dropSlot(s, ss)
 	next := Request{Client: 200, Num: 2, Payload: []byte("second life")}
-	step("view-1 PREPARE of the next slot", r.accepts(1, encodePrepare(Prepare{View: 1, Slot: s + 1, Req: next})) &&
+	step("view-1 PREPARE of the next slot", r.accepts(1, EncodePrepare(Prepare{View: 1, Slot: s + 1, Req: next})) &&
 		r.slots[s+1] == ss && ss.sentView == 1)
 	seen.note(*ss)
 	seen.requireAll(t, slotState{})
@@ -219,7 +219,7 @@ func TestPrunedSlotsFallbackDiesWithIt(t *testing.T) {
 	r := rig.reps[1]
 	old := Request{Client: 200, Num: 1, Payload: []byte("old")}
 	next := Request{Client: 200, Num: 2, Payload: []byte("next")}
-	if !r.accepts(0, encodePrepare(Prepare{View: 0, Slot: 5, Req: old})) {
+	if !r.accepts(0, EncodePrepare(Prepare{View: 0, Slot: 5, Req: old})) {
 		t.Fatal("PREPARE of slot 5 rejected")
 	}
 	r.onRPC(200, clientFrame(old))
@@ -231,7 +231,7 @@ func TestPrunedSlotsFallbackDiesWithIt(t *testing.T) {
 	sentBefore := r.auxOut.Next()
 	// The next PREPARE parks (no client copy yet), so the slot arms no
 	// fallback of its own: only the old deadline could sign for it.
-	if !r.accepts(0, encodePrepare(Prepare{View: 0, Slot: 7, Req: next})) || r.slots[7] != ss || r.slots[7].waitingReq == nil {
+	if !r.accepts(0, EncodePrepare(Prepare{View: 0, Slot: 7, Req: next})) || r.slots[7] != ss || r.slots[7].waitingReq == nil {
 		t.Fatal("slot 7 did not reuse slot 5's record, or did not park")
 	}
 	rig.eng.RunFor(rig.reps[1].cfg.SlowPathDelay * 3 / 2) // past the old deadline, short of suspicion

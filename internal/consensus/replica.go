@@ -102,13 +102,32 @@ func (c *Config) indexOf(p ids.ID) int {
 	return -1
 }
 
-// Instance / region layout: each replica i owns a CTBcast group (n+1 ring
-// instances) plus one auxiliary TBcast channel.
+// Instance / region layout: each replica i owns a block of n+2 ring
+// instances, its CTBcast group's n+1 (the broadcaster channel, then the
+// LOCKED channel of each member in Replicas order) and its auxiliary TBcast
+// channel. RingOf is the inverse.
 func (c *Config) groupInstanceBase(i int) msgring.Instance {
 	return msgring.Instance(i * (c.n() + 2))
 }
 func (c *Config) auxInstance(i int) msgring.Instance {
-	return msgring.Instance(i*(c.n()+2) + c.n() + 1)
+	return c.groupInstanceBase(i) + msgring.Instance(c.n()+1)
+}
+
+// RingKind says which of its owner's channels a ring instance is.
+type RingKind uint8
+
+const (
+	RingBroadcast RingKind = iota // the owner's CTBcast channel: LOCK, SIGNED, SUMMARY
+	RingLocked                    // a member's LOCKED channel in the owner's group
+	RingAux                       // the owner's auxiliary TBcast channel
+)
+
+// RingOf inverts the instance layout of a group of n > 0 replicas: the index
+// of the replica whose block holds inst, and which of its channels inst is
+// (block position 0, 1 to n, n+1).
+func RingOf(n int, inst msgring.Instance) (owner int, kind RingKind) {
+	owner, at := int(inst)/(n+2), int(inst)%(n+2)
+	return owner, RingKind(min(at, 1) + at/(n+1))
 }
 func (c *Config) regionBase(i int) memnode.RegionID {
 	return c.RegionOffset + memnode.RegionID(i*c.n()*c.Tail)
@@ -681,8 +700,8 @@ func (r *Replica) onConsensusMsg(p ids.ID, m []byte) ctbcast.Verdict {
 	st := r.state[p]
 	switch rd.U8() {
 	case tagPrepare:
-		pr, err := decodePrepare(rd)
-		if err != nil || rd.Done() != nil || !r.validPrepare(p, st, &pr) {
+		pr, err := DecodePrepare(m)
+		if err != nil || !r.validPrepare(p, st, &pr) {
 			return ctbcast.Reject
 		}
 		r.onPrepare(st, pr)

@@ -319,15 +319,7 @@ func (r *Replica) drainPinnedReads() {
 // pin, but the version still teaches the client how far this replica has
 // executed (its frontier input).
 func (r *Replica) readReplyFrame(num uint64, flags uint8, result []byte) []byte {
-	var w wire.Writer
-	w.Grow(3 + 16 + wire.BytesLen(len(result)))
-	w.U8(router.ChanRPC)
-	w.U8(tagReadResponse)
-	w.U64(num)
-	w.U64(uint64(r.lastApplied))
-	w.U8(flags)
-	w.Bytes(result)
-	return w.Finish()
+	return EncodeReply(Reply{Tag: tagReadResponse, Num: num, At: uint64(r.lastApplied), Flags: flags, Result: result})
 }
 
 // refuseRead sends a refusal at once, from the main process.
@@ -455,18 +447,50 @@ func (r *Replica) shouldRebroadcast(rs *reqState) bool {
 
 // respond sends an execution result back to the client.
 func (r *Replica) respond(client ids.ID, reqNum uint64, slot Slot, result []byte, parked bool) {
-	w := wire.GetWriter(40 + len(result))
-	w.U8(tagResponse)
-	w.U64(reqNum)
-	w.U64(uint64(slot))
 	var flags uint8
 	if parked {
 		flags |= respFlagParked
 	}
-	w.U8(flags)
-	w.Bytes(result)
-	r.rt.Send(client, router.ChanRPC, w.Finish())
-	wire.PutWriter(w)
+	r.rt.SendFrame(client, EncodeReply(Reply{Tag: tagResponse, Num: reqNum, At: uint64(slot), Flags: flags, Result: result}))
+}
+
+// Reply is a replica's answer to a client: to an ordered request
+// (TagResponse; At is the slot it executed at) or to a fast read
+// (TagReadResponse; At is how far the replica had executed).
+type Reply struct {
+	Tag    uint8
+	Num    uint64
+	At     uint64
+	Flags  uint8
+	Result []byte
+}
+
+// EncodeReply encodes rep as a frame, channel tag first, into a fresh slice
+// of exact size that is never written once sent.
+func EncodeReply(rep Reply) []byte {
+	var w wire.Writer
+	w.Grow(3 + 16 + wire.BytesLen(len(rep.Result)))
+	w.U8(router.ChanRPC)
+	w.U8(rep.Tag)
+	w.U64(rep.Num)
+	w.U64(rep.At)
+	w.U8(rep.Flags)
+	w.Bytes(rep.Result)
+	return w.Finish()
+}
+
+// ParseReply decodes a reply, channel tag stripped, in borrow mode: Result is
+// a view of payload, a reply frame, which is immutable once sent. ok is false
+// for anything but a well-formed reply.
+func ParseReply(payload []byte) (Reply, bool) {
+	rd := wire.NewReader(payload)
+	tag := rd.U8()
+	num, at, flags := rd.U64(), rd.U64(), rd.U8()
+	result := rd.BytesView()
+	if tag != tagResponse && tag != tagReadResponse || rd.Done() != nil {
+		return Reply{}, false
+	}
+	return Reply{Tag: tag, Num: num, At: at, Flags: flags, Result: result}, true
 }
 
 // Client is a uBFT client: it fires unsigned requests at every replica of
@@ -821,23 +845,18 @@ func (c *Client) dropRead(p *pendingRead) {
 func (c *Client) PendingCount() int { return len(c.pending) + len(c.pendingReads) }
 
 func (c *Client) onRPC(from ids.ID, payload []byte) {
-	rd := wire.NewReader(payload)
-	switch rd.U8() {
-	case tagResponse:
-		c.onResponse(from, rd)
-	case tagReadResponse:
-		c.onReadResponse(from, rd)
+	rep, ok := ParseReply(payload)
+	switch {
+	case !ok:
+	case rep.Tag == tagResponse:
+		c.onResponse(from, rep)
+	default:
+		c.onReadResponse(from, rep)
 	}
 }
 
-func (c *Client) onResponse(from ids.ID, rd *wire.Reader) {
-	num := rd.U64()
-	slot := Slot(rd.U64())
-	flags := rd.U8()
-	result := rd.BytesView() // the reply frame is immutable once sent
-	if rd.Done() != nil {
-		return
-	}
+func (c *Client) onResponse(from ids.ID, rep Reply) {
+	num, slot, flags, result := rep.Num, Slot(rep.At), rep.Flags, rep.Result
 	p := c.pending[num]
 	if p == nil {
 		return
@@ -1043,14 +1062,8 @@ func (c *Client) sendRead(p *pendingRead, to uint64) {
 // merely found the replicas version-skewed, which re-reads pinned at the
 // revealed frontier first. An accepted-but-locked result goes straight to
 // the ordered path.
-func (c *Client) onReadResponse(from ids.ID, rd *wire.Reader) {
-	num := rd.U64()
-	version := Slot(rd.U64())
-	flags := rd.U8()
-	result := rd.BytesView() // the reply frame is immutable once sent
-	if rd.Done() != nil {
-		return
-	}
+func (c *Client) onReadResponse(from ids.ID, rep Reply) {
+	num, version, flags, result := rep.Num, Slot(rep.At), rep.Flags, rep.Result
 	served := flags&readFlagServed != 0
 	p := c.pendingReads[num]
 	if p == nil {

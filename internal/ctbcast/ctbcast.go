@@ -509,13 +509,60 @@ func (g *Group) isDelivered(k uint64) bool {
 	return g.delivered[k%uint64(g.p.Tail)] >= k
 }
 
+// Msg is one message of a CTBcast ring channel: <LOCK, k, m>, <SIGNED, k,
+// m, sig> and <SUMMARY, id, state, cert> on the broadcaster's channel,
+// <LOCKED, k, m> on a member's. Identifiers start at 1.
+type Msg struct {
+	Tag  uint8
+	K    uint64
+	M    []byte
+	Sig  []byte       // SIGNED only
+	Cert xcrypto.Cert // SUMMARY only
+}
+
+// AppendMsg encodes msg into w.
+func AppendMsg(w *wire.Writer, msg Msg) {
+	w.U8(msg.Tag)
+	w.U64(msg.K)
+	w.Bytes(msg.M)
+	switch msg.Tag {
+	case tagSigned:
+		w.Bytes(msg.Sig)
+	case tagSummary:
+		msg.Cert.AppendTo(w)
+	}
+}
+
+// ParseMsg decodes a CTBcast message in borrow mode: M, Sig and the
+// certificate's signatures are views of b, the message of a delivered ring
+// frame — the one the network delivered, or the same frame's self-delivery —
+// which is immutable once sent and never recycled, so views, even ones
+// retained in the lock arrays or slowPending, stay valid indefinitely
+// without copying. They are shared with every other reader of the frame and
+// are never written through. ok is false for an unknown tag and for
+// identifier 0.
+func ParseMsg(b []byte) (Msg, bool) {
+	r := wire.NewReader(b)
+	msg := Msg{Tag: r.U8(), K: r.U64(), M: r.BytesView()}
+	var err error
+	switch msg.Tag {
+	case tagLock, tagLocked:
+	case tagSigned:
+		//ubft:poolsafety a Msg borrows its ring frame, which is immutable once sent and never recycled (see the borrow-mode note above)
+		msg.Sig = r.BytesView()
+	case tagSummary:
+		msg.Cert, err = xcrypto.ReadCert(r)
+	default:
+		return Msg{}, false
+	}
+	return msg, err == nil && r.Done() == nil && msg.K != 0
+}
+
 // sendLock broadcasts <LOCK, k, m> and returns m's bytes inside the sent ring
 // frame, which is immutable once sent.
 func (g *Group) sendLock(k uint64, m []byte) []byte {
 	w := wire.GetWriter(16 + len(m))
-	w.U8(tagLock)
-	w.U64(k)
-	w.Bytes(m)
+	AppendMsg(w, Msg{Tag: tagLock, K: k, M: m})
 	idx := g.bcast.Broadcast(w.Finish()) // Broadcast does not retain the frame
 	wire.PutWriter(w)
 	lock := g.bcast.Msg(idx)
@@ -526,10 +573,7 @@ func (g *Group) sendSigned(k uint64, m []byte) {
 	dg := xcrypto.Digest(g.env.Proc, m)
 	sig := g.signSigned(k, dg)
 	w := wire.GetWriter(128 + len(m))
-	w.U8(tagSigned)
-	w.U64(k)
-	w.Bytes(m)
-	w.Bytes(sig)
+	AppendMsg(w, Msg{Tag: tagSigned, K: k, M: m, Sig: sig})
 	g.bcast.Broadcast(w.Finish())
 	wire.PutWriter(w)
 }
@@ -573,39 +617,17 @@ func (g *Group) verifySigned(k uint64, dg [xcrypto.DigestLen]byte, sig []byte) b
 }
 
 // onBroadcasterMsg handles LOCK / SIGNED / SUMMARY from the broadcaster's
-// channel (TBcast-deliver events at this receiver).
-// onBroadcasterMsg decodes in borrow mode: payload is a view into the
-// broadcaster's ring frame — the one the network delivered, or the same
-// frame's self-delivery — which is immutable once sent and never recycled,
-// so views, even ones retained in locks/slowPending, stay valid indefinitely
-// without copying. They are shared with every other reader of the frame and
-// are never written through.
+// channel (TBcast-deliver events at this receiver), in borrow mode (ParseMsg).
 func (g *Group) onBroadcasterMsg(from ids.ID, payload []byte) {
-	r := wire.NewReader(payload)
-	switch r.U8() {
-	case tagLock:
-		k := r.U64()
-		m := r.BytesView()
-		if r.Done() != nil || k == 0 {
-			return
-		}
-		g.onLock(k, m)
-	case tagSigned:
-		k := r.U64()
-		m := r.BytesView()
-		sig := r.BytesView()
-		if r.Done() != nil || k == 0 {
-			return
-		}
-		g.onSigned(k, m, sig)
-	case tagSummary:
-		id := r.U64()
-		state := r.BytesView()
-		cert, err := xcrypto.ReadCert(r)
-		if err != nil || r.Done() != nil {
-			return
-		}
-		g.onSummaryCert(id, state, cert)
+	msg, ok := ParseMsg(payload)
+	switch {
+	case !ok:
+	case msg.Tag == tagLock:
+		g.onLock(msg.K, msg.M)
+	case msg.Tag == tagSigned:
+		g.onSigned(msg.K, msg.M, msg.Sig)
+	case msg.Tag == tagSummary:
+		g.onSummaryCert(msg.K, msg.M, msg.Cert)
 	}
 }
 
@@ -627,32 +649,24 @@ func (g *Group) onLock(k uint64, m []byte) {
 	}
 	// TBcast-broadcast <LOCKED, k, m> on my channel.
 	w := wire.GetWriter(16 + len(m))
-	w.U8(tagLocked)
-	w.U64(k)
-	w.Bytes(m)
+	AppendMsg(w, Msg{Tag: tagLocked, K: k, M: m})
 	g.lockedSelf.Broadcast(w.Finish())
 	wire.PutWriter(w)
 }
 
 // onLockedMsg handles <LOCKED, k, m> from q (Algorithm 1 lines 18-23).
 func (g *Group) onLockedMsg(q ids.ID, payload []byte) {
-	r := wire.NewReader(payload)
-	if r.U8() != tagLocked {
+	// Borrow mode (ParseMsg): the view is retained in the locked array.
+	msg, ok := ParseMsg(payload)
+	if !ok || msg.Tag != tagLocked {
 		return
 	}
-	k := r.U64()
-	// Borrow mode: the view is retained in the locked array, which is safe
-	// because a ring frame is immutable once sent and never recycled.
-	m := r.BytesView()
-	if r.Done() != nil || k == 0 {
-		return
-	}
+	k, m := msg.K, msg.M
 	slot := k % uint64(g.p.Tail)
 	ent := &g.locked[q][slot]
 	if k <= ent.k {
 		return
 	}
-	//ubft:poolsafety locked-array entries borrow the delivered ring frame, which is immutable once sent and never recycled (see the borrow-mode note above)
 	ent.k, ent.m = k, m
 	// Unanimity check: all n processes locked the same (k, m).
 	first := true

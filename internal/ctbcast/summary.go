@@ -153,10 +153,7 @@ func (g *Group) tallySummary(id uint64, state string, n int) {
 	}
 	// Certificate complete: broadcast it and advance the summary window.
 	w := wire.NewWriter(128 + len(state))
-	w.U8(tagSummary)
-	w.U64(id)
-	w.String(state)
-	shares.Cert(state).AppendTo(w)
+	AppendMsg(w, Msg{Tag: tagSummary, K: id, M: []byte(state), Cert: shares.Cert(state)})
 	g.bcast.Broadcast(w.Finish())
 	g.lastSummary = id
 	for old := range g.shareStates {

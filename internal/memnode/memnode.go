@@ -180,28 +180,45 @@ func (n *Node) settle(rg *region) {
 }
 
 func (n *Node) onRequest(from ids.ID, payload []byte) {
+	req, err := ParseRequest(payload)
+	switch {
+	case err != nil && req.Op == opRead:
+		n.respond(from, opRead, req.Seq, StatusBadRequest)
+	case err != nil:
+		n.respond(from, opWrite, req.Seq, StatusBadRequest)
+	case req.Op == opWrite:
+		n.serveWrite(from, req.Seq, req.Region, req.Off, req.Data) // Data is copied into the region before this returns
+	default:
+		n.serveRead(from, req.Seq, req.Region)
+	}
+}
+
+// Request is a decoded register request: a READ of Region, or a WRITE of Data
+// at offset Off of it.
+type Request struct {
+	Op     uint8
+	Seq    uint64
+	Region RegionID
+	Off    int
+	Data   []byte
+}
+
+// ParseRequest decodes a request frame, channel tag stripped, in borrow mode:
+// Data is a view of payload. A malformed request is returned with the op and
+// sequence number read, which is what the node answers it with.
+func ParseRequest(payload []byte) (Request, error) {
 	r := wire.NewReader(payload)
-	op := r.U8()
-	seq := r.U64()
-	regionID := RegionID(r.U32())
+	op, seq, region := r.U8(), r.U64(), RegionID(r.U32())
+	var off uint64
+	var data []byte
 	switch op {
 	case opWrite:
-		off := int(r.Uvarint())
-		data := r.BytesView() // copied into the region before this returns
-		if r.Done() != nil {
-			n.respond(from, opWrite, seq, StatusBadRequest)
-			return
-		}
-		n.serveWrite(from, seq, regionID, off, data)
+		off, data = r.Uvarint(), r.BytesView()
 	case opRead:
-		if r.Done() != nil {
-			n.respond(from, opRead, seq, StatusBadRequest)
-			return
-		}
-		n.serveRead(from, seq, regionID)
 	default:
-		n.respond(from, opWrite, seq, StatusBadRequest)
+		return Request{Op: op, Seq: seq}, fmt.Errorf("memnode: unknown op %d", op)
 	}
+	return Request{Op: op, Seq: seq, Region: region, Off: int(off), Data: data}, r.Done()
 }
 
 func (n *Node) serveWrite(from ids.ID, seq uint64, id RegionID, off int, data []byte) {
@@ -215,7 +232,7 @@ func (n *Node) serveWrite(from ids.ID, seq uint64, id RegionID, off int, data []
 		n.respond(from, opWrite, seq, StatusPermDenied)
 		return
 	}
-	if off < 0 || off+len(data) > len(rg.data) {
+	if off < 0 || off > len(rg.data)-len(data) {
 		n.respond(from, opWrite, seq, StatusBadRequest)
 		return
 	}

@@ -2,6 +2,7 @@ package memnode
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/ids"
@@ -166,16 +167,50 @@ func TestCrashedNodeSilent(t *testing.T) {
 	}
 }
 
+// TestMalformedRequestRejected: a malformed request gets one BadRequest
+// completion (the node never crashes on garbage — memory nodes are trusted
+// but their clients may not be), from any client, the region's owner
+// included.
 func TestMalformedRequestRejected(t *testing.T) {
-	r := newRig(t)
-	r.node.Allocate(1, 0, 8)
-	r.owner.SendFrame(10, []byte{router.ChanMemReq, 1, 2})
-	r.eng.Run()
-	// Truncated frames yield a BadRequest (the node never crashes on
-	// garbage — memory nodes are trusted but their clients may not be).
-	if len(r.resps[0]) == 1 && r.resps[0][0].Status == StatusOK {
-		t.Fatal("malformed request accepted")
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"truncated", []byte{router.ChanMemReq, 1, 2}},
+		// off+len(data) overflows: a bounds check that adds the two wraps
+		// and lets the write through.
+		{"offset overflow", write(1, 1, math.MaxInt64-3, make([]byte, 8))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t)
+			r.node.Allocate(1, 0, 8)
+			r.owner.SendFrame(10, tc.frame)
+			r.eng.Run()
+			if len(r.resps[0]) != 1 || r.resps[0][0].Status != StatusBadRequest {
+				t.Fatalf("completions %+v, want one BadRequest", r.resps[0])
+			}
+		})
 	}
+}
+
+// FuzzMemNodeRequest: a region's owner, Byzantine or not, sends the node
+// arbitrary request frames. The node must never panic, and it answers every
+// frame with exactly one completion.
+func FuzzMemNodeRequest(f *testing.F) {
+	f.Add(write(1, 1, 0, []byte("12345678"))[1:])
+	f.Add(write(2, 1, 4, []byte("1234"))[1:])
+	f.Add(read(3, 1)[1:])
+	f.Add(write(4, 1, math.MaxInt64-3, make([]byte, 8))[1:])
+	f.Add([]byte{1, 2})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		r := newRig(t)
+		r.node.Allocate(1, 0, 8)
+		r.owner.Send(10, router.ChanMemReq, payload)
+		r.eng.Run()
+		if len(r.resps[0]) != 1 {
+			t.Fatalf("%d completions, want 1", len(r.resps[0]))
+		}
+	})
 }
 
 func TestDuplicateAllocationPanics(t *testing.T) {

@@ -73,25 +73,61 @@ func NewHub(rt *router.Router, proc *sim.Proc) *Hub {
 }
 
 func (h *Hub) onFrame(from ids.ID, payload []byte) {
-	r := wire.NewReader(payload)
-	inst := Instance(r.U32())
-	slot := int(r.U32())
-	inc := r.U64()
-	chk := r.U64()
-	// Zero-copy borrow: the frame is immutable once sent and never recycled,
-	// so the view stays valid for as long as the receiver (or anyone
-	// downstream) retains it. It is shared — the sender's mirror, every
-	// receiver and the broadcaster's self-delivery read the same bytes — so
-	// nobody writes through it (wire.BytesView caps it against appends).
-	data := r.BytesView()
-	if r.Done() != nil {
+	f, ok := ParseFrame(payload)
+	if !ok {
 		return // malformed frame from a Byzantine sender
 	}
-	recv := h.receivers[ringKey{peer: from, inst: inst}]
+	recv := h.receivers[ringKey{peer: from, inst: f.Inst}]
 	if recv == nil {
 		return
 	}
-	recv.accept(slot, inc, chk, data)
+	recv.accept(int(f.Slot), f.Inc, f.Checksum, f.Msg)
+}
+
+// Frame is one RDMA write into a ring slot: the ring instance, the slot, its
+// incarnation, the checksum of the message and the message itself.
+type Frame struct {
+	Inst     Instance
+	Slot     uint32
+	Inc      uint64
+	Checksum uint64
+	Msg      []byte
+}
+
+// frameHeaderLen is the fixed part of a frame ahead of the message's length
+// prefix: the router channel tag, instance, slot, incarnation and checksum.
+const frameHeaderLen = 1 + 4 + 4 + 8 + 8
+
+// ParseFrame decodes a ring frame, channel tag stripped, in borrow mode: Msg
+// is a view of payload. A frame is immutable once sent and never recycled,
+// so the view stays valid for as long as the receiver (or anyone
+// downstream) retains it. It is shared — the sender's mirror, every receiver
+// and the broadcaster's self-delivery read the same bytes — so nobody writes
+// through it (wire.BytesView caps it against appends).
+func ParseFrame(payload []byte) (Frame, bool) {
+	r := wire.NewReader(payload)
+	inst, slot, inc, chk := Instance(r.U32()), r.U32(), r.U64(), r.U64()
+	msg := r.BytesView()
+	if r.Done() != nil {
+		return Frame{}, false
+	}
+	return Frame{Inst: inst, Slot: slot, Inc: inc, Checksum: chk, Msg: msg}, true
+}
+
+// EncodeFrame encodes f, channel tag first, into a fresh slice of exact size
+// that is never written once sent. The checksum is always the one of f.Msg,
+// whatever f.Checksum holds, so a rewritten message is framed like an honest
+// one.
+func EncodeFrame(f Frame) []byte {
+	var w wire.Writer
+	w.Grow(frameHeaderLen + wire.BytesLen(len(f.Msg)))
+	w.U8(router.ChanRing)
+	w.U32(uint32(f.Inst))
+	w.U32(f.Slot)
+	w.U64(f.Inc)
+	w.U64(xcrypto.ChecksumNoCharge(f.Msg))
+	w.Bytes(f.Msg)
+	return w.Finish()
 }
 
 // Sender is the writing end of one ring instance: one stream of messages,
@@ -131,10 +167,6 @@ type mirrored struct {
 	size  int      // payload bytes: what a WRITE's copy, checksum and wire time are charged on
 	at    sim.Time // when Send took the message
 }
-
-// frameHeaderLen is the fixed part of a frame ahead of the message's length
-// prefix: the router channel tag, instance, slot, incarnation and checksum.
-const frameHeaderLen = 1 + 4 + 4 + 8 + 8
 
 // ringTo is the sender's view of one receiver's ring.
 type ringTo struct {
@@ -201,15 +233,8 @@ func (s *Sender) Send(msg []byte) uint64 {
 	idx := s.next
 	s.next++
 	slot := int(idx % uint64(s.slots))
-	var w wire.Writer
-	w.Grow(frameHeaderLen + wire.BytesLen(len(msg)))
-	w.U8(router.ChanRing)
-	w.U32(uint32(s.inst))
-	w.U32(uint32(slot))
-	w.U64(idx/uint64(s.slots) + 1) // incarnation
-	w.U64(xcrypto.ChecksumNoCharge(msg))
-	w.Bytes(msg)
-	s.mirror[slot] = mirrored{frame: w.Finish(), size: len(msg), at: s.proc.Now()}
+	frame := EncodeFrame(Frame{Inst: s.inst, Slot: uint32(slot), Inc: idx/uint64(s.slots) + 1, Msg: msg})
+	s.mirror[slot] = mirrored{frame: frame, size: len(msg), at: s.proc.Now()}
 	for i := range s.to {
 		s.post(&s.to[i], idx)
 	}

@@ -50,11 +50,11 @@ func (r *Router) Node() transport.Endpoint { return r.node }
 // ID returns the host's identity.
 func (r *Router) ID() ids.ID { return r.node.ID() }
 
-// Register installs h for channel ch. Registering a channel twice panics:
-// it is always a wiring bug.
+// Register installs h for channel ch. Registering channel 0 (see Split) or a
+// channel twice panics: it is always a wiring bug.
 func (r *Router) Register(ch uint8, h Handler) {
-	if r.handlers[ch] != nil {
-		panic(fmt.Sprintf("router: channel %d registered twice on %v", ch, r.node.ID()))
+	if ch == 0 || r.handlers[ch] != nil {
+		panic(fmt.Sprintf("router: channel %d reserved or registered twice on %v", ch, r.node.ID()))
 	}
 	r.handlers[ch] = h
 }
@@ -76,13 +76,21 @@ func (r *Router) Send(to ids.ID, ch uint8, payload []byte) {
 // reads those very bytes.
 func (r *Router) SendFrame(to ids.ID, frame []byte) { r.node.Send(to, frame) }
 
-func (r *Router) dispatch(from ids.ID, payload []byte) {
-	if len(payload) == 0 {
-		return // malformed frame from a Byzantine sender; drop
+// Split returns a frame's channel tag and the payload its channel's handler
+// is given. An empty frame reads as channel 0, which the wire registry
+// leaves unassigned, so no handler receives it.
+func Split(frame []byte) (ch uint8, payload []byte) {
+	if len(frame) == 0 {
+		return 0, nil
 	}
-	h := r.handlers[payload[0]]
+	return frame[0], frame[1:]
+}
+
+func (r *Router) dispatch(from ids.ID, frame []byte) {
+	ch, payload := Split(frame)
+	h := r.handlers[ch]
 	if h == nil {
-		return // channel not wired on this host; drop
+		return // channel not wired on this host (an empty frame included); drop
 	}
-	h(from, payload[1:])
+	h(from, payload)
 }

@@ -88,6 +88,17 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	a.Register(ChanRPC, func(ids.ID, []byte) {})
 }
 
+// Channel 0 is where Split puts an empty frame, so no handler may take it.
+func TestChannelZeroReserved(t *testing.T) {
+	_, a, _ := pairRig()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering channel 0 did not panic")
+		}
+	}()
+	a.Register(0, func(ids.ID, []byte) {})
+}
+
 func TestEmptyPayloadStillTagged(t *testing.T) {
 	eng, a, b := pairRig()
 	got := false

@@ -89,11 +89,23 @@ func NewAckHub(rt *router.Router) *AckHub {
 	return h
 }
 
-func (h *AckHub) onAck(from ids.ID, payload []byte) {
+// AppendAck encodes a listener's cumulative acknowledgement of channel inst,
+// channel tag excluded: it has read every message below upTo.
+func AppendAck(w *wire.Writer, inst Instance, upTo uint64) {
+	w.U32(uint32(inst))
+	w.U64(upTo)
+}
+
+// ParseAck decodes an acknowledgement, channel tag stripped.
+func ParseAck(payload []byte) (inst Instance, upTo uint64, ok bool) {
 	r := wire.NewReader(payload)
-	inst := Instance(r.U32())
-	upTo := r.U64()
-	if r.Done() != nil {
+	inst, upTo = Instance(r.U32()), r.U64()
+	return inst, upTo, r.Done() == nil
+}
+
+func (h *AckHub) onAck(from ids.ID, payload []byte) {
+	inst, upTo, ok := ParseAck(payload)
+	if !ok {
 		return
 	}
 	for _, b := range h.all {
@@ -443,8 +455,7 @@ func (l *Listener) ack() {
 	l.timer.Cancel()
 	l.acked = l.recv.Next()
 	w := wire.GetWriter(16)
-	w.U32(uint32(l.inst))
-	w.U64(l.acked)
+	AppendAck(w, l.inst, l.acked)
 	l.proc.Charge(latmodel.DispatchCost)
 	l.rt.Send(l.broadcaster, router.ChanRingAck, w.Finish())
 	wire.PutWriter(w)
