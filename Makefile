@@ -62,9 +62,11 @@ race:
 # the pool must never hold two, and every map or slice
 # field of Replica and of its records must name its retention rule (a
 # reflection test). The agreement oracle's rings keep their 2 x Window
-# records and allocate nothing per decision.
+# records and allocate nothing per decision. Memory nodes back a writer's
+# registers only from its first WRITE: none on the fast path, every
+# reservation exactly on the slow path.
 bounded-mem:
-	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule' ./internal/consensus/
+	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestRegistersCommittedOnlyBySlowPath' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision' ./internal/cluster/
 
 # One iteration of every benchmark in short mode: catches harness rot and

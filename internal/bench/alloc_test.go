@@ -264,21 +264,24 @@ func retainedObjects(build func() any) int {
 // set-up multiplies by thousands (one closure per ring slot was 52% of a
 // single group's 23,529 objects, a register handle per peer slot another
 // 15%; a 4-shard deployment held 94,094), so it shows here long before it
-// shows as heap_live_mib. Measured 7.6k and 30k when the budgets were set.
+// shows as heap_live_mib. Measured 4.2k and 16.9k, budgets 15% above, since
+// memory nodes commit a writer's registers at its first WRITE and ring
+// receivers make their reorder slots at their first out-of-order frame (7.7k
+// and 30.8k before).
 func TestSetupObjectBudget(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		budget int
 		build  func() any
 	}{
-		{"cluster.Build default", 10_000, func() any {
+		{"cluster.Build default", 4_900, func() any {
 			u, err := cluster.Build(cluster.Options{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return u
 		}},
-		{"shard.Build RKV S=4", 40_000, func() any {
+		{"shard.Build RKV S=4", 19_500, func() any {
 			d, err := shard.Build(shard.Options{Seed: 1, Shards: 4,
 				NewApp: func(int) app.StateMachine { return app.NewRKV() }})
 			if err != nil {

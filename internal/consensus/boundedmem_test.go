@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/ctbcast"
 	"repro/internal/sim"
 )
 
@@ -260,5 +261,51 @@ func TestViewChangeRecordsPruned(t *testing.T) {
 	}
 	if recorded == 0 {
 		t.Error("no view-change record was ever seen: the check is vacuous")
+	}
+}
+
+// TestRegistersCommittedOnlyBySlowPath: the disaggregated memory the paper
+// budgets is written only on CTBcast's slow path (§6.1), so a memory node
+// backs a writer's registers only from that writer's first WRITE. After two
+// checkpoint intervals a fault-free fast-path cluster has committed no
+// register bytes on any memory node, and a slow-path-only cluster has
+// committed every writer's whole reservation, no more.
+func TestRegistersCommittedOnlyBySlowPath(t *testing.T) {
+	const window = 8
+	for _, c := range []struct {
+		name string
+		slow bool
+	}{{"fast path", false}, {"slow path only", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := cluster.Options{Seed: 1, Window: window, Tail: window}
+			if c.slow {
+				opts.DisableFastPath, opts.CTBMode = true, ctbcast.SlowOnly
+			}
+			u := cluster.NewUBFT(opts)
+			defer u.Stop()
+			for i := 0; i < 2*window+1; i++ {
+				if _, _, err := u.InvokeSyncErr(0, []byte{byte(i)}, 50*sim.Millisecond); err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+			}
+			u.Eng.RunFor(10 * sim.Millisecond) // let the second checkpoint settle
+			for i, r := range u.Replicas {
+				if r.Checkpoint().Seq < 2*window {
+					t.Fatalf("replica %d: stable checkpoint %d, want two intervals (%d)", i, r.Checkpoint().Seq, 2*window)
+				}
+			}
+			for j, mn := range u.MemNodes {
+				for _, id := range u.ReplicaIDs {
+					want := 0
+					if c.slow {
+						want = mn.BytesOwnedBy(id)
+					}
+					if got := mn.CommittedBytes(id); got != want || mn.BytesOwnedBy(id) == 0 {
+						t.Errorf("memory node %d: %v committed %d of %d reserved bytes, want %d",
+							j, id, got, mn.BytesOwnedBy(id), want)
+					}
+				}
+			}
+		})
 	}
 }

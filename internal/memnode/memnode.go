@@ -16,6 +16,12 @@
 //     CPU time (the NIC does the work).
 //   - Per-accessor permissions: a WRITE from any process other than the
 //     region's owner is rejected, exactly like an RDMA protection fault.
+//   - Reserve, then commit: Allocate reserves a region at its offset in its
+//     writer's span and makes no bytes; the writer's whole span is committed
+//     at its first accepted WRITE, as the first store to an mmap'd
+//     registration faults its pages in. Until then its regions read as
+//     zeros. AllocatedBytes and BytesOwnedBy count reservations (the paper's
+//     Table 2); CommittedBytes counts what is backed.
 //
 // As an RDMA NIC posts one buffer to every memory node and DMAs a completion
 // without copying it, a request or a completion is one frame, channel tag
@@ -77,9 +83,37 @@ type pendingWrite struct {
 }
 
 type region struct {
-	owner   ids.ID
-	data    []byte
+	w       *writer
+	base    int // offset of the region in its writer's span
+	size    int
 	pending *pendingWrite
+}
+
+// data returns the region's bytes, or nil while its writer's span does not
+// cover it yet.
+func (rg *region) data() []byte {
+	if end := rg.base + rg.size; end <= len(rg.w.span) {
+		return rg.w.span[rg.base:end:end]
+	}
+	return nil
+}
+
+// writer is one process's share of the node: the bytes reserved for its
+// regions and, from its first accepted WRITE on, the span backing them.
+type writer struct {
+	id       ids.ID
+	reserved int
+	span     []byte
+}
+
+// commit backs every byte reserved for the writer. A region allocated after
+// the first commit extends the span at the writer's next WRITE.
+func (w *writer) commit() {
+	if len(w.span) < w.reserved {
+		span := make([]byte, w.reserved)
+		copy(span, w.span)
+		w.span = span
+	}
 }
 
 // Node is one memory server.
@@ -93,20 +127,20 @@ type Node struct {
 	// AllocatedBytes tracks total region bytes allocated on this node,
 	// feeding the paper's Table 2 (disaggregated memory consumption).
 	AllocatedBytes int
-	// ownerBytes tracks allocation per writing process, so multi-group
-	// deployments (the shard layer) can account each consensus group's
-	// share of the shared pool.
-	ownerBytes map[ids.ID]int
+	// writers holds each writing process's reservation and span, so
+	// multi-group deployments (the shard layer) can account each consensus
+	// group's share of the shared pool.
+	writers map[ids.ID]*writer
 }
 
 // New creates a memory node attached to rt's endpoint.
 func New(rt *router.Router) *Node {
 	n := &Node{
-		id:         rt.ID(),
-		proc:       rt.Node().Proc(),
-		rt:         rt,
-		regions:    make(map[RegionID]*region),
-		ownerBytes: make(map[ids.ID]int),
+		id:      rt.ID(),
+		proc:    rt.Node().Proc(),
+		rt:      rt,
+		regions: make(map[RegionID]*region),
+		writers: make(map[ids.ID]*writer),
 	}
 	rt.Register(router.ChanMemReq, n.onRequest)
 	return n
@@ -121,7 +155,8 @@ func (n *Node) Crash() { n.proc.Crash() }
 // Crashed reports whether the node has crashed.
 func (n *Node) Crashed() bool { return n.proc.Crashed() }
 
-// Allocate creates a region of size bytes writable only by owner. The
+// Allocate reserves a region of size bytes writable only by owner, at the end
+// of owner's span; its bytes are committed with the span (package doc). The
 // management plane (connection handling, §2.3) allocates regions before the
 // protocol runs; allocating an existing region panics.
 func (n *Node) Allocate(id RegionID, owner ids.ID, size int) {
@@ -131,9 +166,14 @@ func (n *Node) Allocate(id RegionID, owner ids.ID, size int) {
 	if size <= 0 {
 		panic(fmt.Sprintf("memnode %v: region %d size %d", n.id, id, size))
 	}
-	n.regions[id] = &region{owner: owner, data: make([]byte, size)}
+	w := n.writers[owner]
+	if w == nil {
+		w = &writer{id: owner}
+		n.writers[owner] = w
+	}
+	n.regions[id] = &region{w: w, base: w.reserved, size: size}
+	w.reserved += size
 	n.AllocatedBytes += size
-	n.ownerBytes[owner] += size
 }
 
 // RegionCount returns how many regions are allocated on this node. The
@@ -142,14 +182,29 @@ func (n *Node) RegionCount() int { return len(n.regions) }
 
 // BytesOwnedBy returns the bytes allocated to regions writable by owner,
 // i.e. one process's share of this node's disaggregated pool.
-func (n *Node) BytesOwnedBy(owner ids.ID) int { return n.ownerBytes[owner] }
+func (n *Node) BytesOwnedBy(owner ids.ID) int {
+	if w := n.writers[owner]; w != nil {
+		return w.reserved
+	}
+	return 0
+}
+
+// CommittedBytes returns the bytes backing owner's regions: 0 until owner's
+// first accepted WRITE, BytesOwnedBy(owner) from then on.
+func (n *Node) CommittedBytes(owner ids.ID) int {
+	if w := n.writers[owner]; w != nil {
+		return len(w.span)
+	}
+	return 0
+}
 
 // readInto copies the region's contents as a READ arriving at now sees them
 // into out, applying the torn-read model: during a write's settling window,
 // words settle front-to-back, so a concurrent read sees a prefix of new data
-// and a suffix of old data at 8-byte granularity.
+// and a suffix of old data at 8-byte granularity. A region never written
+// reads as zeros: out is a fresh completion, and it has no settling window.
 func (n *Node) readInto(out []byte, rg *region, now sim.Time) {
-	copy(out, rg.data)
+	copy(out, rg.data())
 	p := rg.pending
 	if p == nil {
 		return
@@ -227,15 +282,17 @@ func (n *Node) serveWrite(from ids.ID, seq uint64, id RegionID, off int, data []
 		n.respond(from, opWrite, seq, StatusNoRegion)
 		return
 	}
-	if rg.owner != from {
+	if rg.w.id != from {
 		// RDMA protection fault: the requester lacks the write token.
 		n.respond(from, opWrite, seq, StatusPermDenied)
 		return
 	}
-	if off < 0 || off > len(rg.data)-len(data) {
+	if off < 0 || off > rg.size-len(data) {
 		n.respond(from, opWrite, seq, StatusBadRequest)
 		return
 	}
+	rg.w.commit()
+	buf := rg.data()
 	now := n.proc.Now()
 	// Record the torn window before overwriting: the write settles over
 	// roughly the PCIe copy duration of the payload.
@@ -246,10 +303,10 @@ func (n *Node) serveWrite(from ids.ID, seq uint64, id RegionID, off int, data []
 	} else {
 		p = new(pendingWrite)
 	}
-	*p = pendingWrite{old: append(p.old[:0], rg.data[off:off+len(data)]...),
+	*p = pendingWrite{old: append(p.old[:0], buf[off:off+len(data)]...),
 		start: now, end: now.Add(latmodel.CopyCost(len(data))), off: off}
 	rg.pending = p
-	copy(rg.data[off:], data)
+	copy(buf[off:], data)
 	n.respond(from, opWrite, seq, StatusOK)
 }
 
@@ -259,7 +316,7 @@ func (n *Node) serveRead(from ids.ID, seq uint64, id RegionID) {
 		n.respond(from, opRead, seq, StatusNoRegion)
 		return
 	}
-	frame, data := completion(opRead, seq, StatusOK, len(rg.data))
+	frame, data := completion(opRead, seq, StatusOK, rg.size)
 	n.readInto(data, rg, n.proc.Now())
 	n.rt.SendFrame(from, frame)
 }

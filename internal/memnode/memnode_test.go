@@ -210,6 +210,9 @@ func FuzzMemNodeRequest(f *testing.F) {
 		if len(r.resps[0]) != 1 {
 			t.Fatalf("%d completions, want 1", len(r.resps[0]))
 		}
+		if c, res := r.node.CommittedBytes(0), r.node.BytesOwnedBy(0); c > res {
+			t.Fatalf("%d bytes committed, %d reserved", c, res)
+		}
 	})
 }
 
@@ -281,5 +284,104 @@ func TestTornReadModel(t *testing.T) {
 	}
 	if last := r.last(1).Data; !bytes.Equal(last, newData) {
 		t.Fatal("a read after the settling window does not see the write")
+	}
+}
+
+// TestUnwrittenRegionReadsZeros: a READ of a region nobody has written
+// returns the full region as zeros, the completion a node that made every
+// region's bytes at Allocate sent: before its writer's span is committed,
+// when it commits nothing, and after another region of the span was written.
+func TestUnwrittenRegionReadsZeros(t *testing.T) {
+	r := newRig(t)
+	r.node.Allocate(1, 0, 48)
+	r.node.Allocate(2, 0, 16)
+	check := func(when string) {
+		t.Helper()
+		for _, rt := range []*router.Router{r.owner, r.other} {
+			rt.SendFrame(10, read(9, 1))
+			r.eng.Run()
+			if got := r.last(rt.ID()); got.Status != StatusOK || got.Seq != 9 || !bytes.Equal(got.Data, make([]byte, 48)) {
+				t.Fatalf("%s: reader %v got %+v, want 48 zero bytes", when, rt.ID(), got)
+			}
+		}
+	}
+	check("span uncommitted")
+	if c := r.node.CommittedBytes(0); c != 0 {
+		t.Fatalf("READs committed %d bytes", c)
+	}
+	r.owner.SendFrame(10, write(1, 2, 0, []byte("other region")))
+	r.eng.Run()
+	check("span committed")
+}
+
+// TestRefusedWriteCommitsNothing: a WRITE to no region, by a non-owner or out
+// of bounds is refused before anything is committed.
+func TestRefusedWriteCommitsNothing(t *testing.T) {
+	r := newRig(t)
+	r.node.Allocate(1, 0, 8)
+	for _, c := range []struct {
+		from   *router.Router
+		frame  []byte
+		status uint8
+	}{
+		{r.owner, write(1, 99, 0, []byte("x")), StatusNoRegion},
+		{r.other, write(2, 1, 0, []byte("forged")), StatusPermDenied},
+		{r.owner, write(3, 1, 4, []byte("too-long")), StatusBadRequest},
+		{r.owner, write(4, 1, math.MaxInt64-3, make([]byte, 8)), StatusBadRequest},
+	} {
+		c.from.SendFrame(10, c.frame)
+		r.eng.Run()
+		if got := r.last(c.from.ID()); got.Status != c.status {
+			t.Fatalf("status %d, want %d", got.Status, c.status)
+		}
+	}
+	for _, id := range []ids.ID{0, 1} {
+		if c := r.node.CommittedBytes(id); c != 0 {
+			t.Fatalf("refused WRITEs committed %d bytes for %v", c, id)
+		}
+	}
+}
+
+// TestFirstWriteCommitsTheWritersSpan: an owner's first WRITE commits its
+// whole reservation and nobody else's; a region allocated to it afterwards
+// is still addressable, and its first WRITE extends the span to the new
+// reservation.
+func TestFirstWriteCommitsTheWritersSpan(t *testing.T) {
+	r := newRig(t)
+	r.node.Allocate(1, 0, 24)
+	r.node.Allocate(2, 1, 40)
+	r.node.Allocate(3, 0, 16)
+	r.owner.SendFrame(10, write(1, 3, 8, []byte("in-3")))
+	r.eng.Run()
+	if c, res := r.node.CommittedBytes(0), r.node.BytesOwnedBy(0); c != res || res != 40 {
+		t.Fatalf("owner committed %d of %d reserved bytes, want all 40", c, res)
+	}
+	if c := r.node.CommittedBytes(1); c != 0 {
+		t.Fatalf("another writer's WRITE committed %d bytes for p1", c)
+	}
+	r.node.Allocate(4, 0, 32)
+	r.other.SendFrame(10, read(2, 4))
+	r.eng.Run()
+	if got := r.last(1); got.Status != StatusOK || !bytes.Equal(got.Data, make([]byte, 32)) {
+		t.Fatalf("region allocated after the commit read %+v", got)
+	}
+	r.owner.SendFrame(10, write(3, 4, 28, []byte("tail")))
+	r.eng.Run()
+	if c, res := r.node.CommittedBytes(0), r.node.BytesOwnedBy(0); c != res || res != 72 {
+		t.Fatalf("owner committed %d of %d reserved bytes, want all 72", c, res)
+	}
+	for _, c := range []struct {
+		id   RegionID
+		want []byte
+	}{
+		{1, make([]byte, 24)},
+		{3, append(make([]byte, 8), "in-3\x00\x00\x00\x00"...)},
+		{4, append(make([]byte, 28), "tail"...)},
+	} {
+		r.other.SendFrame(10, read(4, c.id))
+		r.eng.Run()
+		if got := r.last(1); got.Status != StatusOK || !bytes.Equal(got.Data, c.want) {
+			t.Fatalf("region %d read %q, want %q", c.id, got.Data, c.want)
+		}
 	}
 }

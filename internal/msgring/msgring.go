@@ -20,7 +20,10 @@
 // hold it, which the receiver knows from the highest index it has seen, and
 // skipped only once it has provably been overwritten there. Frames that
 // arrive meanwhile wait in their slots. A ring nobody retransmits into
-// therefore stalls at its first lost frame until the sender laps it.
+// therefore stalls at its first lost frame until the sender laps it. Only a
+// frame ahead of the read pointer is stored, so the private reorder slots
+// exist from a ring's first out-of-order frame on: over a FIFO link without
+// loss every frame is the next one and is delivered as it arrives.
 //
 // A second staging buffer queues messages whose target slot has an RDMA
 // WRITE still in flight (the NIC has not reported completion); the staging
@@ -346,14 +349,16 @@ func (s *Sender) drainStaging() {
 	s.armDrain()
 }
 
-// Receiver is the polling end of one ring.
+// Receiver is the polling end of one ring. It stores a frame only when the
+// frame arrives ahead of the read pointer; the next frame, with nothing
+// stored ahead of it, is delivered straight away.
 type Receiver struct {
 	proc    *sim.Proc
 	slots   int
 	deliver func(idx uint64, msg []byte)
 	idle    func()
 
-	stored  []storedSlot
+	stored  []storedSlot // made at the first frame ahead of the read pointer
 	nextIdx uint64
 	// high is the highest index seen plus one. The sender is at least that
 	// far, so its mirror holds nothing below high-slots: that much is lost
@@ -387,7 +392,6 @@ func NewReceiver(h *Hub, peer ids.ID, inst Instance, slots, slotCap int, deliver
 		proc:           h.proc,
 		slots:          slots,
 		deliver:        deliver,
-		stored:         make([]storedSlot, slots),
 		AllocatedBytes: slots * (slotCap + 20),
 	}
 	h.receivers[key] = r
@@ -440,10 +444,25 @@ func (r *Receiver) accept(slot int, inc, chk uint64, data []byte) {
 		return
 	}
 	idx := (inc-1)*uint64(r.slots) + uint64(slot)
+	if idx == r.nextIdx && r.high <= idx {
+		// The next frame with nothing stored ahead: what scan would deliver.
+		r.nextIdx, r.high = idx+1, idx+1
+		r.deliver(idx, data)
+		return
+	}
+	if idx < r.nextIdx {
+		if r.idle != nil {
+			r.idle() // a retransmission of something already read
+		}
+		return
+	}
+	if r.stored == nil {
+		r.stored = make([]storedSlot, r.slots)
+	}
 	cur := &r.stored[slot]
-	// Behind the read pointer, or a rewrite of what the slot already holds,
-	// is a retransmission of something this receiver has dealt with.
-	news := idx >= r.nextIdx && !(cur.has && cur.idx >= idx)
+	// A rewrite of what the slot already holds is a retransmission of
+	// something this receiver has dealt with.
+	news := !(cur.has && cur.idx >= idx)
 	if news {
 		cur.has, cur.idx, cur.data = true, idx, data
 		r.high = max(r.high, idx+1)
