@@ -64,10 +64,11 @@ race:
 # reflection test). The agreement oracle's rings keep their 2 x Window
 # records and allocate nothing per decision. Memory nodes back a writer's
 # registers only from its first WRITE: none on the fast path, every
-# reservation exactly on the slow path.
+# reservation exactly on the slow path. A deployment's constructors leave a
+# budgeted number of heap objects: nothing made per register or per key.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestRegistersCommittedOnlyBySlowPath' ./internal/consensus/
-	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision' ./internal/cluster/
+	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one

@@ -13,7 +13,6 @@ import (
 
 	ubft "repro"
 	"repro/internal/app"
-	"repro/internal/wire"
 )
 
 const shards = 4
@@ -93,15 +92,12 @@ func check(what string, res []byte, err error) {
 	}
 }
 
-// printMerged decodes the merged MGET response (ROK, count, then per key a
-// found flag plus value) for display.
+// printMerged decodes the merged MGET response for display.
 func printMerged(res []byte, keys [][]byte) {
-	rd := wire.NewReader(res)
-	rd.U8()
-	n := int(rd.Uvarint())
-	for i := 0; i < n; i++ {
-		if rd.Bool() {
-			fmt.Printf("    %-14q = %q\n", keys[i], rd.Bytes())
+	reads, _ := app.AppendKeyedReads(nil, res)
+	for i, e := range reads {
+		if e.Found {
+			fmt.Printf("    %-14q = %q\n", keys[i], e.Value)
 		} else {
 			fmt.Printf("    %-14q = <miss>\n", keys[i])
 		}

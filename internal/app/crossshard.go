@@ -40,6 +40,42 @@ func subsetPairs(rd *wire.Reader, keyIdx []int) ([]Pair, error) {
 	return sub, nil
 }
 
+// KeyedRead is one key's answer in a multi-read result.
+type KeyedRead struct {
+	Found bool
+	Value []byte // nil if not Found
+}
+
+// AppendKeyedReads decodes a multi-read result (multiRead's shape: status
+// byte, uvarint count, then per key a Bool(found) and, if found, a Bytes
+// value) and appends one entry per key to dst. It returns the status: a
+// failed read's own, StatusBadReq if malformed, with dst unextended.
+func AppendKeyedReads(dst []KeyedRead, res []byte) ([]KeyedRead, uint8) {
+	if len(res) == 0 {
+		return dst, StatusBadReq
+	}
+	if res[0] != StatusOK {
+		return dst, res[0]
+	}
+	rd := wire.NewReader(res[1:])
+	n := rd.Uvarint()
+	if n > uint64(rd.Remaining()) { // every entry takes at least a byte
+		return dst, StatusBadReq
+	}
+	out := dst
+	for i := uint64(0); i < n; i++ {
+		e := KeyedRead{Found: rd.Bool()}
+		if e.Found {
+			e.Value = rd.Bytes()
+		}
+		out = append(out, e)
+	}
+	if rd.Done() != nil {
+		return dst, StatusBadReq
+	}
+	return out, StatusOK
+}
+
 // mergeKeyedReads reassembles per-leg multi-read responses into the
 // response one shard holding every key would have produced. Every
 // transactional app answers multi-reads through multiRead, so the merge is
@@ -53,49 +89,34 @@ func mergeKeyedReads(legs [][]byte, legKeys [][]int) []byte {
 	for _, idx := range legKeys {
 		nKeys += len(idx)
 	}
-	type entry struct {
-		ok  bool
-		val []byte
-	}
-	merged := make([]entry, nKeys)
+	// One array: the merged entries, then room for one leg's.
+	merged := make([]KeyedRead, nKeys, 2*nKeys)
 	// Malformed legs merge to the generic StatusBadReq: it is the only
 	// error byte that means "failure" in every app's status namespace (an
 	// RKV-style RErr, 3, would read as KVStored to a KV client).
 	for li, res := range legs {
-		if len(res) == 0 {
+		reads, status := AppendKeyedReads(merged[nKeys:], res)
+		if status != StatusOK {
+			return []byte{status}
+		}
+		if len(reads) != len(legKeys[li]) {
 			return []byte{StatusBadReq}
 		}
-		if res[0] != StatusOK {
-			return []byte{res[0]}
-		}
-		rd := wire.NewReader(res)
-		rd.U8()
-		n := int(rd.Uvarint())
-		if n != len(legKeys[li]) {
-			return []byte{StatusBadReq}
-		}
-		for pos := 0; pos < n; pos++ {
-			e := entry{ok: rd.Bool()}
-			if e.ok {
-				e.val = rd.Bytes()
-			}
+		for pos, e := range reads {
 			idx := legKeys[li][pos]
 			if idx < 0 || idx >= nKeys {
 				return []byte{StatusBadReq}
 			}
 			merged[idx] = e
 		}
-		if rd.Done() != nil {
-			return []byte{StatusBadReq}
-		}
 	}
 	w := wire.NewWriter(64)
 	w.U8(StatusOK)
 	w.Uvarint(uint64(nKeys))
 	for _, e := range merged {
-		w.Bool(e.ok)
-		if e.ok {
-			w.Bytes(e.val)
+		w.Bool(e.Found)
+		if e.Found {
+			w.Bytes(e.Value)
 		}
 	}
 	return w.Finish()

@@ -505,6 +505,42 @@ func TestFragmentMergeReads(t *testing.T) {
 	}
 }
 
+// TestAppendKeyedReads: a multi-read result decodes to one entry per key,
+// a miss unfound, in request order, after what dst holds; a failed read
+// yields its own status, a malformed result StatusBadReq, and no entries.
+func TestAppendKeyedReads(t *testing.T) {
+	kv := NewKV(0)
+	kv.Apply(EncodeKVSet([]byte("a"), []byte("va")))
+	kv.Apply(EncodeKVSet([]byte("c"), []byte("vc")))
+	res := kv.Apply(EncodeKVMGet([]byte("a"), []byte("b"), []byte("c")))
+	held := KeyedRead{true, []byte("held")}
+	reads, status := AppendKeyedReads([]KeyedRead{held}, res)
+	want := []KeyedRead{held, {true, []byte("va")}, {false, nil}, {true, []byte("vc")}}
+	if status != StatusOK || len(reads) != len(want) {
+		t.Fatalf("decoded %d reads, status %d", len(reads), status)
+	}
+	for i, e := range reads {
+		if e.Found != want[i].Found || !bytes.Equal(e.Value, want[i].Value) {
+			t.Fatalf("read %d = %+v, want %+v", i, e, want[i])
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		res    []byte
+		status uint8
+	}{
+		{"empty", nil, StatusBadReq},
+		{"failed", []byte{StatusLocked}, StatusLocked},
+		{"truncated", res[:len(res)-1], StatusBadReq},
+		{"trailing byte", append(slices.Clone(res), 0), StatusBadReq},
+		{"count past the end", []byte{StatusOK, 0xff, 0xff, 0x03, 0}, StatusBadReq},
+	} {
+		if reads, status := AppendKeyedReads(nil, c.res); status != c.status || reads != nil {
+			t.Fatalf("%s: %d reads, status %d, want none and %d", c.name, len(reads), status, c.status)
+		}
+	}
+}
+
 // TestFragmentWrites: write fragments partition the keys by shard and are
 // themselves valid prepare fragments.
 func TestFragmentWrites(t *testing.T) {

@@ -262,7 +262,7 @@ func (s *keyed) read(op keyedOp, rd *wire.Reader, at uint64, pinned bool) (res [
 // multiRead is the multi-key read body of every transactional application
 // (the stores' MGET, the order book's OpTops), in read's two modes: decode
 // the keys, apply the mode's lock rule, and encode the shared response
-// shape mergeKeyedReads decodes — status byte, uvarint count, then per key
+// shape AppendKeyedReads decodes — status byte, uvarint count, then per key
 // a Bool(found) plus an optional Bytes value. A non-nil absent is the value
 // of a key the store has never seen (the order book's empty top of book).
 func multiRead(rd *wire.Reader, lt *LockTable, vs *VersionedStore, at uint64, pinned bool, absent []byte) (res []byte, blocked [][]byte, crossed bool) {

@@ -8,11 +8,9 @@ package bench
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/app"
-	"repro/internal/cluster"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -244,56 +242,5 @@ func TestWirePooledEncodeAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("pooled encode/decode allocates %.1f/op, want 0", avg)
-	}
-}
-
-// retainedObjects returns how many heap objects build's result keeps alive.
-func retainedObjects(build func() any) int {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	d := build()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(d)
-	return int(after.HeapObjects) - int(before.HeapObjects)
-}
-
-// TestSetupObjectBudget bounds what a deployment's constructors leave on the
-// heap. A structure made per ring slot, per register or per tail entry at
-// set-up multiplies by thousands (one closure per ring slot was 52% of a
-// single group's 23,529 objects, a register handle per peer slot another
-// 15%; a 4-shard deployment held 94,094), so it shows here long before it
-// shows as heap_live_mib. Measured 4.2k and 16.9k, budgets 15% above, since
-// memory nodes commit a writer's registers at its first WRITE and ring
-// receivers make their reorder slots at their first out-of-order frame (7.7k
-// and 30.8k before).
-func TestSetupObjectBudget(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		budget int
-		build  func() any
-	}{
-		{"cluster.Build default", 4_900, func() any {
-			u, err := cluster.Build(cluster.Options{Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return u
-		}},
-		{"shard.Build RKV S=4", 19_500, func() any {
-			d, err := shard.Build(shard.Options{Seed: 1, Shards: 4,
-				NewApp: func(int) app.StateMachine { return app.NewRKV() }})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}},
-	} {
-		n := retainedObjects(c.build)
-		t.Logf("%s retains %d heap objects (budget %d)", c.name, n, c.budget)
-		if n > c.budget {
-			t.Errorf("%s retains %d heap objects, budget is %d", c.name, n, c.budget)
-		}
 	}
 }

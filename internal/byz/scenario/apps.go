@@ -58,29 +58,23 @@ func parseKVRead(res []byte) (int, bool, bool) {
 	return c, ok, ok
 }
 
-// parseKVMulti decodes a 2-entry multi-read ([OK|n|{bool|bytes}...]).
+// parseKVMulti decodes a 2-entry multi-read into round counters (0 for a key
+// never written).
 func parseKVMulti(res []byte) (int, int, bool) {
-	if len(res) <= 1 {
-		return 0, 0, false
-	}
-	rd := wire.NewReader(res)
-	if rd.U8() != app.StatusOK || rd.Uvarint() != 2 {
+	reads, status := app.AppendKeyedReads(nil, res)
+	if status != app.StatusOK || len(reads) != 2 {
 		return 0, 0, false
 	}
 	var out [2]int
-	for i := range out {
-		if !rd.Bool() {
-			out[i] = 0 // never written yet
+	for i, e := range reads {
+		if !e.Found {
 			continue
 		}
-		c, ok := parseTagVal(rd.Bytes())
+		c, ok := parseTagVal(e.Value)
 		if !ok {
 			return 0, 0, false
 		}
 		out[i] = c
-	}
-	if rd.Done() != nil {
-		return 0, 0, false
 	}
 	return out[0], out[1], true
 }
@@ -88,28 +82,22 @@ func parseKVMulti(res []byte) (int, int, bool) {
 // parseTops decodes an n-symbol top-of-book response into round counters
 // (top bid price maps back through obPrice).
 func parseTops(res []byte, n int) ([]int, bool) {
-	if len(res) <= 1 {
-		return nil, false
-	}
-	rd := wire.NewReader(res)
-	if rd.U8() != app.StatusOK || rd.Uvarint() != uint64(n) {
+	reads, status := app.AppendKeyedReads(nil, res)
+	if status != app.StatusOK || len(reads) != n {
 		return nil, false
 	}
 	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		if !rd.Bool() {
+	for i, e := range reads {
+		if !e.Found {
 			continue // empty book: counter 0
 		}
-		bid, _, _, _, hasBid, _, err := app.DecodeTopsEntry(rd.Bytes())
+		bid, _, _, _, hasBid, _, err := app.DecodeTopsEntry(e.Value)
 		if err != nil {
 			return nil, false
 		}
 		if hasBid {
 			out[i] = int(bid - 1000)
 		}
-	}
-	if rd.Done() != nil {
-		return nil, false
 	}
 	return out, true
 }

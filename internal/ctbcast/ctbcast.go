@@ -935,14 +935,12 @@ func (g *Group) AllocatedLocalBytes() int {
 }
 
 // AllocateRegions allocates this group's SWMR regions on the given memory
-// nodes. Call once per group before any Broadcast, with the same Params the
-// members use.
+// nodes, one range of tail registers per member and node. Call once per group
+// before any Broadcast, with the same Params the members use.
 func AllocateRegions(nodes []*memnode.Node, procs []ids.ID, tail int, regionBase memnode.RegionID) {
 	for _, mn := range nodes {
 		for i, owner := range procs {
-			for s := 0; s < tail; s++ {
-				mn.Allocate(regionBase+memnode.RegionID(i*tail+s), owner, swmr.RegionSize(registerValueCap))
-			}
+			mn.AllocateRange(regionBase+memnode.RegionID(i*tail), tail, owner, swmr.RegionSize(registerValueCap))
 		}
 	}
 }

@@ -16,12 +16,17 @@
 //     CPU time (the NIC does the work).
 //   - Per-accessor permissions: a WRITE from any process other than the
 //     region's owner is rejected, exactly like an RDMA protection fault.
-//   - Reserve, then commit: Allocate reserves a region at its offset in its
-//     writer's span and makes no bytes; the writer's whole span is committed
-//     at its first accepted WRITE, as the first store to an mmap'd
-//     registration faults its pages in. Until then its regions read as
-//     zeros. AllocatedBytes and BytesOwnedBy count reservations (the paper's
-//     Table 2); CommittedBytes counts what is backed.
+//   - Reserve, then commit: AllocateRange reserves a run of equal-size
+//     regions as one record at the end of its writer's span, as one memory
+//     registration covers many registers, and makes no bytes; a region's
+//     offset is its range's base plus its index times the size, and a
+//     lookup is a binary search over the disjoint ranges. The writer's whole
+//     span is committed at its first accepted WRITE, as the first store to
+//     an mmap'd registration faults its pages in, and a range's per-register
+//     settling windows at its own first accepted WRITE. Until then its
+//     regions read as zeros. AllocatedBytes and BytesOwnedBy count
+//     reservations (the paper's Table 2); CommittedBytes counts what is
+//     backed.
 //
 // As an RDMA NIC posts one buffer to every memory node and DMAs a completion
 // without copying it, a request or a completion is one frame, channel tag
@@ -36,6 +41,9 @@ package memnode
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/ids"
 	"repro/internal/latmodel"
@@ -82,18 +90,30 @@ type pendingWrite struct {
 	off   int
 }
 
-type region struct {
-	w       *writer
-	base    int // offset of the region in its writer's span
+// regionRange is count equal-size regions first, first+1, ... of one writer,
+// contiguous in its span from base: one record however many registers it
+// holds.
+type regionRange struct {
+	first   RegionID
+	count   int
 	size    int
-	pending *pendingWrite
+	base    int // offset of region first in its writer's span
+	w       *writer
+	pending []*pendingWrite // per region, made at the range's first accepted WRITE
+}
+
+// region is one region of a range: its record and its index k in the range.
+type region struct {
+	*regionRange
+	k int
 }
 
 // data returns the region's bytes, or nil while its writer's span does not
 // cover it yet.
-func (rg *region) data() []byte {
-	if end := rg.base + rg.size; end <= len(rg.w.span) {
-		return rg.w.span[rg.base:end:end]
+func (rg region) data() []byte {
+	start := rg.base + rg.k*rg.size
+	if end := start + rg.size; end <= len(rg.w.span) {
+		return rg.w.span[start:end:end]
 	}
 	return nil
 }
@@ -121,7 +141,7 @@ type Node struct {
 	id      ids.ID
 	proc    *sim.Proc
 	rt      *router.Router
-	regions map[RegionID]*region
+	ranges  []*regionRange  // disjoint, sorted by first
 	settled []*pendingWrite // free list of pendingWrite records
 
 	// AllocatedBytes tracks total region bytes allocated on this node,
@@ -139,7 +159,6 @@ func New(rt *router.Router) *Node {
 		id:      rt.ID(),
 		proc:    rt.Node().Proc(),
 		rt:      rt,
-		regions: make(map[RegionID]*region),
 		writers: make(map[ids.ID]*writer),
 	}
 	rt.Register(router.ChanMemReq, n.onRequest)
@@ -155,30 +174,63 @@ func (n *Node) Crash() { n.proc.Crash() }
 // Crashed reports whether the node has crashed.
 func (n *Node) Crashed() bool { return n.proc.Crashed() }
 
-// Allocate reserves a region of size bytes writable only by owner, at the end
-// of owner's span; its bytes are committed with the span (package doc). The
-// management plane (connection handling, §2.3) allocates regions before the
-// protocol runs; allocating an existing region panics.
-func (n *Node) Allocate(id RegionID, owner ids.ID, size int) {
-	if _, dup := n.regions[id]; dup {
-		panic(fmt.Sprintf("memnode %v: region %d allocated twice", n.id, id))
+// Allocate reserves one region of size bytes writable only by owner:
+// AllocateRange(id, 1, owner, size).
+func (n *Node) Allocate(id RegionID, owner ids.ID, size int) { n.AllocateRange(id, 1, owner, size) }
+
+// AllocateRange reserves count regions first, ..., first+count-1 of size
+// bytes each, writable only by owner, as one record at the end of owner's
+// span; their bytes are committed with the span (package doc). The management
+// plane (connection handling, §2.3) allocates regions before the protocol
+// runs; allocating a region that exists panics.
+func (n *Node) AllocateRange(first RegionID, count int, owner ids.ID, size int) {
+	last := uint64(first) + uint64(count) - 1
+	if size <= 0 || count <= 0 || last > math.MaxUint32 {
+		panic(fmt.Sprintf("memnode %v: regions %d+%d size %d", n.id, first, count, size))
 	}
-	if size <= 0 {
-		panic(fmt.Sprintf("memnode %v: region %d size %d", n.id, id, size))
+	i := n.after(first)
+	if i > 0 && n.ranges[i-1].contains(first) || i < len(n.ranges) && uint64(n.ranges[i].first) <= last {
+		panic(fmt.Sprintf("memnode %v: regions %d..%d overlap an allocation", n.id, first, last))
 	}
 	w := n.writers[owner]
 	if w == nil {
 		w = &writer{id: owner}
 		n.writers[owner] = w
 	}
-	n.regions[id] = &region{w: w, base: w.reserved, size: size}
-	w.reserved += size
-	n.AllocatedBytes += size
+	n.ranges = slices.Insert(n.ranges, i, &regionRange{first: first, count: count, size: size, base: w.reserved, w: w})
+	w.reserved += count * size
+	n.AllocatedBytes += count * size
+}
+
+// contains reports whether id is one of the range's regions.
+func (rr *regionRange) contains(id RegionID) bool {
+	return id >= rr.first && uint64(id-rr.first) < uint64(rr.count)
+}
+
+// after returns the index of the first range that starts after id.
+func (n *Node) after(id RegionID) int {
+	return sort.Search(len(n.ranges), func(i int) bool { return n.ranges[i].first > id })
+}
+
+// region looks id up by binary search over the ranges.
+func (n *Node) region(id RegionID) (region, bool) {
+	i := n.after(id)
+	if i == 0 || !n.ranges[i-1].contains(id) {
+		return region{}, false
+	}
+	rr := n.ranges[i-1]
+	return region{rr, int(id - rr.first)}, true
 }
 
 // RegionCount returns how many regions are allocated on this node. The
 // shard layer asserts S groups occupy exactly S disjoint spans.
-func (n *Node) RegionCount() int { return len(n.regions) }
+func (n *Node) RegionCount() int {
+	c := 0
+	for _, rr := range n.ranges {
+		c += rr.count
+	}
+	return c
+}
 
 // BytesOwnedBy returns the bytes allocated to regions writable by owner,
 // i.e. one process's share of this node's disaggregated pool.
@@ -203,14 +255,14 @@ func (n *Node) CommittedBytes(owner ids.ID) int {
 // words settle front-to-back, so a concurrent read sees a prefix of new data
 // and a suffix of old data at 8-byte granularity. A region never written
 // reads as zeros: out is a fresh completion, and it has no settling window.
-func (n *Node) readInto(out []byte, rg *region, now sim.Time) {
+func (n *Node) readInto(out []byte, rg region, now sim.Time) {
 	copy(out, rg.data())
-	p := rg.pending
-	if p == nil {
+	if rg.pending == nil || rg.pending[rg.k] == nil {
 		return
 	}
+	p := rg.pending[rg.k]
 	if now >= p.end {
-		n.settle(rg)
+		n.settle(&rg.pending[rg.k])
 		return
 	}
 	span := p.end - p.start
@@ -225,12 +277,12 @@ func (n *Node) readInto(out []byte, rg *region, now sim.Time) {
 	copy(out[p.off+settledBytes:p.off+writeLen], p.old[settledBytes:])
 }
 
-// settle ends the region's settling window, if any, and keeps its record for
+// settle ends the settling window in slot, if any, and keeps its record for
 // the next WRITE.
-func (n *Node) settle(rg *region) {
-	if rg.pending != nil {
-		n.settled = append(n.settled, rg.pending)
-		rg.pending = nil
+func (n *Node) settle(slot **pendingWrite) {
+	if *slot != nil {
+		n.settled = append(n.settled, *slot)
+		*slot = nil
 	}
 }
 
@@ -277,7 +329,7 @@ func ParseRequest(payload []byte) (Request, error) {
 }
 
 func (n *Node) serveWrite(from ids.ID, seq uint64, id RegionID, off int, data []byte) {
-	rg, ok := n.regions[id]
+	rg, ok := n.region(id)
 	if !ok {
 		n.respond(from, opWrite, seq, StatusNoRegion)
 		return
@@ -292,11 +344,14 @@ func (n *Node) serveWrite(from ids.ID, seq uint64, id RegionID, off int, data []
 		return
 	}
 	rg.w.commit()
-	buf := rg.data()
+	if rg.pending == nil {
+		rg.pending = make([]*pendingWrite, rg.count)
+	}
+	buf, slot := rg.data(), &rg.pending[rg.k]
 	now := n.proc.Now()
 	// Record the torn window before overwriting: the write settles over
 	// roughly the PCIe copy duration of the payload.
-	n.settle(rg)
+	n.settle(slot)
 	var p *pendingWrite
 	if k := len(n.settled); k > 0 {
 		p, n.settled = n.settled[k-1], n.settled[:k-1]
@@ -305,13 +360,13 @@ func (n *Node) serveWrite(from ids.ID, seq uint64, id RegionID, off int, data []
 	}
 	*p = pendingWrite{old: append(p.old[:0], buf[off:off+len(data)]...),
 		start: now, end: now.Add(latmodel.CopyCost(len(data))), off: off}
-	rg.pending = p
+	*slot = p
 	copy(buf[off:], data)
 	n.respond(from, opWrite, seq, StatusOK)
 }
 
 func (n *Node) serveRead(from ids.ID, seq uint64, id RegionID) {
-	rg, ok := n.regions[id]
+	rg, ok := n.region(id)
 	if !ok {
 		n.respond(from, opRead, seq, StatusNoRegion)
 		return

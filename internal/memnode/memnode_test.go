@@ -202,9 +202,11 @@ func FuzzMemNodeRequest(f *testing.F) {
 	f.Add(read(3, 1)[1:])
 	f.Add(write(4, 1, math.MaxInt64-3, make([]byte, 8))[1:])
 	f.Add([]byte{1, 2})
+	f.Add(write(5, 5, 8, []byte("12345678"))[1:]) // the middle of the second range
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r := newRig(t)
 		r.node.Allocate(1, 0, 8)
+		r.node.AllocateRange(4, 3, 0, 16) // regions 4-6, after a gap
 		r.owner.Send(10, router.ChanMemReq, payload)
 		r.eng.Run()
 		if len(r.resps[0]) != 1 {
@@ -383,5 +385,145 @@ func TestFirstWriteCommitsTheWritersSpan(t *testing.T) {
 		if got := r.last(1); got.Status != StatusOK || !bytes.Equal(got.Data, c.want) {
 			t.Fatalf("region %d read %q, want %q", c.id, got.Data, c.want)
 		}
+	}
+}
+
+// TestOverlappingRangePanics: a range that overlaps an allocated one at its
+// first, a middle or its last region, or covers it, panics; ranges adjacent to
+// it on either side are accepted.
+func TestOverlappingRangePanics(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		first        RegionID
+		count        int
+		wantOverlaps bool
+	}{
+		{"at its first", 8, 3, true},
+		{"at a middle", 12, 1, true},
+		{"at its last", 14, 5, true},
+		{"covering it", 2, 20, true},
+		{"adjacent below", 5, 5, false},
+		{"adjacent above", 15, 5, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t)
+			r.node.AllocateRange(10, 5, 0, 8) // regions 10-14
+			defer func() {
+				if panicked := recover() != nil; panicked != c.wantOverlaps {
+					t.Fatalf("regions %d+%d: panicked %v, want %v", c.first, c.count, panicked, c.wantOverlaps)
+				}
+			}()
+			r.node.AllocateRange(c.first, c.count, 1, 8)
+		})
+	}
+}
+
+// TestGapsAreNoRegion: a READ or WRITE of an ID before the first range,
+// between two ranges or past the last one answers StatusNoRegion; every ID
+// inside a range is served.
+func TestGapsAreNoRegion(t *testing.T) {
+	r := newRig(t)
+	r.node.AllocateRange(2, 3, 0, 8) // 2-4
+	r.node.AllocateRange(7, 2, 0, 8) // 7-8
+	seq := uint64(0)
+	for id := RegionID(0); id < 12; id++ {
+		want := StatusNoRegion
+		if id >= 2 && id <= 4 || id == 7 || id == 8 {
+			want = StatusOK
+		}
+		seq++
+		r.owner.SendFrame(10, read(seq, id))
+		seq++
+		r.owner.SendFrame(10, write(seq, id, 0, []byte("x")))
+		r.eng.Run()
+		for _, got := range r.resps[0][len(r.resps[0])-2:] {
+			if got.Status != want {
+				t.Fatalf("region %d: status %d, want %d", id, got.Status, want)
+			}
+		}
+	}
+}
+
+// TestWriteTearsOnlyItsRegion: a read of region k inside the settling window
+// of a WRITE to it may be torn, and reads of its neighbours k-1 and k+1 in
+// the same range, each holding other bytes, never are.
+func TestWriteTearsOnlyItsRegion(t *testing.T) {
+	const size = 16384 // settles over CopyCost(16384), ~2.4 us
+	r := newRig(t)
+	r.node.AllocateRange(1, 3, 0, size)
+	held := func(id RegionID) []byte { return bytes.Repeat([]byte{0x11 * byte(id)}, size) }
+	for id := RegionID(1); id <= 3; id++ {
+		r.owner.SendFrame(10, write(uint64(id), id, 0, held(id)))
+	}
+	r.eng.Run()
+	// The write, and a read every 350 ns, of regions 1, 2 and 3 in turn.
+	newData := bytes.Repeat([]byte{0xBB}, size)
+	r.owner.SendFrame(10, write(4, 2, 0, newData))
+	const reads = 60
+	for i := 0; i < reads; i++ {
+		id := RegionID(1 + i%3)
+		seq := uint64(100*(i+1)) + uint64(id) // the region read is seq % 100
+		r.eng.After(sim.Duration(i)*350*sim.Nanosecond, func() { r.other.SendFrame(10, read(seq, id)) })
+	}
+	r.eng.Run()
+	torn := 0
+	for _, resp := range r.resps[1] {
+		id := RegionID(resp.Seq % 100)
+		switch {
+		case id != 2 && !bytes.Equal(resp.Data, held(id)):
+			t.Fatalf("read %d of region %d changed by a WRITE to region 2", resp.Seq/100, id)
+		case id == 2 && !bytes.Equal(resp.Data, held(2)) && !bytes.Equal(resp.Data, newData):
+			torn++
+		}
+	}
+	t.Logf("%d of %d answers torn", torn, len(r.resps[1]))
+	if len(r.resps[1]) != reads || torn == 0 {
+		t.Fatalf("%d answers, %d of region 2 torn: no read landed inside the settling window", len(r.resps[1]), torn)
+	}
+}
+
+// TestRangeAccountingIsPerRegion: the default deployment's registers
+// (3 replicas, each the broadcaster of one CTBcast group of 3 members with a
+// tail of 128 registers of 208 bytes) allocated as one range per member and
+// group, as AllocateRegions does, and one record per register, answer
+// AllocatedBytes, BytesOwnedBy, CommittedBytes and RegionCount alike, before
+// and after a writer's first WRITE, and read alike.
+func TestRangeAccountingIsPerRegion(t *testing.T) {
+	const replicas, tail, size = 3, 128, 208
+	ranged, perRegion := newRig(t), newRig(t)
+	for g := 0; g < replicas; g++ {
+		for m := 0; m < replicas; m++ {
+			first := RegionID((g*replicas + m) * tail)
+			ranged.node.AllocateRange(first, tail, ids.ID(m), size)
+			for s := 0; s < tail; s++ {
+				perRegion.node.Allocate(first+RegionID(s), ids.ID(m), size)
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		a, b := ranged.node, perRegion.node
+		if a.AllocatedBytes != b.AllocatedBytes || a.RegionCount() != b.RegionCount() || a.RegionCount() != replicas*replicas*tail {
+			t.Fatalf("%s: %d bytes in %d regions, per region %d in %d", when,
+				a.AllocatedBytes, a.RegionCount(), b.AllocatedBytes, b.RegionCount())
+		}
+		for m := ids.ID(0); m < replicas; m++ {
+			if a.BytesOwnedBy(m) != b.BytesOwnedBy(m) || a.CommittedBytes(m) != b.CommittedBytes(m) {
+				t.Fatalf("%s: p%d owns %d and commits %d bytes, per region %d and %d", when, m,
+					a.BytesOwnedBy(m), a.CommittedBytes(m), b.BytesOwnedBy(m), b.CommittedBytes(m))
+			}
+		}
+	}
+	check("at set-up")
+	// p0 writes the last register of group 2's tail.
+	id := RegionID((2*replicas+1)*tail - 1)
+	for _, r := range []*rig{ranged, perRegion} {
+		r.owner.SendFrame(10, write(1, id, 200, []byte("tail-end")))
+		r.other.SendFrame(10, read(2, id))
+		r.eng.Run()
+	}
+	check("after p0's first WRITE")
+	if a, b := ranged.last(1), perRegion.last(1); a.Status != StatusOK || !bytes.Equal(a.Data, b.Data) {
+		t.Fatalf("region %d reads %q, per region %q", id, a.Data, b.Data)
 	}
 }

@@ -14,6 +14,12 @@
 // saves host CPU only. Only valid verdicts are kept, so a forged signature
 // is computed, and refused, every time.
 //
+// A Registry draws every key seed when it is made, in id order, and derives a
+// key pair from its seed at that key's first signature, check or PublicKey
+// (once, however many goroutines race to it). A deployment whose fast path
+// signs nothing derives no key at set-up, and the keys, signatures and table
+// entries are the ones an up-front derivation made.
+//
 // A signature a Registry's own key makes enters the table when it is made:
 // the Registry derives each public key from its private key, and an ed25519
 // signature made with a private key verifies under that public key, so a
@@ -66,8 +72,7 @@ const verifiedEntries = 1024
 // verdicts its signers have found valid. One Registry may serve every
 // process of a simulated deployment, so the table is guarded.
 type Registry struct {
-	pubs  map[ProcID]ed25519.PublicKey
-	privs map[ProcID]ed25519.PrivateKey
+	keys map[ProcID]*key
 
 	mu       sync.Mutex
 	scratch  []byte                             // the bytes a key is hashed from; as long as the longest message checked
@@ -76,22 +81,35 @@ type Registry struct {
 	reused   uint64
 }
 
-// NewRegistry deterministically generates a keypair for each id in ids,
-// seeding key generation from seed so simulations are reproducible.
+// key is one process's key pair, derived from its seed at its first use.
+type key struct {
+	seed [ed25519.SeedSize]byte
+	once sync.Once
+	priv ed25519.PrivateKey
+	pub  ed25519.PublicKey
+}
+
+// derive makes the key pair on the first call; later calls return at once.
+func (k *key) derive() *key {
+	k.once.Do(func() {
+		k.priv = ed25519.NewKeyFromSeed(k.seed[:])
+		k.pub = k.priv.Public().(ed25519.PublicKey)
+	})
+	return k
+}
+
+// NewRegistry deterministically draws a key seed for each id in ids from
+// seed, so simulations are reproducible. A key pair is derived from its seed
+// at its first use (package doc).
 func NewRegistry(seed int64, ids []ProcID) *Registry {
-	r := &Registry{
-		pubs:  make(map[ProcID]ed25519.PublicKey, len(ids)),
-		privs: make(map[ProcID]ed25519.PrivateKey, len(ids)),
-	}
+	r := &Registry{keys: make(map[ProcID]*key, len(ids))}
 	rng := rand.New(rand.NewSource(seed))
 	for _, id := range ids {
-		var keySeed [ed25519.SeedSize]byte
-		if _, err := io.ReadFull(rng, keySeed[:]); err != nil {
+		k := new(key)
+		if _, err := io.ReadFull(rng, k.seed[:]); err != nil {
 			panic(err) // math/rand never errors
 		}
-		priv := ed25519.NewKeyFromSeed(keySeed[:])
-		r.privs[id] = priv
-		r.pubs[id] = priv.Public().(ed25519.PublicKey)
+		r.keys[id] = k
 	}
 	return r
 }
@@ -99,15 +117,20 @@ func NewRegistry(seed int64, ids []ProcID) *Registry {
 // Signer returns the signing handle for id. It panics if id is unknown:
 // asking for a missing key is always a harness bug.
 func (r *Registry) Signer(id ProcID) *Signer {
-	priv, ok := r.privs[id]
+	k, ok := r.keys[id]
 	if !ok {
 		panic(fmt.Sprintf("xcrypto: no key registered for process %d", id))
 	}
-	return &Signer{id: id, priv: priv, reg: r}
+	return &Signer{id: id, key: k, reg: r}
 }
 
 // PublicKey returns the public key of id (nil if unknown).
-func (r *Registry) PublicKey(id ProcID) ed25519.PublicKey { return r.pubs[id] }
+func (r *Registry) PublicKey(id ProcID) ed25519.PublicKey {
+	if k, ok := r.keys[id]; ok {
+		return k.derive().pub
+	}
+	return nil
+}
 
 // Verifications returns how many checks this Registry answered with an
 // ed25519 computation and how many from its table of valid verdicts. A check
@@ -143,7 +166,7 @@ func (r *Registry) signed(from ProcID, msg []byte, sig Signature) {
 // verdict only for a triple the table does not hold, and stores only a valid
 // one.
 func (r *Registry) verify(from ProcID, msg []byte, sig Signature) bool {
-	pub, ok := r.pubs[from]
+	k, ok := r.keys[from]
 	if !ok || len(sig) != ed25519.SignatureSize {
 		return false
 	}
@@ -155,7 +178,7 @@ func (r *Registry) verify(from ProcID, msg []byte, sig Signature) bool {
 		return true
 	}
 	r.computed++
-	if !ed25519.Verify(pub, msg, sig) {
+	if !ed25519.Verify(k.derive().pub, msg, sig) {
 		return false
 	}
 	*entry = key
@@ -164,9 +187,9 @@ func (r *Registry) verify(from ProcID, msg []byte, sig Signature) bool {
 
 // Signer signs on behalf of one process and verifies against the registry.
 type Signer struct {
-	id   ProcID
-	priv ed25519.PrivateKey
-	reg  *Registry
+	id  ProcID
+	key *key
+	reg *Registry
 }
 
 // ID returns the process the signer signs for.
@@ -182,7 +205,7 @@ func (s *Signer) Sign(p *sim.Proc, msg []byte) Signature {
 
 // sign makes the signature and records it as valid.
 func (s *Signer) sign(msg []byte) Signature {
-	sig := Signature(ed25519.Sign(s.priv, msg))
+	sig := Signature(ed25519.Sign(s.key.derive().priv, msg))
 	s.reg.signed(s.id, msg, sig)
 	return sig
 }

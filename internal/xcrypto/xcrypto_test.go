@@ -2,6 +2,7 @@ package xcrypto
 
 import (
 	"bytes"
+	"encoding/hex"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -409,4 +410,119 @@ func TestSignerUnknownIDPanics(t *testing.T) {
 		}
 	}()
 	reg.Signer(ids.ID(42))
+}
+
+// derivedKeys lists the ids of reg whose key pair has been derived.
+func derivedKeys(reg *Registry) []ProcID {
+	var out []ProcID
+	for id := ProcID(0); int(id) < len(reg.keys); id++ {
+		if reg.keys[id].priv != nil {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestKeysDerivedAtFirstUse: making a Registry or a Signer derives no key; a
+// key is derived at its signer's first signature, at the first check that
+// computes a verdict of its signature, or at its PublicKey, and no other key
+// with it.
+func TestKeysDerivedAtFirstUse(t *testing.T) {
+	idList := []ProcID{0, 1, 2, 3}
+	reg := NewRegistry(1, idList)
+	s2 := reg.Signer(2)
+	if d := derivedKeys(reg); d != nil {
+		t.Fatalf("NewRegistry and Signer derived keys %v", d)
+	}
+	_, p := testProc()
+	s2.Sign(p, []byte("m"))
+	if d := derivedKeys(reg); len(d) != 1 || d[0] != 2 {
+		t.Fatalf("the first Sign by 2 derived keys %v", d)
+	}
+	// Signed by another Registry, so the check computes its verdict.
+	sig := NewRegistry(1, idList).Signer(3).Sign(p, []byte("m"))
+	if !s2.Verify(p, 3, []byte("m"), sig) {
+		t.Fatal("valid signature of 3 refused")
+	}
+	if d := derivedKeys(reg); len(d) != 2 || d[1] != 3 {
+		t.Fatalf("the first check of 3's signature derived keys %v", d)
+	}
+	reg.PublicKey(0)
+	if d := derivedKeys(reg); len(d) != 3 || d[0] != 0 {
+		t.Fatalf("PublicKey(0) derived keys %v", d)
+	}
+}
+
+// TestKeysAreTheParents: a key pair derived at its first use is the one the
+// Registry derived up front before keys were derived lazily, so signatures
+// and public keys are byte-equal to those pinned from then.
+func TestKeysAreTheParents(t *testing.T) {
+	const (
+		wantSig = "8803b2a4a4e3ffcf39afe0b36b83c4b9a922afd89319b5b921dbd5dd6771500f" +
+			"c98215b9b97b8a7da0c3c944b1e23f3a6d5ace49ac5c1861ffe68a3934bb8703"
+		wantPub = "eca8c5eaf4e6106aed6d5addfe16b36f1bfe3aa41c1ceae43205780d8e3ad191"
+	)
+	reg := NewRegistry(1, []ProcID{0, 1, 2, 3})
+	_, p := testProc()
+	if sig := reg.Signer(2).Sign(p, []byte("pinned message")); hex.EncodeToString(sig) != wantSig {
+		t.Fatalf("signature %x, want %s", sig, wantSig)
+	}
+	if pub := reg.PublicKey(2); hex.EncodeToString(pub) != wantPub {
+		t.Fatalf("public key %x, want %s", pub, wantPub)
+	}
+}
+
+// TestUnknownSignerRefusedWithoutComputing: a check of a signature by a
+// process the Registry has no key for is refused before the table is
+// consulted or a key derived.
+func TestUnknownSignerRefusedWithoutComputing(t *testing.T) {
+	idList := []ProcID{0, 1}
+	reg := NewRegistry(1, idList)
+	_, p := testProc()
+	sig := NewRegistry(1, idList).Signer(1).Sign(p, []byte("m"))
+	if reg.Signer(0).Verify(p, 7, []byte("m"), sig) {
+		t.Fatal("signature by an unknown signer accepted")
+	}
+	if c, r := reg.Verifications(); c != 0 || r != 0 {
+		t.Fatalf("refused check counted: computed %d, reused %d", c, r)
+	}
+	if d := derivedKeys(reg); d != nil {
+		t.Fatalf("refused check derived keys %v", d)
+	}
+}
+
+// TestConcurrentFirstUse: goroutines racing to a key's first use derive it
+// once, and every one of them signs and checks with it (run under -race).
+func TestConcurrentFirstUse(t *testing.T) {
+	idList := []ProcID{0, 1}
+	reg := NewRegistry(1, idList)
+	e := sim.NewEngine(1)
+	msg := []byte("first use")
+	want := NewRegistry(1, idList).Signer(1).Sign(sim.NewProc(e, "ref"), msg)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		s, p := reg.Signer(ProcID(g%2)), sim.NewProc(e, "racer")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch g % 3 {
+			case 0:
+				if !s.Verify(p, 1, msg, want) {
+					t.Error("valid signature refused")
+				}
+			case 1:
+				if reg.PublicKey(1) == nil {
+					t.Error("no public key for 1")
+				}
+			default:
+				if sig := reg.Signer(1).Sign(p, msg); !bytes.Equal(sig, want) {
+					t.Error("signature differs from the up-front key's")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if d := derivedKeys(reg); len(d) != 1 || d[0] != 1 {
+		t.Fatalf("derived keys %v, want [1]", d)
+	}
 }
