@@ -65,10 +65,13 @@ race:
 # records and allocate nothing per decision. Memory nodes back a writer's
 # registers only from its first WRITE: none on the fast path, every
 # reservation exactly on the slow path. A deployment's constructors leave a
-# budgeted number of heap objects: nothing made per register or per key.
+# budgeted number of heap objects: nothing made per register or per key. A
+# register client's draining set of request frames stays at its bound with a
+# memory node crashed, forgetting its oldest entries.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestRegistersCommittedOnlyBySlowPath' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
+	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one

@@ -1,13 +1,15 @@
 package cluster_test
 
 // The ownership contract of every fabric, checked end to end: a payload is
-// immutable once sent. A message-ring frame in particular is one slice that
-// the sender's mirror, every receiver, every retransmission and the
-// broadcaster's self-delivery share, and so is a register request, which goes
-// to every memory node and out again on each retransmission. A single write
-// into one anywhere — a decoder appending to a view, a handler editing a
-// delivered message, a mirror slot or a request record reusing its buffer —
-// would change what some other reader sees.
+// not written while a transmission of it is undelivered. A message-ring frame
+// in particular is one slice that the sender's mirror, every receiver, every
+// retransmission and the broadcaster's self-delivery share, and so is a
+// register request, which goes to every memory node and out again on each
+// retransmission. A single write into one too early — a decoder appending to
+// a view, a handler editing a delivered message, a mirror slot or a register
+// client reusing its buffer before every transmission is answered — would
+// change what some receiver reads. Register frames alone are reused after
+// that (package memnode); every other payload never changes at all.
 
 import (
 	"fmt"
@@ -25,10 +27,17 @@ import (
 	"repro/internal/xcrypto"
 )
 
-// frameAudit records every payload handed to Send with its checksum, and
-// counts the ring and memory-node request retransmissions among them.
+// frameAudit checksums every payload handed to Send and every payload
+// delivered, and counts the ring and memory-node request retransmissions and
+// the register frames sent again with new bytes.
 type frameAudit struct {
 	sent []sentPayload
+	// Per directed link, what the rule let through in send order and was not
+	// delivered yet: the fabric is FIFO with gaps, so a delivery is the
+	// oldest entry with the same slice, and older ones were lost.
+	links     map[[2]ids.ID][]sentPayload
+	delivered int
+	late      []string // deliveries whose bytes differ from their Send's
 	// Ring frames by (sender, receiver, instance, slot, incarnation) and
 	// register requests by (sender, memory node, sequence number): one seen
 	// before is a retransmission.
@@ -36,10 +45,13 @@ type frameAudit struct {
 	memSeen       map[memRequest]bool
 	retransmit    int
 	memRetransmit int
+	lastSum       map[*byte]uint64 // a register frame's bytes at its last Send
+	recycled      int              // register frames sent again with other bytes
 }
 
 type sentPayload struct {
 	from, to ids.ID
+	ch       uint8
 	buf      []byte
 	sum      uint64
 }
@@ -57,12 +69,17 @@ type memRequest struct {
 }
 
 func newFrameAudit() *frameAudit {
-	return &frameAudit{ringSeen: map[ringFrame]bool{}, memSeen: map[memRequest]bool{}}
+	return &frameAudit{links: map[[2]ids.ID][]sentPayload{}, ringSeen: map[ringFrame]bool{},
+		memSeen: map[memRequest]bool{}, lastSum: map[*byte]uint64{}}
 }
 
-func (a *frameAudit) record(from, to ids.ID, payload []byte) {
-	a.sent = append(a.sent, sentPayload{from: from, to: to, buf: payload, sum: xcrypto.ChecksumNoCharge(payload)})
+// register reports whether ch carries register frames, the ones reused.
+func register(ch uint8) bool { return ch == router.ChanMemReq || ch == router.ChanMemResp }
+
+func (a *frameAudit) record(from, to ids.ID, payload []byte) sentPayload {
 	ch, frame := router.Split(payload)
+	p := sentPayload{from: from, to: to, ch: ch, buf: payload, sum: xcrypto.ChecksumNoCharge(payload)}
+	a.sent = append(a.sent, p)
 	switch ch {
 	case router.ChanRing:
 		if f, ok := msgring.ParseFrame(frame); ok {
@@ -73,6 +90,13 @@ func (a *frameAudit) record(from, to ids.ID, payload []byte) {
 			a.memRetransmit += seen(a.memSeen, memRequest{from: from, to: to, seq: req.Seq})
 		}
 	}
+	if register(ch) {
+		if sum, ok := a.lastSum[&payload[0]]; ok && sum != p.sum {
+			a.recycled++
+		}
+		a.lastSum[&payload[0]] = p.sum
+	}
+	return p
 }
 
 // seen marks k in m and returns 1 if it was already there.
@@ -84,19 +108,53 @@ func seen[K comparable](m map[K]bool, k K) int {
 	return 0
 }
 
-// verify reports every recorded payload whose bytes changed after Send.
+// sameSlice reports whether a and b are the same bytes in memory.
+func sameSlice(a, b []byte) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+
+// deliver checks one delivery against its Send.
+func (a *frameAudit) deliver(from, to ids.ID, payload []byte) {
+	link := [2]ids.ID{from, to}
+	q := a.links[link]
+	for i, p := range q {
+		if sameSlice(p.buf, payload) {
+			a.links[link] = q[i+1:]
+			a.delivered++
+			if xcrypto.ChecksumNoCharge(payload) != p.sum {
+				a.late = append(a.late, fmt.Sprintf("payload %v -> %v on channel %d (%d bytes) changed before its delivery", from, to, p.ch, len(payload)))
+			}
+			return
+		}
+	}
+	a.late = append(a.late, fmt.Sprintf("payload %v -> %v (%d bytes) delivered without a Send", from, to, len(payload)))
+}
+
+// verify reports every delivery whose bytes were not its Send's, and every
+// recorded payload other than a register frame whose bytes changed after
+// Send.
 func (a *frameAudit) verify(t *testing.T) {
 	t.Helper()
-	changed := 0
+	for i, msg := range a.late {
+		if i < 5 {
+			t.Error(msg)
+		}
+	}
+	if len(a.late) > 0 {
+		t.Errorf("%d of %d deliveries differ from their Send", len(a.late), a.delivered)
+	}
+	changed, kept := 0, 0
 	for _, p := range a.sent {
+		if register(p.ch) {
+			continue
+		}
+		kept++
 		if xcrypto.ChecksumNoCharge(p.buf) != p.sum {
 			if changed++; changed <= 5 {
-				t.Errorf("payload %v -> %v on channel %d (%d bytes) changed after it was sent", p.from, p.to, p.buf[0], len(p.buf))
+				t.Errorf("payload %v -> %v on channel %d (%d bytes) changed after it was sent", p.from, p.to, p.ch, len(p.buf))
 			}
 		}
 	}
 	if changed > 0 {
-		t.Errorf("%d of %d sent payloads changed after Send", changed, len(a.sent))
+		t.Errorf("%d of %d sent payloads that are not register frames changed after Send", changed, kept)
 	}
 }
 
@@ -104,9 +162,25 @@ func (a *frameAudit) verify(t *testing.T) {
 // live, unpartitioned link and delivers it unchanged.
 func (a *frameAudit) observe(net *simnet.Network) {
 	net.SetRule(func(from, to ids.ID, frame []byte) (simnet.Fate, sim.Duration) {
-		a.record(from, to, frame)
+		link := [2]ids.ID{from, to}
+		a.links[link] = append(a.links[link], a.record(from, to, frame))
 		return simnet.Deliver, 0
 	})
+}
+
+// watch wraps the handlers of the nodes ids, so the audit sees every
+// delivery to them before their handler reads it.
+func (a *frameAudit) watch(net *simnet.Network, nodes ...[]ids.ID) {
+	for _, ns := range nodes {
+		for _, id := range ns {
+			nd := net.Node(id)
+			h := nd.Handler()
+			nd.SetHandler(func(from ids.ID, payload []byte) {
+				a.deliver(from, id, payload)
+				h(from, payload)
+			})
+		}
+	}
 }
 
 // infect runs p as node id's outbound rewrite behind a recording one, so the
@@ -122,8 +196,9 @@ func (a *frameAudit) infect(net *simnet.Network, id ids.ID, p byz.Policy) {
 // TestSentFramesNeverChange runs a cluster through what touches a ring frame
 // after it is sent — retransmission across a lossy pre-GST period, the
 // signed slow path (the crashed leader leaves no unanimity for the fast
-// path), checkpoints (a small window) and a view change — and then requires
-// every payload any node ever sent to still hold the bytes it had at Send.
+// path), checkpoints (a small window) and a view change. Every delivery must
+// carry the bytes its payload had at Send, and at the end of the run every
+// payload any node ever sent, register frames aside, must still hold them.
 // (Staging behind a WRITE in flight needs a burst of more than a ring's
 // slots within one WRITE completion, which consensus traffic does not make;
 // msgring's TestRetainedViewsNeverChange holds staged frames to the same
@@ -158,6 +233,7 @@ func TestSentFramesNeverChange(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer u.Stop()
+			audit.watch(net, u.ReplicaIDs, u.MemNodeIDs, u.ClientIDs)
 			set := func(i int) []byte { return app.EncodeKVSet([]byte(fmt.Sprintf("k%03d", i)), []byte("v")) }
 			mustSet := func(i int) {
 				if _, _, err := u.InvokeSyncErr(0, set(i), 100*sim.Millisecond); err != nil {
@@ -195,13 +271,15 @@ func TestSentFramesNeverChange(t *testing.T) {
 
 			r := u.Replicas[1]
 			_, slow, _ := r.GroupStats()
-			t.Logf("%d payloads sent, %d ring and %d register request retransmissions; view %d, %d slow decisions, %d slow CTBcast deliveries, checkpoint %d; %d/8 operations after GST",
-				len(audit.sent), audit.retransmit, audit.memRetransmit, r.View(), r.SlowDecides, slow, r.Checkpoint().Seq, completed)
+			t.Logf("%d payloads sent, %d delivered, %d ring and %d register request retransmissions, %d register frames sent again with new bytes; view %d, %d slow decisions, %d slow CTBcast deliveries, checkpoint %d; %d/8 operations after GST",
+				len(audit.sent), audit.delivered, audit.retransmit, audit.memRetransmit, audit.recycled, r.View(), r.SlowDecides, slow, r.Checkpoint().Seq, completed)
 			switch {
 			case audit.retransmit == 0:
 				t.Error("no ring frame was retransmitted")
 			case audit.memRetransmit == 0:
 				t.Error("no register request was retransmitted")
+			case audit.recycled == 0:
+				t.Error("no register frame was reused")
 			case r.View() == 0:
 				t.Error("the leader crash forced no view change")
 			case r.SlowDecides == 0 || slow == 0:

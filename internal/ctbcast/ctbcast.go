@@ -721,9 +721,17 @@ type slowDelivery struct {
 	k, slot   uint64
 	dg        [xcrypto.DigestLen]byte
 	waiting   int                          // register reads not yet answered
-	results   []swmr.ReadResult            // the answers, in arrival order
+	entries   []regEntry                   // the register entries read, in arrival order
 	writtenFn func(error)                  // sd.written
 	readFn    func(swmr.ReadResult, error) // sd.read
+}
+
+// regEntry is one register's entry (k, fingerprint, signature), decoded when
+// its read completes: a read lends its value only to its callback.
+type regEntry struct {
+	k   uint64
+	dg  [xcrypto.DigestLen]byte
+	sig [xcrypto.SigLen]byte
 }
 
 // newSlowDelivery returns a record for (k, dg), reusing a finished one.
@@ -732,7 +740,7 @@ func (g *Group) newSlowDelivery(k, slot uint64, dg [xcrypto.DigestLen]byte) *slo
 	if n := len(g.slowFree); n > 0 {
 		sd, g.slowFree = g.slowFree[n-1], g.slowFree[:n-1]
 	} else {
-		sd = &slowDelivery{g: g, results: make([]swmr.ReadResult, 0, g.n)}
+		sd = &slowDelivery{g: g, entries: make([]regEntry, 0, g.n)}
 		sd.writtenFn, sd.readFn = sd.written, sd.read
 	}
 	sd.k, sd.slot, sd.dg = k, slot, dg
@@ -741,8 +749,7 @@ func (g *Group) newSlowDelivery(k, slot uint64, dg [xcrypto.DigestLen]byte) *slo
 
 // release hands a record whose callbacks have all run back to its group.
 func (sd *slowDelivery) release() {
-	clear(sd.results) // drop the views of completion frames
-	sd.results = sd.results[:0]
+	sd.entries = sd.entries[:0]
 	sd.g.slowFree = append(sd.g.slowFree, sd)
 }
 
@@ -764,11 +771,16 @@ func (sd *slowDelivery) written(err error) {
 // read collects one register read; the last one decides.
 func (sd *slowDelivery) read(res swmr.ReadResult, err error) {
 	sd.waiting--
-	if err == nil {
-		sd.results = append(sd.results, res)
-	}
 	// A Byzantine register owner (err != nil) contributes the default
-	// (empty) value and is otherwise ignored.
+	// (empty) value and is otherwise ignored, and so is garbage in a
+	// Byzantine receiver's register.
+	if err == nil && !res.Empty {
+		if k, dg, sig, err := decodeRegValue(res.Value); err == nil {
+			e := regEntry{k: k, dg: dg}
+			copy(e.sig[:], sig)
+			sd.entries = append(sd.entries, e)
+		}
+	}
 	if sd.waiting == 0 {
 		sd.g.finishSlow(sd)
 		sd.release()
@@ -784,14 +796,9 @@ func (g *Group) finishSlow(sd *slowDelivery) {
 	if !ok {
 		return
 	}
-	for _, res := range sd.results {
-		if res.Empty {
-			continue
-		}
-		k2, dg2, sig2, err := decodeRegValue(res.Value)
-		if err != nil {
-			continue // garbage in a Byzantine receiver's register
-		}
+	for i := range sd.entries {
+		e := &sd.entries[i]
+		k2, dg2, sig2 := e.k, e.dg, e.sig[:]
 		if k2 == k && dg2 == dg {
 			continue // echoes our own value: no behavioural effect,
 			// so its signature needs no (expensive) verification
@@ -823,7 +830,7 @@ func encodeRegValue(w *wire.Writer, k uint64, dg [xcrypto.DigestLen]byte, sig []
 }
 
 // decodeRegValue parses a register value in borrow mode: sig aliases v,
-// which callers only use within the read completion.
+// which a read lends only to its callback.
 func decodeRegValue(v []byte) (k uint64, dg [xcrypto.DigestLen]byte, sig []byte, err error) {
 	r := wire.NewReader(v)
 	k = r.U64()

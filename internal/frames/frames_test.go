@@ -80,7 +80,7 @@ func seeds() [][]byte {
 	ack := wire.NewWriter(16)
 	ack.U8(wire.ChanRingAck)
 	tbcast.AppendAck(ack, 4, 9)
-	return append(out, ack.Finish(), memnode.EncodeRead(1), nil)
+	return append(out, ack.Finish(), memnode.EncodeRead(nil, 1), nil)
 }
 
 // FuzzDescribe: Describe reads any bytes as a frame without panicking.
@@ -229,10 +229,10 @@ func TestOwnerCodecsReadEveryFrame(t *testing.T) {
 			var again []byte
 			if req.Op == wire.MemOpWrite {
 				var data []byte
-				again, data = memnode.EncodeWrite(req.Region, req.Off, len(req.Data))
+				again, data = memnode.EncodeWrite(nil, req.Region, req.Off, len(req.Data))
 				copy(data, req.Data)
 			} else {
-				again = memnode.EncodeRead(req.Region)
+				again = memnode.EncodeRead(nil, req.Region)
 			}
 			if memnode.SetSeq(again, req.Seq); err != nil || !bytes.Equal(again, c.frame) {
 				mismatch("memnode request", c)

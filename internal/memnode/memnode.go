@@ -30,12 +30,15 @@
 //
 // As an RDMA NIC posts one buffer to every memory node and DMAs a completion
 // without copying it, a request or a completion is one frame, channel tag
-// first, encoded once into a fresh slice of exact size and immutable once
-// sent. A client posts the same request frame to every memory node and on
-// every retransmission; the node takes a WRITE's data as a view of it and
-// writes a READ's region, torn-read model applied, straight into the
-// completion frame, whose bytes the client then reads in place
-// (Response.Data).
+// first, encoded once. A client posts the same request frame to every memory
+// node and on every retransmission; the node takes a WRITE's data as a view of
+// it and writes a READ's region, torn-read model applied, straight into the
+// completion frame. Register frames are the one kind the stack recycles, as
+// an RDMA client reposts its registered buffers: a client reuses a request
+// frame (EncodeWrite, EncodeRead take the buffer) once every transmission of
+// it is answered, and a completion's one reader hands it back with Release
+// once done, to a free list every node of the process takes its completions
+// from. Between Send and its last delivery a frame is never written.
 package memnode
 
 import (
@@ -44,6 +47,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/latmodel"
@@ -254,9 +258,12 @@ func (n *Node) CommittedBytes(owner ids.ID) int {
 // into out, applying the torn-read model: during a write's settling window,
 // words settle front-to-back, so a concurrent read sees a prefix of new data
 // and a suffix of old data at 8-byte granularity. A region never written
-// reads as zeros: out is a fresh completion, and it has no settling window.
+// reads as zeros (out may be a recycled completion), and it has no settling
+// window.
 func (n *Node) readInto(out []byte, rg region, now sim.Time) {
-	copy(out, rg.data())
+	if copy(out, rg.data()) == 0 {
+		clear(out)
+	}
 	if rg.pending == nil || rg.pending[rg.k] == nil {
 		return
 	}
@@ -382,56 +389,106 @@ func (n *Node) respond(to ids.ID, op uint8, seq uint64, status uint8) {
 	n.rt.SendFrame(to, frame)
 }
 
-// completion encodes a completion frame, channel tag first, into a fresh
-// slice of exact size, and returns it with the window at its end that holds a
-// READ's size region bytes (size is 0 for a WRITE).
+// maxFreeCompletions bounds the completion free list: a process whose clients
+// release more completions than its nodes take (a client process over
+// sockets) keeps no more than this many.
+const maxFreeCompletions = 256
+
+// completions is the free list of released completion frames, by length. It
+// is shared by every node and client of the process, which may run on
+// different engine goroutines.
+var completions struct {
+	sync.Mutex
+	free  map[int][][]byte
+	count int
+}
+
+// Release hands back a completion frame, channel tag included, that its one
+// reader is done with: nothing may read it afterwards, as the next completion
+// of its length may be written into it.
+func Release(frame []byte) {
+	completions.Lock()
+	defer completions.Unlock()
+	if completions.count == maxFreeCompletions {
+		return // left to the garbage collector
+	}
+	if completions.free == nil {
+		completions.free = make(map[int][][]byte)
+	}
+	completions.free[len(frame)] = append(completions.free[len(frame)], frame)
+	completions.count++
+}
+
+// completionFrame returns a released completion frame of length n, or a
+// fresh one.
+func completionFrame(n int) []byte {
+	completions.Lock()
+	defer completions.Unlock()
+	fs := completions.free[n]
+	if len(fs) == 0 {
+		return make([]byte, n)
+	}
+	completions.free[n], completions.count = fs[:len(fs)-1], completions.count-1
+	return fs[len(fs)-1]
+}
+
+// completion encodes a completion frame, channel tag first, into a frame of
+// exact size from the free list, and returns it with the window at its end
+// that holds a READ's size region bytes (size is 0 for a WRITE). The caller
+// writes every byte of that window.
 func completion(op uint8, seq uint64, status uint8, size int) (frame, data []byte) {
 	n := respHeaderLen
 	if op == opRead {
 		n += wire.BytesLen(size)
 	}
-	var w wire.Writer
-	w.Grow(n)
-	w.U8(router.ChanMemResp)
-	w.U8(op)
-	w.U64(seq)
-	w.U8(status)
+	frame = append(completionFrame(n)[:0], router.ChanMemResp, op)
+	frame = binary.LittleEndian.AppendUint64(frame, seq)
+	frame = append(frame, status)
 	if op == opRead {
-		w.Uvarint(uint64(size))
+		frame = binary.AppendUvarint(frame, uint64(size))
 	}
-	frame = w.Finish()[:n]
+	frame = frame[:n]
 	return frame, frame[n-size:]
+}
+
+// ReadLen is the length of every READ request frame.
+const ReadLen = reqHeaderLen
+
+// WriteLen returns the length of a WRITE request frame for size bytes at
+// offset off.
+func WriteLen(off, size int) int {
+	return reqHeaderLen + wire.UvarintLen(uint64(off)) + wire.BytesLen(size)
 }
 
 // EncodeWrite encodes a WRITE request frame, channel tag first, for size
-// bytes at offset off of region id into a fresh slice of exact size, and
-// returns it with the window that holds those bytes. The caller fills the
-// window and numbers the frame (SetSeq) before sending it first, and never
-// writes it after.
-func EncodeWrite(id RegionID, off, size int) (frame, data []byte) {
-	n := reqHeaderLen + wire.UvarintLen(uint64(off)) + wire.BytesLen(size)
-	var w wire.Writer
-	w.Grow(n)
-	w.U8(router.ChanMemReq)
-	w.U8(opWrite)
-	w.U64(0) // sequence number, see SetSeq
-	w.U32(uint32(id))
-	w.Uvarint(uint64(off))
-	w.Uvarint(uint64(size))
-	frame = w.Finish()[:n]
-	return frame, frame[n-size:]
+// bytes at offset off of region id into buf, which is reused when it has
+// WriteLen(off, size) bytes of capacity and is otherwise replaced by a fresh
+// slice of exact size. It returns the frame with the window that holds those
+// bytes, zeroed. The caller fills the window and numbers the frame (SetSeq)
+// before sending it first, and does not write it again until every
+// transmission of it is answered.
+func EncodeWrite(buf []byte, id RegionID, off, size int) (frame, data []byte) {
+	frame = appendHeader(buf, WriteLen(off, size), opWrite, id)
+	frame = binary.AppendUvarint(frame, uint64(off))
+	frame = binary.AppendUvarint(frame, uint64(size))
+	frame = append(frame, make([]byte, size)...)
+	return frame, frame[len(frame)-size:]
 }
 
-// EncodeRead encodes a READ request frame, channel tag first, for region id;
-// the caller numbers it (SetSeq) before sending it.
-func EncodeRead(id RegionID) []byte {
-	var w wire.Writer
-	w.Grow(reqHeaderLen)
-	w.U8(router.ChanMemReq)
-	w.U8(opRead)
-	w.U64(0) // sequence number, see SetSeq
-	w.U32(uint32(id))
-	return w.Finish()
+// EncodeRead encodes a READ request frame, channel tag first, for region id
+// into buf as EncodeWrite does; the caller numbers it (SetSeq) before sending
+// it.
+func EncodeRead(buf []byte, id RegionID) []byte { return appendHeader(buf, ReadLen, opRead, id) }
+
+// appendHeader starts a request frame of n bytes in buf, or in a fresh slice
+// if buf has less capacity, with its sequence number 0 (see SetSeq).
+func appendHeader(buf []byte, n int, op uint8, id RegionID) []byte {
+	if cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
+	frame := append(buf[:0], router.ChanMemReq, op)
+	frame = binary.LittleEndian.AppendUint64(frame, 0)
+	return binary.LittleEndian.AppendUint32(frame, uint32(id))
 }
 
 // SetSeq numbers a request frame that has not been sent yet. A client numbers
@@ -445,8 +502,7 @@ type Response struct {
 	Seq    uint64
 	Status uint8
 	// Data is a READ's region contents: a view of the completion frame,
-	// which is immutable once sent and never recycled. It stays valid for as
-	// long as anyone holds it and is never written through.
+	// valid until the frame is released (Release) and never written through.
 	Data []byte
 }
 

@@ -3,6 +3,7 @@ package memnode
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/ids"
@@ -49,14 +50,14 @@ func newRig(t *testing.T) *rig {
 
 // write and read build numbered request frames, channel tag first.
 func write(seq uint64, id RegionID, off int, data []byte) []byte {
-	frame, window := EncodeWrite(id, off, len(data))
+	frame, window := EncodeWrite(nil, id, off, len(data))
 	copy(window, data)
 	SetSeq(frame, seq)
 	return frame
 }
 
 func read(seq uint64, id RegionID) []byte {
-	frame := EncodeRead(id)
+	frame := EncodeRead(nil, id)
 	SetSeq(frame, seq)
 	return frame
 }
@@ -526,4 +527,66 @@ func TestRangeAccountingIsPerRegion(t *testing.T) {
 	if a, b := ranged.last(1), perRegion.last(1); a.Status != StatusOK || !bytes.Equal(a.Data, b.Data) {
 		t.Fatalf("region %d reads %q, per region %q", id, a.Data, b.Data)
 	}
+}
+
+// TestRecycledCompletionReadsZeros: a READ of a region never written,
+// answered in a completion frame that carried another region's bytes before
+// its reader released it, reads as zeros.
+func TestRecycledCompletionReadsZeros(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := simnet.New(eng, simnet.RDMAOptions())
+	node := New(router.New(net.AddNode(10, "mem")))
+	client := router.New(net.AddNode(0, "client"))
+	var frames [][]byte
+	client.RegisterFrame(router.ChanMemResp, func(_ ids.ID, frame []byte) { frames = append(frames, frame) })
+	node.Allocate(1, 0, 48)
+	node.Allocate(2, 1, 48) // owner 1 never writes: its span stays uncommitted
+	client.SendFrame(10, write(1, 1, 0, bytes.Repeat([]byte{0xFF}, 48)))
+	client.SendFrame(10, read(2, 1))
+	eng.Run()
+	Release(frames[1])
+	client.SendFrame(10, read(3, 2))
+	eng.Run()
+	got, err := DecodeResponse(frames[2][1:])
+	switch {
+	case &frames[2][0] != &frames[1][0]:
+		t.Fatal("the completion was not answered in the released frame")
+	case err != nil || got.Status != StatusOK || got.Seq != 3 || !bytes.Equal(got.Data, make([]byte, 48)):
+		t.Fatalf("read of an unwritten region from a recycled frame: %+v %v, want 48 zero bytes", got, err)
+	}
+}
+
+// TestReusedRequestFrameEqualsFresh: a request encoded into a frame that
+// held another request, numbered and with its data window filled, is byte
+// for byte what a fresh encoding makes.
+func TestReusedRequestFrameEqualsFresh(t *testing.T) {
+	old := write(7, 3, 0, bytes.Repeat([]byte{0xEE}, 24))
+	again, data := EncodeWrite(old, 5, 0, 24)
+	fresh, _ := EncodeWrite(nil, 5, 0, 24)
+	if &again[0] != &old[0] || !bytes.Equal(again, fresh) || !bytes.Equal(data, make([]byte, 24)) {
+		t.Fatalf("reused WRITE frame\n%x\nfresh\n%x", again, fresh)
+	}
+	rd := EncodeRead(again, 5)
+	if &rd[0] != &old[0] || !bytes.Equal(rd, EncodeRead(nil, 5)) {
+		t.Fatalf("reused READ frame %x, fresh %x", rd, EncodeRead(nil, 5))
+	}
+}
+
+// TestCompletionFreeListShared: nodes and clients on different goroutines
+// take completion frames from the free list and release them into it
+// concurrently; under the race detector (make race) an unguarded list fails.
+func TestCompletionFreeListShared(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 500 {
+				frame, data := completion(opRead, uint64(i), StatusOK, 16)
+				data[0] = byte(g)
+				Release(frame)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -35,6 +35,7 @@ type Handler func(from ids.ID, payload []byte)
 type Router struct {
 	node     transport.Endpoint
 	handlers [256]Handler
+	whole    [256]bool // the channel's handler is given the whole frame
 }
 
 // New installs a router as the endpoint's message handler.
@@ -59,6 +60,14 @@ func (r *Router) Register(ch uint8, h Handler) {
 	r.handlers[ch] = h
 }
 
+// RegisterFrame is Register for a handler that is given the whole frame, its
+// channel tag included: the one reader of a frame it hands back for reuse
+// (memnode.Release).
+func (r *Router) RegisterFrame(ch uint8, h Handler) {
+	r.Register(ch, h)
+	r.whole[ch] = true
+}
+
 // Send transmits payload to the host to on channel ch. It copies payload
 // into a fresh frame behind the channel tag, so the caller may reuse its
 // buffer (a pooled wire.Writer) as soon as Send returns.
@@ -72,8 +81,9 @@ func (r *Router) Send(to ids.ID, ch uint8, payload []byte) {
 // SendFrame transmits frame, whose first byte is already its channel tag, to
 // the host to without copying it. The one slice may go to several hosts and
 // out again later (the message ring's and the register client's fan-out and
-// retransmission), so it must never be written once sent: every receiver
-// reads those very bytes.
+// retransmission), and every receiver reads those very bytes, so it is not
+// written while a transmission of it is undelivered. Only register frames are
+// ever written again (package memnode); every other frame never is.
 func (r *Router) SendFrame(to ids.ID, frame []byte) { r.node.Send(to, frame) }
 
 // Split returns a frame's channel tag and the payload its channel's handler
@@ -89,8 +99,11 @@ func Split(frame []byte) (ch uint8, payload []byte) {
 func (r *Router) dispatch(from ids.ID, frame []byte) {
 	ch, payload := Split(frame)
 	h := r.handlers[ch]
-	if h == nil {
+	switch {
+	case h == nil:
 		return // channel not wired on this host (an empty frame included); drop
+	case r.whole[ch]:
+		payload = frame
 	}
 	h(from, payload)
 }

@@ -317,15 +317,19 @@ func (nd *Node) Inbound() uint64 { return nd.inbound }
 // SetHandler installs the message handler.
 func (nd *Node) SetHandler(h Handler) { nd.handler = h }
 
+// Handler returns the installed message handler (nil before SetHandler), so
+// an observer can wrap it and see every delivery.
+func (nd *Node) Handler() Handler { return nd.handler }
+
 // Send transmits payload to the node identified by to, deciding its fate
 // in the order of the package doc. The sender pays the NIC-posting dispatch
 // cost; the receiver pays a dispatch cost and then runs its handler,
 // queuing behind any in-progress computation.
 //
-// The payload slice is delivered as-is, uncopied: it is immutable once sent.
-// A message-ring frame is one slice shared by the sender's mirror, every
-// receiver and the broadcaster's self-delivery, and it goes out again on
-// retransmission.
+// The payload slice is delivered as-is, uncopied, and is not written while a
+// transmission of it is undelivered (transport.Endpoint). A message-ring
+// frame is one slice shared by the sender's mirror, every receiver and the
+// broadcaster's self-delivery, and it goes out again on retransmission.
 func (nd *Node) Send(to ids.ID, payload []byte) {
 	if out := nd.net.outbound[nd.id]; out != nil {
 		for _, f := range out(to, payload) {

@@ -23,12 +23,19 @@
 // particular). Both operations are idempotent at the memory node, and
 // responses are deduplicated per node, so retransmission is safe.
 //
-// Register traffic is encoded once. An operation is one request frame
-// (memnode.EncodeWrite, EncodeRead), channel tag first, posted uncopied to
-// every memory node and on every retransmission; a WRITE's sub-register
-// image is encoded straight into it. A READ's snapshots are views of the
-// memory nodes' completion frames, and so is the value it returns. Every one
-// of those frames is immutable once sent.
+// Register traffic is encoded once and allocates nothing in steady state, as
+// an RDMA client reposts its registered buffers. An operation is one request
+// frame (memnode.EncodeWrite, EncodeRead), channel tag first, posted uncopied
+// to every memory node and on every retransmission; a WRITE's sub-register
+// image is encoded straight into it. The frame belongs to its operation until
+// every transmission of it, retransmissions included, has been answered; only
+// then is it reused for the next request of its length. An operation finished
+// at f_m+1 answers leaves its frame in a draining set of constant size, which
+// forgets its oldest entry when full (a frame sent to a crashed node is never
+// answered), and a forgotten frame is never reused. A READ's region is copied
+// out of each completion into the operation's own buffer, as the NIC DMAs it
+// into a posted one, and the completion goes back to the memory nodes' free
+// list (memnode.Release). The value a read returns is lent to its callback.
 package swmr
 
 import (
@@ -76,6 +83,9 @@ const maxRetransmitBackoff = 4 * sim.Millisecond
 // slotHeaderLen is checksum(8) + timestamp(8) + length(4).
 const slotHeaderLen = 20
 
+// drainSlots is the size of a Store's draining set.
+const drainSlots = 16
+
 // Store is a per-host client that multiplexes register operations to the
 // memory-node quorum. One Store serves all registers used by its host.
 type Store struct {
@@ -90,17 +100,29 @@ type Store struct {
 	retransmit sim.Timer
 	resendFn   func()   // s.resend, bound once
 	seqs       []uint64 // resend's scratch
+
+	frames   map[int][][]byte          // request frames every transmission of which was answered, by length
+	draining [drainSlots]drainingFrame // finished operations' frames still being answered
+}
+
+// drainingFrame is the request frame of a finished operation, numbered seq,
+// with unanswered transmissions.
+type drainingFrame struct {
+	seq        uint64
+	frame      []byte
+	unanswered int
 }
 
 // quorumOp is one operation in flight at the memory nodes: a WRITE waiting
 // for f_m+1 acks or one attempt of a READ waiting for f_m+1 region snapshots.
 type quorumOp struct {
-	frame     []byte   // sent to every node and on every retransmission, never written after
-	responded uint64   // bit i set: nodes[i] has answered (each node counts once)
-	ok, fail  int      // answers by status
-	snapshots [][]byte // what the OK answers of a READ carried: views of their frames
-	nextRetry sim.Time
-	backoff   sim.Duration
+	frame      []byte   // sent to every node and on every retransmission
+	unanswered int      // transmissions of frame not answered yet
+	responded  uint64   // bit i set: nodes[i] has answered (each node counts once)
+	ok, fail   int      // answers by status
+	snapshots  [][]byte // what the OK answers of a READ carried, copied into buffers the record keeps
+	nextRetry  sim.Time
+	backoff    sim.Duration
 
 	// A WRITE completes the head of reg's queue. A READ (reg nil) is attempt
 	// number attempt, begun at started, of reading region for done.
@@ -126,27 +148,38 @@ func NewStore(rt *router.Router, proc *sim.Proc, nodes []ids.ID, fm int) *Store 
 		panic(fmt.Sprintf("swmr: %d memory nodes exceed the 64 a response mask covers", len(nodes)))
 	}
 	s := &Store{
-		rt:    rt,
-		proc:  proc,
-		nodes: nodes,
-		fm:    fm,
-		ops:   make(map[uint64]*quorumOp),
+		rt:     rt,
+		proc:   proc,
+		nodes:  nodes,
+		fm:     fm,
+		ops:    make(map[uint64]*quorumOp),
+		frames: make(map[int][][]byte),
 	}
 	s.resendFn = s.resend
-	rt.Register(router.ChanMemResp, s.onResponse)
+	rt.RegisterFrame(router.ChanMemResp, s.onResponse)
 	return s
 }
 
-func (s *Store) onResponse(from ids.ID, payload []byte) {
+// onResponse reads one completion, frame with its channel tag, and releases
+// it on every path. Only a memory node's own completions are released: a
+// forged one (other senders) may be shared with other receivers.
+func (s *Store) onResponse(from ids.ID, frame []byte) {
+	node := slices.Index(s.nodes, from)
+	if node < 0 {
+		return // not a memory node; ignore
+	}
+	defer memnode.Release(frame)
+	_, payload := router.Split(frame)
 	resp, err := memnode.DecodeResponse(payload)
 	if err != nil {
-		return // memory nodes are trusted; a bad frame means a forged sender, drop
+		return // memory nodes are trusted; defensive anyway
 	}
 	op := s.ops[resp.Seq]
-	node := slices.Index(s.nodes, from)
-	if op == nil || node < 0 {
-		return // late completion after quorum, or not a memory node; ignore
+	if op == nil {
+		s.answered(resp.Seq) // late completion after quorum
+		return
 	}
+	op.unanswered--
 	if op.responded&(1<<node) != 0 {
 		return // retransmission echo: each node counts once
 	}
@@ -156,7 +189,7 @@ func (s *Store) onResponse(from ids.ID, payload []byte) {
 	} else {
 		op.ok++
 		if !resp.IsWriteResp() {
-			op.snapshots = append(op.snapshots, resp.Data)
+			op.keep(resp.Data)
 		}
 	}
 	var failed error
@@ -169,14 +202,73 @@ func (s *Store) onResponse(from ids.ID, payload []byte) {
 		return // neither outcome has a quorum yet
 	}
 	delete(s.ops, resp.Seq)
+	s.retire(resp.Seq, op)
 	if op.reg != nil {
 		op.reg.written(failed)
 	} else {
 		s.readDone(op, failed)
 	}
-	clear(op.snapshots)
 	*op = quorumOp{snapshots: op.snapshots[:0]}
 	s.free = append(s.free, op)
+}
+
+// keep copies a READ's region into the record's next snapshot buffer. The
+// copy is not charged: it is the NIC's DMA into a posted buffer.
+func (op *quorumOp) keep(data []byte) {
+	k := len(op.snapshots)
+	if k < cap(op.snapshots) {
+		op.snapshots = op.snapshots[:k+1]
+	} else {
+		op.snapshots = append(op.snapshots, nil)
+	}
+	op.snapshots[k] = append(op.snapshots[k][:0], data...)
+}
+
+// retire keeps the frame of op, finished as seq, for reuse once every
+// transmission of it is answered: now, or from the draining set, where it
+// takes a free entry (seq 0) or forgets the oldest one, whose frame is then
+// never reused.
+func (s *Store) retire(seq uint64, op *quorumOp) {
+	if op.unanswered == 0 {
+		s.reuse(op.frame)
+		return
+	}
+	oldest := &s.draining[0]
+	for i := range s.draining {
+		if s.draining[i].seq < oldest.seq {
+			oldest = &s.draining[i]
+		}
+	}
+	*oldest = drainingFrame{seq: seq, frame: op.frame, unanswered: op.unanswered}
+}
+
+// answered counts a completion of the finished operation seq, if its frame
+// is draining.
+func (s *Store) answered(seq uint64) {
+	for i := range s.draining {
+		if d := &s.draining[i]; d.frame != nil && d.seq == seq {
+			if d.unanswered--; d.unanswered == 0 {
+				s.reuse(d.frame)
+				*d = drainingFrame{}
+			}
+			return
+		}
+	}
+}
+
+// reuse keeps a request frame every transmission of which was answered.
+func (s *Store) reuse(frame []byte) {
+	s.frames[len(frame)] = append(s.frames[len(frame)], frame)
+}
+
+// frame returns a request frame of n bytes to encode into, or nil.
+func (s *Store) frame(n int) []byte {
+	fs := s.frames[n]
+	if len(fs) == 0 {
+		return nil
+	}
+	s.frames[n] = fs[:len(fs)-1]
+	return fs[len(fs)-1]
 }
 
 // newOp returns a blank quorum-op record.
@@ -197,7 +289,7 @@ func (s *Store) newOp() *quorumOp {
 func (s *Store) issue(op *quorumOp, frame []byte) {
 	s.nextSeq++
 	memnode.SetSeq(frame, s.nextSeq)
-	op.frame = frame
+	op.frame, op.unanswered = frame, len(s.nodes)
 	op.nextRetry = s.proc.Now().Add(retransmitInterval)
 	op.backoff = retransmitInterval
 	s.ops[s.nextSeq] = op
@@ -234,6 +326,7 @@ func (s *Store) resend() {
 		op.nextRetry = now.Add(op.backoff)
 		for i, nid := range s.nodes {
 			if op.responded&(1<<i) == 0 {
+				op.unanswered++
 				s.rt.SendFrame(nid, op.frame)
 			}
 		}
@@ -278,7 +371,7 @@ func NewRegister(store *Store, region memnode.RegionID, valueCap int) *Register 
 }
 
 // encodeSlot writes the sub-register image checksum | ts | len | value into
-// slot, a fresh window whose padding is already zero.
+// slot, a window whose padding is already zero.
 func encodeSlot(slot []byte, ts uint64, value []byte) {
 	binary.LittleEndian.PutUint64(slot[8:], ts)
 	binary.LittleEndian.PutUint32(slot[16:], uint32(len(value)))
@@ -334,12 +427,12 @@ func (r *Register) Write(ts uint64, value []byte, done func(error)) {
 // position in the write sequence names (round-robin, §6.1), and returns the
 // window of its request frame that the sub-register image goes in.
 func (r *Register) queueWrite(done func(error)) []byte {
-	off := 0
+	size, off := SlotSize(r.valueCap), 0
 	if r.writes%2 == 1 {
-		off = SlotSize(r.valueCap)
+		off = size
 	}
 	r.writes++
-	frame, slot := memnode.EncodeWrite(r.region, off, SlotSize(r.valueCap))
+	frame, slot := memnode.EncodeWrite(r.store.frame(memnode.WriteLen(off, size)), r.region, off, size)
 	r.queue = append(r.queue, queuedWrite{frame: frame, done: done})
 	return slot
 }
@@ -385,10 +478,9 @@ func (r *Register) written(err error) {
 // ReadResult is the outcome of a register read.
 type ReadResult struct {
 	TS uint64
-	// Value is a view of a memory node's completion frame, which is
-	// immutable once sent and never recycled: it stays valid for as long as
-	// anyone holds it and is never written through (an append to it
-	// reallocates).
+	// Value is lent to the read's done callback: it is valid only until the
+	// callback returns, and never written through (an append to it
+	// reallocates). A caller that keeps it copies it.
 	Value []byte
 	// Empty reports that the register has never been written.
 	Empty bool
@@ -417,7 +509,7 @@ func (s *Store) readAttempt(region memnode.RegionID, valueCap, attempt int, done
 	}
 	op := s.newOp()
 	op.region, op.valueCap, op.attempt, op.started, op.done = region, valueCap, attempt, s.proc.Now(), done
-	s.issue(op, memnode.EncodeRead(region))
+	s.issue(op, memnode.EncodeRead(s.frame(memnode.ReadLen), region))
 }
 
 // readDone completes one read attempt with the snapshots its quorum

@@ -1,6 +1,7 @@
 package swmr
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -43,6 +44,12 @@ func newRig(t *testing.T, fm int) *rig {
 	return &rig{eng: eng, net: net, writer: w, reader: r, memnodes: mns, memIDs: memIDs}
 }
 
+// kept copies a read's result out of its callback, which the value is lent to.
+func kept(res ReadResult) ReadResult {
+	res.Value = bytes.Clone(res.Value)
+	return res
+}
+
 func (rg *rig) allocate(region memnode.RegionID, owner ids.ID, valueCap int) {
 	for _, mn := range rg.memnodes {
 		mn.Allocate(region, owner, RegionSize(valueCap))
@@ -70,7 +77,7 @@ func TestWriteThenRead(t *testing.T) {
 	var got ReadResult
 	var gotErr error
 	done := false
-	rreg.Read(func(res ReadResult, err error) { got, gotErr, done = res, err, true })
+	rreg.Read(func(res ReadResult, err error) { got, gotErr, done = kept(res), err, true })
 	rg.eng.Run()
 	if !done || gotErr != nil {
 		t.Fatalf("read failed: done=%v err=%v", done, gotErr)
@@ -86,7 +93,7 @@ func TestReadEmptyRegister(t *testing.T) {
 	rreg := NewRegister(rg.reader, 1, 32)
 	var got ReadResult
 	var gotErr error
-	rreg.Read(func(res ReadResult, err error) { got, gotErr = res, err })
+	rreg.Read(func(res ReadResult, err error) { got, gotErr = kept(res), err })
 	rg.eng.Run()
 	if gotErr != nil || !got.Empty {
 		t.Fatalf("empty register read: %+v err=%v", got, gotErr)
@@ -112,7 +119,7 @@ func TestHighestTimestampWins(t *testing.T) {
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
-		got = res
+		got = kept(res)
 	})
 	rg.eng.Run()
 	if got.TS != 3 || string(got.Value) != "v3" {
@@ -160,7 +167,7 @@ func TestWriteSurvivesFmCrashes(t *testing.T) {
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
-		got = res
+		got = kept(res)
 	})
 	rg.eng.Run()
 	if string(got.Value) != "survives" {
@@ -200,7 +207,7 @@ func TestReadQuorumIntersectsWrite(t *testing.T) {
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
-		got = res
+		got = kept(res)
 	})
 	rg.eng.Run()
 	if got.TS != 5 || string(got.Value) != "qi" {
@@ -272,7 +279,7 @@ func TestTornWriteDetectedByChecksumThenSettles(t *testing.T) {
 	wreg.Write(2, []byte("new-value-new-value-new-value"), func(error) {})
 	var got ReadResult
 	var gotErr error
-	rreg.Read(func(res ReadResult, err error) { got, gotErr = res, err })
+	rreg.Read(func(res ReadResult, err error) { got, gotErr = kept(res), err })
 	rg.eng.Run()
 	if gotErr != nil {
 		t.Fatalf("read: %v", gotErr)

@@ -42,13 +42,17 @@ type Handler func(from ids.ID, payload []byte)
 // deliver messages on the engine goroutine of the endpoint's process, so
 // protocol handlers never race with each other.
 //
-// The payload slice passed to Send is delivered (or copied) as-is and is
-// immutable once sent: the sender never writes it again, the backend never
-// recycles or rewrites it, and a receiver only reads it. One slice may be
-// sent to several nodes and sent again later (a message-ring frame is shared
-// by the sender's mirror, every receiver and retransmission; a register
-// request by every memory node and retransmission; a client request by every
-// replica it addresses).
+// The payload slice passed to Send is delivered (or copied) as-is: the
+// backend never recycles or rewrites it, a receiver only reads it, and the
+// sender does not write it while a transmission of it is undelivered. One
+// slice may be sent to several nodes and sent again later (a message-ring
+// frame is shared by the sender's mirror, every receiver and retransmission;
+// a register request by every memory node and retransmission; a client
+// request by every replica it addresses). Register frames are the one
+// exception to "never written again": a register client reuses a request
+// frame once every transmission of it is answered, and a completion's one
+// receiver releases it to the memory nodes' free list (package memnode).
+// Every other payload is immutable once sent.
 type Endpoint interface {
 	// ID returns the node's identity.
 	ID() ids.ID
