@@ -121,6 +121,9 @@ byz-suite:
 # restart regressions. The matrix itself, every supported Byzantine policy
 # crossed with a seeded kill/restart schedule at 6 seeds per cell, is tier-1
 # (TestChaosMatrix) and judged against the outcome ledger's [chaos] section.
+# The memory-node crash tests run a slow-only deployment (every CTBcast
+# message signed through the registers) with one memory node killed before
+# an operation or, by a network rule, at a replica's first register WRITE.
 # The last line is the same claim on real processes: a follower ubft-node
 # SIGKILLed a third into a closed-loop run over loopback TCP and respawned
 # -coldjoin at two thirds must cost the client no failed operation
@@ -128,7 +131,7 @@ byz-suite:
 # skips them).
 chaos-suite:
 	$(GO) test -run 'TestChaosDeterministicPerSeed' ./internal/byz/scenario/
-	$(GO) test -run 'TestRestart|TestRepeatedRestartCycles' ./internal/cluster/
+	$(GO) test -run 'TestRestart|TestRepeatedRestartCycles|TestSlowPathSurvivesMemNodeCrash|TestParallelDeploymentsShareCompletions|TestMemNodeCrashAtFirstWrite' ./internal/cluster/
 	CHAOS_SEEDS=1 $(GO) test -count=1 -v -run 'TestFleet' ./internal/wallclock/
 
 # The wide sweep, outside `make ci` (about 5.5 minutes on two vCPUs), one

@@ -51,7 +51,9 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "GET user:1  -> %q in %v (Byzantine-tolerant, f=1)\n", res[1:], lat)
 
 	fmt.Fprintln(w, "\n-- phase 2: crash a memory node (f_m = 1 tolerated) --")
-	u.MemNodes[0].Crash()
+	if err := u.KillMemNode(0); err != nil {
+		return err
+	}
 	if err := set("after-mem-crash", "ok", 50*ubft.Millisecond); err != nil {
 		return err
 	}

@@ -63,8 +63,6 @@ type Replica struct {
 	// Failover.
 	lastHeartbeat sim.Time
 	permHolders   map[ids.ID]ids.ID // follower -> who it granted write permission
-	hbTimer       sim.Timer
-	stopped       bool
 
 	// Executed counts applied entries (tests).
 	Executed uint64
@@ -100,11 +98,9 @@ func NewReplica(cfg Config, rt *router.Router) *Replica {
 	return r
 }
 
-// Stop cancels timers.
-func (r *Replica) Stop() {
-	r.stopped = true
-	r.hbTimer.Cancel()
-}
+// Stop crash-stops the replica: its process crashes, and with it every
+// queued delivery and timer.
+func (r *Replica) Stop() { r.proc.Crash() }
 
 // Leader returns the replica's current leader belief.
 func (r *Replica) Leader() ids.ID { return r.leader }
@@ -115,9 +111,6 @@ func (r *Replica) majority() int { return len(r.cfg.Replicas)/2 + 1 }
 
 // onRPC handles client requests (clients talk to the leader).
 func (r *Replica) onRPC(from ids.ID, payload []byte) {
-	if r.stopped {
-		return
-	}
 	rd := wire.NewReader(payload)
 	if rd.U8() != tagRequest {
 		return
@@ -152,9 +145,6 @@ func (r *Replica) onRPC(from ids.ID, payload []byte) {
 }
 
 func (r *Replica) onMsg(from ids.ID, payload []byte) {
-	if r.stopped {
-		return
-	}
 	rd := wire.NewReader(payload)
 	switch rd.U8() {
 	case tagLogWrite:
@@ -233,7 +223,7 @@ func (r *Replica) applyReady() {
 
 // heartbeat keeps followers from suspecting a healthy leader.
 func (r *Replica) heartbeat() {
-	if r.stopped || !r.isLeader() || r.cfg.HeartbeatTimeout <= 0 {
+	if !r.isLeader() || r.cfg.HeartbeatTimeout <= 0 {
 		return
 	}
 	w := wire.NewWriter(4)
@@ -249,10 +239,10 @@ func (r *Replica) heartbeat() {
 // armFailover monitors the leader and claims leadership when it goes
 // silent (simplified permission-switch failover).
 func (r *Replica) armFailover() {
-	if r.stopped || r.cfg.HeartbeatTimeout <= 0 {
+	if r.cfg.HeartbeatTimeout <= 0 {
 		return
 	}
-	r.hbTimer = r.proc.After(r.cfg.HeartbeatTimeout, func() {
+	r.proc.After(r.cfg.HeartbeatTimeout, func() {
 		if !r.isLeader() && r.proc.Now().Sub(r.lastHeartbeat) >= r.cfg.HeartbeatTimeout {
 			if r.nextInLine() == r.cfg.Self {
 				r.claimLeadership()

@@ -293,10 +293,9 @@ func (a *Assembly) WireNodes() error {
 	return nil
 }
 
-// KillReplica crash-stops replica i of group g: its simulated processes
-// drop every queued delivery and timer, and its network identity is
-// unregistered so RestartReplica can rebind it. Requires a simnet-backed
-// deployment.
+// KillReplica crash-stops replica i of group g (consensus.Replica.Stop) and
+// unregisters its network identity so RestartReplica can rebind it.
+// Requires a simnet-backed deployment.
 func (a *Assembly) KillReplica(g, i int) error {
 	id := a.Groups[g].ReplicaIDs[i]
 	switch {
@@ -305,8 +304,22 @@ func (a *Assembly) KillReplica(g, i int) error {
 	case a.Net.Node(id) == nil:
 		return fmt.Errorf("cluster: replica %v already killed", id)
 	}
-	a.Groups[g].Replicas[i].Crash()
+	a.Groups[g].Replicas[i].Stop()
 	a.Net.RemoveNode(id)
+	return nil
+}
+
+// KillMemNode crash-stops memory node j of the pool for good
+// (memnode.Node.Crash): it serves no request again, and there is no
+// restart.
+func (a *Assembly) KillMemNode(j int) error {
+	switch {
+	case j < 0 || j >= len(a.MemNodes):
+		return fmt.Errorf("cluster: no memory node %d", j)
+	case a.MemNodes[j].Crashed():
+		return fmt.Errorf("cluster: memory node %v already killed", a.MemNodes[j].ID())
+	}
+	a.MemNodes[j].Crash()
 	return nil
 }
 
@@ -330,7 +343,7 @@ func (a *Assembly) RestartReplica(g, i int) error {
 	return a.wireReplica(g, i, true, grp.joinNonces[i])
 }
 
-// Stop tears down background timers on every replica wired here.
+// Stop crash-stops every replica wired here (consensus.Replica.Stop).
 func (a *Assembly) Stop() {
 	for _, grp := range a.Groups {
 		for _, r := range grp.Replicas {

@@ -239,11 +239,14 @@ func (u *UBFT) Client(i int) *consensus.Client { return u.Clients[i] }
 // KillReplica crash-stops replica i (see Assembly.KillReplica).
 func (u *UBFT) KillReplica(i int) error { return u.asm.KillReplica(0, i) }
 
+// KillMemNode crash-stops memory node j for good (see Assembly.KillMemNode).
+func (u *UBFT) KillMemNode(j int) error { return u.asm.KillMemNode(j) }
+
 // RestartReplica boots a fresh cold-rejoining replica for slot i after
 // KillReplica (see Assembly.RestartReplica).
 func (u *UBFT) RestartReplica(i int) error { return u.asm.RestartReplica(0, i) }
 
-// Stop tears down background timers on all replicas.
+// Stop crash-stops all replicas (see Assembly.Stop).
 func (u *UBFT) Stop() { u.asm.Stop() }
 
 // Quiescent checks the quiescence invariant (see Assembly.Quiescent).

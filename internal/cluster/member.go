@@ -129,8 +129,8 @@ func NewMember(opts Options, fab transport.Fabric, spec MemberSpec) (*Member, er
 	return m, nil
 }
 
-// Stop tears down background timers (replicas only; other roles are
-// passive).
+// Stop crash-stops a replica member (consensus.Replica.Stop); other roles
+// are passive.
 func (m *Member) Stop() {
 	if m.Replica != nil {
 		m.Replica.Stop()

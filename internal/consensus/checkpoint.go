@@ -55,9 +55,6 @@ func (r *Replica) maybeCreateCheckpoint() {
 	// Background signature (§5.4: checkpoints are the fast path's
 	// bookkeeping signatures, off the critical path on the crypto pool).
 	r.signer.SignBg(r.bgProc, r.proc, checkpointPayload(nextSeq, dg), func(sig xcrypto.Signature) {
-		if r.stopped {
-			return
-		}
 		w := wire.NewWriter(128)
 		w.U8(tagCertifyCP)
 		w.U64(uint64(nextSeq))
@@ -282,7 +279,7 @@ func (r *Replica) bringUpToSpeed(cp *Checkpoint) {
 // that is crashed, unreachable or Byzantine-silent, costs one interval, not
 // the wait for a later checkpoint that a quiet cluster never produces.
 func (r *Replica) pullSnapshot() {
-	if r.stopped || r.lastApplied >= r.chkpt.Seq {
+	if r.lastApplied >= r.chkpt.Seq {
 		return
 	}
 	signers := slices.DeleteFunc(sortedKeys(r.chkpt.Sigs), func(p ids.ID) bool { return p == r.cfg.Self })

@@ -416,7 +416,9 @@ func TestFm1MemoryNodeCrashTolerated(t *testing.T) {
 		CTBMode:         ctbcast.SlowOnly,
 	})
 	defer u.Stop()
-	u.MemNodes[0].Crash()
+	if err := u.KillMemNode(0); err != nil {
+		t.Fatal(err)
+	}
 	res, _ := u.InvokeSync(0, []byte("ok"), 100*sim.Millisecond)
 	if res == nil {
 		t.Fatal("slow path failed with one crashed memory node")

@@ -164,8 +164,8 @@ func churnPartitions(u *cluster.UBFT, seed int64, logf func(string, ...any)) out
 	for i := 0; i < 30; i++ {
 		// Random partition events between replicas.
 		if rng.Intn(3) == 0 {
-			a := u.ReplicaIDs[rng.Intn(3)]
-			b := u.ReplicaIDs[rng.Intn(3)]
+			a := u.ReplicaIDs[rng.Intn(len(u.ReplicaIDs))]
+			b := u.ReplicaIDs[rng.Intn(len(u.ReplicaIDs))]
 			if a != b {
 				u.Net.Partition(a, b)
 			}

@@ -90,7 +90,7 @@ func (r *Replica) startColdJoin() {
 // matching answers arrive. Probes are idempotent at peers: channel resets
 // happen only when the nonce increases, answers are sent every time.
 func (r *Replica) sendJoinProbe() {
-	if r.stopped || r.joinPhase != joinProbing {
+	if r.joinPhase != joinProbing {
 		return
 	}
 	w := wire.NewWriter(16)

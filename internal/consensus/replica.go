@@ -286,7 +286,6 @@ type Replica struct {
 	views         table[View, viewRec]
 	progressTimer sim.Timer
 	suspect       func() // progressTimer's callback, bound once so arming it allocates nothing
-	stopped       bool
 
 	// noEchoWait is Defenses.NoEchoWait: no echo round, no waiting for it.
 	noEchoWait bool
@@ -485,30 +484,13 @@ func AllocateCluster(cfg Config, nodes []*memnode.Node) {
 	}
 }
 
-// Stop cancels background activity (teardown for tests and benches).
+// Stop crash-stops the replica: its three processes (main, crypto pool,
+// read core) crash, so every queued delivery, timer, background signature
+// and queued read reply dies with them, and the fabric neither sends from
+// nor delivers to it again (transport.Endpoint). It is the one teardown, for
+// a bench's end as for a chaos kill, and permanent for this instance: a
+// restart builds a fresh Replica with Config.ColdJoin set.
 func (r *Replica) Stop() {
-	r.stopped = true
-	for _, id := range sortedKeys(r.groups) {
-		r.groups[id].Stop()
-	}
-	r.auxOut.Stop()
-	r.progressTimer.Cancel()
-	r.joinProbeTimer.Cancel()
-	r.pullTimer.Cancel()
-	for _, s := range r.slots {
-		s.fallback.Cancel()
-	}
-	for _, rs := range r.requests {
-		rs.echoTimer.Cancel()
-	}
-}
-
-// Crash crash-stops the replica (chaos harness): Stop plus crashing its
-// simulated processes, so queued deliveries, timers, in-flight background
-// crypto and queued read replies all die with it. Permanent for this
-// instance — a restart builds a fresh Replica with Config.ColdJoin set.
-func (r *Replica) Crash() {
-	r.Stop()
 	r.proc.Crash()
 	r.bgProc.Crash()
 	r.readCore.proc.Crash()
@@ -584,7 +566,7 @@ func (r *Replica) enqueueProposal(req Request) {
 // a new leader's re-proposals and no-op fills (startView) bypass the queue,
 // and a view change, which makes the old PREPARE moot, opens the gate.
 func (r *Replica) pumpProposals() {
-	if r.stopped || r.observing() || !r.IsLeader() || r.isSealing() {
+	if r.observing() || !r.IsLeader() || r.isSealing() {
 		return
 	}
 	if r.noLeadSet && r.view == r.noLeadView {
@@ -693,9 +675,6 @@ func (r *Replica) takeProposal() (Request, bool) {
 // certificate the crypto pool is still checking gets Wait, and is judged
 // again when the channel resumes (awaitCheckpointCert).
 func (r *Replica) onConsensusMsg(p ids.ID, m []byte) ctbcast.Verdict {
-	if r.stopped {
-		return ctbcast.Accept
-	}
 	rd := wire.NewReader(m)
 	st := r.state[p]
 	switch rd.U8() {
@@ -951,9 +930,6 @@ func (r *Replica) auxVote(tag uint8, v View, s Slot) {
 // ---------------------------------------------------------------------
 
 func (r *Replica) onAuxMsg(p ids.ID, m []byte) {
-	if r.stopped {
-		return
-	}
 	rd := wire.NewReader(m)
 	switch rd.U8() {
 	case tagWillCertify:

@@ -144,23 +144,18 @@ func (l *readLane) push(rep readReply, cost sim.Duration) {
 }
 
 // sendOldest is the lane's core finishing its oldest read: the reply goes
-// out, unless the replica has stopped since.
+// out.
 func (l *readLane) sendOldest() {
 	rep := l.replies[l.head]
 	l.replies[l.head] = readReply{}
 	if l.head++; l.head == len(l.replies) {
 		l.replies, l.head = l.replies[:0], 0
 	}
-	if !l.r.stopped {
-		l.r.rt.SendFrame(rep.to, rep.frame)
-	}
+	l.r.rt.SendFrame(rep.to, rep.frame)
 }
 
 // onRPC handles client traffic arriving at a replica.
 func (r *Replica) onRPC(from ids.ID, payload []byte) {
-	if r.stopped {
-		return
-	}
 	rd := wire.NewReader(payload)
 	switch rd.U8() {
 	case tagRequest:

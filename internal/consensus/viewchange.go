@@ -39,7 +39,7 @@ func (r *Replica) suspicionTimeout() sim.Duration {
 // armProgressTimer (re)arms the leader-suspicion timer while there is
 // undecided work in flight.
 func (r *Replica) armProgressTimer() {
-	if r.stopped || r.observing() {
+	if r.observing() {
 		return // an observing joiner never drives view changes
 	}
 	// The O(1) test first: under load the timer is almost always pending,
@@ -53,7 +53,7 @@ func (r *Replica) armProgressTimer() {
 // onSuspicionTimeout is the progress timer's callback (Replica.suspect): the
 // leader left work undecided for a whole timeout, so move to the next view.
 func (r *Replica) onSuspicionTimeout() {
-	if r.stopped || !r.hasUndecidedWork() {
+	if !r.hasUndecidedWork() {
 		return
 	}
 	r.ViewChanges++
@@ -168,7 +168,7 @@ func (r *Replica) setView(v View) {
 
 // maybeSeal broadcasts SEAL_VIEW once every promise is honoured.
 func (r *Replica) maybeSeal() {
-	if !r.isSealing() || r.stopped || r.observing() {
+	if !r.isSealing() || r.observing() {
 		return
 	}
 	// Lines 4-5: a WILL_COMMIT promise must be backed by this replica's
@@ -269,9 +269,6 @@ func (r *Replica) reprocessPrepares() {
 // onDirect dispatches direct messages (view-change shares, echoes, state
 // transfer).
 func (r *Replica) onDirect(from ids.ID, payload []byte) {
-	if r.stopped {
-		return
-	}
 	rd := wire.NewReader(payload)
 	tag := rd.U8()
 	switch tag {

@@ -421,7 +421,7 @@ func (nd *Node) Proc() *sim.Proc { return nd.proc }
 func (nd *Node) SetHandler(h transport.Handler) { nd.handler = h }
 
 func (nd *Node) deliver(from ids.ID, payload []byte) {
-	if nd.handler == nil {
+	if nd.handler == nil || nd.proc.Crashed() {
 		return
 	}
 	nd.handler(from, payload)
@@ -429,8 +429,12 @@ func (nd *Node) deliver(from ids.ID, payload []byte) {
 
 // Send transmits payload to node `to`. Local destinations short-circuit
 // through the host inbox; remote destinations are framed and queued on the
-// peer's link (tail-drop under overload). Never blocks.
+// peer's link (tail-drop under overload). Never blocks. A crashed node
+// sends nothing.
 func (nd *Node) Send(to ids.ID, payload []byte) {
+	if nd.proc.Crashed() {
+		return
+	}
 	n := nd.net
 	n.msgsSent.Add(1)
 	n.bytesSent.Add(uint64(len(payload)))

@@ -1,9 +1,9 @@
 // Transport conformance suite: one table-driven contract test run against
 // both fabric backends. The contract (package doc): FIFO-with-gaps per
 // directed link, authenticated sender identity, no duplicates, bounded
-// (tail-drop) queueing under overload, and delivery resumes after a
-// partition heals — simnet by construction, nettrans by reconnect with
-// exponential backoff.
+// (tail-drop) queueing under overload, delivery resumes after a partition
+// heals — simnet by construction, nettrans by reconnect with exponential
+// backoff — and a crashed endpoint neither receives nor sends.
 package transport_test
 
 import (
@@ -91,6 +91,11 @@ type world interface {
 	// overloadCapacity returns the per-link queue bound, or 0 when the
 	// backend queues unboundedly (simnet, whose partitions drop instead).
 	overloadCapacity() int
+	// crash crashes endpoint i's process on the goroutine its handlers run
+	// on, and returns once it has.
+	crash(i int)
+	// linger lets every frame still in flight land.
+	linger()
 	close()
 }
 
@@ -148,7 +153,12 @@ func (w *simWorld) settle(cond func() bool) bool {
 func (w *simWorld) partition(i, j int)    { w.eng.Partition(ids.ID(i), ids.ID(j)) }
 func (w *simWorld) heal(i, j int)         { w.eng.Heal(ids.ID(i), ids.ID(j)) }
 func (w *simWorld) overloadCapacity() int { return 0 }
-func (w *simWorld) close()                {}
+func (w *simWorld) crash(i int)           { w.eps[i].Proc().Crash() }
+func (w *simWorld) linger() {
+	for w.e.Step() {
+	}
+}
+func (w *simWorld) close() {}
 
 // --- nettrans world ---------------------------------------------------
 
@@ -236,6 +246,18 @@ func (w *netWorld) heal(i, j int) {
 	w.mu.Unlock()
 }
 func (w *netWorld) overloadCapacity() int { return nettrans.QueueSlots }
+func (w *netWorld) crash(i int) {
+	done := make(chan struct{})
+	w.hosts[i].Do(func() {
+		w.eps[i].Proc().Crash()
+		close(done)
+	})
+	<-done
+}
+
+// linger waits out loopback TCP: a frame sent before a delivery that has
+// been seen lands within milliseconds.
+func (w *netWorld) linger() { time.Sleep(100 * time.Millisecond) }
 func (w *netWorld) close() {
 	for _, nt := range w.nets {
 		nt.Close()
@@ -421,6 +443,30 @@ func TestTransportConformance(t *testing.T) {
 					t.Fatalf("delivery did not resume after heal (got %v)", recs[1].from(0))
 				}
 				assertLinkFIFO(t, recs[1], 0)
+			})
+
+			// Crash-stop is the one way a node stops: once an endpoint's
+			// process crashes, nothing is delivered to it or sent from it,
+			// and the live links carry on.
+			t.Run("CrashedEndpointIsSilent", func(t *testing.T) {
+				const k = 11
+				w, recs := build(t, 3)
+				defer w.close()
+				w.crash(1)
+				for m := 0; m < k; m++ {
+					w.send(0, 1, msg(0, uint64(m+1)))
+					w.send(1, 0, msg(1, uint64(m+1)))
+					w.send(1, 2, msg(1, uint64(m+1)))
+				}
+				w.send(0, 2, msg(0, 1))
+				w.send(2, 0, msg(2, 1))
+				if !w.settle(func() bool { return recs[2].count() >= 1 && len(recs[0].from(2)) >= 1 }) {
+					t.Fatal("the live links stopped delivering")
+				}
+				w.linger()
+				if got, from0, from2 := recs[1].count(), recs[0].from(1), recs[2].from(1); got != 0 || len(from0) != 0 || len(from2) != 0 {
+					t.Fatalf("crashed endpoint received %d of %d frames and sent %d and %d of %d", got, k, len(from0), len(from2), k)
+				}
 			})
 		})
 	}

@@ -13,10 +13,12 @@
 // unacknowledged and may drop under overload or partition (tail semantics:
 // the newest traffic wins, exactly like the message-ring overwrite model);
 // delivery invokes the endpoint's handler with the authenticated sender
-// identity, in FIFO order per directed link, without duplicates. Every
-// retransmission/recovery mechanism above (tbcast, CTBcast, 2PC fan-outs)
-// is built on precisely these semantics, which is why one interface can
-// carry both a lossy simulated fabric and a reconnecting socket backend.
+// identity, in FIFO order per directed link, without duplicates. A node
+// stops one way, crash-stop: once its process crashes, no frame leaves or
+// reaches it, on either backend. Every retransmission/recovery mechanism
+// above (tbcast, CTBcast, 2PC fan-outs) is built on precisely these
+// semantics, which is why one interface can carry both a lossy simulated
+// fabric and a reconnecting socket backend.
 package transport
 
 import (
@@ -40,7 +42,9 @@ type Handler func(from ids.ID, payload []byte)
 
 // Endpoint is one node's attachment to the fabric. Implementations must
 // deliver messages on the engine goroutine of the endpoint's process, so
-// protocol handlers never race with each other.
+// protocol handlers never race with each other. Once that process has
+// crashed (sim.Proc.Crash), the backend neither delivers to the endpoint nor
+// sends from it.
 //
 // The payload slice passed to Send is delivered (or copied) as-is: the
 // backend never recycles or rewrites it, a receiver only reads it, and the
