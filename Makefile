@@ -67,9 +67,10 @@ race:
 # reservation exactly on the slow path. A deployment's constructors leave a
 # budgeted number of heap objects: nothing made per register or per key. A
 # register client's draining set of request frames stays at its bound with a
-# memory node crashed, forgetting its oldest entries.
+# memory node crashed, forgetting its oldest entries. A consensus client
+# making one call at a time keeps one call record.
 bounded-mem:
-	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestRegistersCommittedOnlyBySlowPath' ./internal/consensus/
+	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
 

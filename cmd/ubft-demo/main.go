@@ -59,7 +59,9 @@ func run(w io.Writer) error {
 	}
 
 	fmt.Fprintln(w, "\n-- phase 3: crash the leader (view change) --")
-	u.Net.Node(u.ReplicaIDs[0]).Proc().Crash()
+	if err := u.KillReplica(0); err != nil {
+		return err
+	}
 	if err := set("after-leader-crash", "ok", 500*ubft.Millisecond); err != nil {
 		return err
 	}

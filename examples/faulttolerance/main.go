@@ -24,7 +24,9 @@ func main() {
 	fmt.Printf("flip -> %q in %v\n", res, lat)
 
 	fmt.Println("\n== phase 1: crash a follower; fallback engages the slow path ==")
-	u.Net.Node(u.ReplicaIDs[2]).Proc().Crash()
+	if err := u.KillReplica(2); err != nil {
+		panic(err)
+	}
 	res, lat = u.InvokeSync(0, []byte("degraded"), 200*ubft.Millisecond)
 	fmt.Printf("flip -> %q in %v (signatures + disaggregated memory now in use)\n", res, lat)
 	if u.Replicas[0].SlowDecides > 0 {
@@ -41,7 +43,9 @@ func main() {
 	})
 	defer u2.Stop()
 	u2.InvokeSync(0, []byte("warm"), 50*ubft.Millisecond)
-	u2.Net.Node(u2.ReplicaIDs[0]).Proc().Crash()
+	if err := u2.KillReplica(0); err != nil {
+		panic(err)
+	}
 	res, lat = u2.InvokeSync(0, []byte("new-leader"), 500*ubft.Millisecond)
 	fmt.Printf("after leader crash: flip -> %q in %v\n", res, lat)
 	fmt.Printf("replica 1 view=%d, replica 2 view=%d (round-robin rotation)\n",

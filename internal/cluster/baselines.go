@@ -167,19 +167,15 @@ func (m *MinBFT) InvokeSync(payload []byte, maxWait sim.Duration) ([]byte, sim.D
 	})
 }
 
-// invokeSync drives an engine until one invocation completes.
+// invokeSync drives an engine until one invocation completes; it fails as
+// UBFT.InvokeSync does (nil result, LatTimeout or LatStalled).
 func invokeSync(eng *sim.Engine, maxWait sim.Duration, start func(done func([]byte, sim.Duration))) ([]byte, sim.Duration) {
 	var result []byte
-	lat := sim.Duration(-1)
-	done := false
-	start(func(res []byte, l sim.Duration) {
-		result, lat, done = res, l, true
-	})
-	deadline := eng.Now().Add(maxWait)
-	for eng.Now() < deadline && !done {
-		if !eng.Step() {
-			break
-		}
+	var lat sim.Duration
+	fired := false
+	start(func(res []byte, l sim.Duration) { result, lat, fired = res, l, true })
+	if err := SyncWait(eng, maxWait, func() bool { return fired }); err != nil {
+		return nil, FailureLatency(err)
 	}
 	return result, lat
 }

@@ -6,17 +6,18 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/consensus"
 	"repro/internal/sim"
 )
 
-// syncRead drives one InvokeRead to completion.
+// syncRead drives one fast read to completion.
 func syncRead(t *testing.T, u *cluster.UBFT, payload []byte) []byte {
 	t.Helper()
 	var (
 		result []byte
 		fired  bool
 	)
-	u.Client(0).InvokeRead(payload, func(res []byte, _ sim.Duration) { result, fired = res, true })
+	u.Client(0).Call(0, payload, consensus.Mode{Read: true}, func(res []byte, _ sim.Duration) { result, fired = res, true })
 	if err := cluster.SyncWait(u.Eng, 100*sim.Millisecond, func() bool { return fired }); err != nil {
 		t.Fatalf("read did not complete: %v", err)
 	}

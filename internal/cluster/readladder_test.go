@@ -60,8 +60,8 @@ func (s *ladderStream) run(ops int) {
 			lat      sim.Duration
 		)
 		floor := c.ReadFloor(0)
-		c.InvokeGroupReadAt(0, app.EncodeKVGet(s.key), 0, 0, func(res []byte, slot, _ consensus.Slot, _, fb bool, l sim.Duration) {
-			fired, got, at, fellBack, lat = true, res, slot, fb, l
+		c.CallAt(0, app.EncodeKVGet(s.key), consensus.Mode{Read: true}, func(o consensus.Outcome) {
+			fired, got, at, fellBack, lat = true, o.Result, o.Slot, o.FellBack, o.Latency
 		})
 		if err := cluster.SyncWait(s.u.Eng, 100*sim.Millisecond, func() bool { return fired }); err != nil {
 			s.t.Fatalf("op %d: read did not complete: %v", s.n, err)

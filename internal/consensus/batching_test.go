@@ -169,11 +169,11 @@ func TestBatchedWritesShareOneVersion(t *testing.T) {
 	readAt := func(at consensus.Slot) []byte {
 		var out []byte
 		fired := false
-		c.InvokeGroupReadAt(0, app.EncodeKVGet(k), 0, at, func(res []byte, _, _ consensus.Slot, _, fellBack bool, _ sim.Duration) {
-			if fellBack {
+		c.CallAt(0, app.EncodeKVGet(k), consensus.Mode{Read: true, At: at}, func(o consensus.Outcome) {
+			if o.FellBack {
 				t.Errorf("read pinned at %d fell back to the ordered path", at)
 			}
-			out, fired = res, true
+			out, fired = o.Result, true
 		})
 		if err := cluster.SyncWait(u.Eng, 10*sim.Millisecond, func() bool { return fired }); err != nil {
 			t.Fatal(err)
@@ -187,7 +187,7 @@ func TestBatchedWritesShareOneVersion(t *testing.T) {
 		t.Errorf("read pinned at version 1 sees the key: %v", res)
 	}
 	var fast []byte
-	c.InvokeRead(app.EncodeKVGet(k), func(res []byte, _ sim.Duration) { fast = res })
+	c.Call(0, app.EncodeKVGet(k), consensus.Mode{Read: true}, func(res []byte, _ sim.Duration) { fast = res })
 	if err := cluster.SyncWait(u.Eng, 10*sim.Millisecond, func() bool { return fast != nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,9 @@ func sinkRig(t *testing.T, f int) (*Client, *sim.Engine) {
 func clientFuzzRig(t *testing.T) *Client {
 	t.Helper()
 	c, _ := sinkRig(t, 1)
-	c.InvokeGroup(0, []byte("w"), func([]byte, sim.Duration) {})           // num 1
-	c.InvokeGroupRead(0, []byte("r"), func([]byte, sim.Duration) {})       // num 2
-	c.InvokeGroupReadStrong(0, []byte("s"), func([]byte, sim.Duration) {}) // num 3
+	c.Call(0, []byte("w"), Mode{}, func([]byte, sim.Duration) {})                         // num 1
+	c.Call(0, []byte("r"), Mode{Read: true}, func([]byte, sim.Duration) {})               // num 2
+	c.Call(0, []byte("s"), Mode{Read: true, Strong: true}, func([]byte, sim.Duration) {}) // num 3
 	return c
 }
 

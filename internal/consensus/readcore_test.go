@@ -188,7 +188,7 @@ func TestReadBacklogBounded(t *testing.T) {
 
 	got := 0
 	for i := 0; i < total; i++ {
-		c.InvokeRead(app.EncodeKVGet([]byte("k")), func(res []byte, _ sim.Duration) {
+		c.Call(0, app.EncodeKVGet([]byte("k")), Mode{Read: true}, func(res []byte, _ sim.Duration) {
 			if !bytes.Equal(res, kvHit("v")) {
 				t.Errorf("client read answered %q", res)
 			}

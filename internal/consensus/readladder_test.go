@@ -13,16 +13,16 @@ import (
 // the test's choice — including replies nobody asked for.
 
 // ladderRead puts one unpinned read on the ladder and returns its number,
-// its pending record and a counter of done callbacks.
-func ladderRead(c *Client) (uint64, *pendingRead, *int) {
+// its call record and a counter of done callbacks.
+func ladderRead(c *Client) (uint64, *call, *int) {
 	fired := new(int)
-	num := c.InvokeGroupReadAt(0, []byte("r"), 0, 0, func([]byte, Slot, Slot, bool, bool, sim.Duration) { *fired++ })
-	return num, c.pendingReads[num], fired
+	num := c.CallAt(0, []byte("r"), Mode{Read: true}, func(Outcome) { *fired++ })
+	return num, c.calls[num], fired
 }
 
 // asked splits the group into the replicas the read was sent to and the
 // rest, in index order.
-func asked(p *pendingRead, n int) (in, out []ids.ID) {
+func asked(p *call, n int) (in, out []ids.ID) {
 	for i := 0; i < n; i++ {
 		if p.contacted&(1<<uint(i)) != 0 {
 			in = append(in, ids.ID(i))
@@ -121,21 +121,21 @@ func TestReadUnsolicitedReplyCannotStall(t *testing.T) {
 func TestReadCancelOnEveryRung(t *testing.T) {
 	rungs := []struct {
 		name  string
-		climb func(c *Client, num uint64, p *pendingRead)
+		climb func(c *Client, num uint64, p *call)
 	}{
-		{"first rung", func(*Client, uint64, *pendingRead) {}},
-		{"widened", func(c *Client, num uint64, p *pendingRead) {
+		{"first rung", func(*Client, uint64, *call) {}},
+		{"widened", func(c *Client, num uint64, p *call) {
 			in, _ := asked(p, 3)
 			refuse(c, in[0], num)
 			if c.ReadWidens != 1 {
 				panic("refusal did not widen")
 			}
 		}},
-		{"ordered fallback", func(c *Client, num uint64, p *pendingRead) {
+		{"ordered fallback", func(c *Client, num uint64, p *call) {
 			for id := ids.ID(0); id < 3; id++ {
 				refuse(c, id, num)
 			}
-			if !p.fellBack {
+			if p.ordNum == 0 {
 				panic("refusals did not fall back")
 			}
 		}},
@@ -161,11 +161,11 @@ func TestReadCancelOnEveryRung(t *testing.T) {
 	// The strong read keeps its number into the pin round.
 	c, eng := sinkRig(t, 1)
 	fired := 0
-	num := c.InvokeGroupReadStrong(0, []byte("s"), func([]byte, sim.Duration) { fired++ })
+	num := c.Call(0, []byte("s"), Mode{Read: true, Strong: true}, func([]byte, sim.Duration) { fired++ })
 	for id := ids.ID(0); id < 3; id++ { // skewed versions: pin at the highest
 		c.onRPC(id, encodeReply(tagReadResponse, num, 5+uint64(id), readFlagServed, []byte("v")))
 	}
-	if p := c.pendingReads[num]; p == nil || p.at != 7 || p.replied != 0 {
+	if p := c.calls[num]; p == nil || p.mode.At != 7 || p.replied != 0 {
 		t.Fatalf("strong read did not enter its pin round under number %d", num)
 	}
 	if !c.Cancel(num) {
@@ -220,5 +220,44 @@ func TestReadPassOverAndProbe(t *testing.T) {
 	answerProbe("x")
 	if c.readSuspect[0] != 0 {
 		t.Fatal("a late reply in the accepted class did not clear the replica")
+	}
+}
+
+// TestReadFallbackKeepsItsRecord: a read that falls back stays one record,
+// filed under its own number and its ordered request's: it counts twice in
+// PendingCount, opens no second record, cancels by the caller's handle
+// only, counts ordered replies only under the ordered number, and goes back
+// to the free list once it resolves.
+func TestReadFallbackKeepsItsRecord(t *testing.T) {
+	c, _ := sinkRig(t, 1)
+	var outs []Outcome
+	num := c.CallAt(0, []byte("r"), Mode{Read: true}, func(o Outcome) { outs = append(outs, o) })
+	p := c.calls[num]
+	for id := ids.ID(0); id < 3; id++ {
+		refuse(c, id, num)
+	}
+	if p.ordNum == 0 || c.calls[p.ordNum] != p || c.PendingCount() != 2 || len(c.free) != 0 {
+		t.Fatalf("fallen-back read: ordered number %d filed %v, %d pending, %d free records",
+			p.ordNum, c.calls[p.ordNum] == p, c.PendingCount(), len(c.free))
+	}
+	if c.Cancel(p.ordNum) || c.PendingCount() != 2 {
+		t.Fatal("Cancel took the ordered request's number instead of the caller's handle")
+	}
+	ordered := func(from ids.ID, n uint64) {
+		c.onRPC(from, encodeReply(tagResponse, n, 4, 0, []byte("v")))
+	}
+	ordered(0, num)
+	ordered(1, num) // under the read's own number: not a vote
+	if len(outs) != 0 || p.replied != 0 || len(p.byRes) != 0 {
+		t.Fatalf("ordered replies under the read's number counted: %d outcomes, record %+v", len(outs), p)
+	}
+	ordered(0, p.ordNum)
+	ordered(1, p.ordNum)
+	ordered(2, p.ordNum) // late
+	if len(outs) != 1 || !outs[0].FellBack || string(outs[0].Result) != "v" || outs[0].Slot != 5 || outs[0].Frontier != 5 {
+		t.Fatalf("outcomes %+v, want one fallen-back \"v\" at the ratcheted floor 5", outs)
+	}
+	if c.PendingCount() != 0 || len(c.free) != 1 || c.free[0] != p {
+		t.Fatalf("after the ordered answer: %d pending, free list %v, want exactly the read's record", c.PendingCount(), c.free)
 	}
 }

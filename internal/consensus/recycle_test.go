@@ -259,69 +259,66 @@ func twoGroupSinks(t *testing.T) (*Client, *sim.Engine) {
 	return c, eng
 }
 
-// TestRecycledCallRecordsAreFresh: an ordered call's record, and a read's
-// record used by a widened read that fell back and then by a strong read
-// that re-read pinned, come back fresh for the next call.
+// TestRecycledCallRecordsAreFresh: one call record, used by an ordered call,
+// then by a widened read that fell back, then by a strong read that re-read
+// pinned, goes back to the free list after each and comes back fresh.
 func TestRecycledCallRecordsAreFresh(t *testing.T) {
 	c, _ := twoGroupSinks(t)
-	unused, _ := twoGroupSinks(t) // makes the fresh records to compare with
 	reply := func(tag uint8, from ids.ID, num, version uint64, flags uint8, result string) {
 		c.onRPC(from, encodeReply(tag, num, version, flags, []byte(result)))
+	}
+	kept := func(what string, fired, want int, p *call) {
+		t.Helper()
+		if fired != want || len(c.free) != 1 || c.free[0] != p || c.PendingCount() != 0 {
+			t.Fatalf("%s: done fired %d times in all (want %d), free list %v, %d pending", what, fired, want, c.free, c.PendingCount())
+		}
+		got := *p
+		got.expire = nil // bound once, kept on purpose
+		requireFresh(t, got, call{byRes: tallies{}})
 	}
 
 	seen := fills{}
 	fired := 0
-	num := c.InvokeGroupParked(1, []byte("w"), func([]byte, bool, sim.Duration) { fired++ })
-	p := c.pending[num]
+	num := c.CallAt(1, []byte("w"), Mode{}, func(Outcome) { fired++ })
+	p := c.calls[num]
 	reply(tagResponse, 3, num, 4, respFlagParked, "ok")
 	seen.note(*p)
 	reply(tagResponse, 4, num, 4, respFlagParked, "ok")
-	if fired != 1 || !slices.Contains(c.freeReqs, p) {
-		t.Fatalf("ordered call: done fired %d times, record kept %v", fired, slices.Contains(c.freeReqs, p))
-	}
-	seen.requireAll(t, pendingReq{})
-	requireFresh(t, *p, *unused.newReq())
+	kept("ordered call", fired, 1, p)
 
-	seen = fills{}
-	fired = 0
-	num = c.InvokeGroupReadAt(1, []byte("r"), 3, 0, func([]byte, Slot, Slot, bool, bool, sim.Duration) { fired++ })
-	rp := c.pendingReads[num]
-	seen.note(*rp)
-	in, _ := asked(rp, 3)
+	num = c.CallAt(1, []byte("r"), Mode{Read: true, MinSlot: 3}, func(Outcome) { fired++ })
+	if c.calls[num] != p {
+		t.Fatal("the read did not take the released record")
+	}
+	seen.note(*p)
+	in, _ := asked(p, 3)
 	reply(tagReadResponse, c.groups[1][in[0]], num, 5, 0, "") // a refusal: widen
 	reply(tagReadResponse, c.groups[1][in[1]], num, 5, readFlagServed, "v")
-	seen.note(*rp)
+	seen.note(*p)
 	for _, id := range c.groups[1] {
 		reply(tagReadResponse, id, num, 5, 0, "") // the rest refuse: the ordered path
 	}
-	seen.note(*rp)
-	if !rp.fellBack || rp.firstRung == 0 {
-		t.Fatalf("read did not widen and fall back: %+v", rp)
+	seen.note(*p)
+	if p.ordNum == 0 || p.firstRung == 0 {
+		t.Fatalf("read did not widen and fall back: %+v", p)
 	}
-	reply(tagResponse, 3, rp.ordNum, 6, 0, "v")
-	reply(tagResponse, 5, rp.ordNum, 6, 0, "v")
-	if fired != 1 || !slices.Contains(c.freeReads, rp) {
-		t.Fatalf("fallen-back read: done fired %d times, record kept %v", fired, slices.Contains(c.freeReads, rp))
-	}
+	reply(tagResponse, 3, p.ordNum, 6, 0, "v")
+	reply(tagResponse, 5, p.ordNum, 6, 0, "v")
+	kept("fallen-back read", fired, 2, p)
 
-	strong := c.InvokeGroupReadStrong(1, []byte("s"), func([]byte, sim.Duration) { fired++ })
-	if c.pendingReads[strong] != rp {
+	strong := c.Call(1, []byte("s"), Mode{Read: true, Strong: true}, func([]byte, sim.Duration) { fired++ })
+	if c.calls[strong] != p {
 		t.Fatal("the strong read did not take the released record")
 	}
 	for i, id := range c.groups[1] { // skewed versions: the pin round
 		reply(tagReadResponse, id, strong, 7+uint64(i), readFlagServed, "v")
 	}
-	seen.note(*rp)
+	seen.note(*p)
 	for _, id := range c.groups[1] {
 		reply(tagReadResponse, id, strong, 9, readFlagServed, "v")
 	}
-	if fired != 2 || !slices.Contains(c.freeReads, rp) {
-		t.Fatalf("strong read: done fired %d times in all, record kept %v", fired, slices.Contains(c.freeReads, rp))
-	}
-	seen.requireAll(t, pendingRead{})
-	got, fresh := *rp, *unused.newRead()
-	got.expire, fresh.expire = nil, nil
-	requireFresh(t, got, fresh)
+	kept("strong read", fired, 3, p)
+	seen.requireAll(t, call{})
 }
 
 // TestLateReplyDoesNotCountForTheNextCall: the record of a completed call
@@ -330,13 +327,13 @@ func TestRecycledCallRecordsAreFresh(t *testing.T) {
 func TestLateReplyDoesNotCountForTheNextCall(t *testing.T) {
 	c, _ := sinkRig(t, 1)
 	fired := 0
-	first := c.InvokeGroup(0, []byte("a"), func([]byte, sim.Duration) { fired++ })
-	p := c.pending[first]
+	first := c.Invoke([]byte("a"), func([]byte, sim.Duration) { fired++ })
+	p := c.calls[first]
 	c.onRPC(0, encodeReply(tagResponse, first, 1, 0, []byte("x")))
 	c.onRPC(1, encodeReply(tagResponse, first, 1, 0, []byte("x")))
-	second := c.InvokeGroup(0, []byte("b"), func([]byte, sim.Duration) { fired++ })
-	if fired != 1 || c.pending[second] != p {
-		t.Fatalf("first call fired %d times; second call reuses its record: %v", fired, c.pending[second] == p)
+	second := c.Invoke([]byte("b"), func([]byte, sim.Duration) { fired++ })
+	if fired != 1 || c.calls[second] != p {
+		t.Fatalf("first call fired %d times; second call reuses its record: %v", fired, c.calls[second] == p)
 	}
 	c.onRPC(2, encodeReply(tagResponse, first, 1, 0, []byte("x"))) // late
 	c.onRPC(0, encodeReply(tagResponse, second, 1, 0, []byte("x")))
@@ -345,17 +342,17 @@ func TestLateReplyDoesNotCountForTheNextCall(t *testing.T) {
 	}
 
 	// The same for reads, whose late replies are also read for probes.
-	first = c.InvokeGroupRead(0, []byte("r"), func([]byte, sim.Duration) { fired++ })
-	rp := c.pendingReads[first]
+	first = c.Call(0, []byte("r"), Mode{Read: true}, func([]byte, sim.Duration) { fired++ })
+	rp := c.calls[first]
 	in, _ := asked(rp, 3)
 	readVote := func(from ids.ID, num uint64) {
 		c.onRPC(from, encodeReply(tagReadResponse, num, 5, readFlagServed, []byte("x")))
 	}
 	readVote(in[0], first)
 	readVote(in[1], first)
-	second = c.InvokeGroupRead(0, []byte("q"), func([]byte, sim.Duration) { fired++ })
-	if fired != 2 || c.pendingReads[second] != rp {
-		t.Fatalf("first read fired %d in all; second read reuses its record: %v", fired, c.pendingReads[second] == rp)
+	second = c.Call(0, []byte("q"), Mode{Read: true}, func([]byte, sim.Duration) { fired++ })
+	if fired != 2 || c.calls[second] != rp {
+		t.Fatalf("first read fired %d in all; second read reuses its record: %v", fired, c.calls[second] == rp)
 	}
 	for id := ids.ID(0); id < 3; id++ {
 		readVote(id, first) // late, or unasked
@@ -403,8 +400,8 @@ func TestDoneResultOutlivesLaterCalls(t *testing.T) {
 				len(r.slots), len(r.freeSlots), peakSlots[i], len(r.requests), len(r.freeRequests), peakRequests[i])
 		}
 	}
-	if len(c.freeReqs) != 1 {
-		t.Fatalf("a client with one call at a time keeps %d call records", len(c.freeReqs))
+	if len(c.free) != 1 {
+		t.Fatalf("a client with one call at a time keeps %d call records", len(c.free))
 	}
 }
 

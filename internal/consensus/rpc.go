@@ -501,20 +501,19 @@ type Client struct {
 	f      int
 
 	nextNum uint64
-	pending map[uint64]*pendingReq
+	// calls holds every call in flight under each number its replies carry:
+	// an ordered call under its one number, a read under its own and, once it
+	// falls back, under its ordered request's too. free keeps completed and
+	// cancelled calls' records for the next ones: it holds at most the peak
+	// number of calls in flight.
+	calls map[uint64]*call
+	free  freeList[call]
 
-	// Completed and cancelled calls' records, kept for the next ones: each
-	// holds at most the peak number of calls in flight.
-	freeReqs  freeList[pendingReq]
-	freeReads freeList[pendingRead]
-
-	// Read fast path state: in-flight unordered reads, the per-group
-	// monotonic read floor (the lowest state version a fast read may be
-	// answered at — ratcheted by every accepted read AND every ordered
-	// response, which is what gives one client monotonic reads and
-	// read-your-writes across the two paths).
-	pendingReads map[uint64]*pendingRead
-	readFloor    []Slot
+	// readFloor is, per group, the monotonic read floor: the lowest state
+	// version a fast read may be answered at — ratcheted by every accepted
+	// read AND every ordered response, which is what gives one client
+	// monotonic reads and read-your-writes across the two paths.
+	readFloor []Slot
 	// readSuspect is, per group, the replicas (bitmask of indices) passed
 	// over when a read picks its first f+1 targets. A replica joins when a
 	// read it was asked on the first rung had to widen and was then accepted
@@ -536,6 +535,46 @@ type Client struct {
 	// def switches client-side defenses off (QuorumOne, NoReadFallback);
 	// zero outside the Byzantine harness.
 	def Defenses
+}
+
+// Mode says how a call is served. The zero Mode is an ordered call: the
+// group decides the request at one slot and every replica executes it
+// there. Read sends it to the unordered read fast path instead (see Call);
+// Strong, MinSlot and At qualify a read only.
+type Mode struct {
+	Read bool
+	// Strong requires ALL 2f+1 replicas to agree instead of f+1: any write
+	// that completed before the read began executed on at least f+1
+	// replicas, so the whole-group quorum includes one that applied it and
+	// the accepted version cannot predate the write (linearizability).
+	Strong bool
+	// With At == 0 the read is unpinned: only replies at state version >=
+	// MinSlot (and >= this client's monotonic floor for the group) count
+	// toward the quorum. With At > 0 it is pinned: every replica answers
+	// as-of exactly that version from its MVCC store, so the matching
+	// digests attest the value AT the pin regardless of replica skew.
+	MinSlot, At Slot
+}
+
+// Outcome is what a call resolved to, as CallAt reports it.
+type Outcome struct {
+	Result []byte
+	// Slot is the version the accepted result was read at; Frontier is the
+	// highest version ANY reply revealed, the input for choosing pins. An
+	// ordered result reports, as both, the client's read floor after it or a
+	// fallen-back read's frontier if higher, so a scatter-gather caller
+	// never retries an ordered leg.
+	Slot, Frontier Slot
+	// Crossed is whether the result may have crossed a transaction: for a
+	// read quorum the OR of the replicas' txn-crossed flags, for an ordered
+	// result the quorum-vouched parked marker. It is the shard layer's
+	// consistent-cut signal: a clean (uncrossed) pinned leg provably did not
+	// straddle any cross-shard transaction that committed before the pin
+	// round began, and only a leg that parked behind one needs revalidating.
+	Crossed bool
+	// FellBack is whether a read resolved through the ordered path.
+	FellBack bool
+	Latency  sim.Duration
 }
 
 // resTally accumulates one result class of a pending request: the vote
@@ -565,14 +604,14 @@ type resTally struct {
 	count   int
 	result  []byte // a view of the last counted reply frame
 	minSlot Slot
-	parked  bool   // ordered path: quorum-vouched parked marker (in the key)
-	crossed bool   // read path: OR of txn-crossed flags over counted replies
+	crossed bool   // the parked marker (ordered, in the key) or the OR of txn-crossed flags (read)
 	voters  uint64 // read path: the replica indices counted
 }
 
-func (t *resTally) add(result []byte, slot Slot) {
+func (t *resTally) add(result []byte, slot Slot, crossed bool) {
 	t.count++
 	t.result = result
+	t.crossed = t.crossed || crossed
 	if t.count == 1 || slot < t.minSlot {
 		t.minSlot = slot
 	}
@@ -601,67 +640,40 @@ func (ts *tallies) reset() {
 	*ts = (*ts)[:0]
 }
 
-// pendingReq tracks one in-flight ordered call.
-type pendingReq struct {
-	group   int
-	started sim.Time
-	replied uint64  // bitmask of replica indices already counted
-	byRes   tallies // the result classes, keyed by result checksum
-	// The caller's callback, in the form it was given: exactly one is set.
-	done       func(result []byte, latency sim.Duration)
-	doneParked func(result []byte, parked bool, latency sim.Duration)
-}
-
-// pendingRead tracks one in-flight unordered read.
-type pendingRead struct {
-	num     uint64 // the key in Client.pendingReads
-	group   int
-	payload []byte
-	minSlot Slot
-	// at pins the read to an exact state version (0 = unpinned: every
-	// replica answers at its own last-applied state).
-	at Slot
-	// strong requires ALL 2f+1 replicas to agree instead of f+1: with the
-	// full group in the quorum, any write that completed before the read
-	// began — which executed on at least f+1 replicas — intersects it, so
-	// the accepted version cannot predate the write (linearizability).
-	strong  bool
-	started sim.Time
+// call tracks one call in flight: an ordered request, or a read on the
+// ladder, whose last rung is an ordered request of its own.
+type call struct {
+	// num is the caller's handle. ordNum is the number of the call's ordered
+	// request: num itself for an ordered call, and 0 for a read until it
+	// falls back.
+	num, ordNum uint64
+	group       int
+	payload     []byte
+	mode        Mode // MinSlot and At as the read currently stands
+	started     sim.Time
 	// contacted and replied are bitmasks of replica indices: who was sent
-	// the request, and whose (one) reply was taken. A Byzantine replica may
+	// the read, and whose (one) reply was taken. A Byzantine replica may
 	// answer unasked, so replied is not a subset of contacted.
 	contacted uint64
 	replied   uint64
 	// firstRung is who had been asked when the read widened (0: it has
 	// not): the replicas to pass over if it is accepted without them.
 	firstRung uint64
-	// byRes tallies fresh (version >= minSlot) replies per result digest;
-	// the class minimum version is the quorum-vouched ratchet (see
-	// resTally), bounded below by the floor since stale replies are never
-	// counted at all. best is the largest class count.
+	// byRes tallies the counted replies per result class (see resTally). A
+	// read counts only fresh (version >= MinSlot) replies, so a class
+	// minimum is bounded below by the floor; best is its largest class.
 	byRes tallies
 	best  int
-	// frontier is the highest version ANY reply carried — advisory input
-	// to the scatter-gather snapshot pinning and the strong read's second
-	// round only (a forged frontier costs at most futile pin rounds before
-	// the ordered fallback); it never ratchets the persistent floor.
+	// frontier is the highest version ANY read reply carried — advisory
+	// input to the scatter-gather snapshot pinning and the strong read's
+	// second round only (a forged frontier costs at most futile pin rounds
+	// before the ordered fallback); it never ratchets the persistent floor.
 	frontier Slot
-	fellBack bool
-	ordNum   uint64 // the ordered request number after fallback
 	timer    sim.Timer
 	expire   func() // timer's callback, bound once when the record is made
 	// The caller's callback, in the form it was given: exactly one is set.
 	done   func(result []byte, latency sim.Duration)
-	doneAt func(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration)
-}
-
-// finish hands the read's outcome to the caller.
-func (p *pendingRead) finish(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration) {
-	if p.done != nil {
-		p.done(result, latency)
-	} else {
-		p.doneAt(result, slot, frontier, crossed, fellBack, latency)
-	}
+	doneAt func(Outcome)
 }
 
 // defaultReadTimeout bounds how long a fast read waits for its quorum
@@ -698,16 +710,15 @@ func NewMultiClient(rt *router.Router, groups [][]ids.ID, f int, def Defenses) *
 		panic("consensus: client needs at least one replica group")
 	}
 	c := &Client{
-		rt:           rt,
-		proc:         rt.Node().Proc(),
-		groups:       groups,
-		f:            f,
-		pending:      make(map[uint64]*pendingReq),
-		pendingReads: make(map[uint64]*pendingRead),
-		readFloor:    make([]Slot, len(groups)),
-		readSuspect:  make([]uint64, len(groups)),
-		readProbe:    make([]probeRead, len(groups)),
-		def:          def,
+		rt:          rt,
+		proc:        rt.Node().Proc(),
+		groups:      groups,
+		f:           f,
+		calls:       make(map[uint64]*call),
+		readFloor:   make([]Slot, len(groups)),
+		readSuspect: make([]uint64, len(groups)),
+		readProbe:   make([]probeRead, len(groups)),
+		def:         def,
 	}
 	rt.Register(router.ChanRPC, c.onRPC)
 	return c
@@ -727,117 +738,162 @@ func (c *Client) ReadFloor(group int) Slot { return c.readFloor[group] }
 
 // Invoke submits payload to group 0 for replicated execution; done receives
 // the f+1-confirmed result and the end-to-end latency.
-//
-// The result every Invoke* method hands its done callback is a view of a
-// reply frame, which is immutable once sent: the callee may keep it as long
-// as it likes, but must never write into it.
 func (c *Client) Invoke(payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.InvokeGroup(0, payload, done)
+	return c.Call(0, payload, Mode{}, done)
 }
 
-// InvokeGroup submits payload to the given replica group. The returned
-// request number is a per-group completion handle: Cancel(num) abandons the
-// request (its done callback will never fire), which is how the cross-shard
-// coordinator withdraws prepares from a group that timed out.
-func (c *Client) InvokeGroup(group int, payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.invoke(group, payload, done, nil)
+// Call submits payload to the given replica group as mode says; done fires
+// exactly once with the accepted result and the end-to-end latency (widen
+// and fallback included), unless the call is cancelled. The result is a
+// view of a reply frame, which is immutable once sent: the callee may keep
+// it as long as it likes, but must never write into it.
+//
+// An ordered call is accepted on f+1 matching replies. A read (mode.Read)
+// climbs the ladder this file opens with: one round trip to f+1 of the
+// 2f+1 replicas, accepted on f+1 matching result digests at a compatible
+// state version; a reply that cannot join that quorum or a missed widen
+// deadline brings in the rest of the group under the same request number;
+// mismatch across the whole group, the read timeout or a
+// transaction-locked key fall back transparently to the ordered path. A
+// strong read enters at rung 2 (the whole group at once). Round one samples
+// every replica unpinned; if they answer at one common version the read is
+// done in one round trip. Otherwise the replicas are skewed: round two
+// re-reads, under the same number, pinned at the highest version round one
+// revealed, which every correct replica serves once its execution catches
+// up (MVCC apps only).
+//
+// The returned request number is the call's handle: Cancel(num) abandons
+// it, which is how the cross-shard coordinator withdraws prepares from a
+// group that timed out.
+func (c *Client) Call(group int, payload []byte, mode Mode, done func(result []byte, latency sim.Duration)) uint64 {
+	return c.start(group, payload, mode, done, nil)
 }
 
-// InvokeGroupParked is InvokeGroup surfacing the quorum-vouched parked
-// marker: whether the request parked in the transaction wait queue
-// server-side and was answered at lock release (i.e. it crossed a
-// transaction). The shard layer's degraded scatter stage uses it to
-// revalidate sibling legs only behind fallbacks that actually crossed a
-// transaction, not behind every lost packet.
-func (c *Client) InvokeGroupParked(group int, payload []byte, done func(result []byte, parked bool, latency sim.Duration)) uint64 {
-	return c.invoke(group, payload, nil, done)
+// CallAt is Call reporting the whole Outcome: the version the result was
+// read at, the group frontier, the crossed marker and whether a read fell
+// back. The shard layer's snapshot-consistent scatter-gather builds on it.
+func (c *Client) CallAt(group int, payload []byte, mode Mode, done func(Outcome)) uint64 {
+	return c.start(group, payload, mode, nil, done)
 }
 
-// invoke submits an ordered call; exactly one of done and doneParked is set.
-func (c *Client) invoke(group int, payload []byte, done func([]byte, sim.Duration), doneParked func([]byte, bool, sim.Duration)) uint64 {
+// start opens a record for a call and sends it: an ordered call to the whole
+// group, a read on its first rung (f+1 replicas), or straight at rung 2 (the
+// whole group) when the read is strong, the QuorumOne defense is off, or too
+// few replicas are trusted to form a first rung. Exactly one of done and
+// doneAt is set.
+func (c *Client) start(group int, payload []byte, mode Mode, done func([]byte, sim.Duration), doneAt func(Outcome)) uint64 {
+	p := c.free.get()
+	if p == nil {
+		p = &call{byRes: make(tallies, 0, 2*c.f+1)}
+		p.expire = func() { c.escalate(p) }
+	}
+	p.group, p.payload, p.mode, p.started, p.done, p.doneAt = group, payload, mode, c.proc.Now(), done, doneAt
+	if !mode.Read {
+		c.order(p)
+		p.num = p.ordNum
+		return p.num
+	}
 	c.nextNum++
 	num := c.nextNum
-	p := c.newReq()
-	p.group, p.started, p.done, p.doneParked = group, c.proc.Now(), done, doneParked
-	c.pending[num] = p
-	// One frame, channel tag first and of exact size, for every replica:
-	// immutable once sent, so replicas may retain views of it.
-	req := Request{Client: c.rt.ID(), Num: num, Payload: payload}
+	p.num = num
+	c.calls[num] = p
+	if mode.At > 0 {
+		p.mode.MinSlot = 0 // as-of replies are fresh whatever the replica's version
+	} else if f := c.readFloor[group]; f > mode.MinSlot {
+		p.mode.MinSlot = f
+	}
+
+	// Rung 1 is f+1 trusted replicas in rotation order from the request
+	// number (no random draw: the seeded stream other code consumes does
+	// not shift), plus, on a probe read, the first passed-over one.
+	n := len(c.groups[group])
+	suspect := c.readSuspect[group]
+	to := c.groupMask(group)
+	if !mode.Strong && !c.def.QuorumOne && n-bits.OnesCount64(suspect) >= c.f+1 {
+		to = 0
+		probe := num%readProbeEvery == 0
+		for i, want := 0, c.f+1; i < n; i++ {
+			bit := uint64(1) << ((num + uint64(i)) % uint64(n))
+			switch {
+			case suspect&bit == 0 && want > 0:
+				to |= bit
+				want--
+			case suspect&bit != 0 && probe:
+				to |= bit
+				probe = false
+			}
+		}
+	}
+	c.sendRead(p, to)
+	return num
+}
+
+// order submits p's payload as an ordered request under the next number,
+// p.ordNum, and files p under it. One frame, channel tag first and of exact
+// size, goes to every replica: immutable once sent, so replicas may retain
+// views of it.
+func (c *Client) order(p *call) {
+	c.nextNum++
+	p.ordNum = c.nextNum
+	c.calls[p.ordNum] = p
+	req := Request{Client: c.rt.ID(), Num: p.ordNum, Payload: p.payload}
 	var w wire.Writer
-	w.Grow(2 + 16 + wire.BytesLen(len(payload)))
+	w.Grow(2 + 16 + wire.BytesLen(len(p.payload)))
 	w.U8(router.ChanRPC)
 	w.U8(tagRequest)
 	req.encode(&w)
 	frame := w.Finish()
-	for _, rep := range c.groups[group] {
+	for _, rep := range c.groups[p.group] {
 		c.rt.SendFrame(rep, frame)
 	}
-	return num
 }
 
-// Cancel abandons a pending request: late replica responses are ignored and
-// the done callback never fires. It reports whether the request was still
-// pending. The request itself may still be (or become) decided and executed
-// by the group — Cancel gives up on observing the outcome, it cannot recall
-// the submission. A fast read keeps its number on every rung (widened,
-// strong pin round, ordered fallback), so cancelling it abandons whichever
-// is in flight.
+// Cancel abandons the call whose handle is num: late replica responses are
+// ignored and its callback never fires. It reports whether the call was
+// still pending. The request itself may still be (or become) decided and
+// executed by the group — Cancel gives up on observing the outcome, it
+// cannot recall the submission. A read keeps its handle on every rung
+// (widened, strong pin round, ordered fallback), so cancelling it abandons
+// whichever is in flight.
 func (c *Client) Cancel(num uint64) bool {
-	if p, ok := c.pendingReads[num]; ok {
-		if q := c.pending[p.ordNum]; p.fellBack && q != nil {
-			c.dropReq(p.ordNum, q)
-		}
-		c.dropRead(p)
-		return true
+	p := c.calls[num]
+	if p == nil || p.num != num {
+		return false
 	}
-	p, ok := c.pending[num]
-	if ok {
-		c.dropReq(num, p)
-	}
-	return ok
+	c.drop(p)
+	return true
 }
 
-// newReq returns a record for a new ordered call: a finished call's, or a
-// new one with room for a class per replica.
-func (c *Client) newReq() *pendingReq {
-	if p := c.freeReqs.get(); p != nil {
-		return p
-	}
-	return &pendingReq{byRes: make(tallies, 0, 2*c.f+1)}
-}
-
-// newRead is newReq for a read, whose timer callback is bound here, once.
-func (c *Client) newRead() *pendingRead {
-	if p := c.freeReads.get(); p != nil {
-		return p
-	}
-	p := &pendingRead{byRes: make(tallies, 0, 2*c.f+1)}
-	p.expire = func() { c.escalateRead(p) }
-	return p
-}
-
-// dropReq forgets ordered call num and keeps its record for the next call.
-func (c *Client) dropReq(num uint64, p *pendingReq) {
-	delete(c.pending, num)
-	p.byRes.reset()
-	*p = pendingReq{byRes: p.byRes}
-	c.freeReqs.put(p)
-}
-
-// dropRead forgets a read and keeps its record for the next read.
-func (c *Client) dropRead(p *pendingRead) {
-	delete(c.pendingReads, p.num)
+// drop forgets call p and keeps its record for the next call.
+func (c *Client) drop(p *call) {
+	delete(c.calls, p.num)
+	delete(c.calls, p.ordNum)
 	p.timer.Cancel()
 	p.byRes.reset()
-	*p = pendingRead{byRes: p.byRes, expire: p.expire}
-	c.freeReads.put(p)
+	*p = call{byRes: p.byRes, expire: p.expire}
+	c.free.put(p)
+}
+
+// finish drops call p and hands its outcome to the caller. The result is a
+// view of a reply frame, not of the record, so the callback may start the
+// next call on the same record.
+func (c *Client) finish(p *call, result []byte, slot Slot, crossed bool) {
+	o := Outcome{Result: result, Slot: slot, Frontier: p.frontier, Crossed: crossed,
+		FellBack: p.mode.Read && p.ordNum != 0, Latency: c.proc.Now().Sub(p.started)}
+	done, doneAt := p.done, p.doneAt
+	c.drop(p)
+	if done != nil {
+		done(o.Result, o.Latency)
+	} else {
+		doneAt(o)
+	}
 }
 
 // PendingCount reports how many requests await confirmation, ordered and
 // fast-read alike (bounded-memory diagnostics: abandoned requests must not
 // accumulate here). A read in its fallback phase counts twice — once for
-// the read handle, once for the inner ordered request — until it resolves.
-func (c *Client) PendingCount() int { return len(c.pending) + len(c.pendingReads) }
+// the read handle, once for its ordered request — until it resolves.
+func (c *Client) PendingCount() int { return len(c.calls) }
 
 func (c *Client) onRPC(from ids.ID, payload []byte) {
 	rep, ok := ParseReply(payload)
@@ -850,10 +906,12 @@ func (c *Client) onRPC(from ids.ID, payload []byte) {
 	}
 }
 
+// onResponse counts one replica's reply to an ordered request: under the
+// call's ordered number only.
 func (c *Client) onResponse(from ids.ID, rep Reply) {
-	num, slot, flags, result := rep.Num, Slot(rep.At), rep.Flags, rep.Result
-	p := c.pending[num]
-	if p == nil {
+	num, slot, result := rep.Num, Slot(rep.At), rep.Result
+	p := c.calls[num]
+	if p == nil || p.ordNum != num {
 		return
 	}
 	idx := c.replicaIndex(from, p.group)
@@ -865,7 +923,7 @@ func (c *Client) onResponse(from ids.ID, rep Reply) {
 		return // one response per replica counts toward the quorum
 	}
 	p.replied |= bit
-	parked := flags&respFlagParked != 0
+	parked := rep.Flags&respFlagParked != 0
 	// The class key mixes the slot and the parked marker into the result
 	// checksum so the f+1 match covers all three (see resTally).
 	key := xcrypto.ChecksumNoCharge(result) + uint64(slot)*0x9E3779B97F4A7C15
@@ -873,26 +931,20 @@ func (c *Client) onResponse(from ids.ID, rep Reply) {
 		key ^= 0xC2B2AE3D27D4EB4F
 	}
 	t := p.byRes.of(key)
-	t.add(result, slot)
-	t.parked = parked
+	t.add(result, slot, parked)
 	need := c.f + 1
 	if c.def.QuorumOne {
 		need = 1
 	}
 	if t.count >= need {
-		delete(c.pending, num)
 		// The request executed at the slot the winning class vouches for
 		// (its minimum — see resTally), so the group's state now includes
 		// it: ratchet the read floor so a later fast read by this client
 		// can never observe a version that predates this response
 		// (read-your-writes and monotonic reads across both paths).
 		c.noteVersion(p.group, t.minSlot+1)
-		if latency := c.proc.Now().Sub(p.started); p.done != nil {
-			p.done(result, latency)
-		} else {
-			p.doneParked(result, parked, latency)
-		}
-		c.dropReq(num, p)
+		p.frontier = max(p.frontier, c.readFloor[p.group])
+		c.finish(p, result, p.frontier, parked)
 	}
 }
 
@@ -916,106 +968,6 @@ func (c *Client) noteVersion(group int, v Slot) {
 // Unordered read fast path (client side).
 // ---------------------------------------------------------------------
 
-// InvokeRead submits a read-only request to group 0's unordered fast path:
-// one round trip to f+1 of the 2f+1 replicas, accepted on f+1 matching
-// result digests at a compatible state version. A reply that cannot join
-// that quorum (refusal, stale version, mismatch) or a missed widen deadline
-// brings in the rest of the group under the same request number; mismatch
-// across the whole group, the read timeout or a transaction-locked key
-// fall back transparently to the ordered Invoke path. done always fires
-// exactly once with the final result and the end-to-end latency (widen and
-// fallback included).
-func (c *Client) InvokeRead(payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.InvokeGroupRead(0, payload, done)
-}
-
-// InvokeGroupRead is InvokeRead addressed at one replica group.
-func (c *Client) InvokeGroupRead(group int, payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.startRead(group, payload, 0, 0, false, done, nil)
-}
-
-// InvokeGroupReadStrong is the linearizable strong read: it requires ALL
-// 2f+1 replicas of the group to agree on (result, version). Any write that
-// completed before this read began executed on at least f+1 replicas, so
-// the all-replica quorum necessarily includes one that has applied it —
-// the agreed version cannot predate any completed write. It enters the read
-// ladder at rung 2 (the whole group at once). Round one samples every
-// replica unpinned; if they answer at one common version the read is done
-// in a single round trip. Otherwise the replicas are skewed: round two
-// re-reads, under the same request number, pinned at the highest version
-// round one revealed, which every correct replica serves once its
-// execution catches up (MVCC apps only). Refusals, mismatches beyond round
-// two, or a timeout fall back to the ordered path, which is linearizable
-// by construction.
-func (c *Client) InvokeGroupReadStrong(group int, payload []byte, done func(result []byte, latency sim.Duration)) uint64 {
-	return c.startRead(group, payload, 0, 0, true, done, nil)
-}
-
-// InvokeGroupReadAt is the version-aware fast read the shard layer's
-// snapshot-consistent scatter-gather builds on.
-//
-// With at == 0 the read is unpinned: only replies at state version >=
-// minSlot (and >= this client's monotonic floor for the group) count
-// toward the f+1 quorum. With at > 0 the read is pinned: every replica
-// answers as-of exactly that version from its MVCC store, so the f+1
-// matching digests attest the value AT the pin regardless of replica skew.
-//
-// done additionally receives the version the accepted result was read at,
-// the group frontier (the highest version ANY reply revealed — the input
-// for choosing pins), whether the result may have crossed a transaction —
-// for a pinned quorum the OR of the replicas' txn-crossed flags, for an
-// ordered fallback the quorum-vouched parked marker — and whether the read
-// resolved through the ordered fallback. The crossed flag is the shard
-// layer's consistent-cut signal: a clean (uncrossed) pinned leg provably
-// did not straddle any cross-shard transaction that committed before the
-// pin round began.
-func (c *Client) InvokeGroupReadAt(group int, payload []byte, minSlot, at Slot, done func(result []byte, slot, frontier Slot, crossed, fellBack bool, latency sim.Duration)) uint64 {
-	return c.startRead(group, payload, minSlot, at, false, nil, done)
-}
-
-// startRead puts one unordered read on the ladder: at rung 1 (f+1
-// replicas), or straight at rung 2 (the whole group) when the read is
-// strong, the QuorumOne defense is off, or too few replicas are trusted to
-// form a first rung. Exactly one of done and doneAt is set.
-func (c *Client) startRead(group int, payload []byte, minSlot, at Slot, strong bool,
-	done func([]byte, sim.Duration), doneAt func([]byte, Slot, Slot, bool, bool, sim.Duration)) uint64 {
-	c.nextNum++
-	num := c.nextNum
-	if at > 0 {
-		minSlot = 0 // as-of replies are fresh whatever the replica's version
-	} else if f := c.readFloor[group]; f > minSlot {
-		minSlot = f
-	}
-	p := c.newRead()
-	p.num, p.group, p.payload, p.minSlot, p.at, p.strong = num, group, payload, minSlot, at, strong
-	p.started, p.done, p.doneAt = c.proc.Now(), done, doneAt
-	c.pendingReads[num] = p
-
-	// Rung 1 is f+1 trusted replicas in rotation order from the request
-	// number (no random draw: the seeded stream other code consumes does
-	// not shift), plus, on a probe read, the first passed-over one.
-	n := len(c.groups[group])
-	suspect := c.readSuspect[group]
-	to := c.groupMask(group)
-	if !strong && !c.def.QuorumOne && n-bits.OnesCount64(suspect) >= c.f+1 {
-		to = 0
-		probe := num%readProbeEvery == 0
-		for i, want := 0, c.f+1; i < n; i++ {
-			bit := uint64(1) << ((num + uint64(i)) % uint64(n))
-			switch {
-			case suspect&bit == 0 && want > 0:
-				to |= bit
-				want--
-			case suspect&bit != 0 && probe:
-				to |= bit
-				probe = false
-			}
-		}
-	}
-	c.sendRead(p, to)
-	return num
-}
-
 // groupMask is the bitmask of every replica index of a group.
 func (c *Client) groupMask(group int) uint64 {
 	return uint64(1)<<uint(len(c.groups[group])) - 1
@@ -1026,13 +978,13 @@ func (c *Client) groupMask(group int) uint64 {
 // read timeout; a first rung gets half of it (the widen deadline) and the
 // widened round the other half, so total silence still reaches the ordered
 // path after one read timeout.
-func (c *Client) sendRead(p *pendingRead, to uint64) {
+func (c *Client) sendRead(p *call, to uint64) {
 	var w wire.Writer // one exact-size frame for every replica addressed
 	w.Grow(2 + 16 + wire.BytesLen(len(p.payload)))
 	w.U8(router.ChanRPC)
 	w.U8(tagReadRequest)
 	w.U64(p.num)
-	w.U64(uint64(p.at))
+	w.U64(uint64(p.mode.At))
 	w.Bytes(p.payload)
 	frame := w.Finish()
 	for i, rep := range c.groups[p.group] {
@@ -1049,22 +1001,22 @@ func (c *Client) sendRead(p *pendingRead, to uint64) {
 	p.timer = c.proc.After(wait, p.expire)
 }
 
-// onReadResponse collects one replica's fast-read reply. Acceptance needs
-// f+1 (strong: all 2f+1) replies carrying the same result digest at
-// compatible versions. When the replicas asked so far can no longer supply
-// that — counting every one still to reply as a vote for the best class —
-// the read climbs a rung (escalateRead), except a strong sample round that
-// merely found the replicas version-skewed, which re-reads pinned at the
-// revealed frontier first. An accepted-but-locked result goes straight to
-// the ordered path.
+// onReadResponse collects one replica's fast-read reply, under the read's
+// own number only. Acceptance needs f+1 (strong: all 2f+1) replies carrying
+// the same result digest at compatible versions. When the replicas asked so
+// far can no longer supply that — counting every one still to reply as a
+// vote for the best class — the read climbs a rung (escalate), except a
+// strong sample round that merely found the replicas version-skewed, which
+// re-reads pinned at the revealed frontier first. An accepted-but-locked
+// result goes straight to the ordered path.
 func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 	num, version, flags, result := rep.Num, Slot(rep.At), rep.Flags, rep.Result
 	served := flags&readFlagServed != 0
-	p := c.pendingReads[num]
-	if p == nil {
-		// Too late to vote — unless it answers a probe: a passed-over
-		// replica whose reply would have joined the accepted class is a
-		// first-rung target again.
+	p := c.calls[num]
+	if p == nil || p.ordNum != 0 {
+		// Not a read on an unordered rung: too late to vote — unless it
+		// answers a probe: a passed-over replica whose reply would have
+		// joined the accepted class is a first-rung target again.
 		for g, pr := range c.readProbe {
 			if pr.num == num && served && version >= pr.minSlot && app.ReadDigest(result) == pr.key {
 				if idx := c.replicaIndex(from, g); idx >= 0 {
@@ -1072,9 +1024,6 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 				}
 			}
 		}
-		return
-	}
-	if p.fellBack {
 		return
 	}
 	idx := c.replicaIndex(from, p.group)
@@ -1091,56 +1040,52 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 	}
 	all := c.groupMask(p.group)
 	need := c.f + 1
-	if p.strong {
+	if p.mode.Strong {
 		need = len(c.groups[p.group])
 	}
 	if c.def.QuorumOne {
 		need = 1
 	}
-	if served && version >= p.minSlot {
+	if served && version >= p.mode.MinSlot {
 		key := app.ReadDigest(result)
-		if p.strong && p.at == 0 {
+		if p.mode.Strong && p.mode.At == 0 {
 			// The strong sample round must be unanimous at ONE version:
 			// the same bytes read at different versions do not certify a
 			// linearization point, so the version joins the class key.
 			key += uint64(version) * 0x9E3779B97F4A7C15
 		}
 		t := p.byRes.of(key)
-		t.add(result, version)
-		t.crossed = t.crossed || flags&readFlagCrossed != 0
+		t.add(result, version, flags&readFlagCrossed != 0)
 		t.voters |= bit
 		if t.count > p.best {
 			p.best = t.count
 		}
 		if t.count >= need {
 			c.readSuspect[p.group] = (c.readSuspect[p.group] | p.firstRung) &^ t.voters
-			if p.at == 0 && len(t.result) == 1 && t.result[0] == app.StatusLocked {
+			if p.mode.At == 0 && len(t.result) == 1 && t.result[0] == app.StatusLocked {
 				// A transaction holds the keys: always the ordered path,
 				// which parks behind the lock and answers when the
 				// transaction resolves (the wait-queue semantics readers
 				// rely on for isolation) — asking more replicas cannot
 				// help.
 				p.contacted = all
-				c.escalateRead(p)
+				c.escalate(p)
 				return
 			}
-			p.timer.Cancel()
-			delete(c.pendingReads, num)
 			slot := t.minSlot
-			if p.at > 0 {
-				slot = p.at
+			if p.mode.At > 0 {
+				slot = p.mode.At
 			}
-			if p.strong {
+			if p.mode.Strong {
 				c.StrongReads++
 			} else {
 				c.FastReads++
 			}
 			if num%readProbeEvery == 0 && p.contacted&^p.replied&c.readSuspect[p.group] != 0 {
-				c.readProbe[p.group] = probeRead{num: num, key: key, minSlot: p.minSlot}
+				c.readProbe[p.group] = probeRead{num: num, key: key, minSlot: p.mode.MinSlot}
 			}
 			c.noteVersion(p.group, slot)
-			p.finish(t.result, slot, p.frontier, t.crossed, false, c.proc.Now().Sub(p.started))
-			c.dropRead(p)
+			c.finish(p, t.result, slot, t.crossed)
 			return
 		}
 	}
@@ -1151,7 +1096,7 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 	if p.best+waiting >= need {
 		return
 	}
-	if p.strong && p.at == 0 && served {
+	if p.mode.Strong && p.mode.At == 0 && served {
 		// Every replica serves the read but execution is skewed (or one
 		// lies): once all versions are in, re-read pinned at the highest —
 		// a version every correct replica can answer as-of from its MVCC
@@ -1160,16 +1105,16 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 			return
 		}
 		if p.frontier > 0 {
-			p.at, p.minSlot, p.replied, p.best = p.frontier, 0, 0, 0
+			p.mode.At, p.mode.MinSlot, p.replied, p.best = p.frontier, 0, 0, 0
 			p.byRes.reset()
 			c.sendRead(p, all)
 			return
 		}
 	}
-	c.escalateRead(p)
+	c.escalate(p)
 }
 
-// escalateRead moves a read that cannot complete where it stands — the
+// escalate moves a read that cannot complete where it stands — the
 // replicas asked cannot supply the quorum, or its timer fired — one rung
 // up.
 //
@@ -1177,17 +1122,16 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 // replicas asked before that did not vote for the result are passed over as
 // first-rung targets until they vote in an accepted class again.
 //
-// Rung 3 re-submits through the ordered path. The ordered result is always
-// correct (it is the exact path a deployment without fast reads runs), so
-// this is the safety net every fast-read failure mode lands on. The crossed
-// flag reported upward is the ordered response's quorum-vouched parked
-// marker: whether the read actually waited out a transaction server-side —
-// the signal that lets the shard layer's revalidation skip fallbacks that
-// merely lost a race or a packet.
-func (c *Client) escalateRead(p *pendingRead) {
-	if p.fellBack || c.pendingReads[p.num] != p {
-		return
-	}
+// Rung 3 re-submits through the ordered path: the record resets its
+// tallies, takes a fresh number for the ordered request and is filed under
+// it too. The ordered result is always correct (it is the exact path a
+// deployment without fast reads runs), so this is the safety net every
+// fast-read failure mode lands on. The crossed flag reported upward is the
+// ordered response's quorum-vouched parked marker: whether the read
+// actually waited out a transaction server-side — the signal that lets the
+// shard layer's revalidation skip fallbacks that merely lost a race or a
+// packet.
+func (c *Client) escalate(p *call) {
 	if rest := c.groupMask(p.group) &^ p.contacted; rest != 0 {
 		c.ReadWidens++
 		p.firstRung = p.contacted
@@ -1203,19 +1147,9 @@ func (c *Client) escalateRead(p *pendingRead) {
 		// the attack's effect is observable instead of safely absorbed.
 		return
 	}
-	p.fellBack = true
 	p.timer.Cancel()
 	c.ReadFallbacks++
-	p.ordNum = c.invoke(p.group, p.payload, nil, func(result []byte, parked bool, _ sim.Duration) {
-		delete(c.pendingReads, p.num)
-		// The ordered execution ratcheted the floor already; report it as
-		// both slot and frontier so a scatter-gather caller never retries
-		// an ordered leg.
-		v := c.readFloor[p.group]
-		if p.frontier > v {
-			v = p.frontier
-		}
-		p.finish(result, v, v, parked, true, c.proc.Now().Sub(p.started))
-		c.dropRead(p)
-	})
+	p.replied = 0
+	p.byRes.reset()
+	c.order(p)
 }

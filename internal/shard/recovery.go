@@ -2,6 +2,7 @@ package shard
 
 import (
 	"repro/internal/app"
+	"repro/internal/consensus"
 	"repro/internal/sim"
 )
 
@@ -70,7 +71,7 @@ func (c *Client) SweepStranded() {
 	rec.prev, rec.cur = rec.cur, make(map[stagedKey]bool)
 	for g := range rec.lists {
 		c.cc.Cancel(rec.lists[g])
-		rec.lists[g] = c.cc.InvokeGroup(g, app.EncodeTxnListStaged(), func(res []byte, _ sim.Duration) {
+		rec.lists[g] = c.cc.Call(g, app.EncodeTxnListStaged(), consensus.Mode{}, func(res []byte, _ sim.Duration) {
 			staged, _ := app.DecodeTxnListStaged(res)
 			for _, tx := range staged {
 				if tx.Coord >= uint64(c.shards) {

@@ -420,14 +420,8 @@ func (c *Client) Invoke(payload []byte, done func(result []byte, latency sim.Dur
 		if s < 0 || s >= c.shards {
 			return -1, fmt.Errorf("shard: routed to shard %d of %d", s, c.shards)
 		}
-		switch {
-		case c.strongReads && c.frag.ReadOnly(payload):
-			c.cc.InvokeGroupReadStrong(s, payload, done)
-		case c.fastReads && c.frag.ReadOnly(payload):
-			c.cc.InvokeGroupRead(s, payload, done)
-		default:
-			c.cc.InvokeGroup(s, payload, done)
-		}
+		read := (c.strongReads || c.fastReads) && c.frag.ReadOnly(payload)
+		c.cc.Call(s, payload, consensus.Mode{Read: read, Strong: read && c.strongReads}, done)
 		return s, nil
 	}
 	if c.frag == nil {
@@ -498,7 +492,7 @@ const snapRetryMax = 2
 //     reveals each group's frontier — the highest state version any of
 //     its replies carried.
 //   - Each following round re-reads EVERY leg pinned at its group's
-//     frontier (InvokeGroupReadAt with at > 0): replicas answer as-of
+//     frontier (CallAt with Mode.At > 0): replicas answer as-of
 //     exactly that version from their version chains, deferring the reply
 //     until they have executed that far, and flag the reply "crossed"
 //     when the leg's keys are transaction-locked or a transaction wrote
@@ -535,13 +529,13 @@ func (c *Client) scatterReadFast(payload []byte, legs [][]byte, plan *splitPlan,
 	remaining := 0
 	var finishRound func()
 	send := func(i int) {
-		c.cc.InvokeGroupReadAt(plan.shards[i], legs[i], 0, pins[i], func(res []byte, slot, frontier consensus.Slot, crossed, fellBack bool, _ sim.Duration) {
-			results[i] = res
-			if frontier > fronts[i] {
-				fronts[i] = frontier
+		c.cc.CallAt(plan.shards[i], legs[i], consensus.Mode{Read: true, At: pins[i]}, func(o consensus.Outcome) {
+			results[i] = o.Result
+			if o.Frontier > fronts[i] {
+				fronts[i] = o.Frontier
 			}
-			anyFell = anyFell || fellBack
-			clean[i] = !fellBack && !crossed && (pins[i] > 0 || (slot == 0 && frontier == 0))
+			anyFell = anyFell || o.FellBack
+			clean[i] = !o.FellBack && !o.Crossed && (pins[i] > 0 || (o.Slot == 0 && o.Frontier == 0))
 			remaining--
 			if remaining == 0 {
 				finishRound()
@@ -600,13 +594,13 @@ func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPl
 	var finish func()
 	var send func(i, attempt int)
 	send = func(i, attempt int) {
-		c.cc.InvokeGroupParked(plan.shards[i], legs[i], func(res []byte, p bool, _ sim.Duration) {
-			if len(res) == 1 && res[0] == app.StatusLocked && attempt < lockedRetryMax {
+		c.cc.CallAt(plan.shards[i], legs[i], consensus.Mode{}, func(o consensus.Outcome) {
+			if len(o.Result) == 1 && o.Result[0] == app.StatusLocked && attempt < lockedRetryMax {
 				c.cc.Proc().After(lockedRetryDelay, func() { send(i, attempt+1) })
 				return
 			}
-			results[i] = res
-			parked[i] = parked[i] || p
+			results[i] = o.Result
+			parked[i] = parked[i] || o.Crossed
 			remaining--
 			if remaining == 0 {
 				finish()

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"repro/internal/app"
+	"repro/internal/consensus"
 	"repro/internal/sim"
 )
 
@@ -85,7 +86,7 @@ func (c *Client) beginTx(payload []byte, plan *splitPlan, done func(result []byt
 	coord := uint64(plan.shards[0])
 	for i := range plan.shards {
 		i := i
-		tx.pending[i] = c.cc.InvokeGroup(plan.shards[i], app.EncodeTxnPrepare(tx.txid, coord, frags[i]),
+		tx.pending[i] = c.cc.Call(plan.shards[i], app.EncodeTxnPrepare(tx.txid, coord, frags[i]), consensus.Mode{},
 			func(res []byte, _ sim.Duration) { c.onVote(tx, i, res) })
 	}
 	tx.timer = c.cc.Proc().After(PrepareTimeout, func() { c.abortTx(tx) })
@@ -227,7 +228,7 @@ func (c *Client) retryFanout(groups []int, payload []byte, done func(allAcked bo
 				continue
 			}
 			i := i
-			nums[i] = c.cc.InvokeGroup(g, payload, func(res []byte, _ sim.Duration) {
+			nums[i] = c.cc.Call(g, payload, consensus.Mode{}, func(res []byte, _ sim.Duration) {
 				acked[i] = true
 				resps[i] = res
 				for _, ok := range acked {
