@@ -10,8 +10,8 @@ import (
 // PoolSafety enforces the lifetime rules of the pooled/zero-copy wire
 // surfaces, in every module package:
 //
-//   - A result of wire.Reader.BytesView/RawView aliases the reader's
-//     buffer. It must not be stored into a struct field, map/slice element
+//   - A result of wire.Reader.BytesView/RawView/SpanView aliases the
+//     reader's buffer. It must not be stored into a struct field, map/slice element
 //     or package-level variable, and must not be returned, without an
 //     explicit copy (append/bytes.Clone/string conversion). Passing a view
 //     down a call chain is allowed — the callee owns the judgment there.
@@ -70,8 +70,8 @@ func (p *PoolSafety) Run(w *World) []Finding {
 	return out
 }
 
-// isViewCall reports whether call invokes (*wire.Reader).BytesView or
-// (*wire.Reader).RawView.
+// isViewCall reports whether call invokes (*wire.Reader).BytesView,
+// RawView or SpanView.
 func (p *PoolSafety) isViewCall(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -85,7 +85,11 @@ func (p *PoolSafety) isViewCall(pkg *Package, call *ast.CallExpr) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	return obj.Name() == "BytesView" || obj.Name() == "RawView"
+	switch obj.Name() {
+	case "BytesView", "RawView", "SpanView":
+		return true
+	}
+	return false
 }
 
 // wireFunc reports whether call invokes the named package-level function
@@ -237,7 +241,7 @@ func (p *PoolSafety) checkFunc(w *World, pkg *Package, recv *ast.FieldList, ftyp
 		if id, ok := e.(*ast.Ident); ok {
 			return fmt.Sprintf("view-aliased %q", id.Name)
 		}
-		return "BytesView/RawView result"
+		return "BytesView/RawView/SpanView result"
 	}
 
 	isGlobal := func(id *ast.Ident) bool {

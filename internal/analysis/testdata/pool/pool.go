@@ -1,5 +1,5 @@
 // Package pool is a poolsafety-pass fixture: stores and uncopied returns
-// of BytesView/RawView borrows are flagged, the caller-owned decode
+// of BytesView/RawView/SpanView borrows are flagged, the caller-owned decode
 // borrow and the copied return are accepted, and GetWriter lifecycle
 // violations are caught.
 package pool
@@ -20,6 +20,24 @@ func Leaks(h *holder, m map[int][]byte) []byte {
 	m[1] = r.BytesView() // want "stored into map/slice element"
 	global = v           // want "stored in package-level variable"
 	return v             // want "returned without copy"
+}
+
+// SpanLeaks keeps a span of pool-backed bytes past the buffer's life.
+func SpanLeaks(h *holder) []byte {
+	r := wire.NewReader(frame())
+	from := r.Offset()
+	r.U64()
+	h.view = r.SpanView(from) // want "stored into field"
+	return r.SpanView(from)   // want "returned without copy"
+}
+
+// Span returns a span of the caller's own bytes: the decode borrow again —
+// accepted.
+func Span(req []byte) []byte {
+	rd := wire.NewReader(req)
+	from := rd.Offset()
+	rd.U64()
+	return rd.SpanView(from)
 }
 
 // Key is the sanctioned decode borrow: rd wraps the caller's own bytes,

@@ -8,6 +8,7 @@ package consensus
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -117,10 +118,10 @@ func TestValidateCommitNeedsRealCertificate(t *testing.T) {
 	dg := req.Digest()
 
 	// Forged certificate: garbage signatures.
-	forged := CommitCert{View: 0, Slot: 0, Req: req, Sigs: map[ids.ID]xcrypto.Signature{
+	forged := CommitCert{View: 0, Slot: 0, Req: req, Sigs: certOf(map[ids.ID]xcrypto.Signature{
 		1: make(xcrypto.Signature, xcrypto.SigLen),
 		2: make(xcrypto.Signature, xcrypto.SigLen),
-	}}
+	})}
 	w := wire.NewWriter(256)
 	w.U8(tagCommit)
 	forged.encode(w)
@@ -130,15 +131,70 @@ func TestValidateCommitNeedsRealCertificate(t *testing.T) {
 
 	// Real certificate: f+1 genuine CERTIFY signatures.
 	proc := sim.NewProc(rig.eng, "signer")
-	real := CommitCert{View: 0, Slot: 0, Req: req, Sigs: map[ids.ID]xcrypto.Signature{
+	real := CommitCert{View: 0, Slot: 0, Req: req, Sigs: certOf(map[ids.ID]xcrypto.Signature{
 		1: rig.reg.Signer(1).Sign(proc, certifyPayload(0, 0, dg)),
 		2: rig.reg.Signer(2).Sign(proc, certifyPayload(0, 0, dg)),
-	}}
+	})}
 	w2 := wire.NewWriter(256)
 	w2.U8(tagCommit)
 	real.encode(w2)
 	if !r.accepts(ids.ID(1), w2.Finish()) {
 		t.Fatal("genuine COMMIT certificate rejected")
+	}
+}
+
+// TestRepeatedSignerRejected: a certificate that lists one genuine share twice
+// under its signer is not canonical, so no correct process sends it; a COMMIT
+// or CHECKPOINT carrying one is refused however many times the share is
+// listed.
+func TestRepeatedSignerRejected(t *testing.T) {
+	rig := newMsgFuzzRig(t)
+	defer rig.stop()
+	r := rig.reps[0]
+	req := Request{Client: 200, Num: 1, Payload: []byte("x")}
+	cpDigest := xcrypto.DigestNoCharge([]byte("state"))
+	w := wire.NewWriter(256)
+	w.U8(tagCommit)
+	(&CommitCert{View: 0, Slot: 0, Req: req}).encode(w)
+	commit := withRepeatedSigner(w.Finish(), 1, rig.sigs(certifyPayload(0, 0, req.Digest()), 1)[1])
+	w = wire.NewWriter(256)
+	w.U8(tagCheckpoint)
+	(&Checkpoint{Seq: 32, StateDigest: cpDigest}).encode(w)
+	checkpoint := withRepeatedSigner(w.Finish(), 1, rig.sigs(checkpointPayload(32, cpDigest), 1)[1])
+	if r.accepts(1, commit) || r.accepts(1, checkpoint) {
+		t.Fatal("a certificate listing one share twice validated")
+	}
+}
+
+// TestCommitCertificateAllocatesNothing: a COMMIT's certificate is read in
+// place, so decoding it, walking its signatures and validating it against
+// CERTIFY shares this replica verified already allocate nothing.
+func TestCommitCertificateAllocatesNothing(t *testing.T) {
+	rig := newMsgFuzzRig(t)
+	defer rig.stop()
+	r := rig.reps[0]
+	req := Request{Client: 200, Num: 1, Payload: []byte("x")}
+	dg := req.Digest()
+	sigs := rig.sigs(certifyPayload(0, 0, dg), 1, 2)
+	for p, sig := range sigs {
+		r.onCertify(p, 0, 0, dg, sig)
+	}
+	w := wire.NewWriter(256)
+	(&CommitCert{View: 0, Slot: 0, Req: req, Sigs: certOf(sigs)}).encode(w)
+	frame := w.Finish()
+	computed, reused := rig.reg.Verifications()
+	allocs := testing.AllocsPerRun(100, func() {
+		c, err := decodeCommitCert(wire.NewReader(frame))
+		signers := 0
+		for range c.Sigs.All() {
+			signers++
+		}
+		if err != nil || signers != 2 || !r.validCommit(r.state[1], &c) {
+			t.Fatalf("COMMIT certificate: %v, %d signers, or refused", err, signers)
+		}
+	})
+	if c, rr := rig.reg.Verifications(); allocs != 0 || c != computed || rr != reused {
+		t.Fatalf("a COMMIT certificate of known shares: %.1f allocations, %d signatures computed, %d verdicts reused", allocs, c-computed, rr-reused)
 	}
 }
 
@@ -210,11 +266,11 @@ func TestMustProposeSelectsHighestView(t *testing.T) {
 		cs := CertifiedState{
 			View:       3,
 			Checkpoint: Checkpoint{Seq: 0},
-			Commits: map[Slot]CommitCert{
-				slot: {View: v, Slot: slot, Req: Request{Client: 200, Num: uint64(v), Payload: []byte(payload)}},
+			Commits: commitLog{
+				{View: v, Slot: slot, Req: Request{Client: 200, Num: uint64(v), Payload: []byte(payload)}},
 			},
 		}
-		c, err := newReplicaCert(0, encodeCertifiedState(&cs), nil)
+		c, err := newReplicaCert(0, encodeCertifiedState(&cs), xcrypto.Cert{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,14 +303,11 @@ func scanMustPropose(s Slot, certs []ReplicaCert) (Request, bool) {
 		if err != nil {
 			continue
 		}
-		for sl := range cs.Commits {
-			if sl > maxOpen {
-				maxOpen = sl
+		for _, cc := range cs.Commits {
+			maxOpen = max(maxOpen, cc.Slot)
+			if cc.Slot == s && (best == nil || cc.View > best.View) {
+				best = &cc
 			}
-		}
-		if cc, ok := cs.Commits[s]; ok && (best == nil || cc.View > best.View) {
-			cc := cc
-			best = &cc
 		}
 	}
 	if best != nil {
@@ -276,13 +329,13 @@ func TestNewViewPlanMatchesScan(t *testing.T) {
 	for set := 0; set < 300; set++ {
 		certs := make([]ReplicaCert, 1+rng.Intn(3))
 		for i := range certs {
-			cs := CertifiedState{View: 9, Checkpoint: Checkpoint{Seq: Slot(rng.Intn(8))}, Commits: map[Slot]CommitCert{}}
+			cs := CertifiedState{View: 9, Checkpoint: Checkpoint{Seq: Slot(rng.Intn(8))}}
 			for n := rng.Intn(4) * rng.Intn(6); n > 0; n-- { // a quarter of the states are empty
 				s, v := Slot(rng.Intn(window+8)), View(rng.Intn(3))
-				cs.Commits[s] = CommitCert{View: v, Slot: s, Req: Request{Client: 200, Num: uint64(v), Payload: []byte{byte(i), byte(s)}}}
+				cs.Commits.put(CommitCert{View: v, Slot: s, Req: Request{Client: 200, Num: uint64(v), Payload: []byte{byte(i), byte(s)}}})
 			}
 			var err error
-			if certs[i], err = newReplicaCert(ids.ID(i), encodeCertifiedState(&cs), nil); err != nil {
+			if certs[i], err = newReplicaCert(ids.ID(i), encodeCertifiedState(&cs), xcrypto.Cert{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -353,11 +406,11 @@ func TestCheckpointCertCountsKnownSharesOnly(t *testing.T) {
 		waits   bool
 		charged sim.Time // verifications on the main process, after the wait
 	}{
-		{"known share + forged signature", func(k, g, f xcrypto.Signature) xcrypto.Cert { return xcrypto.Cert{1: k, 2: f} }, ctbcast.Reject, true, 1},
-		{"known share + its own copy elsewhere", func(k, g, f xcrypto.Signature) xcrypto.Cert { return xcrypto.Cert{1: k, 2: k} }, ctbcast.Reject, true, 1},
-		{"known share + a stranger's signature", func(k, g, f xcrypto.Signature) xcrypto.Cert { return xcrypto.Cert{1: k, 7: g} }, ctbcast.Reject, false, 0},
-		{"the known signer's share, altered", func(k, g, f xcrypto.Signature) xcrypto.Cert { return xcrypto.Cert{1: f, 2: f} }, ctbcast.Reject, true, 2},
-		{"known share + genuine signature", func(k, g, f xcrypto.Signature) xcrypto.Cert { return xcrypto.Cert{1: k, 2: g} }, ctbcast.Accept, true, 0},
+		{"known share + forged signature", func(k, g, f xcrypto.Signature) xcrypto.Cert { return certOf(map[ids.ID]xcrypto.Signature{1: k, 2: f}) }, ctbcast.Reject, true, 1},
+		{"known share + its own copy elsewhere", func(k, g, f xcrypto.Signature) xcrypto.Cert { return certOf(map[ids.ID]xcrypto.Signature{1: k, 2: k}) }, ctbcast.Reject, true, 1},
+		{"known share + a stranger's signature", func(k, g, f xcrypto.Signature) xcrypto.Cert { return certOf(map[ids.ID]xcrypto.Signature{1: k, 7: g}) }, ctbcast.Reject, false, 0},
+		{"the known signer's share, altered", func(k, g, f xcrypto.Signature) xcrypto.Cert { return certOf(map[ids.ID]xcrypto.Signature{1: f, 2: f}) }, ctbcast.Reject, true, 2},
+		{"known share + genuine signature", func(k, g, f xcrypto.Signature) xcrypto.Cert { return certOf(map[ids.ID]xcrypto.Signature{1: k, 2: g}) }, ctbcast.Accept, true, 0},
 	} {
 		rig := newWBRig(t)
 		r := rig.reps[0]
@@ -429,9 +482,10 @@ func TestCheckpointForgedShareCostsOneVerification(t *testing.T) {
 		if forgedFirst {
 			want, signer = 2*oneVerify, 2
 		}
-		if got := r.bgProc.BusyUntil() - start; got != want || r.chkpt.Seq != seq || len(r.chkpt.Sigs) != 2 || r.chkpt.Sigs[signer] == nil {
+		sigs := maps.Collect(r.chkpt.Sigs.All())
+		if got := r.bgProc.BusyUntil() - start; got != want || r.chkpt.Seq != seq || len(sigs) != 2 || sigs[signer] == nil {
 			t.Errorf("forged first share %v: pool busy %v (want %v), stable checkpoint %d signed by %v",
-				forgedFirst, got, want, r.chkpt.Seq, sortedKeys(r.chkpt.Sigs))
+				forgedFirst, got, want, r.chkpt.Seq, sortedKeys(sigs))
 		}
 		rig.stop()
 	}
@@ -453,10 +507,10 @@ func TestForgedCheckpointBlocksItsChannelAfterTheWait(t *testing.T) {
 	forged[0] ^= 1
 	w := wire.NewWriter(256)
 	w.U8(tagCheckpoint)
-	(&Checkpoint{Seq: seq, StateDigest: dg, Sigs: xcrypto.Cert{
+	(&Checkpoint{Seq: seq, StateDigest: dg, Sigs: certOf(map[ids.ID]xcrypto.Signature{
 		1: rig.reg.Signer(1).Sign(signing, checkpointPayload(seq, dg)),
 		2: forged,
-	}}).encode(w)
+	})}).encode(w)
 	byz.groups[1].Broadcast(w.Finish())
 	byz.groups[1].Broadcast(sealFrame(1))
 
@@ -498,7 +552,7 @@ func TestCertifyCheckpointTrustsOwnChannelOnly(t *testing.T) {
 	pool := r.bgProc.BusyUntil()
 	r.onAuxMsg(1, frame)
 	rig.eng.RunFor(sim.Millisecond)
-	if c := r.cps[seq]; c != nil && len(c.shares.Cert(dg)) != 0 {
+	if c := r.cps[seq]; c != nil && len(maps.Collect(c.shares.Cert(dg).All())) != 0 {
 		t.Fatalf("replica 0's share arriving on replica 1's channel counts: %+v", c.shares)
 	}
 	if r.bgProc.BusyUntil() == pool {

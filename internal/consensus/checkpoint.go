@@ -1,8 +1,6 @@
 package consensus
 
 import (
-	"slices"
-
 	"repro/internal/ids"
 	"repro/internal/latmodel"
 	"repro/internal/router"
@@ -135,9 +133,9 @@ func (r *Replica) awaitCheckpointCert(st *replicaState, cp *Checkpoint) bool {
 	if cp.Seq <= r.chkpt.Seq {
 		return false
 	}
-	for _, q := range sortedKeys(cp.Sigs) {
+	for q, sig := range cp.Sigs.All() {
 		if r.cfg.indexOf(q) >= 0 {
-			r.offerCheckpointShare(q, cp.Seq, cp.StateDigest, cp.Sigs[q], true)
+			r.offerCheckpointShare(q, cp.Seq, cp.StateDigest, sig, true)
 		}
 	}
 	if !r.certPending(cp) {
@@ -187,7 +185,7 @@ func (r *Replica) verifyCheckpointCert(cp *Checkpoint) bool {
 	r.cpCertChecks++
 	payload := checkpointPayload(cp.Seq, cp.StateDigest)
 	valid := 0
-	for q, sig := range cp.Sigs {
+	for q, sig := range cp.Sigs.All() {
 		if c != nil && c.shares.Has(q, cp.StateDigest, sig) ||
 			r.cfg.indexOf(q) >= 0 && r.signer.Verify(r.proc, q, payload, sig) {
 			valid++
@@ -206,11 +204,7 @@ func (r *Replica) verifyCheckpointCert(cp *Checkpoint) bool {
 func (r *Replica) onCheckpointMsg(st *replicaState, cp Checkpoint) {
 	st.checkpoint = cp
 	// Line 54: forget p's commits and prepares outside the new window.
-	for s := range st.commits {
-		if !r.inWindowOf(&cp, s) {
-			delete(st.commits, s)
-		}
-	}
+	st.commits.keep(cp.Seq, cp.Seq+Slot(r.cfg.Window))
 	for s := range st.prepares {
 		if !r.inWindowOf(&cp, s) {
 			delete(st.prepares, s)
@@ -282,7 +276,12 @@ func (r *Replica) pullSnapshot() {
 	if r.lastApplied >= r.chkpt.Seq {
 		return
 	}
-	signers := slices.DeleteFunc(sortedKeys(r.chkpt.Sigs), func(p ids.ID) bool { return p == r.cfg.Self })
+	var signers []ids.ID
+	for q := range r.chkpt.Sigs.All() {
+		if q != r.cfg.Self {
+			signers = append(signers, q)
+		}
+	}
 	if len(signers) > 0 {
 		w := wire.NewWriter(16)
 		w.U8(tagStateReq)

@@ -143,11 +143,37 @@ func newMsgFuzzRig(t testing.TB) *msgFuzzRig {
 }
 
 func (rig *msgFuzzRig) cert(payload []byte, signers ...ids.ID) xcrypto.Cert {
-	c := make(xcrypto.Cert)
+	return certOf(rig.sigs(payload, signers...))
+}
+
+func (rig *msgFuzzRig) sigs(payload []byte, signers ...ids.ID) map[ids.ID]xcrypto.Signature {
+	sigs := make(map[ids.ID]xcrypto.Signature)
 	for _, id := range signers {
-		c[id] = rig.reg.Signer(id).Sign(rig.signing, payload)
+		sigs[id] = rig.reg.Signer(id).Sign(rig.signing, payload)
 	}
-	return c
+	return sigs
+}
+
+// certOf encodes sigs as a certificate.
+func certOf(sigs map[ids.ID]xcrypto.Signature) xcrypto.Cert {
+	var s xcrypto.Shares[int]
+	for id, sig := range sigs {
+		s.Add(id, 0, sig)
+	}
+	return s.Cert(0)
+}
+
+// withRepeatedSigner replaces the empty certificate that ends frame with one
+// that lists sig twice under signer: what no correct process sends.
+func withRepeatedSigner(frame []byte, signer ids.ID, sig xcrypto.Signature) []byte {
+	w := wire.NewWriter(len(frame) + 2*(9+len(sig)))
+	w.Raw(frame[:len(frame)-1])
+	w.Uvarint(2)
+	for range 2 {
+		w.I64(int64(signer))
+		w.Bytes(sig)
+	}
+	return w.Finish()
 }
 
 // plannedReq is what the rig's NEW_VIEW obliges view 1's leader to propose
@@ -166,9 +192,9 @@ func sealFrame(v View) []byte {
 func (rig *msgFuzzRig) newViewFrame() []byte {
 	nv := NewViewMsg{View: 1}
 	for about := ids.ID(0); about < 2; about++ {
-		cs := CertifiedState{View: 1, Checkpoint: rig.reps[0].chkpt, Commits: map[Slot]CommitCert{}}
+		cs := CertifiedState{View: 1, Checkpoint: rig.reps[0].chkpt}
 		if about == 0 {
-			cs.Commits[2] = CommitCert{View: 0, Slot: 2, Req: plannedReq}
+			cs.Commits = commitLog{{View: 0, Slot: 2, Req: plannedReq}}
 		}
 		state := encodeCertifiedState(&cs)
 		nv.Certs = append(nv.Certs, ReplicaCert{About: about, StateBytes: state, Sigs: rig.cert(vcSharePayload(1, about, state), 0, 2)})
@@ -286,14 +312,17 @@ func FuzzConsensusMsg(f *testing.F) {
 	f.Add(uint8(0), prep(0, 2, EncodeBatch([]Request{req, NoOp()})))
 	f.Add(uint8(0), prep(0, 3, trailing))
 	f.Add(uint8(0), prep(0, 4, short))
-	f.Add(uint8(0), commit(xcrypto.Cert{1: make(xcrypto.Signature, xcrypto.SigLen), 2: make(xcrypto.Signature, xcrypto.SigLen)}))
+	f.Add(uint8(0), commit(certOf(map[ids.ID]xcrypto.Signature{1: make(xcrypto.Signature, xcrypto.SigLen), 2: make(xcrypto.Signature, xcrypto.SigLen)})))
 	f.Add(uint8(0), commit(rig.cert(certifyPayload(0, 0, req.Digest()), 1))) // one genuine share is cached, the frame fails
 	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 0}))
 	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32}))
-	forgedCP := rig.cert(checkpointPayload(32, cpDigest), 1, 2)
+	forgedCP := rig.sigs(checkpointPayload(32, cpDigest), 1, 2)
 	forgedCP[2] = slices.Clone(forgedCP[2])
 	forgedCP[2][0] ^= 1
-	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32, StateDigest: cpDigest, Sigs: forgedCP})) // waits for the pool, then fails
+	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32, StateDigest: cpDigest, Sigs: certOf(forgedCP)})) // waits for the pool, then fails
+	// One genuine share listed twice under its signer.
+	f.Add(uint8(0), withRepeatedSigner(commit(xcrypto.Cert{}), 1, rig.sigs(certifyPayload(0, 0, req.Digest()), 1)[1]))
+	f.Add(uint8(0), withRepeatedSigner(checkpoint(Checkpoint{Seq: 32, StateDigest: cpDigest}), 1, rig.sigs(checkpointPayload(32, cpDigest), 1)[1]))
 	f.Add(uint8(0), []byte{tagSealView})
 	f.Add(uint8(0), []byte{0xEE, 1, 2, 3})
 	f.Add(uint8(0), []byte{})

@@ -2,6 +2,8 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/ids"
 	"repro/internal/wire"
@@ -289,6 +291,50 @@ func decodeCommitCert(rd *wire.Reader) (CommitCert, error) {
 	return c, err
 }
 
+// commitLog holds COMMIT certificates in ascending slot order, one per slot.
+// It is a sorted slice rather than a map keyed by slot because a CommitCert
+// is larger than the 128 bytes a Go map keeps in place: a map would allocate
+// every entry it inserts.
+type commitLog []CommitCert
+
+// search returns where slot s's COMMIT is, or would go, and whether l has it.
+func (l commitLog) search(s Slot) (int, bool) {
+	i := sort.Search(len(l), func(i int) bool { return l[i].Slot >= s })
+	return i, i < len(l) && l[i].Slot == s
+}
+
+// at returns slot s's COMMIT, nil if l has none. The pointer is good until
+// the next change to l.
+func (l commitLog) at(s Slot) *CommitCert {
+	if i, ok := l.search(s); ok {
+		return &l[i]
+	}
+	return nil
+}
+
+// put records c as its slot's COMMIT, in place of the one l may hold.
+func (l *commitLog) put(c CommitCert) {
+	if i, ok := l.search(c.Slot); ok {
+		(*l)[i] = c
+	} else {
+		*l = slices.Insert(*l, i, c)
+	}
+}
+
+// window returns the COMMITs of slots [lo, hi), a view of l.
+func (l commitLog) window(lo, hi Slot) commitLog {
+	i, _ := l.search(lo)
+	j, _ := l.search(hi)
+	return l[i:j]
+}
+
+// keep drops the COMMITs of slots outside [lo, hi).
+func (l *commitLog) keep(lo, hi Slot) {
+	n := copy(*l, l.window(lo, hi))
+	clear((*l)[n:])
+	*l = (*l)[:n]
+}
+
 // Checkpoint is CΣ: the application state digest after applying all slots
 // below Seq, signed by f+1 replicas, authorizing work on
 // [Seq, Seq+Window-1].
@@ -326,11 +372,11 @@ func (c *Checkpoint) Supersedes(other *Checkpoint) bool { return c.Seq > other.S
 
 // CertifiedState is the per-replica state attested during a view change:
 // the replica's latest checkpoint and its most recent COMMIT per open slot
-// (§5.3).
+// (§5.3), in slot order.
 type CertifiedState struct {
 	View       View
 	Checkpoint Checkpoint
-	Commits    map[Slot]CommitCert
+	Commits    commitLog
 }
 
 func encodeCertifiedState(s *CertifiedState) []byte {
@@ -338,9 +384,8 @@ func encodeCertifiedState(s *CertifiedState) []byte {
 	w.U64(uint64(s.View))
 	s.Checkpoint.encode(w)
 	w.Uvarint(uint64(len(s.Commits)))
-	for _, sl := range sortedKeys(s.Commits) {
-		c := s.Commits[sl]
-		c.encode(w)
+	for i := range s.Commits {
+		s.Commits[i].encode(w)
 	}
 	return w.Finish()
 }
@@ -357,13 +402,16 @@ func decodeCertifiedState(b []byte) (CertifiedState, error) {
 	if n > 4096 {
 		return s, fmt.Errorf("consensus: oversized certified state (%d commits)", n)
 	}
-	s.Commits = make(map[Slot]CommitCert, n)
+	s.Commits = make(commitLog, 0, n)
 	for i := 0; i < n; i++ {
 		c, err := decodeCommitCert(rd)
 		if err != nil {
 			return s, err
 		}
-		s.Commits[c.Slot] = c
+		if i > 0 && c.Slot <= s.Commits[i-1].Slot {
+			return s, fmt.Errorf("consensus: certified state lists slot %d after %d", c.Slot, s.Commits[i-1].Slot)
+		}
+		s.Commits = append(s.Commits, c)
 	}
 	if err := rd.Done(); err != nil {
 		return s, err

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -67,10 +68,10 @@ func TestCommitCertRoundTrip(t *testing.T) {
 	c := CommitCert{
 		View: 1, Slot: 5,
 		Req: Request{Client: 9, Num: 2, Payload: []byte("req")},
-		Sigs: map[ids.ID]xcrypto.Signature{
+		Sigs: certOf(map[ids.ID]xcrypto.Signature{
 			0: bytes.Repeat([]byte{1}, xcrypto.SigLen),
 			2: bytes.Repeat([]byte{2}, xcrypto.SigLen),
-		},
+		}),
 	}
 	w := wire.NewWriter(256)
 	c.encode(w)
@@ -78,10 +79,11 @@ func TestCommitCertRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.View != 1 || got.Slot != 5 || len(got.Sigs) != 2 {
+	sigs := maps.Collect(got.Sigs.All())
+	if got.View != 1 || got.Slot != 5 || len(sigs) != 2 {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if !bytes.Equal(got.Sigs[2], c.Sigs[2]) {
+	if !bytes.Equal(sigs[2], bytes.Repeat([]byte{2}, xcrypto.SigLen)) {
 		t.Fatal("sigs lost")
 	}
 }
@@ -89,7 +91,7 @@ func TestCommitCertRoundTrip(t *testing.T) {
 func TestCheckpointRoundTripAndSupersedes(t *testing.T) {
 	cp := Checkpoint{Seq: 256}
 	copy(cp.StateDigest[:], bytes.Repeat([]byte{7}, xcrypto.DigestLen))
-	cp.Sigs = map[ids.ID]xcrypto.Signature{1: bytes.Repeat([]byte{9}, xcrypto.SigLen)}
+	cp.Sigs = certOf(map[ids.ID]xcrypto.Signature{1: bytes.Repeat([]byte{9}, xcrypto.SigLen)})
 	w := wire.NewWriter(128)
 	cp.encode(w)
 	got, err := decodeCheckpoint(wire.NewReader(w.Finish()))
@@ -106,36 +108,50 @@ func TestCertifiedStateRoundTrip(t *testing.T) {
 	cs := CertifiedState{
 		View:       4,
 		Checkpoint: Checkpoint{Seq: 100},
-		Commits: map[Slot]CommitCert{
-			101: {View: 4, Slot: 101, Req: Request{Client: 1, Num: 1}},
-			105: {View: 3, Slot: 105, Req: NoOp()},
+		Commits: commitLog{
+			{View: 4, Slot: 101, Req: Request{Client: 1, Num: 1}},
+			{View: 3, Slot: 105, Req: NoOp()},
 		},
 	}
 	got, err := decodeCertifiedState(encodeCertifiedState(&cs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.View != 4 || len(got.Commits) != 2 || got.Commits[105].View != 3 {
+	if got.View != 4 || len(got.Commits) != 2 || got.Commits.at(105).View != 3 {
 		t.Fatalf("round trip: %+v", got)
+	}
+	// A correct replica lists its commits in ascending slot order, once each.
+	for _, slots := range [][]Slot{{105, 101}, {101, 101}} {
+		cs.Commits[0].Slot, cs.Commits[1].Slot = slots[0], slots[1]
+		if _, err := decodeCertifiedState(encodeCertifiedState(&cs)); err == nil {
+			t.Errorf("a certified state listing slots %v decoded", slots)
+		}
 	}
 }
 
 func TestCertifiedStateEncodingDeterministic(t *testing.T) {
 	// The summary/view-change machinery relies on byte-equal encodings
-	// across replicas; map iteration order must not leak in.
-	cs := CertifiedState{
-		View:       1,
-		Checkpoint: Checkpoint{Seq: 0, Sigs: map[ids.ID]xcrypto.Signature{2: {1}, 0: {2}, 1: {3}}},
-		Commits:    map[Slot]CommitCert{},
+	// across replicas; the order commits and shares arrived in must not
+	// leak in.
+	state := func(slots []Slot) []byte {
+		cs := CertifiedState{
+			View:       1,
+			Checkpoint: Checkpoint{Seq: 0, Sigs: certOf(map[ids.ID]xcrypto.Signature{2: {1}, 0: {2}, 1: {3}})},
+		}
+		for _, s := range slots {
+			cs.Commits.put(CommitCert{Slot: s, Req: NoOp(),
+				Sigs: certOf(map[ids.ID]xcrypto.Signature{1: {byte(s)}, 0: {byte(s + 1)}})})
+		}
+		return encodeCertifiedState(&cs)
 	}
+	var up, down []Slot
 	for s := Slot(0); s < 20; s++ {
-		cs.Commits[s] = CommitCert{Slot: s, Req: NoOp(),
-			Sigs: map[ids.ID]xcrypto.Signature{1: {byte(s)}, 0: {byte(s + 1)}}}
+		up, down = append(up, s), append(down, 19-s)
 	}
-	a := encodeCertifiedState(&cs)
+	a := state(up)
 	for i := 0; i < 10; i++ {
-		if !bytes.Equal(a, encodeCertifiedState(&cs)) {
-			t.Fatal("encoding depends on map iteration order")
+		if !bytes.Equal(a, state(up)) || !bytes.Equal(a, state(down)) {
+			t.Fatal("encoding depends on arrival order")
 		}
 	}
 }
@@ -147,8 +163,8 @@ func TestNewViewRoundTrip(t *testing.T) {
 	nv := NewViewMsg{
 		View: 2,
 		Certs: []ReplicaCert{
-			{About: 0, StateBytes: state(32), Sigs: map[ids.ID]xcrypto.Signature{1: {1}}},
-			{About: 1, StateBytes: state(64), Sigs: map[ids.ID]xcrypto.Signature{2: {2}}},
+			{About: 0, StateBytes: state(32), Sigs: certOf(map[ids.ID]xcrypto.Signature{1: {1}})},
+			{About: 1, StateBytes: state(64), Sigs: certOf(map[ids.ID]xcrypto.Signature{2: {2}})},
 		},
 	}
 	rd := wire.NewReader(encodeNewView(nv))

@@ -156,7 +156,7 @@ type replicaState struct {
 	newView     *NewViewMsg
 	newViewUsed bool // p broadcast a non-CHECKPOINT message in its current view
 	prepares    map[Slot]Prepare
-	commits     map[Slot]CommitCert
+	commits     commitLog
 	checkpoint  Checkpoint
 
 	// NEW_VIEW fragment reassembly (a NEW_VIEW exceeding the channel's
@@ -205,13 +205,15 @@ type Replica struct {
 	// What the replica remembers per slot, per request digest, per client
 	// and per checkpoint sequence number (and, below, per view): record
 	// types, mutators and the prune rules are in tables.go. The slot and
-	// request tables recycle their records through a free list each.
+	// request tables recycle their records through a free list each, and
+	// spareShares keeps the CERTIFY share storage of dropped slot records.
 	slots        table[Slot, slotState]
 	requests     table[[xcrypto.DigestLen]byte, reqState]
 	clients      table[ids.ID, clientState]
 	cps          table[Slot, cpState]
 	freeSlots    freeList[slotState]
 	freeRequests freeList[reqState]
+	spareShares  [][]viewShares
 
 	lastApplied Slot // next slot to apply
 
@@ -410,7 +412,6 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 	for _, p := range cfg.Replicas {
 		r.state[p] = &replicaState{
 			prepares:   make(map[Slot]Prepare),
-			commits:    make(map[Slot]CommitCert),
 			checkpoint: initialCP,
 		}
 	}
@@ -900,7 +901,7 @@ func (r *Replica) verifyCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]
 // CERTIFY), unless its signer certified another digest before: the signature
 // is valid all the same.
 func (r *Replica) verifyCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
-	shares := r.slot(s).certShares(v)
+	shares := r.certShares(r.slot(s), v)
 	if shares.Has(p, dg, sig) {
 		return true
 	}
@@ -929,6 +930,10 @@ func (r *Replica) auxVote(tag uint8, v View, s Slot) {
 // Auxiliary channel: CERTIFY, WILL_*, CERTIFY_CHECKPOINT.
 // ---------------------------------------------------------------------
 
+// onAuxMsg decodes an auxiliary message in borrow mode: a CERTIFY or
+// CERTIFY_CHECKPOINT signature is a view of m, a delivered ring frame (or
+// its self-delivery), which is immutable once sent and never recycled, so
+// the share sets keep the view as they find it.
 func (r *Replica) onAuxMsg(p ids.ID, m []byte) {
 	rd := wire.NewReader(m)
 	switch rd.U8() {
@@ -946,7 +951,7 @@ func (r *Replica) onAuxMsg(p ids.ID, m []byte) {
 		v, s := View(rd.U64()), Slot(rd.U64())
 		var dg [xcrypto.DigestLen]byte
 		copy(dg[:], rd.RawView(xcrypto.DigestLen))
-		sig := rd.Bytes()
+		sig := rd.BytesView()
 		if rd.Done() == nil {
 			r.onCertify(p, v, s, dg, sig)
 		}
@@ -954,7 +959,7 @@ func (r *Replica) onAuxMsg(p ids.ID, m []byte) {
 		seq := Slot(rd.U64())
 		var dg [xcrypto.DigestLen]byte
 		copy(dg[:], rd.RawView(xcrypto.DigestLen))
-		sig := rd.Bytes()
+		sig := rd.BytesView()
 		if rd.Done() == nil {
 			r.onCertifyCheckpoint(p, seq, dg, sig)
 		}
@@ -1036,7 +1041,7 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 	// are verified once and kept, so COMMIT-certificate validation does not
 	// re-pay.
 	ss := r.slot(s)
-	shares := ss.certShares(v)
+	shares := r.certShares(ss, v)
 	if !shares.Admits(p, dg) || (p != r.cfg.Self && !r.verifyCertify(p, v, s, dg, sig)) {
 		return
 	}
@@ -1060,10 +1065,10 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 // onCommit implements lines 38-41 (validCommit verified the certificate, or
 // a certified summary carried it).
 func (r *Replica) onCommit(st *replicaState, c CommitCert) {
-	// Fingerprint before storing so the commits map carries the cache (the
+	// Fingerprint before storing so the stored COMMIT carries the cache (the
 	// matching scan below re-reads every replica's latest COMMIT).
 	dg := c.Req.Digest()
-	st.commits[c.Slot] = c
+	st.commits.put(c)
 	if c.View == st.view {
 		// A COMMIT of an earlier view can trail p's SEAL_VIEW (the shares
 		// p asked for while sealing arrive when they arrive); it does not
@@ -1076,8 +1081,7 @@ func (r *Replica) onCommit(st *replicaState, c CommitCert) {
 	// Count distinct broadcasters whose latest COMMIT carries this request.
 	matching := 0
 	for _, q := range r.cfg.Replicas {
-		qc, ok := r.state[q].commits[c.Slot]
-		if ok && qc.Req.Digest() == dg {
+		if qc := r.state[q].commits.at(c.Slot); qc != nil && qc.Req.Digest() == dg {
 			matching++
 		}
 	}

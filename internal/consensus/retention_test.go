@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 
@@ -24,6 +25,7 @@ var retention = map[string]string{
 	"Replica.cps":           "pruneBelow: two windows below the stable checkpoint (shares at it, snapshot one window)",
 	"Replica.freeSlots":     "holds only records Replica.slots dropped and has not taken back, so with the table at most the table's peak: about one window of slot records",
 	"Replica.freeRequests":  "holds only records Replica.requests dropped and has not taken back, so with the table at most the table's peak: about the requests in flight",
+	"Replica.spareShares":   "holds only the share storage of records Replica.slots dropped and has not taken back, so with the table at most the table's peak: about one window of share sets",
 	"Replica.deferredResp":  "pruneBelow: one window past the stable checkpoint unless the ticket is still parked; entry deleted when the lock releases",
 	"Replica.proposeQ":      "drained by pumpProposals; holds only requests whose echo round completed, so at most what live clients have in flight",
 	"Replica.freshScratch":  "scratch of takeProposal: at most one PREPARE's requests (MsgCap bytes)",
@@ -123,10 +125,10 @@ func TestFastPathSlotAllocatesNothingOnceWarm(t *testing.T) {
 		t.Fatalf("every promise honoured, still owing: %+v", ss)
 	}
 	var dg [xcrypto.DigestLen]byte
-	ss.certShares(3).Add(1, dg, xcrypto.Signature("sig"))
-	ss.certShares(3).Add(1, dg, xcrypto.Signature("sig"))
-	if sh := ss.certShares(3); len(ss.shares) != 1 || len(*sh) != 1 || !sh.Has(1, dg, xcrypto.Signature("sig")) ||
-		sh.Has(1, dg, xcrypto.Signature("gis")) || sh.Has(2, dg, xcrypto.Signature("sig")) || ss.certShares(4).Has(1, dg, xcrypto.Signature("sig")) {
+	r.certShares(ss, 3).Add(1, dg, xcrypto.Signature("sig"))
+	r.certShares(ss, 3).Add(1, dg, xcrypto.Signature("sig"))
+	if sh := r.certShares(ss, 3); len(ss.shares) != 1 || len(*sh) != 1 || !sh.Has(1, dg, xcrypto.Signature("sig")) ||
+		sh.Has(1, dg, xcrypto.Signature("gis")) || sh.Has(2, dg, xcrypto.Signature("sig")) || r.certShares(ss, 4).Has(1, dg, xcrypto.Signature("sig")) {
 		t.Fatalf("verified-share record: %+v", ss.shares)
 	}
 }
@@ -154,7 +156,7 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 		r.onCertify(2, 0, 5, digest(i), sign(2, certifyPayload(0, 5, digest(i))))
 	}
 	if ss := r.slots[5]; ss == nil || len(ss.shares) != 1 || len(ss.shares[0].digestShares) != 1 ||
-		!ss.certShares(0).Has(2, digest(0), sign(2, certifyPayload(0, 5, digest(0)))) {
+		!r.certShares(ss, 0).Has(2, digest(0), sign(2, certifyPayload(0, 5, digest(0)))) {
 		t.Fatalf("slot record after 64 shares by one signer: %+v", r.slots[5])
 	}
 	if got := r.proc.BusyUntil() - busy; got != oneVerify {
@@ -176,7 +178,7 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	// A second share over the first digest completes it.
 	r.onCertifyCheckpoint(0, seq, dgA, sign(0, checkpointPayload(seq, dgA)))
 	rig.eng.RunFor(sim.Millisecond)
-	if r.chkpt.Seq != seq || r.chkpt.StateDigest != dgA || len(r.chkpt.Sigs) != 2 || r.chkpt.Sigs[2] != nil {
+	if sigs := maps.Collect(r.chkpt.Sigs.All()); r.chkpt.Seq != seq || r.chkpt.StateDigest != dgA || len(sigs) != 2 || sigs[2] != nil {
 		t.Fatalf("f+1 shares over one digest: stable checkpoint %+v", r.chkpt)
 	}
 

@@ -2,6 +2,7 @@ package consensus_test
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/app"
@@ -106,8 +107,8 @@ func TestLaggingReplicaPullsPastAnUnreachableSigner(t *testing.T) {
 	u.Net.Heal(u.ReplicaIDs[2], u.ReplicaIDs[1])
 	lag := u.Replicas[2]
 	stable := u.Replicas[1].Checkpoint()
-	if _, signed := stable.Sigs[u.ReplicaIDs[0]]; !signed || stable.Seq < 24 {
-		t.Fatalf("scenario broken: stable checkpoint %d signed by %v", stable.Seq, stable.Sigs)
+	if _, signed := maps.Collect(stable.Sigs.All())[u.ReplicaIDs[0]]; !signed || stable.Seq < 24 {
+		t.Fatalf("scenario broken: stable checkpoint %d signed by %v", stable.Seq, maps.Collect(stable.Sigs.All()))
 	}
 	// Time to learn the checkpoint over the one healed link (retransmission,
 	// summaries), then a handful of pull retries (2ms each).

@@ -1,6 +1,8 @@
 package consensus
 
 import (
+	"slices"
+
 	"repro/internal/app"
 	"repro/internal/ids"
 	"repro/internal/sim"
@@ -127,10 +129,18 @@ func (r *Replica) slot(s Slot) *slotState {
 	return ss
 }
 
-// dropSlot forgets slot s's record and keeps it for the next new slot.
+// dropSlot forgets slot s's record and keeps it for the next new slot, and
+// its CERTIFY share sets, emptied, for the next slot that collects shares.
 func (r *Replica) dropSlot(s Slot, ss *slotState) {
 	ss.fallback.Cancel()
 	delete(r.slots, s)
+	if ss.shares != nil {
+		for i := range ss.shares {
+			clear(ss.shares[i].digestShares) // the signatures pin their frames
+			ss.shares[i] = viewShares{digestShares: ss.shares[i].digestShares[:0]}
+		}
+		r.spareShares = append(r.spareShares, ss.shares[:0])
+	}
 	*ss = slotState{onFallback: ss.onFallback}
 	r.freeSlots.put(ss)
 }
@@ -145,16 +155,22 @@ type viewShares struct {
 	digestShares
 }
 
-// certShares returns the slot's CERTIFY share set of view v, made on first
-// use. The pointer is good until the next call.
-func (ss *slotState) certShares(v View) *digestShares {
+// certShares returns slot record ss's CERTIFY share set of view v, made on
+// first use in storage a dropped record left, if there is any. The pointer is
+// good until the next call.
+func (r *Replica) certShares(ss *slotState, v View) *digestShares {
 	for i := range ss.shares {
 		if ss.shares[i].v == v {
 			return &ss.shares[i].digestShares
 		}
 	}
-	ss.shares = append(ss.shares, viewShares{v: v})
-	return &ss.shares[len(ss.shares)-1].digestShares
+	if n := len(r.spareShares); ss.shares == nil && n > 0 {
+		ss.shares, r.spareShares = r.spareShares[n-1], r.spareShares[:n-1]
+	}
+	n := len(ss.shares)
+	ss.shares = slices.Grow(ss.shares, 1)[:n+1] // an emptied set keeps its storage
+	ss.shares[n].v = v
+	return &ss.shares[n].digestShares
 }
 
 // isDecided reports whether this replica holds a decision for slot s.

@@ -319,7 +319,7 @@ func (r *Replica) onCertifyVC(from ids.ID, v View, about ids.ID, stateBytes []by
 	// correct replica signs one).
 	if vc.shares.Add(from, state, sig) >= r.cfg.F+1 && !vc.certified {
 		var err error
-		vc.cert, err = newReplicaCert(about, stateBytes, nil)
+		vc.cert, err = newReplicaCert(about, stateBytes, xcrypto.Cert{})
 		vc.certified = err == nil
 	}
 	// The certified slice feeds straight into the NEW_VIEW message (startView
@@ -352,29 +352,29 @@ func (r *Replica) onCertifyVC(from ids.ID, v View, about ids.ID, stateBytes []by
 // certificate's), and the highest slot any certified COMMIT names.
 type nvPlan struct {
 	maxOpen Slot
-	commits map[Slot]CommitCert
+	commits commitLog
 }
 
 func planOf(certs []ReplicaCert) nvPlan {
-	maxOpen, commits := Slot(0), make(map[Slot]CommitCert)
+	var pl nvPlan
 	for _, c := range certs {
-		for s, cc := range c.State.Commits {
-			if s > maxOpen {
-				maxOpen = s
-			}
-			if best, ok := commits[s]; !ok || cc.View > best.View {
-				commits[s] = cc
+		for _, cc := range c.State.Commits {
+			pl.maxOpen = max(pl.maxOpen, cc.Slot)
+			if best := pl.commits.at(cc.Slot); best == nil {
+				pl.commits.put(cc)
+			} else if cc.View > best.View {
+				*best = cc
 			}
 		}
 	}
-	return nvPlan{maxOpen: maxOpen, commits: commits}
+	return pl
 }
 
 // mustPropose implements lines 25-27. any=true means the slot is beyond
 // every certified commit and checkpoint: the leader may propose fresh
 // requests there.
 func (pl *nvPlan) mustPropose(s Slot) (req Request, any bool) {
-	if best, ok := pl.commits[s]; ok {
+	if best := pl.commits.at(s); best != nil {
 		return best.Req, false
 	}
 	if s > pl.maxOpen {
@@ -503,7 +503,7 @@ func (r *Replica) validCommit(st *replicaState, c *CommitCert) bool {
 	// (cached shares verified on arrival cost nothing here).
 	dg := c.Req.Digest()
 	valid := 0
-	for q, sig := range c.Sigs {
+	for q, sig := range c.Sigs.All() {
 		if r.cfg.indexOf(q) >= 0 && r.verifyCertifySig(c.View, c.Slot, dg, q, sig) {
 			valid++
 		}
@@ -606,14 +606,9 @@ func (r *Replica) captureState(p ids.ID) []byte {
 	cs := CertifiedState{
 		View:       st.view,
 		Checkpoint: st.checkpoint,
-		Commits:    make(map[Slot]CommitCert, len(st.commits)),
-	}
-	// Only commits inside p's declared window are relevant (older slots
-	// are covered by the checkpoint); this also bounds the summary size.
-	for s, c := range st.commits {
-		if r.inWindowOf(&st.checkpoint, s) {
-			cs.Commits[s] = c
-		}
+		// Only commits inside p's declared window are relevant (older slots
+		// are covered by the checkpoint); this also bounds the summary size.
+		Commits: st.commits.window(st.checkpoint.Seq, st.checkpoint.Seq+Slot(r.cfg.Window)),
 	}
 	return encodeCertifiedState(&cs)
 }
@@ -638,9 +633,7 @@ func (r *Replica) applySummary(p ids.ID, stateBytes []byte) {
 		r.maybeCheckpoint(cs.Checkpoint)
 	}
 	// Slot order: onCommit can decide slots and emit messages.
-	for _, s := range sortedKeys(cs.Commits) {
-		c := cs.Commits[s]
-		st.commits[s] = c
+	for _, c := range cs.Commits {
 		r.onCommit(st, c)
 	}
 }

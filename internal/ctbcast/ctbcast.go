@@ -534,7 +534,7 @@ func AppendMsg(w *wire.Writer, msg Msg) {
 }
 
 // ParseMsg decodes a CTBcast message in borrow mode: M, Sig and the
-// certificate's signatures are views of b, the message of a delivered ring
+// certificate are views of b, the message of a delivered ring
 // frame — the one the network delivered, or the same frame's self-delivery —
 // which is immutable once sent and never recycled, so views, even ones
 // retained in the lock arrays or slowPending, stay valid indefinitely

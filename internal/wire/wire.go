@@ -296,6 +296,19 @@ func (r *Reader) BytesView() []byte {
 // rules as BytesView apply.
 func (r *Reader) RawView(n int) []byte { return r.take(n) }
 
+// Offset returns how many bytes have been read so far: a mark for SpanView.
+func (r *Reader) Offset() int { return r.off }
+
+// SpanView returns the bytes read since from, an earlier Offset, WITHOUT
+// copying: a field decoded piece by piece, kept whole in its encoding. The
+// same borrow rules as BytesView apply. It returns nil after an error.
+func (r *Reader) SpanView(from int) []byte {
+	if r.err != nil || from < 0 || from > r.off {
+		return nil
+	}
+	return r.buf[from:r.off:r.off]
+}
+
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	n := r.Uvarint()

@@ -101,15 +101,19 @@ func TestViewsCannotWriteIntoTheirBuffer(t *testing.T) {
 
 	r := NewReader(buf)
 	bv := r.BytesView()
+	from := r.Offset()
 	rv := r.RawView(2)
-	if r.BytesView() == nil || r.Done() != nil {
-		t.Fatalf("decode failed: %v", r.Err())
+	sv := r.SpanView(from)
+	if r.BytesView() == nil || r.Done() != nil || !bytes.Equal(sv, []byte{4, 5}) {
+		t.Fatalf("decode failed: %v, span % x", r.Err(), sv)
 	}
-	if cap(bv) != len(bv) || cap(rv) != len(rv) {
-		t.Fatalf("views not capped: BytesView len %d cap %d, RawView len %d cap %d", len(bv), cap(bv), len(rv), cap(rv))
+	if cap(bv) != len(bv) || cap(rv) != len(rv) || cap(sv) != len(sv) {
+		t.Fatalf("views not capped: BytesView len %d cap %d, RawView len %d cap %d, SpanView len %d cap %d",
+			len(bv), cap(bv), len(rv), cap(rv), len(sv), cap(sv))
 	}
 	_ = append(bv, 0xEE, 0xEE, 0xEE)
 	_ = append(rv, 0xEE, 0xEE)
+	_ = append(sv, 0xEE, 0xEE)
 	if !bytes.Equal(buf, orig) {
 		t.Fatalf("an append to a view wrote into the frame: % x, was % x", buf, orig)
 	}

@@ -2,7 +2,9 @@ package xcrypto
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 
 	"repro/internal/ids"
@@ -20,48 +22,65 @@ import (
 // and a group has at most 64.
 const maxCertSigs = 64
 
-// Cert maps each signer to its signature over the certified payload.
-type Cert map[ids.ID]Signature
+// Cert is a certificate in its canonical encoding: the count, then (signer,
+// signature) pairs in strictly ascending signer order, so equal certificates
+// are equal bytes and no signer is listed twice. ReadCert returns a view of
+// the bytes it validated, Shares.Cert encodes a new certificate once, and
+// nothing writes to either. The zero Cert holds no signature.
+type Cert struct{ enc []byte }
 
-// AppendTo encodes the certificate: the count, then (signer, signature) in
-// signer order, so equal certificates encode to equal bytes.
-func (c Cert) AppendTo(w *wire.Writer) {
-	var buf [maxCertSigs]ids.ID // a larger set spills to the heap
-	signers := buf[:0]
-	for id := range c {
-		signers = append(signers, id)
-	}
-	slices.Sort(signers)
-	w.Uvarint(uint64(len(signers)))
-	for _, id := range signers {
-		w.I64(int64(id))
-		w.Bytes(c[id])
+// All walks the certificate's signatures in ascending signer order. The
+// signatures are views of the certificate.
+func (c Cert) All() iter.Seq2[ids.ID, Signature] {
+	return func(yield func(ids.ID, Signature) bool) {
+		r := wire.NewReader(c.enc)
+		for n := r.Uvarint(); n > 0; n-- {
+			if !yield(ids.ID(r.I64()), r.BytesView()) {
+				return
+			}
+		}
 	}
 }
 
-// ReadCert decodes what AppendTo wrote, refusing a count above maxCertSigs
-// before it allocates anything. The signatures are views into r's buffer.
+// AppendTo encodes the certificate.
+func (c Cert) AppendTo(w *wire.Writer) {
+	if len(c.enc) == 0 {
+		w.Uvarint(0)
+		return
+	}
+	w.Raw(c.enc)
+}
+
+// ReadCert decodes a certificate as a view of r's buffer, refusing a count
+// above maxCertSigs and a signer that does not follow the previous one in
+// ascending order: a correct process sends only canonical certificates.
 func ReadCert(r *wire.Reader) (Cert, error) {
+	from := r.Offset()
 	n := r.Uvarint()
 	if n > maxCertSigs {
-		return nil, fmt.Errorf("xcrypto: oversized certificate (%d signatures)", n)
+		return Cert{}, fmt.Errorf("xcrypto: oversized certificate (%d signatures)", n)
 	}
-	c := make(Cert, n)
-	for ; n > 0; n-- {
+	for i, prev := uint64(0), ids.ID(0); i < n; i++ {
 		id := ids.ID(r.I64())
-		//ubft:poolsafety certificates are decoded from delivered frames only (immutable once sent, never recycled, possibly shared by every reader of a ring frame) or from state bytes the caller owns; a retained certificate pins that one buffer
-		c[id] = r.BytesView()
+		r.BytesView() // the signature, left in place
+		if err := r.Err(); err != nil {
+			return Cert{}, err
+		}
+		if i > 0 && id <= prev {
+			return Cert{}, fmt.Errorf("xcrypto: certificate lists signer %d after %d", id, prev)
+		}
+		prev = id
 	}
-	return c, r.Err()
+	return Cert{enc: r.SpanView(from)}, r.Err()
 }
 
 // Valid reports whether cert holds at least need valid signatures over
-// payload by distinct members. It charges p one verification for every
-// member's signature in the set and does not stop at need: the cost of a
-// certificate does not depend on which of its signatures are good.
+// payload by members. It charges p one verification for every member's
+// signature in the set and does not stop at need: the cost of a certificate
+// does not depend on which of its signatures are good.
 func (s *Signer) Valid(p *sim.Proc, members []ids.ID, payload []byte, cert Cert, need int) bool {
 	valid := 0
-	for q, sig := range cert {
+	for q, sig := range cert.All() {
 		if slices.Contains(members, q) && s.Verify(p, q, payload, sig) {
 			valid++
 		}
@@ -250,15 +269,24 @@ func (s Shares[V]) Reachable(val V, need int) bool {
 	return n >= need
 }
 
-// Cert returns the certificate the verified shares over val make up.
+// Cert encodes the certificate the verified shares over val make up.
 func (s Shares[V]) Cert(val V) Cert {
-	c := make(Cert, len(s))
+	var buf [maxCertSigs]int // a larger set spills to the heap
+	picked, size := buf[:0], 1
 	for i := range s {
 		if s[i].val == val && s[i].state == verified {
-			c[s[i].signer] = s[i].sig
+			picked = append(picked, i)
+			size += 8 + wire.BytesLen(len(s[i].sig))
 		}
 	}
-	return c
+	slices.SortFunc(picked, func(a, b int) int { return cmp.Compare(s[a].signer, s[b].signer) })
+	w := wire.NewWriter(size)
+	w.Uvarint(uint64(len(picked)))
+	for _, i := range picked {
+		w.I64(int64(s[i].signer))
+		w.Bytes(s[i].sig)
+	}
+	return Cert{enc: w.Finish()}
 }
 
 // Has reports whether sig is the verified share signer holds over val.

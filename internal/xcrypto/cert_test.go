@@ -2,6 +2,8 @@ package xcrypto
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -10,10 +12,20 @@ import (
 	"repro/internal/wire"
 )
 
+// certOf encodes sigs as a certificate.
+func certOf(sigs map[ids.ID]Signature) Cert {
+	var s Shares[int]
+	for id, sig := range sigs {
+		s.Add(id, 0, sig)
+	}
+	return s.Cert(0)
+}
+
 // TestCertBytesAreTheParents pins the certificate encoding to the bytes the
 // per-package codecs it replaced produced: the vector is the output of the
 // consensus package's signature-set encoder at commit 7314ae4 for this
-// three-signer set.
+// three-signer set. Shares.Cert encodes it from shares added out of signer
+// order, and ReadCert refuses every set a correct process does not send.
 func TestCertBytesAreTheParents(t *testing.T) {
 	// Count 3, then signer -1 with an empty signature, signer 7 with
 	// "seven", signer 300 with aa bb.
@@ -23,24 +35,35 @@ func TestCertBytesAreTheParents(t *testing.T) {
 		0x7, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x5, 0x73, 0x65, 0x76, 0x65, 0x6e,
 		0x2c, 0x1, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, 0x2, 0xaa, 0xbb,
 	}
-	c := Cert{}
-	c[300] = Signature{0xaa, 0xbb}
-	c[-1] = Signature{}
-	c[7] = Signature("seven")
+	var s Shares[string]
+	s.Add(300, "x", Signature{0xaa, 0xbb})
+	s.Add(-1, "x", Signature{})
+	s.Add(5, "y", Signature("other value"))
+	s.Add(7, "x", Signature("seven"))
 	w := wire.NewWriter(64)
-	c.AppendTo(w)
+	s.Cert("x").AppendTo(w)
 	if !bytes.Equal(w.Finish(), want) {
-		t.Fatalf("AppendTo:\n got %#v\nwant %#v", w.Finish(), want)
+		t.Fatalf("Shares.Cert:\n got %#v\nwant %#v", w.Finish(), want)
 	}
 	r := wire.NewReader(want)
 	got, err := ReadCert(r)
-	if err != nil || r.Done() != nil || len(got) != 3 {
-		t.Fatalf("ReadCert: %v, %d entries, done: %v", err, len(got), r.Done())
+	if err != nil || r.Done() != nil {
+		t.Fatalf("ReadCert: %v, done: %v", err, r.Done())
 	}
-	for id, sig := range c {
-		if !bytes.Equal(got[id], sig) {
-			t.Errorf("signer %d decoded as %x, want %x", id, got[id], sig)
+	var signers []ids.ID
+	for id, sig := range got.All() {
+		signers = append(signers, id)
+		if !s.Has(id, "x", sig) {
+			t.Errorf("signer %d decoded with %x", id, sig)
 		}
+	}
+	if !slices.Equal(signers, []ids.ID{-1, 7, 300}) {
+		t.Errorf("walked signers %v, want ascending -1 7 300", signers)
+	}
+	w = wire.NewWriter(64)
+	got.AppendTo(w)
+	if !bytes.Equal(w.Finish(), want) {
+		t.Fatalf("decoded certificate re-encodes as %#v", w.Finish())
 	}
 
 	// One entry more than a group can have members, every one well formed.
@@ -50,14 +73,23 @@ func TestCertBytesAreTheParents(t *testing.T) {
 		big.I64(int64(i))
 		big.Bytes([]byte{1})
 	}
+	// The vector with its second signer (7) renamed: a repeat of the first,
+	// then one below it.
+	repeated, descending := slices.Clone(want), slices.Clone(want)
+	for i := range 8 {
+		repeated[10+i], descending[10+i] = 0xff, 0xff
+	}
+	descending[10] = 0xfe // -2
 	for name, b := range map[string][]byte{
 		"65 entries":        big.Finish(),
+		"repeated signer":   repeated,
+		"descending signer": descending,
 		"truncated entry":   want[:len(want)-1],
 		"count, no entries": {0x3},
 		"empty":             {},
 	} {
 		if c, err := ReadCert(wire.NewReader(b)); err == nil {
-			t.Errorf("%s: decoded %d entries", name, len(c))
+			t.Errorf("%s: decoded %v", name, maps.Collect(c.All()))
 		}
 	}
 }
@@ -80,11 +112,11 @@ func TestValidCountsMembersOnly(t *testing.T) {
 		want    bool
 		charged int // verifications
 	}{
-		{"f+1 members", Cert{0: sign(0), 1: sign(1)}, 2, true, 2},
-		{"all three, no early exit", Cert{0: sign(0), 1: sign(1), 2: sign(2)}, 2, true, 3},
-		{"a valid signature by a non-member does not count", Cert{0: sign(0), 9: sign(9)}, 2, false, 1},
-		{"a forged signature by a member does not count", Cert{0: sign(0), 2: forged}, 2, false, 2},
-		{"a member's signature under another's name", Cert{0: sign(0), 1: sign(0)}, 2, false, 2},
+		{"f+1 members", certOf(map[ids.ID]Signature{0: sign(0), 1: sign(1)}), 2, true, 2},
+		{"all three, no early exit", certOf(map[ids.ID]Signature{0: sign(0), 1: sign(1), 2: sign(2)}), 2, true, 3},
+		{"a valid signature by a non-member does not count", certOf(map[ids.ID]Signature{0: sign(0), 9: sign(9)}), 2, false, 1},
+		{"a forged signature by a member does not count", certOf(map[ids.ID]Signature{0: sign(0), 2: forged}), 2, false, 2},
+		{"a member's signature under another's name", certOf(map[ids.ID]Signature{0: sign(0), 1: sign(0)}), 2, false, 2},
 		{"empty", Cert{}, 1, false, 0},
 	} {
 		p := sim.NewProc(e, tc.name)
@@ -100,7 +132,7 @@ func TestValidCountsMembersOnly(t *testing.T) {
 func TestSharesOnePerSigner(t *testing.T) {
 	var s Shares[string]
 	sigA, sigB, sigC := Signature("a"), Signature("b"), Signature("c")
-	if !s.Admits(1, "x") || s.Has(1, "x", sigA) || len(s.Cert("x")) != 0 {
+	if !s.Admits(1, "x") || s.Has(1, "x", sigA) || len(maps.Collect(s.Cert("x").All())) != 0 {
 		t.Fatal("the empty set holds something")
 	}
 	if n := s.Add(1, "x", sigA); n != 1 {
@@ -118,10 +150,10 @@ func TestSharesOnePerSigner(t *testing.T) {
 	if n := s.Add(3, "x", sigC); n != 2 {
 		t.Fatalf("second signer of x: %d signers", n)
 	}
-	if c := s.Cert("x"); len(c) != 2 || !bytes.Equal(c[1], sigA) || !bytes.Equal(c[3], sigC) {
+	if c := maps.Collect(s.Cert("x").All()); len(c) != 2 || !bytes.Equal(c[1], sigA) || !bytes.Equal(c[3], sigC) {
 		t.Fatalf("Cert(x) = %v", c)
 	}
-	if c := s.Cert("y"); len(c) != 1 || !bytes.Equal(c[2], sigB) {
+	if c := maps.Collect(s.Cert("y").All()); len(c) != 1 || !bytes.Equal(c[2], sigB) {
 		t.Fatalf("Cert(y) = %v", c)
 	}
 	for name, has := range map[string]bool{
@@ -177,7 +209,7 @@ func TestSharesVerifyOnlyWhatTheCertificateLacks(t *testing.T) {
 	if s.Offer(1, "x", Signature("s1"), need, false) {
 		t.Fatal("a signer whose share failed was verified again")
 	}
-	if n := s.Verdict(2, Signature("s2"), true); n != 2 || len(s.Cert("x")) != 2 || !s.Has(2, "x", Signature("s2")) {
+	if n := s.Verdict(2, Signature("s2"), true); n != 2 || len(maps.Collect(s.Cert("x").All())) != 2 || !s.Has(2, "x", Signature("s2")) {
 		t.Fatalf("certificate from the held share: %d signers, %v", n, s.Cert("x"))
 	}
 

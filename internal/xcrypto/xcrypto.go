@@ -29,6 +29,11 @@
 // node of a real deployment skips only its own. The table's key covers the
 // signer ID, the message and the signature, so a copy with any of them
 // changed misses and is computed.
+//
+// A certificate (Cert, cert.go) is f+1 or more signatures by distinct group
+// members over one payload, kept as its canonical wire bytes: a decoded one
+// is a view of the frame it arrived in, and a made one is encoded once by the
+// share collector (Shares) that gathered it.
 package xcrypto
 
 import (

@@ -242,7 +242,8 @@ func TestVerifyBgAndValidShareTheTable(t *testing.T) {
 	e := sim.NewEngine(1)
 	main, pool := sim.NewProc(e, "main"), sim.NewProc(e, "pool")
 	payload := []byte("checkpoint 256")
-	cert := Cert{0: twin.Signer(0).Sign(main, payload), 1: twin.Signer(1).Sign(main, payload)}
+	sigs := map[ids.ID]Signature{0: twin.Signer(0).Sign(main, payload), 1: twin.Signer(1).Sign(main, payload)}
+	cert := certOf(sigs)
 	s := reg.Signer(2)
 	own := twin.Signer(2).Sign(main, payload)
 
@@ -251,7 +252,7 @@ func TestVerifyBgAndValidShareTheTable(t *testing.T) {
 	}
 	verdicts := 0
 	for _, q := range members[:2] {
-		s.VerifyBg(pool, main, q, payload, cert[q], func(ok bool) {
+		s.VerifyBg(pool, main, q, payload, sigs[q], func(ok bool) {
 			if ok {
 				verdicts++
 			}
@@ -262,7 +263,7 @@ func TestVerifyBgAndValidShareTheTable(t *testing.T) {
 			verdicts++
 		}
 	})
-	if !s.Valid(main, members, payload, Cert{2: own}, 1) {
+	if !s.Valid(main, members, payload, certOf(map[ids.ID]Signature{2: own}), 1) {
 		t.Fatal("own share refused")
 	}
 	for e.Step() {
