@@ -61,7 +61,9 @@ race:
 # crypto pool must delay a signature or share check by at most one read and
 # the pool must never hold two, and every map or slice
 # field of Replica and of its records must name its retention rule (a
-# reflection test). The agreement oracle's rings keep their 2 x Window
+# reflection test). A slot that decides on the fast path in one view
+# allocates nothing once the slot free list is warm: its record and its one
+# view record are a pruned slot's. The agreement oracle's rings keep their 2 x Window
 # records and allocate nothing per decision. Memory nodes back a writer's
 # registers only from its first WRITE: none on the fast path, every
 # reservation exactly on the slow path. A deployment's constructors leave a
@@ -70,7 +72,7 @@ race:
 # memory node crashed, forgetting its oldest entries. A consensus client
 # making one call at a time keeps one call record.
 bounded-mem:
-	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
+	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
 

@@ -80,12 +80,10 @@ func (o *Options) fill() {
 		o.Window = 256
 	}
 	if o.Tail == 0 {
-		o.Tail = 128
-		if o.Tail > o.Window {
-			// A small explicit Window keeps the defaulted Tail valid: the
-			// zero value must always take a working paper-default.
-			o.Tail = o.Window
-		}
+		// A small explicit Window keeps the defaulted Tail valid: the zero
+		// value takes the paper's 128, or the largest even tail the window
+		// allows.
+		o.Tail = min(128, o.Window&^1)
 	}
 	if o.MsgCap == 0 {
 		o.MsgCap = 8192
@@ -130,6 +128,10 @@ func (o *Options) validate() error {
 		return fmt.Errorf("cluster: negative Window=%d or Tail=%d", o.Window, o.Tail)
 	case o.SlowPathDelay < 0 || o.ViewChangeTimeout < 0:
 		return fmt.Errorf("cluster: negative timer (SlowPathDelay=%d ViewChangeTimeout=%d)", o.SlowPathDelay, o.ViewChangeTimeout)
+	case o.Tail < 2 || o.Tail%2 != 0:
+		// A CTBcast group works its tail in two halves (ctbcast.NewGroup
+		// panics on any other).
+		return fmt.Errorf("cluster: Tail=%d must be even and at least 2 (Window=%d)", o.Tail, o.Window)
 	case o.Tail > o.Window:
 		// CTBcast retains at most Tail unacknowledged messages per
 		// broadcaster while consensus keeps Window slots open: a tail longer

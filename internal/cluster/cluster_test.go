@@ -97,6 +97,10 @@ func TestOptionsValidation(t *testing.T) {
 		"negative slow path":  {SlowPathDelay: -1},
 		// 256 x (16 KiB + 512) + 4096 B = 4.33 MB summaries, above a 4 MiB frame.
 		"summary beyond a frame": {MsgCap: 16 << 10},
+		// A CTBcast group needs an even tail of at least 2.
+		"odd tail":               {Tail: 7, Window: 8},
+		"tail of one":            {Tail: 1},
+		"window of one, no tail": {Window: 1},
 	}
 	for name, opts := range cases {
 		if err := opts.Normalize(); err == nil {
@@ -136,6 +140,40 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if windowOnly.Tail != 8 {
 		t.Fatalf("defaulted Tail = %d, want capped to Window 8", windowOnly.Tail)
+	}
+	// An odd Window defaults the largest even tail below it, and builds.
+	oddWindow := Options{Window: 5}
+	if err := oddWindow.Normalize(); err != nil || oddWindow.Tail != 4 {
+		t.Fatalf("Window 5 alone: Tail %d, error %v; want 4 and none", oddWindow.Tail, err)
+	}
+	u, err := Build(Options{Window: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.Stop()
+}
+
+// TestOversizedRequestDropped: every replica drops an ordered request whose
+// payload exceeds MsgCap, as it drops a malformed one. The oversized requests
+// go unanswered, and an ordinary one after them completes (with no
+// divergence: the agreement oracle panics at one).
+func TestOversizedRequestDropped(t *testing.T) {
+	opts := Options{Seed: 1}
+	if err := opts.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	u := NewUBFT(opts)
+	defer u.Stop()
+	answered := 0
+	for _, size := range []int{opts.MsgCap + 1, 20000} {
+		u.Clients[0].Invoke(make([]byte, size), func([]byte, sim.Duration) { answered++ })
+	}
+	if _, _, err := u.InvokeSyncErr(0, []byte("ordinary"), 50*sim.Millisecond); err != nil {
+		t.Fatalf("ordinary request after two oversized ones: %v", err)
+	}
+	u.Eng.RunFor(10 * sim.Millisecond)
+	if answered != 0 {
+		t.Fatalf("%d oversized requests answered", answered)
 	}
 }
 

@@ -45,12 +45,11 @@ func (r *Replica) Progress() (nextSlot, lastExec, chkptSeq Slot, waiting int) {
 }
 
 // StallReport renders the pipeline state of every slot between the last
-// applied one and the proposal frontier — which slots are decided, which
-// have votes pending (the sets of the slot's vote view as n-bit masks,
-// replica 0 rightmost), what this replica sent per view (WILL_CERTIFY,
-// WILL_COMMIT, CERTIFY, COMMIT, rightmost first; views after the first as a
-// map of bit values), which wait for a client request copy — for the
-// wall-clock harness's wedge diagnostics.
+// applied one and the proposal frontier — which slots are decided, and per
+// view the slot saw the votes collected (as n-bit masks, replica 0
+// rightmost) and what this replica sent (WILL_CERTIFY, WILL_COMMIT,
+// CERTIFY, COMMIT, rightmost first), which wait for a client request copy —
+// for the wall-clock harness's wedge diagnostics.
 func (r *Replica) StallReport() string {
 	var b strings.Builder
 	hi := r.nextSlot
@@ -62,9 +61,10 @@ func (r *Replica) StallReport() string {
 		ss := r.slots[s]
 		fmt.Fprintf(&b, "[s%d dec=%v", s, ss != nil && ss.decided)
 		if ss != nil {
-			fmt.Fprintf(&b, " v%d certify=%0*b commit=%0*b sent=v%d:%04b%v wait=%v fb=%v",
-				ss.voteView, n, ss.willCertify, n, ss.willCommit, ss.sentView, ss.sentBits, ss.sentLater,
-				ss.waitingReq != nil, ss.fallback.Pending())
+			for _, sv := range ss.views {
+				fmt.Fprintf(&b, " v%d certify=%0*b commit=%0*b sent=%04b", sv.v, n, sv.willCertify, n, sv.willCommit, sv.sent)
+			}
+			fmt.Fprintf(&b, " wait=%v fb=%v", ss.waitingReq != nil, ss.fallback.Pending())
 		}
 		b.WriteString("] ")
 	}

@@ -234,18 +234,26 @@ func (rig *msgFuzzRig) advance(t *testing.T, stage uint8) ids.ID {
 
 // channelState renders everything a rejected message must leave alone:
 // state[p] with its fragment train, the replica's view and window, and the
-// slot table. The verified-share caches are left out (slot records that hold
-// nothing else count as absent): a signature verified inside a frame that
-// fails for another reason is verified all the same, and stays cached. A slot
+// slot table. The verified-share caches are left out (a slot's view records
+// that hold no vote and no sent bit count as absent, and so do slot records
+// that hold nothing else): a signature verified inside a frame that fails
+// for another reason is verified all the same, and stays cached. A slot
 // record is compared with a fresh record of its slot, so a protocol field set
 // anywhere shows.
 func channelState(r *Replica, p ids.ID) string {
 	st := r.state[p]
-	out := fmt.Sprintf("%+v newView=%p | view=%d seal=%d chkpt=%d next=%d applied=%d views=%d |",
-		*st, st.newView, r.view, r.sealTarget, r.chkpt.Seq, r.nextSlot, r.lastApplied, len(r.views))
+	out := fmt.Sprintf("%+v | view=%d seal=%d chkpt=%d next=%d applied=%d views=%d |",
+		*st, r.view, r.sealTarget, r.chkpt.Seq, r.nextSlot, r.lastApplied, len(r.views))
 	for _, s := range sortedKeys(r.slots) {
 		ss := *r.slots[s]
-		ss.shares, ss.onFallback = nil, nil
+		var voted []slotView
+		for _, sv := range ss.views {
+			if sv.willCertify|sv.willCommit != 0 || sv.sent != 0 {
+				sv.shares = nil
+				voted = append(voted, sv)
+			}
+		}
+		ss.views, ss.onFallback = voted, nil
 		if !reflect.DeepEqual(ss, freshSlot(s)) {
 			out += fmt.Sprintf(" %d:%+v", s, ss)
 		}
@@ -254,10 +262,11 @@ func channelState(r *Replica, p ids.ID) string {
 }
 
 // freshSlot is the record slot s gets from an empty free list, its bound
-// callback left out (reflect.DeepEqual never equates two set funcs).
+// callback and its (empty) view storage left out: reflect.DeepEqual never
+// equates two set funcs, and tells a nil slice from an empty one.
 func freshSlot(s Slot) slotState {
 	ss := *(&Replica{slots: make(table[Slot, slotState])}).slot(s)
-	ss.onFallback = nil
+	ss.onFallback, ss.views = nil, nil
 	return ss
 }
 

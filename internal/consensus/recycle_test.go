@@ -83,6 +83,8 @@ func echoFrame(dg [xcrypto.DigestLen]byte) []byte {
 // and two views at replica 2 — parked PREPARE, fast-path votes and
 // promises, a CERTIFY share, the COMMIT that lets it seal into view 1, the
 // view-1 PREPARE that arms its fallback, the decision — then releases it.
+// Its view records are held to the same rule: every field filled, and
+// emptied on release with their storage kept for the next slot.
 func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	rig := newMsgFuzzRig(t)
 	defer rig.stop()
@@ -91,7 +93,7 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	req := Request{Client: 200, Num: 1, Payload: []byte("recycled")}
 	dg := req.Digest()
 	share := func(p ids.ID) xcrypto.Signature { return rig.reg.Signer(p).Sign(rig.signing, certifyPayload(0, s, dg)) }
-	seen := fills{}
+	seen, seenView := fills{}, fills{}
 	step := func(what string, ok bool) {
 		t.Helper()
 		if !ok {
@@ -99,6 +101,9 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 		}
 		if ss := r.slots[s]; ss != nil {
 			seen.note(*ss)
+			for _, sv := range ss.views {
+				seenView.note(sv)
+			}
 		}
 	}
 	prep := func(v View) []byte { return EncodePrepare(Prepare{View: v, Slot: s, Req: req}) }
@@ -112,7 +117,7 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	r.onWillCommit(1, 0, s)
 	step("two WILL_COMMITs", !r.isDecided(s))
 	r.onCertify(1, 0, s, dg, share(1))
-	step("a CERTIFY share", len(r.slots[s].shares) == 1)
+	step("a CERTIFY share", len(r.slots[s].find(0).shares) == 1)
 	rig.advance(t, 1)
 	nv := rig.newViewFrame()
 	step("NEW_VIEW of view 1", r.accepts(1, nv) && r.view == 0) // the WILL_COMMIT still owes its COMMIT
@@ -122,20 +127,25 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	for p := ids.ID(0); p < 3; p++ {
 		r.onWillCertify(p, 1, s)
 	}
-	step("view-1 votes", r.slots[s].voteView == 1)
+	step("view-1 votes", r.slots[s].find(1).willCertify == r.fullVote() && len(r.slots[s].views) == 2)
 	for p := ids.ID(0); p < 3; p++ {
 		r.onWillCommit(p, 1, s)
 	}
 	step("decided in view 1", r.isDecided(s))
 
-	// A second life, for the slot field a first send in view 1 fills.
+	seen.requireAll(t, slotState{})
+	seenView.requireAll(t, slotView{})
+
+	// A second life: the next slot's first view record is the emptied one,
+	// its share storage kept.
 	ss := r.slots[s]
 	r.dropSlot(s, ss)
+	first := &ss.views[:1][0]
 	next := Request{Client: 200, Num: 2, Payload: []byte("second life")}
-	step("view-1 PREPARE of the next slot", r.accepts(1, EncodePrepare(Prepare{View: 1, Slot: s + 1, Req: next})) &&
-		r.slots[s+1] == ss && ss.sentView == 1)
-	seen.note(*ss)
-	seen.requireAll(t, slotState{})
+	if !r.accepts(1, EncodePrepare(Prepare{View: 1, Slot: s + 1, Req: next})) || r.slots[s+1] != ss ||
+		len(ss.views) != 1 || &ss.views[0] != first || ss.views[0].v != 1 || cap(first.shares) == 0 {
+		t.Fatalf("view-1 PREPARE of the next slot: not accepted, or a new view record: %+v", ss.views)
+	}
 
 	r.dropSlot(s+1, ss)
 	if r.slots[s+1] != nil || !slices.Contains(r.freeSlots, ss) || ss.onFallback == nil {
@@ -144,8 +154,14 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	if again := r.slot(9); again != ss {
 		t.Fatal("the next new slot did not take the released record")
 	}
+	for i, sv := range ss.views[:cap(ss.views)] {
+		if sv.v != 0 || sv.willCertify|sv.willCommit != 0 || sv.sent != 0 || len(sv.shares) != 0 ||
+			cap(sv.shares) > 0 && !reflect.DeepEqual(sv.shares[:cap(sv.shares)], make(digestShares, cap(sv.shares))) {
+			t.Fatalf("released view record %d is not empty: %+v", i, sv)
+		}
+	}
 	got := *ss
-	got.onFallback = nil
+	got.onFallback, got.views = nil, nil
 	requireFresh(t, got, freshSlot(9))
 }
 
@@ -286,7 +302,7 @@ func TestRecycledCallRecordsAreFresh(t *testing.T) {
 	reply(tagResponse, 4, num, 4, respFlagParked, "ok")
 	kept("ordered call", fired, 1, p)
 
-	num = c.CallAt(1, []byte("r"), Mode{Read: true, MinSlot: 3}, func(Outcome) { fired++ })
+	num = c.CallAt(1, []byte("r"), Mode{Read: true}, func(Outcome) { fired++ })
 	if c.calls[num] != p {
 		t.Fatal("the read did not take the released record")
 	}

@@ -153,11 +153,16 @@ const EchoTimeout = 100 * sim.Microsecond
 type replicaState struct {
 	view        View
 	sealedView  View
-	newView     *NewViewMsg
 	newViewUsed bool // p broadcast a non-CHECKPOINT message in its current view
 	prepares    map[Slot]Prepare
 	commits     commitLog
 	checkpoint  Checkpoint
+
+	// plan is the re-proposal plan of the last NEW_VIEW p broadcast, which
+	// opened view planView; planned is false until p's first is adopted.
+	plan     nvPlan
+	planView View
+	planned  bool
 
 	// NEW_VIEW fragment reassembly (a NEW_VIEW exceeding the channel's
 	// per-message cap travels as a FIFO train of tagNewViewFrag chunks).
@@ -205,15 +210,13 @@ type Replica struct {
 	// What the replica remembers per slot, per request digest, per client
 	// and per checkpoint sequence number (and, below, per view): record
 	// types, mutators and the prune rules are in tables.go. The slot and
-	// request tables recycle their records through a free list each, and
-	// spareShares keeps the CERTIFY share storage of dropped slot records.
+	// request tables recycle their records through a free list each.
 	slots        table[Slot, slotState]
 	requests     table[[xcrypto.DigestLen]byte, reqState]
 	clients      table[ids.ID, clientState]
 	cps          table[Slot, cpState]
 	freeSlots    freeList[slotState]
 	freeRequests freeList[reqState]
-	spareShares  [][]viewShares
 
 	lastApplied Slot // next slot to apply
 
@@ -825,8 +828,8 @@ func (r *Replica) endorse(pr Prepare) {
 	}
 	if r.cfg.FastPath {
 		// Fast path: WILL_CERTIFY promise (line 21).
-		if !ss.sent(pr.View, sentWillCertify) {
-			ss.markSent(pr.View, sentWillCertify)
+		if sv := ss.in(pr.View); sv.sent&sentWillCertify == 0 {
+			sv.sent |= sentWillCertify
 			r.auxVote(tagWillCertify, pr.View, pr.Slot)
 		}
 		if !ss.fallback.Pending() {
@@ -861,7 +864,7 @@ func (r *Replica) sendCertify(v View, s Slot) {
 	if !ok || pr.View != v {
 		return
 	}
-	ss.markSent(v, sentCertify)
+	ss.in(v).sent |= sentCertify
 	dg := pr.Req.Digest()
 	r.proc.Charge(latmodel.DigestCost(len(pr.Req.Payload)))
 	sig := r.signCertify(v, s, dg)
@@ -901,14 +904,14 @@ func (r *Replica) verifyCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]
 // CERTIFY), unless its signer certified another digest before: the signature
 // is valid all the same.
 func (r *Replica) verifyCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
-	shares := r.certShares(r.slot(s), v)
-	if shares.Has(p, dg, sig) {
+	sv := r.slot(s).in(v)
+	if sv.shares.Has(p, dg, sig) {
 		return true
 	}
 	if !r.verifyCertify(p, v, s, dg, sig) {
 		return false
 	}
-	shares.Add(p, dg, sig)
+	sv.shares.Add(p, dg, sig)
 	return true
 }
 
@@ -978,48 +981,44 @@ func (r *Replica) voteBit(p ids.ID) uint64 {
 // fullVote is the mask with every replica's bit set.
 func (r *Replica) fullVote() uint64 { return (1 << uint(r.cfg.n())) - 1 }
 
-// voteSlot returns the record p's fast-path vote for (v, s) counts in, with
-// its vote sets switched to v, and p's bit in them; nil for a vote that does
-// not count (another view than ours, a slot outside the window, a stranger).
-func (r *Replica) voteSlot(p ids.ID, v View, s Slot) (*slotState, uint64) {
+// voteSlot returns the view record p's fast-path vote for (v, s) counts in,
+// and p's bit in its vote sets; nil for a vote that does not count (another
+// view than ours, a slot outside the window, a stranger).
+func (r *Replica) voteSlot(p ids.ID, v View, s Slot) (*slotView, uint64) {
 	bit := r.voteBit(p)
 	if v != r.view || !r.inWindow(s) || bit == 0 {
 		return nil, 0
 	}
-	ss := r.slot(s)
-	if ss.voteView != v {
-		ss.voteView, ss.willCertify, ss.willCommit = v, 0, 0
-	}
-	return ss, bit
+	return r.slot(s).in(v), bit
 }
 
 // onWillCertify implements lines 25-27: unanimity over WILL_CERTIFY lets
 // the replica promise WILL_COMMIT.
 func (r *Replica) onWillCertify(p ids.ID, v View, s Slot) {
-	ss, bit := r.voteSlot(p, v, s)
-	if ss == nil {
+	sv, bit := r.voteSlot(p, v, s)
+	if sv == nil {
 		return
 	}
-	ss.willCertify |= bit
+	sv.willCertify |= bit
 	if r.observing() {
 		return // no WILL_COMMIT promises during the observe-only window
 	}
-	if ss.willCertify == r.fullVote() && !ss.sent(v, sentWillCommit) {
+	if sv.willCertify == r.fullVote() && sv.sent&sentWillCommit == 0 {
 		// From here until this view's COMMIT for the slot goes out the
 		// promise is outstanding (slotState.owesCommit holds maybeSeal back).
-		ss.markSent(v, sentWillCommit)
+		sv.sent |= sentWillCommit
 		r.auxVote(tagWillCommit, v, s)
 	}
 }
 
 // onWillCommit implements lines 29-31: unanimity decides on the fast path.
 func (r *Replica) onWillCommit(p ids.ID, v View, s Slot) {
-	ss, bit := r.voteSlot(p, v, s)
-	if ss == nil {
+	sv, bit := r.voteSlot(p, v, s)
+	if sv == nil {
 		return
 	}
-	ss.willCommit |= bit
-	if ss.willCommit == r.fullVote() {
+	sv.willCommit |= bit
+	if sv.willCommit == r.fullVote() {
 		pr, ok := r.state[r.cfg.leaderOf(v)].prepares[s]
 		if !ok || pr.View != v {
 			return
@@ -1040,20 +1039,19 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 	// before it costs a verification. Our own share needs none; remote shares
 	// are verified once and kept, so COMMIT-certificate validation does not
 	// re-pay.
-	ss := r.slot(s)
-	shares := r.certShares(ss, v)
-	if !shares.Admits(p, dg) || (p != r.cfg.Self && !r.verifyCertify(p, v, s, dg, sig)) {
+	sv := r.slot(s).in(v)
+	if !sv.shares.Admits(p, dg) || (p != r.cfg.Self && !r.verifyCertify(p, v, s, dg, sig)) {
 		return
 	}
-	if shares.Add(p, dg, sig) < r.cfg.F+1 || ss.sent(v, sentCommit) || r.observing() {
+	if sv.shares.Add(p, dg, sig) < r.cfg.F+1 || sv.sent&sentCommit != 0 || r.observing() {
 		return // observing: collect shares but broadcast no COMMIT
 	}
 	pr, ok := r.state[r.cfg.leaderOf(v)].prepares[s]
 	if !ok || pr.View != v || pr.Req.Digest() != dg {
 		return
 	}
-	ss.markSent(v, sentCommit)
-	cert := CommitCert{View: v, Slot: s, Req: pr.Req, Sigs: shares.Cert(dg)}
+	sv.sent |= sentCommit
+	cert := CommitCert{View: v, Slot: s, Req: pr.Req, Sigs: sv.shares.Cert(dg)}
 	w := wire.GetWriter(256 + len(pr.Req.Payload))
 	w.U8(tagCommit)
 	cert.encode(w)

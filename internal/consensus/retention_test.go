@@ -25,7 +25,6 @@ var retention = map[string]string{
 	"Replica.cps":           "pruneBelow: two windows below the stable checkpoint (shares at it, snapshot one window)",
 	"Replica.freeSlots":     "holds only records Replica.slots dropped and has not taken back, so with the table at most the table's peak: about one window of slot records",
 	"Replica.freeRequests":  "holds only records Replica.requests dropped and has not taken back, so with the table at most the table's peak: about the requests in flight",
-	"Replica.spareShares":   "holds only the share storage of records Replica.slots dropped and has not taken back, so with the table at most the table's peak: about one window of share sets",
 	"Replica.deferredResp":  "pruneBelow: one window past the stable checkpoint unless the ticket is still parked; entry deleted when the lock releases",
 	"Replica.proposeQ":      "drained by pumpProposals; holds only requests whose echo round completed, so at most what live clients have in flight",
 	"Replica.freshScratch":  "scratch of takeProposal: at most one PREPARE's requests (MsgCap bytes)",
@@ -34,8 +33,8 @@ var retention = map[string]string{
 	"Replica.peerJoinNonce": "fixed: at most n entries",
 	"Replica.views":         "setView: views below the current one; one record per view at or above it this replica is elected to lead: n x n share sets of at most n shares (a Byzantine signer can pre-fill views ahead, ROADMAP residual), f+1 certified states until the view starts, one bool",
 
-	"slotState.sentLater": "dies with the slot record; one entry per view the slot lived through after its first",
-	"slotState.shares":    "dies with the slot record; per view at most n shares, one per signer — a Byzantine signer can open one set per view (ROADMAP residual)",
+	"slotState.views": "lives with the slot record, emptied when Replica.slots drops it and kept for its next slot; one record per view the slot saw — a Byzantine signer's CERTIFY can open one per view (ROADMAP residual)",
+	"slotView.shares": "lives with its view record, emptied with it; at most n shares, one per signer",
 
 	"execEntry.res": "the client's latest result; dies with the client record",
 
@@ -65,7 +64,7 @@ func TestEveryTableHasARetentionRule(t *testing.T) {
 			}
 		}
 	}
-	for _, rec := range []any{Replica{}, slotState{}, reqState{}, clientState{}, cpState{}, readLane{}} {
+	for _, rec := range []any{Replica{}, slotState{}, slotView{}, reqState{}, clientState{}, cpState{}, readLane{}} {
 		walk(reflect.TypeOf(rec))
 	}
 	for name := range retention {
@@ -77,59 +76,57 @@ func TestEveryTableHasARetentionRule(t *testing.T) {
 
 // TestFastPathSlotAllocatesNothingOnceWarm: a slot that collects both
 // unanimous vote sets, sends both promises and decides within one view costs
-// no allocation once the free list is warm — its record is one a pruned slot
-// left behind, and it needs no vote map and no sent-bits map.
+// no allocation once the free list is warm — its record, and the storage of
+// its one view record, are what a pruned slot left behind. A slot that
+// outlives a view change keeps one record per view, each judged on its own.
 func TestFastPathSlotAllocatesNothingOnceWarm(t *testing.T) {
 	r := &Replica{
 		cfg:   Config{Replicas: []ids.ID{0, 1, 2}, Window: 16},
 		slots: make(table[Slot, slotState]),
 	}
 	req := Request{Client: 200, Num: 1, Payload: []byte("x")}
-	var ss *slotState
+	var sv *slotView
 	// AllocsPerRun's warm-up run makes the one record; every later slot
 	// reuses it.
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, p := range r.cfg.Replicas {
 			var bit uint64
-			ss, bit = r.voteSlot(p, 0, 7)
-			ss.willCertify |= bit
-			ss.willCommit |= bit
+			sv, bit = r.voteSlot(p, 0, 7)
+			sv.willCertify |= bit
+			sv.willCommit |= bit
 		}
-		ss.markSent(0, sentWillCertify)
-		ss.markSent(0, sentWillCommit)
+		sv.sent |= sentWillCertify | sentWillCommit
+		ss := r.slots[7]
 		ss.decided, ss.req = true, req
-		if ss.willCommit != r.fullVote() || ss != r.slots[7] {
+		if sv.willCommit != r.fullVote() || len(ss.views) != 1 || sv != &ss.views[0] {
 			t.Fatalf("three votes in view 0: %+v", ss)
 		}
 		if !ss.owesCommit() || ss.sent(0, sentCommit) {
 			t.Fatal("a WILL_COMMIT without its COMMIT is an outstanding promise")
-		}
-		if ss.sentLater != nil || ss.shares != nil {
-			t.Fatalf("fast-path slot made a lazy structure: %+v", ss)
 		}
 		r.dropSlot(7, ss)
 	})
 	if allocs != 0 || len(r.freeSlots) != 1 {
 		t.Fatalf("fast-path slot: %.0f allocations, %d records kept", allocs, len(r.freeSlots))
 	}
-	ss = r.slot(7)
-	// A second view's bits go to the lazily made map; the first view's stay
-	// inline, and each view's promise is judged on its own bits.
-	ss.markSent(0, sentCommit)
-	ss.markSent(3, sentWillCommit)
-	if !ss.sent(3, sentWillCommit) || ss.sent(3, sentCommit) || !ss.sent(0, sentCommit) || !ss.owesCommit() {
-		t.Fatalf("per-view sent bits: %+v", ss)
+	ss := r.slot(7)
+	// A second view gets a record of its own; each view's promise is judged
+	// on its own bits.
+	ss.in(0).sent |= sentCommit
+	ss.in(3).sent |= sentWillCommit
+	if len(ss.views) != 2 || !ss.sent(3, sentWillCommit) || ss.sent(3, sentCommit) || !ss.sent(0, sentCommit) || !ss.owesCommit() {
+		t.Fatalf("per-view sent bits: %+v", ss.views)
 	}
-	ss.markSent(3, sentCommit)
+	ss.in(3).sent |= sentCommit
 	if ss.owesCommit() {
-		t.Fatalf("every promise honoured, still owing: %+v", ss)
+		t.Fatalf("every promise honoured, still owing: %+v", ss.views)
 	}
 	var dg [xcrypto.DigestLen]byte
-	r.certShares(ss, 3).Add(1, dg, xcrypto.Signature("sig"))
-	r.certShares(ss, 3).Add(1, dg, xcrypto.Signature("sig"))
-	if sh := r.certShares(ss, 3); len(ss.shares) != 1 || len(*sh) != 1 || !sh.Has(1, dg, xcrypto.Signature("sig")) ||
-		sh.Has(1, dg, xcrypto.Signature("gis")) || sh.Has(2, dg, xcrypto.Signature("sig")) || r.certShares(ss, 4).Has(1, dg, xcrypto.Signature("sig")) {
-		t.Fatalf("verified-share record: %+v", ss.shares)
+	ss.in(3).shares.Add(1, dg, xcrypto.Signature("sig"))
+	ss.in(3).shares.Add(1, dg, xcrypto.Signature("sig"))
+	if sh := ss.in(3).shares; len(ss.views) != 2 || len(sh) != 1 || !sh.Has(1, dg, xcrypto.Signature("sig")) ||
+		sh.Has(1, dg, xcrypto.Signature("gis")) || sh.Has(2, dg, xcrypto.Signature("sig")) || ss.find(4) != nil || ss.in(0).shares != nil {
+		t.Fatalf("verified-share record: %+v", ss.views)
 	}
 }
 
@@ -155,8 +152,8 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		r.onCertify(2, 0, 5, digest(i), sign(2, certifyPayload(0, 5, digest(i))))
 	}
-	if ss := r.slots[5]; ss == nil || len(ss.shares) != 1 || len(ss.shares[0].digestShares) != 1 ||
-		!r.certShares(ss, 0).Has(2, digest(0), sign(2, certifyPayload(0, 5, digest(0)))) {
+	if ss := r.slots[5]; ss == nil || len(ss.views) != 1 || len(ss.views[0].shares) != 1 ||
+		!ss.views[0].shares.Has(2, digest(0), sign(2, certifyPayload(0, 5, digest(0)))) {
 		t.Fatalf("slot record after 64 shares by one signer: %+v", r.slots[5])
 	}
 	if got := r.proc.BusyUntil() - busy; got != oneVerify {

@@ -177,8 +177,8 @@ func (r *Replica) onClientRequest(from ids.ID, rd *wire.Reader) {
 		return
 	}
 	req := decodeRequest(rd)
-	if rd.Done() != nil || req.IsNoOp() {
-		return
+	if rd.Done() != nil || req.IsNoOp() || len(req.Payload) > r.cfg.MsgCap {
+		return // malformed, or too large for any PREPARE to carry
 	}
 	if req.Client != from {
 		return // authenticated links: a client cannot impersonate another
@@ -540,7 +540,7 @@ type Client struct {
 // Mode says how a call is served. The zero Mode is an ordered call: the
 // group decides the request at one slot and every replica executes it
 // there. Read sends it to the unordered read fast path instead (see Call);
-// Strong, MinSlot and At qualify a read only.
+// Strong and At qualify a read only.
 type Mode struct {
 	Read bool
 	// Strong requires ALL 2f+1 replicas to agree instead of f+1: any write
@@ -549,11 +549,11 @@ type Mode struct {
 	// the accepted version cannot predate the write (linearizability).
 	Strong bool
 	// With At == 0 the read is unpinned: only replies at state version >=
-	// MinSlot (and >= this client's monotonic floor for the group) count
-	// toward the quorum. With At > 0 it is pinned: every replica answers
-	// as-of exactly that version from its MVCC store, so the matching
-	// digests attest the value AT the pin regardless of replica skew.
-	MinSlot, At Slot
+	// this client's monotonic floor for the group count toward the quorum.
+	// With At > 0 it is pinned: every replica answers as-of exactly that
+	// version from its MVCC store, so the matching digests attest the value
+	// AT the pin regardless of replica skew.
+	At Slot
 }
 
 // Outcome is what a call resolved to, as CallAt reports it.
@@ -649,7 +649,8 @@ type call struct {
 	num, ordNum uint64
 	group       int
 	payload     []byte
-	mode        Mode // MinSlot and At as the read currently stands
+	mode        Mode // At as the read currently stands
+	minSlot     Slot // lowest version a read reply counts at: the read floor, 0 once pinned
 	started     sim.Time
 	// contacted and replied are bitmasks of replica indices: who was sent
 	// the read, and whose (one) reply was taken. A Byzantine replica may
@@ -660,7 +661,7 @@ type call struct {
 	// not): the replicas to pass over if it is accepted without them.
 	firstRung uint64
 	// byRes tallies the counted replies per result class (see resTally). A
-	// read counts only fresh (version >= MinSlot) replies, so a class
+	// read counts only fresh (version >= minSlot) replies, so a class
 	// minimum is bounded below by the floor; best is its largest class.
 	byRes tallies
 	best  int
@@ -797,10 +798,8 @@ func (c *Client) start(group int, payload []byte, mode Mode, done func([]byte, s
 	num := c.nextNum
 	p.num = num
 	c.calls[num] = p
-	if mode.At > 0 {
-		p.mode.MinSlot = 0 // as-of replies are fresh whatever the replica's version
-	} else if f := c.readFloor[group]; f > mode.MinSlot {
-		p.mode.MinSlot = f
+	if mode.At == 0 { // a pinned read's as-of replies are fresh at any version
+		p.minSlot = c.readFloor[group]
 	}
 
 	// Rung 1 is f+1 trusted replicas in rotation order from the request
@@ -1046,7 +1045,7 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 	if c.def.QuorumOne {
 		need = 1
 	}
-	if served && version >= p.mode.MinSlot {
+	if served && version >= p.minSlot {
 		key := app.ReadDigest(result)
 		if p.mode.Strong && p.mode.At == 0 {
 			// The strong sample round must be unanimous at ONE version:
@@ -1082,7 +1081,7 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 				c.FastReads++
 			}
 			if num%readProbeEvery == 0 && p.contacted&^p.replied&c.readSuspect[p.group] != 0 {
-				c.readProbe[p.group] = probeRead{num: num, key: key, minSlot: p.mode.MinSlot}
+				c.readProbe[p.group] = probeRead{num: num, key: key, minSlot: p.minSlot}
 			}
 			c.noteVersion(p.group, slot)
 			c.finish(p, t.result, slot, t.crossed)
@@ -1105,7 +1104,7 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 			return
 		}
 		if p.frontier > 0 {
-			p.mode.At, p.mode.MinSlot, p.replied, p.best = p.frontier, 0, 0, 0
+			p.mode.At, p.minSlot, p.replied, p.best = p.frontier, 0, 0, 0
 			p.byRes.reset()
 			c.sendRead(p, all)
 			return

@@ -70,33 +70,15 @@ const (
 
 // slotState is this replica's local progress on one slot. A slot that
 // decides on the fast path within one view costs this one record and no
-// map: vote sets are bitmasks indexed by replica position (n = 2f+1 <= 64)
-// stamped with the view they belong to, the first view's sent bits are held
-// inline, and everything the signed slow path needs is allocated lazily.
-// The table stays a map keyed by Slot rather than a Window-sized ring
-// because sealTo certifies prepares of peers whose window is ahead of ours.
+// map: its one view record sits in the same allocation (slot), and vote
+// sets are bitmasks indexed by replica position (n = 2f+1 <= 64). The table
+// stays a map keyed by Slot rather than a Window-sized ring because sealTo
+// certifies prepares of peers whose window is ahead of ours.
 type slotState struct {
-	// Fast-path vote sets of view voteView. Votes are recorded for the
-	// replica's current view only, and that never decreases, so a vote for a
-	// view other than the stamp starts both sets afresh (voteSlot).
-	voteView    View
-	willCertify uint64
-	willCommit  uint64
-
-	// The four sent* bits per view. The first view this replica sent
-	// anything in is held inline; a slot that outlives a view change puts
-	// the later views in sentLater. A WILL_COMMIT promise still owed a
-	// COMMIT is read off these bits (owesCommit), not stored.
-	sentView  View
-	sentBits  uint8
-	sentLater map[View]uint8
-
-	// shares holds the CERTIFY shares of each view the slot saw one in: the
-	// shares this replica verified (on arrival, or inside a peer's COMMIT
-	// certificate) or produced itself. It is what this replica's own COMMIT
-	// is built from and what spares a certificate made of shares already
-	// seen any further public-key operation.
-	shares []viewShares
+	// views holds one record per view the slot saw (in, find). A slot
+	// outlives a view change with its earlier views' records: a WILL_COMMIT
+	// promise of an old view is still owed its COMMIT (owesCommit).
+	views []slotView
 
 	// fallback is the slow-path deadline armed when this replica endorsed
 	// the PREPARE of view fallbackView on the fast path (slowPathDue).
@@ -114,14 +96,36 @@ type slotState struct {
 	onFallback func()
 }
 
-// slot returns slot s's record, creating it if absent.
+// slotView is what this replica holds about one slot in one view v: the
+// fast-path vote sets, the four sent* bits of what it sent itself, and the
+// CERTIFY shares. Votes are recorded for the replica's current view only
+// (voteSlot), which never decreases, so only the latest record's sets grow.
+type slotView struct {
+	v           View
+	willCertify uint64
+	willCommit  uint64
+	sent        uint8
+
+	// shares holds the CERTIFY shares this replica verified (on arrival, or
+	// inside a peer's COMMIT certificate) or produced itself. It is what
+	// this replica's own COMMIT is built from and what spares a certificate
+	// made of shares already seen any further public-key operation.
+	shares digestShares
+}
+
+// slot returns slot s's record, creating it if absent. A new record is made
+// together with the storage of its first view record.
 func (r *Replica) slot(s Slot) *slotState {
 	ss := r.slots[s]
 	if ss == nil {
 		if ss = r.freeSlots.get(); ss == nil {
-			fresh := new(slotState)
-			fresh.onFallback = func() { r.slowPathDue(fresh) }
-			ss = fresh
+			fresh := new(struct {
+				slotState
+				first [1]slotView
+			})
+			fresh.views = fresh.first[:0]
+			fresh.onFallback = func() { r.slowPathDue(&fresh.slotState) }
+			ss = &fresh.slotState
 		}
 		ss.slot = s
 		r.slots[s] = ss
@@ -129,19 +133,17 @@ func (r *Replica) slot(s Slot) *slotState {
 	return ss
 }
 
-// dropSlot forgets slot s's record and keeps it for the next new slot, and
-// its CERTIFY share sets, emptied, for the next slot that collects shares.
+// dropSlot forgets slot s's record and keeps it, its view records emptied
+// but their share storage kept, for the next new slot.
 func (r *Replica) dropSlot(s Slot, ss *slotState) {
 	ss.fallback.Cancel()
 	delete(r.slots, s)
-	if ss.shares != nil {
-		for i := range ss.shares {
-			clear(ss.shares[i].digestShares) // the signatures pin their frames
-			ss.shares[i] = viewShares{digestShares: ss.shares[i].digestShares[:0]}
-		}
-		r.spareShares = append(r.spareShares, ss.shares[:0])
+	for i := range ss.views {
+		shares := ss.views[i].shares
+		clear(shares) // the signatures pin their frames
+		ss.views[i] = slotView{shares: shares[:0]}
 	}
-	*ss = slotState{onFallback: ss.onFallback}
+	*ss = slotState{views: ss.views[:0], onFallback: ss.onFallback}
 	r.freeSlots.put(ss)
 }
 
@@ -149,28 +151,32 @@ func (r *Replica) dropSlot(s Slot, ss *slotState) {
 // a request's, CERTIFY_CHECKPOINT shares over the application state's.
 type digestShares = xcrypto.Shares[[xcrypto.DigestLen]byte]
 
-// viewShares is one view's CERTIFY shares for a slot.
-type viewShares struct {
-	v View
-	digestShares
-}
-
-// certShares returns slot record ss's CERTIFY share set of view v, made on
-// first use in storage a dropped record left, if there is any. The pointer is
-// good until the next call.
-func (r *Replica) certShares(ss *slotState, v View) *digestShares {
-	for i := range ss.shares {
-		if ss.shares[i].v == v {
-			return &ss.shares[i].digestShares
+// find returns the slot's record of view v, or nil if it has none.
+func (ss *slotState) find(v View) *slotView {
+	for i := range ss.views {
+		if ss.views[i].v == v {
+			return &ss.views[i]
 		}
 	}
-	if n := len(r.spareShares); ss.shares == nil && n > 0 {
-		ss.shares, r.spareShares = r.spareShares[n-1], r.spareShares[:n-1]
+	return nil
+}
+
+// in returns the slot's record of view v, made on first use in storage a
+// dropped record left, if there is any. The pointer is good until the next
+// call.
+func (ss *slotState) in(v View) *slotView {
+	if sv := ss.find(v); sv != nil {
+		return sv
 	}
-	n := len(ss.shares)
-	ss.shares = slices.Grow(ss.shares, 1)[:n+1] // an emptied set keeps its storage
-	ss.shares[n].v = v
-	return &ss.shares[n].digestShares
+	n := len(ss.views)
+	if n == cap(ss.views) {
+		old := ss.views
+		ss.views = slices.Grow(ss.views, 1)
+		clear(old) // the moved records' share storage now lives in the new array only
+	}
+	ss.views = ss.views[:n+1] // an emptied record keeps its share storage
+	ss.views[n].v = v
+	return &ss.views[n]
 }
 
 // isDecided reports whether this replica holds a decision for slot s.
@@ -179,36 +185,19 @@ func (r *Replica) isDecided(s Slot) bool {
 	return ss != nil && ss.decided
 }
 
+// sent reports whether this replica sent what flag names for the slot in
+// view v.
 func (ss *slotState) sent(v View, flag uint8) bool {
-	if ss.sentView == v {
-		return ss.sentBits&flag != 0
-	}
-	return ss.sentLater[v]&flag != 0
-}
-
-func (ss *slotState) markSent(v View, flag uint8) {
-	switch {
-	case ss.sentBits == 0 || ss.sentView == v:
-		ss.sentView = v
-		ss.sentBits |= flag
-	default:
-		if ss.sentLater == nil {
-			ss.sentLater = make(map[View]uint8, 1)
-		}
-		ss.sentLater[v] |= flag
-	}
+	sv := ss.find(v)
+	return sv != nil && sv.sent&flag != 0
 }
 
 // owesCommit reports whether this replica promised WILL_COMMIT for the slot
 // in some view and has not broadcast that view's COMMIT yet: Algorithm 3
 // lines 4-5 make it honour the promise before it may seal the view.
 func (ss *slotState) owesCommit() bool {
-	const owed = sentWillCommit | sentCommit
-	if ss.sentBits&owed == sentWillCommit {
-		return true
-	}
-	for _, bits := range ss.sentLater {
-		if bits&owed == sentWillCommit {
+	for i := range ss.views {
+		if ss.views[i].sent&(sentWillCommit|sentCommit) == sentWillCommit {
 			return true
 		}
 	}

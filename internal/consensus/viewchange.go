@@ -383,10 +383,10 @@ func (pl *nvPlan) mustPropose(s Slot) (req Request, any bool) {
 	return NoOp(), false
 }
 
-// adoptNewView installs an accepted NEW_VIEW in its leader's state[p] and
-// adopts the highest checkpoint its certificates carry.
+// adoptNewView installs an accepted NEW_VIEW's plan in its leader's
+// state[p] and adopts the highest checkpoint its certificates carry.
 func (r *Replica) adoptNewView(st *replicaState, nv *NewViewMsg) {
-	st.newView = nv
+	st.plan, st.planView, st.planned = nv.plan, nv.View, true
 	for _, c := range nv.Certs {
 		r.maybeCheckpoint(c.State.Checkpoint)
 	}
@@ -484,10 +484,10 @@ func (r *Replica) validPrepare(p ids.ID, st *replicaState, pr *Prepare) bool {
 		return false // a correct leader packs whole client requests only
 	}
 	if pr.View > 0 {
-		if st.newView == nil {
+		if !st.planned {
 			return false
 		}
-		req, any := st.newView.plan.mustPropose(pr.Slot)
+		req, any := st.plan.mustPropose(pr.Slot)
 		if !any && !bytes.Equal(EncodeRequest(req), EncodeRequest(pr.Req)) {
 			return false
 		}
