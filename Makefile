@@ -26,8 +26,11 @@ vet:
 # by cmd/ubft-lint): determinism, pool aliasing, the wire-tag registry,
 # the shard capability boundary and package docs, with the waiver tally
 # checked against the budget. Folds `go vet` in so `make lint` is the one
-# static gate.
+# static gate, and fails first if gofmt would rewrite any tracked .go file,
+# listing those files.
 lint: vet
+	@unformatted=$$(git ls-files -z '*.go' | xargs -0 gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/ubft-lint
 
 # Non-test, non-testdata Go source size: physical lines and code lines
@@ -69,12 +72,15 @@ race:
 # reservation exactly on the slow path. A deployment's constructors leave a
 # budgeted number of heap objects: nothing made per register or per key. A
 # register client's draining set of request frames stays at its bound with a
-# memory node crashed, forgetting its oldest entries. A consensus client
-# making one call at a time keeps one call record.
+# memory node crashed, forgetting its oldest entries. The process's free list
+# of released frames (completions, ring acks, echoes) keeps at most its bound
+# whatever is released into it. A consensus client making one call at a time
+# keeps one call record.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
+	$(GO) test -run 'TestFreeListBounded' ./internal/router/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one

@@ -27,6 +27,12 @@ import (
 //     returned via Finish, handed to another function, or stored as a
 //     field — a documented owner). A return between GetWriter and a
 //     non-deferred PutWriter leaks on that path and is flagged.
+//   - A frame passed to router.Release may be handed out by the next
+//     router.Frame of its length, so a variable released by a
+//     non-deferred call must not be read after that call. A release in a
+//     block that then returns covers the rest of that block only, a
+//     release in one branch of an if, switch or select does not cover the
+//     other branches, and assigning the variable anew ends the release.
 //
 // The tracking is per-function and flow-lite (single forward scan):
 // re-assigning a tainted variable from a clean expression clears it.
@@ -35,6 +41,10 @@ type PoolSafety struct {
 	// WirePath is the import path of the wire package.
 	WirePath string
 }
+
+// routerPath is the import path of the package whose Release the pass
+// tracks.
+const routerPath = "repro/internal/router"
 
 // NewPoolSafety returns the pass bound to repro/internal/wire.
 func NewPoolSafety() *PoolSafety { return &PoolSafety{WirePath: "repro/internal/wire"} }
@@ -95,6 +105,12 @@ func (p *PoolSafety) isViewCall(pkg *Package, call *ast.CallExpr) bool {
 // wireFunc reports whether call invokes the named package-level function
 // of the wire package.
 func (p *PoolSafety) wireFunc(pkg *Package, call *ast.CallExpr, name string) bool {
+	return p.pkgFunc(pkg, call, p.WirePath, name)
+}
+
+// pkgFunc reports whether call invokes the named package-level function of
+// the package at path.
+func (p *PoolSafety) pkgFunc(pkg *Package, call *ast.CallExpr, path, name string) bool {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
@@ -105,7 +121,7 @@ func (p *PoolSafety) wireFunc(pkg *Package, call *ast.CallExpr, name string) boo
 		return false
 	}
 	obj, ok := pkg.Info.Uses[id].(*types.Func)
-	return ok && obj.Pkg() != nil && obj.Pkg().Path() == p.WirePath &&
+	return ok && obj.Pkg() != nil && obj.Pkg().Path() == path &&
 		obj.Name() == name && obj.Type().(*types.Signature).Recv() == nil
 }
 
@@ -381,7 +397,105 @@ func (p *PoolSafety) checkFunc(w *World, pkg *Package, recv *ast.FieldList, ftyp
 			report(wr.pos, "wire.GetWriter result never reaches wire.PutWriter and does not escape")
 		}
 	}
+	p.readsAfterRelease(pkg, body, report)
 	return out
+}
+
+// readsAfterRelease reports every read of a variable, in source order, after
+// a non-deferred router.Release of it in the same function (function
+// literals aside). A release covers the rest of the function, or only the
+// rest of its block if that block returns after it, and never the later
+// branches of an if, switch or select it sits in a branch of; assigning the
+// variable ends it.
+func (p *PoolSafety) readsAfterRelease(pkg *Package, body *ast.BlockStmt, report func(token.Pos, string, ...any)) {
+	type release struct {
+		at, until token.Pos
+		block     ast.Node
+		siblings  [][2]token.Pos // later branches of the statements it branches in
+	}
+	released := map[types.Object]release{}
+	deferred := map[*ast.CallExpr]bool{}
+	targets := map[*ast.Ident]bool{} // assigned, not read
+	var stack []ast.Node
+	innermost := func() ast.Node {
+		for i := len(stack) - 1; i >= 0; i-- {
+			switch stack[i].(type) {
+			case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
+				return stack[i]
+			}
+		}
+		return body
+	}
+	// siblings returns, for each if, switch or select that the node being
+	// visited sits in a branch of, the span of its later branches.
+	siblings := func() [][2]token.Pos {
+		var out [][2]token.Pos
+		for i := 1; i < len(stack); i++ {
+			switch b := stack[i].(type) {
+			case *ast.BlockStmt:
+				if ifs, ok := stack[i-1].(*ast.IfStmt); ok && ifs.Body == b {
+					out = append(out, [2]token.Pos{b.End(), ifs.End()})
+				}
+			case *ast.CaseClause, *ast.CommClause:
+				out = append(out, [2]token.Pos{b.End(), stack[i-1].End()})
+			}
+		}
+		return out
+	}
+	inSibling := func(r release, pos token.Pos) bool {
+		for _, sp := range r.siblings {
+			if pos >= sp[0] && pos < sp[1] {
+				return true
+			}
+		}
+		return false
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil {
+			if as, ok := stack[len(stack)-1].(*ast.AssignStmt); ok {
+				for _, l := range as.Lhs {
+					if id, ok := l.(*ast.Ident); ok {
+						delete(released, objOf(pkg, id))
+					}
+				}
+			}
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false // separate unit
+		case *ast.DeferStmt:
+			deferred[n.Call] = true
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				if id, ok := l.(*ast.Ident); ok {
+					targets[id] = true
+				}
+			}
+		case *ast.CallExpr:
+			if !deferred[n] && p.pkgFunc(pkg, n, routerPath, "Release") && len(n.Args) == 1 {
+				if id, ok := n.Args[0].(*ast.Ident); ok {
+					if obj := pkg.Info.Uses[id]; obj != nil {
+						released[obj] = release{at: n.End(), until: body.End(), block: innermost(), siblings: siblings()}
+					}
+				}
+			}
+		case *ast.ReturnStmt:
+			for obj, r := range released {
+				if r.block == innermost() && r.at < n.Pos() {
+					r.until = r.block.End()
+					released[obj] = r
+				}
+			}
+		case *ast.Ident:
+			if r, ok := released[pkg.Info.Uses[n]]; ok && !targets[n] && n.Pos() > r.at && n.Pos() < r.until && !inSibling(r, n.Pos()) {
+				report(n.Pos(), "%q read after router.Release: the next router.Frame of its length may write it", n.Name)
+			}
+		}
+		stack = append(stack, n)
+		return true
+	})
 }
 
 func objOf(pkg *Package, id *ast.Ident) types.Object {

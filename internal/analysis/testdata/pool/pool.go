@@ -1,10 +1,13 @@
 // Package pool is a poolsafety-pass fixture: stores and uncopied returns
 // of BytesView/RawView/SpanView borrows are flagged, the caller-owned decode
 // borrow and the copied return are accepted, and GetWriter lifecycle
-// violations are caught.
+// violations are caught, as is a read of a frame after router.Release.
 package pool
 
-import "repro/internal/wire"
+import (
+	"repro/internal/router"
+	"repro/internal/wire"
+)
 
 type holder struct{ view []byte }
 
@@ -84,4 +87,60 @@ func Retain(h *holder) {
 	r := wire.NewReader(frame())
 	//ubft:poolsafety fixture specimen: this buffer is never returned to the pool
 	h.view = r.BytesView()
+}
+
+// ReadAfterRelease reads a frame the free list may have handed out again.
+func ReadAfterRelease() byte {
+	f := router.Frame(4)
+	router.Release(f)
+	return f[0] // want "read after router.Release"
+}
+
+// ReleaseWhenDone releases on an early return and after the last read, and
+// reads only the frame taken anew — accepted.
+func ReleaseWhenDone(bad bool) byte {
+	f := router.Frame(4)
+	if bad {
+		router.Release(f)
+		return 0
+	}
+	b := f[0]
+	router.Release(f)
+	f = router.Frame(4)
+	defer router.Release(f)
+	return b + f[0]
+}
+
+// ReleaseOnOneBranch releases in one branch of an if and of a switch and
+// reads in the others — accepted.
+func ReleaseOnOneBranch(bad bool, n int) byte {
+	f := router.Frame(4)
+	if bad {
+		router.Release(f)
+	} else {
+		b := f[0]
+		router.Release(f)
+		return b
+	}
+	g := router.Frame(4)
+	switch n {
+	case 0:
+		router.Release(g)
+	case 1:
+		return g[0]
+	default:
+		return g[1]
+	}
+	return 0
+}
+
+// ReadAfterBranch reads a frame after the if that released it on one branch.
+func ReadAfterBranch(bad bool) byte {
+	f := router.Frame(4)
+	if bad {
+		router.Release(f)
+	} else {
+		_ = f[0]
+	}
+	return f[1] // want "read after router.Release"
 }

@@ -41,11 +41,11 @@ var raceAllocs, raceSlowAllocs, raceReadAllocs int
 // TestFastPathAllocBudget asserts a ceiling on heap allocations per
 // end-to-end request on uBFT's fast path, in steady state (pools warm, ring
 // mirrors grown, consensus tables populated, their free lists filled).
-// Measured at 25 allocs/request when this budget was set: what is left is
-// the immutable ring, reply, ack and echo frames, the application's results
-// and the harness. It read 45 while every slot, request, client call and
-// CTBcast fallback record was made anew per operation with its timer
-// closure, 47 while the client copied its request once per replica, 75 while
+// Measured at 20 allocs/request when this budget was set: what is left is
+// the immutable ring and reply frames, the application's results and the
+// harness. It read 25 while every ring ack and echo was a fresh frame, 45
+// while every slot, request, client call and CTBcast fallback record was
+// made anew per operation with its timer closure, 47 while the client copied its request once per replica, 75 while
 // the router copied every ring frame once per receiver and the broadcaster
 // copied it again for its self-delivery (~800 before the zero-allocation
 // work, ~118 while every slot, request and client was spread over parallel
@@ -53,7 +53,7 @@ var raceAllocs, raceSlowAllocs, raceReadAllocs int
 // (1 to 4 allocations a request each) trips it, as does a per-receiver frame
 // copy or reintroduced per-message encode/decode churn (hundreds).
 func TestFastPathAllocBudget(t *testing.T) {
-	budget := 29 + raceAllocs
+	budget := 23 + raceAllocs
 
 	s := NewUBFTFast(1, nil)
 	defer s.Stop()
@@ -73,18 +73,20 @@ func TestFastPathAllocBudget(t *testing.T) {
 // end-to-end request on the signed slow path, in steady state. A request there
 // makes 48 SWMR quorum operations on three memory nodes (288 memory-node
 // messages), so a copy per memory node or per completion costs 144 a request.
-// Measured at 48 allocs/request when this budget was set, since a
-// certificate is read in place as its encoded bytes, a CERTIFY signature is a
-// view of its frame and a slot's CERTIFY share sets keep their storage when
-// the slot record is recycled; 85 while a decoded certificate was a map and
+// Measured at 31 allocs/request when this budget was set, since a ring ack
+// and an echo go back to the router's free list once read; 48 while each was
+// a fresh frame (some 15 acks and 2 echoes a request), after a certificate
+// came to be read in place as its encoded bytes, a CERTIFY signature a view
+// of its frame and a slot's CERTIFY share sets kept with its recycled
+// record; 85 while a decoded certificate was a map and
 // those signatures and sets were copied and grown anew, 277 while every
 // register request and completion was a fresh frame, 300 before that, ~1300
 // while every register request was copied once per memory node, every
-// completion twice and a READ's region three times. The ceiling is 48 plus
-// 15%: a map per decoded certificate (16 a request) or a copy per CERTIFY
-// signature (8) trips it.
+// completion twice and a READ's region three times. The ceiling is 31 plus
+// 15%: fresh acks and echoes again (17 a request), a map per decoded certificate
+// (16) or a copy per CERTIFY signature (8) trips it.
 func TestSlowPathAllocBudget(t *testing.T) {
-	budget := 55 + raceSlowAllocs
+	budget := 36 + raceSlowAllocs
 
 	s := NewUBFTSlow(1, nil)
 	defer s.Stop()

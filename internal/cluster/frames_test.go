@@ -8,8 +8,11 @@ package cluster_test
 // retransmission. A single write into one too early — a decoder appending to
 // a view, a handler editing a delivered message, a mirror slot or a register
 // client reusing its buffer before every transmission is answered — would
-// change what some receiver reads. Register frames alone are reused after
-// that (package memnode); every other payload never changes at all.
+// change what some receiver reads. Register frames, ring acks and echoes alone
+// are reused after that: a register client reuses its request frame (package
+// memnode), and a completion, a ring ack or an echo goes back to the router's
+// free list once its one reader is done with it. Every other payload never
+// changes at all.
 
 import (
 	"fmt"
@@ -18,26 +21,29 @@ import (
 	"repro/internal/app"
 	"repro/internal/byz"
 	"repro/internal/cluster"
+	"repro/internal/consensus"
 	"repro/internal/ids"
 	"repro/internal/memnode"
 	"repro/internal/msgring"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 	"repro/internal/xcrypto"
 )
 
 // frameAudit checksums every payload handed to Send and every payload
-// delivered, and counts the ring and memory-node request retransmissions and
-// the register frames sent again with new bytes.
+// delivered, and counts the ring and memory-node request retransmissions and,
+// by kind, the reused frames sent again with new bytes.
 type frameAudit struct {
+	t    *testing.T
 	sent []sentPayload
 	// Per directed link, what the rule let through in send order and was not
 	// delivered yet: the fabric is FIFO with gaps, so a delivery is the
 	// oldest entry with the same slice, and older ones were lost.
 	links     map[[2]ids.ID][]sentPayload
 	delivered int
-	late      []string // deliveries whose bytes differ from their Send's
+	late      int // deliveries whose bytes differ from their Send's
 	// Ring frames by (sender, receiver, instance, slot, incarnation) and
 	// register requests by (sender, memory node, sequence number): one seen
 	// before is a retransmission.
@@ -45,13 +51,25 @@ type frameAudit struct {
 	memSeen       map[memRequest]bool
 	retransmit    int
 	memRetransmit int
-	lastSum       map[*byte]uint64 // a register frame's bytes at its last Send
-	recycled      int              // register frames sent again with other bytes
+	lastSum       map[*byte]uint64 // a reused frame's bytes at its last Send
+	recycled      map[reuse]int    // reused frames sent again with other bytes
 }
+
+// reuse is the kind of a frame that is written again after its last
+// delivery; never is every other frame.
+type reuse uint8
+
+const (
+	never reuse = iota
+	register
+	ringAck
+	echo
+)
 
 type sentPayload struct {
 	from, to ids.ID
 	ch       uint8
+	kind     reuse
 	buf      []byte
 	sum      uint64
 }
@@ -68,17 +86,30 @@ type memRequest struct {
 	seq      uint64
 }
 
-func newFrameAudit() *frameAudit {
-	return &frameAudit{links: map[[2]ids.ID][]sentPayload{}, ringSeen: map[ringFrame]bool{},
-		memSeen: map[memRequest]bool{}, lastSum: map[*byte]uint64{}}
+func newFrameAudit(t *testing.T) *frameAudit {
+	return &frameAudit{t: t, links: map[[2]ids.ID][]sentPayload{}, ringSeen: map[ringFrame]bool{},
+		memSeen: map[memRequest]bool{}, lastSum: map[*byte]uint64{}, recycled: map[reuse]int{}}
 }
 
-// register reports whether ch carries register frames, the ones reused.
-func register(ch uint8) bool { return ch == router.ChanMemReq || ch == router.ChanMemResp }
+// kindOf classifies a frame at its Send: register requests and completions,
+// ring acks, and echoes (a direct message with the echo tag) are reused.
+func kindOf(ch uint8, frame []byte) reuse {
+	switch ch {
+	case router.ChanMemReq, router.ChanMemResp:
+		return register
+	case router.ChanRingAck:
+		return ringAck
+	case router.ChanDirect:
+		if h, ok := consensus.ReadHeader(frame); ok && h.Tag == wire.TagEcho {
+			return echo
+		}
+	}
+	return never
+}
 
 func (a *frameAudit) record(from, to ids.ID, payload []byte) sentPayload {
 	ch, frame := router.Split(payload)
-	p := sentPayload{from: from, to: to, ch: ch, buf: payload, sum: xcrypto.ChecksumNoCharge(payload)}
+	p := sentPayload{from: from, to: to, ch: ch, kind: kindOf(ch, frame), buf: payload, sum: xcrypto.ChecksumNoCharge(payload)}
 	a.sent = append(a.sent, p)
 	switch ch {
 	case router.ChanRing:
@@ -90,9 +121,9 @@ func (a *frameAudit) record(from, to ids.ID, payload []byte) sentPayload {
 			a.memRetransmit += seen(a.memSeen, memRequest{from: from, to: to, seq: req.Seq})
 		}
 	}
-	if register(ch) {
+	if p.kind != never {
 		if sum, ok := a.lastSum[&payload[0]]; ok && sum != p.sum {
-			a.recycled++
+			a.recycled[p.kind]++
 		}
 		a.lastSum[&payload[0]] = p.sum
 	}
@@ -120,30 +151,32 @@ func (a *frameAudit) deliver(from, to ids.ID, payload []byte) {
 			a.links[link] = q[i+1:]
 			a.delivered++
 			if xcrypto.ChecksumNoCharge(payload) != p.sum {
-				a.late = append(a.late, fmt.Sprintf("payload %v -> %v on channel %d (%d bytes) changed before its delivery", from, to, p.ch, len(payload)))
+				a.fail("payload %v -> %v on channel %d (%d bytes) changed before its delivery", from, to, p.ch, len(payload))
 			}
 			return
 		}
 	}
-	a.late = append(a.late, fmt.Sprintf("payload %v -> %v (%d bytes) delivered without a Send", from, to, len(payload)))
+	a.fail("payload %v -> %v (%d bytes) delivered without a Send", from, to, len(payload))
+}
+
+// fail reports a bad delivery as it happens, the first five in full: a run
+// that reads changed bytes may go on to panic before it ends.
+func (a *frameAudit) fail(format string, args ...any) {
+	if a.late++; a.late <= 5 {
+		a.t.Errorf(format, args...)
+	}
 }
 
 // verify reports every delivery whose bytes were not its Send's, and every
-// recorded payload other than a register frame whose bytes changed after
-// Send.
+// recorded payload of a kind never reused whose bytes changed after Send.
 func (a *frameAudit) verify(t *testing.T) {
 	t.Helper()
-	for i, msg := range a.late {
-		if i < 5 {
-			t.Error(msg)
-		}
-	}
-	if len(a.late) > 0 {
-		t.Errorf("%d of %d deliveries differ from their Send", len(a.late), a.delivered)
+	if a.late > 0 {
+		t.Errorf("%d of %d deliveries differ from their Send", a.late, a.delivered)
 	}
 	changed, kept := 0, 0
 	for _, p := range a.sent {
-		if register(p.ch) {
+		if p.kind != never {
 			continue
 		}
 		kept++
@@ -154,7 +187,7 @@ func (a *frameAudit) verify(t *testing.T) {
 		}
 	}
 	if changed > 0 {
-		t.Errorf("%d of %d sent payloads that are not register frames changed after Send", changed, kept)
+		t.Errorf("%d of %d sent payloads of a kind never reused changed after Send", changed, kept)
 	}
 }
 
@@ -198,7 +231,8 @@ func (a *frameAudit) infect(net *simnet.Network, id ids.ID, p byz.Policy) {
 // signed slow path (the crashed leader leaves no unanimity for the fast
 // path), checkpoints (a small window) and a view change. Every delivery must
 // carry the bytes its payload had at Send, and at the end of the run every
-// payload any node ever sent, register frames aside, must still hold them.
+// payload any node ever sent, reused kinds aside, must still hold them, and
+// register frames, ring acks and echoes must each have been reused.
 // (Staging behind a WRITE in flight needs a burst of more than a ring's
 // slots within one WRITE completion, which consensus traffic does not make;
 // msgring's TestRetainedViewsNeverChange holds staged frames to the same
@@ -214,7 +248,7 @@ func TestSentFramesNeverChange(t *testing.T) {
 		{"equivocating-leader", byz.Equivocate{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			audit := newFrameAudit()
+			audit := newFrameAudit(t)
 			net := simnet.New(sim.NewEngine(1), simnet.RDMAOptions())
 			audit.observe(net)
 			if tc.policy != nil {
@@ -271,15 +305,20 @@ func TestSentFramesNeverChange(t *testing.T) {
 
 			r := u.Replicas[1]
 			_, slow, _ := r.GroupStats()
-			t.Logf("%d payloads sent, %d delivered, %d ring and %d register request retransmissions, %d register frames sent again with new bytes; view %d, %d slow decisions, %d slow CTBcast deliveries, checkpoint %d; %d/8 operations after GST",
-				len(audit.sent), audit.delivered, audit.retransmit, audit.memRetransmit, audit.recycled, r.View(), r.SlowDecides, slow, r.Checkpoint().Seq, completed)
+			t.Logf("%d payloads sent, %d delivered, %d ring and %d register request retransmissions; sent again with new bytes: %d register frames, %d ring acks, %d echoes; view %d, %d slow decisions, %d slow CTBcast deliveries, checkpoint %d; %d/8 operations after GST",
+				len(audit.sent), audit.delivered, audit.retransmit, audit.memRetransmit, audit.recycled[register], audit.recycled[ringAck], audit.recycled[echo],
+				r.View(), r.SlowDecides, slow, r.Checkpoint().Seq, completed)
 			switch {
 			case audit.retransmit == 0:
 				t.Error("no ring frame was retransmitted")
 			case audit.memRetransmit == 0:
 				t.Error("no register request was retransmitted")
-			case audit.recycled == 0:
+			case audit.recycled[register] == 0:
 				t.Error("no register frame was reused")
+			case audit.recycled[ringAck] == 0:
+				t.Error("no ring ack was reused")
+			case audit.recycled[echo] == 0:
+				t.Error("no echo was reused")
 			case r.View() == 0:
 				t.Error("the leader crash forced no view change")
 			case r.SlowDecides == 0 || slow == 0:

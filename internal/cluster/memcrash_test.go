@@ -148,10 +148,11 @@ func TestMemNodeCrashAtFirstWrite(t *testing.T) {
 }
 
 // TestParallelDeploymentsShareCompletions: two slow-path deployments on
-// their own goroutines share the memory nodes' completion free list, one's
-// clients releasing frames the other's memory nodes write into. Each must
-// answer as it does alone, at the same virtual latencies; `make race` runs
-// this under the race detector.
+// their own goroutines share the process's free list of frames, one's
+// clients, broadcasters and leaders releasing completions, ring acks and
+// echoes the other's memory nodes, listeners and followers write into. Each
+// must answer as it does alone, at the same virtual latencies; `make race`
+// runs this under the race detector.
 func TestParallelDeploymentsShareCompletions(t *testing.T) {
 	const ops = 60
 	alone := [][]sim.Duration{slowOps(t, 1, ops, nil), slowOps(t, 2, ops, nil)}

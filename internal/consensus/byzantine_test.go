@@ -576,6 +576,7 @@ func TestStateTransferRejectsForgedSnapshot(t *testing.T) {
 	r.chkpt = Checkpoint{Seq: 32, StateDigest: dg}
 	// A Byzantine replica responds with a forged snapshot.
 	w := wire.NewWriter(64)
+	w.U8(router.ChanDirect)
 	w.U8(tagStateResp)
 	w.U64(32)
 	w.Bytes([]byte("forged-snapshot"))
@@ -586,6 +587,7 @@ func TestStateTransferRejectsForgedSnapshot(t *testing.T) {
 	}
 	// The genuine one is accepted.
 	w2 := wire.NewWriter(64)
+	w2.U8(router.ChanDirect)
 	w2.U8(tagStateResp)
 	w2.U64(32)
 	w2.Bytes(good)

@@ -72,13 +72,6 @@ func clientFrame(req Request) []byte {
 	return w.Finish()
 }
 
-func echoFrame(dg [xcrypto.DigestLen]byte) []byte {
-	w := wire.NewWriter(48)
-	w.U8(tagEcho)
-	w.Raw(dg[:])
-	return w.Finish()
-}
-
 // TestRecycledSlotRecordIsFresh drives one slot record through both paths
 // and two views at replica 2 — parked PREPARE, fast-path votes and
 // promises, a CERTIFY share, the COMMIT that lets it seal into view 1, the
@@ -184,14 +177,14 @@ func TestRecycledRequestRecordIsFresh(t *testing.T) {
 
 	// a goes into slot 0 and executes, so b's proposal lands in slot 1.
 	r.onRPC(200, clientFrame(a))
-	r.onDirect(1, echoFrame(a.Digest()))
-	r.onDirect(2, echoFrame(a.Digest()))
+	r.onDirect(1, appendEcho(nil, a.Digest()))
+	r.onDirect(2, appendEcho(nil, a.Digest()))
 	if rs := r.requests[a.Digest()]; rs == nil || !rs.proposed || rs.slot != 0 {
 		t.Fatalf("a not proposed in slot 0: %+v", rs)
 	}
 	r.decide(0, 0, a)
 
-	r.onDirect(1, echoFrame(b.Digest())) // an echo ahead of the client's copy
+	r.onDirect(1, appendEcho(nil, b.Digest())) // an echo ahead of the client's copy
 	note()
 	r.pruneBelow(0) // an unbacked echo set gets one window of grace
 	note()
@@ -200,7 +193,7 @@ func TestRecycledRequestRecordIsFresh(t *testing.T) {
 	if rs := r.requests[b.Digest()]; !rs.held || !rs.grace || !rs.echoTimer.Pending() {
 		t.Fatalf("b: client copy behind a grace echo set, EchoTimeout armed: %+v", rs)
 	}
-	r.onDirect(2, echoFrame(b.Digest()))
+	r.onDirect(2, appendEcho(nil, b.Digest()))
 	note()
 	rs := r.requests[b.Digest()]
 	if !rs.proposed || rs.slot != 1 || rs.echoes != 0 {

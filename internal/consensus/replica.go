@@ -472,7 +472,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 			func(_ uint64, m []byte) { r.onAuxMsg(p, m) })
 	}
 
-	deps.RT.Register(router.ChanDirect, r.onDirect)
+	deps.RT.RegisterFrame(router.ChanDirect, r.onDirect)
 	deps.RT.Register(router.ChanRPC, r.onRPC)
 	if cfg.ColdJoin {
 		r.startColdJoin()

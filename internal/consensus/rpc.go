@@ -341,14 +341,19 @@ func (r *Replica) serveRead(to ids.ID, num uint64, flags uint8, result, payload 
 	lane.push(readReply{to: to, frame: r.readReplyFrame(num, flags, result)}, r.cfg.App.ExecCost(payload)+latmodel.AppExecBase)
 }
 
-// sendEcho sends one digest echo to the leader through a pooled buffer
-// (router.Send copies the frame before returning).
+// echoLen is the length of an echo frame: channel tag, message tag, digest.
+const echoLen = 2 + xcrypto.DigestLen
+
+// appendEcho appends the echo of a request digest to buf as a whole frame,
+// channel tag first.
+func appendEcho(buf []byte, dg [xcrypto.DigestLen]byte) []byte {
+	return append(append(buf, router.ChanDirect, tagEcho), dg[:]...)
+}
+
+// sendEcho sends one digest echo to the leader, in a frame from the router's
+// free list that the leader releases once read (onDirect).
 func (r *Replica) sendEcho(dg [xcrypto.DigestLen]byte) {
-	w := wire.GetWriter(48)
-	w.U8(tagEcho)
-	w.Raw(dg[:])
-	r.rt.Send(r.cfg.leaderOf(r.view), router.ChanDirect, w.Finish())
-	wire.PutWriter(w)
+	r.rt.SendFrame(r.cfg.leaderOf(r.view), appendEcho(router.Frame(echoLen)[:0], dg))
 }
 
 // onEcho records a follower's echo at the leader.

@@ -267,8 +267,11 @@ func (r *Replica) reprocessPrepares() {
 }
 
 // onDirect dispatches direct messages (view-change shares, echoes, state
-// transfer).
-func (r *Replica) onDirect(from ids.ID, payload []byte) {
+// transfer), frame with its channel tag. An echo frame was sent to this host
+// alone (sendEcho) and is released once read; every other direct message is
+// a copy (router.Send) that its handler may keep views of.
+func (r *Replica) onDirect(from ids.ID, frame []byte) {
+	_, payload := router.Split(frame)
 	rd := wire.NewReader(payload)
 	tag := rd.U8()
 	switch tag {
@@ -284,6 +287,7 @@ func (r *Replica) onDirect(from ids.ID, payload []byte) {
 		r.onStateTransfer(from, tag, rd)
 	case tagEcho:
 		r.onEcho(from, rd)
+		router.Release(frame)
 	case tagJoinProbe:
 		r.onJoinProbe(from, rd)
 	case tagJoinAns:

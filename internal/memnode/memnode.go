@@ -33,12 +33,13 @@
 // first, encoded once. A client posts the same request frame to every memory
 // node and on every retransmission; the node takes a WRITE's data as a view of
 // it and writes a READ's region, torn-read model applied, straight into the
-// completion frame. Register frames are the one kind the stack recycles, as
-// an RDMA client reposts its registered buffers: a client reuses a request
-// frame (EncodeWrite, EncodeRead take the buffer) once every transmission of
-// it is answered, and a completion's one reader hands it back with Release
-// once done, to a free list every node of the process takes its completions
-// from. Between Send and its last delivery a frame is never written.
+// completion frame. Register frames are recycled as an RDMA client reposts
+// its registered buffers: a client reuses a request frame (EncodeWrite,
+// EncodeRead take the buffer) once every transmission of it is answered, and
+// a completion is taken from the router's free list (router.Frame), which
+// every node of the process shares, and handed back by its one reader
+// (router.Release) once done. Between Send and its last delivery a frame is
+// never written.
 package memnode
 
 import (
@@ -47,7 +48,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/latmodel"
@@ -389,51 +389,8 @@ func (n *Node) respond(to ids.ID, op uint8, seq uint64, status uint8) {
 	n.rt.SendFrame(to, frame)
 }
 
-// maxFreeCompletions bounds the completion free list: a process whose clients
-// release more completions than its nodes take (a client process over
-// sockets) keeps no more than this many.
-const maxFreeCompletions = 256
-
-// completions is the free list of released completion frames, by length. It
-// is shared by every node and client of the process, which may run on
-// different engine goroutines.
-var completions struct {
-	sync.Mutex
-	free  map[int][][]byte
-	count int
-}
-
-// Release hands back a completion frame, channel tag included, that its one
-// reader is done with: nothing may read it afterwards, as the next completion
-// of its length may be written into it.
-func Release(frame []byte) {
-	completions.Lock()
-	defer completions.Unlock()
-	if completions.count == maxFreeCompletions {
-		return // left to the garbage collector
-	}
-	if completions.free == nil {
-		completions.free = make(map[int][][]byte)
-	}
-	completions.free[len(frame)] = append(completions.free[len(frame)], frame)
-	completions.count++
-}
-
-// completionFrame returns a released completion frame of length n, or a
-// fresh one.
-func completionFrame(n int) []byte {
-	completions.Lock()
-	defer completions.Unlock()
-	fs := completions.free[n]
-	if len(fs) == 0 {
-		return make([]byte, n)
-	}
-	completions.free[n], completions.count = fs[:len(fs)-1], completions.count-1
-	return fs[len(fs)-1]
-}
-
 // completion encodes a completion frame, channel tag first, into a frame of
-// exact size from the free list, and returns it with the window at its end
+// exact size from the router's free list, and returns it with the window at its end
 // that holds a READ's size region bytes (size is 0 for a WRITE). The caller
 // writes every byte of that window.
 func completion(op uint8, seq uint64, status uint8, size int) (frame, data []byte) {
@@ -441,7 +398,7 @@ func completion(op uint8, seq uint64, status uint8, size int) (frame, data []byt
 	if op == opRead {
 		n += wire.BytesLen(size)
 	}
-	frame = append(completionFrame(n)[:0], router.ChanMemResp, op)
+	frame = append(router.Frame(n)[:0], router.ChanMemResp, op)
 	frame = binary.LittleEndian.AppendUint64(frame, seq)
 	frame = append(frame, status)
 	if op == opRead {
@@ -502,7 +459,8 @@ type Response struct {
 	Seq    uint64
 	Status uint8
 	// Data is a READ's region contents: a view of the completion frame,
-	// valid until the frame is released (Release) and never written through.
+	// valid until the frame is released (router.Release) and never written
+	// through.
 	Data []byte
 }
 

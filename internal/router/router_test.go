@@ -1,6 +1,7 @@
 package router
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/ids"
@@ -117,3 +118,75 @@ func TestIDAccessor(t *testing.T) {
 		t.Fatal("router IDs wrong")
 	}
 }
+
+// emptyFreeList forgets every released frame, so a test counts only its own.
+func emptyFreeList() {
+	free.Lock()
+	defer free.Unlock()
+	free.byLen, free.count = nil, 0
+}
+
+// TestFreeListReusesByLength: Frame hands back a released frame of the length
+// asked for, most recent first, and a fresh one for any other length.
+func TestFreeListReusesByLength(t *testing.T) {
+	emptyFreeList()
+	a, b := make([]byte, 13), make([]byte, 34)
+	Release(a)
+	Release(b)
+	if got := Frame(21); len(got) != 21 || sameArray(got, a) || sameArray(got, b) {
+		t.Fatal("a frame of another length was handed out")
+	}
+	if got := Frame(34); !sameArray(got, b) {
+		t.Fatal("the released 34-byte frame was not reused")
+	}
+	if got := Frame(13); !sameArray(got, a) {
+		t.Fatal("the released 13-byte frame was not reused")
+	}
+	if got := Frame(13); sameArray(got, a) || len(got) != 13 {
+		t.Fatal("a frame was handed out twice")
+	}
+}
+
+// TestFreeListBounded: a process that releases more frames than it takes
+// keeps maxFree of them, whatever their lengths, and the rest go to the
+// garbage collector.
+func TestFreeListBounded(t *testing.T) {
+	emptyFreeList()
+	released := map[*byte]bool{}
+	for i := range maxFree + 100 {
+		f := make([]byte, 13+i%2)
+		released[&f[0]] = true
+		Release(f)
+	}
+	reused := 0
+	for i := range maxFree + 100 {
+		if f := Frame(13 + i%2); released[&f[0]] {
+			reused++
+		}
+	}
+	if reused != maxFree {
+		t.Fatalf("%d released frames came back, want the bound %d", reused, maxFree)
+	}
+}
+
+// TestFreeListShared: nodes on different engine goroutines take frames from
+// the free list and release them into it concurrently; under the race
+// detector (make race) an unguarded list fails.
+func TestFreeListShared(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 500 {
+				f := Frame(16 + i%3)
+				f[0] = byte(g)
+				Release(f)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sameArray reports whether a and b start at the same byte in memory.
+func sameArray(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }

@@ -34,8 +34,8 @@
 // forgets its oldest entry when full (a frame sent to a crashed node is never
 // answered), and a forgotten frame is never reused. A READ's region is copied
 // out of each completion into the operation's own buffer, as the NIC DMAs it
-// into a posted one, and the completion goes back to the memory nodes' free
-// list (memnode.Release). The value a read returns is lent to its callback.
+// into a posted one, and the completion goes back to the process's free list
+// of frames (router.Release). The value a read returns is lent to its callback.
 package swmr
 
 import (
@@ -168,7 +168,7 @@ func (s *Store) onResponse(from ids.ID, frame []byte) {
 	if node < 0 {
 		return // not a memory node; ignore
 	}
-	defer memnode.Release(frame)
+	defer router.Release(frame)
 	_, payload := router.Split(frame)
 	resp, err := memnode.DecodeResponse(payload)
 	if err != nil {

@@ -44,6 +44,7 @@
 package tbcast
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -85,15 +86,20 @@ type AckHub struct {
 // NewAckHub installs the hub on the host's ack channel.
 func NewAckHub(rt *router.Router) *AckHub {
 	h := &AckHub{rt: rt}
-	rt.Register(router.ChanRingAck, h.onAck)
+	rt.RegisterFrame(router.ChanRingAck, h.onAck)
 	return h
 }
 
-// AppendAck encodes a listener's cumulative acknowledgement of channel inst,
-// channel tag excluded: it has read every message below upTo.
-func AppendAck(w *wire.Writer, inst Instance, upTo uint64) {
-	w.U32(uint32(inst))
-	w.U64(upTo)
+// ackLen is the length of an ack frame: channel tag, instance, upTo.
+const ackLen = 1 + 4 + 8
+
+// AppendAck appends a listener's cumulative acknowledgement of channel inst
+// to buf as a whole frame, channel tag first: it has read every message
+// below upTo.
+func AppendAck(buf []byte, inst Instance, upTo uint64) []byte {
+	buf = append(buf, router.ChanRingAck)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(inst))
+	return binary.LittleEndian.AppendUint64(buf, upTo)
 }
 
 // ParseAck decodes an acknowledgement, channel tag stripped.
@@ -103,8 +109,12 @@ func ParseAck(payload []byte) (inst Instance, upTo uint64, ok bool) {
 	return inst, upTo, r.Done() == nil
 }
 
-func (h *AckHub) onAck(from ids.ID, payload []byte) {
+// onAck reads one ack frame, channel tag included, and releases it: its
+// listener sent it to this host alone (Listener.ack).
+func (h *AckHub) onAck(from ids.ID, frame []byte) {
+	_, payload := router.Split(frame)
 	inst, upTo, ok := ParseAck(payload)
+	router.Release(frame)
 	if !ok {
 		return
 	}
@@ -450,13 +460,12 @@ func (l *Listener) delivered() {
 	}
 }
 
-// ack sends one cumulative acknowledgement of everything the ring has read.
+// ack sends one cumulative acknowledgement of everything the ring has read,
+// in a frame from the router's free list that the broadcaster's hub releases.
 func (l *Listener) ack() {
 	l.timer.Cancel()
 	l.acked = l.recv.Next()
-	w := wire.GetWriter(16)
-	AppendAck(w, l.inst, l.acked)
+	frame := AppendAck(router.Frame(ackLen)[:0], l.inst, l.acked)
 	l.proc.Charge(latmodel.DispatchCost)
-	l.rt.Send(l.broadcaster, router.ChanRingAck, w.Finish())
-	wire.PutWriter(w)
+	l.rt.SendFrame(l.broadcaster, frame)
 }
