@@ -55,8 +55,10 @@ race:
 
 # The bounded-memory regression gate: the replica's table cardinalities
 # (Footprint) must stay flat across checkpoint intervals (uBFT's
-# finite-memory claim), the per-client records must age out churned clients,
-# the MVCC version chains must stay flat as the GC horizon ratchets with
+# finite-memory claim), the per-client records must age out churned clients
+# but keep a client whose request is parked behind a transaction lock, with
+# its deferred response target, across a window of idleness (a target whose
+# ticket is no longer parked ages out one window past its slot), the MVCC version chains must stay flat as the GC horizon ratchets with
 # checkpoints, the per-view view-change records must not outlive their view,
 # the share collectors must hold one share per signer whatever a Byzantine
 # signer's key signs, the read core's reply backlog must stop at its cap
@@ -72,12 +74,13 @@ race:
 # reservation exactly on the slow path. A deployment's constructors leave a
 # budgeted number of heap objects: nothing made per register or per key. A
 # register client's draining set of request frames stays at its bound with a
-# memory node crashed, forgetting its oldest entries. The process's free list
-# of released frames (completions, ring acks, echoes) keeps at most its bound
+# memory node crashed, forgetting its oldest entries, and none of its frames
+# goes back to the free list. The process's free list of released frames
+# (completions, ring acks, echoes, answered register requests) keeps at most its bound
 # whatever is released into it. A consensus client making one call at a time
 # keeps one call record.
 bounded-mem:
-	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
+	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
 	$(GO) test -run 'TestFreeListBounded' ./internal/router/

@@ -46,9 +46,10 @@ import (
 // endpoint payload including the router channel tag; returned frames must
 // be fresh slices or the unmodified input, never a mutated alias. A
 // completion, a ring ack or an echo has one reader, which releases it to the
-// process's free list once read (router.Release): a policy must not keep
-// such a frame past the call or return it twice, since by the second
-// delivery its next use may have overwritten it.
+// process's free list once read, and a register request is released by its
+// client once every transmission of it is answered (router.Release): a
+// policy must not keep such a frame past the call or return it twice, since
+// by the second delivery its next use may have overwritten it.
 type Policy interface {
 	Outbound(to ids.ID, frame []byte) [][]byte
 }

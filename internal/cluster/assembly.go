@@ -220,13 +220,11 @@ func (a *Assembly) config(g int, self ids.ID, sm app.StateMachine) consensus.Con
 	cfg := consensus.Config{
 		Self:              self,
 		Replicas:          a.Layout.Groups[g],
-		F:                 o.F,
 		MemNodes:          a.Layout.MemNodes,
 		Fm:                o.Fm,
 		Window:            o.Window,
 		Tail:              o.Tail,
 		MsgCap:            o.MsgCap,
-		FastPath:          !o.DisableFastPath,
 		SlowPathDelay:     o.SlowPathDelay,
 		CTBMode:           o.CTBMode,
 		ViewChangeTimeout: o.ViewChangeTimeout,

@@ -44,8 +44,9 @@ type Options struct {
 	Tail   int // CTBcast tail t (paper default 128)
 	MsgCap int // max request size (default 8 KiB)
 
-	// FastPath enables uBFT's fast path (default on via
-	// DisableFastPath=false).
+	// DisableFastPath turns uBFT's fast path off: fill sets CTBMode to
+	// SlowOnly, under which every slot and every broadcast takes the
+	// signed slow path.
 	DisableFastPath   bool
 	CTBMode           ctbcast.PathMode
 	SlowPathDelay     sim.Duration // fast-to-slow fallback, per consensus slot and per CTBcast identifier; 0 takes 1ms
@@ -95,6 +96,9 @@ func (o *Options) fill() {
 	}
 	if o.ViewChangeTimeout == 0 {
 		o.ViewChangeTimeout = 2 * sim.Millisecond
+	}
+	if o.DisableFastPath {
+		o.CTBMode = ctbcast.SlowOnly
 	}
 	if o.NewApp == nil {
 		o.NewApp = func() app.StateMachine { return app.NewFlip() }

@@ -9,10 +9,10 @@ package cluster_test
 // a view, a handler editing a delivered message, a mirror slot or a register
 // client reusing its buffer before every transmission is answered — would
 // change what some receiver reads. Register frames, ring acks and echoes alone
-// are reused after that: a register client reuses its request frame (package
-// memnode), and a completion, a ring ack or an echo goes back to the router's
-// free list once its one reader is done with it. Every other payload never
-// changes at all.
+// go back to the router's free list after that and are reused: a register
+// client releases its request frame once every transmission is answered
+// (package swmr), and a completion, a ring ack or an echo is released once its
+// one reader is done with it. Every other payload never changes at all.
 
 import (
 	"fmt"

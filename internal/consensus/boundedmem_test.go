@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/cluster"
+	"repro/internal/consensus"
 	"repro/internal/ctbcast"
 	"repro/internal/sim"
 )
@@ -124,6 +125,74 @@ func TestClientExecStateAged(t *testing.T) {
 		}
 		if fp.Deferred != 0 {
 			t.Errorf("replica %d: %d deferred responses with no wait-queue traffic", i, fp.Deferred)
+		}
+	}
+}
+
+// TestParkedClientOutlivesIdleWindow: a client whose write parked behind a
+// transaction lock is the one client guaranteed to be owed an answer, so the
+// client-table aging must not drop it. A prepare locks a key and stays
+// unresolved while another client's write to that key parks and traffic on
+// other keys drives the stable checkpoint more than a window past the parked
+// slot; the parked client's record and deferred target survive, and the
+// commit answers it with the parked marker and empties the deferred table.
+func TestParkedClientOutlivesIdleWindow(t *testing.T) {
+	const window = 8
+	u := cluster.NewUBFT(cluster.Options{
+		Seed:       4,
+		Window:     window,
+		Tail:       window,
+		NumClients: 3,
+		NewApp:     func() app.StateMachine { return app.NewRKV() },
+	})
+	defer u.Stop()
+	const prep, parker, other = 0, 1, 2
+	key := []byte("locked")
+	res, _, err := u.InvokeSyncErr(prep, app.EncodeTxnPrepare(1, 0, app.EncodeRMSet(app.Pair{Key: key, Val: []byte("t")})), 50*sim.Millisecond)
+	if err != nil || len(res) != 1 || res[0] != app.StatusOK {
+		t.Fatalf("prepare: res=%v err=%v", res, err)
+	}
+	var parked *consensus.Outcome
+	u.Clients[parker].CallAt(0, app.EncodeRSet(key, []byte("w")), consensus.Mode{}, func(o consensus.Outcome) { parked = &o })
+	u.Eng.RunFor(sim.Millisecond)
+	_, parkedAt, _, _ := u.Replicas[0].Progress()
+	if parked != nil {
+		t.Fatalf("the write to a locked key was answered: %+v", *parked)
+	}
+	for i := 0; ; i++ {
+		_, _, chkpt, _ := u.Replicas[0].Progress()
+		if chkpt > parkedAt+2*window {
+			break
+		}
+		k := []byte(fmt.Sprintf("k%03d", i))
+		if res, _, err := u.InvokeSyncErr(other, app.EncodeRSet(k, []byte("v")), 50*sim.Millisecond); err != nil || len(res) != 1 || res[0] != app.ROK {
+			t.Fatalf("write %d: res=%v err=%v", i, res, err)
+		}
+	}
+	u.Eng.RunFor(10 * sim.Millisecond) // let every replica's checkpoint settle
+	for i, r := range u.Replicas {
+		// The preparing client idled past the window and is gone; the parked
+		// one stays with the active one.
+		if fp := r.Footprint(); fp.Deferred != 1 || fp.Clients != 2 {
+			t.Errorf("replica %d before the commit: %d deferred targets and %d client records, want 1 and 2", i, fp.Deferred, fp.Clients)
+		}
+	}
+	if parked != nil {
+		t.Fatalf("the parked write was answered before the commit: %+v", *parked)
+	}
+	if res, _, err := u.InvokeSyncErr(prep, app.EncodeTxnCommit(1), 50*sim.Millisecond); err != nil || len(res) != 1 || res[0] != app.StatusOK {
+		t.Fatalf("commit: res=%v err=%v", res, err)
+	}
+	u.Eng.RunFor(sim.Millisecond)
+	switch {
+	case parked == nil:
+		t.Fatal("the parked write was never answered")
+	case !parked.Crossed || len(parked.Result) != 1 || parked.Result[0] != app.ROK:
+		t.Fatalf("parked write answered %+v, want ROK with the parked marker", *parked)
+	}
+	for i, r := range u.Replicas {
+		if fp := r.Footprint(); fp.Deferred != 0 {
+			t.Errorf("replica %d: %d deferred targets after the release", i, fp.Deferred)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/latmodel"
 	"repro/internal/memnode"
+	"repro/internal/msgring"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -49,9 +50,9 @@ func newAppRig[A app.StateMachine](t testing.TB, newApp func() A) *wbRig {
 	rig.reg = xcrypto.NewRegistry(2, repIDs)
 	cfg := func(self ids.ID) Config {
 		return Config{
-			Self: self, Replicas: repIDs, F: 1, MemNodes: memIDs, Fm: 1,
+			Self: self, Replicas: repIDs, MemNodes: memIDs, Fm: 1,
 			Window: 32, Tail: 16, MsgCap: 1024,
-			FastPath: true, SlowPathDelay: sim.Millisecond, ViewChangeTimeout: 2 * sim.Millisecond,
+			SlowPathDelay: sim.Millisecond, ViewChangeTimeout: 2 * sim.Millisecond,
 			App: newApp(),
 		}
 	}
@@ -712,5 +713,76 @@ func TestExecWindow(t *testing.T) {
 	e = e.executedAt(e.num+execWindow+1, 11, nil, false)
 	if e.below != 0 {
 		t.Fatalf("jump past the window kept bits %b", e.below)
+	}
+}
+
+// TestLeaderElectCertifiesBeforeSealing: the leader of view 1 collects f+1
+// certified replica states before it has sealed view 1 itself. It joins the
+// view then (onCertifyVC), starts it when its seal lands (maybeSeal), and
+// sends one NEW_VIEW; a state certified after that opens nothing again.
+func TestLeaderElectCertifiesBeforeSealing(t *testing.T) {
+	rig := newMsgFuzzRig(t)
+	defer rig.stop()
+	leader := rig.reps[1]
+	newViews := map[uint64]bool{} // CTBcast identifiers of the NEW_VIEWs replica 0 is sent
+	rig.net.SetRule(func(from, to ids.ID, frame []byte) (simnet.Fate, sim.Duration) {
+		if ch, payload := router.Split(frame); from == 1 && to == 0 && ch == router.ChanRing {
+			if f, ok := msgring.ParseFrame(payload); ok {
+				if owner, kind := RingOf(3, f.Inst); owner == 1 && kind != RingAux {
+					if m, ok := ctbcast.ParseMsg(f.Msg); ok && len(m.M) > 0 && m.M[0] == tagNewView {
+						newViews[m.K] = true
+					}
+				}
+			}
+		}
+		return simnet.Deliver, 0
+	})
+	certify := func(about ids.ID) {
+		cs := CertifiedState{View: 1, Checkpoint: leader.chkpt}
+		state := encodeCertifiedState(&cs)
+		for _, signer := range []ids.ID{0, 2} {
+			sig := rig.sigs(vcSharePayload(1, about, state), signer)[signer]
+			leader.onCertifyVC(signer, 1, about, state, sig)
+		}
+	}
+	certify(0)
+	if leader.view != 0 || leader.isSealing() {
+		t.Fatalf("one certified state moved the leader-elect: view %d, sealing %v", leader.view, leader.isSealing())
+	}
+	certify(2)
+	if rec := leader.views[1]; leader.view != 1 || rec == nil || !rec.opened || rec.pending != nil {
+		t.Fatalf("after f+1 certified states: view %d, record %+v; want view 1 opened", leader.view, rec)
+	}
+	certify(1)
+	rig.eng.RunFor(sim.Millisecond)
+	if len(newViews) != 1 {
+		t.Errorf("%d NEW_VIEWs sent to replica 0, want 1", len(newViews))
+	}
+	if st := rig.reps[0].state[1]; !st.planned || st.planView != 1 {
+		t.Errorf("replica 0 holds no plan of view 1 from its leader (planned %v, view %d)", st.planned, st.planView)
+	}
+}
+
+// TestRejoinedLeaderProposesNothingInItsResumeView: a replica that resumed
+// after a cold rejoin never leads the view it resumed in (noLeadView), even
+// when that view is its own: a request queued there sends no PREPARE, where
+// the same request at a replica that did not rejoin does.
+func TestRejoinedLeaderProposesNothingInItsResumeView(t *testing.T) {
+	for _, rejoined := range []bool{false, true} {
+		rig := newWBRig(t)
+		leader := rig.reps[0]
+		if rejoined {
+			leader.noLeadView, leader.noLeadSet = leader.view, true
+		}
+		leader.enqueueProposal(Request{Client: 200, Num: 1, Payload: []byte("x")})
+		rig.eng.RunFor(sim.Millisecond)
+		prepared := len(rig.reps[1].state[0].prepares)
+		rig.stop()
+		switch {
+		case rejoined && prepared != 0:
+			t.Errorf("a rejoined leader sent %d PREPAREs in its resume view", prepared)
+		case !rejoined && prepared != 1:
+			t.Fatalf("a leader that did not rejoin sent %d PREPAREs, want 1", prepared)
+		}
 	}
 }

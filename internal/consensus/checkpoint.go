@@ -87,7 +87,7 @@ func (r *Replica) offerCheckpointShare(p ids.ID, seq Slot, dg [xcrypto.DigestLen
 	if c.mine && c.digest != dg {
 		return // conflicting digest: some replica diverged; ignore its share
 	}
-	if c.shares.Offer(p, dg, sig, r.cfg.F+1, relayed) {
+	if c.shares.Offer(p, dg, sig, r.cfg.f()+1, relayed) {
 		r.verifyCheckpointShare(p, seq, dg, sig)
 	}
 }
@@ -111,8 +111,8 @@ func (r *Replica) verifyCheckpointShare(p ids.ID, seq Slot, dg [xcrypto.DigestLe
 // longer form.
 func (r *Replica) tallyCheckpoint(seq Slot, dg [xcrypto.DigestLen]byte, n int) {
 	c := r.cps[seq]
-	if n < r.cfg.F+1 {
-		for q, qdg, sig, ok := c.shares.Next(r.cfg.F + 1); ok; q, qdg, sig, ok = c.shares.Next(r.cfg.F + 1) {
+	if n < r.cfg.f()+1 {
+		for q, qdg, sig, ok := c.shares.Next(r.cfg.f() + 1); ok; q, qdg, sig, ok = c.shares.Next(r.cfg.f() + 1) {
 			r.verifyCheckpointShare(q, seq, qdg, sig)
 		}
 		r.releaseCheckpointWaits()
@@ -151,7 +151,7 @@ func (r *Replica) awaitCheckpointCert(st *replicaState, cp *Checkpoint) bool {
 func (r *Replica) certPending(cp *Checkpoint) bool {
 	c := r.cps[cp.Seq]
 	return cp.Seq > r.chkpt.Seq && c != nil && !(c.verified && c.verifiedDg == cp.StateDigest) &&
-		c.shares.Reachable(cp.StateDigest, r.cfg.F+1)
+		c.shares.Reachable(cp.StateDigest, r.cfg.f()+1)
 }
 
 // releaseCheckpointWaits resumes, in replica order, every channel whose
@@ -191,7 +191,7 @@ func (r *Replica) verifyCheckpointCert(cp *Checkpoint) bool {
 			valid++
 		}
 	}
-	if valid < r.cfg.F+1 {
+	if valid < r.cfg.f()+1 {
 		return false
 	}
 	c = r.cps.at(cp.Seq)

@@ -62,9 +62,9 @@ func TestSharedMemoryNodes(t *testing.T) {
 		reg := xcrypto.NewRegistry(int64(replicaBase), append(append([]ids.ID{}, repIDs...), ids.ID(clientID)))
 		cfg := func(self ids.ID, a app.StateMachine) consensus.Config {
 			return consensus.Config{
-				Self: self, Replicas: repIDs, F: 1, MemNodes: memIDs, Fm: 1,
+				Self: self, Replicas: repIDs, MemNodes: memIDs, Fm: 1,
 				Window: 16, Tail: 8, MsgCap: 512,
-				FastPath: true, SlowPathDelay: sim.Millisecond, ViewChangeTimeout: 2 * sim.Millisecond,
+				SlowPathDelay: sim.Millisecond, ViewChangeTimeout: 2 * sim.Millisecond,
 				RegionOffset: offset,
 				App:          a,
 			}

@@ -168,7 +168,7 @@ func (r *Replica) onJoinAns(from ids.ID, rd *wire.Reader) {
 			matching++
 		}
 	}
-	if matching < r.cfg.F+1 {
+	if matching < r.cfg.f()+1 {
 		return
 	}
 	for _, p := range sortedKeys(r.joinAnswers) {

@@ -29,8 +29,7 @@ import (
 // everything except Self.
 type Config struct {
 	Self     ids.ID
-	Replicas []ids.ID // 2F+1, in globally agreed order
-	F        int
+	Replicas []ids.ID // 2f+1, in globally agreed order: f is (len-1)/2
 	MemNodes []ids.ID // 2Fm+1 memory nodes
 	Fm       int
 
@@ -42,15 +41,14 @@ type Config struct {
 	// MsgCap bounds request size.
 	MsgCap int
 
-	// FastPath enables the WillCertify/WillCommit fast path; when false
-	// every slot runs the signed slow path (Certify/Commit).
-	FastPath bool
 	// SlowPathDelay is the per-slot fallback timeout from Prepare delivery
 	// to engaging the slow path, and the CTBcast groups' fallback timeout
-	// from LOCK to SIGNED (FastWithFallback). Must be positive with
-	// FastPath or FastWithFallback (cluster.Options turns 0 into 1ms).
+	// from LOCK to SIGNED (FastWithFallback). Must be positive unless
+	// CTBMode is SlowOnly (cluster.Options turns 0 into 1ms).
 	SlowPathDelay sim.Duration
-	// CTBMode configures the underlying CTBcast groups.
+	// CTBMode configures the underlying CTBcast groups. Unless it is
+	// SlowOnly, slots also run the WillCertify/WillCommit fast path; with
+	// it every slot runs the signed slow path (Certify/Commit).
 	CTBMode ctbcast.PathMode
 	// ViewChangeTimeout is the leader-suspicion timeout (§5.3), doubled per
 	// view change that does not restore progress. Must be positive: every
@@ -77,6 +75,12 @@ type Config struct {
 }
 
 func (c *Config) n() int { return len(c.Replicas) }
+
+// f is the number of Byzantine replicas the group tolerates.
+func (c *Config) f() int { return (len(c.Replicas) - 1) / 2 }
+
+// fastPath reports whether slots run the WillCertify/WillCommit fast path.
+func (c *Config) fastPath() bool { return c.CTBMode != ctbcast.SlowOnly }
 
 // groupMsgCap is the per-message byte cap of the consensus CTBcast
 // channels: the client-request cap plus room for consensus framing and
@@ -371,16 +375,16 @@ type Defenses struct {
 
 // NewReplica wires a replica onto its host router.
 func NewReplica(cfg Config, deps Deps) *Replica {
-	if len(cfg.Replicas) != 2*cfg.F+1 {
-		panic(fmt.Sprintf("consensus: need 2f+1=%d replicas, got %d", 2*cfg.F+1, len(cfg.Replicas)))
+	if len(cfg.Replicas)%2 == 0 {
+		panic(fmt.Sprintf("consensus: need 2f+1 replicas, got %d", len(cfg.Replicas)))
 	}
 	if len(cfg.Replicas) > 64 {
 		// Fast-path vote sets are uint64 bitmasks indexed by replica
 		// position; fail loudly rather than silently dropping votes.
 		panic(fmt.Sprintf("consensus: vote bitmasks support at most 64 replicas, got %d", len(cfg.Replicas)))
 	}
-	if cfg.Window <= 0 || cfg.Tail <= 0 || cfg.ViewChangeTimeout <= 0 || cfg.FastPath && cfg.SlowPathDelay <= 0 {
-		panic("consensus: Window, Tail, ViewChangeTimeout and (with FastPath) SlowPathDelay must be positive")
+	if cfg.Window <= 0 || cfg.Tail <= 0 || cfg.ViewChangeTimeout <= 0 || cfg.fastPath() && cfg.SlowPathDelay <= 0 {
+		panic("consensus: Window, Tail, ViewChangeTimeout and (unless SlowOnly) SlowPathDelay must be positive")
 	}
 	r := &Replica{
 		cfg:           cfg,
@@ -397,7 +401,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		views:         make(table[View, viewRec]),
 		joinAnswers:   make(map[ids.ID]joinAnswer),
 		peerJoinNonce: make(map[ids.ID]uint64),
-		fastPathLive:  cfg.FastPath,
+		fastPathLive:  cfg.fastPath(),
 		noEchoWait:    deps.Defenses.NoEchoWait,
 		onDecided:     deps.Decided,
 		onExecuted:    deps.Executed,
@@ -437,7 +441,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 			Self:          cfg.Self,
 			Broadcaster:   p,
 			Procs:         cfg.Replicas,
-			F:             cfg.F,
+			F:             cfg.f(),
 			Tail:          cfg.Tail,
 			MsgCap:        cfg.groupMsgCap(),
 			SummaryCap:    cfg.SummaryCap(),
@@ -826,7 +830,7 @@ func (r *Replica) endorse(pr Prepare) {
 		// equivocation). It still decides passively via others' certs.
 		return
 	}
-	if r.cfg.FastPath {
+	if r.cfg.fastPath() {
 		// Fast path: WILL_CERTIFY promise (line 21).
 		if sv := ss.in(pr.View); sv.sent&sentWillCertify == 0 {
 			sv.sent |= sentWillCertify
@@ -1043,7 +1047,7 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 	if !sv.shares.Admits(p, dg) || (p != r.cfg.Self && !r.verifyCertify(p, v, s, dg, sig)) {
 		return
 	}
-	if sv.shares.Add(p, dg, sig) < r.cfg.F+1 || sv.sent&sentCommit != 0 || r.observing() {
+	if sv.shares.Add(p, dg, sig) < r.cfg.f()+1 || sv.sent&sentCommit != 0 || r.observing() {
 		return // observing: collect shares but broadcast no COMMIT
 	}
 	pr, ok := r.state[r.cfg.leaderOf(v)].prepares[s]
@@ -1083,7 +1087,7 @@ func (r *Replica) onCommit(st *replicaState, c CommitCert) {
 			matching++
 		}
 	}
-	if matching >= r.cfg.F+1 {
+	if matching >= r.cfg.f()+1 {
 		r.SlowDecides++
 		r.decide(c.Slot, c.View, c.Req)
 	}

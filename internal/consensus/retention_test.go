@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/ids"
 	"repro/internal/latmodel"
 	"repro/internal/sim"
@@ -206,5 +207,39 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	}
 	if got := r.proc.BusyUntil() - busy; got != oneVerify {
 		t.Fatalf("8 states by one signer charged %v, want one verification (%v)", got, oneVerify)
+	}
+}
+
+// TestStaleDeferredTargetAgesOut: a deferred response target whose ticket is
+// no longer parked (a state transfer replaced the app's wait queue) ages out
+// one window past its slot, while one whose ticket is still parked is kept
+// however old it is.
+func TestStaleDeferredTargetAgesOut(t *testing.T) {
+	rig := newAppRig(t, app.NewRKV)
+	defer rig.stop()
+	r := rig.reps[0]
+	sm := r.cfg.App.(*app.RKV)
+	key := []byte("locked")
+	if res := sm.Apply(app.EncodeTxnPrepare(1, 0, app.EncodeRMSet(app.Pair{Key: key, Val: []byte("t")}))); len(res) != 1 || res[0] != app.StatusOK {
+		t.Fatalf("prepare: %v", res)
+	}
+	if res := sm.Apply(app.EncodeRSet(key, []byte("w"))); res != nil {
+		t.Fatalf("a write to a locked key returned %v, want parked", res)
+	}
+	live := sm.TakeParkedTicket()
+	const stale, at = 1 << 40, Slot(3)
+	r.deferredResp[live] = deferredTarget{client: 200, num: 1, slot: at}
+	r.deferredResp[stale] = deferredTarget{client: 201, num: 1, slot: at}
+	horizon := at + Slot(r.cfg.Window)
+	r.pruneBelow(horizon)
+	if _, ok := r.deferredResp[stale]; !ok {
+		t.Fatal("a stale target was dropped at one window past its slot, not beyond")
+	}
+	r.pruneBelow(horizon + 1)
+	if _, ok := r.deferredResp[stale]; ok {
+		t.Error("a stale target outlived one window past its slot")
+	}
+	if _, ok := r.deferredResp[live]; !ok {
+		t.Error("a still-parked target aged out")
 	}
 }

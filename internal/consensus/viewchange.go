@@ -247,7 +247,7 @@ func (r *Replica) quorumSealed(v View) bool {
 			sealers++
 		}
 	}
-	return sealers >= r.cfg.F+1
+	return sealers >= r.cfg.f()+1
 }
 
 // reprocessPrepares re-endorses prepares of the current view that arrived
@@ -321,7 +321,7 @@ func (r *Replica) onCertifyVC(from ids.ID, v View, about ids.ID, stateBytes []by
 	// one share per signer out of 2f+1, at most one state gets there. It is
 	// decoded here, once (a state that does not decode certifies nothing: no
 	// correct replica signs one).
-	if vc.shares.Add(from, state, sig) >= r.cfg.F+1 && !vc.certified {
+	if vc.shares.Add(from, state, sig) >= r.cfg.f()+1 && !vc.certified {
 		var err error
 		vc.cert, err = newReplicaCert(about, stateBytes, xcrypto.Cert{})
 		vc.certified = err == nil
@@ -337,7 +337,7 @@ func (r *Replica) onCertifyVC(from ids.ID, v View, about ids.ID, stateBytes []by
 			certified = append(certified, cert)
 		}
 	}
-	if len(certified) < r.cfg.F+1 {
+	if len(certified) < r.cfg.f()+1 {
 		return
 	}
 	rec.pending = certified
@@ -399,7 +399,7 @@ func (r *Replica) adoptNewView(st *replicaState, nv *NewViewMsg) {
 // startView is the new leader's half of lines 15-19. The caller guarantees
 // r.view == v and that SEAL_VIEW(v) was broadcast before.
 func (r *Replica) startView(v View, rec *viewRec) {
-	nv := NewViewMsg{View: v, Certs: rec.pending[:r.cfg.F+1]}
+	nv := NewViewMsg{View: v, Certs: rec.pending[:r.cfg.f()+1]}
 	rec.pending, rec.opened = nil, true
 	nv.plan = planOf(nv.Certs)
 	r.broadcastNewView(nv)
@@ -512,7 +512,7 @@ func (r *Replica) validCommit(st *replicaState, c *CommitCert) bool {
 			valid++
 		}
 	}
-	return valid >= r.cfg.F+1
+	return valid >= r.cfg.f()+1
 }
 
 // opensView reports whether a NEW_VIEW of view v, whole or as a fragment
@@ -537,11 +537,11 @@ func (r *Replica) readNewView(p ids.ID, st *replicaState, rd *wire.Reader) (NewV
 			return nv, false
 		}
 		seen[c.About] = true
-		if !r.signer.Valid(r.proc, r.cfg.Replicas, vcSharePayload(nv.View, c.About, c.StateBytes), c.Sigs, r.cfg.F+1) {
+		if !r.signer.Valid(r.proc, r.cfg.Replicas, vcSharePayload(nv.View, c.About, c.StateBytes), c.Sigs, r.cfg.f()+1) {
 			return nv, false
 		}
 	}
-	if len(nv.Certs) < r.cfg.F+1 {
+	if len(nv.Certs) < r.cfg.f()+1 {
 		return nv, false
 	}
 	nv.plan = planOf(nv.Certs)
@@ -593,7 +593,7 @@ func (r *Replica) onNewViewFrag(p ids.ID, st *replicaState, fr nvFrag) bool {
 // bigger than the channel summary cap plus f+1 signatures and framing.
 // Anything advertising more chunks than that is Byzantine.
 func (r *Replica) maxNewViewFrags() int {
-	maxBytes := (r.cfg.F+1)*(r.cfg.SummaryCap()+(r.cfg.F+1)*(xcrypto.SigLen+16)+64) + 64
+	maxBytes := (r.cfg.f()+1)*(r.cfg.SummaryCap()+(r.cfg.f()+1)*(xcrypto.SigLen+16)+64) + 64
 	chunk := r.cfg.groupMsgCap() - nvFragOverhead
 	return (maxBytes+chunk-1)/chunk + 1
 }

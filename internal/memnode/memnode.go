@@ -31,15 +31,15 @@
 // As an RDMA NIC posts one buffer to every memory node and DMAs a completion
 // without copying it, a request or a completion is one frame, channel tag
 // first, encoded once. A client posts the same request frame to every memory
-// node and on every retransmission; the node takes a WRITE's data as a view of
-// it and writes a READ's region, torn-read model applied, straight into the
-// completion frame. Register frames are recycled as an RDMA client reposts
-// its registered buffers: a client reuses a request frame (EncodeWrite,
-// EncodeRead take the buffer) once every transmission of it is answered, and
-// a completion is taken from the router's free list (router.Frame), which
-// every node of the process shares, and handed back by its one reader
-// (router.Release) once done. Between Send and its last delivery a frame is
-// never written.
+// node and on every retransmission; the node copies a WRITE's data out of it
+// before its handler returns and writes a READ's region, torn-read model
+// applied, straight into the completion frame. Register frames are recycled
+// as an RDMA client reposts its registered buffers, through the router's free
+// list (router.Frame), which every node of the process shares: a client
+// encodes a request into a frame from it (EncodeWrite, EncodeRead take the
+// buffer) and releases it (router.Release) once every transmission of it is
+// answered, and a completion is handed back by its one reader once done.
+// Between Send and its last delivery a frame is never written.
 package memnode
 
 import (

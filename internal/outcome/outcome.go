@@ -150,7 +150,8 @@ type T interface {
 
 // Check compares got with the named section of docs/ledger/outcomes.txt.
 // If any line got worse it fails, naming each (scenario, seed) with both
-// verdicts, and leaves the file untouched. Otherwise it logs and writes
+// verdicts, logs every other change as not written, and leaves the file
+// untouched. Otherwise it logs and writes
 // every change: a better verdict, a changed note, a line the file did not
 // hold. Lines of the section that got does not name (a -short run's) stay
 // as they are.
@@ -229,6 +230,9 @@ func update(t T, file, section string, got []Line, ratchet bool) {
 		changed = append(changed, msg)
 	}
 	if len(worse) > 0 {
+		for _, c := range changed {
+			t.Logf("outcome: not written: %s", c)
+		}
 		for _, w := range worse {
 			t.Errorf("outcome got worse: %s", w)
 		}

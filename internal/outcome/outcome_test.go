@@ -80,6 +80,33 @@ func TestWorseLineFails(t *testing.T) {
 	}
 }
 
+// TestRefusedRunShowsBothSides: a run that makes one line worse and another
+// better fails on the first and still logs the second, and a changed note,
+// as not written, so the outcome diff of a refused change shows what it
+// fixed as well as what it broke.
+func TestRefusedRunShowsBothSides(t *testing.T) {
+	r, after := run(t, sample, "consensus", []Line{
+		line("rejoin", 2, Pass, ""),
+		line("soak", 22, Diverged, "agreement oracle: slot 23"),
+		line("soak", 23, Diverged, "agreement oracle: slot 9"),
+	}, true)
+	if len(r.errs) == 0 || after != sample {
+		t.Fatalf("errors %v, file:\n%s", r.errs, after)
+	}
+	logs := strings.Join(r.logs, "\n")
+	for _, want := range []string{
+		`not written: [consensus] rejoin seed 2: committed "wedged: post-GST op 0 failed", now "pass"`,
+		`not written: [consensus] soak seed 22: committed "diverged: agreement oracle: slot 22", now "diverged: agreement oracle: slot 23"`,
+	} {
+		if !strings.Contains(logs, want) {
+			t.Errorf("logs lack %q:\n%s", want, logs)
+		}
+	}
+	if strings.Contains(logs, "soak seed 23") {
+		t.Errorf("the worse line was logged as a change:\n%s", logs)
+	}
+}
+
 // TestImprovementRewritesItsSection: a better verdict and a changed note are
 // written, and logged; every other line and section stays as it was.
 func TestImprovementRewritesItsSection(t *testing.T) {

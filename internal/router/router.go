@@ -4,8 +4,11 @@
 // message carries a one-byte channel tag; components register a handler per
 // channel. This mirrors how the paper's prototype multiplexes queue pairs
 // and completion queues on one RDMA NIC. As that prototype reposts its
-// registered buffers, the process keeps one free list of the frames that
-// have one reader (Frame, Release).
+// registered buffers, the process keeps one free list of frames (Frame,
+// Release), and a frame comes back to it in one of two ways: a completion, a
+// ring ack or an echo is released by its one receiver once its handler has
+// read it, and a register request by its sender once every transmission of
+// it has been answered.
 package router
 
 import (
@@ -87,9 +90,9 @@ func (r *Router) Send(to ids.ID, ch uint8, payload []byte) {
 // out again later (the message ring's and the register client's fan-out and
 // retransmission), and every receiver reads those very bytes, so it is not
 // written while a transmission of it is undelivered. A frame taken from Frame
-// (a completion, a ring ack, an echo) is sent once, to one host, whose one
-// reader Releases it; a register request is reused by its client once every
-// transmission of it is answered (package memnode). Every other frame is
+// is a completion, a ring ack or an echo, sent once, to one host, whose one
+// reader Releases it, or a register request, which its client Releases once
+// every transmission of it is answered (package swmr). Every other frame is
 // never written again.
 func (r *Router) SendFrame(to ids.ID, frame []byte) { r.node.Send(to, frame) }
 
@@ -108,7 +111,9 @@ var free struct {
 
 // Frame returns a released frame of length n, or a fresh one. Its bytes are
 // whatever its last use left: the caller writes every one of them before it
-// sends the frame with SendFrame, once, to one host.
+// sends the frame with SendFrame: once, to one host (a completion, a ring
+// ack, an echo), or to every memory node and on every retransmission (a
+// register request).
 func Frame(n int) []byte {
 	free.Lock()
 	defer free.Unlock()
@@ -120,11 +125,12 @@ func Frame(n int) []byte {
 	return fs[len(fs)-1]
 }
 
-// Release takes back a frame, channel tag included, that was sent once to
-// this host and whose one reader is done with it: nothing may read it
-// afterwards, as the next Frame of its length may be written into it. Only
-// the handler a frame was delivered to releases it, and only a frame of a
-// kind that is sent that way (a completion, a ring ack, an echo).
+// Release takes back a frame, channel tag included, that nothing reads any
+// more: nothing may read it afterwards, as the next Frame of its length may
+// be written into it. A completion, a ring ack or an echo is released by the
+// handler it was delivered to, once read; a register request by the client
+// that sent it, once every transmission of it has been answered. No other
+// frame is released.
 func Release(frame []byte) {
 	free.Lock()
 	defer free.Unlock()

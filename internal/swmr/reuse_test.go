@@ -1,7 +1,7 @@
 package swmr
 
-// The frame-reuse rules on the simulated fabric: a request frame is written
-// again only once every transmission of it was answered, a finished
+// The frame-reuse rules on the simulated fabric: a request frame goes back to
+// the free list only once every transmission of it was answered, a finished
 // operation's frame waits in a draining set of constant size, and once the
 // network is stable every frame is reused again.
 
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/memnode"
+	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/xcrypto"
@@ -167,12 +168,19 @@ func TestRequestFramesReusedOnlyOnceAnswered(t *testing.T) {
 // TestDrainingSetBounded: with one memory node crashed every operation
 // still completes at f_m+1 answers, and its frame, which the crashed node
 // never answers, waits in the draining set. The set holds the newest
-// drainSlots frames, forgetting the oldest, and a forgotten frame is never
-// reused.
+// drainSlots frames, forgetting the oldest, and no frame with an unanswered
+// transmission, draining or forgotten, goes back to the free list.
 func TestDrainingSetBounded(t *testing.T) {
 	rg := newRig(t, 1)
 	rg.allocate(1, 0, 32)
 	rg.memnodes[2].Crash()
+	var sent [][]byte // every request frame, each also sent to the crashed node
+	rg.net.SetRule(func(from, to ids.ID, frame []byte) (simnet.Fate, sim.Duration) {
+		if to == rg.memIDs[0] {
+			sent = append(sent, frame)
+		}
+		return simnet.Deliver, 0
+	})
 	wreg, rreg := NewRegister(rg.writer, 1, 32), NewRegister(rg.reader, 1, 32)
 	const ops = 3 * drainSlots
 	for ts := uint64(1); ts <= ops; ts++ {
@@ -188,6 +196,10 @@ func TestDrainingSetBounded(t *testing.T) {
 			t.Fatalf("op %d: write %v, read %+v %v", ts, werr, got, rerr)
 		}
 	}
+	if len(sent) != 2*ops {
+		t.Fatalf("%d request frames sent, want %d", len(sent), 2*ops)
+	}
+	unanswered := sent
 	for _, s := range []*Store{rg.writer, rg.reader} {
 		oldest := s.nextSeq
 		for _, d := range s.draining {
@@ -195,16 +207,40 @@ func TestDrainingSetBounded(t *testing.T) {
 				t.Fatalf("draining entry %+v, want a frame with 1 unanswered transmission", d)
 			}
 			oldest = min(oldest, d.seq)
+			unanswered = append(unanswered, d.frame)
 		}
 		if want := s.nextSeq - drainSlots + 1; oldest != want {
 			t.Errorf("oldest draining op %d, want %d: the set keeps the newest %d", oldest, want, drainSlots)
 		}
-		for n, fs := range s.frames {
-			if len(fs) > 0 {
-				t.Errorf("%d frames of %d bytes kept for reuse, every one with a transmission unanswered", len(fs), n)
+	}
+	for _, n := range []int{memnode.WriteLen(0, SlotSize(32)), memnode.ReadLen} {
+		listed := freeFrames(n)
+		for _, f := range listed {
+			for _, u := range unanswered {
+				if sameArray(f, u) {
+					t.Errorf("a %d-byte request frame with a transmission unanswered is on the free list", n)
+				}
 			}
 		}
+		for _, f := range listed {
+			router.Release(f)
+		}
 	}
+}
+
+// freeFrames takes every frame of length n off the process's free list. A
+// released frame starts with its channel tag, never 0; a fresh one is zeroed.
+func freeFrames(n int) [][]byte {
+	var fs [][]byte
+	for f := router.Frame(n); f[0] != 0; f = router.Frame(n) {
+		fs = append(fs, f)
+	}
+	return fs
+}
+
+// sameArray reports whether a and b share their backing array.
+func sameArray(a, b []byte) bool {
+	return &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // TestAllocsRecoverAfterGST: once the network is stable, an operation
@@ -244,30 +280,32 @@ func TestAllocsRecoverAfterGST(t *testing.T) {
 	}
 }
 
-// TestReusedWriteFrameEqualsFresh: a WRITE encoded into a reused frame, one
-// that carried a longer value, is byte for byte the frame a fresh encoding
-// makes, the sub-register's zero padding under its checksum included.
+// TestReusedWriteFrameEqualsFresh: a WRITE encoded into a frame from the
+// free list, one that carried a longer value, is byte for byte the frame a
+// fresh encoding makes, the sub-register's zero padding under its checksum
+// included.
 func TestReusedWriteFrameEqualsFresh(t *testing.T) {
 	rg := newRig(t, 1)
 	rg.allocate(1, 0, 32)
 	wreg := NewRegister(rg.writer, 1, 32)
-	long := bytes.Repeat([]byte{0xA5}, 32)
-	for ts := uint64(1); ts <= 2; ts++ { // both sub-registers hold a long value
-		wreg.Write(ts, long, func(error) {})
-		rg.eng.Run()
-	}
-	n := memnode.WriteLen(0, SlotSize(32))
-	kept := len(rg.writer.frames[n])
-	wreg.Write(3, []byte("short"), func(error) {})
+	dirty, slot := memnode.EncodeWrite(nil, 1, 0, SlotSize(32))
+	encodeSlot(slot, 2, bytes.Repeat([]byte{0xA5}, 32))
+	memnode.SetSeq(dirty, 99)
+	router.Release(dirty)
+	var werr error
+	wreg.Write(3, []byte("short"), func(err error) { werr = err })
 	reused := wreg.queue[0].frame
-	if kept == 0 || len(rg.writer.frames[n]) != kept-1 {
-		t.Fatalf("the WRITE took no kept frame (%d kept)", kept)
+	if !sameArray(reused, dirty) {
+		t.Fatal("the WRITE did not take the frame last released")
 	}
-	rg.eng.Run()
 	fresh, slot := memnode.EncodeWrite(nil, 1, 0, SlotSize(32))
 	encodeSlot(slot, 3, []byte("short"))
 	memnode.SetSeq(fresh, rg.writer.nextSeq)
 	if !bytes.Equal(reused, fresh) {
 		t.Fatalf("reused frame\n%x\nfresh frame\n%x", reused, fresh)
+	}
+	rg.eng.Run()
+	if werr != nil {
+		t.Fatalf("write: %v", werr)
 	}
 }

@@ -27,15 +27,17 @@
 // an RDMA client reposts its registered buffers. An operation is one request
 // frame (memnode.EncodeWrite, EncodeRead), channel tag first, posted uncopied
 // to every memory node and on every retransmission; a WRITE's sub-register
-// image is encoded straight into it. The frame belongs to its operation until
-// every transmission of it, retransmissions included, has been answered; only
-// then is it reused for the next request of its length. An operation finished
-// at f_m+1 answers leaves its frame in a draining set of constant size, which
-// forgets its oldest entry when full (a frame sent to a crashed node is never
-// answered), and a forgotten frame is never reused. A READ's region is copied
-// out of each completion into the operation's own buffer, as the NIC DMAs it
-// into a posted one, and the completion goes back to the process's free list
-// of frames (router.Release). The value a read returns is lent to its callback.
+// image is encoded straight into it. Request frames come from the process's
+// one free list of frames (router.Frame). A frame belongs to its operation
+// until every transmission of it, retransmissions included, has been
+// answered; only then does the client release it (router.Release). An
+// operation finished at f_m+1 answers leaves its frame in a draining set of
+// constant size, which forgets its oldest entry when full (a frame sent to a
+// crashed node is never answered), and a forgotten frame is left to the
+// garbage collector. A READ's region is copied out of each completion into
+// the operation's own buffer, as the NIC DMAs it into a posted one, and the
+// completion's one reader releases it. The value a read returns is lent to
+// its callback.
 package swmr
 
 import (
@@ -101,7 +103,6 @@ type Store struct {
 	resendFn   func()   // s.resend, bound once
 	seqs       []uint64 // resend's scratch
 
-	frames   map[int][][]byte          // request frames every transmission of which was answered, by length
 	draining [drainSlots]drainingFrame // finished operations' frames still being answered
 }
 
@@ -148,12 +149,11 @@ func NewStore(rt *router.Router, proc *sim.Proc, nodes []ids.ID, fm int) *Store 
 		panic(fmt.Sprintf("swmr: %d memory nodes exceed the 64 a response mask covers", len(nodes)))
 	}
 	s := &Store{
-		rt:     rt,
-		proc:   proc,
-		nodes:  nodes,
-		fm:     fm,
-		ops:    make(map[uint64]*quorumOp),
-		frames: make(map[int][][]byte),
+		rt:    rt,
+		proc:  proc,
+		nodes: nodes,
+		fm:    fm,
+		ops:   make(map[uint64]*quorumOp),
 	}
 	s.resendFn = s.resend
 	rt.RegisterFrame(router.ChanMemResp, s.onResponse)
@@ -224,13 +224,13 @@ func (op *quorumOp) keep(data []byte) {
 	op.snapshots[k] = append(op.snapshots[k][:0], data...)
 }
 
-// retire keeps the frame of op, finished as seq, for reuse once every
-// transmission of it is answered: now, or from the draining set, where it
-// takes a free entry (seq 0) or forgets the oldest one, whose frame is then
-// never reused.
+// retire releases the frame of op, finished as seq, to the process's free
+// list once every transmission of it is answered: now, or from the draining
+// set, where it takes a free entry (seq 0) or forgets the oldest one, whose
+// frame is then left to the garbage collector.
 func (s *Store) retire(seq uint64, op *quorumOp) {
 	if op.unanswered == 0 {
-		s.reuse(op.frame)
+		router.Release(op.frame)
 		return
 	}
 	oldest := &s.draining[0]
@@ -248,27 +248,12 @@ func (s *Store) answered(seq uint64) {
 	for i := range s.draining {
 		if d := &s.draining[i]; d.frame != nil && d.seq == seq {
 			if d.unanswered--; d.unanswered == 0 {
-				s.reuse(d.frame)
+				router.Release(d.frame)
 				*d = drainingFrame{}
 			}
 			return
 		}
 	}
-}
-
-// reuse keeps a request frame every transmission of which was answered.
-func (s *Store) reuse(frame []byte) {
-	s.frames[len(frame)] = append(s.frames[len(frame)], frame)
-}
-
-// frame returns a request frame of n bytes to encode into, or nil.
-func (s *Store) frame(n int) []byte {
-	fs := s.frames[n]
-	if len(fs) == 0 {
-		return nil
-	}
-	s.frames[n] = fs[:len(fs)-1]
-	return fs[len(fs)-1]
 }
 
 // newOp returns a blank quorum-op record.
@@ -432,7 +417,7 @@ func (r *Register) queueWrite(done func(error)) []byte {
 		off = size
 	}
 	r.writes++
-	frame, slot := memnode.EncodeWrite(r.store.frame(memnode.WriteLen(off, size)), r.region, off, size)
+	frame, slot := memnode.EncodeWrite(router.Frame(memnode.WriteLen(off, size)), r.region, off, size)
 	r.queue = append(r.queue, queuedWrite{frame: frame, done: done})
 	return slot
 }
@@ -509,7 +494,7 @@ func (s *Store) readAttempt(region memnode.RegionID, valueCap, attempt int, done
 	}
 	op := s.newOp()
 	op.region, op.valueCap, op.attempt, op.started, op.done = region, valueCap, attempt, s.proc.Now(), done
-	s.issue(op, memnode.EncodeRead(s.frame(memnode.ReadLen), region))
+	s.issue(op, memnode.EncodeRead(router.Frame(memnode.ReadLen), region))
 }
 
 // readDone completes one read attempt with the snapshots its quorum

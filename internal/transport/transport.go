@@ -52,12 +52,13 @@ type Handler func(from ids.ID, payload []byte)
 // slice may be sent to several nodes and sent again later (a message-ring
 // frame is shared by the sender's mirror, every receiver and retransmission;
 // a register request by every memory node and retransmission; a client
-// request by every replica it addresses). Two kinds are written again: a
-// register client reuses a request frame once every transmission of it is
-// answered (package memnode), and a completion, a ring ack or an echo is sent
-// once, to one node, whose receiver releases it to the process's free list
-// of frames after its handler has read it (router.Release); nothing reads it
-// afterwards. Every other payload is immutable once sent.
+// request by every replica it addresses). Two kinds go back to the
+// process's free list of frames (router.Release) and are written again: a
+// completion, a ring ack or an echo is sent once, to one node, whose receiver
+// releases it after its handler has read it, and a register request is
+// released by its client once every transmission of it is answered (a memory
+// node copies a WRITE's data before its handler returns). Nothing reads a
+// released frame. Every other payload is immutable once sent.
 type Endpoint interface {
 	// ID returns the node's identity.
 	ID() ids.ID
