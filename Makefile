@@ -76,14 +76,16 @@ race:
 # register client's draining set of request frames stays at its bound with a
 # memory node crashed, forgetting its oldest entries, and none of its frames
 # goes back to the free list. The process's free list of released frames
-# (completions, ring acks, echoes, answered register requests) keeps at most its bound
-# whatever is released into it. A consensus client making one call at a time
-# keeps one call record.
+# (completions, ring acks, echoes, answered register requests, replies) keeps at most its bound
+# whatever is released into it, and a consensus client releases every reply
+# frame but the one it hands its caller, once, and only a replica's. A
+# consensus client making one call at a time keeps one call record.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
 	$(GO) test -run 'TestFreeListBounded' ./internal/router/
+	$(GO) test -run 'TestReplyFrame' ./internal/consensus/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one

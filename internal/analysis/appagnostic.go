@@ -91,7 +91,7 @@ func (a *AppAgnostic) Directive() string { return "appagnostic" }
 
 // Run implements Pass. Only package-qualified references (`app.X`) are
 // checked: a method or field reached through a value of a capability
-// interface type (r.Keys, frag.ReadOnly, staged.Coord) was already granted
+// interface type (r.AppendKeys, frag.ReadOnly, staged.Coord) was already granted
 // by whichever allowed entry point produced the value — the interface IS
 // the boundary.
 func (a *AppAgnostic) Run(w *World) []Finding {

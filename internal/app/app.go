@@ -59,15 +59,16 @@ type StateMachine interface {
 // Router is the routing capability: a state machine that can report which
 // keys a request touches, letting the shard layer derive single- versus
 // multi-shard placement generically (it replaced the per-app RouteFunc
-// glue). Keys must be a pure function of the request bytes — the shard
+// glue). AppendKeys must be a pure function of the request bytes — the shard
 // layer calls it on a prototype instance that never executes requests.
 type Router interface {
 	StateMachine
-	// Keys returns every key req touches, in request order. Requests that
-	// touch no key (empty multi-reads) return an empty slice and may be
-	// placed on any shard. Unroutable or malformed requests return an
-	// error wrapping ErrNoKey.
-	Keys(req []byte) ([][]byte, error)
+	// AppendKeys appends every key req touches, in request order, to dst and
+	// returns the extended slice, so a caller that routes one request at a
+	// time may reuse it; the keys are views of req. Requests that touch no
+	// key (empty multi-reads) append none and may be placed on any shard.
+	// Unroutable or malformed requests return an error wrapping ErrNoKey.
+	AppendKeys(dst [][]byte, req []byte) ([][]byte, error)
 }
 
 // Fragmenter is the cross-shard execution capability: splitting a
@@ -178,6 +179,12 @@ type Release struct {
 // state: for the same state every replica must produce byte-identical
 // results, or the f+1 matching-digest quorum of the fast path can never
 // form.
+//
+// The answer is the caller's only until the state machine's next ApplyRead
+// or ApplyReadAt: a store may append every answer into one buffer it keeps
+// (the keyed stores and the order book do), and the replica copies each
+// answer into its reply frame at once. A caller that keeps an answer longer
+// copies it.
 type ReadExecutor interface {
 	StateMachine
 	// ApplyRead executes req read-only; ok=false when req is not a request
@@ -228,7 +235,8 @@ type Versioned interface {
 // writes never set it, so snapshot reads converge under write-heavy load.
 //
 // ok=false refuses the read: not a read-only request, or `at` below the
-// store's GC horizon.
+// store's GC horizon. As ApplyRead's, the answer is the caller's only until
+// the next read.
 type VersionedReadExecutor interface {
 	ReadExecutor
 	ApplyReadAt(req []byte, at uint64) (res []byte, txnCrossed bool, ok bool)

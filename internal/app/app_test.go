@@ -430,7 +430,7 @@ func TestHugeMultiKeyCountRefused(t *testing.T) {
 		if len(res) != 1 || res[0] != tc.bad {
 			t.Errorf("%s: Apply = %v, want [%d]", tc.name, res, tc.bad)
 		}
-		if _, err := tc.sm.(Router).Keys(req); err == nil {
+		if _, err := tc.sm.(Router).AppendKeys(nil, req); err == nil {
 			t.Errorf("%s: huge count routable", tc.name)
 		}
 	}

@@ -9,7 +9,7 @@ import "repro/internal/wire"
 // subsetKeys decodes a multi-read body (count + keys; the opcode is
 // already consumed) and selects the keys at keyIdx, bounds-checked.
 func subsetKeys(rd *wire.Reader, keyIdx []int) ([][]byte, error) {
-	keys, err := multiKeys(rd, false)
+	keys, err := multiKeys(nil, rd, false)
 	if err != nil {
 		return nil, err
 	}

@@ -477,7 +477,7 @@ func TestFragmentMergeReads(t *testing.T) {
 			if !fr.ReadOnly(read) {
 				t.Fatal("multi-read not classified ReadOnly")
 			}
-			gotKeys, err := fr.Keys(read)
+			gotKeys, err := fr.AppendKeys(nil, read)
 			if err != nil || len(gotKeys) != len(keys) {
 				t.Fatalf("Keys: %d keys, err=%v", len(gotKeys), err)
 			}
@@ -553,7 +553,7 @@ func TestFragmentWrites(t *testing.T) {
 			if fr.ReadOnly(req) {
 				t.Fatal("write classified ReadOnly")
 			}
-			keys, err := fr.Keys(req)
+			keys, err := fr.AppendKeys(nil, req)
 			if err != nil || len(keys) != 2 {
 				t.Fatalf("Keys: %q err=%v", keys, err)
 			}

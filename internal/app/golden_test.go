@@ -17,6 +17,7 @@ package app
 // e3940c7b).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -266,7 +267,7 @@ func (g *goldenRun) apply(req []byte) []byte {
 // multi-key requests Fragment over index subsets (out-of-range included)
 // and Merge over the legs the store itself answers.
 func (g *goldenRun) route(req []byte) {
-	keys, err := g.s.Keys(req)
+	keys, err := g.s.AppendKeys(nil, req)
 	g.f.flag(err != nil)
 	g.f.u64(uint64(len(keys)))
 	for _, k := range keys {
@@ -295,7 +296,7 @@ func (g *goldenRun) route(req []byte) {
 		g.f.bytes(frag)
 		if g.s.ReadOnly(req) {
 			leg, _ := g.s.ApplyRead(frag)
-			legs = append(legs, leg)
+			legs = append(legs, bytes.Clone(leg)) // the next read overwrites leg
 		}
 	}
 	if legs != nil {

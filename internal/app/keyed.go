@@ -101,6 +101,9 @@ type keyed struct {
 	d     *dialect
 	vs    *VersionedStore
 	evict *fifo // nil for a store that never evicts
+	// answer is the buffer every ApplyRead and ApplyReadAt answer is
+	// appended into, the caller's until the next read (ReadExecutor).
+	answer []byte
 	*LockTable
 }
 
@@ -127,7 +130,7 @@ func (s *keyed) Apply(req []byte) []byte {
 		// transaction on one shard while a sibling leg ran before it can
 		// still see a pre/post mix; the fast path's snapshot pins close
 		// that.) Single-key reads stay read-committed.
-		res, blocked, _ := s.read(op, rd, headVersion, false)
+		res, blocked, _ := s.read(nil, op, rd, headVersion, false)
 		if len(blocked) > 0 {
 			return s.ParkOrRefuse(blocked, req)
 		}
@@ -229,57 +232,60 @@ func (s *keyed) set(k string, val []byte, txn bool) {
 }
 
 // read answers one read-only operation whose opcode rd has consumed, in one
-// of two modes. Unpinned (at = headVersion) it reads current state and
-// reports a multi-key read over a transaction-locked key as blocked, with a
-// bare StatusLocked as the answer. Pinned it reads as of state version at,
-// proceeds under locks (a pinned version is well-defined regardless) and
-// instead reports crossed when the read may straddle a transaction.
-func (s *keyed) read(op keyedOp, rd *wire.Reader, at uint64, pinned bool) (res []byte, blocked [][]byte, crossed bool) {
+// of two modes, appending the answer to dst. Unpinned (at = headVersion) it
+// reads current state and reports a multi-key read over a transaction-locked
+// key as blocked, with a bare StatusLocked as the answer. Pinned it reads as
+// of state version at, proceeds under locks (a pinned version is
+// well-defined regardless) and instead reports crossed when the read may
+// straddle a transaction.
+func (s *keyed) read(dst []byte, op keyedOp, rd *wire.Reader, at uint64, pinned bool) (res []byte, blocked [][]byte, crossed bool) {
 	if op == opMGet {
-		return multiRead(rd, s.LockTable, s.vs, at, pinned, nil)
+		return multiRead(dst, rd, s.LockTable, s.vs, at, pinned, nil)
 	}
 	key := rd.BytesView()
 	if rd.Done() != nil {
-		return []byte{StatusBadReq}, nil, false
+		return append(dst, StatusBadReq), nil, false
 	}
 	crossed = pinned && keyCrossed(s.LockTable, s.vs, key, at)
 	v, ok := s.vs.GetAt(string(key), at)
+	w := wire.WriterOn(dst)
 	switch {
 	case op == opExists:
-		w := wire.NewWriter(4)
+		w.Grow(2)
 		w.U8(StatusOK)
 		w.Bool(ok)
-		return w.Finish(), nil, crossed
 	case !ok:
-		return []byte{keyedMiss}, nil, crossed
+		w.U8(keyedMiss)
+	default:
+		w.Grow(1 + wire.BytesLen(len(v)))
+		w.U8(StatusOK)
+		w.Bytes(v)
 	}
-	w := wire.NewWriter(4 + len(v))
-	w.U8(StatusOK)
-	w.Bytes(v)
 	return w.Finish(), nil, crossed
 }
 
 // multiRead is the multi-key read body of every transactional application
 // (the stores' MGET, the order book's OpTops), in read's two modes: decode
-// the keys, apply the mode's lock rule, and encode the shared response
-// shape AppendKeyedReads decodes — status byte, uvarint count, then per key
-// a Bool(found) plus an optional Bytes value. A non-nil absent is the value
-// of a key the store has never seen (the order book's empty top of book).
-func multiRead(rd *wire.Reader, lt *LockTable, vs *VersionedStore, at uint64, pinned bool, absent []byte) (res []byte, blocked [][]byte, crossed bool) {
+// the keys, apply the mode's lock rule, and append to dst the shared
+// response shape AppendKeyedReads decodes — status byte, uvarint count, then
+// per key a Bool(found) plus an optional Bytes value. A non-nil absent is
+// the value of a key the store has never seen (the order book's empty top of
+// book).
+func multiRead(dst []byte, rd *wire.Reader, lt *LockTable, vs *VersionedStore, at uint64, pinned bool, absent []byte) (res []byte, blocked [][]byte, crossed bool) {
 	n, ok := readCount(rd, multiKeyMax)
 	if !ok {
-		return []byte{StatusBadReq}, nil, false
+		return append(dst, StatusBadReq), nil, false
 	}
 	keys := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		keys = append(keys, rd.BytesView())
 	}
 	if rd.Done() != nil {
-		return []byte{StatusBadReq}, nil, false
+		return append(dst, StatusBadReq), nil, false
 	}
 	if !pinned {
 		if lt.AnyLocked(keys...) {
-			return []byte{StatusLocked}, keys, false
+			return append(dst, StatusLocked), keys, false
 		}
 	} else {
 		for _, k := range keys {
@@ -289,7 +295,8 @@ func multiRead(rd *wire.Reader, lt *LockTable, vs *VersionedStore, at uint64, pi
 			}
 		}
 	}
-	w := wire.NewWriter(64)
+	w := wire.WriterOn(dst)
+	w.Grow(64)
 	w.U8(StatusOK)
 	w.Uvarint(uint64(n))
 	for _, k := range keys {
@@ -322,7 +329,8 @@ func (s *keyed) ApplyRead(req []byte) ([]byte, bool) {
 	if !op.readOnly() {
 		return nil, false
 	}
-	res, _, _ := s.read(op, rd, headVersion, false)
+	res, _, _ := s.read(s.answer[:0], op, rd, headVersion, false)
+	s.answer = res
 	return res, true
 }
 
@@ -335,14 +343,15 @@ func (s *keyed) ApplyReadAt(req []byte, at uint64) ([]byte, bool, bool) {
 	if !op.readOnly() || at < s.vs.Horizon() {
 		return nil, false, false
 	}
-	res, _, crossed := s.read(op, rd, at, true)
+	res, _, crossed := s.read(s.answer[:0], op, rd, at, true)
+	s.answer = res
 	return res, crossed, true
 }
 
-// keys extracts every key a request touches. It is a pure function of the
-// request bytes: the shard layer calls it on a prototype that never
-// executes. An empty multi-read is valid and key-less.
-func (d *dialect) keys(req []byte) ([][]byte, error) {
+// appendKeys appends every key a request touches to dst. It is a pure
+// function of the request bytes: the shard layer calls it on a prototype
+// that never executes. An empty multi-read is valid and key-less.
+func (d *dialect) appendKeys(dst [][]byte, req []byte) ([][]byte, error) {
 	rd := wire.NewReader(req)
 	code := rd.U8()
 	switch d.ops[code] {
@@ -352,20 +361,22 @@ func (d *dialect) keys(req []byte) ([][]byte, error) {
 		// unroutable here by design.
 		return nil, fmt.Errorf("%w: unknown %s opcode %d", ErrNoKey, d.name, code)
 	case opMGet:
-		return multiKeys(rd, false)
+		return multiKeys(dst, rd, false)
 	case opMSet:
-		return multiKeys(rd, true)
+		return multiKeys(dst, rd, true)
 	}
 	key := rd.BytesView()
 	if rd.Err() != nil {
 		return nil, ErrNoKey
 	}
-	return [][]byte{key}, nil
+	return append(dst, key), nil
 }
 
-// Keys implements Router: every key a request touches, letting the shard
-// layer hash-route single-key requests and detect multi-shard fan-out.
-func (s *keyed) Keys(req []byte) ([][]byte, error) { return s.d.keys(req) }
+// AppendKeys implements Router: every key a request touches, letting the
+// shard layer hash-route single-key requests and detect multi-shard fan-out.
+func (s *keyed) AppendKeys(dst [][]byte, req []byte) ([][]byte, error) {
+	return s.d.appendKeys(dst, req)
+}
 
 // ReadOnly implements Fragmenter: multi-key reads scatter-gather, multi-key
 // writes run 2PC. Single-key reads are read-only too — they never span
@@ -407,7 +418,7 @@ func (s *keyed) writeFragmentKeys(frag []byte) ([][]byte, error) {
 	if len(frag) == 0 || s.d.ops[frag[0]] != opMSet {
 		return nil, ErrNoKey
 	}
-	return s.d.keys(frag)
+	return s.d.appendKeys(nil, frag)
 }
 
 // installFragment applies a committed fragment. Its locks were released by

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -29,6 +30,9 @@ import (
 type OrderBook struct {
 	books map[string]*book
 	tops  *VersionedStore // symbol -> topsEntry blob, one version per mutation
+	// answer is the buffer every ApplyRead and ApplyReadAt answer is
+	// appended into, the caller's until the next read (ReadExecutor).
+	answer []byte
 	*LockTable
 }
 
@@ -219,7 +223,7 @@ func (ob *OrderBook) Apply(req []byte) []byte {
 		// reports the read blocked — a symbol held by an in-flight pair
 		// transaction — the ordered read parks on the symbols it decoded,
 		// so a top-of-book read never observes a transfer mid-commit.
-		res, blocked, _ := multiRead(rd, ob.LockTable, ob.tops, headVersion, false, emptyTops)
+		res, blocked, _ := multiRead(nil, rd, ob.LockTable, ob.tops, headVersion, false, emptyTops)
 		if len(blocked) > 0 {
 			return ob.ParkOrRefuse(blocked, req)
 		}
@@ -429,22 +433,22 @@ func DecodeOrderResp(b []byte) (ok bool, id, remaining uint64, fills []Fill, err
 	return ok, id, remaining, fills, rd.Done()
 }
 
-// Keys implements Router: the symbol is the routing key (legacy
+// AppendKeys implements Router: the symbol is the routing key (legacy
 // symbol-less orders live on the default "" symbol).
-func (ob *OrderBook) Keys(req []byte) ([][]byte, error) {
+func (ob *OrderBook) AppendKeys(dst [][]byte, req []byte) ([][]byte, error) {
 	rd := wire.NewReader(req)
 	switch op := rd.U8(); op {
 	case OpBuy, OpSell, OpCancel:
 		if rd.Err() != nil {
 			return nil, ErrNoKey
 		}
-		return [][]byte{nil}, nil
+		return append(dst, nil), nil
 	case OpOrderSym:
 		sym := rd.BytesView()
 		if rd.Err() != nil {
 			return nil, ErrNoKey
 		}
-		return [][]byte{sym}, nil
+		return append(dst, sym), nil
 	case OpPair:
 		a := rd.BytesView()
 		rd.U8()
@@ -454,13 +458,13 @@ func (ob *OrderBook) Keys(req []byte) ([][]byte, error) {
 		if rd.Err() != nil {
 			return nil, ErrNoKey
 		}
-		return [][]byte{a, b}, nil
+		return append(dst, a, b), nil
 	case OpTops:
 		n, ok := readCount(rd, multiKeyMax)
 		if !ok {
 			return nil, ErrNoKey
 		}
-		syms := make([][]byte, 0, n)
+		syms := slices.Grow(dst, n)
 		for i := 0; i < n; i++ {
 			syms = append(syms, rd.BytesView())
 		}
@@ -482,7 +486,8 @@ func (ob *OrderBook) ApplyRead(req []byte) ([]byte, bool) {
 	if len(req) == 0 || req[0] != OpTops {
 		return nil, false
 	}
-	res, _, _ := multiRead(wire.NewReader(req[1:]), ob.LockTable, ob.tops, headVersion, false, emptyTops)
+	res, _, _ := multiRead(ob.answer[:0], wire.NewReader(req[1:]), ob.LockTable, ob.tops, headVersion, false, emptyTops)
+	ob.answer = res
 	return res, true
 }
 
@@ -495,7 +500,8 @@ func (ob *OrderBook) ApplyReadAt(req []byte, at uint64) ([]byte, bool, bool) {
 	if len(req) == 0 || req[0] != OpTops || at < ob.tops.Horizon() {
 		return nil, false, false
 	}
-	res, _, crossed := multiRead(wire.NewReader(req[1:]), ob.LockTable, ob.tops, at, true, emptyTops)
+	res, _, crossed := multiRead(ob.answer[:0], wire.NewReader(req[1:]), ob.LockTable, ob.tops, at, true, emptyTops)
+	ob.answer = res
 	return res, crossed, true
 }
 

@@ -145,6 +145,7 @@ func TestReadAtHeadEqualsRead(t *testing.T) {
 					}
 					req := pa.read(rng)
 					live, okLive := re.ApplyRead(req)
+					live = bytes.Clone(live) // the next read overwrites it
 					pinned, crossed, okPinned := re.ApplyReadAt(req, head)
 					if okLive != okPinned || crossed || !bytes.Equal(live, pinned) {
 						t.Fatalf("seed %d step %d req %x: ApplyRead = (%x, %v), ApplyReadAt(head) = (%x, crossed %v, %v)",
@@ -183,6 +184,7 @@ func TestReadUnderLock(t *testing.T) {
 			apply(ta.singleWrite(b, '2'))
 			read := ta.multiRead(a, b)
 			before, ok := re.ApplyRead(read)
+			before = bytes.Clone(before) // the next read overwrites it
 			if !ok || len(before) < 2 {
 				t.Fatalf("unlocked read: %x %v", before, ok)
 			}
@@ -207,9 +209,66 @@ func TestReadUnderLock(t *testing.T) {
 			s.Apply(EncodeTxnPrepare(1, 0, kc.mset(Pair{Key: a, Val: []byte("w")})))
 			get := kc.keyOps[0](a)
 			live, ok := s.ApplyRead(get)
+			live = bytes.Clone(live) // the next read overwrites it
 			pinned, crossed, okAt := s.ApplyReadAt(get, 2)
 			if !ok || !okAt || !crossed || !bytes.Equal(live, pinned) || string(live[2:]) != "v" {
 				t.Fatalf("point read under lock: live (%x, %v), pinned (%x, crossed %v, %v)", live, ok, pinned, crossed, okAt)
+			}
+		})
+	}
+}
+
+// TestReadAnswersShareOneBuffer: a store appends every ApplyRead and
+// ApplyReadAt answer into one buffer of its own. Each answer holds the bytes
+// a store that never read before answers at the same state, the next read
+// writes over the same buffer when it fits, and a warm point read allocates
+// nothing.
+func TestReadAnswersShareOneBuffer(t *testing.T) {
+	for _, pa := range readPropApps() {
+		t.Run(pa.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			sm := pa.mk()
+			re, ver := sm.(VersionedReadExecutor), sm.(Versioned)
+			for head := uint64(1); head <= 200; head++ {
+				ver.BeginSlot(head)
+				sm.Apply(pa.op(rng))
+				req, at := pa.read(rng), 1+uint64(rng.Intn(int(head)))
+				twin := pa.mk()
+				twin.Restore(sm.Snapshot())
+				wantLive, wantOK := twin.(ReadExecutor).ApplyRead(req)
+				wantLive = bytes.Clone(wantLive)
+				twin = pa.mk()
+				twin.Restore(sm.Snapshot())
+				wantPinned, wantCrossed, wantAtOK := twin.(VersionedReadExecutor).ApplyReadAt(req, at)
+
+				live, ok := re.ApplyRead(req)
+				if ok != wantOK || !bytes.Equal(live, wantLive) {
+					t.Fatalf("step %d req %x: ApplyRead = (%x, %v), a store that never read answers (%x, %v)", head, req, live, ok, wantLive, wantOK)
+				}
+				fits := len(live) > 0 && cap(live) >= len(wantPinned)
+				pinned, crossed, okAt := re.ApplyReadAt(req, at)
+				if okAt != wantAtOK || crossed != wantCrossed || !bytes.Equal(pinned, wantPinned) {
+					t.Fatalf("step %d req %x at %d: ApplyReadAt = (%x, %v, %v), a store that never read answers (%x, %v, %v)",
+						head, req, at, pinned, crossed, okAt, wantPinned, wantCrossed, wantAtOK)
+				}
+				if fits && len(pinned) > 0 && &pinned[0] != &live[0] {
+					t.Fatalf("step %d: ApplyReadAt's answer fit the buffer ApplyRead's came in, yet took another", head)
+				}
+			}
+		})
+	}
+	for _, kc := range keyedCodecs() {
+		t.Run(kc.name+"-point", func(t *testing.T) {
+			s := kc.mk()
+			s.BeginSlot(1)
+			s.Apply(kc.valOps[0]([]byte("k"), []byte("value")))
+			get := kc.keyOps[0]([]byte("k"))
+			allocs := testing.AllocsPerRun(100, func() {
+				s.ApplyRead(get)
+				s.ApplyReadAt(get, 1)
+			})
+			if allocs != 0 {
+				t.Fatalf("a warm point read allocates %.1f times", allocs)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package app
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/wire"
 	"repro/internal/xcrypto"
@@ -25,19 +26,19 @@ func ShardOfKey(key []byte, shards int) int {
 	return int(xcrypto.ChecksumNoCharge(key) % uint64(shards))
 }
 
-// multiKeys reads the keys of a multi-key request body (the opcode is
-// already consumed); withVals skips the interleaved values of a write.
+// multiKeys appends to dst the keys of a multi-key request body (the opcode
+// is already consumed); withVals skips the interleaved values of a write.
 // The request must be fully consumed: it backs the writeFragmentKeys
 // validation of the keyed stores, and a fragment Prepare votes yes on MUST
 // be installable — trailing bytes that install would refuse have to be
 // refused here too, or a half-valid prepare could commit a transaction
 // that installs nothing on one shard.
-func multiKeys(rd *wire.Reader, withVals bool) ([][]byte, error) {
+func multiKeys(dst [][]byte, rd *wire.Reader, withVals bool) ([][]byte, error) {
 	n, ok := readCount(rd, multiKeyMax)
 	if !ok {
 		return nil, ErrNoKey
 	}
-	keys := make([][]byte, 0, n)
+	keys := slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		keys = append(keys, rd.BytesView())
 		if withVals {

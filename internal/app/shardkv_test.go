@@ -24,29 +24,29 @@ func TestKeyedRequestKeys(t *testing.T) {
 				single = append(single, enc(key, []byte("value")))
 			}
 			for _, req := range single {
-				keys, err := router.Keys(req)
+				keys, err := router.AppendKeys(nil, req)
 				if err != nil || len(keys) != 1 || !bytes.Equal(keys[0], key) {
 					t.Fatalf("opcode %d: keys=%q err=%v", req[0], keys, err)
 				}
 			}
-			keys, err := router.Keys(c.mget([]byte("a"), []byte("b"), []byte("c")))
+			keys, err := router.AppendKeys(nil, c.mget([]byte("a"), []byte("b"), []byte("c")))
 			if err != nil || len(keys) != 3 || !bytes.Equal(keys[1], []byte("b")) || !bytes.Equal(keys[2], []byte("c")) {
 				t.Fatalf("multi-get keys=%q err=%v", keys, err)
 			}
 			// An empty multi-get is valid (Apply accepts it) and key-less.
-			keys, err = router.Keys(c.mget())
+			keys, err = router.AppendKeys(nil, c.mget())
 			if err != nil || len(keys) != 0 {
 				t.Fatalf("empty multi-get: keys=%q err=%v", keys, err)
 			}
 			// Multi-set keys are extracted (values skipped), so single-shard
 			// multi-sets route normally.
-			keys, err = router.Keys(c.mset(Pair{Key: []byte("x"), Val: []byte("1")}, Pair{Key: []byte("y"), Val: []byte("2")}))
+			keys, err = router.AppendKeys(nil, c.mset(Pair{Key: []byte("x"), Val: []byte("1")}, Pair{Key: []byte("y"), Val: []byte("2")}))
 			if err != nil || len(keys) != 2 || !bytes.Equal(keys[0], []byte("x")) || !bytes.Equal(keys[1], []byte("y")) {
 				t.Fatalf("multi-set keys=%q err=%v", keys, err)
 			}
 			mgetOp := c.mget()[0]
 			for _, req := range [][]byte{nil, {99, 1, 2}, {c.keyOps[0](key)[0]}, {mgetOp}, {mgetOp, 0xFF}} {
-				if _, err := router.Keys(req); !errors.Is(err, ErrNoKey) {
+				if _, err := router.AppendKeys(nil, req); !errors.Is(err, ErrNoKey) {
 					t.Fatalf("request %v routable (err=%v)", req, err)
 				}
 			}
@@ -57,7 +57,7 @@ func TestKeyedRequestKeys(t *testing.T) {
 	// must never enter the hash router.
 	for _, req := range [][]byte{EncodeTxnPrepare(1, 0, nil), EncodeTxnCommit(1), EncodeTxnAbort(1), EncodeTxnDecide(1, true)} {
 		for _, router := range []Router{NewRKV(), NewKV(0), NewOrderBook()} {
-			if _, err := router.Keys(req); err == nil {
+			if _, err := router.AppendKeys(nil, req); err == nil {
 				t.Fatalf("opcode %d routable; 2PC internals must not enter the hash router", req[0])
 			}
 		}

@@ -206,7 +206,7 @@ func TestAppsVersionedReadRoundTrip(t *testing.T) {
 				if !ok || crossed {
 					t.Fatalf("pinned read at %d: ok=%v crossed=%v", last, ok, crossed)
 				}
-				hist[last] = res
+				hist[last] = bytes.Clone(res) // the next read overwrites res
 			}
 
 			// Pinned at the present == the live read path.
@@ -280,6 +280,7 @@ func TestKVPinnedReadCrossedSignal(t *testing.T) {
 	if !ok || crossed {
 		t.Fatalf("clean pre-txn pin: ok=%v crossed=%v", ok, crossed)
 	}
+	pre = bytes.Clone(pre) // the next read overwrites it
 
 	// Stage a transaction on k0 (2PC prepare = consensus-ordered command).
 	frag, err := kv.Fragment(app.EncodeKVMSet(app.Pair{Key: k0, Val: []byte("new")}), []int{0})

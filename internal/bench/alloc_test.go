@@ -41,9 +41,10 @@ var raceAllocs, raceSlowAllocs, raceReadAllocs int
 // TestFastPathAllocBudget asserts a ceiling on heap allocations per
 // end-to-end request on uBFT's fast path, in steady state (pools warm, ring
 // mirrors grown, consensus tables populated, their free lists filled).
-// Measured at 20 allocs/request when this budget was set: what is left is
-// the immutable ring and reply frames, the application's results and the
-// harness. It read 25 while every ring ack and echo was a fresh frame, 45
+// Measured at 18 allocs/request when this budget was set: what is left is
+// the immutable ring frames, the one reply frame a call hands its caller, the
+// application's results and the harness. It read 20 while every reply frame
+// was fresh (3 a request), 25 while every ring ack and echo was a fresh frame, 45
 // while every slot, request, client call and CTBcast fallback record was
 // made anew per operation with its timer closure, 47 while the client copied its request once per replica, 75 while
 // the router copied every ring frame once per receiver and the broadcaster
@@ -53,7 +54,7 @@ var raceAllocs, raceSlowAllocs, raceReadAllocs int
 // (1 to 4 allocations a request each) trips it, as does a per-receiver frame
 // copy or reintroduced per-message encode/decode churn (hundreds).
 func TestFastPathAllocBudget(t *testing.T) {
-	budget := 23 + raceAllocs
+	budget := 21 + raceAllocs
 
 	s := NewUBFTFast(1, nil)
 	defer s.Stop()
@@ -73,8 +74,10 @@ func TestFastPathAllocBudget(t *testing.T) {
 // end-to-end request on the signed slow path, in steady state. A request there
 // makes 48 SWMR quorum operations on three memory nodes (288 memory-node
 // messages), so a copy per memory node or per completion costs 144 a request.
-// Measured at 31 allocs/request when this budget was set, since a ring ack
-// and an echo go back to the router's free list once read; 48 while each was
+// Measured at 29 allocs/request when this budget was set, since a reply frame
+// the client does not hand out goes back to the router's free list; 31 while
+// every reply frame was fresh, since a ring ack and an echo go back to the
+// router's free list once read; 48 while each was
 // a fresh frame (some 15 acks and 2 echoes a request), after a certificate
 // came to be read in place as its encoded bytes, a CERTIFY signature a view
 // of its frame and a slot's CERTIFY share sets kept with its recycled
@@ -82,11 +85,12 @@ func TestFastPathAllocBudget(t *testing.T) {
 // those signatures and sets were copied and grown anew, 277 while every
 // register request and completion was a fresh frame, 300 before that, ~1300
 // while every register request was copied once per memory node, every
-// completion twice and a READ's region three times. The ceiling is 31 plus
-// 15%: fresh acks and echoes again (17 a request), a map per decoded certificate
-// (16) or a copy per CERTIFY signature (8) trips it.
+// completion twice and a READ's region three times. The ceiling is 29 plus
+// 15%: fresh replies again (2 a request, with 36 as the ceiling until they were
+// recycled), fresh acks and echoes (17), a map per decoded certificate (16) or
+// a copy per CERTIFY signature (8) trips it.
 func TestSlowPathAllocBudget(t *testing.T) {
-	budget := 36 + raceSlowAllocs
+	budget := 34 + raceSlowAllocs
 
 	s := NewUBFTSlow(1, nil)
 	defer s.Stop()
@@ -141,16 +145,20 @@ func TestSlowPathVerifiesEachSignatureOnce(t *testing.T) {
 // TestFastReadAllocBudget asserts the unordered read fast path allocates
 // strictly less than the ordered request budget — a read that skips the
 // whole ordering pipeline must not cost more heap than one that runs it.
-// Measured at 10 allocs/read when this budget was set, since a read's record
-// and its result classes are reused and replies are read in place; 17 while
+// Measured at 6 allocs/read when this budget was set, since a reply frame the
+// client does not hand out goes back to the router's free list, a store
+// appends each answer into one buffer of its own and single-key routing
+// reuses its key slice; 10 while each of those was fresh, since a read's
+// record and its result classes are reused and replies are read in place; 17 while
 // each read made a record, a class map and a wrapper closure and copied
 // every reply, ~18 before that once a read asked f+1 replicas first, ~23 when
 // every read went to all 2f+1 (vs ~139 for an ordered write on the same
 // deployment and ~119 on the single-cluster fast path, both before the
-// replica's state tables were merged). The ceiling is 10 plus 15%, ratcheted
-// from 30: a record or a reply copy per read coming back trips it.
+// replica's state tables were merged). The ceiling is 6 plus 15%, ratcheted
+// from 30 to 12 and then 7: a record, a reply copy or a fresh answer per read
+// coming back trips it.
 func TestFastReadAllocBudget(t *testing.T) {
-	budget := 12 + raceReadAllocs
+	budget := 7 + raceReadAllocs
 
 	d := shard.New(shard.Options{
 		Seed:      1,
@@ -190,11 +198,12 @@ func TestFastReadAllocBudget(t *testing.T) {
 // single-key point read (KVGet through the MVCC store): the smallest
 // request the fast path serves must stay in the same allocation class as
 // the multi-key read above — versioned chains must not add per-read churn.
-// Measured at 8 allocs/read when this budget was set (15 before read records
-// were reused, ~16 and ~20 earlier); the ceiling is that plus 15%, ratcheted
-// from 30.
+// Measured at 4 allocs/read when this budget was set (8 while reply frames,
+// read answers and routed key slices were fresh, 15 before read records were
+// reused, ~16 and ~20 earlier); the ceiling is that plus 15%, ratcheted from
+// 30 to 10 and then 5.
 func TestPointReadAllocBudget(t *testing.T) {
-	budget := 10 + raceReadAllocs
+	budget := 5 + raceReadAllocs
 
 	d := shard.New(shard.Options{
 		Seed:      1,

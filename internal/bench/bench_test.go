@@ -123,7 +123,7 @@ func TestShardedKVWorkloadTargetsShard(t *testing.T) {
 		wl.shard, wl.shards = target, shards
 		for i := 0; i < 64; i++ {
 			req := wl.Next()
-			keys, err := router.Keys(req)
+			keys, err := router.AppendKeys(nil, req)
 			if err != nil || len(keys) != 1 {
 				t.Fatalf("workload emitted unroutable request: %q, %v", keys, err)
 			}

@@ -3,14 +3,16 @@
 package bench
 
 // Under the race detector sync.Pool drops a share of what is put back, at
-// random, so pooled wire writers are allocated again: measured 30
-// allocations per fast-path request where a plain build reads 20 (40 where it
-// read 25 before ring acks and echoes were recycled, 60 where it read 45
-// before per-operation records were recycled, 91 where it read 75 before
-// ring frames were shared), 84 per slow-path request where a plain build
-// reads 31 (110 where it read 48 before ring acks and echoes were recycled,
-// 147-148 where it read 85 before certificates were read in place, 331-332
-// where it read 278 before register frames were reused, 352-353 where it
-// read 300), and 10-11 per fast read and 8-9 per point read where a plain
-// build reads 10 and 8.
-func init() { raceAllocs, raceSlowAllocs, raceReadAllocs = 11, 55, 2 }
+// random, so pooled wire writers are allocated again: measured 29
+// allocations per fast-path request where a plain build reads 18 (30 where it
+// read 20 before reply frames were recycled, 40 where it read 25 before ring
+// acks and echoes were recycled, 60 where it read 45 before per-operation
+// records were recycled, 91 where it read 75 before ring frames were shared),
+// 81-82 per slow-path request where a plain build reads 29 (84 where it read
+// 31 before reply frames were recycled, 110 where it read 48 before ring acks
+// and echoes were recycled, 147-148 where it read 85 before certificates were
+// read in place, 331-332 where it read 278 before register frames were
+// reused, 352-353 where it read 300), and 6 per fast read and 4 per point
+// read where a plain build reads the same (10-11 and 8-9 where it read 10 and
+// 8 before reply frames, read answers and routed key slices were reused).
+func init() { raceAllocs, raceSlowAllocs, raceReadAllocs = 11, 55, 1 }

@@ -31,6 +31,8 @@
 package byz
 
 import (
+	"bytes"
+
 	"repro/internal/app"
 	"repro/internal/consensus"
 	"repro/internal/ctbcast"
@@ -45,11 +47,13 @@ import (
 // (possibly mutated), several also inject (replays). frame is the full
 // endpoint payload including the router channel tag; returned frames must
 // be fresh slices or the unmodified input, never a mutated alias. A
-// completion, a ring ack or an echo has one reader, which releases it to the
-// process's free list once read, and a register request is released by its
+// completion, a ring ack, an echo or a client reply has one reader, which
+// releases it to the process's free list once read (a client keeps the one
+// reply it hands to its caller), and a register request is released by its
 // client once every transmission of it is answered (router.Release): a
 // policy must not keep such a frame past the call or return it twice, since
-// by the second delivery its next use may have overwritten it.
+// by the second delivery its next use may have overwritten it. A policy that
+// replays a reply keeps and sends copies.
 type Policy interface {
 	Outbound(to ids.ID, frame []byte) [][]byte
 }
@@ -287,8 +291,10 @@ func (p *CorruptVotes) Outbound(to ids.ID, frame []byte) [][]byte {
 	}
 	p.sent++
 	if prev := p.prevs[to]; prev != nil && p.sent%every == 0 {
-		out = append(out, prev)
+		out = append(out, bytes.Clone(prev))
 	}
-	p.prevs[to] = out[0]
+	// The client releases the reply it reads, so the replay is kept and sent
+	// as a copy.
+	p.prevs[to] = bytes.Clone(out[0])
 	return out
 }

@@ -8,11 +8,13 @@ package cluster_test
 // retransmission. A single write into one too early — a decoder appending to
 // a view, a handler editing a delivered message, a mirror slot or a register
 // client reusing its buffer before every transmission is answered — would
-// change what some receiver reads. Register frames, ring acks and echoes alone
-// go back to the router's free list after that and are reused: a register
-// client releases its request frame once every transmission is answered
-// (package swmr), and a completion, a ring ack or an echo is released once its
-// one reader is done with it. Every other payload never changes at all.
+// change what some receiver reads. Register frames, ring acks, echoes and
+// client replies alone go back to the router's free list after that and are
+// reused: a register client releases its request frame once every
+// transmission is answered (package swmr), and a completion, a ring ack, an
+// echo or a reply is released once its one reader is done with it, except the
+// one reply of a call that its client hands to the caller, which never
+// changes. Every other payload never changes at all.
 
 import (
 	"fmt"
@@ -64,6 +66,7 @@ const (
 	register
 	ringAck
 	echo
+	reply
 )
 
 type sentPayload struct {
@@ -92,7 +95,8 @@ func newFrameAudit(t *testing.T) *frameAudit {
 }
 
 // kindOf classifies a frame at its Send: register requests and completions,
-// ring acks, and echoes (a direct message with the echo tag) are reused.
+// ring acks, echoes (a direct message with the echo tag) and replies to
+// clients are reused.
 func kindOf(ch uint8, frame []byte) reuse {
 	switch ch {
 	case router.ChanMemReq, router.ChanMemResp:
@@ -102,6 +106,10 @@ func kindOf(ch uint8, frame []byte) reuse {
 	case router.ChanDirect:
 		if h, ok := consensus.ReadHeader(frame); ok && h.Tag == wire.TagEcho {
 			return echo
+		}
+	case router.ChanRPC:
+		if h, ok := consensus.ReadHeader(frame); ok && (h.Tag == wire.TagResponse || h.Tag == wire.TagReadResponse) {
+			return reply
 		}
 	}
 	return never
@@ -231,8 +239,9 @@ func (a *frameAudit) infect(net *simnet.Network, id ids.ID, p byz.Policy) {
 // signed slow path (the crashed leader leaves no unanimity for the fast
 // path), checkpoints (a small window) and a view change. Every delivery must
 // carry the bytes its payload had at Send, and at the end of the run every
-// payload any node ever sent, reused kinds aside, must still hold them, and
-// register frames, ring acks and echoes must each have been reused.
+// payload any node ever sent, reused kinds aside, must still hold them,
+// register frames, ring acks, echoes and replies must each have been reused,
+// and every result a call returned must still hold its bytes.
 // (Staging behind a WRITE in flight needs a burst of more than a ring's
 // slots within one WRITE completion, which consensus traffic does not make;
 // msgring's TestRetainedViewsNeverChange holds staged frames to the same
@@ -269,10 +278,16 @@ func TestSentFramesNeverChange(t *testing.T) {
 			defer u.Stop()
 			audit.watch(net, u.ReplicaIDs, u.MemNodeIDs, u.ClientIDs)
 			set := func(i int) []byte { return app.EncodeKVSet([]byte(fmt.Sprintf("k%03d", i)), []byte("v")) }
+			// The results handed to callers are views of reply frames the
+			// client never releases: they must keep their bytes to the end.
+			var results [][]byte
+			var resultSums []uint64
 			mustSet := func(i int) {
-				if _, _, err := u.InvokeSyncErr(0, set(i), 100*sim.Millisecond); err != nil {
+				res, _, err := u.InvokeSyncErr(0, set(i), 100*sim.Millisecond)
+				if err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
+				results, resultSums = append(results, res), append(resultSums, xcrypto.ChecksumNoCharge(res))
 			}
 			for i := 0; i < 12; i++ {
 				mustSet(i)
@@ -305,8 +320,8 @@ func TestSentFramesNeverChange(t *testing.T) {
 
 			r := u.Replicas[1]
 			_, slow, _ := r.GroupStats()
-			t.Logf("%d payloads sent, %d delivered, %d ring and %d register request retransmissions; sent again with new bytes: %d register frames, %d ring acks, %d echoes; view %d, %d slow decisions, %d slow CTBcast deliveries, checkpoint %d; %d/8 operations after GST",
-				len(audit.sent), audit.delivered, audit.retransmit, audit.memRetransmit, audit.recycled[register], audit.recycled[ringAck], audit.recycled[echo],
+			t.Logf("%d payloads sent, %d delivered, %d ring and %d register request retransmissions; sent again with new bytes: %d register frames, %d ring acks, %d echoes, %d replies; view %d, %d slow decisions, %d slow CTBcast deliveries, checkpoint %d; %d/8 operations after GST",
+				len(audit.sent), audit.delivered, audit.retransmit, audit.memRetransmit, audit.recycled[register], audit.recycled[ringAck], audit.recycled[echo], audit.recycled[reply],
 				r.View(), r.SlowDecides, slow, r.Checkpoint().Seq, completed)
 			switch {
 			case audit.retransmit == 0:
@@ -319,6 +334,8 @@ func TestSentFramesNeverChange(t *testing.T) {
 				t.Error("no ring ack was reused")
 			case audit.recycled[echo] == 0:
 				t.Error("no echo was reused")
+			case audit.recycled[reply] == 0:
+				t.Error("no reply was reused")
 			case r.View() == 0:
 				t.Error("the leader crash forced no view change")
 			case r.SlowDecides == 0 || slow == 0:
@@ -327,6 +344,11 @@ func TestSentFramesNeverChange(t *testing.T) {
 				t.Error("no checkpoint became stable")
 			}
 			audit.verify(t)
+			for i, res := range results {
+				if xcrypto.ChecksumNoCharge(res) != resultSums[i] {
+					t.Errorf("the result of operation %d changed after its call returned", i)
+				}
+			}
 		})
 	}
 }

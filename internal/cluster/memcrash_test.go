@@ -149,8 +149,9 @@ func TestMemNodeCrashAtFirstWrite(t *testing.T) {
 
 // TestParallelDeploymentsShareCompletions: two slow-path deployments on
 // their own goroutines share the process's free list of frames, one's
-// clients, broadcasters and leaders releasing completions, ring acks and
-// echoes the other's memory nodes, listeners and followers write into. Each
+// clients, broadcasters and leaders releasing completions, replies, ring acks
+// and echoes the other's memory nodes, replicas, listeners and followers
+// write into. Each
 // must answer as it does alone, at the same virtual latencies; `make race`
 // runs this under the race detector.
 func TestParallelDeploymentsShareCompletions(t *testing.T) {

@@ -144,6 +144,41 @@ func TestValidateCommitNeedsRealCertificate(t *testing.T) {
 	}
 }
 
+// TestCommitWithoutPrepareIsNoUndecidedWork: validating a COMMIT for an
+// in-window slot this replica holds no PREPARE for makes the slot's record
+// (its CERTIFY shares are kept there), and one COMMIT decides nothing; that
+// record is no evidence of a stalled leader, so it leaves hasUndecidedWork
+// false and arms no suspicion.
+func TestCommitWithoutPrepareIsNoUndecidedWork(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[0]
+	const s = Slot(3)
+	req := Request{Client: 200, Num: 1, Payload: []byte("x")}
+	dg := req.Digest()
+	proc := sim.NewProc(rig.eng, "signer")
+	cert := CommitCert{View: 0, Slot: s, Req: req, Sigs: certOf(map[ids.ID]xcrypto.Signature{
+		1: rig.reg.Signer(1).Sign(proc, certifyPayload(0, s, dg)),
+		2: rig.reg.Signer(2).Sign(proc, certifyPayload(0, s, dg)),
+	})}
+	w := wire.NewWriter(256)
+	w.U8(tagCommit)
+	cert.encode(w)
+	if !r.accepts(ids.ID(1), w.Finish()) {
+		t.Fatal("genuine COMMIT certificate rejected")
+	}
+	if _, ok := r.slots[s]; !ok || r.hasPrepare(s) || r.isDecided(s) {
+		t.Fatalf("the COMMIT left slot record %v, a PREPARE %v, a decision %v; want a record only", ok, r.hasPrepare(s), r.isDecided(s))
+	}
+	if r.hasUndecidedWork() || r.progressTimer.Pending() {
+		t.Fatalf("a COMMIT without a PREPARE counts as undecided work %v, arms suspicion %v", r.hasUndecidedWork(), r.progressTimer.Pending())
+	}
+	rig.eng.RunFor(10 * r.cfg.ViewChangeTimeout)
+	if r.ViewChanges != 0 || r.View() != 0 {
+		t.Fatalf("%d view changes, view %d, after a COMMIT without a PREPARE", r.ViewChanges, r.View())
+	}
+}
+
 // TestRepeatedSignerRejected: a certificate that lists one genuine share twice
 // under its signer is not canonical, so no correct process sends it; a COMMIT
 // or CHECKPOINT carrying one is refused however many times the share is

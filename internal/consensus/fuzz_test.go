@@ -53,12 +53,19 @@ func clientFuzzRig(t *testing.T) *Client {
 	return c
 }
 
-// encodeReply builds a well-formed tag-31/33 frame — the seed corpus, so
-// the fuzzer starts from frames that reach deep into the tally logic
-// (matching nums, served flags, huge versions) instead of bouncing off the
-// truncation checks.
+// encodeReply builds a well-formed tag-31/33 reply, channel tag stripped —
+// the seed corpus, so the fuzzer starts from frames that reach deep into the
+// tally logic (matching nums, served flags, huge versions) instead of
+// bouncing off the truncation checks.
 func encodeReply(tag uint8, num, version uint64, flags uint8, result []byte) []byte {
+	return wholeReply(tag, num, version, flags, result)[1:]
+}
+
+// wholeReply is encodeReply's reply as a whole fresh frame, channel tag
+// first, as Client.onRPC takes it.
+func wholeReply(tag uint8, num, version uint64, flags uint8, result []byte) []byte {
 	w := wire.NewWriter(64)
+	w.U8(router.ChanRPC)
 	w.U8(tag)
 	w.U64(num)
 	w.U64(version)
@@ -89,7 +96,7 @@ func FuzzClientReadReply(f *testing.F) {
 	f.Add(uint8(2), []byte{})                      // empty
 	f.Fuzz(func(t *testing.T, fromSel uint8, data []byte) {
 		c := clientFuzzRig(t)
-		c.onRPC(ids.ID(fromSel%3), data)
+		c.onRPC(ids.ID(fromSel%3), append([]byte{router.ChanRPC}, data...))
 		if got := c.ReadFloor(0); got != 0 {
 			t.Fatalf("one hostile reply inflated the read floor to %d", got)
 		}

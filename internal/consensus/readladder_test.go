@@ -34,11 +34,11 @@ func asked(p *call, n int) (in, out []ids.ID) {
 }
 
 func vote(c *Client, from ids.ID, num uint64, result string) {
-	c.onRPC(from, encodeReply(tagReadResponse, num, 1, readFlagServed, []byte(result)))
+	c.onRPC(from, wholeReply(tagReadResponse, num, 1, readFlagServed, []byte(result)))
 }
 
 func refuse(c *Client, from ids.ID, num uint64) {
-	c.onRPC(from, encodeReply(tagReadResponse, num, 1, 0, nil))
+	c.onRPC(from, wholeReply(tagReadResponse, num, 1, 0, nil))
 }
 
 // TestReadFirstRungIsFPlusOne: a read asks f+1 replicas, and consecutive
@@ -163,7 +163,7 @@ func TestReadCancelOnEveryRung(t *testing.T) {
 	fired := 0
 	num := c.Call(0, []byte("s"), Mode{Read: true, Strong: true}, func([]byte, sim.Duration) { fired++ })
 	for id := ids.ID(0); id < 3; id++ { // skewed versions: pin at the highest
-		c.onRPC(id, encodeReply(tagReadResponse, num, 5+uint64(id), readFlagServed, []byte("v")))
+		c.onRPC(id, wholeReply(tagReadResponse, num, 5+uint64(id), readFlagServed, []byte("v")))
 	}
 	if p := c.calls[num]; p == nil || p.mode.At != 7 || p.replied != 0 {
 		t.Fatalf("strong read did not enter its pin round under number %d", num)
@@ -244,7 +244,7 @@ func TestReadFallbackKeepsItsRecord(t *testing.T) {
 		t.Fatal("Cancel took the ordered request's number instead of the caller's handle")
 	}
 	ordered := func(from ids.ID, n uint64) {
-		c.onRPC(from, encodeReply(tagResponse, n, 4, 0, []byte("v")))
+		c.onRPC(from, wholeReply(tagResponse, n, 4, 0, []byte("v")))
 	}
 	ordered(0, num)
 	ordered(1, num) // under the read's own number: not a vote

@@ -274,7 +274,7 @@ func twoGroupSinks(t *testing.T) (*Client, *sim.Engine) {
 func TestRecycledCallRecordsAreFresh(t *testing.T) {
 	c, _ := twoGroupSinks(t)
 	reply := func(tag uint8, from ids.ID, num, version uint64, flags uint8, result string) {
-		c.onRPC(from, encodeReply(tag, num, version, flags, []byte(result)))
+		c.onRPC(from, wholeReply(tag, num, version, flags, []byte(result)))
 	}
 	kept := func(what string, fired, want int, p *call) {
 		t.Helper()
@@ -338,14 +338,14 @@ func TestLateReplyDoesNotCountForTheNextCall(t *testing.T) {
 	fired := 0
 	first := c.Invoke([]byte("a"), func([]byte, sim.Duration) { fired++ })
 	p := c.calls[first]
-	c.onRPC(0, encodeReply(tagResponse, first, 1, 0, []byte("x")))
-	c.onRPC(1, encodeReply(tagResponse, first, 1, 0, []byte("x")))
+	c.onRPC(0, wholeReply(tagResponse, first, 1, 0, []byte("x")))
+	c.onRPC(1, wholeReply(tagResponse, first, 1, 0, []byte("x")))
 	second := c.Invoke([]byte("b"), func([]byte, sim.Duration) { fired++ })
 	if fired != 1 || c.calls[second] != p {
 		t.Fatalf("first call fired %d times; second call reuses its record: %v", fired, c.calls[second] == p)
 	}
-	c.onRPC(2, encodeReply(tagResponse, first, 1, 0, []byte("x"))) // late
-	c.onRPC(0, encodeReply(tagResponse, second, 1, 0, []byte("x")))
+	c.onRPC(2, wholeReply(tagResponse, first, 1, 0, []byte("x"))) // late
+	c.onRPC(0, wholeReply(tagResponse, second, 1, 0, []byte("x")))
 	if fired != 1 || p.replied != 1 || len(p.byRes) != 1 || p.byRes[0].count != 1 {
 		t.Fatalf("late reply counted toward the next call: fired %d, record %+v", fired, p)
 	}
@@ -355,7 +355,7 @@ func TestLateReplyDoesNotCountForTheNextCall(t *testing.T) {
 	rp := c.calls[first]
 	in, _ := asked(rp, 3)
 	readVote := func(from ids.ID, num uint64) {
-		c.onRPC(from, encodeReply(tagReadResponse, num, 5, readFlagServed, []byte("x")))
+		c.onRPC(from, wholeReply(tagReadResponse, num, 5, readFlagServed, []byte("x")))
 	}
 	readVote(in[0], first)
 	readVote(in[1], first)

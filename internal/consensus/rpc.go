@@ -308,13 +308,14 @@ func (r *Replica) drainPinnedReads() {
 	r.pinnedReads = kept
 }
 
-// readReplyFrame encodes one fast-read reply as an exact-size frame,
-// channel tag first. The version field carries lastApplied as of this call,
-// the instant the result was read — for a pinned read the RESULT is as-of the
-// pin, but the version still teaches the client how far this replica has
-// executed (its frontier input).
+// readReplyFrame encodes one fast-read reply into a reply frame (replyFrame),
+// which copies result, an answer the application's next read may overwrite.
+// The version field carries lastApplied as of this call, the instant the
+// result was read — for a pinned read the RESULT is as-of the pin, but the
+// version still teaches the client how far this replica has executed (its
+// frontier input).
 func (r *Replica) readReplyFrame(num uint64, flags uint8, result []byte) []byte {
-	return EncodeReply(Reply{Tag: tagReadResponse, Num: num, At: uint64(r.lastApplied), Flags: flags, Result: result})
+	return replyFrame(Reply{Tag: tagReadResponse, Num: num, At: uint64(r.lastApplied), Flags: flags, Result: result})
 }
 
 // refuseRead sends a refusal at once, from the main process.
@@ -451,7 +452,7 @@ func (r *Replica) respond(client ids.ID, reqNum uint64, slot Slot, result []byte
 	if parked {
 		flags |= respFlagParked
 	}
-	r.rt.SendFrame(client, EncodeReply(Reply{Tag: tagResponse, Num: reqNum, At: uint64(slot), Flags: flags, Result: result}))
+	r.rt.SendFrame(client, replyFrame(Reply{Tag: tagResponse, Num: reqNum, At: uint64(slot), Flags: flags, Result: result}))
 }
 
 // Reply is a replica's answer to a client: to an ordered request
@@ -465,11 +466,12 @@ type Reply struct {
 	Result []byte
 }
 
-// EncodeReply encodes rep as a frame, channel tag first, into a fresh slice
-// of exact size that is never written once sent.
-func EncodeReply(rep Reply) []byte {
-	var w wire.Writer
-	w.Grow(3 + 16 + wire.BytesLen(len(rep.Result)))
+// replyLen is the length of a reply frame whose result is n bytes long.
+func replyLen(n int) int { return 3 + 16 + wire.BytesLen(n) }
+
+// appendReply appends rep to dst as a whole frame, channel tag first.
+func appendReply(dst []byte, rep Reply) []byte {
+	w := wire.WriterOn(dst)
 	w.U8(router.ChanRPC)
 	w.U8(rep.Tag)
 	w.U64(rep.Num)
@@ -479,9 +481,22 @@ func EncodeReply(rep Reply) []byte {
 	return w.Finish()
 }
 
+// replyFrame encodes a replica's reply into a frame from the router's free
+// list, sent once, to its one client, which releases it unless it hands the
+// result to its caller (Client.onRPC).
+func replyFrame(rep Reply) []byte {
+	return appendReply(router.Frame(replyLen(len(rep.Result)))[:0], rep)
+}
+
+// EncodeReply encodes rep as a frame, channel tag first, into a fresh slice
+// of exact size.
+func EncodeReply(rep Reply) []byte {
+	return appendReply(make([]byte, 0, replyLen(len(rep.Result))), rep)
+}
+
 // ParseReply decodes a reply, channel tag stripped, in borrow mode: Result is
-// a view of payload, a reply frame, which is immutable once sent. ok is false
-// for anything but a well-formed reply.
+// a view of payload, good for as long as its reply frame is. ok is false for
+// anything but a well-formed reply.
 func ParseReply(payload []byte) (Reply, bool) {
 	rd := wire.NewReader(payload)
 	tag := rd.U8()
@@ -563,6 +578,8 @@ type Mode struct {
 
 // Outcome is what a call resolved to, as CallAt reports it.
 type Outcome struct {
+	// Result is a view of the accepted reply frame, which the client never
+	// releases: it may be kept as long as the caller likes, never written.
 	Result []byte
 	// Slot is the version the accepted result was read at; Frontier is the
 	// highest version ANY reply revealed, the input for choosing pins. An
@@ -607,15 +624,21 @@ type Outcome struct {
 type resTally struct {
 	key     uint64 // the class key: the result checksum, mixed as the path needs
 	count   int
-	result  []byte // a view of the last counted reply frame
+	frame   []byte // the last counted reply frame, which the class holds
+	result  []byte // a view of frame
 	minSlot Slot
 	crossed bool   // the parked marker (ordered, in the key) or the OR of txn-crossed flags (read)
 	voters  uint64 // read path: the replica indices counted
 }
 
-func (t *resTally) add(result []byte, slot Slot, crossed bool) {
+// add counts one reply whose result is a view of frame: the class holds
+// frame from now on and releases the frame it held before.
+func (t *resTally) add(frame, result []byte, slot Slot, crossed bool) {
+	if t.frame != nil {
+		router.Release(t.frame)
+	}
 	t.count++
-	t.result = result
+	t.frame, t.result = frame, result
 	t.crossed = t.crossed || crossed
 	if t.count == 1 || slot < t.minSlot {
 		t.minSlot = slot
@@ -639,8 +662,13 @@ func (ts *tallies) of(key uint64) *resTally {
 	return &(*ts)[len(*ts)-1]
 }
 
-// reset empties the classes, dropping their views of reply frames.
+// reset empties the classes and releases the reply frames they hold.
 func (ts *tallies) reset() {
+	for _, t := range *ts {
+		if t.frame != nil {
+			router.Release(t.frame)
+		}
+	}
 	clear(*ts)
 	*ts = (*ts)[:0]
 }
@@ -726,7 +754,7 @@ func NewMultiClient(rt *router.Router, groups [][]ids.ID, f int, def Defenses) *
 		readProbe:   make([]probeRead, len(groups)),
 		def:         def,
 	}
-	rt.Register(router.ChanRPC, c.onRPC)
+	rt.RegisterFrame(router.ChanRPC, c.onRPC)
 	return c
 }
 
@@ -751,8 +779,10 @@ func (c *Client) Invoke(payload []byte, done func(result []byte, latency sim.Dur
 // Call submits payload to the given replica group as mode says; done fires
 // exactly once with the accepted result and the end-to-end latency (widen
 // and fallback included), unless the call is cancelled. The result is a
-// view of a reply frame, which is immutable once sent: the callee may keep
-// it as long as it likes, but must never write into it.
+// view of the one reply frame the client never releases: the callee may keep
+// it as long as it likes, but must never write into it. Every other reply
+// frame a replica of the client's groups sends goes back to the router's free
+// list (onRPC), so nothing else of a reply outlives the call.
 //
 // An ordered call is accepted on f+1 matching replies. A read (mode.Read)
 // climbs the ladder this file opens with: one round trip to f+1 of the
@@ -778,6 +808,8 @@ func (c *Client) Call(group int, payload []byte, mode Mode, done func(result []b
 // CallAt is Call reporting the whole Outcome: the version the result was
 // read at, the group frontier, the crossed marker and whether a read fell
 // back. The shard layer's snapshot-consistent scatter-gather builds on it.
+// Outcome.Result is, as Call's result, a view of the one reply frame the
+// client hands out and never releases.
 func (c *Client) CallAt(group int, payload []byte, mode Mode, done func(Outcome)) uint64 {
 	return c.start(group, payload, mode, nil, done)
 }
@@ -878,12 +910,14 @@ func (c *Client) drop(p *call) {
 	c.free.put(p)
 }
 
-// finish drops call p and hands its outcome to the caller. The result is a
-// view of a reply frame, not of the record, so the callback may start the
-// next call on the same record.
-func (c *Client) finish(p *call, result []byte, slot Slot, crossed bool) {
-	o := Outcome{Result: result, Slot: slot, Frontier: p.frontier, Crossed: crossed,
+// finish drops call p and hands the accepted class t's result to the
+// caller. The result is a view of t's reply frame, which leaves the class
+// unreleased while drop releases every other frame the call holds, so the
+// callback may keep it and start the next call on the same record.
+func (c *Client) finish(p *call, t *resTally, slot Slot) {
+	o := Outcome{Result: t.result, Slot: slot, Frontier: p.frontier, Crossed: t.crossed,
 		FellBack: p.mode.Read && p.ordNum != 0, Latency: c.proc.Now().Sub(p.started)}
+	t.frame = nil
 	done, doneAt := p.done, p.doneAt
 	c.drop(p)
 	if done != nil {
@@ -899,32 +933,54 @@ func (c *Client) finish(p *call, result []byte, slot Slot, crossed bool) {
 // the read handle, once for its ordered request — until it resolves.
 func (c *Client) PendingCount() int { return len(c.calls) }
 
-func (c *Client) onRPC(from ids.ID, payload []byte) {
+// onRPC takes one reply frame, channel tag first. A reply a call counts is
+// held by its result class (resTally) until a newer reply of the class, a
+// reset of the call's classes or the call's end releases it, unless the call
+// hands it to its caller. Every other reply (late, duplicate, stale, refused
+// or malformed) is released at once if a replica of this client's groups
+// sent it: as swmr does with completions, the client releases only frames
+// whose sender it knows draws them from the free list (replyFrame).
+func (c *Client) onRPC(from ids.ID, frame []byte) {
+	_, payload := router.Split(frame)
 	rep, ok := ParseReply(payload)
+	counted := false
 	switch {
 	case !ok:
 	case rep.Tag == tagResponse:
-		c.onResponse(from, rep)
+		counted = c.onResponse(from, frame, rep)
 	default:
-		c.onReadResponse(from, rep)
+		counted = c.onReadResponse(from, frame, rep)
+	}
+	if !counted && c.member(from) {
+		router.Release(frame)
 	}
 }
 
-// onResponse counts one replica's reply to an ordered request: under the
-// call's ordered number only.
-func (c *Client) onResponse(from ids.ID, rep Reply) {
+// member reports whether id is a replica of one of the client's groups.
+func (c *Client) member(id ids.ID) bool {
+	for g := range c.groups {
+		if c.replicaIndex(id, g) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// onResponse counts one replica's reply to an ordered request, under the
+// call's ordered number only, and reports whether it did.
+func (c *Client) onResponse(from ids.ID, frame []byte, rep Reply) bool {
 	num, slot, result := rep.Num, Slot(rep.At), rep.Result
 	p := c.calls[num]
 	if p == nil || p.ordNum != num {
-		return
+		return false
 	}
 	idx := c.replicaIndex(from, p.group)
 	if idx < 0 {
-		return // response from outside the group this request went to
+		return false // response from outside the group this request went to
 	}
 	bit := uint64(1) << uint(idx)
 	if p.replied&bit != 0 {
-		return // one response per replica counts toward the quorum
+		return false // one response per replica counts toward the quorum
 	}
 	p.replied |= bit
 	parked := rep.Flags&respFlagParked != 0
@@ -935,7 +991,7 @@ func (c *Client) onResponse(from ids.ID, rep Reply) {
 		key ^= 0xC2B2AE3D27D4EB4F
 	}
 	t := p.byRes.of(key)
-	t.add(result, slot, parked)
+	t.add(frame, result, slot, parked)
 	need := c.f + 1
 	if c.def.QuorumOne {
 		need = 1
@@ -948,8 +1004,9 @@ func (c *Client) onResponse(from ids.ID, rep Reply) {
 		// (read-your-writes and monotonic reads across both paths).
 		c.noteVersion(p.group, t.minSlot+1)
 		p.frontier = max(p.frontier, c.readFloor[p.group])
-		c.finish(p, result, p.frontier, parked)
+		c.finish(p, t, p.frontier)
 	}
+	return true
 }
 
 func (c *Client) replicaIndex(id ids.ID, group int) int {
@@ -1012,8 +1069,9 @@ func (c *Client) sendRead(p *call, to uint64) {
 // vote for the best class — the read climbs a rung (escalate), except a
 // strong sample round that merely found the replicas version-skewed, which
 // re-reads pinned at the revealed frontier first. An accepted-but-locked
-// result goes straight to the ordered path.
-func (c *Client) onReadResponse(from ids.ID, rep Reply) {
+// result goes straight to the ordered path. It reports whether it counted
+// the reply.
+func (c *Client) onReadResponse(from ids.ID, frame []byte, rep Reply) bool {
 	num, version, flags, result := rep.Num, Slot(rep.At), rep.Flags, rep.Result
 	served := flags&readFlagServed != 0
 	p := c.calls[num]
@@ -1028,15 +1086,15 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 				}
 			}
 		}
-		return
+		return false
 	}
 	idx := c.replicaIndex(from, p.group)
 	if idx < 0 {
-		return
+		return false
 	}
 	bit := uint64(1) << uint(idx)
 	if p.replied&bit != 0 {
-		return // one reply per replica counts, asked or not
+		return false // one reply per replica counts, asked or not
 	}
 	p.replied |= bit
 	if version > p.frontier {
@@ -1050,7 +1108,8 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 	if c.def.QuorumOne {
 		need = 1
 	}
-	if served && version >= p.minSlot {
+	counted := served && version >= p.minSlot
+	if counted {
 		key := app.ReadDigest(result)
 		if p.mode.Strong && p.mode.At == 0 {
 			// The strong sample round must be unanimous at ONE version:
@@ -1059,7 +1118,7 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 			key += uint64(version) * 0x9E3779B97F4A7C15
 		}
 		t := p.byRes.of(key)
-		t.add(result, version, flags&readFlagCrossed != 0)
+		t.add(frame, result, version, flags&readFlagCrossed != 0)
 		t.voters |= bit
 		if t.count > p.best {
 			p.best = t.count
@@ -1074,7 +1133,7 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 				// help.
 				p.contacted = all
 				c.escalate(p)
-				return
+				return true
 			}
 			slot := t.minSlot
 			if p.mode.At > 0 {
@@ -1089,8 +1148,8 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 				c.readProbe[p.group] = probeRead{num: num, key: key, minSlot: p.minSlot}
 			}
 			c.noteVersion(p.group, slot)
-			c.finish(p, t.result, slot, t.crossed)
-			return
+			c.finish(p, t, slot)
+			return true
 		}
 	}
 	// A refusal, a stale version or a minority digest is a vote lost: f+1
@@ -1098,7 +1157,7 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 	// least one comes from a correct replica.
 	waiting := bits.OnesCount64(p.contacted &^ p.replied)
 	if p.best+waiting >= need {
-		return
+		return counted
 	}
 	if p.mode.Strong && p.mode.At == 0 && served {
 		// Every replica serves the read but execution is skewed (or one
@@ -1106,16 +1165,17 @@ func (c *Client) onReadResponse(from ids.ID, rep Reply) {
 		// a version every correct replica can answer as-of from its MVCC
 		// store once it catches up.
 		if waiting > 0 {
-			return
+			return counted
 		}
 		if p.frontier > 0 {
 			p.mode.At, p.minSlot, p.replied, p.best = p.frontier, 0, 0, 0
 			p.byRes.reset()
 			c.sendRead(p, all)
-			return
+			return counted
 		}
 	}
 	c.escalate(p)
+	return counted
 }
 
 // escalate moves a read that cannot complete where it stands — the

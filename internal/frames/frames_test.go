@@ -134,9 +134,10 @@ func TestOwnerCodecsReadEveryFrame(t *testing.T) {
 	net := simnet.New(sim.NewEngine(1), simnet.RDMAOptions())
 	var sent []capture
 	net.SetRule(func(from, to ids.ID, frame []byte) (simnet.Fate, sim.Duration) {
-		// A ring ack or a register request is written again once it is
-		// answered, so keep its bytes as sent.
-		if ch, _ := router.Split(frame); ch == router.ChanRingAck || ch == router.ChanMemReq {
+		// A ring ack, a register request or a reply (on the RPC channel) is
+		// written again once it is answered or read, so keep its bytes as
+		// sent.
+		if ch, _ := router.Split(frame); ch == router.ChanRingAck || ch == router.ChanMemReq || ch == router.ChanRPC {
 			frame = bytes.Clone(frame)
 		}
 		sent = append(sent, capture{from, to, frame})

@@ -6,9 +6,10 @@
 // and completion queues on one RDMA NIC. As that prototype reposts its
 // registered buffers, the process keeps one free list of frames (Frame,
 // Release), and a frame comes back to it in one of two ways: a completion, a
-// ring ack or an echo is released by its one receiver once its handler has
-// read it, and a register request by its sender once every transmission of
-// it has been answered.
+// ring ack, an echo or a client reply is released by its one receiver once
+// its handler has read it (a client keeps the one reply whose result it hands
+// to its caller), and a register request by its sender once every
+// transmission of it has been answered.
 package router
 
 import (
@@ -67,8 +68,9 @@ func (r *Router) Register(ch uint8, h Handler) {
 }
 
 // RegisterFrame is Register for a handler that is given the whole frame, its
-// channel tag included: the one reader of a completion, a ring ack or an
-// echo, which hands it back with Release once its handler has read it.
+// channel tag included: the one reader of a completion, a ring ack, an echo or
+// a client reply, which hands it back with Release once its handler has read
+// it, or keeps it (the reply a client hands to its caller).
 func (r *Router) RegisterFrame(ch uint8, h Handler) {
 	r.Register(ch, h)
 	r.whole[ch] = true
@@ -90,15 +92,16 @@ func (r *Router) Send(to ids.ID, ch uint8, payload []byte) {
 // out again later (the message ring's and the register client's fan-out and
 // retransmission), and every receiver reads those very bytes, so it is not
 // written while a transmission of it is undelivered. A frame taken from Frame
-// is a completion, a ring ack or an echo, sent once, to one host, whose one
-// reader Releases it, or a register request, which its client Releases once
-// every transmission of it is answered (package swmr). Every other frame is
-// never written again.
+// is a completion, a ring ack, an echo or a client reply, sent once, to one
+// host, whose one reader Releases it (or, for the one reply a client hands to
+// its caller, keeps it), or a register request, which its client Releases
+// once every transmission of it is answered (package swmr). Every other frame
+// is never written again.
 func (r *Router) SendFrame(to ids.ID, frame []byte) { r.node.Send(to, frame) }
 
 // maxFree bounds the free list: a process that releases more frames than it
-// takes (a client process over sockets, which releases every ack and
-// completion it reads and sends few) keeps no more than this many.
+// takes (a client process over sockets, which releases every ack, completion
+// and reply it reads and sends few) keeps no more than this many.
 const maxFree = 256
 
 // free is the free list of released frames, by length. Every node of the
@@ -112,8 +115,8 @@ var free struct {
 // Frame returns a released frame of length n, or a fresh one. Its bytes are
 // whatever its last use left: the caller writes every one of them before it
 // sends the frame with SendFrame: once, to one host (a completion, a ring
-// ack, an echo), or to every memory node and on every retransmission (a
-// register request).
+// ack, an echo, a client reply), or to every memory node and on every
+// retransmission (a register request).
 func Frame(n int) []byte {
 	free.Lock()
 	defer free.Unlock()
@@ -127,10 +130,11 @@ func Frame(n int) []byte {
 
 // Release takes back a frame, channel tag included, that nothing reads any
 // more: nothing may read it afterwards, as the next Frame of its length may
-// be written into it. A completion, a ring ack or an echo is released by the
-// handler it was delivered to, once read; a register request by the client
-// that sent it, once every transmission of it has been answered. No other
-// frame is released.
+// be written into it. A completion, a ring ack, an echo or a client reply is
+// released by the handler it was delivered to, once read (a consensus client
+// releases every reply but the one whose result it hands to its caller, and
+// only a replica's); a register request by the client that sent it, once
+// every transmission of it has been answered. No other frame is released.
 func Release(frame []byte) {
 	free.Lock()
 	defer free.Unlock()

@@ -85,7 +85,7 @@ func Route(a app.StateMachine, payload []byte, shards int) (int, error) {
 		}
 		return 0, ErrNoRouter
 	}
-	keys, err := r.Keys(payload)
+	keys, err := r.AppendKeys(nil, payload)
 	if err != nil {
 		return 0, err
 	}
@@ -330,6 +330,7 @@ type Client struct {
 	id          ids.ID
 	shards      int
 	router      app.Router
+	keys        [][]byte // plan's scratch: the keys of the request it routes
 	frag        app.Fragmenter
 	canTxn      bool
 	fastReads   bool
@@ -352,10 +353,11 @@ func (c *Client) plan(payload []byte) (int, *splitPlan, error) {
 	if c.router == nil {
 		return 0, nil, nil // single-shard deployment, routing is trivial
 	}
-	keys, err := c.router.Keys(payload)
+	keys, err := c.router.AppendKeys(c.keys[:0], payload)
 	if err != nil {
 		return -1, nil, err
 	}
+	c.keys = keys[:0]
 	if len(keys) == 0 {
 		return 0, nil, nil // key-less: any shard gives the same answer
 	}

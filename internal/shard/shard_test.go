@@ -68,13 +68,12 @@ type routerOnly struct {
 	app.StateMachine
 }
 
-// Keys treats the whole payload as a list of single-byte keys.
-func (routerOnly) Keys(req []byte) ([][]byte, error) {
-	keys := make([][]byte, 0, len(req))
+// AppendKeys treats the whole payload as a list of single-byte keys.
+func (routerOnly) AppendKeys(dst [][]byte, req []byte) ([][]byte, error) {
 	for i := range req {
-		keys = append(keys, req[i:i+1])
+		dst = append(dst, req[i:i+1])
 	}
-	return keys, nil
+	return dst, nil
 }
 
 // TestCrossShardRouting: routing derives from the application's Router

@@ -54,11 +54,13 @@ type Handler func(from ids.ID, payload []byte)
 // a register request by every memory node and retransmission; a client
 // request by every replica it addresses). Two kinds go back to the
 // process's free list of frames (router.Release) and are written again: a
-// completion, a ring ack or an echo is sent once, to one node, whose receiver
-// releases it after its handler has read it, and a register request is
-// released by its client once every transmission of it is answered (a memory
-// node copies a WRITE's data before its handler returns). Nothing reads a
-// released frame. Every other payload is immutable once sent.
+// completion, a ring ack, an echo or a client reply is sent once, to one
+// node, whose receiver releases it after its handler has read it (a client
+// keeps, unreleased, the one reply whose result it hands to its caller), and
+// a register request is released by its client once every transmission of it
+// is answered (a memory node copies a WRITE's data before its handler
+// returns). Nothing reads a released frame. Every other payload is immutable
+// once sent.
 type Endpoint interface {
 	// ID returns the node's identity.
 	ID() ids.ID

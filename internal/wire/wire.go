@@ -35,6 +35,10 @@ type Writer struct {
 // NewWriter returns a writer with capacity preallocated for n bytes.
 func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
+// WriterOn returns a writer that appends to dst, so an encoding can land in a
+// caller's buffer: Finish returns dst extended.
+func WriterOn(dst []byte) Writer { return Writer{buf: dst} }
+
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
