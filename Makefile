@@ -61,7 +61,11 @@ race:
 # ticket is no longer parked ages out one window past its slot), the MVCC version chains must stay flat as the GC horizon ratchets with
 # checkpoints, the per-view view-change records must not outlive their view,
 # the share collectors must hold one share per signer whatever a Byzantine
-# signer's key signs, the read core's reply backlog must stop at its cap
+# signer's key signs, and the one admission rule (consensus.admits) must keep
+# a thousand validly signed shares of each kind, over views beyond the
+# horizon or sequence numbers beyond the next two checkpoint windows, from
+# opening a slot's view record, a view-change record or a checkpoint record
+# or costing a verification, the read core's reply backlog must stop at its cap
 # with the excess refused and every read answered, a read borrowing the
 # crypto pool must delay a signature or share check by at most one read and
 # the pool must never hold two, and every map or slice

@@ -102,8 +102,10 @@ type keyed struct {
 	vs    *VersionedStore
 	evict *fifo // nil for a store that never evicts
 	// answer is the buffer every ApplyRead and ApplyReadAt answer is
-	// appended into, the caller's until the next read (ReadExecutor).
+	// appended into, the caller's until the next read (ReadExecutor); keys
+	// holds a multi-key read's keys (multiRead) until the next one.
 	answer []byte
+	keys   [][]byte
 	*LockTable
 }
 
@@ -240,7 +242,7 @@ func (s *keyed) set(k string, val []byte, txn bool) {
 // straddle a transaction.
 func (s *keyed) read(dst []byte, op keyedOp, rd *wire.Reader, at uint64, pinned bool) (res []byte, blocked [][]byte, crossed bool) {
 	if op == opMGet {
-		return multiRead(dst, rd, s.LockTable, s.vs, at, pinned, nil)
+		return multiRead(dst, &s.keys, rd, s.LockTable, s.vs, at, pinned, nil)
 	}
 	key := rd.BytesView()
 	if rd.Done() != nil {
@@ -270,16 +272,18 @@ func (s *keyed) read(dst []byte, op keyedOp, rd *wire.Reader, at uint64, pinned 
 // response shape AppendKeyedReads decodes — status byte, uvarint count, then
 // per key a Bool(found) plus an optional Bytes value. A non-nil absent is
 // the value of a key the store has never seen (the order book's empty top of
-// book).
-func multiRead(dst []byte, rd *wire.Reader, lt *LockTable, vs *VersionedStore, at uint64, pinned bool, absent []byte) (res []byte, blocked [][]byte, crossed bool) {
+// book). The keys are appended into *buf, the store's own slice, so blocked
+// is valid until the store's next multi-key read (ParkOrRefuse copies it).
+func multiRead(dst []byte, buf *[][]byte, rd *wire.Reader, lt *LockTable, vs *VersionedStore, at uint64, pinned bool, absent []byte) (res []byte, blocked [][]byte, crossed bool) {
 	n, ok := readCount(rd, multiKeyMax)
 	if !ok {
 		return append(dst, StatusBadReq), nil, false
 	}
-	keys := make([][]byte, 0, n)
+	keys := (*buf)[:0]
 	for i := 0; i < n; i++ {
 		keys = append(keys, rd.BytesView())
 	}
+	*buf = keys
 	if rd.Done() != nil {
 		return append(dst, StatusBadReq), nil, false
 	}

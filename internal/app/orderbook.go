@@ -31,8 +31,10 @@ type OrderBook struct {
 	books map[string]*book
 	tops  *VersionedStore // symbol -> topsEntry blob, one version per mutation
 	// answer is the buffer every ApplyRead and ApplyReadAt answer is
-	// appended into, the caller's until the next read (ReadExecutor).
+	// appended into, the caller's until the next read (ReadExecutor); keys
+	// holds an OpTops read's symbols (multiRead) until the next one.
 	answer []byte
+	keys   [][]byte
 	*LockTable
 }
 
@@ -223,7 +225,7 @@ func (ob *OrderBook) Apply(req []byte) []byte {
 		// reports the read blocked — a symbol held by an in-flight pair
 		// transaction — the ordered read parks on the symbols it decoded,
 		// so a top-of-book read never observes a transfer mid-commit.
-		res, blocked, _ := multiRead(nil, rd, ob.LockTable, ob.tops, headVersion, false, emptyTops)
+		res, blocked, _ := multiRead(nil, &ob.keys, rd, ob.LockTable, ob.tops, headVersion, false, emptyTops)
 		if len(blocked) > 0 {
 			return ob.ParkOrRefuse(blocked, req)
 		}
@@ -486,7 +488,7 @@ func (ob *OrderBook) ApplyRead(req []byte) ([]byte, bool) {
 	if len(req) == 0 || req[0] != OpTops {
 		return nil, false
 	}
-	res, _, _ := multiRead(ob.answer[:0], wire.NewReader(req[1:]), ob.LockTable, ob.tops, headVersion, false, emptyTops)
+	res, _, _ := multiRead(ob.answer[:0], &ob.keys, wire.NewReader(req[1:]), ob.LockTable, ob.tops, headVersion, false, emptyTops)
 	ob.answer = res
 	return res, true
 }
@@ -500,7 +502,7 @@ func (ob *OrderBook) ApplyReadAt(req []byte, at uint64) ([]byte, bool, bool) {
 	if len(req) == 0 || req[0] != OpTops || at < ob.tops.Horizon() {
 		return nil, false, false
 	}
-	res, _, crossed := multiRead(ob.answer[:0], wire.NewReader(req[1:]), ob.LockTable, ob.tops, at, true, emptyTops)
+	res, _, crossed := multiRead(ob.answer[:0], &ob.keys, wire.NewReader(req[1:]), ob.LockTable, ob.tops, at, true, emptyTops)
 	ob.answer = res
 	return res, crossed, true
 }

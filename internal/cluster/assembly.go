@@ -267,7 +267,7 @@ func (a *Assembly) WireClient(c int) (*consensus.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return consensus.NewMultiClient(rt, a.Layout.Groups, a.opts.F, a.defenses), nil
+	return consensus.NewMultiClient(rt, a.Layout.Groups, a.defenses), nil
 }
 
 // WireNodes wires every memory node and every replica of the layout in the

@@ -289,6 +289,28 @@ func TestValidateSealViewMonotonic(t *testing.T) {
 	}
 }
 
+// TestSecondNewViewForAViewRejected: a leader that opened its view with a
+// NEW_VIEW and sends another for the same view, whole or as the head of a
+// fragment train, is Byzantine even though nothing used the first (a correct
+// leader opens a view once). The verdict is Reject, which blocks the leader's
+// channel, and the frame changes nothing.
+func TestSecondNewViewForAViewRejected(t *testing.T) {
+	rig := newMsgFuzzRig(t)
+	defer rig.stop()
+	r := rig.reps[2]
+	p := rig.advance(t, 2)
+	first, _ := rig.newViewTrain()
+	for i, m := range [][]byte{rig.newViewFrame(), first} {
+		before := channelState(r, p)
+		if v := r.onConsensusMsg(p, m); v != ctbcast.Reject {
+			t.Fatalf("second NEW_VIEW %d for view 1: verdict %v, want Reject", i, v)
+		}
+		if after := channelState(r, p); after != before {
+			t.Fatalf("second NEW_VIEW %d changed the channel state:\n%s\n%s", i, before, after)
+		}
+	}
+}
+
 func TestValidateUnknownTagRejected(t *testing.T) {
 	rig := newWBRig(t)
 	defer rig.stop()

@@ -65,7 +65,10 @@ func (r *Replica) maybeCreateCheckpoint() {
 // onCertifyCheckpoint collects f+1 matching CERTIFY_CHECKPOINT shares
 // (lines 49-50).
 func (r *Replica) onCertifyCheckpoint(p ids.ID, seq Slot, dg [xcrypto.DigestLen]byte, sig xcrypto.Signature) {
-	if seq <= r.chkpt.Seq {
+	if !r.admits(checkpointShare, 0, seq) {
+		if st := r.state[p]; seq > max(r.chkpt.Seq, st.held.seq) {
+			st.held = cpShare{seq, dg, sig}
+		}
 		return
 	}
 	if p != r.cfg.Self {
@@ -130,7 +133,7 @@ func (r *Replica) tallyCheckpoint(seq Slot, dg [xcrypto.DigestLen]byte, n int) {
 // releaseCheckpointWaits; the CHECKPOINT is then judged again, at once if the
 // collector certified its digest and by verifyCheckpointCert otherwise.
 func (r *Replica) awaitCheckpointCert(st *replicaState, cp *Checkpoint) bool {
-	if cp.Seq <= r.chkpt.Seq {
+	if !r.admits(checkpointShare, 0, cp.Seq) {
 		return false
 	}
 	for q, sig := range cp.Sigs.All() {
@@ -247,17 +250,21 @@ func (r *Replica) maybeCheckpoint(cp Checkpoint) {
 		r.maybeSeal()
 	}
 	r.releaseCheckpointWaits()
+	for _, q := range r.cfg.Replicas {
+		if h := r.state[q].held; h.seq != 0 {
+			r.state[q].held = cpShare{}
+			r.onCertifyCheckpoint(q, h.seq, h.dg, h.sig)
+		}
+	}
 }
 
 // bringUpToSpeed fast-forwards execution past slots covered by the
 // checkpoint. If this replica executed them itself it is a no-op; otherwise
-// it starts a state transfer from the certificate's signers.
+// it starts a state transfer from the certificate's signers. (A snapshot
+// this replica keeps at cp.Seq is one it executed or adopted up to, so it
+// never has one to adopt here.)
 func (r *Replica) bringUpToSpeed(cp *Checkpoint) {
 	if r.lastApplied >= cp.Seq {
-		return
-	}
-	if c := r.cps[cp.Seq]; c != nil && c.hasSnapshot {
-		r.adoptSnapshot(cp.Seq, c.snapshot)
 		return
 	}
 	// A new certificate: start over at its lowest-ID signer, at once.

@@ -76,7 +76,7 @@ func TestSharedMemoryNodes(t *testing.T) {
 			reps = append(reps, consensus.NewReplica(cfg(id, mkApp()), consensus.Deps{RT: rt, Registry: reg}))
 		}
 		crt := router.New(net.AddNode(ids.ID(clientID), fmt.Sprintf("client%d", clientID)))
-		client = consensus.NewClient(crt, repIDs, 1)
+		client = consensus.NewClient(crt, repIDs)
 		return reps, client, c0.RegionSpan()
 	}
 

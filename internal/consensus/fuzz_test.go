@@ -37,7 +37,7 @@ func sinkRig(t *testing.T, f int) (*Client, *sim.Engine) {
 		router.New(net.AddNode(id, fmt.Sprintf("sink%d", id)))
 	}
 	crt := router.New(net.AddNode(ids.ID(200), "client"))
-	return NewClient(crt, repIDs, f), eng
+	return NewClient(crt, repIDs), eng
 }
 
 // clientFuzzRig is the three-replica sinkRig with one ordered request, one
@@ -342,7 +342,8 @@ func FuzzConsensusMsg(f *testing.F) {
 	f.Add(uint8(0), []byte{tagSealView})
 	f.Add(uint8(0), []byte{0xEE, 1, 2, 3})
 	f.Add(uint8(0), []byte{})
-	f.Add(uint8(2), rig.newViewFrame()) // a second NEW_VIEW before anything used the first: accepted
+	f.Add(uint8(2), rig.newViewFrame()) // a second NEW_VIEW for the view, before anything used the first
+	f.Add(uint8(2), first)              // ... or the head of its train
 	f.Add(uint8(0), rig.newViewFrame()) // a NEW_VIEW in a view not declared
 	f.Add(uint8(3), first)              // the train starts over
 	f.Add(uint8(1), last)               // a tail without its head: discarded, not Byzantine

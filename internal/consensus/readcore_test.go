@@ -131,7 +131,7 @@ func TestReadReplyCarriesItsReadVersion(t *testing.T) {
 func TestReadBacklogBounded(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
-	c := NewClient(router.New(rig.net.AddNode(200, "client")), []ids.ID{0, 1, 2}, 1)
+	c := NewClient(router.New(rig.net.AddNode(200, "client")), []ids.ID{0, 1, 2})
 	wrote := false
 	c.Invoke(app.EncodeKVSet([]byte("k"), []byte("v")), func([]byte, sim.Duration) { wrote = true })
 	for !wrote && rig.eng.Step() {

@@ -1,9 +1,12 @@
 package consensus
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/router"
+	"repro/internal/wire"
 )
 
 // TestShouldRebroadcastExecInversion pins down the view-change re-routing
@@ -61,5 +64,45 @@ func TestShouldRebroadcastExecInversion(t *testing.T) {
 	r.chkpt.Seq = 20
 	if r.shouldRebroadcast(rs) {
 		t.Fatal("checkpointed request re-routed")
+	}
+}
+
+// TestRetransmittedRequestGetsCachedResult: a request sent again after it
+// executed is answered from its client's exactly-once record, with the
+// cached result at the slot it executed in (the client's f+1 match covers
+// both). An older executed request, or a parked one, sent again gets no
+// answer. None of them is taken as new work.
+func TestRetransmittedRequestGetsCachedResult(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[0]
+	var got []Reply
+	router.New(rig.net.AddNode(200, "client")).Register(router.ChanRPC, func(_ ids.ID, p []byte) {
+		if rep, ok := ParseReply(p); ok {
+			rep.Result = slices.Clone(rep.Result)
+			got = append(got, rep)
+		}
+	})
+	send := func(num uint64) {
+		w := wire.NewWriter(32)
+		w.U8(tagRequest)
+		Request{Client: 200, Num: num, Payload: []byte("x")}.encode(w)
+		r.onRPC(200, w.Finish())
+		rig.eng.RunFor(time200us())
+	}
+	c := r.clients.at(200)
+	c.markExecuted(4, 9, []byte("four"), false)
+	c.markExecuted(5, 11, []byte("five"), false)
+	send(5)
+	want := Reply{Tag: tagResponse, Num: 5, At: 11, Result: []byte("five")}
+	if len(got) != 1 || got[0].Tag != want.Tag || got[0].Num != want.Num || got[0].At != want.At ||
+		got[0].Flags != 0 || string(got[0].Result) != string(want.Result) {
+		t.Fatalf("executed request sent again: replies %+v, want one %+v", got, want)
+	}
+	send(4) // answered at its execution; its result is no longer cached
+	c.markExecuted(6, 12, nil, true)
+	send(6) // parked: its answer comes when the lock is released
+	if len(got) != 1 || len(r.requests) != 0 {
+		t.Fatalf("older and parked requests sent again: %d replies, %d request records", len(got), len(r.requests))
 	}
 }

@@ -263,7 +263,7 @@ func twoGroupSinks(t *testing.T) (*Client, *sim.Engine) {
 			router.New(net.AddNode(id, fmt.Sprintf("sink%d", id)))
 		}
 	}
-	c := NewMultiClient(router.New(net.AddNode(200, "client")), groups, 1, Defenses{})
+	c := NewMultiClient(router.New(net.AddNode(200, "client")), groups, Defenses{})
 	eng.RunFor(sim.Microsecond) // calls start at a non-zero time
 	return c, eng
 }
@@ -378,7 +378,7 @@ func TestLateReplyDoesNotCountForTheNextCall(t *testing.T) {
 func TestDoneResultOutlivesLaterCalls(t *testing.T) {
 	rig := newWBRig(t)
 	defer rig.stop()
-	c := NewClient(router.New(rig.net.AddNode(200, "client")), []ids.ID{0, 1, 2}, 1)
+	c := NewClient(router.New(rig.net.AddNode(200, "client")), []ids.ID{0, 1, 2})
 	peakSlots, peakRequests := make([]int, 3), make([]int, 3)
 	call := func(payload []byte) []byte {
 		t.Helper()

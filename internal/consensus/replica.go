@@ -183,6 +183,18 @@ type replicaState struct {
 	// checkpoint collector may still certify it, signatures left out; Seq 0
 	// means none.
 	cpWait Checkpoint
+
+	// held is p's highest CERTIFY_CHECKPOINT share beyond what admits takes:
+	// a share can reach a lagging replica before what would move its stable
+	// checkpoint does. maybeCheckpoint offers it again; seq 0 means none.
+	held cpShare
+}
+
+// cpShare is one CERTIFY_CHECKPOINT share.
+type cpShare struct {
+	seq Slot
+	dg  [xcrypto.DigestLen]byte
+	sig xcrypto.Signature
 }
 
 // dropNewViewTrain forgets the fragment train in progress, if any.
@@ -906,8 +918,12 @@ func (r *Replica) verifyCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]
 // consulting the slot's shares first. A share verified here joins them (it
 // counts toward this replica's own COMMIT like one that arrived in a
 // CERTIFY), unless its signer certified another digest before: the signature
-// is valid all the same.
+// is valid all the same. A share the slot's records may not admit is
+// verified and forgotten.
 func (r *Replica) verifyCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
+	if !r.admits(commitShare, v, s) {
+		return r.verifyCertify(p, v, s, dg, sig)
+	}
 	sv := r.slot(s).in(v)
 	if sv.shares.Has(p, dg, sig) {
 		return true
@@ -1036,7 +1052,7 @@ func (r *Replica) onWillCommit(p ids.ID, v View, s Slot) {
 // onCertify implements lines 34-36: f+1 matching CERTIFY shares make PΣ,
 // which is then CTBcast in a COMMIT.
 func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte, sig xcrypto.Signature) {
-	if !r.inWindow(s) {
+	if !r.admits(certifyShare, v, s) {
 		return
 	}
 	// A signer gets one share per view: a second digest from it is refused

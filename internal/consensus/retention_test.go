@@ -18,12 +18,12 @@ import (
 // replica without someone writing down when it is released) or when an
 // entry outlives its field.
 var retention = map[string]string{
-	"Replica.state":         "fixed: n entries, made in NewReplica (their prepares/commits: CHECKPOINT delivery drops what is outside the sender's window)",
+	"Replica.state":         "fixed: n entries, made in NewReplica (their prepares/commits: CHECKPOINT delivery drops what is outside the sender's window; each holds at most one CERTIFY_CHECKPOINT share beyond the two windows admits takes)",
 	"Replica.groups":        "fixed: n entries, made in NewReplica",
 	"Replica.slots":         "pruneBelow: below the stable checkpoint, except a decided slot not yet applied",
 	"Replica.requests":      "pruneBelow: copy released at execution, dedup stub below the stable checkpoint, unbacked echo set after one window of grace",
 	"Replica.clients":       "pruneBelow: one idle window past the stable checkpoint; a client with a still-parked request is exempt",
-	"Replica.cps":           "pruneBelow: two windows below the stable checkpoint (shares at it, snapshot one window)",
+	"Replica.cps":           "pruneBelow: two windows below the stable checkpoint (shares at it, snapshot one window); admits opens none beyond the next two windows",
 	"Replica.freeSlots":     "holds only records Replica.slots dropped and has not taken back, so with the table at most the table's peak: about one window of slot records",
 	"Replica.freeRequests":  "holds only records Replica.requests dropped and has not taken back, so with the table at most the table's peak: about the requests in flight",
 	"Replica.deferredResp":  "pruneBelow: one window past the stable checkpoint unless the ticket is still parked; entry deleted when the lock releases",
@@ -32,9 +32,9 @@ var retention = map[string]string{
 	"Replica.pinnedReads":   "<= pinnedReadCap, drained as execution reaches each pin",
 	"Replica.joinAnswers":   "fixed: at most n entries, reset when the sync point is adopted",
 	"Replica.peerJoinNonce": "fixed: at most n entries",
-	"Replica.views":         "setView: views below the current one; one record per view at or above it this replica is elected to lead: n x n share sets of at most n shares (a Byzantine signer can pre-fill views ahead, ROADMAP residual), f+1 certified states until the view starts, one bool",
+	"Replica.views":         "setView: views below the current one; admits opens one only for a view this replica leads, from the current one to the horizon (highestView + 1): n x n share sets of at most n shares, f+1 certified states until the view starts, one bool",
 
-	"slotState.views": "lives with the slot record, emptied when Replica.slots drops it and kept for its next slot; one record per view the slot saw — a Byzantine signer's CERTIFY can open one per view (ROADMAP residual)",
+	"slotState.views": "lives with the slot record, emptied when Replica.slots drops it and kept for its next slot; one record per view the slot saw, and admits opens none for a view above the horizon (highestView + 1)",
 	"slotView.shares": "lives with its view record, emptied with it; at most n shares, one per signer",
 
 	"execEntry.res": "the client's latest result; dies with the client record",
@@ -136,7 +136,11 @@ func TestFastPathSlotAllocatesNothingOnceWarm(t *testing.T) {
 // wrapper rewrites frames and holds no keys; this needs the white box) leave
 // one entry behind, cost one verification where the handler verifies inline,
 // and certify nothing; a pool-verified collector that lacks no share beyond
-// the one being verified holds the flood's one share unverified.
+// the one being verified holds the flood's one share unverified. And one
+// admission rule decides which collectors a share may open (admits): floods
+// over a thousand views or sequence numbers each leave the slot's view
+// records, Replica.views and Replica.cps within its bound, and every share
+// it refuses costs no verification.
 func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	rig := newWBRig(t)
 	defer rig.stop()
@@ -147,6 +151,8 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	const oneVerify = sim.Time(latmodel.VerifyCost + latmodel.CryptoDispatchCost)
 	// free is when the main process would start new work: charges add to it.
 	free := func() sim.Time { return max(r.proc.BusyUntil(), rig.eng.Now()) }
+	pool := func() sim.Time { return max(r.bgProc.BusyUntil(), rig.eng.Now()) }
+	const flood = 1000
 
 	// 64 CERTIFY shares by replica 2 over 64 digests of (view 0, slot 5).
 	busy := free()
@@ -160,6 +166,31 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	if got := r.proc.BusyUntil() - busy; got != oneVerify {
 		t.Fatalf("64 shares by one signer charged %v, want one verification (%v)", got, oneVerify)
 	}
+
+	// CERTIFY shares by replica 2 over a thousand views of slot 5, on the aux
+	// ring and inside COMMIT certificates: the slot keeps a record for views
+	// 0 and 1 only (nothing is sealed, so the horizon is view 1), and the
+	// refused shares on the aux ring cost nothing.
+	if h := r.highestView() + 1; h != 1 {
+		t.Fatalf("horizon with nothing sealed: %d, want 1", h)
+	}
+	dg := digest(0)
+	busy = free()
+	for v := View(1); v <= flood; v++ {
+		r.onCertify(2, v, 5, dg, sign(2, certifyPayload(v, 5, dg)))
+	}
+	if got := r.proc.BusyUntil() - busy; got != oneVerify {
+		t.Fatalf("CERTIFY shares over %d views charged %v, want one verification (%v)", flood, got, oneVerify)
+	}
+	for v := View(0); v <= flood; v++ {
+		if !r.verifyCertifySig(v, 5, dg, 1, sign(1, certifyPayload(v, 5, dg))) {
+			t.Fatalf("a valid COMMIT signature of view %d refused", v)
+		}
+	}
+	if ss := r.slots[5]; len(ss.views) != 2 || ss.find(0) == nil || ss.find(1) == nil {
+		t.Fatalf("slot 5 after CERTIFY shares over %d views: %d view records, want 2", flood, len(ss.views))
+	}
+	rig.eng.RunUntil(free()) // the COMMIT signatures were verified on the main process
 
 	// Two CERTIFY_CHECKPOINT shares over different digests are not f+1 over
 	// anything: no certificate to verify on the main process.
@@ -184,19 +215,44 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	// what else arrives, one share per signer: 64 CERTIFY_CHECKPOINT shares by
 	// replica 2 over 64 digests leave one held share and cost the pool nothing.
 	const next = seq + 32
-	pool := max(r.bgProc.BusyUntil(), rig.eng.Now())
+	busy = pool()
 	r.onCertifyCheckpoint(0, next, dgA, sign(0, checkpointPayload(next, dgA)))
 	r.onCertifyCheckpoint(1, next, dgA, sign(1, checkpointPayload(next, dgA)))
 	for i := 0; i < 64; i++ {
 		r.onCertifyCheckpoint(2, next, digest(i), sign(2, checkpointPayload(next, digest(i))))
 	}
-	if got := r.bgProc.BusyUntil() - pool; len(r.cps[next].shares) != 3 || got != oneVerify {
+	if got := r.bgProc.BusyUntil() - busy; len(r.cps[next].shares) != 3 || got != oneVerify {
 		t.Fatalf("64 shares by one signer to a collector verifying its last share: %d shares held, pool charged %v (want %v)",
 			len(r.cps[next].shares), got, oneVerify)
 	}
 
-	// 8 CERTIFY_VC shares by replica 2 over 8 states of replica 1, for a view
-	// replica 0 would lead.
+	// CERTIFY_CHECKPOINT shares and a CHECKPOINT's signatures by replica 2
+	// over a thousand sequence numbers beyond the next two windows open no
+	// record and cost nothing; the highest share waits for the stable
+	// checkpoint to move, and the CHECKPOINTs go to the main process.
+	records, far := len(r.cps), r.chkpt.Seq+2*Slot(r.cfg.Window)
+	busy, pooled := free(), pool()
+	for i := Slot(1); i <= flood; i++ {
+		r.onCertifyCheckpoint(2, far+i, dgA, sign(2, checkpointPayload(far+i, dgA)))
+		cp := Checkpoint{Seq: far + i, StateDigest: dgA, Sigs: certOf(map[ids.ID]xcrypto.Signature{2: sign(2, checkpointPayload(far+i, dgA))})}
+		if r.awaitCheckpointCert(r.state[2], &cp) {
+			t.Fatalf("a CHECKPOINT at %d beyond the window waits for the pool", cp.Seq)
+		}
+	}
+	if len(r.cps) != records || r.proc.BusyUntil() > busy || r.bgProc.BusyUntil() > pooled {
+		t.Fatalf("checkpoint shares over %d far sequence numbers: %d records (was %d), main process charged %v, pool %v",
+			flood, len(r.cps), records, r.proc.BusyUntil()-busy, r.bgProc.BusyUntil()-pooled)
+	}
+	if h := r.state[2].held; h.seq != far+flood {
+		t.Fatalf("held share at %d, want the highest, %d", h.seq, far+flood)
+	}
+
+	// SEAL_VIEW(2) by replica 1 moves the horizon to view 3, which replica 0
+	// leads: 8 CERTIFY_VC shares by replica 2 over 8 states of replica 1 for
+	// it cost one verification.
+	if !r.accepts(1, sealFrame(2)) || r.highestView()+1 != 3 {
+		t.Fatalf("SEAL_VIEW(2) delivered: horizon %d, want 3", r.highestView()+1)
+	}
 	busy = free()
 	for i := 0; i < 8; i++ {
 		state := []byte{byte(i)}
@@ -207,6 +263,16 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	}
 	if got := r.proc.BusyUntil() - busy; got != oneVerify {
 		t.Fatalf("8 states by one signer charged %v, want one verification (%v)", got, oneVerify)
+	}
+	// A thousand more views replica 0 would lead, all above the horizon,
+	// open nothing and cost nothing.
+	busy = free()
+	state := []byte{0}
+	for v := View(6); v < 6+3*flood; v += 3 {
+		r.onCertifyVC(2, v, 1, state, sign(2, vcSharePayload(v, 1, state)))
+	}
+	if n, lowest := r.ViewRecords(); n != 1 || lowest != 3 || r.proc.BusyUntil() > busy {
+		t.Fatalf("CERTIFY_VC shares over %d views: %d view records from view %d, main process charged %v", flood, n, lowest, r.proc.BusyUntil()-busy)
 	}
 }
 

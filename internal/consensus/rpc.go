@@ -731,15 +731,16 @@ type probeRead struct {
 }
 
 // NewClient wires a single-group client onto its host router.
-func NewClient(rt *router.Router, replicas []ids.ID, f int) *Client {
-	return NewMultiClient(rt, [][]ids.ID{replicas}, f, Defenses{})
+func NewClient(rt *router.Router, replicas []ids.ID) *Client {
+	return NewMultiClient(rt, [][]ids.ID{replicas}, Defenses{})
 }
 
 // NewMultiClient wires a client that can invoke any of several replica
-// groups (all with the same fault threshold f) through one router. The
-// shard layer uses this to reach every consensus group from one host. def
-// is Defenses{} everywhere but the Byzantine harness.
-func NewMultiClient(rt *router.Router, groups [][]ids.ID, f int, def Defenses) *Client {
+// groups through one router. The shard layer uses this to reach every
+// consensus group from one host. Every group has the first's size, 2f+1,
+// which fixes f as Config.f does. def is Defenses{} everywhere but the
+// Byzantine harness.
+func NewMultiClient(rt *router.Router, groups [][]ids.ID, def Defenses) *Client {
 	if len(groups) == 0 {
 		panic("consensus: client needs at least one replica group")
 	}
@@ -747,7 +748,7 @@ func NewMultiClient(rt *router.Router, groups [][]ids.ID, f int, def Defenses) *
 		rt:          rt,
 		proc:        rt.Node().Proc(),
 		groups:      groups,
-		f:           f,
+		f:           (len(groups[0]) - 1) / 2,
 		calls:       make(map[uint64]*call),
 		readFloor:   make([]Slot, len(groups)),
 		readSuspect: make([]uint64, len(groups)),

@@ -400,8 +400,8 @@ type cpState struct {
 	verified   bool
 	verifiedDg [xcrypto.DigestLen]byte
 	// snapshot is the application state at the sequence number, kept to
-	// serve state transfers (and to adopt our own if the certificate
-	// arrives before execution does).
+	// serve state transfers: it was taken when execution reached the
+	// sequence number, or adopted there from a state transfer.
 	hasSnapshot bool
 	snapshot    []byte
 }
@@ -439,8 +439,54 @@ func (r *Replica) viewOpened(v View) bool {
 }
 
 // ---------------------------------------------------------------------
-// The prune rules.
+// The admission rule and the prune rules.
 // ---------------------------------------------------------------------
+
+// shareKind names the record a peer's share would open.
+type shareKind uint8
+
+const (
+	certifyShare    shareKind = iota // CERTIFY (v, s): slot s's record of view v
+	commitShare                      // a COMMIT's CERTIFY signature (v, s): the same record
+	viewShare                        // CERTIFY_VC (v): the record of a view this replica leads
+	checkpointShare                  // CERTIFY_CHECKPOINT or a CHECKPOINT's signature (s): cpState s
+)
+
+// admits is the one admission rule of the share collectors, pruneBelow's
+// counterpart: whether a share of kind k about view v and sequence number s
+// may open a record or join one. No view above the horizon, highestView + 1,
+// is admitted. A CERTIFY's slot must be in the window (a COMMIT's slot is in
+// its sender's, which validCommit checks first); a view-change share's view
+// must be one this replica leads, at or above its own and not opened yet; a
+// checkpoint share's sequence number must lie in the next two windows. So
+// whatever a Byzantine key signs, a slot keeps at most one view record per
+// view up to the horizon, Replica.views one record per view this replica
+// leads from its own to the horizon, and Replica.cps at most two windows of
+// records above the stable checkpoint. Each site asks before it verifies
+// anything: a refused share costs no verification. The horizon moves only
+// when this replica changes view or delivers a SEAL_VIEW.
+func (r *Replica) admits(k shareKind, v View, s Slot) bool {
+	switch k {
+	case certifyShare:
+		return r.inWindow(s) && v <= r.highestView()+1
+	case commitShare:
+		return v <= r.highestView()+1
+	case viewShare:
+		return r.cfg.leaderOf(v) == r.cfg.Self && r.view <= v && v <= r.highestView()+1 && !r.viewOpened(v)
+	default:
+		return r.chkpt.Seq < s && s <= r.chkpt.Seq+2*Slot(r.cfg.Window)
+	}
+}
+
+// highestView is the highest view this replica reached, is sealing into or
+// saw any replica seal.
+func (r *Replica) highestView() View {
+	h := max(r.view, r.sealTarget)
+	for _, q := range r.cfg.Replicas {
+		h = max(h, r.state[q].sealedView)
+	}
+	return h
+}
 
 // pruneBelow discards the state a stable checkpoint at seq covers. The
 // walks that recycle records or clear parts of them in place go in key order

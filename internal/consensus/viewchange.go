@@ -116,13 +116,7 @@ func (r *Replica) changeView() {
 	if r.isSealing() {
 		return // a seal is already in flight; the backoff timer retries
 	}
-	target := r.view + 1
-	for _, q := range r.cfg.Replicas {
-		if sv := r.state[q].sealedView; sv > target {
-			target = sv
-		}
-	}
-	r.sealTo(target)
+	r.sealTo(max(r.view+1, r.highestView()))
 }
 
 // joinView targets a specific higher view (observed via f+1 seals or a
@@ -299,7 +293,7 @@ func (r *Replica) onDirect(from ids.ID, frame []byte) {
 // matching shares about f+1 distinct replicas, then broadcast NEW_VIEW and
 // re-propose the open slots.
 func (r *Replica) onCertifyVC(from ids.ID, v View, about ids.ID, stateBytes []byte, sig xcrypto.Signature) {
-	if r.cfg.leaderOf(v) != r.cfg.Self || v < r.view || r.viewOpened(v) || r.observing() {
+	if !r.admits(viewShare, v, 0) || r.observing() {
 		// Observing: an amnesiac leader must not start a view; the
 		// followers' suspicion timers move the cluster to the next one.
 		return
@@ -517,9 +511,13 @@ func (r *Replica) validCommit(st *replicaState, c *CommitCert) bool {
 
 // opensView reports whether a NEW_VIEW of view v, whole or as a fragment
 // train, may come next on p's channel: p leads the view it last declared, v
-// is that view, and only CHECKPOINTs have followed the declaration.
+// is that view, only CHECKPOINTs have followed the declaration, and p has not
+// opened v before (a correct leader opens a view once: viewRec.opened). Our
+// own plan is adopted when we start the view (startView), ahead of the
+// NEW_VIEW's self-delivery.
 func (r *Replica) opensView(p ids.ID, st *replicaState, v View) bool {
-	return r.cfg.leaderOf(st.view) == p && v == st.view && !st.newViewUsed
+	reopens := st.planned && st.planView == v && p != r.cfg.Self
+	return r.cfg.leaderOf(st.view) == p && v == st.view && !st.newViewUsed && !reopens
 }
 
 // readNewView decodes a (possibly reassembled) NEW_VIEW from broadcaster p

@@ -71,8 +71,9 @@ const (
 	FastWithFallback PathMode = iota
 	// FastOnly never signs (benchmarking the fast path in isolation).
 	FastOnly
-	// SlowOnly skips LOCK/LOCKED and always signs (benchmarking the slow
-	// path / operating under failure suspicion).
+	// SlowOnly skips LOCK/LOCKED and always signs: a deployment configured
+	// for it (benchmarking the slow path, the memory-node crash tests) runs
+	// it from the start. Nothing switches a running group to it.
 	SlowOnly
 	// BothEager broadcasts LOCK and SIGNED together, as in the pedagogical
 	// presentation of Algorithm 1.
