@@ -83,13 +83,19 @@ race:
 # (completions, ring acks, echoes, answered register requests, replies) keeps at most its bound
 # whatever is released into it, and a consensus client releases every reply
 # frame but the one it hands its caller, once, and only a replica's. A
-# consensus client making one call at a time keeps one call record.
+# consensus client making one call at a time keeps one call record. An
+# application's answer is the caller's until the instance's next call, and
+# anything kept is copied: every ordered answer goes into the one buffer the
+# application keeps (a warm Flip.Apply allocates nothing), the LockTable
+# copies each result a commit releases, and a replica's exactly-once record
+# answers a retransmission from its own copy.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
 	$(GO) test -run 'TestFreeListBounded' ./internal/router/
-	$(GO) test -run 'TestReplyFrame' ./internal/consensus/
+	$(GO) test -run 'TestReplyFrame|TestCachedResultOutlivesLaterApplies' ./internal/consensus/
+	$(GO) test -run 'TestOrderedAnswersShareOneBuffer|TestReleasedResultsAreTheirOwn' ./internal/app/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one

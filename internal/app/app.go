@@ -46,6 +46,12 @@ type StateMachine interface {
 	// is reserved for Deferring applications: it means the request was
 	// parked on a transaction lock and its result will surface through
 	// TakeReleased during a later command's Apply.
+	//
+	// The response is read-only and the caller's only until the instance's
+	// next Apply, ApplyRead or ApplyReadAt: every application here appends
+	// its answers into one buffer it keeps. A caller that keeps an answer
+	// longer copies it (the replica copies it into its reply frame and into
+	// the client's exactly-once record at once).
 	Apply(req []byte) []byte
 	// Snapshot serializes the full application state (checkpointing).
 	Snapshot() []byte
@@ -148,7 +154,9 @@ type Deferring interface {
 	// Apply that parked its request (0 if it did not park).
 	TakeParkedTicket() uint64
 	// TakeReleased drains the results of parked requests completed by the
-	// last Apply, in execution order.
+	// last Apply, in execution order. Unlike Apply's answer, each Result is
+	// the caller's to keep: the request ran inside that Apply, so its answer
+	// was copied out of the application's buffer before anything else ran.
 	TakeReleased() []Release
 	// Parked reports whether ticket is still waiting in the queue, so the
 	// replica's checkpoint pruning never discards the response owed for a
@@ -180,11 +188,10 @@ type Release struct {
 // results, or the f+1 matching-digest quorum of the fast path can never
 // form.
 //
-// The answer is the caller's only until the state machine's next ApplyRead
-// or ApplyReadAt: a store may append every answer into one buffer it keeps
-// (the keyed stores and the order book do), and the replica copies each
-// answer into its reply frame at once. A caller that keeps an answer longer
-// copies it.
+// The answer follows Apply's rule: read-only, and the caller's only until
+// the state machine's next Apply, ApplyRead or ApplyReadAt (the keyed stores
+// and the order book append every answer into one buffer they keep). The
+// replica copies each answer into its reply frame at once.
 type ReadExecutor interface {
 	StateMachine
 	// ApplyRead executes req read-only; ok=false when req is not a request
@@ -236,7 +243,7 @@ type Versioned interface {
 //
 // ok=false refuses the read: not a read-only request, or `at` below the
 // store's GC horizon. As ApplyRead's, the answer is the caller's only until
-// the next read.
+// the next Apply, ApplyRead or ApplyReadAt.
 type VersionedReadExecutor interface {
 	ReadExecutor
 	ApplyReadAt(req []byte, at uint64) (res []byte, txnCrossed bool, ok bool)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // --- Flip ---------------------------------------------------------------
@@ -23,7 +24,7 @@ func TestFlipReverses(t *testing.T) {
 func TestFlipQuickInvolution(t *testing.T) {
 	f := NewFlip()
 	prop := func(b []byte) bool {
-		return bytes.Equal(f.Apply(f.Apply(b)), b)
+		return bytes.Equal(f.Apply(bytes.Clone(f.Apply(b))), b)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -460,5 +461,81 @@ func TestAppsDeterminism(t *testing.T) {
 		if !bytes.Equal(a.Snapshot(), b.Snapshot()) {
 			t.Fatalf("%s: nondeterministic snapshot", name)
 		}
+	}
+}
+
+// TestOrderedAnswersShareOneBuffer holds every application to
+// StateMachine.Apply's rule: an ordered answer is appended into one buffer
+// the instance keeps, so the next call writes over it. Each answer must
+// equal the one a twin gives whose buffer was never used (a fresh instance
+// restored from the same state), a later answer that fits must reuse the
+// earlier one's memory, a warm Flip.Apply must allocate nothing and a warm
+// SET of an existing key only the value the store keeps and the key's one
+// string.
+func TestOrderedAnswersShareOneBuffer(t *testing.T) {
+	// The first long answer grows each buffer, so the later ones fit in it.
+	k, v, long := []byte("k"), []byte("12"), bytes.Repeat([]byte("v"), 80)
+	cases := []struct {
+		name string
+		mk   func() StateMachine
+		reqs [][]byte
+	}{
+		{"flip", func() StateMachine { return NewFlip() }, [][]byte{
+			[]byte("a longer first request"), []byte("abc"), nil, []byte("xyz"),
+		}},
+		{"kv", func() StateMachine { return NewKV(0) }, [][]byte{
+			EncodeKVSet(k, long), EncodeKVGet(k), EncodeKVMGet(k, []byte("none")), EncodeKVMSet(Pair{Key: k, Val: v}),
+			EncodeKVDelete(k), EncodeKVDelete(k), EncodeKVGet(k), {0xEE},
+			EncodeTxnPrepare(1, 0, EncodeKVMSet(Pair{Key: k, Val: v})), EncodeTxnCommit(1), EncodeTxnQueryDecision(2),
+		}},
+		{"rkv", func() StateMachine { return NewRKV() }, [][]byte{
+			EncodeRSet(k, long), EncodeRGet(k), EncodeRSet(k, v), EncodeRIncr(k), EncodeRAppend(k, v), EncodeRGet(k), EncodeRExists(k),
+			EncodeRMGet(k, k), EncodeRMSet(Pair{Key: k, Val: v}), EncodeRDel(k), EncodeTxnListStaged(),
+		}},
+		{"orderbook", func() StateMachine { return NewOrderBook() }, [][]byte{
+			EncodeOrder(OpSell, 100, 5), EncodeOrder(OpSell, 101, 5), EncodeOrder(OpBuy, 101, 7), EncodeCancel(2),
+			EncodeOrderSym(k, OpBuy, 99, 3), EncodeTops(k, nil), EncodeOrder(OpBuy, 0, 0),
+			EncodePairOrder(OrderLeg{Sym: k, Side: OpSell, Price: 99, Qty: 1}, OrderLeg{Sym: v, Side: OpBuy, Price: 5, Qty: 1}),
+		}},
+	}
+	for _, tc := range cases {
+		sm := tc.mk()
+		var prev []byte
+		reused := 0
+		for i, req := range tc.reqs {
+			twin := tc.mk()
+			twin.Restore(sm.Snapshot())
+			want := twin.Apply(req)
+			got := sm.Apply(req)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: answer %d is %v, a never-used twin answers %v", tc.name, i, got, want)
+			}
+			if len(got) > 0 && len(prev) > 0 && len(got) <= cap(prev) {
+				if unsafe.SliceData(got) != unsafe.SliceData(prev) {
+					t.Fatalf("%s: answer %d (%d bytes) is a fresh slice, not the buffer of answer %d (capacity %d)",
+						tc.name, i, len(got), i-1, cap(prev))
+				}
+				reused++
+			}
+			if len(got) > 0 {
+				prev = got
+			}
+		}
+		if reused < len(tc.reqs)/2 {
+			t.Fatalf("%s: %d of %d answers reused the buffer", tc.name, reused, len(tc.reqs))
+		}
+	}
+
+	f := NewFlip()
+	req := []byte("0123456789abcdef0123456789abcdef")
+	f.Apply(req)
+	if n := testing.AllocsPerRun(100, func() { f.Apply(req) }); n != 0 {
+		t.Errorf("warm Flip.Apply allocates %.1f times, want 0", n)
+	}
+	kv := NewKV(0)
+	set := EncodeKVSet([]byte("existing"), []byte("value"))
+	kv.Apply(set)
+	if n := testing.AllocsPerRun(100, func() { kv.Apply(set) }); n != 2 {
+		t.Errorf("warm SET of an existing key allocates %.1f times, want 2 (the stored value, the key's string)", n)
 	}
 }

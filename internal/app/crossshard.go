@@ -26,7 +26,7 @@ func subsetKeys(rd *wire.Reader, keyIdx []int) ([][]byte, error) {
 // subsetPairs decodes a multi-write body and selects the pairs at keyIdx,
 // bounds-checked.
 func subsetPairs(rd *wire.Reader, keyIdx []int) ([]Pair, error) {
-	pairs, ok := decodePairs(rd)
+	pairs, ok := decodePairs(nil, rd)
 	if !ok || rd.Done() != nil {
 		return nil, ErrNoKey
 	}

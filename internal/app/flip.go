@@ -6,18 +6,20 @@ import "repro/internal/sim"
 // Requests and responses are 32 B in the paper's Figure 7 configuration.
 type Flip struct {
 	count uint64
+	out   []byte // every answer is appended here (StateMachine.Apply)
 }
 
 // NewFlip returns a fresh Flip instance.
 func NewFlip() *Flip { return &Flip{} }
 
-// Apply reverses the request bytes.
+// Apply reverses the request bytes into the one buffer Flip keeps.
 func (f *Flip) Apply(req []byte) []byte {
 	f.count++
-	out := make([]byte, len(req))
-	for i, b := range req {
-		out[len(req)-1-i] = b
+	out := append(f.out[:0], req...)
+	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
+		out[i], out[j] = out[j], out[i]
 	}
+	f.out = out
 	return out
 }
 

@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/sim"
@@ -101,11 +102,13 @@ type keyed struct {
 	d     *dialect
 	vs    *VersionedStore
 	evict *fifo // nil for a store that never evicts
-	// answer is the buffer every ApplyRead and ApplyReadAt answer is
-	// appended into, the caller's until the next read (ReadExecutor); keys
-	// holds a multi-key read's keys (multiRead) until the next one.
+	// answer is the buffer every Apply, ApplyRead and ApplyReadAt answer is
+	// appended into, the caller's until the next call (StateMachine.Apply);
+	// keys holds a multi-key read's or write's keys (multiRead, Apply) and
+	// pairs a multi-key write's pairs until the next one.
 	answer []byte
 	keys   [][]byte
+	pairs  []Pair
 	*LockTable
 }
 
@@ -118,7 +121,16 @@ func newKeyed(d *dialect, evict *fifo) *keyed {
 // Apply executes one command. Responses are status-prefixed; a nil response
 // means the command parked behind a transaction lock (see Deferring).
 func (s *keyed) Apply(req []byte) []byte {
-	if res, handled := ApplyTxn(s, req); handled {
+	res := s.apply(s.answer[:0], req)
+	if res != nil {
+		s.answer = res
+	}
+	return res
+}
+
+// apply executes one command, appending its answer to dst.
+func (s *keyed) apply(dst, req []byte) []byte {
+	if res, handled := ApplyTxn(s, dst, req); handled {
 		return res
 	}
 	rd := wire.NewReader(req)
@@ -132,36 +144,41 @@ func (s *keyed) Apply(req []byte) []byte {
 		// transaction on one shard while a sibling leg ran before it can
 		// still see a pre/post mix; the fast path's snapshot pins close
 		// that.) Single-key reads stay read-committed.
-		res, blocked, _ := s.read(nil, op, rd, headVersion, false)
+		res, blocked, _ := s.read(dst, op, rd, headVersion, false)
 		if len(blocked) > 0 {
-			return s.ParkOrRefuse(blocked, req)
+			return s.ParkOrRefuse(dst, blocked, req)
 		}
 		return res
 	case opSet, opDel, opIncr, opAppend:
-		key := rd.Bytes()
+		key := rd.BytesView()
 		var val []byte
-		if op == opSet || op == opAppend {
-			val = rd.Bytes()
+		switch op {
+		case opSet:
+			val = rd.Bytes() // the store keeps it
+		case opAppend:
+			val = rd.BytesView() // copied into the grown value
 		}
 		if rd.Done() != nil {
-			return []byte{StatusBadReq}
+			return append(dst, StatusBadReq)
 		}
 		if s.Locked(key) {
-			return s.ParkOrRefuse([][]byte{key}, req)
+			return s.ParkOrRefuse(dst, [][]byte{key}, req)
 		}
-		return s.write(op, string(key), val)
+		return s.write(dst, op, string(key), val)
 	case opMSet:
-		pairs, ok := decodePairs(rd)
+		pairs, ok := decodePairs(s.pairs[:0], rd)
+		s.pairs = pairs
 		if !ok || rd.Done() != nil {
-			return []byte{StatusBadReq}
+			return append(dst, StatusBadReq)
 		}
 		// Atomic: the whole write parks if any key is transaction-locked.
-		keys := make([][]byte, 0, len(pairs))
+		keys := s.keys[:0]
 		for _, p := range pairs {
 			keys = append(keys, p.Key)
 		}
+		s.keys = keys
 		if s.AnyLocked(keys...) {
-			return s.ParkOrRefuse(keys, req)
+			return s.ParkOrRefuse(dst, keys, req)
 		}
 		for _, p := range pairs {
 			s.set(string(p.Key), p.Val, false)
@@ -169,39 +186,39 @@ func (s *keyed) Apply(req []byte) []byte {
 		// Multi-key ops speak the generic status vocabulary, so the ack is
 		// identical whether the write ran on one shard or as a cross-shard
 		// 2PC transaction (which answers StatusOK from the coordinator).
-		return []byte{StatusOK}
+		return append(dst, StatusOK)
 	default:
-		return []byte{StatusBadReq}
+		return append(dst, StatusBadReq)
 	}
 }
 
-// write executes one unlocked single-key write.
-func (s *keyed) write(op keyedOp, k string, val []byte) []byte {
+// write executes one unlocked single-key write, appending its answer to dst.
+func (s *keyed) write(dst []byte, op keyedOp, k string, val []byte) []byte {
 	switch op {
 	case opSet:
 		s.set(k, val, false)
-		return []byte{s.d.stored}
+		return append(dst, s.d.stored)
 	case opDel:
 		if !s.vs.Has(k) {
-			return []byte{s.d.notFound}
+			return append(dst, s.d.notFound)
 		}
 		s.vs.Delete(k)
 		if s.evict != nil {
 			s.evict.forget(k)
 		}
-		return []byte{s.d.deleted}
+		return append(dst, s.d.deleted)
 	case opIncr:
 		cur := int64(0)
 		if v, ok := s.vs.Get(k); ok {
 			n, err := strconv.ParseInt(string(v), 10, 64)
 			if err != nil {
-				return []byte{RErr} // INCR is a Redis-dialect row, and so is its error byte
+				return append(dst, RErr) // INCR is a Redis-dialect row, and so is its error byte
 			}
 			cur = n
 		}
 		cur++
-		s.set(k, []byte(strconv.FormatInt(cur, 10)), false)
-		w := wire.NewWriter(16)
+		s.set(k, strconv.AppendInt(nil, cur, 10), false)
+		w := wire.WriterOn(dst)
 		w.U8(StatusOK)
 		w.I64(cur)
 		return w.Finish()
@@ -210,7 +227,7 @@ func (s *keyed) write(op keyedOp, k string, val []byte) []byte {
 		grown := make([]byte, 0, len(old)+len(val))
 		grown = append(append(grown, old...), val...)
 		s.set(k, grown, false)
-		w := wire.NewWriter(16)
+		w := wire.WriterOn(dst)
 		w.U8(StatusOK)
 		w.Uvarint(uint64(len(grown)))
 		return w.Finish()
@@ -432,7 +449,9 @@ func (s *keyed) writeFragmentKeys(frag []byte) ([][]byte, error) {
 func (s *keyed) installFragment(frag []byte) []byte {
 	rd := wire.NewReader(frag)
 	rd.U8()
-	if pairs, ok := decodePairs(rd); ok && rd.Done() == nil {
+	pairs, ok := decodePairs(s.pairs[:0], rd)
+	s.pairs = pairs
+	if ok && rd.Done() == nil {
 		for _, p := range pairs {
 			s.set(string(p.Key), p.Val, true)
 		}
@@ -526,16 +545,17 @@ func encodePairsOp(op uint8, pairs []Pair) []byte {
 	return w.Finish()
 }
 
-// decodePairs reads a pair list; ok is false when the declared count
+// decodePairs appends a pair list to dst: each key a view of the request,
+// each value a copy a store may keep. ok is false when the declared count
 // exceeds the fan-in bound (decode errors surface via the reader).
-func decodePairs(rd *wire.Reader) (pairs []Pair, ok bool) {
+func decodePairs(dst []Pair, rd *wire.Reader) (pairs []Pair, ok bool) {
 	n, ok := readCount(rd, multiKeyMax)
 	if !ok {
-		return nil, false
+		return dst, false
 	}
-	pairs = make([]Pair, 0, n)
+	pairs = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		pairs = append(pairs, Pair{Key: rd.Bytes(), Val: rd.Bytes()})
+		pairs = append(pairs, Pair{Key: rd.BytesView(), Val: rd.Bytes()})
 	}
 	return pairs, true
 }

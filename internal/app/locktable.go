@@ -1,6 +1,7 @@
 package app
 
 import (
+	"bytes"
 	"sort"
 
 	"repro/internal/wire"
@@ -16,9 +17,12 @@ import (
 //	keysOf  — extracts (and validates) the keys of a write fragment
 //	install — applies a committed fragment to application state and may
 //	          return a commit receipt (e.g. the fills of an order-book
-//	          transfer leg) that travels back in the commit response
+//	          transfer leg) that travels back in the commit response; the
+//	          LockTable keeps it, so it is a fresh slice, not the
+//	          application's answer buffer
 //	exec    — executes a parked request once its keys are free
-//	          (typically the application's own Apply)
+//	          (typically the application's own Apply; its answer is
+//	          copied at once, as the next exec may overwrite it)
 //
 // All LockTable state is deterministic and carried through
 // SnapshotTo/RestoreFrom, so a replica restored via state transfer agrees
@@ -309,7 +313,7 @@ func (lt *LockTable) Park(keys [][]byte, req []byte) uint64 {
 }
 
 // drain executes every parked request whose keys are all free, in ticket
-// (arrival) order, buffering the results for TakeReleased. Parked
+// (arrival) order, buffering a copy of each result for TakeReleased. Parked
 // requests hold no locks themselves, so executing one can never re-park
 // it or block another.
 func (lt *LockTable) drain() {
@@ -331,7 +335,7 @@ func (lt *LockTable) drain() {
 				delete(lt.waiting, k)
 			}
 		}
-		lt.released = append(lt.released, Release{Ticket: p.ticket, Result: lt.exec(p.req), Req: p.req})
+		lt.released = append(lt.released, Release{Ticket: p.ticket, Result: bytes.Clone(lt.exec(p.req)), Req: p.req})
 	}
 	lt.parked = kept
 }
@@ -362,14 +366,14 @@ func (lt *LockTable) Parked(ticket uint64) bool {
 }
 
 // ParkOrRefuse queues a lock-blocked request (nil response = the request
-// is deferred and answers at lock release), falling back to StatusLocked
-// when the wait queue is full — the shared overflow convention of every
-// embedding application.
-func (lt *LockTable) ParkOrRefuse(keys [][]byte, req []byte) []byte {
+// is deferred and answers at lock release), falling back to StatusLocked,
+// appended to dst, when the wait queue is full — the shared overflow
+// convention of every embedding application.
+func (lt *LockTable) ParkOrRefuse(dst []byte, keys [][]byte, req []byte) []byte {
 	if lt.Park(keys, req) != 0 {
 		return nil
 	}
-	return []byte{StatusLocked}
+	return append(dst, StatusLocked)
 }
 
 // LockedKeys reports how many keys are currently transaction-locked

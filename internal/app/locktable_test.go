@@ -114,6 +114,64 @@ func TestPrepareFairnessSingleKey(t *testing.T) {
 	}
 }
 
+// TestReleasedResultsAreTheirOwn: the parked requests a commit releases run
+// through the application's Apply, which answers into the one buffer it
+// keeps, and so does the commit itself. Each released result must still be
+// the answer a fresh store gives the same history, and the commit its own
+// receipt: the LockTable copies every result out of that buffer at once.
+func TestReleasedResultsAreTheirOwn(t *testing.T) {
+	sym := []byte("A")
+	cases := []struct {
+		name   string
+		mk     func() StateMachine
+		frag   []byte   // the transaction's write, applied directly by the twin
+		parked [][]byte // two writes that park behind it
+	}{
+		{"rkv", func() StateMachine { return NewRKV() },
+			EncodeRMSet(Pair{Key: sym, Val: []byte("10")}),
+			[][]byte{EncodeRIncr(sym), EncodeRIncr(sym)}},
+		{"orderbook", func() StateMachine { return NewOrderBook() },
+			EncodePairOrder(OrderLeg{Sym: sym, Side: OpSell, Price: 100, Qty: 5}, OrderLeg{Sym: []byte("B"), Side: OpBuy, Price: 7, Qty: 1}),
+			[][]byte{EncodeOrderSym(sym, OpBuy, 100, 2), EncodeOrderSym(sym, OpBuy, 100, 3)}},
+	}
+	for _, tc := range cases {
+		sm, twin := tc.mk(), tc.mk()
+		if res := sm.Apply(EncodeTxnPrepare(1, 0, tc.frag)); len(res) != 1 || res[0] != StatusOK {
+			t.Fatalf("%s: prepare answered %v", tc.name, res)
+		}
+		for _, req := range tc.parked {
+			if res := sm.Apply(req); res != nil {
+				t.Fatalf("%s: write to a locked key answered %v, want parked", tc.name, res)
+			}
+			sm.(Deferring).TakeParkedTicket()
+		}
+		// The twin never parks: the transaction's write, then the two writes.
+		// A pair order answers StatusOK then its legs, which is the order
+		// book's receipt; a multi-key SET answers StatusOK and has none.
+		receipt := bytes.Clone(twin.Apply(tc.frag))
+		if len(receipt) == 1 {
+			receipt = nil
+		}
+		var want [][]byte
+		for _, req := range tc.parked {
+			want = append(want, bytes.Clone(twin.Apply(req)))
+		}
+		commit := sm.Apply(EncodeTxnCommit(1))
+		if commit[0] != StatusOK || !bytes.Equal(commit[1:], receipt) {
+			t.Fatalf("%s: commit answered %v, want StatusOK then the receipt %v", tc.name, commit, receipt)
+		}
+		rel := sm.(Deferring).TakeReleased()
+		if len(rel) != len(want) {
+			t.Fatalf("%s: %d released, want %d", tc.name, len(rel), len(want))
+		}
+		for i, r := range rel {
+			if !bytes.Equal(r.Result, want[i]) {
+				t.Fatalf("%s: released result %d is %v, a fresh store answers %v", tc.name, i, r.Result, want[i])
+			}
+		}
+	}
+}
+
 // TestCommitReceiptIdempotent: a commit re-delivered after it applied
 // (lost first ack, client retry under loss) must re-answer with the SAME
 // receipt, not a bare StatusOK — otherwise the transaction driver's

@@ -30,11 +30,13 @@ import (
 type OrderBook struct {
 	books map[string]*book
 	tops  *VersionedStore // symbol -> topsEntry blob, one version per mutation
-	// answer is the buffer every ApplyRead and ApplyReadAt answer is
-	// appended into, the caller's until the next read (ReadExecutor); keys
-	// holds an OpTops read's symbols (multiRead) until the next one.
+	// answer is the buffer every Apply, ApplyRead and ApplyReadAt answer is
+	// appended into, the caller's until the next call (StateMachine.Apply);
+	// keys holds an OpTops read's symbols (multiRead) and fills an order's
+	// fills until the next one.
 	answer []byte
 	keys   [][]byte
+	fills  []Fill
 	*LockTable
 }
 
@@ -135,11 +137,11 @@ func NewOrderBook() *OrderBook {
 }
 
 // book returns the symbol's book, creating it on first use.
-func (ob *OrderBook) book(sym string) *book {
-	b, ok := ob.books[sym]
+func (ob *OrderBook) book(sym []byte) *book {
+	b, ok := ob.books[string(sym)]
 	if !ok {
 		b = &book{}
-		ob.books[sym] = b
+		ob.books[string(sym)] = b
 	}
 	return b
 }
@@ -170,7 +172,16 @@ func (ob *OrderBook) AskCountSym(sym []byte) int {
 // the unfilled remainder (0 = fully filled or fully matched), and the
 // fills.
 func (ob *OrderBook) Apply(req []byte) []byte {
-	if res, handled := ApplyTxn(ob, req); handled {
+	res := ob.apply(ob.answer[:0], req)
+	if res != nil {
+		ob.answer = res
+	}
+	return res
+}
+
+// apply executes one order, appending its answer to dst.
+func (ob *OrderBook) apply(dst, req []byte) []byte {
+	if res, handled := ApplyTxn(ob, dst, req); handled {
 		return res
 	}
 	rd := wire.NewReader(req)
@@ -180,78 +191,86 @@ func (ob *OrderBook) Apply(req []byte) []byte {
 		price := rd.U64()
 		qty := rd.U64()
 		if rd.Done() != nil || qty == 0 {
-			return encodeOrderResp(0, 0, nil, false)
+			return appendOrderResp(dst, 0, 0, nil, false)
 		}
 		if ob.Locked(nil) {
-			return ob.ParkOrRefuse([][]byte{nil}, req)
+			return ob.ParkOrRefuse(dst, [][]byte{nil}, req)
 		}
-		return ob.placeOn(nil, op, price, qty)
+		return ob.placeOn(dst, nil, op, price, qty)
 	case OpCancel:
 		id := rd.U64()
 		if rd.Done() != nil {
-			return encodeOrderResp(0, 0, nil, false)
+			return appendOrderResp(dst, 0, 0, nil, false)
 		}
 		if ob.Locked(nil) {
-			return ob.ParkOrRefuse([][]byte{nil}, req)
+			return ob.ParkOrRefuse(dst, [][]byte{nil}, req)
 		}
-		b := ob.book("")
+		b := ob.book(nil)
 		ok := cancelFrom(&b.bids, id) || cancelFrom(&b.asks, id)
 		ob.noteTops(nil, false)
-		return encodeOrderResp(id, 0, nil, ok)
+		return appendOrderResp(dst, id, 0, nil, ok)
 	case OpOrderSym:
-		sym := rd.Bytes()
+		sym := rd.BytesView()
 		side := rd.U8()
 		price := rd.U64()
 		qty := rd.U64()
 		if rd.Done() != nil || qty == 0 || (side != OpBuy && side != OpSell) {
-			return encodeOrderResp(0, 0, nil, false)
+			return appendOrderResp(dst, 0, 0, nil, false)
 		}
 		if ob.Locked(sym) {
-			return ob.ParkOrRefuse([][]byte{sym}, req)
+			return ob.ParkOrRefuse(dst, [][]byte{sym}, req)
 		}
-		return ob.placeOn(sym, side, price, qty)
+		return ob.placeOn(dst, sym, side, price, qty)
 	case OpPair:
 		legs, err := decodePairLegs(rd)
 		if err != nil {
-			return []byte{StatusBadReq}
+			return append(dst, StatusBadReq)
 		}
 		if ob.AnyLocked(legs[0].Sym, legs[1].Sym) {
-			return ob.ParkOrRefuse([][]byte{legs[0].Sym, legs[1].Sym}, req)
+			return ob.ParkOrRefuse(dst, [][]byte{legs[0].Sym, legs[1].Sym}, req)
 		}
-		return ob.placePair(legs)
+		return ob.placePair(dst, legs)
 	case OpTops:
 		// The shared read routine, unpinned (one implementation,
 		// byte-identical across the ordered and fast paths); where it
 		// reports the read blocked — a symbol held by an in-flight pair
 		// transaction — the ordered read parks on the symbols it decoded,
 		// so a top-of-book read never observes a transfer mid-commit.
-		res, blocked, _ := multiRead(nil, &ob.keys, rd, ob.LockTable, ob.tops, headVersion, false, emptyTops)
+		res, blocked, _ := multiRead(dst, &ob.keys, rd, ob.LockTable, ob.tops, headVersion, false, emptyTops)
 		if len(blocked) > 0 {
-			return ob.ParkOrRefuse(blocked, req)
+			return ob.ParkOrRefuse(dst, blocked, req)
 		}
 		return res
 	default:
-		return encodeOrderResp(0, 0, nil, false)
+		return appendOrderResp(dst, 0, 0, nil, false)
 	}
 }
 
-// placeOn executes one order on a symbol's book, refreshes the symbol's
-// versioned view and encodes the order response.
-func (ob *OrderBook) placeOn(sym []byte, side uint8, price, qty uint64) []byte {
-	id, remaining, fills := ob.book(string(sym)).place(side, price, qty)
+// place executes one order on a symbol's book and refreshes the symbol's
+// versioned view. The fills are valid until the next order.
+func (ob *OrderBook) place(sym []byte, side uint8, price, qty uint64) (id, remaining uint64, fills []Fill) {
+	id, remaining, ob.fills = ob.book(sym).place(ob.fills[:0], side, price, qty)
 	ob.noteTops(sym, false)
-	return encodeOrderResp(id, remaining, fills, true)
+	return id, remaining, ob.fills
 }
 
-// placePair executes both legs of a pair order: StatusOK, then each leg's
-// order response.
-func (ob *OrderBook) placePair(legs [2]OrderLeg) []byte {
-	w := wire.NewWriter(128)
-	w.U8(StatusOK)
+// placeOn executes one order and appends its order response to dst.
+func (ob *OrderBook) placeOn(dst, sym []byte, side uint8, price, qty uint64) []byte {
+	id, remaining, fills := ob.place(sym, side, price, qty)
+	return appendOrderResp(dst, id, remaining, fills, true)
+}
+
+// placePair executes both legs of a pair order, appending to dst StatusOK,
+// then each leg's order response, length-prefixed.
+func (ob *OrderBook) placePair(dst []byte, legs [2]OrderLeg) []byte {
+	dst = append(dst, StatusOK)
 	for _, leg := range legs {
-		w.Bytes(ob.placeOn(leg.Sym, leg.Side, leg.Price, leg.Qty))
+		id, remaining, fills := ob.place(leg.Sym, leg.Side, leg.Price, leg.Qty)
+		w := wire.WriterOn(dst)
+		w.Uvarint(uint64(orderRespLen(len(fills))))
+		dst = appendOrderResp(w.Finish(), id, remaining, fills, true)
 	}
-	return w.Finish()
+	return dst
 }
 
 // noteTops refreshes the versioned top-of-book view of one symbol after a
@@ -337,17 +356,18 @@ func decodePairLegs(rd *wire.Reader) ([2]OrderLeg, error) {
 	return legs, nil
 }
 
-// place matches one order against the book and rests any remainder.
-func (b *book) place(side uint8, price, qty uint64) (id, remaining uint64, fills []Fill) {
+// place matches one order against the book and rests any remainder,
+// appending the fills to dst.
+func (b *book) place(dst []Fill, side uint8, price, qty uint64) (id, remaining uint64, fills []Fill) {
 	b.nextID++
 	id = b.nextID
 	if side == OpBuy {
-		fills, qty = b.match(&b.asks, price, qty, false)
+		fills, qty = b.match(dst, &b.asks, price, qty, false)
 		if qty > 0 {
 			b.rest(&b.bids, restingOrder{ID: id, Price: price, Qty: qty}, true)
 		}
 	} else {
-		fills, qty = b.match(&b.bids, price, qty, true)
+		fills, qty = b.match(dst, &b.bids, price, qty, true)
 		if qty > 0 {
 			b.rest(&b.asks, restingOrder{ID: id, Price: price, Qty: qty}, false)
 		}
@@ -356,9 +376,9 @@ func (b *book) place(side uint8, price, qty uint64) (id, remaining uint64, fills
 }
 
 // match crosses the taker against the far side of the book. descending
-// selects bid-side ordering. Returns the fills and the unfilled remainder.
-func (b *book) match(side *[]restingOrder, price, qty uint64, descending bool) ([]Fill, uint64) {
-	var fills []Fill
+// selects bid-side ordering. Returns fills with the matches appended, and
+// the unfilled remainder.
+func (b *book) match(fills []Fill, side *[]restingOrder, price, qty uint64, descending bool) ([]Fill, uint64) {
 	for qty > 0 && len(*side) > 0 {
 		top := &(*side)[0]
 		crosses := top.Price <= price
@@ -408,8 +428,13 @@ func cancelFrom(side *[]restingOrder, id uint64) bool {
 	return false
 }
 
-func encodeOrderResp(id, remaining uint64, fills []Fill, ok bool) []byte {
-	w := wire.NewWriter(32 + 24*len(fills))
+// orderRespLen is the length of an order response carrying n fills.
+func orderRespLen(n int) int { return 17 + wire.UvarintLen(uint64(n)) + 24*n }
+
+// appendOrderResp appends an order response to dst.
+func appendOrderResp(dst []byte, id, remaining uint64, fills []Fill, ok bool) []byte {
+	w := wire.WriterOn(dst)
+	w.Grow(orderRespLen(len(fills)))
 	w.Bool(ok)
 	w.U64(id)
 	w.U64(remaining)
@@ -587,24 +612,25 @@ func (ob *OrderBook) writeFragmentKeys(frag []byte) ([][]byte, error) {
 // would have produced executing locally (taker id, remainder, fills), so
 // the transaction driver can surface per-leg fill summaries in the
 // cross-shard transaction response instead of a bare commit/abort byte.
+// The receipt is a fresh slice: the LockTable keeps it.
 func (ob *OrderBook) installFragment(frag []byte) []byte {
 	rd := wire.NewReader(frag)
 	switch op := rd.U8(); op {
 	case OpOrderSym:
-		sym := rd.Bytes()
+		sym := rd.BytesView()
 		side := rd.U8()
 		price := rd.U64()
 		qty := rd.U64()
 		if rd.Done() != nil || qty == 0 {
 			return nil
 		}
-		return ob.placeOn(sym, side, price, qty)
+		return ob.placeOn(nil, sym, side, price, qty)
 	case OpPair:
 		legs, err := decodePairLegs(rd)
 		if err != nil {
 			return nil
 		}
-		return ob.placePair(legs)
+		return ob.placePair(nil, legs)
 	}
 	return nil
 }

@@ -189,8 +189,11 @@ func DecodeTxnReceipts(res []byte) ([][]byte, bool) {
 // ApplyTxn dispatches a generic transaction command to the participant's
 // hooks, returning (response, true); any request below the reserved range
 // returns (nil, false). Transactional applications call it at the top of
-// Apply, so every 2PC step is an ordinary consensus-ordered command.
-func ApplyTxn(p TxnParticipant, req []byte) ([]byte, bool) {
+// Apply, so every 2PC step is an ordinary consensus-ordered command. The
+// response is appended to dst, the application's answer buffer, and only
+// once the hook has returned: a commit or abort may run parked requests
+// through the application's Apply, which write the same buffer.
+func ApplyTxn(p TxnParticipant, dst, req []byte) ([]byte, bool) {
 	if len(req) == 0 || req[0] < TxnOpBase {
 		return nil, false
 	}
@@ -202,51 +205,52 @@ func ApplyTxn(p TxnParticipant, req []byte) ([]byte, bool) {
 		coord := rd.Uvarint()
 		frag := rd.Bytes()
 		if rd.Done() != nil {
-			return []byte{StatusBadReq}, true
+			return append(dst, StatusBadReq), true
 		}
-		return []byte{p.Prepare(txid, coord, frag)}, true
+		return append(dst, p.Prepare(txid, coord, frag)), true
 	case OpTxnCommit:
 		txid := rd.U64()
 		if rd.Done() != nil {
-			return []byte{StatusBadReq}, true
+			return append(dst, StatusBadReq), true
 		}
-		return commitResponse(p, txid), true
+		return commitResponse(dst, p, txid), true
 	case OpTxnAbort:
 		txid := rd.U64()
 		if rd.Done() != nil {
-			return []byte{StatusBadReq}, true
+			return append(dst, StatusBadReq), true
 		}
-		return []byte{p.Abort(txid)}, true
+		return append(dst, p.Abort(txid)), true
 	case OpTxnDecide:
 		txid := rd.U64()
 		commit := rd.Bool()
 		if rd.Done() != nil {
-			return []byte{StatusBadReq}, true
+			return append(dst, StatusBadReq), true
 		}
 		st := p.Decided(txid, commit)
 		if st != StatusOK || !commit {
-			return []byte{st}, true
+			return append(dst, st), true
 		}
-		return commitResponse(p, txid), true
+		return commitResponse(dst, p, txid), true
 	case OpTxnQueryDecision:
 		txid := rd.U64()
 		if rd.Done() != nil {
-			return []byte{StatusBadReq}, true
+			return append(dst, StatusBadReq), true
 		}
-		out := []byte{StatusOK, 0}
-		if p.QueryDecision(txid) {
-			out[1] = 1
-		}
-		return out, true
+		commit := p.QueryDecision(txid)
+		w := wire.WriterOn(dst)
+		w.U8(StatusOK)
+		w.Bool(commit)
+		return w.Finish(), true
 	case OpTxnListStaged:
 		if rd.Done() != nil {
-			return []byte{StatusBadReq}, true
+			return append(dst, StatusBadReq), true
 		}
 		staged := p.StagedTxns()
 		if len(staged) > stagedListCap {
 			staged = staged[:stagedListCap]
 		}
-		w := wire.NewWriter(8 + 16*len(staged))
+		w := wire.WriterOn(dst)
+		w.Grow(8 + 16*len(staged))
 		w.U8(StatusOK)
 		w.Uvarint(uint64(len(staged)))
 		for _, tx := range staged {
@@ -255,20 +259,16 @@ func ApplyTxn(p TxnParticipant, req []byte) ([]byte, bool) {
 		}
 		return w.Finish(), true
 	default:
-		return []byte{StatusBadReq}, true
+		return append(dst, StatusBadReq), true
 	}
 }
 
 // commitResponse installs txid's staged fragment through the participant's
-// Commit and answers with its status, followed by the receipt when there is
-// one: the answer of OpTxnCommit, and of an OpTxnDecide(commit) that the
-// coordinator group's decision log accepted.
-func commitResponse(p TxnParticipant, txid uint64) []byte {
+// Commit and appends its status to dst, followed by the receipt when there
+// is one: the answer of OpTxnCommit, and of an OpTxnDecide(commit) that the
+// coordinator group's decision log accepted. Commit runs first, so the
+// parked requests it releases are answered before dst is written.
+func commitResponse(dst []byte, p TxnParticipant, txid uint64) []byte {
 	st, receipt := p.Commit(txid)
-	if len(receipt) == 0 {
-		return []byte{st}
-	}
-	out := make([]byte, 0, 1+len(receipt))
-	out = append(out, st)
-	return append(out, receipt...)
+	return append(append(dst, st), receipt...)
 }

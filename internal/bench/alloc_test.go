@@ -41,20 +41,22 @@ var raceAllocs, raceSlowAllocs, raceReadAllocs int
 // TestFastPathAllocBudget asserts a ceiling on heap allocations per
 // end-to-end request on uBFT's fast path, in steady state (pools warm, ring
 // mirrors grown, consensus tables populated, their free lists filled).
-// Measured at 18 allocs/request when this budget was set: what is left is
-// the immutable ring frames, the one reply frame a call hands its caller, the
-// application's results and the harness. It read 20 while every reply frame
+// Measured at 15 allocs/request when this budget was set: what is left is
+// the immutable ring frames, the one reply frame a call hands its caller and
+// the harness. It read 18 while every replica's Flip answered into a fresh
+// slice (3 a request), 20 while every reply frame
 // was fresh (3 a request), 25 while every ring ack and echo was a fresh frame, 45
 // while every slot, request, client call and CTBcast fallback record was
 // made anew per operation with its timer closure, 47 while the client copied its request once per replica, 75 while
 // the router copied every ring frame once per receiver and the broadcaster
 // copied it again for its self-delivery (~800 before the zero-allocation
 // work, ~118 while every slot, request and client was spread over parallel
-// maps); the ceiling is that plus 15%, so a per-operation record made anew
+// maps); the ceiling is that plus 15%, rounded up (21 while it read 18), so
+// a fresh answer per replica again (3), a per-operation record made anew
 // (1 to 4 allocations a request each) trips it, as does a per-receiver frame
 // copy or reintroduced per-message encode/decode churn (hundreds).
 func TestFastPathAllocBudget(t *testing.T) {
-	budget := 21 + raceAllocs
+	budget := 18 + raceAllocs
 
 	s := NewUBFTFast(1, nil)
 	defer s.Stop()
@@ -74,7 +76,9 @@ func TestFastPathAllocBudget(t *testing.T) {
 // end-to-end request on the signed slow path, in steady state. A request there
 // makes 48 SWMR quorum operations on three memory nodes (288 memory-node
 // messages), so a copy per memory node or per completion costs 144 a request.
-// Measured at 29 allocs/request when this budget was set, since a reply frame
+// Measured at 26 allocs/request when this budget was set, since every
+// replica's Flip answers into one buffer it keeps; 29 while each answer was a
+// fresh slice, since a reply frame
 // the client does not hand out goes back to the router's free list; 31 while
 // every reply frame was fresh, since a ring ack and an echo go back to the
 // router's free list once read; 48 while each was
@@ -85,12 +89,12 @@ func TestFastPathAllocBudget(t *testing.T) {
 // those signatures and sets were copied and grown anew, 277 while every
 // register request and completion was a fresh frame, 300 before that, ~1300
 // while every register request was copied once per memory node, every
-// completion twice and a READ's region three times. The ceiling is 29 plus
-// 15%: fresh replies again (2 a request, with 36 as the ceiling until they were
-// recycled), fresh acks and echoes (17), a map per decoded certificate (16) or
-// a copy per CERTIFY signature (8) trips it.
+// completion twice and a READ's region three times. The ceiling is 26 plus
+// 15% (34 while it read 29, 36 until replies were recycled): fresh answers
+// and replies again (5 a request), fresh acks and echoes (17), a map per
+// decoded certificate (16) or a copy per CERTIFY signature (8) trips it.
 func TestSlowPathAllocBudget(t *testing.T) {
-	budget := 34 + raceSlowAllocs
+	budget := 30 + raceSlowAllocs
 
 	s := NewUBFTSlow(1, nil)
 	defer s.Stop()

@@ -106,3 +106,46 @@ func TestRetransmittedRequestGetsCachedResult(t *testing.T) {
 		t.Fatalf("older and parked requests sent again: %d replies, %d request records", len(got), len(r.requests))
 	}
 }
+
+// TestCachedResultOutlivesLaterApplies holds the exactly-once record to its
+// own copy of a result. Flip answers every request into one buffer it keeps,
+// so once two other clients' requests have executed, that buffer holds their
+// answers; a retransmitted request must still get the bytes its own
+// execution produced, from the client record. A request that parks leaves
+// the record with no result (pending), and nothing is sent again for it.
+func TestCachedResultOutlivesLaterApplies(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[0]
+	var got []Reply
+	for _, id := range []ids.ID{200, 201, 202} {
+		rt := router.New(rig.net.AddNode(id, "client"))
+		if id == 200 {
+			rt.Register(router.ChanRPC, func(_ ids.ID, p []byte) {
+				if rep, ok := ParseReply(p); ok {
+					rep.Result = slices.Clone(rep.Result)
+					got = append(got, rep)
+				}
+			})
+		}
+	}
+	r.decide(0, 0, Request{Client: 200, Num: 1, Payload: []byte("abc")})
+	r.decide(1, 0, Request{Client: 201, Num: 1, Payload: []byte("xyz")})
+	r.decide(2, 0, Request{Client: 202, Num: 1, Payload: []byte("uvw")})
+	if c := r.clients[200]; c == nil || string(c.res) != "cba" {
+		t.Fatalf("client 200's record after two later executions: %+v, want result \"cba\"", c)
+	}
+	w := wire.NewWriter(32)
+	w.U8(tagRequest)
+	Request{Client: 200, Num: 1, Payload: []byte("abc")}.encode(w)
+	r.onRPC(200, w.Finish())
+	rig.eng.RunFor(time200us())
+	if len(got) != 2 || string(got[0].Result) != "cba" || string(got[1].Result) != "cba" || got[1].At != 0 {
+		t.Fatalf("execution and retransmission replies %+v, want two \"cba\" at slot 0", got)
+	}
+	c := r.clients[200]
+	c.markExecuted(2, 3, nil, true)
+	if !c.pending || len(c.res) != 0 {
+		t.Fatalf("parked request's record: pending %v, result %q, want pending and no result", c.pending, c.res)
+	}
+}

@@ -1232,7 +1232,7 @@ func (r *Replica) drainReleased(s Slot) {
 		}
 		delete(r.deferredResp, rel.Ticket)
 		if c := r.clients[tgt.client]; c != nil && c.ran && c.num == tgt.num {
-			c.res, c.slot, c.pending, c.parked = rel.Result, s, false, true
+			c.res, c.slot, c.pending, c.parked = append(c.res[:0], rel.Result...), s, false, true
 		}
 		r.respond(tgt.client, tgt.num, s, rel.Result, true)
 	}

@@ -37,7 +37,7 @@ var retention = map[string]string{
 	"slotState.views": "lives with the slot record, emptied when Replica.slots drops it and kept for its next slot; one record per view the slot saw, and admits opens none for a view above the horizon (highestView + 1)",
 	"slotView.shares": "lives with its view record, emptied with it; at most n shares, one per signer",
 
-	"execEntry.res": "the client's latest result; dies with the client record",
+	"execEntry.res": "one buffer per client record: a copy of the client's latest result, overwritten by its next one, dropped with the record",
 
 	"cpState.shares":   "released once the checkpoint is stable (pruneBelow); at most n shares, one per signer, held, being verified, verified or found invalid (a CHECKPOINT's signatures join as relayed shares under the same bound)",
 	"cpState.snapshot": "released one window below the stable checkpoint (pruneBelow)",

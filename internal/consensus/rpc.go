@@ -309,7 +309,7 @@ func (r *Replica) drainPinnedReads() {
 }
 
 // readReplyFrame encodes one fast-read reply into a reply frame (replyFrame),
-// which copies result, an answer the application's next read may overwrite.
+// which copies result, an answer the application's next call may overwrite.
 // The version field carries lastApplied as of this call, the instant the
 // result was read — for a pinned read the RESULT is as-of the pin, but the
 // version still teaches the client how far this replica has executed (its

@@ -300,7 +300,7 @@ func (c *clientState) proposedUpTo(num uint64, seq Slot) bool {
 }
 
 // execEntry is one client's exactly-once execution record: the highest
-// executed request number with its cached result, and which of the
+// executed request number with a copy of its result, and which of the
 // execWindow numbers below it executed too. A high-water mark alone cannot
 // tell a pipelined request's late first execution (it lost its echo round
 // and was proposed after its successors) from its second one (a view change
@@ -310,8 +310,11 @@ type execEntry struct {
 	num uint64
 	// below has bit i set when request num-1-i executed.
 	below uint64
-	res   []byte
-	slot  Slot // slot of the last executed request (aging horizon)
+	// res is the latest request's result, copied into one buffer the record
+	// owns: the application's answer is only valid until its next Apply.
+	// Empty (or nil) while that request is parked.
+	res  []byte
+	slot Slot // slot of the last executed request (aging horizon)
 	// pending marks a request parked in the application's wait queue: it
 	// is executed (dedup holds) but its result arrives at lock release.
 	pending bool
@@ -338,8 +341,9 @@ func (e *execEntry) has(n uint64) bool {
 }
 
 // executedAt returns the record with request n, executed in slot s, marked.
-// A request above the high-water mark becomes the new one and takes the
-// result cache (res, pending); one below it only sets its bit.
+// A request above the high-water mark becomes the new one and copies res
+// into the record's result buffer (pending: res is empty); one below it only
+// sets its bit.
 func (e execEntry) executedAt(n uint64, s Slot, res []byte, pending bool) execEntry {
 	if n < e.num {
 		if d := e.num - n; d <= execWindow {
@@ -351,7 +355,7 @@ func (e execEntry) executedAt(n uint64, s Slot, res []byte, pending bool) execEn
 	if d := n - e.num; e.num > 0 && d <= execWindow {
 		below = e.below<<d | 1<<(d-1) // Go shifts past the width to zero
 	}
-	return execEntry{num: n, below: below, res: res, slot: s, pending: pending}
+	return execEntry{num: n, below: below, res: append(e.res[:0], res...), slot: s, pending: pending}
 }
 
 // executedBy returns client id's record if the client's request num executed
@@ -367,7 +371,9 @@ func (r *Replica) executedBy(id ids.ID, num uint64) *clientState {
 
 func (r *Replica) executed(id ids.ID, num uint64) bool { return r.executedBy(id, num) != nil }
 
-// markExecuted records that the client's request num executed in slot s.
+// markExecuted records that the client's request num executed in slot s,
+// keeping a copy of res (the application's answer, valid only until its next
+// Apply).
 func (c *clientState) markExecuted(num uint64, s Slot, res []byte, pending bool) {
 	c.execEntry, c.ran = c.executedAt(num, s, res, pending), true
 }
