@@ -88,12 +88,17 @@ race:
 # anything kept is copied: every ordered answer goes into the one buffer the
 # application keeps (a warm Flip.Apply allocates nothing), the LockTable
 # copies each result a commit releases, and a replica's exactly-once record
-# answers a retransmission from its own copy.
+# answers a retransmission from its own copy. A frame that is never
+# rewritten is carved from a block its sender owns: over four laps of a ring
+# every frame, in the mirror or held after it left, still reads what it was
+# sent with, and a warm ring sender allocates at most one block per 16
+# messages.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
 	$(GO) test -run 'TestFreeListBounded' ./internal/router/
+	$(GO) test -run 'TestFramesNeverRewrittenAndWarmSendAllocatesLittle' ./internal/msgring/
 	$(GO) test -run 'TestReplyFrame|TestCachedResultOutlivesLaterApplies' ./internal/consensus/
 	$(GO) test -run 'TestOrderedAnswersShareOneBuffer|TestReleasedResultsAreTheirOwn' ./internal/app/
 

@@ -41,9 +41,12 @@ var raceAllocs, raceSlowAllocs, raceReadAllocs int
 // TestFastPathAllocBudget asserts a ceiling on heap allocations per
 // end-to-end request on uBFT's fast path, in steady state (pools warm, ring
 // mirrors grown, consensus tables populated, their free lists filled).
-// Measured at 15 allocs/request when this budget was set: what is left is
-// the immutable ring frames, the one reply frame a call hands its caller and
-// the harness. It read 18 while every replica's Flip answered into a fresh
+// Measured at 3 allocs/request when this budget was set: what is left is the
+// harness and a share of the blocks the ring frames, the client's request
+// frames and the free list's misses are carved from. It read 15 while every
+// ring frame, request frame and free-list miss was an allocation of its own
+// (some 11 ring frames, the request and the one reply frame a call hands its
+// caller), 18 while every replica's Flip answered into a fresh
 // slice (3 a request), 20 while every reply frame
 // was fresh (3 a request), 25 while every ring ack and echo was a fresh frame, 45
 // while every slot, request, client call and CTBcast fallback record was
@@ -51,12 +54,13 @@ var raceAllocs, raceSlowAllocs, raceReadAllocs int
 // the router copied every ring frame once per receiver and the broadcaster
 // copied it again for its self-delivery (~800 before the zero-allocation
 // work, ~118 while every slot, request and client was spread over parallel
-// maps); the ceiling is that plus 15%, rounded up (21 while it read 18), so
-// a fresh answer per replica again (3), a per-operation record made anew
-// (1 to 4 allocations a request each) trips it, as does a per-receiver frame
-// copy or reintroduced per-message encode/decode churn (hundreds).
+// maps); the ceiling is that plus 15%, rounded up (18 while it read 15, 21
+// while it read 18), so a ring frame allocated per message again (some 11), a
+// fresh answer per replica (3), a per-operation record made anew (1 to 4
+// allocations a request each) trips it, as does a per-receiver frame copy or
+// reintroduced per-message encode/decode churn (hundreds).
 func TestFastPathAllocBudget(t *testing.T) {
-	budget := 18 + raceAllocs
+	budget := 4 + raceAllocs
 
 	s := NewUBFTFast(1, nil)
 	defer s.Stop()
@@ -76,7 +80,9 @@ func TestFastPathAllocBudget(t *testing.T) {
 // end-to-end request on the signed slow path, in steady state. A request there
 // makes 48 SWMR quorum operations on three memory nodes (288 memory-node
 // messages), so a copy per memory node or per completion costs 144 a request.
-// Measured at 26 allocs/request when this budget was set, since every
+// Measured at 18 allocs/request when this budget was set, since ring frames,
+// request frames and free-list misses are carved from blocks; 26 while each
+// was an allocation of its own, since every
 // replica's Flip answers into one buffer it keeps; 29 while each answer was a
 // fresh slice, since a reply frame
 // the client does not hand out goes back to the router's free list; 31 while
@@ -89,12 +95,13 @@ func TestFastPathAllocBudget(t *testing.T) {
 // those signatures and sets were copied and grown anew, 277 while every
 // register request and completion was a fresh frame, 300 before that, ~1300
 // while every register request was copied once per memory node, every
-// completion twice and a READ's region three times. The ceiling is 26 plus
-// 15% (34 while it read 29, 36 until replies were recycled): fresh answers
-// and replies again (5 a request), fresh acks and echoes (17), a map per
-// decoded certificate (16) or a copy per CERTIFY signature (8) trips it.
+// completion twice and a READ's region three times. The ceiling is 18 plus
+// 15% (30 while it read 26, 34 while it read 29, 36 until replies were
+// recycled): ring frames allocated per message again (8), fresh answers and
+// replies (5 a request), fresh acks and echoes (17), a map per decoded
+// certificate (16) or a copy per CERTIFY signature (8) trips it.
 func TestSlowPathAllocBudget(t *testing.T) {
-	budget := 30 + raceSlowAllocs
+	budget := 21 + raceSlowAllocs
 
 	s := NewUBFTSlow(1, nil)
 	defer s.Stop()
@@ -149,7 +156,9 @@ func TestSlowPathVerifiesEachSignatureOnce(t *testing.T) {
 // TestFastReadAllocBudget asserts the unordered read fast path allocates
 // strictly less than the ordered request budget — a read that skips the
 // whole ordering pipeline must not cost more heap than one that runs it.
-// Measured at 4 allocs/read when this budget was set, since a multi-key
+// Measured at 2 allocs/read when this budget was set, since request frames
+// and free-list misses are carved from blocks; 4 while each was an
+// allocation of its own, since a multi-key
 // read's keys go into a slice the store keeps; 6 while that slice was fresh,
 // since a reply frame the client does not hand out goes back to the router's
 // free list, a store appends each answer into one buffer of its own and
@@ -160,11 +169,12 @@ func TestSlowPathVerifiesEachSignatureOnce(t *testing.T) {
 // every reply, ~18 before that once a read asked f+1 replicas first, ~23 when
 // every read went to all 2f+1 (vs ~139 for an ordered write on the same
 // deployment and ~119 on the single-cluster fast path, both before the
-// replica's state tables were merged). The ceiling is 4 plus 15%, ratcheted
-// from 30 to 12, then 7 and then 5: a record, a reply copy, a fresh answer or
-// a fresh key slice per read coming back trips it.
+// replica's state tables were merged). The ceiling is 2 plus 15%, rounded
+// up, ratcheted from 30 to 12, then 7, 5 and 3: a request frame or a reply
+// frame allocated per read again, a record, a reply copy, a fresh answer or a
+// fresh key slice per read coming back trips it.
 func TestFastReadAllocBudget(t *testing.T) {
-	budget := 5 + raceReadAllocs
+	budget := 3 + raceReadAllocs
 
 	d := shard.New(shard.Options{
 		Seed:      1,
@@ -204,12 +214,13 @@ func TestFastReadAllocBudget(t *testing.T) {
 // single-key point read (KVGet through the MVCC store): the smallest
 // request the fast path serves must stay in the same allocation class as
 // the multi-key read above — versioned chains must not add per-read churn.
-// Measured at 4 allocs/read when this budget was set (8 while reply frames,
+// Measured at 2 allocs/read when this budget was set (4 while request frames
+// and free-list misses were allocations of their own, 8 while reply frames,
 // read answers and routed key slices were fresh, 15 before read records were
-// reused, ~16 and ~20 earlier); the ceiling is that plus 15%, ratcheted from
-// 30 to 10 and then 5.
+// reused, ~16 and ~20 earlier); the ceiling is that plus 15%, rounded up,
+// ratcheted from 30 to 10, then 5 and then 3.
 func TestPointReadAllocBudget(t *testing.T) {
-	budget := 5 + raceReadAllocs
+	budget := 3 + raceReadAllocs
 
 	d := shard.New(shard.Options{
 		Seed:      1,

@@ -3,19 +3,23 @@
 package bench
 
 // Under the race detector sync.Pool drops a share of what is put back, at
-// random, so pooled wire writers are allocated again: measured 25-26
-// allocations per fast-path request where a plain build reads 15 (28-29 where
+// random, so pooled wire writers are allocated again: measured 13-14
+// allocations per fast-path request where a plain build reads 3 (25-26 where
+// it read 15 before ring frames, request frames and free-list misses were
+// carved from blocks, 28-29 where
 // it read 18 before ordered answers went into a buffer each application
 // keeps, 30 where it read 20 before reply frames were recycled, 40 where it read 25 before ring
 // acks and echoes were recycled, 60 where it read 45 before per-operation
 // records were recycled, 91 where it read 75 before ring frames were shared),
-// 77-78 per slow-path request where a plain build reads 26 (81-82 where it
+// 69-70 per slow-path request where a plain build reads 18 (77-78 where it
+// read 26 before frames were carved, 81-82 where it
 // read 29 before ordered answers were kept, 84 where it read 31 before reply
 // frames were recycled, 110 where it read 48 before ring acks
 // and echoes were recycled, 147-148 where it read 85 before certificates were
 // read in place, 331-332 where it read 278 before register frames were
-// reused, 352-353 where it read 300), and 4 per fast read and 4 per point
-// read where a plain build reads the same (6 and 4 before a multi-key read's
+// reused, 352-353 where it read 300), and 2 per fast read and 2 per point
+// read where a plain build reads the same (4 and 4 before frames were carved,
+// 6 and 4 before a multi-key read's
 // keys went into a slice the store keeps, 10-11 and 8-9 where it read 10 and
 // 8 before reply frames, read answers and routed key slices were reused). The
 // read offset was 1 until the fast read's budget went from 7 to 5.

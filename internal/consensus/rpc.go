@@ -555,6 +555,10 @@ type Client struct {
 	// def switches client-side defenses off (QuorumOne, NoReadFallback);
 	// zero outside the Byzantine harness.
 	def Defenses
+
+	// slab is the blocks the client carves its request frames from: a frame
+	// is never written once sent, and replicas keep views of it.
+	slab wire.Slab
 }
 
 // Mode says how a call is served. The zero Mode is an ordered call: the
@@ -866,16 +870,15 @@ func (c *Client) start(group int, payload []byte, mode Mode, done func([]byte, s
 }
 
 // order submits p's payload as an ordered request under the next number,
-// p.ordNum, and files p under it. One frame, channel tag first and of exact
-// size, goes to every replica: immutable once sent, so replicas may retain
-// views of it.
+// p.ordNum, and files p under it. One frame, channel tag first, of exact
+// size and carved from the client's blocks, goes to every replica: immutable
+// once sent, so replicas may retain views of it.
 func (c *Client) order(p *call) {
 	c.nextNum++
 	p.ordNum = c.nextNum
 	c.calls[p.ordNum] = p
 	req := Request{Client: c.rt.ID(), Num: p.ordNum, Payload: p.payload}
-	var w wire.Writer
-	w.Grow(2 + 16 + wire.BytesLen(len(p.payload)))
+	w := wire.WriterOn(c.slab.Take(requestFrameLen(len(p.payload)))[:0])
 	w.U8(router.ChanRPC)
 	w.U8(tagRequest)
 	req.encode(&w)
@@ -884,6 +887,11 @@ func (c *Client) order(p *call) {
 		c.rt.SendFrame(rep, frame)
 	}
 }
+
+// requestFrameLen is the length of an ordered or read request frame carrying
+// a payload of n bytes: channel tag, message tag, two 8-byte fields (client
+// and number, or number and pin) and the payload.
+func requestFrameLen(n int) int { return 2 + 16 + wire.BytesLen(n) }
 
 // Cancel abandons the call whose handle is num: late replica responses are
 // ignored and its callback never fires. It reports whether the call was
@@ -1041,8 +1049,8 @@ func (c *Client) groupMask(group int) uint64 {
 // widened round the other half, so total silence still reaches the ordered
 // path after one read timeout.
 func (c *Client) sendRead(p *call, to uint64) {
-	var w wire.Writer // one exact-size frame for every replica addressed
-	w.Grow(2 + 16 + wire.BytesLen(len(p.payload)))
+	// One exact-size frame, carved like order's, for every replica addressed.
+	w := wire.WriterOn(c.slab.Take(requestFrameLen(len(p.payload)))[:0])
 	w.U8(router.ChanRPC)
 	w.U8(tagReadRequest)
 	w.U64(p.num)

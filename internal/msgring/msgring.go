@@ -12,6 +12,12 @@
 // private buffer, re-checks the incarnation, then validates the checksum
 // before delivering — the paper's torn-read defence, reproduced here.
 //
+// As the paper's prototype writes into registered memory it sets up once, a
+// sender encodes each message once, into a frame it carves from blocks of its
+// own (wire.Slab) rather than a slice allocated per message. The frame is
+// never written once sent: the sender's mirror, every receiver, every
+// retransmission and the broadcaster's self-delivery share it.
+//
 // Delivery is in index order. The paper's receiver advances its read
 // pointer to the oldest undelivered message; here that is the oldest
 // *unrecoverable-or-present* one: the sender keeps its last `slots` messages
@@ -117,13 +123,21 @@ func ParseFrame(payload []byte) (Frame, bool) {
 	return Frame{Inst: inst, Slot: slot, Inc: inc, Checksum: chk, Msg: msg}, true
 }
 
-// EncodeFrame encodes f, channel tag first, into a fresh slice of exact size
-// that is never written once sent. The checksum is always the one of f.Msg,
-// whatever f.Checksum holds, so a rewritten message is framed like an honest
-// one.
+// EncodeFrame encodes f, channel tag first, into a slice of its own of exact
+// size that is never written once sent. The checksum is always the one of
+// f.Msg, whatever f.Checksum holds, so a rewritten message is framed like an
+// honest one.
 func EncodeFrame(f Frame) []byte {
-	var w wire.Writer
-	w.Grow(frameHeaderLen + wire.BytesLen(len(f.Msg)))
+	return appendFrame(make([]byte, 0, frameLen(len(f.Msg))), f)
+}
+
+// frameLen is the encoded length of a frame carrying a message of n bytes.
+func frameLen(n int) int { return frameHeaderLen + wire.BytesLen(n) }
+
+// appendFrame is the one ring-frame codec: it appends f, channel tag first
+// and checksummed as EncodeFrame says, to dst.
+func appendFrame(dst []byte, f Frame) []byte {
+	w := wire.WriterOn(dst)
 	w.U8(router.ChanRing)
 	w.U32(uint32(f.Inst))
 	w.U32(f.Slot)
@@ -138,6 +152,12 @@ func EncodeFrame(f Frame) []byte {
 // the mirror and the encoded frame exist once per message; per receiver the
 // sender keeps only when each slot's last WRITE completes and which indices
 // wait behind one.
+//
+// The sender carves its frames from blocks of its own (wire.Slab), as the
+// paper's prototype writes each message into registered memory it sets up
+// once: a frame costs an allocation per block, not one each. The frames of a
+// block are this ring's only, so one a receiver keeps (a PREPARE consensus
+// holds for a window) pins only this ring's other frames.
 type Sender struct {
 	rt    *router.Router
 	proc  *sim.Proc
@@ -150,9 +170,11 @@ type Sender struct {
 	// and retransmission; staging refers to it by index. A frame is the one
 	// buffer of its message: the network, every receiver, every
 	// retransmission and the broadcaster's self-delivery share it, so it is
-	// never written once sent — a later message in the slot gets a new one.
+	// never written once sent — a later message in the slot gets a new one,
+	// carved from slab.
 	mirror []mirrored
 	to     []ringTo
+	slab   wire.Slab
 
 	// drain is the pending call of drainFn, due at drainAt; drainFn is built
 	// once so arming it allocates nothing.
@@ -223,12 +245,12 @@ func (s *Sender) Next() uint64 { return s.next }
 func (s *Sender) SentAt(idx uint64) sim.Time { return s.mirror[idx%uint64(s.slots)].at }
 
 // Send transmits msg as the next message to every receiver, returning its
-// absolute index. The frame is encoded once, into a fresh buffer of exact
-// size that the mirror keeps; msg itself is not retained, so the caller may
-// reuse its buffer as soon as Send returns. Towards a receiver whose target
-// slot has a WRITE in flight the message is staged; staging overflow evicts
-// the oldest staged message (it is simply lost, as the primitive's tail
-// semantics allow).
+// absolute index. The frame is encoded once, into a slice of exact size carved
+// from the sender's blocks, which the mirror keeps; msg itself is not
+// retained, so the caller may reuse its buffer as soon as Send returns.
+// Towards a receiver whose target slot has a WRITE in flight the message is
+// staged; staging overflow evicts the oldest staged message (it is simply
+// lost, as the primitive's tail semantics allow).
 func (s *Sender) Send(msg []byte) uint64 {
 	if len(msg) > s.cap {
 		panic(fmt.Sprintf("msgring: message %dB exceeds slot capacity %dB", len(msg), s.cap))
@@ -236,7 +258,8 @@ func (s *Sender) Send(msg []byte) uint64 {
 	idx := s.next
 	s.next++
 	slot := int(idx % uint64(s.slots))
-	frame := EncodeFrame(Frame{Inst: s.inst, Slot: uint32(slot), Inc: idx/uint64(s.slots) + 1, Msg: msg})
+	frame := appendFrame(s.slab.Take(frameLen(len(msg)))[:0],
+		Frame{Inst: s.inst, Slot: uint32(slot), Inc: idx/uint64(s.slots) + 1, Msg: msg})
 	s.mirror[slot] = mirrored{frame: frame, size: len(msg), at: s.proc.Now()}
 	for i := range s.to {
 		s.post(&s.to[i], idx)

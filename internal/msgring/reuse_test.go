@@ -16,6 +16,7 @@ import (
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/xcrypto"
 )
 
 // TestSlotBufferReuseNoBleed overwrites one ring slot with messages of
@@ -156,5 +157,101 @@ func TestRetainedViewsNeverChange(t *testing.T) {
 		if v, ok := views[idx]; ok && string(v) != w || string(own[idx]) != w {
 			t.Fatalf("message %d changed after it was sent: receiver %q, sender %q, want %q", idx, v, own[idx], w)
 		}
+	}
+}
+
+// TestSenderFramesAreCappedEncodeFrames holds the one ring-frame codec and
+// the carving: a sender's frame is EncodeFrame's bytes for the same Frame,
+// and each frame carved from the sender's block, and each Msg view of one,
+// has cap == len, so an append to it reallocates and leaves the next frame
+// of the block as it was.
+func TestSenderFramesAreCappedEncodeFrames(t *testing.T) {
+	const slots = 4
+	p := newPair(t, slots, 64)
+	var frames [][]byte
+	for i := range slots {
+		msg := bytes.Repeat([]byte{byte('a' + i)}, 3+i*7)
+		idx := p.send.Send(msg)
+		frame := p.send.mirror[idx%slots].frame
+		want := EncodeFrame(Frame{Inst: 1, Slot: uint32(idx % slots), Inc: idx/slots + 1, Msg: msg})
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("message %d: sender framed %x, EncodeFrame %x", idx, frame, want)
+		}
+		if view := p.send.Msg(idx); cap(frame) != len(frame) || cap(view) != len(view) {
+			t.Fatalf("message %d: frame len %d cap %d, view len %d cap %d: a carved slice must end at its own last byte",
+				idx, len(frame), cap(frame), len(view), cap(view))
+		}
+		frames = append(frames, frame)
+	}
+	p.eng.Run()
+	for i := range len(frames) - 1 {
+		next := bytes.Clone(frames[i+1])
+		_ = append(frames[i], 0xEE, 0xEE)
+		_ = append(p.send.Msg(uint64(i)), 0xEE, 0xEE)
+		if !bytes.Equal(frames[i+1], next) {
+			t.Fatalf("an append to frame %d wrote into frame %d", i, i+1)
+		}
+	}
+	if len(p.got) != slots {
+		t.Fatalf("delivered %d/%d", len(p.got), slots)
+	}
+}
+
+// TestFramesNeverRewrittenAndWarmSendAllocatesLittle: the sender carves every
+// frame from a block of its own, so over four laps of the ring every frame
+// the mirror holds, and every frame that has left it but is still held, reads
+// the bytes it was sent with and matches their checksum; and a warm Send
+// allocates at most one block per 16 messages, not a frame each.
+func TestFramesNeverRewrittenAndWarmSendAllocatesLittle(t *testing.T) {
+	const slots = 8
+	p := newPair(t, slots, 64)
+	type held struct {
+		frame, sent []byte
+	}
+	var all []held
+	for i := range 4 * slots {
+		idx := p.send.Send([]byte(fmt.Sprintf("msg-%02d-%s", i, bytes.Repeat([]byte{byte('a' + i%26)}, i%9))))
+		frame := p.send.mirror[idx%slots].frame
+		all = append(all, held{frame: frame, sent: bytes.Clone(frame)})
+		if i%3 == 0 {
+			p.eng.Run()
+		}
+	}
+	p.eng.Run()
+	for idx, h := range all {
+		f, ok := ParseFrame(h.frame[1:])
+		if !ok || !bytes.Equal(h.frame, h.sent) || xcrypto.ChecksumNoCharge(f.Msg) != f.Checksum {
+			t.Fatalf("frame %d changed after it was sent: %x, sent %x", idx, h.frame, h.sent)
+		}
+		if in := uint64(idx)+slots >= p.send.Next(); in && !bytes.Equal(p.send.mirror[idx%slots].frame, h.sent) {
+			t.Fatalf("the mirror's frame %d changed after it was sent", idx)
+		}
+	}
+
+	// A run sends 256 small messages, each delivered before the next to a
+	// receiver that only counts, so 16 allocations are one per 16.
+	eng := sim.NewEngine(1)
+	net := simnet.New(eng, simnet.RDMAOptions())
+	srt := router.New(net.AddNode(0, "s"))
+	rrt := router.New(net.AddNode(1, "r"))
+	delivered := 0
+	NewReceiver(NewHub(rrt, rrt.Node().Proc()), 0, 1, slots, 64, func(uint64, []byte) { delivered++ })
+	s := NewSender(srt, srt.Node().Proc(), 1, 1, slots, 64)
+	const batch = 256
+	msg := []byte("a small ring message")
+	sendBatch := func() {
+		for range batch {
+			s.Send(msg)
+			eng.Run()
+		}
+	}
+	sendBatch() // warm: the event pool
+	avg := testing.AllocsPerRun(20, sendBatch)
+	t.Logf("a warm sender allocates %.0f per %d messages", avg, batch)
+	if avg > batch/16 {
+		t.Fatalf("a warm sender allocates %.0f per %d messages, budget %d", avg, batch, batch/16)
+	}
+	if want := (1 + 1 + 20) * batch; delivered != want { // AllocsPerRun runs once more to warm up
+		t.Fatalf("delivered %d of %d", delivered, want)
 	}
 }

@@ -104,25 +104,30 @@ func (r *Router) SendFrame(to ids.ID, frame []byte) { r.node.Send(to, frame) }
 // and reply it reads and sends few) keeps no more than this many.
 const maxFree = 256
 
-// free is the free list of released frames, by length. Every node of the
-// process shares it, and they may run on different engine goroutines.
+// free is the free list of released frames, by length, and the blocks a miss
+// is carved from. Every node of the process shares them, and they may run on
+// different engine goroutines.
 var free struct {
 	sync.Mutex
 	byLen map[int][][]byte
 	count int
+	slab  wire.Slab
 }
 
-// Frame returns a released frame of length n, or a fresh one. Its bytes are
-// whatever its last use left: the caller writes every one of them before it
-// sends the frame with SendFrame: once, to one host (a completion, a ring
-// ack, an echo, a client reply), or to every memory node and on every
-// retransmission (a register request).
+// Frame returns a released frame of length n or, when none is left, one of
+// cap n carved from the process's blocks (wire.Slab), so a miss costs an
+// allocation per block, not one per frame. Its bytes are whatever
+// its last use left: the caller writes every one of them before it sends the
+// frame with SendFrame: once, to one host (a completion, a ring ack, an echo,
+// a client reply), or to every memory node and on every retransmission (a
+// register request). A carved frame is released like any other, and the next
+// Frame of its length hands it out whole.
 func Frame(n int) []byte {
 	free.Lock()
 	defer free.Unlock()
 	fs := free.byLen[n]
 	if len(fs) == 0 {
-		return make([]byte, n)
+		return free.slab.Take(n)
 	}
 	free.byLen[n], free.count = fs[:len(fs)-1], free.count-1
 	return fs[len(fs)-1]

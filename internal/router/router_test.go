@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -170,22 +171,58 @@ func TestFreeListBounded(t *testing.T) {
 }
 
 // TestFreeListShared: nodes on different engine goroutines take frames from
-// the free list and release them into it concurrently; under the race
-// detector (make race) an unguarded list fails.
+// the free list, carve them from its blocks on a miss and release them into
+// it concurrently; under the race detector (make race) an unguarded list or
+// block fails. Each goroutine runs a deployment of its own whose receiver
+// releases every frame it reads, and every frame Frame hands out, carved or
+// reused, has cap == len. Then a carved frame, released, comes back whole.
 func TestFreeListShared(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := range 2 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range 500 {
-				f := Frame(16 + i%3)
-				f[0] = byte(g)
+			eng, a, b := pairRig()
+			b.RegisterFrame(ChanRingAck, func(_ ids.ID, f []byte) {
+				if cap(f) != len(f) || f[1] != byte(g) {
+					t.Errorf("deployment %d: a delivered frame is not the one sent whole", g)
+				}
 				Release(f)
+			})
+			for i := range 500 {
+				f := Frame(16 + i%3 + 4*g)
+				if cap(f) != len(f) {
+					t.Errorf("deployment %d: Frame(%d) handed out a frame of cap %d", g, len(f), cap(f))
+					return
+				}
+				f[0], f[1] = ChanRingAck, byte(g)
+				a.SendFrame(1, f)
+				if i%50 == 49 {
+					eng.Run()
+				}
 			}
+			eng.Run()
 		}()
 	}
 	wg.Wait()
+
+	// A released carved frame is what the next Frame of its length hands
+	// out, whole, and writing past its end leaves the frame carved after it
+	// as it was.
+	emptyFreeList()
+	f, next := Frame(24), Frame(24)
+	for i := range next {
+		next[i] = 0x5A
+	}
+	Release(f)
+	g := Frame(24)
+	if !sameArray(g, f) || len(g) != 24 || cap(g) != 24 {
+		t.Fatalf("the released carved frame came back as len %d cap %d (same: %v)", len(g), cap(g), sameArray(g, f))
+	}
+	g = append(g[:0], bytes.Repeat([]byte{0xA5}, 25)...)
+	if sameArray(g, f) || !bytes.Equal(next, bytes.Repeat([]byte{0x5A}, 24)) {
+		t.Fatal("writing past a carved frame's end reached the next frame")
+	}
 }
 
 // sameArray reports whether a and b start at the same byte in memory.

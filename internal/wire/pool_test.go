@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 )
 
 // TestWriterReset verifies Reset keeps capacity but drops content.
@@ -89,4 +90,42 @@ func TestViewsAliasReader(t *testing.T) {
 	if c[0] != 1 {
 		t.Fatal("Bytes did not detach from the buffer")
 	}
+}
+
+// TestSlabCarvesCappedFrames: Take carves consecutive frames of one block,
+// each ending at its own last byte (an append reallocates and leaves the next
+// frame as it was), starts a new block only when the rest is too short, and
+// gives a frame larger than a quarter of a block an allocation of its own.
+func TestSlabCarvesCappedFrames(t *testing.T) {
+	var s Slab
+	a, b := s.Take(100), s.Take(100)
+	if len(a) != 100 || cap(a) != 100 || len(b) != 100 || cap(b) != 100 {
+		t.Fatalf("carved len/cap %d/%d and %d/%d, want 100/100", len(a), cap(a), len(b), cap(b))
+	}
+	if !follows(a, b) {
+		t.Fatal("consecutive frames are not carved from one block")
+	}
+	_ = append(a, 0xEE)
+	if b[0] != 0 {
+		t.Fatal("an append to a carved frame wrote into the next one")
+	}
+	if big := s.Take(slabBlock/4 + 1); len(big) != slabBlock/4+1 || cap(big) != len(big) {
+		t.Fatalf("a large frame is len %d cap %d", len(big), cap(big))
+	}
+	if c := s.Take(100); !follows(b, c) {
+		t.Fatal("a large frame took the block's rest")
+	}
+	// 64-byte frames: 64 to a block, so a run of 128 allocates two blocks.
+	if avg := testing.AllocsPerRun(50, func() {
+		for range 128 {
+			s.Take(64)
+		}
+	}); avg > 2 {
+		t.Fatalf("128 carved frames cost %.0f allocations, want at most 2", avg)
+	}
+}
+
+// follows reports whether b starts at the byte right after a's last.
+func follows(a, b []byte) bool {
+	return unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), len(a)) == unsafe.Pointer(unsafe.SliceData(b))
 }

@@ -62,6 +62,39 @@ func (w *Writer) Grow(n int) {
 	w.buf = nb
 }
 
+// slabBlock is the size of the blocks a Slab carves frames from. A frame
+// larger than a quarter of it gets an allocation of its own, so a block
+// wastes at most a quarter of its bytes.
+const slabBlock = 4096
+
+// Slab carves frames that are never written once sent out of blocks it owns,
+// so such frames cost one allocation per block, not one each. The zero value
+// is ready to use. A carved frame has cap == len, so an append to it
+// reallocates instead of writing into the next frame of the block; a block
+// goes to the garbage collector once no view of any frame carved from it is
+// left. A Slab is not safe for concurrent use.
+//
+// Keep one Slab per writer (a ring sender, a client, the free list's misses),
+// not one per host: the frames of one block then share a lifetime, and a
+// frame someone keeps pins only its writer's other frames.
+type Slab struct {
+	rest []byte // the current block's uncarved bytes
+}
+
+// Take returns a zeroed frame of length n, cap n, carved from the current
+// block, or from a new block when the current one's rest is too short.
+func (s *Slab) Take(n int) []byte {
+	if n > slabBlock/4 {
+		return make([]byte, n)
+	}
+	if len(s.rest) < n {
+		s.rest = make([]byte, slabBlock)
+	}
+	b := s.rest[:n:n]
+	s.rest = s.rest[n:]
+	return b
+}
+
 // writerPool recycles encode buffers for the hot path. Pooled writers keep
 // whatever capacity they grew to, so steady-state encoding allocates
 // nothing.
@@ -75,8 +108,8 @@ var writerPool = sync.Pool{New: func() any { return &Writer{} }}
 // bytes are still referenced by anyone — hand-offs that retain the slice
 // (storing it, deferring its use to a later event) require a copy first.
 // Sends through router.Send and broadcasts through msgring/tbcast are safe:
-// both copy the payload into a fresh frame before returning, and a frame is
-// immutable once sent.
+// both copy the payload into a frame of their own before returning, and a
+// frame is immutable once sent.
 func GetWriter(n int) *Writer {
 	w := writerPool.Get().(*Writer)
 	w.Reset()
