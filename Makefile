@@ -92,13 +92,18 @@ race:
 # rewritten is carved from a block its sender owns: over four laps of a ring
 # every frame, in the mirror or held after it left, still reads what it was
 # sent with, and a warm ring sender allocates at most one block per 16
-# messages.
+# messages; a ring whose staging queue runs full keeps the queue's one array.
+# A signature is carved from a block its signer owns: cap == len, an append
+# to one leaves the next unchanged, a warm Sign allocates at most one per 32
+# signatures, two signers of one Registry sign apart on two goroutines, and a
+# certificate appended into its message is the encoded one, byte for byte.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
 	$(GO) test -run 'TestFreeListBounded' ./internal/router/
-	$(GO) test -run 'TestFramesNeverRewrittenAndWarmSendAllocatesLittle' ./internal/msgring/
+	$(GO) test -run 'TestFramesNeverRewrittenAndWarmSendAllocatesLittle|TestStagingKeepsOneArray' ./internal/msgring/
+	$(GO) test -run 'TestSignaturesAreCarvedCapped|TestWarmSignAllocatesLittle|TestAppendCertIsTheCert|TestSignersSignConcurrently' ./internal/xcrypto/
 	$(GO) test -run 'TestReplyFrame|TestCachedResultOutlivesLaterApplies' ./internal/consensus/
 	$(GO) test -run 'TestOrderedAnswersShareOneBuffer|TestReleasedResultsAreTheirOwn' ./internal/app/
 

@@ -11,8 +11,9 @@ package bench
 // keeps, 30 where it read 20 before reply frames were recycled, 40 where it read 25 before ring
 // acks and echoes were recycled, 60 where it read 45 before per-operation
 // records were recycled, 91 where it read 75 before ring frames were shared),
-// 69-70 per slow-path request where a plain build reads 18 (77-78 where it
-// read 26 before frames were carved, 81-82 where it
+// 56-58 per slow-path request where a plain build reads 5 (69-70 where it
+// read 18 before signatures were carved and certificates appended into their
+// messages, 77-78 where it read 26 before frames were carved, 81-82 where it
 // read 29 before ordered answers were kept, 84 where it read 31 before reply
 // frames were recycled, 110 where it read 48 before ring acks
 // and echoes were recycled, 147-148 where it read 85 before certificates were

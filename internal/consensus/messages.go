@@ -278,10 +278,22 @@ type CommitCert struct {
 }
 
 func (c *CommitCert) encode(w *wire.Writer) {
-	w.U64(uint64(c.View))
-	w.U64(uint64(c.Slot))
-	c.Req.encode(w)
+	appendCommitHead(w, c.View, c.Slot, c.Req)
 	c.Sigs.AppendTo(w)
+}
+
+// appendCommitHead writes what a COMMIT holds before its certificate, so a
+// replica that made the certificate appends it straight after
+// (xcrypto.Shares.AppendCert) and builds no CommitCert to send.
+func appendCommitHead(w *wire.Writer, v View, s Slot, req Request) {
+	w.U64(uint64(v))
+	w.U64(uint64(s))
+	req.encode(w)
+}
+
+// encodedLen returns how many bytes encode writes.
+func (c *CommitCert) encodedLen() int {
+	return 16 + 16 + wire.BytesLen(len(c.Req.Payload)) + c.Sigs.Len()
 }
 
 func decodeCommitCert(rd *wire.Reader) (CommitCert, error) {
@@ -379,8 +391,14 @@ type CertifiedState struct {
 	Commits    commitLog
 }
 
+// encodeCertifiedState encodes s into a buffer sized for it from the start, so
+// it allocates once.
 func encodeCertifiedState(s *CertifiedState) []byte {
-	w := wire.NewWriter(256)
+	size := 8 + 8 + xcrypto.DigestLen + s.Checkpoint.Sigs.Len() + wire.UvarintLen(uint64(len(s.Commits)))
+	for i := range s.Commits {
+		size += s.Commits[i].encodedLen()
+	}
+	w := wire.NewWriter(size)
 	w.U64(uint64(s.View))
 	s.Checkpoint.encode(w)
 	w.Uvarint(uint64(len(s.Commits)))

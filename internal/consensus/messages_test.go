@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/ids"
+	"repro/internal/sim"
 	"repro/internal/wire"
 	"repro/internal/xcrypto"
 )
@@ -250,5 +251,65 @@ func TestOversizedCertificatesRejected(t *testing.T) {
 	w.Uvarint(1 << 20) // absurd signature count
 	if _, err := decodeCommitCert(wire.NewReader(w.Finish())); err == nil {
 		t.Fatal("oversized commit cert accepted")
+	}
+}
+
+// TestCertifiedStateAllocatesOnce holds encodeCertifiedState to one
+// allocation, its buffer sized from its commits up front (it grew a 256 B
+// writer about a dozen times for a full window), and to bytes
+// decodeCertifiedState reads back whole.
+func TestCertifiedStateAllocatesOnce(t *testing.T) {
+	cs := CertifiedState{
+		View:       3,
+		Checkpoint: Checkpoint{Seq: 64, Sigs: certOf(map[ids.ID]xcrypto.Signature{0: make(xcrypto.Signature, xcrypto.SigLen), 2: make(xcrypto.Signature, xcrypto.SigLen)})},
+	}
+	for s := Slot(64); s < 96; s++ {
+		cs.Commits.put(CommitCert{View: 3, Slot: s, Req: Request{Client: 200, Num: uint64(s), Payload: bytes.Repeat([]byte{byte(s)}, int(s))},
+			Sigs: certOf(map[ids.ID]xcrypto.Signature{1: make(xcrypto.Signature, xcrypto.SigLen), 0: bytes.Repeat([]byte{byte(s)}, xcrypto.SigLen)})})
+	}
+	cs.Commits.put(CommitCert{View: 2, Slot: 96, Req: NoOp()}) // an empty certificate
+	var enc []byte
+	if n := testing.AllocsPerRun(20, func() { enc = encodeCertifiedState(&cs) }); n != 1 {
+		t.Fatalf("encodeCertifiedState allocates %.0f times, want 1", n)
+	}
+	if len(enc) != cap(enc) {
+		t.Errorf("encoded %d bytes into a buffer of %d", len(enc), cap(enc))
+	}
+	got, err := decodeCertifiedState(enc)
+	if err != nil || got.View != cs.View || got.Checkpoint.Seq != 64 || len(got.Commits) != len(cs.Commits) {
+		t.Fatalf("round trip: %v, %+v", err, got)
+	}
+	if again := encodeCertifiedState(&got); !bytes.Equal(again, enc) {
+		t.Fatal("the decoded state re-encodes to other bytes")
+	}
+}
+
+// TestCommitIsItsCertificate has the leader of view 0 collect f+1 CERTIFY
+// shares: the COMMIT onCertify appends the certificate into reaches both
+// followers as the CommitCert of those shares, byte for byte.
+func TestCommitIsItsCertificate(t *testing.T) {
+	rig := newMsgFuzzRig(t)
+	defer rig.stop()
+	r := rig.reps[0]
+	req := Request{Client: 200, Num: 1, Payload: []byte("a request")}
+	dg := req.Digest()
+	r.state[0].prepares[0] = Prepare{View: 0, Slot: 0, Req: req}
+	sigs := rig.sigs(certifyPayload(0, 0, dg), 0, 2)
+	for _, p := range []ids.ID{2, 0} {
+		r.onCertify(p, 0, 0, dg, sigs[p])
+	}
+	want := wire.NewWriter(0)
+	(&CommitCert{View: 0, Slot: 0, Req: req, Sigs: certOf(sigs)}).encode(want)
+	rig.eng.RunFor(sim.Millisecond / 2)
+	for _, q := range rig.reps[1:] {
+		c := q.state[0].commits.at(0)
+		if c == nil {
+			t.Fatalf("replica %d holds no COMMIT from the leader", q.cfg.Self)
+		}
+		got := wire.NewWriter(0)
+		c.encode(got)
+		if !bytes.Equal(got.Finish(), want.Finish()) {
+			t.Fatalf("replica %d decoded COMMIT %x, want %x", q.cfg.Self, got.Finish(), want.Finish())
+		}
 	}
 }

@@ -1071,10 +1071,10 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 		return
 	}
 	sv.sent |= sentCommit
-	cert := CommitCert{View: v, Slot: s, Req: pr.Req, Sigs: sv.shares.Cert(dg)}
 	w := wire.GetWriter(256 + len(pr.Req.Payload))
 	w.U8(tagCommit)
-	cert.encode(w)
+	appendCommitHead(w, v, s, pr.Req)
+	sv.shares.AppendCert(w, dg)
 	r.groups[r.cfg.Self].Broadcast(w.Finish())
 	wire.PutWriter(w)
 	r.maybeSeal()

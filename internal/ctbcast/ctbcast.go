@@ -534,6 +534,16 @@ func AppendMsg(w *wire.Writer, msg Msg) {
 	}
 }
 
+// appendSummary encodes <SUMMARY, id, state, cert> as AppendMsg does, with
+// the certificate the verified shares over state make up written straight
+// into w rather than encoded on its own first.
+func appendSummary(w *wire.Writer, id uint64, state string, shares xcrypto.Shares[string]) {
+	w.U8(tagSummary)
+	w.U64(id)
+	w.String(state)
+	shares.AppendCert(w, state)
+}
+
 // ParseMsg decodes a CTBcast message in borrow mode: M, Sig and the
 // certificate are views of b, the message of a delivered ring
 // frame — the one the network delivered, or the same frame's self-delivery —

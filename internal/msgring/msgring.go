@@ -298,7 +298,9 @@ func (s *Sender) post(r *ringTo, idx uint64) {
 		return
 	}
 	if len(r.staged) >= s.slots {
-		r.staged = r.staged[1:] // evict oldest
+		// Evict the oldest, shifting in place so the append below fits the
+		// queue's one array.
+		r.staged = r.staged[:copy(r.staged, r.staged[1:])]
 	}
 	r.staged = append(r.staged, idx)
 }
@@ -356,18 +358,20 @@ func (s *Sender) drainStaging() {
 		if !slices.Contains(r.busyUntil, now) {
 			continue
 		}
-		for len(r.staged) > 0 {
-			idx := r.staged[0]
+		posted := 0
+		for _, idx := range r.staged {
 			slot := int(idx % uint64(s.slots))
 			if now < r.busyUntil[slot] {
 				break
 			}
-			r.staged = r.staged[1:]
+			posted++
 			// Only transmit if this is still the freshest message for the slot.
 			if s.next-idx <= uint64(s.slots) {
 				s.write(r, slot)
 			}
 		}
+		// The rest moves to the front of the queue's one array.
+		r.staged = r.staged[:copy(r.staged, r.staged[posted:])]
 	}
 	s.armDrain()
 }

@@ -255,3 +255,43 @@ func TestFramesNeverRewrittenAndWarmSendAllocatesLittle(t *testing.T) {
 		t.Fatalf("delivered %d of %d", delivered, want)
 	}
 }
+
+// TestStagingKeepsOneArray sends bursts of 256 messages into a warm 8-slot
+// ring without waiting for a WRITE to complete, so nearly every message is
+// staged behind its slot's WRITE and the staging queue runs full, evicting
+// its oldest entry at every post. The queue shifts in place: a burst
+// allocates the blocks its frames are carved from and less than one
+// allocation more. (It read about 38 more while an eviction resliced the
+// queue's front away and the next append grew a new array.)
+func TestStagingKeepsOneArray(t *testing.T) {
+	const slots, burst = 8, 256
+	eng := sim.NewEngine(1)
+	net := simnet.New(eng, simnet.RDMAOptions())
+	srt := router.New(net.AddNode(0, "s"))
+	rrt := router.New(net.AddNode(1, "r"))
+	delivered := 0
+	NewReceiver(NewHub(rrt, rrt.Node().Proc()), 0, 1, slots, 64, func(uint64, []byte) { delivered++ })
+	s := NewSender(srt, srt.Node().Proc(), 1, 1, slots, 64)
+	msg := []byte("a small ring message")
+	staged := 0
+	sendBurst := func() {
+		for range burst {
+			s.Send(msg)
+			staged = max(staged, len(s.to[0].staged))
+		}
+		eng.Run()
+	}
+	sendBurst() // warm: the event pool, the staging queue's array
+	avg := testing.AllocsPerRun(20, sendBurst)
+	blocks := float64(burst*frameLen(len(msg))) / 4096
+	t.Logf("a burst of %d allocates %.2f, %.2f of them frame blocks", burst, avg, blocks)
+	if staged != slots {
+		t.Fatalf("the staging queue held at most %d, want it full at %d", staged, slots)
+	}
+	if avg >= blocks+1 {
+		t.Fatalf("a burst of %d allocates %.2f, %.2f more than its frame blocks; want less than 1", burst, avg, avg-blocks)
+	}
+	if delivered == 0 {
+		t.Fatal("nothing delivered")
+	}
+}

@@ -27,6 +27,9 @@ const maxCertSigs = 64
 // are equal bytes and no signer is listed twice. ReadCert returns a view of
 // the bytes it validated, Shares.Cert encodes a new certificate once, and
 // nothing writes to either. The zero Cert holds no signature.
+//
+// A certificate only sent on is never a Cert: Shares.AppendCert writes it
+// into the message that carries it.
 type Cert struct{ enc []byte }
 
 // All walks the certificate's signatures in ascending signer order. The
@@ -41,6 +44,9 @@ func (c Cert) All() iter.Seq2[ids.ID, Signature] {
 		}
 	}
 }
+
+// Len returns how many bytes AppendTo writes.
+func (c Cert) Len() int { return max(len(c.enc), 1) }
 
 // AppendTo encodes the certificate.
 func (c Cert) AppendTo(w *wire.Writer) {
@@ -269,8 +275,10 @@ func (s Shares[V]) Reachable(val V, need int) bool {
 	return n >= need
 }
 
-// Cert encodes the certificate the verified shares over val make up.
-func (s Shares[V]) Cert(val V) Cert {
+// AppendCert writes the certificate the verified shares over val make up into
+// w, growing w at most once: the count, then (signer, signature) pairs in
+// ascending signer order. It is the one certificate encoder.
+func (s Shares[V]) AppendCert(w *wire.Writer, val V) {
 	var buf [maxCertSigs]int // a larger set spills to the heap
 	picked, size := buf[:0], 1
 	for i := range s {
@@ -280,12 +288,20 @@ func (s Shares[V]) Cert(val V) Cert {
 		}
 	}
 	slices.SortFunc(picked, func(a, b int) int { return cmp.Compare(s[a].signer, s[b].signer) })
-	w := wire.NewWriter(size)
+	w.Grow(size)
 	w.Uvarint(uint64(len(picked)))
 	for _, i := range picked {
 		w.I64(int64(s[i].signer))
 		w.Bytes(s[i].sig)
 	}
+}
+
+// Cert encodes the certificate the verified shares over val make up, for a
+// process that keeps it (a checkpoint, a certified view-change state). A
+// certificate only sent on is appended into its message (AppendCert).
+func (s Shares[V]) Cert(val V) Cert {
+	var w wire.Writer
+	s.AppendCert(&w, val)
 	return Cert{enc: w.Finish()}
 }
 

@@ -30,10 +30,18 @@
 // signer ID, the message and the signature, so a copy with any of them
 // changed misses and is computed.
 //
+// A signature a Signer makes is carved from a block that Signer owns
+// (wire.Slab), so signing costs one allocation per block of 64 signatures, not
+// one per signature. A returned Signature has cap == len, so an append to it
+// reallocates instead of writing into the next signature of the block, and
+// nothing writes to it once returned.
+//
 // A certificate (Cert, cert.go) is f+1 or more signatures by distinct group
 // members over one payload, kept as its canonical wire bytes: a decoded one
-// is a view of the frame it arrived in, and a made one is encoded once by the
-// share collector (Shares) that gathered it.
+// is a view of the frame it arrived in. The share collector (Shares) that
+// gathered one writes it once: appended straight into the message that
+// carries it (Shares.AppendCert), or encoded on its own for a certificate a
+// process keeps (Shares.Cert).
 package xcrypto
 
 import (
@@ -50,6 +58,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/latmodel"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // ProcID identifies a process in the key registry (replicas and clients).
@@ -191,10 +200,13 @@ func (r *Registry) verify(from ProcID, msg []byte, sig Signature) bool {
 }
 
 // Signer signs on behalf of one process and verifies against the registry.
+// Its signatures are carved from blocks it owns, so a Signer, unlike its
+// Registry, is not safe for concurrent use: each process has its own.
 type Signer struct {
-	id  ProcID
-	key *key
-	reg *Registry
+	id   ProcID
+	key  *key
+	reg  *Registry
+	slab wire.Slab // the blocks its signatures are carved from
 }
 
 // ID returns the process the signer signs for.
@@ -202,15 +214,18 @@ func (s *Signer) ID() ProcID { return s.id }
 
 // Sign produces a real ed25519 signature over msg and charges the
 // calibrated signing cost (plus crypto-pool dispatch) to p. The signature
-// enters the Registry's table of valid verdicts (see the package doc).
+// enters the Registry's table of valid verdicts (see the package doc). It is
+// carved from a block the Signer owns, cap == len, and is never written.
 func (s *Signer) Sign(p *sim.Proc, msg []byte) Signature {
 	p.Charge(latmodel.SignCost + latmodel.CryptoDispatchCost)
 	return s.sign(msg)
 }
 
-// sign makes the signature and records it as valid.
+// sign makes the signature into the Signer's slab and records it as valid.
+// ed25519.Sign's own result does not escape, so it stays on the stack.
 func (s *Signer) sign(msg []byte) Signature {
-	sig := Signature(ed25519.Sign(s.key.derive().priv, msg))
+	sig := Signature(s.slab.Take(SigLen))
+	copy(sig, ed25519.Sign(s.key.derive().priv, msg))
 	s.reg.signed(s.id, msg, sig)
 	return sig
 }
