@@ -97,13 +97,15 @@ race:
 # to one leaves the next unchanged, a warm Sign allocates at most one per 32
 # signatures, two signers of one Registry sign apart on two goroutines, and a
 # certificate appended into its message is the encoded one, byte for byte.
+# Building a signed statement, and verifying a signature over it, allocates
+# nothing.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
 	$(GO) test -run 'TestFreeListBounded' ./internal/router/
 	$(GO) test -run 'TestFramesNeverRewrittenAndWarmSendAllocatesLittle|TestStagingKeepsOneArray' ./internal/msgring/
-	$(GO) test -run 'TestSignaturesAreCarvedCapped|TestWarmSignAllocatesLittle|TestAppendCertIsTheCert|TestSignersSignConcurrently' ./internal/xcrypto/
+	$(GO) test -run 'TestSignaturesAreCarvedCapped|TestWarmSignAllocatesLittle|TestAppendCertIsTheCert|TestSignersSignConcurrently|TestStatementsAllocateNothing' ./internal/xcrypto/
 	$(GO) test -run 'TestReplyFrame|TestCachedResultOutlivesLaterApplies' ./internal/consensus/
 	$(GO) test -run 'TestOrderedAnswersShareOneBuffer|TestReleasedResultsAreTheirOwn' ./internal/app/
 

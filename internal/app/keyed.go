@@ -85,9 +85,9 @@ func (f *fifo) admit(k string) (victim string, evict bool) {
 }
 
 // forget drops a deleted key from the order.
-func (f *fifo) forget(k string) {
+func (f *fifo) forget(k []byte) {
 	for i, o := range f.order {
-		if o == k {
+		if o == string(k) {
 			f.order = append(f.order[:i], f.order[i+1:]...)
 			return
 		}
@@ -164,7 +164,7 @@ func (s *keyed) apply(dst, req []byte) []byte {
 		if s.Locked(key) {
 			return s.ParkOrRefuse(dst, [][]byte{key}, req)
 		}
-		return s.write(dst, op, string(key), val)
+		return s.write(dst, op, key, val)
 	case opMSet:
 		pairs, ok := decodePairs(s.pairs[:0], rd)
 		s.pairs = pairs
@@ -181,7 +181,7 @@ func (s *keyed) apply(dst, req []byte) []byte {
 			return s.ParkOrRefuse(dst, keys, req)
 		}
 		for _, p := range pairs {
-			s.set(string(p.Key), p.Val, false)
+			s.set(p.Key, p.Val, false)
 		}
 		// Multi-key ops speak the generic status vocabulary, so the ack is
 		// identical whether the write ran on one shard or as a cross-shard
@@ -193,7 +193,7 @@ func (s *keyed) apply(dst, req []byte) []byte {
 }
 
 // write executes one unlocked single-key write, appending its answer to dst.
-func (s *keyed) write(dst []byte, op keyedOp, k string, val []byte) []byte {
+func (s *keyed) write(dst []byte, op keyedOp, k, val []byte) []byte {
 	switch op {
 	case opSet:
 		s.set(k, val, false)
@@ -234,19 +234,18 @@ func (s *keyed) write(dst []byte, op keyedOp, k string, val []byte) []byte {
 	}
 }
 
-// set installs one key/value pair, evicting the oldest key of a bounded
-// store first. txn marks the version as installed by a committed
+// set installs one key/value pair, then evicts the oldest key of a bounded
+// store if k is new. txn marks the version as installed by a committed
 // transaction fragment, which is what pinned snapshot reads chase.
-func (s *keyed) set(k string, val []byte, txn bool) {
-	if s.evict != nil && !s.vs.Has(k) {
-		if victim, ok := s.evict.admit(k); ok {
-			s.vs.Delete(victim)
-		}
+func (s *keyed) set(k, val []byte, txn bool) {
+	fresh := s.evict != nil && !s.vs.Has(k)
+	s.vs.write(k, val, true, txn)
+	if !fresh {
+		return
 	}
-	if txn {
-		s.vs.SetTxn(k, val)
-	} else {
-		s.vs.Set(k, val)
+	// The order shares the store's string for a new key, so it costs one.
+	if victim, ok := s.evict.admit(s.vs.chains[string(k)].key); ok {
+		s.vs.Delete([]byte(victim))
 	}
 }
 
@@ -266,7 +265,7 @@ func (s *keyed) read(dst []byte, op keyedOp, rd *wire.Reader, at uint64, pinned 
 		return append(dst, StatusBadReq), nil, false
 	}
 	crossed = pinned && keyCrossed(s.LockTable, s.vs, key, at)
-	v, ok := s.vs.GetAt(string(key), at)
+	v, ok := s.vs.GetAt(key, at)
 	w := wire.WriterOn(dst)
 	switch {
 	case op == opExists:
@@ -321,7 +320,7 @@ func multiRead(dst []byte, buf *[][]byte, rd *wire.Reader, lt *LockTable, vs *Ve
 	w.U8(StatusOK)
 	w.Uvarint(uint64(n))
 	for _, k := range keys {
-		v, ok := vs.GetAt(string(k), at)
+		v, ok := vs.GetAt(k, at)
 		if !ok && absent != nil {
 			v, ok = absent, true
 		}
@@ -336,7 +335,7 @@ func multiRead(dst []byte, buf *[][]byte, rd *wire.Reader, lt *LockTable, vs *Ve
 // keyCrossed is the per-key consistent-cut rule: the key is currently
 // transaction-locked, or a transaction installed a version after the pin.
 func keyCrossed(lt *LockTable, vs *VersionedStore, key []byte, at uint64) bool {
-	return lt.Locked(key) || vs.TxnTouched(string(key), at)
+	return lt.Locked(key) || vs.TxnTouched(key, at)
 }
 
 // ApplyRead implements ReadExecutor: the dialect's reads execute against
@@ -453,7 +452,7 @@ func (s *keyed) installFragment(frag []byte) []byte {
 	s.pairs = pairs
 	if ok && rd.Done() == nil {
 		for _, p := range pairs {
-			s.set(string(p.Key), p.Val, true)
+			s.set(p.Key, p.Val, true)
 		}
 	}
 	return nil

@@ -281,9 +281,9 @@ func (ob *OrderBook) placePair(dst []byte, legs [2]OrderLeg) []byte {
 func (ob *OrderBook) noteTops(sym []byte, txn bool) {
 	e := ob.topsEntry(sym)
 	if txn {
-		ob.tops.SetTxn(string(sym), e)
+		ob.tops.SetTxn(sym, e)
 	} else {
-		ob.tops.Set(string(sym), e)
+		ob.tops.Set(sym, e)
 	}
 }
 

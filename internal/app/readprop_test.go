@@ -153,7 +153,7 @@ func TestReadAtHeadEqualsRead(t *testing.T) {
 					}
 					if ob, isBook := sm.(*OrderBook); isBook {
 						for sym := range ob.books {
-							if view, _ := ob.tops.Get(sym); !bytes.Equal(view, ob.topsEntry([]byte(sym))) {
+							if view, _ := ob.tops.Get([]byte(sym)); !bytes.Equal(view, ob.topsEntry([]byte(sym))) {
 								t.Fatalf("seed %d step %d: view of %q is stale", seed, i, sym)
 							}
 						}

@@ -33,11 +33,23 @@ import (
 // retained versions are bounded by live keys plus the writes of the last
 // two checkpoint windows; reads below the horizon are refused and fall
 // back to the ordered path.
+//
+// Keys are byte slices, looked up in place: a write to a key the store holds
+// updates its chain through the pointer the map keeps, so only a new key
+// costs anything, its string and its chain.
 type VersionedStore struct {
-	chains  map[string][]version
+	chains  map[string]*chain
 	cur     uint64 // stamp applied to writes (set by BeginSlot)
 	horizon uint64 // oldest readable state version
 	live    int    // keys whose newest version is present
+}
+
+// chain is one key's versions, oldest first. A chain that write makes keeps
+// its first version in first, so a new key costs no array of its own.
+type chain struct {
+	key      string // the map's key for it, which the eviction order shares
+	versions []version
+	first    [1]version
 }
 
 // version is one link of a key's chain.
@@ -50,7 +62,7 @@ type version struct {
 
 // NewVersionedStore creates an empty store.
 func NewVersionedStore() *VersionedStore {
-	return &VersionedStore{chains: make(map[string][]version)}
+	return &VersionedStore{chains: make(map[string]*chain)}
 }
 
 // BeginSlot sets the stamp for subsequent writes: the state version the
@@ -61,9 +73,17 @@ func (vs *VersionedStore) BeginSlot(v uint64) { vs.cur = v }
 // Horizon returns the oldest state version the store can still answer.
 func (vs *VersionedStore) Horizon() uint64 { return vs.horizon }
 
+// versions returns k's chain of versions, nil if the store has none.
+func (vs *VersionedStore) versions(k []byte) []version {
+	if c := vs.chains[string(k)]; c != nil {
+		return c.versions
+	}
+	return nil
+}
+
 // Get returns the current value of a key.
-func (vs *VersionedStore) Get(k string) ([]byte, bool) {
-	ch := vs.chains[k]
+func (vs *VersionedStore) Get(k []byte) ([]byte, bool) {
+	ch := vs.versions(k)
 	if len(ch) == 0 || !ch[len(ch)-1].present {
 		return nil, false
 	}
@@ -71,16 +91,16 @@ func (vs *VersionedStore) Get(k string) ([]byte, bool) {
 }
 
 // Has reports whether the key currently holds a value.
-func (vs *VersionedStore) Has(k string) bool {
-	ch := vs.chains[k]
+func (vs *VersionedStore) Has(k []byte) bool {
+	ch := vs.versions(k)
 	return len(ch) > 0 && ch[len(ch)-1].present
 }
 
 // GetAt returns the value of a key as of state version at (the newest
 // version with stamp <= at). The caller is responsible for refusing reads
 // below Horizon; GetAt itself just walks the chain.
-func (vs *VersionedStore) GetAt(k string, at uint64) ([]byte, bool) {
-	ch := vs.chains[k]
+func (vs *VersionedStore) GetAt(k []byte, at uint64) ([]byte, bool) {
+	ch := vs.versions(k)
 	for i := len(ch) - 1; i >= 0; i-- {
 		if ch[i].stamp <= at {
 			if !ch[i].present {
@@ -95,8 +115,8 @@ func (vs *VersionedStore) GetAt(k string, at uint64) ([]byte, bool) {
 // TxnTouched reports whether the key has a transaction-installed version
 // newer than the pin `after` — the MVCC half of the consistent-cut rule
 // (the other half, a currently staged lock, lives in the LockTable).
-func (vs *VersionedStore) TxnTouched(k string, after uint64) bool {
-	ch := vs.chains[k]
+func (vs *VersionedStore) TxnTouched(k []byte, after uint64) bool {
+	ch := vs.versions(k)
 	for i := len(ch) - 1; i >= 0; i-- {
 		if ch[i].stamp <= after {
 			return false
@@ -109,18 +129,23 @@ func (vs *VersionedStore) TxnTouched(k string, after uint64) bool {
 }
 
 // Set writes a value at the current stamp.
-func (vs *VersionedStore) Set(k string, val []byte) { vs.write(k, val, true, false) }
+func (vs *VersionedStore) Set(k, val []byte) { vs.write(k, val, true, false) }
 
 // SetTxn writes a value at the current stamp, flagged as installed by a
 // committed transaction fragment.
-func (vs *VersionedStore) SetTxn(k string, val []byte) { vs.write(k, val, true, true) }
+func (vs *VersionedStore) SetTxn(k, val []byte) { vs.write(k, val, true, true) }
 
 // Delete writes a tombstone at the current stamp.
-func (vs *VersionedStore) Delete(k string) { vs.write(k, nil, false, false) }
+func (vs *VersionedStore) Delete(k []byte) { vs.write(k, nil, false, false) }
 
 // write appends (or, within one slot, replaces) the newest version of k.
-func (vs *VersionedStore) write(k string, val []byte, present, txn bool) {
-	ch := vs.chains[k]
+func (vs *VersionedStore) write(k, val []byte, present, txn bool) {
+	c := vs.chains[string(k)]
+	if c == nil {
+		c = &chain{key: string(k)}
+		c.versions, vs.chains[c.key] = c.first[:0], c
+	}
+	ch := c.versions
 	was := len(ch) > 0 && ch[len(ch)-1].present
 	if n := len(ch); n > 0 && ch[n-1].stamp == vs.cur {
 		// Several writes in one slot collapse to one version; the txn flag
@@ -128,8 +153,7 @@ func (vs *VersionedStore) write(k string, val []byte, present, txn bool) {
 		// TxnTouched.
 		ch[n-1].val, ch[n-1].present, ch[n-1].txn = val, present, txn || ch[n-1].txn
 	} else {
-		ch = append(ch, version{stamp: vs.cur, val: val, present: present, txn: txn})
-		vs.chains[k] = ch
+		c.versions = append(ch, version{stamp: vs.cur, val: val, present: present, txn: txn})
 	}
 	if present != was {
 		if present {
@@ -150,7 +174,8 @@ func (vs *VersionedStore) Ratchet(horizon uint64) {
 	}
 	vs.horizon = horizon
 	//ubft:deterministic per-key chain trim: each iteration reads and writes only chains[k], so iteration order cannot be observed
-	for k, ch := range vs.chains {
+	for k, c := range vs.chains {
+		ch := c.versions
 		keep := 0
 		for i := len(ch) - 1; i >= 0; i-- {
 			if ch[i].stamp <= horizon {
@@ -165,7 +190,7 @@ func (vs *VersionedStore) Ratchet(horizon uint64) {
 			delete(vs.chains, k)
 			continue
 		}
-		vs.chains[k] = ch
+		c.versions = ch
 	}
 }
 
@@ -176,8 +201,8 @@ func (vs *VersionedStore) Len() int { return vs.live }
 // chains — the bounded-memory regression surface.
 func (vs *VersionedStore) VersionCount() int {
 	n := 0
-	for _, ch := range vs.chains {
-		n += len(ch)
+	for _, c := range vs.chains {
+		n += len(c.versions)
 	}
 	return n
 }
@@ -194,7 +219,7 @@ func (vs *VersionedStore) SnapshotTo(w *wire.Writer) {
 	sort.Strings(keys)
 	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
-		ch := vs.chains[k]
+		ch := vs.chains[k].versions
 		w.String(k)
 		w.Uvarint(uint64(len(ch)))
 		for _, v := range ch {
@@ -216,20 +241,20 @@ func (vs *VersionedStore) SnapshotTo(w *wire.Writer) {
 func (vs *VersionedStore) RestoreFrom(rd *wire.Reader) {
 	vs.horizon = rd.U64()
 	n := int(rd.Uvarint())
-	vs.chains = make(map[string][]version, n)
+	vs.chains = make(map[string]*chain, n)
 	vs.live = 0
 	for i := 0; i < n; i++ {
 		k := rd.String()
 		cn := int(rd.Uvarint())
-		ch := make([]version, 0, cn)
+		c := &chain{key: k, versions: make([]version, 0, cn)}
 		for j := 0; j < cn; j++ {
 			stamp := rd.U64()
 			flags := rd.U8()
 			val := rd.Bytes()
-			ch = append(ch, version{stamp: stamp, val: val, present: flags&1 != 0, txn: flags&2 != 0})
+			c.versions = append(c.versions, version{stamp: stamp, val: val, present: flags&1 != 0, txn: flags&2 != 0})
 		}
-		vs.chains[k] = ch
-		if len(ch) > 0 && ch[len(ch)-1].present {
+		vs.chains[k] = c
+		if ch := c.versions; len(ch) > 0 && ch[len(ch)-1].present {
 			vs.live++
 		}
 	}

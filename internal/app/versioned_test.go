@@ -16,32 +16,32 @@ import (
 func TestVersionedStoreChains(t *testing.T) {
 	vs := app.NewVersionedStore()
 	vs.BeginSlot(1)
-	vs.Set("k", []byte("a"))
+	vs.Set([]byte("k"), []byte("a"))
 	vs.BeginSlot(3)
-	vs.Set("k", []byte("b"))
+	vs.Set([]byte("k"), []byte("b"))
 
-	if v, ok := vs.Get("k"); !ok || string(v) != "b" {
+	if v, ok := vs.Get([]byte("k")); !ok || string(v) != "b" {
 		t.Fatalf("Get = %q,%v", v, ok)
 	}
 	for at, want := range map[uint64]string{1: "a", 2: "a", 3: "b", 9: "b"} {
-		if v, ok := vs.GetAt("k", at); !ok || string(v) != want {
+		if v, ok := vs.GetAt([]byte("k"), at); !ok || string(v) != want {
 			t.Fatalf("GetAt(%d) = %q,%v want %q", at, v, ok, want)
 		}
 	}
-	if _, ok := vs.GetAt("k", 0); ok {
+	if _, ok := vs.GetAt([]byte("k"), 0); ok {
 		t.Fatal("GetAt before the first write must miss")
 	}
 
 	// A tombstone is a version too: pins before it still see the value.
 	vs.BeginSlot(4)
-	vs.Delete("k")
-	if vs.Has("k") {
+	vs.Delete([]byte("k"))
+	if vs.Has([]byte("k")) {
 		t.Fatal("Has after delete")
 	}
-	if _, ok := vs.GetAt("k", 4); ok {
+	if _, ok := vs.GetAt([]byte("k"), 4); ok {
 		t.Fatal("GetAt at the tombstone version must miss")
 	}
-	if v, ok := vs.GetAt("k", 3); !ok || string(v) != "b" {
+	if v, ok := vs.GetAt([]byte("k"), 3); !ok || string(v) != "b" {
 		t.Fatalf("GetAt(3) after delete = %q,%v", v, ok)
 	}
 
@@ -49,15 +49,15 @@ func TestVersionedStoreChains(t *testing.T) {
 	// an overwrite cannot hide a commit from TxnTouched.
 	before := vs.VersionCount()
 	vs.BeginSlot(5)
-	vs.SetTxn("k", []byte("c"))
-	vs.Set("k", []byte("d"))
+	vs.SetTxn([]byte("k"), []byte("c"))
+	vs.Set([]byte("k"), []byte("d"))
 	if got := vs.VersionCount(); got != before+1 {
 		t.Fatalf("same-slot writes added %d versions, want 1", got-before)
 	}
-	if !vs.TxnTouched("k", 4) {
+	if !vs.TxnTouched([]byte("k"), 4) {
 		t.Fatal("TxnTouched lost under same-slot overwrite")
 	}
-	if vs.TxnTouched("k", 5) {
+	if vs.TxnTouched([]byte("k"), 5) {
 		t.Fatal("TxnTouched after the txn version's own stamp")
 	}
 }
@@ -69,12 +69,12 @@ func TestVersionedStoreRatchet(t *testing.T) {
 	vs := app.NewVersionedStore()
 	for s := uint64(1); s <= 6; s++ {
 		vs.BeginSlot(s)
-		vs.Set("k", []byte(fmt.Sprintf("v%d", s)))
+		vs.Set([]byte("k"), []byte(fmt.Sprintf("v%d", s)))
 	}
 	vs.BeginSlot(2)
-	vs.Set("gone", []byte("x"))
+	vs.Set([]byte("gone"), []byte("x"))
 	vs.BeginSlot(3)
-	vs.Delete("gone")
+	vs.Delete([]byte("gone"))
 
 	vs.Ratchet(4)
 	if got := vs.Horizon(); got != 4 {
@@ -86,11 +86,11 @@ func TestVersionedStoreRatchet(t *testing.T) {
 		t.Fatalf("VersionCount after ratchet = %d, want 3", got)
 	}
 	for at, want := range map[uint64]string{4: "v4", 5: "v5", 6: "v6"} {
-		if v, ok := vs.GetAt("k", at); !ok || string(v) != want {
+		if v, ok := vs.GetAt([]byte("k"), at); !ok || string(v) != want {
 			t.Fatalf("GetAt(%d) after ratchet = %q,%v want %q", at, v, ok, want)
 		}
 	}
-	if vs.Has("gone") {
+	if vs.Has([]byte("gone")) {
 		t.Fatal("tombstoned key survived the ratchet")
 	}
 
@@ -106,12 +106,12 @@ func TestVersionedStoreRatchet(t *testing.T) {
 func TestVersionedStoreSnapshotRoundTrip(t *testing.T) {
 	vs := app.NewVersionedStore()
 	vs.BeginSlot(1)
-	vs.Set("a", []byte("a1"))
-	vs.Set("b", []byte("b1"))
+	vs.Set([]byte("a"), []byte("a1"))
+	vs.Set([]byte("b"), []byte("b1"))
 	vs.BeginSlot(2)
-	vs.SetTxn("a", []byte("a2"))
+	vs.SetTxn([]byte("a"), []byte("a2"))
 	vs.BeginSlot(3)
-	vs.Delete("b")
+	vs.Delete([]byte("b"))
 	vs.Ratchet(1)
 
 	w := wire.NewWriter(256)
@@ -127,7 +127,7 @@ func TestVersionedStoreSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored (horizon,len,versions) = (%d,%d,%d), want (%d,%d,%d)",
 			got.Horizon(), got.Len(), got.VersionCount(), vs.Horizon(), vs.Len(), vs.VersionCount())
 	}
-	for _, k := range []string{"a", "b"} {
+	for _, k := range [][]byte{[]byte("a"), []byte("b")} {
 		for at := uint64(1); at <= 3; at++ {
 			v1, ok1 := vs.GetAt(k, at)
 			v2, ok2 := got.GetAt(k, at)
@@ -136,7 +136,7 @@ func TestVersionedStoreSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if !got.TxnTouched("a", 1) {
+	if !got.TxnTouched([]byte("a"), 1) {
 		t.Fatal("txn flag lost in the snapshot round trip")
 	}
 }

@@ -132,9 +132,10 @@ func TestValidateCommitNeedsRealCertificate(t *testing.T) {
 
 	// Real certificate: f+1 genuine CERTIFY signatures.
 	proc := sim.NewProc(rig.eng, "signer")
+	st := xcrypto.Certify(0, 0, dg)
 	real := CommitCert{View: 0, Slot: 0, Req: req, Sigs: certOf(map[ids.ID]xcrypto.Signature{
-		1: rig.reg.Signer(1).Sign(proc, certifyPayload(0, 0, dg)),
-		2: rig.reg.Signer(2).Sign(proc, certifyPayload(0, 0, dg)),
+		1: rig.reg.Signer(1).Sign(proc, st.Bytes()),
+		2: rig.reg.Signer(2).Sign(proc, st.Bytes()),
 	})}
 	w2 := wire.NewWriter(256)
 	w2.U8(tagCommit)
@@ -157,9 +158,10 @@ func TestCommitWithoutPrepareIsNoUndecidedWork(t *testing.T) {
 	req := Request{Client: 200, Num: 1, Payload: []byte("x")}
 	dg := req.Digest()
 	proc := sim.NewProc(rig.eng, "signer")
+	st := xcrypto.Certify(0, uint64(s), dg)
 	cert := CommitCert{View: 0, Slot: s, Req: req, Sigs: certOf(map[ids.ID]xcrypto.Signature{
-		1: rig.reg.Signer(1).Sign(proc, certifyPayload(0, s, dg)),
-		2: rig.reg.Signer(2).Sign(proc, certifyPayload(0, s, dg)),
+		1: rig.reg.Signer(1).Sign(proc, st.Bytes()),
+		2: rig.reg.Signer(2).Sign(proc, st.Bytes()),
 	})}
 	w := wire.NewWriter(256)
 	w.U8(tagCommit)
@@ -192,11 +194,11 @@ func TestRepeatedSignerRejected(t *testing.T) {
 	w := wire.NewWriter(256)
 	w.U8(tagCommit)
 	(&CommitCert{View: 0, Slot: 0, Req: req}).encode(w)
-	commit := withRepeatedSigner(w.Finish(), 1, rig.sigs(certifyPayload(0, 0, req.Digest()), 1)[1])
+	commit := withRepeatedSigner(w.Finish(), 1, rig.sigs(xcrypto.Certify(0, 0, req.Digest()), 1)[1])
 	w = wire.NewWriter(256)
 	w.U8(tagCheckpoint)
 	(&Checkpoint{Seq: 32, StateDigest: cpDigest}).encode(w)
-	checkpoint := withRepeatedSigner(w.Finish(), 1, rig.sigs(checkpointPayload(32, cpDigest), 1)[1])
+	checkpoint := withRepeatedSigner(w.Finish(), 1, rig.sigs(xcrypto.CertifyCheckpoint(32, cpDigest), 1)[1])
 	if r.accepts(1, commit) || r.accepts(1, checkpoint) {
 		t.Fatal("a certificate listing one share twice validated")
 	}
@@ -211,7 +213,7 @@ func TestCommitCertificateAllocatesNothing(t *testing.T) {
 	r := rig.reps[0]
 	req := Request{Client: 200, Num: 1, Payload: []byte("x")}
 	dg := req.Digest()
-	sigs := rig.sigs(certifyPayload(0, 0, dg), 1, 2)
+	sigs := rig.sigs(xcrypto.Certify(0, 0, dg), 1, 2)
 	for p, sig := range sigs {
 		r.onCertify(p, 0, 0, dg, sig)
 	}
@@ -415,7 +417,8 @@ func TestCertifySigCache(t *testing.T) {
 	req := Request{Client: 200, Num: 1, Payload: []byte("x")}
 	dg := req.Digest()
 	proc := sim.NewProc(rig.eng, "signer")
-	sig := rig.reg.Signer(1).Sign(proc, certifyPayload(0, 0, dg))
+	st := xcrypto.Certify(0, 0, dg)
+	sig := rig.reg.Signer(1).Sign(proc, st.Bytes())
 	if !r.verifyCertifySig(0, 0, dg, 1, sig) {
 		t.Fatal("valid share rejected")
 	}
@@ -447,8 +450,9 @@ func TestCheckpointCertCountsKnownSharesOnly(t *testing.T) {
 	const seq = Slot(32) // the rig's first checkpoint; nothing executed
 	const oneVerify = sim.Time(latmodel.VerifyCost + latmodel.CryptoDispatchCost)
 	dg := xcrypto.DigestNoCharge([]byte("state"))
+	st := xcrypto.CertifyCheckpoint(uint64(seq), dg)
 	sign := func(rig *wbRig, id ids.ID) xcrypto.Signature {
-		return rig.reg.Signer(id).Sign(sim.NewProc(rig.eng, "signing"), checkpointPayload(seq, dg))
+		return rig.reg.Signer(id).Sign(sim.NewProc(rig.eng, "signing"), st.Bytes())
 	}
 	frame := func(sigs xcrypto.Cert) []byte {
 		w := wire.NewWriter(256)
@@ -523,7 +527,8 @@ func TestCheckpointForgedShareCostsOneVerification(t *testing.T) {
 		rig.net.Partition(0, 1)
 		rig.net.Partition(0, 2)
 		signing := sim.NewProc(rig.eng, "signing")
-		sign := func(id ids.ID) xcrypto.Signature { return rig.reg.Signer(id).Sign(signing, checkpointPayload(seq, dg)) }
+		st := xcrypto.CertifyCheckpoint(uint64(seq), dg)
+		sign := func(id ids.ID) xcrypto.Signature { return rig.reg.Signer(id).Sign(signing, st.Bytes()) }
 		first, second := sign(1), sign(2)
 		if forgedFirst {
 			first[0] ^= 1
@@ -561,12 +566,13 @@ func TestForgedCheckpointBlocksItsChannelAfterTheWait(t *testing.T) {
 	signing := sim.NewProc(rig.eng, "signing")
 	const seq = Slot(32)
 	dg := xcrypto.DigestNoCharge([]byte("state"))
-	forged := rig.reg.Signer(2).Sign(signing, checkpointPayload(seq, dg))
+	st := xcrypto.CertifyCheckpoint(uint64(seq), dg)
+	forged := rig.reg.Signer(2).Sign(signing, st.Bytes())
 	forged[0] ^= 1
 	w := wire.NewWriter(256)
 	w.U8(tagCheckpoint)
 	(&Checkpoint{Seq: seq, StateDigest: dg, Sigs: certOf(map[ids.ID]xcrypto.Signature{
-		1: rig.reg.Signer(1).Sign(signing, checkpointPayload(seq, dg)),
+		1: rig.reg.Signer(1).Sign(signing, st.Bytes()),
 		2: forged,
 	})}).encode(w)
 	byz.groups[1].Broadcast(w.Finish())
@@ -599,7 +605,8 @@ func TestCertifyCheckpointTrustsOwnChannelOnly(t *testing.T) {
 	const seq = Slot(32)
 	dg := xcrypto.DigestNoCharge([]byte("state"))
 	// Replica 0's genuine share: valid for signer 0, for nobody else.
-	own := rig.reg.Signer(0).Sign(sim.NewProc(rig.eng, "signing"), checkpointPayload(seq, dg))
+	st := xcrypto.CertifyCheckpoint(uint64(seq), dg)
+	own := rig.reg.Signer(0).Sign(sim.NewProc(rig.eng, "signing"), st.Bytes())
 	w := wire.NewWriter(128)
 	w.U8(tagCertifyCP)
 	w.U64(uint64(seq))
@@ -798,7 +805,7 @@ func TestLeaderElectCertifiesBeforeSealing(t *testing.T) {
 		cs := CertifiedState{View: 1, Checkpoint: leader.chkpt}
 		state := encodeCertifiedState(&cs)
 		for _, signer := range []ids.ID{0, 2} {
-			sig := rig.sigs(vcSharePayload(1, about, state), signer)[signer]
+			sig := rig.sigs(xcrypto.CertifyViewChange(1, about, state), signer)[signer]
 			leader.onCertifyVC(signer, 1, about, state, sig)
 		}
 	}

@@ -52,7 +52,8 @@ func (r *Replica) maybeCreateCheckpoint() {
 	}
 	// Background signature (§5.4: checkpoints are the fast path's
 	// bookkeeping signatures, off the critical path on the crypto pool).
-	r.signer.SignBg(r.bgProc, r.proc, checkpointPayload(nextSeq, dg), func(sig xcrypto.Signature) {
+	stmt := xcrypto.CertifyCheckpoint(uint64(nextSeq), dg)
+	r.signer.SignBg(r.bgProc, r.proc, stmt.Bytes(), func(sig xcrypto.Signature) {
 		w := wire.NewWriter(128)
 		w.U8(tagCertifyCP)
 		w.U64(uint64(nextSeq))
@@ -96,7 +97,8 @@ func (r *Replica) offerCheckpointShare(p ids.ID, seq Slot, dg [xcrypto.DigestLen
 }
 
 func (r *Replica) verifyCheckpointShare(p ids.ID, seq Slot, dg [xcrypto.DigestLen]byte, sig xcrypto.Signature) {
-	r.signer.VerifyBg(r.bgProc, r.proc, p, checkpointPayload(seq, dg), sig, func(ok bool) {
+	stmt := xcrypto.CertifyCheckpoint(uint64(seq), dg)
+	r.signer.VerifyBg(r.bgProc, r.proc, p, stmt.Bytes(), sig, func(ok bool) {
 		if seq <= r.chkpt.Seq {
 			return
 		}
@@ -186,11 +188,11 @@ func (r *Replica) verifyCheckpointCert(cp *Checkpoint) bool {
 		return true
 	}
 	r.cpCertChecks++
-	payload := checkpointPayload(cp.Seq, cp.StateDigest)
+	stmt := xcrypto.CertifyCheckpoint(uint64(cp.Seq), cp.StateDigest)
 	valid := 0
 	for q, sig := range cp.Sigs.All() {
 		if c != nil && c.shares.Has(q, cp.StateDigest, sig) ||
-			r.cfg.indexOf(q) >= 0 && r.signer.Verify(r.proc, q, payload, sig) {
+			r.cfg.indexOf(q) >= 0 && r.signer.Verify(r.proc, q, stmt.Bytes(), sig) {
 			valid++
 		}
 	}

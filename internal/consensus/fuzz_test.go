@@ -149,14 +149,14 @@ func newMsgFuzzRig(t testing.TB) *msgFuzzRig {
 	return &msgFuzzRig{wbRig: rig, signing: sim.NewProc(rig.eng, "signing")}
 }
 
-func (rig *msgFuzzRig) cert(payload []byte, signers ...ids.ID) xcrypto.Cert {
-	return certOf(rig.sigs(payload, signers...))
+func (rig *msgFuzzRig) cert(st xcrypto.Statement, signers ...ids.ID) xcrypto.Cert {
+	return certOf(rig.sigs(st, signers...))
 }
 
-func (rig *msgFuzzRig) sigs(payload []byte, signers ...ids.ID) map[ids.ID]xcrypto.Signature {
+func (rig *msgFuzzRig) sigs(st xcrypto.Statement, signers ...ids.ID) map[ids.ID]xcrypto.Signature {
 	sigs := make(map[ids.ID]xcrypto.Signature)
 	for _, id := range signers {
-		sigs[id] = rig.reg.Signer(id).Sign(rig.signing, payload)
+		sigs[id] = rig.reg.Signer(id).Sign(rig.signing, st.Bytes())
 	}
 	return sigs
 }
@@ -204,7 +204,7 @@ func (rig *msgFuzzRig) newViewFrame() []byte {
 			cs.Commits = commitLog{{View: 0, Slot: 2, Req: plannedReq}}
 		}
 		state := encodeCertifiedState(&cs)
-		nv.Certs = append(nv.Certs, ReplicaCert{About: about, StateBytes: state, Sigs: rig.cert(vcSharePayload(1, about, state), 0, 2)})
+		nv.Certs = append(nv.Certs, ReplicaCert{About: about, StateBytes: state, Sigs: rig.cert(xcrypto.CertifyViewChange(1, about, state), 0, 2)})
 	}
 	return encodeNewView(nv)
 }
@@ -308,8 +308,8 @@ func FuzzConsensusMsg(f *testing.F) {
 	// One frame per tag that is accepted at its stage.
 	f.Add(uint8(0), prep(0, 0, req))
 	f.Add(uint8(0), prep(0, 1, EncodeBatch([]Request{req, sub})))
-	f.Add(uint8(0), commit(rig.cert(certifyPayload(0, 0, req.Digest()), 1, 2)))
-	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32, StateDigest: cpDigest, Sigs: rig.cert(checkpointPayload(32, cpDigest), 1, 2)}))
+	f.Add(uint8(0), commit(rig.cert(xcrypto.Certify(0, 0, req.Digest()), 1, 2)))
+	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32, StateDigest: cpDigest, Sigs: rig.cert(xcrypto.CertifyCheckpoint(32, cpDigest), 1, 2)}))
 	f.Add(uint8(0), sealFrame(1))
 	f.Add(uint8(1), rig.newViewFrame())
 	f.Add(uint8(1), first)
@@ -329,16 +329,16 @@ func FuzzConsensusMsg(f *testing.F) {
 	f.Add(uint8(0), prep(0, 3, trailing))
 	f.Add(uint8(0), prep(0, 4, short))
 	f.Add(uint8(0), commit(certOf(map[ids.ID]xcrypto.Signature{1: make(xcrypto.Signature, xcrypto.SigLen), 2: make(xcrypto.Signature, xcrypto.SigLen)})))
-	f.Add(uint8(0), commit(rig.cert(certifyPayload(0, 0, req.Digest()), 1))) // one genuine share is cached, the frame fails
+	f.Add(uint8(0), commit(rig.cert(xcrypto.Certify(0, 0, req.Digest()), 1))) // one genuine share is cached, the frame fails
 	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 0}))
 	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32}))
-	forgedCP := rig.sigs(checkpointPayload(32, cpDigest), 1, 2)
+	forgedCP := rig.sigs(xcrypto.CertifyCheckpoint(32, cpDigest), 1, 2)
 	forgedCP[2] = slices.Clone(forgedCP[2])
 	forgedCP[2][0] ^= 1
 	f.Add(uint8(0), checkpoint(Checkpoint{Seq: 32, StateDigest: cpDigest, Sigs: certOf(forgedCP)})) // waits for the pool, then fails
 	// One genuine share listed twice under its signer.
-	f.Add(uint8(0), withRepeatedSigner(commit(xcrypto.Cert{}), 1, rig.sigs(certifyPayload(0, 0, req.Digest()), 1)[1]))
-	f.Add(uint8(0), withRepeatedSigner(checkpoint(Checkpoint{Seq: 32, StateDigest: cpDigest}), 1, rig.sigs(checkpointPayload(32, cpDigest), 1)[1]))
+	f.Add(uint8(0), withRepeatedSigner(commit(xcrypto.Cert{}), 1, rig.sigs(xcrypto.Certify(0, 0, req.Digest()), 1)[1]))
+	f.Add(uint8(0), withRepeatedSigner(checkpoint(Checkpoint{Seq: 32, StateDigest: cpDigest}), 1, rig.sigs(xcrypto.CertifyCheckpoint(32, cpDigest), 1)[1]))
 	f.Add(uint8(0), []byte{tagSealView})
 	f.Add(uint8(0), []byte{0xEE, 1, 2, 3})
 	f.Add(uint8(0), []byte{})

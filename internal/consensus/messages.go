@@ -251,23 +251,6 @@ func DecodePrepare(m []byte) (Prepare, error) {
 	return p, rd.Done()
 }
 
-// appendCertifyPayload encodes what replicas sign in CERTIFY messages: it
-// binds (view, slot) to the request fingerprint.
-func appendCertifyPayload(w *wire.Writer, v View, s Slot, reqDigest [xcrypto.DigestLen]byte) {
-	w.U8(tagCertify)
-	w.U64(uint64(v))
-	w.U64(uint64(s))
-	w.Raw(reqDigest[:])
-}
-
-// certifyPayload allocates the CERTIFY payload standalone (tests and cold
-// paths; hot paths use appendCertifyPayload with pooled writers).
-func certifyPayload(v View, s Slot, reqDigest [xcrypto.DigestLen]byte) []byte {
-	w := wire.NewWriter(56)
-	appendCertifyPayload(w, v, s, reqDigest)
-	return w.Finish()
-}
-
 // CommitCert is PΣ: an unforgeable proof, made of f+1 CERTIFY signatures,
 // that the leader of View proposed Req in Slot.
 type CommitCert struct {
@@ -356,15 +339,6 @@ type Checkpoint struct {
 	Sigs        xcrypto.Cert
 }
 
-// checkpointPayload is what replicas sign in CERTIFY_CHECKPOINT.
-func checkpointPayload(seq Slot, digest [xcrypto.DigestLen]byte) []byte {
-	w := wire.NewWriter(48)
-	w.U8(tagCertifyCP)
-	w.U64(uint64(seq))
-	w.Raw(digest[:])
-	return w.Finish()
-}
-
 func (c *Checkpoint) encode(w *wire.Writer) {
 	w.U64(uint64(c.Seq))
 	w.Raw(c.StateDigest[:])
@@ -435,18 +409,6 @@ func decodeCertifiedState(b []byte) (CertifiedState, error) {
 		return s, err
 	}
 	return s, nil
-}
-
-// vcSharePayload is what replicas sign in CRTFY_VC: it attests that
-// stateBytes is replica about's state as of view v.
-func vcSharePayload(v View, about ids.ID, stateBytes []byte) []byte {
-	dg := xcrypto.DigestNoCharge(stateBytes)
-	w := wire.NewWriter(64)
-	w.U8(tagCertifyVC)
-	w.U64(uint64(v))
-	w.I64(int64(about))
-	w.Raw(dg[:])
-	return w.Finish()
 }
 
 // ReplicaCert is one entry of a NEW_VIEW message: replica About's certified

@@ -294,7 +294,7 @@ func TestCommitIsItsCertificate(t *testing.T) {
 	req := Request{Client: 200, Num: 1, Payload: []byte("a request")}
 	dg := req.Digest()
 	r.state[0].prepares[0] = Prepare{View: 0, Slot: 0, Req: req}
-	sigs := rig.sigs(certifyPayload(0, 0, dg), 0, 2)
+	sigs := rig.sigs(xcrypto.Certify(0, 0, dg), 0, 2)
 	for _, p := range []ids.ID{2, 0} {
 		r.onCertify(p, 0, 0, dg, sigs[p])
 	}

@@ -219,8 +219,8 @@ func TestBorrowedReadDelaysCryptoAtMostOneRead(t *testing.T) {
 	readCost := r.cfg.App.ExecCost(app.EncodeKVGet([]byte("k"))) + latmodel.AppExecBase
 	const signCost = latmodel.SignCost + latmodel.CryptoDispatchCost
 	const verifyCost = latmodel.VerifyCost + latmodel.CryptoDispatchCost
-	msg := checkpointPayload(32, xcrypto.DigestNoCharge([]byte("state")))
-	share := rig.reg.Signer(0).Sign(sim.NewProc(rig.eng, "signing"), msg)
+	st := xcrypto.CertifyCheckpoint(32, xcrypto.DigestNoCharge([]byte("state")))
+	share := rig.reg.Signer(0).Sign(sim.NewProc(rig.eng, "signing"), st.Bytes())
 
 	const reads = 400
 	for i := 0; i < reads; i++ {
@@ -237,14 +237,14 @@ func TestBorrowedReadDelaysCryptoAtMostOneRead(t *testing.T) {
 		if now := rig.eng.Now(); now >= cryptoDone {
 			cost := sim.Duration(signCost)
 			if submitted%2 == 0 {
-				r.signer.SignBg(r.bgProc, r.proc, msg, func(sig xcrypto.Signature) {
+				r.signer.SignBg(r.bgProc, r.proc, st.Bytes(), func(sig xcrypto.Signature) {
 					if len(sig) != 0 {
 						answered++
 					}
 				})
 			} else {
 				cost = verifyCost
-				r.signer.VerifyBg(r.bgProc, r.proc, 0, msg, share, func(ok bool) {
+				r.signer.VerifyBg(r.bgProc, r.proc, 0, st.Bytes(), share, func(ok bool) {
 					if ok {
 						answered++
 					}

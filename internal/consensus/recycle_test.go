@@ -85,7 +85,8 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	const s = Slot(3) // free in view 1 under the rig's NEW_VIEW plan
 	req := Request{Client: 200, Num: 1, Payload: []byte("recycled")}
 	dg := req.Digest()
-	share := func(p ids.ID) xcrypto.Signature { return rig.reg.Signer(p).Sign(rig.signing, certifyPayload(0, s, dg)) }
+	st := xcrypto.Certify(0, uint64(s), dg)
+	share := func(p ids.ID) xcrypto.Signature { return rig.reg.Signer(p).Sign(rig.signing, st.Bytes()) }
 	seen, seenView := fills{}, fills{}
 	step := func(what string, ok bool) {
 		t.Helper()

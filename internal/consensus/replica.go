@@ -883,7 +883,8 @@ func (r *Replica) sendCertify(v View, s Slot) {
 	ss.in(v).sent |= sentCertify
 	dg := pr.Req.Digest()
 	r.proc.Charge(latmodel.DigestCost(len(pr.Req.Payload)))
-	sig := r.signCertify(v, s, dg)
+	stmt := xcrypto.Certify(uint64(v), uint64(s), dg)
+	sig := r.signer.Sign(r.proc, stmt.Bytes())
 	w := wire.GetWriter(128)
 	w.U8(tagCertify)
 	w.U64(uint64(v))
@@ -896,24 +897,6 @@ func (r *Replica) sendCertify(v View, s Slot) {
 	r.pumpQueued() // the gate just opened
 }
 
-// signCertify / verifyCertify run the CERTIFY signature scheme over pooled
-// scratch buffers (ed25519 does not retain the message).
-func (r *Replica) signCertify(v View, s Slot, dg [xcrypto.DigestLen]byte) xcrypto.Signature {
-	w := wire.GetWriter(56)
-	appendCertifyPayload(w, v, s, dg)
-	sig := r.signer.Sign(r.proc, w.Finish())
-	wire.PutWriter(w)
-	return sig
-}
-
-func (r *Replica) verifyCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte, sig xcrypto.Signature) bool {
-	w := wire.GetWriter(56)
-	appendCertifyPayload(w, v, s, dg)
-	ok := r.signer.Verify(r.proc, p, w.Finish(), sig)
-	wire.PutWriter(w)
-	return ok
-}
-
 // verifyCertifySig checks one CERTIFY signature of a COMMIT certificate,
 // consulting the slot's shares first. A share verified here joins them (it
 // counts toward this replica's own COMMIT like one that arrived in a
@@ -921,14 +904,15 @@ func (r *Replica) verifyCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]
 // is valid all the same. A share the slot's records may not admit is
 // verified and forgotten.
 func (r *Replica) verifyCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
+	stmt := xcrypto.Certify(uint64(v), uint64(s), dg)
 	if !r.admits(commitShare, v, s) {
-		return r.verifyCertify(p, v, s, dg, sig)
+		return r.signer.Verify(r.proc, p, stmt.Bytes(), sig)
 	}
 	sv := r.slot(s).in(v)
 	if sv.shares.Has(p, dg, sig) {
 		return true
 	}
-	if !r.verifyCertify(p, v, s, dg, sig) {
+	if !r.signer.Verify(r.proc, p, stmt.Bytes(), sig) {
 		return false
 	}
 	sv.shares.Add(p, dg, sig)
@@ -1059,8 +1043,8 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 	// before it costs a verification. Our own share needs none; remote shares
 	// are verified once and kept, so COMMIT-certificate validation does not
 	// re-pay.
-	sv := r.slot(s).in(v)
-	if !sv.shares.Admits(p, dg) || (p != r.cfg.Self && !r.verifyCertify(p, v, s, dg, sig)) {
+	sv, stmt := r.slot(s).in(v), xcrypto.Certify(uint64(v), uint64(s), dg)
+	if !sv.shares.Admits(p, dg) || (p != r.cfg.Self && !r.signer.Verify(r.proc, p, stmt.Bytes(), sig)) {
 		return
 	}
 	if sv.shares.Add(p, dg, sig) < r.cfg.f()+1 || sv.sent&sentCommit != 0 || r.observing() {

@@ -146,7 +146,9 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	defer rig.stop()
 	r := rig.reps[0]
 	signing := sim.NewProc(rig.eng, "signing")
-	sign := func(id ids.ID, payload []byte) xcrypto.Signature { return rig.reg.Signer(id).Sign(signing, payload) }
+	sign := func(id ids.ID, st xcrypto.Statement) xcrypto.Signature {
+		return rig.reg.Signer(id).Sign(signing, st.Bytes())
+	}
 	digest := func(i int) [xcrypto.DigestLen]byte { return xcrypto.DigestNoCharge([]byte{byte(i)}) }
 	const oneVerify = sim.Time(latmodel.VerifyCost + latmodel.CryptoDispatchCost)
 	// free is when the main process would start new work: charges add to it.
@@ -157,10 +159,10 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	// 64 CERTIFY shares by replica 2 over 64 digests of (view 0, slot 5).
 	busy := free()
 	for i := 0; i < 64; i++ {
-		r.onCertify(2, 0, 5, digest(i), sign(2, certifyPayload(0, 5, digest(i))))
+		r.onCertify(2, 0, 5, digest(i), sign(2, xcrypto.Certify(0, 5, digest(i))))
 	}
 	if ss := r.slots[5]; ss == nil || len(ss.views) != 1 || len(ss.views[0].shares) != 1 ||
-		!ss.views[0].shares.Has(2, digest(0), sign(2, certifyPayload(0, 5, digest(0)))) {
+		!ss.views[0].shares.Has(2, digest(0), sign(2, xcrypto.Certify(0, 5, digest(0)))) {
 		t.Fatalf("slot record after 64 shares by one signer: %+v", r.slots[5])
 	}
 	if got := r.proc.BusyUntil() - busy; got != oneVerify {
@@ -177,13 +179,13 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	dg := digest(0)
 	busy = free()
 	for v := View(1); v <= flood; v++ {
-		r.onCertify(2, v, 5, dg, sign(2, certifyPayload(v, 5, dg)))
+		r.onCertify(2, v, 5, dg, sign(2, xcrypto.Certify(uint64(v), 5, dg)))
 	}
 	if got := r.proc.BusyUntil() - busy; got != oneVerify {
 		t.Fatalf("CERTIFY shares over %d views charged %v, want one verification (%v)", flood, got, oneVerify)
 	}
 	for v := View(0); v <= flood; v++ {
-		if !r.verifyCertifySig(v, 5, dg, 1, sign(1, certifyPayload(v, 5, dg))) {
+		if !r.verifyCertifySig(v, 5, dg, 1, sign(1, xcrypto.Certify(uint64(v), 5, dg))) {
 			t.Fatalf("a valid COMMIT signature of view %d refused", v)
 		}
 	}
@@ -197,15 +199,15 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	const seq = Slot(32) // the first checkpoint of the rig's window; nothing executed
 	dgA, dgB := digest(100), digest(101)
 	busy = r.proc.BusyUntil()
-	r.onCertifyCheckpoint(1, seq, dgA, sign(1, checkpointPayload(seq, dgA)))
-	r.onCertifyCheckpoint(2, seq, dgB, sign(2, checkpointPayload(seq, dgB)))
+	r.onCertifyCheckpoint(1, seq, dgA, sign(1, xcrypto.CertifyCheckpoint(uint64(seq), dgA)))
+	r.onCertifyCheckpoint(2, seq, dgB, sign(2, xcrypto.CertifyCheckpoint(uint64(seq), dgB)))
 	rig.eng.RunFor(sim.Millisecond)
 	if r.proc.BusyUntil() != busy || r.chkpt.Seq != 0 || len(r.cps[seq].shares) != 2 {
 		t.Fatalf("two shares over two digests: main process charged %v, checkpoint %d, record %+v",
 			r.proc.BusyUntil()-busy, r.chkpt.Seq, r.cps[seq])
 	}
 	// A second share over the first digest completes it.
-	r.onCertifyCheckpoint(0, seq, dgA, sign(0, checkpointPayload(seq, dgA)))
+	r.onCertifyCheckpoint(0, seq, dgA, sign(0, xcrypto.CertifyCheckpoint(uint64(seq), dgA)))
 	rig.eng.RunFor(sim.Millisecond)
 	if sigs := maps.Collect(r.chkpt.Sigs.All()); r.chkpt.Seq != seq || r.chkpt.StateDigest != dgA || len(sigs) != 2 || sigs[2] != nil {
 		t.Fatalf("f+1 shares over one digest: stable checkpoint %+v", r.chkpt)
@@ -216,10 +218,10 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	// replica 2 over 64 digests leave one held share and cost the pool nothing.
 	const next = seq + 32
 	busy = pool()
-	r.onCertifyCheckpoint(0, next, dgA, sign(0, checkpointPayload(next, dgA)))
-	r.onCertifyCheckpoint(1, next, dgA, sign(1, checkpointPayload(next, dgA)))
+	r.onCertifyCheckpoint(0, next, dgA, sign(0, xcrypto.CertifyCheckpoint(uint64(next), dgA)))
+	r.onCertifyCheckpoint(1, next, dgA, sign(1, xcrypto.CertifyCheckpoint(uint64(next), dgA)))
 	for i := 0; i < 64; i++ {
-		r.onCertifyCheckpoint(2, next, digest(i), sign(2, checkpointPayload(next, digest(i))))
+		r.onCertifyCheckpoint(2, next, digest(i), sign(2, xcrypto.CertifyCheckpoint(uint64(next), digest(i))))
 	}
 	if got := r.bgProc.BusyUntil() - busy; len(r.cps[next].shares) != 3 || got != oneVerify {
 		t.Fatalf("64 shares by one signer to a collector verifying its last share: %d shares held, pool charged %v (want %v)",
@@ -233,8 +235,8 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	records, far := len(r.cps), r.chkpt.Seq+2*Slot(r.cfg.Window)
 	busy, pooled := free(), pool()
 	for i := Slot(1); i <= flood; i++ {
-		r.onCertifyCheckpoint(2, far+i, dgA, sign(2, checkpointPayload(far+i, dgA)))
-		cp := Checkpoint{Seq: far + i, StateDigest: dgA, Sigs: certOf(map[ids.ID]xcrypto.Signature{2: sign(2, checkpointPayload(far+i, dgA))})}
+		r.onCertifyCheckpoint(2, far+i, dgA, sign(2, xcrypto.CertifyCheckpoint(uint64(far+i), dgA)))
+		cp := Checkpoint{Seq: far + i, StateDigest: dgA, Sigs: certOf(map[ids.ID]xcrypto.Signature{2: sign(2, xcrypto.CertifyCheckpoint(uint64(far+i), dgA))})}
 		if r.awaitCheckpointCert(r.state[2], &cp) {
 			t.Fatalf("a CHECKPOINT at %d beyond the window waits for the pool", cp.Seq)
 		}
@@ -256,7 +258,7 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	busy = free()
 	for i := 0; i < 8; i++ {
 		state := []byte{byte(i)}
-		r.onCertifyVC(2, 3, 1, state, sign(2, vcSharePayload(3, 1, state)))
+		r.onCertifyVC(2, 3, 1, state, sign(2, xcrypto.CertifyViewChange(3, 1, state)))
 	}
 	if rec := r.views[3]; len(r.views) != 1 || len(rec.shares) != 1 || len(rec.shares[1].shares) != 1 || rec.shares[1].certified || rec.pending != nil {
 		t.Fatalf("view-change record after 8 states by one signer: %+v", rec)
@@ -269,7 +271,7 @@ func TestByzantineSignerCannotGrowShareRecords(t *testing.T) {
 	busy = free()
 	state := []byte{0}
 	for v := View(6); v < 6+3*flood; v += 3 {
-		r.onCertifyVC(2, v, 1, state, sign(2, vcSharePayload(v, 1, state)))
+		r.onCertifyVC(2, v, 1, state, sign(2, xcrypto.CertifyViewChange(uint64(v), 1, state)))
 	}
 	if n, lowest := r.ViewRecords(); n != 1 || lowest != 3 || r.proc.BusyUntil() > busy {
 		t.Fatalf("CERTIFY_VC shares over %d views: %d view records from view %d, main process charged %v", flood, n, lowest, r.proc.BusyUntil()-busy)

@@ -218,7 +218,8 @@ func (r *Replica) onSealView(p ids.ID, st *replicaState, v View) {
 	}
 	// Certify p's state as this replica has delivered it (st.view is v now).
 	stateBytes := r.captureState(p)
-	sig := r.signer.Sign(r.proc, vcSharePayload(v, p, stateBytes))
+	stmt := xcrypto.CertifyViewChange(uint64(v), p, stateBytes)
+	sig := r.signer.Sign(r.proc, stmt.Bytes())
 	w := wire.NewWriter(64 + len(stateBytes))
 	w.U8(tagCertifyVC)
 	w.U64(uint64(v))
@@ -308,7 +309,10 @@ func (r *Replica) onCertifyVC(from ids.ID, v View, about ids.ID, stateBytes []by
 	vc := rec.shares.at(about)
 	// One share per signer: a second state from it is refused unverified.
 	state := string(stateBytes)
-	if !vc.shares.Admits(from, state) || !r.signer.Verify(r.proc, from, vcSharePayload(v, about, stateBytes), sig) {
+	if !vc.shares.Admits(from, state) {
+		return
+	}
+	if stmt := xcrypto.CertifyViewChange(uint64(v), about, stateBytes); !r.signer.Verify(r.proc, from, stmt.Bytes(), sig) {
 		return
 	}
 	// A replica's state is certified once f+1 signers agree on the bytes; with
@@ -535,7 +539,8 @@ func (r *Replica) readNewView(p ids.ID, st *replicaState, rd *wire.Reader) (NewV
 			return nv, false
 		}
 		seen[c.About] = true
-		if !r.signer.Valid(r.proc, r.cfg.Replicas, vcSharePayload(nv.View, c.About, c.StateBytes), c.Sigs, r.cfg.f()+1) {
+		stmt := xcrypto.CertifyViewChange(uint64(nv.View), c.About, c.StateBytes)
+		if !r.signer.Valid(r.proc, r.cfg.Replicas, stmt.Bytes(), c.Sigs, r.cfg.f()+1) {
 			return nv, false
 		}
 	}

@@ -581,50 +581,12 @@ func (g *Group) sendLock(k uint64, m []byte) []byte {
 }
 
 func (g *Group) sendSigned(k uint64, m []byte) {
-	dg := xcrypto.Digest(g.env.Proc, m)
-	sig := g.signSigned(k, dg)
+	stmt := xcrypto.Signed(g.p.Broadcaster, k, xcrypto.Digest(g.env.Proc, m))
+	sig := g.env.Signer.Sign(g.env.Proc, stmt.Bytes())
 	w := wire.GetWriter(128 + len(m))
 	AppendMsg(w, Msg{Tag: tagSigned, K: k, M: m, Sig: sig})
 	g.bcast.Broadcast(w.Finish())
 	wire.PutWriter(w)
-}
-
-// appendSignedPayload encodes the byte string the broadcaster signs for
-// (k, m): non-equivocation binds identifier to fingerprint.
-func appendSignedPayload(w *wire.Writer, b ids.ID, k uint64, dg [xcrypto.DigestLen]byte) {
-	w.U8(tagSigned)
-	w.I64(int64(b))
-	w.U64(k)
-	w.Raw(dg[:])
-}
-
-// signedPayload allocates the SIGNED payload standalone. Hot paths use
-// appendSignedPayload with pooled writers; this form serves tests and
-// Byzantine harnesses that need a detached copy.
-func signedPayload(b ids.ID, k uint64, dg [xcrypto.DigestLen]byte) []byte {
-	w := wire.NewWriter(64)
-	appendSignedPayload(w, b, k, dg)
-	return w.Finish()
-}
-
-// signSigned signs the SIGNED payload for (k, dg) using a pooled scratch
-// buffer (ed25519 does not retain the message).
-func (g *Group) signSigned(k uint64, dg [xcrypto.DigestLen]byte) xcrypto.Signature {
-	w := wire.GetWriter(64)
-	appendSignedPayload(w, g.p.Broadcaster, k, dg)
-	sig := g.env.Signer.Sign(g.env.Proc, w.Finish())
-	wire.PutWriter(w)
-	return sig
-}
-
-// verifySigned checks a broadcaster signature over (k2, dg2) using a pooled
-// scratch buffer.
-func (g *Group) verifySigned(k uint64, dg [xcrypto.DigestLen]byte, sig []byte) bool {
-	w := wire.GetWriter(64)
-	appendSignedPayload(w, g.p.Broadcaster, k, dg)
-	ok := g.env.Signer.Verify(g.env.Proc, g.p.Broadcaster, w.Finish(), sig)
-	wire.PutWriter(w)
-	return ok
 }
 
 // onBroadcasterMsg handles LOCK / SIGNED / SUMMARY from the broadcaster's
@@ -703,7 +665,7 @@ func (g *Group) onLockedMsg(q ids.ID, payload []byte) {
 // onSigned implements Algorithm 1 lines 25-37.
 func (g *Group) onSigned(k uint64, m []byte, sig []byte) {
 	dg := xcrypto.Digest(g.env.Proc, m)
-	if !g.verifySigned(k, dg, sig) {
+	if stmt := xcrypto.Signed(g.p.Broadcaster, k, dg); !g.env.Signer.Verify(g.env.Proc, g.p.Broadcaster, stmt.Bytes(), sig) {
 		return // line 26: invalid signature
 	}
 	slot := k % uint64(g.p.Tail)
@@ -820,7 +782,7 @@ func (g *Group) finishSlow(sd *slowDelivery) {
 		// one they are fabrications of a Byzantine receiver and are
 		// ignored. Skipping the rest keeps public-key operations off
 		// the common slow path, matching the paper's cost profile.
-		if !g.verifySigned(k2, dg2, sig2) {
+		if stmt := xcrypto.Signed(g.p.Broadcaster, k2, dg2); !g.env.Signer.Verify(g.env.Proc, g.p.Broadcaster, stmt.Bytes(), sig2) {
 			continue
 		}
 		if k2 == k && dg2 != dg {

@@ -272,7 +272,8 @@ func TestAgreementSlowPathEquivocation(t *testing.T) {
 	proc := h.envs[0].Proc
 	mkSigned := func(m []byte) []byte {
 		dg := xcrypto.Digest(proc, m)
-		sig := signer.Sign(proc, signedPayload(0, 1, dg))
+		st := xcrypto.Signed(0, 1, dg)
+		sig := signer.Sign(proc, st.Bytes())
 		w := wire.NewWriter(128 + len(m))
 		w.U8(tagSigned)
 		w.U64(1)

@@ -106,18 +106,17 @@ func TestRegisterValueCodec(t *testing.T) {
 func TestSignedPayloadBindsFields(t *testing.T) {
 	var dgA, dgB [xcrypto.DigestLen]byte
 	dgB[0] = 1
-	payload := func(b ids.ID, k uint64, dg [xcrypto.DigestLen]byte) []byte {
-		w := wire.NewWriter(64)
-		appendSignedPayload(w, b, k, dg)
-		return w.Finish()
+	payload := func(b ids.ID, k uint64, dg [xcrypto.DigestLen]byte) string {
+		st := xcrypto.Signed(b, k, dg)
+		return string(st.Bytes())
 	}
 	base := payload(0, 1, dgA)
-	for _, other := range [][]byte{
+	for _, other := range []string{
 		payload(1, 1, dgA), // different broadcaster
 		payload(0, 2, dgA), // different identifier
 		payload(0, 1, dgB), // different fingerprint
 	} {
-		if string(base) == string(other) {
+		if base == other {
 			t.Fatal("signed payload does not bind all fields")
 		}
 	}
@@ -170,7 +169,8 @@ func TestSlowPathReadsPeerRegistersByRegion(t *testing.T) {
 	proc := h.envs[2].Proc
 	dg := xcrypto.Digest(proc, []byte("other"))
 	vw := wire.NewWriter(registerValueCap)
-	encodeRegValue(vw, 2, dg, h.reg.Signer(0).Sign(proc, signedPayload(0, 2, dg)))
+	st := xcrypto.Signed(0, 2, dg)
+	encodeRegValue(vw, 2, dg, h.reg.Signer(0).Sign(proc, st.Bytes()))
 	planted := false
 	swmr.NewRegister(h.envs[2].Store, base+2*tail+2%tail, registerValueCap).
 		Write(2, vw.Finish(), func(err error) { planted = err == nil })
@@ -230,10 +230,11 @@ func TestSummaryWithAbsurdSignatureCountIsDropped(t *testing.T) {
 
 	// 65 well-formed entries, the members' three among them genuine.
 	sigs := make([]xcrypto.Signature, 65)
+	st := xcrypto.SummaryShare(0, 4, []byte(nil))
 	for i := range sigs {
 		sigs[i] = make(xcrypto.Signature, xcrypto.SigLen)
 		if i < len(h.procs) {
-			sigs[i] = h.reg.Signer(ids.ID(i)).Sign(sim.NewProc(h.eng, "signing"), sharePayload(0, 4, nil))
+			sigs[i] = h.reg.Signer(ids.ID(i)).Sign(sim.NewProc(h.eng, "signing"), st.Bytes())
 		}
 	}
 	g.onBroadcasterMsg(0, summary(65, sigs...))
@@ -254,7 +255,8 @@ func TestSummarySharesBounded(t *testing.T) {
 	g := h.groups[0]
 	signing := sim.NewProc(h.eng, "signing")
 	share := func(from ids.ID, id uint64, state string) {
-		sig := h.reg.Signer(from).Sign(signing, sharePayload(0, id, []byte(state)))
+		st := xcrypto.SummaryShare(0, id, state)
+		sig := h.reg.Signer(from).Sign(signing, st.Bytes())
 		g.onSummaryShare(from, id, []byte(state), sig)
 		h.run(sim.Millisecond)
 	}
@@ -299,9 +301,8 @@ func TestSummaryForgedShareCostsOneVerification(t *testing.T) {
 		g := h.groups[0]
 		signing := sim.NewProc(h.eng, "signing")
 		const id, state = 4, "state at 4"
-		sign := func(from ids.ID) xcrypto.Signature {
-			return h.reg.Signer(from).Sign(signing, sharePayload(0, id, []byte(state)))
-		}
+		st := xcrypto.SummaryShare(0, id, state)
+		sign := func(from ids.ID) xcrypto.Signature { return h.reg.Signer(from).Sign(signing, st.Bytes()) }
 		// Cut the broadcaster off, so that every share is this test's.
 		h.net.Partition(0, 1)
 		h.net.Partition(0, 2)

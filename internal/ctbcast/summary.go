@@ -22,8 +22,6 @@ import (
 // double-buffering the paper uses to avoid latency hiccups (footnote 3)
 // and the mechanism behind Figure 11's thrashing at small t.
 
-const tagSummaryShare = wire.RingTagSummaryShare
-
 // SummaryHub routes CERTIFY_SUMMARY shares arriving at one host to the
 // broadcaster groups living there. One per host.
 type SummaryHub struct {
@@ -48,8 +46,10 @@ func (h *SummaryHub) onShare(from ids.ID, payload []byte) {
 	r := wire.NewReader(payload)
 	inst := msgring.Instance(r.U32())
 	id := r.U64()
-	state := r.BytesView() // onSummaryShare keeps a copy, if it keeps the share
-	sig := r.Bytes()
+	// Views of a frame nothing writes once sent (afterFIFODeliver): if
+	// onSummaryShare keeps the share, it copies the state and keeps sig.
+	state := r.BytesView()
+	sig := r.BytesView()
 	if r.Done() != nil {
 		return
 	}
@@ -58,18 +58,6 @@ func (h *SummaryHub) onShare(from ids.ID, payload []byte) {
 		return
 	}
 	g.onSummaryShare(from, id, state, sig)
-}
-
-// sharePayload is the byte string receivers sign to certify a summary.
-func sharePayload(broadcaster ids.ID, id uint64, state []byte) []byte {
-	dg := xcrypto.ChecksumNoCharge(state) // cheap binding; the signature provides unforgeability
-	w := wire.NewWriter(64)
-	w.U8(tagSummaryShare)
-	w.I64(int64(broadcaster))
-	w.U64(id)
-	w.U64(dg)
-	w.Uvarint(uint64(len(state)))
-	return w.Finish()
 }
 
 // afterFIFODeliver runs the receiver half of Algorithm 4: after delivering
@@ -86,7 +74,8 @@ func (g *Group) afterFIFODeliver(k uint64) {
 	// Bookkeeping signature: signed on the crypto pool so the main event
 	// loop (and hence the fast path) never blocks (§3.2, §5.4). The
 	// broadcaster's own share counts as soon as it is signed.
-	g.env.Signer.SignBg(g.env.BgProc, g.env.Proc, sharePayload(g.p.Broadcaster, k, state), func(sig xcrypto.Signature) {
+	stmt := xcrypto.SummaryShare(g.p.Broadcaster, k, state)
+	g.env.Signer.SignBg(g.env.BgProc, g.env.Proc, stmt.Bytes(), func(sig xcrypto.Signature) {
 		if g.p.Self == g.p.Broadcaster {
 			if g.summaryOpen(k) {
 				owned, shares := string(state), g.shareStates[k]
@@ -96,12 +85,15 @@ func (g *Group) afterFIFODeliver(k uint64) {
 			}
 			return
 		}
-		w := wire.NewWriter(64 + len(state))
+		// One frame of exact size, never written again: the broadcaster
+		// keeps a view of its signature, so it is not one from router.Frame.
+		w := wire.NewWriter(1 + 4 + 8 + wire.BytesLen(len(state)) + wire.BytesLen(len(sig)))
+		w.U8(router.ChanSummary)
 		w.U32(uint32(g.p.InstanceBase))
 		w.U64(k)
 		w.Bytes(state)
 		w.Bytes(sig)
-		g.env.RT.Send(g.p.Broadcaster, router.ChanSummary, w.Finish())
+		g.env.RT.SendFrame(g.p.Broadcaster, w.Finish())
 	})
 }
 
@@ -133,7 +125,8 @@ func (g *Group) onSummaryShare(from ids.ID, id uint64, state []byte, sig xcrypto
 // verifySummaryShare checks a share on the crypto pool (it is bookkeeping,
 // not fast path) and tallies the verdict.
 func (g *Group) verifySummaryShare(from ids.ID, id uint64, state string, sig xcrypto.Signature) {
-	g.env.Signer.VerifyBg(g.env.BgProc, g.env.Proc, from, sharePayload(g.p.Broadcaster, id, []byte(state)), sig, func(ok bool) {
+	stmt := xcrypto.SummaryShare(g.p.Broadcaster, id, state)
+	g.env.Signer.VerifyBg(g.env.BgProc, g.env.Proc, from, stmt.Bytes(), sig, func(ok bool) {
 		if g.summaryOpen(id) {
 			g.tallySummary(id, state, g.shareStates[id].Verdict(from, sig, ok))
 		}
@@ -184,7 +177,7 @@ func (g *Group) onSummaryCert(id uint64, state []byte, cert xcrypto.Cert) {
 	// The certificate is actually needed to heal a gap: verify its f+1
 	// signatures (on the critical recovery path, so charged to the main
 	// process like the paper's slow path).
-	if !g.env.Signer.Valid(g.env.Proc, g.p.Procs, sharePayload(g.p.Broadcaster, id, state), cert, g.p.F+1) {
+	if stmt := xcrypto.SummaryShare(g.p.Broadcaster, id, state); !g.env.Signer.Valid(g.env.Proc, g.p.Procs, stmt.Bytes(), cert, g.p.F+1) {
 		return // forged certificate from a Byzantine broadcaster
 	}
 	if g.nextDeliver > id {

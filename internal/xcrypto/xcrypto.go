@@ -42,6 +42,10 @@
 // gathered one writes it once: appended straight into the message that
 // carries it (Shares.AppendCert), or encoded on its own for a certificate a
 // process keeps (Shares.Cert).
+//
+// What a process signs is one of five statements (statement.go), each built
+// by its one encoder into a fixed-size Statement that stays on the caller's
+// stack, and each opening with a domain byte no other statement uses.
 package xcrypto
 
 import (

@@ -17,8 +17,9 @@ const (
 	prime64x5 uint64 = 0x27D4EB2F165667C5
 )
 
-// XXHash64 computes the 64-bit xxHash of data with the given seed.
-func XXHash64(data []byte, seed uint64) uint64 {
+// XXHash64 computes the 64-bit xxHash of data with the given seed. It takes
+// a string as well, so a string is hashed in place, not copied.
+func XXHash64[B ~[]byte | ~string](data B, seed uint64) uint64 {
 	n := len(data)
 	var h uint64
 
@@ -56,8 +57,8 @@ func XXHash64(data []byte, seed uint64) uint64 {
 		h = bits.RotateLeft64(h, 23)*prime64x2 + prime64x3
 		data = data[4:]
 	}
-	for _, b := range data {
-		h ^= uint64(b) * prime64x5
+	for i := 0; i < len(data); i++ {
+		h ^= uint64(data[i]) * prime64x5
 		h = bits.RotateLeft64(h, 11) * prime64x1
 	}
 
@@ -81,13 +82,13 @@ func mergeRound64(acc, val uint64) uint64 {
 	return acc*prime64x1 + prime64x4
 }
 
-func le64(b []byte) uint64 {
+func le64[B ~[]byte | ~string](b B) uint64 {
 	_ = b[7]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-func le32(b []byte) uint32 {
+func le32[B ~[]byte | ~string](b B) uint32 {
 	_ = b[3]
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
