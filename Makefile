@@ -98,7 +98,14 @@ race:
 # signatures, two signers of one Registry sign apart on two goroutines, and a
 # certificate appended into its message is the encoded one, byte for byte.
 # Building a signed statement, and verifying a signature over it, allocates
-# nothing.
+# nothing. A replica carves a decoded batch container's sub-requests and the
+# leader's containers from blocks it owns: cap == len, and every container
+# still held reads back what it was made from. A COMMIT's signature about a
+# slot below the stable checkpoint is verified and judged but opens no slot
+# record. A warm cross-shard operation (a 2PC MSET or a scatter MGET over two
+# RKV shards) allocates at most its budget, and a shard client's record goes
+# back to its free list only once nothing can call into it: no stale round
+# timer or late reply reaches the record's next use.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
@@ -108,6 +115,8 @@ bounded-mem:
 	$(GO) test -run 'TestSignaturesAreCarvedCapped|TestWarmSignAllocatesLittle|TestAppendCertIsTheCert|TestSignersSignConcurrently|TestStatementsAllocateNothing' ./internal/xcrypto/
 	$(GO) test -run 'TestReplyFrame|TestCachedResultOutlivesLaterApplies' ./internal/consensus/
 	$(GO) test -run 'TestOrderedAnswersShareOneBuffer|TestReleasedResultsAreTheirOwn' ./internal/app/
+	$(GO) test -run 'TestBatchSubsNeverRewritten|TestCommitBelowCheckpointOpensNoRecord' ./internal/consensus/
+	$(GO) test -run 'TestCrossShardAllocBudget|TestStaleCallbackAfterRecordReuse' ./internal/shard/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one

@@ -7,37 +7,42 @@ import "repro/internal/wire"
 // Fragmenter's Fragment and Merge.
 
 // subsetKeys decodes a multi-read body (count + keys; the opcode is
-// already consumed) and selects the keys at keyIdx, bounds-checked.
-func subsetKeys(rd *wire.Reader, keyIdx []int) ([][]byte, error) {
-	keys, err := multiKeys(nil, rd, false)
+// already consumed) and selects the keys at keyIdx, bounds-checked. The
+// decoded keys and the selection share *buf, the application's scratch,
+// and are valid until its next use.
+func subsetKeys(buf *[][]byte, rd *wire.Reader, keyIdx []int) ([][]byte, error) {
+	keys, err := multiKeys((*buf)[:0], rd, false)
 	if err != nil {
 		return nil, err
 	}
-	sub := make([][]byte, 0, len(keyIdx))
+	n := len(keys)
 	for _, i := range keyIdx {
-		if i < 0 || i >= len(keys) {
+		if i < 0 || i >= n {
 			return nil, ErrNoKey
 		}
-		sub = append(sub, keys[i])
+		keys = append(keys, keys[i])
 	}
-	return sub, nil
+	*buf = keys
+	return keys[n:], nil
 }
 
 // subsetPairs decodes a multi-write body and selects the pairs at keyIdx,
-// bounds-checked.
-func subsetPairs(rd *wire.Reader, keyIdx []int) ([]Pair, error) {
-	pairs, ok := decodePairs(nil, rd)
+// bounds-checked. As in subsetKeys the pairs share *buf, and every key and
+// value is a view of the request.
+func subsetPairs(buf *[]Pair, rd *wire.Reader, keyIdx []int) ([]Pair, error) {
+	pairs, ok := decodePairs((*buf)[:0], rd, false)
 	if !ok || rd.Done() != nil {
 		return nil, ErrNoKey
 	}
-	sub := make([]Pair, 0, len(keyIdx))
+	n := len(pairs)
 	for _, i := range keyIdx {
-		if i < 0 || i >= len(pairs) {
+		if i < 0 || i >= n {
 			return nil, ErrNoKey
 		}
-		sub = append(sub, pairs[i])
+		pairs = append(pairs, pairs[i])
 	}
-	return sub, nil
+	*buf = pairs
+	return pairs[n:], nil
 }
 
 // KeyedRead is one key's answer in a multi-read result.

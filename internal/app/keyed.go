@@ -104,8 +104,9 @@ type keyed struct {
 	evict *fifo // nil for a store that never evicts
 	// answer is the buffer every Apply, ApplyRead and ApplyReadAt answer is
 	// appended into, the caller's until the next call (StateMachine.Apply);
-	// keys holds a multi-key read's or write's keys (multiRead, Apply) and
-	// pairs a multi-key write's pairs until the next one.
+	// keys holds a multi-key read's or write's keys (multiRead, Apply,
+	// Fragment, writeFragmentKeys) and pairs a multi-key write's pairs
+	// (Apply, Fragment, installFragment) until the next one.
 	answer []byte
 	keys   [][]byte
 	pairs  []Pair
@@ -166,7 +167,7 @@ func (s *keyed) apply(dst, req []byte) []byte {
 		}
 		return s.write(dst, op, key, val)
 	case opMSet:
-		pairs, ok := decodePairs(s.pairs[:0], rd)
+		pairs, ok := decodePairs(s.pairs[:0], rd, true)
 		s.pairs = pairs
 		if !ok || rd.Done() != nil {
 			return append(dst, StatusBadReq)
@@ -411,13 +412,13 @@ func (s *keyed) Fragment(req []byte, keyIdx []int) ([]byte, error) {
 	rd := wire.NewReader(req)
 	switch s.d.ops[rd.U8()] {
 	case opMGet:
-		sub, err := subsetKeys(rd, keyIdx)
+		sub, err := subsetKeys(&s.keys, rd, keyIdx)
 		if err != nil {
 			return nil, err
 		}
 		return s.d.mget(sub...), nil
 	case opMSet:
-		sub, err := subsetPairs(rd, keyIdx)
+		sub, err := subsetPairs(&s.pairs, rd, keyIdx)
 		if err != nil {
 			return nil, err
 		}
@@ -433,12 +434,17 @@ func (s *keyed) Merge(req []byte, legs [][]byte, legKeys [][]int) []byte {
 }
 
 // writeFragmentKeys validates a staged fragment (it must be the dialect's
-// multi-key SET) and extracts the keys the LockTable locks for it.
+// multi-key SET) and extracts the keys the LockTable locks for it, into the
+// store's key scratch.
 func (s *keyed) writeFragmentKeys(frag []byte) ([][]byte, error) {
 	if len(frag) == 0 || s.d.ops[frag[0]] != opMSet {
 		return nil, ErrNoKey
 	}
-	return s.d.appendKeys(nil, frag)
+	keys, err := s.d.appendKeys(s.keys[:0], frag)
+	if err == nil {
+		s.keys = keys
+	}
+	return keys, err
 }
 
 // installFragment applies a committed fragment. Its locks were released by
@@ -448,7 +454,7 @@ func (s *keyed) writeFragmentKeys(frag []byte) ([][]byte, error) {
 func (s *keyed) installFragment(frag []byte) []byte {
 	rd := wire.NewReader(frag)
 	rd.U8()
-	pairs, ok := decodePairs(s.pairs[:0], rd)
+	pairs, ok := decodePairs(s.pairs[:0], rd, true)
 	s.pairs = pairs
 	if ok && rd.Done() == nil {
 		for _, p := range pairs {
@@ -545,16 +551,21 @@ func encodePairsOp(op uint8, pairs []Pair) []byte {
 }
 
 // decodePairs appends a pair list to dst: each key a view of the request,
-// each value a copy a store may keep. ok is false when the declared count
-// exceeds the fan-in bound (decode errors surface via the reader).
-func decodePairs(dst []Pair, rd *wire.Reader) (pairs []Pair, ok bool) {
+// each value a copy a store may keep if keep is set, else a view too. ok is
+// false when the declared count exceeds the fan-in bound (decode errors
+// surface via the reader).
+func decodePairs(dst []Pair, rd *wire.Reader, keep bool) (pairs []Pair, ok bool) {
 	n, ok := readCount(rd, multiKeyMax)
 	if !ok {
 		return dst, false
 	}
 	pairs = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		pairs = append(pairs, Pair{Key: rd.BytesView(), Val: rd.Bytes()})
+		if keep {
+			pairs = append(pairs, Pair{Key: rd.BytesView(), Val: rd.Bytes()})
+		} else {
+			pairs = append(pairs, Pair{Key: rd.BytesView(), Val: rd.BytesView()})
+		}
 	}
 	return pairs, true
 }

@@ -14,7 +14,8 @@ import (
 // queue that parks requests blocked on a lock until it releases. It is
 // embedded by an application, which supplies three callbacks:
 //
-//	keysOf  — extracts (and validates) the keys of a write fragment
+//	keysOf  — extracts (and validates) the keys of a write fragment; the
+//	          LockTable reads them before the application's next call
 //	install — applies a committed fragment to application state and may
 //	          return a commit receipt (e.g. the fills of an order-book
 //	          transfer leg) that travels back in the commit response; the
@@ -27,6 +28,14 @@ import (
 // All LockTable state is deterministic and carried through
 // SnapshotTo/RestoreFrom, so a replica restored via state transfer agrees
 // on in-flight transactions and parked requests, not just committed data.
+//
+// What the LockTable keeps it owns: a staged fragment is the copy Prepare's
+// caller hands over (ApplyTxn decodes it out of the request), a parked
+// request is copied, a lock's key is a string, and a commit receipt or a
+// released result is the LockTable's own slice. A staged transaction's record and
+// its key list are recycled: Commit and Abort put them on a free list that
+// Prepare takes from, so the list never holds more records than were staged
+// at once.
 type LockTable struct {
 	keysOf  func(fragment []byte) ([][]byte, error)
 	install func(fragment []byte) []byte
@@ -38,6 +47,7 @@ type LockTable struct {
 	// to exactly one staged transaction), so it is rebuilt on restore.
 	locks  map[string]uint64
 	staged map[uint64]*stagedTxn
+	free   []*stagedTxn // released records, their key lists emptied
 
 	// Decision/tombstone log (bounded FIFO so a long run cannot grow it
 	// without bound): commit/abort decisions recorded by the coordinator
@@ -143,7 +153,13 @@ func (lt *LockTable) Prepare(txid, coord uint64, fragment []byte) uint8 {
 			}
 		}
 	}
-	tx := &stagedTxn{keys: make([]string, 0, len(keys)), frag: fragment, coord: coord}
+	var tx *stagedTxn
+	if n := len(lt.free); n > 0 {
+		tx, lt.free = lt.free[n-1], lt.free[:n-1]
+	} else {
+		tx = new(stagedTxn)
+	}
+	tx.frag, tx.coord = fragment, coord
 	for _, k := range keys {
 		ks := string(k)
 		lt.locks[ks] = txid
@@ -172,6 +188,7 @@ func (lt *LockTable) Commit(txid uint64) (uint8, []byte) {
 	}
 	delete(lt.staged, txid)
 	receipt := lt.install(tx.frag)
+	lt.release(tx)
 	if len(receipt) > 0 {
 		lt.rememberReceipt(txid, receipt)
 	}
@@ -209,8 +226,16 @@ func (lt *LockTable) Abort(txid uint64) uint8 {
 		delete(lt.locks, k)
 	}
 	delete(lt.staged, txid)
+	lt.release(tx)
 	lt.drain()
 	return StatusOK
+}
+
+// release keeps a resolved transaction's record for the next Prepare.
+func (lt *LockTable) release(tx *stagedTxn) {
+	clear(tx.keys)
+	*tx = stagedTxn{keys: tx.keys[:0]}
+	lt.free = append(lt.free, tx)
 }
 
 // Decided records the coordinator group's durable decision for txid

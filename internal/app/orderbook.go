@@ -32,8 +32,8 @@ type OrderBook struct {
 	tops  *VersionedStore // symbol -> topsEntry blob, one version per mutation
 	// answer is the buffer every Apply, ApplyRead and ApplyReadAt answer is
 	// appended into, the caller's until the next call (StateMachine.Apply);
-	// keys holds an OpTops read's symbols (multiRead) and fills an order's
-	// fills until the next one.
+	// keys holds an OpTops read's symbols (multiRead, Fragment) and fills an
+	// order's fills until the next one.
 	answer []byte
 	keys   [][]byte
 	fills  []Fill
@@ -562,7 +562,7 @@ func (ob *OrderBook) Fragment(req []byte, keyIdx []int) ([]byte, error) {
 			return nil, ErrNoKey
 		}
 	case OpTops:
-		sub, err := subsetKeys(rd, keyIdx)
+		sub, err := subsetKeys(&ob.keys, rd, keyIdx)
 		if err != nil {
 			return nil, err
 		}

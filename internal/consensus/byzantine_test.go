@@ -438,6 +438,56 @@ func TestCertifySigCache(t *testing.T) {
 	}
 }
 
+// TestCommitBelowCheckpointOpensNoRecord: a COMMIT's CERTIFY signature about
+// a slot below the stable checkpoint is verified and judged like any other,
+// but opens no slot record (admits): pruneBelow forgot that slot, and a
+// share about it must not bring it back. The verified share is kept in
+// Replica.settled until the next stable checkpoint, so the same COMMIT
+// arriving again costs no second verification, as when it opened a record.
+// A share at the checkpoint still joins its slot's record.
+func TestCommitBelowCheckpointOpensNoRecord(t *testing.T) {
+	rig := newWBRig(t)
+	defer rig.stop()
+	r := rig.reps[0]
+	r.chkpt.Seq = 64
+	req := Request{Client: 200, Num: 1, Payload: []byte("x")}
+	dg := req.Digest()
+	proc := sim.NewProc(rig.eng, "signer")
+	sign := func(s Slot) xcrypto.Signature {
+		st := xcrypto.Certify(0, uint64(s), dg)
+		return rig.reg.Signer(1).Sign(proc, st.Bytes())
+	}
+	verifications := func() uint64 {
+		c, u := rig.reg.Verifications()
+		return c + u
+	}
+	slots := len(r.slots)
+	for i, want := range []uint64{1, 0} {
+		n := verifications()
+		if !r.verifyCertifySig(0, 10, dg, 1, sign(10)) {
+			t.Fatalf("valid share below the checkpoint rejected (arrival %d)", i)
+		}
+		if got := verifications() - n; got != want {
+			t.Fatalf("share below the checkpoint, arrival %d: %d verifications, want %d", i, got, want)
+		}
+		if len(r.slots) != slots || r.slots[10] != nil {
+			t.Fatalf("share below the checkpoint opened a slot record: %d records, want %d", len(r.slots), slots)
+		}
+	}
+	bad := append(xcrypto.Signature(nil), sign(10)...)
+	bad[0] ^= 1
+	if n := verifications(); r.verifyCertifySig(0, 10, dg, 1, bad) || verifications() != n+1 || len(r.slots) != slots {
+		t.Fatal("forged share below the checkpoint not verified, accepted or kept")
+	}
+	if !r.verifyCertifySig(0, 64, dg, 1, sign(64)) || r.slots[64] == nil || !r.slots[64].find(0).shares.Has(1, dg, sign(64)) {
+		t.Fatal("share at the checkpoint not kept in its slot's record")
+	}
+	r.pruneBelow(64)
+	if len(r.settled) != 0 {
+		t.Fatalf("%d settled share sets outlive the stable checkpoint", len(r.settled))
+	}
+}
+
 // TestCheckpointCertCountsKnownSharesOnly: a CHECKPOINT certificate is judged
 // against the shares this replica verified on its crypto pool. Signatures by
 // replicas it holds no share of go to the pool as relayed shares and the
@@ -708,7 +758,7 @@ func TestValidateMalformedBatchRejected(t *testing.T) {
 	}
 	short := EncodeBatch([]Request{a, b})
 	short.Payload = short.Payload[:len(short.Payload)-1]
-	if r.accepts(ids.ID(0), prep(4, short)) || short.Subs() != nil {
+	if r.accepts(ids.ID(0), prep(4, short)) || r.subs(&short) != nil {
 		t.Fatal("truncated batch validated or decoded")
 	}
 }

@@ -96,8 +96,8 @@ type Request struct {
 	digest   [xcrypto.DigestLen]byte
 	digestOK bool
 	// subs memoizes a batch container's sub-requests the same way (see
-	// Subs): decoded once where the container is delivered, carried along
-	// by every copy taken afterwards.
+	// Replica.subs): decoded once where the container is delivered, carried
+	// along by every copy taken afterwards.
 	subs []Request
 }
 
@@ -122,15 +122,25 @@ const maxBatchLen = 4096
 func (r *Request) encodedBound() int { return 24 + len(r.Payload) }
 
 // EncodeBatch packs several client requests into one container request.
-func EncodeBatch(reqs []Request) Request {
-	size := 8 // count prefix
+func EncodeBatch(reqs []Request) Request { return encodeBatch(nil, reqs) }
+
+// encodeBatch is EncodeBatch with the container carved from slab (nil: an
+// array of its own). A container is never written once made.
+func encodeBatch(slab *wire.Slab, reqs []Request) Request {
+	size := wire.UvarintLen(uint64(len(reqs)))
 	for i := range reqs {
-		size += reqs[i].encodedBound()
+		size += 16 + wire.BytesLen(len(reqs[i].Payload))
 	}
-	w := wire.NewWriter(size)
+	var buf []byte
+	if slab == nil {
+		buf = make([]byte, 0, size)
+	} else {
+		buf = slab.Take(size)[:0]
+	}
+	w := wire.WriterOn(buf)
 	w.Uvarint(uint64(len(reqs)))
 	for _, q := range reqs {
-		q.encode(w)
+		q.encode(&w)
 	}
 	return Request{Client: batchClient, Payload: w.Finish()}
 }
@@ -139,35 +149,41 @@ func EncodeBatch(reqs []Request) Request {
 // container's payload (borrow mode, like every consensus decode path). A
 // container holding a no-op or another container is malformed: the leader
 // packs client requests only.
-func DecodeBatch(r Request) ([]Request, error) {
+func DecodeBatch(r Request) ([]Request, error) { return decodeBatch(r, nil) }
+
+// subsBlock is how many sub-requests one array of a replica's subsRest
+// holds; a container of more than a quarter of that gets an array of its
+// own.
+const subsBlock = 32
+
+// decodeBatch is DecodeBatch with the sub-requests carved from *rest (nil:
+// an array of their own): cap == len, and nothing writes a carved slice
+// again once it is handed out but the sub-requests' own digest memos.
+func decodeBatch(r Request, rest *[]Request) ([]Request, error) {
 	rd := wire.NewReader(r.Payload)
 	n := int(rd.Uvarint())
 	if n > maxBatchLen || n > rd.Remaining()/17 { // an entry is 17 bytes or more
 		return nil, fmt.Errorf("consensus: oversized batch (%d requests)", n)
 	}
-	out := make([]Request, 0, n)
-	for i := 0; i < n; i++ {
+	var out []Request
+	if rest == nil || n > subsBlock/4 {
+		out = make([]Request, n)
+	} else {
+		out = carve(rest, n, subsBlock)
+	}
+	for i := range out {
 		sub := decodeRequest(rd)
 		if rd.Err() != nil || sub.IsNoOp() || sub.IsBatch() {
+			clear(out) // a carved slice pins nothing it does not hand out
 			return nil, fmt.Errorf("consensus: batch entry %d is not a client request", i)
 		}
-		out = append(out, sub)
+		out[i] = sub
 	}
 	if err := rd.Done(); err != nil {
+		clear(out)
 		return nil, err
 	}
 	return out, nil
-}
-
-// Subs returns a batch container's sub-requests, decoding them on first use
-// and memoizing the result (and, through the shared backing array, every
-// sub-request's digest) in the container. Nil for a malformed container:
-// the verdict of a PREPARE's Byzantine check and the delivery's decode in one.
-func (r *Request) Subs() []Request {
-	if r.subs == nil {
-		r.subs, _ = DecodeBatch(*r)
-	}
-	return r.subs
 }
 
 func (r Request) encode(w *wire.Writer) {

@@ -227,12 +227,24 @@ type Replica struct {
 	// and per checkpoint sequence number (and, below, per view): record
 	// types, mutators and the prune rules are in tables.go. The slot and
 	// request tables recycle their records through a free list each.
-	slots        table[Slot, slotState]
-	requests     table[[xcrypto.DigestLen]byte, reqState]
-	clients      table[ids.ID, clientState]
-	cps          table[Slot, cpState]
+	slots    table[Slot, slotState]
+	requests table[[xcrypto.DigestLen]byte, reqState]
+	clients  table[ids.ID, clientState]
+	cps      table[Slot, cpState]
+	// settled holds the CERTIFY signatures verified in COMMITs about slots
+	// below the stable checkpoint that have no record, by view and slot,
+	// until the next stable checkpoint (verifyCertifySig, settledShares).
+	settled      table[[2]uint64, digestShares]
 	freeSlots    freeList[slotState]
 	freeRequests freeList[reqState]
+	// The blocks new records and a decoded container's sub-requests are
+	// carved from (carve): what is left of each one's current array. The
+	// leader's containers are carved from batchSlab.
+	slotBlock  []slotRec
+	shareBlock digestShares
+	reqBlock   []reqState
+	subsRest   []Request
+	batchSlab  wire.Slab
 
 	lastApplied Slot // next slot to apply
 
@@ -408,6 +420,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		requests:      make(table[[xcrypto.DigestLen]byte, reqState]),
 		clients:       make(table[ids.ID, clientState]),
 		cps:           make(table[Slot, cpState]),
+		settled:       make(table[[2]uint64, digestShares]),
 		groups:        make(map[ids.ID]*ctbcast.Group),
 		deferredResp:  make(map[uint64]deferredTarget),
 		views:         make(table[View, viewRec]),
@@ -679,7 +692,7 @@ func (r *Replica) takeProposal() (Request, bool) {
 	case 1:
 		return fresh[0], true
 	default:
-		return EncodeBatch(fresh), true
+		return encodeBatch(&r.batchSlab, fresh), true
 	}
 }
 
@@ -767,6 +780,18 @@ func (r *Replica) onPrepare(st *replicaState, pr Prepare) {
 	r.endorseOrWait(pr)
 }
 
+// subs returns a batch container's sub-requests, decoding them on first use
+// into the replica's own blocks (decodeBatch) and memoizing the result (and,
+// through the shared backing array, every sub-request's digest) in the
+// container. Nil for a malformed container: the verdict of a PREPARE's
+// Byzantine check and the delivery's decode in one.
+func (r *Replica) subs(req *Request) []Request {
+	if req.subs == nil {
+		req.subs, _ = decodeBatch(*req, &r.subsRest)
+	}
+	return req.subs
+}
+
 // requestKnown reports whether this replica holds the client's direct copy
 // of req (for a batch container: of every sub-request).
 func (r *Replica) requestKnown(req *Request) bool {
@@ -774,7 +799,7 @@ func (r *Replica) requestKnown(req *Request) bool {
 		return true
 	}
 	if req.IsBatch() {
-		subs := req.Subs()
+		subs := r.subs(req)
 		for i := range subs {
 			if !r.requestKnown(&subs[i]) {
 				return false
@@ -901,21 +926,32 @@ func (r *Replica) sendCertify(v View, s Slot) {
 // consulting the slot's shares first. A share verified here joins them (it
 // counts toward this replica's own COMMIT like one that arrived in a
 // CERTIFY), unless its signer certified another digest before: the signature
-// is valid all the same. A share the slot's records may not admit is
-// verified and forgotten.
+// is valid all the same. A share about a slot below the stable checkpoint
+// opens no slot record (admits): it joins the record the slot still has
+// (decided, not yet applied) or else Replica.settled. A share beyond the
+// horizon is verified and forgotten.
 func (r *Replica) verifyCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p ids.ID, sig xcrypto.Signature) bool {
 	stmt := xcrypto.Certify(uint64(v), uint64(s), dg)
-	if !r.admits(commitShare, v, s) {
+	var shares *digestShares
+	switch ss := r.slots[s]; {
+	case r.admits(commitShare, v, s):
+		shares = &r.slot(s).in(v).shares
+	case s >= r.chkpt.Seq || v > r.highestView()+1:
+	case ss != nil:
+		shares = &ss.in(v).shares
+	default:
+		shares = r.settledShares(v, s)
+	}
+	if shares == nil {
 		return r.signer.Verify(r.proc, p, stmt.Bytes(), sig)
 	}
-	sv := r.slot(s).in(v)
-	if sv.shares.Has(p, dg, sig) {
+	if shares.Has(p, dg, sig) {
 		return true
 	}
 	if !r.signer.Verify(r.proc, p, stmt.Bytes(), sig) {
 		return false
 	}
-	sv.shares.Add(p, dg, sig)
+	r.addShare(shares, p, dg, sig)
 	return true
 }
 
@@ -1047,7 +1083,7 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 	if !sv.shares.Admits(p, dg) || (p != r.cfg.Self && !r.signer.Verify(r.proc, p, stmt.Bytes(), sig)) {
 		return
 	}
-	if sv.shares.Add(p, dg, sig) < r.cfg.f()+1 || sv.sent&sentCommit != 0 || r.observing() {
+	if r.addShare(&sv.shares, p, dg, sig) < r.cfg.f()+1 || sv.sent&sentCommit != 0 || r.observing() {
 		return // observing: collect shares but broadcast no COMMIT
 	}
 	pr, ok := r.state[r.cfg.leaderOf(v)].prepares[s]
@@ -1128,7 +1164,7 @@ func (r *Replica) executeReady() {
 		r.lastApplied++
 		switch {
 		case req.IsBatch():
-			subs := req.Subs()
+			subs := r.subs(req)
 			for i := range subs {
 				r.applyOne(&subs[i], s)
 			}

@@ -24,8 +24,13 @@ var retention = map[string]string{
 	"Replica.requests":      "pruneBelow: copy released at execution, dedup stub below the stable checkpoint, unbacked echo set after one window of grace",
 	"Replica.clients":       "pruneBelow: one idle window past the stable checkpoint; a client with a still-parked request is exempt",
 	"Replica.cps":           "pruneBelow: two windows below the stable checkpoint (shares at it, snapshot one window); admits opens none beyond the next two windows",
+	"Replica.settled":       "pruneBelow: cleared at every stable checkpoint; at most 2 x Window (view, slot) pairs below it, each at most n shares, one per signer (a share past that is verified and not kept)",
 	"Replica.freeSlots":     "holds only records Replica.slots dropped and has not taken back, so with the table at most the table's peak: about one window of slot records",
 	"Replica.freeRequests":  "holds only records Replica.requests dropped and has not taken back, so with the table at most the table's peak: about the requests in flight",
+	"Replica.slotBlock":     "the uncarved rest of the current block of slot records: fewer than recordBlock records, each taken once by slot",
+	"Replica.shareBlock":    "the uncarved rest of the current block of view records' share storage: room for fewer than recordBlock records' shares, each carved once by addShare",
+	"Replica.reqBlock":      "the uncarved rest of the current block of request records: fewer than recordBlock records, each taken once by request",
+	"Replica.subsRest":      "the uncarved rest of the current block of sub-requests: fewer than subsBlock, each carved once by subs",
 	"Replica.deferredResp":  "pruneBelow: one window past the stable checkpoint unless the ticket is still parked; entry deleted when the lock releases",
 	"Replica.proposeQ":      "drained by pumpProposals; holds only requests whose echo round completed, so at most what live clients have in flight",
 	"Replica.freshScratch":  "scratch of takeProposal: at most one PREPARE's requests (MsgCap bytes)",

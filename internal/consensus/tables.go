@@ -22,10 +22,13 @@ import (
 // The slot and request tables see a new key per operation, so their
 // records are recycled, not reallocated: a record the table forgets goes,
 // cleared, to the table's free list (dropSlot, dropIfDead), and the next
-// new key takes it back (slot, request). A record's timer callback is bound
-// once, when the record is first made, and the record holds what the
-// callback needs. A free list holds only records its table held before, so
-// it never outgrows the table's peak.
+// new key takes it back (slot, request). Only when the free list is empty
+// is a record made, carved from a block of recordBlock records (carve), so
+// a table's growth costs one allocation per block, not one per record. A
+// record's timer callback is bound once, when the record is first made,
+// and the record holds what the callback needs. A free list holds only
+// records its table held before, so the records of a table never outgrow
+// its peak by one block or more.
 
 // table is a keyed set of records created on first use.
 type table[K comparable, V any] map[K]*V
@@ -38,6 +41,22 @@ func (t table[K, V]) at(k K) *V {
 		t[k] = v
 	}
 	return v
+}
+
+// recordBlock is how many slot or request records one allocation makes.
+const recordBlock = 16
+
+// carve returns the first n elements of *rest, capped at n so that an
+// append to them reallocates instead of running into the next carving, and
+// advances *rest past them. When *rest is short it first becomes a new
+// array of per elements.
+func carve[S ~[]E, E any](rest *S, n, per int) S {
+	if len(*rest) < n {
+		*rest = make(S, max(n, per))
+	}
+	s := (*rest)[:n:n]
+	*rest = (*rest)[n:]
+	return s
 }
 
 // freeList keeps released records, cleared, for reuse.
@@ -113,16 +132,20 @@ type slotView struct {
 	shares digestShares
 }
 
-// slot returns slot s's record, creating it if absent. A new record is made
-// together with the storage of its first view record.
+// slotRec is a slot record with the storage of its first view record.
+type slotRec struct {
+	slotState
+	first [1]slotView
+}
+
+// slot returns slot s's record, creating it if absent. A new record is
+// carved, with its first view record, from the replica's block of slot
+// records.
 func (r *Replica) slot(s Slot) *slotState {
 	ss := r.slots[s]
 	if ss == nil {
 		if ss = r.freeSlots.get(); ss == nil {
-			fresh := new(struct {
-				slotState
-				first [1]slotView
-			})
+			fresh := &carve(&r.slotBlock, 1, recordBlock)[0]
 			fresh.views = fresh.first[:0]
 			fresh.onFallback = func() { r.slowPathDue(&fresh.slotState) }
 			ss = &fresh.slotState
@@ -145,6 +168,32 @@ func (r *Replica) dropSlot(s Slot, ss *slotState) {
 	}
 	*ss = slotState{views: ss.views[:0], onFallback: ss.onFallback}
 	r.freeSlots.put(ss)
+}
+
+// addShare adds a verified CERTIFY share to a view record's shares and
+// returns how many they hold over dg. Shares without storage get it here,
+// room for one share per replica carved from a block (a fast-path slot
+// never needs any); a dropped view record keeps it for its next slot.
+func (r *Replica) addShare(shares *digestShares, p ids.ID, dg [xcrypto.DigestLen]byte, sig xcrypto.Signature) int {
+	if cap(*shares) == 0 {
+		n := len(r.cfg.Replicas)
+		*shares = carve(&r.shareBlock, n, recordBlock*n)[:0]
+	}
+	return shares.Add(p, dg, sig)
+}
+
+// settledShares returns the shares verified in COMMITs about slot s, below
+// the stable checkpoint and without a record, in view v. They are kept
+// until the next stable checkpoint, as the records such shares used to open
+// were: a COMMIT sent again costs no second verification. nil when
+// 2 x Window such (view, slot) pairs are kept already: the share is then
+// verified and forgotten.
+func (r *Replica) settledShares(v View, s Slot) *digestShares {
+	k := [2]uint64{uint64(v), uint64(s)}
+	if r.settled[k] == nil && len(r.settled) >= 2*r.cfg.Window {
+		return nil
+	}
+	return r.settled.at(k)
 }
 
 // digestShares collects signature shares over a digest: CERTIFY shares over
@@ -238,12 +287,13 @@ type reqState struct {
 	onEchoTimeout func()
 }
 
-// request returns the record of request digest dg, creating it if absent.
+// request returns the record of request digest dg, creating it if absent,
+// carved from the replica's block of request records.
 func (r *Replica) request(dg [xcrypto.DigestLen]byte) *reqState {
 	rs := r.requests[dg]
 	if rs == nil {
 		if rs = r.freeRequests.get(); rs == nil {
-			fresh := new(reqState)
+			fresh := &carve(&r.reqBlock, 1, recordBlock)[0]
 			fresh.onEchoTimeout = func() { r.echoTimedOut(fresh) }
 			rs = fresh
 		}
@@ -461,8 +511,10 @@ const (
 // admits is the one admission rule of the share collectors, pruneBelow's
 // counterpart: whether a share of kind k about view v and sequence number s
 // may open a record or join one. No view above the horizon, highestView + 1,
-// is admitted. A CERTIFY's slot must be in the window (a COMMIT's slot is in
-// its sender's, which validCommit checks first); a view-change share's view
+// is admitted. A CERTIFY's slot must be in the window; a COMMIT's slot, in
+// its sender's window (validCommit checks that first), must not be below the
+// stable checkpoint, whose records pruneBelow forgot (verifyCertifySig keeps
+// such a share in Replica.settled instead); a view-change share's view
 // must be one this replica leads, at or above its own and not opened yet; a
 // checkpoint share's sequence number must lie in the next two windows. So
 // whatever a Byzantine key signs, a slot keeps at most one view record per
@@ -476,7 +528,7 @@ func (r *Replica) admits(k shareKind, v View, s Slot) bool {
 	case certifyShare:
 		return r.inWindow(s) && v <= r.highestView()+1
 	case commitShare:
-		return v <= r.highestView()+1
+		return r.chkpt.Seq <= s && v <= r.highestView()+1
 	case viewShare:
 		return r.cfg.leaderOf(v) == r.cfg.Self && r.view <= v && v <= r.highestView()+1 && !r.viewOpened(v)
 	default:
@@ -508,6 +560,8 @@ func (r *Replica) pruneBelow(seq Slot) {
 			r.dropSlot(s, ss)
 		}
 	}
+
+	clear(r.settled) // their slots are pruned: the records they stand in for would go now
 
 	// Checkpoint records: three horizons, the record going with the last.
 	for _, s := range sortedKeys(r.cps) {

@@ -482,7 +482,7 @@ func (r *Replica) validPrepare(p ids.ID, st *replicaState, pr *Prepare) bool {
 	if prev, dup := st.prepares[pr.Slot]; dup && prev.View == pr.View {
 		return false // p already prepared this slot in this view
 	}
-	if pr.Req.IsBatch() && pr.Req.Subs() == nil {
+	if pr.Req.IsBatch() && r.subs(&pr.Req) == nil {
 		return false // a correct leader packs whole client requests only
 	}
 	if pr.View > 0 {

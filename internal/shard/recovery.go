@@ -99,29 +99,39 @@ func (c *Client) StrandedResolved() (total, committed, aborted uint64) {
 // resolveStranded replays the coordinator group's decision for one stranded
 // transaction at the group holding its locks.
 func (c *Client) resolveStranded(k stagedKey) {
+	c.rec.inFlight[k] = true
+	coord := [1]int{int(k.coord)}
+	c.retryFanout(stepSweepQuery, nil, k, coord[:], app.EncodeTxnQueryDecision(k.txid))
+}
+
+// sweepQueried takes the coordinator group's decision and sends it to the
+// stranded group.
+func (c *Client) sweepQueried(k stagedKey, res []byte) {
+	commit, ok := app.DecodeTxnQueryDecision(res)
+	if !ok {
+		delete(c.rec.inFlight, k) // unanswered (or refused) in every round
+		return
+	}
+	group := [1]int{k.group}
+	if commit {
+		c.retryFanout(stepSweepCommit, nil, k, group[:], app.EncodeTxnCommit(k.txid))
+	} else {
+		c.retryFanout(stepSweepAbort, nil, k, group[:], app.EncodeTxnAbort(k.txid))
+	}
+}
+
+// sweepResolved counts a stranded transaction the stranded group
+// acknowledged as committed or aborted.
+func (c *Client) sweepResolved(k stagedKey, commit, acked bool) {
 	rec := c.rec
-	rec.inFlight[k] = true
-	c.retryFanout([]int{int(k.coord)}, app.EncodeTxnQueryDecision(k.txid), func(_ bool, resps [][]byte) {
-		commit, ok := app.DecodeTxnQueryDecision(resps[0])
-		if !ok {
-			delete(rec.inFlight, k) // unanswered (or refused) in every round
-			return
-		}
-		cmd := app.EncodeTxnAbort(k.txid)
-		if commit {
-			cmd = app.EncodeTxnCommit(k.txid)
-		}
-		c.retryFanout([]int{k.group}, cmd, func(acked bool, _ [][]byte) {
-			delete(rec.inFlight, k)
-			if !acked {
-				return
-			}
-			rec.resolved++
-			if commit {
-				rec.committed++
-			} else {
-				rec.aborted++
-			}
-		})
-	})
+	delete(rec.inFlight, k)
+	if !acked {
+		return
+	}
+	rec.resolved++
+	if commit {
+		rec.committed++
+	} else {
+		rec.aborted++
+	}
 }

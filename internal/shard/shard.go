@@ -51,6 +51,7 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/ids"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // ErrCrossShard reports a multi-key request whose keys hash to different
@@ -325,26 +326,92 @@ func (d *Deployment) InvokeSync(ci int, payload []byte, maxWait sim.Duration) ([
 // txn.go (TxnParticipant) with this client as the transaction driver, and
 // any client can sweep for and resolve transactions another driver left
 // stranded (recovery.go).
+//
+// What a Client keeps for a cross-shard request it owns itself, in records
+// it recycles: a fan-out plan, one scatter read, one transaction, one
+// retransmitted fan-out. Each record binds its callbacks once, when it is
+// made, and goes back to its free list only when nothing can call into it
+// any more: every Call it made is answered or cancelled and every timer it
+// armed has fired or been cancelled. A fan-out's round timer is never
+// cancelled, so its record waits for it. What a caller is handed (a merged
+// read, a transaction's outcome) is never one of those records' buffers.
+// A Client is not safe for concurrent use: like its consensus.Client, it
+// runs on its host's process.
 type Client struct {
 	cc          *consensus.Client
 	id          ids.ID
 	shards      int
 	router      app.Router
-	keys        [][]byte // plan's scratch: the keys of the request it routes
 	frag        app.Fragmenter
 	canTxn      bool
 	fastReads   bool
 	strongReads bool
 	txSeq       uint32
 	rec         *recovery // nil until the first SweepStranded
+
+	// plan's scratch: the keys of the request it routes, each key's shard,
+	// and per shard its leg number + 1 (0: untouched; all 0 between calls).
+	keys    [][]byte
+	shardOf []int
+	legOf   []int
+
+	plans    freeList[splitPlan]
+	scatters freeList[scatter]
+	txs      freeList[txState]
+	fanouts  freeList[fanout]
+
+	// slab is the blocks a transaction's one-byte outcome is carved from:
+	// the caller may keep it, and nothing writes it again.
+	slab wire.Slab
+}
+
+// freeList keeps released records for reuse.
+type freeList[V any] []*V
+
+// get returns a kept record, or nil if there is none.
+func (fl *freeList[V]) get() *V {
+	n := len(*fl)
+	if n == 0 {
+		return nil
+	}
+	v := (*fl)[n-1]
+	*fl = (*fl)[:n-1]
+	return v
+}
+
+func (fl *freeList[V]) put(v *V) { *fl = append(*fl, v) }
+
+// resize returns s with length n and every element zero, reallocating only
+// when its capacity is short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // splitPlan is the fan-out plan of one cross-shard request: the touched
 // shards in ascending order and, per shard, the original key indices it
-// owns. shards[0] doubles as the deterministic 2PC coordinator group.
+// owns. shards[0] doubles as the deterministic 2PC coordinator group. The
+// record that executes the request owns its plan and releases it with
+// itself.
 type splitPlan struct {
 	shards  []int
 	legKeys [][]int
+}
+
+// reset empties the plan for n legs, keeping every leg's index storage.
+func (p *splitPlan) reset(n int) {
+	p.shards = p.shards[:0]
+	if cap(p.legKeys) < n {
+		p.legKeys = append(p.legKeys[:cap(p.legKeys)], make([][]int, n-cap(p.legKeys))...)
+	}
+	p.legKeys = p.legKeys[:n]
+	for i := range p.legKeys {
+		p.legKeys[i] = p.legKeys[i][:0]
+	}
 }
 
 // plan routes payload: (shard, nil) for a single-group request, or the
@@ -366,42 +433,58 @@ func (c *Client) plan(payload []byte) (int, *splitPlan, error) {
 	}
 	// Hash each key exactly once: the computed shard indices are reused
 	// for both the single-shard fast path check and the fan-out plan.
-	shardOf := make([]int, len(keys))
+	shardOf := c.shardOf[:0]
 	multi := false
-	for i, k := range keys {
-		shardOf[i] = app.ShardOfKey(k, c.shards)
-		if shardOf[i] != shardOf[0] {
-			multi = true
-		}
+	for _, k := range keys {
+		s := app.ShardOfKey(k, c.shards)
+		shardOf = append(shardOf, s)
+		multi = multi || s != shardOf[0]
 	}
+	c.shardOf = shardOf
 	if !multi {
 		return shardOf[0], nil, nil
 	}
-	perShard := make(map[int][]int)
-	for i, s := range shardOf {
-		perShard[s] = append(perShard[s], i)
+	if c.legOf == nil {
+		c.legOf = make([]int, c.shards)
 	}
-	plan := &splitPlan{}
-	for s := 0; s < c.shards; s++ {
-		if idx, ok := perShard[s]; ok {
-			plan.shards = append(plan.shards, s)
-			plan.legKeys = append(plan.legKeys, idx)
+	n := 0
+	for _, s := range shardOf {
+		if c.legOf[s] == 0 {
+			c.legOf[s] = 1
+			n++
 		}
+	}
+	plan := c.plans.get()
+	if plan == nil {
+		plan = new(splitPlan)
+	}
+	plan.reset(n)
+	for s, touched := range c.legOf {
+		if touched != 0 {
+			plan.shards = append(plan.shards, s)
+			c.legOf[s] = len(plan.shards)
+		}
+	}
+	for i, s := range shardOf {
+		leg := c.legOf[s] - 1
+		plan.legKeys[leg] = append(plan.legKeys[leg], i)
+	}
+	for _, s := range plan.shards {
+		c.legOf[s] = 0
 	}
 	return MultiShard, plan, nil
 }
 
-// fragments builds the per-shard request fragments of a plan.
-func (c *Client) fragments(payload []byte, plan *splitPlan) ([][]byte, error) {
-	frags := make([][]byte, len(plan.shards))
-	for i, idx := range plan.legKeys {
+// fragments appends to dst the per-shard request fragments of a plan.
+func (c *Client) fragments(dst [][]byte, payload []byte, plan *splitPlan) ([][]byte, error) {
+	for _, idx := range plan.legKeys {
 		f, err := c.frag.Fragment(payload, idx)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		frags[i] = f
+		dst = append(dst, f)
 	}
-	return frags, nil
+	return dst, nil
 }
 
 // Invoke routes payload to the group owning its keys and submits it; done
@@ -426,19 +509,18 @@ func (c *Client) Invoke(payload []byte, done func(result []byte, latency sim.Dur
 		c.cc.Call(s, payload, consensus.Mode{Read: read, Strong: read && c.strongReads}, done)
 		return s, nil
 	}
-	if c.frag == nil {
-		return -1, ErrCrossShard
+	switch {
+	case c.frag == nil:
+		err = ErrCrossShard
+	case c.frag.ReadOnly(payload):
+		err = c.scatterRead(payload, plan, done)
+	case !c.canTxn:
+		err = ErrCrossShard
+	default:
+		err = c.beginTx(payload, plan, done)
 	}
-	if c.frag.ReadOnly(payload) {
-		if err := c.scatterRead(payload, plan, done); err != nil {
-			return -1, err
-		}
-		return MultiShard, nil
-	}
-	if !c.canTxn {
-		return -1, ErrCrossShard
-	}
-	if err := c.beginTx(payload, plan, done); err != nil {
+	if err != nil {
+		c.plans.put(plan) // nothing was submitted
 		return -1, err
 	}
 	return MultiShard, nil
@@ -455,6 +537,49 @@ const (
 	lockedRetryMax   = 100
 )
 
+// scatter is one cross-shard read in flight: its plan and fragments, and
+// per leg what the leg answered and how far its retries went. The leg
+// callbacks are bound once, when the record is made.
+type scatter struct {
+	c       *Client
+	payload []byte
+	plan    *splitPlan
+	legs    [][]byte // one fragment per leg, kept until the read is done
+	start   sim.Time
+	done    func(result []byte, latency sim.Duration)
+
+	results   [][]byte
+	remaining int // legs of the current round still unanswered
+
+	// The fast stage (runRound): per leg the pin of the current
+	// round (0: an unpinned sample), the highest frontier seen and whether
+	// its last answer was clean.
+	pins    []consensus.Slot
+	fronts  []consensus.Slot
+	clean   []bool
+	anyFell bool
+	round   int
+
+	// The ordered stage (readOrdered): per leg whether it parked
+	// and how many StatusLocked retries its current read made.
+	parked     []bool
+	attempts   []int
+	revalidate bool
+
+	onFast    []func(consensus.Outcome)
+	onOrdered []func(consensus.Outcome)
+	onRetry   []func()
+}
+
+// bindLegs makes the record's per-leg callbacks for legs it has not had yet.
+func (sc *scatter) bindLegs(n int) {
+	for i := len(sc.onFast); i < n; i++ {
+		sc.onFast = append(sc.onFast, func(o consensus.Outcome) { sc.fastAnswer(i, o) })
+		sc.onOrdered = append(sc.onOrdered, func(o consensus.Outcome) { sc.orderedAnswer(i, o) })
+		sc.onRetry = append(sc.onRetry, func() { sc.sendOrdered(i) })
+	}
+}
+
 // scatterRead fans one fragment per touched group, merges the per-leg
 // responses deterministically back into the original key order, and
 // reports the latency of the slowest leg (the client-observed critical
@@ -464,18 +589,54 @@ const (
 // the plain ordered scatter — on which a leg delayed past the whole
 // transaction on one shard while a sibling leg ran before it can still see
 // a pre/post mix; the fast path closes that by pinning every leg to an MVCC
-// snapshot version, see scatterReadFast.
+// snapshot version, see the fast stage (runRound). The read owns plan from
+// here on, unless it fails to start.
 func (c *Client) scatterRead(payload []byte, plan *splitPlan, done func(result []byte, latency sim.Duration)) error {
-	legs, err := c.fragments(payload, plan)
+	sc := c.scatters.get()
+	if sc == nil {
+		sc = &scatter{c: c}
+	}
+	legs, err := c.fragments(sc.legs[:0], payload, plan)
+	sc.legs = legs
 	if err != nil {
+		c.releaseScatter(sc)
 		return err
 	}
+	n := len(legs)
+	sc.payload, sc.plan, sc.start, sc.done = payload, plan, c.cc.Proc().Now(), done
+	sc.results = resize(sc.results, n)
+	sc.bindLegs(n)
 	if c.fastReads {
-		c.scatterReadFast(payload, legs, plan, done)
+		sc.pins, sc.fronts, sc.clean = resize(sc.pins, n), resize(sc.fronts, n), resize(sc.clean, n)
+		sc.anyFell, sc.round = false, 0
+		sc.runRound()
 	} else {
-		c.scatterReadOrdered(payload, legs, plan, c.cc.Proc().Now(), false, done)
+		sc.readOrdered(false)
 	}
 	return nil
+}
+
+// releaseScatter keeps sc for the next scatter read, with its plan. Every
+// leg has answered and no retry timer is pending.
+func (c *Client) releaseScatter(sc *scatter) {
+	if sc.plan != nil {
+		c.plans.put(sc.plan)
+	}
+	clear(sc.legs)
+	clear(sc.results) // views of reply frames
+	sc.legs, sc.results = sc.legs[:0], sc.results[:0]
+	sc.payload, sc.plan, sc.done = nil, nil, nil
+	c.scatters.put(sc)
+}
+
+// finish merges the legs' answers, releases the read and hands the caller
+// the merged result.
+func (sc *scatter) finish() {
+	c := sc.c
+	res := c.frag.Merge(sc.payload, sc.results, sc.plan.legKeys)
+	done, lat := sc.done, c.cc.Proc().Now().Sub(sc.start)
+	c.releaseScatter(sc)
+	done(res, lat)
 }
 
 // snapRetryMax bounds the PINNED rounds of a fast scatter read after the
@@ -487,8 +648,9 @@ func (c *Client) scatterRead(payload []byte, plan *splitPlan, done func(result [
 // is always correct.
 const snapRetryMax = 2
 
-// scatterReadFast is the snapshot-consistent fast scatter-gather over the
-// applications' MVCC stores. It proceeds in client-barriered rounds:
+// The fast stage (runRound, fastAnswer, finishRound) is the
+// snapshot-consistent fast scatter-gather over the applications' MVCC
+// stores. It proceeds in client-barriered rounds:
 //
 //   - Round 0 samples every leg with an unpinned quorum read, which
 //     reveals each group's frontier — the highest state version any of
@@ -518,67 +680,56 @@ const snapRetryMax = 2
 // again. Any leg that falls back to the ordered path breaks the argument
 // — an ordered result executes at whatever slot consensus assigns, not at
 // a client-chosen pin — so a fallback abandons pinning and degrades the
-// whole read to scatterReadOrdered.
-func (c *Client) scatterReadFast(payload []byte, legs [][]byte, plan *splitPlan, done func(result []byte, latency sim.Duration)) {
-	start := c.cc.Proc().Now()
-	n := len(legs)
-	results := make([][]byte, n)
-	pins := make([]consensus.Slot, n) // 0 = unpinned sample this round
-	fronts := make([]consensus.Slot, n)
-	clean := make([]bool, n)
-	anyFell := false
-	round := 0
-	remaining := 0
-	var finishRound func()
-	send := func(i int) {
-		c.cc.CallAt(plan.shards[i], legs[i], consensus.Mode{Read: true, At: pins[i]}, func(o consensus.Outcome) {
-			results[i] = o.Result
-			if o.Frontier > fronts[i] {
-				fronts[i] = o.Frontier
-			}
-			anyFell = anyFell || o.FellBack
-			clean[i] = !o.FellBack && !o.Crossed && (pins[i] > 0 || (o.Slot == 0 && o.Frontier == 0))
-			remaining--
-			if remaining == 0 {
-				finishRound()
-			}
-		})
+// whole read to the ordered stage.
+
+// runRound reads every leg at its pin.
+func (sc *scatter) runRound() {
+	sc.remaining = len(sc.legs)
+	for i := range sc.legs {
+		sc.c.cc.CallAt(sc.plan.shards[i], sc.legs[i], consensus.Mode{Read: true, At: sc.pins[i]}, sc.onFast[i])
 	}
-	runRound := func() {
-		remaining = n
-		for i := range legs {
-			send(i)
-		}
-	}
-	finishRound = func() {
-		if anyFell {
-			c.scatterReadOrdered(payload, legs, plan, start, true, done)
-			return
-		}
-		allClean := true
-		for i := range legs {
-			allClean = allClean && clean[i]
-		}
-		if allClean {
-			done(c.frag.Merge(payload, results, plan.legKeys), c.cc.Proc().Now().Sub(start))
-			return
-		}
-		if round >= snapRetryMax {
-			c.scatterReadOrdered(payload, legs, plan, start, true, done)
-			return
-		}
-		round++
-		for i := range legs {
-			pins[i] = fronts[i] // still 0 for an idle group: fresh sample
-		}
-		runRound()
-	}
-	runRound()
 }
 
-// scatterReadOrdered is the ordered scatter: one ordered read per leg with
-// a bounded StatusLocked retry, merged when the last leg answers. It is
-// the whole read when FastReads is off, and the degraded stage of a fast
+// fastAnswer takes leg i's answer in a fast round.
+func (sc *scatter) fastAnswer(i int, o consensus.Outcome) {
+	sc.results[i] = o.Result
+	if o.Frontier > sc.fronts[i] {
+		sc.fronts[i] = o.Frontier
+	}
+	sc.anyFell = sc.anyFell || o.FellBack
+	sc.clean[i] = !o.FellBack && !o.Crossed && (sc.pins[i] > 0 || (o.Slot == 0 && o.Frontier == 0))
+	sc.remaining--
+	if sc.remaining == 0 {
+		sc.finishRound()
+	}
+}
+
+// finishRound accepts a clean cut, pins another round, or degrades.
+func (sc *scatter) finishRound() {
+	if sc.anyFell {
+		sc.readOrdered(true)
+		return
+	}
+	allClean := true
+	for _, ok := range sc.clean {
+		allClean = allClean && ok
+	}
+	if allClean {
+		sc.finish()
+		return
+	}
+	if sc.round >= snapRetryMax {
+		sc.readOrdered(true)
+		return
+	}
+	sc.round++
+	copy(sc.pins, sc.fronts) // still 0 for an idle group: fresh sample
+	sc.runRound()
+}
+
+// readOrdered is the ordered stage: one ordered read per leg with a
+// bounded StatusLocked retry, merged when the last leg answers. It is the
+// whole read when FastReads is off, and the degraded stage of a fast
 // scatter read, which enters it with revalidate set: then — only when some
 // leg actually parked behind an in-flight transaction, which the replicas
 // vouch for with the quorum-checked parked marker — the legs that did not
@@ -588,55 +739,60 @@ func (c *Client) scatterReadFast(payload []byte, legs [][]byte, plan *splitPlan,
 // transaction committed or locked-then-parked — never the pre-transaction
 // state its first read may have returned. A fallback that merely lost a
 // packet or timed out triggers no extra round.
-func (c *Client) scatterReadOrdered(payload []byte, legs [][]byte, plan *splitPlan, start sim.Time, revalidate bool, done func(result []byte, latency sim.Duration)) {
-	n := len(legs)
-	results := make([][]byte, n)
-	parked := make([]bool, n)
-	remaining := n
-	var finish func()
-	var send func(i, attempt int)
-	send = func(i, attempt int) {
-		c.cc.CallAt(plan.shards[i], legs[i], consensus.Mode{}, func(o consensus.Outcome) {
-			if len(o.Result) == 1 && o.Result[0] == app.StatusLocked && attempt < lockedRetryMax {
-				c.cc.Proc().After(lockedRetryDelay, func() { send(i, attempt+1) })
-				return
-			}
-			results[i] = o.Result
-			parked[i] = parked[i] || o.Crossed
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
-		})
+func (sc *scatter) readOrdered(revalidate bool) {
+	n := len(sc.legs)
+	sc.revalidate = revalidate
+	sc.parked, sc.attempts = resize(sc.parked, n), resize(sc.attempts, n)
+	clear(sc.results)
+	sc.remaining = n
+	for i := range sc.legs {
+		sc.sendOrdered(i)
 	}
-	finish = func() {
-		if revalidate {
-			revalidate = false
-			anyParked := false
-			for i := range legs {
-				anyParked = anyParked || parked[i]
-			}
-			if anyParked {
-				var redo []int
-				for i := range legs {
-					if !parked[i] {
-						redo = append(redo, i)
-					}
-				}
-				if len(redo) > 0 {
-					remaining = len(redo)
-					for _, i := range redo {
-						send(i, 0)
-					}
-					return
-				}
+}
+
+// sendOrdered reads leg i on the ordered path.
+func (sc *scatter) sendOrdered(i int) {
+	sc.c.cc.CallAt(sc.plan.shards[i], sc.legs[i], consensus.Mode{}, sc.onOrdered[i])
+}
+
+// orderedAnswer takes leg i's ordered answer, or retries a StatusLocked one.
+func (sc *scatter) orderedAnswer(i int, o consensus.Outcome) {
+	if len(o.Result) == 1 && o.Result[0] == app.StatusLocked && sc.attempts[i] < lockedRetryMax {
+		sc.attempts[i]++
+		sc.c.cc.Proc().After(lockedRetryDelay, sc.onRetry[i])
+		return
+	}
+	sc.results[i] = o.Result
+	sc.parked[i] = sc.parked[i] || o.Crossed
+	sc.remaining--
+	if sc.remaining == 0 {
+		sc.finishOrdered()
+	}
+}
+
+// finishOrdered revalidates once if it must, then merges.
+func (sc *scatter) finishOrdered() {
+	if sc.revalidate {
+		sc.revalidate = false
+		anyParked, redo := false, 0
+		for _, p := range sc.parked {
+			anyParked = anyParked || p
+			if !p {
+				redo++
 			}
 		}
-		done(c.frag.Merge(payload, results, plan.legKeys), c.cc.Proc().Now().Sub(start))
+		if anyParked && redo > 0 {
+			sc.remaining = redo
+			for i, p := range sc.parked {
+				if !p {
+					sc.attempts[i] = 0
+					sc.sendOrdered(i)
+				}
+			}
+			return
+		}
 	}
-	for i := range legs {
-		send(i, 0)
-	}
+	sc.finish()
 }
 
 // Pending reports how many requests await confirmation (bounded-memory

@@ -54,9 +54,14 @@ const (
 	txDone                      // outcome delivered to the caller
 )
 
+// txState is one transaction this client drives. It owns its plan (the
+// participant shards are plan.shards) and goes back to the client's free
+// list when its outcome is delivered: by then every prepare is answered or
+// cancelled, the prepare timer has fired or been cancelled, and the
+// fan-out that delivered the outcome no longer reads it.
 type txState struct {
 	txid    uint64
-	shards  []int
+	plan    *splitPlan
 	started sim.Time
 	done    func(result []byte, latency sim.Duration)
 
@@ -64,32 +69,49 @@ type txState struct {
 	votes   int
 	pending []uint64 // per-leg consensus request numbers (0 = answered)
 	timer   sim.Timer
+	// acks are the commit acknowledgements in shard order; frags and
+	// receipts are scratch of beginTx and finishCommit.
+	acks     [][]byte
+	frags    [][]byte
+	receipts [][]byte
+
+	// Bound once, when the record is made: the prepare timer's callback and
+	// each leg's vote callback.
+	onTimeout func()
+	onVote    []func(result []byte, latency sim.Duration)
 }
 
 // beginTx splits the write across its participant groups (one fragment per
 // touched shard) and starts the prepare phase. The txid is globally unique
 // and deterministic: the client's host ID in the high bits, a per-client
-// sequence in the low.
+// sequence in the low. The transaction owns plan from here on, unless it
+// fails to start.
 func (c *Client) beginTx(payload []byte, plan *splitPlan, done func(result []byte, latency sim.Duration)) error {
-	frags, err := c.fragments(payload, plan)
+	tx := c.txs.get()
+	if tx == nil {
+		tx = new(txState)
+		tx.onTimeout = func() { c.abortTx(tx) }
+	}
+	frags, err := c.fragments(tx.frags[:0], payload, plan)
+	tx.frags = frags
 	if err != nil {
+		clear(tx.frags)
+		c.txs.put(tx)
 		return err
 	}
+	n := len(plan.shards)
 	c.txSeq++
-	tx := &txState{
-		txid:    uint64(c.id)<<32 | uint64(c.txSeq),
-		shards:  plan.shards,
-		started: c.cc.Proc().Now(),
-		done:    done,
-		pending: make([]uint64, len(plan.shards)),
+	tx.txid, tx.plan, tx.started, tx.done = uint64(c.id)<<32|uint64(c.txSeq), plan, c.cc.Proc().Now(), done
+	tx.phase, tx.votes, tx.pending = txVoting, 0, resize(tx.pending, n)
+	for i := len(tx.onVote); i < n; i++ {
+		tx.onVote = append(tx.onVote, func(res []byte, _ sim.Duration) { c.onVote(tx, i, res) })
 	}
 	coord := uint64(plan.shards[0])
-	for i := range plan.shards {
-		i := i
-		tx.pending[i] = c.cc.Call(plan.shards[i], app.EncodeTxnPrepare(tx.txid, coord, frags[i]), consensus.Mode{},
-			func(res []byte, _ sim.Duration) { c.onVote(tx, i, res) })
+	for i, s := range plan.shards {
+		tx.pending[i] = c.cc.Call(s, app.EncodeTxnPrepare(tx.txid, coord, frags[i]), consensus.Mode{}, tx.onVote[i])
 	}
-	tx.timer = c.cc.Proc().After(PrepareTimeout, func() { c.abortTx(tx) })
+	clear(tx.frags) // each prepare carries its own copy
+	tx.timer = c.cc.Proc().After(PrepareTimeout, tx.onTimeout)
 	return nil
 }
 
@@ -104,7 +126,7 @@ func (c *Client) onVote(tx *txState, leg int, res []byte) {
 		return
 	}
 	tx.votes++
-	if tx.votes == len(tx.shards) {
+	if tx.votes == len(tx.plan.shards) {
 		c.decideTx(tx)
 	}
 }
@@ -121,11 +143,11 @@ func (c *Client) onVote(tx *txState, leg int, res []byte) {
 func (c *Client) decideTx(tx *txState) {
 	tx.phase = txCommitting
 	tx.timer.Cancel()
-	c.sendDecide(tx)
+	c.retryFanout(stepDecide, tx, stagedKey{}, tx.plan.shards[:1], app.EncodeTxnDecide(tx.txid, true))
 }
 
-// sendDecide drives the decision record at the coordinator group (the
-// minimum touched shard). An acknowledged decide either committed the
+// decided takes the outcome of the decision record at the coordinator group
+// (the minimum touched shard). An acknowledged decide either committed the
 // coordinator's fragment (StatusOK, plus its receipt) and the commit fans
 // out to the others, or lost the first-write race to a query-or-abort
 // tombstone (StatusConflict) — a recovery sweep already resolved this txid
@@ -133,17 +155,16 @@ func (c *Client) decideTx(tx *txState) {
 // is what every participant will observe. A decide unacknowledged through
 // every round may still have been logged, and with it the coordinator's
 // fragment installed, so the driver asks instead of aborting.
-func (c *Client) sendDecide(tx *txState) {
-	c.retryFanout(tx.shards[:1], app.EncodeTxnDecide(tx.txid, true), func(allAcked bool, resps [][]byte) {
-		switch {
-		case !allAcked:
-			c.queryDecision(tx)
-		case len(resps[0]) > 0 && resps[0][0] == app.StatusOK:
-			c.sendCommits(tx, tx.shards[1:], resps[:1])
-		default:
-			c.abortTx(tx)
-		}
-	})
+func (c *Client) decided(tx *txState, acked bool, res []byte) {
+	switch {
+	case !acked:
+		c.queryDecision(tx)
+	case len(res) > 0 && res[0] == app.StatusOK:
+		tx.acks = append(tx.acks[:0], res)
+		c.retryFanout(stepCommit, tx, stagedKey{}, tx.plan.shards[1:], app.EncodeTxnCommit(tx.txid))
+	default:
+		c.abortTx(tx)
+	}
 }
 
 // queryDecision resolves a transaction whose decide went unanswered with
@@ -155,109 +176,70 @@ func (c *Client) sendDecide(tx *txState) {
 // one query ladder after another runs: the transaction is in doubt, and
 // only that group can settle it.
 func (c *Client) queryDecision(tx *txState) {
-	c.retryFanout(tx.shards[:1], app.EncodeTxnQueryDecision(tx.txid), func(_ bool, resps [][]byte) {
-		commit, ok := app.DecodeTxnQueryDecision(resps[0])
-		switch {
-		case !ok:
-			c.queryDecision(tx)
-		case commit:
-			c.sendCommits(tx, tx.shards, nil)
-		default:
-			c.abortTx(tx)
-		}
-	})
+	c.retryFanout(stepQuery, tx, stagedKey{}, tx.plan.shards[:1], app.EncodeTxnQueryDecision(tx.txid))
 }
 
-// sendCommits fans the commit out to groups; done fires when all
-// acknowledged, or after the retry rounds run out (decided = committed, so
-// the outcome is StatusOK regardless — but see finishCommit for the caveat
-// about a participant unreachable past the whole backoff window). have
-// holds the acknowledgements already in hand for the shards before groups.
-func (c *Client) sendCommits(tx *txState, groups []int, have [][]byte) {
-	c.retryFanout(groups, app.EncodeTxnCommit(tx.txid), func(_ bool, resps [][]byte) {
-		c.finishCommit(tx, append(have, resps...))
-	})
+// queried takes the coordinator group's answer to queryDecision.
+func (c *Client) queried(tx *txState, res []byte) {
+	commit, ok := app.DecodeTxnQueryDecision(res)
+	switch {
+	case !ok:
+		c.queryDecision(tx)
+	case commit:
+		tx.acks = tx.acks[:0]
+		c.retryFanout(stepCommit, tx, stagedKey{}, tx.plan.shards, app.EncodeTxnCommit(tx.txid))
+	default:
+		c.abortTx(tx)
+	}
 }
 
-// finishCommit delivers the committed outcome once. When every participant
-// acknowledged with a commit receipt (the application's Commit returned
-// per-fragment results — the order book reports each leg's fills), the
-// response is the receipts envelope in ascending shard order; receipt-less
-// applications keep the historical one-byte StatusOK. A participant that
-// stayed unreachable through every commit round keeps its locks until it
-// is told again — the client retains no transaction state, so that
-// redelivery is a sweep's (recovery.go): any client replays the
+// finishCommit delivers the committed outcome once the commit fan-out
+// ended: every participant acknowledged, or the retry rounds ran out
+// (decided = committed, so the outcome is StatusOK regardless). When every
+// participant acknowledged with a commit receipt (the application's Commit
+// returned per-fragment results — the order book reports each leg's
+// fills), the response is the receipts envelope in ascending shard order;
+// receipt-less applications keep the historical one-byte StatusOK. A
+// participant that stayed unreachable through every commit round keeps its
+// locks until it is told again — the client retains no transaction state,
+// so that redelivery is a sweep's (recovery.go): any client replays the
 // coordinator's decision log at the stranded group.
 func (c *Client) finishCommit(tx *txState, resps [][]byte) {
-	if tx.phase == txDone {
-		return
-	}
-	tx.phase = txDone
-	result := []byte{app.StatusOK}
-	receipts := make([][]byte, len(resps))
-	haveAll := len(resps) > 0
-	for i, res := range resps {
+	tx.acks = append(tx.acks, resps...)
+	receipts := tx.receipts[:0]
+	haveAll := len(tx.acks) > 0
+	for _, res := range tx.acks {
 		if len(res) < 2 || res[0] != app.StatusOK {
 			haveAll = false // unacked leg or receipt-less app
 			break
 		}
-		receipts[i] = res[1:]
+		receipts = append(receipts, res[1:])
 	}
+	tx.receipts = receipts
 	if haveAll {
-		result = app.EncodeTxnReceipts(receipts)
+		c.endTx(tx, app.EncodeTxnReceipts(receipts))
+		return
 	}
-	tx.done(result, c.cc.Proc().Now().Sub(tx.started))
+	c.endTx(tx, c.status(app.StatusOK))
 }
 
-// retryFanout sends payload to every group once per round, retrying the
-// unacknowledged ones with exponentially backed-off rounds (retryAttempts
-// rounds starting at PrepareTimeout). Each round's outstanding completion
-// handles are cancelled before the next, so no pending state outlives the
-// retries. done fires exactly once — immediately when the last group
-// acknowledges, or at the end of the final round with allAcked=false — and
-// receives each group's acknowledgement body (nil for a group that never
-// acknowledged), which is how commit receipts travel back to the driver.
-func (c *Client) retryFanout(groups []int, payload []byte, done func(allAcked bool, resps [][]byte)) {
-	acked := make([]bool, len(groups))
-	resps := make([][]byte, len(groups))
-	var round func(attemptsLeft int, delay sim.Duration)
-	round = func(attemptsLeft int, delay sim.Duration) {
-		nums := make([]uint64, len(groups))
-		for i, g := range groups {
-			if acked[i] {
-				continue
-			}
-			i := i
-			nums[i] = c.cc.Call(g, payload, consensus.Mode{}, func(res []byte, _ sim.Duration) {
-				acked[i] = true
-				resps[i] = res
-				for _, ok := range acked {
-					if !ok {
-						return
-					}
-				}
-				done(true, resps)
-			})
-		}
-		c.cc.Proc().After(delay, func() {
-			unacked := false
-			for i, num := range nums {
-				if num != 0 && !acked[i] {
-					c.cc.Cancel(num)
-					unacked = true
-				}
-			}
-			if !unacked {
-				return // done(true) already fired (or will, from an ack in flight)
-			}
-			if attemptsLeft > 1 {
-				round(attemptsLeft-1, 2*delay)
-				return
-			}
-			done(false, resps)
-		})
-	}
-	round(retryAttempts, PrepareTimeout)
+// status returns a one-byte outcome carved from the client's blocks.
+func (c *Client) status(b byte) []byte {
+	res := c.slab.Take(1)
+	res[0] = b
+	return res
+}
+
+// endTx releases the transaction and hands its caller the outcome.
+func (c *Client) endTx(tx *txState, result []byte) {
+	tx.phase = txDone
+	done, lat := tx.done, c.cc.Proc().Now().Sub(tx.started)
+	c.plans.put(tx.plan)
+	clear(tx.acks) // views of reply frames
+	clear(tx.receipts)
+	tx.acks, tx.receipts, tx.plan, tx.done, tx.timer = tx.acks[:0], tx.receipts[:0], nil, nil, sim.Timer{}
+	c.txs.put(tx)
+	done(result, lat)
 }
 
 // PrepareTimeout bounds the prepare phase of a cross-shard write: if any
@@ -285,16 +267,146 @@ const retryAttempts = 6
 // of rounds, each round's completion handles cancelled before the next so
 // no pending state outlives the retries.
 func (c *Client) abortTx(tx *txState) {
-	if tx.phase == txDone {
-		return
-	}
-	tx.phase = txDone
 	tx.timer.Cancel()
 	for _, num := range tx.pending {
 		if num != 0 {
 			c.cc.Cancel(num)
 		}
 	}
-	c.retryFanout(tx.shards, app.EncodeTxnAbort(tx.txid), func(bool, [][]byte) {})
-	tx.done([]byte{app.StatusAborted}, c.cc.Proc().Now().Sub(tx.started))
+	c.retryFanout(stepAbort, nil, stagedKey{}, tx.plan.shards, app.EncodeTxnAbort(tx.txid))
+	c.endTx(tx, c.status(app.StatusAborted))
+}
+
+// fanStep is what a fan-out's outcome drives.
+type fanStep uint8
+
+const (
+	stepAbort       fanStep = iota // a transaction's aborts: nothing waits on them
+	stepDecide                     // a transaction's decide: decided
+	stepQuery                      // a transaction's query-or-abort: queried
+	stepCommit                     // a transaction's commits: finishCommit
+	stepSweepQuery                 // a sweep's query-or-abort: sweepQueried
+	stepSweepCommit                // a sweep's commit at the stranded group: sweepResolved
+	stepSweepAbort                 // a sweep's abort at the stranded group: sweepResolved
+)
+
+// fanout is one retransmitted fan-out (retryFanout). Its record goes back
+// to the client's free list when its last round timer fires, never before:
+// the timer is never cancelled, and by then every Call of every round is
+// answered or cancelled. The outcome is delivered once, before that.
+type fanout struct {
+	c       *Client
+	step    fanStep
+	tx      *txState  // the transaction a stepDecide, stepQuery or stepCommit drives
+	key     stagedKey // the stranded transaction a sweep step resolves
+	groups  []int
+	payload []byte
+	acked   []bool
+	resps   [][]byte
+	nums    []uint64 // the current round's request numbers (0 = acknowledged before it)
+	left    int      // rounds left, this one included
+	delay   sim.Duration
+
+	// Bound once, when the record is made: the round timer's callback and
+	// each leg's acknowledgement callback.
+	onRound func()
+	onAck   []func(result []byte, latency sim.Duration)
+}
+
+// retryFanout sends payload to every group once per round, retrying the
+// unacknowledged ones with exponentially backed-off rounds (retryAttempts
+// rounds starting at PrepareTimeout). Each round's outstanding completion
+// handles are cancelled before the next, so no pending state outlives the
+// retries. The outcome is delivered exactly once — immediately when the
+// last group acknowledges, or at the end of the final round unacknowledged
+// — with each group's acknowledgement body (nil for a group that never
+// acknowledged), which is how commit receipts travel back to the driver.
+// step says where it goes (fanout.settle).
+func (c *Client) retryFanout(step fanStep, tx *txState, k stagedKey, groups []int, payload []byte) {
+	f := c.fanouts.get()
+	if f == nil {
+		f = &fanout{c: c}
+		f.onRound = f.roundEnd
+	}
+	n := len(groups)
+	f.step, f.tx, f.key, f.payload = step, tx, k, payload
+	f.groups = append(f.groups[:0], groups...)
+	f.acked, f.resps, f.nums = resize(f.acked, n), resize(f.resps, n), resize(f.nums, n)
+	f.left, f.delay = retryAttempts, PrepareTimeout
+	for i := len(f.onAck); i < n; i++ {
+		f.onAck = append(f.onAck, func(res []byte, _ sim.Duration) { f.ack(i, res) })
+	}
+	f.round()
+}
+
+// round sends to every unacknowledged group and arms the round timer.
+func (f *fanout) round() {
+	for i, g := range f.groups {
+		f.nums[i] = 0
+		if !f.acked[i] {
+			f.nums[i] = f.c.cc.Call(g, f.payload, consensus.Mode{}, f.onAck[i])
+		}
+	}
+	f.c.cc.Proc().After(f.delay, f.onRound)
+}
+
+// ack takes group i's acknowledgement; the last one delivers the outcome.
+func (f *fanout) ack(i int, res []byte) {
+	f.acked[i] = true
+	f.resps[i] = res
+	for _, ok := range f.acked {
+		if !ok {
+			return
+		}
+	}
+	f.settle(true)
+}
+
+// roundEnd cancels the round's unanswered calls, then runs the next round
+// or, after the last, delivers the unacknowledged outcome. Once the outcome
+// is delivered the record goes back to the free list: this timer was the
+// last thing that could call into it.
+func (f *fanout) roundEnd() {
+	unacked := false
+	for i, num := range f.nums {
+		if num != 0 && !f.acked[i] {
+			f.c.cc.Cancel(num)
+			unacked = true
+		}
+	}
+	switch {
+	case !unacked: // every group acknowledged: ack delivered the outcome
+	case f.left > 1:
+		f.left--
+		f.delay *= 2
+		f.round()
+		return
+	default:
+		f.settle(false)
+	}
+	f.c.releaseFanout(f)
+}
+
+// releaseFanout keeps f for the next fan-out.
+func (c *Client) releaseFanout(f *fanout) {
+	clear(f.resps) // views of reply frames
+	f.tx, f.payload = nil, nil
+	c.fanouts.put(f)
+}
+
+// settle delivers the fan-out's outcome to its step, once.
+func (f *fanout) settle(allAcked bool) {
+	c := f.c
+	switch f.step {
+	case stepDecide:
+		c.decided(f.tx, allAcked, f.resps[0])
+	case stepQuery:
+		c.queried(f.tx, f.resps[0])
+	case stepCommit:
+		c.finishCommit(f.tx, f.resps)
+	case stepSweepQuery:
+		c.sweepQueried(f.key, f.resps[0])
+	case stepSweepCommit, stepSweepAbort:
+		c.sweepResolved(f.key, f.step == stepSweepCommit, allAcked)
+	}
 }
