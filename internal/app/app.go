@@ -110,7 +110,8 @@ type TxnParticipant interface {
 	// Prepare locks the fragment's keys and stages it under txid, stamped
 	// with its coordinator group (the group whose decision log owns the
 	// outcome), voting StatusOK, or votes StatusConflict/StatusBadReq
-	// staging nothing.
+	// staging nothing. fragment is the caller's: Prepare copies what it
+	// stages.
 	Prepare(txid, coord uint64, fragment []byte) uint8
 	// Commit installs txid's staged fragment and releases its locks. The
 	// optional receipt (nil for most stores) carries per-fragment results

@@ -30,7 +30,7 @@ func subsetKeys(buf *[][]byte, rd *wire.Reader, keyIdx []int) ([][]byte, error) 
 // bounds-checked. As in subsetKeys the pairs share *buf, and every key and
 // value is a view of the request.
 func subsetPairs(buf *[]Pair, rd *wire.Reader, keyIdx []int) ([]Pair, error) {
-	pairs, ok := decodePairs((*buf)[:0], rd, false)
+	pairs, ok := decodePairs((*buf)[:0], rd)
 	if !ok || rd.Done() != nil {
 		return nil, ErrNoKey
 	}

@@ -106,10 +106,12 @@ type keyed struct {
 	// appended into, the caller's until the next call (StateMachine.Apply);
 	// keys holds a multi-key read's or write's keys (multiRead, Apply,
 	// Fragment, writeFragmentKeys) and pairs a multi-key write's pairs
-	// (Apply, Fragment, installFragment) until the next one.
+	// (Apply, Fragment, installFragment) until the next one; value holds
+	// the value an INCR or APPEND builds until the store has copied it.
 	answer []byte
 	keys   [][]byte
 	pairs  []Pair
+	value  []byte
 	*LockTable
 }
 
@@ -153,11 +155,8 @@ func (s *keyed) apply(dst, req []byte) []byte {
 	case opSet, opDel, opIncr, opAppend:
 		key := rd.BytesView()
 		var val []byte
-		switch op {
-		case opSet:
-			val = rd.Bytes() // the store keeps it
-		case opAppend:
-			val = rd.BytesView() // copied into the grown value
+		if op == opSet || op == opAppend {
+			val = rd.BytesView() // the store copies what it keeps
 		}
 		if rd.Done() != nil {
 			return append(dst, StatusBadReq)
@@ -167,7 +166,7 @@ func (s *keyed) apply(dst, req []byte) []byte {
 		}
 		return s.write(dst, op, key, val)
 	case opMSet:
-		pairs, ok := decodePairs(s.pairs[:0], rd, true)
+		pairs, ok := decodePairs(s.pairs[:0], rd)
 		s.pairs = pairs
 		if !ok || rd.Done() != nil {
 			return append(dst, StatusBadReq)
@@ -218,19 +217,19 @@ func (s *keyed) write(dst []byte, op keyedOp, k, val []byte) []byte {
 			cur = n
 		}
 		cur++
-		s.set(k, strconv.AppendInt(nil, cur, 10), false)
+		s.value = strconv.AppendInt(s.value[:0], cur, 10)
+		s.set(k, s.value, false)
 		w := wire.WriterOn(dst)
 		w.U8(StatusOK)
 		w.I64(cur)
 		return w.Finish()
 	default: // opAppend
 		old, _ := s.vs.Get(k)
-		grown := make([]byte, 0, len(old)+len(val))
-		grown = append(append(grown, old...), val...)
-		s.set(k, grown, false)
+		s.value = append(append(s.value[:0], old...), val...)
+		s.set(k, s.value, false)
 		w := wire.WriterOn(dst)
 		w.U8(StatusOK)
-		w.Uvarint(uint64(len(grown)))
+		w.Uvarint(uint64(len(s.value)))
 		return w.Finish()
 	}
 }
@@ -244,8 +243,8 @@ func (s *keyed) set(k, val []byte, txn bool) {
 	if !fresh {
 		return
 	}
-	// The order shares the store's string for a new key, so it costs one.
-	if victim, ok := s.evict.admit(s.vs.chains[string(k)].key); ok {
+	// The order shares the store's string for a new key: it costs nothing.
+	if victim, ok := s.evict.admit(s.vs.key(k)); ok {
 		s.vs.Delete([]byte(victim))
 	}
 }
@@ -454,7 +453,7 @@ func (s *keyed) writeFragmentKeys(frag []byte) ([][]byte, error) {
 func (s *keyed) installFragment(frag []byte) []byte {
 	rd := wire.NewReader(frag)
 	rd.U8()
-	pairs, ok := decodePairs(s.pairs[:0], rd, true)
+	pairs, ok := decodePairs(s.pairs[:0], rd)
 	s.pairs = pairs
 	if ok && rd.Done() == nil {
 		for _, p := range pairs {
@@ -491,7 +490,8 @@ func (s *keyed) Snapshot() []byte {
 	return w.Finish()
 }
 
-// Restore replaces the store from a snapshot.
+// Restore replaces the store from a snapshot. The eviction order shares
+// the restored chains' key strings, as it shares written ones.
 func (s *keyed) Restore(snap []byte) {
 	rd := wire.NewReader(snap)
 	s.vs.RestoreFrom(rd)
@@ -499,7 +499,7 @@ func (s *keyed) Restore(snap []byte) {
 		n := int(rd.Uvarint())
 		s.evict.order = make([]string, 0, n)
 		for i := 0; i < n; i++ {
-			s.evict.order = append(s.evict.order, rd.String())
+			s.evict.order = append(s.evict.order, s.vs.key(rd.BytesView()))
 		}
 	}
 	s.RestoreFrom(rd)
@@ -550,22 +550,17 @@ func encodePairsOp(op uint8, pairs []Pair) []byte {
 	return w.Finish()
 }
 
-// decodePairs appends a pair list to dst: each key a view of the request,
-// each value a copy a store may keep if keep is set, else a view too. ok is
-// false when the declared count exceeds the fan-in bound (decode errors
-// surface via the reader).
-func decodePairs(dst []Pair, rd *wire.Reader, keep bool) (pairs []Pair, ok bool) {
+// decodePairs appends a pair list to dst, each key and value a view of the
+// request: the store copies what it keeps. ok is false when the declared
+// count exceeds the fan-in bound (decode errors surface via the reader).
+func decodePairs(dst []Pair, rd *wire.Reader) (pairs []Pair, ok bool) {
 	n, ok := readCount(rd, multiKeyMax)
 	if !ok {
 		return dst, false
 	}
 	pairs = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
-		if keep {
-			pairs = append(pairs, Pair{Key: rd.BytesView(), Val: rd.Bytes()})
-		} else {
-			pairs = append(pairs, Pair{Key: rd.BytesView(), Val: rd.BytesView()})
-		}
+		pairs = append(pairs, Pair{Key: rd.BytesView(), Val: rd.BytesView()})
 	}
 	return pairs, true
 }

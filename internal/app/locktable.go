@@ -20,7 +20,8 @@ import (
 //	          return a commit receipt (e.g. the fills of an order-book
 //	          transfer leg) that travels back in the commit response; the
 //	          LockTable keeps it, so it is a fresh slice, not the
-//	          application's answer buffer
+//	          application's answer buffer; it keeps no view of the
+//	          fragment, whose buffer the next Prepare may reuse
 //	exec    — executes a parked request once its keys are free
 //	          (typically the application's own Apply; its answer is
 //	          copied at once, as the next exec may overwrite it)
@@ -29,13 +30,15 @@ import (
 // SnapshotTo/RestoreFrom, so a replica restored via state transfer agrees
 // on in-flight transactions and parked requests, not just committed data.
 //
-// What the LockTable keeps it owns: a staged fragment is the copy Prepare's
-// caller hands over (ApplyTxn decodes it out of the request), a parked
-// request is copied, a lock's key is a string, and a commit receipt or a
-// released result is the LockTable's own slice. A staged transaction's record and
-// its key list are recycled: Commit and Abort put them on a free list that
-// Prepare takes from, so the list never holds more records than were staged
-// at once.
+// What the LockTable keeps it owns: Prepare's caller hands over a view
+// (ApplyTxn decodes the fragment out of the request) and a staged fragment
+// is Prepare's copy of it, a parked request is copied, a lock's key is a
+// string, and a commit receipt or a released result is the LockTable's own
+// slice. A staged transaction's record, its key list and its fragment buffer
+// are recycled: Commit and Abort put them on a free list that Prepare takes
+// from, so the list never holds more records than were staged at once. A
+// recycled fragment buffer is written again, which is sound because install
+// copies whatever it keeps of a fragment.
 type LockTable struct {
 	keysOf  func(fragment []byte) ([][]byte, error)
 	install func(fragment []byte) []byte
@@ -159,7 +162,7 @@ func (lt *LockTable) Prepare(txid, coord uint64, fragment []byte) uint8 {
 	} else {
 		tx = new(stagedTxn)
 	}
-	tx.frag, tx.coord = fragment, coord
+	tx.frag, tx.coord = append(tx.frag[:0], fragment...), coord
 	for _, k := range keys {
 		ks := string(k)
 		lt.locks[ks] = txid
@@ -231,10 +234,12 @@ func (lt *LockTable) Abort(txid uint64) uint8 {
 	return StatusOK
 }
 
-// release keeps a resolved transaction's record for the next Prepare.
+// release keeps a resolved transaction's record, its key list and its
+// fragment buffer for the next Prepare. Writing that buffer again is sound
+// because install copies what it keeps of a fragment.
 func (lt *LockTable) release(tx *stagedTxn) {
 	clear(tx.keys)
-	*tx = stagedTxn{keys: tx.keys[:0]}
+	*tx = stagedTxn{keys: tx.keys[:0], frag: tx.frag[:0]}
 	lt.free = append(lt.free, tx)
 }
 

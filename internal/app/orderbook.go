@@ -32,11 +32,12 @@ type OrderBook struct {
 	tops  *VersionedStore // symbol -> topsEntry blob, one version per mutation
 	// answer is the buffer every Apply, ApplyRead and ApplyReadAt answer is
 	// appended into, the caller's until the next call (StateMachine.Apply);
-	// keys holds an OpTops read's symbols (multiRead, Fragment) and fills an
-	// order's fills until the next one.
+	// keys holds an OpTops read's symbols (multiRead, Fragment), fills an
+	// order's fills and top a symbol's topsEntry until the next one.
 	answer []byte
 	keys   [][]byte
 	fills  []Fill
+	top    []byte
 	*LockTable
 }
 
@@ -296,10 +297,12 @@ var emptyTops = func() []byte {
 	return w.Finish()
 }()
 
-// topsEntry encodes one symbol's best bid/ask blob: Bool(hasBid) +
-// price/qty, Bool(hasAsk) + price/qty.
+// topsEntry encodes one symbol's best bid/ask blob, Bool(hasBid) +
+// price/qty, Bool(hasAsk) + price/qty, into ob.top: the caller's until the
+// next call (the store copies what it keeps).
 func (ob *OrderBook) topsEntry(sym []byte) []byte {
-	w := wire.NewWriter(40)
+	w := wire.WriterOn(ob.top[:0])
+	w.Grow(2 + 4*8)
 	b := ob.books[string(sym)]
 	for _, side := range [][]restingOrder{bidsOf(b), asksOf(b)} {
 		if len(side) > 0 {
@@ -310,7 +313,8 @@ func (ob *OrderBook) topsEntry(sym []byte) []byte {
 			w.Bool(false)
 		}
 	}
-	return w.Finish()
+	ob.top = w.Finish()
+	return ob.top
 }
 
 func bidsOf(b *book) []restingOrder {

@@ -1,0 +1,229 @@
+package app
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"repro/internal/wire"
+)
+
+// key16 and val32 are the paper's Memcached and Redis item shape (§7.1): a
+// 16-byte key and a 32-byte value, both distinct per i.
+func key16(i int) []byte { return []byte(fmt.Sprintf("key-%012d", i)) }
+func val32(i int) []byte { return []byte(fmt.Sprintf("value-%026d", i)) }
+
+// TestNewKeyCostsOneAllocation: a warm store pays one allocation for a SET
+// of a new 16 B key with a 32 B value, the chain that holds both (the map's
+// growth and the eviction order's, amortized, stay under a tenth), and one
+// for an overwrite, the value's copy.
+func TestNewKeyCostsOneAllocation(t *testing.T) {
+	if size := unsafe.Sizeof(chain{}); size != 128 {
+		t.Fatalf("a chain record is %d bytes, want the 128-byte size class", size)
+	}
+	const warm, runs = 4096, 2000
+	for _, tc := range []struct {
+		name string
+		sm   StateMachine
+		set  func(k, v []byte) []byte
+	}{
+		{"kv", NewKV(0), EncodeKVSet},
+		{"rkv", NewRKV(), EncodeRSet},
+	} {
+		reqs := make([][]byte, 0, warm+runs+1)
+		for i := 0; i < cap(reqs); i++ {
+			reqs = append(reqs, tc.set(key16(i), val32(i)))
+		}
+		for _, req := range reqs[:warm] {
+			tc.sm.Apply(req)
+		}
+		next := warm
+		perSet := testing.AllocsPerRun(runs, func() {
+			tc.sm.Apply(reqs[next])
+			next++
+		})
+		if perSet > 1.1 {
+			t.Errorf("%s: a SET of a new key allocates %.2f times, want <= 1.1 (its chain)", tc.name, perSet)
+		}
+		next = 0
+		perOverwrite := testing.AllocsPerRun(runs, func() {
+			tc.sm.Apply(reqs[next])
+			next++
+		})
+		if perOverwrite > 1 {
+			t.Errorf("%s: an overwrite allocates %.2f times, want <= 1 (the value's copy)", tc.name, perOverwrite)
+		}
+		t.Logf("%s: %.3f allocations per new key, %.3f per overwrite", tc.name, perSet, perOverwrite)
+	}
+}
+
+// TestStoreKeepsItsOwnCopies: the store copies every key and value it keeps,
+// so scribbling over what a caller handed it, a request after Apply, a 2PC
+// fragment after Prepare and Commit or a snapshot after RestoreFrom, changes
+// no answer of Get, GetAt or SnapshotTo, across a garbage collection. Every
+// value it returns is capped (cap == len), and a key and value too long for
+// a chain's room take one exact-size block and read back.
+func TestStoreKeepsItsOwnCopies(t *testing.T) {
+	long := bytes.Repeat([]byte("L"), 2*chainRoom)
+	pairs := func(gen string) []Pair {
+		return []Pair{{Key: []byte("t1"), Val: []byte("txn-" + gen)}, {Key: []byte("t2"), Val: []byte("txn2-" + gen)}}
+	}
+	// Slot 1 sets, slot 2 overwrites, slots 3-6 stage and commit two
+	// transactions, the second staged in the first's recycled record.
+	slots := [][]byte{
+		EncodeRSet([]byte("a"), []byte("first")),
+		EncodeRSet(long, long),
+		EncodeRMSet(Pair{Key: []byte("b"), Val: []byte("bee")}, Pair{Key: []byte("a"), Val: []byte("second")}),
+		EncodeTxnPrepare(1, 0, EncodeRMSet(pairs("one")...)),
+		EncodeTxnCommit(1),
+		EncodeTxnPrepare(2, 0, EncodeRMSet(Pair{Key: []byte("t1"), Val: []byte("txn-two-longer")})),
+		EncodeTxnCommit(2),
+	}
+	twin := NewRKV()
+	for i, req := range slots {
+		twin.BeginSlot(uint64(i + 1))
+		twin.Apply(bytes.Clone(req))
+	}
+
+	s := NewRKV()
+	for i, req := range slots {
+		s.BeginSlot(uint64(i + 1))
+		s.Apply(req)
+		scribble(req)
+	}
+	runtime.GC()
+	sameStore(t, "after Apply", s.vs, twin.vs, len(slots))
+	// The twin reuses a staged record as s does, so the newest values are
+	// also checked by name.
+	for k, want := range map[string]string{"a": "second", "b": "bee", "t1": "txn-two-longer", "t2": "txn2-one"} {
+		if v, ok := s.vs.Get([]byte(k)); !ok || string(v) != want {
+			t.Fatalf("after Apply: Get(%q) = %q, %v, want %q", k, v, ok, want)
+		}
+	}
+
+	snap := s.Snapshot()
+	restored := NewRKV()
+	restored.Restore(snap)
+	scribble(snap)
+	runtime.GC()
+	sameStore(t, "after RestoreFrom", restored.vs, twin.vs, len(slots))
+
+	for _, vs := range []*VersionedStore{s.vs, restored.vs} {
+		c := vs.chains[string(long)]
+		v, ok := vs.Get(long)
+		if !ok || !bytes.Equal(v, long) || c.key != string(long) {
+			t.Fatalf("a %d-byte key and value read back as %q, %v", 2*len(long), v, ok)
+		}
+		room := uintptr(unsafe.Pointer(&c.room))
+		if p := uintptr(unsafe.Pointer(unsafe.SliceData(v))); p >= room && p < room+chainRoom {
+			t.Fatal("a key and value over a chain's room were copied into it")
+		}
+	}
+}
+
+// scribble overwrites b, as a caller may once the store has returned.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xA5
+	}
+}
+
+// sameStore requires got to answer every Get, every GetAt up to version
+// last and SnapshotTo as want does, each value capped.
+func sameStore(t *testing.T, when string, got, want *VersionedStore, last int) {
+	t.Helper()
+	if a, b := storeSnapshot(got), storeSnapshot(want); !bytes.Equal(a, b) {
+		t.Fatalf("%s: SnapshotTo differs from a store that kept clean requests", when)
+	}
+	for k := range want.chains {
+		kb := []byte(k)
+		for at := uint64(0); at <= uint64(last)+1; at++ {
+			v, ok := got.GetAt(kb, at)
+			w, wok := want.GetAt(kb, at)
+			if ok != wok || !bytes.Equal(v, w) {
+				t.Fatalf("%s: GetAt(%q, %d) = %q, %v, want %q, %v", when, k, at, v, ok, w, wok)
+			}
+			if cap(v) != len(v) {
+				t.Fatalf("%s: GetAt(%q, %d) has cap %d > len %d", when, k, at, cap(v), len(v))
+			}
+		}
+		v, ok := got.Get(kb)
+		w, wok := want.Get(kb)
+		if ok != wok || !bytes.Equal(v, w) || cap(v) != len(v) {
+			t.Fatalf("%s: Get(%q) = %q (cap %d), %v, want %q, %v", when, k, v, cap(v), ok, w, wok)
+		}
+	}
+}
+
+func storeSnapshot(vs *VersionedStore) []byte {
+	w := wire.NewWriter(256)
+	vs.SnapshotTo(w)
+	return w.Finish()
+}
+
+// TestStoreSnapshotRestoreSnapshot: a store restored from a snapshot
+// serializes to the same bytes, for a key with several versions, a
+// tombstone, a tombstone-first chain and a key too long for a chain's room,
+// and its chains have the shape write gives them: key and first value in
+// the record's room when they fit, the key string shared by the eviction
+// order.
+func TestStoreSnapshotRestoreSnapshot(t *testing.T) {
+	long := bytes.Repeat([]byte("k"), chainRoom+1)
+	vs := NewVersionedStore()
+	for s := uint64(1); s <= 4; s++ {
+		vs.BeginSlot(s)
+		vs.Set([]byte("multi"), []byte(fmt.Sprintf("v%d", s)))
+		vs.Set([]byte("gone"), []byte("x"))
+		vs.Set(long, []byte{byte(s)})
+	}
+	vs.BeginSlot(5)
+	vs.Delete([]byte("gone"))
+	vs.SetTxn([]byte("multi"), []byte("txn"))
+	vs.BeginSlot(6)
+	vs.Delete([]byte("back"))
+	vs.BeginSlot(7)
+	vs.Set([]byte("back"), []byte("again"))
+	vs.Ratchet(2)
+
+	first := storeSnapshot(vs)
+	got := NewVersionedStore()
+	rd := wire.NewReader(bytes.Clone(first))
+	got.RestoreFrom(rd)
+	if err := rd.Done(); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if second := storeSnapshot(got); !bytes.Equal(first, second) {
+		t.Fatalf("Snapshot -> Restore -> Snapshot differs:\n%x\n%x", first, second)
+	}
+	if got.Len() != vs.Len() || got.VersionCount() != vs.VersionCount() {
+		t.Fatalf("restored (len, versions) = (%d, %d), want (%d, %d)", got.Len(), got.VersionCount(), vs.Len(), vs.VersionCount())
+	}
+	c := got.chains["multi"]
+	if len(c.versions) < 2 {
+		t.Fatalf("multi restored with %d versions", len(c.versions))
+	}
+	room := uintptr(unsafe.Pointer(&c.room))
+	if p := uintptr(unsafe.Pointer(unsafe.StringData(c.key))); p != room {
+		t.Fatal("a restored chain's key is not in the record's room")
+	}
+
+	// A restored KV's eviction order shares its chains' key strings.
+	kv := NewKV(0)
+	for i := 0; i < 4; i++ {
+		kv.Apply(EncodeKVSet(key16(i), val32(i)))
+	}
+	kv.Apply(EncodeKVSet(long, long))
+	snap := kv.Snapshot()
+	back := NewKV(0)
+	back.Restore(snap)
+	if !bytes.Equal(back.Snapshot(), snap) {
+		t.Fatal("KV Snapshot -> Restore -> Snapshot differs")
+	}
+	for _, k := range back.evict.order {
+		if unsafe.StringData(k) != unsafe.StringData(back.vs.chains[k].key) {
+			t.Fatalf("restored eviction order holds its own copy of key %q", k)
+		}
+	}
+}

@@ -203,7 +203,7 @@ func ApplyTxn(p TxnParticipant, dst, req []byte) ([]byte, bool) {
 	case OpTxnPrepare:
 		txid := rd.U64()
 		coord := rd.Uvarint()
-		frag := rd.Bytes()
+		frag := rd.BytesView() // Prepare copies what it stages
 		if rd.Done() != nil {
 			return append(dst, StatusBadReq), true
 		}

@@ -2,6 +2,7 @@ package app
 
 import (
 	"sort"
+	"unsafe"
 
 	"repro/internal/wire"
 )
@@ -34,9 +35,13 @@ import (
 // two checkpoint windows; reads below the horizon are refused and fall
 // back to the ordered path.
 //
-// Keys are byte slices, looked up in place: a write to a key the store holds
-// updates its chain through the pointer the map keeps, so only a new key
-// costs anything, its string and its chain.
+// Keys and values are byte slices the store only reads during the call: it
+// copies what it keeps, once, into the record that keeps it. A write to a
+// key the store holds updates its chain through the pointer the map keeps
+// and costs one exact-size copy of the value; a new key costs one
+// allocation, its chain, which holds the key's bytes and its first value's
+// (newChain). Every value Get and GetAt return is the store's, capped
+// (cap == len), and never written.
 type VersionedStore struct {
 	chains  map[string]*chain
 	cur     uint64 // stamp applied to writes (set by BeginSlot)
@@ -44,12 +49,51 @@ type VersionedStore struct {
 	live    int    // keys whose newest version is present
 }
 
-// chain is one key's versions, oldest first. A chain that write makes keeps
-// its first version in first, so a new key costs no array of its own.
+// chain is one key's versions, oldest first. A chain keeps its first version
+// in first, so a new key costs no array of its own, and the key's bytes and
+// the first value's in room, which fills the record to the 128-byte size
+// class (or in one exact-size block for both when they do not fit there).
 type chain struct {
 	key      string // the map's key for it, which the eviction order shares
 	versions []version
 	first    [1]version
+	room     [chainRoom]byte
+}
+
+// chainRoom is the room a chain has for its key's and first value's bytes:
+// a 16 B key and a 32 B value, the paper's Memcached and Redis workload.
+const chainRoom = 48
+
+// newChain makes a chain whose first version is first, copying k and
+// first.val into the record's room, or into one exact-size block for both.
+// The two are written here and never again, and chains are never recycled.
+func newChain(k []byte, first version) *chain {
+	c := new(chain)
+	b := c.room[:0]
+	if n := len(k) + len(first.val); n > chainRoom {
+		b = make([]byte, 0, n)
+	}
+	b = append(append(b, k...), first.val...)
+	c.key = keyString(b[:len(k)])
+	first.val = b[len(k):len(b):len(b)]
+	c.first[0] = first
+	c.versions = c.first[:]
+	return c
+}
+
+// keyString is a chain's key: a string view of the bytes newChain copied
+// the key into, not a copy. It is sound because those bytes are never
+// written after newChain returns and a chain is never recycled, so every
+// string made here (the map's key, the eviction order's, the one SnapshotTo
+// sorts) reads the same bytes for as long as anything refers to it; the
+// string keeps the whole record or block alive.
+func keyString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// ownCopy is a later version's value: an exact-size copy (cap == len).
+func ownCopy(val []byte) []byte {
+	b := make([]byte, len(val))
+	copy(b, val)
+	return b
 }
 
 // version is one link of a key's chain.
@@ -79,6 +123,15 @@ func (vs *VersionedStore) versions(k []byte) []version {
 		return c.versions
 	}
 	return nil
+}
+
+// key returns the string the store keeps for k, the one its chain's bytes
+// back, or a copy of k when the store has no chain for it.
+func (vs *VersionedStore) key(k []byte) string {
+	if c := vs.chains[string(k)]; c != nil {
+		return c.key
+	}
+	return string(k)
 }
 
 // Get returns the current value of a key.
@@ -128,7 +181,7 @@ func (vs *VersionedStore) TxnTouched(k []byte, after uint64) bool {
 	return false
 }
 
-// Set writes a value at the current stamp.
+// Set writes a value at the current stamp. The store copies k and val.
 func (vs *VersionedStore) Set(k, val []byte) { vs.write(k, val, true, false) }
 
 // SetTxn writes a value at the current stamp, flagged as installed by a
@@ -138,13 +191,19 @@ func (vs *VersionedStore) SetTxn(k, val []byte) { vs.write(k, val, true, true) }
 // Delete writes a tombstone at the current stamp.
 func (vs *VersionedStore) Delete(k []byte) { vs.write(k, nil, false, false) }
 
-// write appends (or, within one slot, replaces) the newest version of k.
+// write appends (or, within one slot, replaces) the newest version of k,
+// copying k and val where the store keeps them.
 func (vs *VersionedStore) write(k, val []byte, present, txn bool) {
 	c := vs.chains[string(k)]
 	if c == nil {
-		c = &chain{key: string(k)}
-		c.versions, vs.chains[c.key] = c.first[:0], c
+		c = newChain(k, version{stamp: vs.cur, val: val, present: present, txn: txn})
+		vs.chains[c.key] = c
+		if present {
+			vs.live++
+		}
+		return
 	}
+	val = ownCopy(val)
 	ch := c.versions
 	was := len(ch) > 0 && ch[len(ch)-1].present
 	if n := len(ch); n > 0 && ch[n-1].stamp == vs.cur {
@@ -237,25 +296,38 @@ func (vs *VersionedStore) SnapshotTo(w *wire.Writer) {
 	}
 }
 
-// RestoreFrom rebuilds the store from SnapshotTo's serialization.
+// RestoreFrom rebuilds the store from SnapshotTo's serialization. Each chain
+// is made as write makes it (newChain, then exact-size copies), so a
+// restored store has the shape of one built by writes, and keeps nothing of
+// rd's buffer.
 func (vs *VersionedStore) RestoreFrom(rd *wire.Reader) {
 	vs.horizon = rd.U64()
 	n := int(rd.Uvarint())
 	vs.chains = make(map[string]*chain, n)
 	vs.live = 0
 	for i := 0; i < n; i++ {
-		k := rd.String()
+		k := rd.BytesView()
 		cn := int(rd.Uvarint())
-		c := &chain{key: k, versions: make([]version, 0, cn)}
-		for j := 0; j < cn; j++ {
-			stamp := rd.U64()
-			flags := rd.U8()
-			val := rd.Bytes()
-			c.versions = append(c.versions, version{stamp: stamp, val: val, present: flags&1 != 0, txn: flags&2 != 0})
+		if cn == 0 {
+			continue // SnapshotTo writes no empty chain
 		}
-		vs.chains[k] = c
-		if ch := c.versions; len(ch) > 0 && ch[len(ch)-1].present {
+		c := newChain(k, readVersion(rd))
+		for j := 1; j < cn && rd.Err() == nil; j++ {
+			v := readVersion(rd)
+			v.val = ownCopy(v.val)
+			c.versions = append(c.versions, v)
+		}
+		vs.chains[c.key] = c
+		if ch := c.versions; ch[len(ch)-1].present {
 			vs.live++
 		}
 	}
+}
+
+// readVersion decodes one version SnapshotTo wrote; its value is a view of
+// rd's buffer.
+func readVersion(rd *wire.Reader) version {
+	stamp := rd.U64()
+	flags := rd.U8()
+	return version{stamp: stamp, val: rd.BytesView(), present: flags&1 != 0, txn: flags&2 != 0}
 }
