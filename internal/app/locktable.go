@@ -50,7 +50,7 @@ type LockTable struct {
 	// to exactly one staged transaction), so it is rebuilt on restore.
 	locks  map[string]uint64
 	staged map[uint64]*stagedTxn
-	free   []*stagedTxn // released records, their key lists emptied
+	free   wire.FreeList[stagedTxn] // released records, their key lists emptied
 
 	// Decision/tombstone log (bounded FIFO so a long run cannot grow it
 	// without bound): commit/abort decisions recorded by the coordinator
@@ -156,10 +156,8 @@ func (lt *LockTable) Prepare(txid, coord uint64, fragment []byte) uint8 {
 			}
 		}
 	}
-	var tx *stagedTxn
-	if n := len(lt.free); n > 0 {
-		tx, lt.free = lt.free[n-1], lt.free[:n-1]
-	} else {
+	tx := lt.free.Get()
+	if tx == nil {
 		tx = new(stagedTxn)
 	}
 	tx.frag, tx.coord = append(tx.frag[:0], fragment...), coord
@@ -240,7 +238,7 @@ func (lt *LockTable) Abort(txid uint64) uint8 {
 func (lt *LockTable) release(tx *stagedTxn) {
 	clear(tx.keys)
 	*tx = stagedTxn{keys: tx.keys[:0], frag: tx.frag[:0]}
-	lt.free = append(lt.free, tx)
+	lt.free.Put(tx)
 }
 
 // Decided records the coordinator group's durable decision for txid

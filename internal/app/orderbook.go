@@ -32,10 +32,12 @@ type OrderBook struct {
 	tops  *VersionedStore // symbol -> topsEntry blob, one version per mutation
 	// answer is the buffer every Apply, ApplyRead and ApplyReadAt answer is
 	// appended into, the caller's until the next call (StateMachine.Apply);
-	// keys holds an OpTops read's symbols (multiRead, Fragment), fills an
-	// order's fills and top a symbol's topsEntry until the next one.
+	// keys holds an OpTops read's symbols (multiRead, Fragment), legs an
+	// OpPair's legs (decodePairLegs), fills an order's fills and top a
+	// symbol's topsEntry until the next one.
 	answer []byte
 	keys   [][]byte
+	legs   []OrderLeg
 	fills  []Fill
 	top    []byte
 	*LockTable
@@ -223,7 +225,7 @@ func (ob *OrderBook) apply(dst, req []byte) []byte {
 		}
 		return ob.placeOn(dst, sym, side, price, qty)
 	case OpPair:
-		legs, err := decodePairLegs(rd)
+		legs, err := ob.decodePairLegs(rd)
 		if err != nil {
 			return append(dst, StatusBadReq)
 		}
@@ -263,7 +265,7 @@ func (ob *OrderBook) placeOn(dst, sym []byte, side uint8, price, qty uint64) []b
 
 // placePair executes both legs of a pair order, appending to dst StatusOK,
 // then each leg's order response, length-prefixed.
-func (ob *OrderBook) placePair(dst []byte, legs [2]OrderLeg) []byte {
+func (ob *OrderBook) placePair(dst []byte, legs []OrderLeg) []byte {
 	dst = append(dst, StatusOK)
 	for _, leg := range legs {
 		id, remaining, fills := ob.place(leg.Sym, leg.Side, leg.Price, leg.Qty)
@@ -345,17 +347,20 @@ func DecodeTopsEntry(blob []byte) (bidPrice, bidQty, askPrice, askQty uint64, ha
 }
 
 // decodePairLegs reads the two legs of an OpPair request (the opcode is
-// already consumed).
-func decodePairLegs(rd *wire.Reader) ([2]OrderLeg, error) {
-	var legs [2]OrderLeg
-	for i := range legs {
-		legs[i] = OrderLeg{Sym: rd.Bytes(), Side: rd.U8(), Price: rd.U64(), Qty: rd.U64()}
-		if legs[i].Side != OpBuy && legs[i].Side != OpSell || legs[i].Qty == 0 {
-			return legs, ErrNoKey
+// already consumed) into ob.legs. Each leg's symbol is a view of the
+// request: every caller uses it, or copies it, before the request goes.
+func (ob *OrderBook) decodePairLegs(rd *wire.Reader) ([]OrderLeg, error) {
+	legs := ob.legs[:0]
+	for range 2 {
+		leg := OrderLeg{Sym: rd.BytesView(), Side: rd.U8(), Price: rd.U64(), Qty: rd.U64()}
+		if leg.Side != OpBuy && leg.Side != OpSell || leg.Qty == 0 {
+			return nil, ErrNoKey
 		}
+		legs = append(legs, leg)
 	}
+	ob.legs = legs
 	if rd.Done() != nil {
-		return legs, ErrNoKey
+		return nil, ErrNoKey
 	}
 	return legs, nil
 }
@@ -552,7 +557,7 @@ func (ob *OrderBook) Fragment(req []byte, keyIdx []int) ([]byte, error) {
 	rd := wire.NewReader(req)
 	switch op := rd.U8(); op {
 	case OpPair:
-		legs, err := decodePairLegs(rd)
+		legs, err := ob.decodePairLegs(rd)
 		if err != nil {
 			return nil, err
 		}
@@ -601,7 +606,7 @@ func (ob *OrderBook) writeFragmentKeys(frag []byte) ([][]byte, error) {
 		}
 		return [][]byte{sym}, nil
 	case OpPair:
-		legs, err := decodePairLegs(rd)
+		legs, err := ob.decodePairLegs(rd)
 		if err != nil {
 			return nil, err
 		}
@@ -630,7 +635,7 @@ func (ob *OrderBook) installFragment(frag []byte) []byte {
 		}
 		return ob.placeOn(nil, sym, side, price, qty)
 	case OpPair:
-		legs, err := decodePairLegs(rd)
+		legs, err := ob.decodePairLegs(rd)
 		if err != nil {
 			return nil
 		}

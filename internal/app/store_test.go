@@ -227,3 +227,76 @@ func TestStoreSnapshotRestoreSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestPairOrdersKeepNoViewOfTheRequest: an OpPair's legs are views of its
+// request, so scribbling over each request once Apply or Fragment returns,
+// on the ordered path, the parked path (a pair blocked by a staged
+// transaction, run when it commits) and the fragment path (a pair split by
+// Fragment, and one staged by a 2PC prepare and installed by its commit),
+// changes no book, no top-of-book version and no byte of Snapshot: they
+// equal those of a twin fed clean copies, across a garbage collection.
+func TestPairOrdersKeepNoViewOfTheRequest(t *testing.T) {
+	leg := func(sym string, side uint8, price, qty uint64) OrderLeg {
+		return OrderLeg{Sym: []byte(sym), Side: side, Price: price, Qty: qty}
+	}
+	split := EncodePairOrder(leg("GGG", OpSell, 7, 2), leg("HHH", OpBuy, 9, 6))
+	slots := []struct {
+		req    []byte
+		keyIdx []int // Fragment it first (one leg), and apply the fragment
+	}{
+		{req: EncodeOrderSym([]byte("AAA"), OpBuy, 10, 5)},
+		{req: EncodePairOrder(leg("AAA", OpSell, 10, 3), leg("BBB", OpBuy, 20, 4))},
+		{req: EncodeTxnPrepare(1, 0, EncodeOrderSym([]byte("CCC"), OpBuy, 5, 1))},
+		{req: EncodePairOrder(leg("CCC", OpSell, 5, 3), leg("DDD", OpBuy, 8, 2))}, // parks
+		{req: EncodeTxnCommit(1)},
+		{req: EncodeTxnPrepare(2, 0, EncodePairOrder(leg("EEE", OpSell, 3, 2), leg("FFF", OpBuy, 4, 3)))},
+		{req: EncodeTxnCommit(2)},
+		{req: split, keyIdx: []int{1}},
+		{req: bytes.Clone(split), keyIdx: []int{0}},
+	}
+	run := func(ob *OrderBook, clean bool) (answers [][]byte) {
+		for i, s := range slots {
+			ob.BeginSlot(uint64(i + 1))
+			req := s.req
+			if clean {
+				req = bytes.Clone(req)
+			}
+			if s.keyIdx != nil {
+				frag, err := ob.Fragment(req, s.keyIdx)
+				if err != nil {
+					t.Fatalf("slot %d: Fragment: %v", i+1, err)
+				}
+				if !clean {
+					scribble(req)
+				}
+				req = frag
+			}
+			answers = append(answers, bytes.Clone(ob.Apply(req)))
+			if !clean {
+				scribble(req)
+			}
+		}
+		return answers
+	}
+	twin, ob := NewOrderBook(), NewOrderBook()
+	want := run(twin, true)
+	got := run(ob, false)
+	runtime.GC()
+	if ob.ParkedCount() != 0 || ob.StagedTxs() != 0 || twin.ParkedCount() != 0 {
+		t.Fatalf("%d parked, %d staged: the parked pair did not run", ob.ParkedCount(), ob.StagedTxs())
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("slot %d answered %x, want %x", i+1, got[i], want[i])
+		}
+	}
+	for _, sym := range []string{"AAA", "BBB", "CCC", "DDD", "EEE", "FFF", "GGG", "HHH"} {
+		if ob.BidCountSym([]byte(sym))+ob.AskCountSym([]byte(sym)) == 0 {
+			t.Fatalf("no order rests on %s: a leg did not reach its book", sym)
+		}
+	}
+	sameStore(t, "top-of-book view", ob.tops, twin.tops, len(slots))
+	if !bytes.Equal(ob.Snapshot(), twin.Snapshot()) {
+		t.Fatal("Snapshot differs from an order book fed clean requests")
+	}
+}

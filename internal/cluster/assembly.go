@@ -242,10 +242,10 @@ func (a *Assembly) allocateGroup(g int) {
 }
 
 // wireReplica wires replica i of group g with a fresh application
-// instance: warm (coldJoin false, nonce 0) at deployment start, or in the
-// recovering state of the cold-rejoin protocol with an incarnation nonce
-// strictly above every one that identity used before.
-func (a *Assembly) wireReplica(g, i int, coldJoin bool, joinNonce uint64) error {
+// instance: warm (nonce 0) at deployment start, or in the recovering state
+// of the cold-rejoin protocol with an incarnation nonce strictly above
+// every one that identity used before.
+func (a *Assembly) wireReplica(g, i int, joinNonce uint64) error {
 	grp := a.Groups[g]
 	rt, err := a.wireHost(grp.ReplicaIDs[i], fmt.Sprintf("s%dr%d", g, i))
 	if err != nil {
@@ -253,7 +253,7 @@ func (a *Assembly) wireReplica(g, i int, coldJoin bool, joinNonce uint64) error 
 	}
 	sm := a.newApp(g)
 	cfg := a.config(g, grp.ReplicaIDs[i], sm)
-	cfg.ColdJoin, cfg.JoinNonce = coldJoin, joinNonce
+	cfg.JoinNonce = joinNonce
 	grp.Apps[i] = sm
 	grp.Replicas[i] = consensus.NewReplica(cfg, consensus.Deps{RT: rt, Registry: a.Registry, Defenses: a.defenses,
 		Decided: grp.oracle.decided, Executed: grp.oracle.executed})
@@ -283,7 +283,7 @@ func (a *Assembly) WireNodes() error {
 	for g, reps := range a.Layout.Groups {
 		a.allocateGroup(g)
 		for i := range reps {
-			if err := a.wireReplica(g, i, false, 0); err != nil {
+			if err := a.wireReplica(g, i, 0); err != nil {
 				return err
 			}
 		}
@@ -338,7 +338,7 @@ func (a *Assembly) RestartReplica(g, i int) error {
 		return fmt.Errorf("cluster: replica %v still registered (KillReplica first)", id)
 	}
 	grp.joinNonces[i]++
-	return a.wireReplica(g, i, true, grp.joinNonces[i])
+	return a.wireReplica(g, i, grp.joinNonces[i])
 }
 
 // Stop crash-stops every replica wired here (consensus.Replica.Stop).

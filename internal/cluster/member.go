@@ -50,11 +50,10 @@ type MemberSpec struct {
 	Role  Role
 	Index int // replica i, memory node j, or client c (not the wire ID)
 
-	// ColdJoin boots a replica in the recovering state of the cold-rejoin
-	// protocol (a process restarted after a crash); JoinNonce is its
-	// incarnation counter, which must strictly exceed every nonce this
-	// identity used before. Replica role only.
-	ColdJoin  bool
+	// JoinNonce, when non-zero, boots a replica in the recovering state of
+	// the cold-rejoin protocol (a process restarted after a crash) with it
+	// as its incarnation counter, which must strictly exceed every nonce
+	// this identity used before. Replica role only.
 	JoinNonce uint64
 }
 
@@ -106,7 +105,7 @@ func NewMember(opts Options, fab transport.Fabric, spec MemberSpec) (*Member, er
 		if err = pick(m.ReplicaIDs); err != nil {
 			return nil, err
 		}
-		err = a.wireReplica(0, i, spec.ColdJoin, spec.JoinNonce)
+		err = a.wireReplica(0, i, spec.JoinNonce)
 		m.Replica, m.App = grp.Replicas[i], grp.Apps[i]
 	case RoleMemNode:
 		if err = pick(m.MemNodeIDs); err != nil {

@@ -1,9 +1,16 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"slices"
 	"testing"
 
+	"repro/internal/consensus"
+	"repro/internal/ids"
+	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // driveOps pushes n sequential requests through client 0 and fails the
@@ -130,5 +137,46 @@ func TestRepeatedRestartCycles(t *testing.T) {
 			t.Fatalf("cycle %d: rejoin incomplete (recovering=%v rejoins=%d)",
 				cycle, r.Recovering(), r.Rejoins)
 		}
+	}
+}
+
+// TestJoinNonceStartsColdJoin: the join nonce is the cold-join switch. A
+// replica wired with nonce 0 boots warm and sends no JOIN probe; one wired
+// with nonce n boots in the rejoin window and probes every peer with n.
+func TestJoinNonceStartsColdJoin(t *testing.T) {
+	u := NewUBFT(Options{
+		Seed:              7,
+		Window:            8,
+		Tail:              8,
+		ViewChangeTimeout: 3 * sim.Millisecond,
+		SlowPathDelay:     30 * sim.Microsecond,
+	})
+	defer u.Stop()
+	probes := map[ids.ID][]uint64{}
+	u.Net.SetRule(func(from, _ ids.ID, frame []byte) (simnet.Fate, sim.Duration) {
+		if ch, p := router.Split(frame); ch == router.ChanDirect && len(p) == 9 && p[0] == wire.TagJoinProbe {
+			probes[from] = append(probes[from], binary.LittleEndian.Uint64(p[1:]))
+		}
+		return simnet.Deliver, 0
+	})
+	driveOps(t, u, 4, "warm")
+	if len(probes) != 0 || slices.ContainsFunc(u.Replicas, (*consensus.Replica).Recovering) {
+		t.Fatalf("replicas wired with nonce 0 sent JOIN probes %v", probes)
+	}
+
+	const victim, nonce = 2, 42
+	if err := u.KillReplica(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.asm.wireReplica(0, victim, nonce); err != nil {
+		t.Fatal(err)
+	}
+	u.Eng.RunFor(100 * sim.Microsecond)
+	got := probes[u.ReplicaIDs[victim]]
+	if len(probes) != 1 || len(got) < len(u.ReplicaIDs)-1 || slices.ContainsFunc(got, func(n uint64) bool { return n != nonce }) {
+		t.Fatalf("probes after wiring replica %d with nonce %d: %v", victim, nonce, probes)
+	}
+	if !u.Replicas[victim].Recovering() {
+		t.Fatal("a replica wired with a non-zero nonce is not in its rejoin window")
 	}
 }

@@ -169,7 +169,7 @@ func decodeBatch(r Request, rest *[]Request) ([]Request, error) {
 	if rest == nil || n > subsBlock/4 {
 		out = make([]Request, n)
 	} else {
-		out = carve(rest, n, subsBlock)
+		out = wire.Carve(rest, n, subsBlock)
 	}
 	for i := range out {
 		sub := decodeRequest(rd)

@@ -73,7 +73,7 @@ func (r *Replica) observing() bool { return r.joinPhase != joinNone }
 func (r *Replica) Recovering() bool { return r.observing() }
 
 // startColdJoin enters the probing phase. Called from NewReplica when
-// Config.ColdJoin is set.
+// Config.JoinNonce is non-zero.
 func (r *Replica) startColdJoin() {
 	r.joinPhase = joinProbing
 	// The memory nodes survived our crash, so our own registers in our

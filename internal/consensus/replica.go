@@ -60,15 +60,14 @@ type Config struct {
 	// same memory nodes (§1: "they can be shared among many applications").
 	RegionOffset memnode.RegionID
 
-	// ColdJoin boots the replica in the recovering state of the cold-rejoin
-	// protocol (rejoin.go): it probes the cluster for a sync point, pulls
-	// the certified snapshot, and observes (no proposals, echoes or votes)
-	// until the first post-join stable checkpoint. Set when re-creating a
-	// replica that crashed and lost all in-memory state.
-	ColdJoin bool
-	// JoinNonce is this replica's incarnation counter, strictly increasing
-	// across restarts. Peers reset the joiner's broadcast channels only
-	// when the nonce increases, so probe retransmissions are idempotent.
+	// JoinNonce, when non-zero, boots the replica in the recovering state
+	// of the cold-rejoin protocol (rejoin.go): it probes the cluster for a
+	// sync point, pulls the certified snapshot, and observes (no proposals,
+	// echoes or votes) until the first post-join stable checkpoint. Set it
+	// when re-creating a replica that crashed and lost all in-memory state,
+	// strictly above every nonce that identity used before: peers reset the
+	// joiner's broadcast channels only when the nonce increases, so probe
+	// retransmissions are idempotent and a zero nonce could reset nothing.
 	JoinNonce uint64
 
 	App app.StateMachine
@@ -235,10 +234,10 @@ type Replica struct {
 	// below the stable checkpoint that have no record, by view and slot,
 	// until the next stable checkpoint (verifyCertifySig, settledShares).
 	settled      table[[2]uint64, digestShares]
-	freeSlots    freeList[slotState]
-	freeRequests freeList[reqState]
+	freeSlots    wire.FreeList[slotState]
+	freeRequests wire.FreeList[reqState]
 	// The blocks new records and a decoded container's sub-requests are
-	// carved from (carve): what is left of each one's current array. The
+	// carved from (wire.Carve): what is left of each one's current array. The
 	// leader's containers are carved from batchSlab.
 	slotBlock  []slotRec
 	shareBlock digestShares
@@ -336,7 +335,7 @@ type Replica struct {
 	NewViewFragsSent uint64
 	Executed         uint64
 	// Rejoins counts completed cold rejoins (probe -> sync -> observe ->
-	// resume); it flips to 1 when a ColdJoin replica regains full
+	// resume); it flips to 1 when a cold-joining replica regains full
 	// participation.
 	Rejoins uint64
 	// ReadsServed counts unordered fast-path reads executed tentatively
@@ -503,7 +502,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 
 	deps.RT.RegisterFrame(router.ChanDirect, r.onDirect)
 	deps.RT.Register(router.ChanRPC, r.onRPC)
-	if cfg.ColdJoin {
+	if cfg.JoinNonce != 0 {
 		r.startColdJoin()
 	}
 	return r
@@ -522,7 +521,7 @@ func AllocateCluster(cfg Config, nodes []*memnode.Node) {
 // and queued read reply dies with them, and the fabric neither sends from
 // nor delivers to it again (transport.Endpoint). It is the one teardown, for
 // a bench's end as for a chaos kill, and permanent for this instance: a
-// restart builds a fresh Replica with Config.ColdJoin set.
+// restart builds a fresh Replica with a new Config.JoinNonce.
 func (r *Replica) Stop() {
 	r.proc.Crash()
 	r.bgProc.Crash()

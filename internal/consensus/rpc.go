@@ -527,7 +527,7 @@ type Client struct {
 	// cancelled calls' records for the next ones: it holds at most the peak
 	// number of calls in flight.
 	calls map[uint64]*call
-	free  freeList[call]
+	free  wire.FreeList[call]
 
 	// readFloor is, per group, the monotonic read floor: the lowest state
 	// version a fast read may be answered at — ratcheted by every accepted
@@ -763,9 +763,6 @@ func NewMultiClient(rt *router.Router, groups [][]ids.ID, def Defenses) *Client 
 	return c
 }
 
-// Groups returns how many replica groups this client can address.
-func (c *Client) Groups() int { return len(c.groups) }
-
 // Proc returns the client host's simulated process, for layers that put
 // their own timers on that host (the shard-aware client).
 func (c *Client) Proc() *sim.Proc { return c.proc }
@@ -825,7 +822,7 @@ func (c *Client) CallAt(group int, payload []byte, mode Mode, done func(Outcome)
 // few replicas are trusted to form a first rung. Exactly one of done and
 // doneAt is set.
 func (c *Client) start(group int, payload []byte, mode Mode, done func([]byte, sim.Duration), doneAt func(Outcome)) uint64 {
-	p := c.free.get()
+	p := c.free.Get()
 	if p == nil {
 		p = &call{byRes: make(tallies, 0, 2*c.f+1)}
 		p.expire = func() { c.escalate(p) }
@@ -916,7 +913,7 @@ func (c *Client) drop(p *call) {
 	p.timer.Cancel()
 	p.byRes.reset()
 	*p = call{byRes: p.byRes, expire: p.expire}
-	c.free.put(p)
+	c.free.Put(p)
 }
 
 // finish drops call p and hands the accepted class t's result to the

@@ -6,6 +6,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/ids"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/xcrypto"
 )
 
@@ -19,16 +20,11 @@ import (
 // leader-elect collects for a view change; entering a view is what forgets
 // there (setView).
 //
-// The slot and request tables see a new key per operation, so their
-// records are recycled, not reallocated: a record the table forgets goes,
-// cleared, to the table's free list (dropSlot, dropIfDead), and the next
-// new key takes it back (slot, request). Only when the free list is empty
-// is a record made, carved from a block of recordBlock records (carve), so
-// a table's growth costs one allocation per block, not one per record. A
-// record's timer callback is bound once, when the record is first made,
-// and the record holds what the callback needs. A free list holds only
-// records its table held before, so the records of a table never outgrow
-// its peak by one block or more.
+// The slot and request tables see a new key per operation, so a record
+// the table forgets is recycled (dropSlot, dropIfDead) and a new one is
+// carved from a block of recordBlock records (slot, request), as
+// ARCHITECTURE.md's zero-allocation fast path describes. A record's timer
+// callback is bound once, when the record is first made.
 
 // table is a keyed set of records created on first use.
 type table[K comparable, V any] map[K]*V
@@ -45,35 +41,6 @@ func (t table[K, V]) at(k K) *V {
 
 // recordBlock is how many slot or request records one allocation makes.
 const recordBlock = 16
-
-// carve returns the first n elements of *rest, capped at n so that an
-// append to them reallocates instead of running into the next carving, and
-// advances *rest past them. When *rest is short it first becomes a new
-// array of per elements.
-func carve[S ~[]E, E any](rest *S, n, per int) S {
-	if len(*rest) < n {
-		*rest = make(S, max(n, per))
-	}
-	s := (*rest)[:n:n]
-	*rest = (*rest)[n:]
-	return s
-}
-
-// freeList keeps released records, cleared, for reuse.
-type freeList[V any] []*V
-
-// get returns a kept record, or nil if there is none.
-func (fl *freeList[V]) get() *V {
-	n := len(*fl)
-	if n == 0 {
-		return nil
-	}
-	v := (*fl)[n-1]
-	*fl = (*fl)[:n-1]
-	return v
-}
-
-func (fl *freeList[V]) put(v *V) { *fl = append(*fl, v) }
 
 // ---------------------------------------------------------------------
 // Per slot.
@@ -144,8 +111,8 @@ type slotRec struct {
 func (r *Replica) slot(s Slot) *slotState {
 	ss := r.slots[s]
 	if ss == nil {
-		if ss = r.freeSlots.get(); ss == nil {
-			fresh := &carve(&r.slotBlock, 1, recordBlock)[0]
+		if ss = r.freeSlots.Get(); ss == nil {
+			fresh := &wire.Carve(&r.slotBlock, 1, recordBlock)[0]
 			fresh.views = fresh.first[:0]
 			fresh.onFallback = func() { r.slowPathDue(&fresh.slotState) }
 			ss = &fresh.slotState
@@ -167,7 +134,7 @@ func (r *Replica) dropSlot(s Slot, ss *slotState) {
 		ss.views[i] = slotView{shares: shares[:0]}
 	}
 	*ss = slotState{views: ss.views[:0], onFallback: ss.onFallback}
-	r.freeSlots.put(ss)
+	r.freeSlots.Put(ss)
 }
 
 // addShare adds a verified CERTIFY share to a view record's shares and
@@ -177,7 +144,7 @@ func (r *Replica) dropSlot(s Slot, ss *slotState) {
 func (r *Replica) addShare(shares *digestShares, p ids.ID, dg [xcrypto.DigestLen]byte, sig xcrypto.Signature) int {
 	if cap(*shares) == 0 {
 		n := len(r.cfg.Replicas)
-		*shares = carve(&r.shareBlock, n, recordBlock*n)[:0]
+		*shares = wire.Carve(&r.shareBlock, n, recordBlock*n)[:0]
 	}
 	return shares.Add(p, dg, sig)
 }
@@ -292,8 +259,8 @@ type reqState struct {
 func (r *Replica) request(dg [xcrypto.DigestLen]byte) *reqState {
 	rs := r.requests[dg]
 	if rs == nil {
-		if rs = r.freeRequests.get(); rs == nil {
-			fresh := &carve(&r.reqBlock, 1, recordBlock)[0]
+		if rs = r.freeRequests.Get(); rs == nil {
+			fresh := &wire.Carve(&r.reqBlock, 1, recordBlock)[0]
 			fresh.onEchoTimeout = func() { r.echoTimedOut(fresh) }
 			rs = fresh
 		}
@@ -317,7 +284,7 @@ func (r *Replica) dropIfDead(dg [xcrypto.DigestLen]byte, rs *reqState) {
 	if !rs.held && rs.echoes == 0 && !rs.proposed {
 		delete(r.requests, dg)
 		*rs = reqState{onEchoTimeout: rs.onEchoTimeout}
-		r.freeRequests.put(rs)
+		r.freeRequests.Put(rs)
 	}
 }
 

@@ -212,11 +212,11 @@ type Group struct {
 	// Messages awaiting slow-path completion, keyed by k, and finished
 	// slow-delivery records for reuse.
 	slowPending map[uint64][]byte
-	slowFree    []*slowDelivery
+	slowFree    wire.FreeList[slowDelivery]
 	// Fallback records per identifier (FastWithFallback), and finished ones
 	// for reuse.
 	fallbacks    map[uint64]*fallback
-	fallbackFree []*fallback
+	fallbackFree wire.FreeList[fallback]
 
 	// FIFO delivery layer. waiting: Validate said Wait for the message at
 	// nextDeliver, which stays in pendingFIFO until Resume.
@@ -465,10 +465,8 @@ func (g *Group) emit(k uint64, m []byte) {
 		g.sendLock(k, m)
 		g.sendSigned(k, m)
 	case FastWithFallback:
-		var fb *fallback
-		if n := len(g.fallbackFree); n > 0 {
-			fb, g.fallbackFree = g.fallbackFree[n-1], g.fallbackFree[:n-1]
-		} else {
+		fb := g.fallbackFree.Get()
+		if fb == nil {
 			fb = &fallback{g: g}
 			fb.fire = fb.expire
 		}
@@ -503,7 +501,7 @@ func (fb *fallback) expire() {
 // release hands a record whose timer is done with back to its group.
 func (fb *fallback) release() {
 	*fb = fallback{g: fb.g, fire: fb.fire}
-	fb.g.fallbackFree = append(fb.g.fallbackFree, fb)
+	fb.g.fallbackFree.Put(fb)
 }
 
 func (g *Group) isDelivered(k uint64) bool {
@@ -709,10 +707,8 @@ type regEntry struct {
 
 // newSlowDelivery returns a record for (k, dg), reusing a finished one.
 func (g *Group) newSlowDelivery(k, slot uint64, dg [xcrypto.DigestLen]byte) *slowDelivery {
-	var sd *slowDelivery
-	if n := len(g.slowFree); n > 0 {
-		sd, g.slowFree = g.slowFree[n-1], g.slowFree[:n-1]
-	} else {
+	sd := g.slowFree.Get()
+	if sd == nil {
 		sd = &slowDelivery{g: g, entries: make([]regEntry, 0, g.n)}
 		sd.writtenFn, sd.readFn = sd.written, sd.read
 	}
@@ -723,7 +719,7 @@ func (g *Group) newSlowDelivery(k, slot uint64, dg [xcrypto.DigestLen]byte) *slo
 // release hands a record whose callbacks have all run back to its group.
 func (sd *slowDelivery) release() {
 	sd.entries = sd.entries[:0]
-	sd.g.slowFree = append(sd.g.slowFree, sd)
+	sd.g.slowFree.Put(sd)
 }
 
 // written continues once this member's register write completed: lines

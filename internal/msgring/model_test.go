@@ -90,7 +90,7 @@ func (s *refSender) transmit(r *refSendRing, idx uint64) {
 	w.Bytes(data)
 	r.inFlight[slot] = true
 	s.rt.Send(r.to, router.ChanRing, w.Finish())
-	s.proc.PostAfter(2*latmodel.WireBase+latmodel.PerByte(len(data)), func() {
+	s.proc.After(2*latmodel.WireBase+latmodel.PerByte(len(data)), func() {
 		r.inFlight[slot] = false
 		for len(r.staged) > 0 {
 			head := r.staged[0]

@@ -33,14 +33,6 @@ func (t *AddrTable) Set(id ids.ID, addr string) {
 	t.mu.Unlock()
 }
 
-// Delete removes a node's address (fault injection: an unresolvable peer
-// behaves like a partition — dials back off until the entry returns).
-func (t *AddrTable) Delete(id ids.ID) {
-	t.mu.Lock()
-	delete(t.m, id)
-	t.mu.Unlock()
-}
-
 // Resolve looks a node up (the Options.Resolve function).
 func (t *AddrTable) Resolve(id ids.ID) (string, bool) {
 	t.mu.RLock()
@@ -77,9 +69,6 @@ func NewPerNodeFabric(h *Host, opts Options) *PerNodeFabric {
 
 // Engine implements transport.Fabric.
 func (f *PerNodeFabric) Engine() *sim.Engine { return f.host.Engine() }
-
-// Table exposes the fabric's address table (fault injection in tests).
-func (f *PerNodeFabric) Table() *AddrTable { return f.table }
 
 // Net returns the attachment created for id (nil if absent).
 func (f *PerNodeFabric) Net(id ids.ID) *Net {

@@ -166,9 +166,6 @@ func (n *Net) Addr() string { return n.ln.Addr().String() }
 // Engine implements transport.Fabric.
 func (n *Net) Engine() *sim.Engine { return n.host.Engine() }
 
-// Host returns the host loop this attachment delivers into.
-func (n *Net) Host() *Host { return n.host }
-
 // Stats returns a snapshot of the transport counters.
 func (n *Net) Stats() Stats {
 	return Stats{

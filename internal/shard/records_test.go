@@ -9,6 +9,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/sim"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
 // recordRig is a two-shard RKV deployment with one client, and a 2PC MSET
@@ -49,7 +50,7 @@ func (rig *recordRig) decided() [2]int {
 
 // requireDistinct fails if a free list holds one record twice: a record
 // released twice would be handed to two users at once.
-func requireDistinct[V any](t *testing.T, name string, fl freeList[V]) {
+func requireDistinct[V any](t *testing.T, name string, fl wire.FreeList[V]) {
 	t.Helper()
 	for i, v := range fl {
 		if slices.Index(fl[i+1:], v) >= 0 {

@@ -327,12 +327,11 @@ func (d *Deployment) InvokeSync(ci int, payload []byte, maxWait sim.Duration) ([
 // any client can sweep for and resolve transactions another driver left
 // stranded (recovery.go).
 //
-// What a Client keeps for a cross-shard request it owns itself, in records
-// it recycles: a fan-out plan, one scatter read, one transaction, one
-// retransmitted fan-out. Each record binds its callbacks once, when it is
-// made, and goes back to its free list only when nothing can call into it
-// any more: every Call it made is answered or cancelled and every timer it
-// armed has fired or been cancelled. A fan-out's round timer is never
+// A cross-shard request's records (a fan-out plan, a scatter read, a
+// transaction, a retransmitted fan-out) are recycled as ARCHITECTURE.md's
+// zero-allocation fast path describes. A record goes back to its free list
+// only once every Call it made is answered or cancelled and every timer it
+// armed has fired or been cancelled; a fan-out's round timer is never
 // cancelled, so its record waits for it. What a caller is handed (a merged
 // read, a transaction's outcome) is never one of those records' buffers.
 // A Client is not safe for concurrent use: like its consensus.Client, it
@@ -355,31 +354,15 @@ type Client struct {
 	shardOf []int
 	legOf   []int
 
-	plans    freeList[splitPlan]
-	scatters freeList[scatter]
-	txs      freeList[txState]
-	fanouts  freeList[fanout]
+	plans    wire.FreeList[splitPlan]
+	scatters wire.FreeList[scatter]
+	txs      wire.FreeList[txState]
+	fanouts  wire.FreeList[fanout]
 
 	// slab is the blocks a transaction's one-byte outcome is carved from:
 	// the caller may keep it, and nothing writes it again.
 	slab wire.Slab
 }
-
-// freeList keeps released records for reuse.
-type freeList[V any] []*V
-
-// get returns a kept record, or nil if there is none.
-func (fl *freeList[V]) get() *V {
-	n := len(*fl)
-	if n == 0 {
-		return nil
-	}
-	v := (*fl)[n-1]
-	*fl = (*fl)[:n-1]
-	return v
-}
-
-func (fl *freeList[V]) put(v *V) { *fl = append(*fl, v) }
 
 // resize returns s with length n and every element zero, reallocating only
 // when its capacity is short.
@@ -454,7 +437,7 @@ func (c *Client) plan(payload []byte) (int, *splitPlan, error) {
 			n++
 		}
 	}
-	plan := c.plans.get()
+	plan := c.plans.Get()
 	if plan == nil {
 		plan = new(splitPlan)
 	}
@@ -520,7 +503,7 @@ func (c *Client) Invoke(payload []byte, done func(result []byte, latency sim.Dur
 		err = c.beginTx(payload, plan, done)
 	}
 	if err != nil {
-		c.plans.put(plan) // nothing was submitted
+		c.plans.Put(plan) // nothing was submitted
 		return -1, err
 	}
 	return MultiShard, nil
@@ -592,7 +575,7 @@ func (sc *scatter) bindLegs(n int) {
 // snapshot version, see the fast stage (runRound). The read owns plan from
 // here on, unless it fails to start.
 func (c *Client) scatterRead(payload []byte, plan *splitPlan, done func(result []byte, latency sim.Duration)) error {
-	sc := c.scatters.get()
+	sc := c.scatters.Get()
 	if sc == nil {
 		sc = &scatter{c: c}
 	}
@@ -620,13 +603,13 @@ func (c *Client) scatterRead(payload []byte, plan *splitPlan, done func(result [
 // leg has answered and no retry timer is pending.
 func (c *Client) releaseScatter(sc *scatter) {
 	if sc.plan != nil {
-		c.plans.put(sc.plan)
+		c.plans.Put(sc.plan)
 	}
 	clear(sc.legs)
 	clear(sc.results) // views of reply frames
 	sc.legs, sc.results = sc.legs[:0], sc.results[:0]
 	sc.payload, sc.plan, sc.done = nil, nil, nil
-	c.scatters.put(sc)
+	c.scatters.Put(sc)
 }
 
 // finish merges the legs' answers, releases the read and hands the caller

@@ -87,7 +87,7 @@ type txState struct {
 // sequence in the low. The transaction owns plan from here on, unless it
 // fails to start.
 func (c *Client) beginTx(payload []byte, plan *splitPlan, done func(result []byte, latency sim.Duration)) error {
-	tx := c.txs.get()
+	tx := c.txs.Get()
 	if tx == nil {
 		tx = new(txState)
 		tx.onTimeout = func() { c.abortTx(tx) }
@@ -96,7 +96,7 @@ func (c *Client) beginTx(payload []byte, plan *splitPlan, done func(result []byt
 	tx.frags = frags
 	if err != nil {
 		clear(tx.frags)
-		c.txs.put(tx)
+		c.txs.Put(tx)
 		return err
 	}
 	n := len(plan.shards)
@@ -234,11 +234,11 @@ func (c *Client) status(b byte) []byte {
 func (c *Client) endTx(tx *txState, result []byte) {
 	tx.phase = txDone
 	done, lat := tx.done, c.cc.Proc().Now().Sub(tx.started)
-	c.plans.put(tx.plan)
+	c.plans.Put(tx.plan)
 	clear(tx.acks) // views of reply frames
 	clear(tx.receipts)
 	tx.acks, tx.receipts, tx.plan, tx.done, tx.timer = tx.acks[:0], tx.receipts[:0], nil, nil, sim.Timer{}
-	c.txs.put(tx)
+	c.txs.Put(tx)
 	done(result, lat)
 }
 
@@ -323,7 +323,7 @@ type fanout struct {
 // acknowledged), which is how commit receipts travel back to the driver.
 // step says where it goes (fanout.settle).
 func (c *Client) retryFanout(step fanStep, tx *txState, k stagedKey, groups []int, payload []byte) {
-	f := c.fanouts.get()
+	f := c.fanouts.Get()
 	if f == nil {
 		f = &fanout{c: c}
 		f.onRound = f.roundEnd
@@ -391,7 +391,7 @@ func (f *fanout) roundEnd() {
 func (c *Client) releaseFanout(f *fanout) {
 	clear(f.resps) // views of reply frames
 	f.tx, f.payload = nil, nil
-	c.fanouts.put(f)
+	c.fanouts.Put(f)
 }
 
 // settle delivers the fan-out's outcome to its step, once.

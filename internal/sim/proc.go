@@ -114,15 +114,6 @@ func (p *Proc) Since(t Time) Duration {
 	return d
 }
 
-// PostAfter is After without a cancellation handle (saves the Timer
-// allocation for fire-and-forget timers like NIC completion callbacks).
-func (p *Proc) PostAfter(d Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	p.eng.schedule(p.eng.now.Add(p.eng.scaleDelay(d)), p, fn)
-}
-
 // BusyUntil exposes the busy horizon (used by tests and the latency
 // breakdown tracer).
 func (p *Proc) BusyUntil() Time { return p.busyUntil }

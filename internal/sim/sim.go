@@ -192,7 +192,7 @@ type Engine struct {
 	// its modeled virtual cost on top would double-count it — and the
 	// clock may be advanced externally between events (AdvanceTo).
 	realtime bool
-	// timeScale stretches every delay-based timer (After/PostAfter) by a
+	// timeScale stretches every delay-based timer (After) by a
 	// constant factor. The protocol's timeouts are tuned for the
 	// microsecond-scale RDMA fabric the simulation models; a wall-clock
 	// deployment over kernel TCP has ~100x the round-trip time, and

@@ -98,7 +98,7 @@ type Store struct {
 
 	nextSeq    uint64
 	ops        map[uint64]*quorumOp
-	free       []*quorumOp // completed records, reused by the next operations
+	free       wire.FreeList[quorumOp] // completed records, reused by the next operations
 	retransmit sim.Timer
 	resendFn   func()   // s.resend, bound once
 	seqs       []uint64 // resend's scratch
@@ -209,7 +209,7 @@ func (s *Store) onResponse(from ids.ID, frame []byte) {
 		s.readDone(op, failed)
 	}
 	*op = quorumOp{snapshots: op.snapshots[:0]}
-	s.free = append(s.free, op)
+	s.free.Put(op)
 }
 
 // keep copies a READ's region into the record's next snapshot buffer. The
@@ -258,13 +258,10 @@ func (s *Store) answered(seq uint64) {
 
 // newOp returns a blank quorum-op record.
 func (s *Store) newOp() *quorumOp {
-	k := len(s.free)
-	if k == 0 {
-		return &quorumOp{}
+	if op := s.free.Get(); op != nil {
+		return op
 	}
-	op := s.free[k-1]
-	s.free = s.free[:k-1]
-	return op
+	return &quorumOp{}
 }
 
 // issue numbers frame with the next sequence number and sends it to every

@@ -206,14 +206,16 @@ func join(c NodeConfig) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The incarnation number peers answer a cold join by (and reset the
-	// joiner's channels on, once per increase) is the boot clock, the rule
-	// nettrans uses for its link sequence numbers: a reborn process outruns
-	// every incarnation of its identity before it, whoever started it.
-	m, err := cluster.NewMember(opts, nt, cluster.MemberSpec{
-		Role: role, Index: c.Index,
-		ColdJoin: c.ColdJoin, JoinNonce: uint64(time.Now().UnixNano()),
-	})
+	// A cold join's incarnation number, which peers answer it by (and reset
+	// the joiner's channels on, once per increase), is the boot clock, the
+	// rule nettrans uses for its link sequence numbers: a reborn process
+	// outruns every incarnation of its identity before it, whoever started
+	// it. A replica that does not cold-join has none.
+	spec := cluster.MemberSpec{Role: role, Index: c.Index}
+	if c.ColdJoin {
+		spec.JoinNonce = uint64(time.Now().UnixNano())
+	}
+	m, err := cluster.NewMember(opts, nt, spec)
 	if err != nil {
 		nt.Close()
 		return nil, err

@@ -129,3 +129,34 @@ func TestSlabCarvesCappedFrames(t *testing.T) {
 func follows(a, b []byte) bool {
 	return unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), len(a)) == unsafe.Pointer(unsafe.SliceData(b))
 }
+
+// TestCarveAndFreeList: Carve hands out capped runs of one array of per
+// records and starts a new array, of max(n, per) records, only when the rest
+// is short; a FreeList gives back the record last put, then nil.
+func TestCarveAndFreeList(t *testing.T) {
+	var rest []int64
+	a := Carve(&rest, 3, 8)
+	b := Carve(&rest, 5, 8)
+	if len(a) != 3 || cap(a) != 3 || len(b) != 5 || cap(b) != 5 ||
+		unsafe.Add(unsafe.Pointer(&a[2]), 8) != unsafe.Pointer(&b[0]) {
+		t.Fatalf("carved len/cap %d/%d and %d/%d, not consecutive runs of one array", len(a), cap(a), len(b), cap(b))
+	}
+	if c := Carve(&rest, 10, 8); len(c) != 10 || cap(c) != 10 || len(rest) != 0 {
+		t.Fatalf("a run longer than a block is len %d cap %d, %d left", len(c), cap(c), len(rest))
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		for range 32 {
+			Carve(&rest, 1, 16)
+		}
+	}); avg > 2 {
+		t.Fatalf("32 carved records cost %.0f allocations, want at most 2", avg)
+	}
+
+	var fl FreeList[int64]
+	x, y := new(int64), new(int64)
+	fl.Put(x)
+	fl.Put(y)
+	if fl.Get() != y || fl.Get() != x || fl.Get() != nil {
+		t.Fatal("a free list does not give back the record last put, then nil")
+	}
+}

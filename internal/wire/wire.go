@@ -87,13 +87,41 @@ func (s *Slab) Take(n int) []byte {
 	if n > slabBlock/4 {
 		return make([]byte, n)
 	}
-	if len(s.rest) < n {
-		s.rest = make([]byte, slabBlock)
-	}
-	b := s.rest[:n:n]
-	s.rest = s.rest[n:]
-	return b
+	return Carve(&s.rest, n, slabBlock)
 }
+
+// Carve returns the first n elements of *rest, capped at n so that an
+// append to them reallocates instead of running into the next carving, and
+// advances *rest past them. When *rest is short it first becomes a new
+// array of max(n, per) elements, so n records cost one allocation per block.
+func Carve[S ~[]E, E any](rest *S, n, per int) S {
+	if len(*rest) < n {
+		*rest = make(S, max(n, per))
+	}
+	s := (*rest)[:n:n]
+	*rest = (*rest)[n:]
+	return s
+}
+
+// FreeList keeps released records for reuse: Get returns the record last
+// put back, or nil when there is none, and Put keeps one. What survives a
+// reuse (a bound callback, kept storage) is the record type's own rule: its
+// owner clears the rest before Put or after Get.
+type FreeList[V any] []*V
+
+// Get returns a kept record, or nil if there is none.
+func (fl *FreeList[V]) Get() *V {
+	n := len(*fl)
+	if n == 0 {
+		return nil
+	}
+	v := (*fl)[n-1]
+	*fl = (*fl)[:n-1]
+	return v
+}
+
+// Put keeps v for a later Get.
+func (fl *FreeList[V]) Put(v *V) { *fl = append(*fl, v) }
 
 // writerPool recycles encode buffers for the hot path. Pooled writers keep
 // whatever capacity they grew to, so steady-state encoding allocates
