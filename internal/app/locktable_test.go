@@ -222,3 +222,35 @@ func decodeVals(res []byte) ([2]string, bool) {
 	}
 	return out, rd.Done() == nil
 }
+
+// TestOrderFragmentKeysAllocateNothing: the symbols a prepare locks are
+// views of the staged fragment in the order book's key scratch, for a
+// single leg (OpOrderSym, what each shard of a split pair stages) and for a
+// whole pair. A copy of the symbol or a fresh key slice per prepare (2.00
+// and 1.00 allocations) trips it.
+func TestOrderFragmentKeysAllocateNothing(t *testing.T) {
+	ob := NewOrderBook()
+	for _, c := range []struct {
+		name string
+		frag []byte
+		want []string
+	}{
+		{"OpOrderSym", EncodeOrderSym([]byte("AAA"), OpBuy, 10, 5), []string{"AAA"}},
+		{"OpPair", EncodePairOrder(
+			OrderLeg{Sym: []byte("BBB"), Side: OpSell, Price: 7, Qty: 2},
+			OrderLeg{Sym: []byte("CCC"), Side: OpBuy, Price: 9, Qty: 6}), []string{"BBB", "CCC"}},
+	} {
+		keys, err := ob.writeFragmentKeys(c.frag)
+		if err != nil || len(keys) != len(c.want) {
+			t.Fatalf("%s: keys %q, %v", c.name, keys, err)
+		}
+		for i, k := range keys {
+			if string(k) != c.want[i] {
+				t.Fatalf("%s: keys %q, want %q", c.name, keys, c.want)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { ob.writeFragmentKeys(c.frag) }); n != 0 {
+			t.Errorf("%s: %.2f allocations per writeFragmentKeys, want 0", c.name, n)
+		}
+	}
+}

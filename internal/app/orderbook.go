@@ -32,9 +32,10 @@ type OrderBook struct {
 	tops  *VersionedStore // symbol -> topsEntry blob, one version per mutation
 	// answer is the buffer every Apply, ApplyRead and ApplyReadAt answer is
 	// appended into, the caller's until the next call (StateMachine.Apply);
-	// keys holds an OpTops read's symbols (multiRead, Fragment), legs an
-	// OpPair's legs (decodePairLegs), fills an order's fills and top a
-	// symbol's topsEntry until the next one.
+	// keys holds an OpTops read's or a staged fragment's symbols (multiRead,
+	// Fragment, writeFragmentKeys), legs an OpPair's legs (decodePairLegs),
+	// fills an order's fills and top a symbol's topsEntry until the next
+	// one.
 	answer []byte
 	keys   [][]byte
 	legs   []OrderLeg
@@ -592,25 +593,28 @@ func (ob *OrderBook) Merge(req []byte, legs [][]byte, legKeys [][]int) []byte {
 // enforces the full install-side validation (sides, quantities, trailing
 // bytes), not just symbol extraction: a fragment that Prepare votes yes
 // on MUST be installable, or a raw prepare carrying a half-invalid pair
-// could commit while installing only one leg.
+// could commit while installing only one leg. The symbols are views of
+// frag in the order book's key scratch, valid until its next use.
 func (ob *OrderBook) writeFragmentKeys(frag []byte) ([][]byte, error) {
 	rd := wire.NewReader(frag)
 	switch op := rd.U8(); op {
 	case OpOrderSym:
-		sym := rd.Bytes()
+		sym := rd.BytesView()
 		side := rd.U8()
 		rd.U64() // price
 		qty := rd.U64()
 		if rd.Done() != nil || qty == 0 || (side != OpBuy && side != OpSell) {
 			return nil, ErrNoKey
 		}
-		return [][]byte{sym}, nil
+		ob.keys = append(ob.keys[:0], sym)
+		return ob.keys, nil
 	case OpPair:
 		legs, err := ob.decodePairLegs(rd)
 		if err != nil {
 			return nil, err
 		}
-		return [][]byte{legs[0].Sym, legs[1].Sym}, nil
+		ob.keys = append(ob.keys[:0], legs[0].Sym, legs[1].Sym)
+		return ob.keys, nil
 	default:
 		return nil, ErrNoKey
 	}

@@ -53,14 +53,18 @@ func (r *Replica) maybeCreateCheckpoint() {
 	// Background signature (§5.4: checkpoints are the fast path's
 	// bookkeeping signatures, off the critical path on the crypto pool).
 	stmt := xcrypto.CertifyCheckpoint(uint64(nextSeq), dg)
-	r.signer.SignBg(r.bgProc, r.proc, stmt.Bytes(), func(sig xcrypto.Signature) {
-		w := wire.NewWriter(128)
-		w.U8(tagCertifyCP)
-		w.U64(uint64(nextSeq))
-		w.Raw(dg[:])
-		w.Bytes(sig)
-		r.auxBroadcast(w.Finish())
-	})
+	r.signer.SignBg(r.bgProc, r.proc, stmt.Bytes(), xcrypto.Job{ID: uint64(nextSeq), Digest: dg}, r.ownCheckpointShareFn)
+}
+
+// ownCheckpointShare broadcasts this replica's CERTIFY_CHECKPOINT share,
+// signed on the crypto pool.
+func (r *Replica) ownCheckpointShare(j *xcrypto.Job) {
+	w := wire.NewWriter(128)
+	w.U8(tagCertifyCP)
+	w.U64(j.ID)
+	w.Raw(j.Digest[:])
+	w.Bytes(j.Sig)
+	r.auxBroadcast(w.Finish())
 }
 
 // onCertifyCheckpoint collects f+1 matching CERTIFY_CHECKPOINT shares
@@ -98,15 +102,20 @@ func (r *Replica) offerCheckpointShare(p ids.ID, seq Slot, dg [xcrypto.DigestLen
 
 func (r *Replica) verifyCheckpointShare(p ids.ID, seq Slot, dg [xcrypto.DigestLen]byte, sig xcrypto.Signature) {
 	stmt := xcrypto.CertifyCheckpoint(uint64(seq), dg)
-	r.signer.VerifyBg(r.bgProc, r.proc, p, stmt.Bytes(), sig, func(ok bool) {
-		if seq <= r.chkpt.Seq {
-			return
-		}
-		c := r.cps.at(seq)
-		// A share over a digest that is not ours counts for nothing (see
-		// offerCheckpointShare), even if our digest came after it.
-		r.tallyCheckpoint(seq, dg, c.shares.Verdict(p, sig, ok && !(c.mine && c.digest != dg)))
-	})
+	r.signer.VerifyBg(r.bgProc, r.proc, stmt.Bytes(), xcrypto.Job{ID: uint64(seq), From: p, Digest: dg, Sig: sig}, r.checkpointVerdictFn)
+}
+
+// checkpointVerdict tallies the crypto pool's verdict on a
+// CERTIFY_CHECKPOINT share.
+func (r *Replica) checkpointVerdict(j *xcrypto.Job) {
+	seq, dg := Slot(j.ID), j.Digest
+	if seq <= r.chkpt.Seq {
+		return
+	}
+	c := r.cps.at(seq)
+	// A share over a digest that is not ours counts for nothing (see
+	// offerCheckpointShare), even if our digest came after it.
+	r.tallyCheckpoint(seq, dg, c.shares.Verdict(j.From, j.Sig, j.OK && !(c.mine && c.digest != dg)))
 }
 
 // tallyCheckpoint certifies (seq, dg) once n, the verified shares over it,

@@ -260,7 +260,7 @@ func channelState(r *Replica, p ids.ID) string {
 				voted = append(voted, sv)
 			}
 		}
-		ss.views, ss.onFallback = voted, nil
+		ss.views, ss.r = voted, nil
 		if !reflect.DeepEqual(ss, freshSlot(s)) {
 			out += fmt.Sprintf(" %d:%+v", s, ss)
 		}
@@ -268,12 +268,12 @@ func channelState(r *Replica, p ids.ID) string {
 	return out
 }
 
-// freshSlot is the record slot s gets from an empty free list, its bound
-// callback and its (empty) view storage left out: reflect.DeepEqual never
-// equates two set funcs, and tells a nil slice from an empty one.
+// freshSlot is the record slot s gets from an empty free list, its replica
+// and its (empty) view storage left out: reflect.DeepEqual tells a nil slice
+// from an empty one.
 func freshSlot(s Slot) slotState {
 	ss := *(&Replica{slots: make(table[Slot, slotState])}).slot(s)
-	ss.onFallback, ss.views = nil, nil
+	ss.r, ss.views = nil, nil
 	return ss
 }
 

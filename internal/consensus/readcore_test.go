@@ -237,15 +237,15 @@ func TestBorrowedReadDelaysCryptoAtMostOneRead(t *testing.T) {
 		if now := rig.eng.Now(); now >= cryptoDone {
 			cost := sim.Duration(signCost)
 			if submitted%2 == 0 {
-				r.signer.SignBg(r.bgProc, r.proc, st.Bytes(), func(sig xcrypto.Signature) {
-					if len(sig) != 0 {
+				r.signer.SignBg(r.bgProc, r.proc, st.Bytes(), xcrypto.Job{}, func(j *xcrypto.Job) {
+					if len(j.Sig) != 0 {
 						answered++
 					}
 				})
 			} else {
 				cost = verifyCost
-				r.signer.VerifyBg(r.bgProc, r.proc, 0, st.Bytes(), share, func(ok bool) {
-					if ok {
+				r.signer.VerifyBg(r.bgProc, r.proc, st.Bytes(), xcrypto.Job{From: 0, Sig: share}, func(j *xcrypto.Job) {
+					if j.OK {
 						answered++
 					}
 				})

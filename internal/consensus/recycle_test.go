@@ -142,8 +142,8 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 	}
 
 	r.dropSlot(s+1, ss)
-	if r.slots[s+1] != nil || !slices.Contains(r.freeSlots, ss) || ss.onFallback == nil {
-		t.Fatalf("released slot record: in table %v, kept %v, callback kept %v", r.slots[s+1] != nil, slices.Contains(r.freeSlots, ss), ss.onFallback != nil)
+	if r.slots[s+1] != nil || !slices.Contains(r.freeSlots, ss) || ss.r != r {
+		t.Fatalf("released slot record: in table %v, kept %v, replica kept %v", r.slots[s+1] != nil, slices.Contains(r.freeSlots, ss), ss.r == r)
 	}
 	if again := r.slot(9); again != ss {
 		t.Fatal("the next new slot did not take the released record")
@@ -155,7 +155,7 @@ func TestRecycledSlotRecordIsFresh(t *testing.T) {
 		}
 	}
 	got := *ss
-	got.onFallback, got.views = nil, nil
+	got.r, got.views = nil, nil
 	requireFresh(t, got, freshSlot(9))
 }
 
@@ -205,14 +205,14 @@ func TestRecycledRequestRecordIsFresh(t *testing.T) {
 	seen.requireAll(t, reqState{})
 
 	r.pruneBelow(2) // the dedup stubs fall below the checkpoint: both records go
-	if len(r.requests) != 0 || !slices.Contains(r.freeRequests, rs) || rs.onEchoTimeout == nil {
+	if len(r.requests) != 0 || !slices.Contains(r.freeRequests, rs) || rs.r != r {
 		t.Fatalf("after the prune: %d records, b's kept %v", len(r.requests), slices.Contains(r.freeRequests, rs))
 	}
 	fresh := *(&Replica{requests: make(table[[xcrypto.DigestLen]byte, reqState])}).request(b.Digest())
-	fresh.onEchoTimeout = nil
+	fresh.r = nil
 	for _, kept := range r.freeRequests {
 		got := *kept
-		got.onEchoTimeout = nil
+		got.r = nil
 		requireFresh(t, got, fresh)
 	}
 	if next := r.request(a.Digest()); !slices.Contains(r.freeRequests[:cap(r.freeRequests)], next) {
@@ -282,9 +282,7 @@ func TestRecycledCallRecordsAreFresh(t *testing.T) {
 		if fired != want || len(c.free) != 1 || c.free[0] != p || c.PendingCount() != 0 {
 			t.Fatalf("%s: done fired %d times in all (want %d), free list %v, %d pending", what, fired, want, c.free, c.PendingCount())
 		}
-		got := *p
-		got.expire = nil // bound once, kept on purpose
-		requireFresh(t, got, call{byRes: tallies{}})
+		requireFresh(t, *p, call{c: c, byRes: tallies{}})
 	}
 
 	seen := fills{}

@@ -319,6 +319,10 @@ type Replica struct {
 	progressTimer sim.Timer
 	suspect       func() // progressTimer's callback, bound once so arming it allocates nothing
 
+	// The crypto pool's completions of a CERTIFY_CHECKPOINT share
+	// (ownCheckpointShare, checkpointVerdict), bound once.
+	ownCheckpointShareFn, checkpointVerdictFn func(*xcrypto.Job)
+
 	// noEchoWait is Defenses.NoEchoWait: no echo round, no waiting for it.
 	noEchoWait bool
 	// onDecided and onExecuted are Deps.Decided and Deps.Executed (nil: unobserved).
@@ -431,6 +435,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 		onExecuted:    deps.Executed,
 	}
 	r.suspect = r.onSuspicionTimeout
+	r.ownCheckpointShareFn, r.checkpointVerdictFn = r.ownCheckpointShare, r.checkpointVerdict
 	if v, ok := cfg.App.(app.Versioned); ok {
 		r.appVer = v
 	}
@@ -874,7 +879,7 @@ func (r *Replica) endorse(pr Prepare) {
 		}
 		if !ss.fallback.Pending() {
 			ss.fallbackView = pr.View
-			ss.fallback = r.proc.After(r.cfg.SlowPathDelay, ss.onFallback)
+			ss.fallback = r.proc.AfterH(r.cfg.SlowPathDelay, ss)
 		}
 	} else {
 		// Slow path: CERTIFY immediately (line 22).

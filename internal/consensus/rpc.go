@@ -389,7 +389,7 @@ func (r *Replica) noteEcho(dg [xcrypto.DigestLen]byte, from ids.ID) {
 	if !rs.echoTimer.Pending() {
 		// A pending timer's record is alive: only closeEchoRound, which
 		// cancels it, lets the record go.
-		rs.echoTimer = r.proc.After(EchoTimeout, rs.onEchoTimeout)
+		rs.echoTimer = r.proc.AfterH(EchoTimeout, rs)
 	}
 }
 
@@ -708,11 +708,14 @@ type call struct {
 	// before the ordered fallback); it never ratchets the persistent floor.
 	frontier Slot
 	timer    sim.Timer
-	expire   func() // timer's callback, bound once when the record is made
+	c        *Client // the record's client: the record is timer's Handler
 	// The caller's callback, in the form it was given: exactly one is set.
 	done   func(result []byte, latency sim.Duration)
 	doneAt func(Outcome)
 }
+
+// Fire is timer's expiry: the read climbs a rung (escalate).
+func (p *call) Fire() { p.c.escalate(p) }
 
 // defaultReadTimeout bounds how long a fast read waits for its quorum
 // before falling back to the ordered path. Generous against queueing at
@@ -824,8 +827,7 @@ func (c *Client) CallAt(group int, payload []byte, mode Mode, done func(Outcome)
 func (c *Client) start(group int, payload []byte, mode Mode, done func([]byte, sim.Duration), doneAt func(Outcome)) uint64 {
 	p := c.free.Get()
 	if p == nil {
-		p = &call{byRes: make(tallies, 0, 2*c.f+1)}
-		p.expire = func() { c.escalate(p) }
+		p = &call{c: c, byRes: make(tallies, 0, 2*c.f+1)}
 	}
 	p.group, p.payload, p.mode, p.started, p.done, p.doneAt = group, payload, mode, c.proc.Now(), done, doneAt
 	if !mode.Read {
@@ -912,7 +914,7 @@ func (c *Client) drop(p *call) {
 	delete(c.calls, p.ordNum)
 	p.timer.Cancel()
 	p.byRes.reset()
-	*p = call{byRes: p.byRes, expire: p.expire}
+	*p = call{c: c, byRes: p.byRes}
 	c.free.Put(p)
 }
 
@@ -1065,7 +1067,7 @@ func (c *Client) sendRead(p *call, to uint64) {
 		wait /= 2
 	}
 	p.timer.Cancel()
-	p.timer = c.proc.After(wait, p.expire)
+	p.timer = c.proc.AfterH(wait, p)
 }
 
 // onReadResponse collects one replica's fast-read reply, under the read's

@@ -23,8 +23,8 @@ import (
 // The slot and request tables see a new key per operation, so a record
 // the table forgets is recycled (dropSlot, dropIfDead) and a new one is
 // carved from a block of recordBlock records (slot, request), as
-// ARCHITECTURE.md's zero-allocation fast path describes. A record's timer
-// callback is bound once, when the record is first made.
+// ARCHITECTURE.md's zero-allocation fast path describes. A record is its own
+// timer's sim.Handler, through a pointer to its replica that survives reuse.
 
 // table is a keyed set of records created on first use.
 type table[K comparable, V any] map[K]*V
@@ -77,10 +77,13 @@ type slotState struct {
 	decided bool
 	req     Request
 
-	// The record's key, and fallback's callback, bound once (slot).
-	slot       Slot
-	onFallback func()
+	// The record's key, and its replica: the record is fallback's Handler.
+	slot Slot
+	r    *Replica
 }
+
+// Fire is fallback's expiry.
+func (ss *slotState) Fire() { ss.r.slowPathDue(ss) }
 
 // slotView is what this replica holds about one slot in one view v: the
 // fast-path vote sets, the four sent* bits of what it sent itself, and the
@@ -113,8 +116,7 @@ func (r *Replica) slot(s Slot) *slotState {
 	if ss == nil {
 		if ss = r.freeSlots.Get(); ss == nil {
 			fresh := &wire.Carve(&r.slotBlock, 1, recordBlock)[0]
-			fresh.views = fresh.first[:0]
-			fresh.onFallback = func() { r.slowPathDue(&fresh.slotState) }
+			fresh.views, fresh.r = fresh.first[:0], r
 			ss = &fresh.slotState
 		}
 		ss.slot = s
@@ -133,7 +135,7 @@ func (r *Replica) dropSlot(s Slot, ss *slotState) {
 		clear(shares) // the signatures pin their frames
 		ss.views[i] = slotView{shares: shares[:0]}
 	}
-	*ss = slotState{views: ss.views[:0], onFallback: ss.onFallback}
+	*ss = slotState{views: ss.views[:0], r: r}
 	r.freeSlots.Put(ss)
 }
 
@@ -250,9 +252,12 @@ type reqState struct {
 	proposed bool
 	slot     Slot
 
-	// onEchoTimeout is echoTimer's callback, bound once (request).
-	onEchoTimeout func()
+	// r is the record's replica: the record is echoTimer's Handler.
+	r *Replica
 }
+
+// Fire is echoTimer's expiry.
+func (rs *reqState) Fire() { rs.r.echoTimedOut(rs) }
 
 // request returns the record of request digest dg, creating it if absent,
 // carved from the replica's block of request records.
@@ -260,9 +265,8 @@ func (r *Replica) request(dg [xcrypto.DigestLen]byte) *reqState {
 	rs := r.requests[dg]
 	if rs == nil {
 		if rs = r.freeRequests.Get(); rs == nil {
-			fresh := &wire.Carve(&r.reqBlock, 1, recordBlock)[0]
-			fresh.onEchoTimeout = func() { r.echoTimedOut(fresh) }
-			rs = fresh
+			rs = &wire.Carve(&r.reqBlock, 1, recordBlock)[0]
+			rs.r = r
 		}
 		r.requests[dg] = rs
 	}
@@ -283,7 +287,7 @@ func (rs *reqState) closeEchoRound() {
 func (r *Replica) dropIfDead(dg [xcrypto.DigestLen]byte, rs *reqState) {
 	if !rs.held && rs.echoes == 0 && !rs.proposed {
 		delete(r.requests, dg)
-		*rs = reqState{onEchoTimeout: rs.onEchoTimeout}
+		*rs = reqState{r: r}
 		r.freeRequests.Put(rs)
 	}
 }

@@ -199,15 +199,18 @@ type Group struct {
 	lastSummary uint64
 	shareStates map[uint64]xcrypto.Shares[string] // per open summary id, over the state certified
 	halfT       int
+	// The crypto pool's completions of a summary share (ownShare,
+	// shareVerdict), bound once.
+	ownShareFn, shareVerdictFn func(*xcrypto.Job)
 
 	// Receiver-side state (Algorithm 1 lines 7-10).
 	locks     []lockEntry              // t slots
 	delivered []uint64                 // t slots, highest k delivered per slot
 	locked    map[ids.ID][]lockedEntry // n x t slots
 	// myRegs holds a handle per tail slot for this member's own registers,
-	// made on first write: a handle's only state is its writer's cooldown
-	// queue, so peers' registers are read by region without one.
-	myRegs []*swmr.Register
+	// all made at the first write: a handle's only state is its writer's
+	// cooldown queue, so peers' registers are read by region without one.
+	myRegs []swmr.Register
 
 	// Messages awaiting slow-path completion, keyed by k, and finished
 	// slow-delivery records for reuse.
@@ -254,7 +257,6 @@ func NewGroup(p Params, env Env) *Group {
 		locks:       make([]lockEntry, p.Tail),
 		delivered:   make([]uint64, p.Tail),
 		locked:      make(map[ids.ID][]lockedEntry, len(p.Procs)),
-		myRegs:      make([]*swmr.Register, p.Tail),
 		slowPending: make(map[uint64][]byte),
 		fallbacks:   make(map[uint64]*fallback),
 		pendingFIFO: make(map[uint64][]byte),
@@ -263,6 +265,7 @@ func NewGroup(p Params, env Env) *Group {
 		env.BgProc = sim.NewProc(env.Proc.Engine(), env.Proc.Name()+"-crypto")
 	}
 	g.env = env
+	g.ownShareFn, g.shareVerdictFn = g.ownShare, g.shareVerdict
 	slotCap := innerCap(p.MsgCap)
 	bcastSlotCap := slotCap
 	if p.SummaryCap > bcastSlotCap {
@@ -379,7 +382,7 @@ func (g *Group) ResetChannel() {
 	}
 	g.nextDeliver, g.waiting = 1, false
 	g.pendingFIFO = make(map[uint64][]byte)
-	for slot := range g.myRegs {
+	for slot := range g.p.Tail {
 		g.myReg(slot).Write(0, []byte{0xff}, func(error) {})
 	}
 }
@@ -392,10 +395,10 @@ func (g *Group) region(i, slot int) memnode.RegionID {
 
 // myReg returns this member's write handle for a tail slot.
 func (g *Group) myReg(slot int) *swmr.Register {
-	if g.myRegs[slot] == nil {
-		g.myRegs[slot] = swmr.NewRegister(g.env.Store, g.region(slices.Index(g.p.Procs, g.p.Self), slot), registerValueCap)
+	if g.myRegs == nil {
+		g.myRegs = swmr.NewRegisters(g.env.Store, g.region(slices.Index(g.p.Procs, g.p.Self), 0), registerValueCap, g.p.Tail)
 	}
-	return g.myRegs[slot]
+	return &g.myRegs[slot]
 }
 
 // ResetMember rewinds this member's outbound ack state toward a group
@@ -468,28 +471,27 @@ func (g *Group) emit(k uint64, m []byte) {
 		fb := g.fallbackFree.Get()
 		if fb == nil {
 			fb = &fallback{g: g}
-			fb.fire = fb.expire
 		}
 		fb.k, fb.m = k, g.sendLock(k, m)
-		fb.timer = g.env.Proc.After(g.p.SlowPathDelay, fb.fire)
+		fb.timer = g.env.Proc.AfterH(g.p.SlowPathDelay, fb)
 		g.fallbacks[k] = fb
 	}
 }
 
 // fallback is the slow-path deadline of one identifier this broadcaster sent
 // on the fast path (FastWithFallback): the message, a view into its LOCK ring
-// frame, and the timer. The group reuses the record once the identifier is
-// delivered or signed, its callback bound once.
+// frame, and the timer, whose Handler the record is. The group reuses the
+// record once the identifier is delivered or signed.
 type fallback struct {
 	g     *Group
 	k     uint64
 	m     []byte
 	timer sim.Timer
-	fire  func() // fb.expire
 }
 
-// expire signs the identifier if it is still undelivered.
-func (fb *fallback) expire() {
+// Fire is the timer's expiry: it signs the identifier if it is still
+// undelivered.
+func (fb *fallback) Fire() {
 	g := fb.g
 	delete(g.fallbacks, fb.k)
 	if !g.isDelivered(fb.k) {
@@ -500,7 +502,7 @@ func (fb *fallback) expire() {
 
 // release hands a record whose timer is done with back to its group.
 func (fb *fallback) release() {
-	*fb = fallback{g: fb.g, fire: fb.fire}
+	*fb = fallback{g: fb.g}
 	fb.g.fallbackFree.Put(fb)
 }
 

@@ -34,10 +34,8 @@ func TestFallbackRecordRecycledFresh(t *testing.T) {
 	if len(g.fallbacks) != 0 || len(g.fallbackFree) != 1 || g.fallbackFree[0] != fb {
 		t.Fatalf("after a fast-path delivery: %d records in flight, %d kept", len(g.fallbacks), len(g.fallbackFree))
 	}
-	released := *fb
-	released.fire = nil
-	if !reflect.DeepEqual(released, fresh) {
-		t.Fatalf("released record %+v, a new one is %+v", released, fresh)
+	if !reflect.DeepEqual(*fb, fresh) {
+		t.Fatalf("released record %+v, a new one is %+v", *fb, fresh)
 	}
 
 	// The fast path stalls: the record's deadline signs the view it keeps.

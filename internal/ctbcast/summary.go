@@ -75,26 +75,31 @@ func (g *Group) afterFIFODeliver(k uint64) {
 	// loop (and hence the fast path) never blocks (§3.2, §5.4). The
 	// broadcaster's own share counts as soon as it is signed.
 	stmt := xcrypto.SummaryShare(g.p.Broadcaster, k, state)
-	g.env.Signer.SignBg(g.env.BgProc, g.env.Proc, stmt.Bytes(), func(sig xcrypto.Signature) {
-		if g.p.Self == g.p.Broadcaster {
-			if g.summaryOpen(k) {
-				owned, shares := string(state), g.shareStates[k]
-				n := shares.Add(g.p.Self, owned, sig)
-				g.shareStates[k] = shares
-				g.tallySummary(k, owned, n)
-			}
-			return
+	g.env.Signer.SignBg(g.env.BgProc, g.env.Proc, stmt.Bytes(), xcrypto.Job{ID: k, State: state}, g.ownShareFn)
+}
+
+// ownShare takes this member's share of summary j.ID, signed on the crypto
+// pool, to the broadcaster: the broadcaster counts its own at once.
+func (g *Group) ownShare(j *xcrypto.Job) {
+	k, state, sig := j.ID, j.State, j.Sig
+	if g.p.Self == g.p.Broadcaster {
+		if g.summaryOpen(k) {
+			owned, shares := string(state), g.shareStates[k]
+			n := shares.Add(g.p.Self, owned, sig)
+			g.shareStates[k] = shares
+			g.tallySummary(k, owned, n)
 		}
-		// One frame of exact size, never written again: the broadcaster
-		// keeps a view of its signature, so it is not one from router.Frame.
-		w := wire.NewWriter(1 + 4 + 8 + wire.BytesLen(len(state)) + wire.BytesLen(len(sig)))
-		w.U8(router.ChanSummary)
-		w.U32(uint32(g.p.InstanceBase))
-		w.U64(k)
-		w.Bytes(state)
-		w.Bytes(sig)
-		g.env.RT.SendFrame(g.p.Broadcaster, w.Finish())
-	})
+		return
+	}
+	// One frame of exact size, never written again: the broadcaster keeps a
+	// view of its signature, so it is not one from router.Frame.
+	w := wire.NewWriter(1 + 4 + 8 + wire.BytesLen(len(state)) + wire.BytesLen(len(sig)))
+	w.U8(router.ChanSummary)
+	w.U32(uint32(g.p.InstanceBase))
+	w.U64(k)
+	w.Bytes(state)
+	w.Bytes(sig)
+	g.env.RT.SendFrame(g.p.Broadcaster, w.Finish())
 }
 
 // summaryOpen reports whether the broadcaster still collects shares for id:
@@ -126,11 +131,14 @@ func (g *Group) onSummaryShare(from ids.ID, id uint64, state []byte, sig xcrypto
 // not fast path) and tallies the verdict.
 func (g *Group) verifySummaryShare(from ids.ID, id uint64, state string, sig xcrypto.Signature) {
 	stmt := xcrypto.SummaryShare(g.p.Broadcaster, id, state)
-	g.env.Signer.VerifyBg(g.env.BgProc, g.env.Proc, from, stmt.Bytes(), sig, func(ok bool) {
-		if g.summaryOpen(id) {
-			g.tallySummary(id, state, g.shareStates[id].Verdict(from, sig, ok))
-		}
-	})
+	g.env.Signer.VerifyBg(g.env.BgProc, g.env.Proc, stmt.Bytes(), xcrypto.Job{ID: id, From: from, Val: state, Sig: sig}, g.shareVerdictFn)
+}
+
+// shareVerdict tallies the crypto pool's verdict on a share.
+func (g *Group) shareVerdict(j *xcrypto.Job) {
+	if g.summaryOpen(j.ID) {
+		g.tallySummary(j.ID, j.Val, g.shareStates[j.ID].Verdict(j.From, j.Sig, j.OK))
+	}
 }
 
 // tallySummary certifies (id, state) once n, the verified shares over it,

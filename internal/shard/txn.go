@@ -75,11 +75,14 @@ type txState struct {
 	frags    [][]byte
 	receipts [][]byte
 
-	// Bound once, when the record is made: the prepare timer's callback and
-	// each leg's vote callback.
-	onTimeout func()
-	onVote    []func(result []byte, latency sim.Duration)
+	// Bound once, when the record is made: its client, which makes the
+	// record the prepare timer's Handler, and each leg's vote callback.
+	c      *Client
+	onVote []func(result []byte, latency sim.Duration)
 }
+
+// Fire is the prepare timer's expiry: the transaction aborts.
+func (tx *txState) Fire() { tx.c.abortTx(tx) }
 
 // beginTx splits the write across its participant groups (one fragment per
 // touched shard) and starts the prepare phase. The txid is globally unique
@@ -89,8 +92,7 @@ type txState struct {
 func (c *Client) beginTx(payload []byte, plan *splitPlan, done func(result []byte, latency sim.Duration)) error {
 	tx := c.txs.Get()
 	if tx == nil {
-		tx = new(txState)
-		tx.onTimeout = func() { c.abortTx(tx) }
+		tx = &txState{c: c}
 	}
 	frags, err := c.fragments(tx.frags[:0], payload, plan)
 	tx.frags = frags
@@ -111,7 +113,7 @@ func (c *Client) beginTx(payload []byte, plan *splitPlan, done func(result []byt
 		tx.pending[i] = c.cc.Call(s, app.EncodeTxnPrepare(tx.txid, coord, frags[i]), consensus.Mode{}, tx.onVote[i])
 	}
 	clear(tx.frags) // each prepare carries its own copy
-	tx.timer = c.cc.Proc().After(PrepareTimeout, tx.onTimeout)
+	tx.timer = c.cc.Proc().AfterH(PrepareTimeout, tx)
 	return nil
 }
 
@@ -307,10 +309,9 @@ type fanout struct {
 	left    int      // rounds left, this one included
 	delay   sim.Duration
 
-	// Bound once, when the record is made: the round timer's callback and
-	// each leg's acknowledgement callback.
-	onRound func()
-	onAck   []func(result []byte, latency sim.Duration)
+	// Each leg's acknowledgement callback, bound once when the record is
+	// made. The record is its round timer's Handler.
+	onAck []func(result []byte, latency sim.Duration)
 }
 
 // retryFanout sends payload to every group once per round, retrying the
@@ -326,7 +327,6 @@ func (c *Client) retryFanout(step fanStep, tx *txState, k stagedKey, groups []in
 	f := c.fanouts.Get()
 	if f == nil {
 		f = &fanout{c: c}
-		f.onRound = f.roundEnd
 	}
 	n := len(groups)
 	f.step, f.tx, f.key, f.payload = step, tx, k, payload
@@ -347,7 +347,7 @@ func (f *fanout) round() {
 			f.nums[i] = f.c.cc.Call(g, f.payload, consensus.Mode{}, f.onAck[i])
 		}
 	}
-	f.c.cc.Proc().After(f.delay, f.onRound)
+	f.c.cc.Proc().AfterH(f.delay, f)
 }
 
 // ack takes group i's acknowledgement; the last one delivers the outcome.
@@ -362,11 +362,11 @@ func (f *fanout) ack(i int, res []byte) {
 	f.settle(true)
 }
 
-// roundEnd cancels the round's unanswered calls, then runs the next round
-// or, after the last, delivers the unacknowledged outcome. Once the outcome
-// is delivered the record goes back to the free list: this timer was the
-// last thing that could call into it.
-func (f *fanout) roundEnd() {
+// Fire ends a round: it cancels the round's unanswered calls, then runs the
+// next round or, after the last, delivers the unacknowledged outcome. Once
+// the outcome is delivered the record goes back to the free list: this
+// timer was the last thing that could call into it.
+func (f *fanout) Fire() {
 	unacked := false
 	for i, num := range f.nums {
 		if num != 0 && !f.acked[i] {

@@ -48,8 +48,11 @@ func (p *Proc) free() Time {
 // Use it for message/handler delivery: if the process is mid-computation
 // the handler queues behind it. The crash check happens at fire time in the
 // engine; no wrapper closure is allocated.
-func (p *Proc) Deliver(fn func()) Timer {
-	ev := p.eng.schedule(p.free(), p, fn)
+func (p *Proc) Deliver(fn func()) Timer { return p.DeliverH(Func(fn)) }
+
+// DeliverH is Deliver for a Handler.
+func (p *Proc) DeliverH(h Handler) Timer {
+	ev := p.eng.schedule(p.free(), p, h)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -64,7 +67,10 @@ func (p *Proc) PostMsg(h MsgHandler, from int, payload []byte) {
 // Exec schedules fn after the process performs cost worth of CPU work.
 // The work starts when the process is next free and extends its busy
 // horizon, so concurrent Execs serialize.
-func (p *Proc) Exec(cost Duration, fn func()) Timer {
+func (p *Proc) Exec(cost Duration, fn func()) Timer { return p.ExecH(cost, Func(fn)) }
+
+// ExecH is Exec for a Handler.
+func (p *Proc) ExecH(cost Duration, h Handler) Timer {
 	if cost < 0 {
 		panic(fmt.Sprintf("sim: negative exec cost %d on %s", cost, p.name))
 	}
@@ -74,7 +80,7 @@ func (p *Proc) Exec(cost Duration, fn func()) Timer {
 	start := p.free()
 	end := start.Add(cost)
 	p.busyUntil = end
-	ev := p.eng.schedule(end, p, fn)
+	ev := p.eng.schedule(end, p, h)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -94,11 +100,14 @@ func (p *Proc) Charge(cost Duration) {
 
 // After schedules fn to run d from now regardless of busy state (a timer,
 // not CPU work). Crashed processes never fire their timers.
-func (p *Proc) After(d Duration, fn func()) Timer {
+func (p *Proc) After(d Duration, fn func()) Timer { return p.AfterH(d, Func(fn)) }
+
+// AfterH is After for a Handler.
+func (p *Proc) AfterH(d Duration, h Handler) Timer {
 	if d < 0 {
 		d = 0
 	}
-	ev := p.eng.schedule(p.eng.now.Add(p.eng.scaleDelay(d)), p, fn)
+	ev := p.eng.schedule(p.eng.now.Add(p.eng.scaleDelay(d)), p, h)
 	return Timer{ev: ev, gen: ev.gen}
 }
 

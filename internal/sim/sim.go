@@ -5,6 +5,14 @@
 // (time, sequence) order. Runs with the same seed are bit-for-bit
 // reproducible, which is what lets the benchmark harness regenerate the
 // paper's figures deterministically.
+//
+// An event's callback is a Handler. A long-lived record that arms a timer
+// or schedules work for itself (a slot's fallback, a register's cooldown, a
+// crypto-pool job) is its own Handler and schedules itself with the Handler
+// forms (Proc.AfterH, ExecH, DeliverH), so no closure is made per record or
+// per scheduling. The func forms wrap their argument as a Func, which
+// allocates nothing either: both kinds of event are ordered, cancelled and
+// dropped by a crashed process alike.
 package sim
 
 import (
@@ -72,6 +80,16 @@ func (t Timer) Cancel() bool {
 // Pending reports whether the timer has neither fired nor been cancelled.
 func (t Timer) Pending() bool { return t.ev != nil && t.ev.gen == t.gen }
 
+// Handler is an event callback: Fire runs when its event does.
+type Handler interface{ Fire() }
+
+// Func adapts a func() to Handler. A func value is pointer-shaped, so
+// converting one to a Handler allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // MsgHandler is a long-lived message-delivery function. Message events
 // carry (handler, from, payload) in the event record itself, so delivering
 // a message allocates no closure.
@@ -82,9 +100,9 @@ type event struct {
 	at  Time
 	seq uint64
 	gen uint64
-	fn  func()
+	h   Handler
 	// Message-event fast path: when mfn is non-nil it is invoked with
-	// (mfrom, mpayload) instead of fn.
+	// (mfrom, mpayload) instead of h.
 	mfn      MsgHandler
 	mfrom    int
 	mpayload []byte
@@ -265,7 +283,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 func (e *Engine) Pending() int { return len(e.events) }
 
 // schedule enqueues an event, reusing a recycled record when available.
-func (e *Engine) schedule(t Time, proc *Proc, fn func()) *event {
+func (e *Engine) schedule(t Time, proc *Proc, h Handler) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -276,7 +294,7 @@ func (e *Engine) schedule(t Time, proc *Proc, fn func()) *event {
 	} else {
 		ev = &event{eng: e}
 	}
-	ev.at, ev.seq, ev.proc, ev.fn = t, e.seq, proc, fn
+	ev.at, ev.seq, ev.proc, ev.h = t, e.seq, proc, h
 	e.seq++
 	e.events.push(ev)
 	return ev
@@ -287,7 +305,7 @@ func (e *Engine) schedule(t Time, proc *Proc, fn func()) *event {
 // at it.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.h = nil
 	ev.mfn = nil
 	ev.mpayload = nil
 	ev.proc = nil
@@ -308,7 +326,7 @@ func (e *Engine) PostMsg(t Time, proc *Proc, h MsgHandler, from int, payload []b
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a bug in a cost model.
 func (e *Engine) At(t Time, fn func()) Timer {
-	ev := e.schedule(t, nil, fn)
+	ev := e.schedule(t, nil, Func(fn))
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -365,10 +383,10 @@ func (e *Engine) Step() bool {
 				mfn(mfrom, mpayload)
 			}
 		} else {
-			fn := ev.fn
+			h := ev.h
 			e.recycle(ev)
 			if !crashed {
-				fn()
+				h.Fire()
 			}
 		}
 		return true

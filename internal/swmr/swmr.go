@@ -318,7 +318,8 @@ func (s *Store) resend() {
 
 // Register is a handle to one reliable SWMR regular register. The same
 // handle type serves writers (on the owner host) and readers (elsewhere);
-// the memory nodes enforce that only the owner's writes succeed.
+// the memory nodes enforce that only the owner's writes succeed. A handle is
+// its own cooldown timer's sim.Handler.
 type Register struct {
 	store    *Store
 	region   memnode.RegionID
@@ -326,10 +327,13 @@ type Register struct {
 
 	// Writer side: the δ cooldown and the FIFO of writes behind it, each one
 	// its encoded request frame. The head is in flight while writing is set.
+	// The queue starts on first, which holds a writer that waits for each
+	// write's completion before the next.
 	lastWriteAt sim.Time
 	wrotOnce    bool
 	writes      uint64 // writes queued so far: the next goes to sub-register writes%2
 	queue       []queuedWrite
+	first       [1]queuedWrite
 	writing     bool
 }
 
@@ -349,7 +353,19 @@ func RegionSize(valueCap int) int { return 2 * SlotSize(valueCap) }
 // NewRegister creates a handle. The region must have been allocated on
 // every memory node with size RegionSize(valueCap) and the writer as owner.
 func NewRegister(store *Store, region memnode.RegionID, valueCap int) *Register {
-	return &Register{store: store, region: region, valueCap: valueCap}
+	return &NewRegisters(store, region, valueCap, 1)[0]
+}
+
+// NewRegisters creates the handles of n registers in consecutive regions
+// from first on, in one allocation.
+func NewRegisters(store *Store, first memnode.RegionID, valueCap, n int) []Register {
+	regs := make([]Register, n)
+	for i := range regs {
+		r := &regs[i]
+		r.store, r.region, r.valueCap = store, first+memnode.RegionID(i), valueCap
+		r.queue = r.first[:0]
+	}
+	return regs
 }
 
 // encodeSlot writes the sub-register image checksum | ts | len | value into
@@ -428,10 +444,7 @@ func (r *Register) pump() {
 		next := r.lastWriteAt.Add(latmodel.Delta)
 		if now < next {
 			r.writing = true
-			r.store.proc.After(next.Sub(now), func() {
-				r.writing = false
-				r.pump()
-			})
+			r.store.proc.AfterH(next.Sub(now), r)
 			return
 		}
 	}
@@ -446,6 +459,12 @@ func (r *Register) pump() {
 	op := r.store.newOp()
 	op.reg = r
 	r.store.issue(op, r.queue[0].frame)
+}
+
+// Fire ends the cooldown: the head of the queue may go.
+func (r *Register) Fire() {
+	r.writing = false
+	r.pump()
 }
 
 // written completes the WRITE at the head of the queue.

@@ -204,13 +204,15 @@ func (r *Registry) verify(from ProcID, msg []byte, sig Signature) bool {
 }
 
 // Signer signs on behalf of one process and verifies against the registry.
-// Its signatures are carved from blocks it owns, so a Signer, unlike its
-// Registry, is not safe for concurrent use: each process has its own.
+// Its signatures are carved from blocks it owns and its background jobs
+// are reused, so a Signer, unlike its Registry, is not safe for concurrent
+// use: each process has its own.
 type Signer struct {
 	id   ProcID
 	key  *key
 	reg  *Registry
 	slab wire.Slab // the blocks its signatures are carved from
+	jobs wire.FreeList[Job]
 }
 
 // ID returns the process the signer signs for.
@@ -234,25 +236,69 @@ func (s *Signer) sign(msg []byte) Signature {
 	return sig
 }
 
-// SignBg signs on the pool process (a crypto thread pool running on other
-// cores, as in the paper's prototype, which relegates bookkeeping
-// signatures to a background task) and delivers the result to the main
-// process without blocking it.
-func (s *Signer) SignBg(pool, main *sim.Proc, msg []byte, done func(Signature)) {
-	sig := s.sign(msg)
-	pool.Exec(latmodel.SignCost+latmodel.CryptoDispatchCost, func() {
-		main.Deliver(func() { done(sig) })
-	})
+// SignBg signs msg on the pool process (a crypto thread pool running on
+// other cores, as in the paper's prototype, which relegates bookkeeping
+// signatures to a background task) and hands round, its Sig set, to done on
+// the main process without blocking it.
+func (s *Signer) SignBg(pool, main *sim.Proc, msg []byte, round Job, done func(*Job)) {
+	j := s.job(main, round, done)
+	j.Sig = s.sign(msg)
+	pool.ExecH(latmodel.SignCost+latmodel.CryptoDispatchCost, j)
 }
 
-// VerifyBg verifies on the pool process and delivers the result to the
-// main process without blocking it. Like Verify, it charges the full cost
+// VerifyBg verifies round.Sig, round.From's signature over msg, on the pool
+// process and hands round, its OK set to the verdict, to done on the main
+// process without blocking it. Like Verify, it charges the full cost
 // whether or not the verdict is reused.
-func (s *Signer) VerifyBg(pool, main *sim.Proc, from ProcID, msg []byte, sig Signature, done func(bool)) {
-	valid := s.reg.verify(from, msg, sig)
-	pool.Exec(latmodel.VerifyCost+latmodel.CryptoDispatchCost, func() {
-		main.Deliver(func() { done(valid) })
-	})
+func (s *Signer) VerifyBg(pool, main *sim.Proc, msg []byte, round Job, done func(*Job)) {
+	j := s.job(main, round, done)
+	j.OK = s.reg.verify(j.From, msg, j.Sig)
+	pool.ExecH(latmodel.VerifyCost+latmodel.CryptoDispatchCost, j)
+}
+
+// Job is one SignBg or VerifyBg. Its exported fields name the round it
+// belongs to, so the caller's done func is bound once rather than made per
+// call. A job is its own sim.Handler and fires twice: on the pool, when its
+// cost is paid, and then on the main process, where done runs. The Signer
+// takes the job back once done returns, so done keeps no pointer to it.
+type Job struct {
+	ID     uint64          // the summary id or checkpoint sequence number
+	From   ProcID          // the signer of the share VerifyBg checks
+	Digest [DigestLen]byte // the checkpoint state's digest
+	State  []byte          // the summary state a SignBg share covers
+	Val    string          // the summary state a VerifyBg share covers, as Shares holds it
+	Sig    Signature       // the signature made (SignBg) or checked (VerifyBg)
+	OK     bool            // VerifyBg's verdict
+
+	s      *Signer
+	main   *sim.Proc
+	done   func(*Job)
+	onMain bool
+}
+
+// job returns a free job holding round, bound for done on main.
+func (s *Signer) job(main *sim.Proc, round Job, done func(*Job)) *Job {
+	j := s.jobs.Get()
+	if j == nil {
+		j = new(Job)
+	}
+	*j = round
+	j.s, j.main, j.done = s, main, done
+	return j
+}
+
+// Fire moves the job from the pool to the main process, and there completes
+// it.
+func (j *Job) Fire() {
+	if !j.onMain {
+		j.onMain = true
+		j.main.DeliverH(j)
+		return
+	}
+	s := j.s
+	j.done(j)
+	*j = Job{}
+	s.jobs.Put(j)
 }
 
 // Verify checks that sig is from's signature over msg, charging the

@@ -251,18 +251,15 @@ func TestVerifyBgAndValidShareTheTable(t *testing.T) {
 		t.Fatal("valid certificate refused")
 	}
 	verdicts := 0
-	for _, q := range members[:2] {
-		s.VerifyBg(pool, main, q, payload, sigs[q], func(ok bool) {
-			if ok {
-				verdicts++
-			}
-		})
-	}
-	s.VerifyBg(pool, main, 2, payload, own, func(ok bool) {
-		if ok {
+	count := func(j *Job) {
+		if j.OK {
 			verdicts++
 		}
-	})
+	}
+	for _, q := range members[:2] {
+		s.VerifyBg(pool, main, payload, Job{From: q, Sig: sigs[q]}, count)
+	}
+	s.VerifyBg(pool, main, payload, Job{From: 2, Sig: own}, count)
 	if !s.Valid(main, members, payload, certOf(map[ids.ID]Signature{2: own}), 1) {
 		t.Fatal("own share refused")
 	}
@@ -290,7 +287,7 @@ func TestOwnSignatureNeedsNoComputation(t *testing.T) {
 	msg := []byte("commit v=0 s=7")
 	sig := s.Sign(main, msg)
 	var bg Signature
-	s.SignBg(pool, main, []byte("summary 3"), func(sig Signature) { bg = sig })
+	s.SignBg(pool, main, []byte("summary 3"), Job{}, func(j *Job) { bg = j.Sig })
 	for e.Step() {
 	}
 	if !s.Verify(main, 0, msg, sig) || !s.Verify(main, 0, []byte("summary 3"), bg) {
