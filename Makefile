@@ -111,10 +111,14 @@ race:
 # record. A warm cross-shard operation (a 2PC MSET or a scatter MGET over two
 # RKV shards) allocates at most its budget, and a shard client's record goes
 # back to its free list only once nothing can call into it: no stale round
-# timer or late reply reaches the record's next use. A fresh deployment's
-# first 300 requests, on the fast path and on the slow path, allocate at
-# most their budgets: records grown toward their peak are their own timer
-# handlers, and a member's own register handles are made in one allocation.
+# timer or late reply reaches the record's next use. A whole deployment's
+# request (internal/cluster) allocates at most its budget on the fast path
+# and on the slow path, warm and over a fresh deployment's first 300
+# requests (records grown toward their peak are their own timer handlers, a
+# member's own register handles are made in one allocation), and the slow
+# path computes at most one ed25519 verification a request; a fast read and
+# a point read (internal/shard) stay within theirs, and a pooled wire writer
+# allocates nothing (internal/wire).
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
@@ -125,8 +129,9 @@ bounded-mem:
 	$(GO) test -run 'TestReplyFrame|TestCachedResultOutlivesLaterApplies' ./internal/consensus/
 	$(GO) test -run 'TestOrderedAnswersShareOneBuffer|TestReleasedResultsAreTheirOwn|TestNewKeyCostsOneAllocation|TestStoreKeepsItsOwnCopies' ./internal/app/
 	$(GO) test -run 'TestBatchSubsNeverRewritten|TestCommitBelowCheckpointOpensNoRecord' ./internal/consensus/
-	$(GO) test -run 'TestCrossShardAllocBudget|TestStaleCallbackAfterRecordReuse' ./internal/shard/
-	$(GO) test -run 'TestColdFastPathAllocBudget|TestColdSlowPathAllocBudget' ./internal/bench/
+	$(GO) test -run 'TestCrossShardAllocBudget|TestStaleCallbackAfterRecordReuse|TestFastReadAllocBudget|TestPointReadAllocBudget' ./internal/shard/
+	$(GO) test -run 'TestWirePooledEncodeAllocFree' ./internal/wire/
+	$(GO) test -run 'TestFastPathAllocBudget|TestSlowPathAllocBudget|TestColdFastPathAllocBudget|TestColdSlowPathAllocBudget|TestSlowPathVerifiesEachSignatureOnce' ./internal/cluster/
 
 # One iteration of every benchmark in short mode: catches harness rot and
 # prints allocs/op for the hot-path benchmarks on every PR. For one

@@ -31,7 +31,7 @@ func run(w io.Writer) error {
 	})
 	defer u.Stop()
 	set := func(key, val string, maxWait ubft.Duration) error {
-		res, lat, err := u.InvokeSyncErr(0, app.EncodeKVSet([]byte(key), []byte(val)), maxWait)
+		res, lat, err := u.InvokeSync(0, app.EncodeKVSet([]byte(key), []byte(val)), maxWait)
 		if err == nil {
 			fmt.Fprintf(w, "SET %-8s -> status=%d in %v\n", key, res[0], lat)
 		}
@@ -44,7 +44,7 @@ func run(w io.Writer) error {
 			return err
 		}
 	}
-	res, lat, err := u.InvokeSyncErr(0, app.EncodeKVGet([]byte("user:1")), 50*ubft.Millisecond)
+	res, lat, err := u.InvokeSync(0, app.EncodeKVGet([]byte("user:1")), 50*ubft.Millisecond)
 	if err != nil {
 		return err
 	}

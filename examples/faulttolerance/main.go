@@ -20,14 +20,14 @@ func main() {
 	defer u.Stop()
 
 	fmt.Println("== phase 0: healthy cluster, fast path ==")
-	res, lat := u.InvokeSync(0, []byte("healthy"), 50*ubft.Millisecond)
+	res, lat := must(u.InvokeSync(0, []byte("healthy"), 50*ubft.Millisecond))
 	fmt.Printf("flip -> %q in %v\n", res, lat)
 
 	fmt.Println("\n== phase 1: crash a follower; fallback engages the slow path ==")
 	if err := u.KillReplica(2); err != nil {
 		panic(err)
 	}
-	res, lat = u.InvokeSync(0, []byte("degraded"), 200*ubft.Millisecond)
+	res, lat = must(u.InvokeSync(0, []byte("degraded"), 200*ubft.Millisecond))
 	fmt.Printf("flip -> %q in %v (signatures + disaggregated memory now in use)\n", res, lat)
 	if u.Replicas[0].SlowDecides > 0 {
 		fmt.Printf("replica 0 slow-path decisions: %d\n", u.Replicas[0].SlowDecides)
@@ -42,13 +42,22 @@ func main() {
 		SlowPathDelay:     80 * ubft.Microsecond,
 	})
 	defer u2.Stop()
-	u2.InvokeSync(0, []byte("warm"), 50*ubft.Millisecond)
+	must(u2.InvokeSync(0, []byte("warm"), 50*ubft.Millisecond))
 	if err := u2.KillReplica(0); err != nil {
 		panic(err)
 	}
-	res, lat = u2.InvokeSync(0, []byte("new-leader"), 500*ubft.Millisecond)
+	res, lat = must(u2.InvokeSync(0, []byte("new-leader"), 500*ubft.Millisecond))
 	fmt.Printf("after leader crash: flip -> %q in %v\n", res, lat)
 	fmt.Printf("replica 1 view=%d, replica 2 view=%d (round-robin rotation)\n",
 		u2.Replicas[1].View(), u2.Replicas[2].View())
 	fmt.Printf("view changes observed at replica 1: %d\n", u2.Replicas[1].ViewChanges)
+}
+
+// must returns a call's result and latency, and stops the example at a
+// failed call.
+func must(res []byte, lat ubft.Duration, err error) ([]byte, ubft.Duration) {
+	if err != nil {
+		panic(err)
+	}
+	return res, lat
 }

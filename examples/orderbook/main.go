@@ -24,13 +24,13 @@ func main() {
 
 	// Build a small book: resting sells at 101..103.
 	for price := uint64(101); price <= 103; price++ {
-		res, lat := u.InvokeSync(0, app.EncodeOrder(app.OpSell, price, 10), 20*ubft.Millisecond)
+		res, lat := must(u.InvokeSync(0, app.EncodeOrder(app.OpSell, price, 10), 20*ubft.Millisecond))
 		ok, id, _, _, _ := app.DecodeOrderResp(res)
 		fmt.Printf("SELL 10 @ %d -> order %d accepted=%v (%v)\n", price, id, ok, lat)
 	}
 
 	// A marketable buy crosses the book.
-	res, lat := u.InvokeSync(0, app.EncodeOrder(app.OpBuy, 102, 15), 20*ubft.Millisecond)
+	res, lat := must(u.InvokeSync(0, app.EncodeOrder(app.OpBuy, 102, 15), 20*ubft.Millisecond))
 	_, id, remaining, fills, _ := app.DecodeOrderResp(res)
 	fmt.Printf("\nBUY 15 @ 102 -> order %d, %d unfilled, %d fill(s) in %v:\n", id, remaining, len(fills), lat)
 	for _, f := range fills {
@@ -39,11 +39,11 @@ func main() {
 
 	// Try to cancel the buy: it filled completely, so nothing rests and
 	// the (replicated, deterministic) engine reports ok=false.
-	res, lat = u.InvokeSync(0, app.EncodeCancel(id), 20*ubft.Millisecond)
+	res, lat = must(u.InvokeSync(0, app.EncodeCancel(id), 20*ubft.Millisecond))
 	ok, _, _, _, _ := app.DecodeOrderResp(res)
 	fmt.Printf("\nCANCEL order %d -> ok=%v (fully filled, nothing resting) (%v)\n", id, ok, lat)
 	// Cancel a resting sell instead.
-	res, lat = u.InvokeSync(0, app.EncodeCancel(3), 20*ubft.Millisecond)
+	res, lat = must(u.InvokeSync(0, app.EncodeCancel(3), 20*ubft.Millisecond))
 	ok, _, _, _, _ = app.DecodeOrderResp(res)
 	fmt.Printf("CANCEL order 3 -> ok=%v (%v)\n", ok, lat)
 	fmt.Println("\nEvery order was totally ordered across 3 replicas; a malicious")
@@ -84,17 +84,19 @@ func main() {
 		app.OrderLeg{Sym: a, Side: app.OpBuy, Price: 100, Qty: 5},
 		app.OrderLeg{Sym: b, Side: app.OpBuy, Price: 200, Qty: 5},
 	)
-	res, lat, err := d.InvokeSync(0, pair, 50*ubft.Millisecond)
-	if err != nil {
-		panic(err)
-	}
+	res, lat = must(d.InvokeSync(0, pair, 50*ubft.Millisecond))
 	fmt.Printf("cross-shard pair order (%q buy@100, %q buy@200): status %d in %v\n", a, b, res[0], lat)
 	// A scatter-gathered top-of-book read across both groups: both asks
 	// were consumed by the committed transfer.
-	res, lat, err = d.InvokeSync(0, app.EncodeTops(a, b), 50*ubft.Millisecond)
+	_, lat = must(d.InvokeSync(0, app.EncodeTops(a, b), 50*ubft.Millisecond))
+	fmt.Printf("tops after transfer (max-leg latency %v): both asks consumed atomically\n", lat)
+}
+
+// must returns a call's result and latency, and stops the example at a
+// failed call.
+func must(res []byte, lat ubft.Duration, err error) ([]byte, ubft.Duration) {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("tops after transfer (max-leg latency %v): both asks consumed atomically\n", lat)
-	_ = res
+	return res, lat
 }

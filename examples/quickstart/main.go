@@ -18,7 +18,10 @@ func main() {
 	// Flip reverses its input; the client accepts a result once f+1
 	// replicas agree, so the answer is Byzantine fault tolerant.
 	for _, msg := range []string{"hello", "microsecond", "bft"} {
-		res, lat := u.InvokeSync(0, []byte(msg), 10*ubft.Millisecond)
+		res, lat, err := u.InvokeSync(0, []byte(msg), 10*ubft.Millisecond)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("flip(%q) = %q  (end-to-end %v)\n", msg, res, lat)
 	}
 

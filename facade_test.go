@@ -14,9 +14,9 @@ import (
 func TestFacadeQuickstart(t *testing.T) {
 	u := New(Options{Seed: 1})
 	defer u.Stop()
-	res, lat := u.InvokeSync(0, []byte("facade"), 10*Millisecond)
-	if string(res) != "edacaf" {
-		t.Fatalf("result = %q", res)
+	res, lat, err := u.InvokeSync(0, []byte("facade"), 10*Millisecond)
+	if err != nil || string(res) != "edacaf" {
+		t.Fatalf("result = %q, %v", res, err)
 	}
 	if lat <= 0 || lat > 100*Microsecond {
 		t.Fatalf("latency = %v", lat)
@@ -78,16 +78,16 @@ func TestFacadeCapabilities(t *testing.T) {
 
 func TestFacadeBaselines(t *testing.T) {
 	un := NewUnreplicated(1, nil)
-	if res, _ := un.InvokeSync([]byte("ab"), 10*Millisecond); string(res) != "ba" {
+	if res, _, _ := un.InvokeSync([]byte("ab"), 10*Millisecond); string(res) != "ba" {
 		t.Fatalf("unreplicated: %q", res)
 	}
 	mu := NewMu(cluster.MuOptions{Seed: 1})
 	defer mu.Stop()
-	if res, _ := mu.InvokeSync([]byte("ab"), 10*Millisecond); string(res) != "ba" {
+	if res, _, _ := mu.InvokeSync([]byte("ab"), 10*Millisecond); string(res) != "ba" {
 		t.Fatalf("mu: %q", res)
 	}
 	mb := NewMinBFT(cluster.MinBFTOptions{Seed: 1, Mode: MinBFTHMAC})
-	if res, _ := mb.InvokeSync([]byte("ab"), 100*Millisecond); string(res) != "ba" {
+	if res, _, _ := mb.InvokeSync([]byte("ab"), 100*Millisecond); string(res) != "ba" {
 		t.Fatalf("minbft: %q", res)
 	}
 }
@@ -113,14 +113,14 @@ func TestDefaultDeploymentSurvivesLeaderCrash(t *testing.T) {
 			u := New(Options{Seed: seed})
 			defer u.Stop()
 			for i := 0; i < 5; i++ {
-				if _, _, err := u.InvokeSyncErr(0, []byte("warm"), 10*Millisecond); err != nil {
+				if _, _, err := u.InvokeSync(0, []byte("warm"), 10*Millisecond); err != nil {
 					t.Fatalf("warm-up op %d: %v", i, err)
 				}
 			}
 			if err := u.KillReplica(0); err != nil {
 				t.Fatal(err)
 			}
-			res, lat, err := u.InvokeSyncErr(0, []byte("after"), 50*Millisecond)
+			res, lat, err := u.InvokeSync(0, []byte("after"), 50*Millisecond)
 			if err != nil || string(res) != "retfa" {
 				t.Fatalf("first op after the leader crash: res=%q err=%v", res, err)
 			}
@@ -154,9 +154,9 @@ func TestFacadeModeConstants(t *testing.T) {
 	// The re-exported mode constants must wire through to real behaviour.
 	u := New(Options{Seed: 1, DisableFastPath: true, CTBMode: SlowOnly})
 	defer u.Stop()
-	res, lat := u.InvokeSync(0, []byte("slow"), 100*Millisecond)
-	if string(res) != "wols" {
-		t.Fatalf("slow mode result: %q", res)
+	res, lat, err := u.InvokeSync(0, []byte("slow"), 100*Millisecond)
+	if err != nil || string(res) != "wols" {
+		t.Fatalf("slow mode result: %q, %v", res, err)
 	}
 	if lat < 100*Microsecond {
 		t.Fatalf("SlowOnly mode suspiciously fast: %v", lat)

@@ -15,9 +15,9 @@ import (
 
 func TestUnreplicatedEcho(t *testing.T) {
 	u := cluster.NewUnrepl(1, nil)
-	res, lat := u.InvokeSync([]byte("abc"), 10*sim.Millisecond)
-	if string(res) != "cba" {
-		t.Fatalf("result = %q", res)
+	res, lat, err := u.InvokeSync([]byte("abc"), 10*sim.Millisecond)
+	if err != nil || string(res) != "cba" {
+		t.Fatalf("result = %q, %v", res, err)
 	}
 	// The paper's unreplicated small-request floor is ~2.2 us.
 	if lat < sim.Microsecond || lat > 6*sim.Microsecond {
@@ -30,9 +30,9 @@ func TestMuReplicationAndLatency(t *testing.T) {
 	defer m.Stop()
 	var lats []sim.Duration
 	for i := 0; i < 20; i++ {
-		res, lat := m.InvokeSync([]byte("ab"), 10*sim.Millisecond)
-		if string(res) != "ba" {
-			t.Fatalf("request %d: result %q", i, res)
+		res, lat, err := m.InvokeSync([]byte("ab"), 10*sim.Millisecond)
+		if err != nil || string(res) != "ba" {
+			t.Fatalf("request %d: result %q, %v", i, res, err)
 		}
 		lats = append(lats, lat)
 	}
@@ -54,7 +54,7 @@ func TestMuStateConvergence(t *testing.T) {
 	defer m.Stop()
 	for i := 0; i < 10; i++ {
 		k := []byte(fmt.Sprintf("k%d", i))
-		if res, _ := m.InvokeSync(app.EncodeKVSet(k, []byte("v")), 10*sim.Millisecond); res == nil {
+		if res, _, _ := m.InvokeSync(app.EncodeKVSet(k, []byte("v")), 10*sim.Millisecond); res == nil {
 			t.Fatalf("set %d failed", i)
 		}
 	}
@@ -70,11 +70,11 @@ func TestMuStateConvergence(t *testing.T) {
 func TestMuFailover(t *testing.T) {
 	m := cluster.NewMu(cluster.MuOptions{Seed: 1, HeartbeatTimeout: 200 * sim.Microsecond})
 	defer m.Stop()
-	if res, _ := m.InvokeSync([]byte("xy"), 10*sim.Millisecond); string(res) != "yx" {
+	if res, _, _ := m.InvokeSync([]byte("xy"), 10*sim.Millisecond); string(res) != "yx" {
 		t.Fatalf("bootstrap failed: %q", res)
 	}
 	m.Net.Node(m.IDs[0]).Proc().Crash()
-	res, _ := m.InvokeSync([]byte("hi"), 50*sim.Millisecond)
+	res, _, _ := m.InvokeSync([]byte("hi"), 50*sim.Millisecond)
 	if string(res) != "ih" {
 		t.Fatalf("failover request failed: %q", res)
 	}
@@ -82,9 +82,9 @@ func TestMuFailover(t *testing.T) {
 
 func TestMinBFTHMACVariant(t *testing.T) {
 	m := cluster.NewMinBFT(cluster.MinBFTOptions{Seed: 1, Mode: minbft.HMACClients})
-	res, lat := m.InvokeSync([]byte("ab"), 50*sim.Millisecond)
-	if string(res) != "ba" {
-		t.Fatalf("result = %q", res)
+	res, lat, err := m.InvokeSync([]byte("ab"), 50*sim.Millisecond)
+	if err != nil || string(res) != "ba" {
+		t.Fatalf("result = %q, %v", res, err)
 	}
 	// Paper: HMAC-variant MinBFT minimum ~300+ us.
 	if lat < 150*sim.Microsecond || lat > 800*sim.Microsecond {
@@ -94,11 +94,14 @@ func TestMinBFTHMACVariant(t *testing.T) {
 
 func TestMinBFTVanillaSlowerThanHMAC(t *testing.T) {
 	mh := cluster.NewMinBFT(cluster.MinBFTOptions{Seed: 1, Mode: minbft.HMACClients})
-	_, latH := mh.InvokeSync([]byte("ab"), 50*sim.Millisecond)
+	_, latH, err := mh.InvokeSync([]byte("ab"), 50*sim.Millisecond)
+	if err != nil {
+		t.Fatalf("HMAC: %v", err)
+	}
 	mv := cluster.NewMinBFT(cluster.MinBFTOptions{Seed: 1, Mode: minbft.Vanilla})
-	resV, latV := mv.InvokeSync([]byte("ab"), 50*sim.Millisecond)
-	if string(resV) != "ba" {
-		t.Fatalf("vanilla result = %q", resV)
+	resV, latV, err := mv.InvokeSync([]byte("ab"), 50*sim.Millisecond)
+	if err != nil || string(resV) != "ba" {
+		t.Fatalf("vanilla result = %q, %v", resV, err)
 	}
 	if latV <= latH {
 		t.Fatalf("vanilla (%v) should be slower than HMAC (%v)", latV, latH)
@@ -116,7 +119,7 @@ func TestMinBFTExecutesInOrderOnAllReplicas(t *testing.T) {
 	})
 	for i := 0; i < 10; i++ {
 		k := []byte(fmt.Sprintf("k%d", i))
-		if res, _ := m.InvokeSync(app.EncodeKVSet(k, []byte("v")), 50*sim.Millisecond); res == nil {
+		if res, _, _ := m.InvokeSync(app.EncodeKVSet(k, []byte("v")), 50*sim.Millisecond); res == nil {
 			t.Fatalf("set %d failed", i)
 		}
 	}
@@ -137,21 +140,28 @@ func TestMinBFTExecutesInOrderOnAllReplicas(t *testing.T) {
 func TestLatencyOrderingAcrossSystems(t *testing.T) {
 	// The paper's headline ordering for small requests:
 	// unreplicated < Mu < uBFT fast path << MinBFT (HMAC) < MinBFT vanilla.
+	latency := func(_ []byte, lat sim.Duration, err error) sim.Duration {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lat
+	}
 	un := cluster.NewUnrepl(1, nil)
-	_, latU := un.InvokeSync([]byte("ab"), 10*sim.Millisecond)
+	latU := latency(un.InvokeSync([]byte("ab"), 10*sim.Millisecond))
 
 	m := cluster.NewMu(cluster.MuOptions{Seed: 1})
 	defer m.Stop()
-	_, latM := m.InvokeSync([]byte("ab"), 10*sim.Millisecond)
+	latM := latency(m.InvokeSync([]byte("ab"), 10*sim.Millisecond))
 
 	ub := cluster.NewUBFT(cluster.Options{Seed: 1})
 	defer ub.Stop()
 	// Warm once, then measure.
 	ub.InvokeSync(0, []byte("ab"), 10*sim.Millisecond)
-	_, latB := ub.InvokeSync(0, []byte("ab"), 10*sim.Millisecond)
+	latB := latency(ub.InvokeSync(0, []byte("ab"), 10*sim.Millisecond))
 
 	mb := cluster.NewMinBFT(cluster.MinBFTOptions{Seed: 1, Mode: minbft.HMACClients})
-	_, latMB := mb.InvokeSync([]byte("ab"), 50*sim.Millisecond)
+	latMB := latency(mb.InvokeSync([]byte("ab"), 50*sim.Millisecond))
 
 	if !(latU < latM && latM < latB && latB < latMB) {
 		t.Fatalf("ordering violated: unrepl=%v mu=%v ubft=%v minbft=%v", latU, latM, latB, latMB)

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/ctbcast"
 	"repro/internal/ids"
 	"repro/internal/memnode"
@@ -95,16 +96,8 @@ func NonEquivCTB(seed int64, mode ctbcast.PathMode, msgSize, samples int) *Recor
 		k := uint64(i + 1)
 		start := rig.eng.Now()
 		rig.group.Broadcast(payload)
-		deadline := rig.eng.Now().Add(maxWait)
-		for rig.eng.Now() < deadline {
-			if rig.delivered[0] >= k && rig.delivered[1] >= k && rig.delivered[2] >= k {
-				break
-			}
-			if !rig.eng.Step() {
-				break
-			}
-		}
-		if rig.delivered[0] >= k && rig.delivered[1] >= k && rig.delivered[2] >= k {
+		all := func() bool { return rig.delivered[0] >= k && rig.delivered[1] >= k && rig.delivered[2] >= k }
+		if cluster.SyncWait(rig.eng, maxWait, all) == nil {
 			rec.Add(rig.eng.Now().Sub(start))
 		}
 		// Drain background work (acks, summaries) between samples.
@@ -163,13 +156,8 @@ func NonEquivSGX(seed int64, msgSize, samples int) *Recorder {
 		frame := w.Finish()
 		srt.Send(1, router.ChanBaseline, frame)
 		srt.Send(2, router.ChanBaseline, frame)
-		deadline := eng.Now().Add(maxWait)
-		for eng.Now() < deadline && (recvs[0].verified < seq || recvs[1].verified < seq) {
-			if !eng.Step() {
-				break
-			}
-		}
-		if recvs[0].verified >= seq && recvs[1].verified >= seq {
+		both := func() bool { return recvs[0].verified >= seq && recvs[1].verified >= seq }
+		if cluster.SyncWait(eng, maxWait, both) == nil {
 			rec.Add(eng.Now().Sub(start))
 		}
 	}

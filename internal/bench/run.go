@@ -1,6 +1,9 @@
 package bench
 
-import "repro/internal/sim"
+import (
+	"repro/internal/cluster"
+	"repro/internal/sim"
+)
 
 // maxWait bounds one request's completion (well beyond any sane latency).
 const maxWait = 500 * sim.Millisecond
@@ -14,17 +17,8 @@ func RunClosedLoop(s System, wl Workload, warmup, n int) *Recorder {
 		payload := wl.Next()
 		done := false
 		var lat sim.Duration
-		s.Invoke(payload, func(_ []byte, l sim.Duration) {
-			done = true
-			lat = l
-		})
-		deadline := eng.Now().Add(maxWait)
-		for !done && eng.Now() < deadline {
-			if !eng.Step() {
-				break
-			}
-		}
-		if !done {
+		s.Invoke(payload, func(_ []byte, l sim.Duration) { done, lat = true, l })
+		if cluster.SyncWait(eng, maxWait, func() bool { return done }) != nil {
 			continue // timed out; do not record (visible as a short count)
 		}
 		if i >= warmup {
@@ -41,8 +35,7 @@ func RunClosedLoop(s System, wl Workload, warmup, n int) *Recorder {
 func RunPipelined(s System, wl Workload, outstanding, n int) (opsPerSec float64, rec *Recorder) {
 	rec = NewRecorder(n)
 	eng := s.Engine()
-	completed := 0
-	issued := 0
+	completed, issued := 0, 0
 	start := eng.Now()
 
 	var pump func()
@@ -57,12 +50,7 @@ func RunPipelined(s System, wl Workload, outstanding, n int) (opsPerSec float64,
 		}
 	}
 	pump()
-	deadline := eng.Now().Add(sim.Duration(n) * maxWait / 100)
-	for completed < n && eng.Now() < deadline {
-		if !eng.Step() {
-			break
-		}
-	}
+	cluster.SyncWait(eng, sim.Duration(n)*maxWait/100, func() bool { return completed >= n })
 	elapsed := eng.Now().Sub(start)
 	if elapsed <= 0 || completed == 0 {
 		return 0, rec

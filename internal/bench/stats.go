@@ -6,7 +6,6 @@
 package bench
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/sim"
@@ -45,45 +44,8 @@ func (r *Recorder) Percentile(p float64) sim.Duration {
 		panic("bench: percentile of empty recorder")
 	}
 	r.sort()
-	rank := int(p/100*float64(len(r.samples))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(r.samples) {
-		rank = len(r.samples) - 1
-	}
-	return r.samples[rank]
+	return r.samples[min(max(int(p/100*float64(len(r.samples))+0.5)-1, 0), len(r.samples)-1)]
 }
 
 // Median returns the 50th percentile.
 func (r *Recorder) Median() sim.Duration { return r.Percentile(50) }
-
-// Min returns the smallest sample.
-func (r *Recorder) Min() sim.Duration {
-	r.sort()
-	return r.samples[0]
-}
-
-// Max returns the largest sample.
-func (r *Recorder) Max() sim.Duration {
-	r.sort()
-	return r.samples[len(r.samples)-1]
-}
-
-// Mean returns the arithmetic mean.
-func (r *Recorder) Mean() sim.Duration {
-	if len(r.samples) == 0 {
-		panic("bench: mean of empty recorder")
-	}
-	var total sim.Duration
-	for _, s := range r.samples {
-		total += s
-	}
-	return total / sim.Duration(len(r.samples))
-}
-
-// Summary formats the p50/p90/p95/p99 line used throughout the harness.
-func (r *Recorder) Summary() string {
-	return fmt.Sprintf("p50=%v p90=%v p95=%v p99=%v n=%d",
-		r.Percentile(50), r.Percentile(90), r.Percentile(95), r.Percentile(99), r.Count())
-}

@@ -1,43 +1,55 @@
-package bench
+package cluster_test
 
-// Allocation-budget regression tests for the hot path. The zero-allocation
-// work (pooled wire buffers, zero-copy decode, digest caching, pooled sim
-// events) is enforced here: if a change reintroduces per-message churn on
-// the fast path, these budgets fail long before a human notices the
-// latency benchmarks drifting.
+// Allocation budgets for a whole deployment's requests, fast path and
+// signed slow path, in steady state and from a fresh start. The
+// zero-allocation work (pooled and carved wire buffers, zero-copy decode,
+// recycled records, pooled sim events) is enforced here: if a change
+// reintroduces per-message churn, these budgets fail long before a human
+// notices the latency benchmarks drifting.
 
 import (
 	"math/rand"
 	"runtime"
 	"testing"
 
-	"repro/internal/app"
-	"repro/internal/shard"
+	"repro/internal/cluster"
+	"repro/internal/ctbcast"
 	"repro/internal/sim"
-	"repro/internal/wire"
 )
 
-// driveOne pushes a single closed-loop request through the system.
-func driveOne(t *testing.T, s System, wl Workload) {
-	t.Helper()
-	eng := s.Engine()
-	done := false
-	s.Invoke(wl.Next(), func(_ []byte, _ sim.Duration) { done = true })
-	deadline := eng.Now().Add(maxWait)
-	for !done && eng.Now() < deadline {
-		if !eng.Step() {
-			break
-		}
+// newFastPath deploys uBFT in its production configuration (Flip, seed 1);
+// newSlowPath pins it to the signed slow path (CTBcast's slow path,
+// Certify/Commit).
+func newFastPath() *cluster.UBFT { return cluster.NewUBFT(cluster.Options{Seed: 1}) }
+
+func newSlowPath() *cluster.UBFT {
+	return cluster.NewUBFT(cluster.Options{Seed: 1, DisableFastPath: true, CTBMode: ctbcast.SlowOnly})
+}
+
+// flipStream returns the gates' request stream: a fresh random 64 B Flip
+// payload per request.
+func flipStream() func() []byte {
+	rng := rand.New(rand.NewSource(1))
+	return func() []byte {
+		out := make([]byte, 64)
+		rng.Read(out)
+		return out
 	}
-	if !done {
+}
+
+// driveOne pushes a single closed-loop request through client 0.
+func driveOne(t *testing.T, u *cluster.UBFT, next func() []byte) {
+	t.Helper()
+	done := false
+	u.Clients[0].Invoke(next(), func([]byte, sim.Duration) { done = true })
+	if cluster.SyncWait(u.Eng, 500*sim.Millisecond, func() bool { return done }) != nil {
 		t.Fatal("request did not complete")
 	}
 }
 
-// raceAllocs, raceSlowAllocs and raceReadAllocs are what the race detector
-// adds to a fast-path request, a slow-path request and a fast read
-// (race_test.go); 0 in a plain build.
-var raceAllocs, raceSlowAllocs, raceReadAllocs int
+// raceAllocs and raceSlowAllocs are what the race detector adds to a
+// fast-path and a slow-path request (race_test.go); 0 in a plain build.
+var raceAllocs, raceSlowAllocs int
 
 // TestFastPathAllocBudget asserts a ceiling on heap allocations per
 // end-to-end request on uBFT's fast path, in steady state (pools warm, ring
@@ -63,14 +75,14 @@ var raceAllocs, raceSlowAllocs, raceReadAllocs int
 func TestFastPathAllocBudget(t *testing.T) {
 	budget := 4 + raceAllocs
 
-	s := NewUBFTFast(1, nil)
-	defer s.Stop()
-	wl := NewFlipWorkload(64, rand.New(rand.NewSource(1)))
+	u := newFastPath()
+	defer u.Stop()
+	next := flipStream()
 	// Warm up: fill buffer pools, grow ring mirrors, populate window maps.
 	for i := 0; i < 300; i++ {
-		driveOne(t, s, wl)
+		driveOne(t, u, next)
 	}
-	avg := testing.AllocsPerRun(200, func() { driveOne(t, s, wl) })
+	avg := testing.AllocsPerRun(200, func() { driveOne(t, u, next) })
 	t.Logf("fast path: %.1f allocs/request (budget %d)", avg, budget)
 	if avg > float64(budget) {
 		t.Errorf("fast path allocates %.1f/request, budget is %d", avg, budget)
@@ -115,13 +127,13 @@ func TestFastPathAllocBudget(t *testing.T) {
 func TestSlowPathAllocBudget(t *testing.T) {
 	budget := 5 + raceSlowAllocs
 
-	s := NewUBFTSlow(1, nil)
-	defer s.Stop()
-	wl := NewFlipWorkload(64, rand.New(rand.NewSource(1)))
+	u := newSlowPath()
+	defer u.Stop()
+	next := flipStream()
 	for i := 0; i < 300; i++ {
-		driveOne(t, s, wl)
+		driveOne(t, u, next)
 	}
-	avg := testing.AllocsPerRun(200, func() { driveOne(t, s, wl) })
+	avg := testing.AllocsPerRun(200, func() { driveOne(t, u, next) })
 	t.Logf("slow path: %.1f allocs/request (budget %d)", avg, budget)
 	if avg > float64(budget) {
 		t.Errorf("slow path allocates %.1f/request, budget is %d", avg, budget)
@@ -132,14 +144,14 @@ func TestSlowPathAllocBudget(t *testing.T) {
 // requests a fresh deployment s serves, set-up excluded: what the steady
 // budgets above do not see, the records and tables the deployment grows as
 // its load arrives.
-func coldAllocs(t *testing.T, s System, requests int) float64 {
+func coldAllocs(t *testing.T, u *cluster.UBFT, requests int) float64 {
 	t.Helper()
-	defer s.Stop()
-	wl := NewFlipWorkload(64, rand.New(rand.NewSource(1)))
+	defer u.Stop()
+	next := flipStream()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < requests; i++ {
-		driveOne(t, s, wl)
+		driveOne(t, u, next)
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(requests)
@@ -159,7 +171,7 @@ var raceColdAllocs, raceColdSlowAllocs int
 // up.
 func TestColdFastPathAllocBudget(t *testing.T) {
 	budget := 6 + raceColdAllocs
-	avg := coldAllocs(t, NewUBFTFast(1, nil), 300)
+	avg := coldAllocs(t, newFastPath(), 300)
 	t.Logf("cold fast path: %.2f allocs/request (budget %d)", avg, budget)
 	if avg > float64(budget) {
 		t.Errorf("cold fast path allocates %.2f/request, budget is %d", avg, budget)
@@ -172,10 +184,11 @@ func TestColdFastPathAllocBudget(t *testing.T) {
 // with room for one queued write, and a register's cooldown is its own timer
 // handler; 19.69 while each handle, its queue and each cooldown were an
 // allocation apart and the records above made their closures. The ceiling
-// is that plus 15%, rounded up.
+// is that plus 15%, rounded up. It reads 7.58 since a CTBcast summary's
+// state is copied once per identifier and its share collector is kept.
 func TestColdSlowPathAllocBudget(t *testing.T) {
 	budget := 10 + raceColdSlowAllocs
-	avg := coldAllocs(t, NewUBFTSlow(1, nil), 300)
+	avg := coldAllocs(t, newSlowPath(), 300)
 	t.Logf("cold slow path: %.2f allocs/request (budget %d)", avg, budget)
 	if avg > float64(budget) {
 		t.Errorf("cold slow path allocates %.2f/request, budget is %d", avg, budget)
@@ -196,16 +209,16 @@ func TestColdSlowPathAllocBudget(t *testing.T) {
 func TestSlowPathVerifiesEachSignatureOnce(t *testing.T) {
 	const requests, calls = 200, 3617
 
-	s := NewUBFTSlow(1, nil)
-	defer s.Stop()
-	reg := s.(*ubftSystem).c.Registry
-	wl := NewFlipWorkload(64, rand.New(rand.NewSource(1)))
+	u := newSlowPath()
+	defer u.Stop()
+	reg := u.Registry
+	next := flipStream()
 	for i := 0; i < 300; i++ {
-		driveOne(t, s, wl)
+		driveOne(t, u, next)
 	}
 	c0, r0 := reg.Verifications()
 	for i := 0; i < requests; i++ {
-		driveOne(t, s, wl)
+		driveOne(t, u, next)
 	}
 	c1, r1 := reg.Verifications()
 	computed, reused := c1-c0, r1-r0
@@ -216,132 +229,5 @@ func TestSlowPathVerifiesEachSignatureOnce(t *testing.T) {
 	}
 	if computed+reused != calls {
 		t.Errorf("slow path made %d verification calls over %d requests, want %d", computed+reused, requests, calls)
-	}
-}
-
-// TestFastReadAllocBudget asserts the unordered read fast path allocates
-// strictly less than the ordered request budget — a read that skips the
-// whole ordering pipeline must not cost more heap than one that runs it.
-// Measured at 2 allocs/read when this budget was set, since request frames
-// and free-list misses are carved from blocks; 4 while each was an
-// allocation of its own, since a multi-key
-// read's keys go into a slice the store keeps; 6 while that slice was fresh,
-// since a reply frame the client does not hand out goes back to the router's
-// free list, a store appends each answer into one buffer of its own and
-// single-key routing reuses its key slice; 10 while each of those was
-// fresh, since a read's record and its result classes are reused and replies
-// are read in place; 17 while each read made a record, a class map and a
-// wrapper closure and copied
-// every reply, ~18 before that once a read asked f+1 replicas first, ~23 when
-// every read went to all 2f+1 (vs ~139 for an ordered write on the same
-// deployment and ~119 on the single-cluster fast path, both before the
-// replica's state tables were merged). The ceiling is 2 plus 15%, rounded
-// up, ratcheted from 30 to 12, then 7, 5 and 3: a request frame or a reply
-// frame allocated per read again, a record, a reply copy, a fresh answer or a
-// fresh key slice per read coming back trips it.
-func TestFastReadAllocBudget(t *testing.T) {
-	budget := 3 + raceReadAllocs
-
-	d := shard.New(shard.Options{
-		Seed:      1,
-		NewApp:    func(int) app.StateMachine { return app.NewKV(0) },
-		FastReads: true,
-	})
-	defer d.Stop()
-	drive := func(payload []byte) {
-		fired := false
-		if _, err := d.Client(0).Invoke(payload, func([]byte, sim.Duration) { fired = true }); err != nil {
-			t.Fatal(err)
-		}
-		for !fired {
-			if !d.Eng.Step() {
-				t.Fatal("engine ran dry")
-			}
-		}
-	}
-	key := []byte("alloc-probe-key!")
-	drive(app.EncodeKVSet(key, []byte("value")))
-	read := app.EncodeKVMGet(key)
-	// Warm up: pools, response maps, replica read path.
-	for i := 0; i < 300; i++ {
-		drive(read)
-	}
-	avg := testing.AllocsPerRun(200, func() { drive(read) })
-	t.Logf("fast read: %.1f allocs/request (budget %d)", avg, budget)
-	if avg > float64(budget) {
-		t.Errorf("fast read allocates %.1f/request, budget is %d", avg, budget)
-	}
-	if fast, fb := d.Client(0).ReadStats(); fast == 0 || fb != 0 {
-		t.Fatalf("reads did not stay on the fast path: fast=%d fallbacks=%d", fast, fb)
-	}
-}
-
-// TestPointReadAllocBudget extends the read budget to the versioned
-// single-key point read (KVGet through the MVCC store): the smallest
-// request the fast path serves must stay in the same allocation class as
-// the multi-key read above — versioned chains must not add per-read churn.
-// Measured at 2 allocs/read when this budget was set (4 while request frames
-// and free-list misses were allocations of their own, 8 while reply frames,
-// read answers and routed key slices were fresh, 15 before read records were
-// reused, ~16 and ~20 earlier); the ceiling is that plus 15%, rounded up,
-// ratcheted from 30 to 10, then 5 and then 3.
-func TestPointReadAllocBudget(t *testing.T) {
-	budget := 3 + raceReadAllocs
-
-	d := shard.New(shard.Options{
-		Seed:      1,
-		NewApp:    func(int) app.StateMachine { return app.NewKV(0) },
-		FastReads: true,
-	})
-	defer d.Stop()
-	drive := func(payload []byte) {
-		fired := false
-		if _, err := d.Client(0).Invoke(payload, func([]byte, sim.Duration) { fired = true }); err != nil {
-			t.Fatal(err)
-		}
-		for !fired {
-			if !d.Eng.Step() {
-				t.Fatal("engine ran dry")
-			}
-		}
-	}
-	key := []byte("alloc-probe-key!")
-	drive(app.EncodeKVSet(key, []byte("value")))
-	read := app.EncodeKVGet(key)
-	for i := 0; i < 300; i++ {
-		drive(read)
-	}
-	avg := testing.AllocsPerRun(200, func() { drive(read) })
-	t.Logf("point read: %.1f allocs/request (budget %d)", avg, budget)
-	if avg > float64(budget) {
-		t.Errorf("point read allocates %.1f/request, budget is %d", avg, budget)
-	}
-	if fast, fb := d.Client(0).ReadStats(); fast == 0 || fb != 0 {
-		t.Fatalf("point reads did not stay on the fast path: fast=%d fallbacks=%d", fast, fb)
-	}
-}
-
-// TestWirePooledEncodeAllocFree asserts that steady-state encoding through
-// the writer pool is completely allocation-free.
-func TestWirePooledEncodeAllocFree(t *testing.T) {
-	payload := make([]byte, 256)
-	// Prime the pool so the first Get does not count.
-	w := wire.GetWriter(512)
-	wire.PutWriter(w)
-	avg := testing.AllocsPerRun(100, func() {
-		w := wire.GetWriter(512)
-		w.U8(1)
-		w.U64(42)
-		w.Bytes(payload)
-		r := wire.NewReader(w.Finish())
-		r.U8()
-		r.U64()
-		if v := r.BytesView(); len(v) != len(payload) {
-			t.Fatal("bad round trip")
-		}
-		wire.PutWriter(w)
-	})
-	if avg != 0 {
-		t.Errorf("pooled encode/decode allocates %.1f/op, want 0", avg)
 	}
 }

@@ -39,10 +39,12 @@ func NewUnrepl(seed int64, newApp func() app.StateMachine) *Unrepl {
 	return u
 }
 
-// InvokeSync submits a request and runs until the response arrives.
-func (u *Unrepl) InvokeSync(payload []byte, maxWait sim.Duration) ([]byte, sim.Duration) {
-	return invokeSync(u.Eng, maxWait, func(done func([]byte, sim.Duration)) {
+// InvokeSync submits a request and runs until the response arrives; it
+// fails as UBFT.InvokeSync does.
+func (u *Unrepl) InvokeSync(payload []byte, maxWait sim.Duration) ([]byte, sim.Duration, error) {
+	return SyncInvoke(u.Eng, maxWait, func(done func([]byte, sim.Duration)) error {
 		u.Client.Invoke(payload, done)
+		return nil
 	})
 }
 
@@ -101,10 +103,12 @@ func (m *Mu) Stop() {
 	}
 }
 
-// InvokeSync submits a request and runs until the response arrives.
-func (m *Mu) InvokeSync(payload []byte, maxWait sim.Duration) ([]byte, sim.Duration) {
-	return invokeSync(m.Eng, maxWait, func(done func([]byte, sim.Duration)) {
+// InvokeSync submits a request and runs until the response arrives; it
+// fails as UBFT.InvokeSync does.
+func (m *Mu) InvokeSync(payload []byte, maxWait sim.Duration) ([]byte, sim.Duration, error) {
+	return SyncInvoke(m.Eng, maxWait, func(done func([]byte, sim.Duration)) error {
 		m.Client.Invoke(payload, done)
+		return nil
 	})
 }
 
@@ -160,22 +164,11 @@ func NewMinBFT(opts MinBFTOptions) *MinBFT {
 	return m
 }
 
-// InvokeSync submits a request and runs until the response arrives.
-func (m *MinBFT) InvokeSync(payload []byte, maxWait sim.Duration) ([]byte, sim.Duration) {
-	return invokeSync(m.Eng, maxWait, func(done func([]byte, sim.Duration)) {
+// InvokeSync submits a request and runs until the response arrives; it
+// fails as UBFT.InvokeSync does.
+func (m *MinBFT) InvokeSync(payload []byte, maxWait sim.Duration) ([]byte, sim.Duration, error) {
+	return SyncInvoke(m.Eng, maxWait, func(done func([]byte, sim.Duration)) error {
 		m.Client.Invoke(payload, done)
+		return nil
 	})
-}
-
-// invokeSync drives an engine until one invocation completes; it fails as
-// UBFT.InvokeSync does (nil result, LatTimeout or LatStalled).
-func invokeSync(eng *sim.Engine, maxWait sim.Duration, start func(done func([]byte, sim.Duration))) ([]byte, sim.Duration) {
-	var result []byte
-	var lat sim.Duration
-	fired := false
-	start(func(res []byte, l sim.Duration) { result, lat, fired = res, l, true })
-	if err := SyncWait(eng, maxWait, func() bool { return fired }); err != nil {
-		return nil, FailureLatency(err)
-	}
-	return result, lat
 }

@@ -262,11 +262,10 @@ func (u *UBFT) Quiescent() error { return u.asm.Quiescent() }
 // Assembly.CheckAgreement).
 func (u *UBFT) CheckAgreement() error { return u.asm.CheckAgreement() }
 
-// InvokeSync failure outcomes. Both are negative so the historical
-// "latency < 0 means failure" check keeps working, but they are distinct:
-// a timeout means virtual time reached the deadline with events still
-// flowing; a stall means the engine ran out of events first — nothing more
-// will ever happen (a deadlocked or fully partitioned deployment).
+// InvokeSync failure outcomes, distinct: a timeout means virtual time
+// reached the deadline with events still flowing; a stall means the engine
+// ran out of events first — nothing more will ever happen (a deadlocked or
+// fully partitioned deployment).
 var (
 	// ErrTimeout is returned when maxWait elapses before the result.
 	ErrTimeout = errors.New("cluster: invoke timed out")
@@ -275,41 +274,36 @@ var (
 	ErrStalled = errors.New("cluster: engine ran out of events before the deadline (deployment stalled)")
 )
 
-// Sentinel latencies InvokeSync reports for the two failure outcomes.
-const (
-	LatTimeout = sim.Duration(-1)
-	LatStalled = sim.Duration(-2)
-)
-
 // InvokeSync submits a request from client ci and runs the engine until the
 // result arrives or maxWait elapses. It returns the result and the
-// end-to-end latency; on failure the latency is LatTimeout (deadline hit)
-// or LatStalled (engine out of events). Use InvokeSyncErr for an explicit
-// error value.
-func (u *UBFT) InvokeSync(ci int, payload []byte, maxWait sim.Duration) ([]byte, sim.Duration) {
-	res, lat, _ := u.InvokeSyncErr(ci, payload, maxWait)
-	return res, lat
+// end-to-end latency, or a nil result, zero latency and ErrTimeout
+// (deadline hit) or ErrStalled (engine out of events).
+func (u *UBFT) InvokeSync(ci int, payload []byte, maxWait sim.Duration) ([]byte, sim.Duration, error) {
+	return SyncInvoke(u.Eng, maxWait, func(done func([]byte, sim.Duration)) error {
+		u.Clients[ci].Invoke(payload, done)
+		return nil
+	})
 }
 
-// InvokeSyncErr is InvokeSync with a distinguishable outcome: it returns
-// nil error on success, ErrTimeout when maxWait elapsed, and ErrStalled
-// when the engine ran dry before the deadline (a deadlocked deployment).
-func (u *UBFT) InvokeSyncErr(ci int, payload []byte, maxWait sim.Duration) ([]byte, sim.Duration, error) {
+// SyncInvoke is every synchronous driver's InvokeSync: start submits one
+// request with the given completion, and SyncInvoke steps the engine until
+// it fires. It returns the result and latency, or a nil result, zero latency
+// and start's error (nothing was submitted) or SyncWait's.
+func SyncInvoke(eng *sim.Engine, maxWait sim.Duration, start func(done func([]byte, sim.Duration)) error) ([]byte, sim.Duration, error) {
 	var result []byte
-	lat := sim.Duration(-1)
+	var lat sim.Duration
 	fired := false
-	u.Clients[ci].Invoke(payload, func(res []byte, l sim.Duration) {
-		result, lat, fired = res, l, true
-	})
-	if err := SyncWait(u.Eng, maxWait, func() bool { return fired }); err != nil {
-		return nil, FailureLatency(err), err
+	if err := start(func(res []byte, l sim.Duration) { result, lat, fired = res, l, true }); err != nil {
+		return nil, 0, err
+	}
+	if err := SyncWait(eng, maxWait, func() bool { return fired }); err != nil {
+		return nil, 0, err
 	}
 	return result, lat, nil
 }
 
 // SyncWait steps the engine until done reports true, the deadline passes
-// (ErrTimeout), or the engine runs out of events (ErrStalled). Shared by
-// every synchronous-invoke surface (this package, the shard layer).
+// (ErrTimeout), or the engine runs out of events (ErrStalled).
 func SyncWait(eng *sim.Engine, maxWait sim.Duration, done func() bool) error {
 	deadline := eng.Now().Add(maxWait)
 	for !done() {
@@ -321,12 +315,4 @@ func SyncWait(eng *sim.Engine, maxWait sim.Duration, done func() bool) error {
 		}
 	}
 	return nil
-}
-
-// FailureLatency maps a SyncWait error to its sentinel latency.
-func FailureLatency(err error) sim.Duration {
-	if err == ErrStalled {
-		return LatStalled
-	}
-	return LatTimeout
 }

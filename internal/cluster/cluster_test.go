@@ -30,9 +30,9 @@ func TestF2Cluster(t *testing.T) {
 	if len(u.Replicas) != 5 || len(u.MemNodes) != 5 {
 		t.Fatalf("f=2 sizes: %d replicas %d memnodes", len(u.Replicas), len(u.MemNodes))
 	}
-	res, lat := u.InvokeSync(0, []byte("five"), 50*sim.Millisecond)
-	if string(res) != "evif" {
-		t.Fatalf("f=2 result: %q", res)
+	res, lat, err := u.InvokeSync(0, []byte("five"), 50*sim.Millisecond)
+	if err != nil || string(res) != "evif" {
+		t.Fatalf("f=2 result: %q, %v", res, err)
 	}
 	if lat <= 0 {
 		t.Fatal("no latency measured")
@@ -43,7 +43,7 @@ func TestMultipleClients(t *testing.T) {
 	u := NewUBFT(Options{Seed: 1, NumClients: 3})
 	defer u.Stop()
 	for i := 0; i < 3; i++ {
-		res, _ := u.InvokeSync(i, []byte("hi"), 20*sim.Millisecond)
+		res, _, _ := u.InvokeSync(i, []byte("hi"), 20*sim.Millisecond)
 		if string(res) != "ih" {
 			t.Fatalf("client %d: %q", i, res)
 		}
@@ -53,34 +53,15 @@ func TestMultipleClients(t *testing.T) {
 func TestInvokeSyncTimeout(t *testing.T) {
 	u := NewUBFT(Options{Seed: 1})
 	defer u.Stop()
-	// Partition the client from everyone: the invoke must fail with a
-	// negative latency rather than hanging. With no events left to flow
-	// the distinguishable outcome is a stall, not a timeout.
+	// Partition the client from everyone: the invoke must fail rather than
+	// hang. With no events left to flow the outcome is a stall, not a
+	// timeout.
 	for _, r := range u.ReplicaIDs {
 		u.Net.Partition(u.ClientIDs[0], r)
 	}
-	res, lat, err := u.InvokeSyncErr(0, []byte("x"), 2*sim.Millisecond)
-	if res != nil || lat >= 0 {
-		t.Fatalf("failure not reported: res=%v lat=%v", res, lat)
-	}
-	if err != ErrStalled || lat != LatStalled {
-		t.Fatalf("fully partitioned client should stall: err=%v lat=%v", err, lat)
-	}
-}
-
-func TestInvokeSyncDistinguishesTimeoutFromStall(t *testing.T) {
-	// A live cluster given too little time: events still flow when the
-	// deadline hits, so the outcome is a timeout, not a stall.
-	u := NewUBFT(Options{Seed: 1})
-	defer u.Stop()
-	res, lat, err := u.InvokeSyncErr(0, []byte("x"), 2*sim.Microsecond)
-	if res != nil || err != ErrTimeout || lat != LatTimeout {
-		t.Fatalf("want timeout outcome, got res=%v lat=%v err=%v", res, lat, err)
-	}
-	// The two-value InvokeSync keeps the historical lat<0 contract while
-	// exposing the distinct sentinel.
-	if res2, lat2 := u.InvokeSync(0, []byte("y"), 2*sim.Microsecond); res2 != nil || lat2 != LatTimeout {
-		t.Fatalf("InvokeSync sentinel: res=%v lat=%v", res2, lat2)
+	res, lat, err := u.InvokeSync(0, []byte("x"), 2*sim.Millisecond)
+	if res != nil || lat != 0 || err != ErrStalled {
+		t.Fatalf("fully partitioned client should stall: res=%v lat=%v err=%v", res, lat, err)
 	}
 }
 
@@ -168,7 +149,7 @@ func TestOversizedRequestDropped(t *testing.T) {
 	for _, size := range []int{opts.MsgCap + 1, 20000} {
 		u.Clients[0].Invoke(make([]byte, size), func([]byte, sim.Duration) { answered++ })
 	}
-	if _, _, err := u.InvokeSyncErr(0, []byte("ordinary"), 50*sim.Millisecond); err != nil {
+	if _, _, err := u.InvokeSync(0, []byte("ordinary"), 50*sim.Millisecond); err != nil {
 		t.Fatalf("ordinary request after two oversized ones: %v", err)
 	}
 	u.Eng.RunFor(10 * sim.Millisecond)
@@ -181,7 +162,10 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() sim.Duration {
 		u := NewUBFT(Options{Seed: 99})
 		defer u.Stop()
-		_, lat := u.InvokeSync(0, []byte("det"), 20*sim.Millisecond)
+		_, lat, err := u.InvokeSync(0, []byte("det"), 20*sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return lat
 	}
 	a, b := run(), run()
@@ -190,7 +174,7 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 	u := NewUBFT(Options{Seed: 100})
 	defer u.Stop()
-	_, c := u.InvokeSync(0, []byte("det"), 20*sim.Millisecond)
+	_, c, _ := u.InvokeSync(0, []byte("det"), 20*sim.Millisecond)
 	if c == a {
 		t.Log("different seeds coincided (possible but unlikely); not failing")
 	}
@@ -207,7 +191,7 @@ func TestCustomAppFactory(t *testing.T) {
 	if built < 3 {
 		t.Fatalf("app factory called %d times, want >=3", built)
 	}
-	res, _ := u.InvokeSync(0, app.EncodeKVSet([]byte("k"), []byte("v")), 20*sim.Millisecond)
+	res, _, _ := u.InvokeSync(0, app.EncodeKVSet([]byte("k"), []byte("v")), 20*sim.Millisecond)
 	if res == nil || res[0] != app.KVStored {
 		t.Fatalf("KV through custom factory: %v", res)
 	}

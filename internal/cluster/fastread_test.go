@@ -30,12 +30,12 @@ func TestClientInvokeRead(t *testing.T) {
 	u := cluster.NewUBFT(cluster.Options{Seed: 1, NewApp: func() app.StateMachine { return app.NewKV(0) }})
 	defer u.Stop()
 	key, val := []byte("k"), []byte("v")
-	if res, _ := u.InvokeSync(0, app.EncodeKVSet(key, val), 50*sim.Millisecond); len(res) != 1 || res[0] != app.KVStored {
+	if res, _, _ := u.InvokeSync(0, app.EncodeKVSet(key, val), 50*sim.Millisecond); len(res) != 1 || res[0] != app.KVStored {
 		t.Fatalf("seed write: %v", res)
 	}
 	decidedBefore := u.Replicas[0].DecidedCount()
 
-	want, _ := u.InvokeSync(0, app.EncodeKVGet(key), 50*sim.Millisecond)
+	want, _, _ := u.InvokeSync(0, app.EncodeKVGet(key), 50*sim.Millisecond)
 	got := syncRead(t, u, app.EncodeKVGet(key))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("fast read %x != ordered %x", got, want)

@@ -283,7 +283,7 @@ func TestSentFramesNeverChange(t *testing.T) {
 			var results [][]byte
 			var resultSums []uint64
 			mustSet := func(i int) {
-				res, _, err := u.InvokeSyncErr(0, set(i), 100*sim.Millisecond)
+				res, _, err := u.InvokeSync(0, set(i), 100*sim.Millisecond)
 				if err != nil {
 					t.Fatalf("op %d: %v", i, err)
 				}
@@ -313,7 +313,7 @@ func TestSentFramesNeverChange(t *testing.T) {
 			u.Eng.RunFor(300 * sim.Millisecond)
 			completed := 0
 			for i := 200; i < 208; i++ {
-				if _, _, err := u.InvokeSyncErr(0, set(i), 50*sim.Millisecond); err == nil {
+				if _, _, err := u.InvokeSync(0, set(i), 50*sim.Millisecond); err == nil {
 					completed++
 				}
 			}

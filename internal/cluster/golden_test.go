@@ -76,9 +76,9 @@ func TestGoldenBuildSeed7(t *testing.T) {
 	defer u.Stop()
 	var lats []sim.Duration
 	for i := 0; i < 200; i++ {
-		_, lat := u.InvokeSync(0, goldenOp(i), 50*sim.Millisecond)
-		if lat < 0 {
-			t.Fatalf("op %d failed (lat=%v)", i, lat)
+		_, lat, err := u.InvokeSync(0, goldenOp(i), 50*sim.Millisecond)
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
 		}
 		lats = append(lats, lat)
 	}
@@ -107,9 +107,9 @@ func TestGoldenRestartSeed7(t *testing.T) {
 	n := 0
 	drive := func(ops int) {
 		for i := 0; i < ops; i++ {
-			_, lat := u.InvokeSync(0, goldenOp(n), 200*sim.Millisecond)
-			if lat < 0 {
-				t.Fatalf("op %d failed (lat=%v)", n, lat)
+			_, lat, err := u.InvokeSync(0, goldenOp(n), 200*sim.Millisecond)
+			if err != nil {
+				t.Fatalf("op %d: %v", n, err)
 			}
 			lats = append(lats, lat)
 			n++
@@ -178,8 +178,11 @@ func TestMembersEqualBuild(t *testing.T) {
 	}
 
 	for i := 0; i < 50; i++ {
-		_, want := u.InvokeSync(0, goldenOp(i), 50*sim.Millisecond)
-		got := sim.Duration(-1)
+		_, want, err := u.InvokeSync(0, goldenOp(i), 50*sim.Millisecond)
+		if err != nil {
+			t.Fatalf("Build op %d: %v", i, err)
+		}
+		var got sim.Duration
 		fired := false
 		cl.Client.Invoke(goldenOp(i), func(_ []byte, l sim.Duration) { got, fired = l, true })
 		if err := cluster.SyncWait(eng, 50*sim.Millisecond, func() bool { return fired }); err != nil {

@@ -37,7 +37,7 @@ func slowOps(t *testing.T, seed int64, n int, fault func(u *cluster.UBFT, op int
 		req := []byte(fmt.Sprintf("op-%02d", i))
 		want := slices.Clone(req)
 		slices.Reverse(want)
-		res, lat, err := u.InvokeSyncErr(0, req, 50*sim.Millisecond)
+		res, lat, err := u.InvokeSync(0, req, 50*sim.Millisecond)
 		if err != nil || string(res) != string(want) {
 			t.Errorf("seed %d op %d: %q, %v; want %q", seed, i, res, err, want)
 			return nil

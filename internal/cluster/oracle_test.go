@@ -128,7 +128,7 @@ func TestOracleFootprintIsFlat(t *testing.T) {
 	o := u.asm.Groups[0].oracle
 	decisions, execs := &o.decisions[0], &o.execs[0]
 	for i := 0; i < 20*window; i++ {
-		if res, _ := u.InvokeSync(0, app.EncodeKVSet([]byte(fmt.Sprint("k", i)), []byte("v")), 10*sim.Millisecond); res == nil {
+		if res, _, _ := u.InvokeSync(0, app.EncodeKVSet([]byte(fmt.Sprint("k", i)), []byte("v")), 10*sim.Millisecond); res == nil {
 			t.Fatalf("op %d failed", i)
 		}
 	}

@@ -1,6 +1,6 @@
 //go:build race
 
-package bench
+package cluster_test
 
 // Under the race detector sync.Pool drops a share of what is put back, at
 // random, so pooled wire writers are allocated again: measured 13-14
@@ -19,16 +19,11 @@ package bench
 // frames were recycled, 110 where it read 48 before ring acks
 // and echoes were recycled, 147-148 where it read 85 before certificates were
 // read in place, 331-332 where it read 278 before register frames were
-// reused, 352-353 where it read 300), and 2 per fast read and 2 per point
-// read where a plain build reads the same (4 and 4 before frames were carved,
-// 6 and 4 before a multi-key read's
-// keys went into a slice the store keeps, 10-11 and 8-9 where it read 10 and
-// 8 before reply frames, read answers and routed key slices were reused). The
-// read offset was 1 until the fast read's budget went from 7 to 5, and the
-// slow one 55 until its budget went from 6 to 5. A fresh deployment's first
-// 300 requests read 14.8-15.9 on the fast path and 41.5-42.5 on the slow
-// path where a plain build reads 4.87 and 7.93.
+// reused, 352-353 where it read 300). The slow offset was 55 until its
+// budget went from 6 to 5. A fresh deployment's first 300 requests read
+// 14.8-15.9 on the fast path and 41.5-42.5 on the slow path where a plain
+// build reads 4.87 and 7.93.
 func init() {
-	raceAllocs, raceSlowAllocs, raceReadAllocs = 11, 36, 0
+	raceAllocs, raceSlowAllocs = 11, 36
 	raceColdAllocs, raceColdSlowAllocs = 11, 35
 }

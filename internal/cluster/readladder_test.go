@@ -45,7 +45,7 @@ func (s *ladderStream) run(ops int) {
 		s.n++
 		if s.last == nil || (s.writeEvery > 0 && s.n%s.writeEvery == 0) {
 			val := []byte(fmt.Sprintf("v%05d", s.n))
-			res, _, err := s.u.InvokeSyncErr(0, app.EncodeKVSet(s.key, val), 100*sim.Millisecond)
+			res, _, err := s.u.InvokeSync(0, app.EncodeKVSet(s.key, val), 100*sim.Millisecond)
 			if err != nil || len(res) != 1 || res[0] != app.KVStored {
 				s.t.Fatalf("op %d: write: res=%v err=%v", s.n, res, err)
 			}

@@ -18,8 +18,8 @@ import (
 func driveOps(t *testing.T, u *UBFT, n int, tag string) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, lat := u.InvokeSync(0, []byte{byte(i), 'x'}, 200*sim.Millisecond); lat < 0 {
-			t.Fatalf("%s: op %d failed (lat=%v)", tag, i, lat)
+		if _, _, err := u.InvokeSync(0, []byte{byte(i), 'x'}, 200*sim.Millisecond); err != nil {
+			t.Fatalf("%s: op %d: %v", tag, i, err)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func TestRuleHoldsAndKillsAtProtocolSteps(t *testing.T) {
 		})
 		var lats []sim.Duration
 		for i := 0; i < 60; i++ {
-			_, lat, err := u.InvokeSyncErr(0, app.EncodeKVSet([]byte(fmt.Sprintf("k%02d", i%16)), []byte{byte(i)}), 200*sim.Millisecond)
+			_, lat, err := u.InvokeSync(0, app.EncodeKVSet([]byte(fmt.Sprintf("k%02d", i%16)), []byte{byte(i)}), 200*sim.Millisecond)
 			if err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}

@@ -34,7 +34,7 @@ func TestLivenessResumesAfterGST(t *testing.T) {
 	preGST := 0
 	for i := 0; i < 5; i++ {
 		key := []byte(fmt.Sprintf("pre%d", i))
-		if res, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), sim.Millisecond); res != nil {
+		if res, _, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), sim.Millisecond); res != nil {
 			preGST++
 		}
 	}
@@ -44,7 +44,7 @@ func TestLivenessResumesAfterGST(t *testing.T) {
 	// After GST every request must complete.
 	for i := 0; i < 5; i++ {
 		key := []byte(fmt.Sprintf("post%d", i))
-		res, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 200*sim.Millisecond)
+		res, _, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 200*sim.Millisecond)
 		if res == nil {
 			t.Fatalf("post-GST request %d did not complete (liveness lost)", i)
 		}

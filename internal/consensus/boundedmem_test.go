@@ -34,7 +34,7 @@ func TestLeaderMemoryBounded(t *testing.T) {
 
 	for i := 0; i < total; i++ {
 		key := []byte(fmt.Sprintf("key-%04d", i))
-		res, _, err := u.InvokeSyncErr(0, app.EncodeKVSet(key, []byte("v")), 50*sim.Millisecond)
+		res, _, err := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 50*sim.Millisecond)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -105,7 +105,7 @@ func TestClientExecStateAged(t *testing.T) {
 			ci := wave*perWav + i%perWav
 			key := []byte(fmt.Sprintf("w%d-%04d", wave, req))
 			req++
-			res, _, err := u.InvokeSyncErr(ci, app.EncodeKVSet(key, []byte("v")), 50*sim.Millisecond)
+			res, _, err := u.InvokeSync(ci, app.EncodeKVSet(key, []byte("v")), 50*sim.Millisecond)
 			if err != nil || res == nil || res[0] != app.KVStored {
 				t.Fatalf("wave %d request %d: res=%v err=%v", wave, i, res, err)
 			}
@@ -148,7 +148,7 @@ func TestParkedClientOutlivesIdleWindow(t *testing.T) {
 	defer u.Stop()
 	const prep, parker, other = 0, 1, 2
 	key := []byte("locked")
-	res, _, err := u.InvokeSyncErr(prep, app.EncodeTxnPrepare(1, 0, app.EncodeRMSet(app.Pair{Key: key, Val: []byte("t")})), 50*sim.Millisecond)
+	res, _, err := u.InvokeSync(prep, app.EncodeTxnPrepare(1, 0, app.EncodeRMSet(app.Pair{Key: key, Val: []byte("t")})), 50*sim.Millisecond)
 	if err != nil || len(res) != 1 || res[0] != app.StatusOK {
 		t.Fatalf("prepare: res=%v err=%v", res, err)
 	}
@@ -165,7 +165,7 @@ func TestParkedClientOutlivesIdleWindow(t *testing.T) {
 			break
 		}
 		k := []byte(fmt.Sprintf("k%03d", i))
-		if res, _, err := u.InvokeSyncErr(other, app.EncodeRSet(k, []byte("v")), 50*sim.Millisecond); err != nil || len(res) != 1 || res[0] != app.ROK {
+		if res, _, err := u.InvokeSync(other, app.EncodeRSet(k, []byte("v")), 50*sim.Millisecond); err != nil || len(res) != 1 || res[0] != app.ROK {
 			t.Fatalf("write %d: res=%v err=%v", i, res, err)
 		}
 	}
@@ -180,7 +180,7 @@ func TestParkedClientOutlivesIdleWindow(t *testing.T) {
 	if parked != nil {
 		t.Fatalf("the parked write was answered before the commit: %+v", *parked)
 	}
-	if res, _, err := u.InvokeSyncErr(prep, app.EncodeTxnCommit(1), 50*sim.Millisecond); err != nil || len(res) != 1 || res[0] != app.StatusOK {
+	if res, _, err := u.InvokeSync(prep, app.EncodeTxnCommit(1), 50*sim.Millisecond); err != nil || len(res) != 1 || res[0] != app.StatusOK {
 		t.Fatalf("commit: res=%v err=%v", res, err)
 	}
 	u.Eng.RunFor(sim.Millisecond)
@@ -223,7 +223,7 @@ func TestVersionGCBounded(t *testing.T) {
 			key := []byte(fmt.Sprintf("hot-%d", req%hotKeys))
 			val := []byte(fmt.Sprintf("v%04d", req))
 			req++
-			if res, _, err := u.InvokeSyncErr(0, app.EncodeKVSet(key, val), 50*sim.Millisecond); err != nil || res == nil || res[0] != app.KVStored {
+			if res, _, err := u.InvokeSync(0, app.EncodeKVSet(key, val), 50*sim.Millisecond); err != nil || res == nil || res[0] != app.KVStored {
 				t.Fatalf("request %d: res=%v err=%v", req, res, err)
 			}
 		}
@@ -268,7 +268,7 @@ func TestLeaderMapsFlatAcrossIntervals(t *testing.T) {
 		for i := 0; i < window; i++ {
 			key := []byte(fmt.Sprintf("k-%d-%04d", interval, req))
 			req++
-			if res, _, err := u.InvokeSyncErr(0, app.EncodeKVSet(key, []byte("v")), 50*sim.Millisecond); err != nil || res == nil {
+			if res, _, err := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 50*sim.Millisecond); err != nil || res == nil {
 				t.Fatalf("request %d: res=%v err=%v", req, res, err)
 			}
 		}
@@ -310,7 +310,7 @@ func TestViewChangeRecordsPruned(t *testing.T) {
 		leader := u.ReplicaIDs[views[len(views)/2]%len(views)] // of the f+1'th highest view
 		u.Net.Partition(leader, u.ClientIDs[0])
 		key := []byte(fmt.Sprintf("key-%02d", round))
-		if _, _, err := u.InvokeSyncErr(0, app.EncodeKVSet(key, []byte("v")), 100*sim.Millisecond); err != nil {
+		if _, _, err := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 100*sim.Millisecond); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		u.Net.HealAll()
@@ -353,7 +353,7 @@ func TestRegistersCommittedOnlyBySlowPath(t *testing.T) {
 			u := cluster.NewUBFT(opts)
 			defer u.Stop()
 			for i := 0; i < 2*window+1; i++ {
-				if _, _, err := u.InvokeSyncErr(0, []byte{byte(i)}, 50*sim.Millisecond); err != nil {
+				if _, _, err := u.InvokeSync(0, []byte{byte(i)}, 50*sim.Millisecond); err != nil {
 					t.Fatalf("request %d: %v", i, err)
 				}
 			}

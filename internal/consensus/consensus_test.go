@@ -26,9 +26,9 @@ func flipCluster(opts cluster.Options) *cluster.UBFT {
 func TestFastPathSingleRequest(t *testing.T) {
 	u := flipCluster(cluster.Options{})
 	defer u.Stop()
-	res, lat := u.InvokeSync(0, []byte("abcd"), 10*sim.Millisecond)
-	if res == nil {
-		t.Fatal("request timed out")
+	res, lat, err := u.InvokeSync(0, []byte("abcd"), 10*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if string(res) != "dcba" {
 		t.Fatalf("result = %q, want dcba", res)
@@ -53,7 +53,7 @@ func TestSequentialRequestsAllReplicasConverge(t *testing.T) {
 	const total = 50
 	for i := 0; i < total; i++ {
 		payload := []byte(fmt.Sprintf("req-%02d", i))
-		res, _ := u.InvokeSync(0, payload, 10*sim.Millisecond)
+		res, _, _ := u.InvokeSync(0, payload, 10*sim.Millisecond)
 		if res == nil {
 			t.Fatalf("request %d timed out", i)
 		}
@@ -82,9 +82,9 @@ func TestSlowPathOnlyConfiguration(t *testing.T) {
 		CTBMode:         ctbcast.SlowOnly,
 	})
 	defer u.Stop()
-	res, lat := u.InvokeSync(0, []byte("slow"), 50*sim.Millisecond)
-	if res == nil {
-		t.Fatal("slow-path request timed out")
+	res, lat, err := u.InvokeSync(0, []byte("slow"), 50*sim.Millisecond)
+	if err != nil {
+		t.Fatalf("slow-path request: %v", err)
 	}
 	if string(res) != "wols" {
 		t.Fatalf("result = %q", res)
@@ -109,9 +109,9 @@ func TestFastPathFallsBackWhenFollowerCrashes(t *testing.T) {
 	})
 	defer u.Stop()
 	u.Net.Node(u.ReplicaIDs[2]).Proc().Crash()
-	res, lat := u.InvokeSync(0, []byte("ab"), 100*sim.Millisecond)
-	if res == nil {
-		t.Fatal("request timed out with f crashed replicas")
+	res, lat, err := u.InvokeSync(0, []byte("ab"), 100*sim.Millisecond)
+	if err != nil {
+		t.Fatalf("request with f crashed replicas: %v", err)
 	}
 	if string(res) != "ba" {
 		t.Fatalf("result = %q", res)
@@ -127,7 +127,7 @@ func TestCheckpointAdvancesWindow(t *testing.T) {
 	defer u.Stop()
 	const total = 30 // crosses 3 checkpoint boundaries with window 8
 	for i := 0; i < total; i++ {
-		res, _ := u.InvokeSync(0, []byte(fmt.Sprintf("%02d", i)), 20*sim.Millisecond)
+		res, _, _ := u.InvokeSync(0, []byte(fmt.Sprintf("%02d", i)), 20*sim.Millisecond)
 		if res == nil {
 			t.Fatalf("request %d timed out (window stuck?)", i)
 		}
@@ -168,9 +168,9 @@ func TestCheckpointStallBounded(t *testing.T) {
 	payload := make([]byte, 64)
 	lats := make([]sim.Duration, 0, ops)
 	for i := 0; i < warmup+ops; i++ {
-		res, lat := u.InvokeSync(0, payload, 10*sim.Millisecond)
-		if res == nil {
-			t.Fatalf("operation %d timed out", i)
+		_, lat, err := u.InvokeSync(0, payload, 10*sim.Millisecond)
+		if err != nil {
+			t.Fatalf("operation %d: %v", i, err)
 		}
 		if i >= warmup {
 			lats = append(lats, lat)
@@ -204,12 +204,12 @@ func TestViewChangeOnLeaderCrash(t *testing.T) {
 	})
 	defer u.Stop()
 	// A first request through the healthy leader.
-	if res, _ := u.InvokeSync(0, []byte("xy"), 10*sim.Millisecond); res == nil {
+	if res, _, _ := u.InvokeSync(0, []byte("xy"), 10*sim.Millisecond); res == nil {
 		t.Fatal("bootstrap request failed")
 	}
 	// Crash the leader (replica 0 leads view 0).
 	u.Net.Node(u.ReplicaIDs[0]).Proc().Crash()
-	res, _ := u.InvokeSync(0, []byte("hi"), 200*sim.Millisecond)
+	res, _, _ := u.InvokeSync(0, []byte("hi"), 200*sim.Millisecond)
 	if res == nil {
 		t.Fatal("request after leader crash timed out (view change failed)")
 	}
@@ -234,14 +234,14 @@ func TestViewChangePreservesDecidedRequests(t *testing.T) {
 	defer u.Stop()
 	for i := 0; i < 5; i++ {
 		k := []byte(fmt.Sprintf("k%d", i))
-		if res, _ := u.InvokeSync(0, app.EncodeKVSet(k, []byte("before")), 20*sim.Millisecond); res == nil {
+		if res, _, _ := u.InvokeSync(0, app.EncodeKVSet(k, []byte("before")), 20*sim.Millisecond); res == nil {
 			t.Fatalf("pre-crash set %d failed", i)
 		}
 	}
 	u.Net.Node(u.ReplicaIDs[0]).Proc().Crash()
 	for i := 5; i < 8; i++ {
 		k := []byte(fmt.Sprintf("k%d", i))
-		if res, _ := u.InvokeSync(0, app.EncodeKVSet(k, []byte("after")), 300*sim.Millisecond); res == nil {
+		if res, _, _ := u.InvokeSync(0, app.EncodeKVSet(k, []byte("after")), 300*sim.Millisecond); res == nil {
 			t.Fatalf("post-crash set %d failed", i)
 		}
 	}
@@ -278,14 +278,14 @@ func TestViewChangeFragmentedNewView(t *testing.T) {
 	val := bytes.Repeat([]byte("v"), 700)
 	for i := 0; i < 12; i++ {
 		k := []byte(fmt.Sprintf("key-%02d", i))
-		if res, _ := u.InvokeSync(0, app.EncodeKVSet(k, val), 100*sim.Millisecond); res == nil {
+		if res, _, _ := u.InvokeSync(0, app.EncodeKVSet(k, val), 100*sim.Millisecond); res == nil {
 			t.Fatalf("pre-crash set %d failed", i)
 		}
 	}
 	// Crash the view-0 leader; the view change must reassemble those
 	// commits into the NEW_VIEW and still make progress afterwards.
 	u.Net.Node(u.ReplicaIDs[0]).Proc().Crash()
-	if res, _ := u.InvokeSync(0, app.EncodeKVSet([]byte("after"), []byte("vc")), 1000*sim.Millisecond); res == nil {
+	if res, _, _ := u.InvokeSync(0, app.EncodeKVSet([]byte("after"), []byte("vc")), 1000*sim.Millisecond); res == nil {
 		t.Fatal("request after leader crash timed out (view change failed)")
 	}
 	var frags uint64
@@ -310,14 +310,14 @@ func TestViewChangeFragmentedNewView(t *testing.T) {
 func TestKVApplication(t *testing.T) {
 	u := flipCluster(cluster.Options{NewApp: func() app.StateMachine { return app.NewKV(0) }})
 	defer u.Stop()
-	if res, _ := u.InvokeSync(0, app.EncodeKVSet([]byte("alpha"), []byte("42")), 10*sim.Millisecond); res == nil || res[0] != app.KVStored {
+	if res, _, _ := u.InvokeSync(0, app.EncodeKVSet([]byte("alpha"), []byte("42")), 10*sim.Millisecond); res == nil || res[0] != app.KVStored {
 		t.Fatalf("set failed: %v", res)
 	}
-	res, _ := u.InvokeSync(0, app.EncodeKVGet([]byte("alpha")), 10*sim.Millisecond)
+	res, _, _ := u.InvokeSync(0, app.EncodeKVGet([]byte("alpha")), 10*sim.Millisecond)
 	if res == nil || res[0] != app.KVOK {
 		t.Fatalf("get failed: %v", res)
 	}
-	res, _ = u.InvokeSync(0, app.EncodeKVGet([]byte("missing")), 10*sim.Millisecond)
+	res, _, _ = u.InvokeSync(0, app.EncodeKVGet([]byte("missing")), 10*sim.Millisecond)
 	if res == nil || res[0] != app.KVMiss {
 		t.Fatalf("get of missing key: %v", res)
 	}
@@ -327,10 +327,10 @@ func TestOrderBookApplication(t *testing.T) {
 	u := flipCluster(cluster.Options{NewApp: func() app.StateMachine { return app.NewOrderBook() }})
 	defer u.Stop()
 	// A resting sell, then a crossing buy: the buy must fill.
-	if res, _ := u.InvokeSync(0, app.EncodeOrder(app.OpSell, 100, 10), 10*sim.Millisecond); res == nil {
+	if res, _, _ := u.InvokeSync(0, app.EncodeOrder(app.OpSell, 100, 10), 10*sim.Millisecond); res == nil {
 		t.Fatal("sell failed")
 	}
-	res, _ := u.InvokeSync(0, app.EncodeOrder(app.OpBuy, 105, 4), 10*sim.Millisecond)
+	res, _, _ := u.InvokeSync(0, app.EncodeOrder(app.OpBuy, 105, 4), 10*sim.Millisecond)
 	if res == nil {
 		t.Fatal("buy failed")
 	}
@@ -362,10 +362,10 @@ func TestTwoClientsInterleave(t *testing.T) {
 func TestDuplicateClientRequestNotReExecuted(t *testing.T) {
 	u := flipCluster(cluster.Options{})
 	defer u.Stop()
-	if res, _ := u.InvokeSync(0, []byte("one"), 10*sim.Millisecond); res == nil {
+	if res, _, _ := u.InvokeSync(0, []byte("one"), 10*sim.Millisecond); res == nil {
 		t.Fatal("first request failed")
 	}
-	if res, _ := u.InvokeSync(0, []byte("two"), 10*sim.Millisecond); res == nil {
+	if res, _, _ := u.InvokeSync(0, []byte("two"), 10*sim.Millisecond); res == nil {
 		t.Fatal("second request failed")
 	}
 	u.Eng.RunFor(5 * sim.Millisecond)
@@ -380,7 +380,7 @@ func TestStableLeaderNoViewChangesOnCleanRuns(t *testing.T) {
 	u := flipCluster(cluster.Options{ViewChangeTimeout: 5 * sim.Millisecond})
 	defer u.Stop()
 	for i := 0; i < 10; i++ {
-		if res, _ := u.InvokeSync(0, []byte("zz"), 10*sim.Millisecond); res == nil {
+		if res, _, _ := u.InvokeSync(0, []byte("zz"), 10*sim.Millisecond); res == nil {
 			t.Fatalf("request %d failed", i)
 		}
 	}
@@ -399,7 +399,7 @@ func TestLargeRequests(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	res, _ := u.InvokeSync(0, payload, 20*sim.Millisecond)
+	res, _, _ := u.InvokeSync(0, payload, 20*sim.Millisecond)
 	if res == nil {
 		t.Fatal("large request timed out")
 	}
@@ -419,7 +419,7 @@ func TestFm1MemoryNodeCrashTolerated(t *testing.T) {
 	if err := u.KillMemNode(0); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := u.InvokeSync(0, []byte("ok"), 100*sim.Millisecond)
+	res, _, _ := u.InvokeSync(0, []byte("ok"), 100*sim.Millisecond)
 	if res == nil {
 		t.Fatal("slow path failed with one crashed memory node")
 	}

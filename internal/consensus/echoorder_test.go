@@ -79,7 +79,7 @@ func TestUnbackedEchoSetSurvivesOneCheckpoint(t *testing.T) {
 
 	drive := func(n int) {
 		for i := 0; i < n; i++ {
-			if res, _ := u.InvokeSync(1, []byte("spin"), 10*sim.Millisecond); res == nil {
+			if res, _, _ := u.InvokeSync(1, []byte("spin"), 10*sim.Millisecond); res == nil {
 				t.Fatal("filler request timed out")
 			}
 		}

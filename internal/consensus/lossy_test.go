@@ -43,7 +43,7 @@ func rejoinUnderLoss(u *cluster.UBFT, logf func(string, ...any)) outcome.Verdict
 
 	set := func(i int, wait sim.Duration) bool {
 		key := []byte(fmt.Sprintf("k%03d", i))
-		res, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), wait)
+		res, _, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), wait)
 		return res != nil
 	}
 	for i := 0; i < 4; i++ {
@@ -174,7 +174,7 @@ func churnPartitions(u *cluster.UBFT, seed int64, logf func(string, ...any)) out
 			u.Net.HealAll()
 		}
 		key := []byte(fmt.Sprintf("k%d", i))
-		res, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 100*sim.Millisecond)
+		res, _, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 100*sim.Millisecond)
 		if res != nil {
 			completed++
 		}

@@ -1221,6 +1221,9 @@ func (r *Replica) applyOne(req *Request, s Slot) {
 		if d, ok := r.cfg.App.(app.Deferring); ok {
 			if tk := d.TakeParkedTicket(); tk != 0 {
 				c.markExecuted(req.Num, s, nil, true)
+				if c.num == req.Num {
+					c.ticket = tk
+				}
 				r.deferredResp[tk] = deferredTarget{client: req.Client, num: req.Num, slot: s}
 				return
 			}

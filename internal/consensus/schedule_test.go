@@ -48,7 +48,7 @@ func slot0TwoViews() outcome.Verdict {
 	return outcome.Judge(u, func() outcome.Verdict {
 		u.Clients[0].Invoke([]byte("m0"), func([]byte, sim.Duration) {})
 		u.Eng.RunFor(100 * sim.Millisecond)
-		if res, _ := u.InvokeSync(0, []byte("m1"), 50*sim.Millisecond); res == nil {
+		if res, _, _ := u.InvokeSync(0, []byte("m1"), 50*sim.Millisecond); res == nil {
 			return outcome.Wedged.Because("no operation completed after the view change")
 		}
 		return outcome.Verdict{}

@@ -34,7 +34,7 @@ func TestLaggingReplicaCatchesUpViaStateTransfer(t *testing.T) {
 	// Drive well past several checkpoint windows (window=8, 30 requests).
 	for i := 0; i < 30; i++ {
 		key := []byte(fmt.Sprintf("k%02d", i))
-		res, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 100*sim.Millisecond)
+		res, _, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 100*sim.Millisecond)
 		if res == nil {
 			t.Fatalf("request %d stalled with one partitioned follower", i)
 		}
@@ -98,7 +98,7 @@ func TestLaggingReplicaPullsPastAnUnreachableSigner(t *testing.T) {
 	u.Net.Partition(u.ReplicaIDs[2], u.ReplicaIDs[1])
 	for i := 0; i < 30; i++ {
 		key := []byte(fmt.Sprintf("k%02d", i))
-		if res, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 100*sim.Millisecond); res == nil {
+		if res, _, _ := u.InvokeSync(0, app.EncodeKVSet(key, []byte("v")), 100*sim.Millisecond); res == nil {
 			t.Fatalf("request %d stalled with one partitioned follower", i)
 		}
 	}

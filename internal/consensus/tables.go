@@ -312,6 +312,10 @@ type clientState struct {
 	proposedNum  uint64
 	proposedSlot Slot
 	proposedAny  bool
+	// ticket is the wait-queue ticket of the latest request while it is
+	// pending: its deferred target was made in the same slot, so the two
+	// age together (pruneBelow).
+	ticket uint64
 }
 
 // proposedUpTo reports whether this replica proposed, in a slot at or above
@@ -553,35 +557,23 @@ func (r *Replica) pruneBelow(seq Slot) {
 	// the table would otherwise hold one record per client ever seen. The
 	// one-window grace keeps dedup authoritative across every in-window
 	// re-proposal (view changes, retransmissions); only a duplicate delayed
-	// past two whole checkpoint intervals could slip through and re-execute,
-	// far beyond any retransmission horizon here. Deferred response targets
-	// whose request is STILL PARKED are exempt from the horizon regardless
-	// of age — the parked client was never answered, so it is exactly the
-	// one guaranteed to retransmit, and dropping its record would re-execute
-	// a non-idempotent request at release. Stale targets (ticket no longer
-	// parked: superseded by a state transfer that replaced the app's queue)
-	// age out normally, and so do their pending records; live deferred
-	// targets keep theirs alive too. A pipelined client may have several
-	// requests parked at once; the pending record tracks its HIGHEST num, so
-	// keep the max live deferred num per client (older parked requests
-	// answer through their own deferredResp entry regardless of the result
-	// cache).
+	// past two checkpoint intervals could re-execute. A deferred response
+	// target, and the record of a client whose latest request is still
+	// parked, are exempt however old: that client was never answered and will
+	// retransmit, and a forgotten record would re-execute a non-idempotent
+	// request at release. A target whose ticket is no longer parked (a state
+	// transfer replaced the app's queue) ages out normally. The proposal
+	// mark needs no rule of its own: every proposal made before this
+	// checkpoint went into a slot below it.
 	deferring, _ := r.cfg.App.(app.Deferring)
-	liveDeferred := make(map[ids.ID]uint64, len(r.deferredResp))
+	parked := func(tk uint64) bool { return deferring != nil && deferring.Parked(tk) }
 	for tk, tgt := range r.deferredResp {
-		if tgt.slot+window < seq && (deferring == nil || !deferring.Parked(tk)) {
+		if tgt.slot+window < seq && !parked(tk) {
 			delete(r.deferredResp, tk)
-			continue
-		}
-		if n, ok := liveDeferred[tgt.client]; !ok || tgt.num > n {
-			liveDeferred[tgt.client] = tgt.num
 		}
 	}
-	// The proposal mark needs no rule of its own: every proposal made before
-	// this checkpoint went into a slot below it (proposals stay inside the
-	// window), so no live mark goes with a record.
 	for id, c := range r.clients {
-		if n, live := liveDeferred[id]; c.slot+window < seq && !(live && c.pending && c.num == n) {
+		if c.slot+window < seq && !(c.pending && parked(c.ticket)) {
 			delete(r.clients, id)
 		}
 	}

@@ -197,7 +197,9 @@ type Group struct {
 	nextK       uint64              // next identifier to assign (1-based)
 	sendQ       [][]byte
 	lastSummary uint64
-	shareStates map[uint64]xcrypto.Shares[string] // per open summary id, over the state certified
+	// shareStates collects the shares of the (at most two) open summary
+	// ids, id in slot (id/halfT)%2 (collector).
+	shareStates [2]summaryShares
 	halfT       int
 	// The crypto pool's completions of a summary share (ownShare,
 	// shareVerdict), bound once.
@@ -253,7 +255,6 @@ func NewGroup(p Params, env Env) *Group {
 		nextK:       1,
 		nextDeliver: 1,
 		halfT:       p.Tail / 2,
-		shareStates: make(map[uint64]xcrypto.Shares[string]),
 		locks:       make([]lockEntry, p.Tail),
 		delivered:   make([]uint64, p.Tail),
 		locked:      make(map[ids.ID][]lockedEntry, len(p.Procs)),

@@ -265,8 +265,18 @@ func TestSummarySharesBounded(t *testing.T) {
 	h.net.Partition(0, 1)
 	h.net.Partition(0, 2)
 
+	// collecting counts the summary collectors holding shares.
+	collecting := func() int {
+		n := 0
+		for _, c := range g.shareStates {
+			if len(c.shares) > 0 {
+				n++
+			}
+		}
+		return n
+	}
 	share(1, 4, "early")
-	if len(g.shareStates) != 0 {
+	if collecting() != 0 {
 		t.Fatalf("share for an identifier never broadcast was kept: %v", g.shareStates)
 	}
 	for i := 0; i < 6; i++ {
@@ -274,17 +284,17 @@ func TestSummarySharesBounded(t *testing.T) {
 	}
 	share(1, 6, "off the grid")
 	share(1, 8, "not broadcast yet")
-	if len(g.shareStates) != 0 {
+	if collecting() != 0 {
 		t.Fatalf("shares for identifiers that cannot be certified were kept: %v", g.shareStates)
 	}
 	for i := 0; i < 8; i++ {
 		share(1, 4, fmt.Sprintf("state %d", i))
 	}
-	if len(g.shareStates) != 1 || len(g.shareStates[4]) != 1 {
+	if collecting() != 1 || len(g.collector(4).shares) != 1 {
 		t.Fatalf("8 states by one signer for one identifier: %v", g.shareStates)
 	}
 	share(2, 4, "state 0")
-	if g.lastSummary != 4 || len(g.shareStates) != 0 {
+	if g.lastSummary != 4 || collecting() != 0 {
 		t.Fatalf("f+1 shares over one state: lastSummary=%d, table %v", g.lastSummary, g.shareStates)
 	}
 }
@@ -309,9 +319,7 @@ func TestSummaryForgedShareCostsOneVerification(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			g.Broadcast([]byte(fmt.Sprintf("m%d", i)))
 		}
-		shares := g.shareStates[id]
-		shares.Add(0, state, sign(0)) // the broadcaster's own, taken as signed
-		g.shareStates[id] = shares
+		g.collector(id).shares.Add(0, state, sign(0)) // the broadcaster's own, taken as signed
 		first := sign(1)
 		if forgedFirst {
 			first[0] ^= 1

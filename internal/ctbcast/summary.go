@@ -78,16 +78,55 @@ func (g *Group) afterFIFODeliver(k uint64) {
 	g.env.Signer.SignBg(g.env.BgProc, g.env.Proc, stmt.Bytes(), xcrypto.Job{ID: k, State: state}, g.ownShareFn)
 }
 
+// summaryShares collects the shares of one summary id, over the state each
+// certifies. Its share storage is kept from one summary to the next.
+type summaryShares struct {
+	id     uint64
+	shares xcrypto.Shares[string]
+	// state is the state the first share of id carried, copied once: every
+	// correct share carries the same (own).
+	state string
+}
+
+// collector returns the collector of open summary id, taking over the slot
+// of an id no longer open.
+func (g *Group) collector(id uint64) *summaryShares {
+	c := &g.shareStates[id/uint64(g.halfT)%2]
+	if c.id != id {
+		c.release()
+		c.id = id
+	}
+	return c
+}
+
+// release drops the collector's shares and state, which hold views of
+// summary-sized frames, and keeps the shares' storage.
+func (c *summaryShares) release() {
+	clear(c.shares)
+	c.shares, c.state = c.shares[:0], ""
+}
+
+// own returns a share's state as a string the collector may keep: a copy
+// for the first share, the first share's copy for a share that carries the
+// same state, a new copy for one that does not.
+func (c *summaryShares) own(state []byte) string {
+	if len(c.shares) == 0 {
+		c.state = string(state)
+	} else if string(state) != c.state {
+		return string(state)
+	}
+	return c.state
+}
+
 // ownShare takes this member's share of summary j.ID, signed on the crypto
 // pool, to the broadcaster: the broadcaster counts its own at once.
 func (g *Group) ownShare(j *xcrypto.Job) {
 	k, state, sig := j.ID, j.State, j.Sig
 	if g.p.Self == g.p.Broadcaster {
 		if g.summaryOpen(k) {
-			owned, shares := string(state), g.shareStates[k]
-			n := shares.Add(g.p.Self, owned, sig)
-			g.shareStates[k] = shares
-			g.tallySummary(k, owned, n)
+			c := g.collector(k)
+			owned := c.own(state)
+			g.tallySummary(k, owned, c.shares.Add(g.p.Self, owned, sig))
 		}
 		return
 	}
@@ -105,7 +144,7 @@ func (g *Group) ownShare(j *xcrypto.Job) {
 // summaryOpen reports whether the broadcaster still collects shares for id:
 // a t/2 boundary above the last certified summary that it has broadcast up
 // to. The double buffer stops it t identifiers past the last summary, so at
-// most two identifiers are open at a time.
+// most two identifiers are open at a time, one in each shareStates slot.
 func (g *Group) summaryOpen(id uint64) bool {
 	return id > g.lastSummary && id < g.nextK && id%uint64(g.halfT) == 0
 }
@@ -119,10 +158,8 @@ func (g *Group) onSummaryShare(from ids.ID, id uint64, state []byte, sig xcrypto
 	if !g.summaryOpen(id) || !slices.Contains(g.p.Procs, from) {
 		return
 	}
-	owned, shares := string(state), g.shareStates[id]
-	verify := shares.Offer(from, owned, sig, g.p.F+1, false)
-	g.shareStates[id] = shares
-	if verify {
+	c := g.collector(id)
+	if owned := c.own(state); c.shares.Offer(from, owned, sig, g.p.F+1, false) {
 		g.verifySummaryShare(from, id, owned, sig)
 	}
 }
@@ -137,7 +174,7 @@ func (g *Group) verifySummaryShare(from ids.ID, id uint64, state string, sig xcr
 // shareVerdict tallies the crypto pool's verdict on a share.
 func (g *Group) shareVerdict(j *xcrypto.Job) {
 	if g.summaryOpen(j.ID) {
-		g.tallySummary(j.ID, j.Val, g.shareStates[j.ID].Verdict(j.From, j.Sig, j.OK))
+		g.tallySummary(j.ID, j.Val, g.collector(j.ID).shares.Verdict(j.From, j.Sig, j.OK))
 	}
 }
 
@@ -145,7 +182,7 @@ func (g *Group) shareVerdict(j *xcrypto.Job) {
 // reach f+1; short of that it hands the pool the held shares the certificate
 // still needs.
 func (g *Group) tallySummary(id uint64, state string, n int) {
-	shares := g.shareStates[id]
+	shares := g.collector(id).shares
 	if n < g.p.F+1 {
 		for from, st, sig, ok := shares.Next(g.p.F + 1); ok; from, st, sig, ok = shares.Next(g.p.F + 1) {
 			g.verifySummaryShare(from, id, st, sig)
@@ -160,9 +197,11 @@ func (g *Group) tallySummary(id uint64, state string, n int) {
 	appendSummary(w, id, state, shares)
 	g.bcast.Broadcast(w.Finish())
 	g.lastSummary = id
-	for old := range g.shareStates {
-		if old <= g.lastSummary {
-			delete(g.shareStates, old)
+	// Release the collectors of every id this summary covers; one left from
+	// a restart's jump of lastSummary goes here too.
+	for i := range g.shareStates {
+		if c := &g.shareStates[i]; c.id <= id {
+			c.release()
 		}
 	}
 	g.pumpBroadcast()

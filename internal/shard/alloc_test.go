@@ -54,3 +54,109 @@ func TestCrossShardAllocBudget(t *testing.T) {
 		t.Fatalf("%.2f allocations per warm cross-shard operation, budget %d", perOp, budget)
 	}
 }
+
+// raceReadAllocs is what the race detector adds to a fast read and a point
+// read (race_test.go); 0 in a plain build.
+var raceReadAllocs int
+
+// TestFastReadAllocBudget asserts the unordered read fast path allocates
+// strictly less than the ordered request budget — a read that skips the
+// whole ordering pipeline must not cost more heap than one that runs it.
+// Measured at 2 allocs/read when this budget was set, since request frames
+// and free-list misses are carved from blocks; 4 while each was an
+// allocation of its own, since a multi-key
+// read's keys go into a slice the store keeps; 6 while that slice was fresh,
+// since a reply frame the client does not hand out goes back to the router's
+// free list, a store appends each answer into one buffer of its own and
+// single-key routing reuses its key slice; 10 while each of those was
+// fresh, since a read's record and its result classes are reused and replies
+// are read in place; 17 while each read made a record, a class map and a
+// wrapper closure and copied
+// every reply, ~18 before that once a read asked f+1 replicas first, ~23 when
+// every read went to all 2f+1 (vs ~139 for an ordered write on the same
+// deployment and ~119 on the single-cluster fast path, both before the
+// replica's state tables were merged). The ceiling is 2 plus 15%, rounded
+// up, ratcheted from 30 to 12, then 7, 5 and 3: a request frame or a reply
+// frame allocated per read again, a record, a reply copy, a fresh answer or a
+// fresh key slice per read coming back trips it.
+func TestFastReadAllocBudget(t *testing.T) {
+	budget := 3 + raceReadAllocs
+
+	d := shard.New(shard.Options{
+		Seed:      1,
+		NewApp:    func(int) app.StateMachine { return app.NewKV(0) },
+		FastReads: true,
+	})
+	defer d.Stop()
+	drive := func(payload []byte) {
+		fired := false
+		if _, err := d.Client(0).Invoke(payload, func([]byte, sim.Duration) { fired = true }); err != nil {
+			t.Fatal(err)
+		}
+		for !fired {
+			if !d.Eng.Step() {
+				t.Fatal("engine ran dry")
+			}
+		}
+	}
+	key := []byte("alloc-probe-key!")
+	drive(app.EncodeKVSet(key, []byte("value")))
+	read := app.EncodeKVMGet(key)
+	// Warm up: pools, response maps, replica read path.
+	for i := 0; i < 300; i++ {
+		drive(read)
+	}
+	avg := testing.AllocsPerRun(200, func() { drive(read) })
+	t.Logf("fast read: %.1f allocs/request (budget %d)", avg, budget)
+	if avg > float64(budget) {
+		t.Errorf("fast read allocates %.1f/request, budget is %d", avg, budget)
+	}
+	if fast, fb := d.Client(0).ReadStats(); fast == 0 || fb != 0 {
+		t.Fatalf("reads did not stay on the fast path: fast=%d fallbacks=%d", fast, fb)
+	}
+}
+
+// TestPointReadAllocBudget extends the read budget to the versioned
+// single-key point read (KVGet through the MVCC store): the smallest
+// request the fast path serves must stay in the same allocation class as
+// the multi-key read above — versioned chains must not add per-read churn.
+// Measured at 2 allocs/read when this budget was set (4 while request frames
+// and free-list misses were allocations of their own, 8 while reply frames,
+// read answers and routed key slices were fresh, 15 before read records were
+// reused, ~16 and ~20 earlier); the ceiling is that plus 15%, rounded up,
+// ratcheted from 30 to 10, then 5 and then 3.
+func TestPointReadAllocBudget(t *testing.T) {
+	budget := 3 + raceReadAllocs
+
+	d := shard.New(shard.Options{
+		Seed:      1,
+		NewApp:    func(int) app.StateMachine { return app.NewKV(0) },
+		FastReads: true,
+	})
+	defer d.Stop()
+	drive := func(payload []byte) {
+		fired := false
+		if _, err := d.Client(0).Invoke(payload, func([]byte, sim.Duration) { fired = true }); err != nil {
+			t.Fatal(err)
+		}
+		for !fired {
+			if !d.Eng.Step() {
+				t.Fatal("engine ran dry")
+			}
+		}
+	}
+	key := []byte("alloc-probe-key!")
+	drive(app.EncodeKVSet(key, []byte("value")))
+	read := app.EncodeKVGet(key)
+	for i := 0; i < 300; i++ {
+		drive(read)
+	}
+	avg := testing.AllocsPerRun(200, func() { drive(read) })
+	t.Logf("point read: %.1f allocs/request (budget %d)", avg, budget)
+	if avg > float64(budget) {
+		t.Errorf("point read allocates %.1f/request, budget is %d", avg, budget)
+	}
+	if fast, fb := d.Client(0).ReadStats(); fast == 0 || fb != 0 {
+		t.Fatalf("point reads did not stay on the fast path: fast=%d fallbacks=%d", fast, fb)
+	}
+}

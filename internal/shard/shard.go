@@ -68,11 +68,6 @@ var ErrNoRouter = errors.New("shard: application does not implement app.Router")
 // across several groups (scatter-gather reads and 2PC writes).
 const MultiShard = -1
 
-// LatNotSubmitted is the sentinel latency InvokeSync reports when routing
-// failed and the request was never submitted (distinct from the cluster
-// timeout/stall sentinels, which imply the request was in flight).
-const LatNotSubmitted = sim.Duration(-3)
-
 // Route maps a request payload to the shard that owns it using the
 // application's Router capability, or fails with ErrCrossShard (multi-key
 // fan-out), ErrNoRouter, or a key-extraction error. It is the generic
@@ -299,23 +294,14 @@ func (d *Deployment) DisaggregatedBytesOf(shard int) int {
 }
 
 // InvokeSync routes and submits a request from client ci, runs the engine
-// until the result arrives, and returns (result, latency, shard). Failure
-// outcomes mirror cluster.InvokeSyncErr: cluster.ErrTimeout when maxWait
-// elapses, cluster.ErrStalled when the engine runs dry, or a routing error
-// (in which case nothing was submitted).
+// until the result arrives, and returns the result and its latency. It fails
+// as cluster.UBFT.InvokeSync does, or with the routing error, in which case
+// nothing was submitted.
 func (d *Deployment) InvokeSync(ci int, payload []byte, maxWait sim.Duration) ([]byte, sim.Duration, error) {
-	var result []byte
-	lat := sim.Duration(-1)
-	fired := false
-	if _, err := d.Clients[ci].Invoke(payload, func(res []byte, l sim.Duration) {
-		result, lat, fired = res, l, true
-	}); err != nil {
-		return nil, LatNotSubmitted, err
-	}
-	if err := cluster.SyncWait(d.Eng, maxWait, func() bool { return fired }); err != nil {
-		return nil, cluster.FailureLatency(err), err
-	}
-	return result, lat, nil
+	return cluster.SyncInvoke(d.Eng, maxWait, func(done func([]byte, sim.Duration)) error {
+		_, err := d.Clients[ci].Invoke(payload, done)
+		return err
+	})
 }
 
 // Client is a shard-aware uBFT client: it owns one host endpoint, routes

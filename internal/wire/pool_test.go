@@ -160,3 +160,28 @@ func TestCarveAndFreeList(t *testing.T) {
 		t.Fatal("a free list does not give back the record last put, then nil")
 	}
 }
+
+// TestWirePooledEncodeAllocFree asserts that steady-state encoding through
+// the writer pool is completely allocation-free.
+func TestWirePooledEncodeAllocFree(t *testing.T) {
+	payload := make([]byte, 256)
+	// Prime the pool so the first Get does not count.
+	w := GetWriter(512)
+	PutWriter(w)
+	avg := testing.AllocsPerRun(100, func() {
+		w := GetWriter(512)
+		w.U8(1)
+		w.U64(42)
+		w.Bytes(payload)
+		r := NewReader(w.Finish())
+		r.U8()
+		r.U64()
+		if v := r.BytesView(); len(v) != len(payload) {
+			t.Fatal("bad round trip")
+		}
+		PutWriter(w)
+	})
+	if avg != 0 {
+		t.Errorf("pooled encode/decode allocates %.1f/op, want 0", avg)
+	}
+}

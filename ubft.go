@@ -15,7 +15,10 @@
 // Quickstart:
 //
 //	u := ubft.New(ubft.Options{})
-//	res, lat := u.InvokeSync(0, []byte("hello"), 10*ubft.Millisecond)
+//	res, lat, err := u.InvokeSync(0, []byte("hello"), 10*ubft.Millisecond)
+//	if err != nil { // ubft.ErrTimeout or ubft.ErrStalled
+//		return err
+//	}
 //	fmt.Printf("%q in %v\n", res, lat)
 //
 // See docs/ARCHITECTURE.md for the system inventory and README.md for how
@@ -78,11 +81,19 @@ type (
 	ShardDeployment = shard.Deployment
 )
 
-// InvokeSync failure outcomes (see Cluster.InvokeSyncErr).
+// InvokeSync failure outcomes: every synchronous driver (Cluster,
+// ShardDeployment and the three baselines) reports failure as one of these
+// errors, or a shard routing error, with a nil result.
 var (
 	ErrTimeout = cluster.ErrTimeout
 	ErrStalled = cluster.ErrStalled
 )
+
+// SyncWait steps a deployment's engine until done reports true, returning
+// ErrTimeout once maxWait of virtual time passes first and ErrStalled if the
+// engine runs out of events: InvokeSync for a caller that keeps several
+// requests in flight with Client(i).Invoke.
+var SyncWait = cluster.SyncWait
 
 // New assembles a uBFT cluster.
 func New(opts Options) *Cluster { return cluster.NewUBFT(opts) }
