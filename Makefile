@@ -90,11 +90,18 @@ race:
 # copies each result a commit releases, and a replica's exactly-once record
 # answers a retransmission from its own copy. A store copies what it keeps,
 # once, into the record that keeps it: a warm SET of a new 16 B key with a
-# 32 B value costs at most 1.1 allocations (its chain, which holds both) and
-# an overwrite 1 (the value's copy), and scribbling over a request after
-# Apply, a 2PC fragment after Prepare and Commit or a snapshot after
-# RestoreFrom changes no Get, GetAt or SnapshotTo answer across a garbage
-# collection, every value capped. A frame that is never
+# 32 B value costs at most 0.1 allocations (its chain, which holds both, is
+# carved from a block of 31, which fits the 4 KiB size class) and an
+# overwrite 1 (the value's copy), and scribbling over a request after Apply,
+# a 2PC fragment after Prepare and Commit or a snapshot after RestoreFrom
+# changes no Get, GetAt or SnapshotTo answer across a garbage collection,
+# every value capped. A bounded store's FIFO eviction frees whole chain
+# blocks: its live heap stays flat through ten times its bound in new keys.
+# A lock's key is a view of its staged fragment: through a Prepare, its
+# Commit and a Prepare that reuses the buffer, Locked and SnapshotTo answer
+# as a fresh table's do, and a conflicting Prepare locks nothing. The
+# LockTable's decision log and receipt cache keep one array past their cap.
+# A frame that is never
 # rewritten is carved from a block its sender owns: over four laps of a ring
 # every frame, in the mirror or held after it left, still reads what it was
 # sent with, and a warm ring sender allocates at most one block per 16
@@ -111,14 +118,16 @@ race:
 # record. A warm cross-shard operation (a 2PC MSET or a scatter MGET over two
 # RKV shards) allocates at most its budget, and a shard client's record goes
 # back to its free list only once nothing can call into it: no stale round
-# timer or late reply reaches the record's next use. A whole deployment's
+# timer or late reply reaches the record's next use, and a reused record's
+# buffers never change the bytes of a call still pending. A whole deployment's
 # request (internal/cluster) allocates at most its budget on the fast path
 # and on the slow path, warm and over a fresh deployment's first 300
 # requests (records grown toward their peak are their own timer handlers, a
 # member's own register handles are made in one allocation), and the slow
 # path computes at most one ed25519 verification a request; a fast read and
 # a point read (internal/shard) stay within theirs, and a pooled wire writer
-# allocates nothing (internal/wire).
+# allocates nothing (internal/wire). Every budgeted gate counts
+# runtime.MemStats.Mallocs itself, so it reads fractions of an allocation.
 bounded-mem:
 	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
@@ -127,9 +136,9 @@ bounded-mem:
 	$(GO) test -run 'TestFramesNeverRewrittenAndWarmSendAllocatesLittle|TestStagingKeepsOneArray' ./internal/msgring/
 	$(GO) test -run 'TestSignaturesAreCarvedCapped|TestWarmSignAllocatesLittle|TestAppendCertIsTheCert|TestSignersSignConcurrently|TestStatementsAllocateNothing' ./internal/xcrypto/
 	$(GO) test -run 'TestReplyFrame|TestCachedResultOutlivesLaterApplies' ./internal/consensus/
-	$(GO) test -run 'TestOrderedAnswersShareOneBuffer|TestReleasedResultsAreTheirOwn|TestNewKeyCostsOneAllocation|TestStoreKeepsItsOwnCopies' ./internal/app/
+	$(GO) test -run 'TestOrderedAnswersShareOneBuffer|TestReleasedResultsAreTheirOwn|TestNewKeyCostsOneAllocation|TestStoreKeepsItsOwnCopies|TestChainBlockFitsItsSizeClass|TestEvictionFreesChainBlocks|TestLockKeysViewTheStagedFragment|TestDecisionLogKeepsOneArray' ./internal/app/
 	$(GO) test -run 'TestBatchSubsNeverRewritten|TestCommitBelowCheckpointOpensNoRecord' ./internal/consensus/
-	$(GO) test -run 'TestCrossShardAllocBudget|TestStaleCallbackAfterRecordReuse|TestFastReadAllocBudget|TestPointReadAllocBudget' ./internal/shard/
+	$(GO) test -run 'TestCrossShardAllocBudget|TestStaleCallbackAfterRecordReuse|TestReusedRecordsNeverRewritePendingCalls|TestFastReadAllocBudget|TestPointReadAllocBudget' ./internal/shard/
 	$(GO) test -run 'TestWirePooledEncodeAllocFree' ./internal/wire/
 	$(GO) test -run 'TestFastPathAllocBudget|TestSlowPathAllocBudget|TestColdFastPathAllocBudget|TestColdSlowPathAllocBudget|TestSlowPathVerifiesEachSignatureOnce' ./internal/cluster/
 

@@ -88,9 +88,10 @@ type Fragmenter interface {
 	// (true) or a 2PC write transaction (false) when its keys span shards.
 	ReadOnly(req []byte) bool
 	// Fragment re-encodes req restricted to the keys at the given indices
-	// of the Keys result. The fragment must be an executable request of
-	// the same application.
-	Fragment(req []byte, keyIdx []int) ([]byte, error)
+	// of the Keys result, appended to dst, and returns dst extended (dst as
+	// it was, with the error, when req cannot be split so). The fragment
+	// must be an executable request of the same application.
+	Fragment(dst, req []byte, keyIdx []int) ([]byte, error)
 	// Merge reassembles per-leg read responses into the whole-request
 	// response. legKeys[i] lists the original key indices leg i served
 	// (parallel to legs). If a leg failed, the first failing leg's status

@@ -486,11 +486,11 @@ func TestOrderedAnswersShareOneBuffer(t *testing.T) {
 		{"kv", func() StateMachine { return NewKV(0) }, [][]byte{
 			EncodeKVSet(k, long), EncodeKVGet(k), EncodeKVMGet(k, []byte("none")), EncodeKVMSet(Pair{Key: k, Val: v}),
 			EncodeKVDelete(k), EncodeKVDelete(k), EncodeKVGet(k), {0xEE},
-			EncodeTxnPrepare(1, 0, EncodeKVMSet(Pair{Key: k, Val: v})), EncodeTxnCommit(1), EncodeTxnQueryDecision(2),
+			EncodeTxnPrepare(nil, 1, 0, EncodeKVMSet(Pair{Key: k, Val: v})), EncodeTxnCommit(nil, 1), EncodeTxnQueryDecision(nil, 2),
 		}},
 		{"rkv", func() StateMachine { return NewRKV() }, [][]byte{
 			EncodeRSet(k, long), EncodeRGet(k), EncodeRSet(k, v), EncodeRIncr(k), EncodeRAppend(k, v), EncodeRGet(k), EncodeRExists(k),
-			EncodeRMGet(k, k), EncodeRMSet(Pair{Key: k, Val: v}), EncodeRDel(k), EncodeTxnListStaged(),
+			EncodeRMGet(k, k), EncodeRMSet(Pair{Key: k, Val: v}), EncodeRDel(k), EncodeTxnListStaged(nil),
 		}},
 		{"orderbook", func() StateMachine { return NewOrderBook() }, [][]byte{
 			EncodeOrder(OpSell, 100, 5), EncodeOrder(OpSell, 101, 5), EncodeOrder(OpBuy, 101, 7), EncodeCancel(2),

@@ -106,7 +106,7 @@ func TestTxnParticipantGeneric(t *testing.T) {
 			lt := sm.(lockTabler)
 			a, b, c := []byte("ka"), []byte("kb"), []byte("kc")
 
-			if res := sm.Apply(EncodeTxnPrepare(1, 0, ta.writeFrag(a, b, '1'))); len(res) != 1 || res[0] != StatusOK {
+			if res := sm.Apply(EncodeTxnPrepare(nil, 1, 0, ta.writeFrag(a, b, '1'))); len(res) != 1 || res[0] != StatusOK {
 				t.Fatalf("prepare tx1: %v", res)
 			}
 			if lt.LockedKeys() != 2 || lt.StagedTxs() != 1 {
@@ -117,14 +117,14 @@ func TestTxnParticipantGeneric(t *testing.T) {
 				t.Fatal("staged write visible before commit")
 			}
 			// A conflicting prepare votes no and locks nothing new.
-			if res := sm.Apply(EncodeTxnPrepare(2, 0, ta.writeFrag(c, b, '2'))); res[0] != StatusConflict {
+			if res := sm.Apply(EncodeTxnPrepare(nil, 2, 0, ta.writeFrag(c, b, '2'))); res[0] != StatusConflict {
 				t.Fatalf("conflicting prepare: %v, want StatusConflict", res)
 			}
 			if lt.LockedKeys() != 2 {
 				t.Fatalf("conflicting prepare leaked locks: %d", lt.LockedKeys())
 			}
 			// Re-delivered prepare for the same txid re-votes yes.
-			if res := sm.Apply(EncodeTxnPrepare(1, 0, ta.writeFrag(a, b, '1'))); res[0] != StatusOK {
+			if res := sm.Apply(EncodeTxnPrepare(nil, 1, 0, ta.writeFrag(a, b, '1'))); res[0] != StatusOK {
 				t.Fatalf("re-prepare tx1: %v", res)
 			}
 
@@ -149,7 +149,7 @@ func TestTxnParticipantGeneric(t *testing.T) {
 
 			// Commit installs the staged fragment, releases the locks and
 			// drains the wait queue in ticket order.
-			if res := sm.Apply(EncodeTxnCommit(1)); res[0] != StatusOK {
+			if res := sm.Apply(EncodeTxnCommit(nil, 1)); res[0] != StatusOK {
 				t.Fatalf("commit tx1: %v", res)
 			}
 			if lt.LockedKeys() != 0 || lt.StagedTxs() != 0 || lt.ParkedCount() != 0 {
@@ -171,16 +171,16 @@ func TestTxnParticipantGeneric(t *testing.T) {
 				t.Fatal("parked write did not execute at release")
 			}
 			// Commit and abort are idempotent for unknown txids.
-			if res := sm.Apply(EncodeTxnCommit(1)); res[0] != StatusOK {
+			if res := sm.Apply(EncodeTxnCommit(nil, 1)); res[0] != StatusOK {
 				t.Fatalf("re-commit: %v", res)
 			}
-			if res := sm.Apply(EncodeTxnAbort(3)); res[0] != StatusOK {
+			if res := sm.Apply(EncodeTxnAbort(nil, 3)); res[0] != StatusOK {
 				t.Fatalf("abort unknown: %v", res)
 			}
 			// The abort tombstone refuses a prepare ordered after its own
 			// abort — the late-prepare race that would otherwise strand the
 			// locks forever.
-			if res := sm.Apply(EncodeTxnPrepare(3, 0, ta.writeFrag(a, b, '3'))); res[0] != StatusConflict {
+			if res := sm.Apply(EncodeTxnPrepare(nil, 3, 0, ta.writeFrag(a, b, '3'))); res[0] != StatusConflict {
 				t.Fatalf("prepare after abort: %v, want StatusConflict (tombstoned)", res)
 			}
 			if lt.LockedKeys() != 0 {
@@ -188,20 +188,20 @@ func TestTxnParticipantGeneric(t *testing.T) {
 			}
 
 			// Abort path: stage then abort leaves no trace.
-			if res := sm.Apply(EncodeTxnPrepare(4, 0, ta.writeFrag(c, b, '4'))); res[0] != StatusOK {
+			if res := sm.Apply(EncodeTxnPrepare(nil, 4, 0, ta.writeFrag(c, b, '4'))); res[0] != StatusOK {
 				t.Fatalf("prepare tx4: %v", res)
 			}
-			if res := sm.Apply(EncodeTxnAbort(4)); res[0] != StatusOK {
+			if res := sm.Apply(EncodeTxnAbort(nil, 4)); res[0] != StatusOK {
 				t.Fatalf("abort tx4: %v", res)
 			}
 			if ta.visible(sm, c, '4') {
 				t.Fatal("aborted write visible")
 			}
 			// The coordinator decision record is durable and first-write-wins.
-			if res := sm.Apply(EncodeTxnDecide(7, true)); res[0] != StatusOK {
+			if res := sm.Apply(EncodeTxnDecide(nil, 7, true)); res[0] != StatusOK {
 				t.Fatalf("decide: %v", res)
 			}
-			sm.Apply(EncodeTxnDecide(7, false))
+			sm.Apply(EncodeTxnDecide(nil, 7, false))
 			if commit, ok := lt.Decision(7); !ok || !commit {
 				t.Fatalf("decision record: commit=%v ok=%v (first write must win)", commit, ok)
 			}
@@ -221,14 +221,14 @@ func TestLockTableSnapshotRoundTrip(t *testing.T) {
 		t.Run(ta.name, func(t *testing.T) {
 			sm := ta.mk()
 			a, b := []byte("xa"), []byte("xb")
-			if res := sm.Apply(EncodeTxnPrepare(7, 0, ta.writeFrag(a, b, '1'))); res[0] != StatusOK {
+			if res := sm.Apply(EncodeTxnPrepare(nil, 7, 0, ta.writeFrag(a, b, '1'))); res[0] != StatusOK {
 				t.Fatalf("prepare: %v", res)
 			}
 			if res := sm.Apply(ta.singleWrite(a, '9')); res != nil {
 				t.Fatalf("parked write: %v", res)
 			}
 			sm.(Deferring).TakeParkedTicket()
-			sm.Apply(EncodeTxnDecide(5, true))
+			sm.Apply(EncodeTxnDecide(nil, 5, true))
 
 			snap := sm.Snapshot()
 			if !bytes.Equal(snap, sm.Snapshot()) {
@@ -254,7 +254,7 @@ func TestLockTableSnapshotRoundTrip(t *testing.T) {
 			}
 			// Committing on the restored replica installs the staged
 			// fragment and drains the restored wait queue in ticket order.
-			if res := sm2.Apply(EncodeTxnCommit(7)); res[0] != StatusOK {
+			if res := sm2.Apply(EncodeTxnCommit(nil, 7)); res[0] != StatusOK {
 				t.Fatalf("commit on restored: %v", res)
 			}
 			if !ta.visible(sm2, b, '1') {
@@ -281,7 +281,7 @@ func TestTxnListStaged(t *testing.T) {
 			sm := ta.mk()
 			list := func(sm StateMachine) []StagedTxn {
 				t.Helper()
-				staged, ok := DecodeTxnListStaged(sm.Apply(EncodeTxnListStaged()))
+				staged, ok := DecodeTxnListStaged(sm.Apply(EncodeTxnListStaged(nil)))
 				if !ok {
 					t.Fatal("OpTxnListStaged answer does not decode")
 				}
@@ -294,7 +294,7 @@ func TestTxnListStaged(t *testing.T) {
 			// coordinators; 9 is delivered twice.
 			for _, p := range []StagedTxn{{9, 2}, {3, 1}, {5, 0}, {9, 4}} {
 				k := []byte(fmt.Sprintf("k%d", p.Txid))
-				if res := sm.Apply(EncodeTxnPrepare(p.Txid, p.Coord, ta.writeFrag(k, append(k, 'b'), '1'))); res[0] != StatusOK {
+				if res := sm.Apply(EncodeTxnPrepare(nil, p.Txid, p.Coord, ta.writeFrag(k, append(k, 'b'), '1'))); res[0] != StatusOK {
 					t.Fatalf("prepare %d: %v", p.Txid, res)
 				}
 			}
@@ -307,12 +307,12 @@ func TestTxnListStaged(t *testing.T) {
 			if got := list(restored); !slices.Equal(got, want) {
 				t.Fatalf("restored store lists %v, want %v", got, want)
 			}
-			sm.Apply(EncodeTxnCommit(3))
-			sm.Apply(EncodeTxnAbort(9))
+			sm.Apply(EncodeTxnCommit(nil, 3))
+			sm.Apply(EncodeTxnAbort(nil, 9))
 			if got := list(sm); !slices.Equal(got, want[1:2]) {
 				t.Fatalf("after resolving 3 and 9 listed %v, want %v", got, want[1:2])
 			}
-			if res := sm.Apply(append(EncodeTxnListStaged(), 0)); len(res) != 1 || res[0] != StatusBadReq {
+			if res := sm.Apply(append(EncodeTxnListStaged(nil), 0)); len(res) != 1 || res[0] != StatusBadReq {
 				t.Fatalf("trailing byte answered %v, want StatusBadReq", res)
 			}
 		})
@@ -326,18 +326,18 @@ func TestTxnListStagedCap(t *testing.T) {
 	const n = stagedListCap + 10
 	for id := uint64(n); id >= 1; id-- {
 		k := []byte(fmt.Sprintf("k%d", id))
-		if res := r.Apply(EncodeTxnPrepare(id, 0, EncodeRMSet(Pair{Key: k, Val: k}))); res[0] != StatusOK {
+		if res := r.Apply(EncodeTxnPrepare(nil, id, 0, EncodeRMSet(Pair{Key: k, Val: k}))); res[0] != StatusOK {
 			t.Fatalf("prepare %d: %v", id, res)
 		}
 	}
-	staged, ok := DecodeTxnListStaged(r.Apply(EncodeTxnListStaged()))
+	staged, ok := DecodeTxnListStaged(r.Apply(EncodeTxnListStaged(nil)))
 	if !ok || len(staged) != stagedListCap || staged[0].Txid != 1 || staged[stagedListCap-1].Txid != stagedListCap {
 		t.Fatalf("listed %d (ok=%v), want txids 1..%d", len(staged), ok, stagedListCap)
 	}
 	for _, tx := range staged {
-		r.Apply(EncodeTxnAbort(tx.Txid))
+		r.Apply(EncodeTxnAbort(nil, tx.Txid))
 	}
-	staged, ok = DecodeTxnListStaged(r.Apply(EncodeTxnListStaged()))
+	staged, ok = DecodeTxnListStaged(r.Apply(EncodeTxnListStaged(nil)))
 	if !ok || len(staged) != n-stagedListCap || staged[0].Txid != stagedListCap+1 {
 		t.Fatalf("second list: %d entries (ok=%v), want the remaining %d", len(staged), ok, n-stagedListCap)
 	}
@@ -373,7 +373,7 @@ func TestPrepareValidatesFragments(t *testing.T) {
 	}
 	for _, tc := range cases {
 		lt := tc.sm.(lockTabler)
-		if res := tc.sm.Apply(EncodeTxnPrepare(1, 0, tc.frag)); len(res) != 1 || res[0] != StatusBadReq {
+		if res := tc.sm.Apply(EncodeTxnPrepare(nil, 1, 0, tc.frag)); len(res) != 1 || res[0] != StatusBadReq {
 			t.Errorf("%s: prepare = %v, want StatusBadReq", tc.name, res)
 		}
 		if lt.LockedKeys() != 0 || lt.StagedTxs() != 0 {
@@ -387,7 +387,7 @@ func TestPrepareValidatesFragments(t *testing.T) {
 func TestLockTableDecisionLogBounded(t *testing.T) {
 	r := NewRKV()
 	for i := 0; i < decisionCap+10; i++ {
-		if res := r.Apply(EncodeTxnDecide(uint64(i), i%2 == 0)); res[0] != StatusOK {
+		if res := r.Apply(EncodeTxnDecide(nil, uint64(i), i%2 == 0)); res[0] != StatusOK {
 			t.Fatalf("decide %d: %v", i, res)
 		}
 	}
@@ -406,7 +406,7 @@ func TestLockTableDecisionLogBounded(t *testing.T) {
 // caller falls back to StatusLocked + retry) instead of growing unbounded.
 func TestLockTableParkedCap(t *testing.T) {
 	r := NewRKV()
-	if res := r.Apply(EncodeTxnPrepare(1, 0, EncodeRMSet(Pair{Key: []byte("k"), Val: []byte("v")}))); res[0] != StatusOK {
+	if res := r.Apply(EncodeTxnPrepare(nil, 1, 0, EncodeRMSet(Pair{Key: []byte("k"), Val: []byte("v")}))); res[0] != StatusOK {
 		t.Fatalf("prepare: %v", res)
 	}
 	for i := 0; i < parkedCap; i++ {
@@ -484,7 +484,7 @@ func TestFragmentMergeReads(t *testing.T) {
 			legShards, legKeys := fragPlan(keys, shards)
 			legs := make([][]byte, len(legShards))
 			for li, s := range legShards {
-				frag, err := fr.Fragment(read, legKeys[li])
+				frag, err := fr.Fragment(nil, read, legKeys[li])
 				if err != nil {
 					t.Fatalf("fragment leg %d: %v", li, err)
 				}
@@ -558,18 +558,18 @@ func TestFragmentWrites(t *testing.T) {
 				t.Fatalf("Keys: %q err=%v", keys, err)
 			}
 			for i, k := range keys {
-				frag, err := fr.Fragment(req, []int{i})
+				frag, err := fr.Fragment(nil, req, []int{i})
 				if err != nil {
 					t.Fatalf("fragment %d: %v", i, err)
 				}
 				sm := ta.mk()
-				if res := sm.Apply(EncodeTxnPrepare(1, 0, frag)); len(res) != 1 || res[0] != StatusOK {
+				if res := sm.Apply(EncodeTxnPrepare(nil, 1, 0, frag)); len(res) != 1 || res[0] != StatusOK {
 					t.Fatalf("fragment %d not preparable: %v", i, res)
 				}
 				if got := sm.(lockTabler).LockedKeys(); got != 1 {
 					t.Fatalf("fragment %d locked %d keys, want 1", i, got)
 				}
-				if res := sm.Apply(EncodeTxnCommit(1)); res[0] != StatusOK {
+				if res := sm.Apply(EncodeTxnCommit(nil, 1)); res[0] != StatusOK {
 					t.Fatalf("fragment %d commit: %v", i, res)
 				}
 				if !ta.visible(sm, k, '5') {

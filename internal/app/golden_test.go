@@ -207,9 +207,9 @@ func (g *goldenRun) txn() []byte {
 		// strand and slowly freeze the whole key space.
 		g.txid++
 		if g.rng.Intn(2) == 0 {
-			return EncodeTxnCommit(g.txid - 4)
+			return EncodeTxnCommit(nil, g.txid-4)
 		}
-		return EncodeTxnAbort(g.txid - 4)
+		return EncodeTxnAbort(nil, g.txid-4)
 	}
 	id := g.txid - uint64(g.rng.Intn(4))
 	switch n := g.rng.Intn(20); {
@@ -225,15 +225,15 @@ func (g *goldenRun) txn() []byte {
 		default:
 			frag = g.c.mset(g.pairs(1 + g.rng.Intn(3))...)
 		}
-		return EncodeTxnPrepare(id, uint64(g.rng.Intn(3)), frag)
+		return EncodeTxnPrepare(nil, id, uint64(g.rng.Intn(3)), frag)
 	case n < 13:
-		return EncodeTxnCommit(id)
+		return EncodeTxnCommit(nil, id)
 	case n < 16:
-		return EncodeTxnAbort(id)
+		return EncodeTxnAbort(nil, id)
 	case n < 18:
-		return EncodeTxnDecide(id, g.rng.Intn(2) == 0)
+		return EncodeTxnDecide(nil, id, g.rng.Intn(2) == 0)
 	case n < 19:
-		return EncodeTxnQueryDecision(id)
+		return EncodeTxnQueryDecision(nil, id)
 	default:
 		return []byte{OpTxnCommit, 1, 2} // truncated envelope
 	}
@@ -275,7 +275,7 @@ func (g *goldenRun) route(req []byte) {
 	}
 	g.f.flag(g.s.ReadOnly(req))
 	if len(keys) < 2 {
-		frag, err := g.s.Fragment(req, []int{0})
+		frag, err := g.s.Fragment(nil, req, []int{0})
 		g.f.flag(err != nil)
 		g.f.bytes(frag)
 		return
@@ -291,7 +291,7 @@ func (g *goldenRun) route(req []byte) {
 	}
 	var legs [][]byte
 	for _, idx := range legKeys {
-		frag, err := g.s.Fragment(req, idx)
+		frag, err := g.s.Fragment(nil, req, idx)
 		g.f.flag(err != nil)
 		g.f.bytes(frag)
 		if g.s.ReadOnly(req) {
@@ -303,7 +303,7 @@ func (g *goldenRun) route(req []byte) {
 		g.f.bytes(g.s.Merge(req, legs, legKeys[:]))
 		g.f.bytes(g.s.Merge(req, [][]byte{legs[0], {StatusLocked}}, legKeys[:]))
 	}
-	_, err = g.s.Fragment(req, []int{len(keys)})
+	_, err = g.s.Fragment(nil, req, []int{len(keys)})
 	g.f.flag(err != nil)
 }
 
@@ -373,17 +373,17 @@ func goldenDigest(t *testing.T, c keyedCodec, seed int64, evicts bool) string {
 	// the overflow is refused with StatusLocked, and the commit releases
 	// every parked request in ticket order.
 	for id := g.txid - 3; id <= g.txid; id++ {
-		g.apply(EncodeTxnAbort(id))
+		g.apply(EncodeTxnAbort(nil, id))
 	}
 	hot := []byte("hot")
 	g.txid += 10
-	g.apply(EncodeTxnPrepare(g.txid, 0, g.c.mset(Pair{Key: hot, Val: []byte("t")})))
+	g.apply(EncodeTxnPrepare(nil, g.txid, 0, g.c.mset(Pair{Key: hot, Val: []byte("t")})))
 	for i := 0; i < parkedCap+8; i++ {
 		g.apply(g.c.valOps[0](hot, []byte{byte(i)}))
 	}
 	g.reads(g.c.mget(hot, g.key()))
 	g.checkpoint(t)
-	g.apply(EncodeTxnCommit(g.txid))
+	g.apply(EncodeTxnCommit(nil, g.txid))
 	// Eviction is observable as a miss on the oldest key of a fresh burst.
 	for i := 0; i < 40; i++ {
 		g.apply(g.c.valOps[0]([]byte(fmt.Sprintf("burst%02d", i)), []byte("v")))

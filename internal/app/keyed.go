@@ -39,7 +39,7 @@ func (op keyedOp) readOnly() bool { return op == opGet || op == opExists || op =
 // dialect is everything that distinguishes one keyed store's wire protocol
 // from another's: which opcode means which operation, the status bytes the
 // two historical vocabularies disagree on, the modelled server cost, and
-// the two multi-key request builders Fragment re-encodes through. Hits,
+// the opcodes of the two multi-key requests Fragment re-encodes. Hits,
 // misses, bad requests and every multi-key answer use the generic bytes
 // (StatusOK, keyedMiss, StatusBadReq) in both dialects.
 type dialect struct {
@@ -50,8 +50,7 @@ type dialect struct {
 	stored, deleted, notFound uint8
 	execBase                  sim.Duration // ExecCost of an empty request
 
-	mget func(keys ...[]byte) []byte
-	mset func(pairs ...Pair) []byte
+	mget, mset uint8
 }
 
 // keyedMiss answers a GET of an absent key (KVMiss and RMiss).
@@ -406,24 +405,24 @@ func (s *keyed) ReadOnly(req []byte) bool {
 }
 
 // Fragment implements Fragmenter: re-encode a multi-key request restricted
-// to the keys at the given indices.
-func (s *keyed) Fragment(req []byte, keyIdx []int) ([]byte, error) {
+// to the keys at the given indices, appended to dst.
+func (s *keyed) Fragment(dst, req []byte, keyIdx []int) ([]byte, error) {
 	rd := wire.NewReader(req)
 	switch s.d.ops[rd.U8()] {
 	case opMGet:
 		sub, err := subsetKeys(&s.keys, rd, keyIdx)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		return s.d.mget(sub...), nil
+		return encodeKeysOp(dst, s.d.mget, sub), nil
 	case opMSet:
 		sub, err := subsetPairs(&s.pairs, rd, keyIdx)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		return s.d.mset(sub...), nil
+		return encodePairsOp(dst, s.d.mset, sub), nil
 	default:
-		return nil, ErrNoKey
+		return dst, ErrNoKey
 	}
 }
 
@@ -529,8 +528,14 @@ func encodeKeyValOp(op uint8, key, value []byte) []byte {
 	return w.Finish()
 }
 
-func encodeKeysOp(op uint8, keys [][]byte) []byte {
-	w := wire.NewWriter(64)
+// encodeKeysOp appends a multi-key request (opcode, count, keys) to dst.
+func encodeKeysOp(dst []byte, op uint8, keys [][]byte) []byte {
+	size := 1 + wire.UvarintLen(uint64(len(keys)))
+	for _, k := range keys {
+		size += wire.BytesLen(len(k))
+	}
+	w := wire.WriterOn(dst)
+	w.Grow(size)
 	w.U8(op)
 	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
@@ -539,8 +544,15 @@ func encodeKeysOp(op uint8, keys [][]byte) []byte {
 	return w.Finish()
 }
 
-func encodePairsOp(op uint8, pairs []Pair) []byte {
-	w := wire.NewWriter(64)
+// encodePairsOp appends a multi-key write (opcode, count, key-value pairs)
+// to dst.
+func encodePairsOp(dst []byte, op uint8, pairs []Pair) []byte {
+	size := 1 + wire.UvarintLen(uint64(len(pairs)))
+	for _, p := range pairs {
+		size += wire.BytesLen(len(p.Key)) + wire.BytesLen(len(p.Val))
+	}
+	w := wire.WriterOn(dst)
+	w.Grow(size)
 	w.U8(op)
 	w.Uvarint(uint64(len(pairs)))
 	for _, p := range pairs {

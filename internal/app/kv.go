@@ -50,8 +50,8 @@ var kvDialect = dialect{
 	deleted:  KVDeleted,
 	notFound: KVNotFound,
 	execBase: 14200 * sim.Nanosecond,
-	mget:     EncodeKVMGet,
-	mset:     EncodeKVMSet,
+	mget:     KVMGet,
+	mset:     KVMSet,
 }
 
 // NewKV creates a store bounded to maxItems entries (0 = unbounded).
@@ -67,7 +67,7 @@ func EncodeKVSet(key, value []byte) []byte { return encodeKeyValOp(KVSet, key, v
 func EncodeKVDelete(key []byte) []byte { return encodeKeyOp(KVDelete, key) }
 
 // EncodeKVMSet builds an atomic multi-key SET request.
-func EncodeKVMSet(pairs ...Pair) []byte { return encodePairsOp(KVMSet, pairs) }
+func EncodeKVMSet(pairs ...Pair) []byte { return encodePairsOp(nil, KVMSet, pairs) }
 
 // EncodeKVMGet builds a multi-key GET request.
-func EncodeKVMGet(keys ...[]byte) []byte { return encodeKeysOp(KVMGet, keys) }
+func EncodeKVMGet(keys ...[]byte) []byte { return encodeKeysOp(nil, KVMGet, keys) }

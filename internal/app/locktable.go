@@ -2,6 +2,7 @@ package app
 
 import (
 	"bytes"
+	"iter"
 	"sort"
 
 	"repro/internal/wire"
@@ -32,13 +33,17 @@ import (
 //
 // What the LockTable keeps it owns: Prepare's caller hands over a view
 // (ApplyTxn decodes the fragment out of the request) and a staged fragment
-// is Prepare's copy of it, a parked request is copied, a lock's key is a
-// string, and a commit receipt or a released result is the LockTable's own
-// slice. A staged transaction's record, its key list and its fragment buffer
-// are recycled: Commit and Abort put them on a free list that Prepare takes
-// from, so the list never holds more records than were staged at once. A
-// recycled fragment buffer is written again, which is sound because install
-// copies whatever it keeps of a fragment.
+// is Prepare's copy of it, a parked request is copied, and a commit receipt
+// or a released result is the LockTable's own slice. A lock's key is a
+// string view of the staged fragment's bytes (keyString), so locking a key
+// allocates nothing. A staged transaction's record, its key list and its
+// fragment buffer are recycled: Commit and Abort put them on a free list
+// that Prepare takes from, so the list never holds more records than were
+// staged at once. A recycled fragment buffer is written again, which is
+// sound because install copies whatever it keeps of a fragment and Commit
+// and Abort delete every lock the fragment's views key before they release
+// it; the staged record's key list is emptied with it, and no other map
+// keeps those strings (a parked request's keys are its own).
 type LockTable struct {
 	keysOf  func(fragment []byte) ([][]byte, error)
 	install func(fragment []byte) []byte
@@ -57,14 +62,14 @@ type LockTable struct {
 	// group, plus abort tombstones that refuse a prepare delayed past its
 	// own abort (which would otherwise strand the keys locked forever).
 	decisions     map[uint64]bool
-	decisionOrder []uint64
+	decisionOrder txRing
 
 	// Committed-receipt cache (bounded FIFO, non-empty receipts only): a
 	// commit retransmitted after it applied re-answers with the same
 	// receipt, so a lost first ack cannot downgrade the transaction
 	// driver's response from per-leg results to a bare StatusOK.
 	receipts     map[uint64][]byte
-	receiptOrder []uint64
+	receiptOrder txRing
 
 	// The FIFO wait queue: requests that hit a transaction-locked key are
 	// parked here (in arrival = ticket order) and executed by the Apply
@@ -81,7 +86,7 @@ type LockTable struct {
 
 // stagedTxn is one prepared (locked but not yet committed) transaction.
 type stagedTxn struct {
-	keys  []string // locked keys, in fragment order
+	keys  []string // locked keys, in fragment order: views of frag
 	frag  []byte   // the staged write fragment
 	coord uint64   // coordinator group (whose decision log recovery replays)
 }
@@ -93,8 +98,45 @@ type parkedReq struct {
 	req    []byte   // the original request, re-executed on release
 }
 
-// decisionCap bounds the decision/tombstone log.
+// decisionCap bounds the decision/tombstone log and the receipt cache.
 const decisionCap = 4096
+
+// txRing is the eviction order of the decision log or the receipt cache:
+// the txids they keep, oldest first from head. It keeps one array, grown as
+// txids arrive up to decisionCap and then written in place, so a full log
+// costs nothing per decision.
+type txRing struct {
+	ids  []uint64
+	head int // the oldest txid's index once the ring is full, else 0
+}
+
+// push appends txid and, when the ring already held decisionCap txids,
+// evicts and returns the oldest.
+func (r *txRing) push(txid uint64) (evicted uint64, full bool) {
+	if len(r.ids) < decisionCap {
+		r.ids = append(r.ids, txid)
+		return 0, false
+	}
+	evicted, r.ids[r.head] = r.ids[r.head], txid
+	r.head = (r.head + 1) % len(r.ids)
+	return evicted, true
+}
+
+// All yields the kept txids, oldest first.
+func (r *txRing) All() iter.Seq[uint64] {
+	return func(yield func(uint64) bool) {
+		for _, part := range [2][]uint64{r.ids[r.head:], r.ids[:r.head]} {
+			for _, id := range part {
+				if !yield(id) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// restore empties the ring for n txids, to be pushed oldest first.
+func (r *txRing) restore(n int) { *r = txRing{ids: make([]uint64, 0, min(n, decisionCap))} }
 
 // parkedCap bounds the wait queue; beyond it requests are refused with
 // StatusLocked and fall back to caller-side retry.
@@ -161,13 +203,21 @@ func (lt *LockTable) Prepare(txid, coord uint64, fragment []byte) uint8 {
 		tx = new(stagedTxn)
 	}
 	tx.frag, tx.coord = append(tx.frag[:0], fragment...), coord
+	lt.lock(txid, tx)
+	lt.staged[txid] = tx
+	return StatusOK
+}
+
+// lock takes tx's locks for txid: its keys are those keysOf reads in the
+// staged copy tx.frag, so each lock's key is a view of the staged bytes. A
+// fragment keysOf accepted once reads the same keys again.
+func (lt *LockTable) lock(txid uint64, tx *stagedTxn) {
+	keys, _ := lt.keysOf(tx.frag)
 	for _, k := range keys {
-		ks := string(k)
+		ks := keyString(k)
 		lt.locks[ks] = txid
 		tx.keys = append(tx.keys, ks)
 	}
-	lt.staged[txid] = tx
-	return StatusOK
 }
 
 // Commit installs a staged fragment, releases its locks and drains the
@@ -202,10 +252,7 @@ func (lt *LockTable) rememberReceipt(txid uint64, receipt []byte) {
 	if _, dup := lt.receipts[txid]; dup {
 		return
 	}
-	lt.receiptOrder = append(lt.receiptOrder, txid)
-	if len(lt.receiptOrder) > decisionCap {
-		evict := lt.receiptOrder[0]
-		lt.receiptOrder = lt.receiptOrder[1:]
+	if evict, full := lt.receiptOrder.push(txid); full {
 		delete(lt.receipts, evict)
 	}
 	lt.receipts[txid] = receipt
@@ -291,10 +338,7 @@ func (lt *LockTable) record(txid uint64, commit bool) {
 	if _, dup := lt.decisions[txid]; dup {
 		return
 	}
-	lt.decisionOrder = append(lt.decisionOrder, txid)
-	if len(lt.decisionOrder) > decisionCap {
-		evict := lt.decisionOrder[0]
-		lt.decisionOrder = lt.decisionOrder[1:]
+	if evict, full := lt.decisionOrder.push(txid); full {
 		delete(lt.decisions, evict)
 	}
 	lt.decisions[txid] = commit
@@ -442,8 +486,8 @@ func (lt *LockTable) SnapshotTo(w *wire.Writer) {
 		w.Bytes(tx.frag)
 	}
 
-	w.Uvarint(uint64(len(lt.decisionOrder)))
-	for _, id := range lt.decisionOrder {
+	w.Uvarint(uint64(len(lt.decisionOrder.ids)))
+	for id := range lt.decisionOrder.All() {
 		w.U64(id)
 		w.Bool(lt.decisions[id])
 	}
@@ -460,8 +504,8 @@ func (lt *LockTable) SnapshotTo(w *wire.Writer) {
 	w.U64(lt.nextTicket)
 
 	// The commit-receipt cache in FIFO order (eviction order is state).
-	w.Uvarint(uint64(len(lt.receiptOrder)))
-	for _, id := range lt.receiptOrder {
+	w.Uvarint(uint64(len(lt.receiptOrder.ids)))
+	for id := range lt.receiptOrder.All() {
 		w.U64(id)
 		w.Bytes(lt.receipts[id])
 	}
@@ -478,23 +522,21 @@ func (lt *LockTable) RestoreFrom(rd *wire.Reader) {
 		id := rd.U64()
 		coord := rd.Uvarint()
 		nk := int(rd.Uvarint())
-		tx := &stagedTxn{keys: make([]string, 0, nk), coord: coord}
 		for j := 0; j < nk; j++ {
-			k := rd.String()
-			tx.keys = append(tx.keys, k)
-			lt.locks[k] = id
+			rd.BytesView() // the keys are the fragment's, as Prepare read them
 		}
-		tx.frag = rd.Bytes()
+		tx := &stagedTxn{keys: make([]string, 0, nk), frag: rd.Bytes(), coord: coord}
+		lt.lock(id, tx)
 		lt.staged[id] = tx
 	}
 
 	nd := int(rd.Uvarint())
 	lt.decisions = make(map[uint64]bool, nd)
-	lt.decisionOrder = make([]uint64, 0, nd)
+	lt.decisionOrder.restore(nd)
 	for i := 0; i < nd; i++ {
 		id := rd.U64()
 		lt.decisions[id] = rd.Bool()
-		lt.decisionOrder = append(lt.decisionOrder, id)
+		lt.decisionOrder.push(id)
 	}
 
 	np := int(rd.Uvarint())
@@ -518,10 +560,10 @@ func (lt *LockTable) RestoreFrom(rd *wire.Reader) {
 
 	nr := int(rd.Uvarint())
 	lt.receipts = make(map[uint64][]byte, nr)
-	lt.receiptOrder = make([]uint64, 0, nr)
+	lt.receiptOrder.restore(nr)
 	for i := 0; i < nr; i++ {
 		id := rd.U64()
 		lt.receipts[id] = rd.Bytes()
-		lt.receiptOrder = append(lt.receiptOrder, id)
+		lt.receiptOrder.push(id)
 	}
 }

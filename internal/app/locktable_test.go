@@ -2,7 +2,9 @@ package app
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/wire"
 )
@@ -136,7 +138,7 @@ func TestReleasedResultsAreTheirOwn(t *testing.T) {
 	}
 	for _, tc := range cases {
 		sm, twin := tc.mk(), tc.mk()
-		if res := sm.Apply(EncodeTxnPrepare(1, 0, tc.frag)); len(res) != 1 || res[0] != StatusOK {
+		if res := sm.Apply(EncodeTxnPrepare(nil, 1, 0, tc.frag)); len(res) != 1 || res[0] != StatusOK {
 			t.Fatalf("%s: prepare answered %v", tc.name, res)
 		}
 		for _, req := range tc.parked {
@@ -156,7 +158,7 @@ func TestReleasedResultsAreTheirOwn(t *testing.T) {
 		for _, req := range tc.parked {
 			want = append(want, bytes.Clone(twin.Apply(req)))
 		}
-		commit := sm.Apply(EncodeTxnCommit(1))
+		commit := sm.Apply(EncodeTxnCommit(nil, 1))
 		if commit[0] != StatusOK || !bytes.Equal(commit[1:], receipt) {
 			t.Fatalf("%s: commit answered %v, want StatusOK then the receipt %v", tc.name, commit, receipt)
 		}
@@ -252,5 +254,161 @@ func TestOrderFragmentKeysAllocateNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { ob.writeFragmentKeys(c.frag) }); n != 0 {
 			t.Errorf("%s: %.2f allocations per writeFragmentKeys, want 0", c.name, n)
 		}
+	}
+}
+
+// TestLockKeysViewTheStagedFragment: a lock's key is a view of the staged
+// fragment, whose buffer the next Prepare reuses once Commit or Abort has
+// released it. Through a Prepare, its Commit, a Prepare of other keys in the
+// reused buffer and a conflicting Prepare, Locked answers for exactly the
+// keys each step holds, the conflicting Prepare leaves nothing of its own
+// locked, and SnapshotTo, of this table and of one restored from it, equals
+// that of a fresh table fed the same calls on copies the caller scribbles
+// over, not the table's own.
+func TestLockKeysViewTheStagedFragment(t *testing.T) {
+	frag := func(keys ...string) []byte {
+		pairs := make([]Pair, len(keys))
+		for i, k := range keys {
+			pairs[i] = Pair{Key: []byte(k), Val: []byte("v-" + k)}
+		}
+		return EncodeRMSet(pairs...)
+	}
+	all := []string{"alpha-is-longer", "beta", "gamma", "delta", "epsilon"}
+	steps := []struct {
+		name   string
+		run    func(r *RKV, scribbled bool) uint8
+		locked []string
+	}{
+		{"prepare 1", func(r *RKV, s bool) uint8 { return prepareScribbled(r, 1, frag("alpha-is-longer", "beta"), s) }, []string{"alpha-is-longer", "beta"}},
+		{"commit 1", func(r *RKV, _ bool) uint8 { st, _ := r.Commit(1); return st }, nil},
+		{"prepare 2", func(r *RKV, s bool) uint8 { return prepareScribbled(r, 2, frag("gamma", "delta"), s) }, []string{"gamma", "delta"}},
+		{"conflicting prepare 3", func(r *RKV, s bool) uint8 {
+			if st := prepareScribbled(r, 3, frag("epsilon", "gamma"), s); st != StatusConflict {
+				return st
+			}
+			return StatusOK
+		}, []string{"gamma", "delta"}},
+	}
+	r, fresh := NewRKV(), NewRKV()
+	var buf []byte
+	for _, step := range steps {
+		if st := step.run(r, true); st != StatusOK {
+			t.Fatalf("%s: status %d", step.name, st)
+		}
+		step.run(fresh, false)
+		for _, k := range all {
+			if got, want := r.Locked([]byte(k)), slices.Contains(step.locked, k); got != want {
+				t.Fatalf("%s: Locked(%q) = %v, want %v", step.name, k, got, want)
+			}
+		}
+		if r.LockedKeys() != len(step.locked) {
+			t.Fatalf("%s: %d keys locked, want %d", step.name, r.LockedKeys(), len(step.locked))
+		}
+		if tx := r.staged[1]; tx != nil {
+			buf = tx.frag
+		}
+		if !bytes.Equal(lockTableSnapshot(r.LockTable), lockTableSnapshot(fresh.LockTable)) {
+			t.Fatalf("%s: SnapshotTo differs from a fresh table's", step.name)
+		}
+	}
+	if tx := r.staged[2]; unsafe.SliceData(tx.frag) != unsafe.SliceData(buf) {
+		t.Fatal("prepare 2 did not reuse the buffer prepare 1 staged in: the test shows nothing")
+	}
+
+	restored := NewRKV()
+	restored.Restore(r.Snapshot())
+	if !bytes.Equal(lockTableSnapshot(restored.LockTable), lockTableSnapshot(fresh.LockTable)) {
+		t.Fatal("a restored table's SnapshotTo differs")
+	}
+	for _, table := range []*RKV{r, restored} {
+		tx := table.staged[2]
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(tx.frag)))
+		for _, k := range tx.keys {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(k))); p < start || p >= start+uintptr(len(tx.frag)) {
+				t.Fatalf("lock key %q is not a view of its staged fragment", k)
+			}
+		}
+		if !table.Locked([]byte("gamma")) || table.Locked([]byte("alpha-is-longer")) {
+			t.Fatal("a restored table locks other keys")
+		}
+	}
+}
+
+// prepareScribbled stages frag under txid and, when scribbled is set,
+// overwrites the caller's frag once Prepare returns.
+func prepareScribbled(r *RKV, txid uint64, frag []byte, scribbled bool) uint8 {
+	st := r.Prepare(txid, 0, frag)
+	if scribbled {
+		scribble(frag)
+	}
+	return st
+}
+
+func lockTableSnapshot(lt *LockTable) []byte {
+	w := wire.NewWriter(256)
+	lt.SnapshotTo(w)
+	return w.Finish()
+}
+
+// TestDecisionLogKeepsOneArray: the decision log and the receipt cache
+// evict their oldest txid in place once they hold decisionCap, so neither
+// reallocates its array however many decisions follow, and SnapshotTo
+// writes them oldest first, as a restored table does.
+func TestDecisionLogKeepsOneArray(t *testing.T) {
+	lt := NewLockTable(nil, nil, nil)
+	decide := func(from, to uint64) {
+		for id := from; id <= to; id++ {
+			lt.Decided(id, id%3 == 0)
+			lt.rememberReceipt(id, []byte{byte(id)})
+		}
+	}
+	decide(1, decisionCap)
+	decisions, receipts := unsafe.SliceData(lt.decisionOrder.ids), unsafe.SliceData(lt.receiptOrder.ids)
+	const last = 3*decisionCap + 7
+	decide(decisionCap+1, last)
+	if unsafe.SliceData(lt.decisionOrder.ids) != decisions || unsafe.SliceData(lt.receiptOrder.ids) != receipts {
+		t.Fatal("a full log reallocated its array")
+	}
+	if len(lt.decisions) != decisionCap || len(lt.receipts) != decisionCap {
+		t.Fatalf("%d decisions and %d receipts kept, want %d each", len(lt.decisions), len(lt.receipts), decisionCap)
+	}
+
+	snap := lockTableSnapshot(lt)
+	rd := wire.NewReader(snap)
+	if rd.Uvarint() != 0 {
+		t.Fatal("staged transactions in the snapshot")
+	}
+	if n := rd.Uvarint(); n != decisionCap {
+		t.Fatalf("snapshot holds %d decisions", n)
+	}
+	for id := uint64(last - decisionCap + 1); id <= last; id++ {
+		if got, commit := rd.U64(), rd.Bool(); got != id || commit != (id%3 == 0) {
+			t.Fatalf("snapshot decision %d, %v, want %d oldest first", got, commit, id)
+		}
+	}
+	rd.Uvarint() // the wait queue
+	rd.U64()     // its ticket counter
+	if n := rd.Uvarint(); n != decisionCap {
+		t.Fatalf("snapshot holds %d receipts", n)
+	}
+	for id := uint64(last - decisionCap + 1); id <= last; id++ {
+		if got, r := rd.U64(), rd.Bytes(); got != id || !bytes.Equal(r, []byte{byte(id)}) {
+			t.Fatalf("snapshot receipt %d, %v, want %d oldest first", got, r, id)
+		}
+	}
+	if err := rd.Done(); err != nil {
+		t.Fatal(err)
+	}
+
+	back := NewLockTable(nil, nil, nil)
+	back.RestoreFrom(wire.NewReader(snap))
+	if !bytes.Equal(lockTableSnapshot(back), snap) {
+		t.Fatal("Snapshot -> Restore -> Snapshot differs")
+	}
+	// Both go on evicting the same oldest txid.
+	lt.Decided(last+1, true)
+	back.Decided(last+1, true)
+	if _, kept := back.Decision(last - decisionCap + 1); kept || !bytes.Equal(lockTableSnapshot(back), lockTableSnapshot(lt)) {
+		t.Fatal("a restored log evicts another txid than the one it was restored from")
 	}
 }

@@ -108,7 +108,13 @@ func EncodeCancel(orderID uint64) []byte {
 
 // EncodeOrderSym builds a symbol-scoped limit order.
 func EncodeOrderSym(sym []byte, side uint8, price, qty uint64) []byte {
-	w := wire.NewWriter(32 + len(sym))
+	return appendOrderSym(nil, sym, side, price, qty)
+}
+
+// appendOrderSym appends a symbol-scoped limit order to dst.
+func appendOrderSym(dst, sym []byte, side uint8, price, qty uint64) []byte {
+	w := wire.WriterOn(dst)
+	w.Grow(1 + wire.BytesLen(len(sym)) + 1 + 8 + 8)
 	w.U8(OpOrderSym)
 	w.Bytes(sym)
 	w.U8(side)
@@ -131,7 +137,7 @@ func EncodePairOrder(a, b OrderLeg) []byte {
 }
 
 // EncodeTops builds a multi-symbol top-of-book read.
-func EncodeTops(syms ...[]byte) []byte { return encodeKeysOp(OpTops, syms) }
+func EncodeTops(syms ...[]byte) []byte { return encodeKeysOp(nil, OpTops, syms) }
 
 // NewOrderBook creates an empty matching engine.
 func NewOrderBook() *OrderBook {
@@ -554,31 +560,31 @@ func (ob *OrderBook) VersionCount() int      { return ob.tops.VersionCount() }
 func (ob *OrderBook) ReadOnly(req []byte) bool { return len(req) > 0 && req[0] == OpTops }
 
 // Fragment implements Fragmenter.
-func (ob *OrderBook) Fragment(req []byte, keyIdx []int) ([]byte, error) {
+func (ob *OrderBook) Fragment(dst, req []byte, keyIdx []int) ([]byte, error) {
 	rd := wire.NewReader(req)
 	switch op := rd.U8(); op {
 	case OpPair:
 		legs, err := ob.decodePairLegs(rd)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		switch {
 		case len(keyIdx) == 2 && keyIdx[0] == 0 && keyIdx[1] == 1:
-			return req, nil
+			return append(dst, req...), nil
 		case len(keyIdx) == 1 && (keyIdx[0] == 0 || keyIdx[0] == 1):
 			leg := legs[keyIdx[0]]
-			return EncodeOrderSym(leg.Sym, leg.Side, leg.Price, leg.Qty), nil
+			return appendOrderSym(dst, leg.Sym, leg.Side, leg.Price, leg.Qty), nil
 		default:
-			return nil, ErrNoKey
+			return dst, ErrNoKey
 		}
 	case OpTops:
 		sub, err := subsetKeys(&ob.keys, rd, keyIdx)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		return EncodeTops(sub...), nil
+		return encodeKeysOp(dst, OpTops, sub), nil
 	default:
-		return nil, ErrNoKey
+		return dst, ErrNoKey
 	}
 }
 

@@ -131,11 +131,11 @@ func TestReadAtHeadEqualsRead(t *testing.T) {
 				for i := 0; i < 300; i++ {
 					if rng.Intn(8) == 0 {
 						txid := uint64(i + 1)
-						apply(EncodeTxnPrepare(txid, 0, pa.frag(rng)))
+						apply(EncodeTxnPrepare(nil, txid, 0, pa.frag(rng)))
 						if rng.Intn(3) == 0 {
-							apply(EncodeTxnAbort(txid))
+							apply(EncodeTxnAbort(nil, txid))
 						} else {
-							apply(EncodeTxnCommit(txid))
+							apply(EncodeTxnCommit(nil, txid))
 						}
 					} else {
 						apply(pa.op(rng))
@@ -188,7 +188,7 @@ func TestReadUnderLock(t *testing.T) {
 			if !ok || len(before) < 2 {
 				t.Fatalf("unlocked read: %x %v", before, ok)
 			}
-			if res := apply(EncodeTxnPrepare(1, 0, ta.writeFrag(a, c, '3'))); len(res) != 1 || res[0] != StatusOK {
+			if res := apply(EncodeTxnPrepare(nil, 1, 0, ta.writeFrag(a, c, '3'))); len(res) != 1 || res[0] != StatusOK {
 				t.Fatalf("prepare: %v", res)
 			}
 			if live, ok := re.ApplyRead(read); !ok || len(live) != 1 || live[0] != StatusLocked {
@@ -206,7 +206,7 @@ func TestReadUnderLock(t *testing.T) {
 			s.BeginSlot(1)
 			s.Apply(kc.valOps[0](a, []byte("v")))
 			s.BeginSlot(2)
-			s.Apply(EncodeTxnPrepare(1, 0, kc.mset(Pair{Key: a, Val: []byte("w")})))
+			s.Apply(EncodeTxnPrepare(nil, 1, 0, kc.mset(Pair{Key: a, Val: []byte("w")})))
 			get := kc.keyOps[0](a)
 			live, ok := s.ApplyRead(get)
 			live = bytes.Clone(live) // the next read overwrites it

@@ -51,8 +51,8 @@ var rkvDialect = dialect{
 	deleted:  ROK,
 	notFound: RMiss,
 	execBase: 14800 * sim.Nanosecond,
-	mget:     EncodeRMGet,
-	mset:     EncodeRMSet,
+	mget:     RMGet,
+	mset:     RMSet,
 }
 
 // NewRKV creates an empty store.
@@ -77,7 +77,7 @@ func EncodeRSet(key, value []byte) []byte { return encodeKeyValOp(RSet, key, val
 func EncodeRAppend(key, value []byte) []byte { return encodeKeyValOp(RAppend, key, value) }
 
 // EncodeRMGet builds an MGET request over several keys.
-func EncodeRMGet(keys ...[]byte) []byte { return encodeKeysOp(RMGet, keys) }
+func EncodeRMGet(keys ...[]byte) []byte { return encodeKeysOp(nil, RMGet, keys) }
 
 // EncodeRMSet builds an atomic multi-key SET (MPUT) request.
-func EncodeRMSet(pairs ...Pair) []byte { return encodePairsOp(RMSet, pairs) }
+func EncodeRMSet(pairs ...Pair) []byte { return encodePairsOp(nil, RMSet, pairs) }

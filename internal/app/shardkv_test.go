@@ -55,7 +55,7 @@ func TestKeyedRequestKeys(t *testing.T) {
 	// The generic transaction envelope is unroutable by design: its
 	// commands are addressed to explicit groups by the 2PC coordinator and
 	// must never enter the hash router.
-	for _, req := range [][]byte{EncodeTxnPrepare(1, 0, nil), EncodeTxnCommit(1), EncodeTxnAbort(1), EncodeTxnDecide(1, true)} {
+	for _, req := range [][]byte{EncodeTxnPrepare(nil, 1, 0, nil), EncodeTxnCommit(nil, 1), EncodeTxnAbort(nil, 1), EncodeTxnDecide(nil, 1, true)} {
 		for _, router := range []Router{NewRKV(), NewKV(0), NewOrderBook()} {
 			if _, err := router.AppendKeys(nil, req); err == nil {
 				t.Fatalf("opcode %d routable; 2PC internals must not enter the hash router", req[0])

@@ -63,12 +63,17 @@ const (
 	OpTxnListStaged uint8 = 0xF5
 )
 
+// The EncodeTxn* encoders append the command to dst and return it extended,
+// so a caller that sends one command per record may keep the record's buffer
+// (nil gives a fresh slice).
+
 // EncodeTxnPrepare builds a 2PC prepare carrying one participant shard's
 // fragment of the original multi-key write. coord names the coordinator
 // group (the group whose decision log resolves the transaction), so a
 // stranded participant knows where to send OpTxnQueryDecision.
-func EncodeTxnPrepare(txid, coord uint64, fragment []byte) []byte {
-	w := wire.NewWriter(32 + len(fragment))
+func EncodeTxnPrepare(dst []byte, txid, coord uint64, fragment []byte) []byte {
+	w := wire.WriterOn(dst)
+	w.Grow(1 + 8 + wire.UvarintLen(coord) + wire.BytesLen(len(fragment)))
 	w.U8(OpTxnPrepare)
 	w.U64(txid)
 	w.Uvarint(coord)
@@ -79,7 +84,9 @@ func EncodeTxnPrepare(txid, coord uint64, fragment []byte) []byte {
 // EncodeTxnQueryDecision builds the coordinator-group query for txid's
 // decision (query-or-abort: the query itself tombstones an undecided txid
 // as aborted).
-func EncodeTxnQueryDecision(txid uint64) []byte { return encodeTxnOp(OpTxnQueryDecision, txid) }
+func EncodeTxnQueryDecision(dst []byte, txid uint64) []byte {
+	return encodeTxnOp(dst, OpTxnQueryDecision, txid)
+}
 
 // DecodeTxnQueryDecision parses an OpTxnQueryDecision response.
 func DecodeTxnQueryDecision(res []byte) (commit, ok bool) {
@@ -95,7 +102,7 @@ func DecodeTxnQueryDecision(res []byte) (commit, ok bool) {
 const stagedListCap = 256
 
 // EncodeTxnListStaged builds the recovery sweep's question to one group.
-func EncodeTxnListStaged() []byte { return []byte{OpTxnListStaged} }
+func EncodeTxnListStaged(dst []byte) []byte { return append(dst, OpTxnListStaged) }
 
 // DecodeTxnListStaged parses an OpTxnListStaged response: the group's
 // staged transactions ascending by txid, each with its coordinator group.
@@ -119,22 +126,24 @@ func DecodeTxnListStaged(res []byte) ([]StagedTxn, bool) {
 }
 
 // EncodeTxnCommit builds a 2PC commit for txid.
-func EncodeTxnCommit(txid uint64) []byte { return encodeTxnOp(OpTxnCommit, txid) }
+func EncodeTxnCommit(dst []byte, txid uint64) []byte { return encodeTxnOp(dst, OpTxnCommit, txid) }
 
 // EncodeTxnAbort builds a 2PC abort for txid.
-func EncodeTxnAbort(txid uint64) []byte { return encodeTxnOp(OpTxnAbort, txid) }
+func EncodeTxnAbort(dst []byte, txid uint64) []byte { return encodeTxnOp(dst, OpTxnAbort, txid) }
 
 // EncodeTxnDecide builds the coordinator group's decision record for txid.
-func EncodeTxnDecide(txid uint64, commit bool) []byte {
-	w := wire.NewWriter(16)
+func EncodeTxnDecide(dst []byte, txid uint64, commit bool) []byte {
+	w := wire.WriterOn(dst)
+	w.Grow(1 + 8 + 1)
 	w.U8(OpTxnDecide)
 	w.U64(txid)
 	w.Bool(commit)
 	return w.Finish()
 }
 
-func encodeTxnOp(op uint8, txid uint64) []byte {
-	w := wire.NewWriter(16)
+func encodeTxnOp(dst []byte, op uint8, txid uint64) []byte {
+	w := wire.WriterOn(dst)
+	w.Grow(1 + 8)
 	w.U8(op)
 	w.U64(txid)
 	return w.Finish()
@@ -149,12 +158,13 @@ const txnReceiptsMax = 4096
 // leg count, then each leg's receipt. Applications whose Commit returns no
 // receipts keep the historical one-byte []byte{StatusOK} response instead
 // — DecodeTxnReceipts tells the two apart.
-func EncodeTxnReceipts(receipts [][]byte) []byte {
+func EncodeTxnReceipts(dst []byte, receipts [][]byte) []byte {
 	size := 8
 	for _, r := range receipts {
 		size += len(r) + 4
 	}
-	w := wire.NewWriter(size)
+	w := wire.WriterOn(dst)
+	w.Grow(size)
 	w.U8(StatusOK)
 	w.Uvarint(uint64(len(receipts)))
 	for _, r := range receipts {

@@ -38,15 +38,24 @@ import (
 // Keys and values are byte slices the store only reads during the call: it
 // copies what it keeps, once, into the record that keeps it. A write to a
 // key the store holds updates its chain through the pointer the map keeps
-// and costs one exact-size copy of the value; a new key costs one
-// allocation, its chain, which holds the key's bytes and its first value's
-// (newChain). Every value Get and GetAt return is the store's, capped
-// (cap == len), and never written.
+// and costs one exact-size copy of the value; a new key costs no allocation
+// of its own: its chain, which holds the key's bytes and its first value's
+// (newChain), is carved from a block of chainBlock chains the store owns,
+// so one allocation serves 31 new keys.
+//
+// A block goes to the garbage collector only once every chain carved from it
+// is gone. A bounded store's FIFO eviction frees whole blocks (keys leave in
+// the order they came), but deletes in random order can leave a block alive
+// for one chain: the retention bound is up to chainBlock chain slots (4 KiB)
+// per live chain, against the one chain of a record made on its own. Every
+// value Get and GetAt return is the store's, capped (cap == len), and never
+// written.
 type VersionedStore struct {
 	chains  map[string]*chain
-	cur     uint64 // stamp applied to writes (set by BeginSlot)
-	horizon uint64 // oldest readable state version
-	live    int    // keys whose newest version is present
+	rest    []chain // the current block's uncarved chains (newChain)
+	cur     uint64  // stamp applied to writes (set by BeginSlot)
+	horizon uint64  // oldest readable state version
+	live    int     // keys whose newest version is present
 }
 
 // chain is one key's versions, oldest first. A chain keeps its first version
@@ -64,11 +73,18 @@ type chain struct {
 // a 16 B key and a 32 B value, the paper's Memcached and Redis workload.
 const chainRoom = 48
 
-// newChain makes a chain whose first version is first, copying k and
-// first.val into the record's room, or into one exact-size block for both.
-// The two are written here and never again, and chains are never recycled.
-func newChain(k []byte, first version) *chain {
-	c := new(chain)
+// chainBlock is how many chains one block holds. A block holds pointers, so
+// the allocator puts an 8-byte header in front of it: 31 chains of 128 B and
+// the header fit the 4 KiB size class, 132 B a chain. (32 would spill into
+// the next class; 16 take the 2304 B class, 144 B a chain.)
+const chainBlock = 31
+
+// newChain makes a chain whose first version is first, carved from the
+// store's current block, copying k and first.val into the chain's room, or
+// into one exact-size block for both. The two are written here and never
+// again, and chains are never recycled.
+func (vs *VersionedStore) newChain(k []byte, first version) *chain {
+	c := &wire.Carve(&vs.rest, 1, chainBlock)[0]
 	b := c.room[:0]
 	if n := len(k) + len(first.val); n > chainRoom {
 		b = make([]byte, 0, n)
@@ -81,12 +97,15 @@ func newChain(k []byte, first version) *chain {
 	return c
 }
 
-// keyString is a chain's key: a string view of the bytes newChain copied
-// the key into, not a copy. It is sound because those bytes are never
+// keyString is a string view of b, not a copy: a chain's key, viewing the
+// bytes newChain copied the key into, and a lock's key, viewing the
+// LockTable's staged fragment. It is sound where those bytes are never
+// written while anything refers to the string. A chain's bytes are never
 // written after newChain returns and a chain is never recycled, so every
-// string made here (the map's key, the eviction order's, the one SnapshotTo
-// sorts) reads the same bytes for as long as anything refers to it; the
-// string keeps the whole record or block alive.
+// string made of them (the map's key, the eviction order's, the one
+// SnapshotTo sorts) reads the same bytes for as long as it lives, and keeps
+// the chain's whole block alive. A staged fragment is written again only
+// after Commit or Abort deleted every lock its views key.
 func keyString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // ownCopy is a later version's value: an exact-size copy (cap == len).
@@ -196,7 +215,7 @@ func (vs *VersionedStore) Delete(k []byte) { vs.write(k, nil, false, false) }
 func (vs *VersionedStore) write(k, val []byte, present, txn bool) {
 	c := vs.chains[string(k)]
 	if c == nil {
-		c = newChain(k, version{stamp: vs.cur, val: val, present: present, txn: txn})
+		c = vs.newChain(k, version{stamp: vs.cur, val: val, present: present, txn: txn})
 		vs.chains[c.key] = c
 		if present {
 			vs.live++
@@ -311,7 +330,7 @@ func (vs *VersionedStore) RestoreFrom(rd *wire.Reader) {
 		if cn == 0 {
 			continue // SnapshotTo writes no empty chain
 		}
-		c := newChain(k, readVersion(rd))
+		c := vs.newChain(k, readVersion(rd))
 		for j := 1; j < cn && rd.Err() == nil; j++ {
 			v := readVersion(rd)
 			v.val = ownCopy(v.val)

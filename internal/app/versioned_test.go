@@ -283,12 +283,12 @@ func TestKVPinnedReadCrossedSignal(t *testing.T) {
 	pre = bytes.Clone(pre) // the next read overwrites it
 
 	// Stage a transaction on k0 (2PC prepare = consensus-ordered command).
-	frag, err := kv.Fragment(app.EncodeKVMSet(app.Pair{Key: k0, Val: []byte("new")}), []int{0})
+	frag, err := kv.Fragment(nil, app.EncodeKVMSet(app.Pair{Key: k0, Val: []byte("new")}), []int{0})
 	if err != nil {
 		t.Fatalf("fragment: %v", err)
 	}
 	ver.BeginSlot(3)
-	if res := kv.Apply(app.EncodeTxnPrepare(7, 0, frag)); len(res) != 1 || res[0] != app.StatusOK {
+	if res := kv.Apply(app.EncodeTxnPrepare(nil, 7, 0, frag)); len(res) != 1 || res[0] != app.StatusOK {
 		t.Fatalf("prepare: %v", res)
 	}
 	// The live read path refuses; the pinned path answers pre-txn state
@@ -305,7 +305,7 @@ func TestKVPinnedReadCrossedSignal(t *testing.T) {
 	}
 
 	ver.BeginSlot(4)
-	if res := kv.Apply(app.EncodeTxnCommit(7)); len(res) < 1 || res[0] != app.StatusOK {
+	if res := kv.Apply(app.EncodeTxnCommit(nil, 7)); len(res) < 1 || res[0] != app.StatusOK {
 		t.Fatalf("commit: %v", res)
 	}
 	// Pins older than the commit still cross (the client must re-pin);

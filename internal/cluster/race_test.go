@@ -3,15 +3,17 @@
 package cluster_test
 
 // Under the race detector sync.Pool drops a share of what is put back, at
-// random, so pooled wire writers are allocated again: measured 13-14
-// allocations per fast-path request where a plain build reads 3 (25-26 where
+// random, so pooled wire writers are allocated again: measured 13.54
+// allocations per fast-path request where a plain build reads 3.33, 13-14
+// while the gates read whole numbers and a plain build 3 (25-26 where
 // it read 15 before ring frames, request frames and free-list misses were
 // carved from blocks, 28-29 where
 // it read 18 before ordered answers went into a buffer each application
 // keeps, 30 where it read 20 before reply frames were recycled, 40 where it read 25 before ring
 // acks and echoes were recycled, 60 where it read 45 before per-operation
 // records were recycled, 91 where it read 75 before ring frames were shared),
-// 37-39 per slow-path request where a plain build reads 4 (56-58 where it
+// 37.99 per slow-path request where a plain build reads 4.08, 37-39 while
+// the gates read whole numbers and a plain build 4 (56-58 where it
 // read 5 before background signatures were reused jobs, 69-70 where it
 // read 18 before signatures were carved and certificates appended into their
 // messages, 77-78 where it read 26 before frames were carved, 81-82 where it

@@ -148,7 +148,7 @@ func TestParkedClientOutlivesIdleWindow(t *testing.T) {
 	defer u.Stop()
 	const prep, parker, other = 0, 1, 2
 	key := []byte("locked")
-	res, _, err := u.InvokeSync(prep, app.EncodeTxnPrepare(1, 0, app.EncodeRMSet(app.Pair{Key: key, Val: []byte("t")})), 50*sim.Millisecond)
+	res, _, err := u.InvokeSync(prep, app.EncodeTxnPrepare(nil, 1, 0, app.EncodeRMSet(app.Pair{Key: key, Val: []byte("t")})), 50*sim.Millisecond)
 	if err != nil || len(res) != 1 || res[0] != app.StatusOK {
 		t.Fatalf("prepare: res=%v err=%v", res, err)
 	}
@@ -180,7 +180,7 @@ func TestParkedClientOutlivesIdleWindow(t *testing.T) {
 	if parked != nil {
 		t.Fatalf("the parked write was answered before the commit: %+v", *parked)
 	}
-	if res, _, err := u.InvokeSync(prep, app.EncodeTxnCommit(1), 50*sim.Millisecond); err != nil || len(res) != 1 || res[0] != app.StatusOK {
+	if res, _, err := u.InvokeSync(prep, app.EncodeTxnCommit(nil, 1), 50*sim.Millisecond); err != nil || len(res) != 1 || res[0] != app.StatusOK {
 		t.Fatalf("commit: res=%v err=%v", res, err)
 	}
 	u.Eng.RunFor(sim.Millisecond)

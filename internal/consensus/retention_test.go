@@ -293,7 +293,7 @@ func TestStaleDeferredTargetAgesOut(t *testing.T) {
 	r := rig.reps[0]
 	sm := r.cfg.App.(*app.RKV)
 	key := []byte("locked")
-	if res := sm.Apply(app.EncodeTxnPrepare(1, 0, app.EncodeRMSet(app.Pair{Key: key, Val: []byte("t")}))); len(res) != 1 || res[0] != app.StatusOK {
+	if res := sm.Apply(app.EncodeTxnPrepare(nil, 1, 0, app.EncodeRMSet(app.Pair{Key: key, Val: []byte("t")}))); len(res) != 1 || res[0] != app.StatusOK {
 		t.Fatalf("prepare: %v", res)
 	}
 	if res := sm.Apply(app.EncodeRSet(key, []byte("w"))); res != nil {

@@ -1,12 +1,15 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/frames"
 	"repro/internal/ids"
+	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -158,4 +161,113 @@ func TestStaleCallbackAfterRecordReuse(t *testing.T) {
 			t.Fatalf("client holds %d pending requests", n)
 		}
 	})
+}
+
+// TestReusedRecordsNeverRewritePendingCalls: a scatter read's fragments and a
+// fan-out's or a transaction's commands live in buffers their records keep,
+// and the consensus client reads a call's payload again on every rung of a
+// read (each widening re-sends it, and a fallback orders it). A buffer is
+// rewritten only when its record is reused, after every call it made was
+// answered or cancelled, so every frame the client sends under one request
+// number carries the same bytes, and every read merges what was written.
+// Eight reads and two writes run at a time on one client, each started as
+// another ends, while one replica of each group, a different one every
+// millisecond, goes unheard by the client: reads whose first rung asked it
+// widen 250 us later, while reads and writes begun since have reused the
+// records of those that ended.
+func TestReusedRecordsNeverRewritePendingCalls(t *testing.T) {
+	const reads, writes, ops = 8, 2, 3000
+	d := New(Options{Seed: 1, Shards: 2, FastReads: true, NewApp: func(int) app.StateMachine { return app.NewRKV() }})
+	defer d.Stop()
+	c, client := d.Client(0), d.ClientIDs[0]
+	var keys [2][][]byte // per shard, the keys the reads and writes touch
+	for n := 0; len(keys[0]) < reads || len(keys[1]) < reads; n++ {
+		k := []byte(fmt.Sprintf("key-%d", n))
+		keys[app.ShardOfKey(k, 2)] = append(keys[app.ShardOfKey(k, 2)], k)
+	}
+	for i := 0; i < reads; i++ {
+		mset := app.EncodeRMSet(app.Pair{Key: keys[0][i], Val: keys[0][i]}, app.Pair{Key: keys[1][i], Val: keys[1][i]})
+		if res, _, err := d.InvokeSync(0, mset, 50*sim.Millisecond); err != nil || res[0] != app.StatusOK {
+			t.Fatalf("seeding write %d: res=%v err=%v", i, res, err)
+		}
+	}
+
+	type callKey struct {
+		tag uint8
+		num uint64
+	}
+	sent := map[callKey][]byte{}
+	var failed error
+	d.Net.SetRule(func(from, to ids.ID, frame []byte) (simnet.Fate, sim.Duration) {
+		if to == client {
+			silent := int(d.Eng.Now() / sim.Time(sim.Millisecond) % 3)
+			for g := range d.Groups {
+				if from == d.Groups[g].ReplicaIDs[silent] {
+					return simnet.Drop, 0
+				}
+			}
+			return simnet.Deliver, 0
+		}
+		if h := frames.Describe(3, frame); from == client && h.Chan == router.ChanRPC && (h.Tag == wire.TagRequest || h.Tag == wire.TagReadRequest) {
+			k := callKey{h.Tag, h.Num}
+			if first, ok := sent[k]; !ok {
+				sent[k] = bytes.Clone(frame)
+			} else if !bytes.Equal(first, frame) && failed == nil {
+				failed = fmt.Errorf("request %d (tag %d) was sent as %x and again as %x", h.Num, h.Tag, first, frame)
+			}
+		}
+		return simnet.Deliver, 0
+	})
+
+	started, ended, txns := 0, 0, 0
+	var read func(i int)
+	var write func(j int)
+	read = func(i int) {
+		started++
+		mget := app.EncodeRMGet(keys[0][i], keys[1][i])
+		if _, err := c.Invoke(mget, func(res []byte, _ sim.Duration) {
+			ended++
+			if vals, st := app.AppendKeyedReads(nil, res); (st != app.StatusOK || len(vals) != 2 ||
+				!bytes.Equal(vals[0].Value, keys[0][i]) || !bytes.Equal(vals[1].Value, keys[1][i])) && failed == nil {
+				failed = fmt.Errorf("read of %q and %q answered %x", keys[0][i], keys[1][i], res)
+			}
+			if started < ops {
+				read((i + 1) % reads)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write = func(j int) {
+		started++
+		i := j % reads
+		mset := app.EncodeRMSet(app.Pair{Key: keys[0][i], Val: keys[0][i]}, app.Pair{Key: keys[1][i], Val: keys[1][i]})
+		if _, err := c.Invoke(mset, func(res []byte, _ sim.Duration) {
+			ended++
+			txns++
+			if started < ops {
+				write(j + 1)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < reads; i++ {
+		read(i)
+	}
+	for j := 0; j < writes; j++ {
+		write(j)
+	}
+	for ended < started && failed == nil {
+		if !d.Eng.Step() {
+			t.Fatal("engine ran dry")
+		}
+	}
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if c.ReadWidens() == 0 {
+		t.Fatal("no read widened: the test shows nothing")
+	}
+	t.Logf("%d operations, %d of them transactions, %d reads widened", ended, txns, c.ReadWidens())
 }

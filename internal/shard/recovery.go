@@ -71,7 +71,7 @@ func (c *Client) SweepStranded() {
 	rec.prev, rec.cur = rec.cur, make(map[stagedKey]bool)
 	for g := range rec.lists {
 		c.cc.Cancel(rec.lists[g])
-		rec.lists[g] = c.cc.Call(g, app.EncodeTxnListStaged(), consensus.Mode{}, func(res []byte, _ sim.Duration) {
+		rec.lists[g] = c.cc.Call(g, app.EncodeTxnListStaged(nil), consensus.Mode{}, func(res []byte, _ sim.Duration) {
 			staged, _ := app.DecodeTxnListStaged(res)
 			for _, tx := range staged {
 				if tx.Coord >= uint64(c.shards) {
@@ -101,7 +101,7 @@ func (c *Client) StrandedResolved() (total, committed, aborted uint64) {
 func (c *Client) resolveStranded(k stagedKey) {
 	c.rec.inFlight[k] = true
 	coord := [1]int{int(k.coord)}
-	c.retryFanout(stepSweepQuery, nil, k, coord[:], app.EncodeTxnQueryDecision(k.txid))
+	c.retryFanout(stepSweepQuery, nil, k, coord[:], k.txid)
 }
 
 // sweepQueried takes the coordinator group's decision and sends it to the
@@ -114,9 +114,9 @@ func (c *Client) sweepQueried(k stagedKey, res []byte) {
 	}
 	group := [1]int{k.group}
 	if commit {
-		c.retryFanout(stepSweepCommit, nil, k, group[:], app.EncodeTxnCommit(k.txid))
+		c.retryFanout(stepSweepCommit, nil, k, group[:], k.txid)
 	} else {
-		c.retryFanout(stepSweepAbort, nil, k, group[:], app.EncodeTxnAbort(k.txid))
+		c.retryFanout(stepSweepAbort, nil, k, group[:], k.txid)
 	}
 }
 

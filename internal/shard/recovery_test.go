@@ -340,7 +340,7 @@ type listLiar struct {
 func (l *listLiar) Apply(req []byte) []byte {
 	res := l.RKV.Apply(req)
 	staged, ok := app.DecodeTxnListStaged(res)
-	if !l.lying || !bytes.Equal(req, app.EncodeTxnListStaged()) || !ok {
+	if !l.lying || !bytes.Equal(req, app.EncodeTxnListStaged(nil)) || !ok {
 		return res
 	}
 	w := wire.NewWriter(64)

@@ -345,6 +345,10 @@ type Client struct {
 	txs      wire.FreeList[txState]
 	fanouts  wire.FreeList[fanout]
 
+	// legFrag holds one leg's fragment of a write until beginTx has encoded
+	// it into the leg's prepare.
+	legFrag []byte
+
 	// slab is the blocks a transaction's one-byte outcome is carved from:
 	// the caller may keep it, and nothing writes it again.
 	slab wire.Slab
@@ -361,6 +365,15 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
+// extend returns s with length n, keeping what s's array holds past len(s)
+// from an earlier use: a record's per-leg storage outlives its legs.
+func extend[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
 // splitPlan is the fan-out plan of one cross-shard request: the touched
 // shards in ascending order and, per shard, the original key indices it
 // owns. shards[0] doubles as the deterministic 2PC coordinator group. The
@@ -374,10 +387,7 @@ type splitPlan struct {
 // reset empties the plan for n legs, keeping every leg's index storage.
 func (p *splitPlan) reset(n int) {
 	p.shards = p.shards[:0]
-	if cap(p.legKeys) < n {
-		p.legKeys = append(p.legKeys[:cap(p.legKeys)], make([][]int, n-cap(p.legKeys))...)
-	}
-	p.legKeys = p.legKeys[:n]
+	p.legKeys = extend(p.legKeys, n)
 	for i := range p.legKeys {
 		p.legKeys[i] = p.legKeys[i][:0]
 	}
@@ -444,18 +454,6 @@ func (c *Client) plan(payload []byte) (int, *splitPlan, error) {
 	return MultiShard, plan, nil
 }
 
-// fragments appends to dst the per-shard request fragments of a plan.
-func (c *Client) fragments(dst [][]byte, payload []byte, plan *splitPlan) ([][]byte, error) {
-	for _, idx := range plan.legKeys {
-		f, err := c.frag.Fragment(payload, idx)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, f)
-	}
-	return dst, nil
-}
-
 // Invoke routes payload to the group owning its keys and submits it; done
 // receives the f+1-confirmed result and end-to-end latency. It returns the
 // shard chosen, or MultiShard for a request executed across groups
@@ -513,9 +511,12 @@ type scatter struct {
 	c       *Client
 	payload []byte
 	plan    *splitPlan
-	legs    [][]byte // one fragment per leg, kept until the read is done
 	start   sim.Time
 	done    func(result []byte, latency sim.Duration)
+	// legs holds one fragment per leg, each in a buffer the record keeps:
+	// the consensus client reads a leg's fragment again on every rung of its
+	// read, so a buffer is rewritten only by the record's next read.
+	legs [][]byte
 
 	results   [][]byte
 	remaining int // legs of the current round still unanswered
@@ -565,13 +566,16 @@ func (c *Client) scatterRead(payload []byte, plan *splitPlan, done func(result [
 	if sc == nil {
 		sc = &scatter{c: c}
 	}
-	legs, err := c.fragments(sc.legs[:0], payload, plan)
-	sc.legs = legs
-	if err != nil {
-		c.releaseScatter(sc)
-		return err
+	n := len(plan.legKeys)
+	sc.legs = extend(sc.legs, n)
+	for i, idx := range plan.legKeys {
+		leg, err := c.frag.Fragment(sc.legs[i][:0], payload, idx)
+		sc.legs[i] = leg
+		if err != nil {
+			c.releaseScatter(sc)
+			return err
+		}
 	}
-	n := len(legs)
 	sc.payload, sc.plan, sc.start, sc.done = payload, plan, c.cc.Proc().Now(), done
 	sc.results = resize(sc.results, n)
 	sc.bindLegs(n)
@@ -585,13 +589,13 @@ func (c *Client) scatterRead(payload []byte, plan *splitPlan, done func(result [
 	return nil
 }
 
-// releaseScatter keeps sc for the next scatter read, with its plan. Every
-// leg has answered and no retry timer is pending.
+// releaseScatter keeps sc, with its legs' fragment buffers, for the next
+// scatter read, and puts its plan back. Every leg has answered and no retry
+// timer is pending.
 func (c *Client) releaseScatter(sc *scatter) {
 	if sc.plan != nil {
 		c.plans.Put(sc.plan)
 	}
-	clear(sc.legs)
 	clear(sc.results) // views of reply frames
 	sc.legs, sc.results = sc.legs[:0], sc.results[:0]
 	sc.payload, sc.plan, sc.done = nil, nil, nil

@@ -58,21 +58,22 @@ const (
 // participant shards are plan.shards) and goes back to the client's free
 // list when its outcome is delivered: by then every prepare is answered or
 // cancelled, the prepare timer has fired or been cancelled, and the
-// fan-out that delivered the outcome no longer reads it.
+// fan-out that delivered the outcome no longer reads it. Only then is a
+// leg's prepare buffer rewritten, by the record's next transaction.
 type txState struct {
 	txid    uint64
 	plan    *splitPlan
 	started sim.Time
 	done    func(result []byte, latency sim.Duration)
 
-	phase   txPhase
-	votes   int
-	pending []uint64 // per-leg consensus request numbers (0 = answered)
-	timer   sim.Timer
-	// acks are the commit acknowledgements in shard order; frags and
-	// receipts are scratch of beginTx and finishCommit.
+	phase    txPhase
+	votes    int
+	prepares [][]byte // per leg, the prepare sent, in a buffer the record keeps
+	pending  []uint64 // per-leg consensus request numbers (0 = answered)
+	timer    sim.Timer
+	// acks are the commit acknowledgements in shard order; receipts is
+	// finishCommit's scratch.
 	acks     [][]byte
-	frags    [][]byte
 	receipts [][]byte
 
 	// Bound once, when the record is made: its client, which makes the
@@ -94,25 +95,27 @@ func (c *Client) beginTx(payload []byte, plan *splitPlan, done func(result []byt
 	if tx == nil {
 		tx = &txState{c: c}
 	}
-	frags, err := c.fragments(tx.frags[:0], payload, plan)
-	tx.frags = frags
-	if err != nil {
-		clear(tx.frags)
-		c.txs.Put(tx)
-		return err
-	}
 	n := len(plan.shards)
+	txid, coord := uint64(c.id)<<32|uint64(c.txSeq+1), uint64(plan.shards[0])
+	tx.prepares = extend(tx.prepares, n)
+	for i, idx := range plan.legKeys {
+		frag, err := c.frag.Fragment(c.legFrag[:0], payload, idx)
+		c.legFrag = frag
+		if err != nil {
+			c.txs.Put(tx)
+			return err
+		}
+		tx.prepares[i] = app.EncodeTxnPrepare(tx.prepares[i][:0], txid, coord, frag)
+	}
 	c.txSeq++
-	tx.txid, tx.plan, tx.started, tx.done = uint64(c.id)<<32|uint64(c.txSeq), plan, c.cc.Proc().Now(), done
+	tx.txid, tx.plan, tx.started, tx.done = txid, plan, c.cc.Proc().Now(), done
 	tx.phase, tx.votes, tx.pending = txVoting, 0, resize(tx.pending, n)
 	for i := len(tx.onVote); i < n; i++ {
 		tx.onVote = append(tx.onVote, func(res []byte, _ sim.Duration) { c.onVote(tx, i, res) })
 	}
-	coord := uint64(plan.shards[0])
 	for i, s := range plan.shards {
-		tx.pending[i] = c.cc.Call(s, app.EncodeTxnPrepare(tx.txid, coord, frags[i]), consensus.Mode{}, tx.onVote[i])
+		tx.pending[i] = c.cc.Call(s, tx.prepares[i], consensus.Mode{}, tx.onVote[i])
 	}
-	clear(tx.frags) // each prepare carries its own copy
 	tx.timer = c.cc.Proc().AfterH(PrepareTimeout, tx)
 	return nil
 }
@@ -145,7 +148,7 @@ func (c *Client) onVote(tx *txState, leg int, res []byte) {
 func (c *Client) decideTx(tx *txState) {
 	tx.phase = txCommitting
 	tx.timer.Cancel()
-	c.retryFanout(stepDecide, tx, stagedKey{}, tx.plan.shards[:1], app.EncodeTxnDecide(tx.txid, true))
+	c.retryFanout(stepDecide, tx, stagedKey{}, tx.plan.shards[:1], tx.txid)
 }
 
 // decided takes the outcome of the decision record at the coordinator group
@@ -163,7 +166,7 @@ func (c *Client) decided(tx *txState, acked bool, res []byte) {
 		c.queryDecision(tx)
 	case len(res) > 0 && res[0] == app.StatusOK:
 		tx.acks = append(tx.acks[:0], res)
-		c.retryFanout(stepCommit, tx, stagedKey{}, tx.plan.shards[1:], app.EncodeTxnCommit(tx.txid))
+		c.retryFanout(stepCommit, tx, stagedKey{}, tx.plan.shards[1:], tx.txid)
 	default:
 		c.abortTx(tx)
 	}
@@ -178,7 +181,7 @@ func (c *Client) decided(tx *txState, acked bool, res []byte) {
 // one query ladder after another runs: the transaction is in doubt, and
 // only that group can settle it.
 func (c *Client) queryDecision(tx *txState) {
-	c.retryFanout(stepQuery, tx, stagedKey{}, tx.plan.shards[:1], app.EncodeTxnQueryDecision(tx.txid))
+	c.retryFanout(stepQuery, tx, stagedKey{}, tx.plan.shards[:1], tx.txid)
 }
 
 // queried takes the coordinator group's answer to queryDecision.
@@ -189,7 +192,7 @@ func (c *Client) queried(tx *txState, res []byte) {
 		c.queryDecision(tx)
 	case commit:
 		tx.acks = tx.acks[:0]
-		c.retryFanout(stepCommit, tx, stagedKey{}, tx.plan.shards, app.EncodeTxnCommit(tx.txid))
+		c.retryFanout(stepCommit, tx, stagedKey{}, tx.plan.shards, tx.txid)
 	default:
 		c.abortTx(tx)
 	}
@@ -219,7 +222,7 @@ func (c *Client) finishCommit(tx *txState, resps [][]byte) {
 	}
 	tx.receipts = receipts
 	if haveAll {
-		c.endTx(tx, app.EncodeTxnReceipts(receipts))
+		c.endTx(tx, app.EncodeTxnReceipts(nil, receipts))
 		return
 	}
 	c.endTx(tx, c.status(app.StatusOK))
@@ -275,11 +278,11 @@ func (c *Client) abortTx(tx *txState) {
 			c.cc.Cancel(num)
 		}
 	}
-	c.retryFanout(stepAbort, nil, stagedKey{}, tx.plan.shards, app.EncodeTxnAbort(tx.txid))
+	c.retryFanout(stepAbort, nil, stagedKey{}, tx.plan.shards, tx.txid)
 	c.endTx(tx, c.status(app.StatusAborted))
 }
 
-// fanStep is what a fan-out's outcome drives.
+// fanStep is what a fan-out sends and what its outcome drives.
 type fanStep uint8
 
 const (
@@ -292,6 +295,20 @@ const (
 	stepSweepAbort                 // a sweep's abort at the stranded group: sweepResolved
 )
 
+// encode appends to dst the command step sends for txid.
+func (s fanStep) encode(dst []byte, txid uint64) []byte {
+	switch s {
+	case stepDecide:
+		return app.EncodeTxnDecide(dst, txid, true)
+	case stepQuery, stepSweepQuery:
+		return app.EncodeTxnQueryDecision(dst, txid)
+	case stepCommit, stepSweepCommit:
+		return app.EncodeTxnCommit(dst, txid)
+	default: // stepAbort, stepSweepAbort
+		return app.EncodeTxnAbort(dst, txid)
+	}
+}
+
 // fanout is one retransmitted fan-out (retryFanout). Its record goes back
 // to the client's free list when its last round timer fires, never before:
 // the timer is never cancelled, and by then every Call of every round is
@@ -302,7 +319,7 @@ type fanout struct {
 	tx      *txState  // the transaction a stepDecide, stepQuery or stepCommit drives
 	key     stagedKey // the stranded transaction a sweep step resolves
 	groups  []int
-	payload []byte
+	payload []byte // step's command, in a buffer the record keeps
 	acked   []bool
 	resps   [][]byte
 	nums    []uint64 // the current round's request numbers (0 = acknowledged before it)
@@ -322,14 +339,15 @@ type fanout struct {
 // last group acknowledges, or at the end of the final round unacknowledged
 // — with each group's acknowledgement body (nil for a group that never
 // acknowledged), which is how commit receipts travel back to the driver.
-// step says where it goes (fanout.settle).
-func (c *Client) retryFanout(step fanStep, tx *txState, k stagedKey, groups []int, payload []byte) {
+// step says what every round sends for txid (fanStep.encode) and where the
+// outcome goes (fanout.settle).
+func (c *Client) retryFanout(step fanStep, tx *txState, k stagedKey, groups []int, txid uint64) {
 	f := c.fanouts.Get()
 	if f == nil {
 		f = &fanout{c: c}
 	}
 	n := len(groups)
-	f.step, f.tx, f.key, f.payload = step, tx, k, payload
+	f.step, f.tx, f.key, f.payload = step, tx, k, step.encode(f.payload[:0], txid)
 	f.groups = append(f.groups[:0], groups...)
 	f.acked, f.resps, f.nums = resize(f.acked, n), resize(f.resps, n), resize(f.nums, n)
 	f.left, f.delay = retryAttempts, PrepareTimeout
@@ -387,10 +405,10 @@ func (f *fanout) Fire() {
 	f.c.releaseFanout(f)
 }
 
-// releaseFanout keeps f for the next fan-out.
+// releaseFanout keeps f, its payload buffer included, for the next fan-out.
 func (c *Client) releaseFanout(f *fanout) {
 	clear(f.resps) // views of reply frames
-	f.tx, f.payload = nil, nil
+	f.tx = nil
 	c.fanouts.Put(f)
 }
 
