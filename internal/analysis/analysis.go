@@ -10,7 +10,7 @@
 //     global rand, spawn goroutines, or range over maps order-sensitively.
 //   - poolsafety: wire.Reader.BytesView/RawView/SpanView borrows must not outlive
 //     their buffer (no stores into fields/maps/globals, no uncloned
-//     returns), and wire.GetWriter must reach wire.PutWriter.
+//     returns), and a frame must not be read after router.Release.
 //   - tagregistry: wire tags/opcodes/status bytes live in the central
 //     registry (internal/wire, internal/app); raw literals and shadow
 //     const blocks elsewhere are errors, and the byz policies are

@@ -7,8 +7,8 @@ import (
 	"go/types"
 )
 
-// PoolSafety enforces the lifetime rules of the pooled/zero-copy wire
-// surfaces, in every module package:
+// PoolSafety enforces the lifetime rules of the zero-copy wire surfaces and
+// the router's frame free list, in every module package:
 //
 //   - A result of wire.Reader.BytesView/RawView/SpanView aliases the
 //     reader's buffer. It must not be stored into a struct field, map/slice element
@@ -22,11 +22,6 @@ import (
 //     is the decode-borrow contract (key extractors, decodeRequest).
 //     Stores into fields/maps/globals are flagged either way: they outlive
 //     the call no matter who owns the buffer.
-//   - A writer from wire.GetWriter must reach wire.PutWriter in the same
-//     function (directly or deferred), or escape explicitly (returned,
-//     returned via Finish, handed to another function, or stored as a
-//     field — a documented owner). A return between GetWriter and a
-//     non-deferred PutWriter leaks on that path and is flagged.
 //   - A frame passed to router.Release may be handed out by the next
 //     router.Frame of its length, so a variable released by a
 //     non-deferred call must not be read after that call. A release in a
@@ -125,15 +120,6 @@ func (p *PoolSafety) pkgFunc(pkg *Package, call *ast.CallExpr, path, name string
 		obj.Name() == name && obj.Type().(*types.Signature).Recv() == nil
 }
 
-// pooledWriter tracks one wire.GetWriter acquisition within a function.
-type pooledWriter struct {
-	obj     types.Object
-	pos     token.Pos
-	putPos  token.Pos // first non-deferred PutWriter
-	defPut  bool      // deferred PutWriter seen
-	escaped bool      // returned / passed along / stored
-}
-
 // isReaderType reports whether t is wire.Reader or *wire.Reader.
 func (p *PoolSafety) isReaderType(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
@@ -195,18 +181,6 @@ func (p *PoolSafety) checkFunc(w *World, pkg *Package, recv *ast.FieldList, ftyp
 
 	tainted := make(map[types.Object]bool)     // view-aliased locals
 	callerTaint := make(map[types.Object]bool) // taint traces to a caller-owned reader
-	var writers []*pooledWriter
-	findWriter := func(obj types.Object) *pooledWriter {
-		if obj == nil {
-			return nil
-		}
-		for _, wr := range writers {
-			if wr.obj == obj {
-				return wr
-			}
-		}
-		return nil
-	}
 
 	// viewIn returns a tainted identifier or view call inside expr (nil if
 	// none) plus whether the borrow traces to a caller-owned reader. Call
@@ -269,12 +243,6 @@ func (p *PoolSafety) checkFunc(w *World, pkg *Package, recv *ast.FieldList, ftyp
 		bad, owned := viewIn(rhs)
 		switch l := lhs.(type) {
 		case *ast.Ident:
-			if call, ok := rhs.(*ast.CallExpr); ok && p.wireFunc(pkg, call, "GetWriter") {
-				if obj := objOf(pkg, l); obj != nil {
-					writers = append(writers, &pooledWriter{obj: obj, pos: call.Pos()})
-				}
-				return
-			}
 			if call, ok := rhs.(*ast.CallExpr); ok && p.wireFunc(pkg, call, "NewReader") &&
 				len(call.Args) == 1 && refersToParam(call.Args[0]) {
 				// A reader over caller-supplied bytes is caller-owned.
@@ -302,12 +270,6 @@ func (p *PoolSafety) checkFunc(w *World, pkg *Package, recv *ast.FieldList, ftyp
 			if bad != nil {
 				report(bad.Pos(), "%s stored into field %q (outlives the reader's buffer; copy first)", describe(bad), l.Sel.Name)
 			}
-			// Storing a writer into a field is an explicit ownership escape.
-			if id, ok := rhs.(*ast.Ident); ok {
-				if wr := findWriter(objOf(pkg, id)); wr != nil {
-					wr.escaped = true
-				}
-			}
 		case *ast.IndexExpr:
 			if bad != nil {
 				report(bad.Pos(), "%s stored into map/slice element (outlives the reader's buffer; copy first)", describe(bad))
@@ -319,34 +281,6 @@ func (p *PoolSafety) checkFunc(w *World, pkg *Package, recv *ast.FieldList, ftyp
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false // separate unit
-		case *ast.DeferStmt:
-			if p.wireFunc(pkg, n.Call, "PutWriter") && len(n.Call.Args) == 1 {
-				if id, ok := n.Call.Args[0].(*ast.Ident); ok {
-					if wr := findWriter(pkg.Info.Uses[id]); wr != nil {
-						wr.defPut = true
-					}
-				}
-			}
-			return true
-		case *ast.CallExpr:
-			if p.wireFunc(pkg, n, "PutWriter") && len(n.Args) == 1 {
-				if id, ok := n.Args[0].(*ast.Ident); ok {
-					if wr := findWriter(pkg.Info.Uses[id]); wr != nil && wr.putPos == token.NoPos {
-						wr.putPos = n.Pos()
-					}
-				}
-				return true
-			}
-			// A writer passed bare to another call escapes to a documented
-			// owner (sends, encoders that adopt the buffer).
-			for _, a := range n.Args {
-				if id, ok := a.(*ast.Ident); ok {
-					if wr := findWriter(pkg.Info.Uses[id]); wr != nil {
-						wr.escaped = true
-					}
-				}
-			}
-			return true
 		case *ast.AssignStmt:
 			if len(n.Lhs) == len(n.Rhs) {
 				for i := range n.Lhs {
@@ -359,44 +293,11 @@ func (p *PoolSafety) checkFunc(w *World, pkg *Package, recv *ast.FieldList, ftyp
 				if bad, owned := viewIn(res); bad != nil && !owned {
 					report(bad.Pos(), "%s returned without copy (append to a fresh slice or use Bytes)", describe(bad))
 				}
-				// Returning the writer itself is an explicit escape;
-				// returning w.Finish() transfers buffer ownership out.
-				if id, ok := res.(*ast.Ident); ok {
-					if wr := findWriter(pkg.Info.Uses[id]); wr != nil {
-						wr.escaped = true
-					}
-				}
-				if call, ok := res.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-						if id, ok := sel.X.(*ast.Ident); ok {
-							if wr := findWriter(pkg.Info.Uses[id]); wr != nil {
-								wr.escaped = true
-							}
-						}
-					}
-				}
 			}
-			// Early-return leak: acquired, not yet put, not deferred, not
-			// escaped, and the first put (if any) is after this return.
-			for _, wr := range writers {
-				if wr.defPut || wr.escaped {
-					continue
-				}
-				if wr.pos < n.Pos() && (wr.putPos == token.NoPos || wr.putPos > n.Pos()) {
-					report(n.Pos(), "return before wire.PutWriter for writer acquired at line %d (defer the put or put before returning)",
-						w.Fset.Position(wr.pos).Line)
-				}
-			}
-			return true
 		}
 		return true
 	})
 
-	for _, wr := range writers {
-		if wr.putPos == token.NoPos && !wr.defPut && !wr.escaped {
-			report(wr.pos, "wire.GetWriter result never reaches wire.PutWriter and does not escape")
-		}
-	}
 	p.readsAfterRelease(pkg, body, report)
 	return out
 }

@@ -1,7 +1,7 @@
 // Package pool is a poolsafety-pass fixture: stores and uncopied returns
 // of BytesView/RawView/SpanView borrows are flagged, the caller-owned decode
-// borrow and the copied return are accepted, and GetWriter lifecycle
-// violations are caught, as is a read of a frame after router.Release.
+// borrow and the copied return are accepted, and a read of a frame after
+// router.Release is caught.
 package pool
 
 import (
@@ -57,35 +57,11 @@ func Copied() []byte {
 	return append([]byte(nil), r.BytesView()...)
 }
 
-// LeakWriter acquires a pooled writer that never reaches PutWriter.
-func LeakWriter() {
-	w := wire.GetWriter(8) // want "never reaches wire.PutWriter"
-	w.U8(1)
-}
-
-// EarlyReturn leaks the writer on the early path.
-func EarlyReturn(cond bool) {
-	w := wire.GetWriter(8)
-	w.U8(1)
-	if cond {
-		return // want "return before wire.PutWriter"
-	}
-	wire.PutWriter(w)
-}
-
-// RoundTrip is the clean lifecycle — accepted.
-func RoundTrip() []byte {
-	w := wire.GetWriter(8)
-	defer wire.PutWriter(w)
-	w.U8(1)
-	return append([]byte(nil), w.Finish()...)
-}
-
 // Retain keeps a view in a struct under a waiver: the fixture's buffers
 // are never recycled, mirroring the ctbcast delivery-path contract.
 func Retain(h *holder) {
 	r := wire.NewReader(frame())
-	//ubft:poolsafety fixture specimen: this buffer is never returned to the pool
+	//ubft:poolsafety fixture specimen: this buffer is never recycled
 	h.view = r.BytesView()
 }
 

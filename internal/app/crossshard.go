@@ -88,14 +88,19 @@ func AppendKeyedReads(dst []KeyedRead, res []byte) ([]KeyedRead, uint8) {
 // original key indices leg i served; the total key count is
 // derived from it. If any leg failed, the first failing leg's status (in
 // leg order, which is ascending shard order) is returned, so the merged
-// outcome is deterministic.
-func mergeKeyedReads(legs [][]byte, legKeys [][]int) []byte {
+// outcome is deterministic. The entries are decoded into *scratch, which the
+// caller keeps: it holds the last merge's values until the next one.
+func mergeKeyedReads(scratch *[]KeyedRead, legs [][]byte, legKeys [][]int) []byte {
 	nKeys := 0
 	for _, idx := range legKeys {
 		nKeys += len(idx)
 	}
 	// One array: the merged entries, then room for one leg's.
-	merged := make([]KeyedRead, nKeys, 2*nKeys)
+	if cap(*scratch) < 2*nKeys {
+		*scratch = make([]KeyedRead, 2*nKeys)
+	}
+	merged := (*scratch)[:nKeys]
+	clear(merged)
 	// Malformed legs merge to the generic StatusBadReq: it is the only
 	// error byte that means "failure" in every app's status namespace (an
 	// RKV-style RErr, 3, would read as KVStored to a KV client).

@@ -105,11 +105,13 @@ type keyed struct {
 	// appended into, the caller's until the next call (StateMachine.Apply);
 	// keys holds a multi-key read's or write's keys (multiRead, Apply,
 	// Fragment, writeFragmentKeys) and pairs a multi-key write's pairs
-	// (Apply, Fragment, installFragment) until the next one; value holds
-	// the value an INCR or APPEND builds until the store has copied it.
+	// (Apply, Fragment, installFragment) until the next one; reads holds a
+	// scatter read's entries (Merge) and value the value an INCR or APPEND
+	// builds, until the next one.
 	answer []byte
 	keys   [][]byte
 	pairs  []Pair
+	reads  []KeyedRead
 	value  []byte
 	*LockTable
 }
@@ -428,7 +430,7 @@ func (s *keyed) Fragment(dst, req []byte, keyIdx []int) ([]byte, error) {
 
 // Merge implements Fragmenter for scatter-gathered multi-key reads.
 func (s *keyed) Merge(req []byte, legs [][]byte, legKeys [][]int) []byte {
-	return mergeKeyedReads(legs, legKeys)
+	return mergeKeyedReads(&s.reads, legs, legKeys)
 }
 
 // writeFragmentKeys validates a staged fragment (it must be the dialect's

@@ -34,11 +34,12 @@ type OrderBook struct {
 	// appended into, the caller's until the next call (StateMachine.Apply);
 	// keys holds an OpTops read's or a staged fragment's symbols (multiRead,
 	// Fragment, writeFragmentKeys), legs an OpPair's legs (decodePairLegs),
-	// fills an order's fills and top a symbol's topsEntry until the next
-	// one.
+	// reads a scatter read's entries (Merge), fills an order's fills and top
+	// a symbol's topsEntry until the next one.
 	answer []byte
 	keys   [][]byte
 	legs   []OrderLeg
+	reads  []KeyedRead
 	fills  []Fill
 	top    []byte
 	*LockTable
@@ -591,7 +592,7 @@ func (ob *OrderBook) Fragment(dst, req []byte, keyIdx []int) ([]byte, error) {
 // Merge implements Fragmenter for scatter-gathered top-of-book reads (the
 // response layout matches the generic keyed-read shape).
 func (ob *OrderBook) Merge(req []byte, legs [][]byte, legKeys [][]int) []byte {
-	return mergeKeyedReads(legs, legKeys)
+	return mergeKeyedReads(&ob.reads, legs, legKeys)
 }
 
 // writeFragmentKeys validates a staged fragment (a pair order or one of

@@ -1,8 +1,9 @@
 package cluster_test
 
 // Allocation budgets for a whole deployment's requests, fast path and
-// signed slow path, in steady state and from a fresh start. The
-// zero-allocation work (pooled and carved wire buffers, zero-copy decode,
+// signed slow path, in steady state and from a fresh start, at the same
+// budgets in a plain build and under the race detector. The zero-allocation
+// work (encode buffers their owners keep, carved frames, zero-copy decode,
 // recycled records, pooled sim events) is enforced here: if a change
 // reintroduces per-message churn, these budgets fail long before a human
 // notices the latency benchmarks drifting.
@@ -61,10 +62,6 @@ func allocsPer(n int, f func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(n)
 }
 
-// raceAllocs and raceSlowAllocs are what the race detector adds to a
-// fast-path and a slow-path request (race_test.go); 0 in a plain build.
-var raceAllocs, raceSlowAllocs int
-
 // TestFastPathAllocBudget asserts a ceiling on heap allocations per
 // end-to-end request on uBFT's fast path, in steady state (pools warm, ring
 // mirrors grown, consensus tables populated, their free lists filled).
@@ -88,12 +85,12 @@ var raceAllocs, raceSlowAllocs int
 // allocations a request each) trips it, as does a per-receiver frame copy or
 // reintroduced per-message encode/decode churn (hundreds).
 func TestFastPathAllocBudget(t *testing.T) {
-	budget := 4 + raceAllocs
+	const budget = 4
 
 	u := newFastPath()
 	defer u.Stop()
 	next := flipStream()
-	// Warm up: fill buffer pools, grow ring mirrors, populate window maps.
+	// Warm up: grow encode buffers and ring mirrors, populate window maps.
 	for i := 0; i < 300; i++ {
 		driveOne(t, u, next)
 	}
@@ -141,7 +138,7 @@ func TestFastPathAllocBudget(t *testing.T) {
 // fresh answers and replies (5 a request), fresh acks and echoes (17), a map
 // per decoded certificate (16) or a copy per CERTIFY signature (8) trips it.
 func TestSlowPathAllocBudget(t *testing.T) {
-	budget := 5 + raceSlowAllocs
+	const budget = 5
 
 	u := newSlowPath()
 	defer u.Stop()
@@ -167,10 +164,6 @@ func coldAllocs(t *testing.T, u *cluster.UBFT, requests int) float64 {
 	return allocsPer(requests, func() { driveOne(t, u, next) })
 }
 
-// raceColdAllocs and raceColdSlowAllocs are what the race detector adds to
-// the cold gates below (race_test.go); 0 in a plain build.
-var raceColdAllocs, raceColdSlowAllocs int
-
 // TestColdFastPathAllocBudget bounds the heap allocations per request of a
 // fresh deployment's first 300 fast-path requests, which the benchmark's
 // short warm-up leaves in its measured window. Measured at 4.87 when this
@@ -180,7 +173,7 @@ var raceColdAllocs, raceColdSlowAllocs int
 // signature or verification made two. The ceiling is that plus 15%, rounded
 // up.
 func TestColdFastPathAllocBudget(t *testing.T) {
-	budget := 6 + raceColdAllocs
+	const budget = 6
 	avg := coldAllocs(t, newFastPath(), 300)
 	t.Logf("cold fast path: %.2f allocs/request (budget %d)", avg, budget)
 	if avg > float64(budget) {
@@ -197,7 +190,7 @@ func TestColdFastPathAllocBudget(t *testing.T) {
 // is that plus 15%, rounded up. It reads 7.58 since a CTBcast summary's
 // state is copied once per identifier and its share collector is kept.
 func TestColdSlowPathAllocBudget(t *testing.T) {
-	budget := 10 + raceColdSlowAllocs
+	const budget = 10
 	avg := coldAllocs(t, newSlowPath(), 300)
 	t.Logf("cold slow path: %.2f allocs/request (budget %d)", avg, budget)
 	if avg > float64(budget) {

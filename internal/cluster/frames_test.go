@@ -24,6 +24,7 @@ import (
 	"repro/internal/byz"
 	"repro/internal/cluster"
 	"repro/internal/consensus"
+	"repro/internal/ctbcast"
 	"repro/internal/ids"
 	"repro/internal/memnode"
 	"repro/internal/msgring"
@@ -247,14 +248,18 @@ func (a *frameAudit) infect(net *simnet.Network, id ids.ID, p byz.Policy) {
 // msgring's TestRetainedViewsNeverChange holds staged frames to the same
 // rule.) In the Byzantine run the leader equivocates until it crashes, and
 // the audit sits on both sides of its policy: what the node handed over,
-// and what reached the wire.
+// and what reached the wire. The slow-only run signs every CTBcast message,
+// so every SIGNED frame and register value comes out of its group's one
+// encode buffer.
 func TestSentFramesNeverChange(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		policy byz.Policy
+		mode   ctbcast.PathMode
 	}{
-		{"honest", nil},
-		{"equivocating-leader", byz.Equivocate{}},
+		{"honest", nil, ctbcast.FastWithFallback},
+		{"equivocating-leader", byz.Equivocate{}, ctbcast.FastWithFallback},
+		{"slow-only", nil, ctbcast.SlowOnly},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			audit := newFrameAudit(t)
@@ -270,6 +275,7 @@ func TestSentFramesNeverChange(t *testing.T) {
 				Tail:              8,
 				SlowPathDelay:     30 * sim.Microsecond,
 				ViewChangeTimeout: 3 * sim.Millisecond,
+				CTBMode:           tc.mode,
 				Fabric:            simnet.AsFabric(net),
 			})
 			if err != nil {

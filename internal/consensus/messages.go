@@ -219,15 +219,22 @@ func DecodeRequest(b []byte) (Request, error) {
 
 // Digest fingerprints a request without charging virtual time (cost is
 // charged by callers at the protocol level). The fingerprint is computed
-// lazily, once, through a pooled encode buffer; repeated calls — and calls
-// on copies made after the first call — return the cached value.
+// lazily, once; repeated calls — and calls on copies made after the first
+// call — return the cached value and allocate nothing.
 func (r *Request) Digest() [xcrypto.DigestLen]byte {
+	var buf []byte
+	return r.digestWith(&buf)
+}
+
+// digestWith is Digest encoding the request, if its digest is not cached
+// yet, into *buf, which it keeps the grown buffer in.
+func (r *Request) digestWith(buf *[]byte) [xcrypto.DigestLen]byte {
 	if !r.digestOK {
-		w := wire.GetWriter(24 + len(r.Payload))
-		r.encode(w)
-		r.digest = xcrypto.DigestNoCharge(w.Finish())
+		w := wire.WriterOn((*buf)[:0])
+		r.encode(&w)
+		*buf = w.Finish()
+		r.digest = xcrypto.DigestNoCharge(*buf)
 		r.digestOK = true
-		wire.PutWriter(w)
 	}
 	return r.digest
 }
@@ -239,8 +246,8 @@ type Prepare struct {
 	Req  Request
 }
 
-// appendPrepare encodes a PREPARE frame into w (append-style so hot paths
-// can use pooled writers).
+// appendPrepare encodes a PREPARE frame into w (append-style so a replica
+// encodes into the buffer it keeps).
 func appendPrepare(w *wire.Writer, p Prepare) {
 	w.U8(tagPrepare)
 	w.U64(uint64(p.View))
@@ -249,7 +256,7 @@ func appendPrepare(w *wire.Writer, p Prepare) {
 }
 
 // EncodePrepare allocates a standalone PREPARE message (tests and Byzantine
-// harnesses; hot paths use appendPrepare with pooled writers).
+// harnesses; a replica uses appendPrepare).
 func EncodePrepare(p Prepare) []byte {
 	w := wire.NewWriter(40 + len(p.Req.Payload))
 	appendPrepare(w, p)

@@ -244,6 +244,11 @@ type Replica struct {
 	reqBlock   []reqState
 	subsRest   []Request
 	batchSlab  wire.Slab
+	// enc is the encode buffer of every message this replica broadcasts
+	// itself (PREPARE, CERTIFY, WILL_*, COMMIT) and of the requests it
+	// digests: a broadcast copies its message into a ring frame before it
+	// returns, and a digest is taken before the encoding it would overwrite.
+	enc []byte
 
 	lastApplied Slot // next slot to apply
 
@@ -572,7 +577,7 @@ func (r *Replica) inWindowOf(cp *Checkpoint, s Slot) bool {
 // enqueueProposal queues a request for proposal by this replica when it
 // leads, dropping duplicates.
 func (r *Replica) enqueueProposal(req Request) {
-	if rs := r.requests[req.Digest()]; rs != nil && rs.proposed {
+	if rs := r.requests[r.digest(&req)]; rs != nil && rs.proposed {
 		return
 	}
 	// A number at or below the client's highest proposed one is NOT grounds
@@ -630,10 +635,7 @@ func (r *Replica) pumpProposals() {
 		p := Prepare{View: r.view, Slot: r.nextSlot, Req: req}
 		r.inFlight.view, r.inFlight.slot, r.inFlight.set = p.View, p.Slot, true
 		r.nextSlot++
-		w := wire.GetWriter(40 + len(p.Req.Payload))
-		appendPrepare(w, p)
-		r.groups[r.cfg.Self].Broadcast(w.Finish()) // Broadcast does not retain
-		wire.PutWriter(w)
+		r.broadcastPrepare(p)
 	}
 	r.armProgressTimer()
 }
@@ -670,7 +672,7 @@ func (r *Replica) takeProposal() (Request, bool) {
 	taken := 0
 	for ; taken < len(r.proposeQ); taken++ {
 		req := &r.proposeQ[taken]
-		rs := r.request(req.Digest())
+		rs := r.request(r.digest(req))
 		if rs.proposed {
 			continue
 		}
@@ -775,7 +777,7 @@ func (r *Replica) onPrepare(st *replicaState, pr Prepare) {
 	// so the request is encoded and hashed exactly once per replica.
 	// A batch container's sub-requests (and their digests, as requestKnown
 	// computes them), unpacked once by validPrepare, ride along the same way.
-	pr.Req.Digest()
+	r.digest(&pr.Req)
 	st.prepares[pr.Slot] = pr
 	st.newViewUsed = true
 	if pr.View != r.view || !r.inWindow(pr.Slot) {
@@ -814,7 +816,7 @@ func (r *Replica) requestKnown(req *Request) bool {
 	if r.executed(req.Client, req.Num) {
 		return true // already executed: provenance is settled
 	}
-	rs := r.requests[req.Digest()]
+	rs := r.requests[r.digest(req)]
 	return rs != nil && rs.held
 }
 
@@ -910,18 +912,18 @@ func (r *Replica) sendCertify(v View, s Slot) {
 		return
 	}
 	ss.in(v).sent |= sentCertify
-	dg := pr.Req.Digest()
+	dg := r.digest(&pr.Req)
 	r.proc.Charge(latmodel.DigestCost(len(pr.Req.Payload)))
 	stmt := xcrypto.Certify(uint64(v), uint64(s), dg)
 	sig := r.signer.Sign(r.proc, stmt.Bytes())
-	w := wire.GetWriter(128)
+	w := wire.WriterOn(r.enc[:0])
 	w.U8(tagCertify)
 	w.U64(uint64(v))
 	w.U64(uint64(s))
 	w.Raw(dg[:])
 	w.Bytes(sig)
-	r.auxBroadcast(w.Finish())
-	wire.PutWriter(w)
+	r.enc = w.Finish()
+	r.auxBroadcast(r.enc)
 	r.fastPathLive = false
 	r.pumpQueued() // the gate just opened
 }
@@ -962,15 +964,25 @@ func (r *Replica) verifyCertifySig(v View, s Slot, dg [xcrypto.DigestLen]byte, p
 // auxBroadcast fans m out on the auxiliary channel; m is not retained.
 func (r *Replica) auxBroadcast(m []byte) { r.auxOut.Broadcast(m) }
 
-// auxVote broadcasts a WILL_CERTIFY / WILL_COMMIT frame through a pooled
-// encode buffer.
+// broadcastPrepare puts p on this leader's own channel.
+func (r *Replica) broadcastPrepare(p Prepare) {
+	w := wire.WriterOn(r.enc[:0])
+	appendPrepare(&w, p)
+	r.enc = w.Finish()
+	r.groups[r.cfg.Self].Broadcast(r.enc)
+}
+
+// digest is req.Digest() through the replica's encode buffer.
+func (r *Replica) digest(req *Request) [xcrypto.DigestLen]byte { return req.digestWith(&r.enc) }
+
+// auxVote broadcasts a WILL_CERTIFY / WILL_COMMIT frame.
 func (r *Replica) auxVote(tag uint8, v View, s Slot) {
-	w := wire.GetWriter(24)
+	w := wire.WriterOn(r.enc[:0])
 	w.U8(tag)
 	w.U64(uint64(v))
 	w.U64(uint64(s))
-	r.auxBroadcast(w.Finish())
-	wire.PutWriter(w)
+	r.enc = w.Finish()
+	r.auxBroadcast(r.enc)
 }
 
 // ---------------------------------------------------------------------
@@ -1091,16 +1103,16 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 		return // observing: collect shares but broadcast no COMMIT
 	}
 	pr, ok := r.state[r.cfg.leaderOf(v)].prepares[s]
-	if !ok || pr.View != v || pr.Req.Digest() != dg {
+	if !ok || pr.View != v || r.digest(&pr.Req) != dg {
 		return
 	}
 	sv.sent |= sentCommit
-	w := wire.GetWriter(256 + len(pr.Req.Payload))
+	w := wire.WriterOn(r.enc[:0])
 	w.U8(tagCommit)
-	appendCommitHead(w, v, s, pr.Req)
-	sv.shares.AppendCert(w, dg)
-	r.groups[r.cfg.Self].Broadcast(w.Finish())
-	wire.PutWriter(w)
+	appendCommitHead(&w, v, s, pr.Req)
+	sv.shares.AppendCert(&w, dg)
+	r.enc = w.Finish()
+	r.groups[r.cfg.Self].Broadcast(r.enc)
 	r.maybeSeal()
 }
 
@@ -1109,7 +1121,7 @@ func (r *Replica) onCertify(p ids.ID, v View, s Slot, dg [xcrypto.DigestLen]byte
 func (r *Replica) onCommit(st *replicaState, c CommitCert) {
 	// Fingerprint before storing so the stored COMMIT carries the cache (the
 	// matching scan below re-reads every replica's latest COMMIT).
-	dg := c.Req.Digest()
+	dg := r.digest(&c.Req)
 	st.commits.put(c)
 	if c.View == st.view {
 		// A COMMIT of an earlier view can trail p's SEAL_VIEW (the shares
@@ -1123,7 +1135,7 @@ func (r *Replica) onCommit(st *replicaState, c CommitCert) {
 	// Count distinct broadcasters whose latest COMMIT carries this request.
 	matching := 0
 	for _, q := range r.cfg.Replicas {
-		if qc := r.state[q].commits.at(c.Slot); qc != nil && qc.Req.Digest() == dg {
+		if qc := r.state[q].commits.at(c.Slot); qc != nil && r.digest(&qc.Req) == dg {
 			matching++
 		}
 	}
@@ -1209,9 +1221,9 @@ func (r *Replica) applyOne(req *Request, s Slot) {
 	r.proc.Charge(r.cfg.App.ExecCost(req.Payload) + latmodel.AppExecBase)
 	result := r.cfg.App.Apply(req.Payload)
 	r.Executed++
-	if rs := r.requests[req.Digest()]; rs != nil {
+	if rs := r.requests[r.digest(req)]; rs != nil {
 		rs.releaseBody()
-		r.dropIfDead(req.Digest(), rs)
+		r.dropIfDead(r.digest(req), rs)
 	}
 	c := r.clients.at(req.Client)
 	if result == nil {

@@ -31,6 +31,7 @@ var retention = map[string]string{
 	"Replica.shareBlock":    "the uncarved rest of the current block of view records' share storage: room for fewer than recordBlock records' shares, each carved once by addShare",
 	"Replica.reqBlock":      "the uncarved rest of the current block of request records: fewer than recordBlock records, each taken once by request",
 	"Replica.subsRest":      "the uncarved rest of the current block of sub-requests: fewer than subsBlock, each carved once by subs",
+	"Replica.enc":           "one encode buffer, overwritten by every message the replica broadcasts and every request it digests: at most twice the largest of them (a PREPARE or a COMMIT, bounded by the channel's MsgCap)",
 	"Replica.deferredResp":  "pruneBelow: one window past the stable checkpoint unless the ticket is still parked; entry deleted when the lock releases",
 	"Replica.proposeQ":      "drained by pumpProposals; holds only requests whose echo round completed, so at most what live clients have in flight",
 	"Replica.freshScratch":  "scratch of takeProposal: at most one PREPARE's requests (MsgCap bytes)",

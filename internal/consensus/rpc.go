@@ -197,7 +197,7 @@ func (r *Replica) onClientRequest(from ids.ID, rd *wire.Reader) {
 		}
 		return
 	}
-	dg := req.Digest()
+	dg := r.digest(&req)
 	r.proc.Charge(latmodel.DigestCost(len(req.Payload)))
 	rs := r.request(dg)
 	if rs.held {

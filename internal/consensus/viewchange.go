@@ -412,10 +412,7 @@ func (r *Replica) startView(v View, rec *viewRec) {
 		if s >= r.nextSlot {
 			r.nextSlot = s + 1
 		}
-		w := wire.GetWriter(40 + len(p.Req.Payload))
-		appendPrepare(w, p)
-		r.groups[r.cfg.Self].Broadcast(w.Finish())
-		wire.PutWriter(w)
+		r.broadcastPrepare(p)
 	}
 	r.rebroadcastPending()
 	r.pumpProposals()
@@ -503,7 +500,7 @@ func (r *Replica) validCommit(st *replicaState, c *CommitCert) bool {
 	}
 	// Verify PΣ: f+1 valid CERTIFY signatures over the request digest
 	// (cached shares verified on arrival cost nothing here).
-	dg := c.Req.Digest()
+	dg := r.digest(&c.Req)
 	valid := 0
 	for q, sig := range c.Sigs.All() {
 		if r.cfg.indexOf(q) >= 0 && r.verifyCertifySig(c.View, c.Slot, dg, q, sig) {

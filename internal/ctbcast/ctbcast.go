@@ -191,6 +191,10 @@ type Group struct {
 	env Env
 	n   int
 
+	// enc is the encode buffer of every LOCK, SIGNED and LOCKED this member
+	// sends and of its register values (encode).
+	enc []byte
+
 	// Broadcaster-side state.
 	bcast       *tbcast.Broadcaster
 	lockedSelf  *tbcast.Broadcaster // my LOCKED channel (every member has one)
@@ -573,10 +577,7 @@ func ParseMsg(b []byte) (Msg, bool) {
 // sendLock broadcasts <LOCK, k, m> and returns m's bytes inside the sent ring
 // frame, which is immutable once sent.
 func (g *Group) sendLock(k uint64, m []byte) []byte {
-	w := wire.GetWriter(16 + len(m))
-	AppendMsg(w, Msg{Tag: tagLock, K: k, M: m})
-	idx := g.bcast.Broadcast(w.Finish()) // Broadcast does not retain the frame
-	wire.PutWriter(w)
+	idx := g.bcast.Broadcast(g.encode(Msg{Tag: tagLock, K: k, M: m}))
 	lock := g.bcast.Msg(idx)
 	return lock[len(lock)-len(m):]
 }
@@ -584,10 +585,17 @@ func (g *Group) sendLock(k uint64, m []byte) []byte {
 func (g *Group) sendSigned(k uint64, m []byte) {
 	stmt := xcrypto.Signed(g.p.Broadcaster, k, xcrypto.Digest(g.env.Proc, m))
 	sig := g.env.Signer.Sign(g.env.Proc, stmt.Bytes())
-	w := wire.GetWriter(128 + len(m))
-	AppendMsg(w, Msg{Tag: tagSigned, K: k, M: m, Sig: sig})
-	g.bcast.Broadcast(w.Finish())
-	wire.PutWriter(w)
+	g.bcast.Broadcast(g.encode(Msg{Tag: tagSigned, K: k, M: m, Sig: sig}))
+}
+
+// encode encodes msg into the group's encode buffer. A broadcast copies it
+// into a ring frame before it returns, and a register write into its
+// request frame.
+func (g *Group) encode(msg Msg) []byte {
+	w := wire.WriterOn(g.enc[:0])
+	AppendMsg(&w, msg)
+	g.enc = w.Finish()
+	return g.enc
 }
 
 // onBroadcasterMsg handles LOCK / SIGNED / SUMMARY from the broadcaster's
@@ -622,10 +630,7 @@ func (g *Group) onLock(k uint64, m []byte) {
 		return
 	}
 	// TBcast-broadcast <LOCKED, k, m> on my channel.
-	w := wire.GetWriter(16 + len(m))
-	AppendMsg(w, Msg{Tag: tagLocked, K: k, M: m})
-	g.lockedSelf.Broadcast(w.Finish())
-	wire.PutWriter(w)
+	g.lockedSelf.Broadcast(g.encode(Msg{Tag: tagLocked, K: k, M: m}))
 }
 
 // onLockedMsg handles <LOCKED, k, m> from q (Algorithm 1 lines 18-23).
@@ -676,14 +681,13 @@ func (g *Group) onSigned(k uint64, m []byte, sig []byte) {
 	}
 	g.locks[slot] = lockEntry{k: k, dg: dg, ok: true}
 	// Line 30: copy (k, sig, fingerprint) into my register for this slot.
-	// Register.Write copies the value synchronously, so the pooled encode
-	// buffer can be recycled as soon as it returns.
-	vw := wire.GetWriter(registerValueCap)
-	encodeRegValue(vw, k, dg, sig)
+	// Register.Write copies the value into its request frame at once.
+	vw := wire.WriterOn(g.enc[:0])
+	encodeRegValue(&vw, k, dg, sig)
+	g.enc = vw.Finish()
 	g.slowPending[k] = m
 	sd := g.newSlowDelivery(k, slot, dg)
-	g.myReg(int(slot)).Write(k, vw.Finish(), sd.writtenFn)
-	wire.PutWriter(vw)
+	g.myReg(int(slot)).Write(k, g.enc, sd.writtenFn)
 }
 
 // slowDelivery is one slow-path delivery of (k, dg) past this member's

@@ -191,8 +191,8 @@ func (g *Group) tallySummary(id uint64, state string, n int) {
 	}
 	// Certificate complete: broadcast it and advance the summary window. The
 	// writer is sized once for the whole SUMMARY, its certificate holding at
-	// most one signature per member; a pooled writer would keep a buffer the
-	// size of a summary alive in the pool after the ring frame copied it.
+	// most one signature per member; the group's encode buffer would keep a
+	// buffer the size of a summary alive after the ring frame copied it.
 	w := wire.NewWriter(1 + 8 + wire.BytesLen(len(state)) + 1 + len(g.p.Procs)*(8+wire.BytesLen(xcrypto.SigLen)))
 	appendSummary(w, id, state, shares)
 	g.bcast.Broadcast(w.Finish())

@@ -428,8 +428,10 @@ func EncodeWrite(buf []byte, id RegionID, off, size int) (frame, data []byte) {
 	frame = appendHeader(buf, WriteLen(off, size), opWrite, id)
 	frame = binary.AppendUvarint(frame, uint64(off))
 	frame = binary.AppendUvarint(frame, uint64(size))
-	frame = append(frame, make([]byte, size)...)
-	return frame, frame[len(frame)-size:]
+	n := len(frame)
+	frame = frame[:n+size] // within the capacity appendHeader reserved
+	clear(frame[n:])
+	return frame, frame[n:]
 }
 
 // EncodeRead encodes a READ request frame, channel tag first, for region id

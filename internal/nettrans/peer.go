@@ -55,35 +55,22 @@ func newPeerLink(n *Net, to ids.ID) *peerLink {
 }
 
 // enqueue frames (seq, from, to, payload) into the ring, overwriting the
-// oldest frame on overflow. Runs on the caller's goroutine (host loop);
-// never blocks. Frames for an evicted peer are dropped before encoding.
+// oldest frame on overflow: the frame is encoded straight into its slot's
+// buffer. Runs on the caller's goroutine (host loop); never blocks. Frames
+// for an evicted peer are dropped before encoding.
 func (l *peerLink) enqueue(seq uint64, from, to ids.ID, payload []byte) {
-	l.mu.Lock()
-	closed := l.closed
-	// While evicted, admit a frame only when the ring is empty: the writer
-	// probes from inside dial() and needs one frame in flight to stay
-	// there, but everything beyond that carrier is dropped unencoded.
-	fastDrop := !closed && l.evicted && l.count > 0
-	l.mu.Unlock()
-	if closed {
-		return
-	}
-	if fastDrop {
-		l.net.evictDrops.Add(1)
-		l.net.dropped.Add(1)
-		return
-	}
-	w := wire.GetWriter(frameHeaderLen + len(payload))
-	w.U64(seq)
-	w.I64(int64(from))
-	w.I64(int64(to))
-	w.Raw(payload)
-	body := w.Finish()
-
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		wire.PutWriter(w)
+		return
+	}
+	// While evicted, admit a frame only when the ring is empty: the writer
+	// probes from inside dial() and needs one frame in flight to stay
+	// there, but everything beyond that carrier is dropped unencoded.
+	if l.evicted && l.count > 0 {
+		l.mu.Unlock()
+		l.net.evictDrops.Add(1)
+		l.net.dropped.Add(1)
 		return
 	}
 	var slot int
@@ -98,9 +85,14 @@ func (l *peerLink) enqueue(seq uint64, from, to ids.ID, payload []byte) {
 		slot = (l.head + l.count) % len(l.ring)
 		l.count++
 	}
-	l.ring[slot] = append(l.ring[slot][:0], body...)
+	w := wire.WriterOn(l.ring[slot][:0])
+	w.Grow(frameHeaderLen + len(payload))
+	w.U64(seq)
+	w.I64(int64(from))
+	w.I64(int64(to))
+	w.Raw(payload)
+	l.ring[slot] = w.Finish()
 	l.mu.Unlock()
-	wire.PutWriter(w)
 	l.cond.Signal()
 }
 

@@ -78,7 +78,7 @@ func (r *Router) RegisterFrame(ch uint8, h Handler) {
 
 // Send transmits payload to the host to on channel ch. It copies payload
 // into a fresh frame behind the channel tag, so the caller may reuse its
-// buffer (a pooled wire.Writer) as soon as Send returns, and a receiver may
+// buffer (an encode buffer it keeps) as soon as Send returns, and a receiver may
 // keep views of it: no frame Send makes is ever released.
 func (r *Router) Send(to ids.ID, ch uint8, payload []byte) {
 	buf := make([]byte, 1+len(payload))

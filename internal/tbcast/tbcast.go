@@ -292,8 +292,9 @@ func (b *Broadcaster) AllocatedBytes() int { return b.ring.AllocatedBytes }
 
 // Broadcast sends msg to every receiver (and self-delivers), returning the
 // message's absolute index within this channel. msg is not retained: callers
-// may reuse its buffer — e.g. a pooled wire.Writer — as soon as Broadcast
-// returns.
+// may reuse its buffer — e.g. an encode buffer they keep — as soon as
+// Broadcast returns: the message is copied into its ring frame, and the
+// self-delivery is a posted event that reads the frame.
 func (b *Broadcaster) Broadcast(msg []byte) uint64 {
 	idx := b.ring.Send(msg)
 	if b.selfDeliver != nil {

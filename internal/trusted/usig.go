@@ -45,6 +45,8 @@ type USIG struct {
 	// km is the enclave's keyed-hash state: one HMAC key schedule derived
 	// at provisioning time and reused for every invocation.
 	km *xcrypto.KeyedMAC
+	// ui is the buffer every invocation encodes its UI payload into.
+	ui [uiPayloadLen]byte
 
 	// Invocations counts enclave calls (diagnostics / Fig 10 accounting).
 	Invocations uint64
@@ -58,11 +60,18 @@ func NewUSIG(owner ids.ID, secret Secret, proc *sim.Proc) *USIG {
 // Counter returns the current counter value (last assigned).
 func (u *USIG) Counter() uint64 { return u.counter }
 
-func appendUIPayload(w *wire.Writer, owner ids.ID, counter uint64, msg []byte) {
+// uiPayloadLen is the length of a UI payload: owner, counter, digest.
+const uiPayloadLen = 8 + 8 + xcrypto.DigestLen
+
+// uiPayload encodes the bytes a UI binds, (owner, counter, msg's digest),
+// into u.ui.
+func (u *USIG) uiPayload(owner ids.ID, counter uint64, msg []byte) []byte {
 	dg := xcrypto.DigestNoCharge(msg)
+	w := wire.WriterOn(u.ui[:0])
 	w.I64(int64(owner))
 	w.U64(counter)
 	w.Raw(dg[:])
+	return w.Finish()
 }
 
 // CreateUI binds msg to the next counter value. Charges one enclave
@@ -71,11 +80,7 @@ func (u *USIG) CreateUI(msg []byte) UI {
 	u.Invocations++
 	u.proc.Charge(latmodel.EnclaveCost(len(msg)))
 	u.counter++
-	w := wire.GetWriter(64)
-	appendUIPayload(w, u.owner, u.counter, msg)
-	mac := u.km.MAC(u.proc, w.Finish())
-	wire.PutWriter(w)
-	return UI{Counter: u.counter, MAC: mac}
+	return UI{Counter: u.counter, MAC: u.km.MAC(u.proc, u.uiPayload(u.owner, u.counter, msg))}
 }
 
 // VerifyUI checks that ui binds msg to (from, ui.Counter). Charges one
@@ -84,11 +89,7 @@ func (u *USIG) CreateUI(msg []byte) UI {
 func (u *USIG) VerifyUI(from ids.ID, msg []byte, ui UI) bool {
 	u.Invocations++
 	u.proc.Charge(latmodel.EnclaveCost(len(msg)))
-	w := wire.GetWriter(64)
-	appendUIPayload(w, from, ui.Counter, msg)
-	ok := u.km.Verify(u.proc, w.Finish(), ui.MAC)
-	wire.PutWriter(w)
-	return ok
+	return u.km.Verify(u.proc, u.uiPayload(from, ui.Counter, msg), ui.MAC)
 }
 
 // Authenticate produces a counterless enclave MAC over msg (used for
@@ -97,11 +98,7 @@ func (u *USIG) VerifyUI(from ids.ID, msg []byte, ui UI) bool {
 func (u *USIG) Authenticate(msg []byte) []byte {
 	u.Invocations++
 	u.proc.Charge(latmodel.EnclaveCost(len(msg)))
-	w := wire.GetWriter(64)
-	appendUIPayload(w, u.owner, 0, msg)
-	mac := u.km.MAC(u.proc, w.Finish())
-	wire.PutWriter(w)
-	return mac
+	return u.km.MAC(u.proc, u.uiPayload(u.owner, 0, msg))
 }
 
 // VerifyAuth checks a counterless enclave MAC from a peer. Charges one
@@ -109,11 +106,7 @@ func (u *USIG) Authenticate(msg []byte) []byte {
 func (u *USIG) VerifyAuth(from ids.ID, msg, mac []byte) bool {
 	u.Invocations++
 	u.proc.Charge(latmodel.EnclaveCost(len(msg)))
-	w := wire.GetWriter(64)
-	appendUIPayload(w, from, 0, msg)
-	ok := u.km.Verify(u.proc, w.Finish(), mac)
-	wire.PutWriter(w)
-	return ok
+	return u.km.Verify(u.proc, u.uiPayload(from, 0, msg), mac)
 }
 
 // EncodeUI serializes a UI.

@@ -59,14 +59,12 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip encodes the fuzzed fields through a pooled writer and
-// asserts an exact decode.
+// FuzzRoundTrip encodes the fuzzed fields and asserts an exact decode.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(0), []byte(nil), "")
 	f.Add(uint64(1<<63), []byte{1, 2, 3}, "hello")
 	f.Fuzz(func(t *testing.T, u uint64, b []byte, s string) {
-		w := GetWriter(32 + len(b) + len(s))
-		defer PutWriter(w)
+		w := NewWriter(32 + len(b) + len(s))
 		w.Uvarint(u)
 		w.Bytes(b)
 		w.String(s)

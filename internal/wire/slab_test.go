@@ -1,58 +1,9 @@
 package wire
 
 import (
-	"bytes"
 	"testing"
 	"unsafe"
 )
-
-// TestWriterReset verifies Reset keeps capacity but drops content.
-func TestWriterReset(t *testing.T) {
-	w := NewWriter(8)
-	w.Bytes(bytes.Repeat([]byte{0xAA}, 100))
-	if w.Len() == 0 {
-		t.Fatal("nothing written")
-	}
-	w.Reset()
-	if w.Len() != 0 {
-		t.Fatalf("reset left %d bytes", w.Len())
-	}
-	w.U8(1)
-	if got := w.Finish(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("post-reset encode corrupted: %x", got)
-	}
-}
-
-// TestPooledWriterNoBleed guards the pool's ownership rules: a recycled
-// writer must never leak bytes from a previous (longer) message into a
-// subsequent (shorter) one.
-func TestPooledWriterNoBleed(t *testing.T) {
-	w := GetWriter(16)
-	w.Bytes(bytes.Repeat([]byte{0xFF}, 512))
-	long := w.Finish()
-	if !bytes.Contains(long, []byte{0xFF, 0xFF}) {
-		t.Fatal("long message not encoded")
-	}
-	PutWriter(w)
-
-	// Drain the pool until we (very likely) see the same writer again;
-	// regardless of which writer comes back, its content must be empty.
-	for i := 0; i < 8; i++ {
-		w2 := GetWriter(16)
-		if w2.Len() != 0 {
-			t.Fatalf("recycled writer carries %d stale bytes", w2.Len())
-		}
-		w2.U8(0x01)
-		got := w2.Finish()
-		if len(got) != 1 || got[0] != 0x01 {
-			t.Fatalf("recycled writer produced %x", got)
-		}
-		if bytes.Contains(got, []byte{0xFF}) {
-			t.Fatal("stale bytes leaked into a recycled writer")
-		}
-		PutWriter(w2)
-	}
-}
 
 // TestGrowPreservesContent verifies Grow never loses already-written bytes.
 func TestGrowPreservesContent(t *testing.T) {
@@ -158,30 +109,5 @@ func TestCarveAndFreeList(t *testing.T) {
 	fl.Put(y)
 	if fl.Get() != y || fl.Get() != x || fl.Get() != nil {
 		t.Fatal("a free list does not give back the record last put, then nil")
-	}
-}
-
-// TestWirePooledEncodeAllocFree asserts that steady-state encoding through
-// the writer pool is completely allocation-free.
-func TestWirePooledEncodeAllocFree(t *testing.T) {
-	payload := make([]byte, 256)
-	// Prime the pool so the first Get does not count.
-	w := GetWriter(512)
-	PutWriter(w)
-	avg := testing.AllocsPerRun(100, func() {
-		w := GetWriter(512)
-		w.U8(1)
-		w.U64(42)
-		w.Bytes(payload)
-		r := NewReader(w.Finish())
-		r.U8()
-		r.U64()
-		if v := r.BytesView(); len(v) != len(payload) {
-			t.Fatal("bad round trip")
-		}
-		PutWriter(w)
-	})
-	if avg != 0 {
-		t.Errorf("pooled encode/decode allocates %.1f/op, want 0", avg)
 	}
 }

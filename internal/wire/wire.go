@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrTruncated is returned when a decoder runs past the end of its buffer.
@@ -42,14 +41,8 @@ func WriterOn(dst []byte) Writer { return Writer{buf: dst} }
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
-// Finish returns the encoded bytes. The writer must not be reused after,
-// except via Reset (which invalidates the returned slice).
+// Finish returns the encoded bytes. The writer must not be reused after.
 func (w *Writer) Finish() []byte { return w.buf }
-
-// Reset truncates the writer to zero length, keeping its capacity, so the
-// buffer can be reused for the next message. Any slice previously obtained
-// from Finish aliases the buffer and must no longer be referenced.
-func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // Grow ensures capacity for at least n more bytes, so a sequence of appends
 // encoding one message performs at most one allocation.
@@ -123,36 +116,13 @@ func (fl *FreeList[V]) Get() *V {
 // Put keeps v for a later Get.
 func (fl *FreeList[V]) Put(v *V) { *fl = append(*fl, v) }
 
-// writerPool recycles encode buffers for the hot path. Pooled writers keep
-// whatever capacity they grew to, so steady-state encoding allocates
-// nothing.
-var writerPool = sync.Pool{New: func() any { return &Writer{} }}
+// GetWriter returns NewWriter(n). It and PutWriter remain only for the
+// benchmark's wire rig; protocol code encodes into a buffer its owner keeps
+// (WriterOn).
+func GetWriter(n int) *Writer { return NewWriter(n) }
 
-// GetWriter returns a pooled writer with capacity for at least n bytes,
-// reset to zero length.
-//
-// Ownership rules: the writer and any slice obtained from Finish remain
-// valid until PutWriter. Callers must not call PutWriter while the encoded
-// bytes are still referenced by anyone — hand-offs that retain the slice
-// (storing it, deferring its use to a later event) require a copy first.
-// Sends through router.Send and broadcasts through msgring/tbcast are safe:
-// both copy the payload into a frame of their own before returning, and a
-// frame is immutable once sent.
-func GetWriter(n int) *Writer {
-	w := writerPool.Get().(*Writer)
-	w.Reset()
-	w.Grow(n)
-	return w
-}
-
-// PutWriter recycles w. The caller must hold no references to w or to any
-// slice obtained from it after this call.
-func PutWriter(w *Writer) {
-	if cap(w.buf) > MaxFieldLen {
-		return // do not let one oversized message pin memory in the pool
-	}
-	writerPool.Put(w)
-}
+// PutWriter does nothing: see GetWriter.
+func PutWriter(*Writer) {}
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -341,8 +311,8 @@ func (r *Reader) Bytes() []byte {
 // value's, and never write through a view. A delivered frame is immutable
 // once sent and never recycled, so views into it stay valid indefinitely —
 // but they are shared: a ring frame is one slice read by the sender's
-// mirror, every receiver and the broadcaster's self-delivery. Buffers owned
-// by a pool must be decoded with the copying Bytes instead (or the caller
+// mirror, every receiver and the broadcaster's self-delivery. Buffers their
+// owner reuses must be decoded with the copying Bytes instead (or the caller
 // must copy before the buffer is reused). Byzantine-facing boundaries that
 // must not alias sender-reachable memory keep using Bytes.
 func (r *Reader) BytesView() []byte {

@@ -91,8 +91,7 @@ func TestAppendCertIsTheCert(t *testing.T) {
 		t.Fatalf("Cert allocates %.0f times, want 1", n)
 	}
 
-	w := wire.GetWriter(8)
-	defer wire.PutWriter(w)
+	w := wire.NewWriter(8)
 	w.U64(42)
 	s.AppendCert(w, "x")
 	got := w.Finish()
