@@ -53,7 +53,8 @@ type KeyedRead struct {
 
 // AppendKeyedReads decodes a multi-read result (multiRead's shape: status
 // byte, uvarint count, then per key a Bool(found) and, if found, a Bytes
-// value) and appends one entry per key to dst. It returns the status: a
+// value) and appends one entry per key to dst. A found entry's Value aliases
+// res, which the caller owns: nothing is copied. It returns the status: a
 // failed read's own, StatusBadReq if malformed, with dst unextended.
 func AppendKeyedReads(dst []KeyedRead, res []byte) ([]KeyedRead, uint8) {
 	if len(res) == 0 {
@@ -69,11 +70,12 @@ func AppendKeyedReads(dst []KeyedRead, res []byte) ([]KeyedRead, uint8) {
 	}
 	out := dst
 	for i := uint64(0); i < n; i++ {
-		e := KeyedRead{Found: rd.Bool()}
-		if e.Found {
-			e.Value = rd.Bytes()
+		found := rd.Bool()
+		var v []byte
+		if found {
+			v = rd.BytesView()
 		}
-		out = append(out, e)
+		out = append(out, KeyedRead{Found: found, Value: v})
 	}
 	if rd.Done() != nil {
 		return dst, StatusBadReq
@@ -89,7 +91,9 @@ func AppendKeyedReads(dst []KeyedRead, res []byte) ([]KeyedRead, uint8) {
 // derived from it. If any leg failed, the first failing leg's status (in
 // leg order, which is ascending shard order) is returned, so the merged
 // outcome is deterministic. The entries are decoded into *scratch, which the
-// caller keeps: it holds the last merge's values until the next one.
+// caller keeps, as views of their legs (cleared before it returns), so each
+// value is copied once, into the result, which is the merge's one
+// allocation.
 func mergeKeyedReads(scratch *[]KeyedRead, legs [][]byte, legKeys [][]int) []byte {
 	nKeys := 0
 	for _, idx := range legKeys {
@@ -99,8 +103,8 @@ func mergeKeyedReads(scratch *[]KeyedRead, legs [][]byte, legKeys [][]int) []byt
 	if cap(*scratch) < 2*nKeys {
 		*scratch = make([]KeyedRead, 2*nKeys)
 	}
+	defer clear((*scratch)[:2*nKeys])
 	merged := (*scratch)[:nKeys]
-	clear(merged)
 	// Malformed legs merge to the generic StatusBadReq: it is the only
 	// error byte that means "failure" in every app's status namespace (an
 	// RKV-style RErr, 3, would read as KVStored to a KV client).
@@ -120,7 +124,14 @@ func mergeKeyedReads(scratch *[]KeyedRead, legs [][]byte, legKeys [][]int) []byt
 			merged[idx] = e
 		}
 	}
-	w := wire.NewWriter(64)
+	size := 1 + wire.UvarintLen(uint64(nKeys))
+	for _, e := range merged {
+		size++
+		if e.Found {
+			size += wire.BytesLen(len(e.Value))
+		}
+	}
+	w := wire.WriterOn(make([]byte, 0, size))
 	w.U8(StatusOK)
 	w.Uvarint(uint64(nKeys))
 	for _, e := range merged {

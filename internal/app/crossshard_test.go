@@ -505,9 +505,53 @@ func TestFragmentMergeReads(t *testing.T) {
 	}
 }
 
+// TestMergeCopiesEachValueOnce: a warm merge of two legs with one found key
+// each allocates only its result (3 while each value was copied out of its
+// leg and then again into the result), answers what one store holding both
+// keys answers, and merges a malformed or miscounted leg to StatusBadReq.
+func TestMergeCopiesEachValueOnce(t *testing.T) {
+	a, b := []byte("key-a"), []byte("key-b")
+	one, legA, legB := NewKV(0), NewKV(0), NewKV(0)
+	for _, s := range []*KV{one, legA} {
+		s.Apply(EncodeKVSet(a, []byte("value-a")))
+	}
+	for _, s := range []*KV{one, legB} {
+		s.Apply(EncodeKVSet(b, []byte("value-b")))
+	}
+	read := EncodeKVMGet(a, b)
+	legs := [][]byte{
+		slices.Clone(legA.Apply(EncodeKVMGet(a))),
+		slices.Clone(legB.Apply(EncodeKVMGet(b))),
+	}
+	legKeys := [][]int{{0}, {1}}
+	m := NewKV(0)
+	if got, want := m.Merge(read, legs, legKeys), one.Apply(read); !bytes.Equal(got, want) {
+		t.Fatalf("merged = %x, want %x", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Merge(read, legs, legKeys) }); n > 1 {
+		t.Errorf("a warm two-leg merge allocates %.1f times, want at most 1 (its result)", n)
+	}
+	for _, c := range []struct {
+		name    string
+		leg     []byte
+		legKeys [][]int
+	}{
+		{"truncated", legs[1][:len(legs[1])-1], legKeys},
+		{"trailing byte", append(slices.Clone(legs[1]), 0), legKeys},
+		{"count past the end", []byte{StatusOK, 0xff, 0xff, 0x03, 0}, legKeys},
+		{"more entries than keys", legs[1], [][]int{{0}, {}}},
+		{"key index out of range", legs[1], [][]int{{0}, {2}}},
+	} {
+		if res := m.Merge(read, [][]byte{legs[0], c.leg}, c.legKeys); !bytes.Equal(res, []byte{StatusBadReq}) {
+			t.Errorf("%s: merged %x, want StatusBadReq", c.name, res)
+		}
+	}
+}
+
 // TestAppendKeyedReads: a multi-read result decodes to one entry per key,
-// a miss unfound, in request order, after what dst holds; a failed read
-// yields its own status, a malformed result StatusBadReq, and no entries.
+// a miss unfound, in request order, after what dst holds, without copying a
+// value; a failed read yields its own status, a malformed result
+// StatusBadReq, and no entries.
 func TestAppendKeyedReads(t *testing.T) {
 	kv := NewKV(0)
 	kv.Apply(EncodeKVSet([]byte("a"), []byte("va")))
@@ -523,6 +567,9 @@ func TestAppendKeyedReads(t *testing.T) {
 		if e.Found != want[i].Found || !bytes.Equal(e.Value, want[i].Value) {
 			t.Fatalf("read %d = %+v, want %+v", i, e, want[i])
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() { AppendKeyedReads(reads[:0], res) }); n != 0 {
+		t.Errorf("decoding into room enough allocates %.1f times, want 0: the values are views of res", n)
 	}
 	for _, c := range []struct {
 		name   string

@@ -105,9 +105,9 @@ type keyed struct {
 	// appended into, the caller's until the next call (StateMachine.Apply);
 	// keys holds a multi-key read's or write's keys (multiRead, Apply,
 	// Fragment, writeFragmentKeys) and pairs a multi-key write's pairs
-	// (Apply, Fragment, installFragment) until the next one; reads holds a
-	// scatter read's entries (Merge) and value the value an INCR or APPEND
-	// builds, until the next one.
+	// (Apply, Fragment, installFragment) until the next one; reads is a
+	// scatter read's scratch (Merge), empty between merges, and value holds
+	// the value an INCR or APPEND builds, until the next one.
 	answer []byte
 	keys   [][]byte
 	pairs  []Pair

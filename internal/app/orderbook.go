@@ -34,8 +34,8 @@ type OrderBook struct {
 	// appended into, the caller's until the next call (StateMachine.Apply);
 	// keys holds an OpTops read's or a staged fragment's symbols (multiRead,
 	// Fragment, writeFragmentKeys), legs an OpPair's legs (decodePairLegs),
-	// reads a scatter read's entries (Merge), fills an order's fills and top
-	// a symbol's topsEntry until the next one.
+	// fills an order's fills and top a symbol's topsEntry until the next
+	// one; reads is a scatter read's scratch (Merge), empty between merges.
 	answer []byte
 	keys   [][]byte
 	legs   []OrderLeg

@@ -7,6 +7,7 @@ package consensus
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/app"
@@ -301,5 +302,212 @@ func TestRealtimeReadsNeverBorrowThePool(t *testing.T) {
 	}
 	if len(rig.replies) != n || r.ReadsServed != n || cap(r.poolLane.replies) != 0 {
 		t.Fatalf("%d replies, %d reads served, pool lane array of %d: want %d, %d and none", len(rig.replies), r.ReadsServed, cap(r.poolLane.replies), n, n)
+	}
+}
+
+// timedReply is one ordered reply a client got, and when.
+type timedReply struct {
+	Reply
+	at sim.Time
+}
+
+// orderedClient adds client 200 to rig and returns the ordered replies it
+// gets.
+func orderedClient(rig *kvRig) *[]timedReply {
+	got := new([]timedReply)
+	router.New(rig.net.AddNode(200, "client")).Register(router.ChanRPC, func(_ ids.ID, p []byte) {
+		if rep, ok := ParseReply(p); ok && rep.Tag == tagResponse {
+			rep.Result = slices.Clone(rep.Result)
+			*got = append(*got, timedReply{rep, rig.eng.Now()})
+		}
+	})
+	return got
+}
+
+// orderedSet decides client 200's SET of k at slot s on r and lets every
+// core go idle again.
+func orderedSet(rig *kvRig, r *Replica, s Slot, val string) {
+	r.decide(s, 0, Request{Client: 200, Num: uint64(s) + 1, Payload: app.EncodeKVSet([]byte("k"), []byte(val))})
+	rig.eng.RunFor(sim.Millisecond)
+}
+
+// TestOrderedReadsRunOnTheIdleReadCore: in a group that has served no fast
+// read, an ordered GET costs the main process its dispatch only; the read
+// core, handed the GET when the main process has dispatched it, is charged
+// its execution and sends the reply, with the slot it executed at, once it
+// has spent it. The GET sent again is answered at once from the client's
+// exactly-once record.
+func TestOrderedReadsRunOnTheIdleReadCore(t *testing.T) {
+	rig := newKVRig(t)
+	defer rig.stop()
+	got := orderedClient(rig)
+	r := rig.reps[1]
+	orderedSet(rig, r, 0, "v")
+	*got = nil
+
+	get := app.EncodeKVGet([]byte("k"))
+	cost := r.cfg.App.ExecCost(get)
+	now, sent := rig.eng.Now(), rig.net.MsgsSent
+	// Work the main process took on earlier in the same handler (an earlier
+	// command of the batch, say) delays the hand-off by as much.
+	const earlier = 10 * sim.Microsecond
+	r.proc.Charge(earlier)
+	r.decide(1, 0, Request{Client: 200, Num: 2, Payload: get})
+	done := now.Add(earlier + latmodel.AppExecBase + cost)
+	if main, core := r.proc.BusyUntil().Sub(now), r.readCore.proc.BusyUntil(); main != earlier+latmodel.AppExecBase || core != done || backlog(r) != 1 {
+		t.Fatalf("the GET moved the main process's horizon by %v and the read core's to %v, %d queued: want %v, %v and 1",
+			main, core, backlog(r), earlier+latmodel.AppExecBase, done)
+	}
+	if rig.net.MsgsSent != sent {
+		t.Fatal("the reply left before the read core spent the read")
+	}
+	for rig.net.MsgsSent == sent && rig.eng.Step() {
+	}
+	if left := rig.eng.Now(); left != done {
+		t.Fatalf("the reply left at %v, want when the read core finished, %v", left, done)
+	}
+	rig.eng.RunFor(sim.Millisecond)
+	if len(*got) != 1 || (*got)[0].Num != 2 || (*got)[0].At != 1 || (*got)[0].Flags != 0 || !bytes.Equal((*got)[0].Result, kvHit("v")) {
+		t.Fatalf("replies %+v, want one for request 2 at slot 1 with v", *got)
+	}
+
+	w := wire.NewWriter(32)
+	w.U8(tagRequest)
+	Request{Client: 200, Num: 2, Payload: get}.encode(w)
+	now = rig.eng.Now()
+	r.onRPC(200, w.Finish())
+	if core := r.readCore.proc.BusyUntil(); core > now || rig.net.MsgsSent != sent+2 {
+		t.Fatalf("the GET sent again: read core busy until %v at %v, %d messages sent, want it idle and one reply at once",
+			core, now, rig.net.MsgsSent-sent)
+	}
+	rig.eng.RunFor(sim.Millisecond)
+	if len(*got) != 2 || (*got)[1].At != 1 || !bytes.Equal((*got)[1].Result, kvHit("v")) {
+		t.Fatalf("replies %+v, want the cached answer again", *got)
+	}
+}
+
+// TestOrderedReadsStayOnMain: an ordered GET is charged on the main process,
+// its execution and the send of its reply, as a write is, and the read core
+// is left alone, once the replica has served a fast read, when the GET parks
+// on a transaction's lock (an MGET; it is answered at the commit), and when
+// the read core's backlog is full.
+func TestOrderedReadsStayOnMain(t *testing.T) {
+	get, mget := app.EncodeKVGet([]byte("k")), app.EncodeKVMGet([]byte("k"))
+	// inline decides client 200's read at slot s on r and requires the
+	// parent's charges: dispatch and execution on the main process, and the
+	// send of its reply unless it parked.
+	inline := func(t *testing.T, rig *kvRig, r *Replica, s Slot, read []byte, parks bool) {
+		t.Helper()
+		start, sent, queued := max(rig.eng.Now(), r.proc.BusyUntil()), rig.net.MsgsSent, backlog(r)
+		core := r.readCore.proc.BusyUntil()
+		want, wantSent := r.cfg.App.ExecCost(read)+latmodel.AppExecBase+latmodel.DispatchCost, sent+1
+		if parks {
+			want, wantSent = want-latmodel.DispatchCost, sent
+		}
+		r.decide(s, 0, Request{Client: 200, Num: uint64(s) + 1, Payload: read})
+		if main := r.proc.BusyUntil().Sub(start); main != want ||
+			r.readCore.proc.BusyUntil() != core || backlog(r) != queued || rig.net.MsgsSent != wantSent {
+			t.Fatalf("the GET moved the main process's horizon by %v, the read core's to %v from %v, queued %d, sent %d: want %v, unmoved, and %d sent",
+				main, r.readCore.proc.BusyUntil(), core, backlog(r)-queued, rig.net.MsgsSent-sent, want, wantSent-sent)
+		}
+	}
+
+	t.Run("after a fast read", func(t *testing.T) {
+		rig := newKVRig(t)
+		defer rig.stop()
+		got := orderedClient(rig)
+		r := rig.reps[1]
+		orderedSet(rig, r, 0, "v")
+		rig.read(1, 7, "k")
+		rig.eng.RunFor(sim.Millisecond)
+		if len(rig.replies) != 1 {
+			t.Fatalf("%d fast replies, want 1", len(rig.replies))
+		}
+		*got = nil
+		inline(t, rig, r, 1, get, false)
+		rig.eng.RunFor(sim.Millisecond)
+		if len(*got) != 1 || (*got)[0].At != 1 || !bytes.Equal((*got)[0].Result, kvHit("v")) {
+			t.Fatalf("replies %+v, want one at slot 1 with v", *got)
+		}
+	})
+
+	t.Run("parked on a lock", func(t *testing.T) {
+		rig := newKVRig(t)
+		defer rig.stop()
+		got := orderedClient(rig)
+		r := rig.reps[1]
+		orderedSet(rig, r, 0, "v")
+		frag := app.EncodeKVMSet(app.Pair{Key: []byte("k"), Val: []byte("w")})
+		r.decide(1, 0, Request{Client: 201, Num: 1, Payload: app.EncodeTxnPrepare(nil, 1, 0, frag)})
+		rig.eng.RunFor(sim.Millisecond)
+		*got = nil
+		inline(t, rig, r, 2, mget, true)
+		r.decide(3, 0, Request{Client: 201, Num: 2, Payload: app.EncodeTxnCommit(nil, 1)})
+		rig.eng.RunFor(sim.Millisecond)
+		committed := app.NewKV(0)
+		committed.Apply(app.EncodeKVSet([]byte("k"), []byte("w")))
+		if len(*got) != 1 || (*got)[0].At != 3 || (*got)[0].Flags != respFlagParked || !bytes.Equal((*got)[0].Result, committed.Apply(mget)) {
+			t.Fatalf("replies %+v, want one at the commit's slot 3, parked, with w", *got)
+		}
+	})
+
+	t.Run("full backlog", func(t *testing.T) {
+		rig := newKVRig(t)
+		defer rig.stop()
+		got := orderedClient(rig)
+		r := rig.reps[1]
+		orderedSet(rig, r, 0, "v")
+		*got = nil
+		for i := 1; i <= readBacklogCap; i++ {
+			r.readCore.push(readReply{to: 201, frame: r.readReplyFrame(uint64(i), 0, nil)}, r.cfg.App.ExecCost(get), rig.eng.Now())
+		}
+		inline(t, rig, r, 1, get, false)
+		for len(*got) == 0 && rig.eng.Step() {
+		}
+		early := len(rig.replies)
+		rig.eng.RunFor(sim.Millisecond)
+		if len(*got) != 1 || early != 0 || len(rig.replies) != readBacklogCap {
+			t.Fatalf("%d ordered replies, %d replies from the backlog before it and %d in all: want the GET's first, then the backlog's %d",
+				len(*got), early, len(rig.replies), readBacklogCap)
+		}
+	})
+}
+
+// TestMixedModeRepliesMatch: one replica that has served a fast read
+// answers an ordered GET from its main process, one that has not (a rebuilt
+// replica, or one never asked) from its read core. Both replies carry the
+// same slot, flags and result, and on idle replicas they leave within one
+// reply send of each other; under load they part by up to the queue of the
+// core each chose (ARCHITECTURE.md, "Ordered reads on the read core").
+func TestMixedModeRepliesMatch(t *testing.T) {
+	rig := newKVRig(t)
+	defer rig.stop()
+	got := orderedClient(rig)
+	fast, clear := rig.reps[1], rig.reps[2]
+	for _, r := range []*Replica{fast, clear} {
+		orderedSet(rig, r, 0, "v")
+	}
+	rig.read(1, 7, "k")
+	rig.eng.RunFor(sim.Millisecond)
+	if !fast.servesFastReads || clear.servesFastReads {
+		t.Fatalf("fast read served: modes %v and %v, want true and false", fast.servesFastReads, clear.servesFastReads)
+	}
+	*got = nil
+	get := Request{Client: 200, Num: 2, Payload: app.EncodeKVGet([]byte("k"))}
+	fast.decide(1, 0, get)
+	clear.decide(1, 0, get)
+	if backlog(fast) != 0 || backlog(clear) != 1 {
+		t.Fatalf("read-core backlogs %d and %d, want 0 and 1", backlog(fast), backlog(clear))
+	}
+	rig.eng.RunFor(sim.Millisecond)
+	if len(*got) != 2 {
+		t.Fatalf("%d replies, want 2", len(*got))
+	}
+	a, b := (*got)[0], (*got)[1]
+	if a.Num != b.Num || a.At != b.At || a.Flags != b.Flags || !bytes.Equal(a.Result, b.Result) || !bytes.Equal(a.Result, kvHit("v")) {
+		t.Fatalf("replies %+v and %+v, want the same answer, v at slot 1", a.Reply, b.Reply)
+	}
+	if spread := max(b.at.Sub(a.at), a.at.Sub(b.at)); spread > latmodel.DispatchCost {
+		t.Fatalf("replies left %v apart, want at most one send (%v)", spread, latmodel.DispatchCost)
 	}
 }

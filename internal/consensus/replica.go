@@ -299,6 +299,16 @@ type Replica struct {
 	// poolLane, on bgProc, holds at most one reply, taken while the read
 	// core is busy and the pool idle.
 	readCore, poolLane readLane
+	// appReads classifies ordered commands (nil when the application cannot
+	// tell a read); servesFastReads is set by this replica's first fast read
+	// and never cleared. Until then the read core executes ordered reads
+	// (applyOne). After it they stay on the main process: fast reads load
+	// the three read cores unevenly, so an ordered read's replies would
+	// leave them far apart, and under rotating silence a client that never
+	// retransmits strands (TestReusedRecordsNeverRewritePendingCalls wedges
+	// at each of seeds 1-12 without the flag).
+	appReads        interface{ ReadOnly(req []byte) bool }
+	servesFastReads bool
 
 	// Cold-rejoin state (rejoin.go). joinPhase tracks this replica's own
 	// recovery; peerJoinNonce tracks the highest incarnation seen per peer
@@ -447,6 +457,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 	if vr, ok := cfg.App.(app.VersionedReadExecutor); ok {
 		r.appVerRead = vr
 	}
+	r.appReads, _ = cfg.App.(interface{ ReadOnly(req []byte) bool })
 	initialCP := Checkpoint{Seq: 0, StateDigest: xcrypto.DigestNoCharge(cfg.App.Snapshot())}
 	r.chkpt = initialCP
 	r.cps.at(0).keepSnapshot(cfg.App.Snapshot())
@@ -1194,7 +1205,18 @@ func (r *Replica) executeReady() {
 }
 
 // applyOne executes a single client request decided in slot s with
-// exactly-once semantics and responds to the client.
+// exactly-once semantics and responds to the client. The main process is
+// charged the dispatch (AppExecBase) of every command and the execution
+// (ExecCost) of every write. A read (the application's ReadOnly) executes
+// here too, at its slot, but until this replica serves its first fast read
+// its execution is charged to the read core, from when the main process has
+// dispatched it, and the read core sends the reply once it has spent it
+// (readLane): a group without fast reads has an idle read core and a main
+// process busy with application work. A read that parks, a read behind a
+// full read-core backlog and every read of a replica serving fast reads are
+// charged here as writes are: in a fast-read group a choice by each read
+// core's own load parts the replicas' replies (servesFastReads). On a
+// realtime host no core is charged, so only the reply's hand-off differs.
 func (r *Replica) applyOne(req *Request, s Slot) {
 	if c := r.executedBy(req.Client, req.Num); c != nil {
 		// A re-proposed duplicate: exactly-once execution does not apply it
@@ -1218,7 +1240,14 @@ func (r *Replica) applyOne(req *Request, s Slot) {
 		// numbering the read floors and frontiers speak): stamp its writes.
 		r.appVer.BeginSlot(uint64(s) + 1)
 	}
-	r.proc.Charge(r.cfg.App.ExecCost(req.Payload) + latmodel.AppExecBase)
+	cost := r.cfg.App.ExecCost(req.Payload)
+	onReadCore := !r.servesFastReads && r.appReads != nil && r.readCore.backlog() < readBacklogCap &&
+		r.appReads.ReadOnly(req.Payload)
+	if onReadCore {
+		r.proc.Charge(latmodel.AppExecBase)
+	} else {
+		r.proc.Charge(cost + latmodel.AppExecBase)
+	}
 	result := r.cfg.App.Apply(req.Payload)
 	r.Executed++
 	if rs := r.requests[r.digest(req)]; rs != nil {
@@ -1232,6 +1261,9 @@ func (r *Replica) applyOne(req *Request, s Slot) {
 		// it when the lock releases (drainReleased).
 		if d, ok := r.cfg.App.(app.Deferring); ok {
 			if tk := d.TakeParkedTicket(); tk != 0 {
+				if onReadCore {
+					r.proc.Charge(cost)
+				}
 				c.markExecuted(req.Num, s, nil, true)
 				if c.num == req.Num {
 					c.ticket = tk
@@ -1242,7 +1274,11 @@ func (r *Replica) applyOne(req *Request, s Slot) {
 		}
 	}
 	c.markExecuted(req.Num, s, result, false)
-	r.respond(req.Client, req.Num, s, result, false)
+	if onReadCore {
+		r.readCore.push(readReply{to: req.Client, frame: responseFrame(req.Num, s, result, false)}, cost, r.proc.BusyUntil())
+	} else {
+		r.respond(req.Client, req.Num, s, result, false)
+	}
 	r.drainReleased(s)
 }
 

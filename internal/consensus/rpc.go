@@ -93,7 +93,8 @@ const pinnedReadCap = 512
 // answered; the crypto pool's lane adds at most one more. At a KV read's
 // ~14 µs the cap is about 0.9 ms of work, past the client's read timeout, so
 // a reply behind a fuller backlog would come too late to count: past the cap
-// a read is refused instead, and its client widens or falls back at once.
+// a fast read is refused instead, and its client widens or falls back at
+// once, and an ordered read runs on the main process.
 const readBacklogCap = 64
 
 // pinnedRead is one as-of read waiting for this replica's execution to
@@ -111,9 +112,10 @@ type readReply struct {
 	frame []byte
 }
 
-// readLane is one off-main core serving fast reads: replies[head:] wait on
-// proc, oldest first, each sent by send (bound once) when proc has spent its
-// read's execution.
+// readLane is one off-main core serving reads (fast reads; on the read core
+// also ordered reads, until the first fast read: applyOne): replies[head:]
+// wait on proc, oldest first, each sent by send (bound once) when proc has
+// spent its read's execution.
 type readLane struct {
 	r       *Replica
 	proc    *sim.Proc
@@ -131,8 +133,9 @@ func (l *readLane) init(r *Replica, proc *sim.Proc) {
 // backlog is how many replies wait on the lane.
 func (l *readLane) backlog() int { return len(l.replies) - l.head }
 
-// push queues rep behind the lane's backlog and charges proc cost for it.
-func (l *readLane) push(rep readReply, cost sim.Duration) {
+// push queues rep behind the lane's backlog and charges proc cost for it,
+// starting no earlier than from, when the read is handed to the lane.
+func (l *readLane) push(rep readReply, cost sim.Duration, from sim.Time) {
 	if len(l.replies) == cap(l.replies) && l.head > 0 {
 		// Keep the backlog at the head of the same backing array.
 		n := copy(l.replies, l.replies[l.head:])
@@ -140,7 +143,7 @@ func (l *readLane) push(rep readReply, cost sim.Duration) {
 		l.replies, l.head = l.replies[:n], 0
 	}
 	l.replies = append(l.replies, rep)
-	l.proc.Exec(cost, l.send)
+	l.proc.ExecFrom(from, cost, l.send)
 }
 
 // sendOldest is the lane's core finishing its oldest read: the reply goes
@@ -329,8 +332,10 @@ func (r *Replica) refuseRead(to ids.ID, num uint64) {
 // pool idle at this instant: then the pool executes it, so the pool holds at
 // most one read and a signature submitted later waits at most that one. A
 // full read-core backlog refuses the read instead. On a realtime host neither
-// core is ever busy, so the pool is never borrowed.
+// core is ever busy, so the pool is never borrowed. From the first fast read
+// on, ordered reads stay on the main process (applyOne).
 func (r *Replica) serveRead(to ids.ID, num uint64, flags uint8, result, payload []byte) {
+	r.servesFastReads = true
 	lane, now := &r.readCore, r.proc.Now()
 	if lane.proc.BusyUntil() > now && r.bgProc.BusyUntil() <= now && r.poolLane.backlog() == 0 {
 		lane = &r.poolLane
@@ -339,7 +344,7 @@ func (r *Replica) serveRead(to ids.ID, num uint64, flags uint8, result, payload 
 		return
 	}
 	r.ReadsServed++
-	lane.push(readReply{to: to, frame: r.readReplyFrame(num, flags, result)}, r.cfg.App.ExecCost(payload)+latmodel.AppExecBase)
+	lane.push(readReply{to: to, frame: r.readReplyFrame(num, flags, result)}, r.cfg.App.ExecCost(payload)+latmodel.AppExecBase, now)
 }
 
 // echoLen is the length of an echo frame: channel tag, message tag, digest.
@@ -448,11 +453,17 @@ func (r *Replica) shouldRebroadcast(rs *reqState) bool {
 
 // respond sends an execution result back to the client.
 func (r *Replica) respond(client ids.ID, reqNum uint64, slot Slot, result []byte, parked bool) {
+	r.rt.SendFrame(client, responseFrame(reqNum, slot, result, parked))
+}
+
+// responseFrame encodes the reply to an ordered request that executed at
+// slot into a reply frame (replyFrame), which copies result.
+func responseFrame(reqNum uint64, slot Slot, result []byte, parked bool) []byte {
 	var flags uint8
 	if parked {
 		flags |= respFlagParked
 	}
-	r.rt.SendFrame(client, replyFrame(Reply{Tag: tagResponse, Num: reqNum, At: uint64(slot), Flags: flags, Result: result}))
+	return replyFrame(Reply{Tag: tagResponse, Num: reqNum, At: uint64(slot), Flags: flags, Result: result})
 }
 
 // Reply is a replica's answer to a client: to an ordered request

@@ -12,8 +12,9 @@ import (
 // crossShardAllocBudget bounds the heap allocations of one warm cross-shard
 // operation, a 2PC MSET or a scatter MGET over two RKV shards, everything
 // included: client, replicas, the stores and InvokeSync itself. It is the
-// measured 11.90 plus 15%, rounded up; it reads 11.40 since a merged scatter
-// read decodes its legs into a scratch the store keeps. The count was 18.91
+// measured 11.90 plus 15%, rounded up; it reads 10.40 since a merged scatter
+// read copies each value once, from its leg into the result (11.40 while it
+// copied each out of its leg first). The count was 18.91
 // while the LockTable made a string for every key it locked and the shard
 // client encoded every 2PC command and fragment into a fresh slice, 22 while
 // a store's callers copied each value before the store saw it (the SET's and

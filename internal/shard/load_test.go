@@ -208,10 +208,13 @@ func TestLoadShapes(t *testing.T) {
 			}},
 		// A strong read is one round trip to the whole group and 2f+1
 		// executions on the replicas' read cores; the ordered read it stands
-		// in for pays an echo round, a consensus slot and its execution on
-		// the main core. So it is the faster of the two: 57.6 against 71.4 µs
-		// p50 (45.8 against 71.4 µs while reads ran on the main core and
-		// starved the writes, 195.6 µs p50; now 25.2 µs).
+		// in for pays an echo round, a consensus slot, its dispatch on the
+		// main core and its execution on the read core (the twin runs without
+		// fast reads, so its read cores are idle). So it is the faster of the
+		// two: 23.1 against 56.8 µs p50 (against 71.4 µs while the ordered
+		// read executed on the main core; 45.8 against 71.4 µs while strong
+		// reads ran on the main core and starved the writes, 195.6 µs p50;
+		// now 25.2 µs).
 		{name: "kv-point90-strong", twice: true,
 			base: mix{app: kv, shards: 2, n: 150, next: point},
 			got:  mix{app: kv, shards: 2, n: 150, next: point, strong: true},

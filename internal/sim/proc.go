@@ -70,14 +70,21 @@ func (p *Proc) PostMsg(h MsgHandler, from int, payload []byte) {
 func (p *Proc) Exec(cost Duration, fn func()) Timer { return p.ExecH(cost, Func(fn)) }
 
 // ExecH is Exec for a Handler.
-func (p *Proc) ExecH(cost Duration, h Handler) Timer {
+func (p *Proc) ExecH(cost Duration, h Handler) Timer { return p.execFrom(0, cost, h) }
+
+// ExecFrom is Exec for work handed over at t, which may lie past the current
+// event (another process of the node finishes preparing it then): the work
+// starts when the process is next free, but no earlier than t.
+func (p *Proc) ExecFrom(t Time, cost Duration, fn func()) Timer { return p.execFrom(t, cost, Func(fn)) }
+
+func (p *Proc) execFrom(t Time, cost Duration, h Handler) Timer {
 	if cost < 0 {
 		panic(fmt.Sprintf("sim: negative exec cost %d on %s", cost, p.name))
 	}
 	if p.eng.realtime {
 		cost = 0 // the CPU work is real; don't add its model on top
 	}
-	start := p.free()
+	start := max(p.free(), t)
 	end := start.Add(cost)
 	p.busyUntil = end
 	ev := p.eng.schedule(end, p, h)
