@@ -33,15 +33,11 @@ type OrderBook struct {
 	// answer is the buffer every Apply, ApplyRead and ApplyReadAt answer is
 	// appended into, the caller's until the next call (StateMachine.Apply);
 	// keys holds an OpTops read's or a staged fragment's symbols (multiRead,
-	// Fragment, writeFragmentKeys), legs an OpPair's legs (decodePairLegs),
-	// fills an order's fills and top a symbol's topsEntry until the next
-	// one; reads is a scatter read's scratch (Merge), empty between merges.
+	// Fragment, writeFragmentKeys) and legs an OpPair's legs
+	// (decodePairLegs) until the next one.
 	answer []byte
 	keys   [][]byte
 	legs   []OrderLeg
-	reads  []KeyedRead
-	fills  []Fill
-	top    []byte
 	*LockTable
 }
 
@@ -258,11 +254,11 @@ func (ob *OrderBook) apply(dst, req []byte) []byte {
 }
 
 // place executes one order on a symbol's book and refreshes the symbol's
-// versioned view. The fills are valid until the next order.
+// versioned view.
 func (ob *OrderBook) place(sym []byte, side uint8, price, qty uint64) (id, remaining uint64, fills []Fill) {
-	id, remaining, ob.fills = ob.book(sym).place(ob.fills[:0], side, price, qty)
+	id, remaining, fills = ob.book(sym).place(side, price, qty)
 	ob.noteTops(sym, false)
-	return id, remaining, ob.fills
+	return id, remaining, fills
 }
 
 // placeOn executes one order and appends its order response to dst.
@@ -308,11 +304,9 @@ var emptyTops = func() []byte {
 }()
 
 // topsEntry encodes one symbol's best bid/ask blob, Bool(hasBid) +
-// price/qty, Bool(hasAsk) + price/qty, into ob.top: the caller's until the
-// next call (the store copies what it keeps).
+// price/qty, Bool(hasAsk) + price/qty.
 func (ob *OrderBook) topsEntry(sym []byte) []byte {
-	w := wire.WriterOn(ob.top[:0])
-	w.Grow(2 + 4*8)
+	w := wire.NewWriter(2 + 4*8)
 	b := ob.books[string(sym)]
 	for _, side := range [][]restingOrder{bidsOf(b), asksOf(b)} {
 		if len(side) > 0 {
@@ -323,8 +317,7 @@ func (ob *OrderBook) topsEntry(sym []byte) []byte {
 			w.Bool(false)
 		}
 	}
-	ob.top = w.Finish()
-	return ob.top
+	return w.Finish()
 }
 
 func bidsOf(b *book) []restingOrder {
@@ -373,18 +366,17 @@ func (ob *OrderBook) decodePairLegs(rd *wire.Reader) ([]OrderLeg, error) {
 	return legs, nil
 }
 
-// place matches one order against the book and rests any remainder,
-// appending the fills to dst.
-func (b *book) place(dst []Fill, side uint8, price, qty uint64) (id, remaining uint64, fills []Fill) {
+// place matches one order against the book and rests any remainder.
+func (b *book) place(side uint8, price, qty uint64) (id, remaining uint64, fills []Fill) {
 	b.nextID++
 	id = b.nextID
 	if side == OpBuy {
-		fills, qty = b.match(dst, &b.asks, price, qty, false)
+		fills, qty = b.match(nil, &b.asks, price, qty, false)
 		if qty > 0 {
 			b.rest(&b.bids, restingOrder{ID: id, Price: price, Qty: qty}, true)
 		}
 	} else {
-		fills, qty = b.match(dst, &b.bids, price, qty, true)
+		fills, qty = b.match(nil, &b.bids, price, qty, true)
 		if qty > 0 {
 			b.rest(&b.asks, restingOrder{ID: id, Price: price, Qty: qty}, false)
 		}
@@ -592,7 +584,8 @@ func (ob *OrderBook) Fragment(dst, req []byte, keyIdx []int) ([]byte, error) {
 // Merge implements Fragmenter for scatter-gathered top-of-book reads (the
 // response layout matches the generic keyed-read shape).
 func (ob *OrderBook) Merge(req []byte, legs [][]byte, legKeys [][]int) []byte {
-	return mergeKeyedReads(&ob.reads, legs, legKeys)
+	var reads []KeyedRead
+	return mergeKeyedReads(&reads, legs, legKeys)
 }
 
 // writeFragmentKeys validates a staged fragment (a pair order or one of

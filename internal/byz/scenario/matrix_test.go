@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,34 +120,40 @@ func TestTripEquivocation(t *testing.T) {
 	}
 }
 
-// TestTripForgedReads: with the client's f+1 matching rule off (any single
-// reply accepted) and the ordered fallback disabled, the forging replica's
-// inflated-version garbage replies win reads — read-your-writes and the
-// floor invariant must trip.
-func TestTripForgedReads(t *testing.T) {
-	var cfgs []Config
+// requireTripBeyondF runs policy with two infected replicas of the target
+// group, one more than f, at seeds 1-8 with every defense on: each run must
+// trip, with a violation containing want among them, and the same run with
+// one infected replica (the bound the quorum arithmetic assumes) must pass.
+func requireTripBeyondF(t *testing.T, policy, want string) {
+	t.Helper()
 	for seed := int64(1); seed <= 8; seed++ {
-		cfgs = append(cfgs, Config{
-			Seed: seed, App: "rkv", ReadMode: ReadFast, Policy: ForgeReads,
-			Defenses: consensus.Defenses{QuorumOne: true, NoReadFallback: true},
-		})
+		cfg := Config{Seed: seed, App: "rkv", ReadMode: ReadFast, Policy: policy, BeyondF: true}
+		rep := Run(cfg)
+		if rep.OK() {
+			t.Fatalf("seed %d: two infected replicas never tripped the invariant checker", seed)
+		}
+		t.Logf("seed %d tripped: %s", seed, rep.Violations[0])
+		if !slices.ContainsFunc(rep.Violations, func(v string) bool { return strings.Contains(v, want) }) {
+			t.Errorf("seed %d: no violation mentions %q: %s", seed, want, strings.Join(rep.Violations, "; "))
+		}
+		cfg.BeyondF = false
+		if rep := Run(cfg); !rep.OK() {
+			t.Errorf("seed %d: one infected replica tripped: %s", seed, strings.Join(rep.Violations, "; "))
+		}
 	}
-	requireTrip(t, "forged reads with quorum off", cfgs)
 }
 
-// TestTripCorruptVotes: with the quorum rule off, the vote-flipping
-// participant's lone reply decides 2PC phases — flipped prepare votes and
-// poisoned single-status acks must surface as violations.
-func TestTripCorruptVotes(t *testing.T) {
-	var cfgs []Config
-	for seed := int64(1); seed <= 8; seed++ {
-		cfgs = append(cfgs, Config{
-			Seed: seed, App: "rkv", ReadMode: ReadFast, Policy: CorruptVotes,
-			Defenses: consensus.Defenses{QuorumOne: true},
-		})
-	}
-	requireTrip(t, "corrupted votes with quorum off", cfgs)
-}
+// TestTripForgedReads: two forging replicas of one group are f+1, so their
+// inflated-version garbage replies form the f+1 matching quorum a fast read
+// accepts — read-your-writes and the read floor invariant must trip. One
+// forger is out-voted.
+func TestTripForgedReads(t *testing.T) { requireTripBeyondF(t, ForgeReads, "inflated") }
+
+// TestTripCorruptVotes: two vote-flipping replicas of a 2PC participant are
+// f+1 matching replies, so their flipped prepare votes and poisoned acks
+// decide 2PC phases and must surface as violations. One flipper is
+// out-voted.
+func TestTripCorruptVotes(t *testing.T) { requireTripBeyondF(t, CorruptVotes, "") }
 
 // TestTripSilenceBeyondF: two silent replicas exceed the f=1 bound every
 // quorum argument assumes — the client can never assemble f+1 matching
@@ -155,7 +162,7 @@ func TestTripCorruptVotes(t *testing.T) {
 // is harmless.)
 func TestTripSilenceBeyondF(t *testing.T) {
 	requireTrip(t, "silence beyond f", []Config{
-		{Seed: 1, App: "kv", ReadMode: ReadFast, Policy: Silence, SilenceBoth: true},
+		{Seed: 1, App: "kv", ReadMode: ReadFast, Policy: Silence, BeyondF: true},
 	})
 }
 

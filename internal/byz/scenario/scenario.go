@@ -77,10 +77,10 @@ type Config struct {
 	// with unanimity disabled — the two defenses independently bound the
 	// attack.
 	Defenses consensus.Defenses
-	// SilenceBoth infects a second replica with the silence policy —
-	// deliberately exceeding f, the bound the paper's quorum arithmetic
-	// assumes — so the completion invariant must trip.
-	SilenceBoth bool
+	// BeyondF infects a second replica of the target group with the same
+	// policy — deliberately exceeding f, the bound the paper's quorum
+	// arithmetic assumes — so an invariant must trip with every defense on.
+	BeyondF bool
 }
 
 // Report is the machine-checked outcome of one scenario run.
@@ -124,22 +124,35 @@ const (
 // infected replicas run cfg's policy as their outbound rewrite.
 func newFabric(cfg Config) simnet.Fabric {
 	net := simnet.New(sim.NewEngine(cfg.Seed), simnet.RDMAOptions())
-	switch cfg.Policy {
-	case Silence:
-		byz.Infect(net, byzReplica, byz.SilenceOf(clientID))
-		if cfg.SilenceBoth {
-			byz.Infect(net, ids.ID(1), byz.SilenceOf(clientID))
+	target := byzReplica
+	if cfg.Policy == CorruptVotes {
+		target = byzVoter
+	}
+	if p := newPolicy(cfg); p != nil {
+		byz.Infect(net, target, p)
+		if cfg.BeyondF {
+			byz.Infect(net, target+1, newPolicy(cfg))
 		}
-	case Equivocate:
-		byz.Infect(net, byzReplica, byz.Equivocate{})
-	case ForgeReads:
-		byz.Infect(net, byzReplica, byz.ForgeReads{})
-	case BadBatch:
-		byz.Infect(net, byzReplica, byz.BadBatch{Shift: int(cfg.Seed), N: 3, Index: 0})
-	case CorruptVotes:
-		byz.Infect(net, byzVoter, &byz.CorruptVotes{})
 	}
 	return simnet.AsFabric(net)
+}
+
+// newPolicy returns a fresh instance of cfg's adversarial policy, nil for an
+// honest run.
+func newPolicy(cfg Config) byz.Policy {
+	switch cfg.Policy {
+	case Silence:
+		return byz.SilenceOf(clientID)
+	case Equivocate:
+		return byz.Equivocate{}
+	case ForgeReads:
+		return byz.ForgeReads{}
+	case BadBatch:
+		return byz.BadBatch{Shift: int(cfg.Seed), N: 3, Index: 0}
+	case CorruptVotes:
+		return &byz.CorruptVotes{}
+	}
+	return nil
 }
 
 // Run executes one scenario cell and returns its invariant report.

@@ -1,14 +1,12 @@
 package cluster_test
 
-// Allocation budgets for a whole deployment's requests, fast path and
-// signed slow path, in steady state and from a fresh start, at the same
-// budgets in a plain build and under the race detector. The zero-allocation
-// work (encode buffers their owners keep, carved frames, zero-copy decode,
-// recycled records, pooled sim events) is enforced here: if a change
-// reintroduces per-message churn, these budgets fail long before a human
-// notices the latency benchmarks drifting.
+// The allocation budget table of a whole deployment's requests (one row per
+// gate, TestAllocBudgets), held at the same budgets in a plain build and
+// under the race detector. CHANGES.md holds the audit that measures what
+// each recycler behind these readings pays for.
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -62,139 +60,74 @@ func allocsPer(n int, f func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(n)
 }
 
-// TestFastPathAllocBudget asserts a ceiling on heap allocations per
-// end-to-end request on uBFT's fast path, in steady state (pools warm, ring
-// mirrors grown, consensus tables populated, their free lists filled).
-// Measured at 3 allocs/request when this budget was set, 3.33 once the gate
-// counted fractions (allocsPer): what is left is the
-// harness and a share of the blocks the ring frames, the client's request
-// frames and the free list's misses are carved from. It read 15 while every
-// ring frame, request frame and free-list miss was an allocation of its own
-// (some 11 ring frames, the request and the one reply frame a call hands its
-// caller), 18 while every replica's Flip answered into a fresh
-// slice (3 a request), 20 while every reply frame
-// was fresh (3 a request), 25 while every ring ack and echo was a fresh frame, 45
-// while every slot, request, client call and CTBcast fallback record was
-// made anew per operation with its timer closure, 47 while the client copied its request once per replica, 75 while
-// the router copied every ring frame once per receiver and the broadcaster
-// copied it again for its self-delivery (~800 before the zero-allocation
-// work, ~118 while every slot, request and client was spread over parallel
-// maps); the ceiling is that plus 15%, rounded up (18 while it read 15, 21
-// while it read 18), so a ring frame allocated per message again (some 11), a
-// fresh answer per replica (3), a per-operation record made anew (1 to 4
-// allocations a request each) trips it, as does a per-receiver frame copy or
-// reintroduced per-message encode/decode churn (hundreds).
-func TestFastPathAllocBudget(t *testing.T) {
-	const budget = 4
-
-	u := newFastPath()
-	defer u.Stop()
-	next := flipStream()
-	// Warm up: grow encode buffers and ring mirrors, populate window maps.
-	for i := 0; i < 300; i++ {
-		driveOne(t, u, next)
-	}
-	avg := allocsPer(200, func() { driveOne(t, u, next) })
-	t.Logf("fast path: %.2f allocs/request (budget %d)", avg, budget)
-	if avg > float64(budget) {
-		t.Errorf("fast path allocates %.2f/request, budget is %d", avg, budget)
-	}
+// allocBudget is one row of a budget table: a gate's reading, the heap
+// allocations per operation it measured when last set, and its budget, the
+// reading plus 15%, rounded up. trips names what a budget that small
+// catches coming back, with what each adds per operation; the history of
+// each reading is in CHANGES.md.
+type allocBudget struct {
+	name    string
+	reading float64
+	budget  float64
+	trips   string
+	measure func(t *testing.T) float64
 }
 
-// TestSlowPathAllocBudget asserts a ceiling on heap allocations per
-// end-to-end request on the signed slow path, in steady state. A request there
-// makes 48 SWMR quorum operations on three memory nodes (288 memory-node
-// messages), so a copy per memory node or per completion costs 144 a request.
-// Measured at 4 allocs/request when this budget was set, 4.08 once the gate
-// counted fractions (allocsPer), since a background
-// signature or verification is a job its signer reuses; 5 while each made
-// two closures, since a signature is
-// carved from a block its signer owns, a COMMIT's and a SUMMARY's certificate
-// is appended into the message that carries it and a certified state is
-// encoded into a buffer sized once; 18 while each signature was ed25519's own
-// allocation (some 7 a request), each sent certificate was encoded on its own
-// and copied in (4.5) and a certified state grew its writer a dozen times
-// (2.3); 18 when set before that, since ring frames,
-// request frames and free-list misses are carved from blocks; 26 while each
-// was an allocation of its own, since every
-// replica's Flip answers into one buffer it keeps; 29 while each answer was a
-// fresh slice, since a reply frame
-// the client does not hand out goes back to the router's free list; 31 while
-// every reply frame was fresh, since a ring ack and an echo go back to the
-// router's free list once read; 48 while each was
-// a fresh frame (some 15 acks and 2 echoes a request), after a certificate
-// came to be read in place as its encoded bytes, a CERTIFY signature a view
-// of its frame and a slot's CERTIFY share sets kept with its recycled
-// record; 85 while a decoded certificate was a map and
-// those signatures and sets were copied and grown anew, 277 while every
-// register request and completion was a fresh frame, 300 before that, ~1300
-// while every register request was copied once per memory node, every
-// completion twice and a READ's region three times. The ceiling is 4 plus
-// 15%, rounded up (6 while it read 5, 21 while it read 18, 30 while it read
-// 26, 34 while it read 29, 36 until replies were recycled): closures per
-// background signature again (0.6), a signature allocated per signing
-// again (7), a certificate encoded apart and copied in (4.5), a certified
-// state's writer grown (2.3), ring frames allocated per message again (8),
-// fresh answers and replies (5 a request), fresh acks and echoes (17), a map
-// per decoded certificate (16) or a copy per CERTIFY signature (8) trips it.
-func TestSlowPathAllocBudget(t *testing.T) {
-	const budget = 5
-
-	u := newSlowPath()
-	defer u.Stop()
-	next := flipStream()
-	for i := 0; i < 300; i++ {
-		driveOne(t, u, next)
-	}
-	avg := allocsPer(200, func() { driveOne(t, u, next) })
-	t.Logf("slow path: %.2f allocs/request (budget %d)", avg, budget)
-	if avg > float64(budget) {
-		t.Errorf("slow path allocates %.2f/request, budget is %d", avg, budget)
-	}
-}
-
-// coldAllocs returns the heap allocations per request over the first
-// requests a fresh deployment s serves, set-up excluded: what the steady
-// budgets above do not see, the records and tables the deployment grows as
-// its load arrives.
-func coldAllocs(t *testing.T, u *cluster.UBFT, requests int) float64 {
+// check runs the row's measurement and fails t if it is over the budget, or
+// if the budget is not the reading's plus 15%, rounded up.
+func (row allocBudget) check(t *testing.T) {
 	t.Helper()
-	defer u.Stop()
-	next := flipStream()
-	return allocsPer(requests, func() { driveOne(t, u, next) })
-}
-
-// TestColdFastPathAllocBudget bounds the heap allocations per request of a
-// fresh deployment's first 300 fast-path requests, which the benchmark's
-// short warm-up leaves in its measured window. Measured at 4.87 when this
-// budget was set, since slot and request records, client calls, CTBcast
-// fallbacks and crypto-pool jobs are their own timer handlers; 8.49 while
-// each such record made a closure for its timer and each background
-// signature or verification made two. The ceiling is that plus 15%, rounded
-// up.
-func TestColdFastPathAllocBudget(t *testing.T) {
-	const budget = 6
-	avg := coldAllocs(t, newFastPath(), 300)
-	t.Logf("cold fast path: %.2f allocs/request (budget %d)", avg, budget)
-	if avg > float64(budget) {
-		t.Errorf("cold fast path allocates %.2f/request, budget is %d", avg, budget)
+	if want := math.Ceil(row.reading * 1.15); row.budget != want {
+		t.Fatalf("budget %.0f for a reading of %.2f, want %.0f (reading + 15%%, rounded up)", row.budget, row.reading, want)
+	}
+	got := row.measure(t)
+	t.Logf("%.2f allocations per operation (reading %.2f, budget %.0f)", got, row.reading, row.budget)
+	if got > row.budget {
+		t.Errorf("%.2f allocations per operation, budget %.0f: %s", got, row.budget, row.trips)
 	}
 }
 
-// TestColdSlowPathAllocBudget is TestColdFastPathAllocBudget on the signed
-// slow path. Measured at 7.93 when this budget was set, since a member's own
-// register handles are made in one allocation at its first slow write, each
-// with room for one queued write, and a register's cooldown is its own timer
-// handler; 19.69 while each handle, its queue and each cooldown were an
-// allocation apart and the records above made their closures. The ceiling
-// is that plus 15%, rounded up. It reads 7.58 since a CTBcast summary's
-// state is copied once per identifier and its share collector is kept.
-func TestColdSlowPathAllocBudget(t *testing.T) {
-	const budget = 10
-	avg := coldAllocs(t, newSlowPath(), 300)
-	t.Logf("cold slow path: %.2f allocs/request (budget %d)", avg, budget)
-	if avg > float64(budget) {
-		t.Errorf("cold slow path allocates %.2f/request, budget is %d", avg, budget)
+// warmAllocs returns the heap allocations per request of a deployment's 200
+// requests after 300 that warm it: encode buffers and ring mirrors grown,
+// tables and free lists at their peak.
+func warmAllocs(t *testing.T, u *cluster.UBFT) float64 {
+	defer u.Stop()
+	next := flipStream()
+	for i := 0; i < 300; i++ {
+		driveOne(t, u, next)
+	}
+	return allocsPer(200, func() { driveOne(t, u, next) })
+}
+
+// coldAllocs returns the heap allocations per request over a fresh
+// deployment's first 300 requests, set-up excluded: the records and tables
+// it grows as its load arrives, which the benchmark's short warm-up leaves
+// in its measured window.
+func coldAllocs(t *testing.T, u *cluster.UBFT) float64 {
+	defer u.Stop()
+	next := flipStream()
+	return allocsPer(300, func() { driveOne(t, u, next) })
+}
+
+// TestAllocBudgets holds a whole deployment's requests to their budgets, on
+// the fast path and the signed slow path (48 SWMR quorum operations and 288
+// memory-node messages a request), warm and cold.
+func TestAllocBudgets(t *testing.T) {
+	for _, row := range []allocBudget{
+		{"fast path", 3.33, 4,
+			"a ring frame allocated per message (+11 a request), a fresh answer or reply per replica (+3), a slot, request, call or fallback record made anew (+1 to +4)",
+			func(t *testing.T) float64 { return warmAllocs(t, newFastPath()) }},
+		{"slow path", 4.07, 5,
+			"closures per background signature (+0.6), a signature allocated per signing (+7), a certificate encoded apart (+4.5), fresh acks and echoes (+17), a map per decoded certificate (+16)",
+			func(t *testing.T) float64 { return warmAllocs(t, newSlowPath()) }},
+		{"cold fast path", 4.86, 6,
+			"a record or crypto-pool job that makes a closure for its timer (+3.6)",
+			func(t *testing.T) float64 { return coldAllocs(t, newFastPath()) }},
+		{"cold slow path", 7.65, 9,
+			"a member's register handles, their queues or a register's cooldown allocated apart (+12), a summary's state copied per share (+0.35)",
+			func(t *testing.T) float64 { return coldAllocs(t, newSlowPath()) }},
+	} {
+		t.Run(row.name, row.check)
 	}
 }
 

@@ -153,8 +153,8 @@ type Assembly struct {
 // fabric seeded with opts.Seed. An injected simnet.Fabric keeps its network
 // reachable (Net) for partition, rule, kill and restart fault injection; its
 // Byzantine nodes (simnet.Network.Byzantine) are exempt from the agreement
-// checks. off is the set of protocol defenses to switch OFF in every replica
-// and client: consensus.Defenses{} everywhere but the BuildWithDefenses
+// checks. off is the set of protocol defenses to switch OFF in every
+// replica: consensus.Defenses{} everywhere but the BuildWithDefenses
 // entry points.
 func NewAssembly(opts Options, layout Layout, newApp func(group int) app.StateMachine, off consensus.Defenses) *Assembly {
 	a := &Assembly{Layout: layout, fab: opts.Fabric, opts: opts, newApp: newApp, defenses: off}
@@ -267,7 +267,7 @@ func (a *Assembly) WireClient(c int) (*consensus.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return consensus.NewMultiClient(rt, a.Layout.Groups, a.defenses), nil
+	return consensus.NewMultiClient(rt, a.Layout.Groups), nil
 }
 
 // WireNodes wires every memory node and every replica of the layout in the

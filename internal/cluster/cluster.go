@@ -209,7 +209,7 @@ func Build(opts Options) (*UBFT, error) {
 }
 
 // BuildWithDefenses is Build with the given protocol defenses switched OFF
-// in every replica and client. Not a deployment surface: it exists for the
+// in every replica. Not a deployment surface: it exists for the
 // paper's no-echo-round ablation and for tests that prove a checker trips
 // once a defense is gone.
 func BuildWithDefenses(opts Options, off consensus.Defenses) (*UBFT, error) {

@@ -264,7 +264,7 @@ func twoGroupSinks(t *testing.T) (*Client, *sim.Engine) {
 			router.New(net.AddNode(id, fmt.Sprintf("sink%d", id)))
 		}
 	}
-	c := NewMultiClient(router.New(net.AddNode(200, "client")), groups, Defenses{})
+	c := NewMultiClient(router.New(net.AddNode(200, "client")), groups)
 	eng.RunFor(sim.Microsecond) // calls start at a non-zero time
 	return c, eng
 }

@@ -396,7 +396,8 @@ type Deps struct {
 // deliberately absent from every deployment option struct: the
 // BuildWithDefenses entry points of internal/cluster and internal/shard
 // pass it to the deployment assembler, which hands it to replicas (Deps)
-// and clients (NewMultiClient) at construction.
+// at construction. A client-side defense is not switched off: the suite
+// infects f+1 replicas instead (scenario.Config.BeyondF).
 type Defenses struct {
 	// FirstLockDelivers: CTBcast delivers on the first LOCK instead of
 	// LOCKED unanimity (ctbcast.Params.UnsafeFirstLockDelivers) — the
@@ -406,13 +407,6 @@ type Defenses struct {
 	// direct request copy and the leader proposes without the echo round
 	// (§5.4) instead of waiting up to EchoTimeout for it.
 	NoEchoWait bool
-	// QuorumOne: clients accept the FIRST reply class (need=1) instead of
-	// f+1 / 2f+1 matching replies — the forged-reply defense.
-	QuorumOne bool
-	// NoReadFallback: a failed fast read hangs instead of falling back to
-	// the ordered path, so an attack that merely forces a fallback becomes
-	// observable.
-	NoReadFallback bool
 }
 
 // NewReplica wires a replica onto its host router.

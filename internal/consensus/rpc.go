@@ -563,10 +563,6 @@ type Client struct {
 	ReadWidens    uint64 // reads that had to ask the rest of the group
 	ReadFallbacks uint64 // reads that fell back to the ordered path
 
-	// def switches client-side defenses off (QuorumOne, NoReadFallback);
-	// zero outside the Byzantine harness.
-	def Defenses
-
 	// slab is the blocks the client carves its request frames from: a frame
 	// is never written once sent, and replicas keep views of it.
 	slab wire.Slab
@@ -750,15 +746,14 @@ type probeRead struct {
 
 // NewClient wires a single-group client onto its host router.
 func NewClient(rt *router.Router, replicas []ids.ID) *Client {
-	return NewMultiClient(rt, [][]ids.ID{replicas}, Defenses{})
+	return NewMultiClient(rt, [][]ids.ID{replicas})
 }
 
 // NewMultiClient wires a client that can invoke any of several replica
 // groups through one router. The shard layer uses this to reach every
 // consensus group from one host. Every group has the first's size, 2f+1,
-// which fixes f as Config.f does. def is Defenses{} everywhere but the
-// Byzantine harness.
-func NewMultiClient(rt *router.Router, groups [][]ids.ID, def Defenses) *Client {
+// which fixes f as Config.f does.
+func NewMultiClient(rt *router.Router, groups [][]ids.ID) *Client {
 	if len(groups) == 0 {
 		panic("consensus: client needs at least one replica group")
 	}
@@ -771,7 +766,6 @@ func NewMultiClient(rt *router.Router, groups [][]ids.ID, def Defenses) *Client 
 		readFloor:   make([]Slot, len(groups)),
 		readSuspect: make([]uint64, len(groups)),
 		readProbe:   make([]probeRead, len(groups)),
-		def:         def,
 	}
 	rt.RegisterFrame(router.ChanRPC, c.onRPC)
 	return c
@@ -832,8 +826,8 @@ func (c *Client) CallAt(group int, payload []byte, mode Mode, done func(Outcome)
 
 // start opens a record for a call and sends it: an ordered call to the whole
 // group, a read on its first rung (f+1 replicas), or straight at rung 2 (the
-// whole group) when the read is strong, the QuorumOne defense is off, or too
-// few replicas are trusted to form a first rung. Exactly one of done and
+// whole group) when the read is strong or too few replicas are trusted to
+// form a first rung. Exactly one of done and
 // doneAt is set.
 func (c *Client) start(group int, payload []byte, mode Mode, done func([]byte, sim.Duration), doneAt func(Outcome)) uint64 {
 	p := c.free.Get()
@@ -860,7 +854,7 @@ func (c *Client) start(group int, payload []byte, mode Mode, done func([]byte, s
 	n := len(c.groups[group])
 	suspect := c.readSuspect[group]
 	to := c.groupMask(group)
-	if !mode.Strong && !c.def.QuorumOne && n-bits.OnesCount64(suspect) >= c.f+1 {
+	if !mode.Strong && n-bits.OnesCount64(suspect) >= c.f+1 {
 		to = 0
 		probe := num%readProbeEvery == 0
 		for i, want := 0, c.f+1; i < n; i++ {
@@ -1011,11 +1005,7 @@ func (c *Client) onResponse(from ids.ID, frame []byte, rep Reply) bool {
 	}
 	t := p.byRes.of(key)
 	t.add(frame, result, slot, parked)
-	need := c.f + 1
-	if c.def.QuorumOne {
-		need = 1
-	}
-	if t.count >= need {
+	if t.count >= c.f+1 {
 		// The request executed at the slot the winning class vouches for
 		// (its minimum — see resTally), so the group's state now includes
 		// it: ratchet the read floor so a later fast read by this client
@@ -1124,9 +1114,6 @@ func (c *Client) onReadResponse(from ids.ID, frame []byte, rep Reply) bool {
 	if p.mode.Strong {
 		need = len(c.groups[p.group])
 	}
-	if c.def.QuorumOne {
-		need = 1
-	}
 	counted := served && version >= p.minSlot
 	if counted {
 		key := app.ReadDigest(result)
@@ -1224,11 +1211,6 @@ func (c *Client) escalate(p *call) {
 		}
 		// Everyone just asked had answered unasked (Byzantine guesses of
 		// the request number): there is no reply left to wait for.
-	}
-	if c.def.NoReadFallback {
-		// Defense-off mode (Byzantine harness): let the failed read hang so
-		// the attack's effect is observable instead of safely absorbed.
-		return
 	}
 	p.timer.Cancel()
 	c.ReadFallbacks++

@@ -23,7 +23,7 @@ import (
 // The slot and request tables see a new key per operation, so a record
 // the table forgets is recycled (dropSlot, dropIfDead) and a new one is
 // carved from a block of recordBlock records (slot, request), as
-// ARCHITECTURE.md's zero-allocation fast path describes. A record is its own
+// ARCHITECTURE.md's host allocation section describes. A record is its own
 // timer's sim.Handler, through a pointer to its replica that survives reuse.
 
 // table is a keyed set of records created on first use.

@@ -1,6 +1,12 @@
 package shard_test
 
+// The allocation budget table of the sharded path (one row per gate,
+// TestAllocBudgets), held at the same budgets in a plain build and under the
+// race detector. CHANGES.md holds the audit that measures what each recycler
+// behind these readings pays for.
+
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -8,22 +14,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
-
-// crossShardAllocBudget bounds the heap allocations of one warm cross-shard
-// operation, a 2PC MSET or a scatter MGET over two RKV shards, everything
-// included: client, replicas, the stores and InvokeSync itself. It is the
-// measured 11.90 plus 15%, rounded up; it reads 10.40 since a merged scatter
-// read copies each value once, from its leg into the result (11.40 while it
-// copied each out of its leg first). The count was 18.91
-// while the LockTable made a string for every key it locked and the shard
-// client encoded every 2PC command and fragment into a fresh slice, 22 while
-// a store's callers copied each value before the store saw it (the SET's and
-// the fragment's decode, the staged fragment) and 62 while the shard client
-// made its plans, transactions, fan-outs and scatter reads afresh per
-// operation, the keyed stores decoded a fragment's keys into fresh slices,
-// the LockTable made a staged record per prepare and replicas decoded each
-// batch container into a fresh array.
-const crossShardAllocBudget = 14
 
 // allocsPer returns the heap allocations per call of f over n calls, as a
 // fraction: testing.AllocsPerRun's integer quotient would let a gate miss up
@@ -37,6 +27,33 @@ func allocsPer(n int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// allocBudget is one row of a budget table: a gate's reading, the heap
+// allocations per operation it measured when last set, and its budget, the
+// reading plus 15%, rounded up. trips names what a budget that small
+// catches coming back, with what each adds per operation; the history of
+// each reading is in CHANGES.md.
+type allocBudget struct {
+	name    string
+	reading float64
+	budget  float64
+	trips   string
+	measure func(t *testing.T) float64
+}
+
+// check runs the row's measurement and fails t if it is over the budget, or
+// if the budget is not the reading's plus 15%, rounded up.
+func (row allocBudget) check(t *testing.T) {
+	t.Helper()
+	if want := math.Ceil(row.reading * 1.15); row.budget != want {
+		t.Fatalf("budget %.0f for a reading of %.2f, want %.0f (reading + 15%%, rounded up)", row.budget, row.reading, want)
+	}
+	got := row.measure(t)
+	t.Logf("%.2f allocations per operation (reading %.2f, budget %.0f)", got, row.reading, row.budget)
+	if got > row.budget {
+		t.Errorf("%.2f allocations per operation, budget %.0f: %s", got, row.budget, row.trips)
+	}
 }
 
 // newCrossShard deploys two RKV shards (seed 1) and returns them with a
@@ -57,68 +74,26 @@ func newCrossShard(t *testing.T) (*shard.Deployment, func()) {
 	}
 }
 
-// TestCrossShardAllocBudget: once warm, a cross-shard operation allocates
-// what the stores keep (the written values) and little else: the shard
-// client's records and the commands and fragments they encode into buffers
-// they keep, the LockTable's staged records, their fragment buffers and the
-// lock keys that view them, and the replicas' slot and request records are
-// recycled or carved from blocks.
-func TestCrossShardAllocBudget(t *testing.T) {
+// crossShardAllocs returns the heap allocations per cross-shard operation of
+// a two-shard RKV deployment, everything included (client, replicas, the
+// stores and InvokeSync): over 150 pairs of a fresh deployment (cold), or
+// over 200 pairs after 600 that fill every table and free list (warm).
+func crossShardAllocs(t *testing.T, warm bool) float64 {
 	d, pair := newCrossShard(t)
 	defer d.Stop()
-	// Several checkpoint windows of slots: every table and free list at its
-	// peak before the count starts.
+	if !warm {
+		return allocsPer(150, pair) / 2
+	}
 	for i := 0; i < 600; i++ {
 		pair()
 	}
-	perOp, budget := allocsPer(200, pair)/2, crossShardAllocBudget
-	t.Logf("%.2f allocations per warm cross-shard operation (budget %d)", perOp, budget)
-	if perOp > float64(budget) {
-		t.Fatalf("%.2f allocations per warm cross-shard operation, budget %d", perOp, budget)
-	}
+	return allocsPer(200, pair) / 2
 }
 
-// TestColdCrossShardAllocBudget bounds the heap allocations per operation of
-// a fresh deployment's first 300 cross-shard operations, set-up excluded:
-// what the warm gate above does not see, the shard client's records, the
-// replicas' tables and the stores growing toward their peak as the load
-// arrives. Measured at 15.79 when this budget was set; the ceiling is that
-// plus 15%, rounded up.
-func TestColdCrossShardAllocBudget(t *testing.T) {
-	const budget = 19
-	d, pair := newCrossShard(t)
-	defer d.Stop()
-	perOp := allocsPer(150, pair) / 2
-	t.Logf("%.2f allocations per cold cross-shard operation (budget %d)", perOp, budget)
-	if perOp > budget {
-		t.Fatalf("%.2f allocations per cold cross-shard operation, budget %d", perOp, budget)
-	}
-}
-
-// TestFastReadAllocBudget asserts the unordered read fast path allocates
-// strictly less than the ordered request budget — a read that skips the
-// whole ordering pipeline must not cost more heap than one that runs it.
-// Measured at 2 allocs/read when this budget was set (2.02 once the gate
-// counted fractions, allocsPer), since request frames
-// and free-list misses are carved from blocks; 4 while each was an
-// allocation of its own, since a multi-key
-// read's keys go into a slice the store keeps; 6 while that slice was fresh,
-// since a reply frame the client does not hand out goes back to the router's
-// free list, a store appends each answer into one buffer of its own and
-// single-key routing reuses its key slice; 10 while each of those was
-// fresh, since a read's record and its result classes are reused and replies
-// are read in place; 17 while each read made a record, a class map and a
-// wrapper closure and copied
-// every reply, ~18 before that once a read asked f+1 replicas first, ~23 when
-// every read went to all 2f+1 (vs ~139 for an ordered write on the same
-// deployment and ~119 on the single-cluster fast path, both before the
-// replica's state tables were merged). The ceiling is 2 plus 15%, rounded
-// up, ratcheted from 30 to 12, then 7, 5 and 3: a request frame or a reply
-// frame allocated per read again, a record, a reply copy, a fresh answer or a
-// fresh key slice per read coming back trips it.
-func TestFastReadAllocBudget(t *testing.T) {
-	const budget = 3
-
+// readAllocs returns the heap allocations per fast read of one KV shard with
+// FastReads on, over 200 reads after 300 that warm it, and fails t if a read
+// left the fast path.
+func readAllocs(t *testing.T, read []byte) float64 {
 	d := shard.New(shard.Options{
 		Seed:      1,
 		NewApp:    func(int) app.StateMachine { return app.NewKV(0) },
@@ -136,65 +111,38 @@ func TestFastReadAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	key := []byte("alloc-probe-key!")
-	drive(app.EncodeKVSet(key, []byte("value")))
-	read := app.EncodeKVMGet(key)
-	// Warm up: pools, response maps, replica read path.
+	drive(app.EncodeKVSet(probeKey, []byte("value")))
 	for i := 0; i < 300; i++ {
 		drive(read)
 	}
 	avg := allocsPer(200, func() { drive(read) })
-	t.Logf("fast read: %.2f allocs/request (budget %d)", avg, budget)
-	if avg > float64(budget) {
-		t.Errorf("fast read allocates %.2f/request, budget is %d", avg, budget)
-	}
 	if fast, fb := d.Client(0).ReadStats(); fast == 0 || fb != 0 {
 		t.Fatalf("reads did not stay on the fast path: fast=%d fallbacks=%d", fast, fb)
 	}
+	return avg
 }
 
-// TestPointReadAllocBudget extends the read budget to the versioned
-// single-key point read (KVGet through the MVCC store): the smallest
-// request the fast path serves must stay in the same allocation class as
-// the multi-key read above — versioned chains must not add per-read churn.
-// Measured at 2 allocs/read when this budget was set, 2.02 once the gate
-// counted fractions (4 while request frames
-// and free-list misses were allocations of their own, 8 while reply frames,
-// read answers and routed key slices were fresh, 15 before read records were
-// reused, ~16 and ~20 earlier); the ceiling is that plus 15%, rounded up,
-// ratcheted from 30 to 10, then 5 and then 3.
-func TestPointReadAllocBudget(t *testing.T) {
-	const budget = 3
+var probeKey = []byte("alloc-probe-key!")
 
-	d := shard.New(shard.Options{
-		Seed:      1,
-		NewApp:    func(int) app.StateMachine { return app.NewKV(0) },
-		FastReads: true,
-	})
-	defer d.Stop()
-	drive := func(payload []byte) {
-		fired := false
-		if _, err := d.Client(0).Invoke(payload, func([]byte, sim.Duration) { fired = true }); err != nil {
-			t.Fatal(err)
-		}
-		for !fired {
-			if !d.Eng.Step() {
-				t.Fatal("engine ran dry")
-			}
-		}
-	}
-	key := []byte("alloc-probe-key!")
-	drive(app.EncodeKVSet(key, []byte("value")))
-	read := app.EncodeKVGet(key)
-	for i := 0; i < 300; i++ {
-		drive(read)
-	}
-	avg := allocsPer(200, func() { drive(read) })
-	t.Logf("point read: %.2f allocs/request (budget %d)", avg, budget)
-	if avg > float64(budget) {
-		t.Errorf("point read allocates %.2f/request, budget is %d", avg, budget)
-	}
-	if fast, fb := d.Client(0).ReadStats(); fast == 0 || fb != 0 {
-		t.Fatalf("point reads did not stay on the fast path: fast=%d fallbacks=%d", fast, fb)
+// TestAllocBudgets holds the sharded path to its budgets: a warm and a cold
+// cross-shard operation (a 2PC MSET or a scatter MGET over two RKV shards),
+// and a fast multi-key read and a versioned point read, which skip the
+// ordering pipeline and so must stay below an ordered request's budget.
+func TestAllocBudgets(t *testing.T) {
+	for _, row := range []allocBudget{
+		{"cross-shard", 10.90, 13,
+			"a string per locked key or a 2PC command encoded into a fresh slice (+7.5), a store's callers copying values (+3), plans, transactions and fan-outs made per operation (+40)",
+			func(t *testing.T) float64 { return crossShardAllocs(t, true) }},
+		{"cold cross-shard", 15.30, 18,
+			"the shard client's records, the replicas' tables or the stores growing per operation instead of toward their peak",
+			func(t *testing.T) float64 { return crossShardAllocs(t, false) }},
+		{"fast read", 2.02, 3,
+			"a request or reply frame allocated per read (+2), a record, a reply copy, a fresh answer or a fresh key slice per read (+2 to +15)",
+			func(t *testing.T) float64 { return readAllocs(t, app.EncodeKVMGet(probeKey)) }},
+		{"point read", 2.02, 3,
+			"per-read churn in the versioned chains, a request or reply frame allocated per read (+2), fresh answers or routed key slices (+4)",
+			func(t *testing.T) float64 { return readAllocs(t, app.EncodeKVGet(probeKey)) }},
+	} {
+		t.Run(row.name, row.check)
 	}
 }

@@ -218,7 +218,7 @@ func Build(opts Options) (*Deployment, error) {
 }
 
 // BuildWithDefenses is Build with the given protocol defenses switched OFF
-// in every replica and client. Not a deployment surface: the Byzantine
+// in every replica. Not a deployment surface: the Byzantine
 // harness (internal/byz/scenario) uses it to prove its invariant checker
 // trips once a defense is gone.
 func BuildWithDefenses(opts Options, off consensus.Defenses) (*Deployment, error) {
@@ -315,7 +315,7 @@ func (d *Deployment) InvokeSync(ci int, payload []byte, maxWait sim.Duration) ([
 //
 // A cross-shard request's records (a fan-out plan, a scatter read, a
 // transaction, a retransmitted fan-out) are recycled as ARCHITECTURE.md's
-// zero-allocation fast path describes. A record goes back to its free list
+// host allocation section describes. A record goes back to its free list
 // only once every Call it made is answered or cancelled and every timer it
 // armed has fired or been cancelled; a fan-out's round timer is never
 // cancelled, so its record waits for it. What a caller is handed (a merged
@@ -348,10 +348,6 @@ type Client struct {
 	// legFrag holds one leg's fragment of a write until beginTx has encoded
 	// it into the leg's prepare.
 	legFrag []byte
-
-	// slab is the blocks a transaction's one-byte outcome is carved from:
-	// the caller may keep it, and nothing writes it again.
-	slab wire.Slab
 }
 
 // resize returns s with length n and every element zero, reallocating only

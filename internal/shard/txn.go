@@ -71,10 +71,8 @@ type txState struct {
 	prepares [][]byte // per leg, the prepare sent, in a buffer the record keeps
 	pending  []uint64 // per-leg consensus request numbers (0 = answered)
 	timer    sim.Timer
-	// acks are the commit acknowledgements in shard order; receipts is
-	// finishCommit's scratch.
-	acks     [][]byte
-	receipts [][]byte
+	// acks are the commit acknowledgements in shard order.
+	acks [][]byte
 
 	// Bound once, when the record is made: its client, which makes the
 	// record the prepare timer's Handler, and each leg's vote callback.
@@ -211,7 +209,7 @@ func (c *Client) queried(tx *txState, res []byte) {
 // coordinator's decision log at the stranded group.
 func (c *Client) finishCommit(tx *txState, resps [][]byte) {
 	tx.acks = append(tx.acks, resps...)
-	receipts := tx.receipts[:0]
+	var receipts [][]byte
 	haveAll := len(tx.acks) > 0
 	for _, res := range tx.acks {
 		if len(res) < 2 || res[0] != app.StatusOK {
@@ -220,19 +218,11 @@ func (c *Client) finishCommit(tx *txState, resps [][]byte) {
 		}
 		receipts = append(receipts, res[1:])
 	}
-	tx.receipts = receipts
 	if haveAll {
 		c.endTx(tx, app.EncodeTxnReceipts(nil, receipts))
 		return
 	}
-	c.endTx(tx, c.status(app.StatusOK))
-}
-
-// status returns a one-byte outcome carved from the client's blocks.
-func (c *Client) status(b byte) []byte {
-	res := c.slab.Take(1)
-	res[0] = b
-	return res
+	c.endTx(tx, []byte{app.StatusOK})
 }
 
 // endTx releases the transaction and hands its caller the outcome.
@@ -241,8 +231,7 @@ func (c *Client) endTx(tx *txState, result []byte) {
 	done, lat := tx.done, c.cc.Proc().Now().Sub(tx.started)
 	c.plans.Put(tx.plan)
 	clear(tx.acks) // views of reply frames
-	clear(tx.receipts)
-	tx.acks, tx.receipts, tx.plan, tx.done, tx.timer = tx.acks[:0], tx.receipts[:0], nil, nil, sim.Timer{}
+	tx.acks, tx.plan, tx.done, tx.timer = tx.acks[:0], nil, nil, sim.Timer{}
 	c.txs.Put(tx)
 	done(result, lat)
 }
@@ -279,7 +268,7 @@ func (c *Client) abortTx(tx *txState) {
 		}
 	}
 	c.retryFanout(stepAbort, nil, stagedKey{}, tx.plan.shards, tx.txid)
-	c.endTx(tx, c.status(app.StatusAborted))
+	c.endTx(tx, []byte{app.StatusAborted})
 }
 
 // fanStep is what a fan-out sends and what its outcome drives.
