@@ -61,7 +61,7 @@ race:
 # their bound, each saying what in its comment. CHANGES.md has the audit of
 # what every recycler pays for (TestEveryRecyclerHasAMeasuredRow).
 bounded-mem:
-	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
+	$(GO) test -run 'TestLeaderMemoryBounded|TestLeaderMapsFlatAcrossIntervals|TestClientExecStateAged|TestParkedClientOutlivesIdleWindow|TestStaleDeferredTargetAgesOut|TestVersionGCBounded|TestViewChangeRecordsPruned|TestByzantineSignerCannotGrowShareRecords|TestReadBacklogBounded|TestBorrowedReadDelaysCryptoAtMostOneRead|TestReadLoadDrainsOnEveryEnd|TestEveryTableHasARetentionRule|TestFastPathSlotAllocatesNothingOnceWarm|TestRegistersCommittedOnlyBySlowPath|TestDoneResultOutlivesLaterCalls' ./internal/consensus/
 	$(GO) test -run 'TestAllocBudgets|TestSlowPathVerifiesEachSignatureOnce|TestOracleFootprintIsFlat|TestOracleAllocatesNothingPerDecision|TestSetupObjectBudget' ./internal/cluster/
 	$(GO) test -run 'TestDrainingSetBounded' ./internal/swmr/
 	$(GO) test -run 'TestFreeListBounded' ./internal/router/

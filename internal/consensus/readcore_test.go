@@ -3,7 +3,9 @@ package consensus
 // The read lanes (rpc.go): the main process computes a fast read the instant
 // it dispatches it and captures the reply; the read core, or the crypto pool
 // when it is idle and the read core is not, is charged the read's execution
-// and sends the reply, after every reply queued before it on that lane.
+// and sends the reply. A read that finds both busy waits in one FIFO, and
+// whichever core frees first takes the oldest waiting read, the pool only
+// while it holds no crypto job.
 
 import (
 	"bytes"
@@ -70,8 +72,12 @@ func kvHit(val string) []byte {
 	return w.Finish()
 }
 
-// backlog is how many replies wait on r's read core.
-func backlog(r *Replica) int { return r.readCore.backlog() }
+// backlog is how many replies r's read core has been charged for and not
+// sent.
+func backlog(r *Replica) int { return r.reads.onCore.len() }
+
+// poolHolds reports whether r's crypto pool executes a read.
+func poolHolds(r *Replica) bool { return r.reads.onPool.frame != nil }
 
 // TestReadReplyCarriesItsReadVersion: two reads dispatched at version v, the
 // first on the read core and the second, arriving while the read core is
@@ -94,13 +100,13 @@ func TestReadReplyCarriesItsReadVersion(t *testing.T) {
 	rig.read(1, 7, "k")
 	rig.read(1, 8, "k")
 	cost := r.cfg.App.ExecCost(app.EncodeKVGet([]byte("k"))) + latmodel.AppExecBase
-	for i, lane := range []*readLane{&r.readCore, &r.poolLane} {
+	for i, core := range []*sim.Proc{r.reads.core, r.reads.pool} {
 		for r.ReadsServed == uint64(i) && rig.eng.Step() {
 		}
 		now := rig.eng.Now()
-		if got := lane.proc.BusyUntil().Sub(now); got != cost || lane.backlog() != 1 {
-			t.Errorf("read %d moved %s's horizon by %v with %d replies queued, want its execution %v and 1",
-				i, lane.proc.Name(), got, lane.backlog(), cost)
+		if got := core.BusyUntil().Sub(now); got != cost || backlog(r) != 1 || poolHolds(r) != (i == 1) {
+			t.Errorf("read %d moved %s's horizon by %v with %d replies on the read core and one on the pool %v, want its execution %v, 1 and %v",
+				i, core.Name(), got, backlog(r), poolHolds(r), cost, i == 1)
 		}
 		if got := r.proc.BusyUntil().Sub(now); got != latmodel.DispatchCost {
 			t.Errorf("read %d moved the main process's horizon by %v, want the dispatch %v", i, got, latmodel.DispatchCost)
@@ -108,9 +114,9 @@ func TestReadReplyCarriesItsReadVersion(t *testing.T) {
 	}
 
 	set(1, "v2")
-	if r.lastApplied != 2 || backlog(r) != 1 || r.poolLane.backlog() != 1 || len(rig.replies) != 0 {
-		t.Fatalf("version %d, %d+%d replies queued, %d sent: want the write applied with both replies still queued",
-			r.lastApplied, backlog(r), r.poolLane.backlog(), len(rig.replies))
+	if r.lastApplied != 2 || backlog(r) != 1 || !poolHolds(r) || len(rig.replies) != 0 {
+		t.Fatalf("version %d, %d replies on the read core and one on the pool %v, %d sent: want the write applied with both replies still held",
+			r.lastApplied, backlog(r), poolHolds(r), len(rig.replies))
 	}
 	rig.eng.RunFor(sim.Millisecond)
 	if len(rig.replies) != 2 {
@@ -124,11 +130,11 @@ func TestReadReplyCarriesItsReadVersion(t *testing.T) {
 }
 
 // TestReadBacklogBounded: ten times readBacklogCap reads reach a replica in
-// one instant. Its read core's backlog fills to the cap and no further, the
-// crypto pool takes one read each time it is idle and never holds two, every
-// read past the cap is refused at once, and every read is answered; a client
-// whose reads all land at one instant gets every one of them, widened or
-// ordered.
+// one instant. Its queue of waiting reads fills to the cap and no further,
+// both cores drain it (the pool takes the oldest waiting read each time it
+// finishes one), every read past the cap is refused at once, and every read
+// is answered; a client whose reads all land at one instant gets every one
+// of them, widened or ordered.
 func TestReadBacklogBounded(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
@@ -139,8 +145,8 @@ func TestReadBacklogBounded(t *testing.T) {
 	}
 	rig.eng.RunFor(sim.Millisecond) // every replica applies the write
 
-	peak, poolPeak := make([]int, len(rig.reps)), make([]int, len(rig.reps))
-	borrowed, held := 0, 0 // replica 1's reads the pool took; its pool's backlog after the last step
+	peak := make([]int, len(rig.reps))
+	pooled, last := 0, (*byte)(nil) // replica 1's reads the pool started; the frame of the last one
 	run := func(done func() bool) {
 		t.Helper()
 		for deadline := rig.eng.Now().Add(100 * sim.Millisecond); !done(); {
@@ -148,14 +154,11 @@ func TestReadBacklogBounded(t *testing.T) {
 				t.Fatal("the reads did not all complete")
 			}
 			for i, r := range rig.reps {
-				peak[i] = max(peak[i], backlog(r))
-				poolPeak[i] = max(poolPeak[i], r.poolLane.backlog())
+				peak[i] = max(peak[i], r.reads.waiting.len())
 			}
-			n := rig.reps[1].poolLane.backlog()
-			if n > held {
-				borrowed++
+			if f := rig.reps[1].reads.onPool.frame; f != nil && &f[0] != last {
+				pooled, last = pooled+1, &f[0]
 			}
-			held = n
 		}
 	}
 	const total = 10 * readBacklogCap
@@ -175,16 +178,17 @@ func TestReadBacklogBounded(t *testing.T) {
 			}
 		}
 	}
-	// 82 served (75 with the read core alone): 7 borrowed by the pool, the
-	// rest the read core's cap and what it finished while the burst was
-	// being dispatched.
-	if len(answered) != total || peak[1] != readBacklogCap || poolPeak[1] != 1 ||
-		borrowed == 0 || served < readBacklogCap+borrowed || served >= 2*readBacklogCap {
-		t.Fatalf("%d of %d reads answered, %d served, %d borrowed, peak backlog %d (cap %d) on the read core and %d on the pool",
-			len(answered), total, served, borrowed, peak[1], readBacklogCap, poolPeak[1])
+	// 88 served, 44 of them on the pool (82 and 7 while the pool took only a
+	// read that found it idle): the cap's reads, the two the cores execute
+	// when it fills, and what both finished while the burst was dispatched.
+	if len(answered) != total || peak[1] != readBacklogCap || pooled < readBacklogCap/2 ||
+		served < readBacklogCap+2 || served >= 2*readBacklogCap {
+		t.Fatalf("%d of %d reads answered, %d served, %d on the pool, peak queue %d (cap %d)",
+			len(answered), total, served, pooled, peak[1], readBacklogCap)
 	}
-	if r := rig.reps[1]; backlog(r) != 0 || r.poolLane.backlog() != 0 || cap(r.readCore.replies) > 2*readBacklogCap {
-		t.Fatalf("drained backlog: %d+%d queued, array of %d", backlog(r), r.poolLane.backlog(), cap(r.readCore.replies))
+	if r := rig.reps[1]; r.reads.waiting.len() != 0 || backlog(r) != 0 || poolHolds(r) || cap(r.reads.waiting.replies) > 2*readBacklogCap {
+		t.Fatalf("drained: %d waiting, %d on the read core, one on the pool %v, array of %d",
+			r.reads.waiting.len(), backlog(r), poolHolds(r), cap(r.reads.waiting.replies))
 	}
 
 	got := 0
@@ -198,8 +202,8 @@ func TestReadBacklogBounded(t *testing.T) {
 	}
 	run(func() bool { return got == total })
 	for i, p := range peak {
-		if p > readBacklogCap || poolPeak[i] > 1 {
-			t.Errorf("replica %d held %d replies on its read core (cap %d) and %d on its pool", i, p, readBacklogCap, poolPeak[i])
+		if p > readBacklogCap {
+			t.Errorf("replica %d queued %d waiting reads (cap %d)", i, p, readBacklogCap)
 		}
 	}
 	if c.ReadWidens == 0 {
@@ -211,8 +215,9 @@ func TestReadBacklogBounded(t *testing.T) {
 // three times as fast as its read core serves them, so they borrow the idle
 // crypto pool again and again, while a checkpoint signature or a checkpoint
 // share verification is submitted to the pool every 23 µs whenever the last
-// one has finished. The pool never holds two replies, and every signature
-// and verification starts within one read's execution of its submission.
+// one has finished. The pool is never charged for more than one read ahead
+// of a job, and every signature and verification starts within one read's
+// execution of its submission.
 func TestBorrowedReadDelaysCryptoAtMostOneRead(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
@@ -264,16 +269,11 @@ func TestBorrowedReadDelaysCryptoAtMostOneRead(t *testing.T) {
 	}
 	tick()
 
-	borrowed, held := 0, 0
+	borrowed, last := 0, (*byte)(nil)
 	for rig.eng.Now() < end && rig.eng.Step() {
-		n := r.poolLane.backlog()
-		if n > 1 {
-			t.Fatalf("at %v the crypto pool holds %d replies", rig.eng.Now(), n)
+		if f := r.reads.onPool.frame; f != nil && &f[0] != last {
+			borrowed, last = borrowed+1, &f[0]
 		}
-		if n > held {
-			borrowed++
-		}
-		held = n
 	}
 	rig.eng.RunFor(sim.Millisecond)
 	if worst > readCost || waited == 0 || borrowed == 0 || answered != submitted {
@@ -282,10 +282,85 @@ func TestBorrowedReadDelaysCryptoAtMostOneRead(t *testing.T) {
 	}
 }
 
+// TestReadsWaitOnlyWhileBothCoresAreBusy: fast reads reach one replica every
+// 5 µs, faster than its read core and crypto pool together serve them, while
+// a checkpoint signature is submitted to the pool every 23 µs whenever the
+// last one has finished. Whenever the lanes act (a read arrives, a core
+// finishes one) and leave a read waiting, the read core is busy and the pool
+// executes a read or holds a crypto job. Reads do wait, some of them behind
+// a crypto job, the pool takes waiting reads, and every read is served.
+func TestReadsWaitOnlyWhileBothCoresAreBusy(t *testing.T) {
+	rig := newKVRig(t)
+	defer rig.stop()
+	r := rig.reps[1]
+	st := xcrypto.CertifyCheckpoint(32, xcrypto.DigestNoCharge([]byte("state")))
+	const reads = 120
+	for i := 0; i < reads; i++ {
+		num := uint64(i + 1)
+		rig.eng.After(sim.Duration(i)*5*sim.Microsecond, func() { rig.read(1, num, "k") })
+	}
+	end := rig.eng.Now().Add(reads * 5 * sim.Microsecond)
+	var cryptoDone sim.Time
+	var tick func()
+	tick = func() {
+		if rig.eng.Now() >= cryptoDone {
+			r.signer.SignBg(r.bgProc, r.proc, st.Bytes(), xcrypto.Job{}, func(*xcrypto.Job) {})
+			cryptoDone = r.bgProc.BusyUntil()
+		}
+		if rig.eng.Now() < end {
+			rig.eng.After(23*sim.Microsecond, tick)
+		}
+	}
+	tick()
+
+	// lanes is what the lanes hold: reads served, replies on the read core,
+	// reads waiting and the frame of the read on the pool.
+	type lanes struct {
+		served        uint64
+		core, waiting int
+		pool          *byte
+	}
+	look := func() lanes {
+		l := lanes{served: r.ReadsServed, core: backlog(r), waiting: r.reads.waiting.len()}
+		if f := r.reads.onPool.frame; f != nil {
+			l.pool = &f[0]
+		}
+		return l
+	}
+	waited, behindCrypto, fromQueue := 0, 0, 0
+	before := look()
+	for len(rig.replies) < reads && rig.eng.Step() {
+		after := look()
+		if after == before {
+			continue // not a lane event: a crypto job, a delivery, a timer
+		}
+		if after.waiting > 0 {
+			waited++
+			crypto := r.reads.pool.BusyUntil() > rig.eng.Now() && after.pool == nil
+			if crypto {
+				behindCrypto++
+			}
+			if after.core == 0 || after.pool == nil && !crypto {
+				t.Fatalf("at %v %d reads wait with %d replies on the read core, a read on the pool %v and a crypto job on it %v",
+					rig.eng.Now(), after.waiting, after.core, after.pool != nil, crypto)
+			}
+		}
+		if after.waiting < before.waiting && after.pool != nil && after.pool != before.pool && after.served == before.served {
+			fromQueue++
+		}
+		before = after
+	}
+	rig.eng.RunFor(sim.Millisecond)
+	if waited == 0 || behindCrypto == 0 || fromQueue == 0 || r.ReadsServed != reads || len(rig.replies) != reads {
+		t.Fatalf("%d lane events left reads waiting, %d of them behind a crypto job; the pool took %d waiting reads; %d served, %d answered of %d",
+			waited, behindCrypto, fromQueue, r.ReadsServed, len(rig.replies), reads)
+	}
+}
+
 // TestRealtimeReadsNeverBorrowThePool: on a realtime engine (a ubft-node host)
 // execution is real work, not a modelled cost, so the read core is never busy
 // and a burst of a full backlog of reads, all landing at one instant, never
-// borrows the crypto pool.
+// borrows the crypto pool and never waits.
 func TestRealtimeReadsNeverBorrowThePool(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
@@ -296,12 +371,12 @@ func TestRealtimeReadsNeverBorrowThePool(t *testing.T) {
 		rig.read(1, uint64(i), "k")
 	}
 	for len(rig.replies) < n && rig.eng.Step() {
-		if r.poolLane.backlog() != 0 {
-			t.Fatalf("at %v the crypto pool holds a reply", rig.eng.Now())
+		if poolHolds(r) || r.reads.waiting.len() != 0 {
+			t.Fatalf("at %v the crypto pool holds a reply %v, %d reads wait", rig.eng.Now(), poolHolds(r), r.reads.waiting.len())
 		}
 	}
-	if len(rig.replies) != n || r.ReadsServed != n || cap(r.poolLane.replies) != 0 {
-		t.Fatalf("%d replies, %d reads served, pool lane array of %d: want %d, %d and none", len(rig.replies), r.ReadsServed, cap(r.poolLane.replies), n, n)
+	if len(rig.replies) != n || r.ReadsServed != n {
+		t.Fatalf("%d replies, %d reads served: want %d and %d", len(rig.replies), r.ReadsServed, n, n)
 	}
 }
 
@@ -335,8 +410,9 @@ func orderedSet(rig *kvRig, r *Replica, s Slot, val string) {
 // read, an ordered GET costs the main process its dispatch only; the read
 // core, handed the GET when the main process has dispatched it, is charged
 // its execution and sends the reply, with the slot it executed at, once it
-// has spent it. The GET sent again is answered at once from the client's
-// exactly-once record.
+// has spent it. The crypto pool is never charged for it, even while the
+// read core is busy. The GET sent again is answered at once from the
+// client's exactly-once record.
 func TestOrderedReadsRunOnTheIdleReadCore(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
@@ -354,7 +430,7 @@ func TestOrderedReadsRunOnTheIdleReadCore(t *testing.T) {
 	r.proc.Charge(earlier)
 	r.decide(1, 0, Request{Client: 200, Num: 2, Payload: get})
 	done := now.Add(earlier + latmodel.AppExecBase + cost)
-	if main, core := r.proc.BusyUntil().Sub(now), r.readCore.proc.BusyUntil(); main != earlier+latmodel.AppExecBase || core != done || backlog(r) != 1 {
+	if main, core := r.proc.BusyUntil().Sub(now), r.reads.core.BusyUntil(); main != earlier+latmodel.AppExecBase || core != done || backlog(r) != 1 {
 		t.Fatalf("the GET moved the main process's horizon by %v and the read core's to %v, %d queued: want %v, %v and 1",
 			main, core, backlog(r), earlier+latmodel.AppExecBase, done)
 	}
@@ -376,13 +452,28 @@ func TestOrderedReadsRunOnTheIdleReadCore(t *testing.T) {
 	Request{Client: 200, Num: 2, Payload: get}.encode(w)
 	now = rig.eng.Now()
 	r.onRPC(200, w.Finish())
-	if core := r.readCore.proc.BusyUntil(); core > now || rig.net.MsgsSent != sent+2 {
+	if core := r.reads.core.BusyUntil(); core > now || rig.net.MsgsSent != sent+2 {
 		t.Fatalf("the GET sent again: read core busy until %v at %v, %d messages sent, want it idle and one reply at once",
 			core, now, rig.net.MsgsSent-sent)
 	}
 	rig.eng.RunFor(sim.Millisecond)
 	if len(*got) != 2 || (*got)[1].At != 1 || !bytes.Equal((*got)[1].Result, kvHit("v")) {
 		t.Fatalf("replies %+v, want the cached answer again", *got)
+	}
+
+	// Two GETs in a row: the second finds the read core busy and the pool
+	// idle, and queues on the read core all the same.
+	now = rig.eng.Now()
+	r.decide(2, 0, Request{Client: 200, Num: 3, Payload: get})
+	r.decide(3, 0, Request{Client: 200, Num: 4, Payload: get})
+	want := now.Add(latmodel.AppExecBase + 2*cost)
+	if pool := r.reads.pool.BusyUntil(); pool > now || poolHolds(r) || backlog(r) != 2 || r.reads.core.BusyUntil() != want {
+		t.Fatalf("two GETs: pool busy until %v at %v, holding a read %v, %d on the read core until %v: want the pool idle and 2 on the read core until %v",
+			pool, now, poolHolds(r), backlog(r), r.reads.core.BusyUntil(), want)
+	}
+	rig.eng.RunFor(sim.Millisecond)
+	if len(*got) != 4 || (*got)[3].Num != 4 || (*got)[3].At != 3 {
+		t.Fatalf("replies %+v, want the two GETs answered at slots 2 and 3", *got)
 	}
 }
 
@@ -399,16 +490,16 @@ func TestOrderedReadsStayOnMain(t *testing.T) {
 	inline := func(t *testing.T, rig *kvRig, r *Replica, s Slot, read []byte, parks bool) {
 		t.Helper()
 		start, sent, queued := max(rig.eng.Now(), r.proc.BusyUntil()), rig.net.MsgsSent, backlog(r)
-		core := r.readCore.proc.BusyUntil()
+		core := r.reads.core.BusyUntil()
 		want, wantSent := r.cfg.App.ExecCost(read)+latmodel.AppExecBase+latmodel.DispatchCost, sent+1
 		if parks {
 			want, wantSent = want-latmodel.DispatchCost, sent
 		}
 		r.decide(s, 0, Request{Client: 200, Num: uint64(s) + 1, Payload: read})
 		if main := r.proc.BusyUntil().Sub(start); main != want ||
-			r.readCore.proc.BusyUntil() != core || backlog(r) != queued || rig.net.MsgsSent != wantSent {
+			r.reads.core.BusyUntil() != core || backlog(r) != queued || rig.net.MsgsSent != wantSent {
 			t.Fatalf("the GET moved the main process's horizon by %v, the read core's to %v from %v, queued %d, sent %d: want %v, unmoved, and %d sent",
-				main, r.readCore.proc.BusyUntil(), core, backlog(r)-queued, rig.net.MsgsSent-sent, want, wantSent-sent)
+				main, r.reads.core.BusyUntil(), core, backlog(r)-queued, rig.net.MsgsSent-sent, want, wantSent-sent)
 		}
 	}
 
@@ -459,7 +550,7 @@ func TestOrderedReadsStayOnMain(t *testing.T) {
 		orderedSet(rig, r, 0, "v")
 		*got = nil
 		for i := 1; i <= readBacklogCap; i++ {
-			r.readCore.push(readReply{to: 201, frame: r.readReplyFrame(uint64(i), 0, nil)}, r.cfg.App.ExecCost(get), rig.eng.Now())
+			r.reads.toCore(readReply{to: 201, frame: r.readReplyFrame(uint64(i), 0, nil), cost: r.cfg.App.ExecCost(get)}, rig.eng.Now())
 		}
 		inline(t, rig, r, 1, get, false)
 		for len(*got) == 0 && rig.eng.Step() {

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -55,6 +56,100 @@ func TestReadFirstRungIsFPlusOne(t *testing.T) {
 	}
 	if union != c.groupMask(0) {
 		t.Fatalf("five consecutive reads asked replicas %05b, want all five", union)
+	}
+}
+
+// TestReadFirstRungSpreadsOutstandingReads: a client whose reads await
+// replicas 0 and 1 sends its next read to a first rung that includes
+// replica 2, though rotation from the request number alone would ask 0 and
+// 1.
+func TestReadFirstRungSpreadsOutstandingReads(t *testing.T) {
+	c, _ := sinkRig(t, 1)
+	a, pa, _ := ladderRead(c)
+	vote(c, 2, a, "x")
+	b, pb, _ := ladderRead(c)
+	vote(c, 2, b, "x")
+	if waits := pa.contacted&^pa.replied | pb.contacted&^pb.replied; waits != 0b011 {
+		t.Fatalf("reads %d and %d await replicas %03b, want 0 and 1", a, b, waits)
+	}
+	num, p, _ := ladderRead(c)
+	if bits.OnesCount64(p.contacted) != 2 || p.contacted&0b100 == 0 || num%3 != 0 {
+		t.Fatalf("read %d asked %03b, want replica 2 and one other", num, p.contacted)
+	}
+}
+
+// TestReadLoadDrainsOnEveryEnd: a client's count of reads outstanding per
+// replica counts each replica a read awaits once, and reads zero again
+// after every way a read ends or leaves the unordered rungs: accepted on
+// its first rung, accepted after a widen, cancelled, fallen back after f+1
+// refusals, never answered until both rungs time out, and a strong read
+// cancelled in its pin round.
+func TestReadLoadDrainsOnEveryEnd(t *testing.T) {
+	ends := []struct {
+		name string
+		mode Mode
+		end  func(c *Client, eng *sim.Engine, num uint64, p *call)
+	}{
+		{"accepted", Mode{Read: true}, func(c *Client, _ *sim.Engine, num uint64, p *call) {
+			in, _ := asked(p, 3)
+			vote(c, in[0], num, "x")
+			vote(c, in[1], num, "x")
+		}},
+		{"widened", Mode{Read: true}, func(c *Client, _ *sim.Engine, num uint64, p *call) {
+			in, out := asked(p, 3)
+			refuse(c, in[0], num)
+			if p.firstRung == 0 || c.readLoad(0)[out[0]] != 1 {
+				panic("a refusal did not widen to the third replica")
+			}
+			vote(c, in[1], num, "x")
+			vote(c, out[0], num, "x")
+		}},
+		{"cancelled", Mode{Read: true}, func(c *Client, _ *sim.Engine, num uint64, _ *call) {
+			c.Cancel(num)
+		}},
+		{"fallen back", Mode{Read: true}, func(c *Client, _ *sim.Engine, num uint64, p *call) {
+			for id := ids.ID(0); id < 3; id++ {
+				refuse(c, id, num)
+			}
+			if p.ordNum == 0 || c.PendingCount() != 2 {
+				panic("refusals did not fall back")
+			}
+		}},
+		{"never answered", Mode{Read: true}, func(c *Client, eng *sim.Engine, _ uint64, p *call) {
+			eng.RunFor(defaultReadTimeout)
+			if p.ordNum == 0 || p.firstRung == 0 {
+				panic("silence did not widen and fall back")
+			}
+		}},
+		{"strong, pin round cancelled", Mode{Read: true, Strong: true}, func(c *Client, _ *sim.Engine, num uint64, p *call) {
+			for id := ids.ID(0); id < 3; id++ { // skewed versions: pin at the highest
+				c.onRPC(id, wholeReply(tagReadResponse, num, 5+uint64(id), readFlagServed, []byte("v")))
+			}
+			if p.mode.At != 7 || !slices.Equal(c.readLoad(0), []int{1, 1, 1}) {
+				panic("the pin round did not ask the whole group again")
+			}
+			c.Cancel(num)
+		}},
+	}
+	for _, e := range ends {
+		c, eng := sinkRig(t, 1)
+		var num uint64
+		for i := 0; i < 2; i++ { // the second read reuses the first one's record
+			num = c.CallAt(0, []byte("r"), e.mode, func(Outcome) {})
+			p := c.calls[num]
+			load := 0
+			for _, n := range c.readLoad(0) {
+				load += n
+			}
+			if load != bits.OnesCount64(p.contacted) || p.awaits != p.contacted {
+				t.Fatalf("%s: asked %03b, counted %v", e.name, p.contacted, c.readLoad(0))
+			}
+			e.end(c, eng, num, p)
+			if !slices.Equal(c.readLoad(0), []int{0, 0, 0}) {
+				t.Fatalf("%s, read %d: counts %v once it ended", e.name, i, c.readLoad(0))
+			}
+			c.Cancel(num) // a fallen-back read's ordered request
+		}
 	}
 }
 

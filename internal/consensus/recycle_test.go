@@ -413,16 +413,17 @@ func TestDoneResultOutlivesLaterCalls(t *testing.T) {
 	}
 }
 
-// TestReadBacklogRecycledAndSilenced: each read lane keeps its backing array
-// and drops every reply frame it sent, and replies still queued on either
-// lane when the replica stops, the one the crypto pool borrowed among them,
-// are never sent: they die with the crashed cores.
+// TestReadBacklogRecycledAndSilenced: the read core's queue and the queue of
+// waiting reads each keep their backing array and drop every reply frame
+// they let go, the pool drops the one it sent, and replies still held when
+// the replica stops — on the read core, on the pool and waiting — are never
+// sent: they die with the crashed cores.
 func TestReadBacklogRecycledAndSilenced(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
 	const n = 8
 	next := uint64(0)
-	burst := func(r *Replica) { // n reads dispatched: one borrowed, every reply queued
+	burst := func(r *Replica) { // n reads dispatched: one on each core, the rest waiting
 		t.Helper()
 		served, sent := r.ReadsServed, len(rig.replies)
 		for i := 0; i < n; i++ {
@@ -431,27 +432,30 @@ func TestReadBacklogRecycledAndSilenced(t *testing.T) {
 		}
 		for r.ReadsServed < served+n && rig.eng.Step() {
 		}
-		if backlog(r) != n-1 || r.poolLane.backlog() != 1 || len(rig.replies) != sent {
-			t.Fatalf("%d+%d replies queued, %d sent: want %d of the burst on the read core and 1 on the pool",
-				backlog(r), r.poolLane.backlog(), len(rig.replies)-sent, n-1)
+		if backlog(r) != 1 || !poolHolds(r) || r.reads.waiting.len() != n-2 || len(rig.replies) != sent {
+			t.Fatalf("%d on the read core, one on the pool %v, %d waiting, %d sent: want 1, true and %d",
+				backlog(r), poolHolds(r), r.reads.waiting.len(), len(rig.replies)-sent, n-2)
 		}
 	}
 	r := rig.reps[1]
 	burst(r)
-	lanes := []*readLane{&r.readCore, &r.poolLane}
-	arrays := []*readReply{&r.readCore.replies[0], &r.poolLane.replies[0]}
+	queues := []*readQueue{&r.reads.onCore, &r.reads.waiting}
+	arrays := []*readReply{&r.reads.onCore.replies[0], &r.reads.waiting.replies[0]}
 	for round := 0; round < 2; round++ {
 		rig.eng.RunFor(sim.Millisecond)
 		if len(rig.replies) != n*(round+1) {
 			t.Fatalf("round %d: %d replies", round, len(rig.replies))
 		}
-		for i, l := range lanes {
-			if len(l.replies) != 0 || l.head != 0 || &l.replies[:1][0] != arrays[i] {
-				t.Fatalf("round %d, %s: backlog %d from %d, same array %v", round, l.proc.Name(), len(l.replies), l.head, &l.replies[:1][0] == arrays[i])
+		if poolHolds(r) {
+			t.Fatalf("round %d: the pool still holds its sent reply", round)
+		}
+		for i, q := range queues {
+			if len(q.replies) != 0 || q.head != 0 || &q.replies[:1][0] != arrays[i] {
+				t.Fatalf("round %d, queue %d: %d from %d, same array %v", round, i, len(q.replies), q.head, &q.replies[:1][0] == arrays[i])
 			}
-			for j, rep := range l.replies[:cap(l.replies)] {
+			for j, rep := range q.replies[:cap(q.replies)] {
 				if rep.frame != nil {
-					t.Fatalf("round %d, %s: entry %d of the drained backlog still holds a frame", round, l.proc.Name(), j)
+					t.Fatalf("round %d, queue %d: entry %d of the drained queue still holds a frame", round, i, j)
 				}
 			}
 		}

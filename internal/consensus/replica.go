@@ -293,12 +293,11 @@ type Replica struct {
 	appVer      app.Versioned
 	appVerRead  app.VersionedReadExecutor
 	pinnedReads []pinnedRead
-	// The two read lanes (rpc.go). Each is charged its reads' execution and
-	// sends their replies, so the main process never waits behind a read.
-	// readCore is the read core's backlog, on a process of its own;
-	// poolLane, on bgProc, holds at most one reply, taken while the read
-	// core is busy and the pool idle.
-	readCore, poolLane readLane
+	// reads is the two read lanes (rpc.go): the read core, a process of its
+	// own, and the crypto pool (bgProc), which take fast reads from one
+	// FIFO. Each is charged its reads' execution and sends their replies,
+	// so the main process never waits behind a read.
+	reads readLanes
 	// appReads classifies ordered commands (nil when the application cannot
 	// tell a read); servesFastReads is set by this replica's first fast read
 	// and never cleared. Until then the read core executes ordered reads
@@ -467,8 +466,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 	r.store = swmr.NewStore(deps.RT, r.proc, cfg.MemNodes, cfg.Fm)
 	r.sumHub = ctbcast.NewSummaryHub(deps.RT)
 	r.bgProc = sim.NewProc(r.proc.Engine(), r.proc.Name()+"-crypto")
-	r.readCore.init(r, sim.NewProc(r.proc.Engine(), r.proc.Name()+"-read"))
-	r.poolLane.init(r, r.bgProc)
+	r.reads.init(r, sim.NewProc(r.proc.Engine(), r.proc.Name()+"-read"), r.bgProc)
 
 	env := ctbcast.Env{
 		RT: deps.RT, Proc: r.proc, Hub: r.hub, AckHub: r.ackHub,
@@ -540,7 +538,7 @@ func AllocateCluster(cfg Config, nodes []*memnode.Node) {
 func (r *Replica) Stop() {
 	r.proc.Crash()
 	r.bgProc.Crash()
-	r.readCore.proc.Crash()
+	r.reads.core.Crash()
 }
 
 // View returns the replica's current view.
@@ -1205,7 +1203,7 @@ func (r *Replica) executeReady() {
 // here too, at its slot, but until this replica serves its first fast read
 // its execution is charged to the read core, from when the main process has
 // dispatched it, and the read core sends the reply once it has spent it
-// (readLane): a group without fast reads has an idle read core and a main
+// (readLanes): a group without fast reads has an idle read core and a main
 // process busy with application work. A read that parks, a read behind a
 // full read-core backlog and every read of a replica serving fast reads are
 // charged here as writes are: in a fast-read group a choice by each read
@@ -1235,7 +1233,7 @@ func (r *Replica) applyOne(req *Request, s Slot) {
 		r.appVer.BeginSlot(uint64(s) + 1)
 	}
 	cost := r.cfg.App.ExecCost(req.Payload)
-	onReadCore := !r.servesFastReads && r.appReads != nil && r.readCore.backlog() < readBacklogCap &&
+	onReadCore := !r.servesFastReads && r.appReads != nil && r.reads.onCore.len() < readBacklogCap &&
 		r.appReads.ReadOnly(req.Payload)
 	if onReadCore {
 		r.proc.Charge(latmodel.AppExecBase)
@@ -1269,7 +1267,7 @@ func (r *Replica) applyOne(req *Request, s Slot) {
 	}
 	c.markExecuted(req.Num, s, result, false)
 	if onReadCore {
-		r.readCore.push(readReply{to: req.Client, frame: responseFrame(req.Num, s, result, false)}, cost, r.proc.BusyUntil())
+		r.reads.toCore(readReply{to: req.Client, frame: responseFrame(req.Num, s, result, false), cost: cost}, r.proc.BusyUntil())
 	} else {
 		r.respond(req.Client, req.Num, s, result, false)
 	}

@@ -48,7 +48,7 @@ var retention = map[string]string{
 	"cpState.shares":   "released once the checkpoint is stable (pruneBelow); at most n shares, one per signer, held, being verified, verified or found invalid (a CHECKPOINT's signatures join as relayed shares under the same bound)",
 	"cpState.snapshot": "released one window below the stable checkpoint (pruneBelow)",
 
-	"readLane.replies": "read core: <= readBacklogCap replies queued (a read past it is refused); crypto pool: <= 1, borrowed only while empty; each dropped when its core sends it, the backing array compacted before it grows",
+	"readQueue.replies": "the read core's: <= readBacklogCap ordered reads (past it one runs on main), and a fast read only once it has spent every read it was charged; the waiting fast reads: <= readBacklogCap (a read past it is refused); each dropped when its core sends it or starts it, the backing array compacted before it grows",
 }
 
 func TestEveryTableHasARetentionRule(t *testing.T) {
@@ -71,7 +71,7 @@ func TestEveryTableHasARetentionRule(t *testing.T) {
 			}
 		}
 	}
-	for _, rec := range []any{Replica{}, slotState{}, slotView{}, reqState{}, clientState{}, cpState{}, readLane{}} {
+	for _, rec := range []any{Replica{}, slotState{}, slotView{}, reqState{}, clientState{}, cpState{}, readQueue{}} {
 		walk(reflect.TypeOf(rec))
 	}
 	for name := range retention {

@@ -25,10 +25,10 @@ import (
 // escalation ladder; its two unordered rungs share ONE request number, and
 // the ordered rung takes a fresh one (ordNum) like any ordered request:
 //
-//   - Rung 1: a rotating f+1 subset of the group (keyed on the request
-//     number, skipping replicas that recently forced a widen) executes the
-//     read. Fault-free this is the whole read: one round trip, f+1
-//     executions.
+//   - Rung 1: the f+1 replicas of the group with the fewest of this
+//     client's reads outstanding (ties rotating with the request number,
+//     skipping replicas that recently forced a widen) execute the read.
+//     Fault-free this is the whole read: one round trip, f+1 executions.
 //   - Rung 2 (widen): the rest of the group is asked as soon as the
 //     contacted replicas can no longer supply f+1 matching fresh replies —
 //     a refusal, a stale version, a digest mismatch — or the widen deadline
@@ -89,12 +89,13 @@ const (
 // of the slowest correct replica, so entries drain within a round).
 const pinnedReadCap = 512
 
-// readBacklogCap bounds the read core's backlog of served reads not yet
-// answered; the crypto pool's lane adds at most one more. At a KV read's
-// ~14 µs the cap is about 0.9 ms of work, past the client's read timeout, so
-// a reply behind a fuller backlog would come too late to count: past the cap
-// a fast read is refused instead, and its client widens or falls back at
-// once, and an ordered read runs on the main process.
+// readBacklogCap bounds the fast reads waiting for a core (readLanes.waiting)
+// and, until the first fast read, the ordered reads queued on the read core.
+// At a KV read's ~14 µs the cap is about 0.45 ms of work while both cores
+// drain it and 0.9 ms while the pool is busy with crypto, so a reply behind a
+// fuller queue would come too late to count against the read timeout: past
+// the cap a fast read is refused instead, and its client widens or falls
+// back at once, and an ordered read runs on the main process.
 const readBacklogCap = 64
 
 // pinnedRead is one as-of read waiting for this replica's execution to
@@ -106,55 +107,111 @@ type pinnedRead struct {
 	payload []byte
 }
 
-// readReply is one reply frame in a read lane's backlog, and its client.
+// readReply is one read's reply frame, its client and the execution the
+// core that serves it is charged.
 type readReply struct {
 	to    ids.ID
 	frame []byte
+	cost  sim.Duration
 }
 
-// readLane is one off-main core serving reads (fast reads; on the read core
-// also ordered reads, until the first fast read: applyOne): replies[head:]
-// wait on proc, oldest first, each sent by send (bound once) when proc has
-// spent its read's execution.
-type readLane struct {
-	r       *Replica
-	proc    *sim.Proc
+// readQueue is a FIFO of read replies: replies[head:] wait, oldest first,
+// kept at the head of one backing array.
+type readQueue struct {
 	replies []readReply
 	head    int
-	send    func()
 }
 
-// init binds the lane to its replica and its core.
-func (l *readLane) init(r *Replica, proc *sim.Proc) {
-	l.r, l.proc = r, proc
-	l.send = l.sendOldest
-}
+// len is how many replies wait.
+func (q *readQueue) len() int { return len(q.replies) - q.head }
 
-// backlog is how many replies wait on the lane.
-func (l *readLane) backlog() int { return len(l.replies) - l.head }
-
-// push queues rep behind the lane's backlog and charges proc cost for it,
-// starting no earlier than from, when the read is handed to the lane.
-func (l *readLane) push(rep readReply, cost sim.Duration, from sim.Time) {
-	if len(l.replies) == cap(l.replies) && l.head > 0 {
-		// Keep the backlog at the head of the same backing array.
-		n := copy(l.replies, l.replies[l.head:])
-		clear(l.replies[n:])
-		l.replies, l.head = l.replies[:n], 0
+// push queues rep behind the others.
+func (q *readQueue) push(rep readReply) {
+	if len(q.replies) == cap(q.replies) && q.head > 0 {
+		// Keep the queue at the head of the same backing array.
+		n := copy(q.replies, q.replies[q.head:])
+		clear(q.replies[n:])
+		q.replies, q.head = q.replies[:n], 0
 	}
-	l.replies = append(l.replies, rep)
-	l.proc.ExecFrom(from, cost, l.send)
+	q.replies = append(q.replies, rep)
 }
 
-// sendOldest is the lane's core finishing its oldest read: the reply goes
-// out.
-func (l *readLane) sendOldest() {
-	rep := l.replies[l.head]
-	l.replies[l.head] = readReply{}
-	if l.head++; l.head == len(l.replies) {
-		l.replies, l.head = l.replies[:0], 0
+// pop takes the oldest reply out.
+func (q *readQueue) pop() readReply {
+	rep := q.replies[q.head]
+	q.replies[q.head] = readReply{}
+	if q.head++; q.head == len(q.replies) {
+		q.replies, q.head = q.replies[:0], 0
 	}
+	return rep
+}
+
+// readLanes are a replica's two off-main cores that serve reads, the read
+// core and the crypto pool, and the one FIFO of fast reads neither has
+// started. A core is charged the execution of each read it starts and sends
+// the read's reply once it has spent it, so the main process never waits
+// behind a read.
+type readLanes struct {
+	r          *Replica
+	core, pool *sim.Proc
+	// onCore is the replies the read core has been charged for, oldest
+	// first: ordered reads (applyOne, until the first fast read) and the
+	// fast read it executes. onPool is the one fast read the pool executes
+	// (frame nil: none).
+	onCore readQueue
+	onPool readReply
+	// waiting is the fast reads neither core has started, oldest first.
+	waiting readQueue
+	// coreDone and poolDone are coreFinished and poolFinished, bound once.
+	coreDone, poolDone func()
+}
+
+// init binds the lanes to their replica and their cores.
+func (l *readLanes) init(r *Replica, core, pool *sim.Proc) {
+	l.r, l.core, l.pool = r, core, pool
+	l.coreDone, l.poolDone = l.coreFinished, l.poolFinished
+}
+
+// toCore queues rep on the read core, charged from when the read is handed
+// over, which may lie past now (an ordered read the main process is still
+// dispatching).
+func (l *readLanes) toCore(rep readReply, from sim.Time) {
+	l.onCore.push(rep)
+	l.core.ExecFrom(from, rep.cost, l.coreDone)
+}
+
+// coreFinished is the read core spending its oldest read: the reply goes
+// out, and the freed cores take the oldest waiting reads.
+func (l *readLanes) coreFinished() {
+	rep := l.onCore.pop()
 	l.r.rt.SendFrame(rep.to, rep.frame)
+	l.startWaiting()
+}
+
+// poolFinished is the pool spending its read, as coreFinished.
+func (l *readLanes) poolFinished() {
+	rep := l.onPool
+	l.onPool = readReply{}
+	l.r.rt.SendFrame(rep.to, rep.frame)
+	l.startWaiting()
+}
+
+// startWaiting starts the oldest waiting fast reads on the cores that are
+// free. It runs whenever a read arrives or a core finishes one, so a read
+// waits only while both cores are busy or the pool holds a crypto job. The
+// read core is free once it has spent every read it was charged; the pool
+// while it holds no read and no crypto job, so it never holds two reads and
+// a signature submitted later waits at most one. On a realtime host the read
+// core is never busy, so the pool never serves a read.
+func (l *readLanes) startWaiting() {
+	now := l.core.Now()
+	if l.waiting.len() > 0 && l.core.BusyUntil() <= now {
+		l.toCore(l.waiting.pop(), now)
+	}
+	if l.waiting.len() > 0 && l.onPool.frame == nil && l.pool.BusyUntil() <= now {
+		l.onPool = l.waiting.pop()
+		l.pool.Exec(l.onPool.cost, l.poolDone)
+	}
 }
 
 // onRPC handles client traffic arriving at a replica.
@@ -226,8 +283,8 @@ func (r *Replica) onClientRequest(from ids.ID, rd *wire.Reader) {
 // as-of the exact version the request pins (at > 0) — and reply with the
 // result plus the state version (LastApplied) execution has reached. The
 // read never touches the ordering pipeline — no digest, no echo, no slot.
-// The main process computes the read at once and hands the reply to a read
-// lane (serveRead), which is charged its execution. Requests the
+// The main process computes the read at once and hands the reply to the
+// read lanes (serveRead), whose core is charged its execution. Requests the
 // application cannot answer read-only (no ReadExecutor capability, a write
 // opcode, a pin below the MVCC GC horizon) are refused explicitly so the
 // client falls back without waiting out its timeout.
@@ -326,25 +383,21 @@ func (r *Replica) refuseRead(to ids.ID, num uint64) {
 	r.rt.SendFrame(to, r.readReplyFrame(num, 0, nil))
 }
 
-// serveRead queues the reply of a read executed at this instant on a read
-// lane, which is charged the read's execution and then sends it. The reply
-// joins the read core's backlog, unless the read core is busy and the crypto
-// pool idle at this instant: then the pool executes it, so the pool holds at
-// most one read and a signature submitted later waits at most that one. A
-// full read-core backlog refuses the read instead. On a realtime host neither
-// core is ever busy, so the pool is never borrowed. From the first fast read
-// on, ordered reads stay on the main process (applyOne).
+// serveRead queues the reply of a read executed at this instant behind the
+// fast reads waiting for a core (readLanes), and the free cores start the
+// oldest: the read core first, then the crypto pool. The core that takes the
+// read is charged its execution and then sends the reply. A full queue of
+// waiting reads refuses the read instead. From the first fast read on,
+// ordered reads stay on the main process (applyOne).
 func (r *Replica) serveRead(to ids.ID, num uint64, flags uint8, result, payload []byte) {
 	r.servesFastReads = true
-	lane, now := &r.readCore, r.proc.Now()
-	if lane.proc.BusyUntil() > now && r.bgProc.BusyUntil() <= now && r.poolLane.backlog() == 0 {
-		lane = &r.poolLane
-	} else if lane.backlog() >= readBacklogCap {
+	if r.reads.waiting.len() >= readBacklogCap {
 		r.refuseRead(to, num)
 		return
 	}
 	r.ReadsServed++
-	lane.push(readReply{to: to, frame: r.readReplyFrame(num, flags, result)}, r.cfg.App.ExecCost(payload)+latmodel.AppExecBase, now)
+	r.reads.waiting.push(readReply{to: to, frame: r.readReplyFrame(num, flags, result), cost: r.cfg.App.ExecCost(payload) + latmodel.AppExecBase})
+	r.reads.startWaiting()
 }
 
 // echoLen is the length of an echo frame: channel tag, message tag, digest.
@@ -556,6 +609,12 @@ type Client struct {
 	// its late reply is held to that read's accepted class.
 	readSuspect []uint64
 	readProbe   []probeRead
+	// readsOut is, per group and replica index (readLoad), how many of this
+	// client's reads on an unordered rung await that replica's reply: a
+	// read's first rung asks the trusted replicas with the fewest. A read
+	// counts where its call awaits, from sendRead until the replica's reply
+	// is taken or the read leaves the unordered rungs.
+	readsOut []int
 
 	// Read fast path stats.
 	FastReads     uint64 // reads answered by an f+1 unordered quorum
@@ -704,6 +763,9 @@ type call struct {
 	// firstRung is who had been asked when the read widened (0: it has
 	// not): the replicas to pass over if it is accepted without them.
 	firstRung uint64
+	// awaits is the replicas whose reply the read awaits, each counted once
+	// in the client's readsOut.
+	awaits uint64
 	// byRes tallies the counted replies per result class (see resTally). A
 	// read counts only fresh (version >= minSlot) replies, so a class
 	// minimum is bounded below by the floor; best is its largest class.
@@ -766,6 +828,7 @@ func NewMultiClient(rt *router.Router, groups [][]ids.ID) *Client {
 		readFloor:   make([]Slot, len(groups)),
 		readSuspect: make([]uint64, len(groups)),
 		readProbe:   make([]probeRead, len(groups)),
+		readsOut:    make([]int, len(groups)*len(groups[0])),
 	}
 	rt.RegisterFrame(router.ChanRPC, c.onRPC)
 	return c
@@ -848,29 +911,65 @@ func (c *Client) start(group int, payload []byte, mode Mode, done func([]byte, s
 		p.minSlot = c.readFloor[group]
 	}
 
-	// Rung 1 is f+1 trusted replicas in rotation order from the request
-	// number (no random draw: the seeded stream other code consumes does
-	// not shift), plus, on a probe read, the first passed-over one.
-	n := len(c.groups[group])
-	suspect := c.readSuspect[group]
 	to := c.groupMask(group)
-	if !mode.Strong && n-bits.OnesCount64(suspect) >= c.f+1 {
-		to = 0
-		probe := num%readProbeEvery == 0
-		for i, want := 0, c.f+1; i < n; i++ {
-			bit := uint64(1) << ((num + uint64(i)) % uint64(n))
-			switch {
-			case suspect&bit == 0 && want > 0:
-				to |= bit
-				want--
-			case suspect&bit != 0 && probe:
-				to |= bit
-				probe = false
-			}
-		}
+	if suspect := c.readSuspect[group]; !mode.Strong && len(c.groups[group])-bits.OnesCount64(suspect) >= c.f+1 {
+		to = c.firstRung(group, num, suspect)
 	}
 	c.sendRead(p, to)
 	return num
+}
+
+// firstRung is the replicas read num asks first: the f+1 trusted ones with
+// the fewest of this client's reads outstanding (readsOut), ties in rotation
+// order from the request number (no random draw: the seeded stream other
+// code consumes does not shift), plus, on a probe read, the first
+// passed-over one in that order. With no read outstanding, as at depth 1, it
+// is the first f+1 trusted replicas in rotation order.
+func (c *Client) firstRung(group int, num, suspect uint64) uint64 {
+	n, load := uint64(len(c.groups[group])), c.readLoad(group)
+	var to uint64
+	for want := c.f + 1; want > 0; want-- {
+		pick := -1
+		for i := uint64(0); i < n; i++ {
+			j := int((num + i) % n)
+			if (suspect|to)&(1<<j) == 0 && (pick < 0 || load[j] < load[pick]) {
+				pick = j
+			}
+		}
+		to |= 1 << pick
+	}
+	if num%readProbeEvery == 0 {
+		for i := uint64(0); i < n; i++ {
+			if bit := uint64(1) << ((num + i) % n); suspect&bit != 0 {
+				return to | bit
+			}
+		}
+	}
+	return to
+}
+
+// readLoad is group's slice of readsOut, one count per replica index.
+func (c *Client) readLoad(group int) []int {
+	n := len(c.groups[0])
+	return c.readsOut[group*n : (group+1)*n]
+}
+
+// await counts p's read at the replicas in to it does not await yet.
+func (c *Client) await(p *call, to uint64) {
+	load := c.readLoad(p.group)
+	for add := to &^ p.awaits; add != 0; add &= add - 1 {
+		load[bits.TrailingZeros64(add)]++
+	}
+	p.awaits |= to
+}
+
+// settle stops counting p's read at the replicas in done.
+func (c *Client) settle(p *call, done uint64) {
+	load := c.readLoad(p.group)
+	for rm := p.awaits & done; rm != 0; rm &= rm - 1 {
+		load[bits.TrailingZeros64(rm)]--
+	}
+	p.awaits &^= done
 }
 
 // order submits p's payload as an ordered request under the next number,
@@ -915,6 +1014,7 @@ func (c *Client) Cancel(num uint64) bool {
 
 // drop forgets call p and keeps its record for the next call.
 func (c *Client) drop(p *call) {
+	c.settle(p, p.awaits)
 	delete(c.calls, p.num)
 	delete(c.calls, p.ordNum)
 	p.timer.Cancel()
@@ -1063,6 +1163,7 @@ func (c *Client) sendRead(p *call, to uint64) {
 		}
 	}
 	p.contacted |= to
+	c.await(p, to)
 	wait := defaultReadTimeout
 	if p.firstRung != 0 || p.contacted != c.groupMask(p.group) {
 		wait /= 2
@@ -1106,6 +1207,7 @@ func (c *Client) onReadResponse(from ids.ID, frame []byte, rep Reply) bool {
 		return false // one reply per replica counts, asked or not
 	}
 	p.replied |= bit
+	c.settle(p, bit)
 	if version > p.frontier {
 		p.frontier = version
 	}
@@ -1213,6 +1315,7 @@ func (c *Client) escalate(p *call) {
 		// the request number): there is no reply left to wait for.
 	}
 	p.timer.Cancel()
+	c.settle(p, p.awaits)
 	c.ReadFallbacks++
 	p.replied = 0
 	p.byRes.reset()
