@@ -1,14 +1,16 @@
 package consensus
 
-// The read lanes (rpc.go): the main process computes a fast read the instant
-// it dispatches it and captures the reply; the read core, or the crypto pool
-// when it is idle and the read core is not, is charged the read's execution
-// and sends the reply. A read that finds both busy waits in one FIFO, and
+// The read lanes (rpc.go): a replica takes a fast read the instant it
+// arrives, whatever its main process is busy with, computes it and captures
+// the reply; the read core, or the crypto pool when it is idle and the read
+// core is not, is charged the read's execution and both its dispatches and
+// posts the reply. A read that finds both busy waits in one FIFO, and
 // whichever core frees first takes the oldest waiting read, the pool only
 // while it holds no crypto job.
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -17,6 +19,7 @@ import (
 	"repro/internal/latmodel"
 	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 	"repro/internal/wire"
 	"repro/internal/xcrypto"
 )
@@ -79,11 +82,12 @@ func backlog(r *Replica) int { return r.reads.onCore.len() }
 // poolHolds reports whether r's crypto pool executes a read.
 func poolHolds(r *Replica) bool { return r.reads.onPool.frame != nil }
 
-// TestReadReplyCarriesItsReadVersion: two reads dispatched at version v, the
+// TestReadReplyCarriesItsReadVersion: two reads taken at version v, the
 // first on the read core and the second, arriving while the read core is
 // busy, borrowed by the idle crypto pool, whose replies are still queued when
-// a write applies v+1, both report v and v's value; each read costs its lane
-// its execution and the main process only the dispatch of its request.
+// a write applies v+1, both report v and v's value; each read moves its lane
+// by its charged cost (its execution and both dispatches) and does not move
+// the main process.
 func TestReadReplyCarriesItsReadVersion(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
@@ -99,17 +103,18 @@ func TestReadReplyCarriesItsReadVersion(t *testing.T) {
 
 	rig.read(1, 7, "k")
 	rig.read(1, 8, "k")
-	cost := r.cfg.App.ExecCost(app.EncodeKVGet([]byte("k"))) + latmodel.AppExecBase
+	cost := r.cfg.App.ExecCost(app.EncodeKVGet([]byte("k"))) + latmodel.AppExecBase + 2*latmodel.DispatchCost
+	main := r.proc.BusyUntil()
 	for i, core := range []*sim.Proc{r.reads.core, r.reads.pool} {
 		for r.ReadsServed == uint64(i) && rig.eng.Step() {
 		}
 		now := rig.eng.Now()
 		if got := core.BusyUntil().Sub(now); got != cost || backlog(r) != 1 || poolHolds(r) != (i == 1) {
-			t.Errorf("read %d moved %s's horizon by %v with %d replies on the read core and one on the pool %v, want its execution %v, 1 and %v",
+			t.Errorf("read %d moved %s's horizon by %v with %d replies on the read core and one on the pool %v, want its charged cost %v, 1 and %v",
 				i, core.Name(), got, backlog(r), poolHolds(r), cost, i == 1)
 		}
-		if got := r.proc.BusyUntil().Sub(now); got != latmodel.DispatchCost {
-			t.Errorf("read %d moved the main process's horizon by %v, want the dispatch %v", i, got, latmodel.DispatchCost)
+		if got := r.proc.BusyUntil(); got != main {
+			t.Errorf("read %d moved the main process's horizon from %v to %v, want it unmoved", i, main, got)
 		}
 	}
 
@@ -126,6 +131,54 @@ func TestReadReplyCarriesItsReadVersion(t *testing.T) {
 		if a.version != 1 || a.flags != readFlagServed || !bytes.Equal(a.result, kvHit("v1")) {
 			t.Fatalf("reply %+v, want version 1 and its value v1", a)
 		}
+	}
+}
+
+// TestFastReadNeverWaitsForMain: a fast read arrives while the main process
+// executes an ordered SET. The replica takes it on arrival, mid-execution;
+// the read core posts its reply its charged cost (execution and both
+// dispatches) later, and the reply reaches the client one wire time after
+// that. Neither the read nor its reply moves the main process's horizon.
+func TestFastReadNeverWaitsForMain(t *testing.T) {
+	rig := newKVRig(t)
+	defer rig.stop()
+	r := rig.reps[1]
+	orderedSet(rig, r, 0, "v1")
+	cost := r.cfg.App.ExecCost(app.EncodeKVGet([]byte("k"))) + latmodel.AppExecBase + 2*latmodel.DispatchCost
+	// onWire is an n-byte frame's time on the wire less its jitter, which is
+	// in [0, WireJitter).
+	onWire := func(n int) sim.Duration {
+		o := rig.net.Options()
+		return o.BaseLatency + latmodel.PerByte(n+o.HeaderBytes)
+	}
+	var sent, posted sim.Time
+	var reqLen, repLen int
+	rig.net.SetRule(func(from, to ids.ID, frame []byte) (simnet.Fate, sim.Duration) {
+		switch {
+		case from == 201 && to == 1: // the idle sink posts it after its dispatch
+			sent, reqLen = rig.eng.Now().Add(latmodel.DispatchCost), len(frame)
+		case from == 1 && to == 201:
+			posted, repLen = rig.eng.Now(), len(frame)
+		}
+		return simnet.Deliver, 0
+	})
+	jittered := func(d sim.Duration) bool { return d >= 0 && d < latmodel.WireJitter }
+
+	r.decide(1, 0, Request{Client: 200, Num: 2, Payload: app.EncodeKVSet([]byte("k"), []byte("v2"))})
+	main := r.proc.BusyUntil()
+	rig.read(1, 7, "k")
+	for r.ReadsServed == 0 && rig.eng.Step() {
+	}
+	taken := rig.eng.Now()
+	if !jittered(taken.Sub(sent)-onWire(reqLen)) || taken >= main || r.proc.BusyUntil() != main {
+		t.Fatalf("read sent at %v taken at %v, the main process busy until %v (%v before it): want it taken on arrival, mid-execution, and the horizon unmoved",
+			sent, taken, r.proc.BusyUntil(), main)
+	}
+	for len(rig.replies) == 0 && rig.eng.Step() {
+	}
+	if got := rig.eng.Now(); posted != taken.Add(cost) || !jittered(got.Sub(posted)-onWire(repLen)) || r.proc.BusyUntil() != main {
+		t.Fatalf("reply posted at %v and received at %v, the main process busy until %v: want it posted at %v, one wire time before it came, and %v",
+			posted, got, r.proc.BusyUntil(), taken.Add(cost), main)
 	}
 }
 
@@ -217,12 +270,13 @@ func TestReadBacklogBounded(t *testing.T) {
 // share verification is submitted to the pool every 23 µs whenever the last
 // one has finished. The pool is never charged for more than one read ahead
 // of a job, and every signature and verification starts within one read's
-// execution of its submission.
+// charged cost (its execution and both dispatches, 14.7 µs) of its
+// submission.
 func TestBorrowedReadDelaysCryptoAtMostOneRead(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
 	r := rig.reps[1]
-	readCost := r.cfg.App.ExecCost(app.EncodeKVGet([]byte("k"))) + latmodel.AppExecBase
+	readCost := r.cfg.App.ExecCost(app.EncodeKVGet([]byte("k"))) + latmodel.AppExecBase + 2*latmodel.DispatchCost
 	const signCost = latmodel.SignCost + latmodel.CryptoDispatchCost
 	const verifyCost = latmodel.VerifyCost + latmodel.CryptoDispatchCost
 	st := xcrypto.CertifyCheckpoint(32, xcrypto.DigestNoCharge([]byte("state")))
@@ -286,9 +340,11 @@ func TestBorrowedReadDelaysCryptoAtMostOneRead(t *testing.T) {
 // 5 µs, faster than its read core and crypto pool together serve them, while
 // a checkpoint signature is submitted to the pool every 23 µs whenever the
 // last one has finished. Whenever the lanes act (a read arrives, a core
-// finishes one) and leave a read waiting, the read core is busy and the pool
-// executes a read or holds a crypto job. Reads do wait, some of them behind
-// a crypto job, the pool takes waiting reads, and every read is served.
+// finishes one) and leave a read waiting, and at the end of every instant
+// that leaves one waiting, the instants a crypto job ends among them, the
+// read core is busy and the pool executes a read or holds a crypto job.
+// Reads do wait, some of them behind a crypto job, the pool takes waiting
+// reads, some as a crypto job ends, and every read is served.
 func TestReadsWaitOnlyWhileBothCoresAreBusy(t *testing.T) {
 	rig := newKVRig(t)
 	defer rig.stop()
@@ -327,10 +383,21 @@ func TestReadsWaitOnlyWhileBothCoresAreBusy(t *testing.T) {
 		}
 		return l
 	}
-	waited, behindCrypto, fromQueue := 0, 0, 0
+	waited, behindCrypto, fromQueue, cryptoEnds := 0, 0, 0, 0
 	before := look()
 	for len(rig.replies) < reads && rig.eng.Step() {
-		after := look()
+		after, now := look(), rig.eng.Now()
+		if next, ok := rig.eng.NextEventTime(); after.waiting > 0 && (!ok || next > now) {
+			// The instant ends with reads waiting.
+			crypto := r.reads.pool.BusyUntil() > now && after.pool == nil
+			if now == cryptoDone {
+				cryptoEnds++
+			}
+			if r.reads.core.BusyUntil() <= now || after.pool == nil && !crypto {
+				t.Fatalf("at %v (a crypto job ends %v) %d reads wait with the read core busy %v, a read on the pool %v and a crypto job on it %v",
+					now, now == cryptoDone, after.waiting, r.reads.core.BusyUntil() > now, after.pool != nil, crypto)
+			}
+		}
 		if after == before {
 			continue // not a lane event: a crypto job, a delivery, a timer
 		}
@@ -351,9 +418,9 @@ func TestReadsWaitOnlyWhileBothCoresAreBusy(t *testing.T) {
 		before = after
 	}
 	rig.eng.RunFor(sim.Millisecond)
-	if waited == 0 || behindCrypto == 0 || fromQueue == 0 || r.ReadsServed != reads || len(rig.replies) != reads {
-		t.Fatalf("%d lane events left reads waiting, %d of them behind a crypto job; the pool took %d waiting reads; %d served, %d answered of %d",
-			waited, behindCrypto, fromQueue, r.ReadsServed, len(rig.replies), reads)
+	if waited == 0 || behindCrypto == 0 || fromQueue == 0 || cryptoEnds == 0 || r.ReadsServed != reads || len(rig.replies) != reads {
+		t.Fatalf("%d lane events left reads waiting, %d of them behind a crypto job; the pool took %d waiting reads; %d crypto jobs ended with reads waiting; %d served, %d answered of %d",
+			waited, behindCrypto, fromQueue, cryptoEnds, r.ReadsServed, len(rig.replies), reads)
 	}
 }
 
@@ -377,6 +444,60 @@ func TestRealtimeReadsNeverBorrowThePool(t *testing.T) {
 	}
 	if len(rig.replies) != n || r.ReadsServed != n {
 		t.Fatalf("%d replies, %d reads served: want %d and %d", len(rig.replies), r.ReadsServed, n, n)
+	}
+}
+
+// TestRealtimeReadRepliesUnchanged: on a realtime engine (a ubft-node host)
+// nothing is charged, so taking fast reads on arrival changes nothing there: a
+// stream of fast reads interleaved with ordered SETs and GETs gets the same
+// replies, byte for byte, at the same instants and in the same order, with
+// the replica's intake as with none (every frame delivered through the main
+// process, as before the intake).
+func TestRealtimeReadRepliesUnchanged(t *testing.T) {
+	run := func(intake bool) []string {
+		rig := newKVRig(t)
+		defer rig.stop()
+		rig.eng.SetRealtime(true)
+		if !intake {
+			rig.net.Node(1).SetIntake(nil)
+		}
+		r := rig.reps[1]
+		var log []string
+		record := func(from ids.ID, p []byte) {
+			log = append(log, fmt.Sprintf("@%d %d %x", rig.eng.Now(), from, p))
+		}
+		router.New(rig.net.AddNode(200, "client")).Register(router.ChanRPC, record)
+		sink := rig.net.Node(201)
+		read := sink.Handler()
+		sink.SetHandler(func(from ids.ID, p []byte) { record(from, p); read(from, p) })
+		slot := Slot(0)
+		for i := 0; i < 60; i++ {
+			i := i
+			rig.eng.After(sim.Duration(i)*sim.Microsecond, func() {
+				rig.read(1, uint64(i+1), "k")
+				if i%2 == 0 {
+					cmd := app.EncodeKVGet([]byte("k"))
+					if i%4 == 0 {
+						cmd = app.EncodeKVSet([]byte("k"), []byte(fmt.Sprint(i)))
+					}
+					r.decide(slot, 0, Request{Client: 200, Num: uint64(slot) + 1, Payload: cmd})
+					slot++
+				}
+			})
+		}
+		rig.eng.RunFor(sim.Millisecond)
+		if len(rig.replies) != 60 || len(log) != 90 {
+			t.Fatalf("intake %v: %d read replies and %d in all, want 60 and 90", intake, len(rig.replies), len(log))
+		}
+		return log
+	}
+	with, without := run(true), run(false)
+	if !slices.Equal(with, without) {
+		for j := range with {
+			if with[j] != without[j] {
+				t.Fatalf("reply %d: %s with the intake, %s without", j, with[j], without[j])
+			}
+		}
 	}
 }
 
@@ -409,8 +530,8 @@ func orderedSet(rig *kvRig, r *Replica, s Slot, val string) {
 // TestOrderedReadsRunOnTheIdleReadCore: in a group that has served no fast
 // read, an ordered GET costs the main process its dispatch only; the read
 // core, handed the GET when the main process has dispatched it, is charged
-// its execution and sends the reply, with the slot it executed at, once it
-// has spent it. The crypto pool is never charged for it, even while the
+// its execution and the post of its reply, and posts the reply, with the
+// slot it executed at, once it has spent them. The crypto pool is never charged for it, even while the
 // read core is busy. The GET sent again is answered at once from the
 // client's exactly-once record.
 func TestOrderedReadsRunOnTheIdleReadCore(t *testing.T) {
@@ -429,7 +550,7 @@ func TestOrderedReadsRunOnTheIdleReadCore(t *testing.T) {
 	const earlier = 10 * sim.Microsecond
 	r.proc.Charge(earlier)
 	r.decide(1, 0, Request{Client: 200, Num: 2, Payload: get})
-	done := now.Add(earlier + latmodel.AppExecBase + cost)
+	done := now.Add(earlier + latmodel.AppExecBase + cost + latmodel.DispatchCost)
 	if main, core := r.proc.BusyUntil().Sub(now), r.reads.core.BusyUntil(); main != earlier+latmodel.AppExecBase || core != done || backlog(r) != 1 {
 		t.Fatalf("the GET moved the main process's horizon by %v and the read core's to %v, %d queued: want %v, %v and 1",
 			main, core, backlog(r), earlier+latmodel.AppExecBase, done)
@@ -466,7 +587,7 @@ func TestOrderedReadsRunOnTheIdleReadCore(t *testing.T) {
 	now = rig.eng.Now()
 	r.decide(2, 0, Request{Client: 200, Num: 3, Payload: get})
 	r.decide(3, 0, Request{Client: 200, Num: 4, Payload: get})
-	want := now.Add(latmodel.AppExecBase + 2*cost)
+	want := now.Add(latmodel.AppExecBase + 2*(cost+latmodel.DispatchCost))
 	if pool := r.reads.pool.BusyUntil(); pool > now || poolHolds(r) || backlog(r) != 2 || r.reads.core.BusyUntil() != want {
 		t.Fatalf("two GETs: pool busy until %v at %v, holding a read %v, %d on the read core until %v: want the pool idle and 2 on the read core until %v",
 			pool, now, poolHolds(r), backlog(r), r.reads.core.BusyUntil(), want)
@@ -552,14 +673,23 @@ func TestOrderedReadsStayOnMain(t *testing.T) {
 		for i := 1; i <= readBacklogCap; i++ {
 			r.reads.toCore(readReply{to: 201, frame: r.readReplyFrame(uint64(i), 0, nil), cost: r.cfg.App.ExecCost(get)}, rig.eng.Now())
 		}
+		// inline holds what each core was charged: the GET on the main
+		// process, the read core unmoved. Its reply comes once the main
+		// process has spent it, long before the read core spends its backlog;
+		// the backlog's first replies, posted by the read core, may come
+		// before it.
 		inline(t, rig, r, 1, get, false)
+		mainDone, coreDone := r.proc.BusyUntil(), r.reads.core.BusyUntil()
 		for len(*got) == 0 && rig.eng.Step() {
 		}
-		early := len(rig.replies)
+		if at := (*got)[0].at; at < mainDone || at >= coreDone {
+			t.Fatalf("the GET's reply came at %v, want after the main process spent it at %v and before the read core's backlog ends at %v",
+				at, mainDone, coreDone)
+		}
 		rig.eng.RunFor(sim.Millisecond)
-		if len(*got) != 1 || early != 0 || len(rig.replies) != readBacklogCap {
-			t.Fatalf("%d ordered replies, %d replies from the backlog before it and %d in all: want the GET's first, then the backlog's %d",
-				len(*got), early, len(rig.replies), readBacklogCap)
+		if len(*got) != 1 || len(rig.replies) != readBacklogCap {
+			t.Fatalf("%d ordered replies and %d from the backlog: want the GET's and the backlog's %d",
+				len(*got), len(rig.replies), readBacklogCap)
 		}
 	})
 }

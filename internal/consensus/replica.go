@@ -465,8 +465,8 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 	r.ackHub = tbcast.NewAckHub(deps.RT)
 	r.store = swmr.NewStore(deps.RT, r.proc, cfg.MemNodes, cfg.Fm)
 	r.sumHub = ctbcast.NewSummaryHub(deps.RT)
-	r.bgProc = sim.NewProc(r.proc.Engine(), r.proc.Name()+"-crypto")
-	r.reads.init(r, sim.NewProc(r.proc.Engine(), r.proc.Name()+"-read"), r.bgProc)
+	r.bgProc = r.proc.NewCore(r.proc.Name() + "-crypto")
+	r.reads.init(r, r.proc.NewCore(r.proc.Name()+"-read"), r.bgProc)
 
 	env := ctbcast.Env{
 		RT: deps.RT, Proc: r.proc, Hub: r.hub, AckHub: r.ackHub,
@@ -515,6 +515,7 @@ func NewReplica(cfg Config, deps Deps) *Replica {
 
 	deps.RT.RegisterFrame(router.ChanDirect, r.onDirect)
 	deps.RT.Register(router.ChanRPC, r.onRPC)
+	deps.RT.Node().SetIntake(isReadRequest)
 	if cfg.JoinNonce != 0 {
 		r.startColdJoin()
 	}
@@ -1201,8 +1202,9 @@ func (r *Replica) executeReady() {
 // charged the dispatch (AppExecBase) of every command and the execution
 // (ExecCost) of every write. A read (the application's ReadOnly) executes
 // here too, at its slot, but until this replica serves its first fast read
-// its execution is charged to the read core, from when the main process has
-// dispatched it, and the read core sends the reply once it has spent it
+// its execution and its reply's post are charged to the read core, from when
+// the main process has dispatched it, and the read core posts the reply once
+// it has spent them
 // (readLanes): a group without fast reads has an idle read core and a main
 // process busy with application work. A read that parks, a read behind a
 // full read-core backlog and every read of a replica serving fast reads are
@@ -1267,7 +1269,7 @@ func (r *Replica) applyOne(req *Request, s Slot) {
 	}
 	c.markExecuted(req.Num, s, result, false)
 	if onReadCore {
-		r.reads.toCore(readReply{to: req.Client, frame: responseFrame(req.Num, s, result, false), cost: cost}, r.proc.BusyUntil())
+		r.reads.toCore(readReply{to: req.Client, frame: responseFrame(req.Num, s, result, false), cost: cost + latmodel.DispatchCost}, r.proc.BusyUntil())
 	} else {
 		r.respond(req.Client, req.Num, s, result, false)
 	}

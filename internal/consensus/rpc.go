@@ -91,11 +91,12 @@ const pinnedReadCap = 512
 
 // readBacklogCap bounds the fast reads waiting for a core (readLanes.waiting)
 // and, until the first fast read, the ordered reads queued on the read core.
-// At a KV read's ~14 µs the cap is about 0.45 ms of work while both cores
-// drain it and 0.9 ms while the pool is busy with crypto, so a reply behind a
-// fuller queue would come too late to count against the read timeout: past
-// the cap a fast read is refused instead, and its client widens or falls
-// back at once, and an ordered read runs on the main process.
+// At a KV read's charged ~14.7 µs (its execution and both dispatches) the cap
+// is about 0.47 ms of work while both cores drain it and 0.94 ms while the
+// pool is busy with crypto, so a reply behind a fuller queue would come too
+// late to count against the read timeout: past the cap a fast read is refused
+// instead, and its client widens or falls back at once, and an ordered read
+// runs on the main process.
 const readBacklogCap = 64
 
 // pinnedRead is one as-of read waiting for this replica's execution to
@@ -107,8 +108,8 @@ type pinnedRead struct {
 	payload []byte
 }
 
-// readReply is one read's reply frame, its client and the execution the
-// core that serves it is charged.
+// readReply is one read's reply frame, its client and what the core that
+// serves it is charged: the read's execution and the post of its reply.
 type readReply struct {
 	to    ids.ID
 	frame []byte
@@ -148,9 +149,9 @@ func (q *readQueue) pop() readReply {
 
 // readLanes are a replica's two off-main cores that serve reads, the read
 // core and the crypto pool, and the one FIFO of fast reads neither has
-// started. A core is charged the execution of each read it starts and sends
-// the read's reply once it has spent it, so the main process never waits
-// behind a read.
+// started. A core is charged each read it starts, the post of its reply
+// included, and posts the reply once it has spent it, so a read neither
+// waits for the main process nor makes it wait.
 type readLanes struct {
 	r          *Replica
 	core, pool *sim.Proc
@@ -162,14 +163,18 @@ type readLanes struct {
 	onPool readReply
 	// waiting is the fast reads neither core has started, oldest first.
 	waiting readQueue
-	// coreDone and poolDone are coreFinished and poolFinished, bound once.
-	coreDone, poolDone func()
+	// wake is the timer that restarts the lanes when the pool's crypto job
+	// ends while reads wait (startWaiting).
+	wake sim.Timer
+	// coreDone, poolDone and restart are coreFinished, poolFinished and
+	// startWaiting, bound once.
+	coreDone, poolDone, restart func()
 }
 
 // init binds the lanes to their replica and their cores.
 func (l *readLanes) init(r *Replica, core, pool *sim.Proc) {
 	l.r, l.core, l.pool = r, core, pool
-	l.coreDone, l.poolDone = l.coreFinished, l.poolFinished
+	l.coreDone, l.poolDone, l.restart = l.coreFinished, l.poolFinished, l.startWaiting
 }
 
 // toCore queues rep on the read core, charged from when the read is handed
@@ -180,8 +185,9 @@ func (l *readLanes) toCore(rep readReply, from sim.Time) {
 	l.core.ExecFrom(from, rep.cost, l.coreDone)
 }
 
-// coreFinished is the read core spending its oldest read: the reply goes
-// out, and the freed cores take the oldest waiting reads.
+// coreFinished is the read core spending its oldest read: it posts the reply,
+// which leaves now (transport.Endpoint.Send), and the freed cores take the
+// oldest waiting reads.
 func (l *readLanes) coreFinished() {
 	rep := l.onCore.pop()
 	l.r.rt.SendFrame(rep.to, rep.frame)
@@ -197,20 +203,25 @@ func (l *readLanes) poolFinished() {
 }
 
 // startWaiting starts the oldest waiting fast reads on the cores that are
-// free. It runs whenever a read arrives or a core finishes one, so a read
-// waits only while both cores are busy or the pool holds a crypto job. The
-// read core is free once it has spent every read it was charged; the pool
-// while it holds no read and no crypto job, so it never holds two reads and
-// a signature submitted later waits at most one. On a realtime host the read
-// core is never busy, so the pool never serves a read.
+// free. It runs whenever a read arrives, a core finishes one or the pool's
+// crypto job ends with reads waiting (wake), so a read waits only while both
+// cores are busy. The read core is free once it has spent every read it was
+// charged; the pool while it holds no read and no crypto job, so it never
+// holds two reads and a signature submitted later waits at most one. On a
+// realtime host the read core is never busy, so the pool never serves a read.
 func (l *readLanes) startWaiting() {
 	now := l.core.Now()
 	if l.waiting.len() > 0 && l.core.BusyUntil() <= now {
 		l.toCore(l.waiting.pop(), now)
 	}
-	if l.waiting.len() > 0 && l.onPool.frame == nil && l.pool.BusyUntil() <= now {
+	if l.waiting.len() == 0 || l.onPool.frame != nil {
+		return
+	}
+	if busy := l.pool.BusyUntil(); busy <= now {
 		l.onPool = l.waiting.pop()
 		l.pool.Exec(l.onPool.cost, l.poolDone)
+	} else if !l.wake.Pending() {
+		l.wake = l.pool.After(busy.Sub(now), l.restart)
 	}
 }
 
@@ -283,16 +294,19 @@ func (r *Replica) onClientRequest(from ids.ID, rd *wire.Reader) {
 // as-of the exact version the request pins (at > 0) — and reply with the
 // result plus the state version (LastApplied) execution has reached. The
 // read never touches the ordering pipeline — no digest, no echo, no slot.
-// The main process computes the read at once and hands the reply to the
-// read lanes (serveRead), whose core is charged its execution. Requests the
-// application cannot answer read-only (no ReadExecutor capability, a write
-// opcode, a pin below the MVCC GC horizon) are refused explicitly so the
-// client falls back without waiting out its timeout.
+// A read request is taken the instant it arrives (the endpoint's intake,
+// isReadRequest), whatever the main process is busy with: the result and
+// LastApplied are read together then, and the reply goes to the read lanes
+// (serveRead), whose core is charged the read and both its dispatches.
+// Requests the application cannot answer read-only (no ReadExecutor
+// capability, a write opcode, a pin below the MVCC GC horizon) are refused
+// explicitly so the client falls back without waiting out its timeout.
 func (r *Replica) onReadRequest(from ids.ID, rd *wire.Reader) {
 	num := rd.U64()
 	at := Slot(rd.U64())
 	payload := rd.BytesView()
 	if rd.Done() != nil {
+		r.proc.Charge(latmodel.DispatchCost) // its receipt
 		return
 	}
 	if r.observing() {
@@ -378,17 +392,26 @@ func (r *Replica) readReplyFrame(num uint64, flags uint8, result []byte) []byte 
 	return replyFrame(Reply{Tag: tagReadResponse, Num: num, At: uint64(r.lastApplied), Flags: flags, Result: result})
 }
 
-// refuseRead sends a refusal at once, from the main process.
+// refuseRead sends a refusal from the main process, which is charged the
+// request's receipt and the refusal's post.
 func (r *Replica) refuseRead(to ids.ID, num uint64) {
+	r.proc.Charge(latmodel.DispatchCost)
 	r.rt.SendFrame(to, r.readReplyFrame(num, 0, nil))
+}
+
+// isReadRequest reports whether frame is a read request, which a replica's
+// endpoint takes on arrival (transport.Endpoint.SetIntake).
+func isReadRequest(frame []byte) bool {
+	return len(frame) > 1 && frame[0] == router.ChanRPC && frame[1] == tagReadRequest
 }
 
 // serveRead queues the reply of a read executed at this instant behind the
 // fast reads waiting for a core (readLanes), and the free cores start the
 // oldest: the read core first, then the crypto pool. The core that takes the
-// read is charged its execution and then sends the reply. A full queue of
-// waiting reads refuses the read instead. From the first fast read on,
-// ordered reads stay on the main process (applyOne).
+// read is charged its execution and both dispatches, the request's and the
+// reply's, and then posts the reply. A full queue of waiting reads refuses
+// the read instead. From the first fast read on, ordered reads stay on the
+// main process (applyOne).
 func (r *Replica) serveRead(to ids.ID, num uint64, flags uint8, result, payload []byte) {
 	r.servesFastReads = true
 	if r.reads.waiting.len() >= readBacklogCap {
@@ -396,7 +419,7 @@ func (r *Replica) serveRead(to ids.ID, num uint64, flags uint8, result, payload 
 		return
 	}
 	r.ReadsServed++
-	r.reads.waiting.push(readReply{to: to, frame: r.readReplyFrame(num, flags, result), cost: r.cfg.App.ExecCost(payload) + latmodel.AppExecBase})
+	r.reads.waiting.push(readReply{to: to, frame: r.readReplyFrame(num, flags, result), cost: r.cfg.App.ExecCost(payload) + latmodel.AppExecBase + 2*latmodel.DispatchCost})
 	r.reads.startWaiting()
 }
 

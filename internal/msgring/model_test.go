@@ -121,6 +121,7 @@ func newWireTap() *wireTap {
 func (w *wireTap) ID() ids.ID                   { return 0 }
 func (w *wireTap) Proc() *sim.Proc              { return w.proc }
 func (w *wireTap) SetHandler(transport.Handler) {}
+func (w *wireTap) SetIntake(func([]byte) bool)  {}
 func (w *wireTap) Send(to ids.ID, payload []byte) {
 	w.posted[to] = append(w.posted[to], fmt.Sprintf("@%d %x", w.eng.Now(), payload))
 }

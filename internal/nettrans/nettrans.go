@@ -417,6 +417,10 @@ func (nd *Node) Proc() *sim.Proc { return nd.proc }
 // SetHandler installs the message handler (before Host.Run starts).
 func (nd *Node) SetHandler(h transport.Handler) { nd.handler = h }
 
+// SetIntake is a no-op (transport.Endpoint): the host loop has no busy
+// horizon and charges no dispatch, so every frame is taken on arrival.
+func (nd *Node) SetIntake(func(frame []byte) bool) {}
+
 func (nd *Node) deliver(from ids.ID, payload []byte) {
 	if nd.handler == nil || nd.proc.Crashed() {
 		return

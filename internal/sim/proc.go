@@ -13,11 +13,28 @@ type Proc struct {
 	name      string
 	busyUntil Time
 	crashed   bool
+	host      *Proc // the host's main process, for a core made by NewCore
 }
 
 // NewProc creates a process bound to the engine.
 func NewProc(eng *Engine, name string) *Proc {
 	return &Proc{eng: eng, name: name}
+}
+
+// NewCore creates another core of p's host (a crypto pool, a read core): a
+// process with its own busy horizon whose Host is p. A message a core's
+// event sends is that core's post (simnet.Node.Send).
+func (p *Proc) NewCore(name string) *Proc {
+	return &Proc{eng: p.eng, name: name, host: p}
+}
+
+// Host returns the main process of p's host: p itself unless p was made by
+// NewCore.
+func (p *Proc) Host() *Proc {
+	if p.host != nil {
+		return p.host
+	}
+	return p
 }
 
 // Engine returns the engine the process is bound to.

@@ -203,6 +203,9 @@ type Engine struct {
 	rng      *rand.Rand
 	executed uint64
 	stopped  bool
+	// running is the process whose event is firing (nil between events and
+	// for an engine timer).
+	running *Proc
 
 	// realtime marks an engine driven against the wall clock (a nettrans
 	// host loop) rather than by discrete-event virtual time. In realtime
@@ -318,10 +321,25 @@ func (e *Engine) recycle(ev *event) {
 // message-delivery discipline of Proc.Deliver sampled at arrival — without
 // allocating a closure, a Timer, or a second event.
 func (e *Engine) PostMsg(t Time, proc *Proc, h MsgHandler, from int, payload []byte) {
+	e.msg(t, proc, h, from, payload).deferBusy = true
+}
+
+// TakeMsg is PostMsg for a message taken the instant it arrives: h runs at t
+// whatever computation proc has in progress, and a crashed proc drops it.
+func (e *Engine) TakeMsg(t Time, proc *Proc, h MsgHandler, from int, payload []byte) {
+	e.msg(t, proc, h, from, payload)
+}
+
+// msg schedules the message event h(from, payload) on proc at t.
+func (e *Engine) msg(t Time, proc *Proc, h MsgHandler, from int, payload []byte) *event {
 	ev := e.schedule(t, proc, nil)
 	ev.mfn, ev.mfrom, ev.mpayload = h, from, payload
-	ev.deferBusy = true
+	return ev
 }
+
+// Running returns the process whose event is firing: nil between events and
+// inside an engine timer (At, After).
+func (e *Engine) Running() *Proc { return e.running }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a bug in a cost model.
@@ -375,7 +393,9 @@ func (e *Engine) Step() bool {
 			e.now = ev.at
 		}
 		e.executed++
-		crashed := ev.proc != nil && ev.proc.crashed
+		proc := ev.proc
+		crashed := proc != nil && proc.crashed
+		e.running = proc
 		if ev.mfn != nil {
 			mfn, mfrom, mpayload := ev.mfn, ev.mfrom, ev.mpayload
 			e.recycle(ev)
@@ -389,6 +409,7 @@ func (e *Engine) Step() bool {
 				h.Fire()
 			}
 		}
+		e.running = nil
 		return true
 	}
 	return false

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -463,4 +464,26 @@ func TestEventOrderMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d events fired, %d cancelled, %d arrivals waited, %d stale timers checked",
 		fired, cancelled, ref.waited, staleChecked)
+}
+
+// TestRunningNamesTheEventsProc: while an event fires, Running is the
+// process it was scheduled on (nil for an engine timer, and between events),
+// and a core made by NewCore names its host.
+func TestRunningNamesTheEventsProc(t *testing.T) {
+	e := NewEngine(1)
+	main := NewProc(e, "main")
+	core := main.NewCore("core")
+	if main.Host() != main || core.Host() != main {
+		t.Fatalf("hosts %s and %s, want main for both", main.Host().Name(), core.Host().Name())
+	}
+	var seen []*Proc
+	look := func() { seen = append(seen, e.Running()) }
+	main.Exec(1, look)
+	core.Exec(2, look)
+	e.After(3, look)
+	main.PostMsg(func(int, []byte) { look() }, 0, nil)
+	e.Run()
+	if want := []*Proc{main, main, core, nil}; !slices.Equal(seen, want) || e.Running() != nil {
+		t.Fatalf("running %v, then %v: want %v, then nil", seen, e.Running(), want)
+	}
 }

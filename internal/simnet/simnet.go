@@ -26,6 +26,12 @@
 // 2, 3 and 5 again, not the rule). Frames whose sender crashed before the
 // release are lost. A rule runs inside Send, so a rule that kills or
 // restarts a node schedules that on the engine instead of doing it there.
+//
+// A delivered frame waits for the receiving process's computation in
+// progress and costs it a dispatch, unless the receiver's intake claims it
+// (Node.SetIntake): then it is handled the instant it arrives. A frame sent
+// from an event on another core of the sending host (sim.Proc.NewCore)
+// leaves the instant it is sent, its post paid by that core.
 package simnet
 
 import (
@@ -144,7 +150,7 @@ func (n *Network) AttachNode(id ids.ID, proc *sim.Proc) *Node {
 		panic(fmt.Sprintf("simnet: duplicate node %v", id))
 	}
 	nd := &Node{id: id, net: n, proc: proc}
-	nd.deliver = nd.deliverMsg
+	nd.deliver, nd.take = nd.deliverMsg, nd.takeMsg
 	n.nodes[id] = nd
 	return nd
 }
@@ -288,10 +294,12 @@ type Node struct {
 	net     *Network
 	proc    *sim.Proc
 	handler Handler
-	// deliver is the long-lived sim.MsgHandler for this node, built once so
-	// message delivery allocates no closure (see Send).
-	deliver sim.MsgHandler
-	inbound uint64
+	// intake claims the frames taken on arrival (SetIntake).
+	intake func(frame []byte) bool
+	// deliver and take are the long-lived sim.MsgHandlers for this node,
+	// built once so message delivery allocates no closure (see Send).
+	deliver, take sim.MsgHandler
+	inbound       uint64
 }
 
 // deliverMsg runs on the destination process when a message is handed to
@@ -301,7 +309,15 @@ func (nd *Node) deliverMsg(from int, payload []byte) {
 		return
 	}
 	nd.proc.Charge(latmodel.DispatchCost)
-	nd.handler(ids.ID(from), payload)
+	nd.takeMsg(from, payload)
+}
+
+// takeMsg hands a frame the intake claimed to the handler, at arrival and
+// uncharged: the core the handler gives it to pays its dispatch.
+func (nd *Node) takeMsg(from int, payload []byte) {
+	if nd.handler != nil {
+		nd.handler(ids.ID(from), payload)
+	}
 }
 
 // ID returns the node's identity.
@@ -317,6 +333,11 @@ func (nd *Node) Inbound() uint64 { return nd.inbound }
 // SetHandler installs the message handler.
 func (nd *Node) SetHandler(h Handler) { nd.handler = h }
 
+// SetIntake installs the claim on frames taken on arrival
+// (transport.Endpoint). It is asked once per frame, when the frame is put on
+// the wire.
+func (nd *Node) SetIntake(claim func(frame []byte) bool) { nd.intake = claim }
+
 // Handler returns the installed message handler (nil before SetHandler), so
 // an observer can wrap it and see every delivery.
 func (nd *Node) Handler() Handler { return nd.handler }
@@ -324,7 +345,10 @@ func (nd *Node) Handler() Handler { return nd.handler }
 // Send transmits payload to the node identified by to, deciding its fate
 // in the order of the package doc. The sender pays the NIC-posting dispatch
 // cost; the receiver pays a dispatch cost and then runs its handler,
-// queuing behind any in-progress computation.
+// queuing behind any in-progress computation, unless its intake claims the
+// frame (SetIntake). A send made from an event on another core of the host
+// (sim.Proc.NewCore) is that core's post, paid with the work that ended in
+// the send: nothing is charged here, and the frame leaves at once.
 //
 // The payload slice is delivered as-is, uncopied, and is not written while a
 // transmission of it is undelivered (transport.Endpoint). A message-ring
@@ -345,7 +369,11 @@ func (nd *Node) send(to ids.ID, payload []byte) {
 		return
 	}
 	n := nd.net
-	nd.proc.Charge(latmodel.DispatchCost)
+	cur := n.eng.Running()
+	posted := cur != nil && cur != nd.proc && cur.Host() == nd.proc
+	if !posted {
+		nd.proc.Charge(latmodel.DispatchCost)
+	}
 	n.MsgsSent++
 	dst := n.nodes[to]
 	if dst == nil {
@@ -375,8 +403,12 @@ func (nd *Node) send(to ids.ID, payload []byte) {
 	}
 	// The message departs when the sender's CPU finishes its queued work:
 	// a handler that computed (signed, hashed, copied) before sending pays
-	// that time before the NIC sees the message.
-	n.transmit(nd, dst, payload, max(nd.proc.BusyUntil(), n.eng.Now()), extra)
+	// that time before the NIC sees the message. A core's post leaves now.
+	depart := n.eng.Now()
+	if !posted {
+		depart = max(nd.proc.BusyUntil(), depart)
+	}
+	n.transmit(nd, dst, payload, depart, extra)
 }
 
 // transmit puts payload on the wire at depart: step 5 of the package doc.
@@ -395,6 +427,11 @@ func (n *Network) transmit(src, dst *Node, payload []byte, depart sim.Time, extr
 	n.lastArrival[link] = arrive
 	// Closure-free delivery: the engine carries (handler, from, payload) in
 	// the event record and queues once behind the receiver's busy horizon
-	// at arrival, replicating the arrive-then-deliver two-step.
+	// at arrival, replicating the arrive-then-deliver two-step. A frame the
+	// receiver's intake claims runs at arrival instead.
+	if dst.intake != nil && dst.intake(payload) {
+		n.eng.TakeMsg(arrive, dst.proc, dst.take, int(src.id), payload)
+		return
+	}
 	n.eng.PostMsg(arrive, dst.proc, dst.deliver, int(src.id), payload)
 }

@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -292,5 +294,60 @@ func TestSetGST(t *testing.T) {
 	}
 	if n.Options().GST != sim.Time(sim.Millisecond) {
 		t.Fatal("Options() does not reflect SetGST")
+	}
+}
+
+// TestIntakeTakesOnArrival: a frame the receiver's intake claims runs the
+// instant it arrives, though the receiver is busy, and costs it nothing; a
+// frame it does not claim queues behind the receiver's busy horizon and pays
+// its dispatch. A claimed frame to a crashed host dies with it.
+func TestIntakeTakesOnArrival(t *testing.T) {
+	opts := RDMAOptions()
+	opts.Jitter = 0
+	e, _, a, b := twoNodes(t, opts)
+	b.SetIntake(func(f []byte) bool { return f[0] == 'r' })
+	var got []string
+	b.SetHandler(func(_ ids.ID, p []byte) { got = append(got, fmt.Sprintf("%s@%d", p, e.Now())) })
+	b.Proc().Charge(50 * sim.Microsecond)
+	busy := b.Proc().BusyUntil()
+	a.Send(1, []byte("w"))
+	a.Send(1, []byte("r")) // posted after w, one dispatch later
+	e.Run()
+	arrive := sim.Time(2*latmodel.DispatchCost + opts.BaseLatency + latmodel.PerByte(1+opts.HeaderBytes))
+	want := []string{fmt.Sprintf("r@%d", arrive), fmt.Sprintf("w@%d", busy)}
+	if !slices.Equal(got, want) || b.Proc().BusyUntil() != busy.Add(latmodel.DispatchCost) {
+		t.Fatalf("delivered %v, receiver busy until %v: want %v and %v", got, b.Proc().BusyUntil(), want, busy.Add(latmodel.DispatchCost))
+	}
+
+	got = nil
+	a.Send(1, []byte("r"))
+	b.Proc().Crash()
+	e.Run()
+	if len(got) != 0 {
+		t.Fatalf("a crashed host took %v", got)
+	}
+}
+
+// TestCorePostLeavesAtOnce: a send made from an event on another core of the
+// sending host (sim.Proc.NewCore) is that core's post: it leaves when the
+// event runs, though the host's main process is busy, and charges the main
+// process nothing. A send from another host's process is the main process's
+// as ever: charged to it, and leaving behind its queued work.
+func TestCorePostLeavesAtOnce(t *testing.T) {
+	opts := RDMAOptions()
+	opts.Jitter = 0
+	e, _, a, b := twoNodes(t, opts)
+	var got []sim.Time
+	b.SetHandler(func(ids.ID, []byte) { got = append(got, e.Now()) })
+	main := a.Proc()
+	main.Charge(20 * sim.Microsecond)
+	busy := main.BusyUntil()
+	main.NewCore("a-core").Exec(5*sim.Microsecond, func() { a.Send(1, []byte("x")) })
+	sim.NewProc(e, "elsewhere").Exec(5*sim.Microsecond, func() { a.Send(1, []byte("y")) })
+	e.Run()
+	wire := opts.BaseLatency + latmodel.PerByte(1+opts.HeaderBytes)
+	want := []sim.Time{sim.Time(5 * sim.Microsecond).Add(wire), busy.Add(latmodel.DispatchCost + wire)}
+	if !slices.Equal(got, want) || main.BusyUntil() != busy.Add(latmodel.DispatchCost) {
+		t.Fatalf("arrivals %v, main busy until %v: want %v and %v", got, main.BusyUntil(), want, busy.Add(latmodel.DispatchCost))
 	}
 }

@@ -362,6 +362,38 @@ func TestTransportConformance(t *testing.T) {
 				}
 			})
 
+			// A frame the intake claims is still delivered once, with its
+			// sender's identity; claimed and unclaimed frames each keep
+			// their link's order (a claimed one may overtake unclaimed ones
+			// waiting for the process).
+			t.Run("IntakeDeliversOnce", func(t *testing.T) {
+				const k = 20
+				w, recs := build(t, 3)
+				defer w.close()
+				w.endpoint(1).SetIntake(func(f []byte) bool { return len(f) >= 16 && f[8]%2 == 1 })
+				for m := 0; m < k; m++ {
+					w.send(0, 1, msg(0, uint64(m+1)))
+					w.send(2, 1, msg(2, uint64(m+1)))
+				}
+				if !w.settle(func() bool { return recs[1].count() >= 2*k }) {
+					t.Fatalf("endpoint 1 got %d/%d msgs", recs[1].count(), 2*k)
+				}
+				w.linger()
+				for _, from := range []ids.ID{0, 2} {
+					var last [2]uint64
+					idxs := recs[1].from(from)
+					for _, idx := range idxs {
+						if idx == ^uint64(0) || idx <= last[idx%2] {
+							t.Fatalf("from %v: %v, want each of odd and even indices once, in order, with the sender's identity", from, idxs)
+						}
+						last[idx%2] = idx
+					}
+					if len(idxs) != k {
+						t.Fatalf("from %v: %d/%d msgs", from, len(idxs), k)
+					}
+				}
+			})
+
 			t.Run("TailDropUnderOverload", func(t *testing.T) {
 				w, recs := build(t, 2)
 				defer w.close()

@@ -13,7 +13,9 @@
 // unacknowledged and may drop under overload or partition (tail semantics:
 // the newest traffic wins, exactly like the message-ring overwrite model);
 // delivery invokes the endpoint's handler with the authenticated sender
-// identity, in FIFO order per directed link, without duplicates. A node
+// identity, in FIFO order per directed link, without duplicates (a frame the
+// endpoint's intake claims may overtake unclaimed frames waiting for the
+// process, never another claimed one: SetIntake). A node
 // stops one way, crash-stop: once its process crashes, no frame leaves or
 // reaches it, on either backend. Every retransmission/recovery mechanism
 // above (tbcast, CTBcast, 2PC fan-outs) is built on precisely these
@@ -70,9 +72,22 @@ type Endpoint interface {
 	// SetHandler installs the message handler. Messages delivered before
 	// SetHandler are dropped.
 	SetHandler(h Handler)
+	// SetIntake names the frames the endpoint takes the instant they arrive
+	// (nil: none): a frame for which claim reports true goes to the handler
+	// at arrival, neither queued behind the computation the process has in
+	// progress nor charged the process's dispatch, because the handler hands
+	// it to another core of the host, which is charged instead (a replica's
+	// fast reads). A claimed frame may so overtake unclaimed frames on its
+	// link that wait for the process; claimed frames keep their order. claim
+	// must not keep or write the frame. A backend whose process has no busy
+	// horizon (nettrans) delivers every frame so already.
+	SetIntake(claim func(frame []byte) bool)
 	// Send transmits payload to the node identified by to. It never
 	// blocks: under overload or partition the backend drops (oldest
-	// first) rather than stall the caller.
+	// first) rather than stall the caller. A send made from an event on
+	// another core of the host (sim.Proc.NewCore) is that core's post: the
+	// core's work that ended in the send paid for it, and the frame leaves
+	// then, not behind the process's queued work.
 	Send(to ids.ID, payload []byte)
 }
 
